@@ -1,40 +1,38 @@
-"""Integral-layer acceleration: baseline vs PR 5 loop vs batched kernels.
+"""Integral-layer reuse: workspace + Schwarz screening vs neither.
 
 Every MD step re-solves the same fragments at slightly moved geometries,
-so the integral engine's geometry-independent work — shell-pair Hermite
-tables shared by seven drivers per solve, the auxiliary-basis group
-scaffolding (whose E tables do not depend on geometry at all), and the
-Cauchy-Schwarz bound table — is rebuilt thousands of times for nothing,
-and the loop drivers pay Python-level per-pair dispatch on top. This
-benchmark runs the same short trajectory three times:
+so the integral engine's geometry-independent work — packed shell-pair
+class tables shared by every driver of a solve, the auxiliary-basis
+group scaffolding (whose E tables do not depend on geometry at all), and
+the Cauchy-Schwarz bound table — would be rebuilt thousands of times for
+nothing. This benchmark runs the same short trajectory twice:
 
 * **baseline** — ``IntegralWorkspace(enabled=False)`` (every lookup
-  misses, nothing cached), ``int_screen=0`` (no integrals skipped), and
-  the per-pair loop kernels: the pre-acceleration reference;
-* **pr5-loop** — a fresh workspace plus the default Schwarz screening
-  tolerance, still on the loop kernels: exactly the accelerated
-  configuration PR 5 shipped;
-* **batched** — the same workspace + screening on the shell-class
-  batched kernels (`repro.integrals.batch`), the current default.
+  misses, nothing cached) and ``int_screen=0`` (no integrals skipped);
+* **default** — a fresh workspace plus the default Schwarz screening
+  tolerance: what every calculator runs with unless told otherwise.
 
-All runs use cold SCF guesses (``warm_start=False``) so the iteration
+Both runs use cold SCF guesses (``warm_start=False``) so the iteration
 paths are identical and the comparison isolates the integral layer. The
-acceptance gates mirror the kernel contracts: final total energies of
-all three runs agree to 1e-9 Ha (batched vs pr5-loop is bitwise by
-construction — the gate still checks it end to end), SCF iteration
-counts are *unchanged* (neither screening at 1e-12 nor kernel batching
-may perturb the convergence path), and the wall-time ratios clear the
-floors below.
+acceptance gates: final total energies agree to 1e-9 Ha, SCF iteration
+counts are *identical* (screening at 1e-12 may not perturb the
+convergence path), the default run's workspace serves entries and skips
+pairs, and the glycine wall-time ratio clears the floor below.
 
-On speedup floors: the issue targeted 5x for the batched kernels over
-the PR 5 baseline. End-to-end AIMD wall time is bounded well below that
-by Amdahl — SCF gemms, DF solves, and diagonalisation are shared by
-every configuration, and the bitwise batched-vs-loop contract pins the
-per-pair arithmetic (gemm shapes, full Hermite cubes) so the batched
-path can only remove dispatch and memory-traffic overhead, not FLOPs.
-The gates are therefore set from measured ratios with CI-noise margin;
-the measured values themselves are printed and recorded in the JSON
-artifact. See docs/PERFORMANCE.md for the full accounting.
+On the floor: with one kernel family the two runs do the same
+per-pair arithmetic, so the ratio measures only what caching and
+screening remove — class/aux/bound table rebuilds and the skipped
+long-range pairs (13% of the glycine-3mer's) — against SCF GEMMs, DF
+solves and diagonalisation that both runs share. Measured on the
+development VM (2 cores, three repetitions each): glycine-3mer full
+mode 1.05x / 0.94x / 1.09x (59-61 s baseline; the 0.94 repetition
+shared the machine with a test run), glycine-2mer smoke mode 1.14x /
+1.04x / 1.14x (13-15 s baseline). That is a few percent, inside the
+run-to-run spread, so the floor (0.85 in both modes, below the slowest
+repetition) only asserts that the defaults never cost wall time; the
+energy, iteration-count, served-entries and skipped-pairs gates are the
+ones with resolving power. The measured values are printed and recorded
+in the JSON artifact. See docs/PERFORMANCE.md for the full accounting.
 
 Runnable two ways:
 
@@ -58,7 +56,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.analysis import format_table  # noqa: E402
 from repro.calculators import GuessCache, RIHFCalculator  # noqa: E402
 from repro.frag import FragmentedSystem  # noqa: E402
-from repro.integrals import kernel_mode, set_kernel_mode  # noqa: E402
 from repro.integrals.workspace import (  # noqa: E402
     DEFAULT_INT_SCREEN,
     IntegralWorkspace,
@@ -71,22 +68,19 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 #: final total energies of the runs must pairwise agree to this
 ENERGY_TOL_HA = 1.0e-9
 
-#: wall-time ratio floors on the glycine chain (baseline / config);
-#: full mode only for the loop gate, smoke runs are too short for it
-MIN_SPEEDUP = 1.3  # pr5-loop vs baseline, full mode (the PR 5 gate)
-MIN_BATCHED_SPEEDUP = 1.5  # batched vs baseline, full mode
-MIN_BATCHED_SMOKE = 1.3  # batched vs baseline, smoke mode (CI gate)
+#: wall-time ratio floor on the glycine chain (baseline / default),
+#: full and smoke mode alike
+MIN_SPEEDUP = 0.85
 
-#: the three configurations: (workspace enabled, screen, kernel mode)
+#: the two configurations: (workspace enabled, screen)
 CONFIGS = {
-    "baseline": (False, 0.0, "loop"),
-    "pr5-loop": (True, DEFAULT_INT_SCREEN, "loop"),
-    "batched": (True, DEFAULT_INT_SCREEN, "batched"),
+    "baseline": (False, 0.0),
+    "default": (True, DEFAULT_INT_SCREEN),
 }
 
 
 def _run(system: FragmentedSystem, nsteps: int, config: str) -> dict:
-    ws_enabled, screen, mode = CONFIGS[config]
+    ws_enabled, screen = CONFIGS[config]
     workspace = IntegralWorkspace(enabled=ws_enabled)
     calc = RIHFCalculator(
         workspace=workspace,
@@ -96,18 +90,13 @@ def _run(system: FragmentedSystem, nsteps: int, config: str) -> dict:
         # all runs take identical iteration paths
         guess_cache=GuessCache(enabled=False),
     )
-    prev = kernel_mode()
-    set_kernel_mode(mode)
-    try:
-        t0 = time.perf_counter()
-        traj = run_aimd(
-            system, calc, nsteps=nsteps, dt_fs=0.25, temperature_k=100.0,
-            seed=0, r_dimer_bohr=1.0e6, mbe_order=2, replan_interval=1,
-            warm_start=False,
-        )
-        wall = time.perf_counter() - t0
-    finally:
-        set_kernel_mode(prev)
+    t0 = time.perf_counter()
+    traj = run_aimd(
+        system, calc, nsteps=nsteps, dt_fs=0.25, temperature_k=100.0,
+        seed=0, r_dimer_bohr=1.0e6, mbe_order=2, replan_interval=1,
+        warm_start=False,
+    )
+    wall = time.perf_counter() - t0
     ws = workspace.stats()
     gc = calc.guess_cache.stats()
     return {
@@ -123,7 +112,7 @@ def _run(system: FragmentedSystem, nsteps: int, config: str) -> dict:
 
 
 def run_experiment(smoke: bool = False) -> dict:
-    """Three-configuration trajectory runs (glycine chain + water)."""
+    """Two-configuration trajectory runs (glycine chain + water)."""
     if smoke:
         cases = [
             ("glycine-2mer", glycine_fragmented(2), 2),
@@ -145,34 +134,22 @@ def run_experiment(smoke: bool = False) -> dict:
         "smoke": smoke,
         "energy_tol_ha": ENERGY_TOL_HA,
         "min_speedup": MIN_SPEEDUP,
-        "min_batched_speedup": MIN_BATCHED_SPEEDUP,
-        "min_batched_smoke": MIN_BATCHED_SMOKE,
         "int_screen": DEFAULT_INT_SCREEN,
         "cases": [],
     }
     for name, system, nsteps in cases:
         runs = {cfg: _run(system, nsteps, cfg) for cfg in CONFIGS}
-        base, loop, bat = (
-            runs["baseline"], runs["pr5-loop"], runs["batched"]
-        )
+        base, dflt = runs["baseline"], runs["default"]
         results["cases"].append({
             "system": name,
             "natoms": system.parent.natoms,
             "nsteps": nsteps,
             "runs": runs,
-            "speedup_loop": base["wall_s"] / max(loop["wall_s"], 1e-12),
-            "speedup_batched": base["wall_s"] / max(bat["wall_s"], 1e-12),
-            "speedup_batched_vs_loop":
-                loop["wall_s"] / max(bat["wall_s"], 1e-12),
-            "final_energy_delta_loop_ha": abs(
-                loop["final_total_energy"] - base["final_total_energy"]
+            "speedup": base["wall_s"] / max(dflt["wall_s"], 1e-12),
+            "final_energy_delta_ha": abs(
+                dflt["final_total_energy"] - base["final_total_energy"]
             ),
-            "final_energy_delta_batched_ha": abs(
-                bat["final_total_energy"] - base["final_total_energy"]
-            ),
-            "scf_iters_equal": len(
-                {r["scf_iters"] for r in runs.values()}
-            ) == 1,
+            "scf_iters_equal": base["scf_iters"] == dflt["scf_iters"],
         })
     return results
 
@@ -181,69 +158,51 @@ def format_results(results: dict) -> str:
     rows = []
     for case in results["cases"]:
         runs = case["runs"]
-        bat = runs["batched"]
+        dflt = runs["default"]
         rows.append((
             case["system"],
             case["nsteps"],
             f"{runs['baseline']['wall_s']:.1f}",
-            f"{runs['pr5-loop']['wall_s']:.1f}",
-            f"{bat['wall_s']:.1f}",
-            f"{case['speedup_loop']:.2f}x",
-            f"{case['speedup_batched']:.2f}x",
-            f"{bat['pairs_skipped']}/{bat['pairs_total']}",
-            f"{case['final_energy_delta_batched_ha']:.1e}",
+            f"{dflt['wall_s']:.1f}",
+            f"{case['speedup']:.2f}x",
+            f"{dflt['pairs_skipped']}/{dflt['pairs_total']}",
+            f"{case['final_energy_delta_ha']:.1e}",
         ))
     return format_table(
-        ["system", "steps", "base s", "loop s", "batch s",
-         "loop x", "batch x", "skipped", "|dE| Ha"],
+        ["system", "steps", "base s", "default s", "speedup", "skipped",
+         "|dE| Ha"],
         rows,
-        title="Integral acceleration — baseline vs PR 5 loop vs "
-              "batched kernels",
+        title="Integral reuse — workspace + screening vs neither",
     )
 
 
 def check_results(results: dict) -> None:
     """Acceptance gates: exact energies, identical SCF paths, speedup."""
     for case in results["cases"]:
-        for which in ("loop", "batched"):
-            de = case[f"final_energy_delta_{which}_ha"]
-            assert de <= ENERGY_TOL_HA, (
-                f"{case['system']}: {which} final energy differs from "
-                f"baseline by {de:.2e} Ha"
-            )
+        de = case["final_energy_delta_ha"]
+        assert de <= ENERGY_TOL_HA, (
+            f"{case['system']}: default final energy differs from "
+            f"baseline by {de:.2e} Ha"
+        )
         assert case["scf_iters_equal"], (
-            f"{case['system']}: SCF iteration counts diverged across "
-            f"configs: "
+            f"{case['system']}: SCF iteration counts diverged: "
             + ", ".join(
                 f"{k}={v['scf_iters']}" for k, v in case["runs"].items()
             )
         )
-        for cfg in ("pr5-loop", "batched"):
-            assert case["runs"][cfg]["workspace_hits"] > 0, (
-                f"{case['system']}: the {cfg} workspace never served "
-                f"an entry"
-            )
+        dflt = case["runs"]["default"]
+        assert dflt["workspace_hits"] > 0, (
+            f"{case['system']}: the workspace never served an entry"
+        )
     gly = results["cases"][0]
-    if results["smoke"]:
-        assert gly["speedup_batched"] >= MIN_BATCHED_SMOKE, (
-            f"batched kernels sped glycine up only "
-            f"{gly['speedup_batched']:.2f}x over the unaccelerated "
-            f"baseline (smoke floor {MIN_BATCHED_SMOKE}x)"
-        )
-    else:
-        assert gly["speedup_loop"] >= MIN_SPEEDUP, (
-            f"integral caching+screening sped glycine up only "
-            f"{gly['speedup_loop']:.2f}x (expected >= {MIN_SPEEDUP}x)"
-        )
-        assert gly["speedup_batched"] >= MIN_BATCHED_SPEEDUP, (
-            f"batched kernels sped glycine up only "
-            f"{gly['speedup_batched']:.2f}x over the unaccelerated "
-            f"baseline (expected >= {MIN_BATCHED_SPEEDUP}x)"
-        )
-        assert gly["speedup_batched_vs_loop"] > 1.0, (
-            f"batched kernels are not faster than the PR 5 loop "
-            f"kernels ({gly['speedup_batched_vs_loop']:.2f}x)"
-        )
+    assert gly["runs"]["default"]["pairs_skipped"] > 0, (
+        f"{gly['system']}: default screening skipped no shell pair"
+    )
+    assert gly["speedup"] >= MIN_SPEEDUP, (
+        f"workspace + screening sped {gly['system']} up only "
+        f"{gly['speedup']:.2f}x over the uncached, unscreened baseline "
+        f"(floor {MIN_SPEEDUP}x)"
+    )
 
 
 def _write_json(results: dict, path: Path) -> None:

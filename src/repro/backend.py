@@ -46,8 +46,8 @@ class ArrayBackend:
         xp: the array namespace (numpy / jax.numpy / cupy). All dense
             math in the batched kernels goes through this.
         is_numpy: True for the default backend — kernels use this to
-            pick in-place fast paths that stay bitwise-identical to the
-            reference loop implementation.
+            pick in-place fast paths and fixed (``optimize=False``)
+            einsum paths, which is what keeps them deterministic.
     """
 
     name = "numpy"

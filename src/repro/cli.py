@@ -56,13 +56,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "(jax/cupy must be importable; exits with an "
                         "error otherwise) [default: REPRO_BACKEND env "
                         "var, else numpy]")
-    p.add_argument("--int-kernels", default=None,
-                   choices=["batched", "loop"],
-                   help="integral kernel mode: 'batched' evaluates whole "
-                        "shell-pair classes per array-kernel call, 'loop' "
-                        "is the per-pair reference implementation "
-                        "[default: REPRO_INT_KERNELS env var, else "
-                        "batched]")
 
 
 def cmd_scf(args) -> int:
@@ -723,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_runtime_options(args) -> None:
-    """Apply global backend/kernel-mode selections before dispatch.
+    """Apply the global backend selection before dispatch.
 
     Raises ``SystemExit`` with a readable message when the requested
     backend's package is not importable.
@@ -736,11 +729,6 @@ def _apply_runtime_options(args) -> None:
             set_default_backend(backend)
         except BackendUnavailableError as exc:
             raise SystemExit(f"error: {exc}") from exc
-    mode = getattr(args, "int_kernels", None)
-    if mode is not None:
-        from .integrals import set_kernel_mode
-
-        set_kernel_mode(mode)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,10 +3,10 @@
 `FaultPlanCalculator` is the task-site hook: it wraps any calculator
 (surrogate or QM), consults the plan on every evaluation, and either
 misbehaves in the scheduled way or delegates to the wrapped calculator.
-It generalizes `repro.md.drivers.FaultInjectingCalculator` (which keeps
-its simpler single-mode contract for unit tests): one wrapper, many
-typed faults, targeted by step / fragment key / atom count instead of a
-single natoms filter.
+It is the repository's only fault injector: one wrapper, many typed
+faults, targeted by step / fragment key / atom count. The simplest
+use — "every 6-atom fragment fails its first two attempts" — is a
+one-spec plan, ``FaultSpec(kind="transient", natoms=6, attempts=2)``.
 
 `corrupt_checkpoint` is the checkpoint-site hook: it damages a
 just-written checkpoint file the way real storage does — a torn

@@ -66,8 +66,7 @@ class FaultSpec:
     """One scheduled fault event (or class of events).
 
     Match fields are conjunctive; ``None`` matches anything.  With
-    ``attempts=k`` the fault fires while ``attempt < k`` — the same
-    retry-budget contract as `FaultInjectingCalculator`, so a task hit
+    ``attempts=k`` the fault fires while ``attempt < k``, so a task hit
     by a ``transient`` spec with ``attempts=2`` fails twice and
     succeeds on its third dispatch.  ``probability`` thins the matches
     stochastically but deterministically: the keep/drop draw is a hash

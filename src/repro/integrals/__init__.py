@@ -4,36 +4,36 @@ From-scratch McMurchie-Davidson implementation: overlap, kinetic,
 nuclear attraction, two-/three-/four-center electron repulsion
 integrals, and analytic first derivatives of all of them.
 
-Two kernel modes sit behind every public driver (`repro.integrals.batch`):
-the default *batched* mode evaluates whole shell-pair classes per numpy
-(or JAX/CuPy) kernel call, and the *loop* mode is the per-pair reference
-it is validated against.
+Every public driver has one implementation: the shell-class kernels of
+`repro.integrals.batch`, which evaluate whole shell-pair classes per
+numpy (or JAX/CuPy) kernel call, exported here under their plain names.
+They are deterministic (run to run, and for any chunk size) and agree
+with the per-pair ``*_loop`` reference functions in `onee.py`/`eri.py`
+to a stated tolerance with identical Schwarz skip decisions; the
+reference is imported by tests only.
 """
 
-from .batch import kernel_mode, kernels, set_kernel_mode
+from .batch import (
+    contract_eri3c_deriv_batched as contract_eri3c_deriv,
+    contract_kinetic_deriv_batched as contract_kinetic_deriv,
+    contract_nuclear_deriv_batched as contract_nuclear_deriv,
+    contract_overlap_deriv_batched as contract_overlap_deriv,
+    eri3c_batched as eri3c,
+    kinetic_batched as kinetic,
+    nuclear_batched as nuclear,
+    overlap_batched as overlap,
+    schwarz_pair_bounds_batched as schwarz_pair_bounds,
+)
 from .boys import boys, boys_array
 from .eri import (
     aux_function_bounds,
     contract_eri2c_deriv,
-    contract_eri3c_deriv,
     contract_eri4c_deriv_hf,
     eri2c,
-    eri3c,
     eri4c,
-    schwarz_pair_bounds,
 )
 from .hermite import cartesian_components, e_table, ncart, r_table
-from .onee import (
-    contract_hcore_deriv,
-    contract_kinetic_deriv,
-    contract_nuclear_deriv,
-    contract_overlap_deriv,
-    hcore,
-    kinetic,
-    nuclear,
-    overlap,
-    overlap_deriv,
-)
+from .onee import contract_hcore_deriv, hcore, overlap_deriv
 from .workspace import (
     DEFAULT_INT_SCREEN,
     IntegralWorkspace,
@@ -60,8 +60,6 @@ __all__ = [
     "eri4c",
     "get_workspace",
     "hcore",
-    "kernel_mode",
-    "kernels",
     "kinetic",
     "ncart",
     "nuclear",
@@ -69,5 +67,4 @@ __all__ = [
     "overlap_deriv",
     "r_table",
     "schwarz_pair_bounds",
-    "set_kernel_mode",
 ]

@@ -17,23 +17,28 @@ builders (integral matrices as pure functions of atom coordinates) that
 JAX can differentiate — the independent oracle the tests use to
 cross-check the hand-derived analytic gradients.
 
-Determinism contract (see docs/PERFORMANCE.md): on the numpy backend
-the batched overlap/kinetic/eri3c kernels and the overlap/kinetic/3c
-derivative contractions are **bitwise identical** to the reference loop
-implementations in `onee.py`/`eri.py` given the same Schwarz table —
-gathers, contraction orders and accumulation orders mirror the loop
-code exactly, and screened-pair bookkeeping is replayed in canonical
-pair order. Nuclear attraction and the Schwarz builder use fixed
-contraction paths that are batch-size invariant (the loop versions rely
-on ``optimize=True`` einsum paths that are not batch-reproducible), so
-they agree with the loops to tight tolerance rather than bitwise; a run
-that stays in one kernel mode remains bitwise reproducible end to end.
+Contract (see docs/PERFORMANCE.md). These kernels are the only runtime
+implementation of the public drivers; the per-pair ``*_loop`` functions
+in `onee.py`/`eri.py` are the reference the tests compare against.
+What is pinned:
+
+* **Determinism** — the same inputs give bit-identical outputs from run
+  to run and for any `_CHUNK_ELEMS`: per-pair rows are independent,
+  gradients accumulate per class in class order from whole-class
+  arrays, and the neglected bound is one exactly rounded `math.fsum`.
+  This is all `--deterministic` resume needs.
+* **Screening decisions** — skip masks and pair counts are identical to
+  the reference's (same Schwarz table, same comparison).
+* **Tolerance vs the reference** — matrices and 3c tensors to rtol
+  1e-12, contracted gradients to atol 1e-12 Ha/bohr.
+
+Summation order, operand layouts and Hermite ranges are *not* pinned to
+the loop code's, so they are free to change under those three clauses.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -52,10 +57,11 @@ from .eri import (
     DERIV_SAFETY,
     _TWO_PI_52,
     _S_COMP,
+    _aux_bounds,
     _aux_groups,
     _phase,
+    _schwarz_table,
     _zblk_table,
-    aux_function_bounds,
 )
 
 if TYPE_CHECKING:
@@ -68,61 +74,12 @@ __all__ = [
     "ShellClass",
     "build_shell_classes",
     "canonical_shell_pairs",
-    "kernel_mode",
-    "kernels",
-    "set_kernel_mode",
-    "use_batched",
 ]
-
-#: environment variable selecting the integral kernel implementation
-KERNELS_ENV = "REPRO_INT_KERNELS"
-
-_KERNEL_MODES = ("batched", "loop")
 
 #: element budget for the largest per-chunk intermediate (~2 MB f64,
 #: sized to keep the chunk's working set cache-resident); per-pair rows
 #: are independent, so chunking never changes results
 _CHUNK_ELEMS = 1 << 18
-
-
-def _initial_mode() -> str:
-    mode = os.environ.get(KERNELS_ENV, "").strip().lower() or "batched"
-    return mode if mode in _KERNEL_MODES else "batched"
-
-
-_MODE = _initial_mode()
-
-
-def kernel_mode() -> str:
-    """Active integral kernel implementation: "batched" or "loop"."""
-    return _MODE
-
-
-def set_kernel_mode(mode: str) -> None:
-    """Select the kernel implementation (``--int-kernels`` lands here)."""
-    global _MODE
-    mode = mode.lower()
-    if mode not in _KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel mode {mode!r}; choose from {_KERNEL_MODES}"
-        )
-    _MODE = mode
-
-
-def use_batched() -> bool:
-    """True when dispatchers should route to the batched kernels."""
-    return _MODE == "batched"
-
-
-@contextmanager
-def kernels(mode: str):
-    """Temporarily switch kernel mode (tests and benchmarks)."""
-    prev = _MODE
-    set_kernel_mode(mode)
-    try:
-        yield
-    finally:
-        set_kernel_mode(prev)
 
 
 # --------------------------------------------------------------------------
@@ -136,8 +93,7 @@ class ShellClass:
     Per-pair arrays are stacked along a leading axis of length ``Q``
     (pairs, canonical order within the class); per-primitive arrays have
     a second axis of length ``N = npa * npb``, laid out exactly like
-    `engine.pair_data` (bra-major), so gathers below are bitwise mirrors
-    of the per-pair code. ``E`` carries the workspace-unified
+    `engine.pair_data` (bra-major). ``E`` carries the workspace-unified
     ``(di=1, dj=2)`` derivative headroom: lower-index entries of the E
     recursion are independent of headroom, so every driver can gather
     from the one table.
@@ -147,7 +103,6 @@ class ShellClass:
     lb: int
     imax: int
     jmax: int
-    pair_idx: np.ndarray  # (Q,) index into canonical_shell_pairs(basis)
     ish: np.ndarray       # (Q,) bra shell index
     jsh: np.ndarray       # (Q,) ket shell index
     oa: np.ndarray        # (Q,) bra function offset
@@ -184,7 +139,6 @@ class ShellClass:
         """Survivor view after a screening decision (boolean mask)."""
         return replace(
             self,
-            pair_idx=self.pair_idx[mask],
             ish=self.ish[mask],
             jsh=self.jsh[mask],
             oa=self.oa[mask],
@@ -211,29 +165,26 @@ def _class_partition(basis: BasisSet):
     """
     shells = basis.shells
     offs = np.asarray(basis.offsets)
-    pairs = canonical_shell_pairs(basis)
-    by_key: dict[tuple[int, int, int, int], list[int]] = {}
-    for pidx, (i, j) in enumerate(pairs):
+    by_key: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
+    for i, j in canonical_shell_pairs(basis):
         key = (shells[i].l, shells[j].l, shells[i].nprim, shells[j].nprim)
-        by_key.setdefault(key, []).append(pidx)
+        by_key.setdefault(key, []).append((i, j))
     parts = []
     for key in sorted(by_key):
         la, lb, npa, npb = key
-        pidx = np.asarray(by_key[key], dtype=np.intp)
-        ish = np.asarray([pairs[k][0] for k in by_key[key]], dtype=np.intp)
-        jsh = np.asarray([pairs[k][1] for k in by_key[key]], dtype=np.intp)
+        ish, jsh = np.asarray(by_key[key], dtype=np.intp).T
         exps_a = np.stack([shells[i].exps for i in ish])
         exps_b = np.stack([shells[j].exps for j in jsh])
         coefs_a = np.stack([shells[i].coefs for i in ish])
         coefs_b = np.stack([shells[j].coefs for j in jsh])
-        # bra-major primitive layout, mirroring engine.pair_data bitwise
+        # bra-major primitive layout, as in engine.pair_data
         a = np.repeat(exps_a, npb, axis=1)
         b = np.tile(exps_b, (1, npa))
         cc = np.repeat(coefs_a, npb, axis=1) * np.tile(coefs_b, (1, npa))
         parts.append(
             dict(
                 la=la, lb=lb,
-                pair_idx=pidx, ish=ish, jsh=jsh,
+                ish=ish, jsh=jsh,
                 oa=offs[ish], ob=offs[jsh],
                 atom_a=np.asarray([shells[i].atom for i in ish], dtype=np.intp),
                 atom_b=np.asarray([shells[j].atom for j in jsh], dtype=np.intp),
@@ -270,7 +221,7 @@ def _build_shell_classes(basis: BasisSet) -> list[ShellClass]:
         classes.append(
             ShellClass(
                 la=la, lb=lb, imax=imax, jmax=jmax,
-                pair_idx=part["pair_idx"], ish=part["ish"], jsh=part["jsh"],
+                ish=part["ish"], jsh=part["jsh"],
                 oa=part["oa"], ob=part["ob"],
                 atom_a=part["atom_a"], atom_b=part["atom_b"],
                 diag=part["diag"],
@@ -298,13 +249,14 @@ def _chunks(nq: int, per_pair_elems: int):
 
 
 # --------------------------------------------------------------------------
-# Shared gather/contraction helpers (bitwise mirrors of engine.w_tensor /
-# engine.w_deriv with a leading pair axis)
+# Shared gather/contraction helpers (engine.w_tensor / engine.w_deriv
+# with a leading pair axis)
 # --------------------------------------------------------------------------
 
 def _einsum(be: ArrayBackend, spec: str, *ops):
-    """einsum pinned to ``optimize=False`` on numpy (bitwise contract);
-    other backends use their native default."""
+    """einsum pinned to ``optimize=False`` on numpy (a fixed, batch-size
+    invariant contraction path); other backends use their native
+    default."""
     if be.is_numpy:
         return np.einsum(spec, *ops, optimize=False)
     return be.xp.einsum(spec, *ops)
@@ -369,9 +321,8 @@ def _block_indices(oa, nfa, ob, nfb):
 
 
 def _scatter_blocks(out, rows, cols, blk):
-    """Write ``(Q, nfa, nfb)`` blocks, then every transposed image —
-    the loop drivers' per-pair write order (diagonal blocks end up
-    holding ``blk.T``), preserved class-wide for bitwise parity."""
+    """Write ``(Q, nfa, nfb)`` blocks, then every transposed image
+    (diagonal blocks end up holding ``blk.T``)."""
     out[rows[:, :, None], cols[:, None, :]] = blk
     out[cols[:, :, None], rows[:, None, :]] = blk.transpose(0, 2, 1)
 
@@ -385,7 +336,7 @@ def overlap_batched(
     workspace: IntegralWorkspace | None = None,
     be: ArrayBackend | None = None,
 ) -> np.ndarray:
-    """Batched overlap matrix; bitwise-identical to `onee.overlap`."""
+    """Overlap matrix S, shape ``(nbf, nbf)``."""
     be = be or get_backend()
     S = np.zeros((basis.nbf, basis.nbf))
     for cls in build_shell_classes(basis, workspace):
@@ -450,7 +401,7 @@ def kinetic_batched(
     workspace: IntegralWorkspace | None = None,
     be: ArrayBackend | None = None,
 ) -> np.ndarray:
-    """Batched kinetic matrix; bitwise-identical to `onee.kinetic`."""
+    """Kinetic-energy matrix T, shape ``(nbf, nbf)``."""
     be = be or get_backend()
     T = np.zeros((basis.nbf, basis.nbf))
     for cls in build_shell_classes(basis, workspace):
@@ -479,12 +430,8 @@ def nuclear_batched(
     workspace: IntegralWorkspace | None = None,
     be: ArrayBackend | None = None,
 ) -> np.ndarray:
-    """Batched nuclear-attraction matrix.
-
-    Uses a fixed (batch-size-invariant) contraction path; agrees with
-    `onee.nuclear` to tight tolerance, not bitwise — the loop version's
-    ``optimize=True`` einsum path is not batch-reproducible.
-    """
+    """Nuclear-attraction matrix V (negative definite), shape
+    ``(nbf, nbf)``."""
     be = be or get_backend()
     V = np.zeros((basis.nbf, basis.nbf))
     Zh = mol.atomic_numbers.astype(float)
@@ -524,33 +471,21 @@ def nuclear_batched(
 # One-electron contracted derivatives
 # --------------------------------------------------------------------------
 
-def _replay_pair_scalars(g: np.ndarray, entries) -> None:
-    """Accumulate per-pair (3,) derivative values into ``g`` in canonical
-    pair order — the loop drivers' exact float accumulation order."""
-    if not entries:
-        return
-    pids = np.concatenate([e[0] for e in entries])
-    aa = np.concatenate([e[1] for e in entries])
-    ab = np.concatenate([e[2] for e in entries])
-    vals = np.concatenate([e[3] for e in entries])
-    for k in np.argsort(pids):
-        for axis in range(3):
-            g[aa[k], axis] += vals[k, axis]
-            g[ab[k], axis] -= vals[k, axis]
-
-
 def contract_overlap_deriv_batched(
     basis: BasisSet,
     X: np.ndarray,
     workspace: IntegralWorkspace | None = None,
     be: ArrayBackend | None = None,
 ) -> np.ndarray:
-    """Batched ``sum X dS/dR``; bitwise `onee.contract_overlap_deriv`."""
+    """``g[atom, xyz] = sum_{mu nu} X_{mu nu} dS_{mu nu}/d(atom, xyz)``.
+
+    Translational invariance (``dS/dB = -dS/dA``) means only bra
+    derivatives are computed; same-atom pairs vanish and are skipped.
+    """
     be = be or get_backend()
     natoms = int(max(sh.atom for sh in basis.shells)) + 1
     g = np.zeros((natoms, 3))
     Xs = X + X.T
-    entries = []
     for cls in build_shell_classes(basis, workspace):
         mask = (~cls.diag) & (cls.atom_a != cls.atom_b)
         if not mask.any():
@@ -572,8 +507,8 @@ def contract_overlap_deriv_batched(
             dW = dW[..., 0, 0, 0]
             v = _einsum(be, "qn,qnab,qab->q", pref, dW, Xblk)
             vals[:, axis] = be.to_numpy(v)
-        entries.append((sub.pair_idx, sub.atom_a, sub.atom_b, vals))
-    _replay_pair_scalars(g, entries)
+        np.add.at(g, sub.atom_a, vals)
+        np.subtract.at(g, sub.atom_b, vals)
     return g
 
 
@@ -583,12 +518,11 @@ def contract_kinetic_deriv_batched(
     workspace: IntegralWorkspace | None = None,
     be: ArrayBackend | None = None,
 ) -> np.ndarray:
-    """Batched ``sum X dT/dR``; bitwise `onee.contract_kinetic_deriv`."""
+    """``sum X_{mu nu} dT_{mu nu}/dR`` via bra-side differentiation."""
     be = be or get_backend()
     natoms = int(max(sh.atom for sh in basis.shells)) + 1
     g = np.zeros((natoms, 3))
     Xs = X + X.T
-    entries = []
     for cls in build_shell_classes(basis, workspace):
         mask = (~cls.diag) & (cls.atom_a != cls.atom_b)
         if not mask.any():
@@ -607,13 +541,11 @@ def contract_kinetic_deriv_batched(
         vals = np.empty((sub.npair, 3))
         for axis in range(3):
             tot = _kinetic_1d(E, b, ca, cb, deriv_axis=axis, aexp=a)
-            # C-contiguous to match the loop driver's per-pair blk layout
-            # (einsum's accumulation order follows the memory layout)
-            blk = _contig(be, _einsum(be, "qn,qnab->qab", pref, tot))
+            blk = _einsum(be, "qn,qnab->qab", pref, tot)
             v = _einsum(be, "qab,qab->q", blk, Xblk)
             vals[:, axis] = be.to_numpy(v)
-        entries.append((sub.pair_idx, sub.atom_a, sub.atom_b, vals))
-    _replay_pair_scalars(g, entries)
+        np.add.at(g, sub.atom_a, vals)
+        np.subtract.at(g, sub.atom_b, vals)
     return g
 
 
@@ -624,11 +556,12 @@ def contract_nuclear_deriv_batched(
     workspace: IntegralWorkspace | None = None,
     be: ArrayBackend | None = None,
 ) -> np.ndarray:
-    """Batched ``sum X dV/dR`` including operator-center terms.
+    """``sum X_{mu nu} dV_{mu nu}/dR`` including operator-center terms.
 
-    Fixed contraction path, batch-size invariant; agrees with
-    `onee.contract_nuclear_deriv` to tight tolerance (the loop version
-    uses an ``optimize=True`` einsum path).
+    Bra/ket derivatives come from the angular-momentum shift; the
+    derivative with respect to each nuclear position C follows from
+    translational invariance of each C term:
+    ``dV_C/dC = -(dV_C/dA + dV_C/dB)``.
     """
     be = be or get_backend()
     natoms = mol.natoms
@@ -691,14 +624,15 @@ def schwarz_pair_bounds_batched(
     workspace: IntegralWorkspace | None = None,
     be: ArrayBackend | None = None,
 ) -> np.ndarray:
-    """Batched Cauchy-Schwarz bounds ``Q_ij = max sqrt((ab|ab))``.
+    """Cauchy-Schwarz bounds ``Q_ij = max sqrt((ab|ab))`` per shell pair.
 
-    Only the diagonal of each ``(ab|ab)`` block is assembled (the loop
-    version builds the full block and takes its diagonal). Fixed
-    contraction path — agrees with `eri.schwarz_pair_bounds` to tight
-    tolerance. In-process both kernel modes share one cached table via
-    `IntegralWorkspace.schwarz_bounds` (the cache key carries no kernel
-    mode), so screening *decisions* are mode-independent there.
+    Standard screening for all ERI classes: ``|(ab|cd)| <= Q_ab Q_cd``
+    and ``|(ab|P)| <= Q_ab Q_P``. Shape ``(nshells, nshells)``. The bound
+    ignores the component normalization (O(1) factors). Only the
+    diagonal of each ``(ab|ab)`` block is assembled. ``workspace``
+    serves the packed shell classes; cached *bound tables* live one
+    level up in `IntegralWorkspace.schwarz_bounds`, the one table every
+    screened driver (and the loop reference) takes its decisions from.
     """
     be = be or get_backend()
     nsh = basis.nshells
@@ -756,23 +690,8 @@ def schwarz_pair_bounds_batched(
 # Three-center integrals and derivative contraction
 # --------------------------------------------------------------------------
 
-def _schwarz_dispatch(basis, workspace):
-    from .eri import schwarz_pair_bounds
-
-    if workspace is not None:
-        return workspace.schwarz_bounds(basis)
-    return schwarz_pair_bounds(basis)
-
-
-def _aux_bounds_dispatch(aux, workspace):
-    if workspace is not None:
-        return workspace.aux_function_bounds(aux)
-    return aux_function_bounds(aux)
-
-
 def _group_statics(groups, be: ArrayBackend):
-    """Hoist the per-auxiliary-group ket expansions once per call: the
-    loop driver rebuilds ``Wk`` for every (pair, group) combination."""
+    """Per-auxiliary-group ket expansions, built once per call."""
     statics = []
     for grp in groups:
         lk = (grp.l, grp.l, grp.l)
@@ -797,7 +716,7 @@ def _group_statics(groups, be: ArrayBackend):
 
 def _class_group_blocks(be, st, p, cc, P, tb_idx, tbox):
     """Gathered, prefactor-folded Hermite kernel ``M2`` for one
-    (class chunk, aux group): the batched mirror of `eri._group_M`."""
+    (class chunk, aux group)."""
     xp = be.xp
     qc, N = p.shape
     lk = (st["grp"].l,) * 3
@@ -822,7 +741,7 @@ def _class_group_blocks(be, st, p, cc, P, tb_idx, tbox):
     Tb = tb_idx.shape[0]
     if be.is_numpy:
         # fuse the prefactor multiply with the (m, Tb) transpose copy:
-        # one pass over M instead of two, elementwise so bitwise-equal
+        # one pass over M instead of two
         out = np.empty((qc, N, Tb, st["m"], st["Tk"]))
         np.multiply(
             M.transpose(0, 1, 3, 2, 4), K[:, :, None, :, None], out=out
@@ -835,15 +754,13 @@ def _class_group_blocks(be, st, p, cc, P, tb_idx, tbox):
 
 
 def _group_apply_batched(be, M2, st, Wb2):
-    """Batched mirror of `eri._group_apply`: ``(qc, m, X, C)`` blocks."""
+    """Contract bra expansions ``Wb2 (qc, X, N*Tb)`` with the kernel
+    pieces of one aux group: ``(qc, m, X, C)`` blocks."""
     qc, X, _ = Wb2.shape
     t1 = be.xp.matmul(Wb2, M2)
     t1 = _contig(
         be, t1.reshape(qc, X, st["m"], st["Tk"]).transpose(0, 2, 1, 3)
     )
-    # NB: the transposed *view* (not a contiguous copy) matters — BLAS
-    # NT and NN gemm kernels accumulate in different orders, and the
-    # reference loop passes exactly this strided operand.
     return be.xp.matmul(t1, st["Wk"].transpose(0, 2, 1)[None])
 
 
@@ -854,11 +771,14 @@ def eri3c_batched(
     workspace: IntegralWorkspace | None = None,
     be: ArrayBackend | None = None,
 ) -> np.ndarray:
-    """Batched three-center integrals ``(mu nu | P)``.
+    """Three-center integrals ``(mu nu | P)``, shape ``(nbf, nbf, naux)``.
 
-    Bitwise-identical to `eri.eri3c` given the same Schwarz table —
-    including the neglected-bound accumulation, which is replayed in
-    canonical pair order.
+    With ``screen > 0`` a bra shell pair is skipped when its Schwarz
+    bound ``Q_ab * max_P Q_P`` cannot reach the threshold — every
+    neglected integral is individually below ``screen`` and the summed
+    bound of everything skipped is accounted to the workspace
+    (`IntegralWorkspace.record_screen`). ``workspace`` additionally
+    serves cached shell classes, aux scaffolding and bound tables.
     """
     be = be or get_backend()
     nb, na = basis.nbf, aux.nbf
@@ -868,14 +788,13 @@ def eri3c_batched(
     classes = build_shell_classes(basis, workspace)
     Q = None
     if screen > 0.0:
-        Q = _schwarz_dispatch(basis, workspace)
-        qaux = _aux_bounds_dispatch(aux, workspace)
+        Q = _schwarz_table(basis, workspace)
+        qaux = _aux_bounds(aux, workspace)
         qaux_max = float(qaux.max())
         qaux_sum = float(qaux.sum())
     npairs = len(canonical_shell_pairs(basis))
     nskip = 0
-    neg_pids: list[np.ndarray] = []
-    neg_vals: list[np.ndarray] = []
+    neglected: list[np.ndarray] = []
     for cls in classes:
         if Q is not None:
             qv = Q[cls.ish, cls.jsh]
@@ -884,8 +803,7 @@ def eri3c_batched(
                 skip = ~keep
                 nskip += int(skip.sum())
                 nfab = (cls.nfa * cls.nfb) * np.where(cls.diag[skip], 1.0, 2.0)
-                neg_pids.append(cls.pair_idx[skip])
-                neg_vals.append(qv[skip] * qaux_sum * nfab)
+                neglected.append(qv[skip] * qaux_sum * nfab)
                 cls = cls.subset(keep)
         if cls.npair == 0:
             continue
@@ -931,22 +849,15 @@ def eri3c_batched(
                     ] = blknp[off].transpose(0, 3, 2, 1, 4)
     if workspace is not None and screen > 0.0:
         workspace.record_screen(
-            "eri3c", npairs, nskip, _replay_neglected(neg_pids, neg_vals)
+            "eri3c", npairs, nskip, _fsum(neglected)
         )
     return out
 
 
-def _replay_neglected(pids: list[np.ndarray], vals: list[np.ndarray]) -> float:
-    """Sum skipped-pair bounds in canonical pair order — the loop
-    drivers' exact float accumulation order."""
-    if not pids:
-        return 0.0
-    allp = np.concatenate(pids)
-    allv = np.concatenate(vals)
-    neglected = 0.0
-    for k in np.argsort(allp):
-        neglected += float(allv[k])
-    return neglected
+def _fsum(chunks: list[np.ndarray]) -> float:
+    """Exactly rounded sum of the skipped-pair bounds: independent of
+    class order and chunking, so the recorded bound is reproducible."""
+    return math.fsum(np.concatenate(chunks)) if chunks else 0.0
 
 
 def contract_eri3c_deriv_batched(
@@ -958,13 +869,22 @@ def contract_eri3c_deriv_batched(
     workspace: IntegralWorkspace | None = None,
     be: ArrayBackend | None = None,
 ) -> np.ndarray:
-    """Batched ``sum Z d(mu nu|P)/dR``.
+    """``g = sum_{mu nu P} Z_{mu nu P} d(mu nu|P)/dR``, shape ``(natoms, 3)``.
 
-    Bitwise-identical to `eri.contract_eri3c_deriv` given the same
-    Schwarz table: per-(pair, group, axis) contracted values are
-    computed class-wide, then the gradient accumulation (including the
-    translational-invariance scatter onto auxiliary centers) is replayed
-    in the loop driver's exact order — pair, then group, then axis.
+    ``Z`` has shape ``(nbf, nbf, naux)`` and need not be symmetric in
+    (mu, nu). Auxiliary-center derivatives follow from translational
+    invariance (``dP = -(dA + dB)``).
+
+    With ``screen > 0`` a bra shell pair is skipped when ``DERIV_SAFETY *
+    Q_ab * max_P Q_P * max |Z|`` over the pair's coefficient slice cannot
+    reach the threshold. Skipping drops the pair's bra derivatives
+    together with their translational-invariance images on the auxiliary
+    centers, so the screened gradient still sums to zero over all atoms.
+    The summed bound of everything skipped is accounted to the workspace.
+
+    Per-(pair, group, axis) contracted values fill whole-class arrays
+    chunk by chunk; the gradient is accumulated from those once per
+    class, so the result does not depend on the chunk size.
     """
     be = be or get_backend()
     g = np.zeros((natoms, 3))
@@ -974,16 +894,14 @@ def contract_eri3c_deriv_batched(
     Zs = 0.5 * (Z + Z.transpose(1, 0, 2))
     Q = None
     if screen > 0.0:
-        Q = _schwarz_dispatch(basis, workspace)
-        qaux = _aux_bounds_dispatch(aux, workspace)
+        Q = _schwarz_table(basis, workspace)
+        qaux = _aux_bounds(aux, workspace)
         qaux_max = float(qaux.max())
         qaux_sum = float(qaux.sum())
         Zblk = _zblk_table(basis, Zs)
     npairs = len(canonical_shell_pairs(basis))
     nskip = 0
-    neg_pids: list[np.ndarray] = []
-    neg_vals: list[np.ndarray] = []
-    entries = []  # per class: (pair_idx, atom_a, atom_b, per-group stores)
+    neglected: list[np.ndarray] = []
     for cls in classes:
         pfac = np.where(cls.diag, 1.0, 2.0)
         if Q is not None:
@@ -993,8 +911,7 @@ def contract_eri3c_deriv_batched(
             if not keep.all():
                 skip = ~keep
                 nskip += int(skip.sum())
-                neg_pids.append(cls.pair_idx[skip])
-                neg_vals.append(
+                neglected.append(
                     DERIV_SAFETY * qv[skip] * zv[skip] * qaux_sum
                     * cls.nfa * cls.nfb * pfac[skip]
                 )
@@ -1011,15 +928,11 @@ def contract_eri3c_deriv_batched(
         N, X = cls.nprim, cls.nfa * cls.nfb
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
         norms_flat = cls.norms.ravel()
-        # per-(group) stores: vA/vB sums (Q, 3) and vA+vB vectors (Q, 3, m)
-        stores = [
-            (
-                np.empty((cls.npair, 3)),
-                np.empty((cls.npair, 3)),
-                np.empty((cls.npair, 3, st["m"])),
-            )
-            for st in statics
-        ]
+        # per-pair bra/ket-center sums (Q, 3) and, per group, the
+        # per-aux-shell vA + vB (Q, 3, m) that go onto the aux centers
+        sA = np.zeros((cls.npair, 3))
+        sB = np.zeros((cls.npair, 3))
+        vAB = [np.empty((cls.npair, 3, st["m"])) for st in statics]
         maxTk = max(st["m"] * st["Tk"] for st in statics)
         per_pair = N * max(maxTk * Tb // 4, 7 * X * Tb)
         for sl in _chunks(cls.npair, per_pair):
@@ -1041,26 +954,18 @@ def contract_eri3c_deriv_batched(
             pfc = pfac[sl]
             for gi, st in enumerate(statics):
                 fi = st["func_idx"]
+                # gathered straight into the (q, m, X, C) layout of dA/dB
                 zg = Zs[
-                    rows[sl][:, :, None, None, None],
-                    cols[sl][:, None, :, None, None],
-                    fi[None, None, None, :, :],
-                ]
-                zg = zg.reshape(qc, X, st["m"], st["C"]).transpose(0, 2, 1, 3)
+                    rows[sl][:, None, :, None, None],
+                    cols[sl][:, None, None, :, None],
+                    fi[None, :, None, None, :],
+                ].reshape(qc, st["m"], X, st["C"])
                 zg = zg * norms_flat[None, None, :, None]
                 zg = zg * (pfc[:, None] * st["comp_norms"][None, :])[
                     :, None, None, :
                 ]
-                # einsum picks its accumulation order from the memory
-                # layout, and the loop driver's per-pair zg ends up laid
-                # out as (m, C, X) with x innermost — copy the values
-                # into that exact layout to keep bitwise parity.
-                zbuf = np.empty((qc, st["m"], st["C"], X))
-                zview = zbuf.transpose(0, 1, 3, 2)
-                zview[...] = zg
-                zg = be.asarray(zview) if not be.is_numpy else zview
+                zg = be.asarray(zg)
                 M2 = _class_group_blocks(be, st, p, cc, P, tb_idx, tbox)
-                sA, sB, vABs = stores[gi]
                 for axis in range(3):
                     dA = _group_apply_batched(be, M2, st, dWb[("bra", axis)])
                     dB = _group_apply_batched(be, M2, st, dWb[("ket", axis)])
@@ -1068,33 +973,16 @@ def contract_eri3c_deriv_batched(
                     vB = _einsum(be, "qmxc,qmxc->qm", dB, zg)
                     vAh = be.to_numpy(vA)
                     vBh = be.to_numpy(vB)
-                    sA[sl, axis] = vAh.sum(axis=1)
-                    sB[sl, axis] = vBh.sum(axis=1)
-                    vABs[sl, axis] = vAh + vBh
-        entries.append((cls.pair_idx, cls.atom_a, cls.atom_b, stores))
-    # replay the loop driver's accumulation order: canonical pair ->
-    # aux group -> axis
-    if entries:
-        cat_pid = np.concatenate([e[0] for e in entries])
-        cat_ci = np.concatenate(
-            [np.full(len(e[0]), i, dtype=np.intp) for i, e in enumerate(entries)]
-        )
-        cat_row = np.concatenate(
-            [np.arange(len(e[0]), dtype=np.intp) for e in entries]
-        )
-        for k in np.argsort(cat_pid):
-            ci, row = cat_ci[k], cat_row[k]
-            pid_e, aa_e, ab_e, stores = entries[ci]
-            for gi, st in enumerate(statics):
-                sA, sB, vABs = stores[gi]
-                atoms_g = st["grp"].atoms
-                for axis in range(3):
-                    g[aa_e[row], axis] += sA[row, axis]
-                    g[ab_e[row], axis] += sB[row, axis]
-                    np.subtract.at(g[:, axis], atoms_g, vABs[row, axis])
+                    sA[sl, axis] += vAh.sum(axis=1)
+                    sB[sl, axis] += vBh.sum(axis=1)
+                    vAB[gi][sl, axis] = vAh + vBh
+        np.add.at(g, cls.atom_a, sA)
+        np.add.at(g, cls.atom_b, sB)
+        for st, v in zip(statics, vAB):
+            np.subtract.at(g, st["grp"].atoms, v.sum(axis=0).T)
     if workspace is not None and screen > 0.0:
         workspace.record_screen(
-            "eri3c_deriv", npairs, nskip, _replay_neglected(neg_pids, neg_vals)
+            "eri3c_deriv", npairs, nskip, _fsum(neglected)
         )
     return g
 

@@ -17,6 +17,11 @@ derivative drivers) cannot exceed it — plus an optional
 auxiliary group scaffolding and bound tables across calls and MD steps.
 Every screened driver accumulates the summed bound of what it skipped,
 so callers get a rigorous estimate of the neglected contribution.
+
+The runtime three-center and Schwarz drivers are the shell-class kernels
+in `batch.py`; `eri3c_loop`, `contract_eri3c_deriv_loop` and
+`schwarz_pair_bounds_loop` here are the per-pair reference the tests
+compare them against, and nothing under ``src/`` calls them.
 """
 
 from __future__ import annotations
@@ -61,6 +66,25 @@ def _aux_groups(workspace, aux, di: int = 0) -> list[AuxGroup]:
     if workspace is not None:
         return workspace.aux_groups(aux, di=di)
     return aux_group_data(aux, di=di)
+
+
+def _schwarz_table(basis, workspace) -> np.ndarray:
+    """Schwarz bound table from the workspace cache, or freshly built.
+
+    Every screened driver — the loop references included — takes its
+    skip decisions from this one table, so they agree exactly.
+    """
+    if workspace is not None:
+        return workspace.schwarz_bounds(basis)
+    from .batch import schwarz_pair_bounds_batched
+
+    return schwarz_pair_bounds_batched(basis)
+
+
+def _aux_bounds(aux, workspace) -> np.ndarray:
+    if workspace is not None:
+        return workspace.aux_function_bounds(aux)
+    return aux_function_bounds(aux)
 
 
 def _combined_R(bra: PairData, ket: PairData, tbox_b, tbox_k) -> np.ndarray:
@@ -249,34 +273,14 @@ def _group_kernel(
     return _group_apply(M2, Wk, Wb)
 
 
-def eri3c(
-    basis: BasisSet,
-    aux: BasisSet,
-    screen: float = 0.0,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """Three-center integrals ``(mu nu | P)``, shape ``(nbf, nbf, naux)``.
-
-    Dispatches on the active kernel mode (`repro.integrals.batch`): the
-    default batched implementation evaluates whole shell-pair classes at
-    once and is bitwise-identical to the reference loop given the same
-    Schwarz table. See `eri3c_loop` for the screening semantics shared
-    by both implementations.
-    """
-    from .batch import eri3c_batched, use_batched
-
-    if use_batched():
-        return eri3c_batched(basis, aux, screen=screen, workspace=workspace)
-    return eri3c_loop(basis, aux, screen=screen, workspace=workspace)
-
-
 def eri3c_loop(
     basis: BasisSet,
     aux: BasisSet,
     screen: float = 0.0,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """Reference per-pair implementation of `eri3c`.
+    """Reference per-pair implementation of `repro.integrals.eri3c`
+    (tests compare the batched driver against it; no runtime caller).
 
     Auxiliary shells are processed in per-angular-momentum batches: the
     whole fitting basis acts as a handful of 'super-shells', so Python
@@ -294,10 +298,8 @@ def eri3c_loop(
     groups = _aux_groups(workspace, aux)
     Q = None
     if screen > 0.0:
-        Q = (workspace.schwarz_bounds(basis) if workspace is not None
-             else schwarz_pair_bounds(basis))
-        qaux = (workspace.aux_function_bounds(aux) if workspace is not None
-                else aux_function_bounds(aux))
+        Q = _schwarz_table(basis, workspace)
+        qaux = _aux_bounds(aux, workspace)
         qaux_max = float(qaux.max())
         qaux_sum = float(qaux.sum())
     nskip = 0
@@ -488,8 +490,8 @@ def contract_eri2c_deriv(
 
 def _zblk_table(basis: BasisSet, Z: np.ndarray) -> np.ndarray:
     """Per-shell-block coefficient magnitudes ``Zblk[i, j] = max |Z|``
-    over the (i, j) function block (all aux). Shared by both kernel
-    modes so screening decisions agree exactly."""
+    over the (i, j) function block (all aux). Shared with the loop
+    reference so screening decisions agree exactly."""
     offs = basis.offsets
     nsh = basis.nshells
     Zabs = np.abs(Z).max(axis=2)
@@ -502,35 +504,13 @@ def _zblk_table(basis: BasisSet, Z: np.ndarray) -> np.ndarray:
     return Zblk
 
 
-def contract_eri3c_deriv(
-    basis: BasisSet, aux: BasisSet, Z: np.ndarray, natoms: int,
-    screen: float = 0.0,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """``g = sum_{mu nu P} Z_{mu nu P} d(mu nu|P)/dR``, shape ``(natoms, 3)``.
-
-    Dispatches on the active kernel mode (`repro.integrals.batch`); the
-    batched default is bitwise-identical to `contract_eri3c_deriv_loop`
-    given the same Schwarz table. See the loop driver for screening
-    semantics.
-    """
-    from .batch import contract_eri3c_deriv_batched, use_batched
-
-    if use_batched():
-        return contract_eri3c_deriv_batched(
-            basis, aux, Z, natoms, screen=screen, workspace=workspace
-        )
-    return contract_eri3c_deriv_loop(
-        basis, aux, Z, natoms, screen=screen, workspace=workspace
-    )
-
-
 def contract_eri3c_deriv_loop(
     basis: BasisSet, aux: BasisSet, Z: np.ndarray, natoms: int,
     screen: float = 0.0,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """Reference per-pair ``sum Z d(mu nu|P)/dR`` driver.
+    """Reference per-pair ``sum Z d(mu nu|P)/dR`` driver (tests compare
+    `repro.integrals.contract_eri3c_deriv` against it; no runtime caller).
 
     ``Z`` has shape ``(nbf, nbf, naux)`` and need not be symmetric in
     (mu, nu). Auxiliary-center derivatives follow from translational
@@ -556,10 +536,8 @@ def contract_eri3c_deriv_loop(
     Z = 0.5 * (Z + Z.transpose(1, 0, 2))
     Q = None
     if screen > 0.0:
-        Q = (workspace.schwarz_bounds(basis) if workspace is not None
-             else schwarz_pair_bounds(basis))
-        qaux = (workspace.aux_function_bounds(aux) if workspace is not None
-                else aux_function_bounds(aux))
+        Q = _schwarz_table(basis, workspace)
+        qaux = _aux_bounds(aux, workspace)
         qaux_max = float(qaux.max())
         qaux_sum = float(qaux.sum())
         Zblk = _zblk_table(basis, Z)
@@ -619,32 +597,11 @@ def contract_eri3c_deriv_loop(
     return g
 
 
-def schwarz_pair_bounds(
-    basis: BasisSet, workspace: IntegralWorkspace | None = None
-) -> np.ndarray:
-    """Cauchy-Schwarz bounds ``Q_ij = max sqrt((ab|ab))`` per shell pair.
-
-    Standard screening for all ERI classes: ``|(ab|cd)| <= Q_ab Q_cd``
-    and ``|(ab|P)| <= Q_ab Q_P``. Shape ``(nshells, nshells)``. The bound
-    ignores the component normalization (those are O(1) factors already
-    inside `_eri_general`'s output diagonal). ``workspace`` serves the
-    pair expansion tables; cached *bound tables* live one level up in
-    `IntegralWorkspace.schwarz_bounds`.
-
-    Dispatches between the batched shell-class kernels and the reference
-    per-pair loop (`repro.integrals.batch.kernel_mode`).
-    """
-    from .batch import schwarz_pair_bounds_batched, use_batched
-
-    if use_batched():
-        return schwarz_pair_bounds_batched(basis, workspace=workspace)
-    return schwarz_pair_bounds_loop(basis, workspace=workspace)
-
-
 def schwarz_pair_bounds_loop(
     basis: BasisSet, workspace: IntegralWorkspace | None = None
 ) -> np.ndarray:
-    """Reference per-pair Schwarz bound driver (see `schwarz_pair_bounds`)."""
+    """Reference per-pair Schwarz bound driver: builds each full
+    ``(ab|ab)`` block and takes its diagonal (tests only)."""
     nsh = basis.nshells
     Q = np.zeros((nsh, nsh))
     for i, j in canonical_shell_pairs(basis):
@@ -722,11 +679,10 @@ def contract_eri4c_deriv_hf(
         for ij in npairs
     }
     if screen > 0.0:
+        Q = _schwarz_table(basis, workspace)
         if workspace is not None:
-            Q = workspace.schwarz_bounds(basis)
             Dmax = workspace.dmax_blocks(basis, D)
         else:
-            Q = schwarz_pair_bounds(basis)
             Dmax = _dmax_table(basis, D)
     else:
         Q = None

@@ -4,6 +4,11 @@ Dense matrices plus *contracted derivative* drivers that accumulate
 ``sum_{mu nu} X_{mu nu} d(integral)/d(atom coordinates)`` directly into a
 ``(natoms, 3)`` gradient, mirroring the paper's design where integral
 derivatives are consumed on the fly and never stored (Sec. V-E).
+
+The runtime drivers are the shell-class kernels in `batch.py`, exported
+under their plain names by `repro.integrals`. The per-pair ``*_loop``
+functions here are the reference the tests compare those against;
+nothing under ``src/`` calls them.
 """
 
 from __future__ import annotations
@@ -15,6 +20,12 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from ..basis.basisset import BasisSet
     from ..chem.molecule import Molecule
+from .batch import (
+    contract_kinetic_deriv_batched,
+    contract_nuclear_deriv_batched,
+    kinetic_batched,
+    nuclear_batched,
+)
 from .engine import (
     comp_arrays,
     pair_data,
@@ -45,25 +56,10 @@ def _pd(workspace, sha, shb, di: int, dj: int):
     return pair_data(sha, shb, di, dj)
 
 
-def overlap(
-    basis: BasisSet, workspace: IntegralWorkspace | None = None
-) -> np.ndarray:
-    """Overlap matrix S, shape ``(nbf, nbf)``.
-
-    Dispatches on the active kernel mode (`repro.integrals.batch`); the
-    batched default is bitwise-identical to `overlap_loop`.
-    """
-    from .batch import overlap_batched, use_batched
-
-    if use_batched():
-        return overlap_batched(basis, workspace=workspace)
-    return overlap_loop(basis, workspace=workspace)
-
-
 def overlap_loop(
     basis: BasisSet, workspace: IntegralWorkspace | None = None
 ) -> np.ndarray:
-    """Reference per-pair overlap driver (see `overlap`)."""
+    """Reference per-pair overlap driver."""
     n = basis.nbf
     S = np.zeros((n, n))
     for ish, sha in enumerate(basis.shells):
@@ -117,25 +113,10 @@ def _kinetic_block(pd, ca, cb) -> np.ndarray:
     return np.einsum("n,nab->ab", pref, tot)
 
 
-def kinetic(
-    basis: BasisSet, workspace: IntegralWorkspace | None = None
-) -> np.ndarray:
-    """Kinetic-energy matrix T, shape ``(nbf, nbf)``.
-
-    Dispatches on the active kernel mode (`repro.integrals.batch`); the
-    batched default is bitwise-identical to `kinetic_loop`.
-    """
-    from .batch import kinetic_batched, use_batched
-
-    if use_batched():
-        return kinetic_batched(basis, workspace=workspace)
-    return kinetic_loop(basis, workspace=workspace)
-
-
 def kinetic_loop(
     basis: BasisSet, workspace: IntegralWorkspace | None = None
 ) -> np.ndarray:
-    """Reference per-pair kinetic-energy driver (see `kinetic`)."""
+    """Reference per-pair kinetic-energy driver."""
     n = basis.nbf
     T = np.zeros((n, n))
     for ish, sha in enumerate(basis.shells):
@@ -165,29 +146,11 @@ def _nuclear_R(pd, tbox, centers: np.ndarray) -> np.ndarray:
     return R.reshape(nC, n, -1)
 
 
-def nuclear(
-    basis: BasisSet, mol: Molecule,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """Nuclear-attraction matrix V (negative definite), shape ``(nbf, nbf)``.
-
-    Dispatches on the active kernel mode (`repro.integrals.batch`). The
-    batched kernel uses a fixed (batch-size-invariant) contraction path,
-    agreeing with `nuclear_loop` to tight tolerance but not bitwise (the
-    loop driver's ``optimize=True`` einsum path is shape-dependent).
-    """
-    from .batch import nuclear_batched, use_batched
-
-    if use_batched():
-        return nuclear_batched(basis, mol, workspace=workspace)
-    return nuclear_loop(basis, mol, workspace=workspace)
-
-
 def nuclear_loop(
     basis: BasisSet, mol: Molecule,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """Reference per-pair nuclear-attraction driver (see `nuclear`)."""
+    """Reference per-pair nuclear-attraction driver."""
     n = basis.nbf
     V = np.zeros((n, n))
     Z = mol.atomic_numbers.astype(float)
@@ -218,31 +181,13 @@ def hcore(
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
     """Core Hamiltonian h = T + V."""
-    return kinetic(basis, workspace) + nuclear(basis, mol, workspace)
+    return (kinetic_batched(basis, workspace)
+            + nuclear_batched(basis, mol, workspace))
 
 
 # --------------------------------------------------------------------------
 # Contracted derivatives
 # --------------------------------------------------------------------------
-
-def contract_overlap_deriv(
-    basis: BasisSet, X: np.ndarray,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """``g[atom, xyz] = sum_{mu nu} X_{mu nu} dS_{mu nu}/d(atom, xyz)``.
-
-    Loops over all ordered shell pairs; uses translational invariance
-    (``dS/dB = -dS/dA``) so only bra derivatives are computed.
-
-    Dispatches on the active kernel mode (`repro.integrals.batch`); the
-    batched default is bitwise-identical to `contract_overlap_deriv_loop`.
-    """
-    from .batch import contract_overlap_deriv_batched, use_batched
-
-    if use_batched():
-        return contract_overlap_deriv_batched(basis, X, workspace=workspace)
-    return contract_overlap_deriv_loop(basis, X, workspace=workspace)
-
 
 def contract_overlap_deriv_loop(
     basis: BasisSet, X: np.ndarray,
@@ -270,22 +215,6 @@ def contract_overlap_deriv_loop(
                 g[sha.atom, axis] += val
                 g[shb.atom, axis] -= val
     return g
-
-
-def contract_kinetic_deriv(
-    basis: BasisSet, X: np.ndarray,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """``sum X_{mu nu} dT_{mu nu}/dR`` via bra-side differentiation.
-
-    Dispatches on the active kernel mode (`repro.integrals.batch`); the
-    batched default is bitwise-identical to `contract_kinetic_deriv_loop`.
-    """
-    from .batch import contract_kinetic_deriv_batched, use_batched
-
-    if use_batched():
-        return contract_kinetic_deriv_batched(basis, X, workspace=workspace)
-    return contract_kinetic_deriv_loop(basis, X, workspace=workspace)
 
 
 def contract_kinetic_deriv_loop(
@@ -353,30 +282,6 @@ def _kinetic_deriv_block(pd, ca, cb, axis) -> np.ndarray:
     return np.einsum("n,nab->ab", pref, tot)
 
 
-def contract_nuclear_deriv(
-    basis: BasisSet, mol: Molecule, X: np.ndarray,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """``sum X_{mu nu} dV_{mu nu}/dR`` including operator-center terms.
-
-    Bra/ket derivatives come from the angular-momentum shift; the
-    derivative with respect to each nuclear position C follows from
-    translational invariance of each C term:
-    ``dV_C/dC = -(dV_C/dA + dV_C/dB)``.
-
-    Dispatches on the active kernel mode (`repro.integrals.batch`). Like
-    `nuclear`, the batched kernel matches `contract_nuclear_deriv_loop`
-    to tight tolerance but not bitwise (the loop's ``optimize=True``
-    einsum path is shape-dependent); the per-pair accumulation order is
-    still replayed exactly.
-    """
-    from .batch import contract_nuclear_deriv_batched, use_batched
-
-    if use_batched():
-        return contract_nuclear_deriv_batched(basis, mol, X, workspace=workspace)
-    return contract_nuclear_deriv_loop(basis, mol, X, workspace=workspace)
-
-
 def contract_nuclear_deriv_loop(
     basis: BasisSet, mol: Molecule, X: np.ndarray,
     workspace: IntegralWorkspace | None = None,
@@ -425,8 +330,8 @@ def contract_hcore_deriv(
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
     """``sum X_{mu nu} dh_{mu nu}/dR`` with h = T + V."""
-    return (contract_kinetic_deriv(basis, X, workspace)
-            + contract_nuclear_deriv(basis, mol, X, workspace))
+    return (contract_kinetic_deriv_batched(basis, X, workspace)
+            + contract_nuclear_deriv_batched(basis, mol, X, workspace))
 
 
 def overlap_deriv(basis: BasisSet, natoms: int | None = None) -> np.ndarray:

@@ -406,7 +406,7 @@ class IntegralWorkspace:
         bounded move costs a bounded factor — the inflation keeps the
         screen conservative); recomputed beyond the tolerance.
         """
-        from .eri import schwarz_pair_bounds
+        from .batch import schwarz_pair_bounds_batched
 
         key = ("schwarz", basis_composition_key(basis))
         coords = _centers(basis)
@@ -430,7 +430,7 @@ class IntegralWorkspace:
                         hit=True, stale=True, displacement=disp,
                     )
                 return Q * self.stale_safety
-        Q = schwarz_pair_bounds(basis, workspace=self)
+        Q = schwarz_pair_bounds_batched(basis, workspace=self)
         with self._locked():
             self.bound_rebuilds += 1
         self._put(key, (Q, coords))

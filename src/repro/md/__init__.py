@@ -16,9 +16,7 @@ from .checkpoint import (
 from .drivers import (
     DriverReport,
     FailurePolicy,
-    FaultInjectingCalculator,
     QuarantinedTask,
-    TransientWorkerError,
     WorkerFailure,
     run_parallel,
 )
@@ -61,10 +59,8 @@ __all__ = [
     "rotation_path",
     "write_checkpoint",
     "FailurePolicy",
-    "FaultInjectingCalculator",
     "FragmentStub",
     "QuarantinedTask",
-    "TransientWorkerError",
     "WorkerFailure",
     "LangevinThermostat",
     "LocalLangevinThermostat",

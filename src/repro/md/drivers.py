@@ -28,10 +28,10 @@ without corrupting the trajectory. This driver therefore:
   failure path: a retried task stays logically in flight (``complete``
   is called exactly once per issued task, on success or quarantine).
 
-`FaultInjectingCalculator` provides deterministic failures for testing:
-its decision is a pure function of ``(molecule, attempt)``, so it
-behaves identically regardless of which worker process runs it or in
-what order.
+`repro.faults.FaultPlanCalculator` provides deterministic failures for
+testing: its decision is a pure function of the plan seed and the
+event's ``(step, fragment, attempt)``, so it behaves identically
+regardless of which worker process runs it or in what order.
 """
 
 from __future__ import annotations
@@ -42,15 +42,9 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 from ..numerics import ensure_finite
-from ..scf.rhf import SCFConvergenceError
 from .scheduler import AsyncCoordinator
-
-
-class TransientWorkerError(RuntimeError):
-    """Raised by `FaultInjectingCalculator` to model a recoverable fault."""
 
 
 class WorkerFailure(RuntimeError):
@@ -114,64 +108,6 @@ class DriverReport:
     def clean(self) -> bool:
         """True if every polymer contributed (no quarantined energy)."""
         return not self.quarantined
-
-
-@dataclass
-class FaultInjectingCalculator:
-    """Deterministic failure injection around any calculator.
-
-    A fragment *matches* when its atom count is in ``fail_natoms``
-    (``None`` matches every fragment). Matching fragments fail while
-    ``attempt < fail_attempts`` — so with ``fail_attempts=2`` a task
-    fails twice and succeeds on its third dispatch — in one of five
-    modes: ``raise`` (a `TransientWorkerError`), ``hang`` (sleep for
-    ``hang_s``, exercising timeout detection), ``exit`` (kill the
-    worker process, exercising pool rebuild), ``scf_fail`` (an
-    `SCFConvergenceError`, modelling a fragment whose recovery cascade
-    is exhausted), or ``nan_forces`` (a finite energy with an all-NaN
-    gradient, exercising the worker-side divergence sentinel). Because
-    the decision depends only on the molecule and the attempt number
-    the driver passes in, runs are reproducible across process pools.
-    """
-
-    inner: object
-    fail_attempts: int = 1
-    fail_natoms: int | tuple[int, ...] | None = None
-    mode: str = "raise"
-    hang_s: float = 3600.0
-
-    #: tells the drivers to pass the attempt number through
-    accepts_attempt: ClassVar[bool] = True
-
-    def __post_init__(self):
-        if isinstance(self.fail_natoms, int):
-            self.fail_natoms = (self.fail_natoms,)
-
-    def _matches(self, mol) -> bool:
-        return self.fail_natoms is None or mol.natoms in self.fail_natoms
-
-    def energy_gradient(self, mol, attempt: int = 0):
-        """Inner energy/gradient, or an injected fault for this attempt."""
-        if self._matches(mol) and attempt < self.fail_attempts:
-            if self.mode == "hang":
-                time.sleep(self.hang_s)
-            elif self.mode == "exit":
-                os._exit(13)
-            elif self.mode == "scf_fail":
-                raise SCFConvergenceError(
-                    f"injected SCF non-convergence: attempt {attempt} on "
-                    f"{mol.natoms}-atom fragment"
-                )
-            elif self.mode == "nan_forces":
-                import numpy as np
-
-                e, g = self.inner.energy_gradient(mol)
-                return e, np.full_like(np.asarray(g, dtype=float), np.nan)
-            raise TransientWorkerError(
-                f"injected fault: attempt {attempt} on "
-                f"{mol.natoms}-atom fragment"
-            )
-        return self.inner.energy_gradient(mol)
 
 
 #: Worker-process-local warm-start cache. Calculators arrive freshly

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.chem import Molecule
+from repro.faults import FaultPlan, FaultPlanCalculator, FaultSpec
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +58,13 @@ def finite_difference_gradient(energy_fn, mol: Molecule, h: float = 2.0e-4) -> n
                 energy_fn(mol.with_coords(cp)) - energy_fn(mol.with_coords(cm))
             ) / (2 * h)
     return g
+
+
+def faulty_calculator(inner, kind="transient",
+                      **spec_kw) -> FaultPlanCalculator:
+    """Wrap ``inner`` in a one-spec fault plan: ``FaultSpec(kind, ...)``
+    with e.g. ``natoms=6`` (target atom count) or ``attempts=2`` (fire
+    while ``attempt < 2``)."""
+    return FaultPlanCalculator(
+        inner, FaultPlan(specs=[FaultSpec(kind=kind, **spec_kw)])
+    )

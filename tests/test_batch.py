@@ -1,20 +1,19 @@
 """Batched shell-class kernels vs the per-pair loop reference.
 
 The batched drivers in `repro.integrals.batch` evaluate whole
-shell-pair classes per array-kernel call; the per-pair loop drivers
-they replaced remain as the reference implementation. The contract
-under test:
+shell-pair classes per array-kernel call and are the only runtime
+implementation; the per-pair ``*_loop`` drivers are the reference,
+imported here and nowhere under ``src/``. The contract under test:
 
-* **Bitwise parity** — overlap, kinetic, their contracted derivatives,
-  ``eri3c`` and its contracted derivative (screened and unscreened,
-  including the neglected-bound accumulation) must be bitwise identical
-  to the loop drivers. Nuclear attraction and the Schwarz table agree
-  to tight tolerance only (the loop drivers use shape-dependent
-  ``optimize=True`` einsum paths there), which is safe because both
-  kernel modes share one cached Schwarz table per workspace — the
-  screening *decisions* stay mode-independent.
-* **Chunk invariance** — the deterministic chunking of large classes
-  must not change a single bit of the result.
+* **Tolerance vs the reference** — matrices and 3c tensors agree to
+  rtol 1e-12, contracted gradients to atol 1e-12 Ha/bohr, and the
+  Schwarz skip decisions and pair counts are *identical* (the
+  neglected bound to rtol 1e-12). The ``*_bitwise`` test ids predate
+  this contract and are kept so the suite's test list stays comparable
+  across PRs; what they assert is the tolerance.
+* **Determinism** — two calls on fresh workspaces, and any chunk size,
+  give bit-identical results including the recorded neglected bound
+  (what ``--deterministic`` resume rests on).
 * **Backend protocol** — numpy is always available; requesting an
   uninstalled backend fails with `BackendUnavailableError` at selection
   time; the JAX backend (when installed) provides autodiff gradients
@@ -26,7 +25,9 @@ under test:
 
 from __future__ import annotations
 
+import ast
 import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,13 +43,7 @@ from repro.basis import BasisSet, auto_auxiliary
 from repro.calculators import GuessCache, RIHFCalculator
 from repro.chem import Molecule
 from repro.frag import FragmentedSystem, build_plan, mbe_energy_gradient
-from repro.integrals import (
-    IntegralWorkspace,
-    kernel_mode,
-    kernels,
-    set_kernel_mode,
-)
-from repro.integrals import batch
+from repro.integrals import IntegralWorkspace, batch
 from repro.integrals.batch import (
     build_shell_classes,
     contract_eri3c_deriv_batched,
@@ -111,18 +106,31 @@ def _sym(n, seed=0):
 BASES = ["sto-3g", "repro-dzp"]
 
 
+def _assert_tensor_close(got, ref):
+    """Matrices and 3c tensors: rtol 1e-12 (elements that cancel to
+    ~0 are held to the same 1e-12 of the tensor's scale)."""
+    np.testing.assert_allclose(
+        got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max()
+    )
+
+
+def _assert_gradient_close(got, ref):
+    """Contracted gradients: 1e-12 Ha/bohr absolute."""
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
 class TestOneElectronParity:
     """s/p/d shell-class mixes: sto-3g is s/p, repro-dzp adds d."""
 
     @pytest.mark.parametrize("basis_name", BASES)
     def test_overlap_bitwise(self, water, basis_name):
         bs, _ = _setup(water, basis_name)
-        assert np.array_equal(overlap_batched(bs), overlap_loop(bs))
+        _assert_tensor_close(overlap_batched(bs), overlap_loop(bs))
 
     @pytest.mark.parametrize("basis_name", BASES)
     def test_kinetic_bitwise(self, water, basis_name):
         bs, _ = _setup(water, basis_name)
-        assert np.array_equal(kinetic_batched(bs), kinetic_loop(bs))
+        _assert_tensor_close(kinetic_batched(bs), kinetic_loop(bs))
 
     @pytest.mark.parametrize("basis_name", BASES)
     def test_nuclear_close(self, water, basis_name):
@@ -136,7 +144,7 @@ class TestOneElectronParity:
     def test_overlap_deriv_bitwise(self, water, basis_name):
         bs, _ = _setup(water, basis_name)
         X = _sym(bs.nbf, seed=1)
-        assert np.array_equal(
+        _assert_gradient_close(
             contract_overlap_deriv_batched(bs, X),
             contract_overlap_deriv_loop(bs, X),
         )
@@ -145,7 +153,7 @@ class TestOneElectronParity:
     def test_kinetic_deriv_bitwise(self, water, basis_name):
         bs, _ = _setup(water, basis_name)
         X = _sym(bs.nbf, seed=2)
-        assert np.array_equal(
+        _assert_gradient_close(
             contract_kinetic_deriv_batched(bs, X),
             contract_kinetic_deriv_loop(bs, X),
         )
@@ -154,10 +162,9 @@ class TestOneElectronParity:
     def test_nuclear_deriv_close(self, water, basis_name):
         bs, _ = _setup(water, basis_name)
         X = _sym(bs.nbf, seed=3)
-        np.testing.assert_allclose(
+        _assert_gradient_close(
             contract_nuclear_deriv_batched(bs, water, X),
             contract_nuclear_deriv_loop(bs, water, X),
-            rtol=0, atol=1e-12,
         )
 
 
@@ -165,24 +172,28 @@ class TestThreeCenterParity:
     @pytest.mark.parametrize("basis_name", BASES)
     def test_eri3c_bitwise_unscreened(self, water, basis_name):
         bs, aux = _setup(water, basis_name)
-        assert np.array_equal(
+        _assert_tensor_close(
             eri3c_batched(bs, aux, screen=0.0),
             eri3c_loop(bs, aux, screen=0.0),
         )
 
     def test_eri3c_bitwise_screened_shared_table(self, water_dimer):
-        """Same Schwarz table (one workspace) -> same skips, same bits."""
+        """Same Schwarz table (one workspace) -> exactly the same skips."""
         bs, aux = _setup(water_dimer, "sto-3g")
         ws = IntegralWorkspace()
         a = eri3c_batched(bs, aux, screen=1e-6, workspace=ws)
-        skipped_a = ws.pairs_skipped
+        seen_a, skipped_a = ws.pairs_total, ws.pairs_skipped
         neglect_a = ws.neglected_bound
+        assert skipped_a > 0
         b = eri3c_loop(bs, aux, screen=1e-6, workspace=ws)
-        assert np.array_equal(a, b)
-        # identical screening decisions and bitwise-identical
-        # neglected-bound accumulation across the two modes
+        _assert_tensor_close(a, b)
+        # a skipped block is exactly zero in both
+        assert np.array_equal(a == 0.0, b == 0.0)
+        assert ws.pairs_total == 2 * seen_a
         assert ws.pairs_skipped == 2 * skipped_a
-        assert ws.neglected_bound == 2 * neglect_a
+        np.testing.assert_allclose(
+            ws.neglected_bound - neglect_a, neglect_a, rtol=1e-12
+        )
 
     def test_schwarz_close(self, water):
         bs, _ = _setup(water, "repro-dzp")
@@ -201,10 +212,16 @@ class TestThreeCenterParity:
         gb = contract_eri3c_deriv_batched(
             bs, aux, Z, water_dimer.natoms, screen=screen, workspace=ws
         )
+        seen, skipped = ws.pairs_total, ws.pairs_skipped
+        neglect = ws.neglected_bound
         gl = contract_eri3c_deriv_loop(
             bs, aux, Z, water_dimer.natoms, screen=screen, workspace=ws
         )
-        assert np.array_equal(gb, gl)
+        _assert_gradient_close(gb, gl)
+        assert (ws.pairs_total, ws.pairs_skipped) == (2 * seen, 2 * skipped)
+        np.testing.assert_allclose(
+            ws.neglected_bound - neglect, neglect, rtol=1e-12
+        )
         # translation invariance survives batching (and screening)
         np.testing.assert_allclose(gb.sum(axis=0), 0.0, atol=1e-10)
 
@@ -214,46 +231,75 @@ class TestThreeCenterParity:
         ref = eri3c_batched(bs, aux)
         X = _sym(bs.nbf, seed=5)
         dref = contract_overlap_deriv_batched(bs, X)
+        rng = np.random.default_rng(12)
+        Z = rng.standard_normal((bs.nbf, bs.nbf, aux.nbf))
+        ws = IntegralWorkspace()
+        gref = contract_eri3c_deriv_batched(
+            bs, aux, Z, water_dimer.natoms, screen=1e-6, workspace=ws
+        )
+        assert ws.pairs_skipped > 0
         monkeypatch.setattr(batch, "_CHUNK_ELEMS", 256)
         assert np.array_equal(eri3c_batched(bs, aux), ref)
         assert np.array_equal(contract_overlap_deriv_batched(bs, X), dref)
+        ws2 = IntegralWorkspace()
+        g = contract_eri3c_deriv_batched(
+            bs, aux, Z, water_dimer.natoms, screen=1e-6, workspace=ws2
+        )
+        assert np.array_equal(g, gref)
+        assert ws2.pairs_skipped == ws.pairs_skipped
+        assert ws2.neglected_bound == ws.neglected_bound
+
+    def test_run_to_run_determinism(self, water_dimer):
+        """Every batched driver, twice on fresh workspaces: same bits."""
+        bs, aux = _setup(water_dimer, "sto-3g")
+        mol = water_dimer
+        X = _sym(bs.nbf, seed=13)
+        rng = np.random.default_rng(14)
+        Z = rng.standard_normal((bs.nbf, bs.nbf, aux.nbf))
+
+        def run_all():
+            ws = IntegralWorkspace()
+            out = [
+                overlap_batched(bs, ws),
+                kinetic_batched(bs, ws),
+                nuclear_batched(bs, mol, ws),
+                schwarz_pair_bounds_batched(bs, ws),
+                eri3c_batched(bs, aux, screen=1e-6, workspace=ws),
+                contract_overlap_deriv_batched(bs, X, ws),
+                contract_kinetic_deriv_batched(bs, X, ws),
+                contract_nuclear_deriv_batched(bs, mol, X, ws),
+                contract_eri3c_deriv_batched(
+                    bs, aux, Z, mol.natoms, screen=1e-6, workspace=ws
+                ),
+            ]
+            return out, ws.pairs_skipped, ws.neglected_bound
+
+        first, skipped1, neglect1 = run_all()
+        second, skipped2, neglect2 = run_all()
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+        assert skipped1 == skipped2 > 0
+        assert neglect1 == neglect2
 
 
 class TestKernelModeDispatch:
-    def test_mode_roundtrip(self):
-        prev = kernel_mode()
-        try:
-            set_kernel_mode("loop")
-            assert kernel_mode() == "loop"
-            with kernels("batched"):
-                assert kernel_mode() == "batched"
-            assert kernel_mode() == "loop"
-        finally:
-            set_kernel_mode(prev)
+    """One kernel family: there is no mode left to dispatch on."""
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="kernel mode"):
-            set_kernel_mode("vectorised")
+    def test_no_runtime_caller_of_loop_reference(self):
+        """The ``*_loop`` drivers are a test reference: nothing under
+        ``src/`` may call one."""
+        import repro
 
-    def test_dispatchers_follow_mode(self, water, monkeypatch):
-        """Public drivers route to the loop kernels under kernels('loop')."""
-        from repro.integrals import overlap
-
-        bs, _ = _setup(water, "sto-3g")
-        calls = []
-        real = batch.overlap_batched
-
-        def spy(*a, **kw):
-            calls.append(1)
-            return real(*a, **kw)
-
-        monkeypatch.setattr(batch, "overlap_batched", spy)
-        with kernels("loop"):
-            overlap(bs)
-        assert not calls
-        with kernels("batched"):
-            overlap(bs)
-        assert calls
+        callers = []
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", None) or getattr(
+                        node.func, "id", ""
+                    )
+                    if name.endswith("_loop"):
+                        callers.append(f"{path.name}:{node.lineno} {name}")
+        assert callers == []
 
     def test_shell_classes_cached_in_workspace(self, water):
         bs, _ = _setup(water, "sto-3g")
@@ -390,21 +436,19 @@ class TestFourCenterScreenBypass:
 
 class TestScreenedBatchedMBE:
     def test_mbe3_energy_gradient_vs_exact(self):
-        """Screened batched MBE3 assembly vs the exact loop reference."""
+        """Screened, workspace-cached MBE3 assembly vs the exact one."""
         mol = water_cluster(3, seed=11)
         fs = FragmentedSystem.by_components(mol)
         plan = build_plan(fs, 1e9, 1e9, order=3)
-        with kernels("loop"):
-            e0, g0 = mbe_energy_gradient(
-                fs, plan,
-                RIHFCalculator(workspace=IntegralWorkspace(enabled=False),
-                               int_screen=0.0),
-            )
-        with kernels("batched"):
-            ws = IntegralWorkspace()
-            e1, g1 = mbe_energy_gradient(
-                fs, plan, RIHFCalculator(workspace=ws, int_screen=1e-12)
-            )
+        e0, g0 = mbe_energy_gradient(
+            fs, plan,
+            RIHFCalculator(workspace=IntegralWorkspace(enabled=False),
+                           int_screen=0.0),
+        )
+        ws = IntegralWorkspace()
+        e1, g1 = mbe_energy_gradient(
+            fs, plan, RIHFCalculator(workspace=ws, int_screen=1e-12)
+        )
         assert abs(e1 - e0) <= 1e-8
         np.testing.assert_allclose(g1, g0, atol=1e-7)
         assert ws.hits > 0
@@ -486,17 +530,6 @@ class TestCLIOptions:
         p = tmp_path / "water.xyz"
         save_xyz(water_monomer(), str(p))
         return str(p)
-
-    def test_int_kernels_loop(self, water_file, capsys):
-        from repro.cli import main
-
-        prev = kernel_mode()
-        try:
-            assert main(["scf", water_file, "--int-kernels", "loop"]) == 0
-            assert kernel_mode() == "loop"
-        finally:
-            set_kernel_mode(prev)
-        assert "E(SCF)" in capsys.readouterr().out
 
     def test_backend_numpy(self, water_file, capsys):
         from repro.cli import main

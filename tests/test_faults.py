@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from repro.calculators import PairwisePotentialCalculator
+from repro.faults import InjectedFault
 from repro.frag import FragmentedSystem
 from repro.md import (
     AsyncCoordinator,
     FailurePolicy,
-    FaultInjectingCalculator,
-    TransientWorkerError,
     WorkerFailure,
     run_parallel,
     run_serial,
@@ -19,9 +18,12 @@ from repro.md import (
 from repro.md.integrators import maxwell_boltzmann_velocities
 from repro.systems import water_cluster
 
+from .conftest import faulty_calculator as _faulty
+
 BIG = 1.0e6
 #: a water dimer fragment has 6 atoms — the injector's target
 DIMER_NATOMS = 6
+
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +49,7 @@ def _coordinator(system, nsteps=4, **kw):
 class TestFaultInjectingCalculator:
     def test_transparent_when_no_match(self, surrogate):
         mol = water_cluster(1, seed=0)
-        calc = FaultInjectingCalculator(surrogate, fail_natoms=(999,))
+        calc = _faulty(surrogate, natoms=999)
         e1, g1 = calc.energy_gradient(mol)
         e2, g2 = surrogate.energy_gradient(mol)
         assert e1 == e2
@@ -55,10 +57,10 @@ class TestFaultInjectingCalculator:
 
     def test_fails_below_attempt_threshold(self, surrogate):
         mol = water_cluster(1, seed=0)
-        calc = FaultInjectingCalculator(surrogate, fail_attempts=2)
-        with pytest.raises(TransientWorkerError):
+        calc = _faulty(surrogate, attempts=2)
+        with pytest.raises(InjectedFault):
             calc.energy_gradient(mol, attempt=0)
-        with pytest.raises(TransientWorkerError):
+        with pytest.raises(InjectedFault):
             calc.energy_gradient(mol, attempt=1)
         e, g = calc.energy_gradient(mol, attempt=2)
         assert np.isfinite(e)
@@ -67,9 +69,9 @@ class TestFaultInjectingCalculator:
         """The same (molecule, attempt) always gives the same outcome —
         the property that makes faulted parallel runs reproducible."""
         mol = water_cluster(1, seed=0)
-        calc = FaultInjectingCalculator(surrogate, fail_attempts=1)
+        calc = _faulty(surrogate, attempts=1)
         for _ in range(3):
-            with pytest.raises(TransientWorkerError):
+            with pytest.raises(InjectedFault):
                 calc.energy_gradient(mol, attempt=0)
         for _ in range(3):
             calc.energy_gradient(mol, attempt=1)
@@ -79,9 +81,7 @@ class TestRetryPath:
     def test_single_raising_fragment_regression(self, w4_system, surrogate):
         """Regression for the unguarded fut.result(): one worker raising
         on a specific fragment must no longer kill the whole run."""
-        faulty = FaultInjectingCalculator(
-            surrogate, fail_attempts=1, fail_natoms=(DIMER_NATOMS,)
-        )
+        faulty = _faulty(surrogate, natoms=DIMER_NATOMS, attempts=1)
         co = _coordinator(w4_system)
         report = run_parallel(co, faulty, nworkers=3)
         assert co.done()
@@ -95,9 +95,7 @@ class TestRetryPath:
         clean = _coordinator(w4_system, **kw)
         run_parallel(clean, surrogate, nworkers=3)
         faulted = _coordinator(w4_system, **kw)
-        faulty = FaultInjectingCalculator(
-            surrogate, fail_attempts=2, fail_natoms=(DIMER_NATOMS,)
-        )
+        faulty = _faulty(surrogate, natoms=DIMER_NATOMS, attempts=2)
         report = run_parallel(
             faulted, faulty, nworkers=3, policy=FailurePolicy(max_retries=3)
         )
@@ -111,9 +109,7 @@ class TestRetryPath:
         np.testing.assert_array_equal(ke1, ke2)
 
     def test_retry_exhausted_raises(self, w4_system, surrogate):
-        faulty = FaultInjectingCalculator(
-            surrogate, fail_attempts=99, fail_natoms=(DIMER_NATOMS,)
-        )
+        faulty = _faulty(surrogate, natoms=DIMER_NATOMS, attempts=99)
         co = _coordinator(w4_system, nsteps=2)
         with pytest.raises(WorkerFailure, match="attempt"):
             run_parallel(
@@ -121,7 +117,7 @@ class TestRetryPath:
             )
 
     def test_failure_message_carries_diagnostics(self, w4_system, surrogate):
-        faulty = FaultInjectingCalculator(surrogate, fail_attempts=99)
+        faulty = _faulty(surrogate, attempts=99)
         co = _coordinator(w4_system, nsteps=1)
         with pytest.raises(WorkerFailure, match="in_flight"):
             run_parallel(
@@ -137,9 +133,7 @@ class TestRetryPath:
 
 class TestQuarantine:
     def test_poison_fragment_reported_not_dropped(self, w4_system, surrogate):
-        faulty = FaultInjectingCalculator(
-            surrogate, fail_attempts=99, fail_natoms=(DIMER_NATOMS,)
-        )
+        faulty = _faulty(surrogate, natoms=DIMER_NATOMS, attempts=99)
         co = _coordinator(w4_system, nsteps=2)
         report = run_parallel(
             co, faulty, nworkers=2,
@@ -152,7 +146,7 @@ class TestQuarantine:
         assert len(report.quarantined) == 6 * 3
         q = report.quarantined[0]
         assert q.attempts == 2  # initial try + one retry
-        assert "TransientWorkerError" in q.error
+        assert "InjectedFault" in q.error
         # the energy weight of the lost fragment is reported, so the
         # deficit is auditable rather than silent
         assert q.coefficient != 0.0
@@ -166,9 +160,9 @@ class TestHungWorker:
         """A worker that hangs on its first attempt is detected via the
         task deadline, its pool is rebuilt, and the retry completes."""
         system = FragmentedSystem.by_components(water_cluster(2, seed=3))
-        faulty = FaultInjectingCalculator(
-            surrogate, fail_attempts=1, fail_natoms=(DIMER_NATOMS,),
-            mode="hang", hang_s=120.0,
+        faulty = _faulty(
+            surrogate, "hang", natoms=DIMER_NATOMS, attempts=1,
+            hang_s=120.0,
         )
         co = _coordinator(system, nsteps=0)
         report = run_parallel(
@@ -185,9 +179,8 @@ class TestDeadWorker:
     def test_worker_process_death_recovers(self, w4_system, surrogate):
         """A worker that dies mid-task (os._exit) breaks the pool; the
         driver rebuilds it and resubmits every in-flight task."""
-        faulty = FaultInjectingCalculator(
-            surrogate, fail_attempts=1, fail_natoms=(DIMER_NATOMS,),
-            mode="exit",
+        faulty = _faulty(
+            surrogate, "crash", natoms=DIMER_NATOMS, attempts=1
         )
         co = _coordinator(w4_system, nsteps=1)
         report = run_parallel(
@@ -208,9 +201,7 @@ class TestConservationEquivalence:
         clean = _coordinator(system, **kw)
         run_serial(clean, surrogate)
         faulted = _coordinator(system, **kw)
-        faulty = FaultInjectingCalculator(
-            surrogate, fail_attempts=1, fail_natoms=(DIMER_NATOMS,)
-        )
+        faulty = _faulty(surrogate, natoms=DIMER_NATOMS, attempts=1)
         run_parallel(faulted, faulty, nworkers=2)
         _, pe_c, ke_c = clean.trajectory_energies()
         _, pe_f, ke_f = faulted.trajectory_energies()

@@ -238,7 +238,7 @@ class TestHigherAngularMomentum:
 
 class TestSchwarz:
     def test_bounds_hold(self, water):
-        from repro.integrals.eri import schwarz_pair_bounds
+        from repro.integrals import schwarz_pair_bounds
 
         bs = BasisSet.build(water, "sto-3g")
         Q = schwarz_pair_bounds(bs)

@@ -10,7 +10,6 @@ from repro.chem import Molecule
 from repro.frag import FragmentedSystem
 from repro.md import (
     FailurePolicy,
-    FaultInjectingCalculator,
     NumericalDivergenceError,
     run_parallel,
     run_serial,
@@ -27,6 +26,8 @@ from repro.scf import (
 )
 from repro.systems import water_cluster
 from repro.trace import Tracer
+
+from .conftest import faulty_calculator as _faulty
 
 BIG = 1.0e6
 DIMER_NATOMS = 6
@@ -213,16 +214,15 @@ def _coordinator(system, nsteps=2, **kw):
 
 class TestInjectedNumericalFaults:
     def test_scf_fail_mode_raises_typed(self, surrogate):
-        calc = FaultInjectingCalculator(surrogate, mode="scf_fail")
-        with pytest.raises(SCFConvergenceError, match="injected"):
+        calc = _faulty(surrogate, "scf_fail")
+        with pytest.raises(SCFConvergenceError, match="planned"):
             calc.energy_gradient(water_cluster(1, seed=0), attempt=0)
 
     def test_scf_fail_retried_to_clean_run(self, w4_system, surrogate):
         """An injected SCF failure (cascade exhausted on a worker) rides
         the ordinary retry path and leaves a clean trajectory."""
-        faulty = FaultInjectingCalculator(
-            surrogate, fail_attempts=1, fail_natoms=(DIMER_NATOMS,),
-            mode="scf_fail",
+        faulty = _faulty(
+            surrogate, "scf_fail", natoms=DIMER_NATOMS, attempts=1
         )
         co = _coordinator(w4_system)
         report = run_parallel(co, faulty, nworkers=2)
@@ -233,9 +233,8 @@ class TestInjectedNumericalFaults:
     def test_nan_forces_quarantined_never_silent(self, w4_system, surrogate):
         """Persistent NaN forces must become typed quarantine records —
         and must never reach the integrator as NaN coordinates."""
-        faulty = FaultInjectingCalculator(
-            surrogate, fail_attempts=99, fail_natoms=(DIMER_NATOMS,),
-            mode="nan_forces",
+        faulty = _faulty(
+            surrogate, "nan_forces", natoms=DIMER_NATOMS, attempts=99
         )
         co = _coordinator(w4_system)
         report = run_parallel(
@@ -253,9 +252,8 @@ class TestInjectedNumericalFaults:
         assert np.all(np.isfinite(co.coords))
 
     def test_nan_forces_serial_raises_typed(self, w4_system, surrogate):
-        faulty = FaultInjectingCalculator(
-            surrogate, fail_attempts=99, fail_natoms=(DIMER_NATOMS,),
-            mode="nan_forces",
+        faulty = _faulty(
+            surrogate, "nan_forces", natoms=DIMER_NATOMS, attempts=99
         )
         co = _coordinator(w4_system)
         with pytest.raises(NumericalDivergenceError):
