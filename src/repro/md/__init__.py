@@ -1,4 +1,4 @@
-"""Ab initio molecular dynamics: NVE Verlet, sync and async scheduling."""
+"""Ab initio molecular dynamics: one step engine, barrier optional."""
 
 from ..numerics import NumericalDivergenceError
 from .aimd import Trajectory, run_aimd

@@ -1,8 +1,16 @@
-"""Synchronous AIMD driver (NVE) over MBE-fragmented or whole systems.
+"""Synchronous AIMD: the step engine with a barrier, plus a reference loop.
 
-This is the baseline the asynchronous scheme (`repro.md.scheduler`) is
-compared against: every time step is a global barrier — the full MBE
-gradient must finish before any atom moves (paper Sec. VII-A).
+`run_aimd` is the paper's synchronous baseline (Sec. VII-A: every time
+step a global barrier) and a front-end, not an integrator: it builds the
+one step engine (`repro.md.scheduler.AsyncCoordinator`) with
+``synchronous=True`` and drives it with `run_serial`. Force tiers, the
+surrogate gate, replans, checkpoint cuts and resume rules live there.
+
+The engine is linear in fragment tasks, so it cannot express
+``smooth_switching`` (a gradient term proportional to fragment
+*energies*). That runs through `integrate_whole_system`, a bare Verlet
+loop over a whole-system force — also the independent reference the
+engine-equivalence tests integrate against.
 """
 
 from __future__ import annotations
@@ -12,20 +20,42 @@ import time
 import numpy as np
 
 from ..chem.molecule import Molecule
-from ..frag.mbe import build_plan, mbe_energy_gradient, update_plan
-from ..frag.monomer import FragmentedSystem
+from ..frag.monomer import FragmentedSystem, Monomer
+from ..frag.switching import mbe_energy_gradient_switched
 from ..numerics import ensure_finite
-from .checkpoint import Checkpoint, CheckpointError, write_checkpoint
-from .integrators import (
-    fs_to_au,
-    kinetic_energy,
-    maxwell_boltzmann_velocities,
-    verlet_step,
-)
-from .mts import SlowTierState, TieredMBEForces, slow_tier_items_split
+from .checkpoint import Checkpoint
+from .integrators import fs_to_au, kinetic_energy, maxwell_boltzmann_velocities, verlet_step
+from .scheduler import AsyncCoordinator, run_serial
 from .trajectory import Trajectory
 
-__all__ = ["Trajectory", "run_aimd"]
+__all__ = ["Trajectory", "integrate_whole_system", "run_aimd"]
+
+
+def integrate_whole_system(
+    force_fn, masses, coords, velocities, nsteps: int, dt_fs: float, thermostat=None
+) -> Trajectory:
+    """Velocity Verlet with ``force_fn(coords, step) -> (energy, forces)``.
+
+    No fragments, tiers, replans or checkpoints: whatever splitting the
+    force has is the caller's (r-RESPA impulses are a force that is
+    ``fast + k * slow`` at outer boundaries and ``fast`` in between).
+    """
+    dt = fs_to_au(dt_fs)
+    traj = Trajectory()
+    e_pot, forces = force_fn(coords, 0)
+    for step in range(nsteps + 1):
+        traj.append(step * dt_fs, e_pot, kinetic_energy(masses, velocities),
+                    coords.copy(), velocities.copy())
+        if step == nsteps:
+            break
+        t0 = time.perf_counter()
+        coords, velocities, forces, e_pot = verlet_step(
+            coords, velocities, forces, masses, dt, lambda c: force_fn(c, step + 1)
+        )
+        if thermostat is not None:
+            velocities = thermostat.apply(velocities, masses, dt_fs)
+        traj.wall_times.append(time.perf_counter() - t0)
+    return traj
 
 
 def run_aimd(
@@ -56,530 +86,75 @@ def run_aimd(
     mts_k_trimer: int | None = None,
     surrogate=None,
 ) -> Trajectory:
-    """Synchronous NVE velocity-Verlet dynamics.
+    """Synchronous velocity-Verlet dynamics: the step engine, barriered.
 
-    For a `FragmentedSystem`, forces come from the MBE with the given
-    cutoffs; the polymer list is re-enumerated every ``replan_interval``
-    steps (the paper's pre-formed-list mode). For a plain `Molecule`, the
-    calculator is applied to the whole system (unfragmented baseline).
+    A `FragmentedSystem` runs the MBE with the given cutoffs, re-planned
+    every ``replan_interval`` steps (0: one frozen plan, which no resume
+    could rebuild, so it never checkpoints); a plain `Molecule` runs as
+    the one-monomer order-1 system. The other keywords are the engine's
+    (see `AsyncCoordinator`) — whole-system thermostats included, since
+    there is a barrier; MTS tiers and the surrogate need a
+    `FragmentedSystem`. With ``resume`` the returned `Trajectory` holds
+    the full history (checkpointed frames plus new ones);
+    ``wall_times[i]`` runs from the retirement of step ``i`` to that of
+    step ``i + 1``.
 
     ``smooth_switching=True`` replaces the hard polymer cutoffs with the
     C2 switched corrections of `repro.frag.switching` (the paper's
     stated future work), turning on at ``switch_on_factor * r_cut`` —
-    this removes the cutoff-crossing energy jumps of Fig. 6.
-
-    ``thermostat`` (an object with ``apply(velocities, masses, dt_fs)``,
-    see `repro.md.thermostats`) switches the run from NVE to NVT.
-
-    Resilience: every force evaluation passes a NaN/Inf sentinel
-    (`NumericalDivergenceError` on divergence — nothing non-finite ever
-    enters the integrator).  With ``checkpoint_path`` and
-    ``checkpoint_every > 0``, a crash-safe checkpoint (atomic write,
-    checksummed; see `repro.md.checkpoint`) is written between steps at
-    every multiple of ``checkpoint_every`` that is also a replan
-    boundary, so a resumed run rebuilds the identical fragment plan and
-    continues bitwise-exactly.  Pass a loaded `Checkpoint` as ``resume``
-    to continue an interrupted trajectory; the returned `Trajectory`
-    then contains the full history (checkpointed frames + new frames).
-
-    ``warm_start=True`` (the default) attaches a `GuessCache` to
-    calculators that support one (``calculator.guess_cache`` is left
-    untouched if the caller already set it), so every fragment's SCF is
-    seeded with its previous converged density; replans are then applied
-    incrementally (`update_plan`) and invalidate the cached densities of
-    fragments that left the plan. The cache is never checkpointed: a
-    resumed run re-converges from cold guesses, which costs iterations
-    but reproduces energies to SCF convergence tolerance.
-
-    ``checkpoint_keep > 1`` retains that many rotated checkpoint copies
-    (``path.1``, ``path.2``, ...) so a corrupted latest file can be
-    survived via `read_checkpoint_with_fallback`; ``fault_plan`` (a
-    `repro.faults.FaultPlan`) schedules deterministic checkpoint
-    corruption for chaos testing — task-site faults are injected by
-    wrapping the calculator in `repro.faults.FaultPlanCalculator`
-    instead.
-
-    ``mts_k > 1`` switches fragmented runs to r-RESPA multiple-time-step
-    integration (`repro.md.mts`): monomer forces (the fast tier) are
-    evaluated every step, the dimer/trimer correction tier only every
-    ``mts_k`` steps and applied as impulse half-kicks at the outer
-    boundaries (or, with ``mts_extrapolate=True``, as a linearly
-    extrapolated force inside every inner step).  The reported potential
-    energy at inner steps is ``fast + held/extrapolated slow`` — exact
-    at outer boundaries, which is where energy conservation should be
-    measured.  Checkpoints then carry the slow-tier state, so resume —
-    including from mid-cycle — continues the exact impulse pattern.
-
-    ``mts_k_trimer`` (the per-tier ``k`` ladder) splits the slow tier by
-    MBE order: the dimer correction tier keeps firing every ``mts_k``
-    steps while the trimer tier fires only every ``mts_k_trimer`` steps
-    (which must be a multiple of ``mts_k``; impulse mode only).  At
-    ``mts_k_trimer == mts_k`` (or ``None``) the run takes the exact
-    single-ladder code path.
-
-    ``surrogate`` (a `repro.surrogate.SurrogateManager`) routes polymer
-    (dimer/trimer) evaluations through the online committee surrogate:
-    full solves train it, and contributions are served from it whenever
-    the committee-disagreement gate admits them, with the per-order
-    bound accumulated into the manager's neglected-error ceiling.
+    no cutoff-crossing energy jumps (Fig. 6). It is the whole-system
+    path: thermostat yes; tiers, surrogate, checkpoints and warm-start
+    or tracer attachment no.
     """
-    fragmented = isinstance(mol_or_system, FragmentedSystem)
-    mts_k = max(1, int(mts_k))
-    ladder = mts_k_trimer is not None and int(mts_k_trimer) != mts_k
-    if ladder:
-        mts_k_trimer = int(mts_k_trimer)
-        if mts_k_trimer < mts_k or mts_k_trimer % mts_k != 0:
+    system = mol_or_system
+    tiered = max(int(mts_k), int(mts_k_trimer or 1)) > 1
+    if not isinstance(system, FragmentedSystem):
+        if tiered or surrogate is not None:
             raise ValueError(
-                f"mts_k_trimer ({mts_k_trimer}) must be a multiple of "
-                f"mts_k ({mts_k}) at least as large: the trimer tier is "
-                "the slower one and its boundaries must nest"
+                "mts_k > 1 and the MBE-tail surrogate require a "
+                "FragmentedSystem: both act on the dimer/trimer tiers"
             )
-        if mts_extrapolate:
+        # one monomer, nothing to re-plan
+        whole = Monomer(0, tuple(range(system.natoms)), charge=system.charge)
+        system, mbe_order, replan_interval = FragmentedSystem(system, [whole]), 1, 1
+    if coords0 is not None:
+        system = FragmentedSystem(system.parent.with_coords(coords0), system.monomers)
+    if smooth_switching:
+        if tiered or surrogate is not None or checkpoint_path or resume is not None:
             raise ValueError(
-                "the per-tier k ladder supports impulse mode only"
+                "smooth_switching runs outside the step engine: no MTS "
+                "tiers, surrogate, checkpoint or resume"
             )
-    mts = mts_k > 1 or ladder
-    if mts and not fragmented:
-        raise ValueError(
-            "multiple-time-step integration (mts_k > 1) requires a "
-            "FragmentedSystem: the tier split is across MBE orders"
-        )
-    if mts and smooth_switching:
-        raise ValueError(
-            "multiple-time-step integration is not supported together "
-            "with smooth_switching"
-        )
-    if surrogate is not None and not fragmented:
-        raise ValueError(
-            "the MBE-tail surrogate requires a FragmentedSystem: it "
-            "serves dimer/trimer contributions"
-        )
-    if surrogate is not None and smooth_switching:
-        raise ValueError(
-            "the MBE-tail surrogate is not supported together with "
-            "smooth_switching"
-        )
-    if warm_start and getattr(calculator, "guess_cache", "no") is None:
-        from ..calculators import GuessCache
 
-        calculator.guess_cache = GuessCache()
-    if tracer is not None and getattr(calculator, "tracer", "no") is None:
-        calculator.tracer = tracer
-    if tracer is not None and getattr(thermostat, "tracer", "no") is None:
-        # thermostat diagnostics (e.g. the Berendsen clamp instant)
-        thermostat.tracer = tracer
-    parent = mol_or_system.parent if fragmented else mol_or_system
-    masses = parent.masses_au
-    dt = fs_to_au(dt_fs)
-    coords = (parent.coords if coords0 is None else coords0).copy()
-    if velocities is None:
-        velocities = maxwell_boltzmann_velocities(masses, temperature_k, seed=seed)
-    else:
-        velocities = velocities.copy()
-
-    traj = Trajectory()
-    start_step = 0
-    if resume is not None:
-        if resume.coords.shape != parent.coords.shape:
-            raise CheckpointError(
-                f"checkpoint is for {resume.coords.shape[0]} atoms, "
-                f"system has {parent.natoms}"
-            )
-        start_step = int(resume.step)
-        coords = np.array(resume.coords, dtype=float, copy=True)
-        velocities = np.array(resume.velocities, dtype=float, copy=True)
-        traj.times_fs = [float(t) for t in resume.times_fs]
-        traj.potential = [float(e) for e in resume.potential]
-        traj.kinetic = [float(e) for e in resume.kinetic]
-        if resume.frame_coords is not None:
-            traj.coords = [np.array(c) for c in resume.frame_coords]
-            traj.velocities = [np.array(v) for v in resume.frame_velocities]
-        traj.wall_times = [0.0] * max(len(traj.times_fs) - 1, 0)
-        if thermostat is not None and resume.thermostat is not None:
-            thermostat.load_state_dict(resume.thermostat)
-        if tracer:
-            tracer.instant("resume", cat="checkpoint", step=start_step)
-        if resume.surrogate is not None and surrogate is not None:
-            surrogate.load_state(resume.surrogate, resume.surrogate_arrays or {})
-
-    slow = None
-    slow3 = None
-    if mts:
-        if resume is not None and resume.mts is not None:
-            meta = resume.mts
-            if int(meta["k"]) != mts_k or bool(meta["extrapolate"]) != bool(
-                mts_extrapolate
-            ):
-                raise CheckpointError(
-                    f"checkpoint MTS state (k={meta['k']}, "
-                    f"extrapolate={meta['extrapolate']}) does not match "
-                    f"the run (k={mts_k}, extrapolate={mts_extrapolate})"
-                )
-            ck_k3 = meta.get("k_trimer")
-            if ladder and (ck_k3 is None or int(ck_k3) != mts_k_trimer):
-                raise CheckpointError(
-                    f"checkpoint MTS ladder state (k_trimer={ck_k3}) does "
-                    f"not match the run (mts_k_trimer={mts_k_trimer})"
-                )
-            if not ladder and ck_k3 is not None:
-                raise CheckpointError(
-                    f"checkpoint carries a per-tier MTS ladder "
-                    f"(k_trimer={ck_k3}); resume with the same mts_k_trimer"
-                )
-            slow = SlowTierState.from_state(
-                meta, resume.mts_slow_forces, resume.mts_slow_forces_prev
-            )
-            if ladder:
-                slow3 = SlowTierState.from_state(
-                    {
-                        "k": int(ck_k3),
-                        "extrapolate": False,
-                        "step": meta["step3"],
-                        "prev_step": meta["prev_step3"],
-                        "e_slow": meta["e_slow3"],
-                        "e_slow_prev": meta.get("e_slow3_prev", 0.0),
-                    },
-                    resume.mts_slow3_forces,
-                    resume.mts_slow3_forces_prev,
-                )
-        else:
-            if start_step % mts_k != 0:
-                raise CheckpointError(
-                    f"checkpoint step {start_step} is inside an outer "
-                    f"cycle (mts_k={mts_k}) but carries no MTS state; "
-                    "the held slow forces cannot be reconstructed"
-                )
-            if ladder and start_step % mts_k_trimer != 0:
-                raise CheckpointError(
-                    f"checkpoint step {start_step} is inside a trimer-tier "
-                    f"cycle (mts_k_trimer={mts_k_trimer}) but carries no "
-                    "MTS state; the held slow forces cannot be reconstructed"
-                )
-            slow = SlowTierState(k=mts_k, extrapolate=bool(mts_extrapolate))
-            if ladder:
-                slow3 = SlowTierState(k=mts_k_trimer)
-    elif resume is not None and resume.mts is not None:
-        raise CheckpointError(
-            "checkpoint carries MTS integrator state "
-            f"(k={resume.mts.get('k')}); resume with the same mts_k"
-        )
-
-    plan = None
-
-    def replan(c: np.ndarray, step: int) -> None:
-        """(Re)build the fragment plan — incrementally after the first.
-
-        `update_plan` edits the previous coefficient map instead of
-        rebuilding it, and its diff drives warm-start cache invalidation
-        for fragments that left the plan.
-        """
-        nonlocal plan
-        if plan is None:
-            plan = build_plan(
-                mol_or_system, r_dimer_bohr, r_trimer_bohr,
+        def switched_force(c: np.ndarray, step: int):
+            on = switch_on_factor
+            e, g = mbe_energy_gradient_switched(
+                system, calculator, r_on_dimer=on * r_dimer_bohr, r_cut_dimer=r_dimer_bohr,
+                r_on_trimer=r_trimer_bohr and on * r_trimer_bohr, r_cut_trimer=r_trimer_bohr,
                 order=mbe_order, coords=c,
             )
-            return
-        plan, diff = update_plan(
-            mol_or_system, plan, r_dimer_bohr, r_trimer_bohr,
-            order=mbe_order, coords=c,
-        )
-        cache = getattr(calculator, "guess_cache", None)
-        if cache is not None:
-            for key in diff.removed:
-                cache.invalidate(key)
-        if tracer:
-            tracer.instant(
-                "replan.incremental", cat="scheduler", step=step,
-                added=len(diff.added), removed=len(diff.removed),
-                reused=diff.reused,
-            )
-
-    def raw_force_fn(c: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal plan
-        if not fragmented:
-            e, g = calculator.energy_gradient(parent.with_coords(c))
+            # divergence sentinel: NaN/Inf must never reach the integrator
+            ensure_finite(f"aimd forces (step {step})", energy=e, forces=g)
             return e, -g
-        if smooth_switching:
-            from ..frag.switching import mbe_energy_gradient_switched
 
-            e, g = mbe_energy_gradient_switched(
-                mol_or_system, calculator,
-                r_on_dimer=switch_on_factor * r_dimer_bohr,
-                r_cut_dimer=r_dimer_bohr,
-                r_on_trimer=(
-                    switch_on_factor * r_trimer_bohr
-                    if r_trimer_bohr is not None else None
-                ),
-                r_cut_trimer=r_trimer_bohr,
-                order=mbe_order,
-                coords=c,
-            )
-            return e, -g
-        if plan is None:
-            replan(c, 0)
-        e, g = mbe_energy_gradient(
-            mol_or_system, plan, calculator, coords=c, surrogate=surrogate
+        masses = system.parent.masses_au
+        if velocities is None:
+            velocities = maxwell_boltzmann_velocities(masses, temperature_k, seed)
+        return integrate_whole_system(
+            switched_force, masses, system.parent.coords.copy(),
+            velocities.copy(), nsteps, dt_fs, thermostat,
         )
-        return e, -g
-
-    def force_fn(c: np.ndarray) -> tuple[float, np.ndarray]:
-        e, f = raw_force_fn(c)
-        # divergence sentinel: NaN/Inf must never reach the integrator
-        ensure_finite("aimd force evaluation", energy=e, forces=f)
-        return e, f
-
-    def maybe_checkpoint(step: int, cur_forces: np.ndarray | None = None) -> None:
-        if not checkpoint_path or checkpoint_every <= 0 or step <= start_step:
-            return
-        if step % checkpoint_every != 0:
-            return
-        # only checkpoint where the fragment plan is freshly rebuilt, so
-        # a resumed run re-derives the identical plan from the resumed
-        # coordinates (pre-formed lists from mid-window are not portable;
-        # replan_interval=0 freezes the step-0 plan forever, which a
-        # resume cannot reconstruct, so no checkpoints are written then)
-        if fragmented and (
-            not replan_interval or step % replan_interval != 0
-        ):
-            return
-        mts_meta = slow.state_dict() if mts else None
-        if ladder:
-            mts_meta["k_trimer"] = int(mts_k_trimer)
-            mts_meta["step3"] = int(slow3.step)
-            mts_meta["prev_step3"] = int(slow3.prev_step)
-            mts_meta["e_slow3"] = float(slow3.e_slow)
-            mts_meta["e_slow3_prev"] = float(slow3.e_slow_prev)
-        surr_meta = surr_arrays = None
-        if surrogate is not None:
-            surr_meta, surr_arrays = surrogate.state_dict()
-        write_checkpoint(
-            checkpoint_path,
-            Checkpoint(
-                step=step,
-                time_fs=step * dt_fs,
-                coords=coords.copy(),
-                velocities=velocities.copy(),
-                symbols=tuple(parent.symbols),
-                charge=parent.charge,
-                times_fs=np.asarray(traj.times_fs),
-                potential=np.asarray(traj.potential),
-                kinetic=np.asarray(traj.kinetic),
-                frame_coords=np.asarray(traj.coords),
-                frame_velocities=np.asarray(traj.velocities),
-                thermostat=(
-                    thermostat.state_dict()
-                    if thermostat is not None
-                    and hasattr(thermostat, "state_dict")
-                    else None
-                ),
-                mts=mts_meta,
-                mts_slow_forces=slow.forces if mts else None,
-                mts_slow_forces_prev=slow.forces_prev if mts else None,
-                mts_slow3_forces=slow3.forces if ladder else None,
-                mts_slow3_forces_prev=slow3.forces_prev if ladder else None,
-                surrogate=surr_meta,
-                surrogate_arrays=surr_arrays,
-                # with a surrogate the resumed run must not re-evaluate
-                # the initial forces (the evaluation would mutate the
-                # training windows a second time), so they ride along
-                forces=(
-                    cur_forces.copy()
-                    if surrogate is not None and cur_forces is not None
-                    else None
-                ),
-            ),
-            tracer=tracer,
-            keep=checkpoint_keep,
-            fault_plan=fault_plan,
-        )
-
-    if mts:
-        tiers = TieredMBEForces(mol_or_system, calculator, surrogate=surrogate)
-
-        def fast_force(c: np.ndarray) -> tuple[float, np.ndarray]:
-            e, g = tiers.fast(c)
-            f = -g
-            ensure_finite("MTS fast-tier force evaluation", energy=e, forces=f)
-            return e, f
-
-        if ladder:
-
-            def eval_tier(
-                state: SlowTierState, order: int, c: np.ndarray, at_step: int
-            ) -> None:
-                """Fresh evaluation of one ladder tier at its boundary."""
-                tiers.plan = plan
-                items2, items3 = slow_tier_items_split(
-                    plan, mol_or_system.nmonomers
-                )
-                e_s, g_s = tiers.slow_items(c, items2 if order == 2 else items3)
-                f_s = -g_s
-                ensure_finite(
-                    f"MTS tier-{order} force evaluation", energy=e_s, forces=f_s
-                )
-                state.push(at_step, f_s, e_s)
-                if tracer:
-                    tracer.instant(
-                        "mts.slow_eval", cat="md", step=at_step, tier=order
-                    )
-
-            k_dt2 = mts_k * dt
-            k_dt3 = mts_k_trimer * dt
-            e_fast, f_fast = fast_force(coords)
-            if slow.step < 0 or slow3.step < 0:
-                if plan is None:
-                    replan(coords, start_step)
-            if slow.step < 0:
-                eval_tier(slow, 2, coords, start_step)
-            if slow3.step < 0:
-                eval_tier(slow3, 3, coords, start_step)
-            step = start_step
-            while True:
-                e_slow2, _ = slow.estimate(step)
-                e_slow3, _ = slow3.estimate(step)
-                if step > start_step or resume is None:
-                    traj.times_fs.append(step * dt_fs)
-                    traj.potential.append(e_fast + e_slow2 + e_slow3)
-                    traj.kinetic.append(kinetic_energy(masses, velocities))
-                    traj.coords.append(coords.copy())
-                    traj.velocities.append(velocities.copy())
-                maybe_checkpoint(step)
-                if step == nsteps:
-                    break
-                if replan_interval and step % replan_interval == 0:
-                    replan(coords, step)
-                t0 = time.perf_counter()
-                # opening half-impulses: each tier kicks at its own
-                # boundary with its own outer time step (r-RESPA nesting;
-                # the trimer boundaries are a subset of the dimer ones)
-                if step % mts_k == 0:
-                    velocities = (
-                        velocities + 0.5 * k_dt2 * slow.forces / masses[:, None]
-                    )
-                if step % mts_k_trimer == 0:
-                    velocities = (
-                        velocities
-                        + 0.5 * k_dt3 * slow3.forces / masses[:, None]
-                    )
-                coords, velocities, f_fast, e_fast = verlet_step(
-                    coords, velocities, f_fast, masses, dt, fast_force
-                )
-                if (step + 1) % mts_k == 0:
-                    eval_tier(slow, 2, coords, step + 1)
-                    velocities = (
-                        velocities + 0.5 * k_dt2 * slow.forces / masses[:, None]
-                    )
-                if (step + 1) % mts_k_trimer == 0:
-                    eval_tier(slow3, 3, coords, step + 1)
-                    velocities = (
-                        velocities
-                        + 0.5 * k_dt3 * slow3.forces / masses[:, None]
-                    )
-                if thermostat is not None:
-                    velocities = thermostat.apply(velocities, masses, dt_fs)
-                traj.wall_times.append(time.perf_counter() - t0)
-                step += 1
-            return traj
-
-        def eval_slow(c: np.ndarray, at_step: int) -> None:
-            """Fresh slow-tier evaluation at an outer boundary.
-
-            Reuses the monomer solves of the fast-tier call just made at
-            the same coordinates, so a boundary costs only the polymer
-            (dimer/trimer) solves on top of an inner step.
-            """
-            tiers.plan = plan
-            e_s, g_s = tiers.slow(c)
-            f_s = -g_s
-            ensure_finite("MTS slow-tier force evaluation", energy=e_s, forces=f_s)
-            slow.push(at_step, f_s, e_s)
-            if tracer:
-                tracer.instant("mts.slow_eval", cat="md", step=at_step)
-
-        k_dt = mts_k * dt
-        e_fast, f_fast = fast_force(coords)
-        if slow.step < 0:
-            # fresh start (or resume of a pre-MTS checkpoint at an outer
-            # boundary): evaluate the slow tier at the initial geometry
-            if plan is None:
-                replan(coords, start_step)
-            eval_slow(coords, start_step)
-        step = start_step
-        while True:
-            e_slow_est, _ = slow.estimate(step)
-            if step > start_step or resume is None:
-                traj.times_fs.append(step * dt_fs)
-                traj.potential.append(e_fast + e_slow_est)
-                traj.kinetic.append(kinetic_energy(masses, velocities))
-                traj.coords.append(coords.copy())
-                traj.velocities.append(velocities.copy())
-            maybe_checkpoint(step)
-            if step == nsteps:
-                break
-            if replan_interval and step % replan_interval == 0:
-                replan(coords, step)
-            t0 = time.perf_counter()
-            if not mts_extrapolate and step % mts_k == 0:
-                # opening half-impulse of the outer cycle (r-RESPA kick)
-                velocities = (
-                    velocities + 0.5 * k_dt * slow.forces / masses[:, None]
-                )
-            if mts_extrapolate:
-                # velocity Verlet under fast + extrapolated slow force;
-                # the arrival half-kick at a boundary uses the *fresh*
-                # slow force evaluated there
-                _, f_s0 = slow.estimate(step)
-                acc = (f_fast + f_s0) / masses[:, None]
-                coords = coords + velocities * dt + 0.5 * acc * dt**2
-                e_fast, f_fast = fast_force(coords)
-                if (step + 1) % mts_k == 0:
-                    eval_slow(coords, step + 1)
-                _, f_s1 = slow.estimate(step + 1)
-                acc_new = (f_fast + f_s1) / masses[:, None]
-                velocities = velocities + 0.5 * (acc + acc_new) * dt
-            else:
-                coords, velocities, f_fast, e_fast = verlet_step(
-                    coords, velocities, f_fast, masses, dt, fast_force
-                )
-                if (step + 1) % mts_k == 0:
-                    eval_slow(coords, step + 1)
-                    # closing half-impulse with the fresh slow force
-                    velocities = (
-                        velocities
-                        + 0.5 * k_dt * slow.forces / masses[:, None]
-                    )
-            if thermostat is not None:
-                velocities = thermostat.apply(velocities, masses, dt_fs)
-            traj.wall_times.append(time.perf_counter() - t0)
-            step += 1
-        return traj
-
-    if resume is not None and resume.forces is not None:
-        # surrogate resume: restore the forces instead of re-evaluating
-        # them — the checkpointed surrogate state already reflects this
-        # evaluation, and repeating it would re-train and re-serve
-        forces = np.array(resume.forces, dtype=float, copy=True)
-        e_pot = float(resume.potential[-1])
-    else:
-        e_pot, forces = force_fn(coords)
-    for step in range(start_step, nsteps + 1):
-        if step > start_step or resume is None:
-            traj.times_fs.append(step * dt_fs)
-            traj.potential.append(e_pot)
-            traj.kinetic.append(kinetic_energy(masses, velocities))
-            traj.coords.append(coords.copy())
-            traj.velocities.append(velocities.copy())
-        maybe_checkpoint(step, forces)
-        if step == nsteps:
-            break
-        if fragmented and replan_interval and step % replan_interval == 0:
-            replan(coords, step)
-        t0 = time.perf_counter()
-        coords, velocities, forces, e_pot = verlet_step(
-            coords, velocities, forces, masses, dt, force_fn
-        )
-        if thermostat is not None:
-            velocities = thermostat.apply(velocities, masses, dt_fs)
-        traj.wall_times.append(time.perf_counter() - t0)
-    return traj
+    engine = AsyncCoordinator(
+        system, nsteps, dt_fs, r_dimer_bohr, r_trimer_bohr,
+        mbe_order=mbe_order, temperature_k=temperature_k, seed=seed,
+        replan_interval=replan_interval, synchronous=True,
+        velocities=velocities, tracer=tracer, checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every, checkpoint_keep=checkpoint_keep,
+        resume=resume, warm_start=warm_start, fault_plan=fault_plan,
+        mts_k=mts_k, mts_extrapolate=mts_extrapolate,
+        mts_k_trimer=mts_k_trimer, thermostat=thermostat, surrogate=surrogate,
+    )
+    # the engine appends a frame per retired step and checkpoints them all
+    engine.frames = Trajectory() if resume is None else Trajectory.from_checkpoint(resume)
+    run_serial(engine, calculator)
+    return engine.frames

@@ -23,16 +23,23 @@ whole run.  This module provides the persistence layer:
   bit rot, a torn copy through a non-atomic transport — costs one
   checkpoint interval of progress, not the run.
 
+This module is the file format and nothing else. There is one writer —
+the step engine (`repro.md.scheduler.AsyncCoordinator`) cuts a
+checkpoint at a retired, replan-aligned step, with or without a barrier
+— and one resume validator, the engine's constructor; `run_aimd` and the
+service go through both.
+
 A `Checkpoint` carries everything needed for *exact* continuation:
 coordinates, velocities, and time at a consistent integer step, the
-per-step energy history up to that step (and, for the synchronous
-driver, full frame history), thermostat state including its RNG stream,
-the fault-tolerance `DriverReport` counters accumulated so far, and —
-for multiple-time-step runs — the r-RESPA slow-tier state (held slow
-forces and extrapolation history; see `repro.md.mts`), which cannot be
-recomputed from the resumed coordinates alone.
-With the coordinator's deterministic-reduction mode the resumed
-trajectory is bitwise identical to an uninterrupted one.
+per-step energy history up to that step (and the full frame history
+when the run records frames, as `run_aimd` does), thermostat state
+including its RNG stream, the fault-tolerance `DriverReport` counters
+accumulated so far, and — for multiple-time-step runs — every slow
+tier's held state (held forces and extrapolation history; see
+`repro.md.mts`), which cannot be recomputed from the resumed
+coordinates alone and is what lets a cut land inside an outer cycle.
+With the engine's deterministic-reduction mode the resumed trajectory
+is bitwise identical to an uninterrupted one.
 
 The SCF warm-start `GuessCache` (`repro.calculators`) is deliberately
 **not** part of a checkpoint: cached densities are pure accelerators, so
@@ -93,7 +100,7 @@ class Checkpoint:
     times_fs: np.ndarray = field(default_factory=lambda: np.zeros(0))
     potential: np.ndarray = field(default_factory=lambda: np.zeros(0))
     kinetic: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    #: full frame history (synchronous driver only; empty otherwise)
+    #: full frame history (runs that record frames, i.e. `run_aimd`)
     frame_coords: np.ndarray | None = None
     frame_velocities: np.ndarray | None = None
     #: opaque thermostat state (incl. RNG stream), JSON-serializable
@@ -122,11 +129,11 @@ class Checkpoint:
     #: carries no surrogate
     surrogate: dict | None = None
     surrogate_arrays: dict | None = None
-    #: current forces at ``step`` (synchronous single-timescale driver
-    #: with a surrogate only): the resumed run must NOT re-evaluate the
-    #: initial forces, because that evaluation would mutate the
-    #: surrogate's training windows and serve streaks a second time and
-    #: break bitwise continuation — so the forces travel with the state
+    #: forces of the every-step tier at ``step`` (surrogate runs only):
+    #: the resumed run must NOT evaluate them again, because that
+    #: evaluation would mutate the surrogate's training windows and
+    #: serve streaks a second time and break bitwise continuation — so
+    #: the forces travel with the state
     forces: np.ndarray | None = None
     version: int = CHECKPOINT_VERSION
 
@@ -258,24 +265,11 @@ def write_checkpoint(path: str | Path, ckpt: Checkpoint, tracer=None,
         "kinetic": np.asarray(ckpt.kinetic, dtype=float),
         "meta": np.array(json.dumps(meta)),
     }
-    if ckpt.mts_slow_forces is not None:
-        arrays["mts_slow_forces"] = np.asarray(
-            ckpt.mts_slow_forces, dtype=float
-        )
-    if ckpt.mts_slow_forces_prev is not None:
-        arrays["mts_slow_forces_prev"] = np.asarray(
-            ckpt.mts_slow_forces_prev, dtype=float
-        )
-    if ckpt.mts_slow3_forces is not None:
-        arrays["mts_slow3_forces"] = np.asarray(
-            ckpt.mts_slow3_forces, dtype=float
-        )
-    if ckpt.mts_slow3_forces_prev is not None:
-        arrays["mts_slow3_forces_prev"] = np.asarray(
-            ckpt.mts_slow3_forces_prev, dtype=float
-        )
-    if ckpt.forces is not None:
-        arrays["forces"] = np.asarray(ckpt.forces, dtype=float)
+    for name in ("mts_slow_forces", "mts_slow_forces_prev",
+                 "mts_slow3_forces", "mts_slow3_forces_prev", "forces"):
+        value = getattr(ckpt, name)
+        if value is not None:
+            arrays[name] = np.asarray(value, dtype=float)
     if ckpt.surrogate_arrays:
         for name, value in ckpt.surrogate_arrays.items():
             if not name.startswith("surrogate_"):

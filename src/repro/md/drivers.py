@@ -44,7 +44,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from ..numerics import ensure_finite
-from .scheduler import AsyncCoordinator
+from .scheduler import AsyncCoordinator, evaluate_fragment
 
 
 class WorkerFailure(RuntimeError):
@@ -125,12 +125,8 @@ _WORKER_GEMM_LOADED: set[str] = set()
 
 def _evaluate(calculator, molecule, attempt: int, warm_start: bool = False,
               gemm_cache: str | None = None, step: int = 0):
-    """Worker-side entry point; forwards attempt/step if supported.
-
-    ``accepts_attempt`` calculators receive the retry attempt number;
-    ``accepts_step`` calculators (the fault-plan wrapper) additionally
-    receive the MD step, so scheduled faults can target "fragment K at
-    step S" regardless of which worker draws the task.
+    """Worker-side entry point; forwards attempt/step if supported
+    (`evaluate_fragment`).
 
     With ``warm_start``, the process-local `GuessCache` is attached to
     the (worker's copy of the) calculator before evaluation, so
@@ -169,12 +165,7 @@ def _evaluate(calculator, molecule, attempt: int, warm_start: bool = False,
                 GLOBAL_TUNER.load(gemm_cache)
             except ValueError:
                 pass  # a corrupt table costs re-tuning, never the run
-    kwargs = {}
-    if getattr(calculator, "accepts_attempt", False):
-        kwargs["attempt"] = attempt
-    if getattr(calculator, "accepts_step", False):
-        kwargs["step"] = step
-    e, g = calculator.energy_gradient(molecule, **kwargs)
+    e, g = evaluate_fragment(calculator, molecule, attempt, step)
     ensure_finite(
         f"worker result for {getattr(molecule, 'natoms', '?')}-atom "
         f"fragment (attempt {attempt})",

@@ -26,10 +26,22 @@ mode instead applies a linearly-extrapolated slow force inside every
 inner step (no impulses); it is only approximately reversible but
 smooths the boundary impulses, which helps at larger ``k``.
 
-`SlowTierState` is the integrator's between-boundary memory — the held
-slow forces and the one-deep history the extrapolation needs — and is
-exactly what the checkpoint format round-trips so a ``--deterministic
---resume`` through (or inside) an outer cycle is bitwise-exact.
+There is one integrator: the step engine (`repro.md.scheduler`) holds
+the split as a list of tiers ``(k_t, {key: coefficient})`` per plan
+window — plain MBE is one tier at ``k = 1``, r-RESPA is fast + slow
+(`slow_tier_items`), the per-order ``k`` ladder is fast + dimer + trimer
+(`slow_tier_items_split`) — and evaluates them task by task, with or
+without a barrier.  This module owns the tier *definitions*, and two
+things around them:
+
+* `SlowTierState` — one slow tier's between-boundary memory (held
+  forces plus the one-deep history the extrapolation needs).  It is the
+  unit the checkpoint round-trips (`pack_held_tiers` /
+  `unpack_held_tiers`, which also holds the one set of MTS resume
+  checks), so a resume through — or inside — an outer cycle is exact.
+* `TieredMBEForces` — a closed-form, whole-system evaluation of the
+  same tiers.  Nothing under ``src/`` calls it: it is the independent
+  reference the engine-equivalence tests integrate against.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ import numpy as np
 
 from ..frag.mbe import MBEPlan
 from ..frag.monomer import FragmentedSystem
+from .checkpoint import Checkpoint, CheckpointError
 
 #: coefficients smaller than this are treated as exactly cancelled
 _COEF_EPS = 1e-12
@@ -113,9 +126,9 @@ def slow_tier_items_split(
 class TieredMBEForces:
     """Evaluate the MBE energy/gradient split into fast and slow tiers.
 
-    Used by the synchronous driver (`repro.md.aimd.run_aimd`); the
-    asynchronous coordinator implements the same split task-by-task
-    through its priority queue instead.
+    The whole-system reference for the step engine, which implements
+    the same split task by task through its priority queue; only tests
+    call this class.
 
     `fast` caches its per-monomer results (keyed by the coordinate
     array), so a `slow` call at the same geometry — the boundary
@@ -325,3 +338,107 @@ class SlowTierState:
                 f"{state.step} but carries no held forces"
             )
         return state
+
+
+def pack_held_tiers(states: list[SlowTierState]) -> dict:
+    """`Checkpoint` keyword arguments carrying the held slow tiers.
+
+    The first slow tier rides in the ``mts`` / ``mts_slow_forces*``
+    slots; a ladder's trimer tier adds the ``k_trimer`` / ``*3`` metadata
+    keys and the ``mts_slow3_forces*`` arrays.  No slow tiers, no keys:
+    single-timescale checkpoints keep the version-1 layout.
+    """
+    if not states:
+        return {}
+    first = states[0]
+    meta = first.state_dict()
+    out = {
+        "mts": meta,
+        "mts_slow_forces": first.forces,
+        "mts_slow_forces_prev": first.forces_prev,
+    }
+    if len(states) > 1:
+        trimer = states[1]
+        meta.update(
+            k_trimer=int(trimer.k),
+            step3=int(trimer.step),
+            prev_step3=int(trimer.prev_step),
+            e_slow3=float(trimer.e_slow),
+            e_slow3_prev=float(trimer.e_slow_prev),
+        )
+        out.update(
+            mts_slow3_forces=trimer.forces,
+            mts_slow3_forces_prev=trimer.forces_prev,
+        )
+    return out
+
+
+def unpack_held_tiers(
+    ckpt: Checkpoint, ks: tuple[int, ...], extrapolate: bool
+) -> list[SlowTierState]:
+    """Held state of the slow tiers with periods ``ks`` at ``ckpt.step``.
+
+    The one place a checkpoint's MTS block is checked against the run:
+    same ``k``, same mode, same ladder, and every tier held at the last
+    boundary at or before the checkpointed step.  A checkpoint without
+    an MTS block yields unevaluated tiers, which is only sound where
+    every tier is due anyway — inside an outer cycle the held forces
+    cannot be reconstructed.
+    """
+    step = int(ckpt.step)
+    meta = ckpt.mts
+    if meta is None:
+        for k in ks:
+            if step % k:
+                raise CheckpointError(
+                    f"checkpoint step {step} is inside an outer cycle "
+                    f"(k={k}) but carries no MTS state; the held slow "
+                    "forces cannot be reconstructed"
+                )
+        return [SlowTierState(k=k, extrapolate=extrapolate) for k in ks]
+    if not ks:
+        raise CheckpointError(
+            "checkpoint carries MTS integrator state "
+            f"(k={meta.get('k')}); resume with the same mts_k"
+        )
+    if int(meta["k"]) != ks[0] or bool(meta["extrapolate"]) != extrapolate:
+        raise CheckpointError(
+            f"checkpoint MTS state (k={meta['k']}, "
+            f"extrapolate={meta['extrapolate']}) does not match the run "
+            f"(k={ks[0]}, extrapolate={extrapolate})"
+        )
+    ck_k3 = meta.get("k_trimer")
+    run_k3 = ks[1] if len(ks) > 1 else None
+    if (None if ck_k3 is None else int(ck_k3)) != run_k3:
+        raise CheckpointError(
+            f"checkpoint MTS ladder state (k_trimer={ck_k3}) does not "
+            f"match the run (mts_k_trimer={run_k3})"
+        )
+    states = [
+        SlowTierState.from_state(
+            meta, ckpt.mts_slow_forces, ckpt.mts_slow_forces_prev
+        )
+    ]
+    if ck_k3 is not None:
+        states.append(
+            SlowTierState.from_state(
+                {
+                    "k": int(ck_k3),
+                    "extrapolate": False,
+                    "step": meta["step3"],
+                    "prev_step": meta["prev_step3"],
+                    "e_slow": meta["e_slow3"],
+                    "e_slow_prev": meta.get("e_slow3_prev", 0.0),
+                },
+                ckpt.mts_slow3_forces,
+                ckpt.mts_slow3_forces_prev,
+            )
+        )
+    for state in states:
+        if state.step != step - step % state.k:
+            raise CheckpointError(
+                f"checkpoint MTS state (k={state.k}) was taken at "
+                f"boundary {state.step} but the checkpoint is for step "
+                f"{step}"
+            )
+    return states

@@ -1,32 +1,48 @@
-"""Asynchronous time-step coordination (paper Sec. V-F, Fig. 4).
+"""The step engine: fragment AIMD, barrier optional (paper Sec. V-F, Fig. 4).
 
-The `AsyncCoordinator` is the super-coordinator's state machine,
-decoupled from how work is executed: a driver repeatedly calls
-`next_task()` and hands back results through `complete()`. Drivers can
-be a serial loop, a process pool (`repro.md.drivers`), or the
+`AsyncCoordinator` is the one integrator in the package. It is the
+super-coordinator's state machine, decoupled from how work is executed:
+a driver repeatedly calls `next_task()` and hands results back through
+`complete()`. Drivers are a serial loop (`run_serial`), a process pool
+(`repro.md.drivers`), the trajectory service (`repro.serve`) or the
 discrete-event cluster simulator (`repro.cluster`), which advances a
-virtual clock instead of the wall clock.
+virtual clock instead of the wall clock. The synchronous driver
+(`repro.md.aimd.run_aimd`) is this engine with ``synchronous=True``
+under `run_serial`: the paper's baseline is the asynchronous scheme plus
+a global barrier, not a second implementation.
 
-Faithful features:
+What a step is:
 
-* polymers enter a priority queue keyed by (distance of the polymer to
-  the reference monomer, time step, decreasing size) — the computation
-  sweeps outward from a reference fragment at an extremity, so monomers
-  near the reference finish early and *start the next step while the
-  rest of the previous step is still computing*;
-* a monomer integrates (velocity Verlet, kick-drift-kick) the moment
-  every polymer touching its atoms (including through H-cap chain
-  terms) has returned;
-* polymer gradients are accumulated directly into a per-step system
-  buffer (trimers all carry MBE coefficient +1, so no per-trimer
-  storage is needed);
-* fragments with broken bonds wait for their cap-donor neighbors to
-  update before entering the next step's queue;
-* the polymer list is re-formed every ``replan_interval`` steps
-  (pre-formed-list mode; the list and its MBE coefficients stay fixed
-  within the window, which is what makes direct accumulation exact);
-* synchronous mode (global barrier per step) is the paper's baseline
-  and is exposed with ``synchronous=True``.
+* **force tiers** — per replan window the force is a list of tiers
+  ``(k_t, {fragment key: coefficient})`` (`repro.md.mts`): plain MBE is
+  one tier at ``k = 1``; r-RESPA adds a slow tier every ``mts_k`` steps;
+  the ``k`` ladder splits that into a dimer and a trimer tier. A step's
+  task set is the union of the keys of the tiers due at it, a finished
+  task scatters into every due tier that lists its key, and a monomer's
+  half-kick is the sum over due tiers of ``k_t * dt / 2`` times that
+  tier's force (or, with ``mts_extrapolate``, ``dt / 2`` times every
+  tier's linearly extrapolated force at every step);
+* **priority queue** — released tasks are keyed by (distance of the
+  polymer to a reference monomer at an extremity, time step, decreasing
+  size), so the computation sweeps outward and monomers near the
+  reference *start the next step while the rest of the previous step is
+  still computing*;
+* **integration** — without a barrier a monomer integrates (velocity
+  Verlet, kick-drift-kick) the moment every task touching its atoms
+  (including through H-cap chain terms) has returned; with
+  ``synchronous=True`` all monomers integrate together when the step's
+  last task returns, which is what admits whole-system thermostats;
+* **replans** — the polymer list is re-formed every ``replan_interval``
+  steps (pre-formed-list mode; lists and coefficients stay fixed within
+  the window, which is what makes direct accumulation exact), or never
+  with ``replan_interval=0``;
+* **checkpoint cuts** — a retired step (every monomer has measured its
+  kinetic energy there) that starts a replan window is a consistent cut;
+  each slow tier's held boundary forces ride along, so a resume may land
+  inside an outer cycle.
+
+Live state — per-step buffers, per-window tables — is evicted as steps
+retire, so it is bounded by the plan-window skew, not by ``nsteps``.
 """
 
 from __future__ import annotations
@@ -34,7 +50,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,8 +60,14 @@ from ..frag.mbe import MBEPlan, build_plan, update_plan
 from ..frag.monomer import FragmentedSystem
 from ..numerics import ensure_finite
 from .checkpoint import Checkpoint, CheckpointError, write_checkpoint
-from .integrators import fs_to_au, maxwell_boltzmann_velocities
-from .mts import slow_tier_items
+from .integrators import fs_to_au, kinetic_energy, maxwell_boltzmann_velocities
+from .mts import (
+    SlowTierState,
+    pack_held_tiers,
+    slow_tier_items,
+    slow_tier_items_split,
+    unpack_held_tiers,
+)
 
 
 @dataclass
@@ -65,6 +87,7 @@ class PolymerTask:
     molecule: Molecule | FragmentStub
     atoms: list[int] | None
     caps: list | None
+    #: total weight of this solve at this step (summed over due tiers)
     coefficient: float
     distance: float  # priority distance to the reference monomer (Bohr)
     #: True for contributions synthesized by the committee surrogate —
@@ -82,8 +105,24 @@ class PolymerTask:
         return self.molecule.nelectrons
 
 
+@dataclass
+class _Window:
+    """One replan window's frozen tables."""
+
+    #: force tiers, parallel to ``AsyncCoordinator.tier_k``: key -> coefficient
+    tiers: tuple[dict[tuple, float], ...]
+    #: key -> monomers whose atoms the fragment's gradient reaches
+    touch: dict[tuple, list[int]]
+    #: monomer -> keys touching it
+    mono_keys: list[list[tuple]]
+    #: due-tier tuple -> (key -> summed coefficient, per-monomer task counts)
+    tasks: dict[tuple[int, ...], tuple[dict, np.ndarray]] = field(
+        default_factory=dict
+    )
+
+
 class AsyncCoordinator:
-    """Super-coordinator state machine for (a)synchronous fragment AIMD."""
+    """Step engine for fragment AIMD: asynchronous, or barriered."""
 
     def __init__(
         self,
@@ -114,6 +153,7 @@ class AsyncCoordinator:
         thermostat=None,
         step_callback=None,
         surrogate=None,
+        mts_k_trimer: int | None = None,
     ) -> None:
         self.system = system
         self.nsteps = nsteps
@@ -122,31 +162,55 @@ class AsyncCoordinator:
         self.r_dimer = r_dimer_bohr
         self.r_trimer = r_trimer_bohr
         self.order = mbe_order
-        self.replan_interval = max(1, replan_interval)
+        #: steps per plan window; 0 freezes the first plan for the whole
+        #: run (and, since no resume could rebuild it, never checkpoints)
+        self.replan_interval = max(0, int(replan_interval))
         self.synchronous = synchronous
         self.clock = clock
         #: r-RESPA multiple-time-step split across MBE orders
-        #: (`repro.md.mts`): with ``mts_k > 1`` every step issues only
-        #: the monomer (fast-tier) tasks at coefficient +1; the polymer
-        #: tasks plus the monomers' ``c_m - 1`` corrections (the slow
-        #: tier) run only at outer boundaries (``step % mts_k == 0``)
-        #: and enter the dynamics as impulse half-kicks of ``mts_k*dt/2``
-        #: there — or, with ``mts_extrapolate``, as a linearly
-        #: extrapolated force inside every inner step. Slow-tier tasks
-        #: still flow through the same priority queue, so they overlap
-        #: with inner-step fast tasks of monomers that have already
-        #: passed the boundary (no global barrier).
+        #: (`repro.md.mts`): ``tier_k[t]`` is the evaluation period of
+        #: force tier ``t``. With ``mts_k > 1`` tier 0 is every monomer
+        #: at +1, evaluated every step, and tier 1 the remainder of the
+        #: MBE, evaluated at outer boundaries (``step % mts_k == 0``) and
+        #: applied there as impulse half-kicks of ``mts_k*dt/2`` — or,
+        #: with ``mts_extrapolate``, as a linearly extrapolated force
+        #: inside every step. ``mts_k_trimer`` (a multiple of ``mts_k``,
+        #: impulse mode only) splits tier 1 by MBE order and stretches
+        #: the trimer tier's period. Slow-tier tasks flow through the
+        #: same priority queue, so without a barrier they overlap with
+        #: fast tasks of monomers already past the boundary.
         self.mts_k = max(1, int(mts_k))
-        self.mts = self.mts_k > 1
+        self.mts_k_trimer = (
+            self.mts_k if mts_k_trimer is None else int(mts_k_trimer)
+        )
         self.mts_extrapolate = bool(mts_extrapolate)
-        #: completed slow-tier boundary evaluations / polymer solves
-        #: avoided at inner steps relative to single-timescale stepping
+        if self.mts_k_trimer != self.mts_k:
+            if (
+                self.mts_k_trimer < self.mts_k
+                or self.mts_k_trimer % self.mts_k != 0
+            ):
+                raise ValueError(
+                    f"mts_k_trimer ({self.mts_k_trimer}) must be a multiple "
+                    f"of mts_k ({self.mts_k}) at least as large: the trimer "
+                    "tier is the slower one and its boundaries must nest"
+                )
+            if self.mts_extrapolate:
+                raise ValueError(
+                    "the per-tier k ladder supports impulse mode only"
+                )
+            self.tier_k: tuple[int, ...] = (1, self.mts_k, self.mts_k_trimer)
+        elif self.mts_k > 1:
+            self.tier_k = (1, self.mts_k)
+        else:
+            self.tier_k = (1,)
+        self.mts = len(self.tier_k) > 1
+        #: completed slow-tier boundary evaluations / solves avoided at
+        #: steps where some tier is not due
         self.mts_slow_evals = 0
         self.mts_tasks_skipped = 0
         #: crash-safe checkpointing (see `repro.md.checkpoint`): written
-        #: at the consistent retired-step cut — a step every monomer has
-        #: fully integrated — at replan-aligned multiples of
-        #: ``checkpoint_every``
+        #: at the consistent retired-step cut at replan-aligned multiples
+        #: of ``checkpoint_every``
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
         #: rotated copies retained per `repro.md.checkpoint` (keep-N)
@@ -157,6 +221,11 @@ class AsyncCoordinator:
         self.fault_plan = fault_plan
         #: set by `run_parallel` so checkpoints carry fault counters
         self.driver_report = None
+        #: set by `run_aimd` (barrier mode: only there is every atom at
+        #: the integer step at once): a `Trajectory` that collects full
+        #: frames as steps retire and rides on every checkpoint
+        self.frames = None
+        self._frame_at = 0.0  # engine-clock time of the last retirement
         #: optional `repro.trace.Tracer` (duck-typed); every emission is
         #: guarded so the disabled path costs one attribute check
         self.tracer = tracer
@@ -197,13 +266,26 @@ class AsyncCoordinator:
         #: iteratively by `complete` (never recursively — a long chain of
         #: serves unlocking integrations must not grow the Python stack)
         self._served_queue: deque = deque()
-        #: per-monomer thermostat (duck-typed ``apply_rows``; see
-        #: `repro.md.thermostats.LocalLangevinThermostat`). Applied to a
-        #: monomer's rows right after its arrival kicks, before the
-        #: kinetic-energy measurement and the checkpoint velocity
-        #: snapshot — sequential-stream thermostats cannot go here (the
-        #: asynchronous completion order would scramble their noise).
+        #: thermostat, applied right after the closing half-kicks and
+        #: before the kinetic-energy measurement and the checkpoint
+        #: velocity snapshot. Per-monomer ones (duck-typed ``apply_rows``,
+        #: see `repro.md.thermostats.LocalLangevinThermostat`) work in
+        #: either mode; whole-system ones (``apply``) need every monomer
+        #: at the same step, i.e. the barrier — completion order would
+        #: scramble a sequential noise stream.
         self.thermostat = thermostat
+        self._global_thermostat = thermostat is not None and not hasattr(
+            thermostat, "apply_rows"
+        )
+        if self._global_thermostat and not synchronous:
+            raise ValueError(
+                f"{type(thermostat).__name__} acts on the whole system at "
+                "once and needs synchronous=True; without a barrier only "
+                "per-monomer (apply_rows) thermostats are well defined"
+            )
+        if tracer is not None and getattr(thermostat, "tracer", "no") is None:
+            # thermostat diagnostics (e.g. the Berendsen clamp instant)
+            thermostat.tracer = tracer
         #: ``step_callback(step, pe, ke, coords)`` fired exactly once per
         #: step, at the moment the step fully retires (every monomer has
         #: measured its kinetic energy). ``coords`` is a private copy.
@@ -220,56 +302,19 @@ class AsyncCoordinator:
         parent = system.parent
         self.masses = parent.masses_au
         self.start_step = 0
-        if resume is not None:
-            if resume.coords.shape != parent.coords.shape:
-                raise CheckpointError(
-                    f"checkpoint is for {resume.coords.shape[0]} atoms, "
-                    f"system has {parent.natoms}"
-                )
-            self.start_step = int(resume.step)
-            if self.start_step % self.replan_interval != 0:
-                raise CheckpointError(
-                    f"checkpoint step {self.start_step} is not aligned to "
-                    f"replan_interval={self.replan_interval}; the fragment "
-                    "plan cannot be reconstructed mid-window"
-                )
-            if self.mts and self.start_step % self.mts_k != 0:
-                raise CheckpointError(
-                    f"checkpoint step {self.start_step} is not an outer "
-                    f"boundary of mts_k={self.mts_k}; the coordinator "
-                    "only resumes at completed outer cycles"
-                )
-            if resume.mts is not None:
-                rk = int(resume.mts.get("k", 0))
-                rex = bool(resume.mts.get("extrapolate", False))
-                if rk != self.mts_k or rex != self.mts_extrapolate:
-                    raise CheckpointError(
-                        f"checkpoint MTS state (k={rk}, extrapolate={rex}) "
-                        f"does not match the run (k={self.mts_k}, "
-                        f"extrapolate={self.mts_extrapolate})"
-                    )
-                if int(resume.mts.get("step", -1)) != self.start_step:
-                    raise CheckpointError(
-                        "checkpoint MTS state was taken at boundary "
-                        f"{resume.mts.get('step')} but the checkpoint is "
-                        f"for step {self.start_step}"
-                    )
-            if self.start_step > nsteps:
-                raise CheckpointError(
-                    f"checkpoint step {self.start_step} is beyond "
-                    f"nsteps={nsteps}"
-                )
-            self.coords = np.array(resume.coords, dtype=float, copy=True)
-            self.velocities = np.array(
-                resume.velocities, dtype=float, copy=True
-            )
-            if reference is None and resume.reference is not None:
-                # replay the same sweep order as the interrupted run
-                reference = int(resume.reference)
-            if tracer:
-                tracer.instant("resume", cat="checkpoint",
-                               step=self.start_step)
-        else:
+        ntiers = len(self.tier_k)
+        #: per tier: step (for ``k > 1``: boundary) -> accumulated
+        #: gradient / energy. Boundary entries outlive their step (two
+        #: periods), since later steps read them as held/extrapolated.
+        self._grad: list[dict[int, np.ndarray]] = [{} for _ in range(ntiers)]
+        self._pe: list[dict[int, float]] = [{} for _ in range(ntiers)]
+        #: tiers whose forces at ``start_step`` came with the checkpoint
+        #: and are therefore not evaluated again there
+        self._restored: set[int] = set()
+        # results
+        self.potential_energies: dict[int, float] = {}
+        self.kinetic_energies: dict[int, float] = {}
+        if resume is None:
             self.coords = parent.coords.copy()
             if velocities is None:
                 self.velocities = maxwell_boltzmann_velocities(
@@ -277,28 +322,20 @@ class AsyncCoordinator:
                 )
             else:
                 self.velocities = velocities.copy()
-        if (
-            resume is not None
-            and resume.surrogate is not None
-            and self.surrogate is not None
-        ):
-            self.surrogate.load_state(
-                resume.surrogate, resume.surrogate_arrays or {}
-            )
+        else:
+            if reference is None and resume.reference is not None:
+                # replay the same sweep order as the interrupted run
+                reference = int(resume.reference)
+            self._resume(resume)
 
         self.build_molecules = build_molecules
         nmono = system.nmonomers
         self.monomer_atoms = [list(m.atoms) for m in system.monomers]
-        # cap neighbor map: J is a neighbor of I if a broken bond connects them
-        self.cap_neighbors: list[set[int]] = [set() for _ in range(nmono)]
         #: per-monomer cap targets: owners of each cap's outer atom
         self.cap_targets: list[list[int]] = [[] for _ in range(nmono)]
         for m in system.monomers:
             for cap in m.caps:
-                j = system.atom_owner[cap.outer]
-                self.cap_neighbors[m.index].add(j)
-                self.cap_neighbors[j].add(m.index)
-                self.cap_targets[m.index].append(j)
+                self.cap_targets[m.index].append(system.atom_owner[cap.outer])
         zsum = parent.atomic_numbers
         self._mono_electrons = np.array(
             [int(zsum[list(m.atoms)].sum()) - m.charge for m in system.monomers]
@@ -323,93 +360,122 @@ class AsyncCoordinator:
         #: integer-step velocity snapshots for checkpoint-candidate steps
         self._vel_at: dict[int, np.ndarray] = {}
 
-        # per-step accumulation state. Entries are evicted once a step is
-        # fully retired (every polymer completed, every monomer integrated
-        # past it), so live state is bounded by the plan-window skew, not
-        # by nsteps.
-        self._grad: dict[int, np.ndarray] = {}
-        self._pe: dict[int, float] = {}
+        # per-step state, opened when the first monomer reaches the step
+        # and evicted once the step is fully retired
+        self._live: dict[int, tuple[int, ...]] = {}
+        self._step_keys: dict[int, dict[tuple, float]] = {}
         self._pending_total: dict[int, int] = {}
         self._pending_monomer: dict[int, np.ndarray] = {}
         self._queued: dict[int, set] = {}
-        self._ke: dict[int, float] = {}
-        self._ke_done: dict[int, int] = {}
         self._ref_cent_cache: dict[int, np.ndarray] = {}
-        #: deterministic mode: step -> {key -> (energy, grad, atoms, caps, c)}
+        #: deterministic mode: step -> {key -> (energy, grad, atoms, caps)}
         self._contrib: dict[int, dict] = {}
-        #: deterministic mode: step -> {monomer -> kinetic energy}
+        #: step -> {first monomer of the integrated group -> kinetic energy}
         self._ke_parts: dict[int, dict[int, float]] = {}
-        #: MTS slow-tier accumulation, keyed by outer boundary step.
-        #: Retained past normal step eviction (two boundaries back) so
-        #: held/extrapolated estimates at inner steps can read them.
-        self._slow_grad: dict[int, np.ndarray] = {}
-        self._slow_pe: dict[int, float] = {}
-        #: deterministic mode: boundary -> {polymer key -> contribution}
-        self._slow_contrib: dict[int, dict] = {}
-        #: per-window monomer slow-correction coefficients (c_m - 1)
-        self._slow_mono_coef: dict[int, dict[int, float]] = {}
-        if self.mts and resume is not None and resume.mts is not None:
-            # the current boundary's slow tier is recomputed by the
-            # resumed run (its tasks are re-released, bitwise-identical
-            # under deterministic mode), but the *previous* boundary —
-            # the extrapolation history — is gone with its coordinates,
-            # so it is seeded from the checkpoint (as gradients)
-            prev_b = int(resume.mts.get("prev_step", -1))
-            if prev_b >= 0 and resume.mts_slow_forces_prev is not None:
-                self._slow_grad[prev_b] = -np.asarray(
-                    resume.mts_slow_forces_prev, dtype=float
-                )
-                self._slow_pe[prev_b] = float(
-                    resume.mts.get("e_slow_prev", 0.0)
-                )
         #: lowest step whose buffers have not been evicted yet
         self._evict_floor = self.start_step
         #: high-water mark of simultaneously live (un-evicted) steps
         self.max_live_steps = 0
         self.steps_evicted = 0
-
-        # results
-        self.potential_energies: dict[int, float] = {}
-        self.kinetic_energies: dict[int, float] = {}
-        if resume is not None:
-            # restore the energy history so trajectory_energies() spans
-            # the whole run, not just the resumed tail
-            for t, pe, ke in zip(
-                resume.times_fs, resume.potential, resume.kinetic
-            ):
-                s = int(round(float(t) / dt_fs))
-                self.potential_energies[s] = float(pe)
-                self.kinetic_energies[s] = float(ke)
         self.step_finish_time: dict[int, float] = {}
         self.start_time = self.clock()
+        self._retired_at = tracer.clock() if tracer else None
 
-        # plan windows
+        #: live plan windows (window start -> plan / tables)
         self.plans: dict[int, MBEPlan] = {}
-        self._plan_touch: dict[int, dict[tuple, list[int]]] = {}
-        self._plan_mono_keys: dict[int, dict[int, list[tuple]]] = {}
-        w0 = self._window_start(self.start_step)
-        self._build_plan_window(w0)
-
+        self._windows: dict[int, _Window] = {}
         self._heap: list = []
         self._seq = 0
         self.in_flight = 0
         self.tasks_issued = 0
-        for step in self._steps_of_window(w0):
-            self._try_release_step_polymers(step)
+        self._build_window(self._window_start(self.start_step))
+        self._release_ready(self.start_step)
+        if not self._pending_total[self.start_step]:
+            # every tier due at the resumed step rode on the checkpoint
+            self._tasks_done(self.start_step)
+            if synchronous:
+                self._integrate(self.start_step)
+            else:
+                for m in range(nmono):
+                    self._integrate(self.start_step, m)
         # a resumed surrogate can be warm enough to serve immediately
         self._drain_served()
 
+    def _resume(self, resume: Checkpoint) -> None:
+        """Validate a checkpoint against this run and restore its state.
+
+        The one resume validator: both `run_aimd` and direct construction
+        come through here.
+        """
+        parent = self.system.parent
+        if resume.coords.shape != parent.coords.shape:
+            raise CheckpointError(
+                f"checkpoint is for {resume.coords.shape[0]} atoms, "
+                f"system has {parent.natoms}"
+            )
+        step = self.start_step = int(resume.step)
+        if step > self.nsteps:
+            raise CheckpointError(
+                f"checkpoint step {step} is beyond nsteps={self.nsteps}"
+            )
+        if self.replan_interval and step % self.replan_interval != 0:
+            raise CheckpointError(
+                f"checkpoint step {step} is not aligned to "
+                f"replan_interval={self.replan_interval}; the fragment "
+                "plan cannot be reconstructed mid-window"
+            )
+        held = unpack_held_tiers(
+            resume, self.tier_k[1:], self.mts_extrapolate
+        )
+        self.coords = np.array(resume.coords, dtype=float, copy=True)
+        self.velocities = np.array(resume.velocities, dtype=float, copy=True)
+        # restore the energy history so trajectory_energies() spans the
+        # whole run; the record of the resumed step itself stands
+        for t, pe, ke in zip(resume.times_fs, resume.potential, resume.kinetic):
+            s = int(round(float(t) / self.dt_fs))
+            self.potential_energies[s] = float(pe)
+            self.kinetic_energies[s] = float(ke)
+        if self.thermostat is not None and resume.thermostat is not None:
+            self.thermostat.load_state_dict(resume.thermostat)
+        if resume.surrogate is not None and self.surrogate is not None:
+            self.surrogate.load_state(
+                resume.surrogate, resume.surrogate_arrays or {}
+            )
+        for t, state in enumerate(held, start=1):
+            # held forces cannot be recomputed (the boundary geometry is
+            # gone); the one-deep history feeds the extrapolation
+            if state.prev_step >= 0 and state.forces_prev is not None:
+                self._grad[t][state.prev_step] = -state.forces_prev
+                self._pe[t][state.prev_step] = state.e_slow_prev
+            if state.step >= 0:
+                self._grad[t][state.step] = -state.forces
+                self._pe[t][state.step] = state.e_slow
+            if state.step == step:
+                self._restored.add(t)
+        if resume.forces is not None:
+            # a run that checkpoints its current forces (surrogate runs:
+            # evaluating them again would train and serve a second time)
+            if step not in self.potential_energies:
+                raise CheckpointError(
+                    f"checkpoint carries forces for step {step} but no "
+                    "energy record of it"
+                )
+            self._grad[0][step] = -np.asarray(resume.forces, dtype=float)
+            self._pe[0][step] = 0.0  # the recorded potential stands
+            self._restored.add(0)
+        if self.tracer:
+            self.tracer.instant("resume", cat="checkpoint", step=step)
+
     # ------------------------------------------------------------------
-    # plan management
+    # plan windows
     # ------------------------------------------------------------------
     def _window_start(self, step: int) -> int:
-        return (step // self.replan_interval) * self.replan_interval
+        if not self.replan_interval:
+            return self.start_step
+        return step - step % self.replan_interval
 
-    def _steps_of_window(self, w0: int) -> range:
-        return range(w0, min(w0 + self.replan_interval, self.nsteps + 1))
-
-    def _build_plan_window(self, w0: int) -> None:
-        coords = self.coords_at.get(w0, self.coords)
+    def _build_window(self, w0: int) -> None:
+        coords = self.coords_at[w0]
         if self._latest_plan is None:
             plan = build_plan(
                 self.system, self.r_dimer, self.r_trimer,
@@ -437,88 +503,71 @@ class AsyncCoordinator:
                     reused=diff.reused,
                 )
         self._latest_plan = plan
-        self.plans[w0] = plan
         nmono = self.system.nmonomers
-        # issuable task keys for this window: in MTS mode the fast tier
-        # is every monomer at +1 (even coefficient-zero ones — their
-        # correction rides the slow tier) plus the slow-tier polymers;
-        # otherwise exactly the plan's fragments
-        if self.mts:
-            items = slow_tier_items(plan, nmono)
-            self._slow_mono_coef[w0] = {
-                key[0]: c for key, c in items if len(key) == 1
-            }
-            task_keys = [(m,) for m in range(nmono)] + [
-                key for key, _ in items if len(key) > 1
-            ]
+        if not self.mts:
+            tiers = [{key: plan.coefficients[key] for key in plan.fragments}]
         else:
-            task_keys = plan.fragments
+            # the fast tier is every monomer at +1 (even coefficient-zero
+            # ones — their correction rides a slow tier)
+            tiers = [{(m,): 1.0 for m in range(nmono)}]
+            if len(self.tier_k) == 2:
+                tiers.append(dict(slow_tier_items(plan, nmono)))
+            else:
+                tiers.extend(
+                    dict(items) for items in slow_tier_items_split(plan, nmono)
+                )
         # touch set: constituents plus owners of outward cap atoms —
         # computable from topology alone (no geometry needed)
         touch: dict[tuple, list[int]] = {}
-        mono_keys: dict[int, list[tuple]] = {m: [] for m in range(nmono)}
-        for key in task_keys:
-            kset = set(key)
-            t = set(key)
-            for m in key:
-                for j in self.cap_targets[m]:
-                    if j not in kset:
-                        t.add(j)
-            tl = sorted(t)
-            touch[key] = tl
-            for m in tl:
-                mono_keys[m].append(key)
-        self._plan_touch[w0] = touch
-        self._mono_keys = mono_keys
-        self._plan_mono_keys[w0] = mono_keys
-        counts_fast = np.zeros(nmono, dtype=int)
-        counts_slow = np.zeros(nmono, dtype=int)
-        n_slow = 0
-        for key, tl in touch.items():
-            if self.mts and len(key) > 1:
-                n_slow += 1
-                tgt = counts_slow
-            else:
-                tgt = counts_fast
-            for m in tl:
-                tgt[m] += 1
-        n_fast = nmono if self.mts else plan.npolymers
-        for step in self._steps_of_window(w0):
-            boundary = not self.mts or step % self.mts_k == 0
-            if boundary:
-                self._pending_monomer[step] = counts_fast + counts_slow
-                self._pending_total[step] = n_fast + n_slow
-                if self.mts:
-                    self._slow_grad[step] = np.zeros(
-                        (self.system.parent.natoms, 3)
-                    )
-                    self._slow_pe[step] = 0.0
-                    self._slow_contrib[step] = {}
-            else:
-                self._pending_monomer[step] = counts_fast.copy()
-                self._pending_total[step] = n_fast
-                self.mts_tasks_skipped += n_slow
-            self._grad[step] = np.zeros((self.system.parent.natoms, 3))
-            self._pe[step] = 0.0
-            self._queued[step] = set()
-            self._ke[step] = 0.0
-            self._ke_done[step] = 0
-            self._contrib[step] = {}
-            self._ke_parts[step] = {}
-        self.max_live_steps = max(self.max_live_steps, self.live_steps)
+        mono_keys: list[list[tuple]] = [[] for _ in range(nmono)]
+        for tier in tiers:
+            for key in tier:
+                if key in touch:
+                    continue
+                t = set(key)
+                for m in key:
+                    t.update(self.cap_targets[m])
+                touch[key] = sorted(t)
+                for m in touch[key]:
+                    mono_keys[m].append(key)
+        self.plans[w0] = plan
+        self._windows[w0] = _Window(tuple(tiers), touch, mono_keys)
 
-    def plan_for_step(self, step: int) -> MBEPlan:
-        """The MBE plan whose window covers ``step``."""
-        return self.plans[self._window_start(step)]
+    def _open_step(self, step: int) -> None:
+        """Allocate ``step``'s buffers and work out its task set."""
+        win = self._windows[self._window_start(step)]
+        live = tuple(
+            t for t, k in enumerate(self.tier_k)
+            if step % k == 0
+            and not (step == self.start_step and t in self._restored)
+        )
+        if live not in win.tasks:
+            keys: dict[tuple, float] = {}
+            for t in live:
+                for key, c in win.tiers[t].items():
+                    keys[key] = keys.get(key, 0.0) + c
+            counts = np.zeros(self.system.nmonomers, dtype=int)
+            for key in keys:
+                counts[win.touch[key]] += 1
+            win.tasks[live] = (keys, counts)
+        keys, counts = win.tasks[live]
+        self._live[step] = live
+        self._step_keys[step] = keys
+        self._pending_total[step] = len(keys)
+        self._pending_monomer[step] = counts.copy()
+        self.mts_tasks_skipped += len(win.touch) - len(keys)
+        natoms = self.system.parent.natoms
+        for t in live:
+            self._grad[t][step] = np.zeros((natoms, 3))
+            self._pe[t][step] = 0.0
+        self._queued[step] = set()
+        self._contrib[step] = {}
+        self._ke_parts[step] = {}
+        self.max_live_steps = max(self.max_live_steps, self.live_steps)
 
     # ------------------------------------------------------------------
     # task release
     # ------------------------------------------------------------------
-    def _polymer_ready(self, key: tuple, step: int, touch: list[int]) -> bool:
-        if self.synchronous and int(self.monomer_time.min()) < step:
-            return False
-        return all(self.monomer_time[m] >= step for m in touch)
-
     def _ref_centroid(self, step: int) -> np.ndarray:
         cache = self._ref_cent_cache
         if step not in cache:
@@ -527,7 +576,15 @@ class AsyncCoordinator:
         return cache[step]
 
     def _release(self, key: tuple, step: int) -> None:
-        w0 = self._window_start(step)
+        """Queue one ready task — or serve it from the surrogate.
+
+        A polymer the committee surrogate's gate admits never enters the
+        priority queue: its synthetic completed task goes onto
+        ``_served_queue`` (the iterative accumulation path) and the
+        per-order bound is folded into the manager's neglected-error
+        ceiling. A cold class or a committee disagreement above the gate
+        schedules the full solve.
+        """
         coords = self.coords_at[step]
         if self.build_molecules:
             mol, atoms, caps = self.system.fragment_molecule(key, coords)
@@ -543,103 +600,61 @@ class AsyncCoordinator:
                 nelectrons=int(self._mono_electrons[list(key)].sum()) + ncaps,
             )
             atoms = caps = None
-        ref = self._ref_centroid(step)
-        dist = min(
-            float(np.linalg.norm(coords[self.monomer_atoms[m]].mean(axis=0) - ref))
-            for m in key
-        )
-        plan = self.plans[w0]
-        if self.mts and len(key) == 1:
-            # fast tier: every monomer at +1; its (c_m - 1) slow
-            # correction is applied from this same result at boundaries
-            coefficient = 1.0
-        else:
-            coefficient = plan.coefficients[key]
         task = PolymerTask(
             key=key,
             step=step,
             molecule=mol,
             atoms=atoms,
             caps=caps,
-            coefficient=coefficient,
-            distance=dist,
+            coefficient=self._step_keys[step][key],
+            distance=0.0,
+        )
+        self._queued[step].add(key)
+        if self.surrogate is not None and len(key) > 1 and self.build_molecules:
+            served = self.surrogate.predict(
+                key, mol, coefficient=task.coefficient
+            )
+            if served is not None:
+                energy, grad_frag, spread = served
+                task.surrogate = True
+                self.in_flight += 1  # _complete_one decrements symmetrically
+                self.surrogate_tasks_avoided += 1
+                if self.tracer:
+                    self.tracer.instant(
+                        "surrogate.serve", cat="scheduler", step=step,
+                        key=str(key), spread=float(spread),
+                    )
+                self._served_queue.append((task, energy, grad_frag))
+                return
+        ref = self._ref_centroid(step)
+        task.distance = min(
+            float(np.linalg.norm(coords[self.monomer_atoms[m]].mean(axis=0) - ref))
+            for m in key
         )
         heapq.heappush(
-            self._heap, (dist, step, -task.natoms, self._seq, task)
+            self._heap, (task.distance, step, -task.natoms, self._seq, task)
         )
         self._seq += 1
-        self._queued[step].add(key)
         if self.tracer:
             self.tracer.instant(
                 "task.release", cat="scheduler", step=step, key=str(key)
             )
             self.tracer.counter("scheduler.queue_depth", len(self._heap))
 
-    def _try_release_step_polymers(self, step: int, only_monomer: int | None = None) -> None:
-        if step > self.nsteps:
-            return
-        w0 = self._window_start(step)
-        if w0 not in self.plans:
-            return
-        touch = self._plan_touch[w0]
+    def _release_ready(self, step: int, only_monomer: int | None = None) -> None:
+        """Release every not-yet-released task of ``step`` (touching
+        ``only_monomer``) whose monomers have all reached the step."""
+        if step not in self._pending_total:
+            self._open_step(step)
+        win = self._windows[self._window_start(step)]
+        step_keys = self._step_keys[step]
         queued = self._queued[step]
-        if only_monomer is not None:
-            keys = self._mono_keys.get(only_monomer, ())
-        else:
-            keys = touch.keys()
+        keys = step_keys if only_monomer is None else win.mono_keys[only_monomer]
         for key in keys:
-            if key in queued:
+            if key in queued or key not in step_keys:
                 continue
-            if self.mts and len(key) > 1 and step % self.mts_k != 0:
-                # slow-tier polymers only run at outer boundaries
-                continue
-            t = touch[key]
-            if self._polymer_ready(key, step, t):
-                if len(key) > 1 and self._try_serve_surrogate(key, step):
-                    continue
+            if all(self.monomer_time[m] >= step for m in win.touch[key]):
                 self._release(key, step)
-
-    def _try_serve_surrogate(self, key: tuple, step: int) -> bool:
-        """Serve a ready polymer from the committee surrogate if gated in.
-
-        On success the polymer never enters the priority queue: a
-        synthetic completed task is pushed onto ``_served_queue`` (the
-        iterative accumulation path), the ``_queued`` marker prevents
-        re-release, and the per-order bound is folded into the manager's
-        neglected-error ceiling.  Returns False — schedule the full
-        solve — when no surrogate is attached, the class is cold, or the
-        committee disagreement exceeds the gate.
-        """
-        if self.surrogate is None or not self.build_molecules:
-            return False
-        coords = self.coords_at[step]
-        w0 = self._window_start(step)
-        c = self.plans[w0].coefficients[key]
-        mol, atoms, caps = self.system.fragment_molecule(key, coords)
-        served = self.surrogate.predict(key, mol, coefficient=c)
-        if served is None:
-            return False
-        energy, grad_frag, spread = served
-        self._queued[step].add(key)
-        task = PolymerTask(
-            key=key,
-            step=step,
-            molecule=mol,
-            atoms=atoms,
-            caps=caps,
-            coefficient=c,
-            distance=0.0,
-            surrogate=True,
-        )
-        self.in_flight += 1  # _complete_one decrements symmetrically
-        self.surrogate_tasks_avoided += 1
-        if self.tracer:
-            self.tracer.instant(
-                "surrogate.serve", cat="scheduler", step=step,
-                key=str(key), spread=float(spread),
-            )
-        self._served_queue.append((task, energy, grad_frag))
-        return True
 
     def _drain_served(self) -> None:
         """Accumulate queued surrogate-served contributions iteratively.
@@ -678,123 +693,113 @@ class AsyncCoordinator:
         self, task: PolymerTask, energy: float, grad_frag: np.ndarray
     ) -> None:
         self.in_flight -= 1
-        step = task.step
-        c = task.coefficient
+        step, key = task.step, task.key
         if (
             self.surrogate is not None
-            and len(task.key) > 1
+            and len(key) > 1
             and not task.surrogate
             and self.build_molecules
         ):
             # every full polymer solve is a free training pair
-            self.surrogate.observe(task.key, task.molecule, energy, grad_frag)
-        if self.mts and len(task.key) > 1:
-            # slow-tier polymer (boundary steps only)
-            if self.deterministic:
-                self._slow_contrib[step][task.key] = (
-                    energy, grad_frag, task.atoms, task.caps, c
-                )
-            else:
-                self._slow_pe[step] += c * energy
+            self.surrogate.observe(key, task.molecule, energy, grad_frag)
+        win = self._windows[self._window_start(step)]
+        if self.deterministic:
+            self._contrib[step][key] = (energy, grad_frag, task.atoms, task.caps)
+        else:
+            # one solve feeds every due tier that lists the key (at an
+            # outer boundary a monomer carries +1 and its slow correction)
+            for t in self._live[step]:
+                c = win.tiers[t].get(key)
+                if c is None:
+                    continue
+                self._pe[t][step] += c * energy
                 if task.atoms is not None and grad_frag is not None:
                     self.system.map_gradient(
                         grad_frag, task.atoms, task.caps,
-                        self._slow_grad[step], scale=c,
+                        self._grad[t][step], scale=c,
                     )
-        else:
-            if self.deterministic:
-                self._contrib[step][task.key] = (
-                    energy, grad_frag, task.atoms, task.caps, c
-                )
-            else:
-                self._pe[step] += c * energy
-                if task.atoms is not None and grad_frag is not None:
-                    self.system.map_gradient(
-                        grad_frag, task.atoms, task.caps, self._grad[step],
-                        scale=c,
-                    )
-            if self.mts and step % self.mts_k == 0:
-                # a boundary reuses the monomer solve for the slow
-                # tier's (c_m - 1) correction — no duplicate task
-                cm = self._slow_mono_coef[self._window_start(step)].get(
-                    task.key[0], 0.0
-                )
-                if cm and not self.deterministic:
-                    self._slow_pe[step] += cm * energy
-                    if task.atoms is not None and grad_frag is not None:
-                        self.system.map_gradient(
-                            grad_frag, task.atoms, task.caps,
-                            self._slow_grad[step], scale=cm,
-                        )
         self._pending_total[step] -= 1
         if self._pending_total[step] == 0:
-            if self.deterministic:
-                contribs = self._contrib[step]
-                self._pe[step] = sum(
-                    contribs[k][4] * contribs[k][0] for k in sorted(contribs)
-                )
-            pe = self._pe[step]
-            if self.mts:
-                if step % self.mts_k == 0:
-                    if self.deterministic:
-                        self._slow_pe[step] = self._canonical_slow_pe(step)
-                    self.mts_slow_evals += 1
-                    if self.tracer:
-                        self.tracer.instant(
-                            "mts.slow_eval", cat="scheduler", step=step
-                        )
-                pe = pe + self._slow_energy_estimate(step)
-            self.potential_energies[step] = pe
-            self.step_finish_time[step] = self.clock() - self.start_time
-            if self.tracer:
-                self.tracer.instant("step.complete", cat="scheduler", step=step)
-        w0 = self._window_start(step)
-        touch = self._plan_touch[w0][task.key]
-        counts = self._pending_monomer[step]
-        for m in touch:
-            counts[m] -= 1
-            if counts[m] == 0:
-                self._integrate_monomer(m, step)
+            self._tasks_done(step)
+        if not self.synchronous:
+            counts = self._pending_monomer[step]
+            for m in win.touch[key]:
+                counts[m] -= 1
+                if counts[m] == 0:
+                    self._integrate(step, m)
+        elif self._pending_total[step] == 0:
+            # barrier: nobody moves until the step's last task is back
+            self._integrate(step)
         if self.tracer:
             self.tracer.instant(
-                "task.complete", cat="scheduler", step=step, key=str(task.key)
+                "task.complete", cat="scheduler", step=step, key=str(key)
             )
             self.tracer.counter("scheduler.in_flight", self.in_flight)
             self.tracer.counter("scheduler.step_skew", self.max_step_skew)
         self._evict_retired_steps()
 
+    def _tasks_done(self, step: int) -> None:
+        """Every task of ``step`` is back: its potential energy is known."""
+        live = self._live[step]
+        if self.deterministic:
+            win = self._windows[self._window_start(step)]
+            contribs = self._contrib[step]
+            for t in live:
+                coef = win.tiers[t]
+                self._pe[t][step] = sum(
+                    coef[k] * contribs[k][0] for k in sorted(coef)
+                )
+        for t in live:
+            if t:
+                self.mts_slow_evals += 1
+                if self.tracer:
+                    self.tracer.instant(
+                        "mts.slow_eval", cat="scheduler", step=step, tier=t
+                    )
+        self.potential_energies.setdefault(
+            step,
+            sum(self._held(self._pe, t, step) for t in range(len(self.tier_k))),
+        )
+        self.step_finish_time[step] = self.clock() - self.start_time
+        if self.tracer:
+            self.tracer.instant("step.complete", cat="scheduler", step=step)
+
     def _evict_retired_steps(self) -> None:
-        """Free per-step buffers for steps no code path can read again.
+        """Free buffers and tables no code path can read again.
 
         A step ``s`` is retired once every monomer has integrated past it
-        (``min(monomer_time) > s``): all its polymers have completed
+        (``min(monomer_time) > s``): all its tasks have completed
         (otherwise some monomer's pending count would be nonzero), its
         results are in `potential_energies`/`kinetic_energies`, and no
         future release, integration, or plan build reads ``coords_at[s]``
         — releases and plan builds only ever look at steps at or above
-        the slowest monomer. Without eviction these buffers grow
+        the slowest monomer. A slow tier's boundary entry lives two
+        periods longer (held, then extrapolation history); a window's
+        tables go with its last step. Without eviction these grow
         O(nsteps x natoms) and long NVE runs leak linearly in step count.
         """
         low = int(self.monomer_time.min())
+        if low == self._evict_floor:
+            return
         while self._evict_floor < low:
             s = self._evict_floor
             for d in (
-                self.coords_at, self._grad, self._pe, self._pending_total,
-                self._pending_monomer, self._queued, self._ke,
-                self._ke_done, self._ref_cent_cache, self._contrib,
-                self._ke_parts, self._vel_at, self._slow_contrib,
+                self.coords_at, self._live, self._step_keys,
+                self._pending_total, self._pending_monomer, self._queued,
+                self._ref_cent_cache, self._contrib, self._ke_parts,
+                self._vel_at,
             ):
                 d.pop(s, None)
             self.steps_evicted += 1
             self._evict_floor += 1
-        if self.mts:
-            # held slow forces/energies outlive their boundary: inner
-            # steps up to two cycles later read them (extrapolation uses
-            # the previous boundary too)
-            horizon = low - 2 * self.mts_k
-            for d in (self._slow_grad, self._slow_pe):
+        for t, k in enumerate(self.tier_k):
+            horizon = low - 2 * k if k > 1 else low
+            for d in (self._grad[t], self._pe[t]):
                 for b in [b for b in d if b < horizon]:
                     del d[b]
+        w_low = self._window_start(low)
+        for w0 in [w for w in self._windows if w < w_low]:
+            del self._windows[w0], self.plans[w0]
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -802,19 +807,19 @@ class AsyncCoordinator:
     def _checkpoint_candidate(self, step: int) -> bool:
         """True for steps eligible to be checkpointed.
 
-        Candidates must be replan-window starts (so a resumed run
-        rebuilds the identical fragment plan from the checkpointed
-        coordinates) — and, under MTS, outer-cycle boundaries, so the
-        snapshot carries a freshly evaluated slow tier — in addition to
-        being multiples of ``checkpoint_every``.
+        Candidates are multiples of ``checkpoint_every`` that start a
+        replan window, so a resumed run rebuilds the identical fragment
+        plan from the checkpointed coordinates (a frozen plan therefore
+        never checkpoints). They need not be outer-cycle boundaries: the
+        held slow tiers ride along.
         """
         return (
             self.checkpoint_path is not None
             and self.checkpoint_every > 0
             and step > self.start_step
             and step % self.checkpoint_every == 0
+            and self.replan_interval > 0
             and step % self.replan_interval == 0
-            and step % self.mts_k == 0
         )
 
     def _write_checkpoint(self, step: int) -> None:
@@ -834,27 +839,22 @@ class AsyncCoordinator:
                 "timeouts": report.timeouts,
                 "quarantined": len(report.quarantined),
             }
-        mts_meta = None
-        slow_forces = slow_forces_prev = None
-        if self.mts:
-            prev = step - self.mts_k
-            has_prev = prev in self._slow_grad and prev in self._slow_pe
-            mts_meta = {
-                "k": int(self.mts_k),
-                "extrapolate": bool(self.mts_extrapolate),
-                "step": int(step),
-                "prev_step": int(prev) if has_prev else -1,
-                "e_slow": float(self._slow_pe[step]),
-                "e_slow_prev": (
-                    float(self._slow_pe[prev]) if has_prev else 0.0
-                ),
-            }
-            slow_forces = -self._slow_grad[step]
-            if has_prev:
-                slow_forces_prev = -self._slow_grad[prev]
+        held = []
+        for t in range(1, len(self.tier_k)):
+            k = self.tier_k[t]
+            b = step - step % k
+            grad, pe = self._grad[t], self._pe[t]
+            prev = b - k if b - k in grad else -1
+            held.append(SlowTierState(
+                k=k, extrapolate=self.mts_extrapolate, step=b, prev_step=prev,
+                forces=-grad[b],
+                forces_prev=-grad[prev] if prev >= 0 else None,
+                e_slow=pe[b], e_slow_prev=pe[prev] if prev >= 0 else 0.0,
+            ))
         surr_meta = surr_arrays = None
         if self.surrogate is not None:
             surr_meta, surr_arrays = self.surrogate.state_dict()
+        frames = self.frames
         write_checkpoint(
             self.checkpoint_path,
             Checkpoint(
@@ -869,13 +869,29 @@ class AsyncCoordinator:
                     [self.potential_energies[s] for s in steps]
                 ),
                 kinetic=np.array([self.kinetic_energies[s] for s in steps]),
+                frame_coords=(
+                    np.asarray(frames.coords) if frames is not None else None
+                ),
+                frame_velocities=(
+                    np.asarray(frames.velocities)
+                    if frames is not None else None
+                ),
+                thermostat=(
+                    self.thermostat.state_dict()
+                    if hasattr(self.thermostat, "state_dict") else None
+                ),
                 driver=driver,
                 reference=int(self.reference),
-                mts=mts_meta,
-                mts_slow_forces=slow_forces,
-                mts_slow_forces_prev=slow_forces_prev,
                 surrogate=surr_meta,
                 surrogate_arrays=surr_arrays,
+                # with a surrogate the resumed run must not evaluate the
+                # step's forces again (that would mutate the training
+                # windows a second time), so they ride along
+                forces=(
+                    -self._grad[0][step] if self.surrogate is not None
+                    else None
+                ),
+                **pack_held_tiers(held),
             ),
             tracer=self.tracer,
             keep=self.checkpoint_keep,
@@ -888,195 +904,184 @@ class AsyncCoordinator:
         return len(self._pending_total)
 
     # ------------------------------------------------------------------
-    # MTS slow tier
+    # integration
     # ------------------------------------------------------------------
-    def _canonical_slow_pe(self, step: int) -> float:
-        """Slow-tier energy at a boundary, reduced in canonical order.
+    def _held(self, store: list[dict], t: int, step: int, rows=None):
+        """Tier ``t``'s energy or gradient (``store``) as seen from ``step``.
 
-        Deterministic mode only: monomer ``c_m - 1`` corrections (from
-        the buffered fast-tier results) in monomer order, then polymer
-        contributions in sorted-key order.
+        The value at the tier's last boundary — for a ``k = 1`` tier the
+        step itself — linearly extrapolated from the boundary before it
+        under ``mts_extrapolate``. ``rows`` selects atoms of a gradient.
         """
-        w0 = self._window_start(step)
-        contribs = self._contrib[step]
-        mono_coef = self._slow_mono_coef[w0]
-        total = 0.0
-        for j in sorted(mono_coef):
-            total += mono_coef[j] * contribs[(j,)][0]
-        slow_contribs = self._slow_contrib[step]
-        for key in sorted(slow_contribs):
-            total += slow_contribs[key][4] * slow_contribs[key][0]
-        return total
+        k = self.tier_k[t]
+        b = step - step % k
+        cur = store[t][b]
+        prev = (
+            store[t].get(b - k)
+            if self.mts_extrapolate and step != b else None
+        )
+        if prev is None:
+            return cur if rows is None else cur[rows]
+        if rows is not None:
+            cur, prev = cur[rows], prev[rows]
+        return cur + (step - b) / k * (cur - prev)
 
-    def _slow_energy_estimate(self, step: int) -> float:
-        """Held (or extrapolated) slow-tier energy at ``step``."""
-        b = (step // self.mts_k) * self.mts_k
-        e_b = self._slow_pe[b]
-        if step == b:
-            return e_b
-        prev = b - self.mts_k
-        if self.mts_extrapolate and prev in self._slow_pe:
-            frac = (step - b) / (b - prev)
-            return e_b + frac * (e_b - self._slow_pe[prev])
-        return e_b
+    def _reduce_rows(self, m: int, step: int) -> None:
+        """Deterministic mode: fill monomer ``m``'s rows of every tier
+        buffer evaluated at ``step`` by a canonical reduction.
 
-    def _materialize_slow_rows(self, m: int, step: int) -> None:
-        """Deterministic mode: fill monomer ``m``'s rows of the slow-tier
-        gradient buffer at boundary ``step`` by a canonical reduction.
-
-        Monomer atom rows are disjoint, so each monomer writes its own
-        rows at integration time while other monomers' contributions are
-        still arriving; the buffer then outlives the per-step `_contrib`
-        buffers, which later inner steps cannot hold onto.
+        Sums the buffered contributions of every fragment touching ``m``
+        in sorted-key order, so the result is independent of worker
+        completion order. Monomer atom rows are disjoint, so each monomer
+        writes its own rows at integration time while other monomers'
+        contributions are still arriving; a slow tier's buffer then
+        outlives the per-step `_contrib` buffers, which later steps
+        cannot hold onto.
         """
         rows = self.monomer_atoms[m]
-        w0 = self._window_start(step)
+        win = self._windows[self._window_start(step)]
         contribs = self._contrib[step]
-        slow_contribs = self._slow_contrib[step]
-        mono_coef = self._slow_mono_coef[w0]
-        buf = np.zeros((self.system.parent.natoms, 3))
-        for key in sorted(self._plan_mono_keys[w0][m]):
-            if len(key) > 1:
-                energy, grad_frag, atoms, caps, c = slow_contribs[key]
-            else:
-                cm = mono_coef.get(key[0], 0.0)
-                if not cm:
+        keys = sorted(win.mono_keys[m])
+        for t in self._live[step]:
+            coef = win.tiers[t]
+            buf = np.zeros((self.system.parent.natoms, 3))
+            for key in keys:
+                if key not in coef:
                     continue
-                energy, grad_frag, atoms, caps, _ = contribs[key]
-                c = cm
-            if atoms is not None and grad_frag is not None:
-                self.system.map_gradient(grad_frag, atoms, caps, buf, scale=c)
-        self._slow_grad[step][rows] = buf[rows]
+                _, grad_frag, atoms, caps = contribs[key]
+                if atoms is not None and grad_frag is not None:
+                    self.system.map_gradient(
+                        grad_frag, atoms, caps, buf, scale=coef[key]
+                    )
+            self._grad[t][step][rows] = buf[rows]
 
-    def _slow_grad_estimate_rows(self, m: int, step: int) -> np.ndarray:
-        """Extrapolate mode: estimated slow-tier gradient rows of ``m``."""
-        rows = self.monomer_atoms[m]
-        b = (step // self.mts_k) * self.mts_k
-        g_b = self._slow_grad[b][rows]
-        if step == b:
-            return g_b
-        prev = b - self.mts_k
-        if prev in self._slow_grad:
-            frac = (step - b) / (b - prev)
-            return g_b + frac * (g_b - self._slow_grad[prev][rows])
-        return g_b
+    def _half_kick(self, rows, step: int) -> np.ndarray:
+        """Velocity increment of one half-kick at ``step`` on ``rows``.
 
-    def _monomer_gradient_rows(self, m: int, step: int) -> np.ndarray:
-        """Gradient on monomer ``m``'s atoms, reduced deterministically.
-
-        Sums the buffered contributions of every polymer touching ``m``
-        in canonical (sorted-key) order, so the result is independent of
-        worker completion order.
+        Impulse splitting: every tier due at the step kicks with its own
+        outer time step (``k = 1`` is the plain Verlet half-kick; the
+        nested boundaries of slower tiers are r-RESPA). Extrapolation
+        instead kicks with every tier's estimated force at every step.
         """
-        rows = self.monomer_atoms[m]
-        w0 = self._window_start(step)
-        contribs = self._contrib[step]
-        buf = np.zeros((self.system.parent.natoms, 3))
-        for key in sorted(self._plan_mono_keys[w0][m]):
-            if self.mts and len(key) > 1:
-                # slow-tier polymers live in `_slow_contrib` and enter
-                # through the boundary impulses, not the fast gradient
+        dv = 0.0
+        for t, k in enumerate(self.tier_k):
+            if self.mts_extrapolate:
+                k = 1
+            elif step % k:
                 continue
-            energy, grad_frag, atoms, caps, c = contribs[key]
-            if atoms is not None and grad_frag is not None:
-                self.system.map_gradient(grad_frag, atoms, caps, buf, scale=c)
-        return buf[rows]
+            dv = dv - (0.5 * k * self.dt) * self._held(
+                self._grad, t, step, rows
+            )
+        return dv / self.masses[rows, None]
 
-    def _integrate_monomer(self, m: int, step: int) -> None:
-        """Velocity-Verlet update of one monomer whose step forces are done."""
-        rows = self.monomer_atoms[m]
-        if self.deterministic:
-            grad_rows = self._monomer_gradient_rows(m, step)
+    def _integrate(self, step: int, m: int | None = None) -> None:
+        """Velocity-Verlet update at ``step`` whose forces are complete:
+        of monomer ``m``, or — at a barrier — of every monomer at once."""
+        nmono = self.system.nmonomers
+        if m is None:
+            who, rows, monomers = slice(None), slice(None), range(nmono)
         else:
-            grad_rows = self._grad[step][rows]
-        boundary = self.mts and step % self.mts_k == 0
-        if boundary and self.deterministic:
-            self._materialize_slow_rows(m, step)
-        acc_slow = None
-        if self.mts and self.mts_extrapolate:
-            # extrapolated slow force enters the regular per-step kicks
-            grad_rows = grad_rows + self._slow_grad_estimate_rows(m, step)
-        elif boundary:
-            acc_slow = -self._slow_grad[step][rows] / self.masses[rows, None]
-        acc = -grad_rows / self.masses[rows, None]
+            who, rows, monomers = m, self.monomer_atoms[m], (m,)
+        if self.deterministic:
+            for j in monomers:
+                self._reduce_rows(j, step)
+        dv = self._half_kick(rows, step)
         if step > self.start_step:
             # second half-kick completing the previous step (on resume,
             # the checkpointed velocities are already at the integer
             # step, so the first integration skips it exactly as a fresh
             # run does at step 0)
-            self.velocities[rows] += 0.5 * self.dt * acc
-            if acc_slow is not None:
-                # closing half-impulse of the outer cycle (r-RESPA)
-                self.velocities[rows] += (
-                    0.5 * self.mts_k * self.dt * acc_slow
+            self.velocities[rows] += dv
+            if self._global_thermostat:
+                self.velocities[...] = self.thermostat.apply(
+                    self.velocities, self.masses, self.dt_fs
                 )
-            if self.thermostat is not None:
-                self.velocities[rows] = self.thermostat.apply_rows(
-                    self.velocities[rows], self.masses[rows], self.dt_fs,
-                    step=step, monomer=m,
-                )
+            elif self.thermostat is not None:
+                for j in monomers:
+                    r = self.monomer_atoms[j]
+                    self.velocities[r] = self.thermostat.apply_rows(
+                        self.velocities[r], self.masses[r], self.dt_fs,
+                        step=step, monomer=j,
+                    )
         # kinetic energy at integer step
-        ke = 0.5 * float(
-            np.sum(self.masses[rows, None] * self.velocities[rows] ** 2)
+        parts = self._ke_parts[step]
+        parts[monomers[0]] = kinetic_energy(
+            self.masses[rows], self.velocities[rows]
         )
         if self._checkpoint_candidate(step):
-            # snapshot the integer-step velocity of this monomer before
-            # the first half-kick advances it into the next step
+            # snapshot the integer-step velocities before the first
+            # half-kick advances them into the next step
             buf = self._vel_at.setdefault(step, np.zeros_like(self.velocities))
             buf[rows] = self.velocities[rows]
-        if self.deterministic:
-            self._ke_parts[step][m] = ke
-        else:
-            self._ke[step] += ke
-        self._ke_done[step] += 1
-        if self._ke_done[step] == self.system.nmonomers:
-            if self.deterministic:
-                parts = self._ke_parts[step]
-                self._ke[step] = sum(parts[i] for i in sorted(parts))
-            self.kinetic_energies[step] = self._ke[step]
-            if self.step_callback is not None:
-                # fired before eviction can reclaim coords_at[step]; the
-                # potential is already reduced (the last monomer can only
-                # integrate after every polymer of the step completed)
-                self.step_callback(
-                    step,
-                    self.potential_energies.get(step),
-                    self._ke[step],
-                    self.coords_at[step].copy(),
-                )
-            if self._checkpoint_candidate(step):
-                # every monomer has integrated through this step: the
-                # (coords_at[step], vel_at[step]) pair is a consistent
-                # cut of the trajectory even while other monomers race
-                # ahead into later steps
-                self._write_checkpoint(step)
+        if m is None or len(parts) == nmono:
+            self._retire(step)
         if step >= self.nsteps:
-            self.monomer_done[m] = True
+            self.monomer_done[who] = True
             return
-        if acc_slow is not None:
-            # opening half-impulse of the next outer cycle
-            self.velocities[rows] += 0.5 * self.mts_k * self.dt * acc_slow
         # first half-kick + drift
-        self.velocities[rows] += 0.5 * self.dt * acc
+        self.velocities[rows] += dv
         self.coords[rows] += self.dt * self.velocities[rows]
-        self.monomer_time[m] = step + 1
         nxt = step + 1
+        self.monomer_time[who] = nxt
         if nxt not in self.coords_at:
             self.coords_at[nxt] = self.coords_at[step].copy()
         self.coords_at[nxt][rows] = self.coords[rows]
-        # plan rebuild when the slowest monomer enters a new window
-        w_next = self._window_start(nxt)
-        if w_next not in self.plans and int(self.monomer_time.min()) >= w_next:
-            self._build_plan_window(w_next)
-            for s in self._steps_of_window(w_next):
-                self._try_release_step_polymers(s)
-        if self._window_start(nxt) in self.plans:
-            if self.synchronous:
-                # barrier: release only when everyone has arrived
-                if int(self.monomer_time.min()) >= nxt:
-                    self._try_release_step_polymers(nxt)
-            else:
-                self._try_release_step_polymers(nxt, only_monomer=m)
+        if self._window_start(nxt) not in self._windows:
+            if int(self.monomer_time.min()) < nxt:
+                return  # wait for the slowest monomer to enter the window
+            self._build_window(nxt)
+            m = None  # everyone is waiting at the window's first step
+        self._release_ready(nxt, only_monomer=m)
+
+    def _retire(self, step: int) -> None:
+        """Every monomer has measured its kinetic energy at ``step``."""
+        parts = self._ke_parts[step]
+        # sorted: independent of the order monomers arrived in
+        self.kinetic_energies.setdefault(
+            step, sum(parts[i] for i in sorted(parts))
+        )
+        if self.tracer:
+            now = self.tracer.clock()
+            self.tracer.complete(
+                "md.step", self._retired_at, now - self._retired_at,
+                cat="md", step=step,
+            )
+            self._retired_at = now
+        now = self.clock()
+        if self.frames is not None:
+            self._record_frame(step, now - self._frame_at)
+        self._frame_at = now
+        if self.step_callback is not None:
+            # fired before eviction can reclaim coords_at[step]; the
+            # potential is already reduced (the last monomer can only
+            # integrate after every task of the step completed)
+            self.step_callback(
+                step,
+                self.potential_energies.get(step),
+                self.kinetic_energies[step],
+                self.coords_at[step].copy(),
+            )
+        if self._checkpoint_candidate(step):
+            # every monomer has integrated through this step: the
+            # (coords_at[step], vel_at[step]) pair is a consistent cut
+            # of the trajectory even while other monomers race ahead
+            # into later steps
+            self._write_checkpoint(step)
+
+    def _record_frame(self, step: int, wall: float) -> None:
+        """Append the retired step to ``frames``; ``wall`` is the time
+        since the previous retirement, so ``wall_times[i]`` runs from the
+        retirement of step ``i`` to that of step ``i + 1``."""
+        traj = self.frames
+        if step > self.start_step:
+            traj.wall_times.append(wall)
+        elif traj.times_fs:
+            return  # resumed: the checkpoint's record of this step stands
+        traj.append(
+            step * self.dt_fs, self.potential_energies[step],
+            self.kinetic_energies[step], self.coords_at[step].copy(),
+            self.velocities.copy(),
+        )
 
     def done(self) -> bool:
         """True once every monomer has completed all time steps."""
@@ -1119,6 +1124,22 @@ class AsyncCoordinator:
         )
 
 
+def evaluate_fragment(calculator, molecule, attempt: int, step: int):
+    """``calculator.energy_gradient`` with the optional context forwarded.
+
+    ``accepts_attempt`` calculators receive the retry attempt number;
+    ``accepts_step`` calculators (the fault-plan wrapper) additionally
+    receive the MD step, so scheduled faults can target "fragment K at
+    step S" regardless of which driver or worker draws the task.
+    """
+    kwargs = {}
+    if getattr(calculator, "accepts_attempt", False):
+        kwargs["attempt"] = attempt
+    if getattr(calculator, "accepts_step", False):
+        kwargs["step"] = step
+    return calculator.energy_gradient(molecule, **kwargs)
+
+
 def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
     """Drive a coordinator to completion with a single worker.
 
@@ -1133,11 +1154,10 @@ def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
     per-fragment densities persist across steps and SCF recovery /
     warm-start events reach the trace.
 
-    Attempt/step forwarding matches the parallel driver's worker entry
-    point: ``accepts_attempt`` calculators get ``attempt=0`` (a serial
-    driver never retries), ``accepts_step`` calculators (the fault-plan
-    wrapper) get the task's MD step, so the same fault plan targets the
-    same events under either driver.
+    Attempt/step forwarding is `evaluate_fragment`, shared with the
+    parallel driver's worker entry point (``attempt=0``: a serial driver
+    never retries), so the same fault plan targets the same events under
+    either driver.
     """
     if tracer is None:
         tracer = coordinator.tracer
@@ -1146,14 +1166,6 @@ def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
         calculator.guess_cache = cache
     if tracer is not None and getattr(calculator, "tracer", "no") is None:
         calculator.tracer = tracer
-
-    def evaluate(task):
-        kwargs = {}
-        if getattr(calculator, "accepts_attempt", False):
-            kwargs["attempt"] = 0
-        if getattr(calculator, "accepts_step", False):
-            kwargs["step"] = task.step
-        return calculator.energy_gradient(task.molecule, **kwargs)
 
     while not coordinator.done():
         task = coordinator.next_task()
@@ -1165,9 +1177,9 @@ def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
         if tracer:
             with tracer.span("task.exec", cat="driver",
                              step=task.step, key=str(task.key)):
-                e, g = evaluate(task)
+                e, g = evaluate_fragment(calculator, task.molecule, 0, task.step)
         else:
-            e, g = evaluate(task)
+            e, g = evaluate_fragment(calculator, task.molecule, 0, task.step)
         # divergence sentinel: a NaN contribution would silently poison
         # the accumulated MBE gradient of every atom the polymer touches
         ensure_finite(

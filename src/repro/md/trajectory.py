@@ -1,12 +1,10 @@
-"""Trajectory record shared by every driver (engine/policy split).
+"""Trajectory record: the pure data product of a run.
 
-`Trajectory` is the pure data product of a run — times, energies,
-frames — with the conservation diagnostics computed from it. It used to
-live inside `repro.md.aimd` next to the synchronous driving loop; the
-trajectory *service* (`repro.serve`) assembles the same record from
-asynchronous per-step events, so the record now stands alone and both
-drivers (and `repro.md.trajio`) import it from here. `repro.md.aimd`
-re-exports it for backward compatibility.
+Times, energies, frames, and the conservation diagnostics computed from
+them. The step engine fills one for `repro.md.aimd.run_aimd` as steps
+retire; the trajectory *service* (`repro.serve`) assembles the same
+record from per-step events; `repro.md.trajio` reads and writes it.
+`repro.md.aimd` re-exports it for backward compatibility.
 """
 
 from __future__ import annotations
@@ -26,6 +24,28 @@ class Trajectory:
     coords: list[np.ndarray] = field(default_factory=list)
     velocities: list[np.ndarray] = field(default_factory=list)
     wall_times: list[float] = field(default_factory=list)
+
+    def append(self, time_fs, potential, kinetic, coords, velocities) -> None:
+        """Record one frame (the arrays are stored as given, not copied)."""
+        self.times_fs.append(time_fs)
+        self.potential.append(potential)
+        self.kinetic.append(kinetic)
+        self.coords.append(coords)
+        self.velocities.append(velocities)
+
+    @classmethod
+    def from_checkpoint(cls, ckpt) -> "Trajectory":
+        """The history a checkpoint carries (zero wall times: not recorded)."""
+        traj = cls(
+            times_fs=[float(t) for t in ckpt.times_fs],
+            potential=[float(e) for e in ckpt.potential],
+            kinetic=[float(e) for e in ckpt.kinetic],
+        )
+        if ckpt.frame_coords is not None:
+            traj.coords = [np.array(c) for c in ckpt.frame_coords]
+            traj.velocities = [np.array(v) for v in ckpt.frame_velocities]
+        traj.wall_times = [0.0] * max(len(traj.times_fs) - 1, 0)
+        return traj
 
     @property
     def total(self) -> np.ndarray:

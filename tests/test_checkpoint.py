@@ -374,6 +374,27 @@ class TestRunAimdResume:
         np.testing.assert_array_equal(full.potential, resumed.potential)
         np.testing.assert_array_equal(full.coords[-1], resumed.coords[-1])
 
+    def test_resume_validation_matches_the_coordinator(self, surrogate,
+                                                        tmp_path):
+        """One validator: what the coordinator rejects, `run_aimd`
+        rejects (it used to return a too-long history / resume a
+        fragmented run mid-window without complaint)."""
+        mol = water_cluster(2, seed=5)
+        system = FragmentedSystem.by_components(mol)
+        kw = dict(dt_fs=0.5, r_dimer_bohr=BIG, r_trimer_bohr=BIG / 2,
+                  velocities=np.zeros_like(mol.coords))
+        ck = tmp_path / "ck.npz"
+        run_aimd(system, surrogate, nsteps=6, replan_interval=2,
+                 checkpoint_path=ck, checkpoint_every=6, **kw)
+        ckpt = read_checkpoint(ck, mol=mol)
+        assert ckpt.step == 6
+        with pytest.raises(CheckpointError, match="beyond nsteps=4"):
+            run_aimd(system, surrogate, nsteps=4, replan_interval=2,
+                     resume=ckpt, **kw)
+        with pytest.raises(CheckpointError, match="replan_interval=4"):
+            run_aimd(system, surrogate, nsteps=8, replan_interval=4,
+                     resume=ckpt, **kw)
+
     def test_frozen_plan_never_checkpoints(self, surrogate, tmp_path):
         """replan_interval=0 freezes the step-0 plan, which a resume
         cannot reconstruct — so no checkpoint may ever be written."""

@@ -1,8 +1,8 @@
 """r-RESPA multiple-time-step integration across MBE tiers.
 
-Covers the tier split's exactness, sync-driver dynamics and checkpoint
-round-trips (including SIGKILL mid-outer-cycle), async-coordinator
-parity with the sync driver, and the CLI flags.
+Covers the tier split's exactness, barriered dynamics and checkpoint
+round-trips through `run_aimd` (including SIGKILL mid-outer-cycle), the
+same engine without the barrier, and the CLI flags.
 """
 
 from __future__ import annotations
@@ -265,9 +265,10 @@ class TestSigkillResumeMTS:
 class TestCoordinatorMTS:
     def _coord(self, v, nsteps=16, resume=None, **kw):
         system = glycine_fragmented(4)
+        kw.setdefault("replan_interval", 4)
         c = AsyncCoordinator(
             system, nsteps=nsteps, dt_fs=0.25, r_dimer_bohr=R_DIMER,
-            mbe_order=2, velocities=v.copy(), replan_interval=4,
+            mbe_order=2, velocities=v.copy(),
             deterministic=True, warm_start=False, resume=resume, **kw)
         run_serial(c, PairwisePotentialCalculator())
         return c
@@ -323,23 +324,23 @@ class TestCoordinatorMTS:
         np.testing.assert_array_equal(full.coords, res.coords)
         np.testing.assert_array_equal(full.velocities, res.velocities)
 
-    def test_mid_cycle_resume_rejected(self, v0, tmp_path):
-        """The coordinator (unlike the sync driver) only resumes at
-        outer boundaries: checkpoint candidates are k-aligned, so a
-        misaligned checkpoint means corrupted input."""
+    def test_mid_cycle_resume_rejected(self, glycine4, surrogate, v0,
+                                       tmp_path):
+        """A checkpoint with no MTS state, cut inside what the resuming
+        run treats as an outer cycle: the held slow forces cannot be
+        reconstructed, so the engine refuses from both entry points."""
         ck = tmp_path / "ck.npz"
-        self._coord(v0, nsteps=8, checkpoint_path=ck,
-                    checkpoint_every=2)
-        ckpt = read_checkpoint(ck, mol=glycine_fragmented(4).parent)
-        assert ckpt.step % 4 != 0 or True  # any non-multiple works below
-        bad = ckpt
-        if ckpt.step % 4 == 0:
-            # force a misaligned step by rewriting the metadata view
-            import dataclasses
-
-            bad = dataclasses.replace(ckpt, step=ckpt.step - 2)
-        with pytest.raises(CheckpointError):
-            self._coord(v0, mts_k=4, resume=bad)
+        self._coord(v0, nsteps=8, replan_interval=2, checkpoint_path=ck,
+                    checkpoint_every=6)
+        ckpt = read_checkpoint(ck, mol=glycine4.parent)
+        assert ckpt.step == 6 and ckpt.mts is None
+        with pytest.raises(CheckpointError, match="inside an outer cycle"):
+            self._coord(v0, replan_interval=2, mts_k=4, resume=ckpt)
+        with pytest.raises(CheckpointError, match="inside an outer cycle"):
+            _run(glycine4, surrogate, v0, replan_interval=2, mts_k=4,
+                 resume=ckpt)
+        # the same cut is fine where every tier is due anyway
+        self._coord(v0, replan_interval=2, mts_k=2, resume=ckpt)
 
 
 class TestCliMTS:

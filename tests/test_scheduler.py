@@ -85,10 +85,15 @@ class TestWindows:
     def test_plan_windows_created(self):
         fs = FragmentedSystem.by_components(water_cluster(3, seed=4))
         co = _make(fs, nsteps=7, replan_interval=3, build_molecules=False)
+        starts = set(co.plans)
         while not co.done():
             task = co.next_task()
             co.complete(task, 0.0, None)
-        assert sorted(co.plans) == [0, 3, 6]
+            # a window's tables are evicted with its last step, so the
+            # starts are recorded as they appear
+            starts.update(co.plans)
+        assert sorted(starts) == [0, 3, 6]
+        assert sorted(co.plans) == [6]
 
     def test_skew_bounded_by_window(self):
         fs = FragmentedSystem.by_components(water_cluster(5, seed=6))
@@ -214,13 +219,16 @@ class TestBoundedMemory:
         while not co.done():
             task = co.next_task()
             co.complete(task, 0.0, None)
+            # the slowest monomer's window plus the one ahead of it
+            assert len(co.plans) <= 2
+            assert set(co._windows) == set(co.plans)
         # a window's steps plus at most one window of skew can be live
         assert co.max_live_steps <= 2 * replan
         # everything but the final step was evicted
         assert co.steps_evicted == nsteps
         assert co.live_steps == 1
         assert sorted(co.coords_at) == [nsteps]
-        assert list(co._grad) == [nsteps]
+        assert list(co._grad[0]) == [nsteps]
         assert list(co._queued) == [nsteps]
         assert list(co._pending_monomer) == [nsteps]
         assert not set(co._ref_cent_cache) - {nsteps}

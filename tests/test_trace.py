@@ -114,9 +114,47 @@ class TestSchedulerInstrumentation:
         # one exec span per issued task
         execs = [ev for ev in tr.events if ev["name"] == "task.exec"]
         assert len(execs) == co.tasks_issued
+        # one md.step span per retired step, in order, back to back
+        steps = [ev for ev in tr.events if ev["name"] == "md.step"]
+        assert [ev["args"]["step"] for ev in steps] == [0, 1, 2]
+        assert all(ev["ph"] == "X" and ev["cat"] == "md" for ev in steps)
+        for a, b in zip(steps, steps[1:]):
+            assert b["ts"] == pytest.approx(a["ts"] + a["dur"])
         path = tmp_path / "run.json"
         tr.write_chrome(path)
         _validate_chrome(json.loads(path.read_text()))
+
+    def test_one_category_per_event_name_from_either_entry_point(
+        self, tmp_path
+    ):
+        """`run_aimd` and the coordinator are one engine, so an event
+        name has one emission site and one category (``mts.slow_eval``
+        used to be ``md`` from one and ``scheduler`` from the other)."""
+        from repro.md import read_checkpoint, run_aimd
+
+        system = FragmentedSystem.by_blocks(water_cluster(3, seed=2), 3)
+        v0 = maxwell_boltzmann_velocities(system.parent.masses_au, 100, seed=1)
+        kw = dict(dt_fs=0.5, r_dimer_bohr=BIG, r_trimer_bohr=BIG,
+                  velocities=v0, replan_interval=2, mts_k=2, mts_k_trimer=4)
+        ck = tmp_path / "ck.npz"
+        run_aimd(system, PairwisePotentialCalculator(), nsteps=2,
+                 checkpoint_path=ck, checkpoint_every=2, **kw)
+        tr = Tracer()
+        run_aimd(system, PairwisePotentialCalculator(), nsteps=8, tracer=tr,
+                 resume=read_checkpoint(ck), **kw)
+        cats: dict[str, set] = {}
+        for ev in tr.events:
+            cats.setdefault(ev["name"], set()).add(ev["cat"])
+        assert cats["mts.slow_eval"] == {"scheduler"}
+        assert cats["replan.incremental"] == {"scheduler"}
+        assert cats["resume"] == {"checkpoint"}
+        assert cats["md.step"] == {"md"}
+        assert len(tr.instants("resume")) == 1
+        evals = [(args["step"], args["tier"])
+                 for args in tr.instants("mts.slow_eval")]
+        # resumed at step 2 with both tiers held: the dimer tier (1) is
+        # next due at 4, the trimer tier (2) at 4 and 8
+        assert evals == [(4, 1), (4, 2), (6, 1), (8, 1), (8, 2)]
 
     def test_untraced_run_unchanged(self):
         """tracer=None must leave the trajectory identical (guard-only)."""
@@ -145,10 +183,12 @@ class TestSimulatorTrace:
         assert tr is not None
         spans = [ev for ev in tr.events if ev["ph"] == "X"]
         assert spans, "simulator must emit worker spans"
-        # spans live on the virtual timeline, bounded by the makespan
+        # spans live on the virtual timeline, bounded by the makespan:
+        # the simulator's worker spans and the engine's retired steps
         for ev in spans:
             assert 0 <= ev["ts"] <= res.total_time_s * 1e6 + 1e-6
-            assert ev["name"] == "polymer.exec"
+            assert ev["name"] in ("polymer.exec", "md.step")
+        assert any(ev["name"] == "polymer.exec" for ev in spans)
         path = tmp_path / "sim.json"
         tr.write_chrome(path)
         _validate_chrome(json.loads(path.read_text()))
