@@ -27,7 +27,9 @@ solves and diagonalisation that both runs share. Measured on the
 development VM (2 cores, three repetitions each): glycine-3mer full
 mode 1.05x / 0.94x / 1.09x (59-61 s baseline; the 0.94 repetition
 shared the machine with a test run), glycine-2mer smoke mode 1.14x /
-1.04x / 1.14x (13-15 s baseline). That is a few percent, inside the
+1.04x / 1.14x (13-15 s baseline); with the Hermite-simplex kernels, a
+single repetition each (not a distribution), 1.07x (27 s baseline) and
+1.09x (6.5 s baseline). That is a few percent, inside the
 run-to-run spread, so the floor (0.85 in both modes, below the slowest
 repetition) only asserts that the defaults never cost wall time; the
 energy, iteration-count, served-entries and skipped-pairs gates are the

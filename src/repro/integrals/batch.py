@@ -33,7 +33,11 @@ What is pinned:
   1e-12, contracted gradients to atol 1e-12 Ha/bohr.
 
 Summation order, operand layouts and Hermite ranges are *not* pinned to
-the loop code's, so they are free to change under those three clauses.
+the loop code's. The kernels here evaluate only the Hermite rows with
+``t + u + v <= L`` (`engine.hermite_simplex`, order-``L`` R tables from
+`engine.r_tables_simplex`) and contract each (class chunk, aux group)
+with one stacked GEMM; the reference keeps the full ``(L+1)^3`` cube, so
+the tolerance clause is a cross-check of the trimming.
 """
 
 from __future__ import annotations
@@ -49,9 +53,9 @@ from .engine import (
     canonical_shell_pairs,
     comp_arrays,
     e_tables_batch,
-    hermite_box,
-    r_tables_batch,
-    w_tensor,
+    hermite_simplex,
+    r_tables_simplex,
+    simplex_sum_index,
 )
 from .eri import (
     DERIV_SAFETY,
@@ -137,23 +141,9 @@ class ShellClass:
 
     def subset(self, mask: np.ndarray) -> "ShellClass":
         """Survivor view after a screening decision (boolean mask)."""
-        return replace(
-            self,
-            ish=self.ish[mask],
-            jsh=self.jsh[mask],
-            oa=self.oa[mask],
-            ob=self.ob[mask],
-            atom_a=self.atom_a[mask],
-            atom_b=self.atom_b[mask],
-            diag=self.diag[mask],
-            a=self.a[mask],
-            b=self.b[mask],
-            cc=self.cc[mask],
-            p=self.p[mask],
-            P=self.P[mask],
-            AB=self.AB[mask],
-            E=self.E[mask],
-        )
+        per_pair = ("ish", "jsh", "oa", "ob", "atom_a", "atom_b", "diag",
+                    "a", "b", "cc", "p", "P", "AB", "E")
+        return replace(self, **{f: getattr(self, f)[mask] for f in per_pair})
 
 
 def _class_partition(basis: BasisSet):
@@ -250,7 +240,7 @@ def _chunks(nq: int, per_pair_elems: int):
 
 # --------------------------------------------------------------------------
 # Shared gather/contraction helpers (engine.w_tensor / engine.w_deriv
-# with a leading pair axis)
+# with a leading pair axis, on simplex rows)
 # --------------------------------------------------------------------------
 
 def _einsum(be: ArrayBackend, spec: str, *ops):
@@ -266,51 +256,65 @@ def _contig(be: ArrayBackend, x):
     return np.ascontiguousarray(x) if be.is_numpy else x
 
 
-def _w_class(E, ca, cb, tbox):
-    """``W[q, n, A, B, t, u, v]`` — `engine.w_tensor` over a class."""
-    Gs = []
-    for dim in range(3):
-        G = E[:, :, dim, ca[:, None, dim], cb[None, :, dim], : tbox[dim] + 1]
-        Gs.append(G)
+def _w_class(E, ca, cb, tuv):
+    """``W[q, A, B, n, s]`` — the class's Cartesian-component expansion
+    on the Hermite rows ``tuv`` (shape ``(S, 3)``), gathered straight
+    into the layout whose ``reshape(q, A*B, N*S)`` is a GEMM operand.
+
+    The runtime passes `hermite_simplex` rows: with ``E[i, j, t] = 0``
+    for ``t > i + j`` in every dimension, the rest of the Hermite cube
+    is exactly zero.
+    """
+    n = np.arange(E.shape[1])[:, None]
+    ia = ca[:, None, None, None, :]
+    jb = cb[None, :, None, None, :]
     return (
-        Gs[0][..., :, None, None]
-        * Gs[1][..., None, :, None]
-        * Gs[2][..., None, None, :]
+        E[:, n, 0, ia[..., 0], jb[..., 0], tuv[:, 0]]
+        * E[:, n, 1, ia[..., 1], jb[..., 1], tuv[:, 1]]
+        * E[:, n, 2, ia[..., 2], jb[..., 2], tuv[:, 2]]
     )
 
 
-def _w_deriv_class(E, aexp, bexp, ca, cb, tbox, side, axis):
-    """``d/dX_axis`` of `_w_class` — `engine.w_deriv` over a class."""
+def _w_deriv_class(E, aexp, bexp, ca, cb, tuv, side, axis):
+    """``d/dX_axis`` of `_w_class` (X the bra or ket center), via
+    ``d/dA_x Omega_ij = 2a Omega_{i+1,j} - i Omega_{i-1,j}``; the
+    shifted-up term reaches one Hermite order further, so the runtime
+    rows are those of the simplex one order up."""
+    if side not in ("bra", "ket"):
+        raise ValueError(f"side must be 'bra' or 'ket', got {side!r}")
+    n = np.arange(E.shape[1])[:, None]
     Gs = []
     for dim in range(3):
-        ia = ca[:, None, dim]
-        jb = cb[None, :, dim]
-        T = tbox[dim] + 1
-        if dim == axis:
-            if side == "bra":
-                up = E[:, :, dim, ia + 1, jb, :T]
-                lo = E[:, :, dim, np.maximum(ia - 1, 0), jb, :T]
-                G = (
-                    2.0 * aexp[:, :, None, None, None] * up
-                    - ia[None, None, :, :, None] * lo
-                )
-            elif side == "ket":
-                up = E[:, :, dim, ia, jb + 1, :T]
-                lo = E[:, :, dim, ia, np.maximum(jb - 1, 0), :T]
-                G = (
-                    2.0 * bexp[:, :, None, None, None] * up
-                    - jb[None, None, :, :, None] * lo
-                )
-            else:
-                raise ValueError(f"side must be 'bra' or 'ket', got {side!r}")
+        ia = ca[:, None, None, None, dim]
+        jb = cb[None, :, None, None, dim]
+        t = tuv[:, dim]
+        if dim != axis:
+            Gs.append(E[:, n, dim, ia, jb, t])
+        elif side == "bra":
+            Gs.append(
+                2.0 * aexp[:, None, None, :, None] * E[:, n, dim, ia + 1, jb, t]
+                - ia * E[:, n, dim, np.maximum(ia - 1, 0), jb, t]
+            )
         else:
-            G = E[:, :, dim, ia, jb, :T]
-        Gs.append(G)
-    return (
-        Gs[0][..., :, None, None]
-        * Gs[1][..., None, :, None]
-        * Gs[2][..., None, None, :]
+            Gs.append(
+                2.0 * bexp[:, None, None, :, None] * E[:, n, dim, ia, jb + 1, t]
+                - jb * E[:, n, dim, ia, np.maximum(jb - 1, 0), t]
+            )
+    return Gs[0] * Gs[1] * Gs[2]
+
+
+def _w_deriv_stack(be: ArrayBackend, E, aexp, bexp, ca, cb, tuv):
+    """The six (side, axis) derivative expansions of a class chunk as
+    one GEMM operand ``(q, 6, A*B, N*S)``: bra x, y, z, then ket."""
+    dW = be.xp.stack(
+        [
+            _w_deriv_class(E, aexp, bexp, ca, cb, tuv, side, axis)
+            for side in ("bra", "ket")
+            for axis in range(3)
+        ],
+        axis=1,
     )
+    return dW.reshape(dW.shape[0], 6, len(ca) * len(cb), -1)
 
 
 def _block_indices(oa, nfa, ob, nfb):
@@ -331,6 +335,20 @@ def _scatter_blocks(out, rows, cols, blk):
 # One-electron matrices
 # --------------------------------------------------------------------------
 
+def _overlap_1d(E, ca, cb):
+    """Per-primitive overlap factors ``[q, n, A, B]`` of a class."""
+    G = E[:, :, 0, ca[:, None, 0], cb[None, :, 0], 0]
+    G = G * E[:, :, 1, ca[:, None, 1], cb[None, :, 1], 0]
+    return G * E[:, :, 2, ca[:, None, 2], cb[None, :, 2], 0]
+
+
+def _onee_blocks(be: ArrayBackend, tot, p, cc, norms):
+    """Contract per-primitive factors ``tot[q, n, A, B]`` with the
+    Gaussian-product prefactor: normalized blocks ``(q, A, B)``."""
+    pref = cc * (np.pi / p) ** 1.5
+    return _einsum(be, "qn,qnab->qab", pref, tot) * norms[None]
+
+
 def overlap_batched(
     basis: BasisSet,
     workspace: IntegralWorkspace | None = None,
@@ -342,12 +360,10 @@ def overlap_batched(
     for cls in build_shell_classes(basis, workspace):
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
-        E = be.asarray(cls.E)
-        G = E[:, :, 0, ca[:, None, 0], cb[None, :, 0], 0]
-        G = G * E[:, :, 1, ca[:, None, 1], cb[None, :, 1], 0]
-        G = G * E[:, :, 2, ca[:, None, 2], cb[None, :, 2], 0]
-        pref = be.asarray(cls.cc) * (np.pi / be.asarray(cls.p)) ** 1.5
-        blk = _einsum(be, "qn,qnab->qab", pref, G) * be.asarray(cls.norms)[None]
+        blk = _onee_blocks(
+            be, _overlap_1d(be.asarray(cls.E), ca, cb), be.asarray(cls.p),
+            be.asarray(cls.cc), be.asarray(cls.norms),
+        )
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
         _scatter_blocks(S, rows, cols, be.to_numpy(blk))
     return S
@@ -407,21 +423,47 @@ def kinetic_batched(
     for cls in build_shell_classes(basis, workspace):
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
-        E = be.asarray(cls.E)
-        tot = _kinetic_1d(E, be.asarray(cls.b), ca, cb)
-        pref = be.asarray(cls.cc) * (np.pi / be.asarray(cls.p)) ** 1.5
-        blk = _einsum(be, "qn,qnab->qab", pref, tot)
-        blk = blk * be.asarray(cls.norms)[None]
+        tot = _kinetic_1d(be.asarray(cls.E), be.asarray(cls.b), ca, cb)
+        blk = _onee_blocks(
+            be, tot, be.asarray(cls.p), be.asarray(cls.cc),
+            be.asarray(cls.norms),
+        )
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
         _scatter_blocks(T, rows, cols, be.to_numpy(blk))
     return T
 
 
-def _r_tables(be: ArrayBackend, tmax, umax, vmax, p, PQ):
-    """Hermite Coulomb tables: fast numpy path or functional xp path."""
+def _r_tables(be: ArrayBackend, lmax, p, PQ):
+    """Simplex-packed Hermite Coulomb tables ``(nsimplex(lmax), n)``:
+    fast numpy path or functional xp path."""
     if be.is_numpy:
-        return r_tables_batch(tmax, umax, vmax, np.asarray(p), np.asarray(PQ))
-    return _r_tables_xp(be, tmax, umax, vmax, p, PQ)
+        return r_tables_simplex(lmax, np.asarray(p), np.asarray(PQ))
+    return _r_tables_xp(be, lmax, p, PQ)
+
+
+def _nuclear_r_tables(be, L, p, P, cen):
+    """R tables ``(nsimplex(L), q, nC, N)`` between a class chunk's
+    primitives and the point charges at ``cen``."""
+    qc, N = p.shape
+    nC = cen.shape[0]
+    PQ = P[:, None, :, :] - cen[None, :, None, :]
+    p_rep = be.xp.broadcast_to(p[:, None, :], (qc, nC, N))
+    R = _r_tables(be, L, p_rep.reshape(-1), PQ.reshape(-1, 3))
+    return R.reshape(-1, qc, nC, N)
+
+
+def _nuclear_blocks(be, E, p, P, cc, cen, Z, ca, cb, norms):
+    """Nuclear-attraction blocks ``(q, nfa, nfb)`` of one class chunk
+    for point charges ``Z`` at ``cen``."""
+    L = int(ca[0].sum() + cb[0].sum())  # component powers sum to l
+    tuv = hermite_simplex(L)
+    qc, N = p.shape
+    nT = tuv.shape[0]
+    W = _w_class(E, ca, cb, tuv).reshape(qc, -1, N * nT)
+    t1 = _einsum(be, "tqcn,c->qnt", _nuclear_r_tables(be, L, p, P, cen), Z)
+    t1 = t1 * (cc * (2.0 * np.pi / p))[:, :, None]
+    val = -be.xp.matmul(W, t1.reshape(qc, N * nT, 1))
+    return val.reshape(qc, len(ca), len(cb)) * norms[None]
 
 
 def nuclear_batched(
@@ -442,25 +484,17 @@ def nuclear_batched(
     for cls in build_shell_classes(basis, workspace):
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
-        L = cls.la + cls.lb
-        tbox = (L, L, L)
-        nT = (L + 1) ** 3
+        nT = hermite_simplex(cls.la + cls.lb).shape[0]
         N, X = cls.nprim, cls.nfa * cls.nfb
+        norms = be.asarray(cls.norms)
         blk_all = np.empty((cls.npair, cls.nfa, cls.nfb))
-        for sl in _chunks(cls.npair, nC * N * nT):
-            E = be.asarray(cls.E[sl])
-            p = be.asarray(cls.p[sl])
-            qc = cls.p[sl].shape[0]
-            Wf = _w_class(E, ca, cb, tbox).reshape(qc, N, X, nT)
-            PQ = be.asarray(cls.P[sl])[:, None, :, :] - cen[None, :, None, :]
-            p_rep = be.xp.broadcast_to(p[:, None, :], (qc, nC, N))
-            R = _r_tables(
-                be, L, L, L, p_rep.reshape(-1), PQ.reshape(-1, 3)
-            ).reshape(qc, nC, N, nT)
-            pref = be.asarray(cls.cc[sl]) * (2.0 * np.pi / p)
-            t1 = _einsum(be, "qcnt,c->qnt", R, Z)
-            val = -_einsum(be, "qnxt,qnt,qn->qx", Wf, t1, pref)
-            blk = val.reshape(qc, cls.nfa, cls.nfb) * be.asarray(cls.norms)[None]
+        # largest per-pair intermediates: R (nC, N, nT) and W (X, N, nT)
+        for sl in _chunks(cls.npair, max(nC, X) * N * nT):
+            blk = _nuclear_blocks(
+                be, be.asarray(cls.E[sl]), be.asarray(cls.p[sl]),
+                be.asarray(cls.P[sl]), be.asarray(cls.cc[sl]),
+                cen, Z, ca, cb, norms,
+            )
             blk_all[sl] = be.to_numpy(blk)
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
         _scatter_blocks(V, rows, cols, blk_all)
@@ -471,15 +505,12 @@ def nuclear_batched(
 # One-electron contracted derivatives
 # --------------------------------------------------------------------------
 
-def contract_overlap_deriv_batched(
-    basis: BasisSet,
-    X: np.ndarray,
-    workspace: IntegralWorkspace | None = None,
-    be: ArrayBackend | None = None,
-) -> np.ndarray:
-    """``g[atom, xyz] = sum_{mu nu} X_{mu nu} dS_{mu nu}/d(atom, xyz)``.
+def _contract_bra_deriv(basis, X, workspace, be, deriv_1d) -> np.ndarray:
+    """``g[atom, xyz] = sum_{mu nu} X_{mu nu} dM_{mu nu}/d(atom, xyz)`` for
+    a one-electron matrix ``M`` whose bra-differentiated per-primitive
+    factors are ``deriv_1d(E, a, b, ca, cb, axis) -> [q, n, A, B]``.
 
-    Translational invariance (``dS/dB = -dS/dA``) means only bra
+    Translational invariance (``dM/dB = -dM/dA``) means only bra
     derivatives are computed; same-atom pairs vanish and are skipped.
     """
     be = be or get_backend()
@@ -503,13 +534,34 @@ def contract_overlap_deriv_batched(
         )
         vals = np.empty((sub.npair, 3))
         for axis in range(3):
-            dW = _w_deriv_class(E, a, b, ca, cb, (0, 0, 0), "bra", axis)
-            dW = dW[..., 0, 0, 0]
-            v = _einsum(be, "qn,qnab,qab->q", pref, dW, Xblk)
+            blk = _einsum(
+                be, "qn,qnab->qab", pref, deriv_1d(E, a, b, ca, cb, axis)
+            )
+            v = _einsum(be, "qab,qab->q", blk, Xblk)
             vals[:, axis] = be.to_numpy(v)
         np.add.at(g, sub.atom_a, vals)
         np.subtract.at(g, sub.atom_b, vals)
     return g
+
+
+def _overlap_deriv_1d(E, a, b, ca, cb, axis):
+    # the overlap is the (0, 0, 0) Hermite term
+    dW = _w_deriv_class(E, a, b, ca, cb, hermite_simplex(0), "bra", axis)
+    return dW[..., 0].transpose(0, 3, 1, 2)
+
+
+def _kinetic_deriv_1d(E, a, b, ca, cb, axis):
+    return _kinetic_1d(E, b, ca, cb, deriv_axis=axis, aexp=a)
+
+
+def contract_overlap_deriv_batched(
+    basis: BasisSet,
+    X: np.ndarray,
+    workspace: IntegralWorkspace | None = None,
+    be: ArrayBackend | None = None,
+) -> np.ndarray:
+    """``sum X_{mu nu} dS_{mu nu}/dR`` via bra-side differentiation."""
+    return _contract_bra_deriv(basis, X, workspace, be, _overlap_deriv_1d)
 
 
 def contract_kinetic_deriv_batched(
@@ -519,34 +571,7 @@ def contract_kinetic_deriv_batched(
     be: ArrayBackend | None = None,
 ) -> np.ndarray:
     """``sum X_{mu nu} dT_{mu nu}/dR`` via bra-side differentiation."""
-    be = be or get_backend()
-    natoms = int(max(sh.atom for sh in basis.shells)) + 1
-    g = np.zeros((natoms, 3))
-    Xs = X + X.T
-    for cls in build_shell_classes(basis, workspace):
-        mask = (~cls.diag) & (cls.atom_a != cls.atom_b)
-        if not mask.any():
-            continue
-        sub = cls.subset(mask)
-        ca = comp_arrays(cls.la)
-        cb = comp_arrays(cls.lb)
-        E = be.asarray(sub.E)
-        a = be.asarray(sub.a)
-        b = be.asarray(sub.b)
-        pref = be.asarray(sub.cc) * (np.pi / be.asarray(sub.p)) ** 1.5
-        rows, cols = _block_indices(sub.oa, cls.nfa, sub.ob, cls.nfb)
-        Xblk = be.asarray(
-            Xs[rows[:, :, None], cols[:, None, :]] * cls.norms[None]
-        )
-        vals = np.empty((sub.npair, 3))
-        for axis in range(3):
-            tot = _kinetic_1d(E, b, ca, cb, deriv_axis=axis, aexp=a)
-            blk = _einsum(be, "qn,qnab->qab", pref, tot)
-            v = _einsum(be, "qab,qab->q", blk, Xblk)
-            vals[:, axis] = be.to_numpy(v)
-        np.add.at(g, sub.atom_a, vals)
-        np.subtract.at(g, sub.atom_b, vals)
-    return g
+    return _contract_bra_deriv(basis, X, workspace, be, _kinetic_deriv_1d)
 
 
 def contract_nuclear_deriv_batched(
@@ -575,8 +600,8 @@ def contract_nuclear_deriv_batched(
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
         L = cls.la + cls.lb + 1
-        tbox = (L, L, L)
-        nT = (L + 1) ** 3
+        tuv = hermite_simplex(L)
+        nT = tuv.shape[0]
         N, X_ = cls.nprim, cls.nfa * cls.nfb
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
         Xg = np.where(
@@ -587,26 +612,24 @@ def contract_nuclear_deriv_batched(
         Xf = be.asarray(Xg.reshape(cls.npair, X_))
         # per-class accumulators so chunking cannot change the result
         vals_all = np.empty((cls.npair, 2, 3, nC))
-        for sl in _chunks(cls.npair, nC * N * nT):
+        # largest per-pair intermediates: R (nC, N, nT), dW (6, X, N, nT)
+        for sl in _chunks(cls.npair, max(nC, 6 * X_) * N * nT):
             E = be.asarray(cls.E[sl])
             a = be.asarray(cls.a[sl])
             b = be.asarray(cls.b[sl])
             p = be.asarray(cls.p[sl])
             qc = cls.p[sl].shape[0]
-            PQ = be.asarray(cls.P[sl])[:, None, :, :] - cen[None, :, None, :]
-            p_rep = be.xp.broadcast_to(p[:, None, :], (qc, nC, N))
-            R = _r_tables(
-                be, L, L, L, p_rep.reshape(-1), PQ.reshape(-1, 3)
-            ).reshape(qc, nC, N, nT)
+            R = _nuclear_r_tables(be, L, p, be.asarray(cls.P[sl]), cen)
             pref = be.asarray(cls.cc[sl]) * (2.0 * np.pi / p)
-            for si, side in enumerate(("bra", "ket")):
-                for axis in range(3):
-                    dW = _w_deriv_class(E, a, b, ca, cb, tbox, side, axis)
-                    dWf = dW.reshape(qc, N, X_, nT)
-                    t1 = _einsum(be, "qnxt,qx->qnt", dWf, Xf[sl])
-                    t1 = t1 * pref[:, :, None]
-                    v = -_einsum(be, "qcnt,qnt->qc", R, t1)
-                    vals_all[sl, si, axis] = be.to_numpy(v) * Zh[None, :]
+            # all six (side, axis) operands through one pair of GEMMs
+            dW = _w_deriv_stack(be, E, a, b, ca, cb, tuv)
+            t1 = be.xp.matmul(Xf[sl][:, None, None, :], dW)
+            t1 = t1.reshape(qc, 6, N, nT) * pref[:, None, :, None]
+            v = -be.xp.matmul(
+                t1.reshape(qc, 6, N * nT),
+                R.transpose(1, 3, 0, 2).reshape(qc, N * nT, nC),
+            )
+            vals_all[sl] = be.to_numpy(v).reshape(qc, 2, 3, nC) * Zh
         for si, atoms_side in enumerate((cls.atom_a, cls.atom_b)):
             for axis in range(3):
                 v = vals_all[:, si, axis, :]
@@ -641,44 +664,25 @@ def schwarz_pair_bounds_batched(
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
         L = cls.la + cls.lb
-        tbox = (L, L, L)
-        tb_idx = hermite_box(tbox)
-        Tb = tb_idx.shape[0]
-        phase = be.asarray(_phase(tb_idx))
+        tuv = hermite_simplex(L)
+        Tb = tuv.shape[0]
+        phase = be.asarray(_phase(tuv))
         N, X = cls.nprim, cls.nfa * cls.nfb
         bound_all = np.empty(cls.npair)
-        per_pair = max(N * N * (2 * L + 1) ** 3, N * N * Tb * Tb)
-        for sl in _chunks(cls.npair, per_pair):
-            E = be.asarray(cls.E[sl])
+        # largest per-pair intermediate: the gathered (N*Tb, N*Tb) kernel
+        for sl in _chunks(cls.npair, N * N * Tb * Tb):
             p = be.asarray(cls.p[sl])
             cc = be.asarray(cls.cc[sl])
             P = be.asarray(cls.P[sl])
             qc = cls.p[sl].shape[0]
-            Wb = _w_class(E, ca, cb, tbox).reshape(qc, N, X, Tb)
-            Wk = Wb * phase[None, None, None, :]
-            pn = p[:, :, None]
-            pm = p[:, None, :]
-            alpha = pn * pm / (pn + pm)
-            PQ = P[:, :, None, :] - P[:, None, :, :]
-            R = _r_tables(
-                be, 2 * L, 2 * L, 2 * L,
-                alpha.reshape(-1), PQ.reshape(-1, 3),
-            ).reshape(qc, N, N, 2 * L + 1, 2 * L + 1, 2 * L + 1)
-            K = (
-                _TWO_PI_52
-                / (pn * pm * be.xp.sqrt(pn + pm))
-                * cc[:, :, None]
-                * cc[:, None, :]
-            )
-            ts = tb_idx[:, None, :] + tb_idx[None, :, :]
-            M = R[:, :, :, ts[..., 0], ts[..., 1], ts[..., 2]]
-            M = M * K[..., None, None]
-            M2 = _contig(be, M.transpose(0, 1, 3, 2, 4)).reshape(
-                qc, N * Tb, N * Tb
-            )
-            Wb2 = _contig(be, Wb.transpose(0, 2, 1, 3)).reshape(qc, X, N * Tb)
-            t1 = be.xp.matmul(Wb2, M2).reshape(qc, X, N, Tb)
-            diag = _einsum(be, "qxms,qmxs->qx", t1, Wk)
+            Wb = _w_class(be.asarray(cls.E[sl]), ca, cb, tuv)
+            # ket columns of the kernel run (Tb, N)
+            Wk = (Wb * phase).transpose(0, 1, 2, 4, 3).reshape(qc, X, Tb * N)
+            # the pair's own primitives are the ket
+            ket = dict(qk=p[:, None, :], cck=cc[:, None, :], Pk=P[:, None], l=L)
+            M2 = _hermite_kernel(be, p, cc, P, L, ket)
+            t1 = be.xp.matmul(Wb.reshape(qc, X, N * Tb), M2)
+            diag = _einsum(be, "qxk,qxk->qx", t1, Wk)
             bound = be.xp.sqrt(be.xp.max(be.xp.abs(diag), axis=1))
             bound_all[sl] = be.to_numpy(bound)
         Qmat[cls.ish, cls.jsh] = bound_all
@@ -691,19 +695,19 @@ def schwarz_pair_bounds_batched(
 # --------------------------------------------------------------------------
 
 def _group_statics(groups, be: ArrayBackend):
-    """Per-auxiliary-group ket expansions, built once per call."""
+    """Per-auxiliary-group ket expansions on simplex rows (Hermite
+    phase folded in), built once per call."""
     statics = []
     for grp in groups:
-        lk = (grp.l, grp.l, grp.l)
-        tk_idx = hermite_box(lk)
+        tuv = hermite_simplex(grp.l)
         cg = comp_arrays(grp.l)
         m = grp.pd.nprim
         C = len(cg)
-        Wk = w_tensor(grp.pd, cg, _S_COMP, lk)[:, :, 0, :, :, :]
-        Wk = Wk.reshape(m, C, -1) * _phase(tk_idx)[None, None, :]
+        Wk = _w_class(grp.pd.E[:, None], cg, _S_COMP, tuv)
+        Wk = Wk.reshape(m, C, -1) * _phase(tuv)
         statics.append(
             dict(
-                grp=grp, m=m, C=C, Tk=tk_idx.shape[0], tk_idx=tk_idx,
+                grp=grp, l=grp.l, m=m, C=C, Tk=tuv.shape[0],
                 qk=be.asarray(grp.pd.p), cck=be.asarray(grp.pd.cc),
                 Pk=be.asarray(grp.pd.P),
                 Wk=be.asarray(Wk),
@@ -714,42 +718,30 @@ def _group_statics(groups, be: ArrayBackend):
     return statics
 
 
-def _class_group_blocks(be, st, p, cc, P, tb_idx, tbox):
-    """Gathered, prefactor-folded Hermite kernel ``M2`` for one
-    (class chunk, aux group)."""
+def _hermite_kernel(be, p, cc, P, L, ket):
+    """Gathered, prefactor-folded Hermite Coulomb kernel
+    ``M2 (q, N*Tb, Tk*m)`` between a bra chunk (``p, cc`` of shape
+    ``(q, N)``, centers ``P``, rows of simplex ``L``) and the ``m``
+    primitives of ``ket`` — a `_group_statics` entry, or any mapping
+    with exponents ``qk``, coefficients ``cck`` and centers ``Pk`` that
+    broadcast against ``(q, N, m)`` and the simplex order ``l``."""
     xp = be.xp
     qc, N = p.shape
-    lk = (st["grp"].l,) * 3
-    TX = tbox[0] + lk[0]
-    TY = tbox[1] + lk[1]
-    TZ = tbox[2] + lk[2]
+    qk, cck, Pk, lk = ket["qk"], ket["cck"], ket["Pk"], ket["l"]
+    m = qk.shape[-1]
     p4 = p[:, :, None]
-    qk = st["qk"][None, None, :]
-    alpha = p4 * qk / (p4 + qk)
-    PQ = P[:, :, None, :] - st["Pk"][None, None, :, :]
-    R = _r_tables(
-        be, TX, TY, TZ, alpha.reshape(-1), PQ.reshape(-1, 3)
-    ).reshape(qc, N, st["m"], TX + 1, TY + 1, TZ + 1)
-    K = (
-        _TWO_PI_52
-        / (p4 * qk * xp.sqrt(p4 + qk))
-        * cc[:, :, None]
-        * st["cck"][None, None, :]
-    )
-    ts = tb_idx[:, None, :] + st["tk_idx"][None, :, :]
-    M = R[:, :, :, ts[..., 0], ts[..., 1], ts[..., 2]]
-    Tb = tb_idx.shape[0]
-    if be.is_numpy:
-        # fuse the prefactor multiply with the (m, Tb) transpose copy:
-        # one pass over M instead of two
-        out = np.empty((qc, N, Tb, st["m"], st["Tk"]))
-        np.multiply(
-            M.transpose(0, 1, 3, 2, 4), K[:, :, None, :, None], out=out
-        )
-        return out.reshape(qc, N * Tb, st["m"] * st["Tk"])
-    M = M * K[..., None, None]
-    return _contig(be, M.transpose(0, 1, 3, 2, 4)).reshape(
-        qc, N * Tb, st["m"] * st["Tk"]
+    pq, s = p4 * qk, p4 + qk
+    PQ = P[:, :, None, :] - Pk
+    R = _r_tables(be, L + lk, (pq / s).reshape(-1), PQ.reshape(-1, 3))
+    K = _TWO_PI_52 * cc[:, :, None] * cck / (pq * xp.sqrt(s))
+    # the prefactor goes onto the packed table (nsimplex values per
+    # primitive, not Tb*Tk); the gather then copies whole batch rows
+    R = R * K.reshape(-1)
+    idx = simplex_sum_index(L, lk)
+    Tb, Tk = idx.shape
+    M = R[idx].reshape(Tb, Tk, qc, N, m)
+    return _contig(be, M.transpose(2, 3, 0, 1, 4)).reshape(
+        qc, N * Tb, Tk * m
     )
 
 
@@ -759,9 +751,33 @@ def _group_apply_batched(be, M2, st, Wb2):
     qc, X, _ = Wb2.shape
     t1 = be.xp.matmul(Wb2, M2)
     t1 = _contig(
-        be, t1.reshape(qc, X, st["m"], st["Tk"]).transpose(0, 2, 1, 3)
+        be, t1.reshape(qc, X, st["Tk"], st["m"]).transpose(0, 3, 1, 2)
     )
     return be.xp.matmul(t1, st["Wk"].transpose(0, 2, 1)[None])
+
+
+def _eri3c_scatter(be, out, st, M2, Wb2, norms, rows, cols, off):
+    """Contract one (bra chunk, aux group), normalize, and write the
+    ``(mu nu|P)`` blocks and their ``(nu mu|P)`` images (off-diagonal
+    pairs ``off``) into ``out`` through ``be.scatter_set``."""
+    nfa, nfb = norms.shape
+    blk = _group_apply_batched(be, M2, st, Wb2)
+    blk = blk.reshape(-1, st["m"], nfa, nfb, st["C"])
+    blk = blk * norms[None, None, :, :, None] * be.asarray(st["comp_norms"])
+    fi = st["func_idx"][None, None, None, :, :]
+    out = be.scatter_set(
+        out,
+        (rows[:, :, None, None, None], cols[:, None, :, None, None], fi),
+        blk.transpose(0, 2, 3, 1, 4),
+    )
+    if off.size:
+        out = be.scatter_set(
+            out,
+            (cols[off][:, :, None, None, None],
+             rows[off][:, None, :, None, None], fi),
+            blk[off].transpose(0, 3, 2, 1, 4),
+        )
+    return out
 
 
 def eri3c_batched(
@@ -781,10 +797,8 @@ def eri3c_batched(
     serves cached shell classes, aux scaffolding and bound tables.
     """
     be = be or get_backend()
-    nb, na = basis.nbf, aux.nbf
-    out = np.zeros((nb, nb, na))
-    groups = _aux_groups(workspace, aux)
-    statics = _group_statics(groups, be)
+    out = be.xp.zeros((basis.nbf, basis.nbf, aux.nbf))
+    statics = _group_statics(_aux_groups(workspace, aux), be)
     classes = build_shell_classes(basis, workspace)
     Q = None
     if screen > 0.0:
@@ -810,48 +824,33 @@ def eri3c_batched(
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
         L = cls.la + cls.lb
-        tbox = (L, L, L)
-        tb_idx = hermite_box(tbox)
-        Tb = tb_idx.shape[0]
+        tuv = hermite_simplex(L)
+        Tb = tuv.shape[0]
         N, X = cls.nprim, cls.nfa * cls.nfb
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
-        maxTk = max(st["m"] * st["Tk"] for st in statics)
-        per_pair = N * maxTk * max(Tb, 8)
+        norms = be.asarray(cls.norms)
+        # largest per-pair intermediates: the gathered kernel M2
+        # (N*Tb, Tk*m), the bra operand (X, N*Tb), their product
+        mTk = max(st["m"] * st["Tk"] for st in statics)
+        per_pair = max(N * Tb * mTk, X * N * Tb, X * mTk)
         for sl in _chunks(cls.npair, per_pair):
             E = be.asarray(cls.E[sl])
             p = be.asarray(cls.p[sl])
             cc = be.asarray(cls.cc[sl])
             P = be.asarray(cls.P[sl])
             qc = cls.p[sl].shape[0]
-            Wb = _w_class(E, ca, cb, tbox).reshape(qc, N, X, Tb)
-            Wb2 = _contig(be, Wb.transpose(0, 2, 1, 3)).reshape(qc, X, N * Tb)
-            off = ~cls.diag[sl]
+            Wb2 = _w_class(E, ca, cb, tuv).reshape(qc, X, N * Tb)
+            off = np.nonzero(~cls.diag[sl])[0]
             for st in statics:
-                M2 = _class_group_blocks(be, st, p, cc, P, tb_idx, tbox)
-                blk = _group_apply_batched(be, M2, st, Wb2)
-                blk = blk.reshape(qc, st["m"], cls.nfa, cls.nfb, st["C"])
-                blk = blk * be.asarray(cls.norms)[None, None, :, :, None]
-                blk = blk * be.asarray(st["comp_norms"])[
-                    None, None, None, None, :
-                ]
-                blknp = be.to_numpy(blk)
-                fi = st["func_idx"]
-                out[
-                    rows[sl][:, :, None, None, None],
-                    cols[sl][:, None, :, None, None],
-                    fi[None, None, None, :, :],
-                ] = blknp.transpose(0, 2, 3, 1, 4)
-                if off.any():
-                    out[
-                        cols[sl][off][:, :, None, None, None],
-                        rows[sl][off][:, None, :, None, None],
-                        fi[None, None, None, :, :],
-                    ] = blknp[off].transpose(0, 3, 2, 1, 4)
+                M2 = _hermite_kernel(be, p, cc, P, L, st)
+                out = _eri3c_scatter(
+                    be, out, st, M2, Wb2, norms, rows[sl], cols[sl], off
+                )
     if workspace is not None and screen > 0.0:
         workspace.record_screen(
             "eri3c", npairs, nskip, _fsum(neglected)
         )
-    return out
+    return be.to_numpy(out)
 
 
 def _fsum(chunks: list[np.ndarray]) -> float:
@@ -888,8 +887,7 @@ def contract_eri3c_deriv_batched(
     """
     be = be or get_backend()
     g = np.zeros((natoms, 3))
-    groups = _aux_groups(workspace, aux)
-    statics = _group_statics(groups, be)
+    statics = _group_statics(_aux_groups(workspace, aux), be)
     classes = build_shell_classes(basis, workspace)
     Zs = 0.5 * (Z + Z.transpose(1, 0, 2))
     Q = None
@@ -922,9 +920,8 @@ def contract_eri3c_deriv_batched(
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
         L = cls.la + cls.lb + 1
-        tbox = (L, L, L)
-        tb_idx = hermite_box(tbox)
-        Tb = tb_idx.shape[0]
+        tuv = hermite_simplex(L)
+        Tb = tuv.shape[0]
         N, X = cls.nprim, cls.nfa * cls.nfb
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
         norms_flat = cls.norms.ravel()
@@ -933,8 +930,10 @@ def contract_eri3c_deriv_batched(
         sA = np.zeros((cls.npair, 3))
         sB = np.zeros((cls.npair, 3))
         vAB = [np.empty((cls.npair, 3, st["m"])) for st in statics]
-        maxTk = max(st["m"] * st["Tk"] for st in statics)
-        per_pair = N * max(maxTk * Tb // 4, 7 * X * Tb)
+        # largest per-pair intermediates: the gathered kernel M2
+        # (N*Tb, Tk*m), the stacked bra operand (6X, N*Tb), their product
+        mTk = max(st["m"] * st["Tk"] for st in statics)
+        per_pair = max(N * Tb * mTk, 6 * X * N * Tb, 6 * X * mTk)
         for sl in _chunks(cls.npair, per_pair):
             E = be.asarray(cls.E[sl])
             a = be.asarray(cls.a[sl])
@@ -943,18 +942,13 @@ def contract_eri3c_deriv_batched(
             cc = be.asarray(cls.cc[sl])
             P = be.asarray(cls.P[sl])
             qc = cls.p[sl].shape[0]
-            dWb = {}
-            for axis in range(3):
-                for side in ("bra", "ket"):
-                    dW = _w_deriv_class(E, a, b, ca, cb, tbox, side, axis)
-                    dWb[(side, axis)] = _contig(
-                        be,
-                        dW.reshape(qc, N, X, Tb).transpose(0, 2, 1, 3),
-                    ).reshape(qc, X, N * Tb)
+            dW = _w_deriv_stack(be, E, a, b, ca, cb, tuv).reshape(
+                qc, 6 * X, N * Tb
+            )
             pfc = pfac[sl]
             for gi, st in enumerate(statics):
                 fi = st["func_idx"]
-                # gathered straight into the (q, m, X, C) layout of dA/dB
+                # gathered straight into the (q, m, X, C) layout
                 zg = Zs[
                     rows[sl][:, None, :, None, None],
                     cols[sl][:, None, None, :, None],
@@ -964,18 +958,17 @@ def contract_eri3c_deriv_batched(
                 zg = zg * (pfc[:, None] * st["comp_norms"][None, :])[
                     :, None, None, :
                 ]
-                zg = be.asarray(zg)
-                M2 = _class_group_blocks(be, st, p, cc, P, tb_idx, tbox)
-                for axis in range(3):
-                    dA = _group_apply_batched(be, M2, st, dWb[("bra", axis)])
-                    dB = _group_apply_batched(be, M2, st, dWb[("ket", axis)])
-                    vA = _einsum(be, "qmxc,qmxc->qm", dA, zg)
-                    vB = _einsum(be, "qmxc,qmxc->qm", dB, zg)
-                    vAh = be.to_numpy(vA)
-                    vBh = be.to_numpy(vB)
-                    sA[sl, axis] += vAh.sum(axis=1)
-                    sB[sl, axis] += vBh.sum(axis=1)
-                    vAB[gi][sl, axis] = vAh + vBh
+                # Z folded into the ket expansion once per group:
+                # ZW[q, m, x, tau] = sum_c zg[q, m, x, c] Wk[m, c, tau]
+                ZW = be.xp.matmul(be.asarray(zg), st["Wk"][None])
+                M2 = _hermite_kernel(be, p, cc, P, L, st)
+                t1 = be.xp.matmul(dW, M2).reshape(
+                    qc, 6, X, st["Tk"], st["m"]
+                )
+                v = be.to_numpy(_einsum(be, "qsxtm,qmxt->qsm", t1, ZW))
+                sA[sl] += v[:, :3].sum(axis=2)
+                sB[sl] += v[:, 3:].sum(axis=2)
+                vAB[gi][sl] = v[:, :3] + v[:, 3:]
         np.add.at(g, cls.atom_a, sA)
         np.add.at(g, cls.atom_b, sB)
         for st, v in zip(statics, vAB):
@@ -1014,56 +1007,37 @@ def _boys_xp(be: ArrayBackend, mmax: int, T):
     return xp.stack(cols, axis=-1)
 
 
-def _r_tables_xp(be: ArrayBackend, tmax: int, umax: int, vmax: int, p, PQ):
-    """Functional mirror of `engine.r_tables_batch`: Hermite Coulomb
-    tables ``R[n, t, u, v]`` via the standard downward recursion over
-    auxiliary order, expressed as a dict of per-(t,u,v) vectors."""
+def _r_tables_xp(be: ArrayBackend, lmax: int, p, PQ):
+    """Functional mirror of `engine.r_tables_simplex`: the downward
+    recursion over auxiliary order as a dict of per-(t,u,v) vectors,
+    stacked in `hermite_simplex` order, shape ``(nsimplex(lmax), n)``."""
     xp = be.xp
-    nmax = tmax + umax + vmax
     T = p * xp.sum(PQ * PQ, axis=1)
-    F = _boys_xp(be, nmax, T)
+    F = _boys_xp(be, lmax, T)
     levels = []
     scale = xp.ones_like(p)
-    for m in range(nmax + 1):
+    for m in range(lmax + 1):
         levels.append({(0, 0, 0): scale * F[:, m]})
         scale = scale * (-2.0 * p)
     x, y, z = PQ[:, 0], PQ[:, 1], PQ[:, 2]
-    for total in range(1, nmax + 1):
-        hi = nmax - total + 1
-        for t in range(min(total, tmax) + 1):
-            for u in range(min(total - t, umax) + 1):
-                v = total - t - u
-                if v < 0 or v > vmax:
-                    continue
-                for m in range(hi):
-                    up = levels[m + 1]
-                    if t > 0:
-                        val = x * up[(t - 1, u, v)]
-                        if t > 1:
-                            val = val + (t - 1) * up[(t - 2, u, v)]
-                    elif u > 0:
-                        val = y * up[(t, u - 1, v)]
-                        if u > 1:
-                            val = val + (u - 1) * up[(t, u - 2, v)]
-                    else:
-                        val = z * up[(t, u, v - 1)]
-                        if v > 1:
-                            val = val + (v - 1) * up[(t, u, v - 2)]
-                    levels[m][(t, u, v)] = val
-    L0 = levels[0]
-    return xp.stack(
-        [
-            xp.stack(
-                [
-                    xp.stack([L0[(t, u, v)] for v in range(vmax + 1)], axis=-1)
-                    for u in range(umax + 1)
-                ],
-                axis=-2,
-            )
-            for t in range(tmax + 1)
-        ],
-        axis=-3,
-    )
+    rows = [tuple(int(i) for i in tuv) for tuv in hermite_simplex(lmax)]
+    for t, u, v in sorted(rows[1:], key=sum):
+        for m in range(lmax - (t + u + v) + 1):
+            up = levels[m + 1]
+            if t > 0:
+                val = x * up[(t - 1, u, v)]
+                if t > 1:
+                    val = val + (t - 1) * up[(t - 2, u, v)]
+            elif u > 0:
+                val = y * up[(t, u - 1, v)]
+                if u > 1:
+                    val = val + (u - 1) * up[(t, u - 2, v)]
+            else:
+                val = z * up[(t, u, v - 1)]
+                if v > 1:
+                    val = val + (v - 1) * up[(t, u, v - 2)]
+            levels[m][(t, u, v)] = val
+    return xp.stack([levels[0][tuv] for tuv in rows])
 
 
 def _e_tables_xp(be: ArrayBackend, imax: int, jmax: int, AB, a, b):
@@ -1197,12 +1171,10 @@ class AutodiffIntegrals:
             ca, cb = comp_arrays(part["la"]), comp_arrays(part["lb"])
             nfa, nfb = len(ca), len(cb)
             p, _, E = self._geometry(part, coords, part["la"], part["lb"])
-            G = E[:, :, 0, ca[:, None, 0], cb[None, :, 0], 0]
-            G = G * E[:, :, 1, ca[:, None, 1], cb[None, :, 1], 0]
-            G = G * E[:, :, 2, ca[:, None, 2], cb[None, :, 2], 0]
-            pref = self.be.asarray(part["cc"]) * (np.pi / p) ** 1.5
-            blk = xp.einsum("qn,qnab->qab", pref, G)
-            blk = blk * self.be.asarray(part["norms"])[None]
+            blk = _onee_blocks(
+                self.be, _overlap_1d(E, ca, cb), p,
+                self.be.asarray(part["cc"]), self.be.asarray(part["norms"]),
+            )
             S = self._assemble(S, part, blk, nfa, nfb)
         return S
 
@@ -1214,35 +1186,24 @@ class AutodiffIntegrals:
             nfa, nfb = len(ca), len(cb)
             p, _, E = self._geometry(part, coords, part["la"], part["lb"] + 2)
             tot = _kinetic_1d(E, self.be.asarray(part["b"]), ca, cb)
-            pref = self.be.asarray(part["cc"]) * (np.pi / p) ** 1.5
-            blk = xp.einsum("qn,qnab->qab", pref, tot)
-            blk = blk * self.be.asarray(part["norms"])[None]
+            blk = _onee_blocks(
+                self.be, tot, p, self.be.asarray(part["cc"]),
+                self.be.asarray(part["norms"]),
+            )
             T = self._assemble(T, part, blk, nfa, nfb)
         return T
 
     def nuclear(self, coords):
         xp = self.be.xp
         V = xp.zeros((self.nbf, self.nbf))
-        nC = self.natoms
         for part in self._parts:
             ca, cb = comp_arrays(part["la"]), comp_arrays(part["lb"])
-            nfa, nfb = len(ca), len(cb)
-            L = part["la"] + part["lb"]
-            nT = (L + 1) ** 3
             p, P, E = self._geometry(part, coords, part["la"], part["lb"])
-            Q, N = part["a"].shape
-            Wf = _w_class(E, ca, cb, (L, L, L)).reshape(Q, N, nfa * nfb, nT)
-            PQ = P[:, None, :, :] - coords[None, :, None, :]
-            p_rep = xp.broadcast_to(p[:, None, :], (Q, nC, N))
-            R = _r_tables_xp(
-                self.be, L, L, L, p_rep.reshape(-1), PQ.reshape(-1, 3)
-            ).reshape(Q, nC, N, nT)
-            pref = self.be.asarray(part["cc"]) * (2.0 * np.pi / p)
-            t1 = xp.einsum("qcnt,c->qnt", R, self.Z)
-            val = -xp.einsum("qnxt,qnt,qn->qx", Wf, t1, pref)
-            blk = val.reshape(Q, nfa, nfb)
-            blk = blk * self.be.asarray(part["norms"])[None]
-            V = self._assemble(V, part, blk, nfa, nfb)
+            blk = _nuclear_blocks(
+                self.be, E, p, P, self.be.asarray(part["cc"]), coords,
+                self.Z, ca, cb, self.be.asarray(part["norms"]),
+            )
+            V = self._assemble(V, part, blk, len(ca), len(cb))
         return V
 
     def hcore(self, coords):
@@ -1257,60 +1218,19 @@ class AutodiffIntegrals:
             ca, cb = comp_arrays(part["la"]), comp_arrays(part["lb"])
             nfa, nfb = len(ca), len(cb)
             L = part["la"] + part["lb"]
-            tbox = (L, L, L)
-            tb_idx = hermite_box(tbox)
-            Tb = tb_idx.shape[0]
             p, P, E = self._geometry(part, coords, part["la"], part["lb"])
-            Q, N = part["a"].shape
-            X = nfa * nfb
-            Wb = _w_class(E, ca, cb, tbox).reshape(Q, N, X, Tb)
+            Q = part["a"].shape[0]
+            Wb2 = _w_class(E, ca, cb, hermite_simplex(L)).reshape(
+                Q, nfa * nfb, -1
+            )
             cc = self.be.asarray(part["cc"])
+            norms = self.be.asarray(part["norms"])
             rows, cols = _block_indices(part["oa"], nfa, part["ob"], nfb)
             offdiag = np.nonzero(part["ish"] != part["jsh"])[0]
             for st, g_atoms in zip(self._groups, self._aux_atoms):
-                lk = (st["grp"].l,) * 3
-                TX, TY, TZ = (tbox[d] + lk[d] for d in range(3))
-                Pk = coords[g_atoms]
-                p4 = p[:, :, None]
-                qk = st["qk"][None, None, :]
-                alpha = p4 * qk / (p4 + qk)
-                PQ = P[:, :, None, :] - Pk[None, None, :, :]
-                R = _r_tables_xp(
-                    self.be, TX, TY, TZ, alpha.reshape(-1), PQ.reshape(-1, 3)
-                ).reshape(Q, N, st["m"], TX + 1, TY + 1, TZ + 1)
-                K = (
-                    _TWO_PI_52
-                    / (p4 * qk * xp.sqrt(p4 + qk))
-                    * cc[:, :, None]
-                    * st["cck"][None, None, :]
+                ket = {**st, "Pk": coords[g_atoms]}
+                M2 = _hermite_kernel(self.be, p, cc, P, L, ket)
+                out = _eri3c_scatter(
+                    self.be, out, st, M2, Wb2, norms, rows, cols, offdiag
                 )
-                ts = tb_idx[:, None, :] + st["tk_idx"][None, :, :]
-                M = R[:, :, :, ts[..., 0], ts[..., 1], ts[..., 2]]
-                M = M * K[..., None, None]
-                blk = xp.einsum("qnxt,qnmts,mcs->qmxc", Wb, M, st["Wk"])
-                blk = blk.reshape(Q, st["m"], nfa, nfb, st["C"])
-                blk = blk * self.be.asarray(part["norms"])[None, None, :, :, None]
-                blk = blk * self.be.asarray(st["comp_norms"])[
-                    None, None, None, None, :
-                ]
-                fi = st["func_idx"]
-                out = self.be.scatter_set(
-                    out,
-                    (
-                        rows[:, :, None, None, None],
-                        cols[:, None, :, None, None],
-                        fi[None, None, None, :, :],
-                    ),
-                    blk.transpose(0, 2, 3, 1, 4),
-                )
-                if offdiag.size:
-                    out = self.be.scatter_set(
-                        out,
-                        (
-                            cols[offdiag][:, :, None, None, None],
-                            rows[offdiag][:, None, :, None, None],
-                            fi[None, None, None, :, :],
-                        ),
-                        blk[offdiag].transpose(0, 3, 2, 1, 4),
-                    )
         return out

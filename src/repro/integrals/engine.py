@@ -161,6 +161,77 @@ def r_tables_batch(
     return np.ascontiguousarray(Rn[0].transpose(3, 0, 1, 2))
 
 
+@lru_cache(maxsize=None)
+def _graded_simplex(lmax: int):
+    """Recursion layout of `r_tables_simplex`: the simplex in blocks of
+    equal total order ``k``, each block listing ``(t+1, u, v)`` for the
+    previous block's rows, then ``(0, k-j, j)`` for ``j = 0..k``.
+
+    In that order every branch of the downward recursion reads and
+    writes whole contiguous row ranges: the ``t >= 1`` rows of block
+    ``k`` are block ``k-1`` shifted, the ``t >= 2`` rows block ``k-2``
+    shifted, and likewise for ``u`` inside the ``t = 0`` tails.
+    Returns the block offsets, the rows as a float array, and the
+    position of every `hermite_simplex` row.
+    """
+    blocks = [[(0, 0, 0)]]
+    for k in range(1, lmax + 1):
+        shifted = [(t + 1, u, v) for t, u, v in blocks[-1]]
+        blocks.append(shifted + [(0, k - j, j) for j in range(k + 1)])
+    rows = sum(blocks, [])
+    offs = np.cumsum([0] + [len(blk) for blk in blocks])
+    order = [rows.index(tuple(tuv)) for tuv in hermite_simplex(lmax)]
+    return offs, np.array(rows, dtype=float), np.array(order)
+
+
+def r_tables_simplex(lmax: int, p: np.ndarray, PQ: np.ndarray) -> np.ndarray:
+    """Hermite Coulomb tensors ``R^0_{tuv}`` for ``t+u+v <= lmax``.
+
+    Same recursion as `r_tables_batch`, run to total order ``lmax``
+    only (Boys orders ``0..lmax``), and packed along one flat axis in
+    `hermite_simplex` order: shape ``(nsimplex(lmax), n)``, batch axis
+    last as in the recursion itself, so a Hermite row is one contiguous
+    run. Every operation is elementwise along the batch axis, so values
+    are independent of the batch split.
+    """
+    n = p.shape[0]
+    offs, rows, order = _graded_simplex(lmax)
+    ns = int(offs[-1])
+    chunk = max(64, _R_SCRATCH_BYTES // ((lmax + 1) * ns * 8))
+    if n > chunk:
+        out = np.empty((ns, n))
+        for lo in range(0, n, chunk):
+            hi = lo + chunk
+            out[:, lo:hi] = r_tables_simplex(lmax, p[lo:hi], PQ[lo:hi])
+        return out
+    T = p * np.einsum("ni,ni->n", PQ, PQ)
+    F = boys_array(lmax, T)
+    # batch axis last: every range below is a contiguous block per order
+    Rn = np.empty((lmax + 1, ns, n))
+    scale = np.ones(n)
+    for m in range(lmax + 1):
+        Rn[m, 0] = scale * F[:, m]
+        scale = scale * (-2.0 * p)
+    x, y, z = PQ[:, 0], PQ[:, 1], PQ[:, 2]
+    for k in range(1, lmax + 1):
+        hi = lmax - k + 1  # orders [0, hi) are still needed at level k
+        o1, o0, o2 = offs[k - 1], offs[k], offs[k + 1]
+        up = Rn[1 : hi + 1]
+        new = Rn[:hi]
+        tail = o2 - k - 1  # first t = 0 row of this block
+        np.multiply(x, up[:, o1:o0], out=new[:, o0:tail])
+        np.multiply(y, up[:, o0 - k : o0], out=new[:, tail : o2 - 1])
+        np.multiply(z, up[:, o0 - 1], out=new[:, o2 - 1])
+        if k > 1:
+            om = offs[k - 2]
+            t2 = slice(o0, o0 + o1 - om)  # rows with t >= 2
+            u2 = slice(tail, o2 - 2)      # t = 0 rows with u >= 2
+            new[:, t2] += (rows[t2, 0, None] - 1.0) * up[:, om:o1]
+            new[:, u2] += (rows[u2, 1, None] - 1.0) * up[:, o1 - k + 1 : o1]
+            new[:, o2 - 1] += (k - 1.0) * up[:, o1 - 1]
+    return Rn[0, order]
+
+
 @dataclass
 class PairData:
     """Primitive-pair expansion data for one shell pair."""
@@ -367,3 +438,38 @@ def hermite_box(tbox: tuple[int, int, int]) -> np.ndarray:
     box = np.stack([t.ravel(), u.ravel(), v.ravel()], axis=1)
     box.setflags(write=False)
     return box
+
+
+@lru_cache(maxsize=None)
+def hermite_simplex(L: int) -> np.ndarray:
+    """All (t, u, v) with ``t + u + v <= L``, C-order, shape
+    ``((L+1)(L+2)(L+3)/6, 3)`` — the part of `hermite_box` ``(L, L, L)``
+    on which an expansion of total angular momentum ``L`` can be
+    nonzero (``E[i, j, t] = 0`` for ``t > i + j`` in every dimension).
+    Memoized, read-only.
+    """
+    rows = [
+        (t, u, v)
+        for t in range(L + 1)
+        for u in range(L + 1 - t)
+        for v in range(L + 1 - t - u)
+    ]
+    simplex = np.array(rows, dtype=np.intp)
+    simplex.setflags(write=False)
+    return simplex
+
+
+@lru_cache(maxsize=None)
+def simplex_sum_index(lb: int, lk: int) -> np.ndarray:
+    """Row of `hermite_simplex` ``(lb + lk)`` holding ``tb + tk`` for
+    every bra row ``tb`` of simplex ``lb`` and ket row ``tk`` of simplex
+    ``lk``: the one gather table, shape ``(Tb, Tk)``, that turns a
+    packed `r_tables_simplex` table into the bra x ket Hermite kernel."""
+    L = lb + lk
+    total = hermite_simplex(L)
+    pos = np.empty((L + 1, L + 1, L + 1), dtype=np.intp)
+    pos[total[:, 0], total[:, 1], total[:, 2]] = np.arange(total.shape[0])
+    ts = hermite_simplex(lb)[:, None, :] + hermite_simplex(lk)[None, :, :]
+    idx = pos[ts[..., 0], ts[..., 1], ts[..., 2]]
+    idx.setflags(write=False)
+    return idx

@@ -19,9 +19,11 @@ Every screened driver accumulates the summed bound of what it skipped,
 so callers get a rigorous estimate of the neglected contribution.
 
 The runtime three-center and Schwarz drivers are the shell-class kernels
-in `batch.py`; `eri3c_loop`, `contract_eri3c_deriv_loop` and
-`schwarz_pair_bounds_loop` here are the per-pair reference the tests
-compare them against, and nothing under ``src/`` calls them.
+in `batch.py` (Hermite simplex, one GEMM per class and aux group), and the
+two-center drivers here call the same kernels. `eri3c_loop`,
+`contract_eri3c_deriv_loop` and `schwarz_pair_bounds_loop` keep the full
+Hermite cube: they are the per-pair reference of the tests, never called
+under ``src/``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from ..basis.basisset import BasisSet
     from .workspace import IntegralWorkspace
+from ..backend import get_backend
 from .engine import (
     AuxGroup,
     PairData,
@@ -40,6 +43,7 @@ from .engine import (
     canonical_shell_pairs,
     comp_arrays,
     hermite_box,
+    hermite_simplex,
     pair_data,
     r_tables_batch,
     single_data,
@@ -165,41 +169,36 @@ def eri2c(aux: BasisSet, workspace: IntegralWorkspace | None = None) -> np.ndarr
     (l, l') combination covers the whole metric. ``workspace`` serves the
     cached (geometry-independent) group scaffolding.
     """
+    from . import batch as kernels
+
     try:
         groups = _aux_groups(workspace, aux)
     except ValueError:
         return _eri2c_pershell(aux)
-    n = aux.nbf
-    J = np.zeros((n, n))
-    for gb in groups:
-        cb = comp_arrays(gb.l)
-        X = len(cb)
-        nb_ = gb.pd.nprim
-        lb = (gb.l,) * 3
-        tb_idx = hermite_box(lb)
-        Wb = w_tensor(gb.pd, cb, _S_COMP, lb)[:, :, 0].reshape(nb_, X, -1)
-        for gk in groups:
-            if gk.l < gb.l:
+    be = get_backend("numpy")
+    statics = kernels._group_statics(groups, be)
+    J = np.zeros((aux.nbf, aux.nbf))
+    for sb in statics:
+        gb = sb["grp"]
+        # the 3c kernel with a one-primitive "pair" per bra shell; the
+        # bra expansion is the ket one with the +-1 phase taken back
+        Wb = sb["Wk"] * _phase(hermite_simplex(gb.l))
+        for sk in statics:
+            if sk["grp"].l < gb.l:
                 continue
-            ck = comp_arrays(gk.l)
-            C = len(ck)
-            m = gk.pd.nprim
-            lk = (gk.l,) * 3
-            tk_idx = hermite_box(lk)
-            Wk = w_tensor(gk.pd, ck, _S_COMP, lk)[:, :, 0].reshape(m, C, -1)
-            Wk = Wk * _phase(tk_idx)[None, None, :]
-            R = _combined_R(gb.pd, gk.pd, lb, lk)
-            K = _kfac(gb.pd, gk.pd)
-            tsum = tb_idx[:, None, :] + tk_idx[None, :, :]
-            M = R[:, :, tsum[..., 0], tsum[..., 1], tsum[..., 2]]
-            M *= K[:, :, None, None]
-            blk = np.einsum("nxt,nmts,mys->nxmy", Wb, M, Wk, optimize=True)
-            blk = blk * gb.comp_norms[None, :, None, None]
-            blk = blk * gk.comp_norms[None, None, None, :]
-            fi_b = (gb.offsets[:, None] + np.arange(X)[None, :]).ravel()
-            fi_k = (gk.offsets[:, None] + np.arange(C)[None, :]).ravel()
-            J[np.ix_(fi_b, fi_k)] = blk.reshape(nb_ * X, m * C)
-            J[np.ix_(fi_k, fi_b)] = blk.reshape(nb_ * X, m * C).T
+            M2 = kernels._hermite_kernel(
+                be, gb.pd.p[:, None], gb.pd.cc[:, None], gb.pd.P[:, None],
+                gb.l, sk,
+            )
+            blk = kernels._group_apply_batched(be, M2, sk, Wb)
+            blk = blk * gb.comp_norms[None, None, :, None] * sk["comp_norms"]
+            blk = blk.transpose(0, 2, 1, 3).reshape(
+                sb["m"] * sb["C"], sk["m"] * sk["C"]
+            )
+            fi_b = sb["func_idx"].ravel()
+            fi_k = sk["func_idx"].ravel()
+            J[np.ix_(fi_b, fi_k)] = blk
+            J[np.ix_(fi_k, fi_b)] = blk.T
     return J
 
 
@@ -445,46 +444,45 @@ def contract_eri2c_deriv(
     Uses ``d/dQ = -d/dP``; both sides are processed as angular-momentum
     groups, so the work is a few batched contractions.
     """
+    from . import batch as kernels
+
+    be = get_backend("numpy")
     g = np.zeros((natoms, 3))
-    groups_d = _aux_groups(workspace, aux, di=1)  # bra side (differentiated)
-    groups = _aux_groups(workspace, aux)
-    for gb in groups_d:
+    # one unit of E-table headroom for the differentiated (bra) side; the
+    # ket expansions read the same tables' lower entries
+    statics = kernels._group_statics(_aux_groups(workspace, aux, di=1), be)
+    for sb in statics:
+        gb, n, X = sb["grp"], sb["m"], sb["C"]
         cb = comp_arrays(gb.l)
-        nb_comp = len(cb)
-        n = gb.pd.nprim
-        for gk in groups:
-            ck = comp_arrays(gk.l)
-            m = gk.pd.nprim
-            C = len(ck)
-            lb = (gb.l + 1,) * 3
-            lk = (gk.l,) * 3
-            tb_idx = hermite_box(lb)
-            tk_idx = hermite_box(lk)
-            Wk = w_tensor(gk.pd, ck, _S_COMP, lk)[:, :, 0].reshape(m, C, -1)
-            Wk = Wk * _phase(tk_idx)[None, None, :]
-            R = _combined_R(gb.pd, gk.pd, lb, lk)
-            K = _kfac(gb.pd, gk.pd)
-            tsum = tb_idx[:, None, :] + tk_idx[None, :, :]
-            M = R[:, :, tsum[..., 0], tsum[..., 1], tsum[..., 2]]
-            M *= K[:, :, None, None]
+        L = gb.l + 1
+        # the three bra-center derivative expansions as one operand
+        dW = np.stack(
+            [
+                kernels._w_deriv_class(
+                    gb.pd.E[:, None], gb.pd.a[:, None], gb.pd.b[:, None],
+                    cb, _S_COMP, hermite_simplex(L), "bra", axis,
+                )
+                for axis in range(3)
+            ],
+            axis=1,
+        ).reshape(n, 3 * X, -1)
+        fi_b = sb["func_idx"]
+        for sk in statics:
+            gk = sk["grp"]
             # gathered coefficients: zg[n, m, x, y]
-            fi_b = gb.offsets[:, None] + np.arange(nb_comp)[None, :]
-            fi_k = gk.offsets[:, None] + np.arange(C)[None, :]
-            zg = zeta[fi_b[:, None, :, None], fi_k[None, :, None, :]]
-            zg = zg * gb.comp_norms[None, None, :, None]
-            zg = zg * gk.comp_norms[None, None, None, :]
+            zg = zeta[fi_b[:, None, :, None], sk["func_idx"][None, :, None, :]]
+            zg = zg * gb.comp_norms[None, None, :, None] * gk.comp_norms
             # mask same-atom (derivative vanishes by invariance)
-            same = gb.atoms[:, None] == gk.atoms[None, :]
-            zg[same] = 0.0
-            # Q[n, m, x, s] = sum_y zg[n,m,x,y] Wk[m,y,s]
-            Q = np.einsum("nmxy,mys->nmxs", zg, Wk, optimize=True)
-            for axis in range(3):
-                dWb = w_deriv(gb.pd, cb, _S_COMP, lb, "bra", axis)[:, :, 0]
-                dWb = dWb.reshape(n, nb_comp, -1)
-                # vals[n, m] = sum_{x,t,s} dWb[n,x,t] M[n,m,t,s] Q[n,m,x,s]
-                vals = np.einsum("nxt,nmts,nmxs->nm", dWb, M, Q, optimize=True)
-                np.add.at(g[:, axis], gb.atoms, vals.sum(axis=1))
-                np.subtract.at(g[:, axis], gk.atoms, vals.sum(axis=0))
+            zg[gb.atoms[:, None] == gk.atoms[None, :]] = 0.0
+            ZW = np.matmul(zg, sk["Wk"][None])
+            M2 = kernels._hermite_kernel(
+                be, gb.pd.p[:, None], gb.pd.cc[:, None], gb.pd.P[:, None],
+                L, sk,
+            )
+            t1 = np.matmul(dW, M2).reshape(n, 3, X, sk["Tk"], sk["m"])
+            vals = np.einsum("naxsm,nmxs->nam", t1, ZW, optimize=False)
+            np.add.at(g, gb.atoms, vals.sum(axis=2))
+            np.subtract.at(g, gk.atoms, vals.sum(axis=0).T)
     return g
 
 

@@ -397,6 +397,9 @@ class IntegralWorkspace:
     # ------------------------------------------------------------------
     # screening bound tables
     # ------------------------------------------------------------------
+    #: share of ``max_bytes`` one composition's sibling tables may hold
+    SIBLING_SHARE = 0.25
+
     def schwarz_bounds(self, basis) -> np.ndarray:
         """Cauchy-Schwarz shell-pair bounds, re-screened on displacement.
 
@@ -405,15 +408,31 @@ class IntegralWorkspace:
         ``displacement_tol`` (the bound is smooth in the geometry, so a
         bounded move costs a bounded factor — the inflation keeps the
         screen conservative); recomputed beyond the tolerance.
+
+        The monomers (or dimers, or trimers) of one MBE step share a
+        composition key, so the entry holds one table per sibling —
+        ``(tables, refs, served)``: the reference geometries stacked and
+        the lookup count at each table's last serve — and serves the
+        nearest reference. A rebuild drops the least recently served
+        siblings beyond `SIBLING_SHARE` of the byte budget, so fragments
+        that left the plan (or a scan that never returns) cannot grow
+        the entry, or the per-call scan over its references, unbounded.
         """
         from .batch import schwarz_pair_bounds_batched
 
+        tol = self.displacement_tol
         key = ("schwarz", basis_composition_key(basis))
         coords = _centers(basis)
-        cached = self._get(key)
-        if cached is not None:
-            Q, ref = cached
-            disp = float(np.max(np.linalg.norm(coords - ref, axis=1)))
+        tables, refs, served = self._get(key) or (
+            [], np.empty((0, *coords.shape)), np.empty(0, dtype=int)
+        )
+        now = self.hits + self.misses
+        disps = np.linalg.norm(coords - refs, axis=2).max(axis=1)
+        if tables:
+            near = int(np.argmin(disps))
+            Q, disp = tables[near], float(disps[near])
+            if disp <= tol:
+                served[near] = now
             if disp == 0.0:
                 if self.tracer:
                     self.tracer.instant(
@@ -421,7 +440,7 @@ class IntegralWorkspace:
                         hit=True, stale=False,
                     )
                 return Q
-            if disp <= self.displacement_tol:
+            if disp <= tol:
                 with self._locked():
                     self.stale_serves += 1
                 if self.tracer:
@@ -433,7 +452,21 @@ class IntegralWorkspace:
         Q = schwarz_pair_bounds_batched(basis, workspace=self)
         with self._locked():
             self.bound_rebuilds += 1
-        self._put(key, (Q, coords))
+        # the rebuilt table supersedes the reference its fragment drifted
+        # away from (no other fragment's atoms sit within two tolerances
+        # of this one's); with ``tol = 0`` that leaves a single slot
+        keep = np.nonzero((disps > 2.0 * tol) & (tol > 0.0))[0]
+        # same composition, same table size: the share is a sibling count
+        room = int(self.SIBLING_SHARE * self.max_bytes) // (
+            Q.nbytes + coords.nbytes + served.itemsize
+        )
+        keep = keep[np.argsort(served[keep], kind="stable")]
+        keep = keep[max(0, len(keep) + 1 - room):]
+        self._put(key, (
+            [tables[i] for i in keep] + [Q],
+            np.concatenate([refs[keep], coords[None]]),
+            np.append(served[keep], now),
+        ))
         if self.tracer:
             self.tracer.instant(
                 "workspace.hit", cat="integrals", product="schwarz",

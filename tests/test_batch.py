@@ -45,6 +45,8 @@ from repro.chem import Molecule
 from repro.frag import FragmentedSystem, build_plan, mbe_energy_gradient
 from repro.integrals import IntegralWorkspace, batch
 from repro.integrals.batch import (
+    _w_class,
+    _w_deriv_class,
     build_shell_classes,
     contract_eri3c_deriv_batched,
     contract_kinetic_deriv_batched,
@@ -56,6 +58,7 @@ from repro.integrals.batch import (
     overlap_batched,
     schwarz_pair_bounds_batched,
 )
+from repro.integrals.engine import aux_group_data, comp_arrays, hermite_box
 from repro.integrals.eri import (
     contract_eri3c_deriv_loop,
     contract_eri4c_deriv_hf,
@@ -71,7 +74,7 @@ from repro.integrals.onee import (
     overlap_loop,
 )
 from repro.integrals.workspace import payload_nbytes
-from repro.systems import water_cluster
+from repro.systems import glycine_chain, water_cluster
 
 HAVE_JAX = importlib.util.find_spec("jax") is not None
 
@@ -282,12 +285,51 @@ class TestThreeCenterParity:
         assert neglect1 == neglect2
 
 
+class TestSimplexTrimming:
+    """The runtime kernels evaluate only the Hermite rows with
+    ``t + u + v <= L``. What that rests on: everything else in the
+    cube is multiplied by an E-table entry that is identically zero."""
+
+    @pytest.mark.parametrize("basis_name", ["sto-3g", "repro-dz"])
+    @pytest.mark.parametrize("system", ["water", "glycine"])
+    def test_expansions_vanish_outside_the_simplex(self, system, basis_name):
+        mol = water_cluster(1, seed=0) if system == "water" else glycine_chain(1)
+        bs = BasisSet.build(mol, basis_name)
+        for cls in build_shell_classes(bs):
+            ca, cb = comp_arrays(cls.la), comp_arrays(cls.lb)
+            L = cls.la + cls.lb
+            box = hermite_box((L + 1, L + 1, L + 1))
+            order = box.sum(axis=1)
+            W = _w_class(cls.E, ca, cb, box)
+            assert W[..., order <= L].any()
+            assert np.all(W[..., order > L] == 0.0)
+            for side in ("bra", "ket"):
+                for axis in range(3):
+                    dW = _w_deriv_class(
+                        cls.E, cls.a, cls.b, ca, cb, box, side, axis
+                    )
+                    assert dW[..., order == L + 1].any()
+                    assert np.all(dW[..., order > L + 1] == 0.0)
+        s_comp = comp_arrays(0)
+        for grp in aux_group_data(auto_auxiliary(mol), di=1):
+            cg = comp_arrays(grp.l)
+            box = hermite_box((grp.l + 1,) * 3)
+            order = box.sum(axis=1)
+            E = grp.pd.E[:, None]
+            assert np.all(_w_class(E, cg, s_comp, box)[..., order > grp.l] == 0.0)
+            a, b = grp.pd.a[:, None], grp.pd.b[:, None]
+            for axis in range(3):
+                dW = _w_deriv_class(E, a, b, cg, s_comp, box, "bra", axis)
+                assert np.all(dW[..., order > grp.l + 1] == 0.0)
+
+
 class TestKernelModeDispatch:
     """One kernel family: there is no mode left to dispatch on."""
 
     def test_no_runtime_caller_of_loop_reference(self):
         """The ``*_loop`` drivers are a test reference: nothing under
-        ``src/`` may call one."""
+        ``src/`` may call one, and `batch.py` shares no Hermite-cube
+        table with them."""
         import repro
 
         callers = []
@@ -300,6 +342,17 @@ class TestKernelModeDispatch:
                     if name.endswith("_loop"):
                         callers.append(f"{path.name}:{node.lineno} {name}")
         assert callers == []
+        # nor may the batched kernels name the reference's Hermite cube:
+        # `hermite_box` and `r_tables_batch` belong to ``*_loop`` (and
+        # the 4-centre path), which is what makes the tolerance clause a
+        # cross-check of the simplex trimming rather than a comparison
+        # of the cube with itself
+        names = {
+            getattr(node, "id", None) or getattr(node, "attr", None)
+            or getattr(node, "name", None)
+            for node in ast.walk(ast.parse(Path(batch.__file__).read_text()))
+        }
+        assert not names & {"hermite_box", "r_tables_batch"}
 
     def test_shell_classes_cached_in_workspace(self, water):
         bs, _ = _setup(water, "sto-3g")

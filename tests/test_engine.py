@@ -12,8 +12,11 @@ from repro.integrals.engine import (
     comp_arrays,
     e_tables_batch,
     hermite_box,
+    hermite_simplex,
     pair_data,
     r_tables_batch,
+    r_tables_simplex,
+    simplex_sum_index,
     single_data,
     w_deriv,
     w_tensor,
@@ -59,6 +62,51 @@ class TestBatchedTables:
         assert set(map(tuple, box)) == {
             (t, u, 0) for t in range(3) for u in range(2)
         }
+
+    @pytest.mark.parametrize("L", range(7))
+    def test_hermite_simplex_cover_and_count(self, L):
+        simplex = hermite_simplex(L)
+        assert simplex.shape == ((L + 1) * (L + 2) * (L + 3) // 6, 3)
+        box = hermite_box((L, L, L))
+        # exactly the box rows of total order <= L, in the box's C-order
+        assert np.array_equal(simplex, box[box.sum(axis=1) <= L])
+        assert not simplex.flags.writeable
+        assert hermite_simplex(L) is simplex  # memoised
+
+    def test_simplex_sum_index(self):
+        for lb, lk in [(0, 0), (2, 0), (1, 2), (3, 2)]:
+            idx = simplex_sum_index(lb, lk)
+            total = hermite_simplex(lb + lk)
+            want = hermite_simplex(lb)[:, None, :] + hermite_simplex(lk)[None]
+            assert np.array_equal(total[idx], want)
+
+    @pytest.mark.parametrize("T", range(7))
+    def test_r_simplex_matches_cube(self, T):
+        """The trimmed recursion (Boys orders 0..T) against the cube's
+        (orders 0..3T) on the rows they share; not bitwise, because the
+        downward Boys recursion starts at a lower order."""
+        rng = np.random.default_rng(2)
+        n = 200
+        p = rng.uniform(0.05, 60.0, n)
+        PQ = rng.uniform(-3.0, 3.0, (n, 3))
+        PQ[:10] = 0.0       # coincident centers: the Boys series limit
+        PQ[10:20] *= 8.0    # p |PQ|^2 in the hundreds: the large-T regime
+        PQ[20:25] *= 1e-8   # just above the series-limit switch
+        rows = hermite_simplex(T)
+        ref = r_tables_batch(T, T, T, p, PQ)[
+            :, rows[:, 0], rows[:, 1], rows[:, 2]
+        ]
+        got = r_tables_simplex(T, p, PQ)  # batch axis last
+        assert got.shape == ref.T.shape and got.flags.c_contiguous
+        got = got.T
+        # rtol 1e-11; entries that cancel to ~0 are held to the same
+        # fraction of their own table's scale
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert (np.abs(got - ref) <= 1e-11 * np.abs(ref) + 1e-15 * scale).all()
+        # the batch split is invisible: rows are independent
+        assert np.array_equal(
+            got[37:91], r_tables_simplex(T, p[37:91], PQ[37:91]).T
+        )
 
 
 class TestPairData:

@@ -196,6 +196,66 @@ class TestWorkspaceInvalidation:
         assert ws.bound_rebuilds == 2
         assert ws.stale_serves == 0
 
+    def test_schwarz_siblings_keep_one_table_each(self):
+        """Same-composition fragments (the monomers of one MBE step)
+        must not evict each other's table: two of them alternating over
+        three steps cost one build each, not one per visit."""
+        from repro.integrals import schwarz_pair_bounds
+
+        w = water_cluster(1, seed=0)
+        rng = np.random.default_rng(5)
+        sites = [w.coords, w.coords + 6.0 + 0.1 * rng.standard_normal((3, 3))]
+        ws = IntegralWorkspace(displacement_tol=0.25, stale_safety=16.0)
+        own = [schwarz_pair_bounds(BasisSet.build(w.with_coords(c), "sto-3g"))
+               for c in sites]
+        assert not np.allclose(own[0], own[1])
+        for step in range(3):
+            for site, ref in zip(sites, own):
+                bs = BasisSet.build(w.with_coords(site + 0.01 * step), "sto-3g")
+                Q = ws.schwarz_bounds(bs)
+                # each visit is served from the fragment's own reference
+                assert np.array_equal(Q, ref if step == 0 else 16.0 * ref)
+        assert ws.bound_rebuilds == 2
+        assert ws.stale_serves == 4
+        # a fragment that drifts beyond the tolerance replaces its own
+        # reference and leaves its sibling's alone
+        ws.schwarz_bounds(BasisSet.build(w.with_coords(sites[0] + 0.2), "sto-3g"))
+        assert ws.bound_rebuilds == 3
+        tables, refs, served = ws._get(("schwarz", basis_composition_key(bs)))
+        assert len(tables) == len(refs) == len(served) == 2
+        # deterministic mode keeps its single slot: every visit rebuilds
+        ws0 = IntegralWorkspace(displacement_tol=0.0)
+        for step in range(3):
+            for site in sites:
+                ws0.schwarz_bounds(
+                    BasisSet.build(w.with_coords(site + 0.01 * step), "sto-3g")
+                )
+        assert ws0.bound_rebuilds == 6
+        assert len(ws0._get(("schwarz", basis_composition_key(bs)))[0]) == 1
+
+    def test_schwarz_siblings_stay_inside_the_budget(self):
+        """A scan that never returns to a geometry must not grow the
+        entry: beyond its share of the byte budget the least recently
+        served references go, and other warm entries stay resident."""
+        w = water_cluster(1, seed=0)
+        bs = BasisSet.build(w, "sto-3g")
+        key = ("schwarz", basis_composition_key(bs))
+        one = IntegralWorkspace(displacement_tol=0.25)
+        one.schwarz_bounds(bs)
+        per_table = one._entries[key][1]
+        room = 5
+        ws = IntegralWorkspace(displacement_tol=0.25)
+        ws.SIBLING_SHARE = room * per_table / ws.max_bytes
+        for i in range(40):
+            ws.schwarz_bounds(BasisSet.build(w.with_coords(w.coords + i), "sto-3g"))
+            # the home geometry is served every step and so never dropped
+            ws.schwarz_bounds(bs)
+            tables, refs, served = ws._entries[key][0]
+            assert len(tables) == len(refs) == len(served) <= room
+            assert ws._entries[key][1] <= ws.SIBLING_SHARE * ws.max_bytes
+        assert ws.bound_rebuilds == 40  # 39 distant visits + home, once
+        assert ws.evictions == 0
+
     def test_composition_change_is_a_new_key(self, water_dimer):
         bs_w = BasisSet.build(water_dimer, "sto-3g")
         gly = glycine_chain(1)

@@ -8,6 +8,7 @@ import pytest
 from repro.calculators import PairwisePotentialCalculator
 from repro.chem import Molecule
 from repro.frag import FragmentedSystem
+from repro.gemm.autotune import GLOBAL_TUNER
 from repro.md import (
     FailurePolicy,
     NumericalDivergenceError,
@@ -114,11 +115,20 @@ class TestRecoveryCascade:
     def test_clean_solve_matches_bare(self, water):
         assert rhf_with_recovery(water).energy == rhf(water).energy
 
-    def test_bare_fails_on_stretched_geometry(self):
+    @pytest.fixture
+    def fixed_gemm_variant(self, monkeypatch):
+        """The bare DIIS loop is chaotic at factor 2.5 (its iteration
+        count moves by tens under rounding-level changes), so the
+        auto-tuner's history- and timing-dependent variant picks decide
+        which side of the 50-iteration budget it lands on. One fixed
+        variant makes the outcome a function of the code alone."""
+        monkeypatch.setattr(GLOBAL_TUNER, "enabled", False)
+
+    def test_bare_fails_on_stretched_geometry(self, fixed_gemm_variant):
         with pytest.raises(SCFConvergenceError):
             rhf(stretched_water(2.5), max_iter=50)
 
-    def test_cascade_recovers_stretched_geometry(self):
+    def test_cascade_recovers_stretched_geometry(self, fixed_gemm_variant):
         """The acceptance case: a geometry the bare loop cannot converge
         must converge through the ladder, recording the path taken."""
         mol = stretched_water(2.5)
