@@ -71,12 +71,6 @@ class ArrayBackend:
         a[idx] = vals
         return a
 
-    def gammainc(self, a, x):
-        """Regularized lower incomplete gamma (Boys-function kernel)."""
-        from scipy.special import gammainc
-
-        return gammainc(a, x)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ArrayBackend({self.name!r})"
 
@@ -105,11 +99,6 @@ class _JaxBackend(ArrayBackend):
     def scatter_set(self, a, idx, vals):
         return a.at[idx].set(vals)
 
-    def gammainc(self, a, x):
-        from jax.scipy.special import gammainc
-
-        return gammainc(a, x)
-
 
 class _CupyBackend(ArrayBackend):
     name = "cupy"
@@ -135,11 +124,6 @@ class _CupyBackend(ArrayBackend):
     def scatter_set(self, a, idx, vals):
         a[idx] = vals
         return a
-
-    def gammainc(self, a, x):  # pragma: no cover - needs GPU
-        from cupyx.scipy.special import gammainc
-
-        return gammainc(a, x)
 
 
 _CONSTRUCTORS = {

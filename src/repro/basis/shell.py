@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,39 @@ def primitive_norm(alpha: float, l: int) -> float:
     )
 
 
+@lru_cache(maxsize=1024)
+def _normalized(l: int, exps: bytes, raw: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized ``(coefs, comp_norms)`` of a shell, memoised on its
+    ``(l, exps, coefs)`` signature: a run builds the same handful of
+    shells on every atom of every fragment solve. The arrays are shared
+    between the shells of a signature and therefore read-only."""
+    exps = np.frombuffer(exps)
+    # Bake in primitive norms, then normalize the contraction so the
+    # (l,0,0) component has unit self-overlap.
+    c = np.frombuffer(raw) * np.array([primitive_norm(a, l) for a in exps])
+    df = double_factorial(2 * l - 1)
+    ab = exps[:, None] + exps[None, :]
+    s_pair = (np.pi / ab) ** 1.5 * df / (2.0 * ab) ** l
+    norm2 = float(c @ s_pair @ c)
+    coefs = c / np.sqrt(norm2)
+    comp_norms = np.array(
+        [
+            np.sqrt(
+                df
+                / (
+                    double_factorial(2 * lx - 1)
+                    * double_factorial(2 * ly - 1)
+                    * double_factorial(2 * lz - 1)
+                )
+            )
+            for lx, ly, lz in cartesian_components(l)
+        ]
+    )
+    coefs.setflags(write=False)
+    comp_norms.setflags(write=False)
+    return coefs, comp_norms
+
+
 @dataclass
 class Shell:
     """One contracted Cartesian Gaussian shell.
@@ -53,27 +87,8 @@ class Shell:
         raw = np.asarray(self.coefs, dtype=float).ravel()
         if raw.shape != self.exps.shape:
             raise ValueError("exps and coefs must have the same length")
-        # Bake in primitive norms, then normalize the contraction so the
-        # (l,0,0) component has unit self-overlap.
-        c = raw * np.array([primitive_norm(a, self.l) for a in self.exps])
-        l = self.l
-        df = double_factorial(2 * l - 1)
-        ab = self.exps[:, None] + self.exps[None, :]
-        s_pair = (np.pi / ab) ** 1.5 * df / (2.0 * ab) ** l
-        norm2 = float(c @ s_pair @ c)
-        self.coefs = c / np.sqrt(norm2)
-        self.comp_norms = np.array(
-            [
-                np.sqrt(
-                    df
-                    / (
-                        double_factorial(2 * lx - 1)
-                        * double_factorial(2 * ly - 1)
-                        * double_factorial(2 * lz - 1)
-                    )
-                )
-                for lx, ly, lz in cartesian_components(l)
-            ]
+        self.coefs, self.comp_norms = _normalized(
+            self.l, self.exps.tobytes(), raw.tobytes()
         )
 
     @property

@@ -8,7 +8,7 @@ from .autotune import (
     set_autotune,
 )
 from .flops import GLOBAL_COUNTER, FlopCounter, count_flops
-from .linalg import cholesky_solve_posdef, eigh_gen, sym_inv, sym_inv_sqrt
+from .linalg import cholesky_solve_posdef, eigh_gen, eigh_orth, sym_inv, sym_inv_sqrt
 
 __all__ = [
     "FlopCounter",
@@ -19,6 +19,7 @@ __all__ = [
     "cholesky_solve_posdef",
     "count_flops",
     "eigh_gen",
+    "eigh_orth",
     "gemm",
     "set_autotune",
     "sym_inv",

@@ -33,18 +33,23 @@ def sym_inv(M: np.ndarray, threshold: float = 1.0e-12) -> np.ndarray:
     return (V * inv[None, :]) @ V.T
 
 
+def eigh_orth(F: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``F C = S C eps`` in a given orthogonalizer ``X = S^{-1/2}`` — for
+    callers that solve many ``F`` in one overlap (the SCF loop)."""
+    Ft = gemm(gemm(X, F), X)
+    Ft = 0.5 * (Ft + Ft.T)
+    eps, Ct = np.linalg.eigh(Ft)
+    C = gemm(X, Ct)
+    return eps, C
+
+
 def eigh_gen(F: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Generalized symmetric eigenproblem ``F C = S C eps``.
 
     Solved by canonical orthogonalization so near-linear-dependent basis
     sets (diffuse auxiliary functions, stretched geometries) stay stable.
     """
-    X = sym_inv_sqrt(S)
-    Ft = gemm(gemm(X, F), X)
-    Ft = 0.5 * (Ft + Ft.T)
-    eps, Ct = np.linalg.eigh(Ft)
-    C = gemm(X, Ct)
-    return eps, C
+    return eigh_orth(F, sym_inv_sqrt(S))
 
 
 def cholesky_solve_posdef(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..backend import ArrayBackend, get_backend
+from .boys import boys_table
 from .engine import (
     canonical_shell_pairs,
     comp_arrays,
@@ -256,6 +257,14 @@ def _contig(be: ArrayBackend, x):
     return np.ascontiguousarray(x) if be.is_numpy else x
 
 
+def _w_factors(E, ca, cb, tuv):
+    """The three 1-D factors ``[q, A, B, n, s]`` of `_w_class`."""
+    n = np.arange(E.shape[1])[:, None]
+    ia = ca[:, None, None, None, :]
+    jb = cb[None, :, None, None, :]
+    return [E[:, n, d, ia[..., d], jb[..., d], tuv[:, d]] for d in range(3)]
+
+
 def _w_class(E, ca, cb, tuv):
     """``W[q, A, B, n, s]`` — the class's Cartesian-component expansion
     on the Hermite rows ``tuv`` (shape ``(S, 3)``), gathered straight
@@ -265,50 +274,49 @@ def _w_class(E, ca, cb, tuv):
     for ``t > i + j`` in every dimension, the rest of the Hermite cube
     is exactly zero.
     """
+    Gx, Gy, Gz = _w_factors(E, ca, cb, tuv)
+    return Gx * Gy * Gz
+
+
+def _w_deriv_1d(E, aexp, bexp, ca, cb, tuv, side, dim):
+    """1-D factor of `_w_class` along ``dim``, differentiated in the bra
+    or ket center: ``d/dA_x Omega_ij = 2a Omega_{i+1,j} - i Omega_{i-1,j}``;
+    the shifted-up term reaches one Hermite order further, so the
+    runtime rows are those of the simplex one order up."""
+    if side not in ("bra", "ket"):
+        raise ValueError(f"side must be 'bra' or 'ket', got {side!r}")
     n = np.arange(E.shape[1])[:, None]
-    ia = ca[:, None, None, None, :]
-    jb = cb[None, :, None, None, :]
+    ia = ca[:, None, None, None, dim]
+    jb = cb[None, :, None, None, dim]
+    t = tuv[:, dim]
+    if side == "bra":
+        return (
+            2.0 * aexp[:, None, None, :, None] * E[:, n, dim, ia + 1, jb, t]
+            - ia * E[:, n, dim, np.maximum(ia - 1, 0), jb, t]
+        )
     return (
-        E[:, n, 0, ia[..., 0], jb[..., 0], tuv[:, 0]]
-        * E[:, n, 1, ia[..., 1], jb[..., 1], tuv[:, 1]]
-        * E[:, n, 2, ia[..., 2], jb[..., 2], tuv[:, 2]]
+        2.0 * bexp[:, None, None, :, None] * E[:, n, dim, ia, jb + 1, t]
+        - jb * E[:, n, dim, ia, np.maximum(jb - 1, 0), t]
     )
 
 
 def _w_deriv_class(E, aexp, bexp, ca, cb, tuv, side, axis):
-    """``d/dX_axis`` of `_w_class` (X the bra or ket center), via
-    ``d/dA_x Omega_ij = 2a Omega_{i+1,j} - i Omega_{i-1,j}``; the
-    shifted-up term reaches one Hermite order further, so the runtime
-    rows are those of the simplex one order up."""
-    if side not in ("bra", "ket"):
-        raise ValueError(f"side must be 'bra' or 'ket', got {side!r}")
-    n = np.arange(E.shape[1])[:, None]
-    Gs = []
-    for dim in range(3):
-        ia = ca[:, None, None, None, dim]
-        jb = cb[None, :, None, None, dim]
-        t = tuv[:, dim]
-        if dim != axis:
-            Gs.append(E[:, n, dim, ia, jb, t])
-        elif side == "bra":
-            Gs.append(
-                2.0 * aexp[:, None, None, :, None] * E[:, n, dim, ia + 1, jb, t]
-                - ia * E[:, n, dim, np.maximum(ia - 1, 0), jb, t]
-            )
-        else:
-            Gs.append(
-                2.0 * bexp[:, None, None, :, None] * E[:, n, dim, ia, jb + 1, t]
-                - jb * E[:, n, dim, ia, np.maximum(jb - 1, 0), t]
-            )
+    """``d/dX_axis`` of `_w_class` (X the bra or ket center)."""
+    Gs = _w_factors(E, ca, cb, tuv)
+    Gs[axis] = _w_deriv_1d(E, aexp, bexp, ca, cb, tuv, side, axis)
     return Gs[0] * Gs[1] * Gs[2]
 
 
 def _w_deriv_stack(be: ArrayBackend, E, aexp, bexp, ca, cb, tuv):
     """The six (side, axis) derivative expansions of a class chunk as
-    one GEMM operand ``(q, 6, A*B, N*S)``: bra x, y, z, then ket."""
+    one GEMM operand ``(q, 6, A*B, N*S)``: bra x, y, z, then ket. Each
+    1-D factor is gathered once and the products of the two
+    undifferentiated ones are shared between the sides."""
+    G = _w_factors(E, ca, cb, tuv)
+    rest = (G[1] * G[2], G[0] * G[2], G[0] * G[1])
     dW = be.xp.stack(
         [
-            _w_deriv_class(E, aexp, bexp, ca, cb, tuv, side, axis)
+            _w_deriv_1d(E, aexp, bexp, ca, cb, tuv, side, axis) * rest[axis]
             for side in ("bra", "ket")
             for axis in range(3)
         ],
@@ -984,40 +992,17 @@ def contract_eri3c_deriv_batched(
 # Functional (trace-friendly) table builders for non-numpy backends
 # --------------------------------------------------------------------------
 
-def _boys_xp(be: ArrayBackend, mmax: int, T):
-    """Functional mirror of `boys.boys_array` in the backend namespace.
-
-    Same algorithm — top order from the regularized incomplete gamma,
-    downward recursion, series limit below 1e-14 — written without
-    in-place updates so JAX can trace and differentiate it.
-    """
-    from scipy.special import gamma
-
-    xp = be.xp
-    a = mmax + 0.5
-    small = T < 1.0e-14
-    Tsafe = xp.where(small, 1.0, T)
-    top = float(gamma(a)) * be.gammainc(a, Tsafe) / (2.0 * Tsafe**a)
-    cols = [None] * (mmax + 1)
-    cols[mmax] = xp.where(small, 1.0 / (2 * mmax + 1), top)
-    expT = xp.exp(-xp.minimum(T, 700.0))
-    for k in range(mmax, 0, -1):
-        val = (2.0 * T * cols[k] + expT) / (2 * k - 1)
-        cols[k - 1] = xp.where(small, 1.0 / (2 * (k - 1) + 1), val)
-    return xp.stack(cols, axis=-1)
-
-
 def _r_tables_xp(be: ArrayBackend, lmax: int, p, PQ):
     """Functional mirror of `engine.r_tables_simplex`: the downward
     recursion over auxiliary order as a dict of per-(t,u,v) vectors,
     stacked in `hermite_simplex` order, shape ``(nsimplex(lmax), n)``."""
     xp = be.xp
     T = p * xp.sum(PQ * PQ, axis=1)
-    F = _boys_xp(be, lmax, T)
+    F = boys_table(xp, lmax, T)
     levels = []
     scale = xp.ones_like(p)
     for m in range(lmax + 1):
-        levels.append({(0, 0, 0): scale * F[:, m]})
+        levels.append({(0, 0, 0): scale * F[m]})
         scale = scale * (-2.0 * p)
     x, y, z = PQ[:, 0], PQ[:, 1], PQ[:, 2]
     rows = [tuple(int(i) for i in tuv) for tuv in hermite_simplex(lmax)]

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..basis.shell import Shell
-from .boys import boys_array
+from .boys import boys_table
 from .hermite import cartesian_components
 
 
@@ -115,6 +115,8 @@ def r_tables_batch(
     choices: every operation is elementwise along the batch axis, so
     the returned values are bitwise independent of them.
     """
+    from .boys import boys_array  # the reference Boys; runtime uses the table
+
     n = p.shape[0]
     nmax = tmax + umax + vmax
     per_item = (nmax + 1) * (tmax + 1) * (umax + 1) * (vmax + 1) * 8
@@ -205,12 +207,12 @@ def r_tables_simplex(lmax: int, p: np.ndarray, PQ: np.ndarray) -> np.ndarray:
             out[:, lo:hi] = r_tables_simplex(lmax, p[lo:hi], PQ[lo:hi])
         return out
     T = p * np.einsum("ni,ni->n", PQ, PQ)
-    F = boys_array(lmax, T)
+    F = boys_table(np, lmax, T)  # order-major: one contiguous row per seed
     # batch axis last: every range below is a contiguous block per order
     Rn = np.empty((lmax + 1, ns, n))
     scale = np.ones(n)
     for m in range(lmax + 1):
-        Rn[m, 0] = scale * F[:, m]
+        Rn[m, 0] = scale * F[m]
         scale = scale * (-2.0 * p)
     x, y, z = PQ[:, 0], PQ[:, 1], PQ[:, 2]
     for k in range(1, lmax + 1):

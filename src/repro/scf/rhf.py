@@ -17,7 +17,7 @@ import numpy as np
 from ..basis.auxiliary import auto_auxiliary
 from ..basis.basisset import BasisSet
 from ..chem.molecule import Molecule
-from ..gemm import gemm, sym_inv_sqrt, eigh_gen
+from ..gemm import gemm, sym_inv_sqrt, eigh_orth
 from ..integrals import eri2c, eri3c, eri4c, hcore, overlap
 from ..numerics import NumericalDivergenceError
 from .diis import DIIS
@@ -322,9 +322,9 @@ def rhf(
             hd = np.diag(h)
             F0 = 0.875 * (hd[:, None] + hd[None, :]) * S
             np.fill_diagonal(F0, hd)
-            eps, C = eigh_gen(F0, S)
+            eps, C = eigh_orth(F0, X)
         elif guess == "core":
-            eps, C = eigh_gen(h, S)
+            eps, C = eigh_orth(h, X)
         else:
             raise ValueError(f"unknown SCF guess {guess!r}")
         D = 2.0 * gemm(C[:, :nocc], C[:, :nocc].T)
@@ -357,7 +357,7 @@ def rhf(
             if diis_restart and it % diis_restart == 0:
                 diis = DIIS(max_vecs=diis.max_vecs)
             F_iter = diis.update(F_iter, err)
-        eps, C = eigh_gen(F_iter, S)
+        eps, C = eigh_orth(F_iter, X)
         D_new = 2.0 * gemm(C[:, :nocc], C[:, :nocc].T)
         if damping:
             D_new = (1.0 - damping) * D_new + damping * D
@@ -375,7 +375,7 @@ def rhf(
     # matrices; the returned eps/C must come from the bare converged F in
     # every code path (level shift on or off, DIIS on or off) so virtual
     # orbital energies never carry the artificial shift.
-    eps, C = eigh_gen(F, S)
+    eps, C = eigh_orth(F, X)
     return SCFResult(
         mol=mol,
         basis=bs,

@@ -42,6 +42,17 @@ class TestShell:
         assert moved.atom == 5
         assert moved.l == 1
 
+    def test_normalization_memoised_per_signature(self):
+        """Equal ``(l, exps, coefs)`` share one read-only normalised
+        pair; a different contraction or momentum gets its own."""
+        exps, coefs = [1.3, 0.3], [0.7, 0.5]
+        a = Shell(1, np.zeros(3), exps, coefs)
+        b = Shell(1, np.ones(3), np.array(exps), np.array(coefs), atom=2)
+        assert a.coefs is b.coefs and a.comp_norms is b.comp_norms
+        assert not a.coefs.flags.writeable and not a.comp_norms.flags.writeable
+        assert not np.array_equal(Shell(1, np.zeros(3), exps, [0.7, 0.6]).coefs, a.coefs)
+        assert not np.array_equal(Shell(0, np.zeros(3), exps, coefs).coefs, a.coefs)
+
     def test_double_factorial(self):
         assert double_factorial(-1) == 1.0
         assert double_factorial(0) == 1.0

@@ -354,6 +354,24 @@ class TestKernelModeDispatch:
         }
         assert not names & {"hermite_box", "r_tables_batch"}
 
+    def test_no_runtime_gammainc(self):
+        """One runtime Boys, the table: the backend shims and the
+        kernels name neither ``gammainc`` nor the reference
+        `boys_array`, which only `r_tables_batch` (the ``*_loop`` and
+        4-centre path) may call — so the 1e-12 clause compares the
+        table with an independent algorithm."""
+        import repro.backend
+        import repro.integrals.engine as engine
+
+        for mod in (repro.backend, batch, engine):
+            text = Path(mod.__file__).read_text()
+            tree = ast.parse(text)
+            for node in tree.body:
+                if getattr(node, "name", None) == "r_tables_batch":
+                    text = text.replace(ast.get_source_segment(text, node), "")
+            assert "gammainc" not in text, mod.__name__
+            assert "boys_array" not in text, mod.__name__
+
     def test_shell_classes_cached_in_workspace(self, water):
         bs, _ = _setup(water, "sto-3g")
         ws = IntegralWorkspace()
@@ -392,14 +410,11 @@ class TestBackendProtocol:
             set_default_backend("jax")
         assert get_backend().name == "numpy"  # default unchanged
 
-    def test_scatter_set_and_gammainc(self):
+    def test_scatter_set(self):
         be = ArrayBackend()
         a = np.zeros(4)
         out = be.scatter_set(a, np.array([1, 3]), np.array([2.0, 4.0]))
         assert np.array_equal(out, [0.0, 2.0, 0.0, 4.0])
-        from scipy.special import gammainc
-
-        assert be.gammainc(0.5, 1.2) == gammainc(0.5, 1.2)
 
 
 @pytest.mark.skipif(not HAVE_JAX, reason="jax not installed")

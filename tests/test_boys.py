@@ -8,12 +8,166 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from repro.integrals.boys import boys, boys_array
+import repro.integrals.engine as engine
+from repro.integrals.boys import (
+    MAX_ORDER,
+    _PER_UNIT,
+    _TMAX,
+    boys,
+    boys_array,
+    boys_table,
+)
+
+try:
+    import mpmath
+except ImportError:  # pragma: no cover - env dependent
+    mpmath = None
+try:
+    import jax
+except ImportError:  # pragma: no cover - env dependent
+    jax = None
 
 
 def boys_quadrature(m: int, T: float) -> float:
     val, _ = quad(lambda t: t ** (2 * m) * np.exp(-T * t * t), 0.0, 1.0, limit=200)
     return val
+
+
+def boys_reference(mmax: int, Ts) -> np.ndarray:
+    """``F_0 .. F_mmax`` order-major, rounded from 50-digit `mpmath`
+    (top order from 1F1, exact downward recursion)."""
+    out = np.empty((mmax + 1, len(Ts)))
+    with mpmath.workdps(50):
+        for j, T in enumerate(Ts):
+            T = mpmath.mpf(float(T))
+            F = mpmath.hyp1f1(mmax + 0.5, mmax + 1.5, -T) / (2 * mmax + 1)
+            expT = mpmath.exp(-T)
+            out[mmax, j] = float(F)
+            for k in range(mmax, 0, -1):
+                F = (2 * T * F + expT) / (2 * k - 1)
+                out[k - 1, j] = float(F)
+    return out
+
+
+def boys_gauss_legendre(mmax: int, Ts, panels: int = 16, npts: int = 32) -> np.ndarray:
+    """The same table from a composite fixed-order Gauss-Legendre rule
+    on ``[0, 1]`` — the fallback reference where `mpmath` is not
+    installed. A double precision sum: good to ~3e-15 while a panel
+    resolves the integrand's ``1/sqrt(T)`` width (``T <~ 1e4``)."""
+    x, w = np.polynomial.legendre.leggauss(npts)
+    t = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).ravel()
+    g = np.tile(0.5 * w / panels, panels) * np.exp(-np.asarray(Ts)[:, None] * t * t)
+    return np.array([g @ t ** (2 * m) for m in range(mmax + 1)])
+
+
+def _ulp_neighbours(x):
+    x = np.asarray(x, dtype=float)
+    return np.abs(np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]))
+
+
+def _accuracy_set():
+    """The arguments the table is judged on: zero, tiny, every grid
+    node and cell edge and the table/asymptotic switch each +-1 ulp,
+    a uniform sample across the grid and past it, and large ``T``
+    through ``exp(-T)`` underflow."""
+    nodes = np.arange(int(_TMAX) * _PER_UNIT + 1) / _PER_UNIT
+    edges = (np.arange(int(_TMAX) * _PER_UNIT) + 0.5) / _PER_UNIT
+    return np.concatenate([
+        [0.0],
+        np.logspace(-16, -3, 120),
+        _ulp_neighbours(nodes),
+        _ulp_neighbours(edges),
+        np.random.default_rng(7).uniform(0.0, 40.0, 10_000),
+        _ulp_neighbours([_TMAX]),
+        [1e2, 700.5, 1e3, 5e3],
+    ])
+
+
+class TestBoysTable:
+    """The runtime Boys on its own, against an independent high-precision
+    reference — before any integral test sees it, because the loop
+    reference it is cross-checked with at 1e-12 cannot see 1e-14."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        Ts = _accuracy_set()
+        if mpmath is not None:
+            return Ts, boys_reference(MAX_ORDER, Ts)
+        return Ts, boys_gauss_legendre(MAX_ORDER, Ts)  # pragma: no cover
+
+    def test_accuracy_every_order(self, reference):
+        Ts, ref = reference
+        for mmax in range(MAX_ORDER + 1):
+            F = boys_table(np, mmax, Ts)
+            assert F.shape == (mmax + 1, Ts.shape[0])
+            err = np.abs(F / ref[: mmax + 1] - 1.0)
+            assert err.max() <= 1e-14, (mmax, Ts[err.argmax() % Ts.shape[0]])
+
+    def test_fallback_reference_agrees(self):
+        """The quadrature fallback is itself good enough to judge with."""
+        Ts = np.array([0.0, 1e-7, 0.3, 7.77, 35.99, 36.01, 120.0, 1e3, 5e3])
+        F = boys_table(np, MAX_ORDER, Ts)
+        np.testing.assert_allclose(F, boys_gauss_legendre(MAX_ORDER, Ts), rtol=1e-14)
+
+    def test_reference_functions_deliver_their_tolerance(self, reference):
+        """`boys` / `boys_array` (series below T = 1, incomplete gamma
+        above) are good to 2e-14 — looser than the table they check."""
+        Ts, ref = reference
+        for mmax in (0, 5, 12, MAX_ORDER):
+            F = boys_array(mmax, Ts).T
+            assert np.abs(F / ref[: mmax + 1] - 1.0).max() <= 2e-14
+        for j in range(0, Ts.shape[0], 97):
+            np.testing.assert_allclose(boys(12, Ts[j]), ref[:13, j], rtol=2e-14)
+
+    def test_order_above_table_rejected(self):
+        with pytest.raises(ValueError, match=f"0..{MAX_ORDER}"):
+            boys_table(np, MAX_ORDER + 1, np.array([1.0]))
+        with pytest.raises(ValueError, match="outside"):
+            engine.r_tables_simplex(MAX_ORDER + 1, np.ones(1), np.ones((1, 3)))
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=40),
+        st.integers(min_value=0, max_value=MAX_ORDER),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_row_independent_of_batch(self, Ts, mmax, data):
+        """Elementwise along the batch axis: a ``T`` gets the same bits
+        alone, in any batch, and under any R-table chunking."""
+        Ts = np.array(Ts)
+        i = data.draw(st.integers(min_value=0, max_value=len(Ts) - 1))
+        F = boys_table(np, mmax, Ts)
+        assert np.array_equal(F[:, i], boys_table(np, mmax, Ts[i : i + 1])[:, 0])
+        lmax = min(mmax, 4)
+        Tr = np.resize(Ts, 150)  # past the 64-element chunk floor
+        p = 0.5 + Tr % 3.0
+        PQ = np.sqrt(Tr / p)[:, None] * np.array([0.6, 0.0, 0.8])
+        whole = engine.r_tables_simplex(lmax, p, PQ)
+        saved = engine._R_SCRATCH_BYTES
+        try:
+            engine._R_SCRATCH_BYTES = data.draw(st.sampled_from([1, 1 << 12, 1 << 16]))
+            split = engine.r_tables_simplex(lmax, p, PQ)
+        finally:
+            engine._R_SCRATCH_BYTES = saved
+        assert np.array_equal(whole, split)
+
+    @pytest.mark.skipif(jax is None, reason="jax not installed")
+    def test_jax_value_and_grad(self):
+        """The same source on a second namespace: values match numpy's,
+        and ``dF_m/dT = -F_{m+1}`` through the Taylor offset, both
+        recursions and the asymptotic branch."""
+        from repro.backend import get_backend
+
+        jnp = get_backend("jax").xp
+        Ts = np.array([0.0, 1e-9, 0.0151, 0.4, 3.3, 17.0, 35.9, 36.1, 80.0, 900.0])
+        mmax = 6
+        F = np.asarray(boys_table(jnp, mmax + 1, jnp.asarray(Ts)))
+        np.testing.assert_allclose(F, boys_table(np, mmax + 1, Ts), rtol=1e-14)
+        for m in range(mmax + 1):
+            dF = jax.vmap(jax.grad(lambda T: boys_table(jnp, mmax, T[None])[m, 0]))(
+                jnp.asarray(Ts)
+            )
+            np.testing.assert_allclose(np.asarray(dF), -F[m + 1], rtol=1e-11)
 
 
 class TestBoysValues:

@@ -14,6 +14,7 @@ from repro.gemm import (
     GemmAutoTuner,
     count_flops,
     eigh_gen,
+    eigh_orth,
     gemm,
     sym_inv,
     sym_inv_sqrt,
@@ -243,3 +244,6 @@ class TestLinalgHelpers:
         eps, C = eigh_gen(F, S)
         np.testing.assert_allclose(F @ C, S @ C @ np.diag(eps), atol=1e-9)
         np.testing.assert_allclose(C.T @ S @ C, np.eye(7), atol=1e-9)
+        # the SCF loop's form, in an orthogonalizer it already holds: same bits
+        eps2, C2 = eigh_orth(F, sym_inv_sqrt(S))
+        assert np.array_equal(eps, eps2) and np.array_equal(C, C2)
