@@ -2,15 +2,15 @@
 
 The AIMD service (`repro.serve.TrajectoryService`) multiplexes fragment
 tasks from many trajectories onto one worker pool and shares the warm
-layer (integral workspace products, GEMM winner tables, guess cache)
-across tenants. This load generator measures what that buys:
+layer (integral workspace products, guess cache) across tenants. This
+load generator measures what that buys:
 
 * **sequential-cold** — the one-driver-per-trajectory status quo,
   reproduced faithfully: each job runs in its own fresh
   ``python -m repro serve`` process (same worker count), so every
   trajectory pays interpreter + import startup, worker-pool spawn, and
-  cold caches (workspace rebuilds, GEMM autotuner trial phases, cold
-  SCF guesses), exactly as today's per-run CLI invocations do.
+  cold caches (workspace rebuilds, cold SCF guesses), exactly as
+  today's per-run CLI invocations do.
 * **concurrent** — the same jobs submitted together to one resident
   `TrajectoryService`. Startup is paid once, the warm layer is shared
   across tenants, and on multi-core hosts fragment tasks from
@@ -47,7 +47,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis import format_table  # noqa: E402
-from repro.gemm.autotune import GLOBAL_TUNER  # noqa: E402
 from repro.integrals.workspace import get_workspace  # noqa: E402
 from repro.serve import JobSpec, TrajectoryService  # noqa: E402
 
@@ -78,11 +77,6 @@ def _qm_specs(smoke: bool) -> list[JobSpec]:
         JobSpec(job_id="glycine", mbe_order=1,
                 system={"kind": "glycine-fragmented", "n": 2}, **common),
     ]
-
-
-def _clear_warm_layer() -> None:
-    get_workspace().clear()
-    GLOBAL_TUNER.reset()
 
 
 def _total_steps(summary: dict) -> int:
@@ -130,7 +124,7 @@ def _run_sequential_cold(specs: list[JobSpec], root: Path) -> dict:
 
 def _run_concurrent(specs: list[JobSpec], root: Path) -> dict:
     """All jobs together through one resident service, warm layer shared."""
-    _clear_warm_layer()
+    get_workspace().clear()
     service = TrajectoryService(root, nworkers=NWORKERS, warm_layer=True)
     for spec in specs:
         service.submit(spec)

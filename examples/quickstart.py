@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import Molecule, mp2, rhf, rimp2_gradient
-from repro.gemm import GLOBAL_TUNER, count_flops
+from repro.gemm import count_flops
 
 # Water at a standard geometry (Angstrom).
 mol = Molecule.from_angstrom(
@@ -41,7 +41,5 @@ for sym, g in zip(mol.symbols, grad):
 print(f"\n|g| max: {np.abs(grad).max():.6f}   "
       f"translational sum: {np.abs(grad.sum(axis=0)).max():.2e}")
 
-# Runtime FLOP accounting: every GEMM adds 2mnk (paper Sec. VI-C), and
-# the auto-tuner has been picking NN/NT/TN/TT variants per shape.
+# Runtime FLOP accounting: every GEMM adds 2mnk (paper Sec. VI-C).
 print(f"\ncounted GEMM FLOPs: {flops.flops:,} in {flops.calls} calls")
-print(f"GEMM shapes auto-tuned so far: {len(GLOBAL_TUNER.best)}")

@@ -5,9 +5,10 @@ A full-stack reproduction of "Breaking the Million-Electron and
 Using MP2 Potentials" (SC 2024): a from-scratch Gaussian-integral and
 RI-HF/RI-MP2 engine with analytic gradients, MBE3 molecular
 fragmentation with hydrogen caps, synchronous and asynchronous AIMD
-scheduling, GEMM auto-tuning with runtime FLOP accounting, and
-discrete-event models of the Frontier and Perlmutter machines for the
-paper's scaling and peak-performance experiments.
+scheduling, runtime GEMM FLOP accounting (plus the paper's
+variant-tuning scheme as a measured artefact), and discrete-event
+models of the Frontier and Perlmutter machines for the paper's scaling
+and peak-performance experiments.
 
 Quick start::
 

@@ -142,7 +142,6 @@ def cmd_aimd(args) -> int:
     from .calculators import PairwisePotentialCalculator, RIMP2Calculator
     from .constants import BOHR_PER_ANGSTROM
     from .frag import FragmentedSystem
-    from .gemm import GLOBAL_TUNER
     from .integrals.workspace import get_workspace
     from .md import AsyncCoordinator, FailurePolicy, run_parallel, run_serial
     from .md.integrators import maxwell_boltzmann_velocities
@@ -171,19 +170,11 @@ def cmd_aimd(args) -> int:
     v0 = maxwell_boltzmann_velocities(
         mol.masses_au, args.temperature, seed=args.seed
     )
-    if args.gemm_cache:
-        import os as _os
-
-        if _os.path.exists(args.gemm_cache):
-            n = GLOBAL_TUNER.load(args.gemm_cache)
-            print(f"gemm cache: preloaded {n} tuned shapes "
-                  f"from {args.gemm_cache}")
     tracer = None
     if args.trace:
         from .trace import Tracer
 
         tracer = Tracer()
-        GLOBAL_TUNER.tracer = tracer
         workspace.tracer = tracer
     resume = None
     if args.resume:
@@ -268,7 +259,7 @@ def cmd_aimd(args) -> int:
             )
         report = run_parallel(
             coordinator, calc, nworkers=args.workers, policy=policy,
-            report=prior, gemm_cache=args.gemm_cache,
+            report=prior,
             seed=(fault_plan.derive_seed("retry-jitter")
                   if fault_plan is not None else args.seed),
         )
@@ -335,12 +326,7 @@ def cmd_aimd(args) -> int:
         print(f"integral screening: {ws['pairs_skipped']}/"
               f"{ws['pairs_total']} shell-pair blocks skipped, "
               f"neglected bound {ws['neglected_bound']:.2e}{note}")
-    if args.gemm_cache:
-        GLOBAL_TUNER.save(args.gemm_cache)
-        print(f"gemm cache: saved {len(GLOBAL_TUNER.best)} tuned shapes "
-              f"to {args.gemm_cache}")
     if tracer is not None:
-        GLOBAL_TUNER.tracer = None
         tracer.write_chrome(args.trace)
         print(f"wrote chrome trace ({len(tracer.events)} events) "
               f"to {args.trace}")
@@ -447,6 +433,7 @@ def cmd_submit(args) -> int:
 def cmd_serve(args) -> int:
     import json
 
+    from .gemm import GLOBAL_COUNTER
     from .serve import JobSpec, TrajectoryService
     from .trace import Tracer
 
@@ -495,9 +482,8 @@ def cmd_serve(args) -> int:
     ws = warm["workspace"]
     print(f"workspace: {ws['hits']} hits / {ws['misses']} misses, "
           f"{ws['contentions']} contentions")
-    gemm = warm["gemm"]
-    print(f"gemm autotuner: {gemm['shapes_tuned']} shapes tuned, "
-          f"{gemm['contentions']} contentions")
+    flops, calls = GLOBAL_COUNTER.snapshot()
+    print(f"gemm: {calls} calls, {flops / 1e9:.3f} GFLOP")
     if tracer is not None:
         tracer.write_chrome(args.trace)
         print(f"wrote chrome trace ({len(tracer.events)} events) "
@@ -613,10 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="jitter fraction stretching each retry delay by "
                         "U[0,F] of itself (seeded; decorrelates retry "
                         "storms)")
-    p.add_argument("--gemm-cache", metavar="PATH", default=None,
-                   help="persist GEMM autotuner winners to PATH (loaded "
-                        "at startup if present, preloaded into workers, "
-                        "saved atomically at the end of the run)")
     p.set_defaults(func=cmd_aimd)
 
     p = sub.add_parser(

@@ -1,13 +1,8 @@
-"""Tuned, FLOP-counted dense linear algebra (paper Secs. V-G, VI-C)."""
+"""FLOP-counted dense linear algebra (paper Sec. VI-C) and the GEMM
+variant-trial artefact of Sec. V-G / Table IV."""
 
-from .autotune import (
-    VARIANTS,
-    GemmAutoTuner,
-    GLOBAL_TUNER,
-    gemm,
-    set_autotune,
-)
-from .flops import GLOBAL_COUNTER, FlopCounter, count_flops
+from .autotune import GLOBAL_TUNER, VARIANTS, GemmAutoTuner
+from .flops import GLOBAL_COUNTER, FlopCounter, count_flops, gemm
 from .linalg import cholesky_solve_posdef, eigh_gen, eigh_orth, sym_inv, sym_inv_sqrt
 
 __all__ = [
@@ -21,7 +16,6 @@ __all__ = [
     "eigh_gen",
     "eigh_orth",
     "gemm",
-    "set_autotune",
     "sym_inv",
     "sym_inv_sqrt",
 ]

@@ -1,4 +1,4 @@
-"""Runtime GEMM variant auto-tuning (paper Sec. V-G).
+"""GEMM variant trials: the Table IV / Sec. V-G reproduction artefact.
 
 BLAS exposes four algorithmic variants of ``C = A B`` via the transpose
 flags (NN, NT, TN, TT); which one is fastest depends on the shape and the
@@ -7,10 +7,10 @@ library/machine, with differences up to 20x reported in the paper
 any variant can be reached by transposing inputs first.
 
 `GemmAutoTuner` reproduces the paper's in-situ scheme: for each distinct
-logical shape ``(m, k, n)``, the first four calls each exercise one
-variant (timed, including the cost of any layout conversion); every later
-call with that shape uses the best variant observed. No warm-up work is
-wasted — trial calls return real results.
+logical shape ``(m, k, n)``, the first calls each exercise one variant
+(timed, including the cost of any layout conversion); every later call
+with that shape uses the best variant observed. Trial calls return real
+results.
 
 On this CPU reproduction the "variants" are realized through memory
 layout: BLAS dgemm is called through ``scipy.linalg.blas`` with
@@ -18,12 +18,19 @@ Fortran-ordered buffers, and a C-contiguous array is reachable for free
 as the transpose of an F-contiguous one, so each variant maps to a
 (layout(A), layout(B)) choice with genuinely different kernel paths and
 copy costs — the same trade the paper tunes over.
+
+Nothing under ``src/repro`` multiplies through this module. On
+NumPy/OpenBLAS ``A @ B`` already selects the zero-copy variant from the
+operands' strides, the search measured slower than ``@`` and its
+timing-chosen winners made results depend on call history
+(docs/PERFORMANCE.md, 'GEMM dispatch'), so the runtime path is
+`repro.gemm.flops.gemm`. The tuner is reached through an explicit
+instance by ``benchmarks/bench_table4_gemm_variants.py``,
+``bench_autotune_speedup.py`` and the tests.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -31,8 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dgemm as _blas_dgemm
-
-from .flops import GLOBAL_COUNTER
 
 VARIANTS: tuple[str, ...] = ("NN", "NT", "TN", "TT")
 
@@ -68,13 +73,10 @@ class GemmAutoTuner:
     return real results, so no work is wasted.
 
     Winner-table and trial-log accesses are serialised under one
-    re-entrant lock so the process-global tuner survives the service's
-    concurrent worker threads; the dgemm itself runs outside the lock.
-    `set_tenant` attributes per-thread call counts to a job id.
+    re-entrant lock so one tuner can be shared by concurrent threads;
+    the dgemm itself runs outside the lock.
     """
 
-    enabled: bool = True
-    default_variant: str = "NN"
     #: timed samples taken per variant before committing (noise rejection)
     trials_per_variant: int = 2
     #: shape -> chosen variant (once all trials are done)
@@ -87,13 +89,8 @@ class GemmAutoTuner:
     tracer: object = None
     #: blocking lock acquisitions (another thread held the tuner)
     contentions: int = 0
-    #: per-tenant gemm call counts (see `set_tenant`)
-    tenant_calls: dict[str, int] = field(default_factory=dict)
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
-    )
-    _tenant: threading.local = field(
-        default_factory=threading.local, repr=False, compare=False
     )
 
     @contextmanager
@@ -107,24 +104,12 @@ class GemmAutoTuner:
         finally:
             self._lock.release()
 
-    def set_tenant(self, tenant: str | None) -> None:
-        """Attribute this thread's subsequent gemm calls to ``tenant``."""
-        self._tenant.name = tenant
-
     def gemm(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """``A @ B`` with FLOP counting and variant auto-tuning."""
+        """``A @ B`` through the trialled (then committed) variant."""
         m, k = A.shape
         k2, n = B.shape
         if k != k2:
             raise ValueError(f"gemm shape mismatch: {A.shape} @ {B.shape}")
-        GLOBAL_COUNTER.add_gemm(m, n, k)
-        tenant = getattr(self._tenant, "name", None)
-        if tenant is not None:
-            with self._locked():
-                self.tenant_calls[tenant] = \
-                    self.tenant_calls.get(tenant, 0) + 1
-        if not self.enabled:
-            return _gemm_variant(A, B, self.default_variant)
         key = (m, k, n)
         with self._locked():
             chosen = self.best.get(key)
@@ -171,18 +156,15 @@ class GemmAutoTuner:
             return out
 
     def stats(self) -> dict:
-        """Counters snapshot (shapes tuned, contention, tenant calls)."""
+        """Counters snapshot (shapes tuned / in trial, contention)."""
         with self._locked():
-            out = {
+            return {
                 "shapes_tuned": len(self.best),
                 "shapes_in_trial": sum(
                     1 for k in self.trials if k not in self.best
                 ),
                 "contentions": self.contentions,
             }
-            if self.tenant_calls:
-                out["tenants"] = dict(self.tenant_calls)
-            return out
 
     def reset(self) -> None:
         """Forget all trials and cached variant choices."""
@@ -190,81 +172,7 @@ class GemmAutoTuner:
             self.best.clear()
             self.trials.clear()
 
-    def save(self, path: str) -> None:
-        """Persist the committed winner table as JSON (atomically).
 
-        Only ``best`` is stored — in-progress trials are machine-noise
-        measurements not worth carrying across runs. The write goes
-        through a temp file + ``os.replace`` so a crash mid-write can
-        never leave a truncated table behind.
-        """
-        with self._locked():
-            payload = {
-                "version": 1,
-                "best": {
-                    f"{m}x{k}x{n}": variant
-                    for (m, k, n), variant in sorted(self.best.items())
-                },
-            }
-        data = json.dumps(payload, indent=2).encode()
-        d = os.path.dirname(os.path.abspath(path))
-        os.makedirs(d, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-
-    def load(self, path: str) -> int:
-        """Merge a winner table saved by `save`; returns entries loaded.
-
-        Loaded winners are applied directly to ``best`` (existing
-        entries are kept — the current process's own measurements win),
-        so shapes seen in a previous run skip their trial phase
-        entirely. Unknown versions or malformed entries raise
-        ``ValueError`` rather than silently poisoning the tuner.
-        """
-        with open(path, "rb") as fh:
-            payload = json.loads(fh.read().decode())
-        if payload.get("version") != 1:
-            raise ValueError(
-                f"unsupported gemm cache version in {path}: "
-                f"{payload.get('version')!r}"
-            )
-        loaded = 0
-        with self._locked():
-            for shape_str, variant in payload.get("best", {}).items():
-                if variant not in VARIANTS:
-                    raise ValueError(
-                        f"unknown gemm variant {variant!r} in {path}"
-                    )
-                parts = shape_str.split("x")
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"bad gemm shape key {shape_str!r} in {path}"
-                    )
-                key = tuple(int(p) for p in parts)
-                if key not in self.best:
-                    self.best[key] = variant
-                    loaded += 1
-        return loaded
-
-
-#: Process-global tuner used by the module-level `gemm`.
+#: Kept only because ``benchmarks/spine`` reads ``stats()["shapes_tuned"]``;
+#: nothing under ``src/`` multiplies through it, so it stays empty.
 GLOBAL_TUNER = GemmAutoTuner()
-
-
-def gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Auto-tuned, FLOP-counted matrix multiplication ``A @ B``.
-
-    All dense-linear-algebra bottlenecks of the SCF/MP2 stack call this
-    instead of ``@`` so that (a) runtime FLOP accounting matches the
-    paper's methodology and (b) the auto-tuner sees every shape.
-    """
-    return GLOBAL_TUNER.gemm(A, B)
-
-
-def set_autotune(enabled: bool) -> None:
-    """Globally enable/disable variant tuning (ablation switch)."""
-    GLOBAL_TUNER.enabled = enabled

@@ -4,9 +4,9 @@ The paper counts floating-point work at runtime by incrementing a local
 counter by ``2 m n k`` on every GEMM call (Sec. VI-C), giving an exact
 lower bound on executed FLOPs that is reduced across ranks at the end of
 the run. We reproduce that exactly: every matrix multiplication in the
-SCF/MP2/gradient stack goes through `repro.gemm.gemm`, which reports
-here. The counter is also consumed by the cluster simulator to assign
-per-fragment FLOP costs.
+SCF/MP2/gradient stack goes through `gemm` below, which reports to the
+process-global counter. The counter is also consumed by the cluster
+simulator to assign per-fragment FLOP costs.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass
@@ -47,8 +49,26 @@ class FlopCounter:
             return self.flops, self.calls
 
 
-#: Process-global counter used by `repro.gemm.gemm`.
+#: Process-global counter used by `gemm`.
 GLOBAL_COUNTER = FlopCounter()
+
+
+def gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """FLOP-counted 2-D matrix multiplication ``A @ B``.
+
+    All dense-linear-algebra bottlenecks of the SCF/MP2 stack call this
+    instead of ``@`` so that runtime FLOP accounting matches the paper's
+    methodology. ``np.matmul`` picks the BLAS transpose flags from the
+    operands' strides (C- and transposed-contiguous operands reach
+    ``dgemm`` without a copy), so the result is a function of the
+    operands alone — not of timing or call history.
+    """
+    m, k = A.shape
+    k2, n = B.shape
+    if k != k2:
+        raise ValueError(f"gemm shape mismatch: {A.shape} @ {B.shape}")
+    GLOBAL_COUNTER.add_gemm(m, n, k)
+    return A @ B
 
 
 @contextmanager

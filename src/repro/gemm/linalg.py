@@ -1,11 +1,11 @@
-"""Shared dense linear-algebra helpers built on the tuned GEMM."""
+"""Shared dense linear-algebra helpers built on the counted GEMM."""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
 
-from .autotune import gemm
+from .flops import gemm
 
 
 def sym_inv_sqrt(M: np.ndarray, threshold: float = 1.0e-10) -> np.ndarray:

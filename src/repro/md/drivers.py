@@ -37,7 +37,6 @@ regardless of which worker process runs it or in what order.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -117,14 +116,9 @@ class DriverReport:
 #: and repopulates — losing iterations, never correctness.
 _WORKER_GUESS_CACHE = None
 
-#: Paths whose GEMM winner tables this worker has already merged into
-#: its process-global tuner (so the file is read once per worker, not
-#: once per task).
-_WORKER_GEMM_LOADED: set[str] = set()
-
 
 def _evaluate(calculator, molecule, attempt: int, warm_start: bool = False,
-              gemm_cache: str | None = None, step: int = 0):
+              step: int = 0):
     """Worker-side entry point; forwards attempt/step if supported
     (`evaluate_fragment`).
 
@@ -139,11 +133,6 @@ def _evaluate(calculator, molecule, attempt: int, warm_start: bool = False,
     the guess cache — lives in worker module state, survives from task
     to task, and simply starts cold after a pool rebuild.
 
-    ``gemm_cache`` (a path to a `GemmAutoTuner.save` table) is merged
-    into the worker's process-global tuner once per worker, so freshly
-    forked/spawned workers skip the GEMM trial phase for every shape a
-    previous run already tuned.
-
     Results pass a NaN/Inf sentinel before leaving the worker: silent
     divergence becomes a typed `NumericalDivergenceError` that travels
     back through the future and is retried/quarantined like any other
@@ -156,15 +145,6 @@ def _evaluate(calculator, molecule, attempt: int, warm_start: bool = False,
 
             _WORKER_GUESS_CACHE = GuessCache()
         calculator.guess_cache = _WORKER_GUESS_CACHE
-    if gemm_cache and gemm_cache not in _WORKER_GEMM_LOADED:
-        _WORKER_GEMM_LOADED.add(gemm_cache)
-        if os.path.exists(gemm_cache):
-            from ..gemm.autotune import GLOBAL_TUNER
-
-            try:
-                GLOBAL_TUNER.load(gemm_cache)
-            except ValueError:
-                pass  # a corrupt table costs re-tuning, never the run
     e, g = evaluate_fragment(calculator, molecule, attempt, step)
     ensure_finite(
         f"worker result for {getattr(molecule, 'natoms', '?')}-atom "
@@ -193,7 +173,6 @@ def run_parallel(
     tracer=None,
     mp_start: str = "fork",
     report: DriverReport | None = None,
-    gemm_cache: str | None = None,
     seed: int | None = None,
 ) -> DriverReport:
     """Drive a coordinator to completion with a fault-tolerant pool.
@@ -208,11 +187,6 @@ def run_parallel(
     checkpoint/resume boundary; the report is also attached to the
     coordinator (``coordinator.driver_report``) so periodic checkpoints
     record the fault-handling history alongside the dynamics.
-
-    ``gemm_cache`` names a GEMM winner table (see
-    `repro.gemm.autotune.GemmAutoTuner.save`) preloaded once into each
-    worker process's tuner, so rebuilt pools and fresh runs skip the
-    per-shape trial phase.
 
     ``seed`` pins the per-run RNG behind ``policy.backoff_jitter``:
     with a seed, the retry-delay schedule — and hence the
@@ -266,14 +240,14 @@ def run_parallel(
         try:
             fut = pool.submit(
                 _evaluate, calculator, task.molecule, attempt, warm_start,
-                gemm_cache, task.step,
+                task.step,
             )
         except (BrokenProcessPool, RuntimeError):
             # the pool died between completions; rebuild and resubmit
             restart_pool()
             fut = pool.submit(
                 _evaluate, calculator, task.molecule, attempt, warm_start,
-                gemm_cache, task.step,
+                task.step,
             )
         deadline = (
             now + policy.task_timeout_s if policy.task_timeout_s else None

@@ -11,11 +11,11 @@ concurrently over one shared `ThreadPoolExecutor`:
   each job's coordinator. All coordinator/session mutation happens on
   the pump thread; worker threads touch only calculators and the shared
   caches, which is exactly the surface made lock-safe for this service
-  (`GuessCache`, `IntegralWorkspace`, `GemmAutoTuner`);
-* **warm layer** — one process-wide `GuessCache` / `IntegralWorkspace` /
-  GEMM winner table serves every job, with per-tenant attribution
-  (job-namespaced fragment keys, thread-local tenant tags) and
-  ``warm_layer`` tracer/stream snapshots;
+  (`GuessCache`, `IntegralWorkspace`);
+* **warm layer** — one process-wide `GuessCache` / `IntegralWorkspace`
+  serves every job, with per-tenant attribution (job-namespaced
+  fragment keys, thread-local tenant tags) and ``warm_layer``
+  tracer/stream snapshots;
 * **backpressure** — before releasing a job's tasks the pump consults
   `ResultChannel.should_throttle`; saturated subscribers pause that
   job's dispatch (frames are never dropped);
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..calculators import GuessCache
-from ..gemm.autotune import GLOBAL_TUNER
+from ..gemm import GLOBAL_TUNER
 from ..integrals.workspace import get_workspace
 from ..numerics import ensure_finite
 from .scheduler import FragmentScheduler
@@ -57,7 +57,7 @@ def _process_evaluate(calculator, molecule, tenant: str,
     """Worker-process entry point (``pool="process"``).
 
     The worker's process-global caches form its slice of the warm
-    layer: the guess cache and GEMM winner table persist from task to
+    layer: the guess cache and integral workspace persist from task to
     task and are shared by every tenant the worker serves (fragment
     keys arrive job-namespaced, so densities never cross tenants).
     ``deterministic`` forces exact Schwarz re-screens for the single
@@ -71,7 +71,6 @@ def _process_evaluate(calculator, molecule, tenant: str,
         calculator.guess_cache = _WORKER_GUESS_CACHE
     workspace = get_workspace()
     workspace.set_tenant(tenant)
-    GLOBAL_TUNER.set_tenant(tenant)
     saved_tol = workspace.displacement_tol
     if deterministic:
         workspace.displacement_tol = 0.0
@@ -86,7 +85,6 @@ def _process_evaluate(calculator, molecule, tenant: str,
     finally:
         workspace.displacement_tol = saved_tol
         workspace.set_tenant(None)
-        GLOBAL_TUNER.set_tenant(None)
 
 
 class JobQueue:
@@ -226,7 +224,6 @@ class TrajectoryService:
     def _evaluate(self, job: TrajectoryJob, task):
         workspace = get_workspace()
         workspace.set_tenant(job.spec.job_id)
-        GLOBAL_TUNER.set_tenant(job.spec.job_id)
         try:
             e, g = job.calculator.energy_gradient(task.molecule)
             ensure_finite(
@@ -236,7 +233,6 @@ class TrajectoryService:
             return e, g
         finally:
             workspace.set_tenant(None)
-            GLOBAL_TUNER.set_tenant(None)
 
     def _picklable_calculator(self, job: TrajectoryJob):
         """A calculator clone safe to ship to a worker process.
@@ -285,7 +281,6 @@ class TrajectoryService:
                 if self.guess_cache is not None else None
             ),
             "workspace": get_workspace().stats(),
-            "gemm": GLOBAL_TUNER.stats(),
         }
         if self.tracer:
             self.tracer.instant("warm_layer", cat="serve", **{
@@ -424,6 +419,7 @@ class TrajectoryService:
                     if self.guess_cache is not None else None
                 ),
                 "workspace": get_workspace().stats(),
+                # an empty tuner's counters: benchmarks/spine reads them
                 "gemm": GLOBAL_TUNER.stats(),
             },
         }

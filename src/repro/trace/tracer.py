@@ -1,15 +1,15 @@
 """Lightweight run-level tracing: spans, instants, and counters.
 
 The production systems the paper targets (Frontier/Perlmutter job sizes)
-live or die by observability — a stalled worker group or a mis-tuned
-GEMM shape must be visible without re-running under a debugger. This
+live or die by observability — a stalled worker group or a retry
+storm must be visible without re-running under a debugger. This
 module provides the minimal instrumentation substrate the scheduler,
-the execution drivers, the GEMM auto-tuner, and the cluster simulator
-thread their events through:
+the execution drivers, the integral workspace, and the cluster
+simulator thread their events through:
 
 * **spans** — named intervals (task round-trips, worker busy time);
 * **instants** — point events (task release, retry, quarantine,
-  auto-tune decision, step completion);
+  step completion);
 * **counters** — sampled series (queue depth, tasks in flight, step
   skew).
 

@@ -407,12 +407,9 @@ class TestRunAimdResume:
         assert not ck.exists()
 
 
-_KILL_SCRIPT = """
+_KILL_AFTER = """
 import os, signal, sys
 import numpy as np
-from repro.calculators import PairwisePotentialCalculator
-from repro.md import run_aimd
-from repro.systems import water_cluster
 
 class KillAfter:
     def __init__(self, inner, ncalls):
@@ -422,12 +419,50 @@ class KillAfter:
         if self.calls > self.ncalls:
             os.kill(os.getpid(), signal.SIGKILL)
         return self.inner.energy_gradient(mol)
+"""
+
+_KILL_SCRIPT = _KILL_AFTER + """
+from repro.calculators import PairwisePotentialCalculator
+from repro.md import run_aimd
+from repro.systems import water_cluster
 
 mol = water_cluster(2, seed=5)
 run_aimd(mol, KillAfter(PairwisePotentialCalculator(), 7),
          nsteps=10, dt_fs=0.5, seed=1,
          checkpoint_path=sys.argv[1], checkpoint_every=2)
 raise SystemExit("should have been killed")
+"""
+
+#: argv: mode (serial | parallel | kill | resume), output .npz, checkpoint.
+#: MBE2 of two monomers is the dimer alone: one RI-HF solve a step.
+_QM_SCRIPT = _KILL_AFTER + """
+from repro.calculators import RIHFCalculator
+from repro.frag import FragmentedSystem
+from repro.md import AsyncCoordinator, read_checkpoint, run_parallel, run_serial
+from repro.md.integrators import maxwell_boltzmann_velocities
+from repro.systems import water_cluster
+
+mode, out, ck = sys.argv[1:]
+system = FragmentedSystem.by_components(water_cluster(2, seed=5))
+calc = RIHFCalculator(basis="sto-3g")
+kw = dict(
+    nsteps=6, dt_fs=0.5, r_dimer_bohr=1.0e6, mbe_order=2, replan_interval=2,
+    velocities=maxwell_boltzmann_velocities(system.parent.masses_au, 200, seed=8),
+    deterministic=True,
+)
+if mode == "kill":
+    calc = KillAfter(calc, 5)
+    kw.update(checkpoint_path=ck, checkpoint_every=2)
+elif mode == "resume":
+    kw.update(resume=read_checkpoint(ck, mol=system.parent))
+engine = AsyncCoordinator(system, **kw)
+if mode == "parallel":
+    run_parallel(engine, calc, nworkers=2)
+else:
+    run_serial(engine, calc)
+_, pe, ke = engine.trajectory_energies()
+np.savez(out, coords=engine.coords, velocities=engine.velocities,
+         potential=pe, kinetic=ke)
 """
 
 
@@ -459,6 +494,55 @@ class TestSigkillResume:
         np.testing.assert_array_equal(
             full.velocities[-1], resumed.velocities[-1]
         )
+
+
+class TestQMDeterminism:
+    """``deterministic=True`` on the QM path: an RI-HF sto-3g water dimer
+    is byte-identical across fresh processes, across SIGKILL-and-resume
+    and across drivers. Every run is a child process with BLAS pinned to
+    one thread (the stated condition of the contract); the comparison is
+    on ``tobytes()``, not on printed digits."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("qm")
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+        def run(mode, returncode=0):
+            proc = subprocess.run(
+                [sys.executable, "-c", _QM_SCRIPT, mode,
+                 str(tmp / "out.npz"), str(tmp / "ck.npz")],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == returncode, proc.stderr
+            if returncode == 0:
+                with np.load(tmp / "out.npz") as z:
+                    return {k: z[k] for k in z.files}
+
+        return run
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, run):
+        return run("serial")
+
+    @staticmethod
+    def assert_same_bytes(got, want):
+        assert want["potential"].shape == (7,)
+        for name, ref in want.items():
+            same = got[name].tobytes() == ref.tobytes()
+            assert same, (f"{name} differs by up to "
+                          f"{np.abs(got[name] - ref).max():.3e}")
+
+    def test_fresh_processes_are_byte_identical(self, run, uninterrupted):
+        self.assert_same_bytes(run("serial"), uninterrupted)
+
+    def test_sigkill_then_resume_is_byte_identical(self, run, uninterrupted):
+        run("kill", returncode=-signal.SIGKILL)
+        self.assert_same_bytes(run("resume"), uninterrupted)
+
+    def test_parallel_is_byte_identical_to_serial(self, run, uninterrupted):
+        self.assert_same_bytes(run("parallel"), uninterrupted)
 
 
 class TestCliResume:

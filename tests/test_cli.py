@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.chem.xyz import save_xyz
@@ -35,6 +37,14 @@ class TestParser:
     def test_basis_choices(self, water_file):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scf", water_file, "--basis", "cc-pvqz"])
+
+    def test_gemm_cache_flag_is_gone(self, cluster_file, capsys):
+        """Removed with the tuner's winner tables, not silently ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main(["aimd", cluster_file, "--surrogate", "--steps", "1",
+                  "--gemm-cache", "winners.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --gemm-cache" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -148,6 +158,7 @@ class TestServeCommands:
         assert "a: completed" in out
         assert "b: completed" in out
         assert "final total energy:" in out
+        assert re.search(r"^gemm: \d+ calls, \d+\.\d{3} GFLOP$", out, re.M)
         assert (out_dir / "a" / "trajectory.xyz").exists()
         assert (out_dir / "b" / "trajectory.xyz").exists()
 

@@ -8,7 +8,6 @@ import pytest
 from repro.calculators import PairwisePotentialCalculator
 from repro.chem import Molecule
 from repro.frag import FragmentedSystem
-from repro.gemm.autotune import GLOBAL_TUNER
 from repro.md import (
     FailurePolicy,
     NumericalDivergenceError,
@@ -115,24 +114,18 @@ class TestRecoveryCascade:
     def test_clean_solve_matches_bare(self, water):
         assert rhf_with_recovery(water).energy == rhf(water).energy
 
-    @pytest.fixture
-    def fixed_gemm_variant(self, monkeypatch):
+    def test_bare_fails_on_stretched_geometry(self):
         """The bare DIIS loop is chaotic on stretched water (its
-        iteration count moves by tens under rounding-level changes), so
-        the auto-tuner's history- and timing-dependent variant picks
-        would decide the outcome; one fixed variant makes it a function
-        of the code alone. Factor 2.7 keeps a margin a rounding change
-        in the integrals cannot cross: the bare loop needs 106-155
-        iterations across three Boys implementations (2.5 needed 50-74
-        and sat on the 50-iteration budget), and the first rung alone
-        recovers it at budgets 30, 40 and 50 under all of them."""
-        monkeypatch.setattr(GLOBAL_TUNER, "enabled", False)
-
-    def test_bare_fails_on_stretched_geometry(self, fixed_gemm_variant):
+        iteration count moves by tens under rounding-level changes).
+        Factor 2.7 keeps a margin a rounding change in the integrals
+        cannot cross: the bare loop needs 106-155 iterations across
+        three Boys implementations (2.5 needed 50-74 and sat on the
+        50-iteration budget), and the first rung alone recovers it at
+        budgets 30, 40 and 50 under all of them."""
         with pytest.raises(SCFConvergenceError):
             rhf(stretched_water(2.7), max_iter=50)
 
-    def test_cascade_recovers_stretched_geometry(self, fixed_gemm_variant):
+    def test_cascade_recovers_stretched_geometry(self):
         """The acceptance case: a geometry the bare loop cannot converge
         must converge through the ladder, recording the path taken."""
         mol = stretched_water(2.7)
