@@ -18,26 +18,21 @@ fragmentation and MD layers consume. Three families are provided:
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 
 from .chem.molecule import Molecule
-from .integrals.workspace import (
-    IntegralWorkspace,
-    get_workspace,
-    payload_nbytes,
-)
+from .integrals.workspace import IntegralWorkspace, get_workspace
 from .mp2.mp2 import mp2_ri
 from .mp2.rimp2_grad import rimp2_gradient
 from .numerics import ensure_finite
 from .scf.grad import rhf_gradient_conventional, rhf_gradient_ri
 from .scf.recovery import rhf_with_recovery
 from .scf.rhf import rhf
+from .store import BoundedStore
 
 
 class Calculator(Protocol):
@@ -48,16 +43,7 @@ class Calculator(Protocol):
         ...
 
 
-@dataclass
-class _CacheEntry:
-    #: most-recent-last converged densities (up to the cache's history
-    #: depth); served as a Lagrange extrapolation to the next step
-    history: list[np.ndarray]
-    natoms: int
-    nbytes: int
-
-
-class GuessCache:
+class GuessCache(BoundedStore):
     """Per-fragment converged-density store for cross-step SCF warm starts.
 
     Between consecutive MD steps a fragment's geometry moves by a
@@ -87,8 +73,8 @@ class GuessCache:
       changes a fragment), so a stale density is never offered to a
       different fragment shape — and `repro.scf.rhf` re-validates the
       array against the basis regardless;
-    * an LRU byte budget (``max_bytes``) bounds total storage, so
-      million-fragment plans cannot exhaust coordinator or worker
+    * the store's LRU byte budget (``max_bytes``) bounds total storage,
+      so million-fragment plans cannot exhaust coordinator or worker
       memory: least-recently-used densities are evicted first;
     * ``enabled=False`` turns the cache into a pure statistics collector
       (every lookup misses, nothing is stored) so cold and warm runs can
@@ -99,15 +85,18 @@ class GuessCache:
       coordinator's ``deterministic`` mode, which disables warm starts
       entirely (see `repro.md.checkpoint`).
 
-    Concurrency: every entry/counter access happens under one re-entrant
-    lock, so the cache can be shared by the multi-tenant trajectory
-    service (`repro.serve`), whose worker threads hit it concurrently.
-    Lock waits are counted in ``contentions``. Multi-tenant keys carry
+    Budget, per-tenant quota, lock (waits counted in ``contentions``)
+    and attribution are `repro.store.BoundedStore`'s, so the cache can
+    be shared by the multi-tenant trajectory service (`repro.serve`),
+    whose worker threads hit it concurrently. Multi-tenant keys carry
     the job id as a leading string element
     (``(job_id, m0, m1, ...)``) — jobs can then share one cache without
-    cross-contaminating densities, and hits/misses are additionally
-    attributed per tenant (`tenant_stats`).
+    cross-contaminating densities, one tenant streaming large fragments
+    can only evict its own densities (``tenant_max_bytes``), and
+    traffic is additionally attributed per tenant (`tenant_stats`).
     """
+
+    TENANT_COUNTERS = ("hits", "misses", "seed_hits", "evictions")
 
     def __init__(self, max_bytes: int = 256 * 2**20,
                  enabled: bool = True, history: int = 3,
@@ -115,96 +104,24 @@ class GuessCache:
                  tenant_max_bytes: int | None = None) -> None:
         if history < 1:
             raise ValueError(f"history must be >= 1, got {history}")
-        self.max_bytes = int(max_bytes)
-        #: optional per-tenant byte ceiling for namespaced keys: one
-        #: tenant streaming large fragments can then only evict its own
-        #: LRU densities, never another job's warm history
-        self.tenant_max_bytes = (
-            int(tenant_max_bytes) if tenant_max_bytes is not None else None
-        )
-        self.enabled = enabled
+        super().__init__(max_bytes, enabled, tenant_max_bytes)
+        #: densities kept per entry; a payload is ``(most-recent-last
+        #: densities, natoms)``
         self.history = int(history)
         #: cross-tenant seed guesses: max per-atom displacement (bohr)
         #: between the stored and requested geometry for a seed to serve
         self.seed_tol_bohr = float(seed_tol_bohr)
         self.max_seeds = int(max_seeds)
-        self._entries: OrderedDict[tuple, _CacheEntry] = OrderedDict()
         #: composition-keyed latest converged densities shared across
         #: tenants: {seed_key: (D, natoms, coords)}
         self._seeds: OrderedDict[tuple, tuple] = OrderedDict()
-        self._nbytes = 0
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
         #: misses answered by another tenant's same-composition density
         self.seed_hits = 0
-        self.evictions = 0
         self.invalidations = 0
-        #: blocking lock acquisitions (another thread held the cache)
-        self.contentions = 0
-        #: per-tenant {tenant: {"hits": n, "misses": n, ...}} for
-        #: namespaced keys; evictions are attributed to the tenant that
-        #: owned the evicted entry, not the tenant whose put triggered it
-        self.tenant_stats: dict[str, dict[str, int]] = {}
-        #: per-tenant resident bytes for namespaced keys
-        self._tenant_nbytes: dict[str, int] = {}
         #: SCF iterations spent on cache-hit (warm) and cache-miss
         #: (cold) solves, for the 2-4x savings audit
         self.iters_warm = 0
         self.iters_cold = 0
-
-    @contextmanager
-    def _locked(self):
-        """Hold the cache lock, counting contended acquisitions."""
-        if not self._lock.acquire(blocking=False):
-            self.contentions += 1
-            self._lock.acquire()
-        try:
-            yield
-        finally:
-            self._lock.release()
-
-    def _tenant_record(self, key: tuple | None, outcome: str) -> None:
-        if not key or not isinstance(key[0], str):
-            return
-        t = self.tenant_stats.setdefault(
-            key[0],
-            {"hits": 0, "misses": 0, "seed_hits": 0, "evictions": 0},
-        )
-        t.setdefault(outcome, 0)
-        t[outcome] += 1
-
-    @staticmethod
-    def _tenant_of(key: tuple | None) -> str | None:
-        """Tenant namespace of a key, or None for un-namespaced keys."""
-        if key and isinstance(key[0], str):
-            return key[0]
-        return None
-
-    def _tenant_bytes_add(self, tenant: str | None, delta: int) -> None:
-        """Adjust a tenant's resident-byte count (caller holds lock)."""
-        if tenant is None:
-            return
-        total = self._tenant_nbytes.get(tenant, 0) + delta
-        if total > 0:
-            self._tenant_nbytes[tenant] = total
-        else:
-            self._tenant_nbytes.pop(tenant, None)
-
-    def _evict(self, key: tuple, entry: _CacheEntry) -> None:
-        """Account one eviction of an already-popped entry."""
-        self._nbytes -= entry.nbytes
-        self._tenant_bytes_add(self._tenant_of(key), -entry.nbytes)
-        self.evictions += 1
-        self._tenant_record(key, "evictions")
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def nbytes(self) -> int:
-        """Current total payload size of the stored densities."""
-        return self._nbytes
 
     def get(self, key: tuple, natoms: int | None = None,
             seed_key: tuple | None = None,
@@ -227,25 +144,20 @@ class GuessCache:
         of all paying the cold start; unrelated same-composition
         fragments fail the displacement check and stay cold.
         """
-        with self._locked():
-            entry = self._entries.get(key) if self.enabled else None
-            if entry is not None and natoms is not None \
-                    and entry.natoms != natoms:
+        with self._lock:
+            held = self._lookup(key)
+            if held is not None and natoms is not None \
+                    and held[1] != natoms:
                 self.invalidate(key)
-                entry = None
-            if entry is None:
+                held = None
+            tenant = self._tenant_of(key)
+            if held is None:
                 seed = self._seed_lookup(seed_key, natoms, coords)
-                if seed is not None:
-                    self.seed_hits += 1
-                    self._tenant_record(key, "seed_hits")
-                    return seed
-                self.misses += 1
-                self._tenant_record(key, "misses")
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            self._tenant_record(key, "hits")
-            h = entry.history
+                self._count("misses" if seed is None else "seed_hits",
+                            tenant)
+                return seed
+            self._count("hits", tenant)
+            h = held[0]
             if len(h) == 1:
                 return h[-1]
             if len(h) == 2:
@@ -282,7 +194,7 @@ class GuessCache:
         """
         if not self.enabled:
             return
-        with self._locked():
+        with self._lock:
             if seed_key is not None and coords is not None:
                 self._seeds[seed_key] = (
                     D, int(natoms), np.array(coords, copy=True)
@@ -290,64 +202,28 @@ class GuessCache:
                 self._seeds.move_to_end(seed_key)
                 while len(self._seeds) > self.max_seeds:
                     self._seeds.popitem(last=False)
-            tenant = self._tenant_of(key)
-            entry = self._entries.pop(key, None)
-            if entry is not None and entry.natoms != int(natoms):
-                self._nbytes -= entry.nbytes
-                self._tenant_bytes_add(tenant, -entry.nbytes)
-                self.invalidations += 1
-                entry = None
-            if entry is None:
-                entry = _CacheEntry(history=[], natoms=int(natoms),
-                                    nbytes=0)
-            else:
-                self._nbytes -= entry.nbytes
-                self._tenant_bytes_add(tenant, -entry.nbytes)
-            entry.history.append(D)
-            del entry.history[:-self.history]
-            # actual bytes held alive (deduplicates repeated arrays and
-            # counts view bases), so the LRU budget tracks real memory
-            entry.nbytes = payload_nbytes(entry.history)
-            self._entries[key] = entry
-            self._nbytes += entry.nbytes
-            self._tenant_bytes_add(tenant, entry.nbytes)
-            # quota eviction first: only the over-budget tenant's own
-            # LRU entries go, and never the entry just stored
-            if tenant is not None and self.tenant_max_bytes is not None:
-                while self._tenant_nbytes.get(tenant, 0) \
-                        > self.tenant_max_bytes:
-                    victim = next(
-                        (k for k in self._entries
-                         if k != key and self._tenant_of(k) == tenant),
-                        None,
-                    )
-                    if victim is None:
-                        break
-                    self._evict(victim, self._entries.pop(victim))
-            while self._nbytes > self.max_bytes and len(self._entries) > 1:
-                victim, evicted = self._entries.popitem(last=False)
-                self._evict(victim, evicted)
+            held = self._lookup(key)
+            if held is not None and held[1] != int(natoms):
+                self.invalidate(key)
+                held = None
+            history = (held[0] if held is not None else []) + [D]
+            self._put(key, (history[-self.history:], int(natoms)))
 
     def invalidate(self, key: tuple) -> None:
         """Drop one entry (no-op if absent)."""
-        with self._locked():
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                self._nbytes -= entry.nbytes
-                self._tenant_bytes_add(self._tenant_of(key), -entry.nbytes)
+        with self._lock:
+            if self._discard(key):
                 self.invalidations += 1
 
     def clear(self) -> None:
         """Drop every entry and seed (statistics are kept)."""
-        with self._locked():
-            self._entries.clear()
+        with self._lock:
+            super().clear()
             self._seeds.clear()
-            self._nbytes = 0
-            self._tenant_nbytes.clear()
 
     def record(self, hit: bool, n_iter: int) -> None:
         """Account one solve's iteration count against hit/miss."""
-        with self._locked():
+        with self._lock:
             if hit:
                 self.iters_warm += int(n_iter)
             else:
@@ -355,40 +231,34 @@ class GuessCache:
 
     def stats(self) -> dict:
         """Counters snapshot (hits/misses/iterations/evictions/bytes)."""
-        with self._locked():
-            out = {
-                "hits": self.hits,
-                "misses": self.misses,
-                "seed_hits": self.seed_hits,
-                "seeds": len(self._seeds),
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
-                "contentions": self.contentions,
-                "iters_warm": self.iters_warm,
-                "iters_cold": self.iters_cold,
-                "entries": len(self._entries),
-                "nbytes": self._nbytes,
-            }
-            names = set(self.tenant_stats) | set(self._tenant_nbytes)
-            if names:
-                out["tenants"] = {
-                    k: dict(
-                        self.tenant_stats.get(
-                            k, {"hits": 0, "misses": 0,
-                                "seed_hits": 0, "evictions": 0}
-                        ),
-                        nbytes=self._tenant_nbytes.get(k, 0),
-                    )
-                    for k in sorted(names)
-                }
-            return out
+        with self._lock:
+            return dict(
+                super().stats(),
+                seed_hits=self.seed_hits,
+                seeds=len(self._seeds),
+                invalidations=self.invalidations,
+                iters_warm=self.iters_warm,
+                iters_cold=self.iters_cold,
+            )
 
-    def __repr__(self) -> str:
-        return (
-            f"GuessCache(entries={len(self._entries)}, "
-            f"nbytes={self._nbytes}, hits={self.hits}, "
-            f"misses={self.misses}, enabled={self.enabled})"
-        )
+
+#: process-global guess cache: a worker's slice of the warm layer
+_GLOBAL_GUESS_CACHE: GuessCache | None = None
+
+
+def get_guess_cache() -> GuessCache:
+    """The per-process shared `GuessCache` (created on first use).
+
+    Calculators reach a pool worker freshly unpickled with every task,
+    so per-fragment densities must live in the worker's module state to
+    survive from one task to the next — exactly like `get_workspace`. A
+    rebuilt pool starts cold and repopulates: it loses iterations,
+    never correctness.
+    """
+    global _GLOBAL_GUESS_CACHE
+    if _GLOBAL_GUESS_CACHE is None:
+        _GLOBAL_GUESS_CACHE = GuessCache()
+    return _GLOBAL_GUESS_CACHE
 
 
 def _resolve_workspace(calc) -> IntegralWorkspace:

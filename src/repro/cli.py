@@ -149,11 +149,6 @@ def cmd_aimd(args) -> int:
     mol = _load(args.xyz, args.charge)
     system = FragmentedSystem.by_components(mol, group_size=args.group_size)
     workspace = get_workspace()
-    if args.deterministic:
-        # screening decisions must be a pure function of the current
-        # geometry for bitwise-stable resumes: never serve stale
-        # (displacement-inflated) Schwarz bounds
-        workspace.displacement_tol = 0.0
     if args.surrogate:
         calc = PairwisePotentialCalculator()
     else:

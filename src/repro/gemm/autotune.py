@@ -31,13 +31,13 @@ instance by ``benchmarks/bench_table4_gemm_variants.py``,
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dgemm as _blas_dgemm
+
+from ..store import ContentionLock
 
 VARIANTS: tuple[str, ...] = ("NN", "NT", "TN", "TT")
 
@@ -73,7 +73,7 @@ class GemmAutoTuner:
     return real results, so no work is wasted.
 
     Winner-table and trial-log accesses are serialised under one
-    re-entrant lock so one tuner can be shared by concurrent threads;
+    `ContentionLock` so one tuner can be shared by concurrent threads;
     the dgemm itself runs outside the lock.
     """
 
@@ -87,22 +87,9 @@ class GemmAutoTuner:
     )
     #: optional `repro.trace.Tracer` recording per-shape decisions
     tracer: object = None
-    #: blocking lock acquisitions (another thread held the tuner)
-    contentions: int = 0
-    _lock: threading.RLock = field(
-        default_factory=threading.RLock, repr=False, compare=False
+    _lock: ContentionLock = field(
+        default_factory=ContentionLock, repr=False, compare=False
     )
-
-    @contextmanager
-    def _locked(self):
-        """Hold the table lock, counting contended acquisitions."""
-        if not self._lock.acquire(blocking=False):
-            self.contentions += 1
-            self._lock.acquire()
-        try:
-            yield
-        finally:
-            self._lock.release()
 
     def gemm(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """``A @ B`` through the trialled (then committed) variant."""
@@ -111,7 +98,7 @@ class GemmAutoTuner:
         if k != k2:
             raise ValueError(f"gemm shape mismatch: {A.shape} @ {B.shape}")
         key = (m, k, n)
-        with self._locked():
+        with self._lock:
             chosen = self.best.get(key)
             if chosen is None:
                 done = self.trials.setdefault(key, [])
@@ -121,7 +108,7 @@ class GemmAutoTuner:
         t0 = time.perf_counter()
         out = _gemm_variant(A, B, variant)
         elapsed = time.perf_counter() - t0
-        with self._locked():
+        with self._lock:
             done.append((variant, elapsed))
             # >= rather than ==: the trial target can move below
             # len(done) mid-run (trials_per_variant lowered, or a
@@ -149,7 +136,7 @@ class GemmAutoTuner:
 
     def report(self) -> list[tuple[tuple[int, int, int], str, dict[str, float]]]:
         """Tuning decisions: (shape, best variant, per-variant min seconds)."""
-        with self._locked():
+        with self._lock:
             out = []
             for key, picked in self.best.items():
                 out.append((key, picked, self._min_times(self.trials[key])))
@@ -157,18 +144,18 @@ class GemmAutoTuner:
 
     def stats(self) -> dict:
         """Counters snapshot (shapes tuned / in trial, contention)."""
-        with self._locked():
+        with self._lock:
             return {
                 "shapes_tuned": len(self.best),
                 "shapes_in_trial": sum(
                     1 for k in self.trials if k not in self.best
                 ),
-                "contentions": self.contentions,
+                "contentions": self._lock.contentions,
             }
 
     def reset(self) -> None:
         """Forget all trials and cached variant choices."""
-        with self._locked():
+        with self._lock:
             self.best.clear()
             self.trials.clear()
 

@@ -12,12 +12,10 @@ redundant work the paper's performance model assumes away (Sec. V: all
 bottlenecks reduce to *screened*, dense GEMMs) and that CP2K's exascale
 effort attributes to missing integral reuse.
 
-`IntegralWorkspace` is the per-process fix, mirroring the shape of
-`repro.calculators.GuessCache`:
+`IntegralWorkspace` is the per-process fix — a `repro.store.BoundedStore`
+(LRU byte budget, per-tenant quota, lock, attribution: million-fragment
+plans cannot exhaust worker memory) plus the integral products:
 
-* **LRU byte budget** — every cached payload is accounted; least
-  recently used entries are evicted first, so million-fragment plans
-  cannot exhaust worker memory.
 * **Composition keys** — entries are keyed on the *composition* of the
   basis (per-shell angular momentum, owning atom, exponents and
   contraction coefficients), never on object identity, so the freshly
@@ -30,11 +28,13 @@ effort attributes to missing integral reuse.
   atom has moved beyond ``displacement_tol`` bohr since they were
   computed, with a conservative ``stale_safety`` inflation applied to
   served-while-stale bounds.
-* **Determinism** — with ``displacement_tol = 0.0`` the bounds are
-  recomputed whenever the geometry changed at all, so every screening
-  decision is a pure function of the current geometry and a resumed
-  run takes bitwise-identical screening decisions (``--deterministic``
-  pins this; see docs/PERFORMANCE.md).
+* **Determinism** — inside ``scope(exact=True)`` (or with
+  ``displacement_tol = 0.0``) the bounds are recomputed whenever the
+  geometry changed at all, so every screening decision is a pure
+  function of the current geometry and a resumed run takes
+  bitwise-identical screening decisions. ``deterministic`` runs pin this
+  per evaluation (`repro.md.scheduler.evaluate_fragment`); nothing
+  assigns ``displacement_tol`` after construction.
 
 All caching is *exact* (served arrays are bitwise what a fresh build
 would produce); only the screening threshold (``screen`` / the
@@ -46,10 +46,11 @@ error estimate.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 
 import numpy as np
+
+from ..store import BoundedStore
 
 #: default screening threshold for the calculators / CLI (``--int-screen``);
 #: the neglected per-integral bound, chosen so total energies stay within
@@ -78,45 +79,15 @@ def _centers(basis) -> np.ndarray:
     return np.array([sh.center for sh in basis.shells])
 
 
-def payload_nbytes(payload) -> int:
-    """Actual bytes held alive by a cached payload.
+class _Scope(threading.local):
+    """What the calling thread's current evaluation asked for."""
 
-    Walks arrays, dataclass-like objects, and the standard containers,
-    deduplicating by object identity so arrays shared between entries of
-    one payload (e.g. the scaffold tuples in `aux_groups`) are counted
-    once. Replaces the hand-maintained per-call-site size expressions,
-    which had drifted from the stored payloads (they under-counted the
-    `PairData` tables and ignored container members entirely), skewing
-    the LRU eviction order away from the actual memory footprint.
-    """
-    seen: set[int] = set()
-
-    def walk(obj) -> int:
-        oid = id(obj)
-        if oid in seen:
-            return 0
-        seen.add(oid)
-        if isinstance(obj, np.ndarray):
-            # views/slices keep the whole base buffer alive
-            base = obj.base if obj.base is not None else obj
-            if id(base) in seen and base is not obj:
-                return 0
-            seen.add(id(base))
-            return int(base.nbytes)
-        if isinstance(obj, (list, tuple, set, frozenset)):
-            return sum(walk(x) for x in obj)
-        if isinstance(obj, dict):
-            return sum(walk(v) for v in obj.values())
-        fields = getattr(obj, "__dataclass_fields__", None)
-        if fields is not None:
-            return sum(walk(getattr(obj, name)) for name in fields)
-        return 0
-
-    return walk(payload)
+    tenant: str | None = None
+    exact: bool = False
 
 
-class IntegralWorkspace:
-    """Per-process cache of integral-engine intermediates (LRU budgeted).
+class IntegralWorkspace(BoundedStore):
+    """Per-process store of integral-engine intermediates.
 
     Products served (all keyed on basis composition):
 
@@ -130,7 +101,7 @@ class IntegralWorkspace:
     * `schwarz_bounds` — the Cauchy-Schwarz shell-pair bound table,
       re-screened only when the geometry drifted beyond
       ``displacement_tol`` (stale serves are inflated by
-      ``stale_safety``);
+      ``stale_safety``), or at any move inside ``scope(exact=True)``;
     * `aux_function_bounds` — per-auxiliary-function bounds
       ``sqrt((P|P))`` (translation invariant, cached exactly);
     * `dmax_blocks` — per-shell-block max |D| tables for the 4c
@@ -139,8 +110,9 @@ class IntegralWorkspace:
       batched kernels (`repro.integrals.batch`), keyed on the exact
       geometry.
 
-    ``enabled=False`` turns every lookup into a miss and stores nothing
-    (statistics-only mode, mirroring `GuessCache`). ``tracer`` receives
+    Budget, quota, lock and ``enabled`` are the store's
+    (`repro.store.BoundedStore`); an entry belongs to the tenant whose
+    thread stored it (`scope` / `set_tenant`). ``tracer`` receives
     ``workspace.hit`` instants for the coarse products and
     ``int.screen`` instants from the screened drivers.
     """
@@ -157,161 +129,43 @@ class IntegralWorkspace:
             raise ValueError(
                 f"stale_safety must be >= 1, got {stale_safety}"
             )
-        self.max_bytes = int(max_bytes)
-        #: optional per-tenant byte ceiling — entries are attributed to
-        #: the tenant whose thread stored them (see `set_tenant`); a
-        #: tenant over budget evicts only its own LRU entries
-        self.tenant_max_bytes = (
-            int(tenant_max_bytes) if tenant_max_bytes is not None else None
-        )
-        self.enabled = enabled
+        super().__init__(max_bytes, enabled, tenant_max_bytes)
         self.displacement_tol = float(displacement_tol)
         self.stale_safety = float(stale_safety)
         self.tracer = tracer
-        #: key -> (payload, nbytes, owner tenant); LRU order, recent last
-        self._entries: OrderedDict[
-            tuple, tuple[object, int, str | None]
-        ] = OrderedDict()
-        self._nbytes = 0
-        #: per-tenant resident bytes (entries stored by that tenant)
-        self._tenant_nbytes: dict[str, int] = {}
-        # entry/counter accesses are serialised so the process-global
-        # workspace can back the multi-tenant service's worker threads;
-        # payload *builds* stay outside the lock (duplicate builds are
-        # harmless — payloads are exact)
-        self._lock = threading.RLock()
-        self._tenant = threading.local()
-        # counters
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self._scope = _Scope()
         self.bound_rebuilds = 0
         self.stale_serves = 0
-        #: blocking lock acquisitions (another thread held the workspace)
-        self.contentions = 0
-        #: per-tenant {tenant: {"hits": n, "misses": n}}
-        self.tenant_stats: dict[str, dict[str, int]] = {}
         # screening accounting (accumulated by the screened drivers)
         self.pairs_total = 0
         self.pairs_skipped = 0
         self.neglected_bound = 0.0
 
+    def _tenant_of(self, key: tuple) -> str | None:
+        """Entries and traffic belong to the calling thread's tenant."""
+        return self._scope.tenant
+
+    def set_tenant(self, tenant: str | None) -> None:
+        """Attribute this thread's subsequent traffic to ``tenant``
+        (``None`` clears the attribution)."""
+        self._scope.tenant = tenant
+
     @contextmanager
-    def _locked(self):
-        """Hold the workspace lock, counting contended acquisitions."""
-        if not self._lock.acquire(blocking=False):
-            self.contentions += 1
-            self._lock.acquire()
+    def scope(self, tenant: str | None = None, exact: bool = False):
+        """One evaluation's settings, for the calling thread only.
+
+        ``tenant`` receives the hits, misses and stored bytes;
+        ``exact`` makes `schwarz_bounds` re-screen at any displacement
+        (what ``deterministic`` runs need) without touching
+        ``displacement_tol``, which other threads keep reading.
+        """
+        scope = self._scope
+        saved = scope.tenant, scope.exact
+        scope.tenant, scope.exact = tenant, exact
         try:
             yield
         finally:
-            self._lock.release()
-
-    def set_tenant(self, tenant: str | None) -> None:
-        """Attribute this thread's subsequent hits/misses to ``tenant``.
-
-        Thread-local: the service's worker threads call this before
-        evaluating a fragment so the shared warm layer's traffic can be
-        reported per job. ``None`` clears the attribution.
-        """
-        self._tenant.name = tenant
-
-    def _tenant_record(self, hit: bool) -> None:
-        name = getattr(self._tenant, "name", None)
-        if name is None:
-            return
-        t = self.tenant_stats.setdefault(
-            name, {"hits": 0, "misses": 0, "evictions": 0}
-        )
-        t["hits" if hit else "misses"] += 1
-
-    def _tenant_bytes_add(self, tenant: str | None, delta: int) -> None:
-        """Adjust a tenant's resident-byte count (caller holds lock)."""
-        if tenant is None:
-            return
-        total = self._tenant_nbytes.get(tenant, 0) + delta
-        if total > 0:
-            self._tenant_nbytes[tenant] = total
-        else:
-            self._tenant_nbytes.pop(tenant, None)
-
-    def _evict_entry(self, key: tuple) -> None:
-        """Evict one entry, attributing it to its owner (lock held)."""
-        _, freed, owner = self._entries.pop(key)
-        self._nbytes -= freed
-        self._tenant_bytes_add(owner, -freed)
-        self.evictions += 1
-        if owner is not None:
-            t = self.tenant_stats.setdefault(
-                owner, {"hits": 0, "misses": 0, "evictions": 0}
-            )
-            t.setdefault("evictions", 0)
-            t["evictions"] += 1
-
-    # ------------------------------------------------------------------
-    # LRU plumbing
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def nbytes(self) -> int:
-        """Current total payload size of the cached arrays."""
-        return self._nbytes
-
-    def _get(self, key: tuple):
-        with self._locked():
-            if not self.enabled:
-                self.misses += 1
-                self._tenant_record(hit=False)
-                return None
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                self._tenant_record(hit=False)
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            self._tenant_record(hit=True)
-            return entry[0]
-
-    def _put(self, key: tuple, payload, nbytes: int | None = None) -> None:
-        if not self.enabled:
-            return
-        if nbytes is None:
-            nbytes = payload_nbytes(payload)
-        tenant = getattr(self._tenant, "name", None)
-        with self._locked():
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._nbytes -= old[1]
-                self._tenant_bytes_add(old[2], -old[1])
-            self._entries[key] = (payload, int(nbytes), tenant)
-            self._nbytes += int(nbytes)
-            self._tenant_bytes_add(tenant, int(nbytes))
-            # quota first: an over-budget tenant sheds only its own LRU
-            # entries (never the one just stored), so one job's traffic
-            # cannot push another job's warm tables out via the quota
-            if tenant is not None and self.tenant_max_bytes is not None:
-                while self._tenant_nbytes.get(tenant, 0) \
-                        > self.tenant_max_bytes:
-                    victim = next(
-                        (k for k, v in self._entries.items()
-                         if k != key and v[2] == tenant),
-                        None,
-                    )
-                    if victim is None:
-                        break
-                    self._evict_entry(victim)
-            while self._nbytes > self.max_bytes and len(self._entries) > 1:
-                self._evict_entry(next(iter(self._entries)))
-
-    def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
-        with self._locked():
-            self._entries.clear()
-            self._nbytes = 0
-            self._tenant_nbytes.clear()
+            scope.tenant, scope.exact = saved
 
     # ------------------------------------------------------------------
     # shell-pair expansion tables
@@ -420,7 +274,7 @@ class IntegralWorkspace:
         """
         from .batch import schwarz_pair_bounds_batched
 
-        tol = self.displacement_tol
+        tol = 0.0 if self._scope.exact else self.displacement_tol
         key = ("schwarz", basis_composition_key(basis))
         coords = _centers(basis)
         tables, refs, served = self._get(key) or (
@@ -441,7 +295,7 @@ class IntegralWorkspace:
                     )
                 return Q
             if disp <= tol:
-                with self._locked():
+                with self._lock:
                     self.stale_serves += 1
                 if self.tracer:
                     self.tracer.instant(
@@ -450,7 +304,7 @@ class IntegralWorkspace:
                     )
                 return Q * self.stale_safety
         Q = schwarz_pair_bounds_batched(basis, workspace=self)
-        with self._locked():
+        with self._lock:
             self.bound_rebuilds += 1
         # the rebuilt table supersedes the reference its fragment drifted
         # away from (no other fragment's atoms sit within two tolerances
@@ -540,7 +394,7 @@ class IntegralWorkspace:
     def record_screen(self, kind: str, pairs_total: int, pairs_skipped: int,
                       neglected_bound: float) -> None:
         """Account one screened driver pass (and emit ``int.screen``)."""
-        with self._locked():
+        with self._lock:
             self.pairs_total += int(pairs_total)
             self.pairs_skipped += int(pairs_skipped)
             self.neglected_bound += float(neglected_bound)
@@ -553,39 +407,15 @@ class IntegralWorkspace:
 
     def stats(self) -> dict:
         """Counters snapshot (cache traffic + screening accounting)."""
-        with self._locked():
-            out = {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "bound_rebuilds": self.bound_rebuilds,
-                "stale_serves": self.stale_serves,
-                "contentions": self.contentions,
-                "entries": len(self._entries),
-                "nbytes": self._nbytes,
-                "pairs_total": self.pairs_total,
-                "pairs_skipped": self.pairs_skipped,
-                "neglected_bound": self.neglected_bound,
-            }
-            names = set(self.tenant_stats) | set(self._tenant_nbytes)
-            if names:
-                out["tenants"] = {
-                    k: dict(
-                        self.tenant_stats.get(
-                            k, {"hits": 0, "misses": 0, "evictions": 0}
-                        ),
-                        nbytes=self._tenant_nbytes.get(k, 0),
-                    )
-                    for k in sorted(names)
-                }
-            return out
-
-    def __repr__(self) -> str:
-        return (
-            f"IntegralWorkspace(entries={len(self._entries)}, "
-            f"nbytes={self._nbytes}, hits={self.hits}, "
-            f"misses={self.misses}, enabled={self.enabled})"
-        )
+        with self._lock:
+            return dict(
+                super().stats(),
+                bound_rebuilds=self.bound_rebuilds,
+                stale_serves=self.stale_serves,
+                pairs_total=self.pairs_total,
+                pairs_skipped=self.pairs_skipped,
+                neglected_bound=self.neglected_bound,
+            )
 
 
 def _dmax_table(basis, D: np.ndarray) -> np.ndarray:

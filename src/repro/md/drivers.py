@@ -42,7 +42,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from ..numerics import ensure_finite
 from .scheduler import AsyncCoordinator, evaluate_fragment
 
 
@@ -107,51 +106,6 @@ class DriverReport:
     def clean(self) -> bool:
         """True if every polymer contributed (no quarantined energy)."""
         return not self.quarantined
-
-
-#: Worker-process-local warm-start cache. Calculators arrive freshly
-#: unpickled with every task, so per-fragment densities must live in the
-#: worker's module state to survive from one task to the next. Each
-#: worker process keeps its own cache; a rebuilt pool simply starts cold
-#: and repopulates — losing iterations, never correctness.
-_WORKER_GUESS_CACHE = None
-
-
-def _evaluate(calculator, molecule, attempt: int, warm_start: bool = False,
-              step: int = 0):
-    """Worker-side entry point; forwards attempt/step if supported
-    (`evaluate_fragment`).
-
-    With ``warm_start``, the process-local `GuessCache` is attached to
-    the (worker's copy of the) calculator before evaluation, so
-    resubmissions, retries, and pool rebuilds repopulate the cache
-    rather than crash or leak state across tasks.
-
-    The integral workspace needs no explicit attachment here: QM
-    calculators with ``workspace=None`` resolve to the worker's
-    process-global `IntegralWorkspace` singleton, which — exactly like
-    the guess cache — lives in worker module state, survives from task
-    to task, and simply starts cold after a pool rebuild.
-
-    Results pass a NaN/Inf sentinel before leaving the worker: silent
-    divergence becomes a typed `NumericalDivergenceError` that travels
-    back through the future and is retried/quarantined like any other
-    worker failure.
-    """
-    global _WORKER_GUESS_CACHE
-    if warm_start and getattr(calculator, "guess_cache", "no") is None:
-        if _WORKER_GUESS_CACHE is None:
-            from ..calculators import GuessCache
-
-            _WORKER_GUESS_CACHE = GuessCache()
-        calculator.guess_cache = _WORKER_GUESS_CACHE
-    e, g = evaluate_fragment(calculator, molecule, attempt, step)
-    ensure_finite(
-        f"worker result for {getattr(molecule, 'natoms', '?')}-atom "
-        f"fragment (attempt {attempt})",
-        energy=e, gradient=g,
-    )
-    return e, g
 
 
 @dataclass
@@ -233,22 +187,25 @@ def run_parallel(
         kill_pool()
         pool = ProcessPoolExecutor(max_workers=nworkers, mp_context=ctx)
 
-    warm_start = getattr(coordinator, "guess_cache", None) is not None
+    # what each worker-side `evaluate_fragment` is asked for: warm starts
+    # live in the worker's process-global cache (resubmissions, retries
+    # and pool rebuilds repopulate it rather than leak state across
+    # tasks), and a deterministic run's tasks re-screen exactly
+    worker_kw = {
+        "warm_start": getattr(coordinator, "guess_cache", None) is not None,
+        "exact": coordinator.deterministic,
+    }
 
     def submit(task, attempt: int) -> None:
         now = time.monotonic()
+        args = (evaluate_fragment, calculator, task.molecule, attempt,
+                task.step)
         try:
-            fut = pool.submit(
-                _evaluate, calculator, task.molecule, attempt, warm_start,
-                task.step,
-            )
+            fut = pool.submit(*args, **worker_kw)
         except (BrokenProcessPool, RuntimeError):
             # the pool died between completions; rebuild and resubmit
             restart_pool()
-            fut = pool.submit(
-                _evaluate, calculator, task.molecule, attempt, warm_start,
-                task.step,
-            )
+            fut = pool.submit(*args, **worker_kw)
         deadline = (
             now + policy.task_timeout_s if policy.task_timeout_s else None
         )

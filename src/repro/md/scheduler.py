@@ -54,10 +54,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..calculators import GuessCache
+from ..calculators import GuessCache, get_guess_cache
 from ..chem.molecule import Molecule
 from ..frag.mbe import MBEPlan, build_plan, update_plan
 from ..frag.monomer import FragmentedSystem
+from ..integrals.workspace import get_workspace
 from ..numerics import ensure_finite
 from .checkpoint import Checkpoint, CheckpointError, write_checkpoint
 from .integrators import fs_to_au, kinetic_energy, maxwell_boltzmann_velocities
@@ -1124,20 +1125,55 @@ class AsyncCoordinator:
         )
 
 
-def evaluate_fragment(calculator, molecule, attempt: int, step: int):
-    """``calculator.energy_gradient`` with the optional context forwarded.
+def evaluate_fragment(calculator, molecule, attempt: int, step: int, *,
+                      warm_start: bool = False, tenant: str | None = None,
+                      exact: bool = False):
+    """Evaluate one fragment on this worker: the one worker-side entry
+    of every driver (serial loop, process pool, both service pools).
 
-    ``accepts_attempt`` calculators receive the retry attempt number;
-    ``accepts_step`` calculators (the fault-plan wrapper) additionally
-    receive the MD step, so scheduled faults can target "fragment K at
-    step S" regardless of which driver or worker draws the task.
+    * ``warm_start`` attaches the process-global `GuessCache` to a
+      calculator that supports one and has none — what a pool worker
+      needs, whose calculator arrives freshly unpickled with every task
+      (the integral workspace needs no attachment: ``workspace=None``
+      resolves to the worker's process-global one);
+    * ``tenant`` / ``exact`` hold for the duration of *this* evaluation,
+      on this thread (`IntegralWorkspace.scope`): the tenant is charged
+      the workspace traffic, and ``exact`` — a ``deterministic`` run's
+      task — re-screens the Schwarz bounds at any displacement, so its
+      screening decisions are a pure function of the geometry wherever
+      and beside whatever else it runs;
+    * ``accepts_attempt`` calculators receive the retry attempt number;
+      ``accepts_step`` calculators (the fault-plan wrapper) additionally
+      receive the MD step, so scheduled faults can target "fragment K
+      at step S" regardless of which driver or worker draws the task;
+    * the result passes a NaN/Inf sentinel before it leaves: a NaN
+      contribution would silently poison the accumulated MBE gradient
+      of every atom the polymer touches, so divergence becomes a typed
+      `NumericalDivergenceError` that is retried/quarantined like any
+      other worker failure.
     """
+    if warm_start and getattr(calculator, "guess_cache", "no") is None:
+        calculator.guess_cache = get_guess_cache()
     kwargs = {}
     if getattr(calculator, "accepts_attempt", False):
         kwargs["attempt"] = attempt
     if getattr(calculator, "accepts_step", False):
         kwargs["step"] = step
-    return calculator.energy_gradient(molecule, **kwargs)
+    if tenant is None and not exact:
+        e, g = calculator.energy_gradient(molecule, **kwargs)
+    else:
+        workspace = getattr(calculator, "workspace", None)
+        if workspace is None:  # not `or`: an empty store is falsy
+            workspace = get_workspace()
+        with workspace.scope(tenant, exact):
+            e, g = calculator.energy_gradient(molecule, **kwargs)
+    ensure_finite(
+        f"fragment {getattr(molecule, 'frag_key', None)} "
+        f"({getattr(molecule, 'natoms', '?')} atoms, step {step}, "
+        f"attempt {attempt})",
+        energy=e, gradient=g,
+    )
+    return e, g
 
 
 def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
@@ -1154,10 +1190,10 @@ def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
     per-fragment densities persist across steps and SCF recovery /
     warm-start events reach the trace.
 
-    Attempt/step forwarding is `evaluate_fragment`, shared with the
-    parallel driver's worker entry point (``attempt=0``: a serial driver
-    never retries), so the same fault plan targets the same events under
-    either driver.
+    Tasks go through `evaluate_fragment`, shared with every other
+    driver (``attempt=0``: a serial driver never retries), so the same
+    fault plan targets the same events, and a ``deterministic``
+    coordinator gets the same exact re-screens, under any of them.
     """
     if tracer is None:
         tracer = coordinator.tracer
@@ -1166,6 +1202,7 @@ def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
         calculator.guess_cache = cache
     if tracer is not None and getattr(calculator, "tracer", "no") is None:
         calculator.tracer = tracer
+    exact = coordinator.deterministic
 
     while not coordinator.done():
         task = coordinator.next_task()
@@ -1177,12 +1214,9 @@ def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
         if tracer:
             with tracer.span("task.exec", cat="driver",
                              step=task.step, key=str(task.key)):
-                e, g = evaluate_fragment(calculator, task.molecule, 0, task.step)
+                e, g = evaluate_fragment(calculator, task.molecule, 0,
+                                         task.step, exact=exact)
         else:
-            e, g = evaluate_fragment(calculator, task.molecule, 0, task.step)
-        # divergence sentinel: a NaN contribution would silently poison
-        # the accumulated MBE gradient of every atom the polymer touches
-        ensure_finite(
-            f"polymer {task.key} (step {task.step})", energy=e, gradient=g
-        )
+            e, g = evaluate_fragment(calculator, task.molecule, 0,
+                                     task.step, exact=exact)
         coordinator.complete(task, e, g)

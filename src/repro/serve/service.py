@@ -42,49 +42,10 @@ from pathlib import Path
 from ..calculators import GuessCache
 from ..gemm import GLOBAL_TUNER
 from ..integrals.workspace import get_workspace
-from ..numerics import ensure_finite
+from ..md.scheduler import evaluate_fragment
 from .scheduler import FragmentScheduler
 from .session import JobSpec, JobState, TrajectoryJob
 from .streams import ResultChannel, StreamEvent
-
-#: worker-process guess cache (`pool="process"`): module state survives
-#: from task to task, exactly like `repro.md.drivers._WORKER_GUESS_CACHE`
-_WORKER_GUESS_CACHE: GuessCache | None = None
-
-
-def _process_evaluate(calculator, molecule, tenant: str,
-                      warm_start: bool, deterministic: bool):
-    """Worker-process entry point (``pool="process"``).
-
-    The worker's process-global caches form its slice of the warm
-    layer: the guess cache and integral workspace persist from task to
-    task and are shared by every tenant the worker serves (fragment
-    keys arrive job-namespaced, so densities never cross tenants).
-    ``deterministic`` forces exact Schwarz re-screens for the single
-    evaluation; workers are single-threaded, so the save/restore cannot
-    race.
-    """
-    global _WORKER_GUESS_CACHE
-    if warm_start and getattr(calculator, "guess_cache", "no") is None:
-        if _WORKER_GUESS_CACHE is None:
-            _WORKER_GUESS_CACHE = GuessCache()
-        calculator.guess_cache = _WORKER_GUESS_CACHE
-    workspace = get_workspace()
-    workspace.set_tenant(tenant)
-    saved_tol = workspace.displacement_tol
-    if deterministic:
-        workspace.displacement_tol = 0.0
-    try:
-        e, g = calculator.energy_gradient(molecule)
-        ensure_finite(
-            f"job {tenant} fragment "
-            f"({getattr(molecule, 'natoms', '?')} atoms)",
-            energy=e, gradient=g,
-        )
-        return e, g
-    finally:
-        workspace.displacement_tol = saved_tol
-        workspace.set_tenant(None)
 
 
 class JobQueue:
@@ -170,8 +131,6 @@ class TrajectoryService:
             GuessCache(tenant_max_bytes=tenant_max_bytes)
             if warm_layer else None
         )
-        if tenant_max_bytes is not None:
-            get_workspace().tenant_max_bytes = int(tenant_max_bytes)
         self._stop = threading.Event()
         self._process_clones: dict[str, object] = {}
         self.tasks_completed = 0
@@ -195,13 +154,8 @@ class TrajectoryService:
             # the shared multi-tenant warm layer; tenant separation via
             # job-namespaced fragment keys (see TrajectoryJob). With
             # pool="process" the warm layer lives per worker process
-            # instead (see _process_evaluate)
+            # instead (`evaluate_fragment(warm_start=True)`)
             job.calculator.guess_cache = self.guess_cache
-        if spec.deterministic:
-            # exact Schwarz re-screens for every tenant while a
-            # deterministic job is present: the workspace is process-
-            # global, so the strictest tenant pins the tolerance
-            get_workspace().displacement_tol = 0.0
         self.jobs[spec.job_id] = job
         self.queue.put(job)
         if self.tracer:
@@ -222,24 +176,20 @@ class TrajectoryService:
 
     # -- worker side ----------------------------------------------------
     def _evaluate(self, job: TrajectoryJob, task):
-        workspace = get_workspace()
-        workspace.set_tenant(job.spec.job_id)
-        try:
-            e, g = job.calculator.energy_gradient(task.molecule)
-            ensure_finite(
-                f"job {job.spec.job_id} polymer {task.key} "
-                f"(step {task.step})", energy=e, gradient=g,
-            )
-            return e, g
-        finally:
-            workspace.set_tenant(None)
+        """One task of ``job`` on this worker: the tenant is charged the
+        workspace traffic and a deterministic job's tasks — only those —
+        re-screen exactly (`evaluate_fragment`)."""
+        return evaluate_fragment(
+            job.calculator, task.molecule, 0, task.step,
+            tenant=job.spec.job_id, exact=job.spec.deterministic,
+        )
 
     def _picklable_calculator(self, job: TrajectoryJob):
         """A calculator clone safe to ship to a worker process.
 
         Unpicklable in-process state (shared caches, tracer hooks) is
         stripped; the worker re-attaches its own process-global warm
-        layer (`_process_evaluate`). Memoized per job.
+        layer (`evaluate_fragment`). Memoized per job.
         """
         job_id = job.spec.job_id
         clone = self._process_clones.get(job_id)
@@ -305,6 +255,12 @@ class TrajectoryService:
         drained and the rest are finalized as INTERRUPTED).
         """
         flights: dict = {}
+        # the quota holds on the process-global workspace (which forked
+        # pool workers inherit) for the duration of the run only
+        workspace = get_workspace()
+        saved_quota = workspace.tenant_max_bytes
+        if self.tenant_max_bytes is not None:
+            workspace.tenant_max_bytes = int(self.tenant_max_bytes)
         if self.pool_kind == "process":
             pool = ProcessPoolExecutor(
                 max_workers=self.nworkers,
@@ -330,12 +286,17 @@ class TrajectoryService:
                         job = self.jobs[job_id]
                         job.namespace_task(task)
                         if self.pool_kind == "process":
+                            # same entry, in a worker whose slice of the
+                            # warm layer is its process-global caches
+                            # (shared by every tenant it serves; keys
+                            # arrive job-namespaced)
                             fut = pool.submit(
-                                _process_evaluate,
+                                evaluate_fragment,
                                 self._picklable_calculator(job),
-                                task.molecule, job_id,
-                                not job.spec.deterministic,
-                                job.spec.deterministic,
+                                task.molecule, 0, task.step,
+                                warm_start=not job.spec.deterministic,
+                                tenant=job_id,
+                                exact=job.spec.deterministic,
                             )
                         else:
                             fut = pool.submit(self._evaluate, job, task)
@@ -384,6 +345,7 @@ class TrajectoryService:
                     self.scheduler.unregister(job.spec.job_id)
                     job.finalize(JobState.INTERRUPTED)
             self._publish_warm_layer()
+            workspace.tenant_max_bytes = saved_quota
         return self.summary()
 
     # -- reporting ------------------------------------------------------

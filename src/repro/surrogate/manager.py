@@ -14,19 +14,16 @@ serve-streak cap additionally forces a full-solve refresh every
 ``max_serve_streak`` consecutive serves, so the training window keeps
 tracking the trajectory instead of freezing at serve onset.
 
-The manager is lock-protected like ``GuessCache`` (non-blocking acquire
-first so cross-thread contention is observable in ``stats()``), and its
-training windows round-trip through checkpoint format v3 via
-``state_dict``/``load_state``.
+The manager is serialised by a `repro.store.ContentionLock` (cross-thread
+contention is observable in ``stats()``), and its training windows
+round-trip through checkpoint format v3 via ``state_dict``/``load_state``.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-
 import numpy as np
 
+from ..store import ContentionLock
 from .model import KernelRidgeCommittee, descriptor
 
 __all__ = ["SurrogateManager", "DEFAULT_TOL_DIMER", "DEFAULT_TOL_TRIMER"]
@@ -80,8 +77,7 @@ class SurrogateManager:
         self.seed = int(seed)
         self.max_serve_streak = int(max_serve_streak)
         self._classes: dict[tuple, _ClassModel] = {}
-        self._lock = threading.RLock()
-        self._contentions = 0
+        self._lock = ContentionLock()
         # counters
         self.trained = 0
         self.served = 0
@@ -93,19 +89,6 @@ class SurrogateManager:
         self.served_by_order: dict[int, int] = {}
         self.neglected_bound = 0.0  # sum of |coef| * tol over served items
         self.disagreement_sum = 0.0  # sum of actual committee disagreements
-
-    # -- locking (mirrors GuessCache: count contended acquisitions) --------
-
-    @contextmanager
-    def _locked(self):
-        acquired = self._lock.acquire(blocking=False)
-        if not acquired:
-            self._contentions += 1
-            self._lock.acquire()
-        try:
-            yield
-        finally:
-            self._lock.release()
 
     # -- keying ------------------------------------------------------------
 
@@ -136,7 +119,7 @@ class SurrogateManager:
         y = np.concatenate(
             [[float(energy)], np.asarray(gradient, dtype=float).ravel()]
         )
-        with self._locked():
+        with self._lock:
             model = self._classes.setdefault(self.class_key(mol, order), _ClassModel())
             model.x.append(x)
             model.y.append(y)
@@ -162,7 +145,7 @@ class SurrogateManager:
         tol = self._tol(order)
         if tol is None:
             return None
-        with self._locked():
+        with self._lock:
             model = self._classes.get(self.class_key(mol, order))
             if model is None or len(model.x) < self.min_train:
                 self.refused_cold += 1
@@ -197,7 +180,7 @@ class SurrogateManager:
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
-        with self._locked():
+        with self._lock:
             return {
                 "classes": len(self._classes),
                 "points": sum(len(m.x) for m in self._classes.values()),
@@ -209,7 +192,7 @@ class SurrogateManager:
                 "refused_refresh": self.refused_refresh,
                 "neglected_bound": self.neglected_bound,
                 "disagreement_sum": self.disagreement_sum,
-                "contentions": self._contentions,
+                "contentions": self._lock.contentions,
             }
 
     # -- checkpoint round-trip (format v3) ---------------------------------
@@ -222,7 +205,7 @@ class SurrogateManager:
         they are a pure, seeded function of the window, so refitting after
         ``load_state`` reproduces them bitwise.
         """
-        with self._locked():
+        with self._lock:
             classes = []
             arrays: dict[str, np.ndarray] = {}
             for i, (ckey, model) in enumerate(sorted(self._classes.items())):
@@ -291,7 +274,7 @@ class SurrogateManager:
                     f"surrogate config mismatch on resume: {name} "
                     f"checkpoint={config[name]!r} run={value!r}"
                 )
-        with self._locked():
+        with self._lock:
             self._classes = {}
             for entry in meta.get("classes", []):
                 ckey = (

@@ -7,6 +7,19 @@ import pytest
 
 from repro.chem import Molecule
 from repro.faults import FaultPlan, FaultPlanCalculator, FaultSpec
+from repro.integrals.workspace import get_workspace
+
+
+@pytest.fixture(autouse=True)
+def shared_workspace_settings_do_not_leak():
+    """The process-global workspace's settings belong to no test: a run
+    that needs exact re-screens or a tenant quota asks per evaluation
+    (`evaluate_fragment`) or for the length of a `TrajectoryService.run`,
+    so every later test sees the stale-serve path it thinks it does."""
+    workspace = get_workspace()
+    before = workspace.displacement_tol, workspace.tenant_max_bytes
+    yield
+    assert (workspace.displacement_tol, workspace.tenant_max_bytes) == before
 
 
 @pytest.fixture(scope="session")

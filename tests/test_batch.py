@@ -73,7 +73,7 @@ from repro.integrals.onee import (
     nuclear_loop,
     overlap_loop,
 )
-from repro.integrals.workspace import payload_nbytes
+from repro.store import payload_nbytes
 from repro.systems import glycine_chain, water_cluster
 
 HAVE_JAX = importlib.util.find_spec("jax") is not None

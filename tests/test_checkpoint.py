@@ -444,7 +444,7 @@ from repro.systems import water_cluster
 
 mode, out, ck = sys.argv[1:]
 system = FragmentedSystem.by_components(water_cluster(2, seed=5))
-calc = RIHFCalculator(basis="sto-3g")
+calc = RIHFCalculator(basis="sto-3g", int_screen=1e-12)
 kw = dict(
     nsteps=6, dt_fs=0.5, r_dimer_bohr=1.0e6, mbe_order=2, replan_interval=2,
     velocities=maxwell_boltzmann_velocities(system.parent.masses_au, 200, seed=8),
@@ -497,11 +497,14 @@ class TestSigkillResume:
 
 
 class TestQMDeterminism:
-    """``deterministic=True`` on the QM path: an RI-HF sto-3g water dimer
-    is byte-identical across fresh processes, across SIGKILL-and-resume
-    and across drivers. Every run is a child process with BLAS pinned to
-    one thread (the stated condition of the contract); the comparison is
-    on ``tobytes()``, not on printed digits."""
+    """``deterministic=True`` on the QM path: an RI-HF sto-3g water dimer,
+    Schwarz-screened at the CLI default, is byte-identical across fresh
+    processes, across SIGKILL-and-resume and across drivers (a resumed
+    process starts with an empty workspace, so this needs every task to
+    re-screen exactly — `repro.md.scheduler.evaluate_fragment`). Every
+    run is a child process with BLAS pinned to one thread (the stated
+    condition of the contract); the comparison is on ``tobytes()``, not
+    on printed digits."""
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):

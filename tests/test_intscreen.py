@@ -196,6 +196,66 @@ class TestWorkspaceInvalidation:
         assert ws.bound_rebuilds == 2
         assert ws.stale_serves == 0
 
+    def test_exact_scope_pins_this_evaluation_only(self, water_dimer):
+        """What a ``deterministic`` task runs, wherever it runs (a
+        spawned worker inherits no setting): `evaluate_fragment(...,
+        exact=True)` re-screens on a nudged geometry instead of serving
+        the inflated table, the workspace's own tolerance is untouched,
+        and the next ordinary evaluation keeps its stale serve."""
+        from repro.md.scheduler import evaluate_fragment
+
+        ws = IntegralWorkspace()
+        calc = RIHFCalculator(int_screen=1e-12, workspace=ws)
+        nudged = water_dimer.with_coords(water_dimer.coords + 1e-3)
+        evaluate_fragment(calc, water_dimer, 0, 0)
+        assert (ws.bound_rebuilds, ws.stale_serves) == (1, 0)
+        exact = evaluate_fragment(calc, nudged, 0, 1, exact=True)
+        assert (ws.bound_rebuilds, ws.stale_serves) == (2, 0)
+        fresh = RIHFCalculator(int_screen=1e-12,
+                               workspace=IntegralWorkspace())
+        e_fresh, g_fresh = fresh.energy_gradient(nudged)
+        assert exact[0] == e_fresh and np.array_equal(exact[1], g_fresh)
+        assert ws.displacement_tol == IntegralWorkspace().displacement_tol
+        evaluate_fragment(
+            calc, water_dimer.with_coords(water_dimer.coords + 2e-3), 0, 2)
+        assert ws.bound_rebuilds == 2 and ws.stale_serves > 0
+
+    def test_scope_reaches_an_empty_private_workspace(self, water_dimer):
+        """The calculator's own workspace is scoped even while it holds
+        nothing (an empty store is falsy), and only for the call."""
+        from repro.md.scheduler import evaluate_fragment
+
+        class Probe:
+            workspace = IntegralWorkspace()
+
+            def energy_gradient(self, mol):
+                scope = self.workspace._scope
+                self.seen = scope.tenant, scope.exact
+                return 0.0, np.zeros((mol.natoms, 3))
+
+        probe = Probe()
+        evaluate_fragment(probe, water_dimer, 0, 0, tenant="job", exact=True)
+        assert probe.seen == ("job", True)
+        evaluate_fragment(probe, water_dimer, 0, 0)
+        assert probe.seen == (None, False)
+
+    def test_deterministic_coordinator_never_serves_stale(self):
+        """The library API, not only the CLI: a ``deterministic``
+        coordinator under `run_serial` takes every screening decision
+        from the current geometry, so a resumed process (empty
+        workspace) and an uninterrupted one screen alike."""
+        from repro.md import AsyncCoordinator, run_serial
+
+        system = FragmentedSystem.by_components(water_cluster(2, seed=5))
+        ws = IntegralWorkspace()
+        engine = AsyncCoordinator(
+            system, nsteps=3, dt_fs=0.5, r_dimer_bohr=BIG, mbe_order=2,
+            temperature_k=200.0, seed=8, deterministic=True,
+        )
+        run_serial(engine, RIHFCalculator(int_screen=1e-12, workspace=ws))
+        assert ws.stale_serves == 0
+        assert ws.bound_rebuilds == 4  # the dimer, at steps 0..3
+
     def test_schwarz_siblings_keep_one_table_each(self):
         """Same-composition fragments (the monomers of one MBE step)
         must not evict each other's table: two of them alternating over

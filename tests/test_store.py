@@ -1,0 +1,383 @@
+"""`repro.store`: the one bounded store behind the warm layer.
+
+`GuessCache` and `IntegralWorkspace` are a `BoundedStore` plus their
+products, so the budget/quota/attribution rules are stated once, as
+invariants, and run against all three classes:
+
+* a `hypothesis` state machine (put / get / discard / clear; three
+  tenants and anonymous traffic; random sizes, zero included; with and
+  without a quota, with a tight and with an unreachable byte budget);
+* a four-thread put/get hammer asserting the same conservation laws;
+* `ContentionLock` counts every waiter (the four hand-written
+  ``_locked`` copies it replaces counted *before* acquiring, unlocked);
+* an AST guard: the plumbing, the ``displacement_tol`` setting and the
+  `GuessCache` construction sites exist where they should and nowhere
+  else.
+"""
+
+from __future__ import annotations
+
+import ast
+import random
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
+
+from repro.calculators import GuessCache
+from repro.integrals.workspace import IntegralWorkspace
+from repro.store import BoundedStore, ContentionLock, payload_nbytes
+
+#: payload sizes are multiples of this many bytes
+UNIT = 1024
+#: a byte budget no run below can reach: every eviction is a quota one
+UNBOUNDED = 2**40
+
+
+def _payload(units: int) -> np.ndarray:
+    return np.zeros(units * UNIT // 8)
+
+
+class _Bare:
+    """Drive a plain `BoundedStore`: tenant = leading string of the key."""
+
+    make = BoundedStore
+
+    def __init__(self, **kw) -> None:
+        self.store = self.make(**kw)
+
+    def key(self, tenant, i) -> tuple:
+        return (tenant, i) if tenant is not None else (i,)
+
+    def put(self, tenant, i, units) -> tuple:
+        self.store._put(self.key(tenant, i), _payload(units))
+        return self.key(tenant, i)
+
+    def get(self, tenant, i):
+        return self.store._get(self.key(tenant, i))
+
+    def discard(self, tenant, i) -> None:
+        self.store._discard(self.key(tenant, i))
+
+
+class _Guess(_Bare):
+    """Drive `GuessCache` through its public surface: histories of two,
+    so an entry grows under repeated puts of one size, and a new size
+    arrives as a new ``natoms``, which drops the stale history."""
+
+    @staticmethod
+    def make(**kw) -> GuessCache:
+        return GuessCache(history=2, **kw)
+
+    def put(self, tenant, i, units) -> tuple:
+        self.store.put(self.key(tenant, i), _payload(units), natoms=units)
+        return self.key(tenant, i)
+
+    def get(self, tenant, i):
+        return self.store.get(self.key(tenant, i))
+
+    def discard(self, tenant, i) -> None:
+        self.store.invalidate(self.key(tenant, i))
+
+
+class _Workspace(_Bare):
+    """Drive `IntegralWorkspace`: tenant = the calling thread's scope, so
+    tenants share keys and a re-store moves an entry between owners."""
+
+    make = IntegralWorkspace
+
+    def key(self, tenant, i) -> tuple:
+        return ("k", i)
+
+    def put(self, tenant, i, units) -> tuple:
+        with self.store.scope(tenant):
+            return super().put(tenant, i, units)
+
+    def get(self, tenant, i):
+        with self.store.scope(tenant):
+            return super().get(tenant, i)
+
+
+DRIVERS = {"store": _Bare, "guess_cache": _Guess, "workspace": _Workspace}
+
+TENANTS = st.sampled_from([None, "A", "B", "C"])
+KEYS = st.integers(0, 5)
+
+
+def check_conservation(store: BoundedStore, lookups: int) -> None:
+    """The laws that hold after any sequence of operations, from any
+    number of threads."""
+    entries = list(store._entries.values())
+    stats = store.stats()
+    tenants = stats.get("tenants", {})
+    assert all(nb == payload_nbytes(p) for p, nb, _ in entries)
+    assert store.nbytes == stats["nbytes"] == sum(nb for _, nb, _ in entries)
+    assert store.nbytes == (
+        sum(t["nbytes"] for t in tenants.values())
+        + sum(nb for _, nb, owner in entries if owner is None)
+    )
+    for name, t in tenants.items():
+        assert t["nbytes"] == sum(nb for _, nb, o in entries if o == name)
+    assert store.nbytes <= store.max_bytes or len(entries) == 1
+    assert stats["entries"] == len(store) == len(entries)
+    assert store.hits + store.misses + getattr(store, "seed_hits", 0) \
+        == lookups
+    assert sum(t["hits"] + t["misses"] for t in tenants.values()) <= lookups
+    assert sum(t["evictions"] for t in tenants.values()) <= store.evictions
+
+
+class StoreMachine(RuleBasedStateMachine):
+    driver = _Bare
+
+    @initialize(quota=st.sampled_from([None, 3 * UNIT]),
+                budget=st.sampled_from([6 * UNIT, UNBOUNDED]))
+    def build(self, quota, budget):
+        self.d = self.driver(max_bytes=budget, tenant_max_bytes=quota)
+        self.store = self.d.store
+        self.lookups = 0
+        #: tenant -> the key it stored last
+        self.last_put: dict = {}
+
+    def owned(self, tenant) -> set:
+        return {k for k, e in self.store._entries.items() if e[2] == tenant}
+
+    @rule(tenant=TENANTS, i=KEYS, units=st.integers(0, 4))
+    def put(self, tenant, i, units):
+        before = {k: e[2] for k, e in self.store._entries.items()}
+        evictions = self.store.evictions
+        key = self.d.put(tenant, i, units)
+        assert key in self.store._entries  # the just-stored key survives
+        self.last_put[tenant] = key
+        gone = {k: owner for k, owner in before.items()
+                if k not in self.store._entries}
+        assert self.store.evictions - evictions == len(gone)
+        if self.store.max_bytes == UNBOUNDED:
+            # only the quota can evict here: the putting tenant's own
+            # keys, and nothing at all for anonymous traffic
+            assert set(gone.values()) <= {tenant} - {None}
+
+    @rule(tenant=TENANTS, i=KEYS)
+    def get(self, tenant, i):
+        present = self.d.key(tenant, i) in self.store._entries
+        self.lookups += 1
+        assert (self.d.get(tenant, i) is not None) == present
+
+    @rule(tenant=TENANTS, i=KEYS)
+    def discard(self, tenant, i):
+        evictions = self.store.evictions
+        self.d.discard(tenant, i)
+        assert self.d.key(tenant, i) not in self.store._entries
+        assert self.store.evictions == evictions
+
+    @rule()
+    def clear(self):
+        self.store.clear()
+        assert len(self.store) == 0 and self.store.nbytes == 0
+
+    @invariant()
+    def conserved(self):
+        check_conservation(self.store, self.lookups)
+
+    @invariant()
+    def over_quota_tenant_holds_only_its_last_key(self):
+        quota = self.store.tenant_max_bytes
+        if quota is None:
+            return
+        for name, t in self.store.stats().get("tenants", {}).items():
+            if t["nbytes"] > quota:
+                assert self.owned(name) == {self.last_put[name]}
+
+
+def _machine(name: str):
+    cls = type(f"{name}_machine", (StoreMachine,), {"driver": DRIVERS[name]})
+    cls.TestCase.settings = settings(
+        max_examples=60, stateful_step_count=40, deadline=None
+    )
+    return cls.TestCase
+
+
+TestBoundedStoreMachine = _machine("store")
+TestGuessCacheMachine = _machine("guess_cache")
+TestWorkspaceMachine = _machine("workspace")
+
+
+@pytest.mark.parametrize("name", sorted(DRIVERS))
+def test_four_thread_hammer_conserves(name):
+    """Four threads put/get on one small store with a quota, switching
+    every few bytecodes and inside every critical section: a lost
+    update to the byte totals or counters breaks `check_conservation`."""
+    d = DRIVERS[name](max_bytes=8 * UNIT, tenant_max_bytes=3 * UNIT)
+    charge = d.store._charge
+
+    def charge_after_yielding(tenant, delta):
+        # give the interpreter away in the middle of every store and
+        # discard, between the entry table and the byte totals
+        time.sleep(0)
+        charge(tenant, delta)
+
+    d.store._charge = charge_after_yielding
+    lookups = [0] * 4
+    errors = []
+    gate = threading.Barrier(4)
+
+    def work(n: int) -> None:
+        rng = random.Random(n)
+        try:
+            gate.wait(timeout=10)  # or the first thread is done by then
+            for _ in range(1000):
+                tenant = rng.choice([None, "A", "B", "C"])
+                if rng.random() < 0.5:
+                    d.put(tenant, rng.randrange(6), rng.randrange(4))
+                else:
+                    d.get(tenant, rng.randrange(6))
+                    lookups[n] += 1
+        except Exception as err:  # noqa: BLE001 — reported below
+            errors.append(err)
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert d.store.contentions > 0  # the threads did meet
+    check_conservation(d.store, sum(lookups))
+
+
+class TestContentionLock:
+    def test_two_waiters_count_as_two(self):
+        """One thread holds, two block, release: exactly two contentions
+        (counted after the blocking acquire, so neither can be lost)."""
+        lock = ContentionLock()
+        arrived = [threading.Event(), threading.Event()]
+
+        def waiter(n: int) -> None:
+            arrived[n].set()
+            with lock:
+                pass
+
+        threads = [threading.Thread(target=waiter, args=(n,))
+                   for n in range(2)]
+        with lock:
+            for t in threads:
+                t.start()
+            for event in arrived:
+                assert event.wait(timeout=10)
+            # both are now one statement from the lock this thread holds
+            for t in threads:
+                t.join(timeout=0.2)
+            assert all(t.is_alive() for t in threads)
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert lock.contentions == 2
+
+    def test_reentrant_acquire_is_not_contention(self):
+        lock = ContentionLock()
+        with lock, lock, lock:
+            pass
+        assert lock.contentions == 0
+
+    def test_every_lock_holder_reports_it(self):
+        """The four classes that used to carry a ``_locked`` copy read
+        their count from the one lock."""
+        from repro.gemm import GemmAutoTuner
+        from repro.surrogate import SurrogateManager
+
+        for obj in (GuessCache(), IntegralWorkspace(), GemmAutoTuner(),
+                    SurrogateManager()):
+            assert isinstance(obj._lock, ContentionLock)
+            obj._lock.contentions = 7
+            assert obj.stats()["contentions"] == 7
+
+
+class TestOneWarmLayer:
+    """AST guard, modelled on `test_no_runtime_caller_of_loop_reference`."""
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        import repro
+
+        root = Path(repro.__file__).parent
+        return {str(p.relative_to(root)): ast.parse(p.read_text())
+                for p in root.rglob("*.py")}
+
+    @staticmethod
+    def _name(node) -> str:
+        return getattr(node, "attr", None) or getattr(node, "id", "")
+
+    def test_only_the_store_builds_a_counting_lock(self, trees):
+        offenders = []
+        for rel, tree in trees.items():
+            if rel == "store.py":
+                continue
+            nodes = list(ast.walk(tree))
+            if any(isinstance(n, ast.FunctionDef) and n.name == "_locked"
+                   for n in nodes):
+                offenders.append(f"{rel}: defines _locked")
+            rlock = any(isinstance(n, ast.Call)
+                        and self._name(n.func) == "RLock" for n in nodes)
+            counter = any(
+                isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+                and any("contentions" in self._name(t) for t in
+                        (n.targets if isinstance(n, ast.Assign)
+                         else [n.target]))
+                for n in nodes
+            )
+            if rlock and counter:
+                offenders.append(f"{rel}: RLock beside a contentions counter")
+        assert offenders == []
+
+    def test_nothing_assigns_displacement_tol_after_construction(self, trees):
+        def assigned(fn) -> list[int]:
+            hits = []
+            for n in ast.walk(fn):
+                if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = (n.targets if isinstance(n, ast.Assign)
+                               else [n.target])
+                    if any(isinstance(t, ast.Attribute)
+                           and t.attr == "displacement_tol" for t in targets):
+                        hits.append(n.lineno)
+                elif (isinstance(n, ast.Call)
+                      and self._name(n.func) == "setattr"
+                      and any(getattr(a, "value", None) == "displacement_tol"
+                              for a in n.args)):
+                    hits.append(n.lineno)
+            return hits
+
+        sites = {(rel, line) for rel, tree in trees.items()
+                 for line in assigned(tree)}
+        workspace = trees["integrals/workspace.py"]
+        init = next(
+            fn for cls in workspace.body
+            if getattr(cls, "name", "") == "IntegralWorkspace"
+            for fn in cls.body if getattr(fn, "name", "") == "__init__"
+        )
+        allowed = {("integrals/workspace.py", line) for line in assigned(init)}
+        assert len(allowed) == 1
+        assert sites == allowed
+
+    def test_guess_cache_construction_sites(self, trees):
+        sites = {rel for rel, tree in trees.items()
+                 for n in ast.walk(tree)
+                 if isinstance(n, ast.Call)
+                 and self._name(n.func) == "GuessCache"}
+        assert sites == {"calculators.py", "md/scheduler.py",
+                         "serve/service.py"}
