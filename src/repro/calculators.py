@@ -19,6 +19,7 @@ fragmentation and MD layers consume. Three families are provided:
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -261,14 +262,17 @@ def get_guess_cache() -> GuessCache:
     return _GLOBAL_GUESS_CACHE
 
 
-def _resolve_workspace(calc) -> IntegralWorkspace:
+def _resolve_workspace(calc):
     """The calculator's `IntegralWorkspace` (the process-global one by
-    default), with the calculator's tracer attached so ``int.screen`` /
-    ``workspace.hit`` instants flow into the run trace."""
+    default) and the scope its evaluation runs in: a traced calculator
+    routes this thread's ``int.screen`` / ``workspace.hit`` instants
+    into its own tracer for the length of the call, an untraced one
+    enters nothing. No tracer is ever assigned to the workspace — the
+    shared one outlives the run."""
     ws = calc.workspace if calc.workspace is not None else get_workspace()
-    if calc.tracer is not None and ws.tracer is None:
-        ws.tracer = calc.tracer
-    return ws
+    if calc.tracer is None:
+        return ws, nullcontext()
+    return ws, ws.scope(tracer=calc.tracer)
 
 
 def _solve_scf(mol, basis, recover: bool, tracer=None, guess_cache=None,
@@ -346,15 +350,16 @@ class RIMP2Calculator:
 
     def energy_gradient(self, mol: Molecule) -> tuple[float, np.ndarray]:
         """RI-HF + RI-MP2 total energy and analytic gradient."""
-        ws = _resolve_workspace(self)
-        res = _solve_scf(
-            mol, self.basis, self.recover, tracer=self.tracer,
-            guess_cache=self.guess_cache, ri=True,
-            conv_energy=self.conv_energy, max_iter=self.max_iter,
-            int_screen=self.int_screen, workspace=ws,
-        )
-        out = rimp2_gradient(res, return_intermediates=True,
-                             int_screen=self.int_screen, workspace=ws)
+        ws, scope = _resolve_workspace(self)
+        with scope:
+            res = _solve_scf(
+                mol, self.basis, self.recover, tracer=self.tracer,
+                guess_cache=self.guess_cache, ri=True,
+                conv_energy=self.conv_energy, max_iter=self.max_iter,
+                int_screen=self.int_screen, workspace=ws,
+            )
+            out = rimp2_gradient(res, return_intermediates=True,
+                                 int_screen=self.int_screen, workspace=ws)
         energy = res.energy + out.e_corr
         ensure_finite(
             f"RI-MP2 on {mol.natoms}-atom fragment",
@@ -364,11 +369,14 @@ class RIMP2Calculator:
 
     def energy(self, mol: Molecule) -> float:
         """Energy-only evaluation (skips the gradient machinery)."""
-        res = _solve_scf(mol, self.basis, self.recover, tracer=self.tracer,
-                         guess_cache=self.guess_cache, ri=True,
-                         conv_energy=self.conv_energy, max_iter=self.max_iter,
-                         int_screen=self.int_screen,
-                         workspace=_resolve_workspace(self))
+        ws, scope = _resolve_workspace(self)
+        with scope:
+            res = _solve_scf(
+                mol, self.basis, self.recover, tracer=self.tracer,
+                guess_cache=self.guess_cache, ri=True,
+                conv_energy=self.conv_energy, max_iter=self.max_iter,
+                int_screen=self.int_screen, workspace=ws,
+            )
         energy = res.energy + mp2_ri(res).e_corr
         ensure_finite(f"RI-MP2 on {mol.natoms}-atom fragment", energy=energy)
         return energy
@@ -391,11 +399,15 @@ class RIHFCalculator:
 
     def energy_gradient(self, mol: Molecule) -> tuple[float, np.ndarray]:
         """RI-HF energy and analytic gradient."""
-        ws = _resolve_workspace(self)
-        res = _solve_scf(mol, self.basis, self.recover, tracer=self.tracer,
-                         guess_cache=self.guess_cache, ri=True,
-                         int_screen=self.int_screen, workspace=ws)
-        grad = rhf_gradient_ri(res, int_screen=self.int_screen, workspace=ws)
+        ws, scope = _resolve_workspace(self)
+        with scope:
+            res = _solve_scf(
+                mol, self.basis, self.recover, tracer=self.tracer,
+                guess_cache=self.guess_cache, ri=True,
+                int_screen=self.int_screen, workspace=ws,
+            )
+            grad = rhf_gradient_ri(res, int_screen=self.int_screen,
+                                   workspace=ws)
         ensure_finite(
             f"RI-HF on {mol.natoms}-atom fragment",
             energy=res.energy, gradient=grad,
@@ -421,13 +433,15 @@ class ConventionalHFCalculator:
 
     def energy_gradient(self, mol: Molecule) -> tuple[float, np.ndarray]:
         """Conventional four-center HF energy and gradient."""
-        ws = _resolve_workspace(self)
-        res = _solve_scf(mol, self.basis, self.recover, tracer=self.tracer,
-                         guess_cache=self.guess_cache, ri=False,
-                         workspace=ws)
-        grad = rhf_gradient_conventional(
-            res, workspace=ws, int_screen=self.int_screen
-        )
+        ws, scope = _resolve_workspace(self)
+        with scope:
+            res = _solve_scf(
+                mol, self.basis, self.recover, tracer=self.tracer,
+                guess_cache=self.guess_cache, ri=False, workspace=ws,
+            )
+            grad = rhf_gradient_conventional(
+                res, workspace=ws, int_screen=self.int_screen
+            )
         ensure_finite(
             f"HF on {mol.natoms}-atom fragment",
             energy=res.energy, gradient=grad,

@@ -170,7 +170,6 @@ def cmd_aimd(args) -> int:
         from .trace import Tracer
 
         tracer = Tracer()
-        workspace.tracer = tracer
     resume = None
     if args.resume:
         from pathlib import Path

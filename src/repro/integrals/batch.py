@@ -34,10 +34,18 @@ What is pinned:
 
 Summation order, operand layouts and Hermite ranges are *not* pinned to
 the loop code's. The kernels here evaluate only the Hermite rows with
-``t + u + v <= L`` (`engine.hermite_simplex`, order-``L`` R tables from
+``t + u + v <= L`` (`engine.hermite_simplex`, packed R tables from
 `engine.r_tables_simplex`) and contract each (class chunk, aux group)
 with one stacked GEMM; the reference keeps the full ``(L+1)^3`` cube, so
 the tolerance clause is a cross-check of the trimming.
+
+The Hermite Coulomb tables of an evaluation are built once
+(`CoulombTables`): a value driver and the derivative driver that follows
+it read one set, built at the derivative's order ``L + l + 1`` in one
+recursion call per distinct order with one column per auxiliary *site*
+(`engine.AuxGroup`), and handed from the one to the other through the
+workspace's consume-once entry. `_build_tables` is the only caller of
+the recursion; a column is bitwise independent of how it was come by.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ from .eri import (
     _schwarz_table,
     _zblk_table,
 )
+from .workspace import table_budget
 
 if TYPE_CHECKING:
     from ..basis.basisset import BasisSet
@@ -76,6 +85,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "AutodiffIntegrals",
+    "CoulombTables",
     "ShellClass",
     "build_shell_classes",
     "canonical_shell_pairs",
@@ -340,6 +350,257 @@ def _scatter_blocks(out, rows, cols, blk):
 
 
 # --------------------------------------------------------------------------
+# Hermite Coulomb tables, built once per evaluation
+# --------------------------------------------------------------------------
+
+def _r_tables(be: ArrayBackend, lmax, p, PQ):
+    """Simplex-packed Hermite Coulomb tables ``(nsimplex(lmax), n)``:
+    fast numpy path or functional xp path."""
+    if be.is_numpy:
+        return r_tables_simplex(lmax, np.asarray(p), np.asarray(PQ))
+    return _r_tables_xp(be, lmax, p, PQ)
+
+
+def _build_tables(be: ArrayBackend, requests):
+    """Unscaled tables for ``(order, inputs)`` requests, ``inputs()``
+    returning the recursion's ``alpha`` (any shape) and ``PQ`` (one more
+    axis, of 3): the one caller of `_r_tables`, once per distinct order
+    over the concatenated requests. Returns each request's column range
+    ``(nsimplex(order), alpha.size)`` of its order's table. Inputs are
+    formed one order at a time and dropped before the next.
+
+    Every operation from ``alpha`` to ``R`` is elementwise along the
+    batch axis, so a column is bitwise independent of what it was merged
+    with and of any batch split.
+    """
+    xp = be.xp
+    out = [None] * len(requests)
+    by_order: dict[int, list[int]] = {}
+    for i, (order, _) in enumerate(requests):
+        by_order.setdefault(order, []).append(i)
+    for order, members in sorted(by_order.items()):
+        inputs = [requests[i][1]() for i in members]
+        alphas = [alpha.reshape(-1) for alpha, _ in inputs]
+        PQs = [PQ.reshape(-1, 3) for _, PQ in inputs]
+        del inputs
+        one = len(members) == 1
+        R = _r_tables(
+            be, order,
+            alphas[0] if one else xp.concatenate(alphas),
+            PQs[0] if one else xp.concatenate(PQs),
+        )
+        del PQs
+        lo = 0
+        for i, alpha in zip(members, alphas):
+            out[i] = R[:, lo : lo + alpha.shape[0]]
+            lo += alpha.shape[0]
+    return out
+
+
+def _ket_inputs(be: ArrayBackend, p, P, ket):
+    """Recursion inputs between a bra chunk (``p (q, N)``, centers
+    ``P (q, N, 3)``) and the ``m`` columns of ``ket`` — a
+    `_group_statics` entry, or any mapping with exponents ``qk`` and
+    centers ``Pk`` that broadcast against ``(q, N, m)``: composite
+    exponents ``alpha = pq / (p + q)`` and separations ``P - C``.
+    ``qk = None`` is a set of point charges (``alpha = p``)."""
+    p4 = p[:, :, None]
+    qk = ket["qk"]
+    PQ = P[:, :, None, :] - ket["Pk"]
+    if qk is None:
+        return be.xp.broadcast_to(p4, PQ.shape[:-1]), PQ
+    return p4 * qk / (p4 + qk), PQ
+
+
+def _prefactor(be: ArrayBackend, p, cc, ket):
+    """``K (q, N, m) = 2 pi^{5/2} cc cck / (p q sqrt(p + q))``. An aux
+    group has no ``cck``: its contraction coefficients differ per
+    component and ride in ``comp_norms``."""
+    p4 = p[:, :, None]
+    qk = ket["qk"]
+    num = _TWO_PI_52 * cc[:, :, None]
+    if "cck" in ket:
+        num = num * ket["cck"]
+    return num / (p4 * qk * be.xp.sqrt(p4 + qk))
+
+
+def _hermite_kernel(be: ArrayBackend, R, K, idx):
+    """Gathered, prefactor-folded Hermite Coulomb kernel
+    ``M2 (q, N*Tb, Tk*m)``: the rows ``idx (Tb, Tk)``
+    (`simplex_sum_index` at the table's order) of the unscaled table
+    ``R (nsimplex, q*N*m)``, times ``K (q, N, m)``."""
+    qc, N, m = K.shape
+    Tb, Tk = idx.shape
+    # the gather copies whole batch rows; the prefactor goes on while
+    # they are transposed into the GEMM operand's layout
+    M = R[idx].reshape(Tb, Tk, qc, N, m).transpose(2, 3, 0, 1, 4)
+    K = K[:, :, None, None, :]
+    if be.is_numpy:
+        M = np.multiply(M, K, out=np.empty((qc, N, Tb, Tk, m)))
+    else:
+        M = M * K
+    return M.reshape(qc, N * Tb, Tk * m)
+
+
+def _bra(be: ArrayBackend, cls: ShellClass, ids=None):
+    """A shell class (its pairs ``ids``, default all) as the bra side
+    of a `CoulombTables` set; ``cls`` holds exactly those pairs."""
+    return dict(
+        ids=np.arange(cls.npair) if ids is None else ids,
+        p=be.asarray(cls.p), cc=be.asarray(cls.cc), P=be.asarray(cls.P),
+        L=cls.la + cls.lb,
+    )
+
+
+class CoulombTables:
+    """The Hermite Coulomb tables of one evaluation, built once.
+
+    One set serves a value driver and the derivative driver that follows
+    it at the same geometry (`eri3c` / `contract_eri3c_deriv`, `eri2c` /
+    `contract_eri2c_deriv`, `nuclear` / `contract_nuclear_deriv`). For
+    bra class ``ci`` (a mapping with the pairs' class-local ``ids``,
+    ``p``, ``cc (q, N)``, centers ``P`` and total momentum ``L``) and
+    ket column group ``gi`` (``qk``, ``Pk``, simplex order ``l``) it
+    holds the *unscaled* table ``R (nsimplex(L + l + 1), q*N*m)``: the
+    order the derivative reads whole and of which the value driver reads
+    the order-``L + l`` sub-simplex (`engine.simplex_sum_index`) — one
+    rule, so a pair's table never depends on who built it.
+
+    What a set *holds* is bounded by ``budget`` bytes (classes in order,
+    whatever fits); `table` builds the rest chunk by chunk as it is
+    asked for, by the same `_build_tables`. ``found`` is the `payload`
+    another driver of this evaluation left in the workspace: its tables
+    are used where they are (they count against the budget), and the
+    pairs this driver keeps that the other one screened out are built
+    beside them (``rebuilt_pairs``). Found, rebuilt and chunk-built
+    columns are bitwise equal (`_build_tables`).
+    """
+
+    def __init__(self, be: ArrayBackend, bras, kets, budget: int,
+                 found=None) -> None:
+        self.be, self.bras, self.kets = be, bras, kets
+        self.ids = [bra["ids"] for bra in bras]
+        #: (ci, gi) -> (tables, cols): ``cols[i]`` is the column of this
+        #: set's pair ``i`` in ``tables`` laid side by side (the found
+        #: one, then the rebuilt pairs'); None when it is ``i`` itself
+        self.R: dict[tuple[int, int], tuple[list, np.ndarray | None]] = {}
+        #: whether every (class, group) fit the budget
+        self.complete = True
+        self.rebuilt_pairs = 0
+        found_ids, found_R = found if found is not None else ([], {})
+        self.nbytes = sum(8 * R.size for R in found_R.values())
+        requests, targets = [], []
+        for ci, ids in enumerate(self.ids):
+            if not ids.size:
+                continue
+            cols = missing = None
+            if found is not None and not np.array_equal(found_ids[ci], ids):
+                # the other driver's mask differs: where it has my pairs
+                # (a class it dropped whole has no table to be found)
+                have = found_ids[ci]
+                if have.size:
+                    cols = np.minimum(np.searchsorted(have, ids), have.size - 1)
+                    missing = np.nonzero(have[cols] != ids)[0]
+                    cols[missing] = have.size + np.arange(missing.size)
+                self.rebuilt_pairs += ids.size if missing is None else missing.size
+            for gi in range(len(kets)):
+                have = found_R.get((ci, gi))
+                if have is not None and (missing is None or not missing.size):
+                    self.R[ci, gi] = [have], cols
+                    continue
+                order, width = self._dims(ci, gi)
+                count = ids.size if have is None else missing.size
+                nbytes = 8 * hermite_simplex(order).shape[0] * count * width
+                if self.nbytes + nbytes > budget:
+                    self.complete = False
+                    continue
+                self.nbytes += nbytes
+                if have is None:
+                    self.R[ci, gi] = [], None
+                    requests.append(self._request(ci, gi, slice(None)))
+                else:
+                    self.R[ci, gi] = [have], cols
+                    requests.append(self._request(ci, gi, missing))
+                targets.append((ci, gi))
+        #: distinct orders built (recursion calls made) and their size
+        self.orders = sorted({order for order, _ in requests})
+        self.elements = 0
+        for key, R in zip(targets, _build_tables(be, requests)):
+            self.R[key][0].append(R)
+            self.elements += R.shape[0] * R.shape[1]
+
+    @property
+    def payload(self):
+        """What a workspace keeps of a set built from nothing: the pair
+        ids and one table per held (class, group), no bra data."""
+        return self.ids, {key: tables[0] for key, (tables, _) in self.R.items()}
+
+    def _dims(self, ci: int, gi: int) -> tuple[int, int]:
+        """Table order and columns per pair of (class, group)."""
+        bra, ket = self.bras[ci], self.kets[gi]
+        return (
+            bra["L"] + ket["l"] + 1,
+            bra["p"].shape[1] * ket["Pk"].shape[-2],
+        )
+
+    def _request(self, ci: int, gi: int, sel):
+        """The `_build_tables` request for pairs ``sel`` of (class,
+        group)."""
+        bra, ket = self.bras[ci], self.kets[gi]
+        return self._dims(ci, gi)[0], lambda: _ket_inputs(
+            self.be, bra["p"][sel], bra["P"][sel], ket
+        )
+
+    def table(self, ci: int, gi: int, sl: slice):
+        """Unscaled ``R (nsimplex, q*N*m)`` of pairs ``sl`` of class
+        ``ci`` against group ``gi``: a view of the held table (its
+        columns gathered where the masks differ), or built now when the
+        class is beyond the budget."""
+        held = self.R.get((ci, gi))
+        if held is None:
+            return _build_tables(self.be, [self._request(ci, gi, sl)])[0]
+        tables, cols = held
+        width = self._dims(ci, gi)[1]
+        if cols is None:
+            lo, hi, _ = sl.indices(self.ids[ci].size)
+            return tables[0][:, lo * width : hi * width]
+        cols = cols[sl]
+        ns = tables[0].shape[0]
+        out = np.empty((ns, cols.size, width))
+        first = 0
+        for R in tables:
+            R = R.reshape(ns, -1, width)
+            here = (cols >= first) & (cols < first + R.shape[1])
+            out[:, here] = R[:, cols[here] - first]
+            first += R.shape[1]
+        return out.reshape(ns, -1)
+
+    def kernel(self, ci: int, gi: int, sl: slice, Lb: int):
+        """`_hermite_kernel` of pairs ``sl`` of class ``ci`` against
+        group ``gi`` on the bra rows of simplex ``Lb`` (the class's
+        ``L``, or ``L + 1`` for its derivative)."""
+        bra, ket = self.bras[ci], self.kets[gi]
+        K = _prefactor(self.be, bra["p"][sl], bra["cc"][sl], ket)
+        idx = simplex_sum_index(Lb, ket["l"], self._dims(ci, gi)[0])
+        return _hermite_kernel(self.be, self.table(ci, gi, sl), K, idx)
+
+
+def _coulomb_tables(be, workspace, kind, bases, points, bras, kets,
+                    consume=False) -> CoulombTables:
+    """This driver's `CoulombTables`, through the workspace's
+    consume-once entry (`IntegralWorkspace.coulomb_tables`) when there
+    is one. A non-numpy backend may be tracing the geometry — no bytes
+    to key on — and builds its own, like a driver without a workspace.
+    """
+    def build(found, budget):
+        return CoulombTables(be, bras, kets, budget, found)
+
+    if workspace is None or not be.is_numpy:
+        return build(None, table_budget(None))
+    return workspace.coulomb_tables(kind, bases, points, build, consume)
+
+
+# --------------------------------------------------------------------------
 # One-electron matrices
 # --------------------------------------------------------------------------
 
@@ -441,37 +702,33 @@ def kinetic_batched(
     return T
 
 
-def _r_tables(be: ArrayBackend, lmax, p, PQ):
-    """Simplex-packed Hermite Coulomb tables ``(nsimplex(lmax), n)``:
-    fast numpy path or functional xp path."""
-    if be.is_numpy:
-        return r_tables_simplex(lmax, np.asarray(p), np.asarray(PQ))
-    return _r_tables_xp(be, lmax, p, PQ)
-
-
-def _nuclear_r_tables(be, L, p, P, cen):
-    """R tables ``(nsimplex(L), q, nC, N)`` between a class chunk's
-    primitives and the point charges at ``cen``."""
-    qc, N = p.shape
-    nC = cen.shape[0]
-    PQ = P[:, None, :, :] - cen[None, :, None, :]
-    p_rep = be.xp.broadcast_to(p[:, None, :], (qc, nC, N))
-    R = _r_tables(be, L, p_rep.reshape(-1), PQ.reshape(-1, 3))
-    return R.reshape(-1, qc, nC, N)
-
-
-def _nuclear_blocks(be, E, p, P, cc, cen, Z, ca, cb, norms):
+def _nuclear_blocks(be, E, p, cc, R, Z, ca, cb, norms):
     """Nuclear-attraction blocks ``(q, nfa, nfb)`` of one class chunk
-    for point charges ``Z`` at ``cen``."""
+    for point charges ``Z``; ``R (nsimplex(L + 1), q*N*nC)`` is the
+    chunk's `CoulombTables` view."""
     L = int(ca[0].sum() + cb[0].sum())  # component powers sum to l
     tuv = hermite_simplex(L)
     qc, N = p.shape
     nT = tuv.shape[0]
     W = _w_class(E, ca, cb, tuv).reshape(qc, -1, N * nT)
-    t1 = _einsum(be, "tqcn,c->qnt", _nuclear_r_tables(be, L, p, P, cen), Z)
+    rows = simplex_sum_index(L, 0, L + 1)[:, 0]
+    t1 = _einsum(be, "tqnc,c->qnt", R[rows].reshape(nT, qc, N, -1), Z)
     t1 = t1 * (cc * (2.0 * np.pi / p))[:, :, None]
-    val = -be.xp.matmul(W, t1.reshape(qc, N * nT, 1))
+    # summed along contiguous rows (the gather leaves W pair-fastest,
+    # except in a chunk of one pair), so a pair's block does not depend
+    # on the chunk it is in
+    val = -_einsum(be, "qxk,qk->qx", _contig(be, W), t1.reshape(qc, N * nT))
     return val.reshape(qc, len(ca), len(cb)) * norms[None]
+
+
+def _nuclear_tables(be, workspace, basis, mol, bras, consume=False):
+    """The `CoulombTables` between ``bras`` and the nuclei of ``mol``
+    (point charges: one ket group of order 0 without an exponent)."""
+    ket = dict(qk=None, Pk=be.asarray(mol.coords), l=0)
+    points = np.column_stack([mol.atomic_numbers, mol.coords])
+    return _coulomb_tables(
+        be, workspace, "nuclear", (basis,), points, bras, [ket], consume
+    )
 
 
 def nuclear_batched(
@@ -484,15 +741,16 @@ def nuclear_batched(
     ``(nbf, nbf)``."""
     be = be or get_backend()
     V = np.zeros((basis.nbf, basis.nbf))
-    Zh = mol.atomic_numbers.astype(float)
-    centers = mol.coords
-    nC = centers.shape[0]
-    Z = be.asarray(Zh)
-    cen = be.asarray(centers)
-    for cls in build_shell_classes(basis, workspace):
+    nC = mol.natoms
+    Z = be.asarray(mol.atomic_numbers.astype(float))
+    classes = build_shell_classes(basis, workspace)
+    tabs = _nuclear_tables(
+        be, workspace, basis, mol, [_bra(be, cls) for cls in classes]
+    )
+    for ci, cls in enumerate(classes):
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
-        nT = hermite_simplex(cls.la + cls.lb).shape[0]
+        nT = hermite_simplex(cls.la + cls.lb + 1).shape[0]
         N, X = cls.nprim, cls.nfa * cls.nfb
         norms = be.asarray(cls.norms)
         blk_all = np.empty((cls.npair, cls.nfa, cls.nfb))
@@ -500,8 +758,8 @@ def nuclear_batched(
         for sl in _chunks(cls.npair, max(nC, X) * N * nT):
             blk = _nuclear_blocks(
                 be, be.asarray(cls.E[sl]), be.asarray(cls.p[sl]),
-                be.asarray(cls.P[sl]), be.asarray(cls.cc[sl]),
-                cen, Z, ca, cb, norms,
+                be.asarray(cls.cc[sl]), tabs.table(ci, 0, sl),
+                Z, ca, cb, norms,
             )
             blk_all[sl] = be.to_numpy(blk)
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
@@ -600,11 +858,14 @@ def contract_nuclear_deriv_batched(
     natoms = mol.natoms
     g = np.zeros((natoms, 3))
     Zh = mol.atomic_numbers.astype(float)
-    centers = mol.coords
-    nC = centers.shape[0]
-    cen = be.asarray(centers)
+    nC = natoms
     Xs = X + X.T
-    for cls in build_shell_classes(basis, workspace):
+    classes = build_shell_classes(basis, workspace)
+    tabs = _nuclear_tables(
+        be, workspace, basis, mol, [_bra(be, cls) for cls in classes],
+        consume=True,
+    )
+    for ci, cls in enumerate(classes):
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
         L = cls.la + cls.lb + 1
@@ -627,7 +888,7 @@ def contract_nuclear_deriv_batched(
             b = be.asarray(cls.b[sl])
             p = be.asarray(cls.p[sl])
             qc = cls.p[sl].shape[0]
-            R = _nuclear_r_tables(be, L, p, be.asarray(cls.P[sl]), cen)
+            R = tabs.table(ci, 0, sl).reshape(nT, qc, N, nC)
             pref = be.asarray(cls.cc[sl]) * (2.0 * np.pi / p)
             # all six (side, axis) operands through one pair of GEMMs
             dW = _w_deriv_stack(be, E, a, b, ca, cb, tuv)
@@ -635,7 +896,7 @@ def contract_nuclear_deriv_batched(
             t1 = t1.reshape(qc, 6, N, nT) * pref[:, None, :, None]
             v = -be.xp.matmul(
                 t1.reshape(qc, 6, N * nT),
-                R.transpose(1, 3, 0, 2).reshape(qc, N * nT, nC),
+                R.transpose(1, 2, 0, 3).reshape(qc, N * nT, nC),
             )
             vals_all[sl] = be.to_numpy(v).reshape(qc, 2, 3, nC) * Zh
         for si, atoms_side in enumerate((cls.atom_a, cls.atom_b)):
@@ -686,9 +947,15 @@ def schwarz_pair_bounds_batched(
             Wb = _w_class(be.asarray(cls.E[sl]), ca, cb, tuv)
             # ket columns of the kernel run (Tb, N)
             Wk = (Wb * phase).transpose(0, 1, 2, 4, 3).reshape(qc, X, Tb * N)
-            # the pair's own primitives are the ket
-            ket = dict(qk=p[:, None, :], cck=cc[:, None, :], Pk=P[:, None], l=L)
-            M2 = _hermite_kernel(be, p, cc, P, L, ket)
+            # the pair's own primitives are the ket; no derivative
+            # driver follows, so the table is built here at order 2L
+            ket = dict(qk=p[:, None, :], cck=cc[:, None, :], Pk=P[:, None])
+            R, = _build_tables(
+                be, [(2 * L, lambda: _ket_inputs(be, p, P, ket))]
+            )
+            M2 = _hermite_kernel(
+                be, R, _prefactor(be, p, cc, ket), simplex_sum_index(L, L)
+            )
             t1 = be.xp.matmul(Wb.reshape(qc, X, N * Tb), M2)
             diag = _einsum(be, "qxk,qxk->qx", t1, Wk)
             bound = be.xp.sqrt(be.xp.max(be.xp.abs(diag), axis=1))
@@ -703,54 +970,28 @@ def schwarz_pair_bounds_batched(
 # --------------------------------------------------------------------------
 
 def _group_statics(groups, be: ArrayBackend):
-    """Per-auxiliary-group ket expansions on simplex rows (Hermite
-    phase folded in), built once per call."""
+    """Per-auxiliary-group ket expansions on the simplex rows of the
+    group's ``lmax`` (Hermite phase folded in), built once per call: the
+    one place that turns an `AuxGroup` into what the kernels read —
+    ``(m, C, Tk, Wk, func_idx, comp_norms, atoms)`` plus the ket side
+    of its `CoulombTables` (``qk``, ``Pk``, ``l``)."""
     statics = []
     for grp in groups:
-        tuv = hermite_simplex(grp.l)
-        cg = comp_arrays(grp.l)
-        m = grp.pd.nprim
-        C = len(cg)
-        Wk = _w_class(grp.pd.E[:, None], cg, _S_COMP, tuv)
+        tuv = hermite_simplex(grp.lmax)
+        m, C = grp.func_idx.shape
+        Wk = _w_class(grp.pd.E[:, None], grp.comps, _S_COMP, tuv)
         Wk = Wk.reshape(m, C, -1) * _phase(tuv)
         statics.append(
             dict(
-                grp=grp, l=grp.l, m=m, C=C, Tk=tuv.shape[0],
-                qk=be.asarray(grp.pd.p), cck=be.asarray(grp.pd.cc),
-                Pk=be.asarray(grp.pd.P),
+                grp=grp, l=grp.lmax, m=m, C=C, Tk=tuv.shape[0],
+                qk=be.asarray(grp.pd.p), Pk=be.asarray(grp.pd.P),
                 Wk=be.asarray(Wk),
-                func_idx=grp.offsets[:, None] + np.arange(C)[None, :],
+                func_idx=grp.func_idx,
                 comp_norms=grp.comp_norms,
+                atoms=grp.atoms,
             )
         )
     return statics
-
-
-def _hermite_kernel(be, p, cc, P, L, ket):
-    """Gathered, prefactor-folded Hermite Coulomb kernel
-    ``M2 (q, N*Tb, Tk*m)`` between a bra chunk (``p, cc`` of shape
-    ``(q, N)``, centers ``P``, rows of simplex ``L``) and the ``m``
-    primitives of ``ket`` — a `_group_statics` entry, or any mapping
-    with exponents ``qk``, coefficients ``cck`` and centers ``Pk`` that
-    broadcast against ``(q, N, m)`` and the simplex order ``l``."""
-    xp = be.xp
-    qc, N = p.shape
-    qk, cck, Pk, lk = ket["qk"], ket["cck"], ket["Pk"], ket["l"]
-    m = qk.shape[-1]
-    p4 = p[:, :, None]
-    pq, s = p4 * qk, p4 + qk
-    PQ = P[:, :, None, :] - Pk
-    R = _r_tables(be, L + lk, (pq / s).reshape(-1), PQ.reshape(-1, 3))
-    K = _TWO_PI_52 * cc[:, :, None] * cck / (pq * xp.sqrt(s))
-    # the prefactor goes onto the packed table (nsimplex values per
-    # primitive, not Tb*Tk); the gather then copies whole batch rows
-    R = R * K.reshape(-1)
-    idx = simplex_sum_index(L, lk)
-    Tb, Tk = idx.shape
-    M = R[idx].reshape(Tb, Tk, qc, N, m)
-    return _contig(be, M.transpose(2, 3, 0, 1, 4)).reshape(
-        qc, N * Tb, Tk * m
-    )
 
 
 def _group_apply_batched(be, M2, st, Wb2):
@@ -771,7 +1012,8 @@ def _eri3c_scatter(be, out, st, M2, Wb2, norms, rows, cols, off):
     nfa, nfb = norms.shape
     blk = _group_apply_batched(be, M2, st, Wb2)
     blk = blk.reshape(-1, st["m"], nfa, nfb, st["C"])
-    blk = blk * norms[None, None, :, :, None] * be.asarray(st["comp_norms"])
+    blk = blk * norms[None, None, :, :, None]
+    blk = blk * be.asarray(st["comp_norms"])[None, :, None, None, :]
     fi = st["func_idx"][None, None, None, :, :]
     out = be.scatter_set(
         out,
@@ -817,7 +1059,9 @@ def eri3c_batched(
     npairs = len(canonical_shell_pairs(basis))
     nskip = 0
     neglected: list[np.ndarray] = []
+    kept, bras = [], []
     for cls in classes:
+        ids = None
         if Q is not None:
             qv = Q[cls.ish, cls.jsh]
             keep = qv * qaux_max > screen
@@ -826,7 +1070,13 @@ def eri3c_batched(
                 nskip += int(skip.sum())
                 nfab = (cls.nfa * cls.nfb) * np.where(cls.diag[skip], 1.0, 2.0)
                 neglected.append(qv[skip] * qaux_sum * nfab)
-                cls = cls.subset(keep)
+                cls, ids = cls.subset(keep), np.nonzero(keep)[0]
+        kept.append(cls)
+        bras.append(_bra(be, cls, ids))
+    tabs = _coulomb_tables(
+        be, workspace, "eri3c", (basis, aux), None, bras, statics
+    )
+    for ci, cls in enumerate(kept):
         if cls.npair == 0:
             continue
         ca = comp_arrays(cls.la)
@@ -842,17 +1092,15 @@ def eri3c_batched(
         mTk = max(st["m"] * st["Tk"] for st in statics)
         per_pair = max(N * Tb * mTk, X * N * Tb, X * mTk)
         for sl in _chunks(cls.npair, per_pair):
-            E = be.asarray(cls.E[sl])
-            p = be.asarray(cls.p[sl])
-            cc = be.asarray(cls.cc[sl])
-            P = be.asarray(cls.P[sl])
             qc = cls.p[sl].shape[0]
-            Wb2 = _w_class(E, ca, cb, tuv).reshape(qc, X, N * Tb)
+            Wb2 = _w_class(be.asarray(cls.E[sl]), ca, cb, tuv).reshape(
+                qc, X, N * Tb
+            )
             off = np.nonzero(~cls.diag[sl])[0]
-            for st in statics:
-                M2 = _hermite_kernel(be, p, cc, P, L, st)
+            for gi, st in enumerate(statics):
                 out = _eri3c_scatter(
-                    be, out, st, M2, Wb2, norms, rows[sl], cols[sl], off
+                    be, out, st, tabs.kernel(ci, gi, sl, L), Wb2, norms,
+                    rows[sl], cols[sl], off,
                 )
     if workspace is not None and screen > 0.0:
         workspace.record_screen(
@@ -908,7 +1156,9 @@ def contract_eri3c_deriv_batched(
     npairs = len(canonical_shell_pairs(basis))
     nskip = 0
     neglected: list[np.ndarray] = []
+    kept, bras = [], []
     for cls in classes:
+        ids = None
         pfac = np.where(cls.diag, 1.0, 2.0)
         if Q is not None:
             qv = Q[cls.ish, cls.jsh]
@@ -921,8 +1171,17 @@ def contract_eri3c_deriv_batched(
                     DERIV_SAFETY * qv[skip] * zv[skip] * qaux_sum
                     * cls.nfa * cls.nfb * pfac[skip]
                 )
-                cls = cls.subset(keep)
+                cls, ids = cls.subset(keep), np.nonzero(keep)[0]
                 pfac = pfac[keep]
+        kept.append((cls, pfac))
+        bras.append(_bra(be, cls, ids))
+    # the tables `eri3c` left at this geometry, completed by the pairs
+    # this mask keeps and that one dropped
+    tabs = _coulomb_tables(
+        be, workspace, "eri3c", (basis, aux), None, bras, statics,
+        consume=True,
+    )
+    for ci, (cls, pfac) in enumerate(kept):
         if cls.npair == 0:
             continue
         ca = comp_arrays(cls.la)
@@ -934,7 +1193,7 @@ def contract_eri3c_deriv_batched(
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
         norms_flat = cls.norms.ravel()
         # per-pair bra/ket-center sums (Q, 3) and, per group, the
-        # per-aux-shell vA + vB (Q, 3, m) that go onto the aux centers
+        # per-aux-site vA + vB (Q, 3, m) that go onto the aux centers
         sA = np.zeros((cls.npair, 3))
         sB = np.zeros((cls.npair, 3))
         vAB = [np.empty((cls.npair, 3, st["m"])) for st in statics]
@@ -943,16 +1202,11 @@ def contract_eri3c_deriv_batched(
         mTk = max(st["m"] * st["Tk"] for st in statics)
         per_pair = max(N * Tb * mTk, 6 * X * N * Tb, 6 * X * mTk)
         for sl in _chunks(cls.npair, per_pair):
-            E = be.asarray(cls.E[sl])
-            a = be.asarray(cls.a[sl])
-            b = be.asarray(cls.b[sl])
-            p = be.asarray(cls.p[sl])
-            cc = be.asarray(cls.cc[sl])
-            P = be.asarray(cls.P[sl])
             qc = cls.p[sl].shape[0]
-            dW = _w_deriv_stack(be, E, a, b, ca, cb, tuv).reshape(
-                qc, 6 * X, N * Tb
-            )
+            dW = _w_deriv_stack(
+                be, be.asarray(cls.E[sl]), be.asarray(cls.a[sl]),
+                be.asarray(cls.b[sl]), ca, cb, tuv,
+            ).reshape(qc, 6 * X, N * Tb)
             pfc = pfac[sl]
             for gi, st in enumerate(statics):
                 fi = st["func_idx"]
@@ -963,13 +1217,13 @@ def contract_eri3c_deriv_batched(
                     fi[None, :, None, None, :],
                 ].reshape(qc, st["m"], X, st["C"])
                 zg = zg * norms_flat[None, None, :, None]
-                zg = zg * (pfc[:, None] * st["comp_norms"][None, :])[
-                    :, None, None, :
+                zg = zg * (pfc[:, None, None] * st["comp_norms"][None])[
+                    :, :, None, :
                 ]
                 # Z folded into the ket expansion once per group:
                 # ZW[q, m, x, tau] = sum_c zg[q, m, x, c] Wk[m, c, tau]
                 ZW = be.xp.matmul(be.asarray(zg), st["Wk"][None])
-                M2 = _hermite_kernel(be, p, cc, P, L, st)
+                M2 = tabs.kernel(ci, gi, sl, L)
                 t1 = be.xp.matmul(dW, M2).reshape(
                     qc, 6, X, st["Tk"], st["m"]
                 )
@@ -980,7 +1234,7 @@ def contract_eri3c_deriv_batched(
         np.add.at(g, cls.atom_a, sA)
         np.add.at(g, cls.atom_b, sB)
         for st, v in zip(statics, vAB):
-            np.subtract.at(g, st["grp"].atoms, v.sum(axis=0).T)
+            np.subtract.at(g, st["atoms"], v.sum(axis=0).T)
     if workspace is not None and screen > 0.0:
         workspace.record_screen(
             "eri3c_deriv", npairs, nskip, _fsum(neglected)
@@ -1120,7 +1374,6 @@ class AutodiffIntegrals:
         self._groups = None
         if aux is not None:
             self._groups = _group_statics(_aux_groups(None, aux), self.be)
-            self._aux_atoms = [st["grp"].atoms for st in self._groups]
 
     def _geometry(self, part, coords, imax: int, jmax: int):
         """Traced per-class geometry: centers, product centers, E."""
@@ -1178,15 +1431,30 @@ class AutodiffIntegrals:
             T = self._assemble(T, part, blk, nfa, nfb)
         return T
 
+    def _tables(self, geometry, kets) -> CoulombTables:
+        """The traced `CoulombTables` of every class against ``kets``."""
+        bras = [
+            dict(ids=np.arange(part["a"].shape[0]), p=p,
+                 cc=self.be.asarray(part["cc"]), P=P,
+                 L=part["la"] + part["lb"])
+            for part, (p, P, _) in zip(self._parts, geometry)
+        ]
+        return CoulombTables(self.be, bras, kets, table_budget(None))
+
     def nuclear(self, coords):
         xp = self.be.xp
         V = xp.zeros((self.nbf, self.nbf))
-        for part in self._parts:
+        geometry = [
+            self._geometry(part, coords, part["la"], part["lb"])
+            for part in self._parts
+        ]
+        tabs = self._tables(geometry, [dict(qk=None, Pk=coords, l=0)])
+        for ci, (part, (p, _, E)) in enumerate(zip(self._parts, geometry)):
             ca, cb = comp_arrays(part["la"]), comp_arrays(part["lb"])
-            p, P, E = self._geometry(part, coords, part["la"], part["lb"])
             blk = _nuclear_blocks(
-                self.be, E, p, P, self.be.asarray(part["cc"]), coords,
-                self.Z, ca, cb, self.be.asarray(part["norms"]),
+                self.be, E, p, self.be.asarray(part["cc"]),
+                tabs.table(ci, 0, slice(None)), self.Z, ca, cb,
+                self.be.asarray(part["norms"]),
             )
             V = self._assemble(V, part, blk, len(ca), len(cb))
         return V
@@ -1199,23 +1467,26 @@ class AutodiffIntegrals:
             raise ValueError("AutodiffIntegrals built without an aux basis")
         xp = self.be.xp
         out = xp.zeros((self.nbf, self.nbf, self.aux.nbf))
-        for part in self._parts:
+        geometry = [
+            self._geometry(part, coords, part["la"], part["lb"])
+            for part in self._parts
+        ]
+        kets = [{**st, "Pk": coords[st["atoms"]]} for st in self._groups]
+        tabs = self._tables(geometry, kets)
+        for ci, (part, (_, _, E)) in enumerate(zip(self._parts, geometry)):
             ca, cb = comp_arrays(part["la"]), comp_arrays(part["lb"])
             nfa, nfb = len(ca), len(cb)
             L = part["la"] + part["lb"]
-            p, P, E = self._geometry(part, coords, part["la"], part["lb"])
             Q = part["a"].shape[0]
             Wb2 = _w_class(E, ca, cb, hermite_simplex(L)).reshape(
                 Q, nfa * nfb, -1
             )
-            cc = self.be.asarray(part["cc"])
             norms = self.be.asarray(part["norms"])
             rows, cols = _block_indices(part["oa"], nfa, part["ob"], nfb)
             offdiag = np.nonzero(part["ish"] != part["jsh"])[0]
-            for st, g_atoms in zip(self._groups, self._aux_atoms):
-                ket = {**st, "Pk": coords[g_atoms]}
-                M2 = _hermite_kernel(self.be, p, cc, P, L, ket)
+            for gi, st in enumerate(kets):
                 out = _eri3c_scatter(
-                    self.be, out, st, M2, Wb2, norms, rows, cols, offdiag
+                    self.be, out, st, tabs.kernel(ci, gi, slice(None), L),
+                    Wb2, norms, rows, cols, offdiag,
                 )
         return out

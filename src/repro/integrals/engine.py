@@ -320,53 +320,104 @@ def comp_arrays(l: int) -> np.ndarray:
 
 @dataclass
 class AuxGroup:
-    """A batch of single-primitive auxiliary shells sharing one angular
-    momentum, packed so the whole group is processed as one 'ket' with
-    the per-shell index riding along the primitive axis.
+    """A batch of auxiliary *sites* carrying the same angular momenta.
+
+    A site is a (centre, exponent) pair; an even-tempered fitting basis
+    puts its s, p and d shells on one exponent ladder per atom, so a
+    site usually holds several single-primitive shells. Everything the
+    Hermite machinery needs from a primitive — its E table ``E[i, 0, t]``
+    and its Coulomb table against a bra — depends on the exponent and
+    the centre only, so the sites of a group are processed as one 'ket'
+    whose component axis stacks the components of every ``l`` the sites
+    carry. When no two shells share a site (cc-pVDZ-RIFIT would be such
+    a basis) the groups are the per-``l`` shell batches.
 
     Attributes:
-        l: common angular momentum.
-        pd: PairData whose primitive axis enumerates the member shells.
-        atoms: owning atom per member shell, shape (m,).
-        offsets: basis-function offset of each member shell, shape (m,).
-        comp_norms: per-component normalization (ncart(l),).
+        ls: angular momenta every site of the group carries, ascending.
+        pd: PairData whose primitive axis enumerates the sites (E tables
+            up to ``lmax``; ``cc`` is one, the shells' contraction
+            coefficients differ per ``l`` and ride in ``comp_norms``).
+        atoms: owning atom per site, shape ``(m,)``.
+        shells: one member shell index per site, shape ``(m,)`` (where
+            the site's centre is read from).
+        comps: stacked Cartesian component powers, ``(C, 3)``:
+            `comp_arrays` of each ``l`` in ``ls``, concatenated.
+        func_idx: basis-function index of every (site, component),
+            shape ``(m, C)``.
+        comp_norms: contraction coefficient times component
+            normalization of every (site, component), shape ``(m, C)``.
     """
 
-    l: int
+    ls: tuple[int, ...]
     pd: PairData
     atoms: np.ndarray
-    offsets: np.ndarray
+    shells: np.ndarray
+    comps: np.ndarray
+    func_idx: np.ndarray
     comp_norms: np.ndarray
+
+    @property
+    def lmax(self) -> int:
+        """Highest angular momentum of the group: the order of its ket
+        Hermite simplex and of the E tables it needs."""
+        return self.ls[-1]
 
 
 def aux_group_data(aux, di: int = 0) -> list[AuxGroup]:
-    """Group an auxiliary basis's shells by angular momentum.
+    """Group an auxiliary basis's shells by site, and sites by the set
+    of angular momenta they carry (sorted by ``lmax``).
 
     Every shell must be single-primitive (true for the auto-generated
     even-tempered fitting bases). ``di`` adds derivative headroom.
     """
-    by_l: dict[int, list[int]] = {}
+    # (atom, centre, exponent) -> one {l: shell index} per site; a second
+    # shell of the same l on the same exponent opens another site
+    sites: dict[tuple, list[dict[int, int]]] = {}
     for idx, sh in enumerate(aux.shells):
         if sh.nprim != 1:
             raise ValueError("aux grouping requires single-primitive shells")
-        by_l.setdefault(sh.l, []).append(idx)
+        slots = sites.setdefault(
+            (sh.atom, sh.center.tobytes(), sh.exps.tobytes()), []
+        )
+        slot = next((s for s in slots if sh.l not in s), None)
+        if slot is None:
+            slot = {}
+            slots.append(slot)
+        slot[sh.l] = idx
+    by_ls: dict[tuple[int, ...], list[dict[int, int]]] = {}
+    for slots in sites.values():
+        for slot in slots:
+            by_ls.setdefault(tuple(sorted(slot)), []).append(slot)
     groups = []
-    for l, idxs in sorted(by_l.items()):
-        shells = [aux.shells[i] for i in idxs]
-        a = np.array([sh.exps[0] for sh in shells])
+    for ls, members in sorted(by_ls.items(), key=lambda kv: (kv[0][-1], kv[0])):
+        def stacked(per_shell):
+            """``(m, C)``: a per-shell vector of each ``l``, side by side."""
+            return np.array([
+                np.concatenate([per_shell(aux.shells[slot[l]], slot[l])
+                                for l in ls])
+                for slot in members
+            ])
+
+        first = [aux.shells[slot[ls[0]]] for slot in members]
+        a = np.array([sh.exps[0] for sh in first])
         b = np.zeros_like(a)
-        cc = np.array([sh.coefs[0] for sh in shells])
-        P = np.array([sh.center for sh in shells])
-        imax = l + di
+        P = np.array([sh.center for sh in first])
+        imax = ls[-1] + di
         E = e_tables_batch(imax, 0, np.zeros(3), a, b)
-        pd = PairData(shells[0], shells[0], a, b, cc, a.copy(), P, E, imax, 0)
+        pd = PairData(
+            first[0], first[0], a, b, np.ones_like(a), a.copy(), P, E, imax, 0
+        )
         groups.append(
             AuxGroup(
-                l=l,
+                ls=ls,
                 pd=pd,
-                atoms=np.array([sh.atom for sh in shells]),
-                offsets=np.array([aux.offsets[i] for i in idxs]),
-                comp_norms=shells[0].comp_norms,
+                atoms=np.array([sh.atom for sh in first]),
+                shells=np.array([slot[ls[0]] for slot in members]),
+                comps=np.concatenate([comp_arrays(l) for l in ls]),
+                func_idx=stacked(
+                    lambda sh, i: aux.offsets[i] + np.arange(sh.nfunc)
+                ),
+                comp_norms=stacked(lambda sh, i: sh.coefs[0] * sh.comp_norms),
             )
         )
     return groups
@@ -462,12 +513,16 @@ def hermite_simplex(L: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def simplex_sum_index(lb: int, lk: int) -> np.ndarray:
-    """Row of `hermite_simplex` ``(lb + lk)`` holding ``tb + tk`` for
+def simplex_sum_index(lb: int, lk: int, order: int | None = None) -> np.ndarray:
+    """Row of `hermite_simplex` ``(order)`` holding ``tb + tk`` for
     every bra row ``tb`` of simplex ``lb`` and ket row ``tk`` of simplex
     ``lk``: the one gather table, shape ``(Tb, Tk)``, that turns a
-    packed `r_tables_simplex` table into the bra x ket Hermite kernel."""
-    L = lb + lk
+    packed `r_tables_simplex` table into the bra x ket Hermite kernel.
+    ``order`` (default, and at least, ``lb + lk``) is the order the
+    table was built at: a lower-order simplex is a subset of its rows."""
+    L = lb + lk if order is None else order
+    if L < lb + lk:
+        raise ValueError(f"order-{L} table cannot serve rows {lb} + {lk}")
     total = hermite_simplex(L)
     pos = np.empty((L + 1, L + 1, L + 1), dtype=np.intp)
     pos[total[:, 0], total[:, 1], total[:, 2]] = np.arange(total.shape[0])

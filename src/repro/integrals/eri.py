@@ -19,8 +19,9 @@ Every screened driver accumulates the summed bound of what it skipped,
 so callers get a rigorous estimate of the neglected contribution.
 
 The runtime three-center and Schwarz drivers are the shell-class kernels
-in `batch.py` (Hermite simplex, one GEMM per class and aux group), and the
-two-center drivers here call the same kernels. `eri3c_loop`,
+in `batch.py` (Hermite simplex, one GEMM per class and aux group, one
+`CoulombTables` set per evaluation), and the two-center drivers here
+call the same kernels and the same table builder. `eri3c_loop`,
 `contract_eri3c_deriv_loop` and `schwarz_pair_bounds_loop` keep the full
 Hermite cube: they are the per-pair reference of the tests, never called
 under ``src/``.
@@ -162,12 +163,28 @@ def _eri_general(bra: PairData, ket: PairData, ca, cb, cc, cd) -> np.ndarray:
 _S_COMP = comp_arrays(0)
 
 
+def _eri2c_tables(be, workspace, aux, statics, consume=False):
+    """The `CoulombTables` of every ordered (bra group, ket group) pair
+    of the metric: the bra is the aux group as one-primitive "pairs"."""
+    from .batch import _coulomb_tables
+
+    bras = [
+        dict(ids=np.arange(st["m"]), p=st["qk"][:, None],
+             cc=np.ones((st["m"], 1)), P=st["Pk"][:, None], L=st["l"])
+        for st in statics
+    ]
+    return _coulomb_tables(
+        be, workspace, "eri2c", (aux,), None, bras, statics, consume
+    )
+
+
 def eri2c(aux: BasisSet, workspace: IntegralWorkspace | None = None) -> np.ndarray:
     """Two-center Coulomb metric ``(P|Q)``, shape ``(naux, naux)``.
 
-    Processed as angular-momentum group pairs: one Hermite batch per
-    (l, l') combination covers the whole metric. ``workspace`` serves the
-    cached (geometry-independent) group scaffolding.
+    Processed as site-group pairs (`engine.AuxGroup`): one Hermite batch
+    per pair of groups covers the whole metric. ``workspace`` serves the
+    cached (geometry-independent) group scaffolding and keeps the
+    Hermite Coulomb tables for `contract_eri2c_deriv`.
     """
     from . import batch as kernels
 
@@ -177,21 +194,22 @@ def eri2c(aux: BasisSet, workspace: IntegralWorkspace | None = None) -> np.ndarr
         return _eri2c_pershell(aux)
     be = get_backend("numpy")
     statics = kernels._group_statics(groups, be)
+    # every ordered pair, the lower triangle too: the derivative reads
+    # all of them, and one merged build serves both drivers
+    tabs = _eri2c_tables(be, workspace, aux, statics)
     J = np.zeros((aux.nbf, aux.nbf))
-    for sb in statics:
-        gb = sb["grp"]
-        # the 3c kernel with a one-primitive "pair" per bra shell; the
+    for ib, sb in enumerate(statics):
+        # the 3c kernel with a one-primitive "pair" per bra site; the
         # bra expansion is the ket one with the +-1 phase taken back
-        Wb = sb["Wk"] * _phase(hermite_simplex(gb.l))
-        for sk in statics:
-            if sk["grp"].l < gb.l:
-                continue
-            M2 = kernels._hermite_kernel(
-                be, gb.pd.p[:, None], gb.pd.cc[:, None], gb.pd.P[:, None],
-                gb.l, sk,
-            )
+        Wb = sb["Wk"] * _phase(hermite_simplex(sb["l"]))
+        for ik in range(ib, len(statics)):
+            sk = statics[ik]
+            M2 = tabs.kernel(ib, ik, slice(None), sb["l"])
             blk = kernels._group_apply_batched(be, M2, sk, Wb)
-            blk = blk * gb.comp_norms[None, None, :, None] * sk["comp_norms"]
+            blk = (
+                blk * sb["comp_norms"][:, None, :, None]
+                * sk["comp_norms"][None, :, None, :]
+            )
             blk = blk.transpose(0, 2, 1, 3).reshape(
                 sb["m"] * sb["C"], sk["m"] * sk["C"]
             )
@@ -231,13 +249,11 @@ def _group_M(
     depend only on geometry, so derivative drivers reuse them across all
     six (side, axis) combinations.
     """
-    lk = (grp.l, grp.l, grp.l)
+    lk = (grp.lmax, grp.lmax, grp.lmax)
     tk_idx = hermite_box(lk)
     tb_idx = hermite_box(tbox_b)
-    cg = comp_arrays(grp.l)
-    Wk = w_tensor(grp.pd, cg, _S_COMP, lk)[:, :, 0, :, :, :]
-    m = grp.pd.nprim
-    C = len(cg)
+    Wk = w_tensor(grp.pd, grp.comps, _S_COMP, lk)[:, :, 0, :, :, :]
+    m, C = grp.func_idx.shape
     Wk = Wk.reshape(m, C, -1) * _phase(tk_idx)[None, None, :]
     R = _combined_R(bra, grp.pd, tbox_b, lk)
     K = _kfac(bra, grp.pd)
@@ -281,9 +297,9 @@ def eri3c_loop(
     """Reference per-pair implementation of `repro.integrals.eri3c`
     (tests compare the batched driver against it; no runtime caller).
 
-    Auxiliary shells are processed in per-angular-momentum batches: the
-    whole fitting basis acts as a handful of 'super-shells', so Python
-    overhead is amortized over the full auxiliary dimension.
+    Auxiliary shells are processed in site groups (`engine.AuxGroup`):
+    the whole fitting basis acts as a handful of 'super-shells', so
+    Python overhead is amortized over the full auxiliary dimension.
 
     With ``screen > 0`` a bra shell pair is skipped when its Schwarz
     bound ``Q_ab * max_P Q_P`` cannot reach the threshold — every
@@ -326,8 +342,8 @@ def eri3c_loop(
             blk = _group_kernel(bra, grp, Wb, tbox_b)  # (m, X, C)
             C = blk.shape[2]
             blk = blk.reshape(-1, sha.nfunc, shb.nfunc, C)
-            blk = blk * norms_ab[None, :, :, None] * grp.comp_norms[None, None, None, :]
-            func_idx = grp.offsets[:, None] + np.arange(C)[None, :]
+            blk = blk * norms_ab[None, :, :, None] * grp.comp_norms[:, None, None, :]
+            func_idx = grp.func_idx
             out[oa : oa + sha.nfunc, ob : ob + shb.nfunc, func_idx] = blk.transpose(
                 1, 2, 0, 3
             )
@@ -441,8 +457,9 @@ def contract_eri2c_deriv(
 ) -> np.ndarray:
     """``g = sum_{PQ} zeta_{PQ} d(P|Q)/dR``, shape ``(natoms, 3)``.
 
-    Uses ``d/dQ = -d/dP``; both sides are processed as angular-momentum
-    groups, so the work is a few batched contractions.
+    Uses ``d/dQ = -d/dP``; both sides are processed as site groups, so
+    the work is a few batched contractions on the Hermite Coulomb
+    tables `eri2c` left at this geometry.
     """
     from . import batch as kernels
 
@@ -451,38 +468,37 @@ def contract_eri2c_deriv(
     # one unit of E-table headroom for the differentiated (bra) side; the
     # ket expansions read the same tables' lower entries
     statics = kernels._group_statics(_aux_groups(workspace, aux, di=1), be)
-    for sb in statics:
+    tabs = _eri2c_tables(be, workspace, aux, statics, consume=True)
+    for ib, sb in enumerate(statics):
         gb, n, X = sb["grp"], sb["m"], sb["C"]
-        cb = comp_arrays(gb.l)
-        L = gb.l + 1
+        L = sb["l"] + 1
         # the three bra-center derivative expansions as one operand
         dW = np.stack(
             [
                 kernels._w_deriv_class(
                     gb.pd.E[:, None], gb.pd.a[:, None], gb.pd.b[:, None],
-                    cb, _S_COMP, hermite_simplex(L), "bra", axis,
+                    gb.comps, _S_COMP, hermite_simplex(L), "bra", axis,
                 )
                 for axis in range(3)
             ],
             axis=1,
         ).reshape(n, 3 * X, -1)
         fi_b = sb["func_idx"]
-        for sk in statics:
-            gk = sk["grp"]
+        for ik, sk in enumerate(statics):
             # gathered coefficients: zg[n, m, x, y]
             zg = zeta[fi_b[:, None, :, None], sk["func_idx"][None, :, None, :]]
-            zg = zg * gb.comp_norms[None, None, :, None] * gk.comp_norms
-            # mask same-atom (derivative vanishes by invariance)
-            zg[gb.atoms[:, None] == gk.atoms[None, :]] = 0.0
-            ZW = np.matmul(zg, sk["Wk"][None])
-            M2 = kernels._hermite_kernel(
-                be, gb.pd.p[:, None], gb.pd.cc[:, None], gb.pd.P[:, None],
-                L, sk,
+            zg = (
+                zg * sb["comp_norms"][:, None, :, None]
+                * sk["comp_norms"][None, :, None, :]
             )
+            # mask same-atom (derivative vanishes by invariance)
+            zg[sb["atoms"][:, None] == sk["atoms"][None, :]] = 0.0
+            ZW = np.matmul(zg, sk["Wk"][None])
+            M2 = tabs.kernel(ib, ik, slice(None), L)
             t1 = np.matmul(dW, M2).reshape(n, 3, X, sk["Tk"], sk["m"])
             vals = np.einsum("naxsm,nmxs->nam", t1, ZW, optimize=False)
-            np.add.at(g, gb.atoms, vals.sum(axis=2))
-            np.subtract.at(g, gk.atoms, vals.sum(axis=0).T)
+            np.add.at(g, sb["atoms"], vals.sum(axis=2))
+            np.subtract.at(g, sk["atoms"], vals.sum(axis=0).T)
     return g
 
 
@@ -513,7 +529,7 @@ def contract_eri3c_deriv_loop(
     ``Z`` has shape ``(nbf, nbf, naux)`` and need not be symmetric in
     (mu, nu). Auxiliary-center derivatives follow from translational
     invariance (``dP = -(dA + dB)``); auxiliary shells are processed in
-    angular-momentum groups.
+    site groups.
 
     With ``screen > 0`` a bra shell pair is skipped when ``DERIV_SAFETY *
     Q_ab * max_P Q_P * max |Z|`` over the pair's coefficient slice cannot
@@ -525,10 +541,7 @@ def contract_eri3c_deriv_loop(
     """
     g = np.zeros((natoms, 3))
     groups = _aux_groups(workspace, aux)
-    group_idx = [
-        grp.offsets[:, None] + np.arange((grp.l + 1) * (grp.l + 2) // 2)[None, :]
-        for grp in groups
-    ]
+    group_idx = [grp.func_idx for grp in groups]
     # (mu nu|P) is symmetric in (mu, nu): only the symmetric part of Z
     # contributes, and shell pairs can be restricted to ish <= jsh.
     Z = 0.5 * (Z + Z.transpose(1, 0, 2))
@@ -580,7 +593,7 @@ def contract_eri3c_deriv_loop(
             # coefficients for this (bra pair, group): (m, X, C)
             zg = Z[oa : oa + sha.nfunc, ob : ob + shb.nfunc, fi]
             zg = zg.reshape(-1, m, C).transpose(1, 0, 2) * norms_ab[None, :, None]
-            zg = zg * (pair_fac * grp.comp_norms)[None, None, :]
+            zg = zg * (pair_fac * grp.comp_norms)[:, None, :]
             M2, Wk = _group_M(bra, grp, tbox_b)
             for axis in range(3):
                 dA_blk = _group_apply(M2, Wk, dWb[("bra", axis)])

@@ -5,7 +5,7 @@ and every one of them used to rebuild the same geometry-independent
 integral machinery from scratch: Hermite E tables for each shell pair
 (seven separate `pair_data` builds per pair per solve across
 overlap/kinetic/nuclear/3c/derivative drivers), the auxiliary-basis
-angular-momentum grouping (whose E tables do not depend on geometry at
+site grouping (whose E tables do not depend on geometry at
 all — the dummy partner sits on the same center), and the Cauchy-Schwarz
 bound table (as expensive as a full `eri3c` build). This is exactly the
 redundant work the paper's performance model assumes away (Sec. V: all
@@ -22,8 +22,10 @@ plans cannot exhaust worker memory) plus the integral products:
   rebuilt `BasisSet` of the same fragment at the next MD step hits.
 * **Exact vs slowly-varying** — shell-pair E tables are keyed on the
   exact centers (bitwise-identical reuse within one geometry, natural
-  misses across steps); auxiliary group scaffolding is geometry-
-  independent and reused with only the centers refreshed; Schwarz
+  misses across steps), and so are an evaluation's Hermite Coulomb
+  tables, which the derivative driver takes out again (consume-once);
+  auxiliary site-group scaffolding is geometry-independent and reused
+  with only the centers refreshed; Schwarz
   bounds are smooth in the geometry and are re-screened only when an
   atom has moved beyond ``displacement_tol`` bohr since they were
   computed, with a conservative ``stale_safety`` inflation applied to
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -64,6 +67,12 @@ DEFAULT_DISPLACEMENT_TOL = 0.25
 #: but less than the tolerance) — keeps the screening conservative
 DEFAULT_STALE_SAFETY = 16.0
 
+#: default byte budget of a workspace
+DEFAULT_MAX_BYTES = 256 * 2**20
+
+#: `IntegralWorkspace.scope` argument left as the enclosing scope set it
+_KEEP = object()
+
 
 def _shell_sig(sh) -> tuple:
     """Geometry-free identity of one shell (momentum, atom, primitives)."""
@@ -71,8 +80,14 @@ def _shell_sig(sh) -> tuple:
 
 
 def basis_composition_key(basis) -> tuple:
-    """Geometry-free identity of a whole basis (shell order included)."""
-    return tuple(_shell_sig(sh) for sh in basis.shells)
+    """Geometry-free identity of a whole basis (shell order included),
+    memoised on the basis: every product of every driver of an
+    evaluation asks for it again (ten times for a fitting basis)."""
+    key = basis.__dict__.get("_composition_key")
+    if key is None:
+        key = tuple(_shell_sig(sh) for sh in basis.shells)
+        basis.__dict__["_composition_key"] = key
+    return key
 
 
 def _centers(basis) -> np.ndarray:
@@ -84,6 +99,7 @@ class _Scope(threading.local):
 
     tenant: str | None = None
     exact: bool = False
+    tracer: object = None
 
 
 class IntegralWorkspace(BoundedStore):
@@ -95,9 +111,9 @@ class IntegralWorkspace(BoundedStore):
       derivative headroom ``(di=1, dj=2)``, keyed on the exact pair
       geometry, so the 3c, derivative, Schwarz and one-electron drivers
       all share one build per pair per geometry;
-    * `aux_groups` — the auxiliary angular-momentum grouping with its
-      (geometry-independent) E tables cached and only the centers
-      refreshed per call;
+    * `aux_groups` — the auxiliary site grouping (`engine.AuxGroup`)
+      with its (geometry-independent) E tables cached and only the
+      centers refreshed per call;
     * `schwarz_bounds` — the Cauchy-Schwarz shell-pair bound table,
       re-screened only when the geometry drifted beyond
       ``displacement_tol`` (stale serves are inflated by
@@ -108,16 +124,26 @@ class IntegralWorkspace(BoundedStore):
       derivative driver, keyed on the density bytes;
     * `shell_classes` — packed per-class shell-pair tables for the
       batched kernels (`repro.integrals.batch`), keyed on the exact
-      geometry.
+      geometry;
+    * `coulomb_tables` — one evaluation's Hermite Coulomb tables
+      (`batch.CoulombTables`), keyed on the exact geometry and
+      consumed once: stored by the value driver, taken by the
+      derivative driver that follows it, at most `TABLE_SHARE` of the
+      byte budget.
 
     Budget, quota, lock and ``enabled`` are the store's
     (`repro.store.BoundedStore`); an entry belongs to the tenant whose
-    thread stored it (`scope` / `set_tenant`). ``tracer`` receives
-    ``workspace.hit`` instants for the coarse products and
-    ``int.screen`` instants from the screened drivers.
+    thread stored it (`scope` / `set_tenant`). ``workspace.hit``
+    instants for the coarse products and ``int.screen`` instants from
+    the screened drivers go to the tracer of the calling thread's
+    evaluation (``scope(tracer=...)``, what a traced calculator enters);
+    a ``tracer`` given to the constructor — of a private workspace: the
+    process-global one is nobody's to assign — receives those of every
+    evaluation that brings none.
     """
 
-    def __init__(self, max_bytes: int = 256 * 2**20, enabled: bool = True,
+    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES,
+                 enabled: bool = True,
                  displacement_tol: float = DEFAULT_DISPLACEMENT_TOL,
                  stale_safety: float = DEFAULT_STALE_SAFETY,
                  tracer=None, tenant_max_bytes: int | None = None) -> None:
@@ -136,6 +162,11 @@ class IntegralWorkspace(BoundedStore):
         self._scope = _Scope()
         self.bound_rebuilds = 0
         self.stale_serves = 0
+        # Hermite Coulomb table sets: requests that built one / were
+        # served one, and the largest set ever held
+        self.tables_built = 0
+        self.tables_served = 0
+        self.tables_peak_bytes = 0
         # screening accounting (accumulated by the screened drivers)
         self.pairs_total = 0
         self.pairs_skipped = 0
@@ -151,21 +182,42 @@ class IntegralWorkspace(BoundedStore):
         self._scope.tenant = tenant
 
     @contextmanager
-    def scope(self, tenant: str | None = None, exact: bool = False):
+    def scope(self, tenant=_KEEP, exact=_KEEP, tracer=_KEEP):
         """One evaluation's settings, for the calling thread only.
 
         ``tenant`` receives the hits, misses and stored bytes;
         ``exact`` makes `schwarz_bounds` re-screen at any displacement
         (what ``deterministic`` runs need) without touching
-        ``displacement_tol``, which other threads keep reading.
+        ``displacement_tol``, which other threads keep reading;
+        ``tracer`` receives the evaluation's ``workspace.hit`` /
+        ``int.screen`` instants. Only what is given is set (and put
+        back on exit): a calculator scoping its tracer leaves alone the
+        tenant and exactness `evaluate_fragment` scoped around it.
         """
         scope = self._scope
-        saved = scope.tenant, scope.exact
-        scope.tenant, scope.exact = tenant, exact
+        given = {
+            name: value
+            for name, value in dict(tenant=tenant, exact=exact,
+                                    tracer=tracer).items()
+            if value is not _KEEP
+        }
+        saved = {name: getattr(scope, name) for name in given}
         try:
+            for name, value in given.items():
+                setattr(scope, name, value)
             yield
         finally:
-            scope.tenant, scope.exact = saved
+            for name, value in saved.items():
+                setattr(scope, name, value)
+
+    def _instant(self, name: str, **args) -> None:
+        """Emit one instant into this evaluation's tracer (the scope's,
+        else the one this workspace was constructed with)."""
+        tracer = self._scope.tracer
+        if tracer is None:
+            tracer = self.tracer
+        if tracer is not None:
+            tracer.instant(name, cat="integrals", **args)
 
     # ------------------------------------------------------------------
     # shell-pair expansion tables
@@ -197,56 +249,31 @@ class IntegralWorkspace(BoundedStore):
     # auxiliary group scaffolding
     # ------------------------------------------------------------------
     def aux_groups(self, aux, di: int = 0) -> list:
-        """Auxiliary angular-momentum groups with refreshed centers.
+        """Auxiliary site groups with refreshed centers.
 
         The expensive part of `aux_group_data` — the per-group E tables —
         does not depend on geometry at all (the dummy ``b = 0`` partner
-        sits on the shell's own center, so ``AB = 0`` always); only the
-        composite centers ``P`` do. The scaffolding is therefore cached
+        sits on the shell's own center, so ``AB = 0`` always), and
+        neither do the function indices, norms and owning atoms; only
+        the composite centers ``P`` do. The groups are therefore cached
         on composition alone and every call rebuilds just the (cheap)
         `PairData`/`AuxGroup` shells around fresh centers.
         """
-        from .engine import AuxGroup, PairData, aux_group_data
+        from .engine import aux_group_data
 
         key = ("auxgrp", basis_composition_key(aux), di)
         scaffold = self._get(key)
+        self._instant("workspace.hit", product="aux_groups",
+                      hit=scaffold is not None, di=di)
         if scaffold is None:
-            groups = aux_group_data(aux, di=di)
-            # idxs: member-shell indices per group (to refresh centers)
-            by_l: dict[int, list[int]] = {}
-            for idx, sh in enumerate(aux.shells):
-                by_l.setdefault(sh.l, []).append(idx)
-            scaffold = []
-            for grp in groups:
-                idxs = np.array(by_l[grp.l], dtype=int)
-                scaffold.append((grp, idxs))
+            scaffold = aux_group_data(aux, di=di)
             self._put(key, scaffold)
-            if self.tracer:
-                self.tracer.instant(
-                    "workspace.hit", cat="integrals", product="aux_groups",
-                    hit=False, di=di,
-                )
-            return [grp for grp, _ in scaffold]
-        if self.tracer:
-            self.tracer.instant(
-                "workspace.hit", cat="integrals", product="aux_groups",
-                hit=True, di=di,
-            )
-        out = []
-        for grp, idxs in scaffold:
-            P = np.array([aux.shells[i].center for i in idxs])
-            sh0 = aux.shells[idxs[0]]
-            pd = PairData(
-                sh0, sh0, grp.pd.a, grp.pd.b, grp.pd.cc, grp.pd.p, P,
-                grp.pd.E, grp.pd.imax, grp.pd.jmax,
-            )
-            out.append(AuxGroup(
-                l=grp.l, pd=pd,
-                atoms=np.array([aux.shells[i].atom for i in idxs]),
-                offsets=np.array([aux.offsets[i] for i in idxs]),
-                comp_norms=sh0.comp_norms,
-            ))
-        return out
+            return scaffold
+        centers = _centers(aux)
+        return [
+            replace(grp, pd=replace(grp.pd, P=centers[grp.shells]))
+            for grp in scaffold
+        ]
 
     # ------------------------------------------------------------------
     # screening bound tables
@@ -288,20 +315,14 @@ class IntegralWorkspace(BoundedStore):
             if disp <= tol:
                 served[near] = now
             if disp == 0.0:
-                if self.tracer:
-                    self.tracer.instant(
-                        "workspace.hit", cat="integrals", product="schwarz",
-                        hit=True, stale=False,
-                    )
+                self._instant("workspace.hit", product="schwarz",
+                              hit=True, stale=False)
                 return Q
             if disp <= tol:
                 with self._lock:
                     self.stale_serves += 1
-                if self.tracer:
-                    self.tracer.instant(
-                        "workspace.hit", cat="integrals", product="schwarz",
-                        hit=True, stale=True, displacement=disp,
-                    )
+                self._instant("workspace.hit", product="schwarz",
+                              hit=True, stale=True, displacement=disp)
                 return Q * self.stale_safety
         Q = schwarz_pair_bounds_batched(basis, workspace=self)
         with self._lock:
@@ -321,11 +342,7 @@ class IntegralWorkspace(BoundedStore):
             np.concatenate([refs[keep], coords[None]]),
             np.append(served[keep], now),
         ))
-        if self.tracer:
-            self.tracer.instant(
-                "workspace.hit", cat="integrals", product="schwarz",
-                hit=False,
-            )
+        self._instant("workspace.hit", product="schwarz", hit=False)
         return Q
 
     def aux_function_bounds(self, aux) -> np.ndarray:
@@ -373,20 +390,70 @@ class IntegralWorkspace(BoundedStore):
         key = ("classtab", basis_composition_key(basis),
                _centers(basis).tobytes())
         classes = self._get(key)
+        self._instant("workspace.hit", product="shell_classes",
+                      hit=classes is not None)
         if classes is None:
             classes = _build_shell_classes(basis)
             self._put(key, classes)
-            if self.tracer:
-                self.tracer.instant(
-                    "workspace.hit", cat="integrals",
-                    product="shell_classes", hit=False,
-                )
-        elif self.tracer:
-            self.tracer.instant(
-                "workspace.hit", cat="integrals",
-                product="shell_classes", hit=True,
-            )
         return classes
+
+    # ------------------------------------------------------------------
+    # Hermite Coulomb tables (consume-once)
+    # ------------------------------------------------------------------
+    #: share of ``max_bytes`` one evaluation's table set may hold
+    TABLE_SHARE = 1.0 / 16.0
+
+    def coulomb_tables(self, kind: str, bases, points, build,
+                       consume: bool):
+        """One evaluation's `batch.CoulombTables` for a driver pair.
+
+        ``kind`` names the pair (``eri3c``, ``eri2c``, ``nuclear``),
+        ``bases`` the basis sets and ``points`` any further array the
+        tables depend on (the nuclei). The entry sits under the
+        composition keys and the calling tenant and carries the centre
+        bytes it was built at: only a request at exactly that geometry
+        is served, and a store at another one replaces it, so an
+        energy-only caller leaves one set behind, not one per geometry.
+
+        ``build(found, budget)`` makes the driver's set from the payload
+        found (or None) within ``budget`` bytes — `TABLE_SHARE` of
+        ``max_bytes``; what does not fit is built by the driver as it
+        goes. A value driver (``consume=False``) stores the set it built
+        from nothing; a derivative driver takes the entry out, so after
+        an energy-and-gradient evaluation the store holds none. Found
+        and rebuilt tables are bitwise equal: the store only saves time.
+        """
+        key = ("coultab", kind, self._scope.tenant,
+               *(basis_composition_key(basis) for basis in bases))
+        geometry = b"".join(
+            [_centers(basis).tobytes() for basis in bases]
+            + ([] if points is None else [points.tobytes()])
+        )
+        with self._lock:
+            entry = self._lookup(key)
+            found = None
+            if entry is not None and entry[0] == geometry:
+                found = entry[1]
+                if consume:
+                    self._discard(key)
+            if found is None:
+                self._count("misses", self._tenant_of(key))
+                self.tables_built += 1
+            else:
+                self._count("hits", self._tenant_of(key))
+                self.tables_served += 1
+        tabs = build(found, table_budget(self))
+        if found is None and not consume:
+            self._put(key, (geometry, tabs.payload))
+        with self._lock:
+            self.tables_peak_bytes = max(self.tables_peak_bytes, tabs.nbytes)
+        self._instant(
+            "workspace.hit", product="coulomb_tables", kind=kind,
+            hit=found is not None, orders=tabs.orders,
+            elements=tabs.elements, nbytes=tabs.nbytes, kept=tabs.complete,
+            rebuilt_pairs=tabs.rebuilt_pairs,
+        )
+        return tabs
 
     # ------------------------------------------------------------------
     # screening statistics
@@ -398,12 +465,11 @@ class IntegralWorkspace(BoundedStore):
             self.pairs_total += int(pairs_total)
             self.pairs_skipped += int(pairs_skipped)
             self.neglected_bound += float(neglected_bound)
-        if self.tracer:
-            self.tracer.instant(
-                "int.screen", cat="integrals", kind=kind,
-                pairs=int(pairs_total), skipped=int(pairs_skipped),
-                neglected=float(neglected_bound),
-            )
+        self._instant(
+            "int.screen", kind=kind,
+            pairs=int(pairs_total), skipped=int(pairs_skipped),
+            neglected=float(neglected_bound),
+        )
 
     def stats(self) -> dict:
         """Counters snapshot (cache traffic + screening accounting)."""
@@ -412,10 +478,23 @@ class IntegralWorkspace(BoundedStore):
                 super().stats(),
                 bound_rebuilds=self.bound_rebuilds,
                 stale_serves=self.stale_serves,
+                tables_built=self.tables_built,
+                tables_served=self.tables_served,
+                tables_peak_bytes=self.tables_peak_bytes,
                 pairs_total=self.pairs_total,
                 pairs_skipped=self.pairs_skipped,
                 neglected_bound=self.neglected_bound,
             )
+
+
+def table_budget(workspace: IntegralWorkspace | None) -> int:
+    """Bytes one evaluation's Hermite Coulomb tables may hold:
+    `IntegralWorkspace.TABLE_SHARE` of the workspace's byte budget — of
+    the default budget for a driver called without a workspace, so it
+    merges the same classes either way."""
+    if workspace is None:
+        return int(IntegralWorkspace.TABLE_SHARE * DEFAULT_MAX_BYTES)
+    return int(workspace.TABLE_SHARE * workspace.max_bytes)
 
 
 def _dmax_table(basis, D: np.ndarray) -> np.ndarray:

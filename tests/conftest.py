@@ -15,11 +15,15 @@ def shared_workspace_settings_do_not_leak():
     """The process-global workspace's settings belong to no test: a run
     that needs exact re-screens or a tenant quota asks per evaluation
     (`evaluate_fragment`) or for the length of a `TrajectoryService.run`,
-    so every later test sees the stale-serve path it thinks it does."""
+    so every later test sees the stale-serve path it thinks it does; and
+    no run's tracer is ever latched onto it (a traced calculator scopes
+    its tracer per evaluation)."""
     workspace = get_workspace()
-    before = workspace.displacement_tol, workspace.tenant_max_bytes
+    before = (workspace.displacement_tol, workspace.tenant_max_bytes,
+              workspace.tracer)
     yield
-    assert (workspace.displacement_tol, workspace.tenant_max_bytes) == before
+    assert (workspace.displacement_tol, workspace.tenant_max_bytes,
+            workspace.tracer) == before
 
 
 @pytest.fixture(scope="session")
@@ -71,6 +75,13 @@ def finite_difference_gradient(energy_fn, mol: Molecule, h: float = 2.0e-4) -> n
                 energy_fn(mol.with_coords(cp)) - energy_fn(mol.with_coords(cm))
             ) / (2 * h)
     return g
+
+
+def table_instants(tracer) -> list[dict]:
+    """The ``workspace.hit`` instants of the Hermite Coulomb table
+    product, one per table request, in order."""
+    return [args for args in tracer.instants("workspace.hit")
+            if args["product"] == "coulomb_tables"]
 
 
 def faulty_calculator(inner, kind="transient",

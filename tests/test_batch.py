@@ -27,10 +27,14 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend import (
     ArrayBackend,
@@ -39,12 +43,20 @@ from repro.backend import (
     get_backend,
     set_default_backend,
 )
-from repro.basis import BasisSet, auto_auxiliary
-from repro.calculators import GuessCache, RIHFCalculator
+from repro.basis import BasisSet, Shell, auto_auxiliary
+from repro.calculators import GuessCache, RIHFCalculator, RIMP2Calculator
 from repro.chem import Molecule
 from repro.frag import FragmentedSystem, build_plan, mbe_energy_gradient
-from repro.integrals import IntegralWorkspace, batch
+from repro.integrals import (
+    IntegralWorkspace,
+    batch,
+    contract_eri2c_deriv,
+    engine,
+    eri2c,
+)
 from repro.integrals.batch import (
+    CoulombTables,
+    _build_tables,
     _w_class,
     _w_deriv_class,
     build_shell_classes,
@@ -58,8 +70,19 @@ from repro.integrals.batch import (
     overlap_batched,
     schwarz_pair_bounds_batched,
 )
-from repro.integrals.engine import aux_group_data, comp_arrays, hermite_box
+from repro.integrals.engine import (
+    aux_group_data,
+    comp_arrays,
+    hermite_box,
+    hermite_simplex,
+    pair_data,
+    single_data,
+)
 from repro.integrals.eri import (
+    _S_COMP,
+    _deriv_blocks_pairwise,
+    _eri2c_pershell,
+    _eri_general,
     contract_eri3c_deriv_loop,
     contract_eri4c_deriv_hf,
     eri3c_loop,
@@ -75,6 +98,9 @@ from repro.integrals.onee import (
 )
 from repro.store import payload_nbytes
 from repro.systems import glycine_chain, water_cluster
+from repro.trace import Tracer
+
+from .conftest import table_instants
 
 HAVE_JAX = importlib.util.find_spec("jax") is not None
 
@@ -312,15 +338,17 @@ class TestSimplexTrimming:
                     assert np.all(dW[..., order > L + 1] == 0.0)
         s_comp = comp_arrays(0)
         for grp in aux_group_data(auto_auxiliary(mol), di=1):
-            cg = comp_arrays(grp.l)
-            box = hermite_box((grp.l + 1,) * 3)
+            cg = grp.comps
+            box = hermite_box((grp.lmax + 1,) * 3)
             order = box.sum(axis=1)
             E = grp.pd.E[:, None]
-            assert np.all(_w_class(E, cg, s_comp, box)[..., order > grp.l] == 0.0)
+            assert np.all(
+                _w_class(E, cg, s_comp, box)[..., order > grp.lmax] == 0.0
+            )
             a, b = grp.pd.a[:, None], grp.pd.b[:, None]
             for axis in range(3):
                 dW = _w_deriv_class(E, a, b, cg, s_comp, box, "bra", axis)
-                assert np.all(dW[..., order > grp.l + 1] == 0.0)
+                assert np.all(dW[..., order > grp.lmax + 1] == 0.0)
 
 
 class TestKernelModeDispatch:
@@ -353,6 +381,27 @@ class TestKernelModeDispatch:
             for node in ast.walk(ast.parse(Path(batch.__file__).read_text()))
         }
         assert not names & {"hermite_box", "r_tables_batch"}
+        # and the Hermite Coulomb recursion has one caller: under
+        # ``integrals/`` only the table builder calls `_r_tables`, which
+        # alone dispatches to the two recursions (`r_tables_simplex`
+        # also calls itself, per batch chunk) — no driver builds a table
+        # on the side that the set its derivative finds would not hold
+        recursion = {"_r_tables", "r_tables_simplex", "_r_tables_xp"}
+        callers = {}
+        for path in Path(batch.__file__).parent.glob("*.py"):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    name = getattr(node, "id", None) or getattr(
+                        node, "attr", None
+                    )
+                    if name in recursion and name != fn.name:
+                        callers.setdefault(fn.name, set()).add(name)
+        assert callers == {
+            "_build_tables": {"_r_tables"},
+            "_r_tables": {"r_tables_simplex", "_r_tables_xp"},
+        }
 
     def test_no_runtime_gammainc(self):
         """One runtime Boys, the table: the backend shims and the
@@ -379,6 +428,544 @@ class TestKernelModeDispatch:
         c2 = build_shell_classes(bs, ws)
         assert c1 is c2
         assert ws.hits >= 1
+
+
+def _table_keys(ws):
+    return [key for key in ws._entries if key[0] == "coultab"]
+
+
+@pytest.fixture(scope="module", params=[
+    ("water2", "sto-3g"), ("water2", "repro-dz"),
+    ("glycine", "sto-3g"), ("glycine", "repro-dz"),
+], ids="-".join)
+def tables_case(request):
+    """One molecule and basis with random coefficient tensors, and the
+    Schwarz entry every workspace of the case starts from (so a 'fresh'
+    workspace is fresh in tables, not a second Schwarz build)."""
+    system, basis_name = request.param
+    mol = water_cluster(2, seed=3) if system == "water2" else glycine_chain(1)
+    bs = BasisSet.build(mol, basis_name)
+    aux = auto_auxiliary(mol, basis_name)
+    rng = np.random.default_rng(21)
+    donor = IntegralWorkspace(displacement_tol=0.0)
+    donor.schwarz_bounds(bs)
+    (schwarz_key,) = [k for k in donor._entries if k[0] == "schwarz"]
+
+    def workspace(**kw):
+        kw.setdefault("displacement_tol", 0.0)
+        ws = IntegralWorkspace(tracer=Tracer(), **kw)
+        tables, refs, served = donor._lookup(schwarz_key)
+        ws._put(schwarz_key, (list(tables), refs.copy(), served.copy()))
+        return ws
+
+    return dict(
+        mol=mol, bs=bs, aux=aux, workspace=workspace,
+        Z=rng.standard_normal((bs.nbf, bs.nbf, aux.nbf)),
+        zeta=rng.standard_normal((aux.nbf, aux.nbf)),
+        X=_sym(bs.nbf, seed=22),
+    )
+
+
+def _routes(case, value, deriv):
+    """``deriv(workspace)`` by every route its tables can take; ``value``
+    is the driver that leaves them. Returns the results by route name
+    and the workspace of the 'found' route."""
+    out = {}
+    found = case["workspace"]()
+    value(found)
+    assert len(_table_keys(found)) == 1
+    out["found"] = deriv(found)
+    assert found.tables_served == 1 and _table_keys(found) == []
+    out["fresh workspace"] = deriv(case["workspace"]())
+    out["no workspace"] = deriv(None)
+    out["disabled"] = deriv(case["workspace"](enabled=False))
+    evicted = case["workspace"]()
+    value(evicted)
+    for key in _table_keys(evicted):
+        evicted._evict(key)
+    out["evicted"] = deriv(evicted)
+    assert evicted.tables_served == 0
+    # a share that holds about a third of the set: the rest is built
+    # by the drivers as they go, found or not
+    partial = case["workspace"]()
+    partial.TABLE_SHARE = found.tables_peak_bytes / 3 / partial.max_bytes
+    value(partial)
+    out["partly kept"] = deriv(partial)
+    first, second = table_instants(partial.tracer)
+    assert not first["kept"] and not second["kept"] and second["hit"]
+    assert 0 < partial.tables_peak_bytes <= found.tables_peak_bytes / 3
+    return out, found
+
+
+class TestCoulombTables:
+    """One table set per evaluation: whichever way a derivative driver
+    comes by its Hermite Coulomb tables, every bit of its result is the
+    same."""
+
+    @pytest.mark.parametrize("zscale", [1.0, 1e-4])
+    @pytest.mark.parametrize("screen", [0.0, 1e-12, 1e-8])
+    def test_eri3c_deriv_route_independent(self, tables_case, screen, zscale):
+        c = tables_case
+        Z = c["Z"] * zscale  # 50 |Z| > 1: a wider mask than eri3c's; < 1: narrower
+
+        def value(ws):
+            eri3c_batched(c["bs"], c["aux"], screen=screen, workspace=ws)
+
+        def deriv(ws):
+            return contract_eri3c_deriv_batched(
+                c["bs"], c["aux"], Z, c["mol"].natoms, screen=screen,
+                workspace=ws,
+            )
+
+        out, found = _routes(c, value, deriv)
+        ref = out.pop("no workspace").tobytes()
+        assert {k for k, g in out.items() if g.tobytes() != ref} == set()
+        built, served = table_instants(found.tracer)
+        assert built["orders"] and not built["hit"] and served["hit"]
+        # glycine/repro-dz is the one case whose set (88 MB at the
+        # parent) does not fit the default share
+        assert served["kept"] == built["kept"]
+        assert found.tables_peak_bytes <= found.TABLE_SHARE * found.max_bytes
+
+    def test_eri2c_deriv_route_independent(self, tables_case):
+        c = tables_case
+        out, found = _routes(
+            c, lambda ws: eri2c(c["aux"], workspace=ws),
+            lambda ws: contract_eri2c_deriv(
+                c["aux"], c["zeta"], c["mol"].natoms, workspace=ws),
+        )
+        ref = out.pop("no workspace").tobytes()
+        assert {k for k, g in out.items() if g.tobytes() != ref} == set()
+        # the value driver built every ordered group pair: nothing left
+        assert table_instants(found.tracer)[1]["orders"] == []
+
+    def test_nuclear_deriv_route_independent(self, tables_case):
+        c = tables_case
+        out, found = _routes(
+            c, lambda ws: nuclear_batched(c["bs"], c["mol"], workspace=ws),
+            lambda ws: contract_nuclear_deriv_batched(
+                c["bs"], c["mol"], c["X"], workspace=ws),
+        )
+        ref = out.pop("no workspace").tobytes()
+        assert {k for k, g in out.items() if g.tobytes() != ref} == set()
+        assert table_instants(found.tracer)[1]["orders"] == []
+
+    def test_value_drivers_route_independent(self, tables_case):
+        """The value drivers read the same tables: served (a second call
+        at the geometry), built, or chunked differently, same bits."""
+        c = tables_case
+        ws = c["workspace"]()
+        for _ in range(2):
+            assert np.array_equal(
+                eri3c_batched(c["bs"], c["aux"], workspace=ws),
+                eri3c_batched(c["bs"], c["aux"]),
+            )
+            assert np.array_equal(eri2c(c["aux"], workspace=ws),
+                                  eri2c(c["aux"]))
+            assert np.array_equal(
+                nuclear_batched(c["bs"], c["mol"], workspace=ws),
+                nuclear_batched(c["bs"], c["mol"]),
+            )
+        assert (ws.tables_built, ws.tables_served) == (3, 3)
+        assert len(_table_keys(ws)) == 3
+
+    def test_chunk_and_share_invariance(self, water_dimer, monkeypatch):
+        """Tiny driver chunks, tiny recursion scratch and a share that
+        keeps nothing reproduce the one-shot results bitwise."""
+        bs, aux = _setup(water_dimer, "repro-dz")
+        mol = water_dimer
+        X = _sym(bs.nbf, seed=31)
+        rng = np.random.default_rng(32)
+        Z = rng.standard_normal((bs.nbf, bs.nbf, aux.nbf))
+        zeta = rng.standard_normal((aux.nbf, aux.nbf))
+
+        def run_all(ws):
+            return [
+                nuclear_batched(bs, mol, ws),
+                eri3c_batched(bs, aux, workspace=ws),
+                eri2c(aux, ws),
+                contract_nuclear_deriv_batched(bs, mol, X, ws),
+                contract_eri3c_deriv_batched(
+                    bs, aux, Z, mol.natoms, workspace=ws),
+                contract_eri2c_deriv(aux, zeta, mol.natoms, ws),
+            ]
+
+        ref = run_all(IntegralWorkspace())
+        monkeypatch.setattr(batch, "_CHUNK_ELEMS", 512)
+        monkeypatch.setattr(engine, "_R_SCRATCH_BYTES", 1 << 12)
+        nothing_kept = IntegralWorkspace()
+        nothing_kept.TABLE_SHARE = 0.0
+        for ws in (IntegralWorkspace(), nothing_kept, None):
+            for got, want in zip(run_all(ws), ref):
+                assert np.array_equal(got, want)
+        assert nothing_kept.tables_peak_bytes == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_merged_column_is_the_column_alone(self, data):
+        """A (pair, site) column is bitwise the column of a call holding
+        that pair alone — whatever it was merged with, however the
+        recursion splits its batch, whether the set held it, built it
+        for the chunk that asked, or found it in the payload of a set
+        built for other pairs (any two masks, a class dropped whole
+        included) under another budget."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        be = get_backend("numpy")
+        classes = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            q, N = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+            P = rng.uniform(-3.0, 3.0, (q, N, 3))
+            P[0] = 0.0 if data.draw(st.booleans()) else P[0]
+            classes.append(dict(
+                p=rng.uniform(0.05, 60.0, (q, N)), cc=np.ones((q, N)), P=P,
+                L=data.draw(st.integers(0, 2)),
+            ))
+        kets = []
+        for l in data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)):
+            m = data.draw(st.integers(1, 4))
+            qk = rng.uniform(0.1, 30.0, m) if data.draw(st.booleans()) else None
+            Pk = rng.uniform(-3.0, 3.0, (m, 3))
+            Pk[0] = 0.0  # coincident with a bra centre: the Boys T = 0 limit
+            kets.append(dict(qk=qk, Pk=Pk, l=l))
+
+        def bras():
+            """The classes under a random screening mask."""
+            out = []
+            for cls in classes:
+                q = cls["p"].shape[0]
+                ids = np.nonzero(data.draw(st.lists(
+                    st.booleans(), min_size=q, max_size=q)))[0]
+                out.append(dict(ids=ids, p=cls["p"][ids], cc=cls["cc"][ids],
+                                P=cls["P"][ids], L=cls["L"]))
+            return out
+
+        def budget(of):
+            full = sum(
+                8 * hermite_simplex(b["L"] + k["l"] + 1).shape[0]
+                * b["p"].size * k["Pk"].shape[0]
+                for b in of for k in kets
+            )
+            return data.draw(st.sampled_from([0, full // 2, full, 2 * full]))
+
+        def alone(order, bra, ket, pair, n, site):
+            alpha = bra["p"][pair, n]
+            if ket["qk"] is not None:
+                alpha = alpha * ket["qk"][site] / (alpha + ket["qk"][site])
+            PQ = bra["P"][pair, n] - ket["Pk"][site]
+            return _build_tables(
+                be, [(order, lambda: (np.array([alpha]), PQ[None]))]
+            )[0][:, 0]
+
+        first = bras()
+        second = bras()
+        scratch = data.draw(st.sampled_from([1, 1 << 10, 1 << 14, 16 << 20]))
+        old = engine._R_SCRATCH_BYTES
+        engine._R_SCRATCH_BYTES = scratch
+        try:
+            found = CoulombTables(be, first, kets, budget(first))
+            limit = budget(second)
+            tabs = CoulombTables(be, second, kets, limit, found.payload)
+            assert tabs.nbytes <= max(limit, found.nbytes)
+            assert tabs.rebuilt_pairs == sum(
+                np.setdiff1d(b["ids"], a["ids"]).size
+                for a, b in zip(first, second)
+            )
+            for ci, bra in enumerate(second):
+                q, N = bra["p"].shape
+                if not q:
+                    continue
+                lo = data.draw(st.integers(0, q - 1))
+                hi = data.draw(st.integers(lo + 1, q))
+                for gi, ket in enumerate(kets):
+                    m = ket["Pk"].shape[0]
+                    order = bra["L"] + ket["l"] + 1
+                    R = tabs.table(ci, gi, slice(lo, hi))
+                    R = R.reshape(-1, hi - lo, N, m)
+                    engine._R_SCRATCH_BYTES = old
+                    for pair in range(lo, hi):
+                        for n in range(N):
+                            for site in range(m):
+                                assert np.array_equal(
+                                    R[:, pair - lo, n, site],
+                                    alone(order, bra, ket, pair, n, site),
+                                )
+                    engine._R_SCRATCH_BYTES = scratch
+        finally:
+            engine._R_SCRATCH_BYTES = old
+
+    def test_functional_backend_rides_the_same_builder(self, water_dimer):
+        """`AutodiffIntegrals` on a backend that is not numpy (here the
+        numpy namespace behind the functional code paths; JAX where it
+        is installed, `TestAutodiffCrossCheck`) builds its tables through
+        `CoulombTables` and the `be.xp` recursion, and agrees with the
+        runtime drivers."""
+        from repro.integrals.batch import AutodiffIntegrals
+
+        class Functional(ArrayBackend):
+            name = "functional-numpy"
+            is_numpy = False
+
+        bs, aux = _setup(water_dimer, "sto-3g")
+        ai = AutodiffIntegrals(bs, water_dimer, aux=aux, be=Functional())
+        _assert_tensor_close(ai.eri3c(water_dimer.coords),
+                             eri3c_batched(bs, aux))
+        np.testing.assert_allclose(
+            ai.nuclear(water_dimer.coords), nuclear_batched(bs, water_dimer),
+            rtol=0, atol=1e-12,
+        )
+
+    def test_one_recursion_call_per_order(self, monkeypatch):
+        """A water trimer evaluation builds its tables in 13 recursion
+        calls (5 + 5 + 3 distinct orders), where each driver used to
+        build its own per (class, aux group): 48."""
+        mol = water_cluster(3, seed=1)
+        calls = []
+        recursion = engine.r_tables_simplex
+
+        def counted(lmax, p, PQ):
+            calls.append(lmax)
+            return recursion(lmax, p, PQ)
+
+        monkeypatch.setattr(batch, "r_tables_simplex", counted)
+        ws = IntegralWorkspace()
+        calc = RIMP2Calculator("sto-3g", workspace=ws)
+        calc.energy_gradient(mol)
+        assert len(calls) <= 13
+        assert sorted(calls) == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 5, 5]
+
+    def test_store_holds_no_tables_after_energy_gradient(self):
+        mol = water_cluster(2, seed=3)
+        ws = IntegralWorkspace()
+        calc = RIMP2Calculator("sto-3g", int_screen=1e-12, workspace=ws)
+        calc.energy_gradient(mol)
+        assert _table_keys(ws) == []
+        assert (ws.tables_built, ws.tables_served) == (3, 3)
+        assert ws.tables_peak_bytes > 0
+        # what is resident is the other six products, to the byte
+        assert ws.nbytes == sum(
+            payload_nbytes(e[0]) for e in ws._entries.values()
+        )
+        before = ws.nbytes, len(ws)
+        calc.energy_gradient(mol)  # same geometry: every other product hits
+        assert (ws.nbytes, len(ws)) == before
+        # an energy-only caller leaves one set (per driver pair) behind,
+        # the latest geometry's
+        for shift in (0.01, 0.02):
+            calc.energy(mol.with_coords(mol.coords + shift))
+            assert len(_table_keys(ws)) == 3
+        # which the gradient at that geometry then consumes
+        served = ws.tables_served
+        calc.energy_gradient(mol.with_coords(mol.coords + 0.02))
+        assert ws.tables_served == served + 6 and _table_keys(ws) == []
+
+    def test_tenants_and_threads_never_cross_geometries(self):
+        """Four threads, two tenants, one composition, one workspace:
+        every evaluation's gradient is the one a private workspace
+        gives — a geometry is never served another geometry's tables —
+        and the tables of one tenant are never taken by the other."""
+        base = water_cluster(1, seed=0)
+        rng = np.random.default_rng(41)
+        mols = [
+            base.with_coords(base.coords + 0.05 * rng.standard_normal((3, 3)))
+            for _ in range(8)
+        ]
+        want = [
+            RIHFCalculator(workspace=IntegralWorkspace()).energy_gradient(m)
+            for m in mols
+        ]
+        ws = IntegralWorkspace()
+        got = [None] * len(mols)
+        errors = []
+
+        def work(tid):
+            try:
+                calc = RIHFCalculator(workspace=ws)
+                for rep in range(3):
+                    for i in range(tid, len(mols), 4):
+                        with ws.scope(tenant=f"job{tid % 2}"):
+                            got[i] = calc.energy_gradient(mols[i])
+            except Exception as exc:  # surfaced below, with its traceback
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        for (e, g), (e0, g0) in zip(got, want):
+            assert e == e0 and g.tobytes() == g0.tobytes()
+        assert _table_keys(ws) == []
+        stats = ws.stats()
+        assert stats["tables_built"] + stats["tables_served"] == 6 * 24
+        assert set(stats["tenants"]) == {"job0", "job1"}
+
+
+def _hand_aux(mol, ladders) -> BasisSet:
+    """A fitting basis with the given ``(l, exponents)`` ladders on
+    every atom."""
+    return BasisSet([
+        Shell(l, mol.coords[atom], np.array([e]), np.array([1.0]), atom=atom)
+        for atom in range(mol.natoms) for l, exps in ladders for e in exps
+    ])
+
+
+#: fitting bases by how their shells share (centre, exponent) sites, with
+#: the ``(ls, sites)`` of the groups a water molecule must get
+AUX_BASES = {
+    # the generated ladders: s, p and d on the same exponents
+    "auto": (lambda mol: auto_auxiliary(mol, "sto-3g"),
+             [((0,), 11), ((0, 1), 3), ((0, 1, 2), 4)]),
+    # no two shells share an exponent: the groups are the per-l batches
+    "distinct": (lambda mol: _hand_aux(
+        mol, [(0, [0.4, 1.3, 4.1]), (1, [0.6, 1.9]), (2, [1.1])]),
+        [((0,), 9), ((1,), 6), ((2,), 3)]),
+    # only s and d share, p sits between
+    "s+d": (lambda mol: _hand_aux(
+        mol, [(0, [0.4, 1.3, 4.1]), (1, [0.6, 1.9]), (2, [1.3])]),
+        [((0,), 6), ((1,), 6), ((0, 2), 3)]),
+    # the same s shell twice: two sites, not one overwritten
+    "repeated": (lambda mol: _hand_aux(
+        mol, [(0, [0.4, 0.4, 1.3]), (1, [0.4])]),
+        [((0,), 6), ((0, 1), 3)]),
+}
+
+
+def _pershell_eri3c(bs, aux):
+    """``(mu nu|P)`` one (shell pair, aux shell) at a time on the full
+    Hermite cube: no grouping of any kind."""
+    out = np.zeros((bs.nbf, bs.nbf, aux.nbf))
+    for i, sha in enumerate(bs.shells):
+        for j, shb in enumerate(bs.shells):
+            bra = pair_data(sha, shb)
+            for k, shp in enumerate(aux.shells):
+                blk = _eri_general(
+                    bra, single_data(shp), comp_arrays(sha.l),
+                    comp_arrays(shb.l), comp_arrays(shp.l), _S_COMP,
+                )[..., 0]
+                blk = blk * np.einsum(
+                    "a,b,c->abc", sha.comp_norms, shb.comp_norms,
+                    shp.comp_norms,
+                )
+                out[bs.offsets[i]:bs.offsets[i] + sha.nfunc,
+                    bs.offsets[j]:bs.offsets[j] + shb.nfunc,
+                    aux.offsets[k]:aux.offsets[k] + shp.nfunc] = blk
+    return out
+
+
+def _pershell_eri3c_deriv(bs, aux, Z, natoms):
+    g = np.zeros((natoms, 3))
+    for i, sha in enumerate(bs.shells):
+        for j, shb in enumerate(bs.shells):
+            bra = pair_data(sha, shb, 1, 1)
+            for k, shp in enumerate(aux.shells):
+                d = _deriv_blocks_pairwise(
+                    bra, single_data(shp), comp_arrays(sha.l),
+                    comp_arrays(shb.l), comp_arrays(shp.l), _S_COMP,
+                    ("braA", "braB"),
+                )
+                z = Z[bs.offsets[i]:bs.offsets[i] + sha.nfunc,
+                      bs.offsets[j]:bs.offsets[j] + shb.nfunc,
+                      aux.offsets[k]:aux.offsets[k] + shp.nfunc]
+                z = z * np.einsum(
+                    "a,b,c->abc", sha.comp_norms, shb.comp_norms,
+                    shp.comp_norms,
+                )
+                vA = np.einsum("xabc,abc->x", d["braA"][..., 0], z)
+                vB = np.einsum("xabc,abc->x", d["braB"][..., 0], z)
+                g[sha.atom] += vA
+                g[shb.atom] += vB
+                g[shp.atom] -= vA + vB
+    return g
+
+
+def _pershell_eri2c_deriv(aux, zeta, natoms):
+    g = np.zeros((natoms, 3))
+    for i, shp in enumerate(aux.shells):
+        for j, shq in enumerate(aux.shells):
+            if shp.atom == shq.atom:
+                continue
+            d = _deriv_blocks_pairwise(
+                single_data(shp, di=1), single_data(shq),
+                comp_arrays(shp.l), _S_COMP, comp_arrays(shq.l), _S_COMP,
+                ("braA",),
+            )["braA"][:, :, 0, :, 0]
+            z = zeta[aux.offsets[i]:aux.offsets[i] + shp.nfunc,
+                     aux.offsets[j]:aux.offsets[j] + shq.nfunc]
+            v = np.einsum("xab,ab->x", d,
+                          z * np.outer(shp.comp_norms, shq.comp_norms))
+            g[shp.atom] += v
+            g[shq.atom] -= v
+    return g
+
+
+@pytest.mark.parametrize("aux_name", AUX_BASES)
+class TestSiteGrouping:
+    """The auxiliary batch axis is the (centre, exponent) site: the
+    stacked-component kernels against the ``*_loop`` references (same
+    grouping, Hermite cube) and against per-shell references that group
+    nothing."""
+
+    @pytest.fixture()
+    def case(self, water, aux_name):
+        make, groups = AUX_BASES[aux_name]
+        bs = BasisSet.build(water, "sto-3g")
+        return water, bs, make(water), groups
+
+    def test_groups(self, case):
+        _, _, aux, want = case
+        groups = aux_group_data(aux)
+        assert [(g.ls, g.pd.nprim) for g in groups] == want
+        covered = np.concatenate([g.func_idx.ravel() for g in groups])
+        assert sorted(covered) == list(range(aux.nbf))
+        for g in groups:
+            assert g.comps.shape == g.func_idx.shape[1:] + (3,)
+            assert g.comp_norms.shape == g.func_idx.shape
+            assert g.pd.E.shape[2] == g.lmax + 1  # one E table per site
+        # the workspace serves the same groups around fresh centres
+        ws = IntegralWorkspace()
+        for _ in range(2):
+            for got, ref in zip(ws.aux_groups(aux), groups):
+                assert got.ls == ref.ls
+                for name in ("atoms", "func_idx", "comp_norms", "comps"):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(ref, name))
+                assert np.array_equal(got.pd.P, ref.pd.P)
+                assert np.array_equal(got.pd.E, ref.pd.E)
+
+    def test_eri3c(self, case):
+        _, bs, aux, _ = case
+        got = eri3c_batched(bs, aux)
+        _assert_tensor_close(got, eri3c_loop(bs, aux))
+        _assert_tensor_close(got, _pershell_eri3c(bs, aux))
+
+    def test_eri2c(self, case):
+        _, _, aux, _ = case
+        _assert_tensor_close(eri2c(aux), _eri2c_pershell(aux))
+
+    def test_eri3c_deriv(self, case):
+        mol, bs, aux, _ = case
+        rng = np.random.default_rng(51)
+        Z = rng.standard_normal((bs.nbf, bs.nbf, aux.nbf))
+        got = contract_eri3c_deriv_batched(bs, aux, Z, mol.natoms)
+        _assert_gradient_close(
+            got, contract_eri3c_deriv_loop(bs, aux, Z, mol.natoms))
+        _assert_gradient_close(
+            got, _pershell_eri3c_deriv(bs, aux, Z, mol.natoms))
+
+    def test_eri2c_deriv(self, case):
+        mol, _, aux, _ = case
+        rng = np.random.default_rng(52)
+        zeta = rng.standard_normal((aux.nbf, aux.nbf))
+        _assert_gradient_close(
+            contract_eri2c_deriv(aux, zeta, mol.natoms),
+            _pershell_eri2c_deriv(aux, zeta, mol.natoms),
+        )
 
 
 class TestBackendProtocol:

@@ -129,19 +129,16 @@ class TestAuxGroups:
     def test_groups_cover_all_shells(self, water):
         aux = auto_auxiliary(water, "sto-3g")
         groups = aux_group_data(aux)
-        total = sum(g.pd.nprim for g in groups)
+        # a site carries one shell per angular momentum of its group
+        total = sum(g.pd.nprim * len(g.ls) for g in groups)
         assert total == aux.nshells
-        # offsets cover every basis function exactly once
-        covered = set()
-        for g in groups:
-            nc = (g.l + 1) * (g.l + 2) // 2
-            for off in g.offsets:
-                covered.update(range(off, off + nc))
-        assert covered == set(range(aux.nbf))
+        # func_idx covers every basis function exactly once
+        covered = np.concatenate([g.func_idx.ravel() for g in groups])
+        assert sorted(covered) == list(range(aux.nbf))
 
     def test_groups_sorted_by_l(self, water):
         aux = auto_auxiliary(water, "sto-3g")
-        ls = [g.l for g in aux_group_data(aux)]
+        ls = [g.lmax for g in aux_group_data(aux)]
         assert ls == sorted(ls)
 
     def test_contracted_aux_rejected(self):

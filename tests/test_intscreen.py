@@ -32,8 +32,11 @@ from repro.integrals import (
     hcore,
     overlap,
 )
-from repro.integrals.workspace import basis_composition_key
+from repro.integrals.workspace import basis_composition_key, get_workspace
 from repro.systems import glycine_chain, water_cluster
+from repro.trace import Tracer
+
+from .conftest import table_instants
 
 #: acceptance tolerances from the issue: screened results must stay
 #: within these of the unscreened path at the default tolerance
@@ -349,3 +352,146 @@ class TestWorkspaceInvalidation:
         assert len(ws) == 0
         assert ws.hits == 0
         assert ws.misses > 0
+
+
+class TestTableMaskReconciliation:
+    """`eri3c` screens on ``Q_ab``, its derivative on ``50 Q_ab |Z|``:
+    the table set is per surviving pair of the first, and the second
+    selects its pairs' columns and builds the few the first dropped."""
+
+    @pytest.fixture()
+    def case(self, water_dimer):
+        bs = BasisSet.build(water_dimer, "sto-3g")
+        aux = auto_auxiliary(water_dimer)
+        rng = np.random.default_rng(9)
+        Z = rng.standard_normal((bs.nbf, bs.nbf, aux.nbf))
+        return water_dimer, bs, aux, Z
+
+    @pytest.mark.parametrize("zscale, wider", [(1.0, True), (1e-4, False)])
+    def test_masks_differ_both_ways(self, case, zscale, wider):
+        mol, bs, aux, Z = case
+        screen = 1.0e-4  # five pairs of the dimer sit below it
+        ws = IntegralWorkspace(tracer=Tracer())
+        eri3c(bs, aux, screen=screen, workspace=ws)
+        skipped_value = ws.pairs_skipped
+        g = contract_eri3c_deriv(bs, aux, Z * zscale, mol.natoms,
+                                 screen=screen, workspace=ws)
+        skipped_deriv = ws.pairs_skipped - skipped_value
+        assert skipped_value > 0
+        built, served = table_instants(ws.tracer)
+        assert served["hit"] and built["rebuilt_pairs"] == 0
+        if wider:  # the derivative keeps pairs `eri3c` dropped
+            assert skipped_deriv < skipped_value
+            assert served["rebuilt_pairs"] == skipped_value - skipped_deriv
+            assert served["orders"] and served["elements"] > 0
+        else:      # it drops more: nothing to build, columns selected
+            assert skipped_deriv > skipped_value
+            assert served["rebuilt_pairs"] == 0 and served["orders"] == []
+        ref = contract_eri3c_deriv(bs, aux, Z * zscale, mol.natoms,
+                                   screen=screen,
+                                   workspace=IntegralWorkspace())
+        assert g.tobytes() == ref.tobytes()
+        # the skip decisions are each driver's own, found tables or not
+        fresh = IntegralWorkspace()
+        contract_eri3c_deriv(bs, aux, Z * zscale, mol.natoms,
+                             screen=screen, workspace=fresh)
+        assert fresh.pairs_skipped == skipped_deriv
+
+    def test_second_value_call_with_another_mask(self, case):
+        """A set another `eri3c` call left under a different threshold
+        is used where it applies, and stays where it is."""
+        mol, bs, aux, Z = case
+        ws = IntegralWorkspace(tracer=Tracer())
+        a = eri3c(bs, aux, screen=1.0e-4, workspace=ws)
+        b = eri3c(bs, aux, screen=0.0, workspace=ws)
+        assert np.array_equal(a, eri3c(bs, aux, screen=1.0e-4))
+        assert np.array_equal(b, eri3c(bs, aux))
+        first, second = table_instants(ws.tracer)
+        assert second["hit"] and second["rebuilt_pairs"] == ws.pairs_skipped
+
+    def test_table_instants_and_stats(self, case):
+        mol, bs, aux, Z = case
+        ws = IntegralWorkspace(tracer=Tracer())
+        hits, misses = ws.hits, ws.misses
+        eri2c(aux, workspace=ws)
+        (built,) = table_instants(ws.tracer)
+        assert built == dict(
+            product="coulomb_tables", kind="eri2c", hit=False,
+            orders=[1, 2, 3, 4, 5], elements=built["elements"],
+            nbytes=8 * built["elements"], kept=True, rebuilt_pairs=0,
+        )
+        stats = ws.stats()
+        assert (stats["tables_built"], stats["tables_served"],
+                stats["tables_peak_bytes"]) == (1, 0, built["nbytes"])
+        # the consume-once lookup is ordinary store traffic: a built
+        # then served set is one miss and one hit
+        from repro.integrals import contract_eri2c_deriv
+
+        before = ws.hits, ws.misses
+        contract_eri2c_deriv(aux, np.ones((aux.nbf, aux.nbf)), mol.natoms, ws)
+        # (aux_groups at di=1 is the other miss)
+        assert (ws.hits - before[0], ws.misses - before[1]) == (1, 1)
+        assert ws.stats()["tables_served"] == 1
+
+
+class TestTracerRouting:
+    """A run's tracer rides the evaluation's thread-local scope; nothing
+    assigns it to a workspace the run does not own."""
+
+    def test_untraced_run_after_traced_one_on_the_global_workspace(
+            self, water_dimer):
+        tracer = Tracer()
+        RIMP2Calculator(tracer=tracer,
+                        int_screen=1e-12).energy_gradient(water_dimer)
+        seen = len(tracer.events)
+        assert tracer.instants("int.screen")
+        assert table_instants(tracer)
+        assert get_workspace().tracer is None
+        moved = water_dimer.with_coords(water_dimer.coords + 0.01)
+        RIMP2Calculator(int_screen=1e-12).energy_gradient(moved)
+        assert len(tracer.events) == seen
+
+    def test_scope_sets_only_what_it_is_given(self):
+        ws = IntegralWorkspace()
+        tracer = Tracer()
+        with ws.scope("job", True):
+            with ws.scope(tracer=tracer):
+                scope = ws._scope
+                assert (scope.tenant, scope.exact, scope.tracer) == (
+                    "job", True, tracer)
+            assert (scope.tenant, scope.exact, scope.tracer) == (
+                "job", True, None)
+        assert (scope.tenant, scope.exact, scope.tracer) == (
+            None, False, None)
+
+    def test_other_threads_keep_their_own_tracer(self, water_dimer):
+        """Two traced calculators on one workspace, two threads: each
+        tracer sees its own evaluation's instants only."""
+        import threading
+
+        ws = IntegralWorkspace()
+        tracers = [Tracer(), Tracer()]
+        mols = [water_dimer,
+                water_dimer.with_coords(water_dimer.coords + 0.3)]
+
+        def work(i):
+            RIHFCalculator(tracer=tracers[i], int_screen=1e-12,
+                           workspace=ws).energy_gradient(mols[i])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        for tracer in tracers:
+            assert len(tracer.instants("int.screen")) == 2
+            assert len(table_instants(tracer)) == 6
+
+    def test_constructor_tracer_of_a_private_workspace(self, water_dimer):
+        """The fallback: an untraced calculator on a workspace built
+        with a tracer still reports there."""
+        ws = IntegralWorkspace(tracer=Tracer())
+        RIHFCalculator(workspace=ws, int_screen=1e-12).energy_gradient(
+            water_dimer)
+        assert len(ws.tracer.instants("int.screen")) == 2
