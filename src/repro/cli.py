@@ -233,8 +233,6 @@ def cmd_aimd(args) -> int:
           f"{coordinator.reference}, "
           f"{'synchronous' if args.sync else 'asynchronous'} stepping")
     if args.workers > 1:
-        from .md import DriverReport
-
         policy = FailurePolicy(
             max_retries=args.max_retries,
             task_timeout_s=args.task_timeout,
@@ -242,18 +240,10 @@ def cmd_aimd(args) -> int:
             backoff_s=args.retry_backoff,
             backoff_jitter=args.retry_jitter,
         )
-        prior = None
-        if resume is not None and resume.driver:
-            d = resume.driver
-            prior = DriverReport(
-                tasks_completed=d.get("tasks_completed", 0),
-                retries=d.get("retries", 0),
-                pool_restarts=d.get("pool_restarts", 0),
-                timeouts=d.get("timeouts", 0),
-            )
+        # on a resumed run the report continues the checkpoint's ``driver``
+        # section: counters and quarantine records
         report = run_parallel(
             coordinator, calc, nworkers=args.workers, policy=policy,
-            report=prior,
             seed=(fault_plan.derive_seed("retry-jitter")
                   if fault_plan is not None else args.seed),
         )

@@ -155,6 +155,8 @@ def run_aimd(
         mts_k_trimer=mts_k_trimer, thermostat=thermostat, surrogate=surrogate,
     )
     # the engine appends a frame per retired step and checkpoints them all
-    engine.frames = Trajectory() if resume is None else Trajectory.from_checkpoint(resume)
+    # (a resumed run starts from the frames its checkpoint carries)
+    engine.frames = Trajectory()
+    engine.attach("frames", engine.frames)
     run_serial(engine, calculator)
     return engine.frames

@@ -23,23 +23,23 @@ whole run.  This module provides the persistence layer:
   bit rot, a torn copy through a non-atomic transport — costs one
   checkpoint interval of progress, not the run.
 
-This module is the file format and nothing else. There is one writer —
-the step engine (`repro.md.scheduler.AsyncCoordinator`) cuts a
-checkpoint at a retired, replan-aligned step, with or without a barrier
-— and one resume validator, the engine's constructor; `run_aimd` and the
-service go through both.
-
-A `Checkpoint` carries everything needed for *exact* continuation:
-coordinates, velocities, and time at a consistent integer step, the
-per-step energy history up to that step (and the full frame history
-when the run records frames, as `run_aimd` does), thermostat state
-including its RNG stream, the fault-tolerance `DriverReport` counters
-accumulated so far, and — for multiple-time-step runs — every slow
-tier's held state (held forces and extrapolation history; see
-`repro.md.mts`), which cannot be recomputed from the resumed
-coordinates alone and is what lets a cut land inside an outer cycle.
-With the engine's deterministic-reduction mode the resumed trajectory
-is bitwise identical to an uninterrupted one.
+This module is the container and nothing else. A `Checkpoint` is the
+core block every run has — coordinates, velocities and time at a
+consistent integer step, the system identity, the energy history up to
+that step, the scheduler's reference monomer — plus named *sections*,
+each a ``(JSON meta, {name: ndarray})`` pair that its owner writes and
+checks through ``state_dict() -> (meta, arrays)`` / ``load_state(meta,
+arrays)``. The writer folds a section's meta into the one ``meta`` JSON
+and its arrays under ``"<section>.<name>"`` without knowing what any
+section is; the reader splits them back and rejects an array no declared
+section claims. The step engine (`repro.md.scheduler.AsyncCoordinator`)
+is the one writer and the one resume validator — `run_aimd` and the
+service go through it — and a new stateful feature adds a section through
+its owner, never a field here. There is one checksum, over the whole
+payload: a reader that rejects the file on any mismatch and falls back
+to the previous rotation would gain nothing from finer ones. Files of
+format versions 1-3 (one slot per feature) stay resumable through
+`migrate`, the only place that still spells a legacy slot name.
 
 The SCF warm-start `GuessCache` (`repro.calculators`) is deliberately
 **not** part of a checkpoint: cached densities are pure accelerators, so
@@ -64,16 +64,13 @@ import numpy as np
 
 #: file-format identity: readers refuse anything else
 CHECKPOINT_MAGIC = "repro-aimd-checkpoint"
-#: version 2 added the optional multiple-time-step (r-RESPA) block:
-#: an ``mts`` metadata dict plus held slow-tier force arrays. Version 3
-#: added two more optional blocks: the per-tier MTS ladder's second
-#: (trimer) slow tier, and the online-surrogate training state (a
-#: ``surrogate`` metadata dict plus per-class training-window arrays).
-#: Version-1/2 files remain readable (the blocks are simply absent), and
-#: runs that use none of the optional features still write files whose
-#: layout matches the version-1 original except for the version number.
-CHECKPOINT_VERSION = 3
-CHECKPOINT_READABLE_VERSIONS = (1, 2, 3)
+#: version 4 is the core block plus named sections; versions 1-3 (one
+#: slot per feature) are read through `migrate`
+CHECKPOINT_VERSION = 4
+#: joins a section's name to its arrays' names in the archive; a section
+#: name may not contain it (an array name may)
+SECTION_SEP = "."
+_CORE_ARRAYS = ("coords", "velocities", "times_fs", "potential", "kinetic")
 
 
 class CheckpointError(RuntimeError):
@@ -100,42 +97,12 @@ class Checkpoint:
     times_fs: np.ndarray = field(default_factory=lambda: np.zeros(0))
     potential: np.ndarray = field(default_factory=lambda: np.zeros(0))
     kinetic: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    #: full frame history (runs that record frames, i.e. `run_aimd`)
-    frame_coords: np.ndarray | None = None
-    frame_velocities: np.ndarray | None = None
-    #: opaque thermostat state (incl. RNG stream), JSON-serializable
-    thermostat: dict | None = None
-    #: fault-tolerance counters accumulated before the snapshot
-    driver: dict | None = None
     #: scheduler reference monomer (preserved so a resumed async run
     #: replays the same task priority order)
     reference: int | None = None
-    #: multiple-time-step (r-RESPA) integrator state: the
-    #: `repro.md.mts.SlowTierState` metadata (k, extrapolate, boundary
-    #: steps, slow energies) — ``None`` for single-timescale runs
-    mts: dict | None = None
-    #: held slow-tier forces at the current / previous outer boundary
-    #: (the extrapolation history); cannot be recomputed on resume
-    mts_slow_forces: np.ndarray | None = None
-    mts_slow_forces_prev: np.ndarray | None = None
-    #: per-tier ladder: the trimer tier's held forces when the run
-    #: integrates dimers and trimers on separate timescales (the dimer
-    #: tier reuses the ``mts_slow_*`` slots above)
-    mts_slow3_forces: np.ndarray | None = None
-    mts_slow3_forces_prev: np.ndarray | None = None
-    #: online-surrogate state: `repro.surrogate.SurrogateManager`
-    #: metadata (config, counters, class directory) plus the per-class
-    #: training windows in ``surrogate_arrays`` — ``None`` when the run
-    #: carries no surrogate
-    surrogate: dict | None = None
-    surrogate_arrays: dict | None = None
-    #: forces of the every-step tier at ``step`` (surrogate runs only):
-    #: the resumed run must NOT evaluate them again, because that
-    #: evaluation would mutate the surrogate's training windows and
-    #: serve streaks a second time and break bitwise continuation — so
-    #: the forces travel with the state
-    forces: np.ndarray | None = None
-    version: int = CHECKPOINT_VERSION
+    #: everything else a run must carry across the cut, by owner:
+    #: ``name -> (JSON-serializable meta, {array name: ndarray})``
+    sections: dict[str, tuple[dict, dict]] = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------
@@ -241,51 +208,30 @@ def write_checkpoint(path: str | Path, ckpt: Checkpoint, tracer=None,
     """
     meta = {
         "magic": CHECKPOINT_MAGIC,
-        "version": int(ckpt.version),
+        "version": CHECKPOINT_VERSION,
         "step": int(ckpt.step),
         "time_fs": float(ckpt.time_fs),
         "symbols": list(ckpt.symbols),
         "charge": int(ckpt.charge),
-        "thermostat": ckpt.thermostat,
-        "driver": ckpt.driver,
         "reference": ckpt.reference,
+        "sections": {name: m for name, (m, _) in ckpt.sections.items()},
     }
-    if ckpt.mts is not None:
-        # only MTS runs carry the key, so plain checkpoints stay
-        # byte-identical to the version-1 layout
-        meta["mts"] = ckpt.mts
-    if ckpt.surrogate is not None:
-        # likewise only surrogate runs carry the v3 surrogate block
-        meta["surrogate"] = ckpt.surrogate
     arrays: dict[str, np.ndarray] = {
-        "coords": np.asarray(ckpt.coords, dtype=float),
-        "velocities": np.asarray(ckpt.velocities, dtype=float),
-        "times_fs": np.asarray(ckpt.times_fs, dtype=float),
-        "potential": np.asarray(ckpt.potential, dtype=float),
-        "kinetic": np.asarray(ckpt.kinetic, dtype=float),
-        "meta": np.array(json.dumps(meta)),
+        name: np.asarray(getattr(ckpt, name), dtype=float)
+        for name in _CORE_ARRAYS
     }
-    for name in ("mts_slow_forces", "mts_slow_forces_prev",
-                 "mts_slow3_forces", "mts_slow3_forces_prev", "forces"):
-        value = getattr(ckpt, name)
-        if value is not None:
-            arrays[name] = np.asarray(value, dtype=float)
-    if ckpt.surrogate_arrays:
-        for name, value in ckpt.surrogate_arrays.items():
-            if not name.startswith("surrogate_"):
-                raise ValueError(
-                    f"surrogate payload array {name!r} must use the "
-                    "'surrogate_' namespace"
-                )
-            arrays[name] = np.asarray(value, dtype=float)
-    natoms = arrays["coords"].shape[0]
-    if ckpt.frame_coords is not None and len(ckpt.frame_coords):
-        arrays["frame_coords"] = np.asarray(
-            ckpt.frame_coords, dtype=float
-        ).reshape(-1, natoms, 3)
-        arrays["frame_velocities"] = np.asarray(
-            ckpt.frame_velocities, dtype=float
-        ).reshape(-1, natoms, 3)
+    arrays["meta"] = np.array(json.dumps(meta))
+    for section, (_, section_arrays) in ckpt.sections.items():
+        if SECTION_SEP in section:
+            raise ValueError(
+                f"checkpoint section name {section!r} contains "
+                f"{SECTION_SEP!r}"
+            )
+        for name, value in section_arrays.items():
+            key = f"{section}{SECTION_SEP}{name}"
+            arrays[key] = np.asarray(value)
+            if arrays[key].dtype.hasobject:  # would be pickled: unreadable
+                raise ValueError(f"checkpoint array {key} has object dtype")
     arrays["checksum"] = np.array(_payload_checksum(arrays))
     path = Path(path)
     _rotate_checkpoints(path, keep)
@@ -309,6 +255,80 @@ def write_checkpoint(path: str | Path, ckpt: Checkpoint, tracer=None,
                     "fault.inject", cat="fault", site="checkpoint",
                     step=int(ckpt.step), **detail,
                 )
+
+
+def migrate(meta: dict, payload: dict) -> dict:
+    """The sections of a version 1-3 file, which kept one slot per feature.
+
+    The core block never changed, so the reader takes it from
+    ``meta``/``payload`` as for a current file; this maps the optional
+    slots onto the sections their owners read today. Version 2 added the
+    r-RESPA block, version 3 the ladder's trimer tier (``*3`` names), the
+    surrogate block and the every-step ``forces``; each is simply absent
+    from files that predate it. The legacy driver slot counted its
+    quarantined tasks without recording them, so none can be restored.
+    """
+    sections: dict[str, tuple[dict, dict]] = {}
+    held, forces = [], {}
+    if "forces" in payload:
+        # the recorded potential of the step stands; tier 0's share of
+        # it was never stored
+        held.append({"tier": 0, "k": 1, "step": int(meta["step"]),
+                     "prev_step": -1, "e": 0.0, "e_prev": 0.0})
+        forces["0.forces"] = payload["forces"]
+    mts = meta.get("mts") or {}
+    for tier, k, sfx in ((1, "k", ""), (2, "k_trimer", "3")):
+        if mts.get(k) is None:
+            continue
+        held.append({
+            "tier": tier, "k": mts[k], "step": mts[f"step{sfx}"],
+            "prev_step": mts[f"prev_step{sfx}"],
+            "e": mts[f"e_slow{sfx}"],
+            "e_prev": mts.get(f"e_slow{sfx}_prev", 0.0),
+        })
+        for name in ("forces", "forces_prev"):
+            if f"mts_slow{sfx}_{name}" in payload:
+                forces[f"{tier}.{name}"] = payload[f"mts_slow{sfx}_{name}"]
+    if held:
+        sections["tiers"] = (
+            {"extrapolate": bool(mts.get("extrapolate", False)),
+             "held": held},
+            forces,
+        )
+    if meta.get("thermostat") is not None:
+        sections["thermostat"] = (meta["thermostat"], {})
+    if meta.get("surrogate") is not None:
+        sections["surrogate"] = (meta["surrogate"], {
+            name: array for name, array in payload.items()
+            if name.startswith("surrogate_")
+        })
+    if meta.get("driver") is not None:
+        sections["driver"] = ({**meta["driver"], "quarantined": []}, {})
+    if "frame_coords" in payload:
+        sections["frames"] = ({}, {
+            "times_fs": payload["times_fs"],
+            "potential": payload["potential"],
+            "kinetic": payload["kinetic"],
+            "coords": payload["frame_coords"],
+            "velocities": payload["frame_velocities"],
+        })
+    return sections
+
+
+def _split_sections(meta: dict, payload: dict, path: Path) -> dict:
+    """Undo the writer's fold: ``name -> (meta, arrays)`` per section."""
+    sections = {name: (m, {}) for name, m in meta.get("sections", {}).items()}
+    for key, array in payload.items():
+        if key in _CORE_ARRAYS or key == "meta":
+            continue
+        section, _, name = key.partition(SECTION_SEP)
+        if not name or section not in sections:
+            raise CheckpointError(
+                f"checkpoint {path}: array {key!r} belongs to no "
+                "declared section"
+            )
+        sections[section][1][name] = array
+    return sections
 
 
 def read_checkpoint(path: str | Path, mol=None) -> Checkpoint:
@@ -356,13 +376,16 @@ def read_checkpoint(path: str | Path, mol=None) -> Checkpoint:
             f"(magic={meta.get('magic')!r})"
         )
     version = meta.get("version")
-    if version not in CHECKPOINT_READABLE_VERSIONS:
+    if version == CHECKPOINT_VERSION:
+        sections = _split_sections(meta, payload, path)
+    elif version in (1, 2, 3):
+        sections = migrate(meta, payload)
+    else:
         raise CheckpointError(
-            f"checkpoint {path} has format version {version}; "
-            f"this build reads versions {CHECKPOINT_READABLE_VERSIONS}"
+            f"checkpoint {path} has format version {version}; this build "
+            f"reads version {CHECKPOINT_VERSION} and migrates versions 1-3"
         )
-    required = ("coords", "velocities", "times_fs", "potential", "kinetic")
-    missing = [k for k in required if k not in payload]
+    missing = [k for k in _CORE_ARRAYS if k not in payload]
     if missing:
         raise CheckpointError(
             f"checkpoint {path} is missing arrays: {missing}"
@@ -401,24 +424,8 @@ def read_checkpoint(path: str | Path, mol=None) -> Checkpoint:
         times_fs=payload["times_fs"],
         potential=payload["potential"],
         kinetic=payload["kinetic"],
-        frame_coords=payload.get("frame_coords"),
-        frame_velocities=payload.get("frame_velocities"),
-        thermostat=meta.get("thermostat"),
-        driver=meta.get("driver"),
         reference=meta.get("reference"),
-        mts=meta.get("mts"),
-        mts_slow_forces=payload.get("mts_slow_forces"),
-        mts_slow_forces_prev=payload.get("mts_slow_forces_prev"),
-        mts_slow3_forces=payload.get("mts_slow3_forces"),
-        mts_slow3_forces_prev=payload.get("mts_slow3_forces_prev"),
-        surrogate=meta.get("surrogate"),
-        forces=payload.get("forces"),
-        surrogate_arrays={
-            name: array
-            for name, array in payload.items()
-            if name.startswith("surrogate_")
-        } or None,
-        version=int(version),
+        sections=sections,
     )
 
 
@@ -427,8 +434,9 @@ def read_checkpoint_with_fallback(
 ) -> tuple[Checkpoint, Path]:
     """Load the newest valid checkpoint in ``path``'s rotation chain.
 
-    Tries ``path`` first, then ``path.1``, ``path.2``, ... (the copies
-    `write_checkpoint` rotates with ``keep > 1``), newest first.  The
+    Tries ``path`` first, then every existing ``path.1``, ``path.2``,
+    ... (the copies `write_checkpoint` rotates with ``keep > 1``),
+    newest first, gaps in the numbering included.  The
     first copy that passes full validation wins; if that is not the
     primary, a ``ckpt.fallback`` tracer instant records which copy was
     used and why each newer one was rejected.  A missing primary is
@@ -443,11 +451,19 @@ def read_checkpoint_with_fallback(
             message enumerates every candidate and its failure.
     """
     primary = Path(path)
-    candidates = [primary]
-    i = 1
-    while rotation_path(primary, i).exists():
-        candidates.append(rotation_path(primary, i))
-        i += 1
+    # every rotation that exists, in index order: a kill between two of
+    # `_rotate_checkpoints`' renames leaves a gap (``path``, ``path.2``,
+    # no ``path.1``), and the copy behind it is as good as any
+    prefix = f"{primary.name}."
+    try:
+        names = os.listdir(primary.parent)
+    except OSError:
+        names = []
+    indices = sorted(
+        int(name[len(prefix):]) for name in names
+        if name.startswith(prefix) and name[len(prefix):].isdecimal()
+    )
+    candidates = [primary] + [rotation_path(primary, i) for i in indices]
     failures: list[tuple[Path, str]] = []
     for cand in candidates:
         try:

@@ -40,7 +40,7 @@ import multiprocessing as mp
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .scheduler import AsyncCoordinator, evaluate_fragment
 
@@ -107,6 +107,23 @@ class DriverReport:
         """True if every polymer contributed (no quarantined energy)."""
         return not self.quarantined
 
+    def state_dict(self) -> tuple[dict, dict]:
+        """``(meta, arrays)`` of the ``driver`` checkpoint section.
+
+        The counters *and* the quarantine records, so the energy deficit
+        of a fragment zeroed before the cut stays reported after a resume.
+        """
+        return asdict(self), {}
+
+    def load_state(self, meta: dict, arrays: dict) -> None:
+        """Continue the accounting recorded by `state_dict`."""
+        for name in ("tasks_completed", "retries", "pool_restarts", "timeouts"):
+            setattr(self, name, int(meta.get(name, 0)))
+        self.quarantined = [
+            QuarantinedTask(**{**q, "key": tuple(q["key"])})
+            for q in meta["quarantined"]
+        ]
+
 
 @dataclass
 class _Flight:
@@ -126,7 +143,6 @@ def run_parallel(
     policy: FailurePolicy | None = None,
     tracer=None,
     mp_start: str = "fork",
-    report: DriverReport | None = None,
     seed: int | None = None,
 ) -> DriverReport:
     """Drive a coordinator to completion with a fault-tolerant pool.
@@ -137,10 +153,10 @@ def run_parallel(
     exploits. Worker exceptions, dead workers, and hangs are handled per
     ``policy``; the returned `DriverReport` records what happened.
 
-    Pass ``report`` to continue accumulating counters across a
-    checkpoint/resume boundary; the report is also attached to the
-    coordinator (``coordinator.driver_report``) so periodic checkpoints
-    record the fault-handling history alongside the dynamics.
+    The report rides the coordinator's checkpoints as their ``driver``
+    section (`AsyncCoordinator.attach`), so a resumed coordinator's
+    report continues the interrupted run's accounting — counters and
+    quarantine records — instead of starting clean.
 
     ``seed`` pins the per-run RNG behind ``policy.backoff_jitter``:
     with a seed, the retry-delay schedule — and hence the
@@ -154,8 +170,8 @@ def run_parallel(
     jitter_rng = random.Random(seed)
     if tracer is None:
         tracer = coordinator.tracer
-    report = report if report is not None else DriverReport()
-    coordinator.driver_report = report
+    report = DriverReport()
+    coordinator.attach("driver", report)
     ctx = mp.get_context(mp_start)
     pool = ProcessPoolExecutor(max_workers=nworkers, mp_context=ctx)
     flights: dict = {}

@@ -30,18 +30,19 @@ There is one integrator: the step engine (`repro.md.scheduler`) holds
 the split as a list of tiers ``(k_t, {key: coefficient})`` per plan
 window — plain MBE is one tier at ``k = 1``, r-RESPA is fast + slow
 (`slow_tier_items`), the per-order ``k`` ladder is fast + dimer + trimer
-(`slow_tier_items_split`) — and evaluates them task by task, with or
-without a barrier.  This module owns the tier *definitions*, and two
-things around them:
+(`slow_tier_items_split`) — evaluates them task by task, with or
+without a barrier, and carries the tiers it holds across a checkpoint
+cut in its own section of the file.  This module owns the tier
+*definitions*, and the test reference around them:
 
 * `SlowTierState` — one slow tier's between-boundary memory (held
-  forces plus the one-deep history the extrapolation needs).  It is the
-  unit the checkpoint round-trips (`pack_held_tiers` /
-  `unpack_held_tiers`, which also holds the one set of MTS resume
-  checks), so a resume through — or inside — an outer cycle is exact.
+  forces plus the one-deep history the extrapolation needs), as
+  `push`/`estimate`;
 * `TieredMBEForces` — a closed-form, whole-system evaluation of the
-  same tiers.  Nothing under ``src/`` calls it: it is the independent
-  reference the engine-equivalence tests integrate against.
+  same tiers.
+
+Nothing under ``src/`` calls either: together they are the independent
+reference the engine-equivalence tests integrate against.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ import numpy as np
 
 from ..frag.mbe import MBEPlan
 from ..frag.monomer import FragmentedSystem
-from .checkpoint import Checkpoint, CheckpointError
 
 #: coefficients smaller than this are treated as exactly cancelled
 _COEF_EPS = 1e-12
@@ -233,10 +233,9 @@ class SlowTierState:
 
     ``forces`` is the slow-tier force (``-gradient``) evaluated at outer
     boundary ``step``; ``forces_prev``/``prev_step`` hold the previous
-    boundary for linear extrapolation.  This is precisely the state a
-    checkpoint must round-trip for a bitwise-exact resume from inside an
-    outer cycle: the held forces cannot be recomputed mid-cycle (the
-    boundary coordinates are gone), unlike the fast forces.
+    boundary for linear extrapolation.  The engine keeps the same state
+    per tier in its own buffers (and round-trips it through its
+    checkpoint section: held forces cannot be recomputed mid-cycle).
     """
 
     k: int
@@ -282,163 +281,3 @@ class SlowTierState:
         e = self.e_slow + frac * (self.e_slow - self.e_slow_prev)
         f = self.forces + frac * (self.forces - self.forces_prev)
         return e, f
-
-    # ------------------------------------------------------------------
-    # checkpoint round-trip
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-serializable metadata (arrays travel separately)."""
-        return {
-            "k": int(self.k),
-            "extrapolate": bool(self.extrapolate),
-            "step": int(self.step),
-            "prev_step": int(self.prev_step),
-            "e_slow": float(self.e_slow),
-            "e_slow_prev": float(self.e_slow_prev),
-        }
-
-    def force_arrays(self) -> dict[str, np.ndarray]:
-        """The held-force payload arrays for the checkpoint writer."""
-        arrays: dict[str, np.ndarray] = {}
-        if self.forces is not None:
-            arrays["mts_slow_forces"] = np.asarray(self.forces, dtype=float)
-        if self.forces_prev is not None:
-            arrays["mts_slow_forces_prev"] = np.asarray(
-                self.forces_prev, dtype=float
-            )
-        return arrays
-
-    @classmethod
-    def from_state(
-        cls,
-        meta: dict,
-        forces: np.ndarray | None,
-        forces_prev: np.ndarray | None,
-    ) -> SlowTierState:
-        """Rebuild from `state_dict` metadata plus the force arrays."""
-        state = cls(
-            k=int(meta["k"]),
-            extrapolate=bool(meta["extrapolate"]),
-            step=int(meta["step"]),
-            prev_step=int(meta["prev_step"]),
-            forces=(
-                np.array(forces, dtype=float, copy=True)
-                if forces is not None else None
-            ),
-            forces_prev=(
-                np.array(forces_prev, dtype=float, copy=True)
-                if forces_prev is not None else None
-            ),
-            e_slow=float(meta["e_slow"]),
-            e_slow_prev=float(meta.get("e_slow_prev", 0.0)),
-        )
-        if state.step >= 0 and state.forces is None:
-            raise ValueError(
-                "MTS checkpoint state names a slow-tier boundary "
-                f"{state.step} but carries no held forces"
-            )
-        return state
-
-
-def pack_held_tiers(states: list[SlowTierState]) -> dict:
-    """`Checkpoint` keyword arguments carrying the held slow tiers.
-
-    The first slow tier rides in the ``mts`` / ``mts_slow_forces*``
-    slots; a ladder's trimer tier adds the ``k_trimer`` / ``*3`` metadata
-    keys and the ``mts_slow3_forces*`` arrays.  No slow tiers, no keys:
-    single-timescale checkpoints keep the version-1 layout.
-    """
-    if not states:
-        return {}
-    first = states[0]
-    meta = first.state_dict()
-    out = {
-        "mts": meta,
-        "mts_slow_forces": first.forces,
-        "mts_slow_forces_prev": first.forces_prev,
-    }
-    if len(states) > 1:
-        trimer = states[1]
-        meta.update(
-            k_trimer=int(trimer.k),
-            step3=int(trimer.step),
-            prev_step3=int(trimer.prev_step),
-            e_slow3=float(trimer.e_slow),
-            e_slow3_prev=float(trimer.e_slow_prev),
-        )
-        out.update(
-            mts_slow3_forces=trimer.forces,
-            mts_slow3_forces_prev=trimer.forces_prev,
-        )
-    return out
-
-
-def unpack_held_tiers(
-    ckpt: Checkpoint, ks: tuple[int, ...], extrapolate: bool
-) -> list[SlowTierState]:
-    """Held state of the slow tiers with periods ``ks`` at ``ckpt.step``.
-
-    The one place a checkpoint's MTS block is checked against the run:
-    same ``k``, same mode, same ladder, and every tier held at the last
-    boundary at or before the checkpointed step.  A checkpoint without
-    an MTS block yields unevaluated tiers, which is only sound where
-    every tier is due anyway — inside an outer cycle the held forces
-    cannot be reconstructed.
-    """
-    step = int(ckpt.step)
-    meta = ckpt.mts
-    if meta is None:
-        for k in ks:
-            if step % k:
-                raise CheckpointError(
-                    f"checkpoint step {step} is inside an outer cycle "
-                    f"(k={k}) but carries no MTS state; the held slow "
-                    "forces cannot be reconstructed"
-                )
-        return [SlowTierState(k=k, extrapolate=extrapolate) for k in ks]
-    if not ks:
-        raise CheckpointError(
-            "checkpoint carries MTS integrator state "
-            f"(k={meta.get('k')}); resume with the same mts_k"
-        )
-    if int(meta["k"]) != ks[0] or bool(meta["extrapolate"]) != extrapolate:
-        raise CheckpointError(
-            f"checkpoint MTS state (k={meta['k']}, "
-            f"extrapolate={meta['extrapolate']}) does not match the run "
-            f"(k={ks[0]}, extrapolate={extrapolate})"
-        )
-    ck_k3 = meta.get("k_trimer")
-    run_k3 = ks[1] if len(ks) > 1 else None
-    if (None if ck_k3 is None else int(ck_k3)) != run_k3:
-        raise CheckpointError(
-            f"checkpoint MTS ladder state (k_trimer={ck_k3}) does not "
-            f"match the run (mts_k_trimer={run_k3})"
-        )
-    states = [
-        SlowTierState.from_state(
-            meta, ckpt.mts_slow_forces, ckpt.mts_slow_forces_prev
-        )
-    ]
-    if ck_k3 is not None:
-        states.append(
-            SlowTierState.from_state(
-                {
-                    "k": int(ck_k3),
-                    "extrapolate": False,
-                    "step": meta["step3"],
-                    "prev_step": meta["prev_step3"],
-                    "e_slow": meta["e_slow3"],
-                    "e_slow_prev": meta.get("e_slow3_prev", 0.0),
-                },
-                ckpt.mts_slow3_forces,
-                ckpt.mts_slow3_forces_prev,
-            )
-        )
-    for state in states:
-        if state.step != step - step % state.k:
-            raise CheckpointError(
-                f"checkpoint MTS state (k={state.k}) was taken at "
-                f"boundary {state.step} but the checkpoint is for step "
-                f"{step}"
-            )
-    return states

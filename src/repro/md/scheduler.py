@@ -37,9 +37,12 @@ What a step is:
   the window, which is what makes direct accumulation exact), or never
   with ``replan_interval=0``;
 * **checkpoint cuts** — a retired step (every monomer has measured its
-  kinetic energy there) that starts a replan window is a consistent cut;
+  kinetic energy there) that starts a replan window is a consistent cut.
+  Beside the core block the file carries one section per stateful owner
+  (`repro.md.checkpoint`): the engine's own ``tiers`` (`_HeldTiers` —
   each slow tier's held boundary forces ride along, so a resume may land
-  inside an outer cycle.
+  inside an outer cycle), the thermostat, the surrogate, and whatever a
+  driver or front-end attaches (`AsyncCoordinator.attach`).
 
 Live state — per-step buffers, per-window tables — is evicted as steps
 retire, so it is bounded by the plan-window skew, not by ``nsteps``.
@@ -62,13 +65,7 @@ from ..integrals.workspace import get_workspace
 from ..numerics import ensure_finite
 from .checkpoint import Checkpoint, CheckpointError, write_checkpoint
 from .integrators import fs_to_au, kinetic_energy, maxwell_boltzmann_velocities
-from .mts import (
-    SlowTierState,
-    pack_held_tiers,
-    slow_tier_items,
-    slow_tier_items_split,
-    unpack_held_tiers,
-)
+from .mts import slow_tier_items, slow_tier_items_split
 
 
 @dataclass
@@ -120,6 +117,91 @@ class _Window:
     tasks: dict[tuple[int, ...], tuple[dict, np.ndarray]] = field(
         default_factory=dict
     )
+
+
+class _HeldTiers:
+    """The engine's own checkpoint section, ``tiers``, at the cut ``step``.
+
+    Every force tier the resumed run must not evaluate again rides
+    along: a slow tier's forces at its last boundary (mid-cycle the
+    boundary geometry is gone, so they cannot be recomputed) with the
+    boundary before it (the extrapolation history), and — when a
+    surrogate rides too — tier 0's forces at the cut itself, because
+    evaluating them again would train and serve a second time. Meta is
+    ``{"extrapolate", "held": [{tier, k, step, prev_step, e, e_prev}]}``;
+    the arrays are ``"<tier>.forces"`` / ``"<tier>.forces_prev"`` (minus
+    the gradient). State moves straight between the file and the
+    engine's ``_grad[t]`` / ``_pe[t]``, and `load_state` holds every check
+    of a checkpoint's tiers against the resuming run.
+    """
+
+    def __init__(self, engine: AsyncCoordinator, step: int) -> None:
+        self.engine = engine
+        self.step = step
+
+    def state_dict(self) -> tuple[dict, dict] | None:
+        eng, step = self.engine, self.step
+        held, arrays = [], {}
+        for t in range(0 if eng.surrogate is not None else 1, len(eng.tier_k)):
+            k = eng.tier_k[t]
+            b = step - step % k
+            grad, pe = eng._grad[t], eng._pe[t]
+            prev = b - k if k > 1 and b - k in grad else -1
+            held.append({
+                "tier": t, "k": k, "step": b, "prev_step": prev,
+                "e": float(pe[b]),
+                "e_prev": float(pe[prev]) if prev >= 0 else 0.0,
+            })
+            arrays[f"{t}.forces"] = -grad[b]
+            if prev >= 0:
+                arrays[f"{t}.forces_prev"] = -grad[prev]
+        if not held:
+            return None  # one timescale, no surrogate: nothing is held
+        return {"extrapolate": eng.mts_extrapolate, "held": held}, arrays
+
+    def load_state(self, meta: dict, arrays: dict) -> None:
+        eng, step = self.engine, self.step
+        held = sorted(meta["held"], key=lambda h: h["tier"])
+        ck_ks = tuple(int(h["k"]) for h in held if h["tier"])
+        ks = eng.tier_k[1:]
+        if ck_ks and (
+            ck_ks != ks or bool(meta["extrapolate"]) != eng.mts_extrapolate
+        ):
+            # covers tier state fed to a plain run (``ks == ()``) too
+            raise CheckpointError(
+                f"checkpoint MTS state (k, k_trimer = {ck_ks}, "
+                f"extrapolate={meta['extrapolate']}) does not match the run "
+                f"(mts_k, mts_k_trimer = {ks}, "
+                f"mts_extrapolate={eng.mts_extrapolate})"
+            )
+        for h in held:
+            t, k, b, prev = (int(h[x]) for x in ("tier", "k", "step", "prev_step"))
+            if b != step - step % k:
+                raise CheckpointError(
+                    f"checkpoint MTS state (k={k}) was taken at boundary "
+                    f"{b} but the checkpoint is for step {step}"
+                )
+            if f"{t}.forces" not in arrays:
+                raise CheckpointError(
+                    f"checkpoint tier state names boundary {b} of tier {t} "
+                    "but carries no held forces"
+                )
+            if not t and step not in eng.potential_energies:
+                raise CheckpointError(
+                    f"checkpoint carries forces for step {step} but no "
+                    "energy record of it"
+                )
+            eng._grad[t][b] = -np.asarray(arrays[f"{t}.forces"], dtype=float)
+            eng._pe[t][b] = float(h["e"])
+            if prev >= 0 and f"{t}.forces_prev" in arrays:
+                eng._grad[t][prev] = -np.asarray(
+                    arrays[f"{t}.forces_prev"], dtype=float
+                )
+                eng._pe[t][prev] = float(h["e_prev"])
+            if b == step:
+                # not evaluated again at the resumed step (tier 0: the
+                # recorded potential of the step stands)
+                eng._restored.add(t)
 
 
 class AsyncCoordinator:
@@ -220,11 +302,10 @@ class AsyncCoordinator:
         #: checkpoint-write sites here; task-site injection lives in the
         #: calculator wrapper (`repro.faults.FaultPlanCalculator`)
         self.fault_plan = fault_plan
-        #: set by `run_parallel` so checkpoints carry fault counters
-        self.driver_report = None
         #: set by `run_aimd` (barrier mode: only there is every atom at
         #: the integer step at once): a `Trajectory` that collects full
-        #: frames as steps retire and rides on every checkpoint
+        #: frames as steps retire (and rides on every checkpoint: it is
+        #: `attach`ed as the ``frames`` section)
         self.frames = None
         self._frame_at = 0.0  # engine-clock time of the last retirement
         #: optional `repro.trace.Tracer` (duck-typed); every emission is
@@ -293,6 +374,18 @@ class AsyncCoordinator:
         #: This is the streaming hook the trajectory service subscribes
         #: through; errors propagate to the driver.
         self.step_callback = step_callback
+        #: ``section name -> owner`` of what rides a checkpoint beside the
+        #: core block and the engine's own ``tiers``. An owner speaks
+        #: ``state_dict() -> (meta, arrays)`` / ``load_state(meta,
+        #: arrays)`` (`repro.md.checkpoint`); a driver or front-end adds
+        #: its own through `attach`.
+        self._owners: dict[str, object] = {}
+        if hasattr(thermostat, "state_dict"):
+            self._owners["thermostat"] = thermostat
+        if self.surrogate is not None:
+            self._owners["surrogate"] = self.surrogate
+        #: sections of the checkpoint this run resumed from
+        self._resumed: dict = {} if resume is None else resume.sections
         #: incremental-replan statistics (windows diffed vs rebuilt)
         self.replans_incremental = 0
         self.replan_added = 0
@@ -425,9 +518,6 @@ class AsyncCoordinator:
                 f"replan_interval={self.replan_interval}; the fragment "
                 "plan cannot be reconstructed mid-window"
             )
-        held = unpack_held_tiers(
-            resume, self.tier_k[1:], self.mts_extrapolate
-        )
         self.coords = np.array(resume.coords, dtype=float, copy=True)
         self.velocities = np.array(resume.velocities, dtype=float, copy=True)
         # restore the energy history so trajectory_energies() spans the
@@ -436,36 +526,33 @@ class AsyncCoordinator:
             s = int(round(float(t) / self.dt_fs))
             self.potential_energies[s] = float(pe)
             self.kinetic_energies[s] = float(ke)
-        if self.thermostat is not None and resume.thermostat is not None:
-            self.thermostat.load_state_dict(resume.thermostat)
-        if resume.surrogate is not None and self.surrogate is not None:
-            self.surrogate.load_state(
-                resume.surrogate, resume.surrogate_arrays or {}
-            )
-        for t, state in enumerate(held, start=1):
-            # held forces cannot be recomputed (the boundary geometry is
-            # gone); the one-deep history feeds the extrapolation
-            if state.prev_step >= 0 and state.forces_prev is not None:
-                self._grad[t][state.prev_step] = -state.forces_prev
-                self._pe[t][state.prev_step] = state.e_slow_prev
-            if state.step >= 0:
-                self._grad[t][state.step] = -state.forces
-                self._pe[t][state.step] = state.e_slow
-            if state.step == step:
-                self._restored.add(t)
-        if resume.forces is not None:
-            # a run that checkpoints its current forces (surrogate runs:
-            # evaluating them again would train and serve a second time)
-            if step not in self.potential_energies:
+        for name, owner in self._sections(step):
+            if name in self._resumed:
+                owner.load_state(*self._resumed[name])
+        for t, k in enumerate(self.tier_k):
+            if step % k and step - step % k not in self._grad[t]:
                 raise CheckpointError(
-                    f"checkpoint carries forces for step {step} but no "
-                    "energy record of it"
+                    f"checkpoint step {step} is inside an outer cycle "
+                    f"(k={k}) but carries no MTS state; the held slow "
+                    "forces cannot be reconstructed"
                 )
-            self._grad[0][step] = -np.asarray(resume.forces, dtype=float)
-            self._pe[0][step] = 0.0  # the recorded potential stands
-            self._restored.add(0)
         if self.tracer:
             self.tracer.instant("resume", cat="checkpoint", step=step)
+
+    def _sections(self, step: int):
+        """``(name, owner)`` of every checkpoint section at the cut ``step``."""
+        return [("tiers", _HeldTiers(self, step)), *self._owners.items()]
+
+    def attach(self, name: str, owner) -> None:
+        """Let ``owner`` ride this run's checkpoints as section ``name``.
+
+        For what is only known after construction (`run_parallel`'s
+        `DriverReport`, `run_aimd`'s frame history). On a resumed run the
+        owner first takes the state the checkpoint holds for it.
+        """
+        self._owners[name] = owner
+        if name in self._resumed:
+            owner.load_state(*self._resumed[name])
 
     # ------------------------------------------------------------------
     # plan windows
@@ -830,32 +917,10 @@ class AsyncCoordinator:
             if s <= step and s in self.kinetic_energies
         )
         parent = self.system.parent
-        report = self.driver_report
-        driver = None
-        if report is not None:
-            driver = {
-                "tasks_completed": report.tasks_completed,
-                "retries": report.retries,
-                "pool_restarts": report.pool_restarts,
-                "timeouts": report.timeouts,
-                "quarantined": len(report.quarantined),
-            }
-        held = []
-        for t in range(1, len(self.tier_k)):
-            k = self.tier_k[t]
-            b = step - step % k
-            grad, pe = self._grad[t], self._pe[t]
-            prev = b - k if b - k in grad else -1
-            held.append(SlowTierState(
-                k=k, extrapolate=self.mts_extrapolate, step=b, prev_step=prev,
-                forces=-grad[b],
-                forces_prev=-grad[prev] if prev >= 0 else None,
-                e_slow=pe[b], e_slow_prev=pe[prev] if prev >= 0 else 0.0,
-            ))
-        surr_meta = surr_arrays = None
-        if self.surrogate is not None:
-            surr_meta, surr_arrays = self.surrogate.state_dict()
-        frames = self.frames
+        sections = {
+            name: state for name, owner in self._sections(step)
+            if (state := owner.state_dict()) is not None
+        }
         write_checkpoint(
             self.checkpoint_path,
             Checkpoint(
@@ -870,29 +935,8 @@ class AsyncCoordinator:
                     [self.potential_energies[s] for s in steps]
                 ),
                 kinetic=np.array([self.kinetic_energies[s] for s in steps]),
-                frame_coords=(
-                    np.asarray(frames.coords) if frames is not None else None
-                ),
-                frame_velocities=(
-                    np.asarray(frames.velocities)
-                    if frames is not None else None
-                ),
-                thermostat=(
-                    self.thermostat.state_dict()
-                    if hasattr(self.thermostat, "state_dict") else None
-                ),
-                driver=driver,
                 reference=int(self.reference),
-                surrogate=surr_meta,
-                surrogate_arrays=surr_arrays,
-                # with a surrogate the resumed run must not evaluate the
-                # step's forces again (that would mutate the training
-                # windows a second time), so they ride along
-                forces=(
-                    -self._grad[0][step] if self.surrogate is not None
-                    else None
-                ),
-                **pack_held_tiers(held),
+                sections=sections,
             ),
             tracer=self.tracer,
             keep=self.checkpoint_keep,

@@ -72,11 +72,11 @@ class BerendsenThermostat:
         lam2 = 1.0 + ratio * (self.temperature_k / t_now - 1.0)
         return velocities * np.sqrt(lam2)
 
-    def state_dict(self) -> dict:
-        """Checkpointable state (stateless: parameters only)."""
-        return {"kind": "berendsen"}
+    def state_dict(self) -> tuple[dict, dict]:
+        """Checkpoint section (stateless: parameters only)."""
+        return {"kind": "berendsen"}, {}
 
-    def load_state_dict(self, state: dict) -> None:
+    def load_state(self, meta: dict, arrays: dict) -> None:
         """Restore from `state_dict` output (no mutable state to restore)."""
 
 
@@ -125,18 +125,18 @@ class LangevinThermostat:
         """Instantaneous temperature under this thermostat's DOF count."""
         return instantaneous_temperature(masses_au, velocities, ndof=self.ndof)
 
-    def state_dict(self) -> dict:
-        """Checkpointable state: the RNG stream position.
+    def state_dict(self) -> tuple[dict, dict]:
+        """Checkpoint section ``(meta, arrays)``: the RNG stream position.
 
         The bit-generator state is a JSON-serializable dict of Python
         ints, so a resumed run draws exactly the noise sequence the
         uninterrupted run would have drawn.
         """
-        return {"kind": "langevin", "rng": self._rng.bit_generator.state}
+        return {"kind": "langevin", "rng": self._rng.bit_generator.state}, {}
 
-    def load_state_dict(self, state: dict) -> None:
+    def load_state(self, meta: dict, arrays: dict) -> None:
         """Restore the RNG stream recorded by `state_dict`."""
-        self._rng.bit_generator.state = state["rng"]
+        self._rng.bit_generator.state = meta["rng"]
 
 
 @dataclass
@@ -187,9 +187,9 @@ class LocalLangevinThermostat:
         """Instantaneous temperature under this thermostat's DOF count."""
         return instantaneous_temperature(masses_au, velocities, ndof=self.ndof)
 
-    def state_dict(self) -> dict:
-        """Checkpointable state (stateless: streams derive from the seed)."""
-        return {"kind": "local-langevin"}
+    def state_dict(self) -> tuple[dict, dict]:
+        """Checkpoint section (stateless: streams derive from the seed)."""
+        return {"kind": "local-langevin"}, {}
 
-    def load_state_dict(self, state: dict) -> None:
+    def load_state(self, meta: dict, arrays: dict) -> None:
         """Restore from `state_dict` output (no mutable state to restore)."""

@@ -14,6 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+#: the per-frame lists a checkpoint carries
+_RECORD = ("times_fs", "potential", "kinetic", "coords", "velocities")
+
+
 @dataclass
 class Trajectory:
     """NVE trajectory record."""
@@ -33,19 +37,20 @@ class Trajectory:
         self.coords.append(coords)
         self.velocities.append(velocities)
 
-    @classmethod
-    def from_checkpoint(cls, ckpt) -> "Trajectory":
-        """The history a checkpoint carries (zero wall times: not recorded)."""
-        traj = cls(
-            times_fs=[float(t) for t in ckpt.times_fs],
-            potential=[float(e) for e in ckpt.potential],
-            kinetic=[float(e) for e in ckpt.kinetic],
-        )
-        if ckpt.frame_coords is not None:
-            traj.coords = [np.array(c) for c in ckpt.frame_coords]
-            traj.velocities = [np.array(v) for v in ckpt.frame_velocities]
-        traj.wall_times = [0.0] * max(len(traj.times_fs) - 1, 0)
-        return traj
+    def state_dict(self) -> tuple[dict, dict]:
+        """``(meta, arrays)`` of the ``frames`` checkpoint section: the
+        record so far, wall times aside."""
+        return {}, {
+            name: np.asarray(getattr(self, name), dtype=float)
+            for name in _RECORD
+        }
+
+    def load_state(self, meta: dict, arrays: dict) -> None:
+        """Take the history a checkpoint carries (zero wall times: not
+        recorded)."""
+        for name in _RECORD:
+            setattr(self, name, list(arrays[name]))
+        self.wall_times = [0.0] * max(len(self.times_fs) - 1, 0)
 
     @property
     def total(self) -> np.ndarray:

@@ -233,25 +233,32 @@ def read_trajectory_stream(path: str | Path) -> tuple[Molecule, Trajectory]:
     return _parse_frames(data.decode(), path)
 
 
-def save_restart(path: str | Path, traj: Trajectory) -> None:
-    """Persist the final MD frame (coords, velocities, time) as .npz.
+def write_restart(path: str | Path, coords, velocities, time_fs: float) -> None:
+    """Write a restart file: one phase-space point and its time, as .npz.
 
-    The file is written atomically (tmp + fsync + ``os.replace``) so a
-    crash mid-write leaves the previous restart intact instead of a
-    torn archive.
+    The one writer of the three arrays `load_restart` validates
+    (`save_restart` and the trajectory service both end here). The file
+    is written atomically (tmp + fsync + ``os.replace``) so a crash
+    mid-write leaves the previous restart intact instead of a torn
+    archive.
     """
-    if not traj.coords or not traj.velocities:
-        raise ValueError("trajectory carries no restart state")
     path = str(path)
     if not path.endswith(".npz"):
         # np.savez appends .npz to bare paths; keep that contract
         path += ".npz"
     atomic_savez(
         path,
-        coords=np.asarray(traj.coords[-1], dtype=float),
-        velocities=np.asarray(traj.velocities[-1], dtype=float),
-        time_fs=np.asarray(traj.times_fs[-1], dtype=float),
+        coords=np.asarray(coords, dtype=float),
+        velocities=np.asarray(velocities, dtype=float),
+        time_fs=np.asarray(time_fs, dtype=float),
     )
+
+
+def save_restart(path: str | Path, traj: Trajectory) -> None:
+    """Persist the final MD frame of ``traj`` through `write_restart`."""
+    if not traj.coords or not traj.velocities:
+        raise ValueError("trajectory carries no restart state")
+    write_restart(path, traj.coords[-1], traj.velocities[-1], traj.times_fs[-1])
 
 
 def load_restart(

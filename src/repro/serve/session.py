@@ -24,9 +24,8 @@ import numpy as np
 
 from ..constants import BOHR_PER_ANGSTROM
 from ..md import AsyncCoordinator, read_checkpoint_with_fallback
-from ..md.checkpoint import atomic_savez
 from ..md.thermostats import LocalLangevinThermostat
-from ..md.trajio import TrajectoryStreamWriter
+from ..md.trajio import TrajectoryStreamWriter, write_restart
 from .streams import StreamEvent
 
 
@@ -366,15 +365,10 @@ class TrajectoryJob:
         self.error = error
         self.finished_at = time.perf_counter()
         if state == JobState.COMPLETED:
-            atomic_savez(
-                self.dir / "restart.npz",
-                coords=np.asarray(self.coordinator.coords, dtype=float),
-                velocities=np.asarray(
-                    self.coordinator.velocities, dtype=float
-                ),
-                time_fs=np.asarray(
-                    self.spec.nsteps * self.spec.dt_fs, dtype=float
-                ),
+            write_restart(
+                self.dir / "restart.npz", self.coordinator.coords,
+                self.coordinator.velocities,
+                self.spec.nsteps * self.spec.dt_fs,
             )
         self.writer.close()
         payload = {"steps": self.steps_emitted}

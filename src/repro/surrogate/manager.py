@@ -16,7 +16,8 @@ tracking the trajectory instead of freezing at serve onset.
 
 The manager is serialised by a `repro.store.ContentionLock` (cross-thread
 contention is observable in ``stats()``), and its training windows
-round-trip through checkpoint format v3 via ``state_dict``/``load_state``.
+round-trip through the ``surrogate`` checkpoint section via
+``state_dict``/``load_state`` (`repro.md.checkpoint`).
 """
 
 from __future__ import annotations
@@ -195,13 +196,13 @@ class SurrogateManager:
                 "contentions": self._lock.contentions,
             }
 
-    # -- checkpoint round-trip (format v3) ---------------------------------
+    # -- checkpoint section ("surrogate") ----------------------------------
 
     def state_dict(self) -> tuple[dict, dict]:
         """Return ``(meta, arrays)`` for the checkpoint writer.
 
-        ``meta`` is JSON-serializable; ``arrays`` maps npz entry names to
-        the per-class training windows.  Committee fits are NOT stored:
+        ``meta`` is JSON-serializable; ``arrays`` maps the names its class
+        directory points at to the per-class training windows.  Committee fits are NOT stored:
         they are a pure, seeded function of the window, so refitting after
         ``load_state`` reproduces them bitwise.
         """
@@ -210,7 +211,7 @@ class SurrogateManager:
             arrays: dict[str, np.ndarray] = {}
             for i, (ckey, model) in enumerate(sorted(self._classes.items())):
                 symbols, charge, order = ckey
-                xname, yname = f"surrogate_x{i}", f"surrogate_y{i}"
+                xname, yname = f"x{i}", f"y{i}"
                 arrays[xname] = np.stack(model.x)
                 arrays[yname] = np.stack(model.y)
                 classes.append(

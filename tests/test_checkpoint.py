@@ -7,14 +7,19 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.calculators import PairwisePotentialCalculator
 from repro.chem import Molecule
+from repro.constants import BOHR_PER_ANGSTROM
 from repro.frag import FragmentedSystem
 from repro.md import (
     AsyncCoordinator,
@@ -59,14 +64,43 @@ def _full_checkpoint(mol) -> Checkpoint:
         times_fs=np.array([0.0, 0.5, 1.0, 1.5, 2.0]),
         potential=rng.normal(size=5),
         kinetic=np.abs(rng.normal(size=5)),
-        frame_coords=np.stack([mol.coords + 0.001 * i for i in range(5)]),
-        frame_velocities=np.stack(
-            [rng.normal(size=mol.coords.shape) for _ in range(5)]
-        ),
-        thermostat={"kind": "langevin", "rng": {"state": 123}},
-        driver={"tasks_completed": 7, "retries": 1},
         reference=2,
+        sections={
+            "frames": ({}, {
+                "coords": np.stack([mol.coords + 0.001 * i for i in range(5)]),
+                "velocities": np.stack(
+                    [rng.normal(size=mol.coords.shape) for _ in range(5)]
+                ),
+            }),
+            "thermostat": ({"kind": "langevin", "rng": {"state": 123}}, {}),
+            "driver": ({"tasks_completed": 7, "retries": 1}, {}),
+        },
     )
+
+
+def _restamp(path, arrays=(), **meta_changes):
+    """Rewrite ``path`` with meta keys changed and arrays added, checksum
+    refreshed: what the writer refuses to produce (it stamps the one
+    current version, and files only declared sections' arrays) has to
+    be crafted."""
+    from repro.md.checkpoint import _payload_checksum
+
+    with np.load(path, allow_pickle=False) as data:
+        payload = {k: data[k] for k in data.files if k != "checksum"}
+    meta = json.loads(str(payload["meta"]))
+    meta.update(meta_changes)
+    payload["meta"] = np.array(json.dumps(meta))
+    payload.update(arrays)
+    payload["checksum"] = np.array(_payload_checksum(payload))
+    atomic_savez(path, **payload)
+
+
+def _final_energy(text: str) -> str:
+    """The line deterministic CLI runs are compared on, as a string."""
+    lines = [ln for ln in text.splitlines()
+             if ln.startswith("final total energy:")]
+    assert lines, text
+    return lines[-1]
 
 
 class TestCheckpointFormat:
@@ -76,20 +110,8 @@ class TestCheckpointFormat:
         path = tmp_path / "ck.npz"
         write_checkpoint(path, ck)
         back = read_checkpoint(path, mol=mol)
-        assert back.step == ck.step
-        assert back.time_fs == ck.time_fs
-        assert back.symbols == ck.symbols
-        assert back.charge == ck.charge
         assert back.reference == 2
-        assert back.thermostat == ck.thermostat
-        assert back.driver == ck.driver
-        np.testing.assert_array_equal(back.coords, ck.coords)
-        np.testing.assert_array_equal(back.velocities, ck.velocities)
-        np.testing.assert_array_equal(back.potential, ck.potential)
-        np.testing.assert_array_equal(back.frame_coords, ck.frame_coords)
-        np.testing.assert_array_equal(
-            back.frame_velocities, ck.frame_velocities
-        )
+        _assert_same(back, ck)
 
     def test_write_emits_tracer_event(self, tmp_path):
         from repro.trace import Tracer
@@ -135,10 +157,9 @@ class TestCheckpointFormat:
 
     def test_version_mismatch_rejected(self, tmp_path):
         mol = water_cluster(1, seed=1)
-        ck = _full_checkpoint(mol)
-        ck.version = 999
         path = tmp_path / "ck.npz"
-        write_checkpoint(path, ck)
+        write_checkpoint(path, _full_checkpoint(mol))
+        _restamp(path, version=999)
         with pytest.raises(CheckpointError, match="version"):
             read_checkpoint(path)
 
@@ -287,7 +308,7 @@ class TestSchedulerResume:
         run_parallel(part, surrogate, nworkers=2)
         ckpt = read_checkpoint(ck, mol=system.parent)
         assert ckpt.step == 4
-        assert ckpt.driver is not None  # fault counters travel along
+        assert "driver" in ckpt.sections  # fault accounting travels along
         resumed = _coordinator(system, nsteps=6, resume=ckpt)
         report = run_parallel(resumed, surrogate, nworkers=2)
         assert report.clean
@@ -567,14 +588,7 @@ class TestCliResume:
         assert main(common + ["--steps", "8", "--resume", str(ck)]) == 0
         resumed_out = capsys.readouterr().out
         assert "resuming from" in resumed_out
-
-        def final_energy(text):
-            lines = [ln for ln in text.splitlines()
-                     if ln.startswith("final total energy:")]
-            assert lines, text
-            return lines[-1]
-
-        assert final_energy(full_out) == final_energy(resumed_out)
+        assert _final_energy(full_out) == _final_energy(resumed_out)
 
 
 class TestRotationAndFallback:
@@ -641,8 +655,8 @@ class TestRotationAndFallback:
         path = self._write_generations(tmp_path, mol, [1, 2])
         bad = _full_checkpoint(mol)
         bad.step = 9
-        bad.version = 99
         write_checkpoint(path, bad)  # overwrites primary, keeps .1
+        _restamp(path, version=99)
         with pytest.raises(CheckpointError, match="format version"):
             read_checkpoint(path, mol=mol)
         ck, used = read_checkpoint_with_fallback(path, mol=mol)
@@ -714,3 +728,404 @@ class TestRotationAndFallback:
         assert da["offset"] == db["offset"] and da["bit"] == db["bit"]
         assert a.read_bytes() == b.read_bytes()
         assert corrupt_checkpoint(a, "ckpt_torn", seed=1)["cut"] != 0
+
+    def test_fallback_walks_past_a_gap_in_the_rotations(self, tmp_path):
+        """`_rotate_checkpoints` with keep >= 3 renames .1 -> .2 before
+        path -> .1; a kill between the two leaves ``path`` and
+        ``path.2`` with no ``path.1``. A damaged primary must then still
+        find the valid ``.2`` (the walk used to stop at the first gap)."""
+        mol = water_cluster(2, seed=1)
+        path = self._write_generations(tmp_path, mol, [1, 2, 3], keep=3)
+        os.unlink(rotation_path(path, 1))
+        path.write_bytes(path.read_bytes()[:40])
+        ck, used = read_checkpoint_with_fallback(path, mol=mol)
+        assert used == rotation_path(path, 2) and ck.step == 1
+
+
+# --------------------------------------------------------------------------
+# schema properties
+# --------------------------------------------------------------------------
+
+_NAMES = st.text("abcxyzXYZ019_-", min_size=1, max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda leaf: st.lists(leaf, max_size=3)
+    | st.dictionaries(st.text(max_size=4), leaf, max_size=3),
+    max_leaves=6,
+)
+_DTYPES = st.sampled_from(
+    ["<f8", ">f8", "<f4", "<i8", "<i4", "u1", "?", "<c16"]
+)
+
+
+@st.composite
+def _arrays(draw):
+    a = draw(hnp.arrays(
+        dtype=draw(_DTYPES),
+        shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    ))
+    # 0-d and empty arrays come from the shapes; strided and
+    # Fortran-ordered views from here
+    view = draw(st.sampled_from(["as is", "reversed", "transposed"]))
+    if view == "reversed" and a.ndim:
+        a = a[::-1]
+    elif view == "transposed":
+        a = a.T
+    return a
+
+
+_SECTIONS = st.dictionaries(
+    _NAMES,
+    st.tuples(
+        st.dictionaries(st.text(max_size=4), _JSON, max_size=3),
+        # an array name may contain the separator, a section name may not
+        st.dictionaries(st.text("ab01_.", min_size=1, max_size=5), _arrays(),
+                        max_size=3),
+    ),
+    max_size=4,
+)
+
+
+def _core(step=4, **kw) -> Checkpoint:
+    mol = water_cluster(1, seed=1)
+    rng = np.random.default_rng(step)
+    return Checkpoint(
+        step=step, time_fs=0.5 * step, coords=mol.coords + 0.01 * step,
+        velocities=rng.normal(size=mol.coords.shape) * 1e-4,
+        symbols=tuple(mol.symbols), times_fs=0.5 * np.arange(step + 1),
+        potential=rng.normal(size=step + 1),
+        kinetic=np.abs(rng.normal(size=step + 1)), reference=0, **kw,
+    )
+
+
+def _assert_same(got: Checkpoint, want: Checkpoint) -> None:
+    """Equal state: core scalars ``==``, meta ``==``, every array bitwise
+    with dtype and shape."""
+    def same_array(x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert np.ascontiguousarray(x).tobytes() == \
+            np.ascontiguousarray(y).tobytes()
+
+    for name in ("step", "time_fs", "symbols", "charge", "reference"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("coords", "velocities", "times_fs", "potential", "kinetic"):
+        same_array(getattr(got, name), getattr(want, name))
+    assert list(got.sections) == list(want.sections)
+    for name, (meta, arrays) in want.sections.items():
+        assert got.sections[name][0] == meta
+        assert list(got.sections[name][1]) == list(arrays)
+        for key, value in arrays.items():
+            same_array(got.sections[name][1][key], value)
+
+
+def _stored_checksum(path) -> str:
+    with np.load(path, allow_pickle=False) as data:
+        return str(data["checksum"])
+
+
+class TestSchemaProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(sections=_SECTIONS)
+    def test_sections_round_trip_property(self, sections):
+        """Any subset of sections with any small meta/arrays comes back
+        equal, and write -> read -> write stores the same checksum (not
+        the same bytes: zip entries carry a timestamp)."""
+        ck = _core(sections=sections)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.npz"), Path(tmp, "b.npz")
+            write_checkpoint(first, ck)
+            back = read_checkpoint(first)
+            _assert_same(back, ck)
+            write_checkpoint(second, back)
+            assert _stored_checksum(first) == _stored_checksum(second)
+
+    @given(name=st.text("ab.", min_size=1, max_size=4).filter(lambda s: "." in s))
+    def test_separator_in_a_section_name_property(self, name):
+        """... is refused at write: the reader could not split it back."""
+        with tempfile.TemporaryDirectory() as tmp:
+            with pytest.raises(ValueError, match="section name"):
+                write_checkpoint(Path(tmp, "a.npz"),
+                                 _core(sections={name: ({}, {})}))
+            assert os.listdir(tmp) == []  # refused before anything is written
+
+    def test_object_arrays_refused_at_write_property(self, tmp_path):
+        """``allow_pickle=False`` is a reader property; the writer must
+        not produce what the reader would then have to refuse."""
+        bad = {"s": ({}, {"a": np.array([{"x": 1}], dtype=object)})}
+        with pytest.raises(ValueError, match="object dtype"):
+            write_checkpoint(tmp_path / "a.npz", _core(sections=bad))
+
+    def test_undeclared_array_rejected_property(self, tmp_path):
+        """An array no declared section claims is a malformed file, not
+        something to drop silently."""
+        path = tmp_path / "a.npz"
+        for stray in ("t.a", "stray"):
+            write_checkpoint(path, _core(sections={"s": ({}, {"a": np.ones(2)})}))
+            _restamp(path, arrays={stray: np.zeros(1)})
+            with pytest.raises(CheckpointError, match="no declared section"):
+                read_checkpoint(path)
+
+    @pytest.fixture(scope="class")
+    def generations(self, tmp_path_factory):
+        """Two written generations (keep=2) and their bytes."""
+        tmp = tmp_path_factory.mktemp("generations")
+        path = tmp / "ck.npz"
+        sections = {"s": ({"k": [1, 2.5, None]}, {"a.b": np.arange(6.0)})}
+        old, new = _core(2, sections=sections), _core(4, sections=sections)
+        write_checkpoint(path, old, keep=2)
+        write_checkpoint(path, new, keep=2)
+        return path, path.read_bytes(), old, new
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_corruption_property(self, generations, data):
+        """Truncation at any offset is a `CheckpointError`; any single
+        bit flip is a `CheckpointError` or the state that was written (a
+        flip in a zip header field that carries no state, e.g. an entry
+        timestamp, is not corruption of the state) — never a different
+        `Checkpoint`. The fallback chain on the damaged primary returns
+        one of the two written states' files and nothing else."""
+        path, good, old, new = generations
+        offset = data.draw(st.integers(0, len(good) - 1), label="offset")
+        try:
+            path.write_bytes(good[:offset])
+            with pytest.raises(CheckpointError):
+                read_checkpoint(path)
+            ck, used = read_checkpoint_with_fallback(path)
+            assert used == rotation_path(path, 1)
+            _assert_same(ck, old)
+
+            flipped = bytearray(good)
+            flipped[offset] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+            path.write_bytes(bytes(flipped))
+            try:
+                _assert_same(read_checkpoint(path), new)
+            except CheckpointError:
+                pass
+            ck, used = read_checkpoint_with_fallback(path)
+            if used == path:
+                _assert_same(ck, new)
+            else:
+                assert used == rotation_path(path, 1)
+                _assert_same(ck, old)
+        finally:
+            path.write_bytes(good)
+
+
+# --------------------------------------------------------------------------
+# files written by earlier commits (format versions 1-3)
+# --------------------------------------------------------------------------
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+class TestLegacyFixtures:
+    """``tests/data/ckpt_v*.npz`` were written by the last commit whose
+    writer kept one slot per feature (see ``tests/data/README.md``):
+    each migrates, resumes the matching run and is refused — with the
+    message a current file gets — by a mismatching one."""
+
+    def test_fixture_v1_frames_thermostat_driver(self, surrogate):
+        from repro.md import DriverReport
+        from repro.systems import glycine_fragmented
+
+        system = glycine_fragmented(4)
+        ckpt = read_checkpoint(DATA / "ckpt_v1.npz", mol=system.parent)
+        assert ckpt.step == 2
+        assert sorted(ckpt.sections) == ["driver", "frames", "thermostat"]
+        report = DriverReport()
+        report.load_state(*ckpt.sections["driver"])
+        assert (report.tasks_completed, report.retries,
+                report.pool_restarts, report.clean) == (42, 3, 1, True)
+
+        def run(seed, **kw):
+            return run_aimd(
+                system, surrogate, nsteps=4, dt_fs=0.25, seed=1,
+                r_dimer_bohr=6.0 * BOHR_PER_ANGSTROM, mbe_order=2, replan_interval=2,
+                thermostat=LangevinThermostat(300.0, friction_per_fs=0.05,
+                                              seed=seed), **kw)
+
+        # a wrong-seed thermostat: the noise stream comes from the file
+        full, resumed = run(7), run(999, resume=ckpt)
+        assert len(resumed.coords) == len(full.coords) == 5
+        np.testing.assert_allclose(resumed.total, full.total, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(resumed.coords[1], full.coords[1],
+                                   rtol=0, atol=1e-10)  # a carried frame
+        np.testing.assert_allclose(resumed.coords[-1], full.coords[-1],
+                                   rtol=0, atol=1e-10)
+        with pytest.raises(CheckpointError, match="inside an outer cycle"):
+            run(7, resume=ckpt, mts_k=4)
+        with pytest.raises(CheckpointError, match="different system"):
+            read_checkpoint(DATA / "ckpt_v1.npz", mol=water_cluster(3))
+
+    def test_fixture_v2_mts_resumes_like_a_current_cut(self, tmp_path, capsys):
+        """The deterministic r-RESPA run resumed from the v2 file (cut
+        at step 4, inside the k=8 cycle) ends on the same printed line
+        as one resumed from a current-version cut at the same step."""
+        from repro.chem.xyz import save_xyz
+        from repro.cli import main
+
+        mol = water_cluster(3, seed=4)
+        xyz, ck = tmp_path / "w3.xyz", tmp_path / "ck.npz"
+        save_xyz(mol, xyz)
+        common = ["aimd", str(xyz), "--surrogate", "--dt", "0.5",
+                  "--deterministic", "--mts-k", "8"]
+
+        def final_energy(argv):
+            assert main(common + argv) == 0
+            return _final_energy(capsys.readouterr().out)
+
+        final_energy(["--steps", "4", "--checkpoint", str(ck),
+                      "--checkpoint-every", "4"])
+        legacy = read_checkpoint(DATA / "ckpt_v2_mts.npz", mol=mol)
+        current = read_checkpoint(ck, mol=mol)
+        assert legacy.step == current.step == 4
+        assert legacy.sections["tiers"][0] == current.sections["tiers"][0]
+        want = final_energy(["--steps", "8", "--resume", str(ck)])
+        got = final_energy(["--steps", "8", "--resume",
+                            str(DATA / "ckpt_v2_mts.npz")])
+        assert got == want == final_energy(["--steps", "8"])
+
+        system = FragmentedSystem.by_components(mol)
+        kw = dict(nsteps=8, dt_fs=0.5, r_dimer_bohr=BIG, resume=legacy)
+        with pytest.raises(CheckpointError, match="does not match"):
+            AsyncCoordinator(system, mts_k=4, **kw)
+        with pytest.raises(CheckpointError, match="mts"):
+            AsyncCoordinator(system, **kw)
+
+    def test_fixture_v3_ladder_surrogate(self, surrogate):
+        from repro.surrogate import SurrogateManager
+
+        system = FragmentedSystem.by_components(water_cluster(4, seed=1))
+        ckpt = read_checkpoint(DATA / "ckpt_v3_ladder_surrogate.npz",
+                               mol=system.parent)
+        assert ckpt.step == 6
+        assert sorted(ckpt.sections) == ["frames", "surrogate", "tiers"]
+        meta, arrays = ckpt.sections["tiers"]
+        assert [(h["tier"], h["k"], h["step"], h["prev_step"])
+                for h in meta["held"]] == [(0, 1, 6, -1), (1, 2, 6, 4),
+                                           (2, 4, 4, 0)]
+        assert sorted(arrays) == ["0.forces", "1.forces", "1.forces_prev",
+                                  "2.forces", "2.forces_prev"]
+        v0 = maxwell_boltzmann_velocities(system.parent.masses_au, 300.0,
+                                          seed=11)
+
+        def run(**kw):
+            kw.setdefault("surrogate", SurrogateManager(
+                tol_dimer=5e-4, min_train=3, max_points=4, seed=7))
+            kw.setdefault("mts_k_trimer", 4)
+            return run_aimd(
+                system, surrogate, nsteps=10, dt_fs=0.5, r_dimer_bohr=BIG,
+                r_trimer_bohr=BIG, mbe_order=3, replan_interval=2,
+                velocities=v0, mts_k=2, **kw)
+
+        full, resumed = run(), run(resume=ckpt)
+        np.testing.assert_allclose(resumed.total, full.total, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(resumed.coords[-1], full.coords[-1],
+                                   rtol=0, atol=1e-10)
+        with pytest.raises(CheckpointError, match="k_trimer"):
+            run(resume=ckpt, mts_k_trimer=None)
+        with pytest.raises(ValueError, match="tol_dimer"):
+            run(resume=ckpt, surrogate=SurrogateManager(
+                tol_dimer=5e-3, min_train=3, max_points=4, seed=7))
+
+
+class TestSchemaOwnership:
+    def test_legacy_slot_names_live_only_in_migrate(self):
+        """The container knows no feature: under ``src/repro`` a legacy
+        slot name may be spelt only inside `checkpoint.migrate`, and
+        `md/checkpoint.py` imports none of the section owners. (The
+        engine statistic ``mts_slow_evals`` is not a slot.)"""
+        import ast
+        import re
+
+        legacy = re.compile(
+            r"mts_slow(?!_evals)|step3|e_slow3|surrogate_arrays"
+            r"|frame_coords|frame_velocities"
+        )
+        root = Path(SRC) / "repro"
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            lines = path.read_text().splitlines()
+            if path == root / "md" / "checkpoint.py":
+                tree = ast.parse(path.read_text())
+                (fn,) = [n for n in ast.walk(tree)
+                         if isinstance(n, ast.FunctionDef)
+                         and n.name == "migrate"]
+                assert any(legacy.search(ln)
+                           for ln in lines[fn.lineno - 1:fn.end_lineno])
+                lines[fn.lineno - 1:fn.end_lineno] = []
+                imported = [
+                    getattr(n, "module", None) or n.names[0].name
+                    for n in ast.walk(tree)
+                    if isinstance(n, (ast.Import, ast.ImportFrom))
+                ]
+                assert not [m for m in imported if re.search(
+                    r"\b(mts|surrogate|drivers)\b", m)], imported
+            offenders += [f"{path.relative_to(root)}: {ln.strip()}"
+                          for ln in lines if legacy.search(ln)]
+        assert not offenders, offenders
+
+
+class TestQuarantineSurvivesResume:
+    """A fragment zeroed before the cut stays reported after it: the
+    ``driver`` section carries the records, not their count."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        return FragmentedSystem.by_components(water_cluster(3, seed=2))
+
+    def test_restored_report_keeps_its_quarantine_records(
+        self, system, surrogate, tmp_path
+    ):
+        from repro.faults import FaultPlan, FaultPlanCalculator, FaultSpec
+        from repro.md import DriverReport, FailurePolicy
+
+        plan = FaultPlan(seed=1, specs=[
+            FaultSpec(kind="transient", step=1, key=(0, 1), attempts=99)])
+        ck = tmp_path / "ck.npz"
+        part = _coordinator(system, nsteps=4, checkpoint_path=ck,
+                            checkpoint_every=2)
+        report = run_parallel(
+            part, FaultPlanCalculator(surrogate, plan), nworkers=2,
+            policy=FailurePolicy(max_retries=0, quarantine=True))
+        assert [(q.key, q.step) for q in report.quarantined] == [((0, 1), 1)]
+        ckpt = read_checkpoint(ck, mol=system.parent)
+        restored = DriverReport()
+        restored.load_state(*ckpt.sections["driver"])
+        assert restored.clean is False
+        assert restored.quarantined == report.quarantined
+        # ... and the resumed driver's own report starts from it
+        resumed = _coordinator(system, nsteps=6, resume=ckpt)
+        after = run_parallel(resumed, surrogate, nworkers=2)
+        assert after.clean is False
+        assert after.quarantined == report.quarantined
+        assert after.tasks_completed > report.tasks_completed
+
+    def test_cli_prints_the_quarantine_again_after_resume(
+        self, tmp_path, capsys
+    ):
+        from repro.chem.xyz import save_xyz
+        from repro.cli import main
+        from repro.faults import FaultPlan, FaultSpec
+
+        xyz, ck = tmp_path / "w3.xyz", tmp_path / "ck.npz"
+        save_xyz(water_cluster(3, seed=4), xyz)
+        FaultPlan(seed=1, specs=[
+            FaultSpec(kind="transient", step=1, key=(0, 1), attempts=99),
+        ]).save(tmp_path / "plan.json")
+        common = ["aimd", str(xyz), "--surrogate", "--dt", "0.5",
+                  "--deterministic", "--workers", "2", "--max-retries", "0",
+                  "--quarantine", "--r-dimer", "30", "--order", "2"]
+        assert main(common + ["--steps", "4", "--checkpoint", str(ck),
+                              "--checkpoint-every", "4", "--fault-plan",
+                              str(tmp_path / "plan.json")]) == 0
+        first = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("QUARANTINED polymer (0, 1) step 1")]
+        assert len(first) == 1
+        assert main(common + ["--steps", "8", "--resume", str(ck)]) == 0
+        again = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("QUARANTINED polymer")]
+        assert again == first

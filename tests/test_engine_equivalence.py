@@ -258,7 +258,8 @@ class TestTierListOnTheCoordinator:
                    checkpoint_every=2)
         ckpt = read_checkpoint(ck, mol=system.parent)
         assert ckpt.step == 6
-        assert ckpt.mts["step"] == 4 and ckpt.mts["step3"] == 0
+        held = ckpt.sections["tiers"][0]["held"]
+        assert [(h["tier"], h["step"]) for h in held] == [(1, 4), (2, 0)]
         resumed = engine_run(system, v0, **cfg, resume=ckpt)
         assert resumed.tasks_issued < full.tasks_issued
         for x, y in zip(full.trajectory_energies(),

@@ -270,7 +270,7 @@ class TestLangevinComDrift:
         a = LangevinThermostat(300.0, seed=3, remove_com_drift=True)
         b = LangevinThermostat(300.0, seed=99, remove_com_drift=True)
         a.apply(v0.copy(), masses, 1.0)  # advance the stream
-        b.load_state_dict(a.state_dict())
+        b.load_state(*a.state_dict())
         va = a.apply(v0.copy(), masses, 1.0)
         vb = b.apply(v0.copy(), masses, 1.0)
         np.testing.assert_array_equal(va, vb)

@@ -119,26 +119,6 @@ class TestSlowTierState:
         assert e == pytest.approx(4.0)
         np.testing.assert_allclose(f, 1.0)
 
-    def test_state_roundtrip(self):
-        s = SlowTierState(k=2, extrapolate=True)
-        s.push(0, np.full((2, 3), 2.0), -0.5)
-        s.push(2, np.full((2, 3), 3.0), -0.7)
-        r = SlowTierState.from_state(
-            s.state_dict(),
-            s.force_arrays()["mts_slow_forces"],
-            s.force_arrays()["mts_slow_forces_prev"],
-        )
-        assert r.step == 2 and r.prev_step == 0
-        assert r.e_slow == -0.7 and r.e_slow_prev == -0.5
-        np.testing.assert_array_equal(r.forces, s.forces)
-        np.testing.assert_array_equal(r.forces_prev, s.forces_prev)
-
-    def test_missing_forces_raise(self):
-        meta = SlowTierState(k=2)
-        meta.push(0, np.zeros((1, 3)), 0.0)
-        with pytest.raises(ValueError, match="held forces"):
-            SlowTierState.from_state(meta.state_dict(), None, None)
-
 
 class TestSyncDriverMTS:
     def test_drift_comparable_to_baseline(self, glycine4, surrogate, v0):
@@ -176,8 +156,9 @@ class TestSyncDriverMTS:
              checkpoint_path=ck, checkpoint_every=2)
         ckpt = read_checkpoint(ck, mol=glycine4.parent)
         assert ckpt.step == 6
-        assert ckpt.mts is not None and ckpt.mts["k"] == 4
-        assert ckpt.mts["step"] == 4  # held boundary, not the step
+        (slow,) = ckpt.sections["tiers"][0]["held"]
+        assert slow["tier"] == 1 and slow["k"] == 4
+        assert slow["step"] == 4  # held boundary, not the step
         resumed = _run(glycine4, surrogate, v0, nsteps=12, mts_k=4,
                        mts_extrapolate=extrapolate, replan_interval=2,
                        resume=ckpt)
@@ -253,7 +234,7 @@ class TestSigkillResumeMTS:
         assert ck.exists()
         ckpt = read_checkpoint(ck, mol=glycine4.parent)
         assert 0 < ckpt.step < 16
-        assert ckpt.mts is not None
+        assert "tiers" in ckpt.sections
         resumed = _run(glycine4, surrogate, v0, mts_k=4,
                        replan_interval=2, resume=ckpt)
         full = _run(glycine4, surrogate, v0, mts_k=4, replan_interval=2)
@@ -315,7 +296,7 @@ class TestCoordinatorMTS:
                 if c0.step == 8:
                     ckpt = c0
         assert ckpt is not None
-        assert ckpt.mts["prev_step"] == 4
+        assert ckpt.sections["tiers"][0]["held"][0]["prev_step"] == 4
         res = self._coord(v0, mts_k=4, mts_extrapolate=extrapolate,
                           resume=ckpt)
         t_r, pe_r, ke_r = res.trajectory_energies()
@@ -333,7 +314,7 @@ class TestCoordinatorMTS:
         self._coord(v0, nsteps=8, replan_interval=2, checkpoint_path=ck,
                     checkpoint_every=6)
         ckpt = read_checkpoint(ck, mol=glycine4.parent)
-        assert ckpt.step == 6 and ckpt.mts is None
+        assert ckpt.step == 6 and "tiers" not in ckpt.sections
         with pytest.raises(CheckpointError, match="inside an outer cycle"):
             self._coord(v0, replan_interval=2, mts_k=4, resume=ckpt)
         with pytest.raises(CheckpointError, match="inside an outer cycle"):
@@ -341,6 +322,55 @@ class TestCoordinatorMTS:
                  resume=ckpt)
         # the same cut is fine where every tier is due anyway
         self._coord(v0, replan_interval=2, mts_k=2, resume=ckpt)
+
+
+class TestTiersSection:
+    """The engine's own checkpoint section (`_HeldTiers`): what
+    `SlowTierState.state_dict/from_state` used to round-trip."""
+
+    def _cut(self, v0, tmp_path):
+        system = glycine_fragmented(4)
+        kw = dict(dt_fs=0.25, r_dimer_bohr=R_DIMER, mbe_order=2,
+                  velocities=v0.copy(), deterministic=True,
+                  replan_interval=2, mts_k=4, mts_extrapolate=True)
+        ck = tmp_path / "ck.npz"
+        co = AsyncCoordinator(system, nsteps=10, checkpoint_path=ck,
+                              checkpoint_every=10, **kw)
+        run_serial(co, PairwisePotentialCalculator())
+        return system, kw, read_checkpoint(ck, mol=system.parent)
+
+    def test_state_roundtrip(self, v0, tmp_path):
+        """file -> engine buffers -> `state_dict` is the identity: held
+        boundary 8, history boundary 4, both energies, both arrays."""
+        from repro.md.scheduler import _HeldTiers
+
+        system, kw, ckpt = self._cut(v0, tmp_path)
+        meta, arrays = ckpt.sections["tiers"]
+        assert meta == {"extrapolate": True, "held": [{
+            "tier": 1, "k": 4, "step": 8, "prev_step": 4,
+            "e": meta["held"][0]["e"], "e_prev": meta["held"][0]["e_prev"],
+        }]}
+        assert sorted(arrays) == ["1.forces", "1.forces_prev"]
+        resumed = AsyncCoordinator(system, nsteps=12, resume=ckpt, **kw)
+        meta2, arrays2 = _HeldTiers(resumed, 10).state_dict()
+        assert meta2 == meta
+        for name, value in arrays.items():
+            assert arrays2[name].tobytes() == value.tobytes()
+
+    def test_named_boundary_without_forces_raises(self, v0, tmp_path):
+        system, kw, ckpt = self._cut(v0, tmp_path)
+        meta, arrays = ckpt.sections["tiers"]
+        ckpt.sections["tiers"] = (meta, {"1.forces_prev": arrays["1.forces_prev"]})
+        with pytest.raises(CheckpointError, match="held forces"):
+            AsyncCoordinator(system, nsteps=12, resume=ckpt, **kw)
+
+    def test_plain_run_holds_nothing(self, v0):
+        from repro.md.scheduler import _HeldTiers
+
+        co = AsyncCoordinator(glycine_fragmented(4), nsteps=2, dt_fs=0.25,
+                              r_dimer_bohr=R_DIMER, mbe_order=2,
+                              velocities=v0.copy())
+        assert _HeldTiers(co, 0).state_dict() is None
 
 
 class TestCliMTS:

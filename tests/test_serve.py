@@ -15,7 +15,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.md.trajio import TrajectoryStreamWriter, read_trajectory_stream
+from repro.md.trajio import (
+    TrajectoryStreamWriter,
+    load_restart,
+    read_trajectory_stream,
+)
 from repro.serve import (
     FragmentScheduler,
     JobSpec,
@@ -228,8 +232,11 @@ class TestServiceEndToEnd:
         assert spec.job_id == "solo"
         mol, traj = read_trajectory_stream(job_dir / "trajectory.xyz")
         assert len(traj.times_fs) == 7
-        restart = np.load(job_dir / "restart.npz")
-        assert restart["coords"].shape == (mol.natoms, 3)
+        coords, velocities, time_fs = load_restart(
+            job_dir / "restart.npz", mol=mol
+        )
+        assert coords.shape == velocities.shape == (mol.natoms, 3)
+        assert time_fs == pytest.approx(traj.times_fs[-1])
 
     def test_duplicate_job_id_rejected(self, tmp_path):
         service = TrajectoryService(tmp_path)

@@ -271,7 +271,7 @@ class TestSyncDriver:
             )
 
     def test_checkpoint_resume_is_bitwise(self, glycine4, v0, tmp_path):
-        """A resumed surrogate run must continue bitwise: the v3
+        """A resumed surrogate run must continue bitwise: the
         checkpoint carries the training windows + streaks, and the
         committee is a seeded function of the window."""
         ck = tmp_path / "ck.npz"
@@ -282,7 +282,7 @@ class TestSyncDriver:
         )
         ckpt = read_checkpoint(ck, mol=glycine4.parent)
         assert ckpt.step < 24
-        assert ckpt.surrogate is not None
+        assert "surrogate" in ckpt.sections
         mgr_res = SurrogateManager(tol_dimer=5e-4, min_train=6, seed=7)
         traj_res, _ = _sync_run(
             glycine4, v0, surrogate=mgr_res, resume=ckpt,
