@@ -50,12 +50,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "neglected bound is reported via the tracer. "
                         "0 disables screening (exact integrals) "
                         f"[default {DEFAULT_INT_SCREEN:g}]")
-    p.add_argument("--backend", default=None,
-                   choices=["numpy", "jax", "cupy"],
-                   help="array backend for the batched integral kernels "
-                        "(jax/cupy must be importable; exits with an "
-                        "error otherwise) [default: REPRO_BACKEND env "
-                        "var, else numpy]")
 
 
 def cmd_scf(args) -> int:
@@ -189,17 +183,9 @@ def cmd_aimd(args) -> int:
               "(bitwise-reproducible resumes require cold guesses)")
     surrogate = None
     if args.surrogate_tail:
-        from .surrogate import (
-            DEFAULT_TOL_DIMER,
-            DEFAULT_TOL_TRIMER,
-            SurrogateManager,
-        )
+        from .surrogate import SurrogateManager, gate_tolerances
 
-        if args.surrogate_tol is not None:
-            tol_dimer = float(args.surrogate_tol)
-            tol_trimer = tol_dimer * (DEFAULT_TOL_TRIMER / DEFAULT_TOL_DIMER)
-        else:
-            tol_dimer, tol_trimer = DEFAULT_TOL_DIMER, DEFAULT_TOL_TRIMER
+        tol_dimer, tol_trimer = gate_tolerances(args.surrogate_tol)
         surrogate = SurrogateManager(
             tol_dimer=tol_dimer, tol_trimer=tol_trimer,
             min_train=args.surrogate_min_train, seed=args.seed,
@@ -383,8 +369,10 @@ def cmd_submit(args) -> int:
         surrogate = {"seed": args.seed,
                      "min_train": args.surrogate_min_train}
         if args.surrogate_tol is not None:
-            surrogate["tol_dimer"] = args.surrogate_tol
-            surrogate["tol_trimer"] = 0.4 * args.surrogate_tol
+            from .surrogate import gate_tolerances
+
+            tol_dimer, tol_trimer = gate_tolerances(args.surrogate_tol)
+            surrogate.update(tol_dimer=tol_dimer, tol_trimer=tol_trimer)
     spec = JobSpec(
         job_id=args.job_id, system=system, method=method,
         nsteps=args.steps, dt_fs=args.dt, temperature_k=args.temperature,
@@ -681,27 +669,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_runtime_options(args) -> None:
-    """Apply the global backend selection before dispatch.
-
-    Raises ``SystemExit`` with a readable message when the requested
-    backend's package is not importable.
-    """
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        from .backend import BackendUnavailableError, set_default_backend
-
-        try:
-            set_default_backend(backend)
-        except BackendUnavailableError as exc:
-            raise SystemExit(f"error: {exc}") from exc
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_runtime_options(args)
     return args.func(args)
 
 

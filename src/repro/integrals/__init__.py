@@ -6,7 +6,7 @@ integrals, and analytic first derivatives of all of them.
 
 Every public driver has one implementation: the shell-class kernels of
 `repro.integrals.batch`, which evaluate whole shell-pair classes per
-numpy (or JAX/CuPy) kernel call, exported here under their plain names.
+NumPy kernel call, exported here under their plain names.
 They are deterministic (run to run, and for any chunk size) and agree
 with the per-pair ``*_loop`` reference functions in `onee.py`/`eri.py`
 to a stated tolerance with identical Schwarz skip decisions; the

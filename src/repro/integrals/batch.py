@@ -1,4 +1,4 @@
-"""Shell-pair-class batched integral kernels on a pluggable backend.
+"""Shell-pair-class batched integral kernels.
 
 Instead of looping Python over individual shell pairs, the drivers here
 partition the canonical bra pair list (`canonical_shell_pairs`) into
@@ -8,14 +8,9 @@ arrays, and evaluate all surviving (post-Schwarz) pairs of a class in a
 handful of dense array ops. This amortizes interpreter overhead over the
 whole class, which is where the per-step cost lived after PR 5's
 screening/caching work (ROADMAP item 1), and is the same layout the
-paper needs to feed accelerators as large dense batches.
-
-All dense math goes through a `repro.backend.ArrayBackend` (numpy
-default, optional JAX/CuPy), so the same kernel source runs on CPU and
-GPU. `AutodiffIntegrals` additionally exposes *functional* value
-builders (integral matrices as pure functions of atom coordinates) that
-JAX can differentiate — the independent oracle the tests use to
-cross-check the hand-derived analytic gradients.
+paper needs to feed accelerators as large dense batches. The kernels
+are NumPy; a second array library re-enters behind the stacked calls of
+ROADMAP item 2 (docs/PERFORMANCE.md, "One array library").
 
 Contract (see docs/PERFORMANCE.md). These kernels are the only runtime
 implementation of the public drivers; the per-pair ``*_loop`` functions
@@ -56,8 +51,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..backend import ArrayBackend, get_backend
-from .boys import boys_table
 from .engine import (
     canonical_shell_pairs,
     comp_arrays,
@@ -84,7 +77,6 @@ if TYPE_CHECKING:
     from .workspace import IntegralWorkspace
 
 __all__ = [
-    "AutodiffIntegrals",
     "CoulombTables",
     "ShellClass",
     "build_shell_classes",
@@ -161,8 +153,7 @@ def _class_partition(basis: BasisSet):
     """Group canonical pairs by ``(la, lb, npa, npb)``; pack statics.
 
     Returns a list of dicts (sorted by class key) holding the index
-    arrays and geometry-independent packed arrays shared by the numpy
-    class builder and the autodiff builders.
+    arrays and geometry-independent packed arrays.
     """
     shells = basis.shells
     offs = np.asarray(basis.offsets)
@@ -254,17 +245,10 @@ def _chunks(nq: int, per_pair_elems: int):
 # with a leading pair axis, on simplex rows)
 # --------------------------------------------------------------------------
 
-def _einsum(be: ArrayBackend, spec: str, *ops):
-    """einsum pinned to ``optimize=False`` on numpy (a fixed, batch-size
-    invariant contraction path); other backends use their native
-    default."""
-    if be.is_numpy:
-        return np.einsum(spec, *ops, optimize=False)
-    return be.xp.einsum(spec, *ops)
-
-
-def _contig(be: ArrayBackend, x):
-    return np.ascontiguousarray(x) if be.is_numpy else x
+def _einsum(spec: str, *ops):
+    """einsum pinned to ``optimize=False``: a fixed, batch-size
+    invariant contraction path."""
+    return np.einsum(spec, *ops, optimize=False)
 
 
 def _w_factors(E, ca, cb, tuv):
@@ -317,14 +301,14 @@ def _w_deriv_class(E, aexp, bexp, ca, cb, tuv, side, axis):
     return Gs[0] * Gs[1] * Gs[2]
 
 
-def _w_deriv_stack(be: ArrayBackend, E, aexp, bexp, ca, cb, tuv):
+def _w_deriv_stack(E, aexp, bexp, ca, cb, tuv):
     """The six (side, axis) derivative expansions of a class chunk as
     one GEMM operand ``(q, 6, A*B, N*S)``: bra x, y, z, then ket. Each
     1-D factor is gathered once and the products of the two
     undifferentiated ones are shared between the sides."""
     G = _w_factors(E, ca, cb, tuv)
     rest = (G[1] * G[2], G[0] * G[2], G[0] * G[1])
-    dW = be.xp.stack(
+    dW = np.stack(
         [
             _w_deriv_1d(E, aexp, bexp, ca, cb, tuv, side, axis) * rest[axis]
             for side in ("bra", "ket")
@@ -353,27 +337,18 @@ def _scatter_blocks(out, rows, cols, blk):
 # Hermite Coulomb tables, built once per evaluation
 # --------------------------------------------------------------------------
 
-def _r_tables(be: ArrayBackend, lmax, p, PQ):
-    """Simplex-packed Hermite Coulomb tables ``(nsimplex(lmax), n)``:
-    fast numpy path or functional xp path."""
-    if be.is_numpy:
-        return r_tables_simplex(lmax, np.asarray(p), np.asarray(PQ))
-    return _r_tables_xp(be, lmax, p, PQ)
-
-
-def _build_tables(be: ArrayBackend, requests):
+def _build_tables(requests):
     """Unscaled tables for ``(order, inputs)`` requests, ``inputs()``
     returning the recursion's ``alpha`` (any shape) and ``PQ`` (one more
-    axis, of 3): the one caller of `_r_tables`, once per distinct order
-    over the concatenated requests. Returns each request's column range
-    ``(nsimplex(order), alpha.size)`` of its order's table. Inputs are
-    formed one order at a time and dropped before the next.
+    axis, of 3): the one caller of `r_tables_simplex`, once per distinct
+    order over the concatenated requests. Returns each request's column
+    range ``(nsimplex(order), alpha.size)`` of its order's table. Inputs
+    are formed one order at a time and dropped before the next.
 
     Every operation from ``alpha`` to ``R`` is elementwise along the
     batch axis, so a column is bitwise independent of what it was merged
     with and of any batch split.
     """
-    xp = be.xp
     out = [None] * len(requests)
     by_order: dict[int, list[int]] = {}
     for i, (order, _) in enumerate(requests):
@@ -384,10 +359,10 @@ def _build_tables(be: ArrayBackend, requests):
         PQs = [PQ.reshape(-1, 3) for _, PQ in inputs]
         del inputs
         one = len(members) == 1
-        R = _r_tables(
-            be, order,
-            alphas[0] if one else xp.concatenate(alphas),
-            PQs[0] if one else xp.concatenate(PQs),
+        R = r_tables_simplex(
+            order,
+            alphas[0] if one else np.concatenate(alphas),
+            PQs[0] if one else np.concatenate(PQs),
         )
         del PQs
         lo = 0
@@ -397,7 +372,7 @@ def _build_tables(be: ArrayBackend, requests):
     return out
 
 
-def _ket_inputs(be: ArrayBackend, p, P, ket):
+def _ket_inputs(p, P, ket):
     """Recursion inputs between a bra chunk (``p (q, N)``, centers
     ``P (q, N, 3)``) and the ``m`` columns of ``ket`` — a
     `_group_statics` entry, or any mapping with exponents ``qk`` and
@@ -408,11 +383,11 @@ def _ket_inputs(be: ArrayBackend, p, P, ket):
     qk = ket["qk"]
     PQ = P[:, :, None, :] - ket["Pk"]
     if qk is None:
-        return be.xp.broadcast_to(p4, PQ.shape[:-1]), PQ
+        return np.broadcast_to(p4, PQ.shape[:-1]), PQ
     return p4 * qk / (p4 + qk), PQ
 
 
-def _prefactor(be: ArrayBackend, p, cc, ket):
+def _prefactor(p, cc, ket):
     """``K (q, N, m) = 2 pi^{5/2} cc cck / (p q sqrt(p + q))``. An aux
     group has no ``cck``: its contraction coefficients differ per
     component and ride in ``comp_norms``."""
@@ -421,10 +396,10 @@ def _prefactor(be: ArrayBackend, p, cc, ket):
     num = _TWO_PI_52 * cc[:, :, None]
     if "cck" in ket:
         num = num * ket["cck"]
-    return num / (p4 * qk * be.xp.sqrt(p4 + qk))
+    return num / (p4 * qk * np.sqrt(p4 + qk))
 
 
-def _hermite_kernel(be: ArrayBackend, R, K, idx):
+def _hermite_kernel(R, K, idx):
     """Gathered, prefactor-folded Hermite Coulomb kernel
     ``M2 (q, N*Tb, Tk*m)``: the rows ``idx (Tb, Tk)``
     (`simplex_sum_index` at the table's order) of the unscaled table
@@ -435,19 +410,16 @@ def _hermite_kernel(be: ArrayBackend, R, K, idx):
     # they are transposed into the GEMM operand's layout
     M = R[idx].reshape(Tb, Tk, qc, N, m).transpose(2, 3, 0, 1, 4)
     K = K[:, :, None, None, :]
-    if be.is_numpy:
-        M = np.multiply(M, K, out=np.empty((qc, N, Tb, Tk, m)))
-    else:
-        M = M * K
+    M = np.multiply(M, K, out=np.empty((qc, N, Tb, Tk, m)))
     return M.reshape(qc, N * Tb, Tk * m)
 
 
-def _bra(be: ArrayBackend, cls: ShellClass, ids=None):
+def _bra(cls: ShellClass, ids=None):
     """A shell class (its pairs ``ids``, default all) as the bra side
     of a `CoulombTables` set; ``cls`` holds exactly those pairs."""
     return dict(
         ids=np.arange(cls.npair) if ids is None else ids,
-        p=be.asarray(cls.p), cc=be.asarray(cls.cc), P=be.asarray(cls.P),
+        p=cls.p, cc=cls.cc, P=cls.P,
         L=cls.la + cls.lb,
     )
 
@@ -476,9 +448,8 @@ class CoulombTables:
     columns are bitwise equal (`_build_tables`).
     """
 
-    def __init__(self, be: ArrayBackend, bras, kets, budget: int,
-                 found=None) -> None:
-        self.be, self.bras, self.kets = be, bras, kets
+    def __init__(self, bras, kets, budget: int, found=None) -> None:
+        self.bras, self.kets = bras, kets
         self.ids = [bra["ids"] for bra in bras]
         #: (ci, gi) -> (tables, cols): ``cols[i]`` is the column of this
         #: set's pair ``i`` in ``tables`` laid side by side (the found
@@ -525,7 +496,7 @@ class CoulombTables:
         #: distinct orders built (recursion calls made) and their size
         self.orders = sorted({order for order, _ in requests})
         self.elements = 0
-        for key, R in zip(targets, _build_tables(be, requests)):
+        for key, R in zip(targets, _build_tables(requests)):
             self.R[key][0].append(R)
             self.elements += R.shape[0] * R.shape[1]
 
@@ -548,7 +519,7 @@ class CoulombTables:
         group)."""
         bra, ket = self.bras[ci], self.kets[gi]
         return self._dims(ci, gi)[0], lambda: _ket_inputs(
-            self.be, bra["p"][sel], bra["P"][sel], ket
+            bra["p"][sel], bra["P"][sel], ket
         )
 
     def table(self, ci: int, gi: int, sl: slice):
@@ -558,7 +529,7 @@ class CoulombTables:
         class is beyond the budget."""
         held = self.R.get((ci, gi))
         if held is None:
-            return _build_tables(self.be, [self._request(ci, gi, sl)])[0]
+            return _build_tables([self._request(ci, gi, sl)])[0]
         tables, cols = held
         width = self._dims(ci, gi)[1]
         if cols is None:
@@ -580,22 +551,20 @@ class CoulombTables:
         group ``gi`` on the bra rows of simplex ``Lb`` (the class's
         ``L``, or ``L + 1`` for its derivative)."""
         bra, ket = self.bras[ci], self.kets[gi]
-        K = _prefactor(self.be, bra["p"][sl], bra["cc"][sl], ket)
+        K = _prefactor(bra["p"][sl], bra["cc"][sl], ket)
         idx = simplex_sum_index(Lb, ket["l"], self._dims(ci, gi)[0])
-        return _hermite_kernel(self.be, self.table(ci, gi, sl), K, idx)
+        return _hermite_kernel(self.table(ci, gi, sl), K, idx)
 
 
-def _coulomb_tables(be, workspace, kind, bases, points, bras, kets,
+def _coulomb_tables(workspace, kind, bases, points, bras, kets,
                     consume=False) -> CoulombTables:
     """This driver's `CoulombTables`, through the workspace's
     consume-once entry (`IntegralWorkspace.coulomb_tables`) when there
-    is one. A non-numpy backend may be tracing the geometry — no bytes
-    to key on — and builds its own, like a driver without a workspace.
-    """
+    is one."""
     def build(found, budget):
-        return CoulombTables(be, bras, kets, budget, found)
+        return CoulombTables(bras, kets, budget, found)
 
-    if workspace is None or not be.is_numpy:
+    if workspace is None:
         return build(None, table_budget(None))
     return workspace.coulomb_tables(kind, bases, points, build, consume)
 
@@ -611,30 +580,27 @@ def _overlap_1d(E, ca, cb):
     return G * E[:, :, 2, ca[:, None, 2], cb[None, :, 2], 0]
 
 
-def _onee_blocks(be: ArrayBackend, tot, p, cc, norms):
+def _onee_blocks(tot, p, cc, norms):
     """Contract per-primitive factors ``tot[q, n, A, B]`` with the
     Gaussian-product prefactor: normalized blocks ``(q, A, B)``."""
     pref = cc * (np.pi / p) ** 1.5
-    return _einsum(be, "qn,qnab->qab", pref, tot) * norms[None]
+    return _einsum("qn,qnab->qab", pref, tot) * norms[None]
 
 
 def overlap_batched(
     basis: BasisSet,
     workspace: IntegralWorkspace | None = None,
-    be: ArrayBackend | None = None,
 ) -> np.ndarray:
     """Overlap matrix S, shape ``(nbf, nbf)``."""
-    be = be or get_backend()
     S = np.zeros((basis.nbf, basis.nbf))
     for cls in build_shell_classes(basis, workspace):
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
         blk = _onee_blocks(
-            be, _overlap_1d(be.asarray(cls.E), ca, cb), be.asarray(cls.p),
-            be.asarray(cls.cc), be.asarray(cls.norms),
+            _overlap_1d(cls.E, ca, cb), cls.p, cls.cc, cls.norms
         )
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
-        _scatter_blocks(S, rows, cols, be.to_numpy(blk))
+        _scatter_blocks(S, rows, cols, blk)
     return S
 
 
@@ -684,25 +650,20 @@ def _kinetic_1d(E, bexp, ca, cb, deriv_axis=None, aexp=None):
 def kinetic_batched(
     basis: BasisSet,
     workspace: IntegralWorkspace | None = None,
-    be: ArrayBackend | None = None,
 ) -> np.ndarray:
     """Kinetic-energy matrix T, shape ``(nbf, nbf)``."""
-    be = be or get_backend()
     T = np.zeros((basis.nbf, basis.nbf))
     for cls in build_shell_classes(basis, workspace):
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
-        tot = _kinetic_1d(be.asarray(cls.E), be.asarray(cls.b), ca, cb)
-        blk = _onee_blocks(
-            be, tot, be.asarray(cls.p), be.asarray(cls.cc),
-            be.asarray(cls.norms),
-        )
+        tot = _kinetic_1d(cls.E, cls.b, ca, cb)
+        blk = _onee_blocks(tot, cls.p, cls.cc, cls.norms)
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
-        _scatter_blocks(T, rows, cols, be.to_numpy(blk))
+        _scatter_blocks(T, rows, cols, blk)
     return T
 
 
-def _nuclear_blocks(be, E, p, cc, R, Z, ca, cb, norms):
+def _nuclear_blocks(E, p, cc, R, Z, ca, cb, norms):
     """Nuclear-attraction blocks ``(q, nfa, nfb)`` of one class chunk
     for point charges ``Z``; ``R (nsimplex(L + 1), q*N*nC)`` is the
     chunk's `CoulombTables` view."""
@@ -712,22 +673,24 @@ def _nuclear_blocks(be, E, p, cc, R, Z, ca, cb, norms):
     nT = tuv.shape[0]
     W = _w_class(E, ca, cb, tuv).reshape(qc, -1, N * nT)
     rows = simplex_sum_index(L, 0, L + 1)[:, 0]
-    t1 = _einsum(be, "tqnc,c->qnt", R[rows].reshape(nT, qc, N, -1), Z)
+    t1 = _einsum("tqnc,c->qnt", R[rows].reshape(nT, qc, N, -1), Z)
     t1 = t1 * (cc * (2.0 * np.pi / p))[:, :, None]
     # summed along contiguous rows (the gather leaves W pair-fastest,
     # except in a chunk of one pair), so a pair's block does not depend
     # on the chunk it is in
-    val = -_einsum(be, "qxk,qk->qx", _contig(be, W), t1.reshape(qc, N * nT))
+    val = -_einsum(
+        "qxk,qk->qx", np.ascontiguousarray(W), t1.reshape(qc, N * nT)
+    )
     return val.reshape(qc, len(ca), len(cb)) * norms[None]
 
 
-def _nuclear_tables(be, workspace, basis, mol, bras, consume=False):
+def _nuclear_tables(workspace, basis, mol, bras, consume=False):
     """The `CoulombTables` between ``bras`` and the nuclei of ``mol``
     (point charges: one ket group of order 0 without an exponent)."""
-    ket = dict(qk=None, Pk=be.asarray(mol.coords), l=0)
+    ket = dict(qk=None, Pk=mol.coords, l=0)
     points = np.column_stack([mol.atomic_numbers, mol.coords])
     return _coulomb_tables(
-        be, workspace, "nuclear", (basis,), points, bras, [ket], consume
+        workspace, "nuclear", (basis,), points, bras, [ket], consume
     )
 
 
@@ -735,33 +698,28 @@ def nuclear_batched(
     basis: BasisSet,
     mol: Molecule,
     workspace: IntegralWorkspace | None = None,
-    be: ArrayBackend | None = None,
 ) -> np.ndarray:
     """Nuclear-attraction matrix V (negative definite), shape
     ``(nbf, nbf)``."""
-    be = be or get_backend()
     V = np.zeros((basis.nbf, basis.nbf))
     nC = mol.natoms
-    Z = be.asarray(mol.atomic_numbers.astype(float))
+    Z = mol.atomic_numbers.astype(float)
     classes = build_shell_classes(basis, workspace)
     tabs = _nuclear_tables(
-        be, workspace, basis, mol, [_bra(be, cls) for cls in classes]
+        workspace, basis, mol, [_bra(cls) for cls in classes]
     )
     for ci, cls in enumerate(classes):
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
         nT = hermite_simplex(cls.la + cls.lb + 1).shape[0]
         N, X = cls.nprim, cls.nfa * cls.nfb
-        norms = be.asarray(cls.norms)
         blk_all = np.empty((cls.npair, cls.nfa, cls.nfb))
         # largest per-pair intermediates: R (nC, N, nT) and W (X, N, nT)
         for sl in _chunks(cls.npair, max(nC, X) * N * nT):
-            blk = _nuclear_blocks(
-                be, be.asarray(cls.E[sl]), be.asarray(cls.p[sl]),
-                be.asarray(cls.cc[sl]), tabs.table(ci, 0, sl),
-                Z, ca, cb, norms,
+            blk_all[sl] = _nuclear_blocks(
+                cls.E[sl], cls.p[sl], cls.cc[sl], tabs.table(ci, 0, sl),
+                Z, ca, cb, cls.norms,
             )
-            blk_all[sl] = be.to_numpy(blk)
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
         _scatter_blocks(V, rows, cols, blk_all)
     return V
@@ -771,7 +729,7 @@ def nuclear_batched(
 # One-electron contracted derivatives
 # --------------------------------------------------------------------------
 
-def _contract_bra_deriv(basis, X, workspace, be, deriv_1d) -> np.ndarray:
+def _contract_bra_deriv(basis, X, workspace, deriv_1d) -> np.ndarray:
     """``g[atom, xyz] = sum_{mu nu} X_{mu nu} dM_{mu nu}/d(atom, xyz)`` for
     a one-electron matrix ``M`` whose bra-differentiated per-primitive
     factors are ``deriv_1d(E, a, b, ca, cb, axis) -> [q, n, A, B]``.
@@ -779,7 +737,6 @@ def _contract_bra_deriv(basis, X, workspace, be, deriv_1d) -> np.ndarray:
     Translational invariance (``dM/dB = -dM/dA``) means only bra
     derivatives are computed; same-atom pairs vanish and are skipped.
     """
-    be = be or get_backend()
     natoms = int(max(sh.atom for sh in basis.shells)) + 1
     g = np.zeros((natoms, 3))
     Xs = X + X.T
@@ -790,21 +747,16 @@ def _contract_bra_deriv(basis, X, workspace, be, deriv_1d) -> np.ndarray:
         sub = cls.subset(mask)
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
-        E = be.asarray(sub.E)
-        a = be.asarray(sub.a)
-        b = be.asarray(sub.b)
-        pref = be.asarray(sub.cc) * (np.pi / be.asarray(sub.p)) ** 1.5
+        pref = sub.cc * (np.pi / sub.p) ** 1.5
         rows, cols = _block_indices(sub.oa, cls.nfa, sub.ob, cls.nfb)
-        Xblk = be.asarray(
-            Xs[rows[:, :, None], cols[:, None, :]] * cls.norms[None]
-        )
+        Xblk = Xs[rows[:, :, None], cols[:, None, :]] * cls.norms[None]
         vals = np.empty((sub.npair, 3))
         for axis in range(3):
             blk = _einsum(
-                be, "qn,qnab->qab", pref, deriv_1d(E, a, b, ca, cb, axis)
+                "qn,qnab->qab", pref,
+                deriv_1d(sub.E, sub.a, sub.b, ca, cb, axis),
             )
-            v = _einsum(be, "qab,qab->q", blk, Xblk)
-            vals[:, axis] = be.to_numpy(v)
+            vals[:, axis] = _einsum("qab,qab->q", blk, Xblk)
         np.add.at(g, sub.atom_a, vals)
         np.subtract.at(g, sub.atom_b, vals)
     return g
@@ -824,20 +776,18 @@ def contract_overlap_deriv_batched(
     basis: BasisSet,
     X: np.ndarray,
     workspace: IntegralWorkspace | None = None,
-    be: ArrayBackend | None = None,
 ) -> np.ndarray:
     """``sum X_{mu nu} dS_{mu nu}/dR`` via bra-side differentiation."""
-    return _contract_bra_deriv(basis, X, workspace, be, _overlap_deriv_1d)
+    return _contract_bra_deriv(basis, X, workspace, _overlap_deriv_1d)
 
 
 def contract_kinetic_deriv_batched(
     basis: BasisSet,
     X: np.ndarray,
     workspace: IntegralWorkspace | None = None,
-    be: ArrayBackend | None = None,
 ) -> np.ndarray:
     """``sum X_{mu nu} dT_{mu nu}/dR`` via bra-side differentiation."""
-    return _contract_bra_deriv(basis, X, workspace, be, _kinetic_deriv_1d)
+    return _contract_bra_deriv(basis, X, workspace, _kinetic_deriv_1d)
 
 
 def contract_nuclear_deriv_batched(
@@ -845,7 +795,6 @@ def contract_nuclear_deriv_batched(
     mol: Molecule,
     X: np.ndarray,
     workspace: IntegralWorkspace | None = None,
-    be: ArrayBackend | None = None,
 ) -> np.ndarray:
     """``sum X_{mu nu} dV_{mu nu}/dR`` including operator-center terms.
 
@@ -854,7 +803,6 @@ def contract_nuclear_deriv_batched(
     translational invariance of each C term:
     ``dV_C/dC = -(dV_C/dA + dV_C/dB)``.
     """
-    be = be or get_backend()
     natoms = mol.natoms
     g = np.zeros((natoms, 3))
     Zh = mol.atomic_numbers.astype(float)
@@ -862,8 +810,7 @@ def contract_nuclear_deriv_batched(
     Xs = X + X.T
     classes = build_shell_classes(basis, workspace)
     tabs = _nuclear_tables(
-        be, workspace, basis, mol, [_bra(be, cls) for cls in classes],
-        consume=True,
+        workspace, basis, mol, [_bra(cls) for cls in classes], consume=True
     )
     for ci, cls in enumerate(classes):
         ca = comp_arrays(cls.la)
@@ -878,27 +825,23 @@ def contract_nuclear_deriv_batched(
             X[rows[:, :, None], cols[:, None, :]],
             Xs[rows[:, :, None], cols[:, None, :]],
         ) * cls.norms[None]
-        Xf = be.asarray(Xg.reshape(cls.npair, X_))
+        Xf = Xg.reshape(cls.npair, X_)
         # per-class accumulators so chunking cannot change the result
         vals_all = np.empty((cls.npair, 2, 3, nC))
         # largest per-pair intermediates: R (nC, N, nT), dW (6, X, N, nT)
         for sl in _chunks(cls.npair, max(nC, 6 * X_) * N * nT):
-            E = be.asarray(cls.E[sl])
-            a = be.asarray(cls.a[sl])
-            b = be.asarray(cls.b[sl])
-            p = be.asarray(cls.p[sl])
             qc = cls.p[sl].shape[0]
             R = tabs.table(ci, 0, sl).reshape(nT, qc, N, nC)
-            pref = be.asarray(cls.cc[sl]) * (2.0 * np.pi / p)
+            pref = cls.cc[sl] * (2.0 * np.pi / cls.p[sl])
             # all six (side, axis) operands through one pair of GEMMs
-            dW = _w_deriv_stack(be, E, a, b, ca, cb, tuv)
-            t1 = be.xp.matmul(Xf[sl][:, None, None, :], dW)
+            dW = _w_deriv_stack(cls.E[sl], cls.a[sl], cls.b[sl], ca, cb, tuv)
+            t1 = np.matmul(Xf[sl][:, None, None, :], dW)
             t1 = t1.reshape(qc, 6, N, nT) * pref[:, None, :, None]
-            v = -be.xp.matmul(
+            v = -np.matmul(
                 t1.reshape(qc, 6, N * nT),
                 R.transpose(1, 2, 0, 3).reshape(qc, N * nT, nC),
             )
-            vals_all[sl] = be.to_numpy(v).reshape(qc, 2, 3, nC) * Zh
+            vals_all[sl] = v.reshape(qc, 2, 3, nC) * Zh
         for si, atoms_side in enumerate((cls.atom_a, cls.atom_b)):
             for axis in range(3):
                 v = vals_all[:, si, axis, :]
@@ -914,7 +857,6 @@ def contract_nuclear_deriv_batched(
 def schwarz_pair_bounds_batched(
     basis: BasisSet,
     workspace: IntegralWorkspace | None = None,
-    be: ArrayBackend | None = None,
 ) -> np.ndarray:
     """Cauchy-Schwarz bounds ``Q_ij = max sqrt((ab|ab))`` per shell pair.
 
@@ -926,7 +868,6 @@ def schwarz_pair_bounds_batched(
     level up in `IntegralWorkspace.schwarz_bounds`, the one table every
     screened driver (and the loop reference) takes its decisions from.
     """
-    be = be or get_backend()
     nsh = basis.nshells
     Qmat = np.zeros((nsh, nsh))
     for cls in build_shell_classes(basis, workspace):
@@ -935,31 +876,28 @@ def schwarz_pair_bounds_batched(
         L = cls.la + cls.lb
         tuv = hermite_simplex(L)
         Tb = tuv.shape[0]
-        phase = be.asarray(_phase(tuv))
+        phase = _phase(tuv)
         N, X = cls.nprim, cls.nfa * cls.nfb
         bound_all = np.empty(cls.npair)
         # largest per-pair intermediate: the gathered (N*Tb, N*Tb) kernel
         for sl in _chunks(cls.npair, N * N * Tb * Tb):
-            p = be.asarray(cls.p[sl])
-            cc = be.asarray(cls.cc[sl])
-            P = be.asarray(cls.P[sl])
+            p = cls.p[sl]
+            cc = cls.cc[sl]
+            P = cls.P[sl]
             qc = cls.p[sl].shape[0]
-            Wb = _w_class(be.asarray(cls.E[sl]), ca, cb, tuv)
+            Wb = _w_class(cls.E[sl], ca, cb, tuv)
             # ket columns of the kernel run (Tb, N)
             Wk = (Wb * phase).transpose(0, 1, 2, 4, 3).reshape(qc, X, Tb * N)
             # the pair's own primitives are the ket; no derivative
             # driver follows, so the table is built here at order 2L
             ket = dict(qk=p[:, None, :], cck=cc[:, None, :], Pk=P[:, None])
-            R, = _build_tables(
-                be, [(2 * L, lambda: _ket_inputs(be, p, P, ket))]
-            )
+            R, = _build_tables([(2 * L, lambda: _ket_inputs(p, P, ket))])
             M2 = _hermite_kernel(
-                be, R, _prefactor(be, p, cc, ket), simplex_sum_index(L, L)
+                R, _prefactor(p, cc, ket), simplex_sum_index(L, L)
             )
-            t1 = be.xp.matmul(Wb.reshape(qc, X, N * Tb), M2)
-            diag = _einsum(be, "qxk,qxk->qx", t1, Wk)
-            bound = be.xp.sqrt(be.xp.max(be.xp.abs(diag), axis=1))
-            bound_all[sl] = be.to_numpy(bound)
+            t1 = np.matmul(Wb.reshape(qc, X, N * Tb), M2)
+            diag = _einsum("qxk,qxk->qx", t1, Wk)
+            bound_all[sl] = np.sqrt(np.max(np.abs(diag), axis=1))
         Qmat[cls.ish, cls.jsh] = bound_all
         Qmat[cls.jsh, cls.ish] = bound_all
     return Qmat
@@ -969,7 +907,7 @@ def schwarz_pair_bounds_batched(
 # Three-center integrals and derivative contraction
 # --------------------------------------------------------------------------
 
-def _group_statics(groups, be: ArrayBackend):
+def _group_statics(groups):
     """Per-auxiliary-group ket expansions on the simplex rows of the
     group's ``lmax`` (Hermite phase folded in), built once per call: the
     one place that turns an `AuxGroup` into what the kernels read —
@@ -984,8 +922,7 @@ def _group_statics(groups, be: ArrayBackend):
         statics.append(
             dict(
                 grp=grp, l=grp.lmax, m=m, C=C, Tk=tuv.shape[0],
-                qk=be.asarray(grp.pd.p), Pk=be.asarray(grp.pd.P),
-                Wk=be.asarray(Wk),
+                qk=grp.pd.p, Pk=grp.pd.P, Wk=Wk,
                 func_idx=grp.func_idx,
                 comp_norms=grp.comp_norms,
                 atoms=grp.atoms,
@@ -994,40 +931,35 @@ def _group_statics(groups, be: ArrayBackend):
     return statics
 
 
-def _group_apply_batched(be, M2, st, Wb2):
+def _group_apply_batched(M2, st, Wb2):
     """Contract bra expansions ``Wb2 (qc, X, N*Tb)`` with the kernel
     pieces of one aux group: ``(qc, m, X, C)`` blocks."""
     qc, X, _ = Wb2.shape
-    t1 = be.xp.matmul(Wb2, M2)
-    t1 = _contig(
-        be, t1.reshape(qc, X, st["Tk"], st["m"]).transpose(0, 3, 1, 2)
+    t1 = np.matmul(Wb2, M2)
+    t1 = np.ascontiguousarray(
+        t1.reshape(qc, X, st["Tk"], st["m"]).transpose(0, 3, 1, 2)
     )
-    return be.xp.matmul(t1, st["Wk"].transpose(0, 2, 1)[None])
+    return np.matmul(t1, st["Wk"].transpose(0, 2, 1)[None])
 
 
-def _eri3c_scatter(be, out, st, M2, Wb2, norms, rows, cols, off):
+def _eri3c_scatter(out, st, M2, Wb2, norms, rows, cols, off):
     """Contract one (bra chunk, aux group), normalize, and write the
     ``(mu nu|P)`` blocks and their ``(nu mu|P)`` images (off-diagonal
-    pairs ``off``) into ``out`` through ``be.scatter_set``."""
+    pairs ``off``) into ``out``."""
     nfa, nfb = norms.shape
-    blk = _group_apply_batched(be, M2, st, Wb2)
+    blk = _group_apply_batched(M2, st, Wb2)
     blk = blk.reshape(-1, st["m"], nfa, nfb, st["C"])
     blk = blk * norms[None, None, :, :, None]
-    blk = blk * be.asarray(st["comp_norms"])[None, :, None, None, :]
+    blk = blk * st["comp_norms"][None, :, None, None, :]
     fi = st["func_idx"][None, None, None, :, :]
-    out = be.scatter_set(
-        out,
-        (rows[:, :, None, None, None], cols[:, None, :, None, None], fi),
-        blk.transpose(0, 2, 3, 1, 4),
-    )
+    out[
+        rows[:, :, None, None, None], cols[:, None, :, None, None], fi
+    ] = blk.transpose(0, 2, 3, 1, 4)
     if off.size:
-        out = be.scatter_set(
-            out,
-            (cols[off][:, :, None, None, None],
-             rows[off][:, None, :, None, None], fi),
-            blk[off].transpose(0, 3, 2, 1, 4),
-        )
-    return out
+        out[
+            cols[off][:, :, None, None, None],
+            rows[off][:, None, :, None, None], fi,
+        ] = blk[off].transpose(0, 3, 2, 1, 4)
 
 
 def eri3c_batched(
@@ -1035,7 +967,6 @@ def eri3c_batched(
     aux: BasisSet,
     screen: float = 0.0,
     workspace: IntegralWorkspace | None = None,
-    be: ArrayBackend | None = None,
 ) -> np.ndarray:
     """Three-center integrals ``(mu nu | P)``, shape ``(nbf, nbf, naux)``.
 
@@ -1046,9 +977,8 @@ def eri3c_batched(
     (`IntegralWorkspace.record_screen`). ``workspace`` additionally
     serves cached shell classes, aux scaffolding and bound tables.
     """
-    be = be or get_backend()
-    out = be.xp.zeros((basis.nbf, basis.nbf, aux.nbf))
-    statics = _group_statics(_aux_groups(workspace, aux), be)
+    out = np.zeros((basis.nbf, basis.nbf, aux.nbf))
+    statics = _group_statics(_aux_groups(workspace, aux))
     classes = build_shell_classes(basis, workspace)
     Q = None
     if screen > 0.0:
@@ -1072,9 +1002,9 @@ def eri3c_batched(
                 neglected.append(qv[skip] * qaux_sum * nfab)
                 cls, ids = cls.subset(keep), np.nonzero(keep)[0]
         kept.append(cls)
-        bras.append(_bra(be, cls, ids))
+        bras.append(_bra(cls, ids))
     tabs = _coulomb_tables(
-        be, workspace, "eri3c", (basis, aux), None, bras, statics
+        workspace, "eri3c", (basis, aux), None, bras, statics
     )
     for ci, cls in enumerate(kept):
         if cls.npair == 0:
@@ -1086,27 +1016,26 @@ def eri3c_batched(
         Tb = tuv.shape[0]
         N, X = cls.nprim, cls.nfa * cls.nfb
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
-        norms = be.asarray(cls.norms)
         # largest per-pair intermediates: the gathered kernel M2
         # (N*Tb, Tk*m), the bra operand (X, N*Tb), their product
         mTk = max(st["m"] * st["Tk"] for st in statics)
         per_pair = max(N * Tb * mTk, X * N * Tb, X * mTk)
         for sl in _chunks(cls.npair, per_pair):
             qc = cls.p[sl].shape[0]
-            Wb2 = _w_class(be.asarray(cls.E[sl]), ca, cb, tuv).reshape(
+            Wb2 = _w_class(cls.E[sl], ca, cb, tuv).reshape(
                 qc, X, N * Tb
             )
             off = np.nonzero(~cls.diag[sl])[0]
             for gi, st in enumerate(statics):
-                out = _eri3c_scatter(
-                    be, out, st, tabs.kernel(ci, gi, sl, L), Wb2, norms,
+                _eri3c_scatter(
+                    out, st, tabs.kernel(ci, gi, sl, L), Wb2, cls.norms,
                     rows[sl], cols[sl], off,
                 )
     if workspace is not None and screen > 0.0:
         workspace.record_screen(
             "eri3c", npairs, nskip, _fsum(neglected)
         )
-    return be.to_numpy(out)
+    return out
 
 
 def _fsum(chunks: list[np.ndarray]) -> float:
@@ -1122,7 +1051,6 @@ def contract_eri3c_deriv_batched(
     natoms: int,
     screen: float = 0.0,
     workspace: IntegralWorkspace | None = None,
-    be: ArrayBackend | None = None,
 ) -> np.ndarray:
     """``g = sum_{mu nu P} Z_{mu nu P} d(mu nu|P)/dR``, shape ``(natoms, 3)``.
 
@@ -1141,9 +1069,8 @@ def contract_eri3c_deriv_batched(
     chunk by chunk; the gradient is accumulated from those once per
     class, so the result does not depend on the chunk size.
     """
-    be = be or get_backend()
     g = np.zeros((natoms, 3))
-    statics = _group_statics(_aux_groups(workspace, aux), be)
+    statics = _group_statics(_aux_groups(workspace, aux))
     classes = build_shell_classes(basis, workspace)
     Zs = 0.5 * (Z + Z.transpose(1, 0, 2))
     Q = None
@@ -1174,12 +1101,11 @@ def contract_eri3c_deriv_batched(
                 cls, ids = cls.subset(keep), np.nonzero(keep)[0]
                 pfac = pfac[keep]
         kept.append((cls, pfac))
-        bras.append(_bra(be, cls, ids))
+        bras.append(_bra(cls, ids))
     # the tables `eri3c` left at this geometry, completed by the pairs
     # this mask keeps and that one dropped
     tabs = _coulomb_tables(
-        be, workspace, "eri3c", (basis, aux), None, bras, statics,
-        consume=True,
+        workspace, "eri3c", (basis, aux), None, bras, statics, consume=True
     )
     for ci, (cls, pfac) in enumerate(kept):
         if cls.npair == 0:
@@ -1204,8 +1130,7 @@ def contract_eri3c_deriv_batched(
         for sl in _chunks(cls.npair, per_pair):
             qc = cls.p[sl].shape[0]
             dW = _w_deriv_stack(
-                be, be.asarray(cls.E[sl]), be.asarray(cls.a[sl]),
-                be.asarray(cls.b[sl]), ca, cb, tuv,
+                cls.E[sl], cls.a[sl], cls.b[sl], ca, cb, tuv
             ).reshape(qc, 6 * X, N * Tb)
             pfc = pfac[sl]
             for gi, st in enumerate(statics):
@@ -1222,12 +1147,12 @@ def contract_eri3c_deriv_batched(
                 ]
                 # Z folded into the ket expansion once per group:
                 # ZW[q, m, x, tau] = sum_c zg[q, m, x, c] Wk[m, c, tau]
-                ZW = be.xp.matmul(be.asarray(zg), st["Wk"][None])
+                ZW = np.matmul(zg, st["Wk"][None])
                 M2 = tabs.kernel(ci, gi, sl, L)
-                t1 = be.xp.matmul(dW, M2).reshape(
+                t1 = np.matmul(dW, M2).reshape(
                     qc, 6, X, st["Tk"], st["m"]
                 )
-                v = be.to_numpy(_einsum(be, "qsxtm,qmxt->qsm", t1, ZW))
+                v = _einsum("qsxtm,qmxt->qsm", t1, ZW)
                 sA[sl] += v[:, :3].sum(axis=2)
                 sB[sl] += v[:, 3:].sum(axis=2)
                 vAB[gi][sl] = v[:, :3] + v[:, 3:]
@@ -1240,253 +1165,3 @@ def contract_eri3c_deriv_batched(
             "eri3c_deriv", npairs, nskip, _fsum(neglected)
         )
     return g
-
-
-# --------------------------------------------------------------------------
-# Functional (trace-friendly) table builders for non-numpy backends
-# --------------------------------------------------------------------------
-
-def _r_tables_xp(be: ArrayBackend, lmax: int, p, PQ):
-    """Functional mirror of `engine.r_tables_simplex`: the downward
-    recursion over auxiliary order as a dict of per-(t,u,v) vectors,
-    stacked in `hermite_simplex` order, shape ``(nsimplex(lmax), n)``."""
-    xp = be.xp
-    T = p * xp.sum(PQ * PQ, axis=1)
-    F = boys_table(xp, lmax, T)
-    levels = []
-    scale = xp.ones_like(p)
-    for m in range(lmax + 1):
-        levels.append({(0, 0, 0): scale * F[m]})
-        scale = scale * (-2.0 * p)
-    x, y, z = PQ[:, 0], PQ[:, 1], PQ[:, 2]
-    rows = [tuple(int(i) for i in tuv) for tuv in hermite_simplex(lmax)]
-    for t, u, v in sorted(rows[1:], key=sum):
-        for m in range(lmax - (t + u + v) + 1):
-            up = levels[m + 1]
-            if t > 0:
-                val = x * up[(t - 1, u, v)]
-                if t > 1:
-                    val = val + (t - 1) * up[(t - 2, u, v)]
-            elif u > 0:
-                val = y * up[(t, u - 1, v)]
-                if u > 1:
-                    val = val + (u - 1) * up[(t, u - 2, v)]
-            else:
-                val = z * up[(t, u, v - 1)]
-                if v > 1:
-                    val = val + (v - 1) * up[(t, u, v - 2)]
-            levels[m][(t, u, v)] = val
-    return xp.stack([levels[0][tuv] for tuv in rows])
-
-
-def _e_tables_xp(be: ArrayBackend, imax: int, jmax: int, AB, a, b):
-    """Functional mirror of `engine.e_tables_batch`: Hermite expansion
-    tables ``E[n, 3, i, j, t]`` built recursively as dicts of vectors.
-    ``AB`` has shape ``(n, 3)`` and may be a traced (differentiable)
-    array — this is the geometry entry point for autodiff."""
-    xp = be.xp
-    p = a + b
-    q = a * b / p
-    inv2p = 1.0 / (2.0 * p)
-    tmax = imax + jmax
-    dims = []
-    for dim in range(3):
-        Qd = AB[:, dim]
-        tab = {(0, 0, 0): xp.exp(-q * Qd * Qd)}
-        Xpa = -(b / p) * Qd
-        Xpb = (a / p) * Qd
-        for i in range(imax):
-            for t in range(i + 1):
-                val = Xpa * tab[(i, 0, t)]
-                if t > 0:
-                    val = val + inv2p * tab[(i, 0, t - 1)]
-                if t + 1 <= i:
-                    val = val + (t + 1) * tab[(i, 0, t + 1)]
-                tab[(i + 1, 0, t)] = val
-            tab[(i + 1, 0, i + 1)] = inv2p * tab[(i, 0, i)]
-        for i in range(imax + 1):
-            for j in range(jmax):
-                for t in range(i + j + 1):
-                    val = Xpb * tab[(i, j, t)]
-                    if t > 0:
-                        val = val + inv2p * tab[(i, j, t - 1)]
-                    if t + 1 <= i + j:
-                        val = val + (t + 1) * tab[(i, j, t + 1)]
-                    tab[(i, j + 1, t)] = val
-                tab[(i, j + 1, i + j + 1)] = inv2p * tab[(i, j, i + j)]
-        zeros = xp.zeros_like(p)
-        arr = xp.stack(
-            [
-                xp.stack(
-                    [
-                        xp.stack(
-                            [
-                                tab.get((i, j, t), zeros)
-                                for t in range(tmax + 1)
-                            ],
-                            axis=-1,
-                        )
-                        for j in range(jmax + 1)
-                    ],
-                    axis=-2,
-                )
-                for i in range(imax + 1)
-            ],
-            axis=-3,
-        )
-        dims.append(arr)
-    return xp.stack(dims, axis=1)
-
-
-class AutodiffIntegrals:
-    """Integral matrices as pure functions of atom coordinates.
-
-    Built for the JAX backend: every method takes ``coords`` with shape
-    ``(natoms, 3)`` in the backend namespace and returns a backend
-    array assembled purely functionally, so ``jax.grad`` through e.g.
-    ``sum(X * overlap(coords))`` yields the exact contracted derivative
-    — an autodiff oracle for the hand-derived `contract_*_deriv`
-    drivers. Test-only: no screening, no chunking, no caching.
-    """
-
-    def __init__(
-        self,
-        basis: BasisSet,
-        mol: Molecule,
-        aux: BasisSet | None = None,
-        be: ArrayBackend | None = None,
-    ) -> None:
-        self.be = be or get_backend()
-        self.basis = basis
-        self.mol = mol
-        self.aux = aux
-        self.nbf = basis.nbf
-        self.natoms = mol.natoms
-        self.Z = self.be.asarray(mol.atomic_numbers.astype(float))
-        shell_atoms = np.asarray([sh.atom for sh in basis.shells])
-        if not np.allclose(
-            np.stack([sh.center for sh in basis.shells]),
-            mol.coords[shell_atoms],
-        ):
-            raise ValueError("basis shell centers do not sit on mol atoms")
-        self._shell_atoms = shell_atoms
-        self._parts = _class_partition(basis)
-        self._groups = None
-        if aux is not None:
-            self._groups = _group_statics(_aux_groups(None, aux), self.be)
-
-    def _geometry(self, part, coords, imax: int, jmax: int):
-        """Traced per-class geometry: centers, product centers, E."""
-        xp = self.be.xp
-        a, b = part["a"], part["b"]
-        Q, N = a.shape
-        A = coords[self._shell_atoms[part["ish"]]]
-        B = coords[self._shell_atoms[part["jsh"]]]
-        p = a + b
-        P = (
-            a[:, :, None] * A[:, None, :] + b[:, :, None] * B[:, None, :]
-        ) / p[:, :, None]
-        AB = A - B
-        E = _e_tables_xp(
-            self.be, imax, jmax,
-            xp.repeat(AB, N, axis=0),
-            self.be.asarray(a.ravel()), self.be.asarray(b.ravel()),
-        ).reshape(Q, N, 3, imax + 1, jmax + 1, imax + jmax + 1)
-        return p, P, E
-
-    def _assemble(self, M, part, blk, nfa, nfb):
-        """Scatter symmetric blocks: direct then transposed image."""
-        rows, cols = _block_indices(part["oa"], nfa, part["ob"], nfb)
-        M = self.be.scatter_set(M, (rows[:, :, None], cols[:, None, :]), blk)
-        return self.be.scatter_set(
-            M, (cols[:, :, None], rows[:, None, :]), blk.transpose(0, 2, 1)
-        )
-
-    def overlap(self, coords):
-        xp = self.be.xp
-        S = xp.zeros((self.nbf, self.nbf))
-        for part in self._parts:
-            ca, cb = comp_arrays(part["la"]), comp_arrays(part["lb"])
-            nfa, nfb = len(ca), len(cb)
-            p, _, E = self._geometry(part, coords, part["la"], part["lb"])
-            blk = _onee_blocks(
-                self.be, _overlap_1d(E, ca, cb), p,
-                self.be.asarray(part["cc"]), self.be.asarray(part["norms"]),
-            )
-            S = self._assemble(S, part, blk, nfa, nfb)
-        return S
-
-    def kinetic(self, coords):
-        xp = self.be.xp
-        T = xp.zeros((self.nbf, self.nbf))
-        for part in self._parts:
-            ca, cb = comp_arrays(part["la"]), comp_arrays(part["lb"])
-            nfa, nfb = len(ca), len(cb)
-            p, _, E = self._geometry(part, coords, part["la"], part["lb"] + 2)
-            tot = _kinetic_1d(E, self.be.asarray(part["b"]), ca, cb)
-            blk = _onee_blocks(
-                self.be, tot, p, self.be.asarray(part["cc"]),
-                self.be.asarray(part["norms"]),
-            )
-            T = self._assemble(T, part, blk, nfa, nfb)
-        return T
-
-    def _tables(self, geometry, kets) -> CoulombTables:
-        """The traced `CoulombTables` of every class against ``kets``."""
-        bras = [
-            dict(ids=np.arange(part["a"].shape[0]), p=p,
-                 cc=self.be.asarray(part["cc"]), P=P,
-                 L=part["la"] + part["lb"])
-            for part, (p, P, _) in zip(self._parts, geometry)
-        ]
-        return CoulombTables(self.be, bras, kets, table_budget(None))
-
-    def nuclear(self, coords):
-        xp = self.be.xp
-        V = xp.zeros((self.nbf, self.nbf))
-        geometry = [
-            self._geometry(part, coords, part["la"], part["lb"])
-            for part in self._parts
-        ]
-        tabs = self._tables(geometry, [dict(qk=None, Pk=coords, l=0)])
-        for ci, (part, (p, _, E)) in enumerate(zip(self._parts, geometry)):
-            ca, cb = comp_arrays(part["la"]), comp_arrays(part["lb"])
-            blk = _nuclear_blocks(
-                self.be, E, p, self.be.asarray(part["cc"]),
-                tabs.table(ci, 0, slice(None)), self.Z, ca, cb,
-                self.be.asarray(part["norms"]),
-            )
-            V = self._assemble(V, part, blk, len(ca), len(cb))
-        return V
-
-    def hcore(self, coords):
-        return self.kinetic(coords) + self.nuclear(coords)
-
-    def eri3c(self, coords):
-        if self._groups is None:
-            raise ValueError("AutodiffIntegrals built without an aux basis")
-        xp = self.be.xp
-        out = xp.zeros((self.nbf, self.nbf, self.aux.nbf))
-        geometry = [
-            self._geometry(part, coords, part["la"], part["lb"])
-            for part in self._parts
-        ]
-        kets = [{**st, "Pk": coords[st["atoms"]]} for st in self._groups]
-        tabs = self._tables(geometry, kets)
-        for ci, (part, (_, _, E)) in enumerate(zip(self._parts, geometry)):
-            ca, cb = comp_arrays(part["la"]), comp_arrays(part["lb"])
-            nfa, nfb = len(ca), len(cb)
-            L = part["la"] + part["lb"]
-            Q = part["a"].shape[0]
-            Wb2 = _w_class(E, ca, cb, hermite_simplex(L)).reshape(
-                Q, nfa * nfb, -1
-            )
-            norms = self.be.asarray(part["norms"])
-            rows, cols = _block_indices(part["oa"], nfa, part["ob"], nfb)
-            offdiag = np.nonzero(part["ish"] != part["jsh"])[0]
-            for gi, st in enumerate(kets):
-                out = _eri3c_scatter(
-                    self.be, out, st, tabs.kernel(ci, gi, slice(None), L),
-                    Wb2, norms, rows, cols, offdiag,
-                )
-        return out

@@ -7,8 +7,7 @@ The Boys function
 is the radial kernel of all Coulomb-type Gaussian integrals. Two
 independent implementations live here:
 
-* `boys_table` — the runtime one, written against an array namespace
-  so numpy, JAX and CuPy share it. Top order: a 7-term Taylor expansion
+* `boys_table` — the runtime one. Top order: a 7-term Taylor expansion
   about the nearest node of a uniform grid on ``[0, 36]``, or beyond it
   the asymptotic ``F_0`` and the *upward* recursion (stable there: the
   subtracted ``exp(-T)`` is tiny); lower orders by the stable downward
@@ -103,33 +102,31 @@ def _taylor_rows(mmax: int) -> np.ndarray:
     return rows
 
 
-def boys_table(xp, mmax: int, T):
-    """``F_0 .. F_mmax`` of a batch in the array namespace ``xp``,
-    order-major ``(mmax+1, n)``.
+def boys_table(mmax: int, T):
+    """``F_0 .. F_mmax`` of a batch, order-major ``(mmax+1, n)``.
 
-    Functional and elementwise along the batch axis: an element's values
-    are bitwise independent of its batch, and JAX can trace and
-    differentiate it (``d/dT`` flows through the Taylor offset).
+    Elementwise along the batch axis: an element's values are bitwise
+    independent of its batch.
     """
     if not 0 <= mmax <= MAX_ORDER:
         raise ValueError(f"Boys order {mmax} outside the table's 0..{MAX_ORDER}")
     # nearest node, clamped so the unused branch stays finite
-    Tc = xp.minimum(T, _TMAX)
-    node = xp.rint(Tc * _PER_UNIT)
+    Tc = np.minimum(T, _TMAX)
+    node = np.rint(Tc * _PER_UNIT)
     d = node * (1.0 / _PER_UNIT) - Tc  # -(T - T_i): the series alternates
-    c = xp.take(xp.asarray(_taylor_rows(mmax)), node.astype(int), axis=0)
+    c = np.take(_taylor_rows(mmax), node.astype(int), axis=0)
     top = c[:, _NTERMS - 1]
     for k in range(_NTERMS - 2, -1, -1):
         top = top * d + c[:, k]
-    expT = xp.exp(-T)
-    Ta = xp.maximum(T, _TMAX)
+    expT = np.exp(-T)
+    Ta = np.maximum(T, _TMAX)
     half_inv = 0.5 / Ta
-    up = _SQRT_PI_OVER_2 / xp.sqrt(Ta)
+    up = _SQRT_PI_OVER_2 / np.sqrt(Ta)
     for m in range(1, mmax + 1):
         up = ((2 * m - 1) * up - expT) * half_inv
     rows = [None] * (mmax + 1)
-    rows[mmax] = xp.where(T > _TMAX, up, top)
+    rows[mmax] = np.where(T > _TMAX, up, top)
     T2 = T + T
     for k in range(mmax, 0, -1):
         rows[k - 1] = (T2 * rows[k] + expT) * (1.0 / (2 * k - 1))
-    return xp.stack(rows)
+    return np.stack(rows)

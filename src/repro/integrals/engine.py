@@ -207,7 +207,7 @@ def r_tables_simplex(lmax: int, p: np.ndarray, PQ: np.ndarray) -> np.ndarray:
             out[:, lo:hi] = r_tables_simplex(lmax, p[lo:hi], PQ[lo:hi])
         return out
     T = p * np.einsum("ni,ni->n", PQ, PQ)
-    F = boys_table(np, lmax, T)  # order-major: one contiguous row per seed
+    F = boys_table(lmax, T)  # order-major: one contiguous row per seed
     # batch axis last: every range below is a contiguous block per order
     Rn = np.empty((lmax + 1, ns, n))
     scale = np.ones(n)

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from ..basis.basisset import BasisSet
     from .workspace import IntegralWorkspace
-from ..backend import get_backend
 from .engine import (
     AuxGroup,
     PairData,
@@ -163,7 +162,7 @@ def _eri_general(bra: PairData, ket: PairData, ca, cb, cc, cd) -> np.ndarray:
 _S_COMP = comp_arrays(0)
 
 
-def _eri2c_tables(be, workspace, aux, statics, consume=False):
+def _eri2c_tables(workspace, aux, statics, consume=False):
     """The `CoulombTables` of every ordered (bra group, ket group) pair
     of the metric: the bra is the aux group as one-primitive "pairs"."""
     from .batch import _coulomb_tables
@@ -174,7 +173,7 @@ def _eri2c_tables(be, workspace, aux, statics, consume=False):
         for st in statics
     ]
     return _coulomb_tables(
-        be, workspace, "eri2c", (aux,), None, bras, statics, consume
+        workspace, "eri2c", (aux,), None, bras, statics, consume
     )
 
 
@@ -192,11 +191,10 @@ def eri2c(aux: BasisSet, workspace: IntegralWorkspace | None = None) -> np.ndarr
         groups = _aux_groups(workspace, aux)
     except ValueError:
         return _eri2c_pershell(aux)
-    be = get_backend("numpy")
-    statics = kernels._group_statics(groups, be)
+    statics = kernels._group_statics(groups)
     # every ordered pair, the lower triangle too: the derivative reads
     # all of them, and one merged build serves both drivers
-    tabs = _eri2c_tables(be, workspace, aux, statics)
+    tabs = _eri2c_tables(workspace, aux, statics)
     J = np.zeros((aux.nbf, aux.nbf))
     for ib, sb in enumerate(statics):
         # the 3c kernel with a one-primitive "pair" per bra site; the
@@ -205,7 +203,7 @@ def eri2c(aux: BasisSet, workspace: IntegralWorkspace | None = None) -> np.ndarr
         for ik in range(ib, len(statics)):
             sk = statics[ik]
             M2 = tabs.kernel(ib, ik, slice(None), sb["l"])
-            blk = kernels._group_apply_batched(be, M2, sk, Wb)
+            blk = kernels._group_apply_batched(M2, sk, Wb)
             blk = (
                 blk * sb["comp_norms"][:, None, :, None]
                 * sk["comp_norms"][None, :, None, :]
@@ -463,12 +461,11 @@ def contract_eri2c_deriv(
     """
     from . import batch as kernels
 
-    be = get_backend("numpy")
     g = np.zeros((natoms, 3))
     # one unit of E-table headroom for the differentiated (bra) side; the
     # ket expansions read the same tables' lower entries
-    statics = kernels._group_statics(_aux_groups(workspace, aux, di=1), be)
-    tabs = _eri2c_tables(be, workspace, aux, statics, consume=True)
+    statics = kernels._group_statics(_aux_groups(workspace, aux, di=1))
+    tabs = _eri2c_tables(workspace, aux, statics, consume=True)
     for ib, sb in enumerate(statics):
         gb, n, X = sb["grp"], sb["m"], sb["C"]
         L = sb["l"] + 1

@@ -4,7 +4,12 @@ See ``repro.surrogate.manager`` for the uncertainty-gated serving layer
 and ``repro.surrogate.model`` for the descriptor + kernel-ridge committee.
 """
 
-from .manager import DEFAULT_TOL_DIMER, DEFAULT_TOL_TRIMER, SurrogateManager
+from .manager import (
+    DEFAULT_TOL_DIMER,
+    DEFAULT_TOL_TRIMER,
+    SurrogateManager,
+    gate_tolerances,
+)
 from .model import KernelRidgeCommittee, descriptor
 
 __all__ = [
@@ -13,4 +18,5 @@ __all__ = [
     "descriptor",
     "DEFAULT_TOL_DIMER",
     "DEFAULT_TOL_TRIMER",
+    "gate_tolerances",
 ]

@@ -27,10 +27,25 @@ import numpy as np
 from ..store import ContentionLock
 from .model import KernelRidgeCommittee, descriptor
 
-__all__ = ["SurrogateManager", "DEFAULT_TOL_DIMER", "DEFAULT_TOL_TRIMER"]
+__all__ = [
+    "SurrogateManager",
+    "DEFAULT_TOL_DIMER",
+    "DEFAULT_TOL_TRIMER",
+    "gate_tolerances",
+]
 
 DEFAULT_TOL_DIMER = 5e-5  # Ha: committee-disagreement gate for dimers
 DEFAULT_TOL_TRIMER = 2e-5  # Ha: trimers are smaller contributions; gate tighter
+
+
+def gate_tolerances(tol: float | None) -> tuple[float, float]:
+    """``(tol_dimer, tol_trimer)`` for a user-set dimer gate ``tol``
+    (``--surrogate-tol``): the trimer gate keeps the defaults' ratio.
+    ``None`` is the defaults themselves."""
+    if tol is None:
+        return DEFAULT_TOL_DIMER, DEFAULT_TOL_TRIMER
+    tol = float(tol)
+    return tol, tol * (DEFAULT_TOL_TRIMER / DEFAULT_TOL_DIMER)
 
 
 class _ClassModel:

@@ -14,10 +14,8 @@ imported here and nowhere under ``src/``. The contract under test:
 * **Determinism** — two calls on fresh workspaces, and any chunk size,
   give bit-identical results including the recorded neglected bound
   (what ``--deterministic`` resume rests on).
-* **Backend protocol** — numpy is always available; requesting an
-  uninstalled backend fails with `BackendUnavailableError` at selection
-  time; the JAX backend (when installed) provides autodiff gradients
-  that cross-check the hand-derived derivative drivers.
+* **One array library** — the kernels are NumPy: no backend module,
+  no ``be``/``xp`` parameter, no ``--backend`` (`TestOneArrayLibrary`).
 * **Cache accounting** — `payload_nbytes` counts actual array payloads
   (deduplicating shared bases), and both LRU caches evict in true
   least-recently-used order.
@@ -26,7 +24,6 @@ imported here and nowhere under ``src/``. The contract under test:
 from __future__ import annotations
 
 import ast
-import importlib.util
 import sys
 import threading
 from pathlib import Path
@@ -36,13 +33,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import (
-    ArrayBackend,
-    BackendUnavailableError,
-    available_backends,
-    get_backend,
-    set_default_backend,
-)
 from repro.basis import BasisSet, Shell, auto_auxiliary
 from repro.calculators import GuessCache, RIHFCalculator, RIMP2Calculator
 from repro.chem import Molecule
@@ -101,8 +91,6 @@ from repro.systems import glycine_chain, water_cluster
 from repro.trace import Tracer
 
 from .conftest import table_instants
-
-HAVE_JAX = importlib.util.find_spec("jax") is not None
 
 
 @pytest.fixture(scope="module")
@@ -382,11 +370,11 @@ class TestKernelModeDispatch:
         }
         assert not names & {"hermite_box", "r_tables_batch"}
         # and the Hermite Coulomb recursion has one caller: under
-        # ``integrals/`` only the table builder calls `_r_tables`, which
-        # alone dispatches to the two recursions (`r_tables_simplex`
-        # also calls itself, per batch chunk) — no driver builds a table
-        # on the side that the set its derivative finds would not hold
-        recursion = {"_r_tables", "r_tables_simplex", "_r_tables_xp"}
+        # ``integrals/`` only the table builder calls `r_tables_simplex`
+        # (which also calls itself, per batch chunk) — no driver builds
+        # a table on the side that the set its derivative finds would
+        # not hold
+        recursion = {"r_tables_simplex"}
         callers = {}
         for path in Path(batch.__file__).parent.glob("*.py"):
             for fn in ast.walk(ast.parse(path.read_text())):
@@ -398,21 +386,14 @@ class TestKernelModeDispatch:
                     )
                     if name in recursion and name != fn.name:
                         callers.setdefault(fn.name, set()).add(name)
-        assert callers == {
-            "_build_tables": {"_r_tables"},
-            "_r_tables": {"r_tables_simplex", "_r_tables_xp"},
-        }
+        assert callers == {"_build_tables": {"r_tables_simplex"}}
 
     def test_no_runtime_gammainc(self):
-        """One runtime Boys, the table: the backend shims and the
-        kernels name neither ``gammainc`` nor the reference
-        `boys_array`, which only `r_tables_batch` (the ``*_loop`` and
+        """One runtime Boys, the table: the kernels name neither
+        ``gammainc`` nor the reference `boys_array`, which only `r_tables_batch` (the ``*_loop`` and
         4-centre path) may call — so the 1e-12 clause compares the
         table with an independent algorithm."""
-        import repro.backend
-        import repro.integrals.engine as engine
-
-        for mod in (repro.backend, batch, engine):
+        for mod in (batch, engine):
             text = Path(mod.__file__).read_text()
             tree = ast.parse(text)
             for node in tree.body:
@@ -610,7 +591,6 @@ class TestCoulombTables:
         built for other pairs (any two masks, a class dropped whole
         included) under another budget."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        be = get_backend("numpy")
         classes = []
         for _ in range(data.draw(st.integers(1, 3))):
             q, N = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
@@ -653,7 +633,7 @@ class TestCoulombTables:
                 alpha = alpha * ket["qk"][site] / (alpha + ket["qk"][site])
             PQ = bra["P"][pair, n] - ket["Pk"][site]
             return _build_tables(
-                be, [(order, lambda: (np.array([alpha]), PQ[None]))]
+                [(order, lambda: (np.array([alpha]), PQ[None]))]
             )[0][:, 0]
 
         first = bras()
@@ -662,9 +642,9 @@ class TestCoulombTables:
         old = engine._R_SCRATCH_BYTES
         engine._R_SCRATCH_BYTES = scratch
         try:
-            found = CoulombTables(be, first, kets, budget(first))
+            found = CoulombTables(first, kets, budget(first))
             limit = budget(second)
-            tabs = CoulombTables(be, second, kets, limit, found.payload)
+            tabs = CoulombTables(second, kets, limit, found.payload)
             assert tabs.nbytes <= max(limit, found.nbytes)
             assert tabs.rebuilt_pairs == sum(
                 np.setdiff1d(b["ids"], a["ids"]).size
@@ -692,27 +672,6 @@ class TestCoulombTables:
                     engine._R_SCRATCH_BYTES = scratch
         finally:
             engine._R_SCRATCH_BYTES = old
-
-    def test_functional_backend_rides_the_same_builder(self, water_dimer):
-        """`AutodiffIntegrals` on a backend that is not numpy (here the
-        numpy namespace behind the functional code paths; JAX where it
-        is installed, `TestAutodiffCrossCheck`) builds its tables through
-        `CoulombTables` and the `be.xp` recursion, and agrees with the
-        runtime drivers."""
-        from repro.integrals.batch import AutodiffIntegrals
-
-        class Functional(ArrayBackend):
-            name = "functional-numpy"
-            is_numpy = False
-
-        bs, aux = _setup(water_dimer, "sto-3g")
-        ai = AutodiffIntegrals(bs, water_dimer, aux=aux, be=Functional())
-        _assert_tensor_close(ai.eri3c(water_dimer.coords),
-                             eri3c_batched(bs, aux))
-        np.testing.assert_allclose(
-            ai.nuclear(water_dimer.coords), nuclear_batched(bs, water_dimer),
-            rtol=0, atol=1e-12,
-        )
 
     def test_one_recursion_call_per_order(self, monkeypatch):
         """A water trimer evaluation builds its tables in 13 recursion
@@ -968,100 +927,6 @@ class TestSiteGrouping:
         )
 
 
-class TestBackendProtocol:
-    def test_numpy_always_available(self):
-        assert "numpy" in available_backends()
-        be = get_backend("numpy")
-        assert be.is_numpy and be.xp is np
-        assert be is get_backend("numpy")  # memoized
-
-    def test_default_resolution(self):
-        set_default_backend(None)
-        assert get_backend().name == "numpy"
-        set_default_backend("numpy")
-        try:
-            assert get_backend().name == "numpy"
-        finally:
-            set_default_backend(None)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("tpu")
-
-    @pytest.mark.skipif(HAVE_JAX, reason="jax installed here")
-    def test_missing_optional_backend_fails_cleanly(self):
-        with pytest.raises(BackendUnavailableError, match="jax"):
-            get_backend("jax")
-        # selection also validates eagerly
-        with pytest.raises(BackendUnavailableError):
-            set_default_backend("jax")
-        assert get_backend().name == "numpy"  # default unchanged
-
-    def test_scatter_set(self):
-        be = ArrayBackend()
-        a = np.zeros(4)
-        out = be.scatter_set(a, np.array([1, 3]), np.array([2.0, 4.0]))
-        assert np.array_equal(out, [0.0, 2.0, 0.0, 4.0])
-
-
-@pytest.mark.skipif(not HAVE_JAX, reason="jax not installed")
-class TestAutodiffCrossCheck:
-    """JAX grad through the functional kernels vs the analytic drivers."""
-
-    @pytest.fixture(scope="class")
-    def setup(self):
-        import jax
-
-        mol = water_cluster(2, seed=3)
-        bs = BasisSet.build(mol, "sto-3g")
-        aux = auto_auxiliary(mol)
-        be = get_backend("jax")
-        from repro.integrals.batch import AutodiffIntegrals
-
-        ai = AutodiffIntegrals(bs, mol, aux=aux, be=be)
-        return jax, mol, bs, aux, ai
-
-    def test_overlap_grad(self, setup):
-        jax, mol, bs, _, ai = setup
-        X = _sym(bs.nbf, seed=6)
-
-        def f(coords):
-            return (get_backend("jax").asarray(X) * ai.overlap(coords)).sum()
-
-        g = np.asarray(jax.grad(f)(get_backend("jax").asarray(mol.coords)))
-        ref = contract_overlap_deriv_loop(bs, X)
-        np.testing.assert_allclose(g, ref, rtol=1e-9, atol=1e-12)
-
-    def test_hcore_grad(self, setup):
-        jax, mol, bs, _, ai = setup
-        X = _sym(bs.nbf, seed=7)
-        be = get_backend("jax")
-
-        def f(coords):
-            return (be.asarray(X) * ai.hcore(coords)).sum()
-
-        g = np.asarray(jax.grad(f)(be.asarray(mol.coords)))
-        ref = contract_kinetic_deriv_loop(bs, X)
-        ref = ref + contract_nuclear_deriv_loop(bs, mol, X)
-        # autodiff also differentiates the operator centers (nuclear
-        # attraction), which the analytic driver includes too
-        np.testing.assert_allclose(g, ref, rtol=1e-9, atol=1e-11)
-
-    def test_eri3c_grad(self, setup):
-        jax, mol, bs, aux, ai = setup
-        rng = np.random.default_rng(8)
-        Z = rng.standard_normal((bs.nbf, bs.nbf, aux.nbf))
-        Z = Z + Z.transpose(1, 0, 2)
-        be = get_backend("jax")
-
-        def f(coords):
-            return (be.asarray(Z) * ai.eri3c(coords)).sum()
-
-        g = np.asarray(jax.grad(f)(be.asarray(mol.coords)))
-        ref = contract_eri3c_deriv_loop(bs, aux, Z, mol.natoms)
-        np.testing.assert_allclose(g, ref, rtol=1e-9, atol=1e-11)
-
-
 class TestFourCenterScreenBypass:
     def test_screen_zero_skips_schwarz_build(self, water):
         """Exact mode must not touch the Schwarz/Dmax machinery at all."""
@@ -1176,28 +1041,46 @@ class TestByteAccounting:
         assert cache.nbytes == 3 * D.nbytes
 
 
-class TestCLIOptions:
-    @pytest.fixture()
-    def water_file(self, tmp_path):
-        from repro.chem.xyz import save_xyz
-        from repro.systems import water_monomer
+class TestOneArrayLibrary:
+    """AST guard: the integral kernels are NumPy. A second array library
+    re-enters behind the stacked calls of ROADMAP item 2, not as a
+    namespace parameter threaded through every helper."""
 
-        p = tmp_path / "water.xyz"
-        save_xyz(water_monomer(), str(p))
-        return str(p)
+    def test_no_backend_fork_under_src(self):
+        import repro
 
-    def test_backend_numpy(self, water_file, capsys):
-        from repro.cli import main
+        root = Path(repro.__file__).parent
+        assert not (root / "backend.py").exists()
+        offenders = []
+        for path in root.rglob("*.py"):
+            rel = path.relative_to(root)
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    mods = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    mods = [node.module or ""]
+                else:
+                    mods = []
+                for mod in mods:
+                    if mod.split(".")[0] in ("jax", "cupy"):
+                        offenders.append(f"{rel}:{node.lineno} imports {mod}")
+                name = getattr(node, "attr", None) or getattr(node, "id", None)
+                if name in ("get_backend", "is_numpy", "ArrayBackend"):
+                    offenders.append(f"{rel}:{node.lineno} names {name}")
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                    a = node.args
+                    params = a.posonlyargs + a.args + a.kwonlyargs
+                    for arg in params + [a.vararg, a.kwarg]:
+                        if arg is not None and arg.arg in ("be", "xp"):
+                            offenders.append(
+                                f"{rel}:{node.lineno} parameter {arg.arg}"
+                            )
+        assert offenders == []
 
-        try:
-            assert main(["scf", water_file, "--backend", "numpy"]) == 0
-        finally:
-            set_default_backend(None)
-        assert "E(SCF)" in capsys.readouterr().out
+    def test_cli_knows_no_backend_option(self):
+        from repro.cli import build_parser
 
-    @pytest.mark.skipif(HAVE_JAX, reason="jax installed here")
-    def test_backend_unavailable_exits_cleanly(self, water_file):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit, match="jax"):
-            main(["scf", water_file, "--backend", "jax"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["scf", "w.xyz", "--backend", "numpy"])
+        build_parser().parse_args(["scf", "w.xyz"])

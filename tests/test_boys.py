@@ -22,10 +22,6 @@ try:
     import mpmath
 except ImportError:  # pragma: no cover - env dependent
     mpmath = None
-try:
-    import jax
-except ImportError:  # pragma: no cover - env dependent
-    jax = None
 
 
 def boys_quadrature(m: int, T: float) -> float:
@@ -98,7 +94,7 @@ class TestBoysTable:
     def test_accuracy_every_order(self, reference):
         Ts, ref = reference
         for mmax in range(MAX_ORDER + 1):
-            F = boys_table(np, mmax, Ts)
+            F = boys_table(mmax, Ts)
             assert F.shape == (mmax + 1, Ts.shape[0])
             err = np.abs(F / ref[: mmax + 1] - 1.0)
             assert err.max() <= 1e-14, (mmax, Ts[err.argmax() % Ts.shape[0]])
@@ -106,7 +102,7 @@ class TestBoysTable:
     def test_fallback_reference_agrees(self):
         """The quadrature fallback is itself good enough to judge with."""
         Ts = np.array([0.0, 1e-7, 0.3, 7.77, 35.99, 36.01, 120.0, 1e3, 5e3])
-        F = boys_table(np, MAX_ORDER, Ts)
+        F = boys_table(MAX_ORDER, Ts)
         np.testing.assert_allclose(F, boys_gauss_legendre(MAX_ORDER, Ts), rtol=1e-14)
 
     def test_reference_functions_deliver_their_tolerance(self, reference):
@@ -121,7 +117,7 @@ class TestBoysTable:
 
     def test_order_above_table_rejected(self):
         with pytest.raises(ValueError, match=f"0..{MAX_ORDER}"):
-            boys_table(np, MAX_ORDER + 1, np.array([1.0]))
+            boys_table(MAX_ORDER + 1, np.array([1.0]))
         with pytest.raises(ValueError, match="outside"):
             engine.r_tables_simplex(MAX_ORDER + 1, np.ones(1), np.ones((1, 3)))
 
@@ -136,8 +132,8 @@ class TestBoysTable:
         alone, in any batch, and under any R-table chunking."""
         Ts = np.array(Ts)
         i = data.draw(st.integers(min_value=0, max_value=len(Ts) - 1))
-        F = boys_table(np, mmax, Ts)
-        assert np.array_equal(F[:, i], boys_table(np, mmax, Ts[i : i + 1])[:, 0])
+        F = boys_table(mmax, Ts)
+        assert np.array_equal(F[:, i], boys_table(mmax, Ts[i : i + 1])[:, 0])
         lmax = min(mmax, 4)
         Tr = np.resize(Ts, 150)  # past the 64-element chunk floor
         p = 0.5 + Tr % 3.0
@@ -150,24 +146,6 @@ class TestBoysTable:
         finally:
             engine._R_SCRATCH_BYTES = saved
         assert np.array_equal(whole, split)
-
-    @pytest.mark.skipif(jax is None, reason="jax not installed")
-    def test_jax_value_and_grad(self):
-        """The same source on a second namespace: values match numpy's,
-        and ``dF_m/dT = -F_{m+1}`` through the Taylor offset, both
-        recursions and the asymptotic branch."""
-        from repro.backend import get_backend
-
-        jnp = get_backend("jax").xp
-        Ts = np.array([0.0, 1e-9, 0.0151, 0.4, 3.3, 17.0, 35.9, 36.1, 80.0, 900.0])
-        mmax = 6
-        F = np.asarray(boys_table(jnp, mmax + 1, jnp.asarray(Ts)))
-        np.testing.assert_allclose(F, boys_table(np, mmax + 1, Ts), rtol=1e-14)
-        for m in range(mmax + 1):
-            dF = jax.vmap(jax.grad(lambda T: boys_table(jnp, mmax, T[None])[m, 0]))(
-                jnp.asarray(Ts)
-            )
-            np.testing.assert_allclose(np.asarray(dF), -F[m + 1], rtol=1e-11)
 
 
 class TestBoysValues:

@@ -337,3 +337,41 @@ class TestServeSpec:
         )
         again = JobSpec.from_dict(spec.to_dict())
         assert again.surrogate == {"tol_dimer": 1e-3, "min_train": 4}
+
+
+class TestOneTrimerGateRule:
+    def test_both_front_doors_ask_the_manager(self, monkeypatch, tmp_path):
+        """`aimd --surrogate-tol` and `submit --surrogate-tol` derive the
+        trimer gate from the one rule beside the defaults."""
+        import json
+
+        import repro.surrogate as surrogate
+        from repro.chem.xyz import save_xyz
+        from repro.cli import main
+        from repro.surrogate import manager
+        from repro.systems import water_cluster
+
+        monkeypatch.setattr(manager, "DEFAULT_TOL_TRIMER", 1e-5)
+        expected = manager.gate_tolerances(1e-3)
+        assert expected == (1e-3, 1e-3 * (1e-5 / DEFAULT_TOL_DIMER))
+
+        built = []
+
+        class Spy(SurrogateManager):
+            def __init__(self, **kw):
+                built.append((kw["tol_dimer"], kw["tol_trimer"]))
+                super().__init__(**kw)
+
+        monkeypatch.setattr(surrogate, "SurrogateManager", Spy)
+        xyz = str(tmp_path / "w3.xyz")
+        save_xyz(water_cluster(3, seed=1), xyz)
+        tail = ["--surrogate-tail", "--surrogate-tol", "1e-3"]
+        assert main(["aimd", xyz, "--surrogate", "--steps", "1",
+                     "--r-dimer", "30", "--order", "2", *tail]) == 0
+        specs = str(tmp_path / "jobs.json")
+        assert main(["submit", specs, "--job-id", "a", "--system", "water",
+                     "-n", "3", "--method", "surrogate", *tail]) == 0
+        with open(specs, encoding="utf-8") as fh:
+            job = json.load(fh)[0]["surrogate"]
+        assert built == [expected]
+        assert (job["tol_dimer"], job["tol_trimer"]) == expected
