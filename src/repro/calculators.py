@@ -19,7 +19,6 @@ fragmentation and MD layers consume. Three families are provided:
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -264,14 +263,14 @@ def get_guess_cache() -> GuessCache:
 
 def _resolve_workspace(calc):
     """The calculator's `IntegralWorkspace` (the process-global one by
-    default) and the scope its evaluation runs in: a traced calculator
+    default) and the scope its evaluation runs in, which holds the
+    geometry-keyed scratch its drivers share; a traced calculator also
     routes this thread's ``int.screen`` / ``workspace.hit`` instants
-    into its own tracer for the length of the call, an untraced one
-    enters nothing. No tracer is ever assigned to the workspace — the
-    shared one outlives the run."""
+    into its own tracer for the length of the call. No tracer is ever
+    assigned to the workspace — the shared one outlives the run."""
     ws = calc.workspace if calc.workspace is not None else get_workspace()
     if calc.tracer is None:
-        return ws, nullcontext()
+        return ws, ws.scope()
     return ws, ws.scope(tracer=calc.tracer)
 
 

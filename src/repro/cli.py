@@ -288,7 +288,7 @@ def cmd_aimd(args) -> int:
     ws = workspace.stats()
     if ws["hits"] or ws["misses"]:
         print(f"integral workspace: {ws['hits']} hits / "
-              f"{ws['misses']} misses, {ws['entries']} entries "
+              f"{ws['misses']} misses, {ws['entries']} resident entries "
               f"({ws['nbytes']} bytes), {ws['bound_rebuilds']} Schwarz "
               f"rebuilds, {ws['stale_serves']} stale serves")
     if ws["pairs_total"]:

@@ -39,8 +39,9 @@ The Hermite Coulomb tables of an evaluation are built once
 it read one set, built at the derivative's order ``L + l + 1`` in one
 recursion call per distinct order with one column per auxiliary *site*
 (`engine.AuxGroup`), and handed from the one to the other through the
-workspace's consume-once entry. `_build_tables` is the only caller of
-the recursion; a column is bitwise independent of how it was come by.
+evaluation's `IntegralWorkspace.scope`. `_build_tables` is the only
+caller of the recursion; a column is bitwise independent of how it was
+come by.
 """
 
 from __future__ import annotations
@@ -441,7 +442,7 @@ class CoulombTables:
     What a set *holds* is bounded by ``budget`` bytes (classes in order,
     whatever fits); `table` builds the rest chunk by chunk as it is
     asked for, by the same `_build_tables`. ``found`` is the `payload`
-    another driver of this evaluation left in the workspace: its tables
+    another driver of this evaluation left in its scope: its tables
     are used where they are (they count against the budget), and the
     pairs this driver keeps that the other one screened out are built
     beside them (``rebuilt_pairs``). Found, rebuilt and chunk-built
@@ -502,8 +503,8 @@ class CoulombTables:
 
     @property
     def payload(self):
-        """What a workspace keeps of a set built from nothing: the pair
-        ids and one table per held (class, group), no bra data."""
+        """What another driver finds of a set built from nothing: the
+        pair ids and one table per held (class, group)."""
         return self.ids, {key: tables[0] for key, (tables, _) in self.R.items()}
 
     def _dims(self, ci: int, gi: int) -> tuple[int, int]:
@@ -556,17 +557,15 @@ class CoulombTables:
         return _hermite_kernel(self.table(ci, gi, sl), K, idx)
 
 
-def _coulomb_tables(workspace, kind, bases, points, bras, kets,
-                    consume=False) -> CoulombTables:
-    """This driver's `CoulombTables`, through the workspace's
-    consume-once entry (`IntegralWorkspace.coulomb_tables`) when there
-    is one."""
+def _coulomb_tables(workspace, kind, bases, points, bras, kets) -> CoulombTables:
+    """This driver's `CoulombTables`, through the evaluation's scratch
+    (`IntegralWorkspace.coulomb_tables`) when there is a workspace."""
     def build(found, budget):
         return CoulombTables(bras, kets, budget, found)
 
     if workspace is None:
         return build(None, table_budget(None))
-    return workspace.coulomb_tables(kind, bases, points, build, consume)
+    return workspace.coulomb_tables(kind, bases, points, build)
 
 
 # --------------------------------------------------------------------------
@@ -684,13 +683,13 @@ def _nuclear_blocks(E, p, cc, R, Z, ca, cb, norms):
     return val.reshape(qc, len(ca), len(cb)) * norms[None]
 
 
-def _nuclear_tables(workspace, basis, mol, bras, consume=False):
+def _nuclear_tables(workspace, basis, mol, bras):
     """The `CoulombTables` between ``bras`` and the nuclei of ``mol``
     (point charges: one ket group of order 0 without an exponent)."""
     ket = dict(qk=None, Pk=mol.coords, l=0)
     points = np.column_stack([mol.atomic_numbers, mol.coords])
     return _coulomb_tables(
-        workspace, "nuclear", (basis,), points, bras, [ket], consume
+        workspace, "nuclear", (basis,), points, bras, [ket]
     )
 
 
@@ -810,7 +809,7 @@ def contract_nuclear_deriv_batched(
     Xs = X + X.T
     classes = build_shell_classes(basis, workspace)
     tabs = _nuclear_tables(
-        workspace, basis, mol, [_bra(cls) for cls in classes], consume=True
+        workspace, basis, mol, [_bra(cls) for cls in classes]
     )
     for ci, cls in enumerate(classes):
         ca = comp_arrays(cls.la)
@@ -1102,10 +1101,10 @@ def contract_eri3c_deriv_batched(
                 pfac = pfac[keep]
         kept.append((cls, pfac))
         bras.append(_bra(cls, ids))
-    # the tables `eri3c` left at this geometry, completed by the pairs
-    # this mask keeps and that one dropped
+    # the tables `eri3c` left in this evaluation's scratch, completed by
+    # the pairs this mask keeps and that one dropped
     tabs = _coulomb_tables(
-        workspace, "eri3c", (basis, aux), None, bras, statics, consume=True
+        workspace, "eri3c", (basis, aux), None, bras, statics
     )
     for ci, (cls, pfac) in enumerate(kept):
         if cls.npair == 0:

@@ -162,7 +162,7 @@ def _eri_general(bra: PairData, ket: PairData, ca, cb, cc, cd) -> np.ndarray:
 _S_COMP = comp_arrays(0)
 
 
-def _eri2c_tables(workspace, aux, statics, consume=False):
+def _eri2c_tables(workspace, aux, statics):
     """The `CoulombTables` of every ordered (bra group, ket group) pair
     of the metric: the bra is the aux group as one-primitive "pairs"."""
     from .batch import _coulomb_tables
@@ -173,7 +173,7 @@ def _eri2c_tables(workspace, aux, statics, consume=False):
         for st in statics
     ]
     return _coulomb_tables(
-        workspace, "eri2c", (aux,), None, bras, statics, consume
+        workspace, "eri2c", (aux,), None, bras, statics
     )
 
 
@@ -465,7 +465,7 @@ def contract_eri2c_deriv(
     # one unit of E-table headroom for the differentiated (bra) side; the
     # ket expansions read the same tables' lower entries
     statics = kernels._group_statics(_aux_groups(workspace, aux, di=1))
-    tabs = _eri2c_tables(workspace, aux, statics, consume=True)
+    tabs = _eri2c_tables(workspace, aux, statics)
     for ib, sb in enumerate(statics):
         gb, n, X = sb["grp"], sb["m"], sb["C"]
         L = sb["l"] + 1

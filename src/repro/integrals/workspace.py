@@ -1,16 +1,14 @@
 """Cross-call integral workspace: screening bounds and shell-pair caching.
 
-An MBE-AIMD step evaluates thousands of fragment energy/gradient pairs,
-and every one of them used to rebuild the same geometry-independent
-integral machinery from scratch: Hermite E tables for each shell pair
-(seven separate `pair_data` builds per pair per solve across
-overlap/kinetic/nuclear/3c/derivative drivers), the auxiliary-basis
-site grouping (whose E tables do not depend on geometry at
-all — the dummy partner sits on the same center), and the Cauchy-Schwarz
-bound table (as expensive as a full `eri3c` build). This is exactly the
-redundant work the paper's performance model assumes away (Sec. V: all
-bottlenecks reduce to *screened*, dense GEMMs) and that CP2K's exascale
-effort attributes to missing integral reuse.
+An MBE-AIMD step evaluates thousands of fragment energy/gradient pairs.
+Inside one of them the overlap/kinetic/nuclear/3c/derivative drivers
+would each rebuild the same shell-pair Hermite E tables; across them
+every solve would rebuild the auxiliary-basis site grouping (whose E
+tables do not depend on geometry at all — the dummy partner sits on the
+same center) and the Cauchy-Schwarz bound table (as expensive as a full
+`eri3c` build). This is the redundant work the paper's performance model
+assumes away (Sec. V: all bottlenecks reduce to *screened*, dense GEMMs)
+and that CP2K's exascale effort attributes to missing integral reuse.
 
 `IntegralWorkspace` is the per-process fix — a `repro.store.BoundedStore`
 (LRU byte budget, per-tenant quota, lock, attribution: million-fragment
@@ -20,16 +18,16 @@ plans cannot exhaust worker memory) plus the integral products:
   basis (per-shell angular momentum, owning atom, exponents and
   contraction coefficients), never on object identity, so the freshly
   rebuilt `BasisSet` of the same fragment at the next MD step hits.
-* **Exact vs slowly-varying** — shell-pair E tables are keyed on the
-  exact centers (bitwise-identical reuse within one geometry, natural
-  misses across steps), and so are an evaluation's Hermite Coulomb
-  tables, which the derivative driver takes out again (consume-once);
-  auxiliary site-group scaffolding is geometry-independent and reused
-  with only the centers refreshed; Schwarz
-  bounds are smooth in the geometry and are re-screened only when an
-  atom has moved beyond ``displacement_tol`` bohr since they were
-  computed, with a conservative ``stale_safety`` inflation applied to
-  served-while-stale bounds.
+* **State vs scratch** — what can serve the *next* geometry lives in
+  the store: auxiliary site-group scaffolding is geometry-independent
+  and reused with only the centers refreshed; Schwarz bounds are smooth
+  in the geometry and are re-screened only when an atom has moved
+  beyond ``displacement_tol`` bohr since they were computed, with a
+  conservative ``stale_safety`` inflation applied to served-while-stale
+  bounds. What is keyed on the exact centers (pair, class and Hermite
+  Coulomb tables) is one evaluation's scratch, since an MD geometry
+  never recurs: shared by the drivers inside the calling thread's
+  `scope`, dropped at its exit, kept nowhere outside one.
 * **Determinism** — inside ``scope(exact=True)`` (or with
   ``displacement_tol = 0.0``) the bounds are recomputed whenever the
   geometry changed at all, so every screening decision is a pure
@@ -48,7 +46,7 @@ error estimate.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -100,17 +98,15 @@ class _Scope(threading.local):
     tenant: str | None = None
     exact: bool = False
     tracer: object = None
+    #: the evaluation's geometry-keyed products; None outside any scope
+    scratch: dict | None = None
 
 
 class IntegralWorkspace(BoundedStore):
     """Per-process store of integral-engine intermediates.
 
-    Products served (all keyed on basis composition):
+    Cross-step state, keyed on basis composition and kept in the store:
 
-    * `pair_data` — shell-pair Hermite expansion tables with unified
-      derivative headroom ``(di=1, dj=2)``, keyed on the exact pair
-      geometry, so the 3c, derivative, Schwarz and one-electron drivers
-      all share one build per pair per geometry;
     * `aux_groups` — the auxiliary site grouping (`engine.AuxGroup`)
       with its (geometry-independent) E tables cached and only the
       centers refreshed per call;
@@ -119,21 +115,27 @@ class IntegralWorkspace(BoundedStore):
       ``displacement_tol`` (stale serves are inflated by
       ``stale_safety``), or at any move inside ``scope(exact=True)``;
     * `aux_function_bounds` — per-auxiliary-function bounds
-      ``sqrt((P|P))`` (translation invariant, cached exactly);
-    * `dmax_blocks` — per-shell-block max |D| tables for the 4c
-      derivative driver, keyed on the density bytes;
+      ``sqrt((P|P))`` (translation invariant, cached exactly).
+
+    One evaluation's scratch, keyed on the exact geometry (or density)
+    as well, shared by the drivers inside one `scope` and dropped with
+    it — never in the store, so never evicted, never another thread's:
+
+    * `pair_data` — shell-pair Hermite expansion tables with unified
+      derivative headroom ``(di=1, dj=2)``;
     * `shell_classes` — packed per-class shell-pair tables for the
-      batched kernels (`repro.integrals.batch`), keyed on the exact
-      geometry;
-    * `coulomb_tables` — one evaluation's Hermite Coulomb tables
-      (`batch.CoulombTables`), keyed on the exact geometry and
-      consumed once: stored by the value driver, taken by the
-      derivative driver that follows it, at most `TABLE_SHARE` of the
-      byte budget.
+      batched kernels (`repro.integrals.batch`);
+    * `dmax_blocks` — per-shell-block max |D| tables for the 4c
+      derivative driver;
+    * `coulomb_tables` — the Hermite Coulomb tables
+      (`batch.CoulombTables`) a value driver builds and the derivative
+      driver that follows it reads, at most `TABLE_SHARE` of the byte
+      budget.
 
     Budget, quota, lock and ``enabled`` are the store's
     (`repro.store.BoundedStore`); an entry belongs to the tenant whose
-    thread stored it (`scope` / `set_tenant`). ``workspace.hit``
+    thread stored it (`scope` / `set_tenant`), and scratch lookups count
+    in the same ``hits`` / ``misses``. ``workspace.hit``
     instants for the coarse products and ``int.screen`` instants from
     the screened drivers go to the tracer of the calling thread's
     evaluation (``scope(tracer=...)``, what a traced calculator enters);
@@ -162,10 +164,7 @@ class IntegralWorkspace(BoundedStore):
         self._scope = _Scope()
         self.bound_rebuilds = 0
         self.stale_serves = 0
-        # Hermite Coulomb table sets: requests that built one / were
-        # served one, and the largest set ever held
-        self.tables_built = 0
-        self.tables_served = 0
+        # the largest Hermite Coulomb table set ever held
         self.tables_peak_bytes = 0
         # screening accounting (accumulated by the screened drivers)
         self.pairs_total = 0
@@ -193,6 +192,8 @@ class IntegralWorkspace(BoundedStore):
         ``int.screen`` instants. Only what is given is set (and put
         back on exit): a calculator scoping its tracer leaves alone the
         tenant and exactness `evaluate_fragment` scoped around it.
+        The outermost scope on a thread also opens the evaluation's
+        scratch (`_scratch`); nested ones share it, its exit drops it.
         """
         scope = self._scope
         given = {
@@ -201,6 +202,8 @@ class IntegralWorkspace(BoundedStore):
                                     tracer=tracer).items()
             if value is not _KEEP
         }
+        if scope.scratch is None:
+            given["scratch"] = {}
         saved = {name: getattr(scope, name) for name in given}
         try:
             for name, value in given.items():
@@ -209,6 +212,22 @@ class IntegralWorkspace(BoundedStore):
         finally:
             for name, value in saved.items():
                 setattr(scope, name, value)
+
+    def _scratch(self, key: tuple, build):
+        """``(payload, hit)`` under ``key``: found in the calling
+        thread's scratch, or ``build()`` — kept for the rest of the
+        evaluation, or nowhere with no scope open or ``enabled=False``.
+        Counted like a store lookup."""
+        scratch = self._scope.scratch if self.enabled else None
+        payload = None if scratch is None else scratch.get(key)
+        hit = payload is not None
+        with self._lock:
+            self._count("hits" if hit else "misses", self._scope.tenant)
+        if not hit:
+            payload = build()
+            if scratch is not None:
+                scratch[key] = payload
+        return payload, hit
 
     def _instant(self, name: str, **args) -> None:
         """Emit one instant into this evaluation's tracer (the scope's,
@@ -228,7 +247,7 @@ class IntegralWorkspace(BoundedStore):
     PAIR_DJ = 2
 
     def pair_data(self, sha, shb):
-        """Cached `PairData` for a shell pair at its exact geometry.
+        """This evaluation's `PairData` for a shell pair (scratch).
 
         Built with unified headroom ``(di=1, dj=2)`` so one entry serves
         the plain, derivative, and kinetic drivers alike — entries of
@@ -239,11 +258,9 @@ class IntegralWorkspace(BoundedStore):
 
         key = ("pair", _shell_sig(sha), _shell_sig(shb),
                sha.center.tobytes(), shb.center.tobytes())
-        pd = self._get(key)
-        if pd is None:
-            pd = pair_data(sha, shb, self.PAIR_DI, self.PAIR_DJ)
-            self._put(key, pd)
-        return pd
+        return self._scratch(
+            key, lambda: pair_data(sha, shb, self.PAIR_DI, self.PAIR_DJ)
+        )[0]
 
     # ------------------------------------------------------------------
     # auxiliary group scaffolding
@@ -363,16 +380,12 @@ class IntegralWorkspace(BoundedStore):
     def dmax_blocks(self, basis, D: np.ndarray) -> np.ndarray:
         """Per-shell-block ``max |D|`` table for 4c screening.
 
-        Keyed on the density bytes: the conventional gradient driver is
-        typically invoked more than once with the same converged density
-        (screened-vs-exact comparisons, repeated property evaluations).
+        Scratch, keyed on the density bytes: a second four-center pass
+        over the same density inside one evaluation's scope shares it;
+        no later evaluation can (a converged density never recurs).
         """
         key = ("dmax", basis_composition_key(basis), hash(D.tobytes()))
-        table = self._get(key)
-        if table is None:
-            table = _dmax_table(basis, D)
-            self._put(key, table)
-        return table
+        return self._scratch(key, lambda: _dmax_table(basis, D))[0]
 
     # ------------------------------------------------------------------
     # batched shell-class tables
@@ -380,76 +393,53 @@ class IntegralWorkspace(BoundedStore):
     def shell_classes(self, basis) -> list:
         """Packed shell-pair class tables for the batched kernels.
 
-        Keyed on composition plus the exact shell centers: the packed E
-        tables are geometry-dependent, so within one geometry every
-        driver (overlap/kinetic/nuclear/Schwarz/3c/derivatives) shares a
-        single class build, and the next MD step naturally misses.
+        Scratch, keyed on composition plus the exact shell centers: the
+        packed E tables are geometry-dependent, so the drivers of one
+        evaluation (overlap/kinetic/nuclear/Schwarz/3c/derivatives)
+        share a single class build and the next MD step is left nothing.
         """
         from .batch import _build_shell_classes
 
         key = ("classtab", basis_composition_key(basis),
                _centers(basis).tobytes())
-        classes = self._get(key)
-        self._instant("workspace.hit", product="shell_classes",
-                      hit=classes is not None)
-        if classes is None:
-            classes = _build_shell_classes(basis)
-            self._put(key, classes)
+        classes, hit = self._scratch(key, lambda: _build_shell_classes(basis))
+        self._instant("workspace.hit", product="shell_classes", hit=hit)
         return classes
 
     # ------------------------------------------------------------------
-    # Hermite Coulomb tables (consume-once)
+    # Hermite Coulomb tables
     # ------------------------------------------------------------------
     #: share of ``max_bytes`` one evaluation's table set may hold
     TABLE_SHARE = 1.0 / 16.0
 
-    def coulomb_tables(self, kind: str, bases, points, build,
-                       consume: bool):
-        """One evaluation's `batch.CoulombTables` for a driver pair.
+    def coulomb_tables(self, kind: str, bases, points, build):
+        """This evaluation's `batch.CoulombTables` for a driver pair.
 
         ``kind`` names the pair (``eri3c``, ``eri2c``, ``nuclear``),
         ``bases`` the basis sets and ``points`` any further array the
-        tables depend on (the nuclei). The entry sits under the
-        composition keys and the calling tenant and carries the centre
-        bytes it was built at: only a request at exactly that geometry
-        is served, and a store at another one replaces it, so an
-        energy-only caller leaves one set behind, not one per geometry.
+        tables depend on (the nuclei).
 
         ``build(found, budget)`` makes the driver's set from the payload
         found (or None) within ``budget`` bytes — `TABLE_SHARE` of
-        ``max_bytes``; what does not fit is built by the driver as it
-        goes. A value driver (``consume=False``) stores the set it built
-        from nothing; a derivative driver takes the entry out, so after
-        an energy-and-gradient evaluation the store holds none. Found
-        and rebuilt tables are bitwise equal: the store only saves time.
+        ``max_bytes``, a bound on what one evaluation *holds*; what does
+        not fit is built by the driver as it goes. The first driver of a
+        pair keeps the set it built from nothing, the other builds its
+        own from that one's payload. Found and rebuilt tables are
+        bitwise equal: the scratch only saves time.
         """
-        key = ("coultab", kind, self._scope.tenant,
-               *(basis_composition_key(basis) for basis in bases))
-        geometry = b"".join(
-            [_centers(basis).tobytes() for basis in bases]
-            + ([] if points is None else [points.tobytes()])
-        )
-        with self._lock:
-            entry = self._lookup(key)
-            found = None
-            if entry is not None and entry[0] == geometry:
-                found = entry[1]
-                if consume:
-                    self._discard(key)
-            if found is None:
-                self._count("misses", self._tenant_of(key))
-                self.tables_built += 1
-            else:
-                self._count("hits", self._tenant_of(key))
-                self.tables_served += 1
-        tabs = build(found, table_budget(self))
-        if found is None and not consume:
-            self._put(key, (geometry, tabs.payload))
+        key = ("coultab", kind,
+               *(basis_composition_key(basis) for basis in bases),
+               *(_centers(basis).tobytes() for basis in bases),
+               None if points is None else points.tobytes())
+        budget = table_budget(self)
+        tabs, hit = self._scratch(key, lambda: build(None, budget))
+        if hit:
+            tabs = build(tabs.payload, budget)
         with self._lock:
             self.tables_peak_bytes = max(self.tables_peak_bytes, tabs.nbytes)
         self._instant(
             "workspace.hit", product="coulomb_tables", kind=kind,
-            hit=found is not None, orders=tabs.orders,
+            hit=hit, orders=tabs.orders,
             elements=tabs.elements, nbytes=tabs.nbytes, kept=tabs.complete,
             rebuilt_pairs=tabs.rebuilt_pairs,
         )
@@ -478,8 +468,6 @@ class IntegralWorkspace(BoundedStore):
                 super().stats(),
                 bound_rebuilds=self.bound_rebuilds,
                 stale_serves=self.stale_serves,
-                tables_built=self.tables_built,
-                tables_served=self.tables_served,
                 tables_peak_bytes=self.tables_peak_bytes,
                 pairs_total=self.pairs_total,
                 pairs_skipped=self.pairs_skipped,
@@ -495,6 +483,12 @@ def table_budget(workspace: IntegralWorkspace | None) -> int:
     if workspace is None:
         return int(IntegralWorkspace.TABLE_SHARE * DEFAULT_MAX_BYTES)
     return int(workspace.TABLE_SHARE * workspace.max_bytes)
+
+
+def evaluation_scope(workspace: IntegralWorkspace | None):
+    """What a function calling several drivers at one geometry runs
+    them in, so they share one scratch (or nothing to share it in)."""
+    return nullcontext() if workspace is None else workspace.scope()
 
 
 def _dmax_table(basis, D: np.ndarray) -> np.ndarray:

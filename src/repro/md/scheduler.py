@@ -1185,7 +1185,8 @@ def evaluate_fragment(calculator, molecule, attempt: int, step: int, *,
       the workspace traffic, and ``exact`` — a ``deterministic`` run's
       task — re-screens the Schwarz bounds at any displacement, so its
       screening decisions are a pure function of the geometry wherever
-      and beside whatever else it runs;
+      and beside whatever else it runs; the calculator's own scope nests
+      in this one, sharing the scratch that dies with the evaluation;
     * ``accepts_attempt`` calculators receive the retry attempt number;
       ``accepts_step`` calculators (the fault-plan wrapper) additionally
       receive the MD step, so scheduled faults can target "fragment K

@@ -46,6 +46,7 @@ from ..integrals import (
     contract_hcore_deriv,
     contract_overlap_deriv,
 )
+from ..integrals.workspace import evaluation_scope
 from ..scf.grad import ri_twoelectron_coefficients
 from ..scf.rhf import SCFResult
 from .mp2 import _denominators
@@ -249,7 +250,7 @@ def rimp2_gradient(res: SCFResult, return_intermediates: bool = False,
         int_screen: Schwarz screening threshold for the three-center
             derivative contraction (0 disables).
         workspace: optional `repro.integrals.IntegralWorkspace` serving
-            cached pair tables and bound tables.
+            cached bound tables to the drivers, run in one scope of it.
 
     Returns:
         ``(natoms, 3)`` gradient in Hartree/Bohr (or the result object).
@@ -263,13 +264,14 @@ def rimp2_gradient(res: SCFResult, return_intermediates: bool = False,
     eps_o = res.eps[: res.nocc]
     W_hf = 2.0 * gemm(res.C_occ * eps_o[None, :], res.C_occ.T)
     grad = mol.nuclear_repulsion_gradient()
-    grad += contract_hcore_deriv(basis, mol, res.D + cc.Pc_ao, workspace)
-    grad += contract_eri3c_deriv(
-        basis, aux, Z3c_hf + cc.Z3c, natoms,
-        screen=int_screen, workspace=workspace,
-    )
-    grad += contract_eri2c_deriv(aux, zeta_hf + cc.zeta, natoms, workspace)
-    grad += contract_overlap_deriv(basis, cc.SW_ao - W_hf, workspace)
+    with evaluation_scope(workspace):
+        grad += contract_hcore_deriv(basis, mol, res.D + cc.Pc_ao, workspace)
+        grad += contract_eri3c_deriv(
+            basis, aux, Z3c_hf + cc.Z3c, natoms,
+            screen=int_screen, workspace=workspace,
+        )
+        grad += contract_eri2c_deriv(aux, zeta_hf + cc.zeta, natoms, workspace)
+        grad += contract_overlap_deriv(basis, cc.SW_ao - W_hf, workspace)
     if return_intermediates:
         return MP2GradientResult(
             gradient=grad, e_corr=cc.e_corr, Pc_mo=cc.Pc_mo, z=cc.z,

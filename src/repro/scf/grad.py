@@ -30,6 +30,7 @@ from ..integrals import (
     contract_hcore_deriv,
     contract_overlap_deriv,
 )
+from ..integrals.workspace import evaluation_scope
 from .rhf import SCFResult
 
 
@@ -45,22 +46,23 @@ def rhf_gradient_conventional(
 ) -> np.ndarray:
     """Analytic gradient of a conventional (four-center) RHF energy.
 
-    Returns ``(natoms, 3)`` in Hartree/Bohr. ``workspace`` serves cached
-    pair tables plus the Schwarz/Dmax screening tables. ``int_screen``
-    overrides the four-center driver's default threshold; pass ``0.0``
-    for the exact (unscreened) path, which also skips the Schwarz/Dmax
-    table builds entirely.
+    Returns ``(natoms, 3)`` in Hartree/Bohr. ``workspace`` serves the
+    Schwarz bounds; the drivers share pair and Dmax tables inside one
+    scope of it. ``int_screen`` overrides the four-center driver's
+    default threshold; pass ``0.0`` for the exact (unscreened) path,
+    which also skips the Schwarz/Dmax table builds entirely.
     """
     mol = res.mol
     natoms = mol.natoms
     g = mol.nuclear_repulsion_gradient()
-    g += contract_hcore_deriv(res.basis, mol, res.D, workspace)
     screen = 1.0e-11 if int_screen is None else float(int_screen)
-    g += contract_eri4c_deriv_hf(
-        res.basis, res.D, natoms, screen=screen, workspace=workspace
-    )
     W = _energy_weighted_density(res)
-    g -= contract_overlap_deriv(res.basis, W, workspace)
+    with evaluation_scope(workspace):
+        g += contract_hcore_deriv(res.basis, mol, res.D, workspace)
+        g += contract_eri4c_deriv_hf(
+            res.basis, res.D, natoms, screen=screen, workspace=workspace
+        )
+        g -= contract_overlap_deriv(res.basis, W, workspace)
     return g
 
 
@@ -96,21 +98,22 @@ def rhf_gradient_ri(
 ) -> np.ndarray:
     """Analytic gradient of an RI-HF energy (no four-center derivatives).
 
-    ``int_screen``/``workspace`` enable Schwarz screening and cross-call
-    caching in the three-center derivative driver.
+    ``int_screen``/``workspace`` enable Schwarz screening on cached
+    bounds; the four drivers run inside one scope of the workspace.
     """
     mol = res.mol
     natoms = mol.natoms
     g = mol.nuclear_repulsion_gradient()
-    g += contract_hcore_deriv(res.basis, mol, res.D, workspace)
     Z3c, zeta = ri_twoelectron_coefficients(res)
-    g += contract_eri3c_deriv(
-        res.basis, res.aux, Z3c, natoms,
-        screen=int_screen, workspace=workspace,
-    )
-    g += contract_eri2c_deriv(res.aux, zeta, natoms, workspace)
     W = _energy_weighted_density(res)
-    g -= contract_overlap_deriv(res.basis, W, workspace)
+    with evaluation_scope(workspace):
+        g += contract_hcore_deriv(res.basis, mol, res.D, workspace)
+        g += contract_eri3c_deriv(
+            res.basis, res.aux, Z3c, natoms,
+            screen=int_screen, workspace=workspace,
+        )
+        g += contract_eri2c_deriv(res.aux, zeta, natoms, workspace)
+        g -= contract_overlap_deriv(res.basis, W, workspace)
     return g
 
 

@@ -19,6 +19,7 @@ from ..basis.basisset import BasisSet
 from ..chem.molecule import Molecule
 from ..gemm import gemm, sym_inv_sqrt, eigh_orth
 from ..integrals import eri2c, eri3c, eri4c, hcore, overlap
+from ..integrals.workspace import evaluation_scope
 from ..numerics import NumericalDivergenceError
 from .diis import DIIS
 
@@ -218,7 +219,7 @@ def rhf(
             (0 disables screening — the exact default). See
             `repro.integrals.workspace.DEFAULT_INT_SCREEN`.
         workspace: optional `repro.integrals.IntegralWorkspace` serving
-            cached shell-pair tables and screening bounds across calls.
+            screening bounds across calls; the drivers share one scope.
         solve_memo: optional dict shared by repeated solves of the *same*
             molecule/basis (the recovery cascade): geometry-fixed
             matrices (basis, S, core h, RI tensors and Fock layouts) are
@@ -261,41 +262,41 @@ def rhf(
     if nocc > bs.nbf:
         raise ValueError("basis too small for electron count")
 
-    if "S" in memo:
-        S = memo["S"]
-        h = memo["h0"]
-    else:
-        S = memo["S"] = overlap(bs, workspace)
-        h = memo["h0"] = hcore(bs, mol, workspace)
-    if h_extra is not None:
-        h = h + h_extra
-        if not np.all(np.isfinite(h)):
-            raise NumericalDivergenceError(
-                "SCF setup: non-finite core Hamiltonian after h_extra "
-                "perturbation"
-            )
-    e_nuc = mol.nuclear_repulsion()
-
     B = J2 = Jih = ERI = lay = None
-    if ri:
-        if "ri" in memo:
-            B, J2, Jih, aux, lay = memo["ri"]
+    with evaluation_scope(workspace):
+        if "S" in memo:
+            S = memo["S"]
+            h = memo["h0"]
         else:
-            if aux is None:
-                if basis_name == "custom":
-                    raise ValueError(
-                        "custom basis requires an explicit aux basis"
-                    )
-                aux = auto_auxiliary(mol, basis_name)
-            B, J2, Jih = build_ri_tensors(
-                bs, aux, screen=int_screen, workspace=workspace
-            )
-            lay = RIFockLayout.from_tensor(B)
-            memo["ri"] = (B, J2, Jih, aux, lay)
-    elif "eri" in memo:
-        ERI = memo["eri"]
-    else:
-        ERI = memo["eri"] = eri4c(bs)
+            S = memo["S"] = overlap(bs, workspace)
+            h = memo["h0"] = hcore(bs, mol, workspace)
+        if h_extra is not None:
+            h = h + h_extra
+            if not np.all(np.isfinite(h)):
+                raise NumericalDivergenceError(
+                    "SCF setup: non-finite core Hamiltonian after h_extra "
+                    "perturbation"
+                )
+        if ri:
+            if "ri" in memo:
+                B, J2, Jih, aux, lay = memo["ri"]
+            else:
+                if aux is None:
+                    if basis_name == "custom":
+                        raise ValueError(
+                            "custom basis requires an explicit aux basis"
+                        )
+                    aux = auto_auxiliary(mol, basis_name)
+                B, J2, Jih = build_ri_tensors(
+                    bs, aux, screen=int_screen, workspace=workspace
+                )
+                lay = RIFockLayout.from_tensor(B)
+                memo["ri"] = (B, J2, Jih, aux, lay)
+        elif "eri" in memo:
+            ERI = memo["eri"]
+        else:
+            ERI = memo["eri"] = eri4c(bs)
+    e_nuc = mol.nuclear_repulsion()
 
     X = sym_inv_sqrt(S)
     D = None

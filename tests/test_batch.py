@@ -86,6 +86,7 @@ from repro.integrals.onee import (
     nuclear_loop,
     overlap_loop,
 )
+from repro.integrals.workspace import evaluation_scope
 from repro.store import payload_nbytes
 from repro.systems import glycine_chain, water_cluster
 from repro.trace import Tracer
@@ -405,14 +406,20 @@ class TestKernelModeDispatch:
     def test_shell_classes_cached_in_workspace(self, water):
         bs, _ = _setup(water, "sto-3g")
         ws = IntegralWorkspace()
-        c1 = build_shell_classes(bs, ws)
-        c2 = build_shell_classes(bs, ws)
+        with ws.scope():
+            c1 = build_shell_classes(bs, ws)
+            c2 = build_shell_classes(bs, ws)
         assert c1 is c2
-        assert ws.hits >= 1
+        assert (ws.hits, ws.misses) == (1, 1)
+        # scratch, not state: gone with the scope, and never in the store
+        assert build_shell_classes(bs, ws) is not c1
+        assert (ws.hits, ws.misses, len(ws)) == (1, 2, 0)
 
 
-def _table_keys(ws):
-    return [key for key in ws._entries if key[0] == "coultab"]
+def _holds_only_state(ws) -> bool:
+    """Whether the store holds composition-keyed products only — what
+    must be true after any evaluation, whatever it ran."""
+    return {key[0] for key in ws._entries} <= {"auxgrp", "schwarz", "auxbound"}
 
 
 @pytest.fixture(scope="module", params=[
@@ -449,32 +456,43 @@ def tables_case(request):
 
 def _routes(case, value, deriv):
     """``deriv(workspace)`` by every route its tables can take; ``value``
-    is the driver that leaves them. Returns the results by route name
-    and the workspace of the 'found' route."""
+    is the driver that leaves them in its evaluation's scratch. Returns
+    the results by route name and the workspace of the 'found' route."""
     out = {}
     found = case["workspace"]()
-    value(found)
-    assert len(_table_keys(found)) == 1
-    out["found"] = deriv(found)
-    assert found.tables_served == 1 and _table_keys(found) == []
-    out["fresh workspace"] = deriv(case["workspace"]())
+    with found.scope():
+        value(found)
+        out["found"] = deriv(found)
+    assert [t["hit"] for t in table_instants(found.tracer)] == [False, True]
+    # the tables die with the scope that built them
+    fresh = case["workspace"]()
+    with fresh.scope():
+        value(fresh)
+    with fresh.scope():
+        out["fresh scope"] = deriv(fresh)
+    # and outside any scope nothing is kept for anybody
+    bare = case["workspace"]()
+    value(bare)
+    out["no scope"] = deriv(bare)
     out["no workspace"] = deriv(None)
-    out["disabled"] = deriv(case["workspace"](enabled=False))
-    evicted = case["workspace"]()
-    value(evicted)
-    for key in _table_keys(evicted):
-        evicted._evict(key)
-    out["evicted"] = deriv(evicted)
-    assert evicted.tables_served == 0
+    disabled = case["workspace"](enabled=False)
+    with disabled.scope():
+        value(disabled)
+        out["disabled"] = deriv(disabled)
+    for ws in (fresh, bare, disabled):
+        assert [t["hit"] for t in table_instants(ws.tracer)] == [False, False]
     # a share that holds about a third of the set: the rest is built
     # by the drivers as they go, found or not
     partial = case["workspace"]()
     partial.TABLE_SHARE = found.tables_peak_bytes / 3 / partial.max_bytes
-    value(partial)
-    out["partly kept"] = deriv(partial)
+    with partial.scope():
+        value(partial)
+        out["partly kept"] = deriv(partial)
     first, second = table_instants(partial.tracer)
     assert not first["kept"] and not second["kept"] and second["hit"]
     assert 0 < partial.tables_peak_bytes <= found.tables_peak_bytes / 3
+    assert all(_holds_only_state(ws)
+               for ws in (found, fresh, bare, disabled, partial))
     return out, found
 
 
@@ -532,23 +550,26 @@ class TestCoulombTables:
         assert table_instants(found.tracer)[1]["orders"] == []
 
     def test_value_drivers_route_independent(self, tables_case):
-        """The value drivers read the same tables: served (a second call
-        at the geometry), built, or chunked differently, same bits."""
+        """The value drivers read the same tables: found (a second call
+        inside the evaluation), built, or chunked differently, same
+        bits."""
         c = tables_case
         ws = c["workspace"]()
-        for _ in range(2):
-            assert np.array_equal(
-                eri3c_batched(c["bs"], c["aux"], workspace=ws),
-                eri3c_batched(c["bs"], c["aux"]),
-            )
-            assert np.array_equal(eri2c(c["aux"], workspace=ws),
-                                  eri2c(c["aux"]))
-            assert np.array_equal(
-                nuclear_batched(c["bs"], c["mol"], workspace=ws),
-                nuclear_batched(c["bs"], c["mol"]),
-            )
-        assert (ws.tables_built, ws.tables_served) == (3, 3)
-        assert len(_table_keys(ws)) == 3
+        with ws.scope():
+            for _ in range(2):
+                assert np.array_equal(
+                    eri3c_batched(c["bs"], c["aux"], workspace=ws),
+                    eri3c_batched(c["bs"], c["aux"]),
+                )
+                assert np.array_equal(eri2c(c["aux"], workspace=ws),
+                                      eri2c(c["aux"]))
+                assert np.array_equal(
+                    nuclear_batched(c["bs"], c["mol"], workspace=ws),
+                    nuclear_batched(c["bs"], c["mol"]),
+                )
+        assert [t["hit"] for t in table_instants(ws.tracer)] == (
+            [False] * 3 + [True] * 3)
+        assert _holds_only_state(ws)
 
     def test_chunk_and_share_invariance(self, water_dimer, monkeypatch):
         """Tiny driver chunks, tiny recursion scratch and a share that
@@ -561,15 +582,16 @@ class TestCoulombTables:
         zeta = rng.standard_normal((aux.nbf, aux.nbf))
 
         def run_all(ws):
-            return [
-                nuclear_batched(bs, mol, ws),
-                eri3c_batched(bs, aux, workspace=ws),
-                eri2c(aux, ws),
-                contract_nuclear_deriv_batched(bs, mol, X, ws),
-                contract_eri3c_deriv_batched(
-                    bs, aux, Z, mol.natoms, workspace=ws),
-                contract_eri2c_deriv(aux, zeta, mol.natoms, ws),
-            ]
+            with evaluation_scope(ws):
+                return [
+                    nuclear_batched(bs, mol, ws),
+                    eri3c_batched(bs, aux, workspace=ws),
+                    eri2c(aux, ws),
+                    contract_nuclear_deriv_batched(bs, mol, X, ws),
+                    contract_eri3c_deriv_batched(
+                        bs, aux, Z, mol.natoms, workspace=ws),
+                    contract_eri2c_deriv(aux, zeta, mol.natoms, ws),
+                ]
 
         ref = run_all(IntegralWorkspace())
         monkeypatch.setattr(batch, "_CHUNK_ELEMS", 512)
@@ -697,31 +719,28 @@ class TestCoulombTables:
         ws = IntegralWorkspace()
         calc = RIMP2Calculator("sto-3g", int_screen=1e-12, workspace=ws)
         calc.energy_gradient(mol)
-        assert _table_keys(ws) == []
-        assert (ws.tables_built, ws.tables_served) == (3, 3)
+        assert _holds_only_state(ws) and ws._scope.scratch is None
         assert ws.tables_peak_bytes > 0
-        # what is resident is the other six products, to the byte
+        # what is resident is the three cross-step products, to the byte
         assert ws.nbytes == sum(
             payload_nbytes(e[0]) for e in ws._entries.values()
         )
         before = ws.nbytes, len(ws)
-        calc.energy_gradient(mol)  # same geometry: every other product hits
+        calc.energy_gradient(mol)  # same geometry: the store's products hit
         assert (ws.nbytes, len(ws)) == before
-        # an energy-only caller leaves one set (per driver pair) behind,
-        # the latest geometry's
+        # an energy-only caller leaves nothing behind either
         for shift in (0.01, 0.02):
             calc.energy(mol.with_coords(mol.coords + shift))
-            assert len(_table_keys(ws)) == 3
-        # which the gradient at that geometry then consumes
-        served = ws.tables_served
-        calc.energy_gradient(mol.with_coords(mol.coords + 0.02))
-        assert ws.tables_served == served + 6 and _table_keys(ws) == []
+            assert (ws.nbytes, len(ws)) == before and _holds_only_state(ws)
 
     def test_tenants_and_threads_never_cross_geometries(self):
         """Four threads, two tenants, one composition, one workspace:
         every evaluation's gradient is the one a private workspace
-        gives — a geometry is never served another geometry's tables —
-        and the tables of one tenant are never taken by the other."""
+        gives — a geometry is never served another geometry's tables,
+        nor one thread another's: each evaluation builds its three sets
+        and finds its own three. Once with the calculator's scope
+        nested bare inside the tenant's, once with a traced
+        calculator's."""
         base = water_cluster(1, seed=0)
         rng = np.random.default_rng(41)
         mols = [
@@ -732,13 +751,27 @@ class TestCoulombTables:
             RIHFCalculator(workspace=IntegralWorkspace()).energy_gradient(m)
             for m in mols
         ]
+        for tracers in ([None] * 4, [Tracer() for _ in range(4)]):
+            ws = self._run_threads(mols, want, tracers)
+            stats = ws.stats()
+            assert _holds_only_state(ws)
+            assert set(stats["tenants"]) == {"job0", "job1"}
+            # scratch traffic is charged like the store's: all of it
+            assert stats["hits"] + stats["misses"] == sum(
+                t["hits"] + t["misses"] for t in stats["tenants"].values())
+        for tracer in tracers:  # six evaluations a thread
+            assert [t["hit"] for t in table_instants(tracer)] == (
+                6 * ([False] * 3 + [True] * 3))
+
+    @staticmethod
+    def _run_threads(mols, want, tracers):
         ws = IntegralWorkspace()
         got = [None] * len(mols)
         errors = []
 
         def work(tid):
             try:
-                calc = RIHFCalculator(workspace=ws)
+                calc = RIHFCalculator(workspace=ws, tracer=tracers[tid])
                 for rep in range(3):
                     for i in range(tid, len(mols), 4):
                         with ws.scope(tenant=f"job{tid % 2}"):
@@ -759,10 +792,7 @@ class TestCoulombTables:
         assert not any(t.is_alive() for t in threads) and errors == []
         for (e, g), (e0, g0) in zip(got, want):
             assert e == e0 and g.tobytes() == g0.tobytes()
-        assert _table_keys(ws) == []
-        stats = ws.stats()
-        assert stats["tables_built"] + stats["tables_served"] == 6 * 24
-        assert set(stats["tenants"]) == {"job0", "job1"}
+        return ws
 
 
 def _hand_aux(mol, ladders) -> BasisSet:
@@ -1007,10 +1037,10 @@ class TestByteAccounting:
         assert ws._get(("k4",)) is not None
 
     def test_workspace_accounts_actual_nbytes(self, water):
-        bs, _ = _setup(water, "sto-3g")
+        bs, aux = _setup(water, "sto-3g")
         ws = IntegralWorkspace()
-        overlap_batched(bs, workspace=ws)
-        assert ws.nbytes == payload_nbytes(
+        eri3c_batched(bs, aux, screen=1e-12, workspace=ws)
+        assert len(ws) == 3 and ws.nbytes == payload_nbytes(
             [e[0] for e in ws._entries.values()]
         )
 

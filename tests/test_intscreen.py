@@ -10,9 +10,10 @@ Two properties under test:
   invariance: a skipped bra pair drops its auxiliary images too).
 * **Workspace caching is exact** — every product served from an
   `IntegralWorkspace` is bitwise what a fresh build would produce;
-  geometry changes re-key the shell-pair entries, Schwarz bounds are
-  re-screened (or conservatively inflated) on displacement, and a
-  composition change can never hit another basis's entries.
+  geometry-keyed products are one evaluation's scratch and leave
+  nothing in the store, Schwarz bounds are re-screened (or
+  conservatively inflated) on displacement, and a composition change
+  can never hit another basis's entries.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class TestScreeningCorrectness:
         e1, g1 = mbe_energy_gradient(fs, plan, calc)
         assert abs(e1 - e0) <= 10 * ENERGY_TOL_HA  # 7 fragments assemble
         np.testing.assert_allclose(g1, g0, atol=10 * GRAD_TOL)
-        assert ws.hits > 0  # fragments share monomer shell pairs
+        assert ws.hits > 0  # drivers share class tables, fragments aux groups
 
 
 class TestWorkspaceExactness:
@@ -127,13 +128,14 @@ class TestWorkspaceExactness:
         bs = BasisSet.build(water_dimer, "sto-3g")
         aux = auto_auxiliary(water_dimer)
         ws = IntegralWorkspace()
-        for _ in range(2):  # second pass is served from the cache
-            assert np.array_equal(overlap(bs, workspace=ws), overlap(bs))
-            assert np.array_equal(hcore(bs, water_dimer, workspace=ws),
-                                  hcore(bs, water_dimer))
-            assert np.array_equal(eri3c(bs, aux, workspace=ws),
-                                  eri3c(bs, aux))
-            assert np.array_equal(eri2c(aux, workspace=ws), eri2c(aux))
+        for _ in range(2):  # second pass: the store's products are served
+            with ws.scope():  # and inside a pass, the scratch's
+                assert np.array_equal(overlap(bs, workspace=ws), overlap(bs))
+                assert np.array_equal(hcore(bs, water_dimer, workspace=ws),
+                                      hcore(bs, water_dimer))
+                assert np.array_equal(eri3c(bs, aux, workspace=ws),
+                                      eri3c(bs, aux))
+                assert np.array_equal(eri2c(aux, workspace=ws), eri2c(aux))
         assert ws.hits > 0
 
     def test_repeat_energy_bitwise(self, water_dimer):
@@ -146,16 +148,20 @@ class TestWorkspaceExactness:
 
 class TestWorkspaceInvalidation:
     def test_pair_entries_rekey_on_geometry(self, water_dimer):
-        """Moving the geometry misses the pair cache (keys carry exact
-        centers) and the fresh entries reproduce the exact integrals."""
+        """Moving the geometry misses the pair tables even inside one
+        scope (keys carry exact centers) and the fresh entries reproduce
+        the exact integrals."""
         bs1 = BasisSet.build(water_dimer, "sto-3g")
         moved = water_dimer.with_coords(water_dimer.coords + 0.05)
         bs2 = BasisSet.build(moved, "sto-3g")
         ws = IntegralWorkspace()
-        assert np.array_equal(overlap(bs1, workspace=ws), overlap(bs1))
-        misses_before = ws.misses
-        assert np.array_equal(overlap(bs2, workspace=ws), overlap(bs2))
-        assert ws.misses > misses_before
+        with ws.scope():
+            assert np.array_equal(overlap(bs1, workspace=ws), overlap(bs1))
+            before = ws.hits, ws.misses
+            assert np.array_equal(overlap(bs2, workspace=ws), overlap(bs2))
+            assert (ws.hits, ws.misses) == (before[0], before[1] + 1)
+            assert np.array_equal(overlap(bs1, workspace=ws), overlap(bs1))
+            assert ws.hits == before[0] + 1
 
     def test_schwarz_rebuilds_beyond_displacement(self, water_dimer):
         bs1 = BasisSet.build(water_dimer, "sto-3g")
@@ -330,28 +336,54 @@ class TestWorkspaceInvalidation:
         assert ws.bound_rebuilds == 2  # no cross-composition hit
 
     def test_lru_eviction_preserves_exactness(self, water_dimer):
-        # The batched kernels cache one class-table entry per basis, so
-        # a second basis is needed to give the tiny budget something to
-        # evict; the loop kernels evict per-pair entries along the way.
-        bs = BasisSet.build(water_dimer, "sto-3g")
-        bs2 = BasisSet.build(water_dimer, "repro-dz")
-        ws = IntegralWorkspace(max_bytes=20_000)  # far below working set
-        assert np.array_equal(overlap(bs, workspace=ws), overlap(bs))
-        assert np.array_equal(hcore(bs, water_dimer, workspace=ws),
-                              hcore(bs, water_dimer))
-        assert np.array_equal(overlap(bs2, workspace=ws), overlap(bs2))
+        # What the store holds is composition-keyed (auxiliary groups,
+        # Schwarz and auxiliary bounds), so a second basis gives the
+        # tiny budget something to evict; coming back to the first one
+        # rebuilds the evicted entries transparently and stays exact.
+        ws = IntegralWorkspace(max_bytes=20_000)  # below both together
+        for name in ("sto-3g", "repro-dz", "sto-3g"):
+            bs = BasisSet.build(water_dimer, name)
+            aux = auto_auxiliary(water_dimer, name)
+            assert np.array_equal(
+                eri3c(bs, aux, screen=1e-12, workspace=ws),
+                eri3c(bs, aux, screen=1e-12),
+            )
+            assert ws.nbytes <= 20_000
         assert ws.evictions > 0
-        assert ws.nbytes <= 20_000 or len(ws) == 1
-        # evicted tables rebuild transparently and stay exact
-        assert np.array_equal(overlap(bs, workspace=ws), overlap(bs))
 
     def test_disabled_workspace_stores_nothing(self, water_dimer):
         bs = BasisSet.build(water_dimer, "sto-3g")
         ws = IntegralWorkspace(enabled=False)
-        assert np.array_equal(overlap(bs, workspace=ws), overlap(bs))
+        with ws.scope():  # nor does the evaluation's scratch
+            assert np.array_equal(overlap(bs, workspace=ws), overlap(bs))
+            assert np.array_equal(overlap(bs, workspace=ws), overlap(bs))
         assert len(ws) == 0
         assert ws.hits == 0
         assert ws.misses > 0
+
+
+class TestScratchIsNotState:
+    """What the store holds is a function of the compositions seen, not
+    of how many geometries were evaluated: geometry-keyed products live
+    and die with the evaluation's scope."""
+
+    def test_store_is_flat_over_a_long_horizon(self, water_dimer):
+        ws = IntegralWorkspace()
+        calc = RIMP2Calculator(int_screen=1e-12, workspace=ws)
+        ref = RIMP2Calculator(int_screen=1e-12)  # the process-global one
+        rng = np.random.default_rng(17)
+        resident = {}
+        for n in range(1, 41):
+            mol = water_dimer.with_coords(
+                water_dimer.coords + 0.01 * rng.standard_normal((6, 3)))
+            if n in (7, 23):  # a geometry revisited inside the run
+                assert calc.energy(mol) == ref.energy(mol)
+            (e, g), (e0, g0) = calc.energy_gradient(mol), ref.energy_gradient(mol)
+            assert e == e0 and g.tobytes() == g0.tobytes()
+            resident[n] = len(ws), ws.nbytes, {key[0] for key in ws._entries}
+        assert resident[2] == resident[40]
+        assert resident[40][2] <= {"auxgrp", "schwarz", "auxbound"}
+        assert ws.evictions == 0
 
 
 class TestTableMaskReconciliation:
@@ -372,10 +404,11 @@ class TestTableMaskReconciliation:
         mol, bs, aux, Z = case
         screen = 1.0e-4  # five pairs of the dimer sit below it
         ws = IntegralWorkspace(tracer=Tracer())
-        eri3c(bs, aux, screen=screen, workspace=ws)
-        skipped_value = ws.pairs_skipped
-        g = contract_eri3c_deriv(bs, aux, Z * zscale, mol.natoms,
-                                 screen=screen, workspace=ws)
+        with ws.scope():
+            eri3c(bs, aux, screen=screen, workspace=ws)
+            skipped_value = ws.pairs_skipped
+            g = contract_eri3c_deriv(bs, aux, Z * zscale, mol.natoms,
+                                     screen=screen, workspace=ws)
         skipped_deriv = ws.pairs_skipped - skipped_value
         assert skipped_value > 0
         built, served = table_instants(ws.tracer)
@@ -398,12 +431,13 @@ class TestTableMaskReconciliation:
         assert fresh.pairs_skipped == skipped_deriv
 
     def test_second_value_call_with_another_mask(self, case):
-        """A set another `eri3c` call left under a different threshold
-        is used where it applies, and stays where it is."""
+        """A set another `eri3c` call of the evaluation left under a
+        different threshold is used where it applies."""
         mol, bs, aux, Z = case
         ws = IntegralWorkspace(tracer=Tracer())
-        a = eri3c(bs, aux, screen=1.0e-4, workspace=ws)
-        b = eri3c(bs, aux, screen=0.0, workspace=ws)
+        with ws.scope():
+            a = eri3c(bs, aux, screen=1.0e-4, workspace=ws)
+            b = eri3c(bs, aux, screen=0.0, workspace=ws)
         assert np.array_equal(a, eri3c(bs, aux, screen=1.0e-4))
         assert np.array_equal(b, eri3c(bs, aux))
         first, second = table_instants(ws.tracer)
@@ -411,27 +445,26 @@ class TestTableMaskReconciliation:
 
     def test_table_instants_and_stats(self, case):
         mol, bs, aux, Z = case
-        ws = IntegralWorkspace(tracer=Tracer())
-        hits, misses = ws.hits, ws.misses
-        eri2c(aux, workspace=ws)
-        (built,) = table_instants(ws.tracer)
-        assert built == dict(
-            product="coulomb_tables", kind="eri2c", hit=False,
-            orders=[1, 2, 3, 4, 5], elements=built["elements"],
-            nbytes=8 * built["elements"], kept=True, rebuilt_pairs=0,
-        )
-        stats = ws.stats()
-        assert (stats["tables_built"], stats["tables_served"],
-                stats["tables_peak_bytes"]) == (1, 0, built["nbytes"])
-        # the consume-once lookup is ordinary store traffic: a built
-        # then served set is one miss and one hit
         from repro.integrals import contract_eri2c_deriv
 
-        before = ws.hits, ws.misses
-        contract_eri2c_deriv(aux, np.ones((aux.nbf, aux.nbf)), mol.natoms, ws)
+        ws = IntegralWorkspace(tracer=Tracer())
+        with ws.scope():
+            eri2c(aux, workspace=ws)
+            (built,) = table_instants(ws.tracer)
+            assert built == dict(
+                product="coulomb_tables", kind="eri2c", hit=False,
+                orders=[1, 2, 3, 4, 5], elements=built["elements"],
+                nbytes=8 * built["elements"], kept=True, rebuilt_pairs=0,
+            )
+            assert ws.stats()["tables_peak_bytes"] == built["nbytes"]
+            # the scratch lookup counts like store traffic: a built
+            # then found set is one miss and one hit
+            before = ws.hits, ws.misses
+            contract_eri2c_deriv(
+                aux, np.ones((aux.nbf, aux.nbf)), mol.natoms, ws)
         # (aux_groups at di=1 is the other miss)
         assert (ws.hits - before[0], ws.misses - before[1]) == (1, 1)
-        assert ws.stats()["tables_served"] == 1
+        assert table_instants(ws.tracer)[1]["hit"]
 
 
 class TestTracerRouting:
