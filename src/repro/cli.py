@@ -130,6 +130,14 @@ def cmd_opt(args) -> int:
     return 0 if res.converged else 1
 
 
+def _print_fault_handling(retries: int, timeouts: int,
+                          pool_restarts: int) -> None:
+    """The dispatcher's counters, for `aimd` and `serve`; silent when clean."""
+    if retries or timeouts or pool_restarts:
+        print(f"fault handling: {retries} retries, {timeouts} timeouts, "
+              f"{pool_restarts} pool restarts")
+
+
 def cmd_aimd(args) -> int:
     """Fragment AIMD via the (a)synchronous coordinator."""
     from .analysis import analyze_conservation
@@ -233,10 +241,8 @@ def cmd_aimd(args) -> int:
             seed=(fault_plan.derive_seed("retry-jitter")
                   if fault_plan is not None else args.seed),
         )
-        if report.retries or report.pool_restarts or report.timeouts:
-            print(f"fault handling: {report.retries} retries, "
-                  f"{report.timeouts} timeouts, "
-                  f"{report.pool_restarts} pool restarts")
+        _print_fault_handling(report.retries, report.timeouts,
+                              report.pool_restarts)
         for q in report.quarantined:
             print(f"QUARANTINED polymer {q.key} step {q.step} "
                   f"(coefficient {q.coefficient:+g}, {q.attempts} attempts): "
@@ -445,6 +451,7 @@ def cmd_serve(args) -> int:
         print(line)
     print(f"tasks completed: {summary['tasks_completed']}, "
           f"failed: {summary['tasks_failed']}")
+    _print_fault_handling(**summary["driver"])
     warm = summary["warm_layer"]
     gc = warm["guess_cache"]
     if gc is not None:

@@ -1,29 +1,32 @@
 """Fault-tolerant execution drivers for the asynchronous coordinator.
 
-`run_parallel` plays the role of the worker groups in the paper's
-multi-layer scheme (Fig. 2): a pool of processes pulls polymers from the
-coordinator's priority queue and streams results back; the coordinator
-(this process) is the super-coordinator.
+`Dispatcher` plays the role of the worker groups in the paper's
+multi-layer scheme (Fig. 2): a pool of workers is handed polymers and
+streams results back; its caller (this process) is the super-coordinator
+— `run_parallel` over one coordinator's priority queue, or
+`repro.serve.TrajectoryService.run` over many.
 
 At the paper's scale (3.75 million polymer calculations per replan
 window on 75,264 GCDs) individual worker failures are a statistical
 certainty, not an exception: a production driver must survive them
-without corrupting the trajectory. This driver therefore:
+without corrupting the trajectory. The dispatcher therefore:
 
 * catches per-task worker exceptions and retries each failed polymer up
   to ``FailurePolicy.max_retries`` times with exponential backoff;
 * detects dead worker processes (``BrokenProcessPool`` — segfault,
-  OOM-kill, ``os._exit``) and rebuilds the pool, resubmitting every
-  in-flight task;
+  OOM-kill, ``os._exit``) and rebuilds the pool, every in-flight task
+  charged an attempt and retried;
 * detects hung workers via ``FailurePolicy.task_timeout_s``: a task that
   exceeds its deadline has its pool torn down (a running future cannot
   be preempted), surviving tasks resubmitted, and the expired task sent
   through the retry path;
-* optionally **quarantines** poison fragments whose retry budget is
-  exhausted instead of aborting: the task is completed with a zero
-  contribution and recorded — with its MBE coefficient — in the
-  `DriverReport`, so the energy deficit is reported rather than
-  silently dropped;
+
+and, when a task's budget is spent, `run_parallel`:
+
+* optionally **quarantines** the poison fragment instead of aborting:
+  the task is completed with a zero contribution and recorded — with
+  its MBE coefficient — in the `DriverReport`, so the energy deficit is
+  reported rather than silently dropped;
 * keeps the coordinator's ``in_flight`` accounting exact through every
   failure path: a retried task stays logically in flight (``complete``
   is called exactly once per issued task, on success or quarantine).
@@ -37,8 +40,14 @@ regardless of which worker process runs it or in what order.
 from __future__ import annotations
 
 import multiprocessing as mp
+import random
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
@@ -51,7 +60,7 @@ class WorkerFailure(RuntimeError):
 
 @dataclass
 class FailurePolicy:
-    """How `run_parallel` responds to worker failures."""
+    """How a `Dispatcher` and its caller respond to worker failures."""
 
     #: additional attempts after the first failure of a task
     max_retries: int = 2
@@ -65,7 +74,7 @@ class FailurePolicy:
     quarantine: bool = False
     #: jitter fraction: each delay is stretched by U[0, jitter] of itself
     #: (decorrelates retry storms). Drawn from the *seeded* per-run RNG
-    #: `run_parallel` owns, so chaos runs replay their exact schedule.
+    #: the `Dispatcher` owns, so chaos runs replay their exact schedule.
     backoff_jitter: float = 0.0
 
     def backoff(self, attempt: int, rng=None) -> float:
@@ -125,15 +134,216 @@ class DriverReport:
         ]
 
 
-@dataclass
+#: start method of every worker process pool, read at their one
+#: construction site (`Dispatcher._executor`); ROADMAP 7(d) has why "fork"
+MP_START = "fork"
+
+
+@dataclass(eq=False)
 class _Flight:
-    """Book-keeping for one dispatched task."""
+    """Book-keeping for one task, across its attempts."""
 
     task: object
-    attempt: int
-    dispatched_mono: float
-    deadline_mono: float | None
-    trace_start: float | None
+    calculator: object
+    #: `evaluate_fragment` keywords, and the caller's own (opaque) note
+    kw: dict
+    tag: object
+    attempt: int = 0
+    deadline_mono: float | None = None
+    trace_start: float | None = None
+    #: outcome of the finished attempt: ``(energy, gradient)`` or the error
+    result: tuple | None = None
+    error: BaseException | None = None
+
+
+class Dispatcher:
+    """The fault-tolerant worker pool under every parallel driver.
+
+    Mechanism, not policy: it owns the executor (worker processes, or
+    threads with ``pool="thread"``), the flights with their deadlines and
+    the backoff queue. `submit` dispatches a task, `wait` hands back
+    every finished attempt, and the caller decides what a failed one
+    means: `retry` it (refused once ``policy.max_retries`` is spent) or
+    give up its own way. ``report`` (the caller's `DriverReport`, or a
+    fresh one) takes the ``retries`` / ``timeouts`` / ``pool_restarts``
+    counts; ``seed`` pins the RNG behind ``policy.backoff_jitter``.
+    """
+
+    def __init__(self, nworkers: int, policy: FailurePolicy | None = None,
+                 tracer=None, seed: int | None = None, pool: str = "process",
+                 report: DriverReport | None = None) -> None:
+        if pool not in ("thread", "process"):
+            raise ValueError(f"pool must be 'thread' or 'process', got {pool!r}")
+        self.nworkers = nworkers
+        self.policy = policy or FailurePolicy()
+        self.tracer = tracer
+        self.pool_kind = pool
+        self.report = report if report is not None else DriverReport()
+        self._jitter_rng = random.Random(seed)
+        self._pool = None
+        self._flights: dict = {}
+        #: failed tasks awaiting their backoff: (ready_mono, flight)
+        self._retries: list[tuple[float, _Flight]] = []
+
+    @property
+    def pending(self) -> int:
+        """Tasks not yet handed back: in flight or queued for a retry."""
+        return len(self._flights) + len(self._retries)
+
+    @property
+    def free(self) -> int:
+        """Worker slots open to new tasks; a retry that is due holds one."""
+        now = time.monotonic()
+        due = sum(ready <= now for ready, _ in self._retries)
+        return self.nworkers - len(self._flights) - due
+
+    def _executor(self):
+        """The pool, built on first use and again after a kill."""
+        if self._pool is None:
+            self._pool = (
+                ThreadPoolExecutor(self.nworkers, thread_name_prefix="dispatch-worker")
+                if self.pool_kind == "thread"
+                else ProcessPoolExecutor(self.nworkers, mp_context=mp.get_context(MP_START))
+            )
+        return self._pool
+
+    def _kill_pool(self) -> None:
+        """Tear the pool down without waiting on stuck workers."""
+        pool, self._pool = self._pool, None
+        # read before `shutdown`, which forgets the worker processes
+        procs = list((getattr(pool, "_processes", None) or {}).values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join(timeout=1.0)
+
+    def _restart_pool(self) -> None:
+        self.report.pool_restarts += 1
+        if self.tracer:
+            self.tracer.instant("pool.restart", cat="driver")
+        self._kill_pool()
+
+    def submit(self, task, calculator, tag=None, **kw) -> None:
+        """Run ``evaluate_fragment(calculator, task.molecule, attempt,
+        task.step, **kw)`` on a worker; ``tag`` comes back on the flight."""
+        self._dispatch(_Flight(task, calculator, kw, tag))
+
+    def _dispatch(self, flight: _Flight) -> None:
+        task, tracer = flight.task, self.tracer
+        now = time.monotonic()
+        args = (evaluate_fragment, flight.calculator, task.molecule,
+                flight.attempt, task.step)
+        try:
+            fut = self._executor().submit(*args, **flight.kw)
+        except (BrokenProcessPool, RuntimeError):
+            # the pool died between completions; rebuild and resubmit
+            self._restart_pool()
+            fut = self._executor().submit(*args, **flight.kw)
+        timeout = self.policy.task_timeout_s
+        flight.deadline_mono = now + timeout if timeout else None
+        flight.trace_start = tracer.clock() if tracer else None
+        flight.result = flight.error = None
+        self._flights[fut] = flight
+        if tracer:
+            tracer.instant(
+                "task.dispatch", cat="driver", step=task.step,
+                key=str(task.key), attempt=flight.attempt,
+            )
+
+    def retry(self, flight: _Flight) -> bool:
+        """Queue a failed flight's next attempt behind the policy's
+        backoff; False, and nothing queued, once the budget is spent."""
+        if flight.attempt >= self.policy.max_retries:
+            return False
+        flight.attempt += 1
+        self.report.retries += 1
+        if self.tracer:
+            self.tracer.instant(
+                "task.retry", cat="driver", step=flight.task.step,
+                key=str(flight.task.key), attempt=flight.attempt,
+                error=repr(flight.error),
+            )
+        delay = self.policy.backoff(flight.attempt, self._jitter_rng)
+        self._retries.append((time.monotonic() + delay, flight))
+        return True
+
+    def drop_retries(self) -> None:
+        """Forget the queued retries: a stopping caller dispatches nothing."""
+        self._retries.clear()
+
+    def wait(self, timeout: float | None = None) -> list[_Flight]:
+        """Dispatch the retries that are due, then block until an attempt
+        finishes — no longer than ``timeout``, the nearest deadline or the
+        next retry's ready time — and return the finished flights, failed
+        ones with ``error`` set."""
+        now = time.monotonic()
+        for entry in [r for r in self._retries if r[0] <= now]:
+            self._retries.remove(entry)
+            self._dispatch(entry[1])
+        marks = [ready for ready, _ in self._retries] + [
+            fl.deadline_mono for fl in self._flights.values()
+            if fl.deadline_mono is not None
+        ]
+        if marks:
+            until = max(min(marks) - time.monotonic(), 0.0)
+            timeout = until if timeout is None else min(timeout, until)
+        if not self._flights:
+            # nothing running: sit out the backoff, or the caller's poll
+            time.sleep(timeout or 0.0)
+            return []
+        done, _ = wait(self._flights, timeout=timeout,
+                       return_when=FIRST_COMPLETED)
+        if not done:
+            return self._expire()
+        finished = []
+        for fut in done:
+            flight = self._flights.pop(fut)
+            finished.append(flight)
+            try:
+                flight.result = fut.result()
+            except Exception as err:  # noqa: BLE001 — routed by the caller
+                flight.error = err
+                continue
+            if self.tracer:
+                self.tracer.complete(
+                    "task.roundtrip", flight.trace_start,
+                    self.tracer.clock() - flight.trace_start,
+                    cat="driver", step=flight.task.step,
+                    key=str(flight.task.key), attempt=flight.attempt,
+                )
+        return finished
+
+    def _expire(self) -> list[_Flight]:
+        """Deadline pass: hung workers cannot be preempted, so tear the
+        pool down, resubmit the survivors, hand the expired back failed."""
+        now = time.monotonic()
+        expired = [fl for fl in self._flights.values()
+                   if fl.deadline_mono is not None and fl.deadline_mono <= now]
+        if not expired:
+            return []
+        self.report.timeouts += len(expired)
+        survivors = [fl for fl in self._flights.values() if fl not in expired]
+        self._flights.clear()
+        self._restart_pool()
+        for flight in survivors:
+            self._dispatch(flight)
+        for flight in expired:
+            flight.error = TimeoutError(
+                f"task exceeded {self.policy.task_timeout_s}s deadline"
+            )
+        return expired
+
+    def close(self) -> None:
+        """Release the pool on any exit path: killed when flights remain
+        (never wait on a possibly-hung worker), joined otherwise."""
+        self._retries.clear()
+        if self._flights:
+            self._flights.clear()
+            self._kill_pool()
+        elif self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
 
 
 def run_parallel(
@@ -142,7 +352,6 @@ def run_parallel(
     nworkers: int = 4,
     policy: FailurePolicy | None = None,
     tracer=None,
-    mp_start: str = "fork",
     seed: int | None = None,
 ) -> DriverReport:
     """Drive a coordinator to completion with a fault-tolerant pool.
@@ -164,45 +373,12 @@ def run_parallel(
     Typically derived from the fault plan
     (``plan.derive_seed("retry-jitter")``) or the CLI ``--seed``.
     """
-    import random
-
-    policy = policy or FailurePolicy()
-    jitter_rng = random.Random(seed)
     if tracer is None:
         tracer = coordinator.tracer
     report = DriverReport()
     coordinator.attach("driver", report)
-    ctx = mp.get_context(mp_start)
-    pool = ProcessPoolExecutor(max_workers=nworkers, mp_context=ctx)
-    flights: dict = {}
-    #: failed tasks awaiting their backoff: (ready_mono, task, attempt)
-    retry_queue: list[tuple[float, object, int]] = []
-
-    def kill_pool() -> None:
-        """Tear the pool down without waiting on stuck workers."""
-        nonlocal pool
-        pool.shutdown(wait=False, cancel_futures=True)
-        procs = getattr(pool, "_processes", None) or {}
-        for proc in list(procs.values()):
-            try:
-                if proc.is_alive():
-                    proc.terminate()
-            except Exception:
-                pass
-        for proc in list(procs.values()):
-            try:
-                proc.join(timeout=1.0)
-            except Exception:
-                pass
-
-    def restart_pool() -> None:
-        nonlocal pool
-        report.pool_restarts += 1
-        if tracer:
-            tracer.instant("pool.restart", cat="driver")
-        kill_pool()
-        pool = ProcessPoolExecutor(max_workers=nworkers, mp_context=ctx)
-
+    dispatcher = Dispatcher(nworkers, policy, tracer, seed, report=report)
+    policy = dispatcher.policy
     # what each worker-side `evaluate_fragment` is asked for: warm starts
     # live in the worker's process-global cache (resubmissions, retries
     # and pool rebuilds repopulate it rather than leak state across
@@ -211,150 +387,48 @@ def run_parallel(
         "warm_start": getattr(coordinator, "guess_cache", None) is not None,
         "exact": coordinator.deterministic,
     }
-
-    def submit(task, attempt: int) -> None:
-        now = time.monotonic()
-        args = (evaluate_fragment, calculator, task.molecule, attempt,
-                task.step)
-        try:
-            fut = pool.submit(*args, **worker_kw)
-        except (BrokenProcessPool, RuntimeError):
-            # the pool died between completions; rebuild and resubmit
-            restart_pool()
-            fut = pool.submit(*args, **worker_kw)
-        deadline = (
-            now + policy.task_timeout_s if policy.task_timeout_s else None
-        )
-        flights[fut] = _Flight(
-            task, attempt, now, deadline,
-            tracer.clock() if tracer else None,
-        )
-        if tracer:
-            tracer.instant(
-                "task.dispatch", cat="driver", step=task.step,
-                key=str(task.key), attempt=attempt,
-            )
-
-    def fail(flight: _Flight, err: BaseException) -> None:
-        """Route one failed attempt: retry, quarantine, or abort."""
-        task = flight.task
-        attempt = flight.attempt + 1
-        if attempt <= policy.max_retries:
-            report.retries += 1
-            if tracer:
-                tracer.instant(
-                    "task.retry", cat="driver", step=task.step,
-                    key=str(task.key), attempt=attempt, error=repr(err),
-                )
-            ready = time.monotonic() + policy.backoff(attempt, jitter_rng)
-            retry_queue.append((ready, task, attempt))
-        elif policy.quarantine:
-            report.quarantined.append(
-                QuarantinedTask(
-                    key=task.key, step=task.step,
-                    coefficient=task.coefficient,
-                    attempts=attempt, error=repr(err),
-                )
-            )
-            if tracer:
-                tracer.instant(
-                    "task.quarantine", cat="driver", step=task.step,
-                    key=str(task.key), error=repr(err),
-                )
-            # zero contribution, but accounted for: the report carries
-            # the fragment's MBE coefficient so the caller knows exactly
-            # which energies are tainted
-            coordinator.complete(task, 0.0, None)
-        else:
-            raise WorkerFailure(
-                f"polymer {task.key} (step {task.step}) failed "
-                f"{attempt} attempt(s): {err!r}; "
-                + coordinator.diagnostics()
-            ) from err
-
     try:
         while not coordinator.done():
-            now = time.monotonic()
-            # re-dispatch failed tasks whose backoff has elapsed
-            if retry_queue:
-                due = [r for r in retry_queue if r[0] <= now]
-                if due:
-                    retry_queue[:] = [r for r in retry_queue if r[0] > now]
-                    for _, task, attempt in due:
-                        submit(task, attempt)
-            # fill free workers from the scheduler queue
-            while len(flights) < nworkers:
+            while dispatcher.free > 0:
                 task = coordinator.next_task()
                 if task is None:
                     break
-                submit(task, 0)
-            if not flights:
-                if retry_queue:
-                    # nothing running; sleep until the earliest retry is due
-                    pause = min(r[0] for r in retry_queue) - time.monotonic()
-                    if pause > 0:
-                        time.sleep(pause)
-                    continue
+                dispatcher.submit(task, calculator, **worker_kw)
+            if not dispatcher.pending:
                 raise RuntimeError(
                     "scheduler deadlock: no tasks, none in flight; "
                     + coordinator.diagnostics()
                 )
-            timeout = None
-            if policy.task_timeout_s:
-                nearest = min(
-                    f.deadline_mono for f in flights.values()
-                    if f.deadline_mono is not None
-                )
-                timeout = max(nearest - time.monotonic(), 0.0)
-            done, _ = wait(flights, timeout=timeout,
-                           return_when=FIRST_COMPLETED)
-            if not done:
-                # deadline pass: hung workers cannot be preempted, so tear
-                # the pool down, resubmit the survivors, retry the expired
-                now = time.monotonic()
-                expired = [
-                    f for f, fl in flights.items()
-                    if fl.deadline_mono is not None and fl.deadline_mono <= now
-                ]
-                if not expired:
-                    continue
-                report.timeouts += len(expired)
-                expired_set = set(expired)
-                survivors = [
-                    (fl.task, fl.attempt)
-                    for f, fl in flights.items() if f not in expired_set
-                ]
-                expired_flights = [flights[f] for f in expired]
-                flights.clear()
-                restart_pool()
-                for task, attempt in survivors:
-                    submit(task, attempt)
-                for fl in expired_flights:
-                    fail(fl, TimeoutError(
-                        f"task exceeded {policy.task_timeout_s}s deadline"
-                    ))
-                continue
-            for fut in done:
-                flight = flights.pop(fut)
-                try:
-                    e, g = fut.result()
-                except Exception as err:  # noqa: BLE001 — routed by policy
-                    fail(flight, err)
-                else:
-                    coordinator.complete(flight.task, e, g)
+            for flight in dispatcher.wait():
+                task, err = flight.task, flight.error
+                if err is None:
+                    coordinator.complete(task, *flight.result)
                     report.tasks_completed += 1
-                    if tracer:
-                        tracer.complete(
-                            "task.roundtrip", flight.trace_start,
-                            tracer.clock() - flight.trace_start,
-                            cat="driver", step=flight.task.step,
-                            key=str(flight.task.key),
-                            attempt=flight.attempt,
+                elif dispatcher.retry(flight):
+                    continue
+                elif policy.quarantine:
+                    report.quarantined.append(
+                        QuarantinedTask(
+                            key=task.key, step=task.step,
+                            coefficient=task.coefficient,
+                            attempts=flight.attempt + 1, error=repr(err),
                         )
+                    )
+                    if tracer:
+                        tracer.instant(
+                            "task.quarantine", cat="driver", step=task.step,
+                            key=str(task.key), error=repr(err),
+                        )
+                    # zero contribution, but accounted for: the report
+                    # carries the fragment's MBE coefficient so the caller
+                    # knows exactly which energies are tainted
+                    coordinator.complete(task, 0.0, None)
+                else:
+                    raise WorkerFailure(
+                        f"polymer {task.key} (step {task.step}) failed "
+                        f"{flight.attempt + 1} attempt(s): {err!r}; "
+                        + coordinator.diagnostics()
+                    ) from err
     finally:
-        if flights:
-            # don't wait on possibly-hung workers
-            kill_pool()
-        else:
-            pool.shutdown(wait=True, cancel_futures=True)
+        dispatcher.close()
     return report

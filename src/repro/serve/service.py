@@ -1,7 +1,7 @@
 """The multi-tenant trajectory service: queue, pump loop, worker pool.
 
 `TrajectoryService` drives any number of `TrajectoryJob` sessions
-concurrently over one shared `ThreadPoolExecutor`:
+concurrently over one shared `repro.md.drivers.Dispatcher`:
 
 * **admission** — `submit` materializes a `JobSpec` into a job and
   places it on the `JobQueue`; up to ``max_active`` jobs are registered
@@ -19,30 +19,22 @@ concurrently over one shared `ThreadPoolExecutor`:
 * **backpressure** — before releasing a job's tasks the pump consults
   `ResultChannel.should_throttle`; saturated subscribers pause that
   job's dispatch (frames are never dropped);
-* **isolation** — a task failure fails only its own job (the job is
-  finalized as FAILED and unregistered); other tenants keep running.
+* **isolation** — failed attempts are retried and dead workers replaced
+  (the dispatcher's ladder, default `FailurePolicy`); a task whose budget
+  is spent fails only its own job (finalized as FAILED and unregistered).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing as mp
 import threading
-import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from dataclasses import dataclass
 from pathlib import Path
 
 from ..calculators import GuessCache
 from ..gemm import GLOBAL_TUNER
 from ..integrals.workspace import get_workspace
-from ..md.scheduler import evaluate_fragment
+from ..md.drivers import Dispatcher
 from .scheduler import FragmentScheduler
 from .session import JobSpec, JobState, TrajectoryJob
 from .streams import ResultChannel, StreamEvent
@@ -68,14 +60,6 @@ class JobQueue:
             return len(self._pending)
 
 
-@dataclass
-class _Flight:
-    job_id: str
-    task: object
-    cost: float
-    t_dispatch: float
-
-
 class TrajectoryService:
     """Fair-share streaming AIMD service over a shared worker pool.
 
@@ -90,13 +74,12 @@ class TrajectoryService:
             jobs, keyed per tenant.
         pool: ``"thread"`` (default) evaluates fragments on worker
             threads sharing the in-process warm layer — right for the
-            surrogate potential and for tests. ``"process"`` uses a
-            `ProcessPoolExecutor` like the fault-tolerant cluster
-            driver: QM fragment solves hold the GIL, so only processes
-            turn multi-tenant multiplexing into wall-clock throughput;
-            each worker keeps its own process-global warm layer
-            (tenant-namespaced, persistent across jobs).
-        mp_start: multiprocessing start method for ``pool="process"``.
+            surrogate potential and for tests. ``"process"`` uses
+            worker processes like `run_parallel`: QM fragment solves
+            hold the GIL, so only processes turn multi-tenant
+            multiplexing into wall-clock throughput; each worker keeps
+            its own process-global warm layer (tenant-namespaced,
+            persistent across jobs).
         tenant_max_bytes: optional per-tenant byte quota applied to the
             shared warm layer (`GuessCache` and the process-global
             `IntegralWorkspace`): an over-budget tenant evicts only its
@@ -107,16 +90,15 @@ class TrajectoryService:
     def __init__(self, out_root: str | Path, nworkers: int = 4,
                  max_active: int = 8, channel: ResultChannel | None = None,
                  tracer=None, warm_layer: bool = True,
-                 pool: str = "thread", mp_start: str = "fork",
+                 pool: str = "thread",
                  tenant_max_bytes: int | None = None) -> None:
-        if pool not in ("thread", "process"):
-            raise ValueError(f"pool must be 'thread' or 'process', got {pool!r}")
+        self.nworkers = max(1, int(nworkers))
+        #: `run_parallel`'s pool mechanism, under the default `FailurePolicy`
+        self.dispatcher = Dispatcher(self.nworkers, tracer=tracer, pool=pool)
+        self.pool_kind = pool
         self.out_root = Path(out_root)
         self.out_root.mkdir(parents=True, exist_ok=True)
-        self.nworkers = max(1, int(nworkers))
         self.max_active = max(1, int(max_active))
-        self.pool_kind = pool
-        self.mp_start = mp_start
         self.channel = channel if channel is not None else ResultChannel()
         self.tracer = tracer
         self.queue = JobQueue()
@@ -175,15 +157,6 @@ class TrajectoryService:
         self._stop.set()
 
     # -- worker side ----------------------------------------------------
-    def _evaluate(self, job: TrajectoryJob, task):
-        """One task of ``job`` on this worker: the tenant is charged the
-        workspace traffic and a deterministic job's tasks — only those —
-        re-screen exactly (`evaluate_fragment`)."""
-        return evaluate_fragment(
-            job.calculator, task.molecule, 0, task.step,
-            tenant=job.spec.job_id, exact=job.spec.deterministic,
-        )
-
     def _picklable_calculator(self, job: TrajectoryJob):
         """A calculator clone safe to ship to a worker process.
 
@@ -254,77 +227,62 @@ class TrajectoryService:
         terminal (or, after `request_stop`, once in-flight tasks have
         drained and the rest are finalized as INTERRUPTED).
         """
-        flights: dict = {}
+        dispatcher = self.dispatcher
+        process = self.pool_kind == "process"
         # the quota holds on the process-global workspace (which forked
         # pool workers inherit) for the duration of the run only
         workspace = get_workspace()
         saved_quota = workspace.tenant_max_bytes
         if self.tenant_max_bytes is not None:
             workspace.tenant_max_bytes = int(self.tenant_max_bytes)
-        if self.pool_kind == "process":
-            pool = ProcessPoolExecutor(
-                max_workers=self.nworkers,
-                mp_context=mp.get_context(self.mp_start),
-            )
-        else:
-            pool = ThreadPoolExecutor(
-                max_workers=self.nworkers, thread_name_prefix="serve-worker"
-            )
         try:
             while True:
                 self._activate_pending()
-                if not self._stop.is_set():
+                stopping = self._stop.is_set()
+                if stopping:
+                    dispatcher.drop_retries()
+                else:
                     throttled = {
                         job_id for job_id in list(self.scheduler.stats())
                         if self.channel.should_throttle(job_id)
                     }
-                    while len(flights) < self.nworkers:
+                    while dispatcher.free > 0:
                         drawn = self.scheduler.next_task(throttled)
                         if drawn is None:
                             break
                         job_id, task, cost = drawn
                         job = self.jobs[job_id]
                         job.namespace_task(task)
-                        if self.pool_kind == "process":
-                            # same entry, in a worker whose slice of the
-                            # warm layer is its process-global caches
-                            # (shared by every tenant it serves; keys
-                            # arrive job-namespaced)
-                            fut = pool.submit(
-                                evaluate_fragment,
-                                self._picklable_calculator(job),
-                                task.molecule, 0, task.step,
-                                warm_start=not job.spec.deterministic,
-                                tenant=job_id,
-                                exact=job.spec.deterministic,
-                            )
-                        else:
-                            fut = pool.submit(self._evaluate, job, task)
-                        flights[fut] = _Flight(
-                            job_id, task, cost, time.perf_counter()
+                        # a process worker's slice of the warm layer is
+                        # its process-global caches (shared by every
+                        # tenant it serves; keys arrive job-namespaced)
+                        dispatcher.submit(
+                            task, self._picklable_calculator(job) if process
+                            else job.calculator,
+                            tag=(job_id, cost), tenant=job_id,
+                            exact=job.spec.deterministic,
+                            warm_start=process and not job.spec.deterministic,
                         )
-                if not flights:
-                    if self._stop.is_set():
-                        break
-                    if not self.scheduler and len(self.queue) == 0:
-                        break
-                    # every active job is throttled or briefly taskless;
-                    # wait for subscribers to drain
-                    time.sleep(poll_s)
-                    continue
-                done, _ = wait(
-                    flights, timeout=poll_s, return_when=FIRST_COMPLETED
-                )
-                for fut in done:
-                    flight = flights.pop(fut)
-                    job_id = flight.job_id
-                    self.scheduler.task_done(job_id, flight.cost)
+                if not dispatcher.pending and (
+                    stopping or (not self.scheduler and len(self.queue) == 0)
+                ):
+                    break
+                # nothing in flight (every active job throttled or briefly
+                # taskless): `wait` sleeps out the poll
+                for flight in dispatcher.wait(poll_s):
+                    job_id, cost = flight.tag
                     if job_id not in self.scheduler:
-                        continue  # job already failed; drop the result
+                        continue  # job already failed; drop the attempt
+                    if flight.error is not None and (
+                        stopping or dispatcher.retry(flight)
+                    ):
+                        continue  # not terminal: the cost stays outstanding
+                    self.scheduler.task_done(job_id, cost)
                     job = self.jobs[job_id]
                     try:
-                        e, g = fut.result()
-                        job.coordinator.complete(flight.task, e, g)
+                        if flight.error is not None:
+                            raise flight.error
+                        job.coordinator.complete(flight.task, *flight.result)
                         self.tasks_completed += 1
                     except Exception as err:
                         self.tasks_failed += 1
@@ -339,7 +297,7 @@ class TrajectoryService:
                                 job=job_id, steps=job.steps_emitted,
                             )
         finally:
-            pool.shutdown(wait=True)
+            dispatcher.close()  # kills, never joins, a pool with flights
             for job in self.jobs.values():
                 if job.state in (JobState.RUNNING, JobState.PENDING):
                     self.scheduler.unregister(job.spec.job_id)
@@ -373,6 +331,10 @@ class TrajectoryService:
             "jobs": jobs,
             "tasks_completed": self.tasks_completed,
             "tasks_failed": self.tasks_failed,
+            "driver": {
+                name: getattr(self.dispatcher.report, name)
+                for name in ("retries", "timeouts", "pool_restarts")
+            },
             "fair_share": self.scheduler.stats(),
             "channel": self.channel.stats(),
             "warm_layer": {

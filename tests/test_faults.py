@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import time
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from repro.md import (
 )
 from repro.md.integrators import maxwell_boltzmann_velocities
 from repro.systems import water_cluster
+from repro.trace import Tracer
 
 from .conftest import faulty_calculator as _faulty
 
@@ -24,6 +29,20 @@ BIG = 1.0e6
 #: a water dimer fragment has 6 atoms — the injector's target
 DIMER_NATOMS = 6
 
+
+@dataclass
+class _SlowMonomerFlakyDimer:
+    """Monomer ``(0,)`` takes 2 s; dimer ``(1, 2)`` fails its first attempt."""
+
+    inner: PairwisePotentialCalculator
+    accepts_attempt = True
+
+    def energy_gradient(self, mol, attempt=0):
+        if mol.frag_key == (0,):
+            time.sleep(2.0)
+        if mol.frag_key == (1, 2) and attempt == 0:
+            raise RuntimeError("flaky once")
+        return self.inner.energy_gradient(mol)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +143,22 @@ class TestRetryPath:
                 co, faulty, nworkers=2, policy=FailurePolicy(max_retries=0)
             )
 
+    def test_due_retry_does_not_wait_for_unrelated_flight(self, surrogate):
+        """The wait is bounded by the retry queue's earliest ready time:
+        with a worker free, a 0.2 s backoff is not stretched to the 2 s an
+        unrelated task takes to land."""
+        system = FragmentedSystem.by_components(water_cluster(3, seed=1))
+        tracer = Tracer()
+        co = _coordinator(system, nsteps=0, tracer=tracer)
+        run_parallel(
+            co, _SlowMonomerFlakyDimer(surrogate), nworkers=2,
+            policy=FailurePolicy(max_retries=2, backoff_s=0.2),
+        )
+        retried = next(e for e in tracer.events if e["name"] == "task.retry")
+        again = next(e for e in tracer.events if e["name"] == "task.dispatch"
+                     and e["args"]["attempt"] == 1)
+        assert 0.0 < (again["ts"] - retried["ts"]) / 1e6 < 1.0
+
     def test_backoff_schedule(self):
         policy = FailurePolicy(backoff_s=0.1, backoff_factor=3.0)
         assert policy.backoff(1) == pytest.approx(0.1)
@@ -173,6 +208,21 @@ class TestHungWorker:
         assert report.clean
         assert report.timeouts >= 1
         assert report.pool_restarts >= 1
+
+    def test_hung_worker_does_not_outlive_the_run(self, surrogate):
+        """The pool kill terminates the stuck worker: it used to look
+        the processes up after `shutdown()` had forgotten them, and the
+        sleeper lived on until the interpreter's exit joined it."""
+        system = FragmentedSystem.by_components(water_cluster(2, seed=3))
+        faulty = _faulty(
+            surrogate, "hang", natoms=DIMER_NATOMS, attempts=1,
+            hang_s=120.0,
+        )
+        run_parallel(
+            _coordinator(system, nsteps=0), faulty, nworkers=2,
+            policy=FailurePolicy(max_retries=2, task_timeout_s=0.5),
+        )
+        assert not mp.active_children()
 
 
 class TestDeadWorker:

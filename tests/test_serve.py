@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan, FaultPlanCalculator, FaultSpec
 from repro.md.trajio import (
     TrajectoryStreamWriter,
     load_restart,
@@ -375,13 +376,20 @@ class TestFairShareRegression:
         def slow_patch(service):
             # pad every fragment solve so latency is measurable and
             # dominated by scheduling, not numpy noise
-            original = service._evaluate
+            admit = service.submit
 
-            def padded(job, task):
-                time.sleep(delay_s)
-                return original(job, task)
+            def submit_padded(spec):
+                job = admit(spec)
+                original = job.calculator.energy_gradient
 
-            service._evaluate = padded
+                def padded(mol):
+                    time.sleep(delay_s)
+                    return original(mol)
+
+                job.calculator.energy_gradient = padded
+                return job
+
+            service.submit = submit_padded
 
         def small_spec():
             return surrogate_spec("small", n=2, nsteps=8)
@@ -563,6 +571,51 @@ class TestProcessPoolService:
             info = summary["jobs"][f"p{i}"]
             assert info["state"] == JobState.COMPLETED
             assert info["steps"] == 4
+
+    @staticmethod
+    def _three_tenants(root, pool, fault=None):
+        """Three water-trimer tenants on two workers; ``fault`` (a
+        `FaultSpec`) wraps the middle tenant's calculator. Service keys
+        are job-namespaced, so specs match on step / natoms."""
+        service = TrajectoryService(root, nworkers=2, pool=pool)
+        for i, job_id in enumerate(("good0", "bad", "good1")):
+            service.submit(surrogate_spec(job_id, seed=i, nsteps=4,
+                                          deterministic=True))
+        if fault is not None:
+            bad = service.jobs["bad"]
+            bad.calculator = FaultPlanCalculator(
+                bad.calculator, FaultPlan(specs=[fault])
+            )
+        return service, service.run()
+
+    def test_dead_worker_sinks_no_tenant(self, tmp_path):
+        """A worker dying under one tenant's task costs a pool rebuild,
+        not the run (it used to raise ``BrokenProcessPool`` out of `run`
+        with every job INTERRUPTED) — and not the trajectory either."""
+        clean, _ = self._three_tenants(tmp_path / "clean", "process")
+        service, summary = self._three_tenants(
+            tmp_path / "chaos", "process",
+            FaultSpec(kind="crash", step=1, natoms=3),
+        )
+        for info in summary["jobs"].values():
+            assert info["state"] == JobState.COMPLETED
+        assert summary["driver"]["pool_restarts"] >= 1
+        assert summary["tasks_failed"] == 0
+        assert (service.jobs["bad"].final_total_energy()
+                == clean.jobs["bad"].final_total_energy())
+
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_transient_fault_is_retried(self, tmp_path, pool):
+        """Two failed attempts fit the default budget: the tenant used
+        to be FAILED at the first one."""
+        _, summary = self._three_tenants(
+            tmp_path, pool,
+            FaultSpec(kind="transient", step=1, natoms=3, attempts=2),
+        )
+        for info in summary["jobs"].values():
+            assert info["state"] == JobState.COMPLETED
+        assert summary["driver"]["retries"] >= 2
+        assert summary["tasks_failed"] == 0
 
     def test_rejects_unknown_pool_kind(self, tmp_path):
         with pytest.raises(ValueError, match="pool"):
