@@ -9,12 +9,24 @@ Angstrom.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from ..constants import BOHR_PER_ANGSTROM, ELECTRON_MASS_PER_AMU
 from .elements import atomic_mass, atomic_number, element
+
+
+@functools.lru_cache(maxsize=1024)
+def _canonical_symbols(symbols: tuple) -> tuple[str, ...]:
+    """``symbols`` validated and canonicalised, once per distinct tuple.
+
+    A trajectory builds the same few compositions (one per fragment
+    class) again at every step; the memo is bounded, holds only tuples
+    of strings, and hands out immutable results.
+    """
+    return tuple(element(s).symbol for s in symbols)
 
 
 class Molecule:
@@ -41,9 +53,7 @@ class Molecule:
         charge: int = 0,
         multiplicity: int = 1,
     ) -> None:
-        self.symbols: tuple[str, ...] = tuple(
-            element(s).symbol for s in symbols
-        )
+        self.symbols: tuple[str, ...] = _canonical_symbols(tuple(symbols))
         coords = np.asarray(coords_bohr, dtype=float).reshape(len(self.symbols), 3)
         self.coords: np.ndarray = coords.copy()
         self.charge = int(charge)

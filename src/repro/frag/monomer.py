@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,109 @@ def _cap_ratio(parent: Molecule, inner: int, outer: int) -> float:
     r_y = covalent_radius(parent.symbols[outer])
     r_h = covalent_radius("H")
     return (r_x + r_h) / (r_x + r_y)
+
+
+def _cap_scatter(caps) -> tuple[np.ndarray, np.ndarray]:
+    """Interleaved chain-rule targets of cap gradients: parent indices
+    ``inner0, outer0, inner1, ...`` and weights ``1 - ratio0, ratio0, ...``."""
+    idx = np.array([(c.inner, c.outer) for c in caps], dtype=np.intp)
+    ratio = np.array([c.ratio for c in caps], dtype=float)
+    return idx.reshape(-1), np.stack((1.0 - ratio, ratio), axis=1).reshape(-1)
+
+
+def _scatter(
+    grad_frag: np.ndarray,
+    atoms: np.ndarray,
+    cap_idx: np.ndarray,
+    cap_w: np.ndarray,
+    out: np.ndarray,
+    scale: float,
+) -> None:
+    """``out += scale * (fragment gradient chained onto parent atoms)``.
+
+    Real atoms are distinct, so theirs is one indexed add; a parent atom
+    may be the target of several caps (and is a real atom besides), so
+    the cap terms go through the unbuffered `np.add.at`, which adds in
+    index order: real atoms, then inner and outer of each cap in turn.
+    """
+    nreal = len(atoms)
+    out[atoms] += scale * grad_frag[:nreal]
+    if len(cap_idx):
+        np.add.at(
+            out, cap_idx,
+            (scale * cap_w)[:, None] * np.repeat(grad_frag[nreal:], 2, axis=0),
+        )
+
+
+class FragmentLayout:
+    """Everything about a polymer's fragment that no geometry changes.
+
+    Which parent atoms it holds, which broken bonds it caps, its element
+    symbols and charge, and the index / weight arrays that gather its
+    coordinates from the parent's and scatter its gradient back. The
+    fragment at a geometry is then two gathers (`molecule`) and its
+    gradient's way home one indexed add and one `np.add.at` (`scatter`).
+
+    Attributes:
+        key: the monomer indices.
+        atoms: parent indices of the real atoms, ascending.
+        caps: the active `CapBond`s (outer atom outside the fragment);
+            their hydrogens follow the real atoms in this order.
+        symbols: element symbols, real atoms then one ``"H"`` per cap.
+        charge: summed monomer charges.
+        gather: the parent atom each fragment row starts from — the
+            real atoms, then each cap's inner atom.
+        cap_outer, cap_ratio: the caps' other two columns as arrays.
+        scatter_idx, scatter_w: the interleaved cap scatter targets and
+            chain-rule weights (`_cap_scatter`).
+    """
+
+    __slots__ = (
+        "key", "atoms", "caps", "symbols", "charge",
+        "gather", "cap_outer", "cap_ratio", "scatter_idx", "scatter_w",
+    )
+
+    def __init__(
+        self,
+        key: tuple[int, ...],
+        atoms: Sequence[int],
+        caps: Sequence[CapBond],
+        parent_symbols: Sequence[str],
+        charge: int = 0,
+    ) -> None:
+        self.key = key
+        self.atoms = np.asarray(atoms, dtype=np.intp)
+        self.caps = tuple(caps)
+        self.symbols = (
+            *(parent_symbols[a] for a in atoms), *("H",) * len(self.caps)
+        )
+        self.charge = charge
+        self.scatter_idx, self.scatter_w = _cap_scatter(self.caps)
+        self.gather = np.concatenate((self.atoms, self.scatter_idx[0::2]))
+        self.cap_outer = self.scatter_idx[1::2].copy()
+        self.cap_ratio = self.scatter_w[1::2].copy()
+
+    def molecule(self, coords: np.ndarray) -> Molecule:
+        """The capped fragment at parent coordinates ``coords`` (Bohr)."""
+        xyz = coords[self.gather]
+        if self.caps:
+            hydrogens = xyz[len(self.atoms):]  # still at the inner atoms
+            hydrogens += self.cap_ratio[:, None] * (
+                coords[self.cap_outer] - hydrogens
+            )
+        mol = Molecule(self.symbols, xyz, charge=self.charge)
+        # tag the fragment identity so calculators can key per-fragment
+        # caches (SCF warm starts) off the molecule alone
+        mol.frag_key = self.key
+        return mol
+
+    def scatter(
+        self, grad_frag: np.ndarray, out: np.ndarray, scale: float = 1.0
+    ) -> None:
+        """Chain a fragment gradient back onto parent atoms (in place)."""
+        _scatter(
+            grad_frag, self.atoms, self.scatter_idx, self.scatter_w, out, scale
+        )
 
 
 class FragmentedSystem:
@@ -173,6 +277,30 @@ class FragmentedSystem:
         return np.array([c[list(m.atoms)].mean(axis=0) for m in self.monomers])
 
     # --- fragment molecule construction --------------------------------------
+    def layout(self, monomer_ids: tuple[int, ...]) -> FragmentLayout:
+        """The geometry-independent half of a polymer's fragment.
+
+        Built fresh on every call and never kept here: a caller that
+        evaluates one key many times (the step engine, per plan window)
+        owns the layout for as long as it needs it.
+        """
+        atom_set: set[int] = set()
+        charge = 0
+        for mid in monomer_ids:
+            m = self.monomers[mid]
+            atom_set.update(m.atoms)
+            charge += m.charge
+        caps = [
+            cap
+            for mid in monomer_ids
+            for cap in self.monomers[mid].caps
+            if cap.outer not in atom_set
+        ]
+        return FragmentLayout(
+            tuple(monomer_ids), sorted(atom_set), caps,
+            self.parent.symbols, charge,
+        )
+
     def fragment_molecule(
         self, monomer_ids: tuple[int, ...], coords: np.ndarray | None = None
     ) -> tuple[Molecule, list[int], list[CapBond]]:
@@ -189,30 +317,9 @@ class FragmentedSystem:
             included — caps are appended after the real atoms in the
             same order as ``active_caps``).
         """
-        c = self.parent.coords if coords is None else coords
-        atom_set: set[int] = set()
-        charge = 0
-        caps: list[CapBond] = []
-        for mid in monomer_ids:
-            m = self.monomers[mid]
-            atom_set.update(m.atoms)
-            charge += m.charge
-        for mid in monomer_ids:
-            for cap in self.monomers[mid].caps:
-                if cap.outer not in atom_set:
-                    caps.append(cap)
-        atoms = sorted(atom_set)
-        symbols = [self.parent.symbols[a] for a in atoms]
-        coords_frag = [c[a] for a in atoms]
-        for cap in caps:
-            symbols.append("H")
-            pos = c[cap.inner] + cap.ratio * (c[cap.outer] - c[cap.inner])
-            coords_frag.append(pos)
-        mol = Molecule(symbols, np.array(coords_frag), charge=charge)
-        # tag the fragment identity so calculators can key per-fragment
-        # caches (SCF warm starts) off the molecule alone
-        mol.frag_key = tuple(monomer_ids)
-        return mol, atoms, caps
+        lay = self.layout(monomer_ids)
+        mol = lay.molecule(self.parent.coords if coords is None else coords)
+        return mol, lay.atoms.tolist(), list(lay.caps)
 
     def map_gradient(
         self,
@@ -227,10 +334,7 @@ class FragmentedSystem:
         Cap-hydrogen gradients are distributed onto the two real atoms
         defining the broken bond via the fixed-ratio chain rule.
         """
-        nreal = len(atoms)
-        for k, a in enumerate(atoms):
-            out[a] += scale * grad_frag[k]
-        for k, cap in enumerate(caps):
-            gc = grad_frag[nreal + k]
-            out[cap.inner] += scale * (1.0 - cap.ratio) * gc
-            out[cap.outer] += scale * cap.ratio * gc
+        _scatter(
+            grad_frag, np.asarray(atoms, dtype=np.intp),
+            *_cap_scatter(caps), out, scale,
+        )

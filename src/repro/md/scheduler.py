@@ -46,6 +46,11 @@ What a step is:
 
 Live state — per-step buffers, per-window tables — is evicted as steps
 retire, so it is bounded by the plan-window skew, not by ``nsteps``.
+What no geometry changes is worked out per window, not per task: each
+key's `repro.frag.monomer.FragmentLayout` (so a released task is two
+gathers and a finished one an indexed add), the monomers a key waits
+for (an arrival counter per step and key) and, per step and monomer,
+the one centroid distance its keys' priorities read.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ import numpy as np
 from ..calculators import GuessCache, get_guess_cache
 from ..chem.molecule import Molecule
 from ..frag.mbe import MBEPlan, build_plan, update_plan
-from ..frag.monomer import FragmentedSystem
+from ..frag.monomer import FragmentedSystem, FragmentLayout
 from ..integrals.workspace import get_workspace
 from ..numerics import ensure_finite
 from .checkpoint import Checkpoint, CheckpointError, write_checkpoint
@@ -83,8 +88,9 @@ class PolymerTask:
     key: tuple[int, ...]
     step: int
     molecule: Molecule | FragmentStub
-    atoms: list[int] | None
-    caps: list | None
+    #: how the fragment's gradient chains back onto the parent (None
+    #: for the stubs of a timing-only run)
+    layout: FragmentLayout | None
     #: total weight of this solve at this step (summed over due tiers)
     coefficient: float
     distance: float  # priority distance to the reference monomer (Bohr)
@@ -104,6 +110,25 @@ class PolymerTask:
 
 
 @dataclass
+class _TaskSet:
+    """The tasks of a step at which one combination of tiers is due."""
+
+    #: key -> coefficient summed over the due tiers
+    keys: dict[tuple, float]
+    #: key -> number of monomers that must arrive before it is released
+    need: dict[tuple, int]
+    #: monomer -> number of tasks touching it
+    counts: list[int]
+    #: deterministic mode: key -> first row of its fragment gradient in
+    #: the step's stacked buffer (canonical key order), and the
+    #: buffer's length
+    offsets: dict[tuple, int] = field(default_factory=dict)
+    nrows: int = 0
+    #: deterministic mode: tier -> `AsyncCoordinator._reduction`
+    reductions: dict[int, tuple] = field(default_factory=dict)
+
+
+@dataclass
 class _Window:
     """One replan window's frozen tables."""
 
@@ -113,10 +138,12 @@ class _Window:
     touch: dict[tuple, list[int]]
     #: monomer -> keys touching it
     mono_keys: list[list[tuple]]
-    #: due-tier tuple -> (key -> summed coefficient, per-monomer task counts)
-    tasks: dict[tuple[int, ...], tuple[dict, np.ndarray]] = field(
-        default_factory=dict
-    )
+    #: key -> `FragmentLayout`, built when the key enters a window and
+    #: handed on to the next one that still lists it (empty for the
+    #: stubs of a timing-only run)
+    layouts: dict[tuple, FragmentLayout]
+    #: due-tier tuple -> what a step with those tiers due has to do
+    tasks: dict[tuple[int, ...], _TaskSet] = field(default_factory=dict)
 
 
 class _HeldTiers:
@@ -392,6 +419,8 @@ class AsyncCoordinator:
         self.replan_removed = 0
         self.replan_reused = 0
         self._latest_plan: MBEPlan | None = None
+        #: `FragmentLayout`s built: one per key entering a plan window
+        self.layouts_built = 0
 
         parent = system.parent
         self.masses = parent.masses_au
@@ -424,12 +453,17 @@ class AsyncCoordinator:
 
         self.build_molecules = build_molecules
         nmono = system.nmonomers
-        self.monomer_atoms = [list(m.atoms) for m in system.monomers]
+        self.monomer_atoms = [
+            np.array(m.atoms, dtype=np.intp) for m in system.monomers
+        ]
         #: per-monomer cap targets: owners of each cap's outer atom
         self.cap_targets: list[list[int]] = [[] for _ in range(nmono)]
         for m in system.monomers:
             for cap in m.caps:
                 self.cap_targets[m.index].append(system.atom_owner[cap.outer])
+        self._atom_owner = np.array(
+            [system.atom_owner[a] for a in range(parent.natoms)]
+        )
         zsum = parent.atomic_numbers
         self._mono_electrons = np.array(
             [int(zsum[list(m.atoms)].sum()) - m.charge for m in system.monomers]
@@ -459,11 +493,15 @@ class AsyncCoordinator:
         self._live: dict[int, tuple[int, ...]] = {}
         self._step_keys: dict[int, dict[tuple, float]] = {}
         self._pending_total: dict[int, int] = {}
-        self._pending_monomer: dict[int, np.ndarray] = {}
-        self._queued: dict[int, set] = {}
+        self._pending_monomer: dict[int, list[int]] = {}
+        #: step -> {key -> monomers of ``touch[key]`` yet to arrive}
+        self._waiting: dict[int, dict[tuple, int]] = {}
         self._ref_cent_cache: dict[int, np.ndarray] = {}
-        #: deterministic mode: step -> {key -> (energy, grad, atoms, caps)}
-        self._contrib: dict[int, dict] = {}
+        #: step -> {monomer -> distance of its centroid to the reference's}
+        self._ref_dist_cache: dict[int, dict[int, float]] = {}
+        #: deterministic mode: step -> ({key -> energy}, the fragment
+        #: gradients stacked at `_TaskSet.offsets`)
+        self._contrib: dict[int, tuple[dict, np.ndarray]] = {}
         #: step -> {first monomer of the integrated group -> kinetic energy}
         self._ke_parts: dict[int, dict[int, float]] = {}
         #: lowest step whose buffers have not been evicted yet
@@ -618,8 +656,17 @@ class AsyncCoordinator:
                 touch[key] = sorted(t)
                 for m in touch[key]:
                     mono_keys[m].append(key)
+        layouts: dict[tuple, FragmentLayout] = {}
+        if self.build_molecules:
+            held = self._windows[max(self._windows)].layouts if self._windows else {}
+            for key in touch:
+                lay = held.get(key)
+                if lay is None:
+                    lay = self.system.layout(key)
+                    self.layouts_built += 1
+                layouts[key] = lay
         self.plans[w0] = plan
-        self._windows[w0] = _Window(tuple(tiers), touch, mono_keys)
+        self._windows[w0] = _Window(tuple(tiers), touch, mono_keys, layouts)
 
     def _open_step(self, step: int) -> None:
         """Allocate ``step``'s buffers and work out its task set."""
@@ -634,22 +681,32 @@ class AsyncCoordinator:
             for t in live:
                 for key, c in win.tiers[t].items():
                     keys[key] = keys.get(key, 0.0) + c
-            counts = np.zeros(self.system.nmonomers, dtype=int)
+            need = {key: len(win.touch[key]) for key in keys}
+            counts = [0] * self.system.nmonomers
             for key in keys:
-                counts[win.touch[key]] += 1
-            win.tasks[live] = (keys, counts)
-        keys, counts = win.tasks[live]
+                for m in win.touch[key]:
+                    counts[m] += 1
+            win.tasks[live] = todo = _TaskSet(keys, need, counts)
+            if self.deterministic:
+                for key in sorted(keys):
+                    if key in win.layouts:
+                        todo.offsets[key] = todo.nrows
+                        todo.nrows += len(win.layouts[key].symbols)
+        todo = win.tasks[live]
+        keys = todo.keys
         self._live[step] = live
         self._step_keys[step] = keys
         self._pending_total[step] = len(keys)
-        self._pending_monomer[step] = counts.copy()
+        self._pending_monomer[step] = todo.counts.copy()
+        self._waiting[step] = todo.need.copy()
         self.mts_tasks_skipped += len(win.touch) - len(keys)
         natoms = self.system.parent.natoms
         for t in live:
             self._grad[t][step] = np.zeros((natoms, 3))
             self._pe[t][step] = 0.0
-        self._queued[step] = set()
-        self._contrib[step] = {}
+        self._ref_dist_cache[step] = {}
+        if self.deterministic:
+            self._contrib[step] = ({}, np.zeros((todo.nrows, 3)))
         self._ke_parts[step] = {}
         self.max_live_steps = max(self.max_live_steps, self.live_steps)
 
@@ -663,6 +720,15 @@ class AsyncCoordinator:
             cache[step] = coords[self.monomer_atoms[self.reference]].mean(axis=0)
         return cache[step]
 
+    def _ref_distance(self, step: int, m: int) -> float:
+        """Distance of monomer ``m``'s centroid at ``step`` to the
+        reference's: asked for once ``m`` has arrived there (its rows of
+        ``coords_at[step]`` are final), so once per (step, monomer)."""
+        cent = self.coords_at[step][self.monomer_atoms[m]].mean(axis=0)
+        d = float(np.linalg.norm(cent - self._ref_centroid(step)))
+        self._ref_dist_cache[step][m] = d
+        return d
+
     def _release(self, key: tuple, step: int) -> None:
         """Queue one ready task — or serve it from the surrogate.
 
@@ -673,9 +739,10 @@ class AsyncCoordinator:
         ceiling. A cold class or a committee disagreement above the gate
         schedules the full solve.
         """
-        coords = self.coords_at[step]
-        if self.build_molecules:
-            mol, atoms, caps = self.system.fragment_molecule(key, coords)
+        win = self._windows[self._window_start(step)]
+        lay = win.layouts.get(key)
+        if lay is not None:
+            mol = lay.molecule(self.coords_at[step])
         else:
             ncaps = sum(
                 1
@@ -687,17 +754,14 @@ class AsyncCoordinator:
                 natoms=int(self._mono_natoms[list(key)].sum()) + ncaps,
                 nelectrons=int(self._mono_electrons[list(key)].sum()) + ncaps,
             )
-            atoms = caps = None
         task = PolymerTask(
             key=key,
             step=step,
             molecule=mol,
-            atoms=atoms,
-            caps=caps,
+            layout=lay,
             coefficient=self._step_keys[step][key],
             distance=0.0,
         )
-        self._queued[step].add(key)
         if self.surrogate is not None and len(key) > 1 and self.build_molecules:
             served = self.surrogate.predict(
                 key, mol, coefficient=task.coefficient
@@ -714,10 +778,9 @@ class AsyncCoordinator:
                     )
                 self._served_queue.append((task, energy, grad_frag))
                 return
-        ref = self._ref_centroid(step)
+        dist = self._ref_dist_cache[step]
         task.distance = min(
-            float(np.linalg.norm(coords[self.monomer_atoms[m]].mean(axis=0) - ref))
-            for m in key
+            dist[m] if m in dist else self._ref_distance(step, m) for m in key
         )
         heapq.heappush(
             self._heap, (task.distance, step, -task.natoms, self._seq, task)
@@ -730,18 +793,24 @@ class AsyncCoordinator:
             self.tracer.counter("scheduler.queue_depth", len(self._heap))
 
     def _release_ready(self, step: int, only_monomer: int | None = None) -> None:
-        """Release every not-yet-released task of ``step`` (touching
-        ``only_monomer``) whose monomers have all reached the step."""
+        """``only_monomer`` has arrived at ``step`` (None: every monomer
+        has, and none was there before): release each task of the step
+        whose last awaited monomer that was."""
         if step not in self._pending_total:
             self._open_step(step)
+        if only_monomer is None:
+            # everyone is at the step: nothing is left to wait for
+            for key in self._step_keys[step]:
+                self._release(key, step)
+            return
         win = self._windows[self._window_start(step)]
-        step_keys = self._step_keys[step]
-        queued = self._queued[step]
-        keys = step_keys if only_monomer is None else win.mono_keys[only_monomer]
-        for key in keys:
-            if key in queued or key not in step_keys:
-                continue
-            if all(self.monomer_time[m] >= step for m in win.touch[key]):
+        waiting = self._waiting[step]
+        for key in win.mono_keys[only_monomer]:
+            n = waiting.get(key)
+            if n is None:
+                continue  # in no tier due at this step
+            waiting[key] = n - 1
+            if n == 1:
                 self._release(key, step)
 
     def _drain_served(self) -> None:
@@ -791,8 +860,13 @@ class AsyncCoordinator:
             # every full polymer solve is a free training pair
             self.surrogate.observe(key, task.molecule, energy, grad_frag)
         win = self._windows[self._window_start(step)]
+        lay = task.layout
         if self.deterministic:
-            self._contrib[step][key] = (energy, grad_frag, task.atoms, task.caps)
+            energies, stacked = self._contrib[step]
+            energies[key] = energy
+            if lay is not None and grad_frag is not None:
+                first = win.tasks[self._live[step]].offsets[key]
+                stacked[first:first + len(lay.symbols)] = grad_frag
         else:
             # one solve feeds every due tier that lists the key (at an
             # outer boundary a monomer carries +1 and its slow correction)
@@ -801,41 +875,43 @@ class AsyncCoordinator:
                 if c is None:
                     continue
                 self._pe[t][step] += c * energy
-                if task.atoms is not None and grad_frag is not None:
-                    self.system.map_gradient(
-                        grad_frag, task.atoms, task.caps,
-                        self._grad[t][step], scale=c,
-                    )
+                if lay is not None and grad_frag is not None:
+                    lay.scatter(grad_frag, self._grad[t][step], c)
         self._pending_total[step] -= 1
         if self._pending_total[step] == 0:
             self._tasks_done(step)
+        moved = False
         if not self.synchronous:
             counts = self._pending_monomer[step]
             for m in win.touch[key]:
                 counts[m] -= 1
-                if counts[m] == 0:
+                if not counts[m]:
                     self._integrate(step, m)
+                    moved = True
         elif self._pending_total[step] == 0:
             # barrier: nobody moves until the step's last task is back
             self._integrate(step)
+            moved = True
         if self.tracer:
             self.tracer.instant(
                 "task.complete", cat="scheduler", step=step, key=str(key)
             )
             self.tracer.counter("scheduler.in_flight", self.in_flight)
             self.tracer.counter("scheduler.step_skew", self.max_step_skew)
-        self._evict_retired_steps()
+        if moved:
+            # only an integration can retire a step
+            self._evict_retired_steps()
 
     def _tasks_done(self, step: int) -> None:
         """Every task of ``step`` is back: its potential energy is known."""
         live = self._live[step]
         if self.deterministic:
             win = self._windows[self._window_start(step)]
-            contribs = self._contrib[step]
+            energies = self._contrib[step][0]
             for t in live:
                 coef = win.tiers[t]
                 self._pe[t][step] = sum(
-                    coef[k] * contribs[k][0] for k in sorted(coef)
+                    coef[k] * energies[k] for k in sorted(coef)
                 )
         for t in live:
             if t:
@@ -873,9 +949,9 @@ class AsyncCoordinator:
             s = self._evict_floor
             for d in (
                 self.coords_at, self._live, self._step_keys,
-                self._pending_total, self._pending_monomer, self._queued,
-                self._ref_cent_cache, self._contrib, self._ke_parts,
-                self._vel_at,
+                self._pending_total, self._pending_monomer, self._waiting,
+                self._ref_cent_cache, self._ref_dist_cache, self._contrib,
+                self._ke_parts, self._vel_at,
             ):
                 d.pop(s, None)
             self.steps_evicted += 1
@@ -971,34 +1047,68 @@ class AsyncCoordinator:
             cur, prev = cur[rows], prev[rows]
         return cur + (step - b) / k * (cur - prev)
 
-    def _reduce_rows(self, m: int, step: int) -> None:
-        """Deterministic mode: fill monomer ``m``'s rows of every tier
-        buffer evaluated at ``step`` by a canonical reduction.
+    def _reduction(self, win: _Window, todo: _TaskSet, t: int) -> tuple:
+        """Tier ``t``'s gradient as one ordered scatter of a step's
+        stacked fragment gradients.
 
-        Sums the buffered contributions of every fragment touching ``m``
-        in sorted-key order, so the result is independent of worker
-        completion order. Monomer atom rows are disjoint, so each monomer
-        writes its own rows at integration time while other monomers'
+        Returns ``(target, source, weight, bounds)``: one entry per term
+        of every `FragmentLayout.scatter` of the tier (parent atom, row
+        of the stacked buffer, coefficient times chain-rule weight), in
+        sorted-key order and `scatter`'s order within a key, then
+        grouped — stably, so each atom keeps that order — by the monomer
+        owning the target; monomer ``m``'s terms are
+        ``bounds[m]:bounds[m + 1]``.
+        """
+        none = np.zeros(0, dtype=np.intp)
+        target, source, weight = [none], [none], [np.zeros(0)]
+        for key, c in sorted(win.tiers[t].items()):
+            lay = win.layouts.get(key)
+            if lay is None:
+                continue
+            first, nreal = todo.offsets[key], len(lay.atoms)
+            target += [lay.atoms, lay.scatter_idx]
+            source += [
+                np.arange(first, first + nreal),
+                first + nreal + np.arange(len(lay.scatter_idx)) // 2,
+            ]
+            weight += [np.full(nreal, c), c * lay.scatter_w]
+        target = np.concatenate(target)
+        owner = self._atom_owner[target]
+        order = np.argsort(owner, kind="stable")
+        bounds = np.searchsorted(
+            owner[order], np.arange(len(self.monomer_atoms) + 1)
+        )
+        return (
+            target[order], np.concatenate(source)[order],
+            np.concatenate(weight)[order, None], bounds.tolist(),
+        )
+
+    def _reduce_rows(self, m: int | None, step: int) -> None:
+        """Deterministic mode: fill monomer ``m``'s rows (None: every
+        row) of every tier buffer evaluated at ``step`` by a canonical
+        reduction.
+
+        Adds the buffered contributions of every fragment touching ``m``
+        in sorted-key order (`_reduction`), so the result is independent
+        of worker completion order. The rows are zero until their one
+        reduction, monomer atom rows are disjoint, and each monomer
+        reduces its own at integration time while other monomers'
         contributions are still arriving; a slow tier's buffer then
         outlives the per-step `_contrib` buffers, which later steps
         cannot hold onto.
         """
-        rows = self.monomer_atoms[m]
         win = self._windows[self._window_start(step)]
-        contribs = self._contrib[step]
-        keys = sorted(win.mono_keys[m])
+        todo = win.tasks[self._live[step]]
+        stacked = self._contrib[step][1]
         for t in self._live[step]:
-            coef = win.tiers[t]
-            buf = np.zeros((self.system.parent.natoms, 3))
-            for key in keys:
-                if key not in coef:
-                    continue
-                _, grad_frag, atoms, caps = contribs[key]
-                if atoms is not None and grad_frag is not None:
-                    self.system.map_gradient(
-                        grad_frag, atoms, caps, buf, scale=coef[key]
-                    )
-            self._grad[t][step][rows] = buf[rows]
+            if t not in todo.reductions:
+                todo.reductions[t] = self._reduction(win, todo, t)
+            target, source, weight, bounds = todo.reductions[t]
+            part = slice(None) if m is None else slice(bounds[m], bounds[m + 1])
+            np.add.at(
+                self._grad[t][step], target[part],
+                weight[part] * stacked[source[part]],
+            )
 
     def _half_kick(self, rows, step: int) -> np.ndarray:
         """Velocity increment of one half-kick at ``step`` on ``rows``.
@@ -1028,8 +1138,7 @@ class AsyncCoordinator:
         else:
             who, rows, monomers = m, self.monomer_atoms[m], (m,)
         if self.deterministic:
-            for j in monomers:
-                self._reduce_rows(j, step)
+            self._reduce_rows(m, step)
         dv = self._half_kick(rows, step)
         if step > self.start_step:
             # second half-kick completing the previous step (on resume,
@@ -1056,8 +1165,9 @@ class AsyncCoordinator:
         if self._checkpoint_candidate(step):
             # snapshot the integer-step velocities before the first
             # half-kick advances them into the next step
-            buf = self._vel_at.setdefault(step, np.zeros_like(self.velocities))
-            buf[rows] = self.velocities[rows]
+            if step not in self._vel_at:
+                self._vel_at[step] = np.zeros_like(self.velocities)
+            self._vel_at[step][rows] = self.velocities[rows]
         if m is None or len(parts) == nmono:
             self._retire(step)
         if step >= self.nsteps:
@@ -1165,7 +1275,7 @@ class AsyncCoordinator:
             f"monomer_steps=[{lo},{hi}] skew={hi - lo} "
             f"live_steps={live} pending_polymers={pending} "
             f"issued={self.tasks_issued} evicted={self.steps_evicted} "
-            f"done={self.done()}"
+            f"layouts_built={self.layouts_built} done={self.done()}"
         )
 
 

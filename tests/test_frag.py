@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.calculators import PairwisePotentialCalculator, RIMP2Calculator
 from repro.chem import Molecule
@@ -18,6 +20,7 @@ from repro.frag import (
     mbe_energy,
     mbe_energy_gradient,
 )
+from repro.frag.monomer import CapBond, FragmentLayout
 from repro.systems import glycine_fragmented, water_cluster, water_monomer
 
 BIG = 1.0e6  # cutoff larger than any system here
@@ -77,6 +80,105 @@ class TestFragmentedSystem:
         assert len(caps01) == 1  # only the bond to residue 2 remains broken
         _, _, caps012 = fs.fragment_molecule((0, 1, 2))
         assert len(caps012) == 0
+
+
+GLY4 = glycine_fragmented(4)
+
+
+class TestFragmentLayout:
+    """`FragmentLayout` against the per-atom loops it replaced, kept
+    here as the straight-line reference: same bytes, not same digits."""
+
+    @staticmethod
+    def _reference_coords(atoms, caps, c):
+        rows = [c[a] for a in atoms]
+        for cap in caps:
+            rows.append(c[cap.inner] + cap.ratio * (c[cap.outer] - c[cap.inner]))
+        return np.array(rows)
+
+    @staticmethod
+    def _reference_scatter(grad_frag, atoms, caps, out, scale):
+        nreal = len(atoms)
+        for k, a in enumerate(atoms):
+            out[a] += scale * grad_frag[k]
+        for k, cap in enumerate(caps):
+            gc = grad_frag[nreal + k]
+            out[cap.inner] += scale * (1.0 - cap.ratio) * gc
+            out[cap.outer] += scale * cap.ratio * gc
+
+    def _check(self, lay, parent, rng, scale):
+        atoms, caps = lay.atoms.tolist(), list(lay.caps)
+        coords = parent.coords + 0.2 * rng.standard_normal(parent.coords.shape)
+        mol = lay.molecule(coords)
+        assert mol.coords.tobytes() == self._reference_coords(atoms, caps, coords).tobytes()
+        assert mol.symbols == (*(parent.symbols[a] for a in atoms), *"H" * len(caps))
+        assert mol.frag_key == lay.key
+        grad = rng.standard_normal((mol.natoms, 3))
+        start = rng.standard_normal(parent.coords.shape)
+        ref = start.copy()
+        self._reference_scatter(grad, atoms, caps, ref, scale)
+        out = start.copy()
+        lay.scatter(grad, out, scale)
+        assert out.tobytes() == ref.tobytes()
+        return mol, grad, start, ref
+
+    @given(
+        key=st.lists(st.integers(0, GLY4.nmonomers - 1), min_size=1,
+                     max_size=3, unique=True).map(tuple),
+        scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_system_layouts_match_per_atom_reference(self, key, scale, seed):
+        """Random monomer subsets of a capped chain (non-adjacent
+        residues keep the caps between them), in any key order."""
+        lay = GLY4.layout(key)
+        assert lay.charge == sum(GLY4.monomers[m].charge for m in key)
+        mol, grad, start, ref = self._check(
+            lay, GLY4.parent, np.random.default_rng(seed), scale)
+        # the kept signatures are wrappers over the same implementation
+        whole, atoms, caps = GLY4.fragment_molecule(key)
+        assert (atoms, caps) == (lay.atoms.tolist(), list(lay.caps))
+        assert whole.coords.tobytes() == self._reference_coords(
+            atoms, caps, GLY4.parent.coords).tobytes()
+        assert whole.symbols == mol.symbols
+        out = start.copy()
+        GLY4.map_gradient(grad, atoms, caps, out, scale=scale)
+        assert out.tobytes() == ref.tobytes()
+
+    @given(data=st.data(), scale=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_cap_atoms_accumulate_in_loop_order(self, data, scale, seed):
+        """Cap sets no system produces but the scatter must still get
+        right: one atom is ``inner`` of one cap and ``outer`` of another
+        (and a real atom besides), so three terms land on its row and
+        their order decides the last bit."""
+        parent = GLY4.parent
+        idx = st.integers(0, parent.natoms - 1)
+        atoms = sorted(data.draw(st.sets(idx, min_size=2, max_size=12)))
+        ratio = st.floats(0.3, 0.9)
+        shared = data.draw(st.sampled_from(atoms))
+        caps = [
+            CapBond(data.draw(st.sampled_from(atoms)), data.draw(idx), data.draw(ratio))
+            for _ in range(data.draw(st.integers(0, 3)))
+        ]
+        caps.insert(
+            data.draw(st.integers(0, len(caps))),
+            CapBond(shared, data.draw(idx), data.draw(ratio)),
+        )
+        caps.insert(
+            data.draw(st.integers(0, len(caps))),
+            CapBond(data.draw(st.sampled_from(atoms)), shared, data.draw(ratio)),
+        )
+        lay = FragmentLayout((0,), atoms, caps, parent.symbols)
+        self._check(lay, parent, np.random.default_rng(seed), scale)
+
+    def test_layouts_are_not_kept_on_the_system(self):
+        """Scratch is not state: a layout belongs to whoever asked."""
+        before = set(vars(GLY4))
+        assert GLY4.layout((0, 1)) is not GLY4.layout((0, 1))
+        assert set(vars(GLY4)) == before
 
 
 class TestEnumeration:

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.calculators import PairwisePotentialCalculator
+from repro.constants import BOHR_PER_ANGSTROM
 from repro.frag import FragmentedSystem
-from repro.md import AsyncCoordinator, run_serial
+from repro.md import (
+    AsyncCoordinator,
+    maxwell_boltzmann_velocities,
+    run_aimd,
+    run_serial,
+)
 from repro.md.scheduler import FragmentStub
 from repro.systems import fibril_fragmented, water_cluster
 
@@ -34,7 +42,7 @@ class TestStubMode:
         assert isinstance(task.molecule, FragmentStub)
         assert task.natoms in (3, 6)
         assert task.nelectrons in (10, 20)
-        assert task.atoms is None
+        assert task.layout is None
 
     def test_stub_run_completes(self, system):
         co = _make(system, build_molecules=False)
@@ -57,7 +65,7 @@ class TestStubMode:
                 task = co.next_task()
                 keys.append((task.step, task.key))
                 grad = (
-                    None if task.atoms is None
+                    None if task.layout is None
                     else np.zeros((task.natoms, 3))
                 )
                 co.complete(task, 0.0, grad)
@@ -229,9 +237,10 @@ class TestBoundedMemory:
         assert co.live_steps == 1
         assert sorted(co.coords_at) == [nsteps]
         assert list(co._grad[0]) == [nsteps]
-        assert list(co._queued) == [nsteps]
+        assert list(co._waiting) == [nsteps]
         assert list(co._pending_monomer) == [nsteps]
         assert not set(co._ref_cent_cache) - {nsteps}
+        assert list(co._ref_dist_cache) == [nsteps]
         # results survive eviction in full
         t, pe, ke = co.trajectory_energies()
         assert len(t) == nsteps + 1
@@ -261,3 +270,173 @@ class TestBoundedMemory:
             co.complete(co.next_task(), 0.0, None)
         assert 6 in co.coords_at
         assert co.coords_at[6].shape == fs.parent.coords.shape
+
+
+class _Null:
+    def energy_gradient(self, mol):
+        return 0.0, np.zeros((mol.natoms, 3))
+
+
+def _shuffled_drive(co, rng, on_progress=lambda: None):
+    """Pop a few tasks, complete them in random order, until done."""
+    calc = _Null()
+    while not co.done():
+        batch = []
+        for _ in range(int(rng.integers(1, 5))):
+            task = co.next_task()
+            if task is None:
+                break
+            batch.append(task)
+        assert batch, co.diagnostics()
+        for i in rng.permutation(len(batch)):
+            co.complete(batch[i], *calc.energy_gradient(batch[i].molecule))
+            on_progress()
+
+
+class TestReleaseOnce:
+    """Readiness is an arrival counter per (step, key), not a scan."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("mts_k", [1, 2])
+    def test_each_key_released_once_and_never_early(self, seed, mts_k):
+        fs = fibril_fragmented(2, 3)  # capped: touch[key] reaches past key
+        co = AsyncCoordinator(
+            fs, nsteps=9, dt_fs=0.5, r_dimer_bohr=8.0 * BOHR_PER_ANGSTROM,
+            r_trimer_bohr=5.0 * BOHR_PER_ANGSTROM, replan_interval=3,
+            seed=seed, mts_k=mts_k,
+        )
+        released: dict[int, list] = {}
+        release = co._release
+
+        def watched(key, step):
+            win = co._windows[co._window_start(step)]
+            assert all(co.monomer_time[m] == step for m in win.touch[key]), (
+                f"{key} released at step {step} before its monomers arrived")
+            released.setdefault(step, []).append(key)
+            release(key, step)
+
+        co._release = watched
+        due = {0: set(co._step_keys[0])}
+        # the constructor released step 0 before the watch was set
+        first = [co.next_task() for _ in range(len(co._heap))]
+        released[0] = [task.key for task in first]
+        for task in first:
+            co.complete(task, 0.0, np.zeros((task.natoms, 3)))
+        _shuffled_drive(
+            co, np.random.default_rng(seed),
+            lambda: due.update({s: set(k) for s, k in co._step_keys.items()}),
+        )
+        assert sorted(released) == list(range(10))
+        for step, keys in released.items():
+            assert len(keys) == len(set(keys)), f"step {step}: released twice"
+            assert set(keys) == due[step]
+        assert co.tasks_issued == sum(len(k) for k in released.values())
+        if mts_k > 1:  # the slow tier's keys wait for their boundary
+            assert len(released[1]) < len(released[2])
+
+    def test_release_priority_distance_computed_once(self):
+        """One centroid distance per (step, monomer), however many keys
+        of the step list the monomer."""
+        fs = fibril_fragmented(2, 3)
+        co = AsyncCoordinator(
+            fs, nsteps=4, dt_fs=0.5, r_dimer_bohr=8.0 * BOHR_PER_ANGSTROM,
+            r_trimer_bohr=5.0 * BOHR_PER_ANGSTROM, replan_interval=2,
+        )
+        calls = []
+        measure = co._ref_distance
+        co._ref_distance = lambda step, m: calls.append((step, m)) or measure(step, m)
+        run_serial(co, _Null())
+        assert len(calls) == len(set(calls)) == 4 * fs.nmonomers  # steps 1..4
+
+
+class TestLayoutLifetime:
+    """Layouts are built as keys enter plan windows and die with them."""
+
+    def test_layouts_built_equal_keys_entering_windows(self):
+        fs = FragmentedSystem.by_components(water_cluster(6, seed=3))
+        co = AsyncCoordinator(
+            fs, nsteps=24, dt_fs=2.0, r_dimer_bohr=9.0, r_trimer_bohr=7.0,
+            replan_interval=2, temperature_k=3000.0, seed=1,
+        )
+        windows: dict[int, set] = {}
+
+        def watch():
+            for w0, win in co._windows.items():
+                windows.setdefault(w0, set(win.layouts))
+                assert set(win.layouts) == set(win.touch)
+
+        watch()
+        _shuffled_drive(co, np.random.default_rng(0), watch)
+        assert sorted(windows) == list(range(0, 25, 2))
+        entering, held = 0, set()
+        for w0 in sorted(windows):
+            entering += len(windows[w0] - held)
+            held = windows[w0]
+        assert co.replan_added and co.replan_removed  # the plan did move
+        assert co.layouts_built == entering
+        # most keys of a window were handed on by the one before it
+        assert entering < sum(len(k) for k in windows.values()) / 4
+        assert f"layouts_built={entering} " in co.diagnostics()
+
+    def test_layouts_do_not_outlive_their_windows(self):
+        fs = FragmentedSystem.by_components(water_cluster(4, seed=7))
+        co = AsyncCoordinator(
+            fs, nsteps=120, dt_fs=0.5, r_dimer_bohr=BIG, mbe_order=2,
+            temperature_k=120.0, replan_interval=4,
+        )
+        at_100 = []
+
+        def watch():
+            if co.monomer_time.min() == 100 and not at_100:
+                wins = list(co._windows.values())
+                layouts = {id(lay) for w in wins for lay in w.layouts.values()}
+                keys = set().union(*(w.touch for w in wins))
+                at_100.append((len(wins), len(layouts), len(keys)))
+
+        _shuffled_drive(co, np.random.default_rng(1), watch)
+        (nwin, nlayouts, nkeys), = at_100
+        assert nwin <= 2 and nlayouts <= nkeys == 10
+        assert co.layouts_built == 10  # nothing entered after the first plan
+        assert not any(
+            "layout" in name for name in vars(fs)
+        ), "a FragmentedSystem keeps no layouts"
+
+
+class TestParentByteEquality:
+    """Serial trajectories hash to what the per-atom engine of the
+    parent commit (f032c18) produced: the layouts, the release-once
+    caches and the row-local reduction move no bit."""
+
+    @staticmethod
+    def _hash(coords, pe, ke):
+        blob = coords.tobytes() + np.asarray(pe).tobytes() + np.asarray(ke).tobytes()
+        return hashlib.sha256(blob).hexdigest()[:16]
+
+    @pytest.mark.parametrize("deterministic, expected", [
+        (False, "ccd604b17497ebc3"), (True, "dfb94ac1022f953d"),
+    ])
+    def test_fibril_async(self, deterministic, expected):
+        fs = fibril_fragmented(2, 3)
+        v0 = maxwell_boltzmann_velocities(fs.parent.masses_au, 300.0, seed=3)
+        co = AsyncCoordinator(
+            fs, 8, 0.5, 8.0 * BOHR_PER_ANGSTROM, 5.0 * BOHR_PER_ANGSTROM,
+            replan_interval=4, velocities=v0, deterministic=deterministic,
+        )
+        run_serial(co, PairwisePotentialCalculator())
+        _, pe, ke = co.trajectory_energies()
+        assert co.tasks_issued == 153
+        assert self._hash(co.coords, pe, ke) == expected
+
+    def test_water4_mbe3_three_steps(self):
+        """Workload A's system, velocities, cutoffs and driver; the
+        pairwise potential stands in for RI-MP2, whose last bits belong
+        to the BLAS build."""
+        fs = FragmentedSystem.by_components(water_cluster(4, seed=1))
+        v0 = maxwell_boltzmann_velocities(fs.parent.masses_au, 300.0, seed=1)
+        traj = run_aimd(
+            fs, PairwisePotentialCalculator(), 3, dt_fs=0.5,
+            r_dimer_bohr=30.0, r_trimer_bohr=15.0, mbe_order=3, velocities=v0,
+        )
+        assert self._hash(
+            traj.coords[-1], traj.potential, traj.kinetic
+        ) == "4f80a3748efffaa6"
