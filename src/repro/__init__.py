@@ -31,9 +31,6 @@ from .chem import Molecule
 from .frag import FragmentedSystem, build_plan, mbe_energy_gradient
 from .md import AsyncCoordinator, run_aimd, run_serial
 from .mp2 import mp2, rimp2_gradient
-from .opt import OptimizationResult, optimize
-from .properties import mp2_dipole, scf_dipole
-from .vibrations import harmonic_analysis, zero_point_energy
 from .scf import rhf, rhf_gradient
 
 __version__ = "1.0.0"
@@ -48,13 +45,7 @@ __all__ = [
     "RIMP2Calculator",
     "build_plan",
     "mbe_energy_gradient",
-    "OptimizationResult",
-    "harmonic_analysis",
     "mp2",
-    "mp2_dipole",
-    "optimize",
-    "scf_dipole",
-    "zero_point_energy",
     "rhf",
     "rhf_gradient",
     "rimp2_gradient",

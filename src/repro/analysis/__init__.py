@@ -1,13 +1,6 @@
-"""Trajectory analysis, populations, spectra, landscape, reports."""
+"""Energy-conservation metrics, the Fig. 1 landscape, report tables."""
 
 from .conservation import ConservationReport, analyze_conservation
-from .mbe_report import MBEDecomposition, mbe_decomposition
-from .population import mulliken_charges, mulliken_mp2_charges
-from .spectra import (
-    dominant_frequency_cm1,
-    velocity_autocorrelation,
-    vibrational_spectrum,
-)
 from .landscape import (
     TABLE_II,
     THEORY_ERRORS,
@@ -15,27 +8,15 @@ from .landscape import (
     largest_by_level,
     size_advantage_of_this_work,
 )
-from .report import format_quantity, format_table
-from .scaling import speedup_percent, strong_scaling_table, weak_scaling_efficiencies
+from .report import format_table
 
 __all__ = [
     "ConservationReport",
     "LandscapeEntry",
     "TABLE_II",
     "THEORY_ERRORS",
-    "MBEDecomposition",
     "analyze_conservation",
-    "dominant_frequency_cm1",
-    "mbe_decomposition",
-    "mulliken_charges",
-    "mulliken_mp2_charges",
-    "velocity_autocorrelation",
-    "vibrational_spectrum",
-    "format_quantity",
     "format_table",
-    "speedup_percent",
-    "strong_scaling_table",
-    "weak_scaling_efficiencies",
     "largest_by_level",
     "size_advantage_of_this_work",
 ]

@@ -22,12 +22,3 @@ def format_table(
     for row in cells[1:]:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_quantity(value: float, digits: int = 3) -> str:
-    """Human-friendly numeric formatting for mixed-magnitude tables."""
-    if value == 0:
-        return "0"
-    if abs(value) >= 1e4 or abs(value) < 1e-3:
-        return f"{value:.{digits}e}"
-    return f"{value:.{digits}g}"

@@ -5,7 +5,6 @@ Commands:
 * ``scf <file.xyz>`` — RI-HF (or conventional) single point.
 * ``mp2 <file.xyz>`` — RI-HF + RI-MP2 single point (optionally SCS).
 * ``grad <file.xyz>`` — analytic RI-MP2 gradient.
-* ``opt <file.xyz>`` — BFGS geometry optimization.
 * ``aimd <file.xyz>`` — fragment AIMD (async or sync) with automatic
   fragmentation into covalently connected monomers.
 * ``submit <specs.json>`` — append one declarative trajectory job spec
@@ -109,25 +108,6 @@ def cmd_grad(args) -> int:
     rmsd = float(np.sqrt(np.mean(out.gradient**2)))
     print(f"gradient RMSD: {rmsd:.2e} Ha/Bohr")
     return 0
-
-
-def cmd_opt(args) -> int:
-    """Geometry optimization."""
-    from .calculators import RIMP2Calculator
-    from .chem.xyz import save_xyz
-    from .opt import optimize
-
-    mol = _load(args.xyz, args.charge)
-    calc = RIMP2Calculator(basis=args.basis, int_screen=args.int_screen)
-    res = optimize(mol, calc, max_iter=args.max_iter)
-    print(f"converged: {res.converged}  iterations: {res.niter}")
-    print(f"E(final) = {res.energy:.10f} Ha  grad RMSD = "
-          f"{res.gradient_rmsd:.2e} Ha/Bohr")
-    if args.output:
-        save_xyz(res.molecule, args.output,
-                 comment=f"optimized E={res.energy:.10f}")
-        print(f"wrote {args.output}")
-    return 0 if res.converged else 1
 
 
 def _print_fault_handling(retries: int, timeouts: int,
@@ -496,12 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad", help="analytic RI-MP2 gradient")
     _add_common(p)
     p.set_defaults(func=cmd_grad)
-
-    p = sub.add_parser("opt", help="geometry optimization")
-    _add_common(p)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("-o", "--output", help="write optimized geometry here")
-    p.set_defaults(func=cmd_opt)
 
     p = sub.add_parser("aimd", help="fragment AIMD")
     _add_common(p)

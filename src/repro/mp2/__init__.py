@@ -1,6 +1,6 @@
 """MP2 correlation energies and the analytic RI-MP2 gradient."""
 
-from .mp2 import MP2Result, mo_b_tensor, mp2, mp2_conventional, mp2_ri, pair_energies, scs_theta
+from .mp2 import MP2Result, mo_b_tensor, mp2, mp2_conventional, mp2_ri, scs_theta
 from .rimp2_grad import (
     CorrectionCoefficients,
     MP2GradientResult,
@@ -21,7 +21,6 @@ __all__ = [
     "mp2",
     "mp2_conventional",
     "mp2_ri",
-    "pair_energies",
     "scs_theta",
     "mp2_correction_coefficients",
     "rimp2_gradient",

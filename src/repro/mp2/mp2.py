@@ -116,22 +116,3 @@ def mp2(res: SCFResult) -> MP2Result:
     if res.method == "ri-rhf":
         return mp2_ri(res)
     return mp2_conventional(res)
-
-
-def pair_energies(
-    res: SCFResult, c_os: float = 1.0, c_ss: float = 1.0
-) -> np.ndarray:
-    """Per-occupied-pair correlation energies ``e_ij`` (symmetric, o x o).
-
-    ``sum_ij e_ij`` equals the (SCS-)MP2 correlation energy; the matrix
-    localizes correlation between orbital pairs, the quantity local-MP2
-    methods truncate (paper Sec. IV discussion of reduced-scaling MP2).
-    """
-    B_ia = mo_b_tensor(res)
-    o, v, naux = B_ia.shape
-    Bf = B_ia.reshape(o * v, naux)
-    iajb = gemm(Bf, Bf.T).reshape(o, v, o, v).transpose(0, 2, 1, 3)
-    delta = _denominators(res.eps, res.nocc)
-    t2 = iajb / delta
-    theta = scs_theta(t2, c_os, c_ss)
-    return np.einsum("ijab,ijab->ij", theta, iajb, optimize=True)

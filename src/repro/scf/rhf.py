@@ -160,7 +160,7 @@ def build_ri_tensors(
 
 def rhf(
     mol: Molecule,
-    basis: str | BasisSet = "sto-3g",
+    basis: str = "sto-3g",
     ri: bool = True,
     aux: BasisSet | None = None,
     conv_energy: float = 1.0e-10,
@@ -181,7 +181,7 @@ def rhf(
 
     Args:
         mol: target molecule (must have an even electron count).
-        basis: basis-set name or prebuilt `BasisSet`.
+        basis: basis-set name.
         ri: use the resolution-of-the-identity Fock build (Eq. 8). The
             conventional path computes and stores four-center ERIs.
         aux: auxiliary basis; auto-generated when None and ``ri``.
@@ -241,14 +241,9 @@ def rhf(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     memo = solve_memo if solve_memo is not None else {}
-    if isinstance(basis, BasisSet):
-        bs = basis
-        basis_name = "custom"
-    elif "bs" in memo:
+    if "bs" in memo:
         bs = memo["bs"]
-        basis_name = basis
     else:
-        basis_name = basis
         bs = memo["bs"] = BasisSet.build(mol, basis)
     nelec = mol.nelectrons
     if nelec % 2 != 0:
@@ -282,11 +277,7 @@ def rhf(
                 B, J2, Jih, aux, lay = memo["ri"]
             else:
                 if aux is None:
-                    if basis_name == "custom":
-                        raise ValueError(
-                            "custom basis requires an explicit aux basis"
-                        )
-                    aux = auto_auxiliary(mol, basis_name)
+                    aux = auto_auxiliary(mol, basis)
                 B, J2, Jih = build_ri_tensors(
                     bs, aux, screen=int_screen, workspace=workspace
                 )

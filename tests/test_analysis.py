@@ -8,7 +8,6 @@ import pytest
 from repro.analysis import (
     TABLE_II,
     analyze_conservation,
-    format_quantity,
     format_table,
     largest_by_level,
     size_advantage_of_this_work,
@@ -78,30 +77,3 @@ class TestReport:
     def test_format_table_title(self):
         out = format_table(["x"], [[1]], title="T")
         assert out.splitlines()[0] == "T"
-
-    def test_format_quantity(self):
-        assert format_quantity(0) == "0"
-        assert "e" in format_quantity(1.23e7)
-        assert format_quantity(3.14159) == "3.14"
-
-
-class TestScalingHelpers:
-    def test_strong_scaling_table(self):
-        from repro.analysis import strong_scaling_table
-
-        out = strong_scaling_table([1, 2, 4], [8.0, 4.0, 2.5])
-        assert "100%" in out
-        assert "80%" in out  # 8/2.5 = 3.2x on 4 nodes
-
-    def test_weak_efficiencies(self):
-        from repro.analysis import weak_scaling_efficiencies
-
-        effs = weak_scaling_efficiencies([1.0, 1.0, 2.0], [1.0, 1.25, 2.0])
-        assert effs[0] == 1.0
-        assert effs[1] == 0.8
-        assert effs[2] == 1.0
-
-    def test_speedup_percent(self):
-        from repro.analysis import speedup_percent
-
-        assert speedup_percent(3.0, 2.27) == pytest.approx(32.16, abs=0.1)

@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.basis import auto_auxiliary
 from repro.chem import Molecule
 from repro.mp2 import (
     apply_orbital_hessian,
     full_mo_b,
     mp2,
     mp2_conventional,
+    mp2_correction_coefficients,
     mp2_ri,
     rimp2_gradient,
     solve_zvector,
@@ -97,6 +99,25 @@ class TestZVector:
             apply_orbital_hessian(z, Bmo, res.eps, nocc), theta, atol=1e-8
         )
 
+    def test_relaxed_density_hellmann_feynman(self, water):
+        """dE_RI-MP2/d(lambda) under h -> h + lambda V equals
+        Tr[(D + Pc) V] — the Z-vector response checked independently of
+        the geometric gradient (the unrelaxed Tr[D V] misses by ~1e-3)."""
+        aux = auto_auxiliary(water, "sto-3g")
+        res = rhf(water, "sto-3g", ri=True, aux=aux)
+        n = res.basis.nbf
+        A = np.random.default_rng(7).standard_normal((n, n))
+        V = 0.1 * (A + A.T) / 2
+        lam = 1e-4
+
+        def etot(scale):
+            r = rhf(water, "sto-3g", ri=True, aux=aux, h_extra=scale * V)
+            return r.energy + mp2_ri(r).e_corr
+
+        fd = (etot(lam) - etot(-lam)) / (2 * lam)
+        Pc = mp2_correction_coefficients(res).Pc_ao
+        assert fd == pytest.approx(float(np.sum((res.D + Pc) * V)), abs=1e-8)
+
 
 class TestRIMP2Gradient:
     def _total(self, basis):
@@ -157,7 +178,6 @@ class TestMixedGradient:
     """Conventional-HF + RI-MP2 (the Fig. 3 'without RI-HF' baseline)."""
 
     def test_fd_within_ri_accuracy(self, water_distorted):
-        from repro.basis import auto_auxiliary
         from repro.mp2 import rimp2_gradient_conventional_hf
         from repro.scf.rhf import build_ri_tensors
 

@@ -124,3 +124,22 @@ class TestRHFGradients:
             g = rhf_gradient(res)
             e[r] = g[1, 2]
         assert e[1.2] < 0 < e[1.6]
+
+
+class TestSCFGuess:
+    def test_gwh_same_energy_as_core(self, water):
+        e_core = rhf(water, "sto-3g", ri=True, guess="core").energy
+        e_gwh = rhf(water, "sto-3g", ri=True, guess="gwh").energy
+        assert e_gwh == pytest.approx(e_core, abs=1e-10)
+
+    def test_gwh_not_slower_on_bigger_fragments(self):
+        from repro.systems import urea_molecule
+
+        mol = urea_molecule()
+        n_core = rhf(mol, "sto-3g", ri=True, guess="core").niter
+        n_gwh = rhf(mol, "sto-3g", ri=True, guess="gwh").niter
+        assert n_gwh <= n_core
+
+    def test_unknown_guess_raises(self, water):
+        with pytest.raises(ValueError, match="guess"):
+            rhf(water, "sto-3g", ri=True, guess="sad")
