@@ -125,7 +125,7 @@ def _run_sequential_cold(specs: list[JobSpec], root: Path) -> dict:
 def _run_concurrent(specs: list[JobSpec], root: Path) -> dict:
     """All jobs together through one resident service, warm layer shared."""
     get_workspace().clear()
-    service = TrajectoryService(root, nworkers=NWORKERS, warm_layer=True)
+    service = TrajectoryService(root, nworkers=NWORKERS)
     for spec in specs:
         service.submit(spec)
     t0 = time.perf_counter()

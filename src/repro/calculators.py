@@ -18,7 +18,6 @@ fragmentation and MD layers consume. Three families are provided:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -85,47 +84,31 @@ class GuessCache(BoundedStore):
       coordinator's ``deterministic`` mode, which disables warm starts
       entirely (see `repro.md.checkpoint`).
 
-    Budget, per-tenant quota, lock (waits counted in ``contentions``)
-    and attribution are `repro.store.BoundedStore`'s, so the cache can
-    be shared by the multi-tenant trajectory service (`repro.serve`),
-    whose worker threads hit it concurrently. Multi-tenant keys carry
-    the job id as a leading string element
+    Budget, lock (waits counted in ``contentions``) and per-tenant
+    hit / miss attribution are `repro.store.BoundedStore`'s, so the
+    cache can be shared by the multi-tenant trajectory service
+    (`repro.serve`), whose worker threads hit it concurrently.
+    Multi-tenant keys carry the job id as a leading string element
     (``(job_id, m0, m1, ...)``) — jobs can then share one cache without
-    cross-contaminating densities, one tenant streaming large fragments
-    can only evict its own densities (``tenant_max_bytes``), and
-    traffic is additionally attributed per tenant (`tenant_stats`).
+    cross-contaminating densities, and traffic is attributed per tenant
+    (`tenant_stats`).
     """
 
-    TENANT_COUNTERS = ("hits", "misses", "seed_hits", "evictions")
-
     def __init__(self, max_bytes: int = 256 * 2**20,
-                 enabled: bool = True, history: int = 3,
-                 seed_tol_bohr: float = 0.5, max_seeds: int = 64,
-                 tenant_max_bytes: int | None = None) -> None:
+                 enabled: bool = True, history: int = 3) -> None:
         if history < 1:
             raise ValueError(f"history must be >= 1, got {history}")
-        super().__init__(max_bytes, enabled, tenant_max_bytes)
+        super().__init__(max_bytes, enabled)
         #: densities kept per entry; a payload is ``(most-recent-last
         #: densities, natoms)``
         self.history = int(history)
-        #: cross-tenant seed guesses: max per-atom displacement (bohr)
-        #: between the stored and requested geometry for a seed to serve
-        self.seed_tol_bohr = float(seed_tol_bohr)
-        self.max_seeds = int(max_seeds)
-        #: composition-keyed latest converged densities shared across
-        #: tenants: {seed_key: (D, natoms, coords)}
-        self._seeds: OrderedDict[tuple, tuple] = OrderedDict()
-        #: misses answered by another tenant's same-composition density
-        self.seed_hits = 0
         self.invalidations = 0
         #: SCF iterations spent on cache-hit (warm) and cache-miss
         #: (cold) solves, for the 2-4x savings audit
         self.iters_warm = 0
         self.iters_cold = 0
 
-    def get(self, key: tuple, natoms: int | None = None,
-            seed_key: tuple | None = None,
-            coords: np.ndarray | None = None) -> np.ndarray | None:
+    def get(self, key: tuple, natoms: int | None = None) -> np.ndarray | None:
         """The extrapolated guess density for ``key``, or None (a miss).
 
         With one stored density it is returned as-is; with more, the
@@ -133,16 +116,6 @@ class GuessCache(BoundedStore):
         ``natoms`` mismatch means the fragment no longer has the atom
         set the density was converged for; the entry is invalidated and
         the lookup misses.
-
-        When ``seed_key``/``coords`` are given (the multi-tenant serve
-        path), a per-key miss falls back to the cross-tenant seed store:
-        the latest converged density of *any* tenant's fragment with the
-        same composition key, served only if every atom of the stored
-        geometry lies within ``seed_tol_bohr`` of ``coords``. Ensemble
-        replicas of one system start from identical geometries, so
-        their first solves warm-start off the leading replica instead
-        of all paying the cold start; unrelated same-composition
-        fragments fail the displacement check and stay cold.
         """
         with self._lock:
             held = self._lookup(key)
@@ -150,13 +123,10 @@ class GuessCache(BoundedStore):
                     and held[1] != natoms:
                 self.invalidate(key)
                 held = None
-            tenant = self._tenant_of(key)
+            self._count("misses" if held is None else "hits",
+                        self._tenant_of(key))
             if held is None:
-                seed = self._seed_lookup(seed_key, natoms, coords)
-                self._count("misses" if seed is None else "seed_hits",
-                            tenant)
-                return seed
-            self._count("hits", tenant)
+                return None
             h = held[0]
             if len(h) == 1:
                 return h[-1]
@@ -164,44 +134,15 @@ class GuessCache(BoundedStore):
                 return 2.0 * h[-1] - h[-2]
             return 3.0 * h[-1] - 3.0 * h[-2] + h[-3]
 
-    def _seed_lookup(self, seed_key, natoms, coords):
-        """Cross-tenant seed density, or None. Caller holds the lock."""
-        if seed_key is None or coords is None or not self.enabled:
-            return None
-        stored = self._seeds.get(seed_key)
-        if stored is None:
-            return None
-        D, seed_natoms, seed_coords = stored
-        if natoms is not None and seed_natoms != natoms:
-            return None
-        if seed_coords.shape != np.shape(coords):
-            return None
-        displacement = np.abs(np.asarray(coords) - seed_coords).max()
-        if displacement > self.seed_tol_bohr:
-            return None
-        self._seeds.move_to_end(seed_key)
-        return D
-
-    def put(self, key: tuple, D: np.ndarray, natoms: int,
-            seed_key: tuple | None = None,
-            coords: np.ndarray | None = None) -> None:
+    def put(self, key: tuple, D: np.ndarray, natoms: int) -> None:
         """Store a converged density (the caller must not mutate it).
 
         Appends to the key's history (dropping beyond the history
         depth); a ``natoms`` change discards the stale history first.
-        With ``seed_key``/``coords`` the density also becomes the
-        composition's cross-tenant seed (see `get`).
         """
         if not self.enabled:
             return
         with self._lock:
-            if seed_key is not None and coords is not None:
-                self._seeds[seed_key] = (
-                    D, int(natoms), np.array(coords, copy=True)
-                )
-                self._seeds.move_to_end(seed_key)
-                while len(self._seeds) > self.max_seeds:
-                    self._seeds.popitem(last=False)
             held = self._lookup(key)
             if held is not None and held[1] != int(natoms):
                 self.invalidate(key)
@@ -214,12 +155,6 @@ class GuessCache(BoundedStore):
         with self._lock:
             if self._discard(key):
                 self.invalidations += 1
-
-    def clear(self) -> None:
-        """Drop every entry and seed (statistics are kept)."""
-        with self._lock:
-            super().clear()
-            self._seeds.clear()
 
     def record(self, hit: bool, n_iter: int) -> None:
         """Account one solve's iteration count against hit/miss."""
@@ -234,8 +169,6 @@ class GuessCache(BoundedStore):
         with self._lock:
             return dict(
                 super().stats(),
-                seed_hits=self.seed_hits,
-                seeds=len(self._seeds),
                 invalidations=self.invalidations,
                 iters_warm=self.iters_warm,
                 iters_cold=self.iters_cold,
@@ -287,14 +220,8 @@ def _solve_scf(mol, basis, recover: bool, tracer=None, guess_cache=None,
     """
     key = getattr(mol, "frag_key", None) if guess_cache is not None else None
     hit = False
-    seed_key = None
-    if key is not None and isinstance(key[0], str):
-        # multi-tenant (job-namespaced) solve: participate in the
-        # cross-tenant composition-keyed seed store too
-        seed_key = (tuple(mol.symbols), int(mol.charge), basis)
     if key is not None:
-        dm0 = guess_cache.get(key, natoms=mol.natoms,
-                              seed_key=seed_key, coords=mol.coords)
+        dm0 = guess_cache.get(key, natoms=mol.natoms)
         if dm0 is not None:
             kwargs["dm0"] = dm0
             hit = True
@@ -304,8 +231,7 @@ def _solve_scf(mol, basis, recover: bool, tracer=None, guess_cache=None,
         res = rhf(mol, basis, **kwargs)
     if key is not None:
         guess_cache.record(hit, res.niter)
-        guess_cache.put(key, res.D, natoms=mol.natoms,
-                        seed_key=seed_key, coords=mol.coords)
+        guess_cache.put(key, res.D, natoms=mol.natoms)
         if tracer:
             tracer.instant(
                 "scf.warm_start", cat="scf", key=str(key), hit=hit,

@@ -404,7 +404,6 @@ def cmd_serve(args) -> int:
     service = TrajectoryService(
         args.out, nworkers=args.workers, max_active=args.max_active,
         tracer=tracer, pool=args.pool,
-        tenant_max_bytes=args.tenant_max_bytes,
     )
     for spec in specs:
         service.submit(spec)
@@ -434,10 +433,9 @@ def cmd_serve(args) -> int:
     _print_fault_handling(**summary["driver"])
     warm = summary["warm_layer"]
     gc = warm["guess_cache"]
-    if gc is not None:
-        print(f"guess cache: {gc['hits']} hits / {gc['misses']} misses, "
-              f"{gc['contentions']} contentions, "
-              f"{len(gc.get('tenants', {}))} tenants")
+    print(f"guess cache: {gc['hits']} hits / {gc['misses']} misses, "
+          f"{gc['contentions']} contentions, "
+          f"{len(gc.get('tenants', {}))} tenants")
     ws = warm["workspace"]
     print(f"workspace: {ws['hits']} hits / {ws['misses']} misses, "
           f"{ws['contentions']} contentions")
@@ -628,11 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker pool kind: threads share the in-process "
                         "warm layer; processes give true parallelism for "
                         "GIL-holding QM solves on multi-core hosts")
-    p.add_argument("--tenant-max-bytes", type=int, default=None,
-                   metavar="BYTES",
-                   help="per-tenant byte quota on the shared warm layer "
-                        "(guess cache + integral workspace): a greedy "
-                        "job evicts only its own LRU entries")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="write a chrome-trace JSON (includes serve.* "
                         "and warm_layer instants)")

@@ -11,8 +11,8 @@ assumes away (Sec. V: all bottlenecks reduce to *screened*, dense GEMMs)
 and that CP2K's exascale effort attributes to missing integral reuse.
 
 `IntegralWorkspace` is the per-process fix — a `repro.store.BoundedStore`
-(LRU byte budget, per-tenant quota, lock, attribution: million-fragment
-plans cannot exhaust worker memory) plus the integral products:
+(LRU byte budget, lock, attribution: million-fragment plans cannot
+exhaust worker memory) plus the integral products:
 
 * **Composition keys** — entries are keyed on the *composition* of the
   basis (per-shell angular momentum, owning atom, exponents and
@@ -132,10 +132,10 @@ class IntegralWorkspace(BoundedStore):
       driver that follows it reads, at most `TABLE_SHARE` of the byte
       budget.
 
-    Budget, quota, lock and ``enabled`` are the store's
-    (`repro.store.BoundedStore`); an entry belongs to the tenant whose
-    thread stored it (`scope` / `set_tenant`), and scratch lookups count
-    in the same ``hits`` / ``misses``. ``workspace.hit``
+    Budget, lock and ``enabled`` are the store's
+    (`repro.store.BoundedStore`); hits and misses belong to the tenant
+    of the calling thread's `scope`, and scratch lookups count in the
+    same ``hits`` / ``misses``. ``workspace.hit``
     instants for the coarse products and ``int.screen`` instants from
     the screened drivers go to the tracer of the calling thread's
     evaluation (``scope(tracer=...)``, what a traced calculator enters);
@@ -148,7 +148,7 @@ class IntegralWorkspace(BoundedStore):
                  enabled: bool = True,
                  displacement_tol: float = DEFAULT_DISPLACEMENT_TOL,
                  stale_safety: float = DEFAULT_STALE_SAFETY,
-                 tracer=None, tenant_max_bytes: int | None = None) -> None:
+                 tracer=None) -> None:
         if displacement_tol < 0.0:
             raise ValueError(
                 f"displacement_tol must be >= 0, got {displacement_tol}"
@@ -157,7 +157,7 @@ class IntegralWorkspace(BoundedStore):
             raise ValueError(
                 f"stale_safety must be >= 1, got {stale_safety}"
             )
-        super().__init__(max_bytes, enabled, tenant_max_bytes)
+        super().__init__(max_bytes, enabled)
         self.displacement_tol = float(displacement_tol)
         self.stale_safety = float(stale_safety)
         self.tracer = tracer
@@ -172,19 +172,14 @@ class IntegralWorkspace(BoundedStore):
         self.neglected_bound = 0.0
 
     def _tenant_of(self, key: tuple) -> str | None:
-        """Entries and traffic belong to the calling thread's tenant."""
+        """Traffic belongs to the calling thread's tenant."""
         return self._scope.tenant
-
-    def set_tenant(self, tenant: str | None) -> None:
-        """Attribute this thread's subsequent traffic to ``tenant``
-        (``None`` clears the attribution)."""
-        self._scope.tenant = tenant
 
     @contextmanager
     def scope(self, tenant=_KEEP, exact=_KEEP, tracer=_KEEP):
         """One evaluation's settings, for the calling thread only.
 
-        ``tenant`` receives the hits, misses and stored bytes;
+        ``tenant`` receives the hits and misses;
         ``exact`` makes `schwarz_bounds` re-screen at any displacement
         (what ``deterministic`` runs need) without touching
         ``displacement_tol``, which other threads keep reading;

@@ -12,8 +12,9 @@ concurrently over one shared `repro.md.drivers.Dispatcher`:
   the pump thread; worker threads touch only calculators and the shared
   caches, which is exactly the surface made lock-safe for this service
   (`GuessCache`, `IntegralWorkspace`);
-* **warm layer** — one process-wide `GuessCache` / `IntegralWorkspace`
-  serves every job, with per-tenant attribution (job-namespaced
+* **warm layer** — one `GuessCache` and the process-global
+  `IntegralWorkspace` serve every job, each bounded by its one byte
+  budget, with per-tenant hit / miss attribution (job-namespaced
   fragment keys, thread-local tenant tags) and ``warm_layer``
   tracer/stream snapshots;
 * **backpressure** — before releasing a job's tasks the pump consults
@@ -70,28 +71,20 @@ class TrajectoryService:
         channel: results channel (one is created if not given).
         tracer: optional `repro.trace.Tracer`; receives ``serve.*`` and
             ``warm_layer`` instants.
-        warm_layer: share one `GuessCache` across (non-deterministic)
-            jobs, keyed per tenant.
         pool: ``"thread"`` (default) evaluates fragments on worker
-            threads sharing the in-process warm layer — right for the
-            surrogate potential and for tests. ``"process"`` uses
-            worker processes like `run_parallel`: QM fragment solves
-            hold the GIL, so only processes turn multi-tenant
-            multiplexing into wall-clock throughput; each worker keeps
-            its own process-global warm layer (tenant-namespaced,
-            persistent across jobs).
-        tenant_max_bytes: optional per-tenant byte quota applied to the
-            shared warm layer (`GuessCache` and the process-global
-            `IntegralWorkspace`): an over-budget tenant evicts only its
-            own LRU entries, with evictions attributed per tenant in
-            the warm-layer stats.
+            threads sharing the in-process warm layer — one
+            `GuessCache` across (non-deterministic) jobs, keyed per
+            tenant — right for the surrogate potential and for tests.
+            ``"process"`` uses worker processes like `run_parallel`: QM
+            fragment solves hold the GIL, so only processes turn
+            multi-tenant multiplexing into wall-clock throughput; each
+            worker keeps its own process-global warm layer
+            (tenant-namespaced, persistent across jobs).
     """
 
     def __init__(self, out_root: str | Path, nworkers: int = 4,
                  max_active: int = 8, channel: ResultChannel | None = None,
-                 tracer=None, warm_layer: bool = True,
-                 pool: str = "thread",
-                 tenant_max_bytes: int | None = None) -> None:
+                 tracer=None, pool: str = "thread") -> None:
         self.nworkers = max(1, int(nworkers))
         #: `run_parallel`'s pool mechanism, under the default `FailurePolicy`
         self.dispatcher = Dispatcher(self.nworkers, tracer=tracer, pool=pool)
@@ -104,15 +97,7 @@ class TrajectoryService:
         self.queue = JobQueue()
         self.scheduler = FragmentScheduler()
         self.jobs: dict[str, TrajectoryJob] = {}
-        #: per-tenant byte quota for the shared warm layer (None = no
-        #: quota): a greedy job then evicts only its own densities /
-        #: integral tables, never another tenant's (fair-share memory,
-        #: matching the fair-share scheduler)
-        self.tenant_max_bytes = tenant_max_bytes
-        self.guess_cache = (
-            GuessCache(tenant_max_bytes=tenant_max_bytes)
-            if warm_layer else None
-        )
+        self.guess_cache = GuessCache()
         self._stop = threading.Event()
         self._process_clones: dict[str, object] = {}
         self.tasks_completed = 0
@@ -129,7 +114,6 @@ class TrajectoryService:
         )
         if (
             self.pool_kind == "thread"
-            and self.guess_cache is not None
             and not spec.deterministic
             and getattr(job.calculator, "guess_cache", "no") is None
         ):
@@ -199,18 +183,13 @@ class TrajectoryService:
 
     def _publish_warm_layer(self) -> None:
         snapshot = {
-            "guess_cache": (
-                self.guess_cache.stats()
-                if self.guess_cache is not None else None
-            ),
+            "guess_cache": self.guess_cache.stats(),
             "workspace": get_workspace().stats(),
         }
         if self.tracer:
             self.tracer.instant("warm_layer", cat="serve", **{
-                "guess_hits": (snapshot["guess_cache"] or {}).get("hits", 0),
-                "guess_misses": (
-                    (snapshot["guess_cache"] or {}).get("misses", 0)
-                ),
+                "guess_hits": snapshot["guess_cache"]["hits"],
+                "guess_misses": snapshot["guess_cache"]["misses"],
                 "ws_hits": snapshot["workspace"]["hits"],
                 "ws_misses": snapshot["workspace"]["misses"],
                 "ws_contentions": snapshot["workspace"]["contentions"],
@@ -229,12 +208,6 @@ class TrajectoryService:
         """
         dispatcher = self.dispatcher
         process = self.pool_kind == "process"
-        # the quota holds on the process-global workspace (which forked
-        # pool workers inherit) for the duration of the run only
-        workspace = get_workspace()
-        saved_quota = workspace.tenant_max_bytes
-        if self.tenant_max_bytes is not None:
-            workspace.tenant_max_bytes = int(self.tenant_max_bytes)
         try:
             while True:
                 self._activate_pending()
@@ -303,7 +276,6 @@ class TrajectoryService:
                     self.scheduler.unregister(job.spec.job_id)
                     job.finalize(JobState.INTERRUPTED)
             self._publish_warm_layer()
-            workspace.tenant_max_bytes = saved_quota
         return self.summary()
 
     # -- reporting ------------------------------------------------------
@@ -338,10 +310,7 @@ class TrajectoryService:
             "fair_share": self.scheduler.stats(),
             "channel": self.channel.stats(),
             "warm_layer": {
-                "guess_cache": (
-                    self.guess_cache.stats()
-                    if self.guess_cache is not None else None
-                ),
+                "guess_cache": self.guess_cache.stats(),
                 "workspace": get_workspace().stats(),
                 # an empty tuner's counters: benchmarks/spine reads them
                 "gemm": GLOBAL_TUNER.stats(),

@@ -1,4 +1,4 @@
-"""The bounded store behind the warm layer: budget, quota, lock, stats.
+"""The bounded store behind the warm layer: budget, lock, stats.
 
 A worker group keeps what it computed for one polymer to reuse on the
 next (paper Sec. V-F, Fig. 2): converged densities (`repro.calculators.
@@ -6,14 +6,13 @@ GuessCache`) and integral intermediates (`repro.integrals.workspace.
 IntegralWorkspace`). Both are a `BoundedStore` plus their products; what
 a store *is* lives here once:
 
-* an LRU byte budget (``max_bytes``) over ``key -> payload`` entries
+* one LRU byte budget (``max_bytes``) over ``key -> payload`` entries
   whose size is what the payload actually keeps alive (`payload_nbytes`);
-* an optional per-tenant quota (``tenant_max_bytes``): a tenant over it
-  sheds only its own least recently used entries, so one job's traffic
-  cannot push another job's warm state out;
-* neither rule ever evicts the key just stored;
-* hits and misses are attributed to the tenant that asked, evictions to
-  the tenant that owned the evicted entry (``tenant_stats``);
+  it never evicts the key just stored. This is the only bound on the
+  warm layer's memory: the largest store any workload fills holds well
+  under 1% of the default budget (docs/PERFORMANCE.md);
+* hits and misses are also attributed to the tenant that asked
+  (``tenant_stats``);
 * every entry and counter access is serialised by one `ContentionLock`,
   so a store can back the trajectory service's worker threads; payload
   *builds* happen outside it (duplicate builds are harmless — payloads
@@ -93,7 +92,7 @@ def payload_nbytes(payload) -> int:
 
 
 class BoundedStore:
-    """LRU byte-budgeted ``key -> payload`` store with tenant quotas.
+    """LRU byte-budgeted ``key -> payload`` store.
 
     ``enabled=False`` turns every lookup into a miss and stores nothing
     (statistics-only mode), so cold and warm runs can be instrumented
@@ -103,23 +102,15 @@ class BoundedStore:
     """
 
     #: the counters every tenant's ``tenant_stats`` entry starts with
-    TENANT_COUNTERS: tuple[str, ...] = ("hits", "misses", "evictions")
+    TENANT_COUNTERS: tuple[str, ...] = ("hits", "misses")
 
-    def __init__(self, max_bytes: int = 256 * 2**20, enabled: bool = True,
-                 tenant_max_bytes: int | None = None) -> None:
+    def __init__(self, max_bytes: int = 256 * 2**20,
+                 enabled: bool = True) -> None:
         self.max_bytes = int(max_bytes)
-        #: optional per-tenant byte ceiling (None = no quota)
-        self.tenant_max_bytes = (
-            int(tenant_max_bytes) if tenant_max_bytes is not None else None
-        )
         self.enabled = enabled
-        #: key -> (payload, nbytes, owner tenant); LRU order, recent last
-        self._entries: OrderedDict[
-            tuple, tuple[object, int, str | None]
-        ] = OrderedDict()
+        #: key -> (payload, nbytes); LRU order, recent last
+        self._entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
         self._nbytes = 0
-        #: per-tenant resident bytes (entries that tenant owns)
-        self._tenant_nbytes: dict[str, int] = {}
         self._lock = ContentionLock()
         self.hits = 0
         self.misses = 0
@@ -132,7 +123,7 @@ class BoundedStore:
 
         Default: keys namespaced by a leading string
         (``(job_id, m0, m1, ...)``) belong to that tenant; any other
-        key is anonymous — exempt from quotas and per-tenant stats.
+        key is anonymous — counted in no tenant's stats.
         """
         if key and isinstance(key[0], str):
             return key[0]
@@ -160,16 +151,6 @@ class BoundedStore:
             )
             mine[name] += 1
 
-    def _charge(self, tenant: str | None, delta: int) -> None:
-        """Adjust the resident-byte totals by one entry (lock held)."""
-        self._nbytes += delta
-        if tenant is not None:
-            total = self._tenant_nbytes.get(tenant, 0) + delta
-            if total > 0:
-                self._tenant_nbytes[tenant] = total
-            else:
-                self._tenant_nbytes.pop(tenant, None)
-
     def _lookup(self, key: tuple):
         """The payload under ``key`` (refreshing its LRU position) or
         None, uncounted — `_get` is this plus the hit/miss accounting."""
@@ -191,27 +172,14 @@ class BoundedStore:
         if not self.enabled:
             return
         nbytes = payload_nbytes(payload)
-        tenant = self._tenant_of(key)
         with self._lock:
             self._discard(key)
-            self._entries[key] = (payload, nbytes, tenant)
-            self._charge(tenant, nbytes)
-            # quota first: an over-budget tenant sheds only its own LRU
-            # entries (never the one just stored), so one job's traffic
-            # cannot push another job's warm state out via the quota
-            if tenant is not None and self.tenant_max_bytes is not None:
-                while self._tenant_nbytes.get(tenant, 0) \
-                        > self.tenant_max_bytes:
-                    victim = next(
-                        (k for k, v in self._entries.items()
-                         if k != key and v[2] == tenant),
-                        None,
-                    )
-                    if victim is None:
-                        break
-                    self._evict(victim)
+            self._entries[key] = (payload, nbytes)
+            self._charge(nbytes)
+            # least recently used first, never the entry just stored
             while self._nbytes > self.max_bytes and len(self._entries) > 1:
-                self._evict(next(iter(self._entries)))
+                self._discard(next(iter(self._entries)))
+                self.evictions += 1
 
     def _discard(self, key: tuple) -> bool:
         """Drop one entry without counting an eviction; True if it was
@@ -220,25 +188,22 @@ class BoundedStore:
             entry = self._entries.pop(key, None)
             if entry is None:
                 return False
-            self._charge(entry[2], -entry[1])
+            self._charge(-entry[1])
             return True
 
-    def _evict(self, key: tuple) -> None:
-        """Evict one entry, attributed to its owner (lock held)."""
-        owner = self._entries[key][2]
-        self._discard(key)
-        self._count("evictions", owner)
+    def _charge(self, delta: int) -> None:
+        """Adjust the resident-byte total by one entry (lock held)."""
+        self._nbytes += delta
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""
         with self._lock:
             self._entries.clear()
             self._nbytes = 0
-            self._tenant_nbytes.clear()
 
     def stats(self) -> dict:
         """Counters snapshot; a ``tenants`` block once any tenant has
-        traffic or resident bytes."""
+        traffic."""
         with self._lock:
             out = {
                 "hits": self.hits,
@@ -248,14 +213,9 @@ class BoundedStore:
                 "entries": len(self._entries),
                 "nbytes": self._nbytes,
             }
-            names = set(self.tenant_stats) | set(self._tenant_nbytes)
-            if names:
-                zeros = dict.fromkeys(self.TENANT_COUNTERS, 0)
-                out["tenants"] = {
-                    k: dict(self.tenant_stats.get(k, zeros),
-                            nbytes=self._tenant_nbytes.get(k, 0))
-                    for k in sorted(names)
-                }
+            if self.tenant_stats:
+                out["tenants"] = {k: dict(v) for k, v in
+                                  sorted(self.tenant_stats.items())}
             return out
 
     def __repr__(self) -> str:

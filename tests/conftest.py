@@ -13,17 +13,14 @@ from repro.integrals.workspace import get_workspace
 @pytest.fixture(autouse=True)
 def shared_workspace_settings_do_not_leak():
     """The process-global workspace's settings belong to no test: a run
-    that needs exact re-screens or a tenant quota asks per evaluation
-    (`evaluate_fragment`) or for the length of a `TrajectoryService.run`,
+    that needs exact re-screens asks per evaluation (`evaluate_fragment`),
     so every later test sees the stale-serve path it thinks it does; and
     no run's tracer is ever latched onto it (a traced calculator scopes
     its tracer per evaluation)."""
     workspace = get_workspace()
-    before = (workspace.displacement_tol, workspace.tenant_max_bytes,
-              workspace.tracer)
+    before = (workspace.displacement_tol, workspace.tracer)
     yield
-    assert (workspace.displacement_tol, workspace.tenant_max_bytes,
-            workspace.tracer) == before
+    assert (workspace.displacement_tol, workspace.tracer) == before
 
 
 @pytest.fixture(scope="session")

@@ -477,90 +477,6 @@ class TestTrajectoryStreamWriter:
         assert len(traj.times_fs) == 1
 
 
-class TestCrossTenantSeedGuesses:
-    def _cache(self):
-        from repro.calculators import GuessCache
-
-        return GuessCache()
-
-    def test_seed_served_for_matching_composition_and_geometry(self):
-        cache = self._cache()
-        D = np.eye(4)
-        coords = np.zeros((3, 3))
-        seed_key = (("O", "H", "H"), 0, "sto-3g")
-        cache.put(("job-a", 0), D, natoms=3, seed_key=seed_key,
-                  coords=coords)
-        # a different tenant's per-key lookup misses but the seed serves
-        out = cache.get(("job-b", 0), natoms=3, seed_key=seed_key,
-                        coords=coords + 0.1)
-        assert out is D
-        stats = cache.stats()
-        assert stats["seed_hits"] == 1
-        assert stats["tenants"]["job-b"]["seed_hits"] == 1
-
-    def test_seed_rejected_beyond_displacement_tolerance(self):
-        cache = self._cache()
-        seed_key = (("O", "H", "H"), 0, "sto-3g")
-        coords = np.zeros((3, 3))
-        cache.put(("job-a", 0), np.eye(4), natoms=3, seed_key=seed_key,
-                  coords=coords)
-        far = coords.copy()
-        far[0, 0] = cache.seed_tol_bohr * 3
-        assert cache.get(("job-b", 0), natoms=3, seed_key=seed_key,
-                         coords=far) is None
-        assert cache.stats()["seed_hits"] == 0
-
-    def test_seed_rejected_on_natoms_mismatch(self):
-        cache = self._cache()
-        seed_key = (("O", "H", "H"), 0, "sto-3g")
-        cache.put(("job-a", 0), np.eye(4), natoms=3, seed_key=seed_key,
-                  coords=np.zeros((3, 3)))
-        assert cache.get(("job-b", 0), natoms=4, seed_key=seed_key,
-                         coords=np.zeros((4, 3))) is None
-
-    def test_per_key_hit_wins_over_seed(self):
-        cache = self._cache()
-        seed_key = (("O", "H", "H"), 0, "sto-3g")
-        own = np.eye(4) * 2
-        other = np.eye(4)
-        coords = np.zeros((3, 3))
-        cache.put(("job-a", 0), other, natoms=3, seed_key=seed_key,
-                  coords=coords)
-        cache.put(("job-b", 0), own, natoms=3, seed_key=seed_key,
-                  coords=coords)
-        out = cache.get(("job-b", 0), natoms=3, seed_key=seed_key,
-                        coords=coords)
-        assert np.array_equal(out, own)
-        assert cache.stats()["seed_hits"] == 0
-
-    def test_seed_store_is_lru_bounded(self):
-        from repro.calculators import GuessCache
-
-        cache = GuessCache(max_seeds=2)
-        coords = np.zeros((1, 3))
-        for i in range(4):
-            cache.put(("j", i), np.eye(2), natoms=1,
-                      seed_key=(("H",), 0, f"b{i}"), coords=coords)
-        assert cache.stats()["seeds"] == 2
-
-    def test_clear_drops_seeds(self):
-        cache = self._cache()
-        cache.put(("j", 0), np.eye(2), natoms=1,
-                  seed_key=(("H",), 0, "sto-3g"), coords=np.zeros((1, 3)))
-        cache.clear()
-        assert cache.stats()["seeds"] == 0
-        assert cache.get(("k", 0), natoms=1,
-                         seed_key=(("H",), 0, "sto-3g"),
-                         coords=np.zeros((1, 3))) is None
-
-    def test_non_namespaced_paths_never_touch_seeds(self):
-        """Single-run drivers pass no seed_key: behavior is unchanged."""
-        cache = self._cache()
-        cache.put((0, 1), np.eye(4), natoms=3)
-        assert cache.get((7,), natoms=3) is None
-        assert cache.stats()["seeds"] == 0
-
-
 class TestProcessPoolService:
     def test_surrogate_jobs_complete_in_process_mode(self, tmp_path):
         service = TrajectoryService(tmp_path, nworkers=2, pool="process")

@@ -1,23 +1,24 @@
 """`repro.store`: the one bounded store behind the warm layer.
 
 `GuessCache` and `IntegralWorkspace` are a `BoundedStore` plus their
-products, so the budget/quota/attribution rules are stated once, as
+products, so the budget/attribution rules are stated once, as
 invariants, and run against all three classes:
 
 * a `hypothesis` state machine (put / get / discard / clear; three
-  tenants and anonymous traffic; random sizes, zero included; with and
-  without a quota, with a tight and with an unreachable byte budget);
+  tenants and anonymous traffic; random sizes, zero included; with a
+  tight and with an unreachable byte budget);
 * a four-thread put/get hammer asserting the same conservation laws;
 * `ContentionLock` counts every waiter (the four hand-written
   ``_locked`` copies it replaces counted *before* acquiring, unlocked);
 * an AST guard: the plumbing, the ``displacement_tol`` setting and the
   `GuessCache` construction sites exist where they should and nowhere
-  else.
+  else; and the one byte budget is the only bound a store has.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import random
 import sys
 import threading
@@ -41,7 +42,7 @@ from repro.store import BoundedStore, ContentionLock, payload_nbytes
 
 #: payload sizes are multiples of this many bytes
 UNIT = 1024
-#: a byte budget no run below can reach: every eviction is a quota one
+#: a byte budget no run below can reach: nothing is ever evicted
 UNBOUNDED = 2**40
 
 
@@ -93,7 +94,7 @@ class _Guess(_Bare):
 
 class _Workspace(_Bare):
     """Drive `IntegralWorkspace`: tenant = the calling thread's scope, so
-    tenants share keys and a re-store moves an entry between owners."""
+    tenants share keys."""
 
     make = IntegralWorkspace
 
@@ -115,57 +116,48 @@ TENANTS = st.sampled_from([None, "A", "B", "C"])
 KEYS = st.integers(0, 5)
 
 
-def check_conservation(store: BoundedStore, lookups: int) -> None:
+def check_conservation(store: BoundedStore, lookups: int,
+                       just_stored: tuple | None) -> None:
     """The laws that hold after any sequence of operations, from any
-    number of threads."""
+    number of threads; ``just_stored`` is the key of the last put that
+    nothing has dropped since (None if there is none)."""
     entries = list(store._entries.values())
     stats = store.stats()
-    tenants = stats.get("tenants", {})
-    assert all(nb == payload_nbytes(p) for p, nb, _ in entries)
-    assert store.nbytes == stats["nbytes"] == sum(nb for _, nb, _ in entries)
-    assert store.nbytes == (
-        sum(t["nbytes"] for t in tenants.values())
-        + sum(nb for _, nb, owner in entries if owner is None)
-    )
-    for name, t in tenants.items():
-        assert t["nbytes"] == sum(nb for _, nb, o in entries if o == name)
-    assert store.nbytes <= store.max_bytes or len(entries) == 1
+    # the byte total is the sum over the entries, each sized by what it
+    # keeps alive
+    assert all(nb == payload_nbytes(p) for p, nb in entries)
+    assert store.nbytes == stats["nbytes"] == sum(nb for _, nb in entries)
     assert stats["entries"] == len(store) == len(entries)
-    assert store.hits + store.misses + getattr(store, "seed_hits", 0) \
-        == lookups
-    assert sum(t["hits"] + t["misses"] for t in tenants.values()) <= lookups
-    assert sum(t["evictions"] for t in tenants.values()) <= store.evictions
+    # the budget holds, unless one entry alone is over it
+    assert store.nbytes <= store.max_bytes or len(entries) == 1
+    # the budget never evicts the key just stored
+    assert just_stored is None or just_stored in store._entries
+    # every lookup is counted once, and at most once per tenant
+    assert store.hits + store.misses == lookups
+    assert sum(t["hits"] + t["misses"]
+               for t in stats.get("tenants", {}).values()) <= lookups
 
 
 class StoreMachine(RuleBasedStateMachine):
     driver = _Bare
 
-    @initialize(quota=st.sampled_from([None, 3 * UNIT]),
-                budget=st.sampled_from([6 * UNIT, UNBOUNDED]))
-    def build(self, quota, budget):
-        self.d = self.driver(max_bytes=budget, tenant_max_bytes=quota)
+    @initialize(budget=st.sampled_from([6 * UNIT, UNBOUNDED]))
+    def build(self, budget):
+        self.d = self.driver(max_bytes=budget)
         self.store = self.d.store
         self.lookups = 0
-        #: tenant -> the key it stored last
-        self.last_put: dict = {}
+        self.just_stored = None
 
-    def owned(self, tenant) -> set:
-        return {k for k, e in self.store._entries.items() if e[2] == tenant}
-
-    @rule(tenant=TENANTS, i=KEYS, units=st.integers(0, 4))
+    # up to one payload over the tight budget on its own
+    @rule(tenant=TENANTS, i=KEYS, units=st.integers(0, 7))
     def put(self, tenant, i, units):
-        before = {k: e[2] for k, e in self.store._entries.items()}
+        before = set(self.store._entries)
         evictions = self.store.evictions
-        key = self.d.put(tenant, i, units)
-        assert key in self.store._entries  # the just-stored key survives
-        self.last_put[tenant] = key
-        gone = {k: owner for k, owner in before.items()
-                if k not in self.store._entries}
+        self.just_stored = self.d.put(tenant, i, units)
+        gone = before - set(self.store._entries)
         assert self.store.evictions - evictions == len(gone)
         if self.store.max_bytes == UNBOUNDED:
-            # only the quota can evict here: the putting tenant's own
-            # keys, and nothing at all for anonymous traffic
-            assert set(gone.values()) <= {tenant} - {None}
+            assert gone == set()
 
     @rule(tenant=TENANTS, i=KEYS)
     def get(self, tenant, i):
@@ -179,24 +171,18 @@ class StoreMachine(RuleBasedStateMachine):
         self.d.discard(tenant, i)
         assert self.d.key(tenant, i) not in self.store._entries
         assert self.store.evictions == evictions
+        if self.d.key(tenant, i) == self.just_stored:
+            self.just_stored = None
 
     @rule()
     def clear(self):
         self.store.clear()
         assert len(self.store) == 0 and self.store.nbytes == 0
+        self.just_stored = None
 
     @invariant()
     def conserved(self):
-        check_conservation(self.store, self.lookups)
-
-    @invariant()
-    def over_quota_tenant_holds_only_its_last_key(self):
-        quota = self.store.tenant_max_bytes
-        if quota is None:
-            return
-        for name, t in self.store.stats().get("tenants", {}).items():
-            if t["nbytes"] > quota:
-                assert self.owned(name) == {self.last_put[name]}
+        check_conservation(self.store, self.lookups, self.just_stored)
 
 
 def _machine(name: str):
@@ -214,19 +200,26 @@ TestWorkspaceMachine = _machine("workspace")
 
 @pytest.mark.parametrize("name", sorted(DRIVERS))
 def test_four_thread_hammer_conserves(name):
-    """Four threads put/get on one small store with a quota, switching
-    every few bytecodes and inside every critical section: a lost
-    update to the byte totals or counters breaks `check_conservation`."""
-    d = DRIVERS[name](max_bytes=8 * UNIT, tenant_max_bytes=3 * UNIT)
-    charge = d.store._charge
+    """Four threads put/get on one store under a tight byte budget,
+    switching every few bytecodes and inside every critical section: a
+    lost update to the byte total or counters breaks
+    `check_conservation`."""
+    d = DRIVERS[name](max_bytes=8 * UNIT)
+    store = d.store
+    #: the key of the last put that stored bytes (a put of none never
+    #: evicts, so that key survives to the end)
+    last = [None]
 
-    def charge_after_yielding(tenant, delta):
-        # give the interpreter away in the middle of every store and
-        # discard, between the entry table and the byte totals
+    def charge_mid_update(delta):
+        if delta > 0:  # a put's charge: its entry was just appended
+            last[0] = next(reversed(store._entries))
+        # the byte-total update, with the interpreter given away between
+        # its read and its write: outside the lock, an update is lost
+        total = store._nbytes
         time.sleep(0)
-        charge(tenant, delta)
+        store._nbytes = total + delta
 
-    d.store._charge = charge_after_yielding
+    store._charge = charge_mid_update
     lookups = [0] * 4
     errors = []
     gate = threading.Barrier(4)
@@ -257,8 +250,8 @@ def test_four_thread_hammer_conserves(name):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert d.store.contentions > 0  # the threads did meet
-    check_conservation(d.store, sum(lookups))
+    assert store.contentions > 0  # the threads did meet
+    check_conservation(store, sum(lookups), last[0])
 
 
 class TestContentionLock:
@@ -381,3 +374,37 @@ class TestOneWarmLayer:
                  and self._name(n.func) == "GuessCache"}
         assert sites == {"calculators.py", "md/scheduler.py",
                          "serve/service.py"}
+
+    def test_one_byte_budget(self):
+        """A store's byte budget is the only bound on the warm layer: no
+        per-tenant quota, no cross-tenant seed store keyed on
+        composition and geometry, no switch that turns the service's
+        warm layer off — in the constructors, the cache's get / put, the
+        workspace's methods or the ``serve`` command."""
+        import argparse
+
+        from repro.cli import build_parser
+        from repro.serve import TrajectoryService
+
+        def params(fn) -> list[str]:
+            return [p for p in inspect.signature(fn).parameters
+                    if p != "self"]
+
+        assert params(BoundedStore) == ["max_bytes", "enabled"]
+        assert params(GuessCache) == ["max_bytes", "enabled", "history"]
+        assert params(IntegralWorkspace) == [
+            "max_bytes", "enabled", "displacement_tol", "stale_safety",
+            "tracer"]
+        assert params(TrajectoryService) == [
+            "out_root", "nworkers", "max_active", "channel", "tracer",
+            "pool"]
+        assert params(GuessCache.get) == ["key", "natoms"]
+        assert params(GuessCache.put) == ["key", "D", "natoms"]
+        assert {n for n in dir(IntegralWorkspace) if "tenant" in n} \
+            == {"_tenant_of"}
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert {o for a in sub.choices["serve"]._actions
+                for o in a.option_strings} == {
+            "-h", "--help", "--out", "--workers", "--max-active", "--pool",
+            "--trace", "--summary-json"}
