@@ -200,7 +200,6 @@ def cmd_aimd(args) -> int:
         warm_start=not args.no_warm_start,
         fault_plan=fault_plan,
         mts_k=args.mts_k,
-        mts_extrapolate=args.mts_extrapolate,
         surrogate=surrogate,
     )
     print(f"{system.nmonomers} monomers, reference fragment "
@@ -246,8 +245,7 @@ def cmd_aimd(args) -> int:
     print(f"total energy drift: {rep.drift_hartree_per_fs:.2e} Ha/fs, "
           f"RMS fluctuation: {rep.rms_fluctuation_kjmol:.4f} kJ/mol")
     if coordinator.mts:
-        print(f"mts: k={coordinator.mts_k}"
-              f"{' (extrapolated)' if coordinator.mts_extrapolate else ''}, "
+        print(f"mts: k={coordinator.mts_k}, "
               f"{coordinator.mts_slow_evals} slow-tier evaluations, "
               f"{coordinator.mts_tasks_skipped} inner-step polymer tasks "
               f"skipped")
@@ -348,8 +346,7 @@ def cmd_submit(args) -> int:
             "friction_per_fs": args.friction,
             "seed": args.seed,
         }
-    mts = {"k": args.mts_k, "extrapolate": args.mts_extrapolate} \
-        if args.mts_k > 1 else None
+    mts = {"k": args.mts_k} if args.mts_k > 1 else None
     surrogate = None
     if args.surrogate_tail:
         surrogate = {"seed": args.seed,
@@ -492,11 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "slow MBE tier (dimer/trimer corrections) every K "
                         "steps and apply it as outer-boundary impulses; "
                         "monomers run every step [default 1 = off]")
-    p.add_argument("--mts-extrapolate", action="store_true",
-                   help="apply a linearly extrapolated slow-tier force "
-                        "inside every inner step instead of boundary "
-                        "impulses (smoother at large K, only "
-                        "approximately reversible)")
     p.add_argument("--surrogate", action="store_true",
                    help="classical surrogate potential instead of RI-MP2")
     p.add_argument("--surrogate-tail", action="store_true",
@@ -526,9 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a chrome-trace JSON of the run to PATH "
                         "and print a span/counter summary")
     p.add_argument("--deterministic", action="store_true",
-                   help="deterministic energy reductions (bitwise "
-                        "reproducible trajectories and resumes); also "
-                        "disables SCF warm starts")
+                   help="bitwise-reproducible trajectories and resumes: "
+                        "disables SCF warm starts and the surrogate tail "
+                        "and pins exact Schwarz re-screens")
     p.add_argument("--no-warm-start", action="store_true",
                    help="disable cross-step SCF warm starts (cold "
                         "gwh guess for every fragment solve)")
@@ -582,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-size", type=int, default=1)
     p.add_argument("--replan-interval", type=int, default=1)
     p.add_argument("--mts-k", type=int, default=1, metavar="K")
-    p.add_argument("--mts-extrapolate", action="store_true")
     p.add_argument("--surrogate-tail", action="store_true",
                    help="per-tenant online MBE-tail surrogate with "
                         "uncertainty-gated fallback (ignored under "
@@ -601,7 +592,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--friction", type=float, default=0.01,
                    help="Langevin friction (1/fs)")
     p.add_argument("--deterministic", action="store_true",
-                   help="bitwise-reproducible trajectory and resume")
+                   help="bitwise-reproducible trajectory and resume: "
+                        "cold SCF guesses, no surrogate tail, exact "
+                        "Schwarz re-screens")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="N")
     p.add_argument("--checkpoint-keep", type=int, default=2, metavar="K")
     p.add_argument("--weight", type=float, default=1.0,

@@ -82,8 +82,6 @@ def run_aimd(
     warm_start: bool = True,
     fault_plan=None,
     mts_k: int = 1,
-    mts_extrapolate: bool = False,
-    mts_k_trimer: int | None = None,
     surrogate=None,
 ) -> Trajectory:
     """Synchronous velocity-Verlet dynamics: the step engine, barriered.
@@ -107,7 +105,7 @@ def run_aimd(
     or tracer attachment no.
     """
     system = mol_or_system
-    tiered = max(int(mts_k), int(mts_k_trimer or 1)) > 1
+    tiered = int(mts_k) > 1
     if not isinstance(system, FragmentedSystem):
         if tiered or surrogate is not None:
             raise ValueError(
@@ -151,8 +149,7 @@ def run_aimd(
         velocities=velocities, tracer=tracer, checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every, checkpoint_keep=checkpoint_keep,
         resume=resume, warm_start=warm_start, fault_plan=fault_plan,
-        mts_k=mts_k, mts_extrapolate=mts_extrapolate,
-        mts_k_trimer=mts_k_trimer, thermostat=thermostat, surrogate=surrogate,
+        mts_k=mts_k, thermostat=thermostat, surrogate=surrogate,
     )
     # the engine appends a frame per retired step and checkpoints them all
     # (a resumed run starts from the frames its checkpoint carries)

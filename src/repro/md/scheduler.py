@@ -15,13 +15,16 @@ What a step is:
 
 * **force tiers** — per replan window the force is a list of tiers
   ``(k_t, {fragment key: coefficient})`` (`repro.md.mts`): plain MBE is
-  one tier at ``k = 1``; r-RESPA adds a slow tier every ``mts_k`` steps;
-  the ``k`` ladder splits that into a dimer and a trimer tier. A step's
-  task set is the union of the keys of the tiers due at it, a finished
-  task scatters into every due tier that lists its key, and a monomer's
-  half-kick is the sum over due tiers of ``k_t * dt / 2`` times that
-  tier's force (or, with ``mts_extrapolate``, ``dt / 2`` times every
-  tier's linearly extrapolated force at every step);
+  one tier at ``k = 1``; r-RESPA adds a slow tier every ``mts_k`` steps.
+  A step's task set is the union of the keys of the tiers due at it,
+  and a monomer's half-kick is the sum over due tiers of
+  ``k_t * dt / 2`` times that tier's force: a slow tier acts only as
+  impulses at its own boundaries;
+* **forces** — every fragment result lands in its step's stacked
+  buffer, and each monomer's rows of every due tier are reduced from it
+  in sorted-key order when the monomer integrates, so a step's forces
+  do not depend on the order its tasks came back in (how workers race,
+  fail or retry);
 * **priority queue** — released tasks are keyed by (distance of the
   polymer to a reference monomer at an extremity, time step, decreasing
   size), so the computation sweeps outward and monomers near the
@@ -34,13 +37,13 @@ What a step is:
   last task returns, which is what admits whole-system thermostats;
 * **replans** — the polymer list is re-formed every ``replan_interval``
   steps (pre-formed-list mode; lists and coefficients stay fixed within
-  the window, which is what makes direct accumulation exact), or never
+  the window, so its task sets and reductions are worked out once), or never
   with ``replan_interval=0``;
 * **checkpoint cuts** — a retired step (every monomer has measured its
   kinetic energy there) that starts a replan window is a consistent cut.
   Beside the core block the file carries one section per stateful owner
   (`repro.md.checkpoint`): the engine's own ``tiers`` (`_HeldTiers` —
-  each slow tier's held boundary forces ride along, so a resume may land
+  the slow tier's held boundary forces ride along, so a resume may land
   inside an outer cycle), the thermostat, the surrogate, and whatever a
   driver or front-end attaches (`AsyncCoordinator.attach`).
 
@@ -70,7 +73,7 @@ from ..integrals.workspace import get_workspace
 from ..numerics import ensure_finite
 from .checkpoint import Checkpoint, CheckpointError, write_checkpoint
 from .integrators import fs_to_au, kinetic_energy, maxwell_boltzmann_velocities
-from .mts import slow_tier_items, slow_tier_items_split
+from .mts import slow_tier_items
 
 
 @dataclass
@@ -119,12 +122,11 @@ class _TaskSet:
     need: dict[tuple, int]
     #: monomer -> number of tasks touching it
     counts: list[int]
-    #: deterministic mode: key -> first row of its fragment gradient in
-    #: the step's stacked buffer (canonical key order), and the
-    #: buffer's length
+    #: key -> first row of its fragment gradient in the step's stacked
+    #: buffer (canonical key order), and the buffer's length
     offsets: dict[tuple, int] = field(default_factory=dict)
     nrows: int = 0
-    #: deterministic mode: tier -> `AsyncCoordinator._reduction`
+    #: tier -> `AsyncCoordinator._reduction`
     reductions: dict[int, tuple] = field(default_factory=dict)
 
 
@@ -150,16 +152,15 @@ class _HeldTiers:
     """The engine's own checkpoint section, ``tiers``, at the cut ``step``.
 
     Every force tier the resumed run must not evaluate again rides
-    along: a slow tier's forces at its last boundary (mid-cycle the
-    boundary geometry is gone, so they cannot be recomputed) with the
-    boundary before it (the extrapolation history), and — when a
-    surrogate rides too — tier 0's forces at the cut itself, because
+    along: the slow tier's forces at its last boundary (mid-cycle the
+    boundary geometry is gone, so they cannot be recomputed) and — when
+    a surrogate rides too — tier 0's forces at the cut itself, because
     evaluating them again would train and serve a second time. Meta is
-    ``{"extrapolate", "held": [{tier, k, step, prev_step, e, e_prev}]}``;
-    the arrays are ``"<tier>.forces"`` / ``"<tier>.forces_prev"`` (minus
-    the gradient). State moves straight between the file and the
-    engine's ``_grad[t]`` / ``_pe[t]``, and `load_state` holds every check
-    of a checkpoint's tiers against the resuming run.
+    ``{"held": [{tier, k, step, e}]}``; the arrays are
+    ``"<tier>.forces"`` (minus the gradient). State moves straight
+    between the file and the engine's ``_grad[t]`` / ``_pe[t]``, and
+    `load_state` holds every check of a checkpoint's tiers against the
+    resuming run.
     """
 
     def __init__(self, engine: AsyncCoordinator, step: int) -> None:
@@ -172,37 +173,37 @@ class _HeldTiers:
         for t in range(0 if eng.surrogate is not None else 1, len(eng.tier_k)):
             k = eng.tier_k[t]
             b = step - step % k
-            grad, pe = eng._grad[t], eng._pe[t]
-            prev = b - k if k > 1 and b - k in grad else -1
-            held.append({
-                "tier": t, "k": k, "step": b, "prev_step": prev,
-                "e": float(pe[b]),
-                "e_prev": float(pe[prev]) if prev >= 0 else 0.0,
-            })
-            arrays[f"{t}.forces"] = -grad[b]
-            if prev >= 0:
-                arrays[f"{t}.forces_prev"] = -grad[prev]
+            held.append({"tier": t, "k": k, "step": b, "e": float(eng._pe[t][b])})
+            arrays[f"{t}.forces"] = -eng._grad[t][b]
         if not held:
             return None  # one timescale, no surrogate: nothing is held
-        return {"extrapolate": eng.mts_extrapolate, "held": held}, arrays
+        return {"held": held}, arrays
 
     def load_state(self, meta: dict, arrays: dict) -> None:
         eng, step = self.engine, self.step
         held = sorted(meta["held"], key=lambda h: h["tier"])
         ck_ks = tuple(int(h["k"]) for h in held if h["tier"])
+        # files from before impulse r-RESPA was the one slow-tier mode
+        # may declare another; the ``prev_*`` history they carry is ignored
+        if meta.get("extrapolate"):
+            raise CheckpointError(
+                "checkpoint holds an extrapolated slow force; this engine "
+                "applies the slow tier only as boundary impulses"
+            )
+        if len(ck_ks) > 1:
+            raise CheckpointError(
+                f"checkpoint holds a per-order k ladder (slow tiers k = "
+                f"{ck_ks}); this engine integrates one slow tier"
+            )
         ks = eng.tier_k[1:]
-        if ck_ks and (
-            ck_ks != ks or bool(meta["extrapolate"]) != eng.mts_extrapolate
-        ):
+        if ck_ks and ck_ks != ks:
             # covers tier state fed to a plain run (``ks == ()``) too
             raise CheckpointError(
-                f"checkpoint MTS state (k, k_trimer = {ck_ks}, "
-                f"extrapolate={meta['extrapolate']}) does not match the run "
-                f"(mts_k, mts_k_trimer = {ks}, "
-                f"mts_extrapolate={eng.mts_extrapolate})"
+                f"checkpoint MTS state (k = {ck_ks[0]}) does not match the "
+                f"run (mts_k = {eng.mts_k})"
             )
         for h in held:
-            t, k, b, prev = (int(h[x]) for x in ("tier", "k", "step", "prev_step"))
+            t, k, b = (int(h[x]) for x in ("tier", "k", "step"))
             if b != step - step % k:
                 raise CheckpointError(
                     f"checkpoint MTS state (k={k}) was taken at boundary "
@@ -220,11 +221,6 @@ class _HeldTiers:
                 )
             eng._grad[t][b] = -np.asarray(arrays[f"{t}.forces"], dtype=float)
             eng._pe[t][b] = float(h["e"])
-            if prev >= 0 and f"{t}.forces_prev" in arrays:
-                eng._grad[t][prev] = -np.asarray(
-                    arrays[f"{t}.forces_prev"], dtype=float
-                )
-                eng._pe[t][prev] = float(h["e_prev"])
             if b == step:
                 # not evaluated again at the resumed step (tier 0: the
                 # recorded potential of the step stands)
@@ -259,11 +255,9 @@ class AsyncCoordinator:
         warm_start: bool = True,
         fault_plan=None,
         mts_k: int = 1,
-        mts_extrapolate: bool = False,
         thermostat=None,
         step_callback=None,
         surrogate=None,
-        mts_k_trimer: int | None = None,
     ) -> None:
         self.system = system
         self.nsteps = nsteps
@@ -282,37 +276,12 @@ class AsyncCoordinator:
         #: force tier ``t``. With ``mts_k > 1`` tier 0 is every monomer
         #: at +1, evaluated every step, and tier 1 the remainder of the
         #: MBE, evaluated at outer boundaries (``step % mts_k == 0``) and
-        #: applied there as impulse half-kicks of ``mts_k*dt/2`` — or,
-        #: with ``mts_extrapolate``, as a linearly extrapolated force
-        #: inside every step. ``mts_k_trimer`` (a multiple of ``mts_k``,
-        #: impulse mode only) splits tier 1 by MBE order and stretches
-        #: the trimer tier's period. Slow-tier tasks flow through the
-        #: same priority queue, so without a barrier they overlap with
-        #: fast tasks of monomers already past the boundary.
+        #: applied there as impulse half-kicks of ``mts_k*dt/2``.
+        #: Slow-tier tasks flow through the same priority queue, so
+        #: without a barrier they overlap with fast tasks of monomers
+        #: already past the boundary.
         self.mts_k = max(1, int(mts_k))
-        self.mts_k_trimer = (
-            self.mts_k if mts_k_trimer is None else int(mts_k_trimer)
-        )
-        self.mts_extrapolate = bool(mts_extrapolate)
-        if self.mts_k_trimer != self.mts_k:
-            if (
-                self.mts_k_trimer < self.mts_k
-                or self.mts_k_trimer % self.mts_k != 0
-            ):
-                raise ValueError(
-                    f"mts_k_trimer ({self.mts_k_trimer}) must be a multiple "
-                    f"of mts_k ({self.mts_k}) at least as large: the trimer "
-                    "tier is the slower one and its boundaries must nest"
-                )
-            if self.mts_extrapolate:
-                raise ValueError(
-                    "the per-tier k ladder supports impulse mode only"
-                )
-            self.tier_k: tuple[int, ...] = (1, self.mts_k, self.mts_k_trimer)
-        elif self.mts_k > 1:
-            self.tier_k = (1, self.mts_k)
-        else:
-            self.tier_k = (1,)
+        self.tier_k: tuple[int, ...] = (1, self.mts_k) if self.mts_k > 1 else (1,)
         self.mts = len(self.tier_k) > 1
         #: completed slow-tier boundary evaluations / solves avoided at
         #: steps where some tier is not due
@@ -338,13 +307,11 @@ class AsyncCoordinator:
         #: optional `repro.trace.Tracer` (duck-typed); every emission is
         #: guarded so the disabled path costs one attribute check
         self.tracer = tracer
-        #: bitwise-reproducible mode: per-polymer contributions are
-        #: buffered and reduced in canonical key order instead of being
-        #: accumulated in completion order, so trajectories are identical
-        #: no matter how workers race (or fail and retry). Costs per-live-
-        #: step polymer storage — the trade the paper's direct
-        #: accumulation avoids — so it is opt-in (testing, debugging,
-        #: reproducibility audits).
+        #: bitwise-reproducible resume: switches off what depends on the
+        #: worker rather than the trajectory — warm starts and the
+        #: surrogate (below) — and pins exact Schwarz re-screens
+        #: (`evaluate_fragment`). Every run reduces its forces in
+        #: canonical key order; this flag does not change that.
         self.deterministic = deterministic
         #: cross-step SCF warm-start cache (`repro.calculators.GuessCache`),
         #: shared with the calculator by `run_serial` (worker-side caches
@@ -427,8 +394,8 @@ class AsyncCoordinator:
         self.start_step = 0
         ntiers = len(self.tier_k)
         #: per tier: step (for ``k > 1``: boundary) -> accumulated
-        #: gradient / energy. Boundary entries outlive their step (two
-        #: periods), since later steps read them as held/extrapolated.
+        #: gradient / energy. Boundary entries outlive their step (one
+        #: period), since the steps of the cycle read them as held.
         self._grad: list[dict[int, np.ndarray]] = [{} for _ in range(ntiers)]
         self._pe: list[dict[int, float]] = [{} for _ in range(ntiers)]
         #: tiers whose forces at ``start_step`` came with the checkpoint
@@ -499,8 +466,8 @@ class AsyncCoordinator:
         self._ref_cent_cache: dict[int, np.ndarray] = {}
         #: step -> {monomer -> distance of its centroid to the reference's}
         self._ref_dist_cache: dict[int, dict[int, float]] = {}
-        #: deterministic mode: step -> ({key -> energy}, the fragment
-        #: gradients stacked at `_TaskSet.offsets`)
+        #: step -> ({key -> energy}, the fragment gradients stacked at
+        #: `_TaskSet.offsets`)
         self._contrib: dict[int, tuple[dict, np.ndarray]] = {}
         #: step -> {first monomer of the integrated group -> kinetic energy}
         self._ke_parts: dict[int, dict[int, float]] = {}
@@ -635,13 +602,10 @@ class AsyncCoordinator:
         else:
             # the fast tier is every monomer at +1 (even coefficient-zero
             # ones — their correction rides a slow tier)
-            tiers = [{(m,): 1.0 for m in range(nmono)}]
-            if len(self.tier_k) == 2:
-                tiers.append(dict(slow_tier_items(plan, nmono)))
-            else:
-                tiers.extend(
-                    dict(items) for items in slow_tier_items_split(plan, nmono)
-                )
+            tiers = [
+                {(m,): 1.0 for m in range(nmono)},
+                dict(slow_tier_items(plan, nmono)),
+            ]
         # touch set: constituents plus owners of outward cap atoms —
         # computable from topology alone (no geometry needed)
         touch: dict[tuple, list[int]] = {}
@@ -687,11 +651,10 @@ class AsyncCoordinator:
                 for m in win.touch[key]:
                     counts[m] += 1
             win.tasks[live] = todo = _TaskSet(keys, need, counts)
-            if self.deterministic:
-                for key in sorted(keys):
-                    if key in win.layouts:
-                        todo.offsets[key] = todo.nrows
-                        todo.nrows += len(win.layouts[key].symbols)
+            for key in sorted(keys):
+                if key in win.layouts:
+                    todo.offsets[key] = todo.nrows
+                    todo.nrows += len(win.layouts[key].symbols)
         todo = win.tasks[live]
         keys = todo.keys
         self._live[step] = live
@@ -703,10 +666,8 @@ class AsyncCoordinator:
         natoms = self.system.parent.natoms
         for t in live:
             self._grad[t][step] = np.zeros((natoms, 3))
-            self._pe[t][step] = 0.0
         self._ref_dist_cache[step] = {}
-        if self.deterministic:
-            self._contrib[step] = ({}, np.zeros((todo.nrows, 3)))
+        self._contrib[step] = ({}, np.zeros((todo.nrows, 3)))
         self._ke_parts[step] = {}
         self.max_live_steps = max(self.max_live_steps, self.live_steps)
 
@@ -861,22 +822,14 @@ class AsyncCoordinator:
             self.surrogate.observe(key, task.molecule, energy, grad_frag)
         win = self._windows[self._window_start(step)]
         lay = task.layout
-        if self.deterministic:
-            energies, stacked = self._contrib[step]
-            energies[key] = energy
-            if lay is not None and grad_frag is not None:
-                first = win.tasks[self._live[step]].offsets[key]
-                stacked[first:first + len(lay.symbols)] = grad_frag
-        else:
-            # one solve feeds every due tier that lists the key (at an
-            # outer boundary a monomer carries +1 and its slow correction)
-            for t in self._live[step]:
-                c = win.tiers[t].get(key)
-                if c is None:
-                    continue
-                self._pe[t][step] += c * energy
-                if lay is not None and grad_frag is not None:
-                    lay.scatter(grad_frag, self._grad[t][step], c)
+        # one solve feeds every due tier that lists the key (at an outer
+        # boundary a monomer carries +1 and its slow correction): held
+        # here, reduced per monomer at integration (`_reduce_rows`)
+        energies, stacked = self._contrib[step]
+        energies[key] = energy
+        if lay is not None and grad_frag is not None:
+            first = win.tasks[self._live[step]].offsets[key]
+            stacked[first:first + len(lay.symbols)] = grad_frag
         self._pending_total[step] -= 1
         if self._pending_total[step] == 0:
             self._tasks_done(step)
@@ -905,24 +858,21 @@ class AsyncCoordinator:
     def _tasks_done(self, step: int) -> None:
         """Every task of ``step`` is back: its potential energy is known."""
         live = self._live[step]
-        if self.deterministic:
-            win = self._windows[self._window_start(step)]
-            energies = self._contrib[step][0]
-            for t in live:
-                coef = win.tiers[t]
-                self._pe[t][step] = sum(
-                    coef[k] * energies[k] for k in sorted(coef)
-                )
+        win = self._windows[self._window_start(step)]
+        energies = self._contrib[step][0]
         for t in live:
+            coef = win.tiers[t]
+            self._pe[t][step] = sum(coef[k] * energies[k] for k in sorted(coef))
             if t:
                 self.mts_slow_evals += 1
                 if self.tracer:
                     self.tracer.instant(
                         "mts.slow_eval", cat="scheduler", step=step, tier=t
                     )
+        # a slow tier's energy is the one held since its last boundary
         self.potential_energies.setdefault(
             step,
-            sum(self._held(self._pe, t, step) for t in range(len(self.tier_k))),
+            sum(self._pe[t][step - step % k] for t, k in enumerate(self.tier_k)),
         )
         self.step_finish_time[step] = self.clock() - self.start_time
         if self.tracer:
@@ -937,9 +887,9 @@ class AsyncCoordinator:
         results are in `potential_energies`/`kinetic_energies`, and no
         future release, integration, or plan build reads ``coords_at[s]``
         — releases and plan builds only ever look at steps at or above
-        the slowest monomer. A slow tier's boundary entry lives two
-        periods longer (held, then extrapolation history); a window's
-        tables go with its last step. Without eviction these grow
+        the slowest monomer. A slow tier's boundary entry lives until
+        the slowest monomer has left its cycle; a window's tables go
+        with its last step. Without eviction these grow
         O(nsteps x natoms) and long NVE runs leak linearly in step count.
         """
         low = int(self.monomer_time.min())
@@ -957,7 +907,7 @@ class AsyncCoordinator:
             self.steps_evicted += 1
             self._evict_floor += 1
         for t, k in enumerate(self.tier_k):
-            horizon = low - 2 * k if k > 1 else low
+            horizon = low - low % k  # the boundary every live step holds
             for d in (self._grad[t], self._pe[t]):
                 for b in [b for b in d if b < horizon]:
                     del d[b]
@@ -1027,26 +977,6 @@ class AsyncCoordinator:
     # ------------------------------------------------------------------
     # integration
     # ------------------------------------------------------------------
-    def _held(self, store: list[dict], t: int, step: int, rows=None):
-        """Tier ``t``'s energy or gradient (``store``) as seen from ``step``.
-
-        The value at the tier's last boundary — for a ``k = 1`` tier the
-        step itself — linearly extrapolated from the boundary before it
-        under ``mts_extrapolate``. ``rows`` selects atoms of a gradient.
-        """
-        k = self.tier_k[t]
-        b = step - step % k
-        cur = store[t][b]
-        prev = (
-            store[t].get(b - k)
-            if self.mts_extrapolate and step != b else None
-        )
-        if prev is None:
-            return cur if rows is None else cur[rows]
-        if rows is not None:
-            cur, prev = cur[rows], prev[rows]
-        return cur + (step - b) / k * (cur - prev)
-
     def _reduction(self, win: _Window, todo: _TaskSet, t: int) -> tuple:
         """Tier ``t``'s gradient as one ordered scatter of a step's
         stacked fragment gradients.
@@ -1084,9 +1014,8 @@ class AsyncCoordinator:
         )
 
     def _reduce_rows(self, m: int | None, step: int) -> None:
-        """Deterministic mode: fill monomer ``m``'s rows (None: every
-        row) of every tier buffer evaluated at ``step`` by a canonical
-        reduction.
+        """Fill monomer ``m``'s rows (None: every row) of every tier
+        buffer evaluated at ``step`` by a canonical reduction.
 
         Adds the buffered contributions of every fragment touching ``m``
         in sorted-key order (`_reduction`), so the result is independent
@@ -1115,18 +1044,12 @@ class AsyncCoordinator:
 
         Impulse splitting: every tier due at the step kicks with its own
         outer time step (``k = 1`` is the plain Verlet half-kick; the
-        nested boundaries of slower tiers are r-RESPA). Extrapolation
-        instead kicks with every tier's estimated force at every step.
+        slow tier's boundaries are r-RESPA).
         """
         dv = 0.0
         for t, k in enumerate(self.tier_k):
-            if self.mts_extrapolate:
-                k = 1
-            elif step % k:
-                continue
-            dv = dv - (0.5 * k * self.dt) * self._held(
-                self._grad, t, step, rows
-            )
+            if not step % k:
+                dv = dv - (0.5 * k * self.dt) * self._grad[t][step][rows]
         return dv / self.masses[rows, None]
 
     def _integrate(self, step: int, m: int | None = None) -> None:
@@ -1137,8 +1060,7 @@ class AsyncCoordinator:
             who, rows, monomers = slice(None), slice(None), range(nmono)
         else:
             who, rows, monomers = m, self.monomer_atoms[m], (m,)
-        if self.deterministic:
-            self._reduce_rows(m, step)
+        self._reduce_rows(m, step)
         dv = self._half_kick(rows, step)
         if step > self.start_step:
             # second half-kick completing the previous step (on resume,

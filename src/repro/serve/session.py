@@ -56,11 +56,12 @@ class JobSpec:
     "seed": 0}`` — the only thermostat whose noise is well-defined under
     asynchronous integration (see
     `repro.md.thermostats.LocalLangevinThermostat`). ``mts`` is either
-    None or ``{"k": 4, "extrapolate": false}``.
+    None or ``{"k": 4}`` (impulse r-RESPA; spec files that also say
+    ``"extrapolate": false`` still load).
 
     ``weight`` is the fair-share weight (task draw priority scales with
     it); ``deterministic`` pins bitwise-reproducible resume semantics
-    (canonical reductions, cold SCF guesses, exact Schwarz re-screens).
+    (cold SCF guesses, no surrogate, exact Schwarz re-screens).
 
     ``surrogate`` is either None or a config dict for the per-tenant
     online MBE-tail surrogate (`repro.surrogate.SurrogateManager`), e.g.
@@ -98,6 +99,15 @@ class JobSpec:
             raise ValueError(f"nsteps must be >= 1, got {self.nsteps}")
         if self.weight <= 0:
             raise ValueError(f"weight must be > 0, got {self.weight}")
+        if self.mts is not None:
+            unknown = set(self.mts) - {"k", "extrapolate"}
+            if unknown:
+                raise ValueError(f"unknown mts options: {sorted(unknown)}")
+            if self.mts.get("extrapolate"):
+                raise ValueError(
+                    "mts: an extrapolated slow force is not supported; the "
+                    "slow tier acts only as boundary impulses"
+                )
 
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-ready)."""
@@ -280,7 +290,6 @@ class TrajectoryJob:
             # shared cache, job-namespaced keys), not per coordinator
             warm_start=False,
             mts_k=int(mts.get("k", 1)),
-            mts_extrapolate=bool(mts.get("extrapolate", False)),
             thermostat=build_thermostat(spec),
             step_callback=self._on_step,
             surrogate=self.surrogate,

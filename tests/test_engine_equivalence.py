@@ -27,11 +27,9 @@ from repro.md import (
     read_checkpoint,
     run_aimd,
     run_serial,
-    slow_tier_items,
 )
 from repro.md.aimd import integrate_whole_system
 from repro.md.integrators import maxwell_boltzmann_velocities
-from repro.md.mts import slow_tier_items_split
 from repro.systems import glycine_fragmented, water_cluster
 
 DT_FS = 0.5
@@ -48,14 +46,8 @@ def _water(n: int, seed: int):
     return system, v0
 
 
-def _tier_periods(k: int, k3: int | None) -> tuple[int, ...]:
-    k3 = k if k3 is None else k3
-    return () if k == k3 == 1 else (k,) if k3 == k else (k, k3)
-
-
-def reference_run(system, v0, *, order, replan, k=1, k3=None,
-                  extrapolate=False, nsteps=NSTEPS, r_dimer=R_DIMER,
-                  r_trimer=R_TRIMER, thermostat=None):
+def reference_run(system, v0, *, order, replan, k=1, nsteps=NSTEPS,
+                  r_dimer=R_DIMER, r_trimer=R_TRIMER, thermostat=None):
     """The dynamics the engine must reproduce, with no engine code in it.
 
     r-RESPA impulses are plain velocity Verlet under a force that is
@@ -63,35 +55,25 @@ def reference_run(system, v0, *, order, replan, k=1, k3=None,
     """
     calc = PairwisePotentialCalculator()
     tiers = TieredMBEForces(system, calc)
-    states = [SlowTierState(k=kt, extrapolate=extrapolate)
-              for kt in _tier_periods(k, k3)]
-    nmono = system.nmonomers
+    state = SlowTierState(k=k)
     box = {}
 
     def force(coords, step):
         if step == 0 or (replan and step % replan == 0):
-            box["plan"] = build_plan(system, r_dimer, r_trimer, order=order,
-                                     coords=coords)
-        plan = box["plan"]
-        if not states:
-            e, g = mbe_energy_gradient(system, plan, calc, coords=coords)
+            box["plan"] = tiers.plan = build_plan(
+                system, r_dimer, r_trimer, order=order, coords=coords
+            )
+        if k == 1:
+            e, g = mbe_energy_gradient(system, box["plan"], calc, coords=coords)
             return e, -g
         e, g = tiers.fast(coords)
         f = -g
-        items = ([slow_tier_items(plan, nmono)] if len(states) == 1
-                 else slow_tier_items_split(plan, nmono))
-        for state, tier_items in zip(states, items):
-            due = step % state.k == 0
-            if due:
-                e_s, g_s = tiers.slow_items(coords, tier_items)
-                state.push(step, -g_s, e_s)
-            e_t, f_t = state.estimate(step)
-            e += e_t
-            if extrapolate:
-                f = f + f_t
-            elif due:
-                f = f + state.k * f_t
-        return e, f
+        due = step % k == 0
+        if due:
+            e_s, g_s = tiers.slow(coords)
+            state.push(step, -g_s, e_s)
+        e_t, f_t = state.estimate(step)
+        return e + e_t, (f + k * f_t if due else f)
 
     return integrate_whole_system(
         force, system.parent.masses_au, system.parent.coords.copy(),
@@ -99,14 +81,12 @@ def reference_run(system, v0, *, order, replan, k=1, k3=None,
     )
 
 
-def engine_run(system, v0, *, synchronous, order, replan, k=1, k3=None,
-               extrapolate=False, nsteps=NSTEPS, r_dimer=R_DIMER,
-               r_trimer=R_TRIMER, **kw):
+def engine_run(system, v0, *, synchronous, order, replan, k=1,
+               nsteps=NSTEPS, r_dimer=R_DIMER, r_trimer=R_TRIMER, **kw):
     co = AsyncCoordinator(
         system, nsteps, DT_FS, r_dimer, r_trimer, mbe_order=order,
         replan_interval=replan, synchronous=synchronous,
-        velocities=v0.copy(), mts_k=k, mts_k_trimer=k3,
-        mts_extrapolate=extrapolate, warm_start=False, **kw,
+        velocities=v0.copy(), mts_k=k, warm_start=False, **kw,
     )
     run_serial(co, PairwisePotentialCalculator())
     return co
@@ -114,17 +94,12 @@ def engine_run(system, v0, *, synchronous, order, replan, k=1, k3=None,
 
 @st.composite
 def configurations(draw):
-    k = draw(st.sampled_from([1, 2, 4]))
-    order = draw(st.sampled_from([2, 3]))
-    ladder = order == 3 and draw(st.booleans())
     return dict(
         n=draw(st.integers(2, 4)),
         seed=draw(st.integers(0, 5)),
-        order=order,
+        order=draw(st.sampled_from([2, 3])),
         replan=draw(st.sampled_from([0, 1, 2, 3])),
-        k=k,
-        k3=2 * k if ladder else None,
-        extrapolate=k > 1 and not ladder and draw(st.booleans()),
+        k=draw(st.sampled_from([1, 2, 4])),
     )
 
 
@@ -149,13 +124,12 @@ class TestEngineEquivalence:
     def test_run_aimd_is_the_barriered_engine(self):
         """Bitwise: the front-end adds frames, not arithmetic."""
         system, v0 = _water(3, 1)
-        cfg = dict(order=3, replan=2, k=2, k3=4)
+        cfg = dict(order=3, replan=2, k=2)
         co = engine_run(system, v0, synchronous=True, **cfg)
         traj = run_aimd(
             system, PairwisePotentialCalculator(), NSTEPS, DT_FS,
             r_dimer_bohr=R_DIMER, r_trimer_bohr=R_TRIMER, mbe_order=3,
-            replan_interval=2, velocities=v0, mts_k=2, mts_k_trimer=4,
-            warm_start=False,
+            replan_interval=2, velocities=v0, mts_k=2, warm_start=False,
         )
         _, pe, ke = co.trajectory_energies()
         np.testing.assert_array_equal(traj.potential, pe)
@@ -182,28 +156,6 @@ class TestTierListOnTheCoordinator:
 
     GLY = dict(order=3, replan=4, nsteps=16, r_dimer=GLY_R_DIMER,
                r_trimer=GLY_R_TRIMER)
-
-    def test_equal_k_ladder_is_the_single_tier_bitwise(self, glycine4):
-        system, v0 = glycine4
-        a = engine_run(system, v0, synchronous=True, k=2, **self.GLY)
-        b = engine_run(system, v0, synchronous=True, k=2, k3=2, **self.GLY)
-        assert a.tier_k == b.tier_k == (1, 2)
-        for x, y in zip(a.trajectory_energies(), b.trajectory_energies()):
-            np.testing.assert_array_equal(x, y)
-        np.testing.assert_array_equal(a.velocities, b.velocities)
-
-    @pytest.mark.parametrize("synchronous", [True, False])
-    def test_ladder_run(self, glycine4, synchronous):
-        system, v0 = glycine4
-        ref = reference_run(system, v0, k=2, k3=4, **self.GLY)
-        co = engine_run(system, v0, synchronous=synchronous, k=2, k3=4,
-                        **self.GLY)
-        assert co.tier_k == (1, 2, 4)
-        # step 0 plus the dimer boundaries, step 0 plus the trimer ones
-        assert co.mts_slow_evals == (1 + 16 // 2) + (1 + 16 // 4)
-        _, pe, ke = co.trajectory_energies()
-        np.testing.assert_allclose(pe, ref.potential, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ke, ref.kinetic, rtol=0, atol=1e-12)
 
     def test_global_langevin_runs_behind_the_barrier(self):
         system, v0 = _water(3, 2)
@@ -245,12 +197,11 @@ class TestTierListOnTheCoordinator:
                        thermostat=LangevinThermostat(300.0, seed=1))
 
     @pytest.mark.parametrize("synchronous", [True, False])
-    def test_ladder_mid_cycle_resume_bitwise(self, glycine4, tmp_path,
-                                             synchronous):
-        """Cut at step 6: inside both the dimer (k=4) and the trimer
-        (k=8) cycle, so both held tiers must ride on the checkpoint."""
+    def test_mid_cycle_resume_bitwise(self, glycine4, tmp_path, synchronous):
+        """Cut at step 6, inside the k=4 cycle: the slow tier's forces
+        held since boundary 4 must ride on the checkpoint."""
         system, v0 = glycine4
-        cfg = dict(self.GLY, replan=2, k=4, k3=8, synchronous=synchronous,
+        cfg = dict(self.GLY, replan=2, k=4, synchronous=synchronous,
                    deterministic=True)
         ck = tmp_path / "ck.npz"
         full = engine_run(system, v0, **cfg)
@@ -259,7 +210,7 @@ class TestTierListOnTheCoordinator:
         ckpt = read_checkpoint(ck, mol=system.parent)
         assert ckpt.step == 6
         held = ckpt.sections["tiers"][0]["held"]
-        assert [(h["tier"], h["step"]) for h in held] == [(1, 4), (2, 0)]
+        assert [(h["tier"], h["step"]) for h in held] == [(1, 4)]
         resumed = engine_run(system, v0, **cfg, resume=ckpt)
         assert resumed.tasks_issued < full.tasks_issued
         for x, y in zip(full.trajectory_energies(),

@@ -121,7 +121,7 @@ class TestRetryPath:
         assert report.clean and report.retries > 0
         _, pe1, ke1 = clean.trajectory_energies()
         _, pe2, ke2 = faulted.trajectory_energies()
-        # bitwise equality: deterministic reduction makes the trajectory
+        # bitwise equality: the canonical reduction makes the trajectory
         # independent of completion order, so injected faults + retries
         # change nothing at all
         np.testing.assert_array_equal(pe1, pe2)
@@ -262,24 +262,15 @@ class TestConservationEquivalence:
 
 
 class TestDeterministicMode:
-    def test_deterministic_matches_direct_accumulation(self, w4_system,
-                                                       surrogate):
-        """Opt-in canonical-order reduction must agree with the paper's
-        direct accumulation to float tolerance."""
-        c1 = _coordinator(w4_system, deterministic=False)
-        run_serial(c1, surrogate)
-        c2 = _coordinator(w4_system, deterministic=True)
-        run_serial(c2, surrogate)
-        _, pe1, ke1 = c1.trajectory_energies()
-        _, pe2, ke2 = c2.trajectory_energies()
-        np.testing.assert_allclose(pe1, pe2, atol=1e-12)
-        np.testing.assert_allclose(ke1, ke2, atol=1e-12)
-
-    def test_parallel_deterministic_reproducible(self, w4_system, surrogate):
-        """Two multi-worker runs race differently but must agree bitwise."""
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_parallel_deterministic_reproducible(self, w4_system, surrogate,
+                                                 deterministic):
+        """Two multi-worker runs race differently but must agree bitwise,
+        with or without the flag: on the pairwise potential only the
+        reduction order could differ, and every run reduces canonically."""
         results = []
         for _ in range(2):
-            co = _coordinator(w4_system, deterministic=True)
+            co = _coordinator(w4_system, deterministic=deterministic)
             run_parallel(co, surrogate, nworkers=3)
             results.append(co.trajectory_energies())
         np.testing.assert_array_equal(results[0][1], results[1][1])

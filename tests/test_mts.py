@@ -107,18 +107,6 @@ class TestSlowTierState:
             assert e == -1.0
             np.testing.assert_array_equal(out, f)
 
-    def test_extrapolated_estimate_is_linear(self):
-        s = SlowTierState(k=4, extrapolate=True)
-        s.push(0, np.zeros((2, 3)), 0.0)
-        s.push(4, np.ones((2, 3)), 4.0)
-        e, f = s.estimate(6)
-        assert e == pytest.approx(6.0)
-        np.testing.assert_allclose(f, 1.5)
-        # exact at the boundary itself regardless of history
-        e, f = s.estimate(4)
-        assert e == pytest.approx(4.0)
-        np.testing.assert_allclose(f, 1.0)
-
 
 class TestSyncDriverMTS:
     def test_drift_comparable_to_baseline(self, glycine4, surrogate, v0):
@@ -131,28 +119,21 @@ class TestSyncDriverMTS:
         dev = np.max(np.abs(k4.coords[-1] - base.coords[-1]))
         assert dev < 1e-2  # Bohr
 
-    def test_extrapolate_mode_runs(self, glycine4, surrogate, v0):
-        k4x = _run(glycine4, surrogate, v0, mts_k=4, mts_extrapolate=True)
-        d = abs(k4x.total[-1] - k4x.total[0])
-        assert d < 1e-3
-
     def test_requires_fragmented_system(self, surrogate):
         with pytest.raises(ValueError, match="FragmentedSystem"):
             run_aimd(water_cluster(2), surrogate, nsteps=2, dt_fs=0.5,
                      mts_k=2)
 
-    @pytest.mark.parametrize("extrapolate", [False, True])
     def test_mid_cycle_checkpoint_resume_bitwise(
-        self, glycine4, surrogate, v0, tmp_path, extrapolate
+        self, glycine4, surrogate, v0, tmp_path
     ):
         """Resume from a checkpoint *inside* an outer cycle (step 6 is
         phase 2 of k=4) and reproduce the uninterrupted run bitwise —
         the held slow forces ride the checkpoint."""
         ck = tmp_path / "ck.npz"
         full = _run(glycine4, surrogate, v0, nsteps=12, mts_k=4,
-                    mts_extrapolate=extrapolate, replan_interval=2)
-        _run(glycine4, surrogate, v0, nsteps=6, mts_k=4,
-             mts_extrapolate=extrapolate, replan_interval=2,
+                    replan_interval=2)
+        _run(glycine4, surrogate, v0, nsteps=6, mts_k=4, replan_interval=2,
              checkpoint_path=ck, checkpoint_every=2)
         ckpt = read_checkpoint(ck, mol=glycine4.parent)
         assert ckpt.step == 6
@@ -160,8 +141,7 @@ class TestSyncDriverMTS:
         assert slow["tier"] == 1 and slow["k"] == 4
         assert slow["step"] == 4  # held boundary, not the step
         resumed = _run(glycine4, surrogate, v0, nsteps=12, mts_k=4,
-                       mts_extrapolate=extrapolate, replan_interval=2,
-                       resume=ckpt)
+                       replan_interval=2, resume=ckpt)
         np.testing.assert_array_equal(full.potential, resumed.potential)
         np.testing.assert_array_equal(full.kinetic, resumed.kinetic)
         np.testing.assert_array_equal(full.coords[-1], resumed.coords[-1])
@@ -254,13 +234,11 @@ class TestCoordinatorMTS:
         run_serial(c, PairwisePotentialCalculator())
         return c
 
-    @pytest.mark.parametrize("extrapolate", [False, True])
-    def test_matches_sync_driver(self, glycine4, surrogate, v0, extrapolate):
+    def test_matches_sync_driver(self, glycine4, surrogate, v0):
         """The coordinator's task-by-task tier split must integrate the
         same dynamics as the sync driver's closed-form split."""
-        c = self._coord(v0, mts_k=4, mts_extrapolate=extrapolate)
-        traj = _run(glycine4, surrogate, v0, mts_k=4,
-                    mts_extrapolate=extrapolate)
+        c = self._coord(v0, mts_k=4)
+        traj = _run(glycine4, surrogate, v0, mts_k=4)
         _, pe, ke = c.trajectory_energies()
         np.testing.assert_allclose(pe, traj.potential, atol=1e-12)
         np.testing.assert_allclose(ke, traj.kinetic, atol=1e-12)
@@ -281,14 +259,12 @@ class TestCoordinatorMTS:
         assert k4.tasks_issued < base.tasks_issued
         assert k4.mts_slow_evals == 16 // 4 + 1  # boundaries incl. step 0
 
-    @pytest.mark.parametrize("extrapolate", [False, True])
-    def test_deterministic_resume_bitwise(self, v0, tmp_path, extrapolate):
+    def test_deterministic_resume_bitwise(self, v0, tmp_path):
         ck = tmp_path / "ck.npz"
-        full = self._coord(v0, mts_k=4, mts_extrapolate=extrapolate,
-                           checkpoint_path=ck, checkpoint_every=4,
-                           checkpoint_keep=4)
+        full = self._coord(v0, mts_k=4, checkpoint_path=ck,
+                           checkpoint_every=4, checkpoint_keep=4)
         t_f, pe_f, ke_f = full.trajectory_energies()
-        # pick the rotated generation written at step 8 (has history)
+        # pick the rotated generation written at step 8 (not the first)
         ckpt = None
         for q in [ck] + [Path(str(ck) + f".{i}") for i in range(1, 5)]:
             if q.exists():
@@ -296,9 +272,8 @@ class TestCoordinatorMTS:
                 if c0.step == 8:
                     ckpt = c0
         assert ckpt is not None
-        assert ckpt.sections["tiers"][0]["held"][0]["prev_step"] == 4
-        res = self._coord(v0, mts_k=4, mts_extrapolate=extrapolate,
-                          resume=ckpt)
+        assert ckpt.sections["tiers"][0]["held"][0]["step"] == 8
+        res = self._coord(v0, mts_k=4, resume=ckpt)
         t_r, pe_r, ke_r = res.trajectory_energies()
         np.testing.assert_array_equal(pe_f, pe_r)
         np.testing.assert_array_equal(ke_f, ke_r)
@@ -332,7 +307,7 @@ class TestTiersSection:
         system = glycine_fragmented(4)
         kw = dict(dt_fs=0.25, r_dimer_bohr=R_DIMER, mbe_order=2,
                   velocities=v0.copy(), deterministic=True,
-                  replan_interval=2, mts_k=4, mts_extrapolate=True)
+                  replan_interval=2, mts_k=4)
         ck = tmp_path / "ck.npz"
         co = AsyncCoordinator(system, nsteps=10, checkpoint_path=ck,
                               checkpoint_every=10, **kw)
@@ -341,16 +316,15 @@ class TestTiersSection:
 
     def test_state_roundtrip(self, v0, tmp_path):
         """file -> engine buffers -> `state_dict` is the identity: held
-        boundary 8, history boundary 4, both energies, both arrays."""
+        boundary 8, its energy and its forces."""
         from repro.md.scheduler import _HeldTiers
 
         system, kw, ckpt = self._cut(v0, tmp_path)
         meta, arrays = ckpt.sections["tiers"]
-        assert meta == {"extrapolate": True, "held": [{
-            "tier": 1, "k": 4, "step": 8, "prev_step": 4,
-            "e": meta["held"][0]["e"], "e_prev": meta["held"][0]["e_prev"],
+        assert meta == {"held": [{
+            "tier": 1, "k": 4, "step": 8, "e": meta["held"][0]["e"],
         }]}
-        assert sorted(arrays) == ["1.forces", "1.forces_prev"]
+        assert sorted(arrays) == ["1.forces"]
         resumed = AsyncCoordinator(system, nsteps=12, resume=ckpt, **kw)
         meta2, arrays2 = _HeldTiers(resumed, 10).state_dict()
         assert meta2 == meta
@@ -360,8 +334,17 @@ class TestTiersSection:
     def test_named_boundary_without_forces_raises(self, v0, tmp_path):
         system, kw, ckpt = self._cut(v0, tmp_path)
         meta, arrays = ckpt.sections["tiers"]
-        ckpt.sections["tiers"] = (meta, {"1.forces_prev": arrays["1.forces_prev"]})
+        ckpt.sections["tiers"] = (meta, {})
         with pytest.raises(CheckpointError, match="held forces"):
+            AsyncCoordinator(system, nsteps=12, resume=ckpt, **kw)
+
+    def test_extrapolated_slow_force_refused(self, v0, tmp_path):
+        """A hand-written current-version section declaring the removed
+        extrapolation mode is refused, not silently run as impulses."""
+        system, kw, ckpt = self._cut(v0, tmp_path)
+        meta, arrays = ckpt.sections["tiers"]
+        ckpt.sections["tiers"] = ({**meta, "extrapolate": True}, arrays)
+        with pytest.raises(CheckpointError, match="extrapolated slow force"):
             AsyncCoordinator(system, nsteps=12, resume=ckpt, **kw)
 
     def test_plain_run_holds_nothing(self, v0):
@@ -388,3 +371,33 @@ class TestCliMTS:
         out = capsys.readouterr().out
         assert "mts: k=4" in out
         assert "slow-tier evaluations" in out
+
+
+class TestOneSlowTierMode:
+    def test_removed_options_are_gone(self):
+        """Impulse r-RESPA is the only slow-tier mode: no extrapolated
+        slow force and no per-order ``k`` ladder, on any surface."""
+        import inspect
+
+        from repro.cli import build_parser
+        from repro.serve import JobSpec
+
+        for fn in (AsyncCoordinator, run_aimd):
+            params = inspect.signature(fn).parameters
+            assert "mts_extrapolate" not in params
+            assert "mts_k_trimer" not in params
+        parser = build_parser()
+        for argv in (["aimd", "x.xyz", "--mts-extrapolate"],
+                     ["submit", "jobs.json", "--job-id", "j",
+                      "--mts-extrapolate"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+        with pytest.raises(ValueError, match="extrapolated"):
+            JobSpec(job_id="j", system={"kind": "water"},
+                    mts={"k": 4, "extrapolate": True})
+        with pytest.raises(ValueError, match="unknown mts options"):
+            JobSpec(job_id="j", system={"kind": "water"},
+                    mts={"k": 4, "k_trimer": 8})
+        # spec files written with the old key still load
+        JobSpec(job_id="j", system={"kind": "water"},
+                mts={"k": 4, "extrapolate": False})

@@ -403,34 +403,35 @@ class TestLayoutLifetime:
 
 
 class TestParentByteEquality:
-    """Serial trajectories hash to what the per-atom engine of the
-    parent commit (f032c18) produced: the layouts, the release-once
-    caches and the row-local reduction move no bit."""
+    """Serial trajectories hash to what the per-atom engine of commit
+    f032c18 produced under ``deterministic=True``: the layouts, the
+    release-once caches and the row-local reduction move no bit, and
+    every run now takes that one canonical reduction (the completion-
+    order accumulation hashed to ``ccd604b17497ebc3``)."""
 
     @staticmethod
     def _hash(coords, pe, ke):
         blob = coords.tobytes() + np.asarray(pe).tobytes() + np.asarray(ke).tobytes()
         return hashlib.sha256(blob).hexdigest()[:16]
 
-    @pytest.mark.parametrize("deterministic, expected", [
-        (False, "ccd604b17497ebc3"), (True, "dfb94ac1022f953d"),
-    ])
-    def test_fibril_async(self, deterministic, expected):
+    def test_fibril_async(self):
         fs = fibril_fragmented(2, 3)
         v0 = maxwell_boltzmann_velocities(fs.parent.masses_au, 300.0, seed=3)
         co = AsyncCoordinator(
             fs, 8, 0.5, 8.0 * BOHR_PER_ANGSTROM, 5.0 * BOHR_PER_ANGSTROM,
-            replan_interval=4, velocities=v0, deterministic=deterministic,
+            replan_interval=4, velocities=v0,
         )
         run_serial(co, PairwisePotentialCalculator())
         _, pe, ke = co.trajectory_energies()
         assert co.tasks_issued == 153
-        assert self._hash(co.coords, pe, ke) == expected
+        assert self._hash(co.coords, pe, ke) == "dfb94ac1022f953d"
 
     def test_water4_mbe3_three_steps(self):
         """Workload A's system, velocities, cutoffs and driver; the
         pairwise potential stands in for RI-MP2, whose last bits belong
-        to the BLAS build."""
+        to the BLAS build. The pin is the barriered engine's canonical
+        reduction at f0b2ac2 (its completion-order one hashed to
+        ``4f80a3748efffaa6``)."""
         fs = FragmentedSystem.by_components(water_cluster(4, seed=1))
         v0 = maxwell_boltzmann_velocities(fs.parent.masses_au, 300.0, seed=1)
         traj = run_aimd(
@@ -439,4 +440,4 @@ class TestParentByteEquality:
         )
         assert self._hash(
             traj.coords[-1], traj.potential, traj.kinetic
-        ) == "4f80a3748efffaa6"
+        ) == "140fa01944e5fd99"

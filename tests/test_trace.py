@@ -135,7 +135,7 @@ class TestSchedulerInstrumentation:
         system = FragmentedSystem.by_blocks(water_cluster(3, seed=2), 3)
         v0 = maxwell_boltzmann_velocities(system.parent.masses_au, 100, seed=1)
         kw = dict(dt_fs=0.5, r_dimer_bohr=BIG, r_trimer_bohr=BIG,
-                  velocities=v0, replan_interval=2, mts_k=2, mts_k_trimer=4)
+                  velocities=v0, replan_interval=2, mts_k=2)
         ck = tmp_path / "ck.npz"
         run_aimd(system, PairwisePotentialCalculator(), nsteps=2,
                  checkpoint_path=ck, checkpoint_every=2, **kw)
@@ -152,9 +152,9 @@ class TestSchedulerInstrumentation:
         assert len(tr.instants("resume")) == 1
         evals = [(args["step"], args["tier"])
                  for args in tr.instants("mts.slow_eval")]
-        # resumed at step 2 with both tiers held: the dimer tier (1) is
-        # next due at 4, the trimer tier (2) at 4 and 8
-        assert evals == [(4, 1), (4, 2), (6, 1), (8, 1), (8, 2)]
+        # resumed at step 2, a boundary: the slow tier (1) was evaluated
+        # before the cut and is next due at 4
+        assert evals == [(4, 1), (6, 1), (8, 1)]
 
     def test_untraced_run_unchanged(self):
         """tracer=None must leave the trajectory identical (guard-only)."""
