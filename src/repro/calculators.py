@@ -18,24 +18,39 @@ fragmentation and MD layers consume. Three families are provided:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 
+from .basis.auxiliary import auto_auxiliary
+from .basis.basisset import BasisSet
 from .chem.molecule import Molecule
-from .integrals.workspace import IntegralWorkspace, get_workspace
+from .integrals.batch import table_bytes
+from .integrals.workspace import IntegralWorkspace, get_workspace, table_budget
 from .mp2.mp2 import mp2_ri
-from .mp2.rimp2_grad import rimp2_gradient
-from .numerics import ensure_finite
-from .scf.grad import rhf_gradient_conventional, rhf_gradient_ri
+from .mp2.rimp2_grad import rimp2_gradient_coefficients
+from .numerics import NumericalDivergenceError, ensure_finite
+from .scf.grad import (
+    contract_ri_gradients,
+    rhf_gradient_conventional,
+    ri_gradient_coefficients,
+)
 from .scf.recovery import rhf_with_recovery
-from .scf.rhf import rhf
+from .scf.rhf import SCFConvergenceError, prepare_solves, rhf
 from .store import BoundedStore
 
 
 class Calculator(Protocol):
-    """Anything that can evaluate an energy and nuclear gradient."""
+    """Anything that can evaluate an energy and nuclear gradient.
+
+    A calculator may also offer ``energy_gradients(mols)``, the same for
+    a list of fragments evaluated together (`RIMP2Calculator`,
+    `RIHFCalculator`); the drivers hand those whole lists
+    (`repro.md.scheduler.evaluate_fragments`) and everything else one
+    fragment at a time.
+    """
 
     def energy_gradient(self, mol: Molecule) -> tuple[float, np.ndarray]:
         """Return ``(energy_hartree, gradient (natoms, 3) Ha/Bohr)``."""
@@ -207,6 +222,100 @@ def _resolve_workspace(calc):
     return ws, ws.scope(tracer=calc.tracer)
 
 
+def _stacks(mols, basis: str, workspace: IntegralWorkspace):
+    """The molecules as stacks, ``(indices, bases, auxs)`` each: grouped
+    by composition (the ordered element symbols fix both bases), in
+    order, a stack closing before the fragment whose unscreened Hermite
+    Coulomb tables (`repro.integrals.batch.table_bytes`) would take its
+    set past `table_budget` — so what a stack holds stays within the
+    budget one evaluation always had. A fragment above the budget on its
+    own goes alone and builds the rest on the fly, as it always did."""
+    groups: dict[tuple, list[int]] = {}
+    for i, mol in enumerate(mols):
+        groups.setdefault(tuple(mol.symbols), []).append(i)
+    for idx in groups.values():
+        bases = [BasisSet.build(mols[i], basis) for i in idx]
+        auxs = [auto_auxiliary(mols[i], basis) for i in idx]
+        size = len(idx)
+        if size > 1:
+            per = table_bytes(bases[0], auxs[0], mols[idx[0]].natoms, workspace)
+            size = max(1, table_budget(workspace) // per)
+        for lo in range(0, len(idx), size):
+            hi = lo + size
+            yield idx[lo:hi], bases[lo:hi], auxs[lo:hi]
+
+
+def _evaluate_stacks(calc, mols, method: str, terms, **scf):
+    """``(energy, gradient)`` of every molecule, in order, evaluated
+    stack by stack (`_stacks`).
+
+    A stack is one evaluation of the integral layer
+    (`IntegralWorkspace.evaluation`): the stacked value drivers fill
+    every fragment's solve memo at once (`repro.scf.rhf.prepare_solves`);
+    each fragment's SCF runs on its own — warm starts, recovery ladder,
+    ``scf`` settings — and ``terms(result)`` turns it into the
+    fragment's energy and gradient coefficients, after which the SCF
+    result is dropped; one call of each stacked derivative driver then
+    contracts the stack's coefficients
+    (`repro.scf.grad.contract_ri_gradients`). A fragment whose SCF
+    fails raises the typed error under its own key; the rest of its
+    stack is not evaluated. A traced calculator emits one ``calc.stack``
+    span per stack (composition, size, the largest table set it held,
+    the pairs its derivative drivers rebuilt).
+    """
+    ws = calc.workspace if calc.workspace is not None else get_workspace()
+    tracer = calc.tracer
+    out = [None] * len(mols)
+    for idx, bases, auxs in _stacks(mols, calc.basis, ws):
+        stack = [mols[i] for i in idx]
+        start = tracer.clock() if tracer else 0.0
+        traced = nullcontext() if tracer is None else ws.scope(tracer=tracer)
+        with ws.evaluation() as scratch, traced:
+            memos = prepare_solves(stack, bases, auxs, calc.int_screen, ws)
+            energies, coefs = [], []
+            for mol, memo in zip(stack, memos):
+                energy, coef = terms(_fragment_scf(calc, mol, memo, ws, scf))
+                energies.append(energy)
+                coefs.append(coef)
+                memo.clear()  # drops the solve's tensors and Fock layouts
+            coefs = [np.stack(parts) for parts in zip(*coefs)]
+            grads = contract_ri_gradients(stack, bases, auxs, coefs,
+                                          calc.int_screen, ws)
+        if tracer:
+            tracer.complete(
+                "calc.stack", start, tracer.clock() - start,
+                cat="calculators", composition=stack[0].formula(),
+                size=len(idx), table_bytes=scratch.table_bytes,
+                rebuilt_pairs=scratch.rebuilt_pairs,
+            )
+        for i, mol, energy, grad in zip(idx, stack, energies, grads):
+            ensure_finite(
+                f"{method} on {mol.natoms}-atom fragment "
+                f"{getattr(mol, 'frag_key', None)}",
+                energy=energy, gradient=grad,
+            )
+            out[i] = energy, grad
+    return out
+
+
+def _fragment_scf(calc, mol, memo, workspace, scf: dict):
+    """One fragment's SCF of a stack, on its prepared solve memo; an SCF
+    that fails (the recovery ladder exhausted, or diverged) raises its
+    typed error naming the fragment."""
+    try:
+        return _solve_scf(
+            mol, calc.basis, calc.recover, tracer=calc.tracer,
+            guess_cache=calc.guess_cache, ri=True,
+            int_screen=calc.int_screen, workspace=workspace,
+            solve_memo=memo, **scf,
+        )
+    except (SCFConvergenceError, NumericalDivergenceError) as err:
+        raise type(err)(
+            f"fragment {getattr(mol, 'frag_key', None)} "
+            f"({mol.natoms} atoms): {err}"
+        ) from err
+
+
 def _solve_scf(mol, basis, recover: bool, tracer=None, guess_cache=None,
                **kwargs):
     """Bare `rhf` or the recovery cascade, per the calculator's setting.
@@ -275,22 +384,20 @@ class RIMP2Calculator:
 
     def energy_gradient(self, mol: Molecule) -> tuple[float, np.ndarray]:
         """RI-HF + RI-MP2 total energy and analytic gradient."""
-        ws, scope = _resolve_workspace(self)
-        with scope:
-            res = _solve_scf(
-                mol, self.basis, self.recover, tracer=self.tracer,
-                guess_cache=self.guess_cache, ri=True,
-                conv_energy=self.conv_energy, max_iter=self.max_iter,
-                int_screen=self.int_screen, workspace=ws,
-            )
-            out = rimp2_gradient(res, return_intermediates=True,
-                                 int_screen=self.int_screen, workspace=ws)
-        energy = res.energy + out.e_corr
-        ensure_finite(
-            f"RI-MP2 on {mol.natoms}-atom fragment",
-            energy=energy, gradient=out.gradient,
+        return self.energy_gradients([mol])[0]
+
+    def energy_gradients(self, mols) -> list[tuple[float, np.ndarray]]:
+        """`energy_gradient` of every molecule, fragments of one
+        composition evaluated as stacks (`_evaluate_stacks`); each
+        result is bitwise the one the molecule gets alone."""
+        def terms(res):
+            coefs, parts = rimp2_gradient_coefficients(res)
+            return res.energy + parts["e_corr"], coefs
+
+        return _evaluate_stacks(
+            self, mols, "RI-MP2", terms,
+            conv_energy=self.conv_energy, max_iter=self.max_iter,
         )
-        return energy, out.gradient
 
     def energy(self, mol: Molecule) -> float:
         """Energy-only evaluation (skips the gradient machinery)."""
@@ -324,20 +431,15 @@ class RIHFCalculator:
 
     def energy_gradient(self, mol: Molecule) -> tuple[float, np.ndarray]:
         """RI-HF energy and analytic gradient."""
-        ws, scope = _resolve_workspace(self)
-        with scope:
-            res = _solve_scf(
-                mol, self.basis, self.recover, tracer=self.tracer,
-                guess_cache=self.guess_cache, ri=True,
-                int_screen=self.int_screen, workspace=ws,
-            )
-            grad = rhf_gradient_ri(res, int_screen=self.int_screen,
-                                   workspace=ws)
-        ensure_finite(
-            f"RI-HF on {mol.natoms}-atom fragment",
-            energy=res.energy, gradient=grad,
+        return self.energy_gradients([mol])[0]
+
+    def energy_gradients(self, mols) -> list[tuple[float, np.ndarray]]:
+        """`energy_gradient` of every molecule, as stacks (see
+        `RIMP2Calculator.energy_gradients`)."""
+        return _evaluate_stacks(
+            self, mols, "RI-HF",
+            lambda res: (res.energy, ri_gradient_coefficients(res)),
         )
-        return res.energy, grad
 
 
 @dataclass

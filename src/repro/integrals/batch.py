@@ -42,6 +42,19 @@ recursion call per distinct order with one column per auxiliary *site*
 evaluation's `IntegralWorkspace.scope`. `_build_tables` is the only
 caller of the recursion; a column is bitwise independent of how it was
 come by.
+
+**Stacks.** Every driver takes a *stack*: the bases (and molecules) of
+fragments of one composition, evaluated as one. The stack is a longer
+pair axis: the class partition of the composition is repeated with
+every fragment's centres (``ShellClass.frag`` names each pair's
+fragment, fragment-major), the ket centres are gathered per pair, blocks
+scatter into ``(F, nbf, nbf[, naux])`` and gradients accumulate per
+fragment. The scalar drivers (`overlap_batched`, ...) are stacks of one.
+Since a pair's rows are independent of the chunk they are in, a
+fragment's result is bitwise independent of the stack it rode in: the
+reductions read C-contiguous operands, so they run the same way for any
+number of pairs, and the per-fragment sums over a class run over the
+fragment's own contiguous run of pairs.
 """
 
 from __future__ import annotations
@@ -52,6 +65,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..gemm import bgemm
 from .engine import (
     canonical_shell_pairs,
     comp_arrays,
@@ -67,7 +81,7 @@ from .eri import (
     _aux_bounds,
     _aux_groups,
     _phase,
-    _schwarz_table,
+    _schwarz_tables,
     _zblk_table,
 )
 from .workspace import table_budget
@@ -82,11 +96,15 @@ __all__ = [
     "ShellClass",
     "build_shell_classes",
     "canonical_shell_pairs",
+    "schwarz_pair_bounds_stack",
+    "stack_shell_classes",
+    "table_bytes",
 ]
 
-#: element budget for the largest per-chunk intermediate (~2 MB f64,
-#: sized to keep the chunk's working set cache-resident); per-pair rows
-#: are independent, so chunking never changes results
+#: element budget for the largest per-chunk intermediate (~1 MB f64:
+#: the chunk's working set stays cache-resident, and a stack's pair axis
+#: adds a few MB at most to what its tables hold); per-pair rows are
+#: independent, so chunking never changes results
 _CHUNK_ELEMS = 1 << 18
 
 
@@ -104,13 +122,16 @@ class ShellClass:
     `engine.pair_data` (bra-major). ``E`` carries the workspace-unified
     ``(di=1, dj=2)`` derivative headroom: lower-index entries of the E
     recursion are independent of headroom, so every driver can gather
-    from the one table.
+    from the one table. In a stack the pair axis runs over every
+    fragment's pairs, fragment-major; ``frag`` names each pair's
+    fragment, the other index arrays are the fragment's own.
     """
 
     la: int
     lb: int
     imax: int
     jmax: int
+    frag: np.ndarray      # (Q,) fragment of the stack, ascending
     ish: np.ndarray       # (Q,) bra shell index
     jsh: np.ndarray       # (Q,) ket shell index
     oa: np.ndarray        # (Q,) bra function offset
@@ -145,8 +166,8 @@ class ShellClass:
 
     def subset(self, mask: np.ndarray) -> "ShellClass":
         """Survivor view after a screening decision (boolean mask)."""
-        per_pair = ("ish", "jsh", "oa", "ob", "atom_a", "atom_b", "diag",
-                    "a", "b", "cc", "p", "P", "AB", "E")
+        per_pair = ("frag", "ish", "jsh", "oa", "ob", "atom_a", "atom_b",
+                    "diag", "a", "b", "cc", "p", "P", "AB", "E")
         return replace(self, **{f: getattr(self, f)[mask] for f in per_pair})
 
 
@@ -191,18 +212,21 @@ def _class_partition(basis: BasisSet):
     return parts
 
 
-def _build_shell_classes(basis: BasisSet) -> list[ShellClass]:
-    """Pack every shell-pair class of ``basis`` (fresh, no caching)."""
-    shells = basis.shells
-    centers = np.stack([sh.center for sh in shells])
+def _build_shell_classes(bases) -> list[ShellClass]:
+    """Pack every shell-pair class of a stack of bases of one composition
+    (fresh, no caching): the partition of the first, its pairs repeated
+    with the centres of every basis, fragment-major, and one E-table
+    build per class for the whole stack."""
+    F = len(bases)
+    centers = np.array([[sh.center for sh in basis.shells] for basis in bases])
     classes = []
-    for part in _class_partition(basis):
+    for part in _class_partition(bases[0]):
         la, lb = part["la"], part["lb"]
-        a, b, cc = part["a"], part["b"], part["cc"]
-        Q, N = a.shape
+        Q, N = part["a"].shape
+        a, b, cc = (np.tile(part[k], (F, 1)) for k in ("a", "b", "cc"))
         p = a + b
-        A = centers[part["ish"]]
-        B = centers[part["jsh"]]
+        A = centers[:, part["ish"]].reshape(F * Q, 3)
+        B = centers[:, part["jsh"]].reshape(F * Q, 3)
         P = (
             a[:, :, None] * A[:, None, :] + b[:, :, None] * B[:, None, :]
         ) / p[:, :, None]
@@ -210,14 +234,13 @@ def _build_shell_classes(basis: BasisSet) -> list[ShellClass]:
         imax, jmax = la + 1, lb + 2
         E = e_tables_batch(
             imax, jmax, np.repeat(AB, N, axis=0), a.ravel(), b.ravel()
-        ).reshape(Q, N, 3, imax + 1, jmax + 1, imax + jmax + 1)
+        ).reshape(F * Q, N, 3, imax + 1, jmax + 1, imax + jmax + 1)
+        each = {k: np.tile(part[k], F) for k in (
+            "ish", "jsh", "oa", "ob", "atom_a", "atom_b", "diag")}
         classes.append(
             ShellClass(
                 la=la, lb=lb, imax=imax, jmax=jmax,
-                ish=part["ish"], jsh=part["jsh"],
-                oa=part["oa"], ob=part["ob"],
-                atom_a=part["atom_a"], atom_b=part["atom_b"],
-                diag=part["diag"],
+                frag=np.repeat(np.arange(F), Q), **each,
                 a=a, b=b, cc=cc, p=p, P=P, AB=AB, E=E,
                 norms=part["norms"],
             )
@@ -225,13 +248,21 @@ def _build_shell_classes(basis: BasisSet) -> list[ShellClass]:
     return classes
 
 
+def stack_shell_classes(
+    bases, workspace: IntegralWorkspace | None = None
+) -> list[ShellClass]:
+    """Shell-pair classes of a stack from the workspace's scratch, or
+    freshly packed."""
+    if workspace is not None:
+        return workspace.shell_classes(bases)
+    return _build_shell_classes(bases)
+
+
 def build_shell_classes(
     basis: BasisSet, workspace: IntegralWorkspace | None = None
 ) -> list[ShellClass]:
-    """Shell-pair classes from the workspace cache, or freshly packed."""
-    if workspace is not None:
-        return workspace.shell_classes(basis)
-    return _build_shell_classes(basis)
+    """`stack_shell_classes` of one basis."""
+    return stack_shell_classes([basis], workspace)
 
 
 def _chunks(nq: int, per_pair_elems: int):
@@ -239,6 +270,12 @@ def _chunks(nq: int, per_pair_elems: int):
     step = max(1, _CHUNK_ELEMS // max(1, int(per_pair_elems)))
     for lo in range(0, nq, step):
         yield slice(lo, min(lo + step, nq))
+
+
+def _segments(frag: np.ndarray, nfrag: int) -> list[slice]:
+    """Each fragment's run of pairs along a (fragment-major) pair axis."""
+    bounds = np.searchsorted(frag, np.arange(nfrag + 1))
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 # --------------------------------------------------------------------------
@@ -268,9 +305,14 @@ def _w_class(E, ca, cb, tuv):
     The runtime passes `hermite_simplex` rows: with ``E[i, j, t] = 0``
     for ``t > i + j`` in every dimension, the rest of the Hermite cube
     is exactly zero.
+
+    The gathers leave the factors pair-fastest; the product is laid out
+    C-contiguous, so a GEMM reading it takes the same route (BLAS) for
+    any number of pairs and a pair's result does not depend on the
+    chunk or the stack it is in.
     """
     Gx, Gy, Gz = _w_factors(E, ca, cb, tuv)
-    return Gx * Gy * Gz
+    return np.multiply(Gx * Gy, Gz, order="C")
 
 
 def _w_deriv_1d(E, aexp, bexp, ca, cb, tuv, side, dim):
@@ -306,17 +348,17 @@ def _w_deriv_stack(E, aexp, bexp, ca, cb, tuv):
     """The six (side, axis) derivative expansions of a class chunk as
     one GEMM operand ``(q, 6, A*B, N*S)``: bra x, y, z, then ket. Each
     1-D factor is gathered once and the products of the two
-    undifferentiated ones are shared between the sides."""
+    undifferentiated ones are shared between the sides. The operand is
+    C-contiguous (see `_w_class`)."""
     G = _w_factors(E, ca, cb, tuv)
     rest = (G[1] * G[2], G[0] * G[2], G[0] * G[1])
-    dW = np.stack(
-        [
-            _w_deriv_1d(E, aexp, bexp, ca, cb, tuv, side, axis) * rest[axis]
-            for side in ("bra", "ket")
-            for axis in range(3)
-        ],
-        axis=1,
-    )
+    dW = np.empty((E.shape[0], 6, *rest[0].shape[1:]))
+    for i, side in enumerate(("bra", "ket")):
+        for axis in range(3):
+            np.multiply(
+                _w_deriv_1d(E, aexp, bexp, ca, cb, tuv, side, axis),
+                rest[axis], out=dW[:, 3 * i + axis],
+            )
     return dW.reshape(dW.shape[0], 6, len(ca) * len(cb), -1)
 
 
@@ -327,11 +369,12 @@ def _block_indices(oa, nfa, ob, nfb):
     return rows, cols
 
 
-def _scatter_blocks(out, rows, cols, blk):
-    """Write ``(Q, nfa, nfb)`` blocks, then every transposed image
-    (diagonal blocks end up holding ``blk.T``)."""
-    out[rows[:, :, None], cols[:, None, :]] = blk
-    out[cols[:, :, None], rows[:, None, :]] = blk.transpose(0, 2, 1)
+def _scatter_blocks(out, frag, rows, cols, blk):
+    """Write ``(Q, nfa, nfb)`` blocks into ``out (F, nbf, nbf)``, then
+    every transposed image (diagonal blocks end up holding ``blk.T``)."""
+    f = frag[:, None, None]
+    out[f, rows[:, :, None], cols[:, None, :]] = blk
+    out[f, cols[:, :, None], rows[:, None, :]] = blk.transpose(0, 2, 1)
 
 
 # --------------------------------------------------------------------------
@@ -373,16 +416,19 @@ def _build_tables(requests):
     return out
 
 
-def _ket_inputs(p, P, ket):
+def _ket_inputs(p, P, ket, frag=None):
     """Recursion inputs between a bra chunk (``p (q, N)``, centers
     ``P (q, N, 3)``) and the ``m`` columns of ``ket`` — a
     `_group_statics` entry, or any mapping with exponents ``qk`` and
     centers ``Pk`` that broadcast against ``(q, N, m)``: composite
     exponents ``alpha = pq / (p + q)`` and separations ``P - C``.
-    ``qk = None`` is a set of point charges (``alpha = p``)."""
+    ``qk = None`` is a set of point charges (``alpha = p``). With the
+    pairs' fragments ``frag (q,)``, ``Pk (F, m, 3)`` holds every
+    fragment's centres and each pair reads its own."""
     p4 = p[:, :, None]
     qk = ket["qk"]
-    PQ = P[:, :, None, :] - ket["Pk"]
+    Pk = ket["Pk"] if frag is None else ket["Pk"][frag][:, None]
+    PQ = P[:, :, None, :] - Pk
     if qk is None:
         return np.broadcast_to(p4, PQ.shape[:-1]), PQ
     return p4 * qk / (p4 + qk), PQ
@@ -416,13 +462,21 @@ def _hermite_kernel(R, K, idx):
 
 
 def _bra(cls: ShellClass, ids=None):
-    """A shell class (its pairs ``ids``, default all) as the bra side
-    of a `CoulombTables` set; ``cls`` holds exactly those pairs."""
+    """A shell class — its pairs ``ids``, default all — as the bra side
+    of a `CoulombTables` set."""
+    sel = slice(None) if ids is None else ids
     return dict(
         ids=np.arange(cls.npair) if ids is None else ids,
-        p=cls.p, cc=cls.cc, P=cls.P,
+        p=cls.p[sel], cc=cls.cc[sel], P=cls.P[sel], frag=cls.frag[sel],
         L=cls.la + cls.lb,
     )
+
+
+def _table_bytes(order: int, npairs: int, width: int) -> int:
+    """Bytes of the unscaled table of ``npairs`` bra pairs at ``order``
+    with ``width`` columns a pair: what `CoulombTables` holds for one
+    (class, group), and what `table_bytes` sums from a composition."""
+    return 8 * hermite_simplex(order).shape[0] * npairs * width
 
 
 class CoulombTables:
@@ -482,7 +536,7 @@ class CoulombTables:
                     continue
                 order, width = self._dims(ci, gi)
                 count = ids.size if have is None else missing.size
-                nbytes = 8 * hermite_simplex(order).shape[0] * count * width
+                nbytes = _table_bytes(order, count, width)
                 if self.nbytes + nbytes > budget:
                     self.complete = False
                     continue
@@ -519,8 +573,10 @@ class CoulombTables:
         """The `_build_tables` request for pairs ``sel`` of (class,
         group)."""
         bra, ket = self.bras[ci], self.kets[gi]
+        frag = bra.get("frag")
         return self._dims(ci, gi)[0], lambda: _ket_inputs(
-            bra["p"][sel], bra["P"][sel], ket
+            bra["p"][sel], bra["P"][sel], ket,
+            None if frag is None else frag[sel],
         )
 
     def table(self, ci: int, gi: int, sl: slice):
@@ -557,7 +613,7 @@ class CoulombTables:
         return _hermite_kernel(self.table(ci, gi, sl), K, idx)
 
 
-def _coulomb_tables(workspace, kind, bases, points, bras, kets) -> CoulombTables:
+def _coulomb_tables(workspace, kind, stacks, points, bras, kets) -> CoulombTables:
     """This driver's `CoulombTables`, through the evaluation's scratch
     (`IntegralWorkspace.coulomb_tables`) when there is a workspace."""
     def build(found, budget):
@@ -565,7 +621,29 @@ def _coulomb_tables(workspace, kind, bases, points, bras, kets) -> CoulombTables
 
     if workspace is None:
         return build(None, table_budget(None))
-    return workspace.coulomb_tables(kind, bases, points, build)
+    return workspace.coulomb_tables(kind, stacks, points, build)
+
+
+def table_bytes(basis: BasisSet, aux: BasisSet, natoms: int,
+                workspace: IntegralWorkspace | None = None) -> int:
+    """The bytes of a fragment's largest Hermite Coulomb table set
+    (`eri3c`, `nuclear` or `eri2c`) with nothing screened, from its
+    composition alone and by `CoulombTables`' own arithmetic: what one
+    more fragment of this composition adds to a stack's set."""
+    shells = basis.shells
+    classes: dict[tuple, int] = {}
+    for i, j in canonical_shell_pairs(basis):
+        key = (shells[i].l + shells[j].l, shells[i].nprim * shells[j].nprim)
+        classes[key] = classes.get(key, 0) + 1
+    sites = [(grp.lmax, grp.func_idx.shape[0])
+             for grp in _aux_groups(workspace, aux)]
+    eri3c = sum(_table_bytes(L + l + 1, Q, N * m)
+                for (L, N), Q in classes.items() for l, m in sites)
+    nuclear = sum(_table_bytes(L + 1, Q, N * natoms)
+                  for (L, N), Q in classes.items())
+    eri2c = sum(_table_bytes(lb + lk + 1, mb, mk)
+                for lb, mb in sites for lk, mk in sites)
+    return max(eri3c, nuclear, eri2c)
 
 
 # --------------------------------------------------------------------------
@@ -583,24 +661,44 @@ def _onee_blocks(tot, p, cc, norms):
     """Contract per-primitive factors ``tot[q, n, A, B]`` with the
     Gaussian-product prefactor: normalized blocks ``(q, A, B)``."""
     pref = cc * (np.pi / p) ** 1.5
-    return _einsum("qn,qnab->qab", pref, tot) * norms[None]
+    # the gathered factors made contiguous: the reduction then runs the
+    # same way for any number of pairs
+    return _einsum(
+        "qn,qnab->qab", pref, np.ascontiguousarray(tot)
+    ) * norms[None]
+
+
+def _onee_stack(bases, workspace, factors) -> np.ndarray:
+    """A one-electron matrix of every basis of a stack, ``(F, nbf,
+    nbf)``, from per-class primitive factors ``factors(cls, ca, cb) ->
+    [q, n, A, B]``."""
+    out = np.zeros((len(bases), bases[0].nbf, bases[0].nbf))
+    for cls in stack_shell_classes(bases, workspace):
+        ca = comp_arrays(cls.la)
+        cb = comp_arrays(cls.lb)
+        blk = _onee_blocks(factors(cls, ca, cb), cls.p, cls.cc, cls.norms)
+        rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
+        _scatter_blocks(out, cls.frag, rows, cols, blk)
+    return out
+
+
+def overlap_stack(
+    bases,
+    workspace: IntegralWorkspace | None = None,
+) -> np.ndarray:
+    """Overlap matrices of a stack of bases of one composition, shape
+    ``(F, nbf, nbf)``."""
+    return _onee_stack(
+        bases, workspace, lambda cls, ca, cb: _overlap_1d(cls.E, ca, cb)
+    )
 
 
 def overlap_batched(
     basis: BasisSet,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """Overlap matrix S, shape ``(nbf, nbf)``."""
-    S = np.zeros((basis.nbf, basis.nbf))
-    for cls in build_shell_classes(basis, workspace):
-        ca = comp_arrays(cls.la)
-        cb = comp_arrays(cls.lb)
-        blk = _onee_blocks(
-            _overlap_1d(cls.E, ca, cb), cls.p, cls.cc, cls.norms
-        )
-        rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
-        _scatter_blocks(S, rows, cols, blk)
-    return S
+    """Overlap matrix S, shape ``(nbf, nbf)``: a stack of one."""
+    return overlap_stack([basis], workspace)[0]
 
 
 def _kinetic_1d(E, bexp, ca, cb, deriv_axis=None, aexp=None):
@@ -650,16 +748,18 @@ def kinetic_batched(
     basis: BasisSet,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """Kinetic-energy matrix T, shape ``(nbf, nbf)``."""
-    T = np.zeros((basis.nbf, basis.nbf))
-    for cls in build_shell_classes(basis, workspace):
-        ca = comp_arrays(cls.la)
-        cb = comp_arrays(cls.lb)
-        tot = _kinetic_1d(cls.E, cls.b, ca, cb)
-        blk = _onee_blocks(tot, cls.p, cls.cc, cls.norms)
-        rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
-        _scatter_blocks(T, rows, cols, blk)
-    return T
+    """Kinetic-energy matrix T, shape ``(nbf, nbf)``: a stack of one."""
+    return kinetic_stack([basis], workspace)[0]
+
+
+def kinetic_stack(
+    bases,
+    workspace: IntegralWorkspace | None = None,
+) -> np.ndarray:
+    """Kinetic-energy matrices of a stack, shape ``(F, nbf, nbf)``."""
+    return _onee_stack(
+        bases, workspace, lambda cls, ca, cb: _kinetic_1d(cls.E, cls.b, ca, cb)
+    )
 
 
 def _nuclear_blocks(E, p, cc, R, Z, ca, cb, norms):
@@ -674,22 +774,25 @@ def _nuclear_blocks(E, p, cc, R, Z, ca, cb, norms):
     rows = simplex_sum_index(L, 0, L + 1)[:, 0]
     t1 = _einsum("tqnc,c->qnt", R[rows].reshape(nT, qc, N, -1), Z)
     t1 = t1 * (cc * (2.0 * np.pi / p))[:, :, None]
-    # summed along contiguous rows (the gather leaves W pair-fastest,
-    # except in a chunk of one pair), so a pair's block does not depend
-    # on the chunk it is in
+    # summed along contiguous rows (t1 keeps the table's Hermite-major
+    # order, except in a chunk of one pair), so a pair's block does not
+    # depend on the chunk or the stack it is in
     val = -_einsum(
-        "qxk,qk->qx", np.ascontiguousarray(W), t1.reshape(qc, N * nT)
+        "qxk,qk->qx", W, np.ascontiguousarray(t1).reshape(qc, N * nT)
     )
     return val.reshape(qc, len(ca), len(cb)) * norms[None]
 
 
-def _nuclear_tables(workspace, basis, mol, bras):
-    """The `CoulombTables` between ``bras`` and the nuclei of ``mol``
-    (point charges: one ket group of order 0 without an exponent)."""
-    ket = dict(qk=None, Pk=mol.coords, l=0)
-    points = np.column_stack([mol.atomic_numbers, mol.coords])
+def _nuclear_tables(workspace, bases, mols, bras):
+    """The `CoulombTables` between ``bras`` and the nuclei of each
+    fragment's molecule (point charges: one ket group of order 0
+    without an exponent)."""
+    ket = dict(qk=None, Pk=np.stack([mol.coords for mol in mols]), l=0)
+    points = np.concatenate([
+        np.column_stack([mol.atomic_numbers, mol.coords]) for mol in mols
+    ])
     return _coulomb_tables(
-        workspace, "nuclear", (basis,), points, bras, [ket]
+        workspace, "nuclear", (bases,), points, bras, [ket]
     )
 
 
@@ -699,13 +802,23 @@ def nuclear_batched(
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
     """Nuclear-attraction matrix V (negative definite), shape
-    ``(nbf, nbf)``."""
-    V = np.zeros((basis.nbf, basis.nbf))
-    nC = mol.natoms
-    Z = mol.atomic_numbers.astype(float)
-    classes = build_shell_classes(basis, workspace)
+    ``(nbf, nbf)``: a stack of one."""
+    return nuclear_stack([basis], [mol], workspace)[0]
+
+
+def nuclear_stack(
+    bases,
+    mols,
+    workspace: IntegralWorkspace | None = None,
+) -> np.ndarray:
+    """Nuclear-attraction matrices of a stack (``mols`` of one
+    composition, each in its basis), shape ``(F, nbf, nbf)``."""
+    V = np.zeros((len(bases), bases[0].nbf, bases[0].nbf))
+    nC = mols[0].natoms
+    Z = mols[0].atomic_numbers.astype(float)
+    classes = stack_shell_classes(bases, workspace)
     tabs = _nuclear_tables(
-        workspace, basis, mol, [_bra(cls) for cls in classes]
+        workspace, bases, mols, [_bra(cls) for cls in classes]
     )
     for ci, cls in enumerate(classes):
         ca = comp_arrays(cls.la)
@@ -720,7 +833,7 @@ def nuclear_batched(
                 Z, ca, cb, cls.norms,
             )
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
-        _scatter_blocks(V, rows, cols, blk_all)
+        _scatter_blocks(V, cls.frag, rows, cols, blk_all)
     return V
 
 
@@ -728,18 +841,19 @@ def nuclear_batched(
 # One-electron contracted derivatives
 # --------------------------------------------------------------------------
 
-def _contract_bra_deriv(basis, X, workspace, deriv_1d) -> np.ndarray:
-    """``g[atom, xyz] = sum_{mu nu} X_{mu nu} dM_{mu nu}/d(atom, xyz)`` for
-    a one-electron matrix ``M`` whose bra-differentiated per-primitive
-    factors are ``deriv_1d(E, a, b, ca, cb, axis) -> [q, n, A, B]``.
+def _contract_bra_deriv(bases, X, workspace, deriv_1d) -> np.ndarray:
+    """``g[f, atom, xyz] = sum_{mu nu} X_{f mu nu} dM_{mu nu}/d(atom,
+    xyz)`` for every fragment ``f`` of a stack and a one-electron matrix
+    ``M`` whose bra-differentiated per-primitive factors are
+    ``deriv_1d(E, a, b, ca, cb, axis) -> [q, n, A, B]``.
 
     Translational invariance (``dM/dB = -dM/dA``) means only bra
     derivatives are computed; same-atom pairs vanish and are skipped.
     """
-    natoms = int(max(sh.atom for sh in basis.shells)) + 1
-    g = np.zeros((natoms, 3))
-    Xs = X + X.T
-    for cls in build_shell_classes(basis, workspace):
+    natoms = int(max(sh.atom for sh in bases[0].shells)) + 1
+    g = np.zeros((len(bases), natoms, 3))
+    Xs = X + X.transpose(0, 2, 1)
+    for cls in stack_shell_classes(bases, workspace):
         mask = (~cls.diag) & (cls.atom_a != cls.atom_b)
         if not mask.any():
             continue
@@ -748,16 +862,18 @@ def _contract_bra_deriv(basis, X, workspace, deriv_1d) -> np.ndarray:
         cb = comp_arrays(cls.lb)
         pref = sub.cc * (np.pi / sub.p) ** 1.5
         rows, cols = _block_indices(sub.oa, cls.nfa, sub.ob, cls.nfb)
-        Xblk = Xs[rows[:, :, None], cols[:, None, :]] * cls.norms[None]
+        Xblk = Xs[
+            sub.frag[:, None, None], rows[:, :, None], cols[:, None, :]
+        ] * cls.norms[None]
         vals = np.empty((sub.npair, 3))
         for axis in range(3):
             blk = _einsum(
-                "qn,qnab->qab", pref,
-                deriv_1d(sub.E, sub.a, sub.b, ca, cb, axis),
+                "qn,qnab->qab", pref, np.ascontiguousarray(
+                    deriv_1d(sub.E, sub.a, sub.b, ca, cb, axis)),
             )
             vals[:, axis] = _einsum("qab,qab->q", blk, Xblk)
-        np.add.at(g, sub.atom_a, vals)
-        np.subtract.at(g, sub.atom_b, vals)
+        np.add.at(g, (sub.frag, sub.atom_a), vals)
+        np.subtract.at(g, (sub.frag, sub.atom_b), vals)
     return g
 
 
@@ -776,8 +892,19 @@ def contract_overlap_deriv_batched(
     X: np.ndarray,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """``sum X_{mu nu} dS_{mu nu}/dR`` via bra-side differentiation."""
-    return _contract_bra_deriv(basis, X, workspace, _overlap_deriv_1d)
+    """``sum X_{mu nu} dS_{mu nu}/dR`` via bra-side differentiation: a
+    stack of one."""
+    return contract_overlap_deriv_stack([basis], X[None], workspace)[0]
+
+
+def contract_overlap_deriv_stack(
+    bases,
+    X: np.ndarray,
+    workspace: IntegralWorkspace | None = None,
+) -> np.ndarray:
+    """``sum X_{f mu nu} dS_{mu nu}/dR`` for every fragment of a stack,
+    ``X (F, nbf, nbf)``: shape ``(F, natoms, 3)``."""
+    return _contract_bra_deriv(bases, X, workspace, _overlap_deriv_1d)
 
 
 def contract_kinetic_deriv_batched(
@@ -785,8 +912,18 @@ def contract_kinetic_deriv_batched(
     X: np.ndarray,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """``sum X_{mu nu} dT_{mu nu}/dR`` via bra-side differentiation."""
-    return _contract_bra_deriv(basis, X, workspace, _kinetic_deriv_1d)
+    """``sum X_{mu nu} dT_{mu nu}/dR`` via bra-side differentiation: a
+    stack of one."""
+    return contract_kinetic_deriv_stack([basis], X[None], workspace)[0]
+
+
+def contract_kinetic_deriv_stack(
+    bases,
+    X: np.ndarray,
+    workspace: IntegralWorkspace | None = None,
+) -> np.ndarray:
+    """``sum X_{f mu nu} dT_{mu nu}/dR`` for every fragment of a stack."""
+    return _contract_bra_deriv(bases, X, workspace, _kinetic_deriv_1d)
 
 
 def contract_nuclear_deriv_batched(
@@ -795,21 +932,33 @@ def contract_nuclear_deriv_batched(
     X: np.ndarray,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """``sum X_{mu nu} dV_{mu nu}/dR`` including operator-center terms.
+    """``sum X_{mu nu} dV_{mu nu}/dR`` including operator-center terms:
+    a stack of one."""
+    return contract_nuclear_deriv_stack([basis], [mol], X[None], workspace)[0]
+
+
+def contract_nuclear_deriv_stack(
+    bases,
+    mols,
+    X: np.ndarray,
+    workspace: IntegralWorkspace | None = None,
+) -> np.ndarray:
+    """``sum X_{f mu nu} dV_{mu nu}/dR`` for every fragment of a stack,
+    including operator-center terms: shape ``(F, natoms, 3)``.
 
     Bra/ket derivatives come from the angular-momentum shift; the
     derivative with respect to each nuclear position C follows from
     translational invariance of each C term:
     ``dV_C/dC = -(dV_C/dA + dV_C/dB)``.
     """
-    natoms = mol.natoms
-    g = np.zeros((natoms, 3))
-    Zh = mol.atomic_numbers.astype(float)
+    F, natoms = len(bases), mols[0].natoms
+    g = np.zeros((F, natoms, 3))
+    Zh = mols[0].atomic_numbers.astype(float)
     nC = natoms
-    Xs = X + X.T
-    classes = build_shell_classes(basis, workspace)
+    Xs = X + X.transpose(0, 2, 1)
+    classes = stack_shell_classes(bases, workspace)
     tabs = _nuclear_tables(
-        workspace, basis, mol, [_bra(cls) for cls in classes]
+        workspace, bases, mols, [_bra(cls) for cls in classes]
     )
     for ci, cls in enumerate(classes):
         ca = comp_arrays(cls.la)
@@ -819,11 +968,8 @@ def contract_nuclear_deriv_batched(
         nT = tuv.shape[0]
         N, X_ = cls.nprim, cls.nfa * cls.nfb
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
-        Xg = np.where(
-            cls.diag[:, None, None],
-            X[rows[:, :, None], cols[:, None, :]],
-            Xs[rows[:, :, None], cols[:, None, :]],
-        ) * cls.norms[None]
+        at = (cls.frag[:, None, None], rows[:, :, None], cols[:, None, :])
+        Xg = np.where(cls.diag[:, None, None], X[at], Xs[at]) * cls.norms[None]
         Xf = Xg.reshape(cls.npair, X_)
         # per-class accumulators so chunking cannot change the result
         vals_all = np.empty((cls.npair, 2, 3, nC))
@@ -834,18 +980,20 @@ def contract_nuclear_deriv_batched(
             pref = cls.cc[sl] * (2.0 * np.pi / cls.p[sl])
             # all six (side, axis) operands through one pair of GEMMs
             dW = _w_deriv_stack(cls.E[sl], cls.a[sl], cls.b[sl], ca, cb, tuv)
-            t1 = np.matmul(Xf[sl][:, None, None, :], dW)
+            t1 = bgemm(Xf[sl][:, None, None, :], dW)
             t1 = t1.reshape(qc, 6, N, nT) * pref[:, None, :, None]
-            v = -np.matmul(
+            v = -bgemm(
                 t1.reshape(qc, 6, N * nT),
                 R.transpose(1, 2, 0, 3).reshape(qc, N * nT, nC),
             )
             vals_all[sl] = v.reshape(qc, 2, 3, nC) * Zh
+        segments = _segments(cls.frag, F)
         for si, atoms_side in enumerate((cls.atom_a, cls.atom_b)):
             for axis in range(3):
                 v = vals_all[:, si, axis, :]
-                np.add.at(g[:, axis], atoms_side, v.sum(axis=1))
-                g[:, axis] -= v.sum(axis=0)
+                np.add.at(g[..., axis], (cls.frag, atoms_side), v.sum(axis=1))
+                for f, seg in enumerate(segments):
+                    g[f, :, axis] -= v[seg].sum(axis=0)
     return g
 
 
@@ -857,19 +1005,38 @@ def schwarz_pair_bounds_batched(
     basis: BasisSet,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """Cauchy-Schwarz bounds ``Q_ij = max sqrt((ab|ab))`` per shell pair.
+    """Cauchy-Schwarz bounds ``Q_ij = max sqrt((ab|ab))`` per shell pair,
+    shape ``(nshells, nshells)``: a stack of one (see
+    `schwarz_pair_bounds_stack`)."""
+    return schwarz_pair_bounds_stack([basis], workspace)[0]
+
+
+def schwarz_pair_bounds_stack(
+    bases,
+    workspace: IntegralWorkspace | None = None,
+    frags=None,
+) -> np.ndarray:
+    """Cauchy-Schwarz bounds ``Q_ij = max sqrt((ab|ab))`` per shell pair
+    of the fragments ``frags`` (default all) of a stack, shape
+    ``(len(frags), nshells, nshells)``, from the stack's shell classes.
 
     Standard screening for all ERI classes: ``|(ab|cd)| <= Q_ab Q_cd``
-    and ``|(ab|P)| <= Q_ab Q_P``. Shape ``(nshells, nshells)``. The bound
-    ignores the component normalization (O(1) factors). Only the
-    diagonal of each ``(ab|ab)`` block is assembled. ``workspace``
-    serves the packed shell classes; cached *bound tables* live one
-    level up in `IntegralWorkspace.schwarz_bounds`, the one table every
-    screened driver (and the loop reference) takes its decisions from.
+    and ``|(ab|P)| <= Q_ab Q_P``. The bound ignores the component
+    normalization (O(1) factors). Only the diagonal of each ``(ab|ab)``
+    block is assembled. ``workspace`` serves the packed shell classes;
+    cached *bound tables* live one level up in
+    `IntegralWorkspace.schwarz_bounds_stack`, the one table per fragment
+    every screened driver (and the loop reference) takes its decisions
+    from.
     """
-    nsh = basis.nshells
-    Qmat = np.zeros((nsh, nsh))
-    for cls in build_shell_classes(basis, workspace):
+    frags = np.arange(len(bases)) if frags is None else np.asarray(frags)
+    row = np.full(len(bases), -1)
+    row[frags] = np.arange(frags.size)
+    nsh = bases[0].nshells
+    Qmat = np.zeros((frags.size, nsh, nsh))
+    for cls in stack_shell_classes(bases, workspace):
+        if frags.size < len(bases):
+            cls = cls.subset(row[cls.frag] >= 0)
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
         L = cls.la + cls.lb
@@ -894,11 +1061,12 @@ def schwarz_pair_bounds_batched(
             M2 = _hermite_kernel(
                 R, _prefactor(p, cc, ket), simplex_sum_index(L, L)
             )
-            t1 = np.matmul(Wb.reshape(qc, X, N * Tb), M2)
+            t1 = bgemm(Wb.reshape(qc, X, N * Tb), M2)
             diag = _einsum("qxk,qxk->qx", t1, Wk)
             bound_all[sl] = np.sqrt(np.max(np.abs(diag), axis=1))
-        Qmat[cls.ish, cls.jsh] = bound_all
-        Qmat[cls.jsh, cls.ish] = bound_all
+        at = row[cls.frag]
+        Qmat[at, cls.ish, cls.jsh] = bound_all
+        Qmat[at, cls.jsh, cls.ish] = bound_all
     return Qmat
 
 
@@ -906,12 +1074,16 @@ def schwarz_pair_bounds_batched(
 # Three-center integrals and derivative contraction
 # --------------------------------------------------------------------------
 
-def _group_statics(groups):
+def _group_statics(groups, auxs):
     """Per-auxiliary-group ket expansions on the simplex rows of the
     group's ``lmax`` (Hermite phase folded in), built once per call: the
     one place that turns an `AuxGroup` into what the kernels read —
     ``(m, C, Tk, Wk, func_idx, comp_norms, atoms)`` plus the ket side
-    of its `CoulombTables` (``qk``, ``Pk``, ``l``)."""
+    of its `CoulombTables` (``qk``, ``Pk``, ``l``). ``groups`` are those
+    of the stack's composition and ``auxs`` its fitting bases: ``Pk (F,
+    m, 3)`` holds the sites' centres in every fragment, nothing else
+    depends on the geometry."""
+    centers = np.array([[sh.center for sh in aux.shells] for aux in auxs])
     statics = []
     for grp in groups:
         tuv = hermite_simplex(grp.lmax)
@@ -921,7 +1093,7 @@ def _group_statics(groups):
         statics.append(
             dict(
                 grp=grp, l=grp.lmax, m=m, C=C, Tk=tuv.shape[0],
-                qk=grp.pd.p, Pk=grp.pd.P, Wk=Wk,
+                qk=grp.pd.p, Pk=centers[:, grp.shells], Wk=Wk,
                 func_idx=grp.func_idx,
                 comp_norms=grp.comp_norms,
                 atoms=grp.atoms,
@@ -934,31 +1106,47 @@ def _group_apply_batched(M2, st, Wb2):
     """Contract bra expansions ``Wb2 (qc, X, N*Tb)`` with the kernel
     pieces of one aux group: ``(qc, m, X, C)`` blocks."""
     qc, X, _ = Wb2.shape
-    t1 = np.matmul(Wb2, M2)
+    t1 = bgemm(Wb2, M2)
     t1 = np.ascontiguousarray(
         t1.reshape(qc, X, st["Tk"], st["m"]).transpose(0, 3, 1, 2)
     )
-    return np.matmul(t1, st["Wk"].transpose(0, 2, 1)[None])
+    return bgemm(t1, st["Wk"].transpose(0, 2, 1)[None])
 
 
-def _eri3c_scatter(out, st, M2, Wb2, norms, rows, cols, off):
+def _eri3c_scatter(out, st, M2, Wb2, norms, frag, rows, cols, off):
     """Contract one (bra chunk, aux group), normalize, and write the
     ``(mu nu|P)`` blocks and their ``(nu mu|P)`` images (off-diagonal
-    pairs ``off``) into ``out``."""
+    pairs ``off``) into ``out (F, nbf, nbf, naux)``."""
     nfa, nfb = norms.shape
     blk = _group_apply_batched(M2, st, Wb2)
     blk = blk.reshape(-1, st["m"], nfa, nfb, st["C"])
     blk = blk * norms[None, None, :, :, None]
     blk = blk * st["comp_norms"][None, :, None, None, :]
     fi = st["func_idx"][None, None, None, :, :]
+    f = frag[:, None, None, None, None]
     out[
-        rows[:, :, None, None, None], cols[:, None, :, None, None], fi
+        f, rows[:, :, None, None, None], cols[:, None, :, None, None], fi
     ] = blk.transpose(0, 2, 3, 1, 4)
     if off.size:
         out[
-            cols[off][:, :, None, None, None],
+            f[off], cols[off][:, :, None, None, None],
             rows[off][:, None, :, None, None], fi,
         ] = blk[off].transpose(0, 3, 2, 1, 4)
+
+
+def _record_screens(workspace, kind, npairs, nfrag, skipped) -> None:
+    """One `IntegralWorkspace.record_screen` per fragment of a stack;
+    ``skipped`` holds per class the fragments of its skipped pairs and
+    their bounds. A fragment's neglected bound is one exactly rounded
+    sum, independent of class order, chunking and stack."""
+    if skipped:
+        frag = np.concatenate([f for f, _ in skipped])
+        bound = np.concatenate([b for _, b in skipped])
+    else:
+        frag, bound = np.empty(0, dtype=np.intp), np.empty(0)
+    for f in range(nfrag):
+        mine = bound[frag == f]
+        workspace.record_screen(kind, npairs, mine.size, math.fsum(mine))
 
 
 def eri3c_batched(
@@ -967,46 +1155,58 @@ def eri3c_batched(
     screen: float = 0.0,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """Three-center integrals ``(mu nu | P)``, shape ``(nbf, nbf, naux)``.
+    """Three-center integrals ``(mu nu | P)``, shape ``(nbf, nbf, naux)``:
+    a stack of one (see `eri3c_stack`)."""
+    return eri3c_stack([basis], [aux], screen, workspace)[0]
 
-    With ``screen > 0`` a bra shell pair is skipped when its Schwarz
-    bound ``Q_ab * max_P Q_P`` cannot reach the threshold — every
-    neglected integral is individually below ``screen`` and the summed
-    bound of everything skipped is accounted to the workspace
+
+def eri3c_stack(
+    bases,
+    auxs,
+    screen: float = 0.0,
+    workspace: IntegralWorkspace | None = None,
+) -> np.ndarray:
+    """Three-center integrals ``(mu nu | P)`` of every fragment of a
+    stack, shape ``(F, nbf, nbf, naux)``.
+
+    With ``screen > 0`` a bra shell pair of a fragment is skipped when
+    its Schwarz bound ``Q_ab * max_P Q_P`` (the fragment's own table)
+    cannot reach the threshold — every neglected integral is
+    individually below ``screen`` and the summed bound of everything
+    skipped is accounted to the workspace, per fragment
     (`IntegralWorkspace.record_screen`). ``workspace`` additionally
     serves cached shell classes, aux scaffolding and bound tables.
     """
-    out = np.zeros((basis.nbf, basis.nbf, aux.nbf))
-    statics = _group_statics(_aux_groups(workspace, aux))
-    classes = build_shell_classes(basis, workspace)
+    F = len(bases)
+    out = np.zeros((F, bases[0].nbf, bases[0].nbf, auxs[0].nbf))
+    statics = _group_statics(_aux_groups(workspace, auxs[0]), auxs)
+    classes = stack_shell_classes(bases, workspace)
     Q = None
     if screen > 0.0:
-        Q = _schwarz_table(basis, workspace)
-        qaux = _aux_bounds(aux, workspace)
+        Q = _schwarz_tables(bases, workspace)
+        qaux = _aux_bounds(auxs[0], workspace)
         qaux_max = float(qaux.max())
         qaux_sum = float(qaux.sum())
-    npairs = len(canonical_shell_pairs(basis))
-    nskip = 0
-    neglected: list[np.ndarray] = []
+    skipped: list[tuple[np.ndarray, np.ndarray]] = []
     kept, bras = [], []
     for cls in classes:
         ids = None
         if Q is not None:
-            qv = Q[cls.ish, cls.jsh]
+            qv = Q[cls.frag, cls.ish, cls.jsh]
             keep = qv * qaux_max > screen
             if not keep.all():
                 skip = ~keep
-                nskip += int(skip.sum())
                 nfab = (cls.nfa * cls.nfb) * np.where(cls.diag[skip], 1.0, 2.0)
-                neglected.append(qv[skip] * qaux_sum * nfab)
-                cls, ids = cls.subset(keep), np.nonzero(keep)[0]
-        kept.append(cls)
+                skipped.append((cls.frag[skip], qv[skip] * qaux_sum * nfab))
+                ids = np.nonzero(keep)[0]
+        kept.append(ids)
         bras.append(_bra(cls, ids))
     tabs = _coulomb_tables(
-        workspace, "eri3c", (basis, aux), None, bras, statics
+        workspace, "eri3c", (bases, auxs), None, bras, statics
     )
-    for ci, cls in enumerate(kept):
-        if cls.npair == 0:
+    for ci, (cls, ids) in enumerate(zip(classes, kept)):
+        npair = cls.npair if ids is None else ids.size
+        if npair == 0:
             continue
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
@@ -1014,33 +1214,51 @@ def eri3c_batched(
         tuv = hermite_simplex(L)
         Tb = tuv.shape[0]
         N, X = cls.nprim, cls.nfa * cls.nfb
-        rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
         # largest per-pair intermediates: the gathered kernel M2
         # (N*Tb, Tk*m), the bra operand (X, N*Tb), their product
         mTk = max(st["m"] * st["Tk"] for st in statics)
         per_pair = max(N * Tb * mTk, X * N * Tb, X * mTk)
-        for sl in _chunks(cls.npair, per_pair):
-            qc = cls.p[sl].shape[0]
-            Wb2 = _w_class(cls.E[sl], ca, cb, tuv).reshape(
-                qc, X, N * Tb
-            )
-            off = np.nonzero(~cls.diag[sl])[0]
+        for sl in _chunks(npair, per_pair):
+            # the kept pairs of the chunk, gathered chunk by chunk
+            at = sl if ids is None else ids[sl]
+            Wb2 = _w_class(cls.E[at], ca, cb, tuv).reshape(-1, X, N * Tb)
+            rows, cols = _block_indices(cls.oa[at], cls.nfa, cls.ob[at],
+                                        cls.nfb)
+            off = np.nonzero(~cls.diag[at])[0]
             for gi, st in enumerate(statics):
                 _eri3c_scatter(
                     out, st, tabs.kernel(ci, gi, sl, L), Wb2, cls.norms,
-                    rows[sl], cols[sl], off,
+                    cls.frag[at], rows, cols, off,
                 )
     if workspace is not None and screen > 0.0:
-        workspace.record_screen(
-            "eri3c", npairs, nskip, _fsum(neglected)
-        )
+        _record_screens(workspace, "eri3c",
+                        len(canonical_shell_pairs(bases[0])), F, skipped)
     return out
 
 
-def _fsum(chunks: list[np.ndarray]) -> float:
-    """Exactly rounded sum of the skipped-pair bounds: independent of
-    class order and chunking, so the recorded bound is reproducible."""
-    return math.fsum(np.concatenate(chunks)) if chunks else 0.0
+def _eri3c_deriv_values(Zs, at, norms_flat, pfac, st, dW, M2) -> np.ndarray:
+    """Contracted ``(q, 6, m)`` values of one (bra chunk, aux group):
+    the coefficients of the chunk's pairs ``at = (frag, rows, cols)``
+    folded into the group's ket expansion, against the stacked bra
+    derivative operand ``dW`` through the group's kernel ``M2``. The
+    chunk's intermediates die with the call."""
+    frag, rows, cols = at
+    qc, X = rows.shape[0], norms_flat.size
+    fi = st["func_idx"]
+    # gathered straight into the (q, m, X, C) layout
+    zg = Zs[
+        frag[:, None, None, None, None],
+        rows[:, None, :, None, None],
+        cols[:, None, None, :, None],
+        fi[None, :, None, None, :],
+    ].reshape(qc, st["m"], X, st["C"])
+    zg = zg * norms_flat[None, None, :, None]
+    zg = zg * (pfac[:, None, None] * st["comp_norms"][None])[:, :, None, :]
+    # Z folded into the ket expansion once per group:
+    # ZW[q, m, x, tau] = sum_c zg[q, m, x, c] Wk[m, c, tau]
+    ZW = bgemm(zg, st["Wk"][None])
+    t1 = bgemm(dW, M2).reshape(qc, 6, X, st["Tk"], st["m"])
+    return _einsum("qsxtm,qmxt->qsm", t1, ZW)
 
 
 def contract_eri3c_deriv_batched(
@@ -1051,9 +1269,25 @@ def contract_eri3c_deriv_batched(
     screen: float = 0.0,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """``g = sum_{mu nu P} Z_{mu nu P} d(mu nu|P)/dR``, shape ``(natoms, 3)``.
+    """``g = sum_{mu nu P} Z_{mu nu P} d(mu nu|P)/dR``, shape ``(natoms, 3)``:
+    a stack of one (see `contract_eri3c_deriv_stack`)."""
+    return contract_eri3c_deriv_stack(
+        [basis], [aux], Z[None], natoms, screen, workspace
+    )[0]
 
-    ``Z`` has shape ``(nbf, nbf, naux)`` and need not be symmetric in
+
+def contract_eri3c_deriv_stack(
+    bases,
+    auxs,
+    Z: np.ndarray,
+    natoms: int,
+    screen: float = 0.0,
+    workspace: IntegralWorkspace | None = None,
+) -> np.ndarray:
+    """``g[f] = sum_{mu nu P} Z_{f mu nu P} d(mu nu|P)/dR`` for every
+    fragment of a stack, shape ``(F, natoms, 3)``.
+
+    ``Z`` has shape ``(F, nbf, nbf, naux)`` and need not be symmetric in
     (mu, nu). Auxiliary-center derivatives follow from translational
     invariance (``dP = -(dA + dB)``).
 
@@ -1062,52 +1296,54 @@ def contract_eri3c_deriv_batched(
     reach the threshold. Skipping drops the pair's bra derivatives
     together with their translational-invariance images on the auxiliary
     centers, so the screened gradient still sums to zero over all atoms.
-    The summed bound of everything skipped is accounted to the workspace.
+    The summed bound of everything skipped is accounted to the
+    workspace, per fragment.
 
     Per-(pair, group, axis) contracted values fill whole-class arrays
     chunk by chunk; the gradient is accumulated from those once per
-    class, so the result does not depend on the chunk size.
+    class and fragment, so the result does not depend on the chunk size
+    or on the stack.
     """
-    g = np.zeros((natoms, 3))
-    statics = _group_statics(_aux_groups(workspace, aux))
-    classes = build_shell_classes(basis, workspace)
-    Zs = 0.5 * (Z + Z.transpose(1, 0, 2))
+    F = len(bases)
+    g = np.zeros((F, natoms, 3))
+    statics = _group_statics(_aux_groups(workspace, auxs[0]), auxs)
+    classes = stack_shell_classes(bases, workspace)
+    Zs = Z + Z.transpose(0, 2, 1, 3)
+    Zs *= 0.5
     Q = None
     if screen > 0.0:
-        Q = _schwarz_table(basis, workspace)
-        qaux = _aux_bounds(aux, workspace)
+        Q = _schwarz_tables(bases, workspace)
+        qaux = _aux_bounds(auxs[0], workspace)
         qaux_max = float(qaux.max())
         qaux_sum = float(qaux.sum())
-        Zblk = _zblk_table(basis, Zs)
-    npairs = len(canonical_shell_pairs(basis))
-    nskip = 0
-    neglected: list[np.ndarray] = []
+        Zblk = _zblk_table(bases[0], Zs)
+    skipped: list[tuple[np.ndarray, np.ndarray]] = []
     kept, bras = [], []
     for cls in classes:
         ids = None
-        pfac = np.where(cls.diag, 1.0, 2.0)
         if Q is not None:
-            qv = Q[cls.ish, cls.jsh]
-            zv = Zblk[cls.ish, cls.jsh]
+            qv = Q[cls.frag, cls.ish, cls.jsh]
+            zv = Zblk[cls.frag, cls.ish, cls.jsh]
             keep = DERIV_SAFETY * qv * qaux_max * zv > screen
             if not keep.all():
                 skip = ~keep
-                nskip += int(skip.sum())
-                neglected.append(
+                skipped.append((cls.frag[skip], (
                     DERIV_SAFETY * qv[skip] * zv[skip] * qaux_sum
-                    * cls.nfa * cls.nfb * pfac[skip]
-                )
-                cls, ids = cls.subset(keep), np.nonzero(keep)[0]
-                pfac = pfac[keep]
-        kept.append((cls, pfac))
+                    * cls.nfa * cls.nfb * np.where(cls.diag[skip], 1.0, 2.0)
+                )))
+                ids = np.nonzero(keep)[0]
+        kept.append(ids)
         bras.append(_bra(cls, ids))
     # the tables `eri3c` left in this evaluation's scratch, completed by
     # the pairs this mask keeps and that one dropped
     tabs = _coulomb_tables(
-        workspace, "eri3c", (basis, aux), None, bras, statics
+        workspace, "eri3c", (bases, auxs), None, bras, statics
     )
-    for ci, (cls, pfac) in enumerate(kept):
-        if cls.npair == 0:
+    for ci, (cls, ids) in enumerate(zip(classes, kept)):
+        sel = slice(None) if ids is None else ids
+        frag = cls.frag[sel]
+        npair = frag.size
+        if npair == 0:
             continue
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
@@ -1115,52 +1351,41 @@ def contract_eri3c_deriv_batched(
         tuv = hermite_simplex(L)
         Tb = tuv.shape[0]
         N, X = cls.nprim, cls.nfa * cls.nfb
-        rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
+        rows, cols = _block_indices(cls.oa[sel], cls.nfa, cls.ob[sel], cls.nfb)
+        pfac = np.where(cls.diag[sel], 1.0, 2.0)
         norms_flat = cls.norms.ravel()
         # per-pair bra/ket-center sums (Q, 3) and, per group, the
         # per-aux-site vA + vB (Q, 3, m) that go onto the aux centers
-        sA = np.zeros((cls.npair, 3))
-        sB = np.zeros((cls.npair, 3))
-        vAB = [np.empty((cls.npair, 3, st["m"])) for st in statics]
+        sA = np.zeros((npair, 3))
+        sB = np.zeros((npair, 3))
+        vAB = [np.empty((npair, 3, st["m"])) for st in statics]
         # largest per-pair intermediates: the gathered kernel M2
         # (N*Tb, Tk*m), the stacked bra operand (6X, N*Tb), their product
         mTk = max(st["m"] * st["Tk"] for st in statics)
         per_pair = max(N * Tb * mTk, 6 * X * N * Tb, 6 * X * mTk)
-        for sl in _chunks(cls.npair, per_pair):
-            qc = cls.p[sl].shape[0]
+        for sl in _chunks(npair, per_pair):
+            # the kept pairs of the chunk, gathered chunk by chunk
+            at = sl if ids is None else ids[sl]
             dW = _w_deriv_stack(
-                cls.E[sl], cls.a[sl], cls.b[sl], ca, cb, tuv
-            ).reshape(qc, 6 * X, N * Tb)
-            pfc = pfac[sl]
+                cls.E[at], cls.a[at], cls.b[at], ca, cb, tuv
+            ).reshape(-1, 6 * X, N * Tb)
             for gi, st in enumerate(statics):
-                fi = st["func_idx"]
-                # gathered straight into the (q, m, X, C) layout
-                zg = Zs[
-                    rows[sl][:, None, :, None, None],
-                    cols[sl][:, None, None, :, None],
-                    fi[None, :, None, None, :],
-                ].reshape(qc, st["m"], X, st["C"])
-                zg = zg * norms_flat[None, None, :, None]
-                zg = zg * (pfc[:, None, None] * st["comp_norms"][None])[
-                    :, :, None, :
-                ]
-                # Z folded into the ket expansion once per group:
-                # ZW[q, m, x, tau] = sum_c zg[q, m, x, c] Wk[m, c, tau]
-                ZW = np.matmul(zg, st["Wk"][None])
-                M2 = tabs.kernel(ci, gi, sl, L)
-                t1 = np.matmul(dW, M2).reshape(
-                    qc, 6, X, st["Tk"], st["m"]
+                v = _eri3c_deriv_values(
+                    Zs, (frag[sl], rows[sl], cols[sl]), norms_flat,
+                    pfac[sl], st, dW, tabs.kernel(ci, gi, sl, L),
                 )
-                v = _einsum("qsxtm,qmxt->qsm", t1, ZW)
                 sA[sl] += v[:, :3].sum(axis=2)
                 sB[sl] += v[:, 3:].sum(axis=2)
                 vAB[gi][sl] = v[:, :3] + v[:, 3:]
-        np.add.at(g, cls.atom_a, sA)
-        np.add.at(g, cls.atom_b, sB)
+            del dW  # before the next chunk's is built
+        np.add.at(g, (frag, cls.atom_a[sel]), sA)
+        np.add.at(g, (frag, cls.atom_b[sel]), sB)
+        segments = [(f, seg) for f, seg in enumerate(_segments(frag, F))
+                    if seg.stop > seg.start]
         for st, v in zip(statics, vAB):
-            np.subtract.at(g, st["atoms"], v.sum(axis=0).T)
+            for f, seg in segments:
+                np.subtract.at(g[f], st["atoms"], v[seg].sum(axis=0).T)
     if workspace is not None and screen > 0.0:
-        workspace.record_screen(
-            "eri3c_deriv", npairs, nskip, _fsum(neglected)
-        )
+        _record_screens(workspace, "eri3c_deriv",
+                        len(canonical_shell_pairs(bases[0])), F, skipped)
     return g

@@ -90,10 +90,12 @@ def e_tables_batch(
     return E
 
 
-#: cap on the Hermite-Coulomb recursion scratch tensor: empirically the
-#: sweet spot across box sizes — larger falls out of last-level cache,
+#: cap on the Hermite-Coulomb recursion scratch tensor: a larger one is
+#: slightly faster on the largest table sets, but it is also what
+#: building a stack's tables adds on top of the tables the stack holds
+#: (at 16 MiB the water-tetramer RI-MP2 run peaked ~9 MB higher);
 #: smaller wastes the fixed per-call recursion overhead
-_R_SCRATCH_BYTES = 16 << 20
+_R_SCRATCH_BYTES = 4 << 20
 
 
 def r_tables_batch(

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from ..basis.basisset import BasisSet
     from .workspace import IntegralWorkspace
+from ..gemm import bgemm
 from .engine import (
     AuxGroup,
     PairData,
@@ -78,11 +79,16 @@ def _schwarz_table(basis, workspace) -> np.ndarray:
     Every screened driver — the loop references included — takes its
     skip decisions from this one table, so they agree exactly.
     """
-    if workspace is not None:
-        return workspace.schwarz_bounds(basis)
-    from .batch import schwarz_pair_bounds_batched
+    return _schwarz_tables([basis], workspace)[0]
 
-    return schwarz_pair_bounds_batched(basis)
+
+def _schwarz_tables(bases, workspace) -> np.ndarray:
+    """`_schwarz_table` of every basis of a stack, ``(F, nsh, nsh)``."""
+    if workspace is not None:
+        return np.stack(workspace.schwarz_bounds_stack(bases))
+    from .batch import schwarz_pair_bounds_stack
+
+    return schwarz_pair_bounds_stack(bases)
 
 
 def _aux_bounds(aux, workspace) -> np.ndarray:
@@ -162,59 +168,74 @@ def _eri_general(bra: PairData, ket: PairData, ca, cb, cc, cd) -> np.ndarray:
 _S_COMP = comp_arrays(0)
 
 
-def _eri2c_tables(workspace, aux, statics):
+def _eri2c_tables(workspace, auxs, statics):
     """The `CoulombTables` of every ordered (bra group, ket group) pair
-    of the metric: the bra is the aux group as one-primitive "pairs"."""
+    of the metric: the bra is the aux group as one-primitive "pairs",
+    every fragment's sites in turn."""
     from .batch import _coulomb_tables
 
+    F = len(auxs)
     bras = [
-        dict(ids=np.arange(st["m"]), p=st["qk"][:, None],
-             cc=np.ones((st["m"], 1)), P=st["Pk"][:, None], L=st["l"])
+        dict(ids=np.arange(F * st["m"]), p=np.tile(st["qk"], F)[:, None],
+             cc=np.ones((F * st["m"], 1)), P=st["Pk"].reshape(-1, 1, 3),
+             frag=np.repeat(np.arange(F), st["m"]), L=st["l"])
         for st in statics
     ]
     return _coulomb_tables(
-        workspace, "eri2c", (aux,), None, bras, statics
+        workspace, "eri2c", (auxs,), None, bras, statics
     )
 
 
 def eri2c(aux: BasisSet, workspace: IntegralWorkspace | None = None) -> np.ndarray:
-    """Two-center Coulomb metric ``(P|Q)``, shape ``(naux, naux)``.
+    """Two-center Coulomb metric ``(P|Q)``, shape ``(naux, naux)``: a
+    stack of one (see `eri2c_stack`)."""
+    return eri2c_stack([aux], workspace)[0]
+
+
+def eri2c_stack(auxs, workspace: IntegralWorkspace | None = None) -> np.ndarray:
+    """Two-center Coulomb metrics ``(P|Q)`` of a stack of fitting bases
+    of one composition, shape ``(F, naux, naux)``.
 
     Processed as site-group pairs (`engine.AuxGroup`): one Hermite batch
-    per pair of groups covers the whole metric. ``workspace`` serves the
-    cached (geometry-independent) group scaffolding and keeps the
-    Hermite Coulomb tables for `contract_eri2c_deriv`.
+    per pair of groups covers the whole metric of every fragment.
+    ``workspace`` serves the cached (geometry-independent) group
+    scaffolding and keeps the Hermite Coulomb tables for
+    `contract_eri2c_deriv_stack`.
     """
     from . import batch as kernels
 
     try:
-        groups = _aux_groups(workspace, aux)
+        groups = _aux_groups(workspace, auxs[0])
     except ValueError:
-        return _eri2c_pershell(aux)
-    statics = kernels._group_statics(groups)
+        return np.stack([_eri2c_pershell(aux) for aux in auxs])
+    F = len(auxs)
+    statics = kernels._group_statics(groups, auxs)
     # every ordered pair, the lower triangle too: the derivative reads
     # all of them, and one merged build serves both drivers
-    tabs = _eri2c_tables(workspace, aux, statics)
-    J = np.zeros((aux.nbf, aux.nbf))
+    tabs = _eri2c_tables(workspace, auxs, statics)
+    J = np.zeros((F, auxs[0].nbf, auxs[0].nbf))
     for ib, sb in enumerate(statics):
         # the 3c kernel with a one-primitive "pair" per bra site; the
         # bra expansion is the ket one with the +-1 phase taken back
         Wb = sb["Wk"] * _phase(hermite_simplex(sb["l"]))
+        Wb = np.tile(Wb, (F, 1, 1))
+        fi_b = sb["func_idx"].ravel()
         for ik in range(ib, len(statics)):
             sk = statics[ik]
             M2 = tabs.kernel(ib, ik, slice(None), sb["l"])
-            blk = kernels._group_apply_batched(M2, sk, Wb)
+            blk = kernels._group_apply_batched(M2, sk, Wb).reshape(
+                F, sb["m"], sk["m"], sb["C"], sk["C"]
+            )
             blk = (
-                blk * sb["comp_norms"][:, None, :, None]
-                * sk["comp_norms"][None, :, None, :]
+                blk * sb["comp_norms"][None, :, None, :, None]
+                * sk["comp_norms"][None, None, :, None, :]
             )
-            blk = blk.transpose(0, 2, 1, 3).reshape(
-                sb["m"] * sb["C"], sk["m"] * sk["C"]
+            blk = blk.transpose(0, 1, 3, 2, 4).reshape(
+                F, sb["m"] * sb["C"], sk["m"] * sk["C"]
             )
-            fi_b = sb["func_idx"].ravel()
             fi_k = sk["func_idx"].ravel()
-            J[np.ix_(fi_b, fi_k)] = blk
-            J[np.ix_(fi_k, fi_b)] = blk.T
+            J[:, fi_b[:, None], fi_k[None, :]] = blk
+            J[:, fi_k[:, None], fi_b[None, :]] = blk.transpose(0, 2, 1)
     return J
 
 
@@ -453,19 +474,31 @@ def contract_eri2c_deriv(
     aux: BasisSet, zeta: np.ndarray, natoms: int,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """``g = sum_{PQ} zeta_{PQ} d(P|Q)/dR``, shape ``(natoms, 3)``.
+    """``g = sum_{PQ} zeta_{PQ} d(P|Q)/dR``, shape ``(natoms, 3)``: a
+    stack of one (see `contract_eri2c_deriv_stack`)."""
+    return contract_eri2c_deriv_stack([aux], zeta[None], natoms, workspace)[0]
+
+
+def contract_eri2c_deriv_stack(
+    auxs, zeta: np.ndarray, natoms: int,
+    workspace: IntegralWorkspace | None = None,
+) -> np.ndarray:
+    """``g[f] = sum_{PQ} zeta_{f PQ} d(P|Q)/dR`` for every fragment of a
+    stack, ``zeta (F, naux, naux)``: shape ``(F, natoms, 3)``.
 
     Uses ``d/dQ = -d/dP``; both sides are processed as site groups, so
     the work is a few batched contractions on the Hermite Coulomb
-    tables `eri2c` left at this geometry.
+    tables `eri2c_stack` left at these geometries.
     """
     from . import batch as kernels
 
-    g = np.zeros((natoms, 3))
+    F = len(auxs)
+    g = np.zeros((F, natoms, 3))
     # one unit of E-table headroom for the differentiated (bra) side; the
     # ket expansions read the same tables' lower entries
-    statics = kernels._group_statics(_aux_groups(workspace, aux, di=1))
-    tabs = _eri2c_tables(workspace, aux, statics)
+    statics = kernels._group_statics(_aux_groups(workspace, auxs[0], di=1), auxs)
+    tabs = _eri2c_tables(workspace, auxs, statics)
+    stack = np.arange(F)[:, None, None, None, None]
     for ib, sb in enumerate(statics):
         gb, n, X = sb["grp"], sb["m"], sb["C"]
         L = sb["l"] + 1
@@ -480,39 +513,41 @@ def contract_eri2c_deriv(
             ],
             axis=1,
         ).reshape(n, 3 * X, -1)
+        dW = np.tile(dW, (F, 1, 1))
         fi_b = sb["func_idx"]
+        frag_b = np.repeat(np.arange(F), n)
+        atoms_b = np.tile(sb["atoms"], F)
         for ik, sk in enumerate(statics):
-            # gathered coefficients: zg[n, m, x, y]
-            zg = zeta[fi_b[:, None, :, None], sk["func_idx"][None, :, None, :]]
+            # gathered coefficients: zg[f, n, m, x, y]
+            zg = zeta[stack, fi_b[None, :, None, :, None],
+                      sk["func_idx"][None, None, :, None, :]]
             zg = (
-                zg * sb["comp_norms"][:, None, :, None]
-                * sk["comp_norms"][None, :, None, :]
+                zg * sb["comp_norms"][None, :, None, :, None]
+                * sk["comp_norms"][None, None, :, None, :]
             )
             # mask same-atom (derivative vanishes by invariance)
-            zg[sb["atoms"][:, None] == sk["atoms"][None, :]] = 0.0
-            ZW = np.matmul(zg, sk["Wk"][None])
+            zg[:, sb["atoms"][:, None] == sk["atoms"][None, :]] = 0.0
+            ZW = bgemm(zg.reshape(F * n, sk["m"], X, sk["C"]), sk["Wk"][None])
             M2 = tabs.kernel(ib, ik, slice(None), L)
-            t1 = np.matmul(dW, M2).reshape(n, 3, X, sk["Tk"], sk["m"])
+            t1 = bgemm(dW, M2).reshape(F * n, 3, X, sk["Tk"], sk["m"])
             vals = np.einsum("naxsm,nmxs->nam", t1, ZW, optimize=False)
-            np.add.at(g, sb["atoms"], vals.sum(axis=2))
-            np.subtract.at(g, sk["atoms"], vals.sum(axis=0).T)
+            np.add.at(g, (frag_b, atoms_b), vals.sum(axis=2))
+            for f in range(F):
+                np.subtract.at(g[f], sk["atoms"],
+                               vals[f * n:(f + 1) * n].sum(axis=0).T)
     return g
 
 
 def _zblk_table(basis: BasisSet, Z: np.ndarray) -> np.ndarray:
-    """Per-shell-block coefficient magnitudes ``Zblk[i, j] = max |Z|``
-    over the (i, j) function block (all aux). Shared with the loop
-    reference so screening decisions agree exactly."""
-    offs = basis.offsets
-    nsh = basis.nshells
-    Zabs = np.abs(Z).max(axis=2)
-    Zblk = np.empty((nsh, nsh))
-    for i, shi in enumerate(basis.shells):
-        si = slice(offs[i], offs[i] + shi.nfunc)
-        for j, shj in enumerate(basis.shells):
-            sj = slice(offs[j], offs[j] + shj.nfunc)
-            Zblk[i, j] = Zabs[si, sj].max()
-    return Zblk
+    """Per-shell-block coefficient magnitudes ``Zblk[..., i, j] = max
+    |Z|`` over the (i, j) function block (all aux); ``Z (..., nbf, nbf,
+    naux)`` may lead with a stack axis. Shared with the loop reference
+    so screening decisions agree exactly (a max is exact in any
+    order)."""
+    offs = np.asarray(basis.offsets)
+    Zabs = np.maximum(Z.max(axis=-1), -Z.min(axis=-1))
+    Zabs = np.maximum.reduceat(Zabs, offs, axis=-2)
+    return np.maximum.reduceat(Zabs, offs, axis=-1)
 
 
 def contract_eri3c_deriv_loop(

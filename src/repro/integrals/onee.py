@@ -21,10 +21,10 @@ if TYPE_CHECKING:
     from ..basis.basisset import BasisSet
     from ..chem.molecule import Molecule
 from .batch import (
-    contract_kinetic_deriv_batched,
-    contract_nuclear_deriv_batched,
-    kinetic_batched,
-    nuclear_batched,
+    contract_kinetic_deriv_stack,
+    contract_nuclear_deriv_stack,
+    kinetic_stack,
+    nuclear_stack,
 )
 from .engine import (
     comp_arrays,
@@ -180,9 +180,18 @@ def hcore(
     basis: BasisSet, mol: Molecule,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """Core Hamiltonian h = T + V."""
-    return (kinetic_batched(basis, workspace)
-            + nuclear_batched(basis, mol, workspace))
+    """Core Hamiltonian h = T + V: a stack of one."""
+    return hcore_stack([basis], [mol], workspace)[0]
+
+
+def hcore_stack(
+    bases, mols,
+    workspace: IntegralWorkspace | None = None,
+) -> np.ndarray:
+    """Core Hamiltonians of a stack (``mols`` of one composition, each
+    in its basis), shape ``(F, nbf, nbf)``."""
+    return (kinetic_stack(bases, workspace)
+            + nuclear_stack(bases, mols, workspace))
 
 
 # --------------------------------------------------------------------------
@@ -329,9 +338,18 @@ def contract_hcore_deriv(
     basis: BasisSet, mol: Molecule, X: np.ndarray,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """``sum X_{mu nu} dh_{mu nu}/dR`` with h = T + V."""
-    return (contract_kinetic_deriv_batched(basis, X, workspace)
-            + contract_nuclear_deriv_batched(basis, mol, X, workspace))
+    """``sum X_{mu nu} dh_{mu nu}/dR`` with h = T + V: a stack of one."""
+    return contract_hcore_deriv_stack([basis], [mol], X[None], workspace)[0]
+
+
+def contract_hcore_deriv_stack(
+    bases, mols, X: np.ndarray,
+    workspace: IntegralWorkspace | None = None,
+) -> np.ndarray:
+    """``sum X_{f mu nu} dh_{mu nu}/dR`` for every fragment of a stack,
+    ``X (F, nbf, nbf)``: shape ``(F, natoms, 3)``."""
+    return (contract_kinetic_deriv_stack(bases, X, workspace)
+            + contract_nuclear_deriv_stack(bases, mols, X, workspace))
 
 
 def overlap_deriv(basis: BasisSet, natoms: int | None = None) -> np.ndarray:

@@ -27,7 +27,9 @@ exhaust worker memory) plus the integral products:
   bounds. What is keyed on the exact centers (pair, class and Hermite
   Coulomb tables) is one evaluation's scratch, since an MD geometry
   never recurs: shared by the drivers inside the calling thread's
-  `scope`, dropped at its exit, kept nowhere outside one.
+  `scope`, dropped at its exit, kept nowhere outside one. A stack of
+  fragments of one composition is one evaluation (`evaluation`): its
+  products are keyed on every fragment's centres and die together.
 * **Determinism** — inside ``scope(exact=True)`` (or with
   ``displacement_tol = 0.0``) the bounds are recomputed whenever the
   geometry changed at all, so every screening decision is a pure
@@ -92,6 +94,24 @@ def _centers(basis) -> np.ndarray:
     return np.array([sh.center for sh in basis.shells])
 
 
+def _stack_key(stack) -> tuple:
+    """Key material of a stack of bases of one composition: the
+    composition once, every basis's centres."""
+    return (basis_composition_key(stack[0]),
+            b"".join(_centers(basis).tobytes() for basis in stack))
+
+
+class _Scratch(dict):
+    """One evaluation's geometry-keyed products, and what its Hermite
+    Coulomb tables cost: the largest set it built (``table_bytes``) and
+    the pairs a derivative driver rebuilt beside the set it found."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.table_bytes = 0
+        self.rebuilt_pairs = 0
+
+
 class _Scope(threading.local):
     """What the calling thread's current evaluation asked for."""
 
@@ -99,7 +119,7 @@ class _Scope(threading.local):
     exact: bool = False
     tracer: object = None
     #: the evaluation's geometry-keyed products; None outside any scope
-    scratch: dict | None = None
+    scratch: _Scratch | None = None
 
 
 class IntegralWorkspace(BoundedStore):
@@ -123,8 +143,8 @@ class IntegralWorkspace(BoundedStore):
 
     * `pair_data` — shell-pair Hermite expansion tables with unified
       derivative headroom ``(di=1, dj=2)``;
-    * `shell_classes` — packed per-class shell-pair tables for the
-      batched kernels (`repro.integrals.batch`);
+    * `shell_classes` — packed per-class shell-pair tables of a stack
+      for the batched kernels (`repro.integrals.batch`);
     * `dmax_blocks` — per-shell-block max |D| tables for the 4c
       derivative driver;
     * `coulomb_tables` — the Hermite Coulomb tables
@@ -188,7 +208,8 @@ class IntegralWorkspace(BoundedStore):
         back on exit): a calculator scoping its tracer leaves alone the
         tenant and exactness `evaluate_fragment` scoped around it.
         The outermost scope on a thread also opens the evaluation's
-        scratch (`_scratch`); nested ones share it, its exit drops it.
+        scratch (`_scratch`); nested ones share it, its exit drops it
+        (`evaluation` opens one of its own).
         """
         scope = self._scope
         given = {
@@ -198,7 +219,7 @@ class IntegralWorkspace(BoundedStore):
             if value is not _KEEP
         }
         if scope.scratch is None:
-            given["scratch"] = {}
+            given["scratch"] = _Scratch()
         saved = {name: getattr(scope, name) for name in given}
         try:
             for name, value in given.items():
@@ -207,6 +228,22 @@ class IntegralWorkspace(BoundedStore):
         finally:
             for name, value in saved.items():
                 setattr(scope, name, value)
+
+    @contextmanager
+    def evaluation(self):
+        """One evaluation of the integral layer on the calling thread —
+        what a calculator runs each stack of fragments in: a fresh
+        scratch for the block, even inside an enclosing scope (whose
+        tenant and exactness still hold), dropped at its exit and the
+        enclosing one put back. Yields the scratch, whose
+        ``table_bytes`` / ``rebuilt_pairs`` tell what its tables
+        cost."""
+        scope = self._scope
+        saved, scope.scratch = scope.scratch, _Scratch()
+        try:
+            yield scope.scratch
+        finally:
+            scope.scratch = saved
 
     def _scratch(self, key: tuple, build):
         """``(payload, hit)`` under ``key``: found in the calling
@@ -294,51 +331,83 @@ class IntegralWorkspace(BoundedStore):
     SIBLING_SHARE = 0.25
 
     def schwarz_bounds(self, basis) -> np.ndarray:
-        """Cauchy-Schwarz shell-pair bounds, re-screened on displacement.
+        """Cauchy-Schwarz shell-pair bounds, re-screened on displacement:
+        `schwarz_bounds_stack` of one basis."""
+        return self.schwarz_bounds_stack([basis])[0]
+
+    def schwarz_bounds_stack(self, bases) -> list[np.ndarray]:
+        """Cauchy-Schwarz shell-pair bounds of every basis of a stack of
+        one composition, re-screened on displacement.
 
         Served exactly when the geometry is unchanged; inflated by
         ``stale_safety`` when atoms moved by no more than
         ``displacement_tol`` (the bound is smooth in the geometry, so a
         bounded move costs a bounded factor — the inflation keeps the
-        screen conservative); recomputed beyond the tolerance.
+        screen conservative); recomputed beyond the tolerance — every
+        re-screen of the stack in one call on the stack's shell classes
+        (`batch.schwarz_pair_bounds_stack`).
 
         The monomers (or dimers, or trimers) of one MBE step share a
         composition key, so the entry holds one table per sibling —
         ``(tables, refs, served)``: the reference geometries stacked and
-        the lookup count at each table's last serve — and serves the
-        nearest reference. A rebuild drops the least recently served
-        siblings beyond `SIBLING_SHARE` of the byte budget, so fragments
-        that left the plan (or a scan that never returns) cannot grow
-        the entry, or the per-call scan over its references, unbounded.
+        the lookup count at each table's last serve — and serves each
+        basis the nearest reference. A rebuild drops the least recently
+        served siblings beyond `SIBLING_SHARE` of the byte budget, so
+        fragments that left the plan (or a scan that never returns)
+        cannot grow the entry, or the per-call scan over its
+        references, unbounded.
         """
-        from .batch import schwarz_pair_bounds_batched
+        from .batch import schwarz_pair_bounds_stack
 
         tol = 0.0 if self._scope.exact else self.displacement_tol
-        key = ("schwarz", basis_composition_key(basis))
-        coords = _centers(basis)
-        tables, refs, served = self._get(key) or (
+        key = ("schwarz", basis_composition_key(bases[0]))
+        out = [self._serve_bounds(key, _centers(basis), tol) for basis in bases]
+        stale = [f for f, Q in enumerate(out) if Q is None]
+        if stale:
+            built = schwarz_pair_bounds_stack(bases, workspace=self, frags=stale)
+            for f, Q in zip(stale, built):
+                out[f] = Q = Q.copy()  # its own buffer, as the entry counts it
+                self._keep_bounds(key, _centers(bases[f]), Q, tol)
+        return out
+
+    @staticmethod
+    def _bounds_entry(entry, coords):
+        """``(tables, refs, served)`` of a Schwarz entry (empty if None)
+        and every reference's displacement from ``coords``."""
+        tables, refs, served = entry or (
             [], np.empty((0, *coords.shape)), np.empty(0, dtype=int)
         )
-        now = self.hits + self.misses
         disps = np.linalg.norm(coords - refs, axis=2).max(axis=1)
-        if tables:
-            near = int(np.argmin(disps))
-            Q, disp = tables[near], float(disps[near])
-            if disp <= tol:
-                served[near] = now
-            if disp == 0.0:
-                self._instant("workspace.hit", product="schwarz",
-                              hit=True, stale=False)
-                return Q
-            if disp <= tol:
-                with self._lock:
-                    self.stale_serves += 1
-                self._instant("workspace.hit", product="schwarz",
-                              hit=True, stale=True, displacement=disp)
-                return Q * self.stale_safety
-        Q = schwarz_pair_bounds_batched(basis, workspace=self)
+        return tables, refs, served, disps
+
+    def _serve_bounds(self, key, coords, tol) -> np.ndarray | None:
+        """The Schwarz table served for ``coords`` (nearest reference,
+        inflated if it moved within ``tol``), or None: re-screen."""
+        tables, _, served, disps = self._bounds_entry(self._get(key), coords)
+        if not tables:
+            return None
+        near = int(np.argmin(disps))
+        Q, disp = tables[near], float(disps[near])
+        if disp <= tol:
+            served[near] = self.hits + self.misses
+        if disp == 0.0:
+            self._instant("workspace.hit", product="schwarz",
+                          hit=True, stale=False)
+            return Q
+        if disp <= tol:
+            with self._lock:
+                self.stale_serves += 1
+            self._instant("workspace.hit", product="schwarz",
+                          hit=True, stale=True, displacement=disp)
+            return Q * self.stale_safety
+        return None
+
+    def _keep_bounds(self, key, coords, Q, tol) -> None:
+        """Store a re-screened table for ``coords`` into its entry."""
         with self._lock:
             self.bound_rebuilds += 1
+        tables, refs, served, disps = self._bounds_entry(
+            self._lookup(key), coords)
         # the rebuilt table supersedes the reference its fragment drifted
         # away from (no other fragment's atoms sit within two tolerances
         # of this one's); with ``tol = 0`` that leaves a single slot
@@ -352,10 +421,9 @@ class IntegralWorkspace(BoundedStore):
         self._put(key, (
             [tables[i] for i in keep] + [Q],
             np.concatenate([refs[keep], coords[None]]),
-            np.append(served[keep], now),
+            np.append(served[keep], self.hits + self.misses),
         ))
         self._instant("workspace.hit", product="schwarz", hit=False)
-        return Q
 
     def aux_function_bounds(self, aux) -> np.ndarray:
         """Per-auxiliary-function bounds ``sqrt((P|P))``, shape (naux,).
@@ -385,19 +453,20 @@ class IntegralWorkspace(BoundedStore):
     # ------------------------------------------------------------------
     # batched shell-class tables
     # ------------------------------------------------------------------
-    def shell_classes(self, basis) -> list:
-        """Packed shell-pair class tables for the batched kernels.
+    def shell_classes(self, bases) -> list:
+        """Packed shell-pair class tables of a stack of bases of one
+        composition for the batched kernels.
 
-        Scratch, keyed on composition plus the exact shell centers: the
-        packed E tables are geometry-dependent, so the drivers of one
-        evaluation (overlap/kinetic/nuclear/Schwarz/3c/derivatives)
-        share a single class build and the next MD step is left nothing.
+        Scratch, keyed on composition plus every basis's exact shell
+        centers: the packed E tables are geometry-dependent, so the
+        drivers of one evaluation (overlap/kinetic/nuclear/Schwarz/3c/
+        derivatives) share a single class build and the next MD step is
+        left nothing.
         """
         from .batch import _build_shell_classes
 
-        key = ("classtab", basis_composition_key(basis),
-               _centers(basis).tobytes())
-        classes, hit = self._scratch(key, lambda: _build_shell_classes(basis))
+        key = ("classtab", *_stack_key(bases))
+        classes, hit = self._scratch(key, lambda: _build_shell_classes(bases))
         self._instant("workspace.hit", product="shell_classes", hit=hit)
         return classes
 
@@ -407,11 +476,12 @@ class IntegralWorkspace(BoundedStore):
     #: share of ``max_bytes`` one evaluation's table set may hold
     TABLE_SHARE = 1.0 / 16.0
 
-    def coulomb_tables(self, kind: str, bases, points, build):
+    def coulomb_tables(self, kind: str, stacks, points, build):
         """This evaluation's `batch.CoulombTables` for a driver pair.
 
         ``kind`` names the pair (``eri3c``, ``eri2c``, ``nuclear``),
-        ``bases`` the basis sets and ``points`` any further array the
+        ``stacks`` the basis sets (a sequence per side: the stack's
+        orbital and fitting bases) and ``points`` any further array the
         tables depend on (the nuclei).
 
         ``build(found, budget)`` makes the driver's set from the payload
@@ -423,8 +493,7 @@ class IntegralWorkspace(BoundedStore):
         bitwise equal: the scratch only saves time.
         """
         key = ("coultab", kind,
-               *(basis_composition_key(basis) for basis in bases),
-               *(_centers(basis).tobytes() for basis in bases),
+               *(part for stack in stacks for part in _stack_key(stack)),
                None if points is None else points.tobytes())
         budget = table_budget(self)
         tabs, hit = self._scratch(key, lambda: build(None, budget))
@@ -432,6 +501,10 @@ class IntegralWorkspace(BoundedStore):
             tabs = build(tabs.payload, budget)
         with self._lock:
             self.tables_peak_bytes = max(self.tables_peak_bytes, tabs.nbytes)
+        scratch = self._scope.scratch
+        if scratch is not None:
+            scratch.table_bytes = max(scratch.table_bytes, tabs.nbytes)
+            scratch.rebuilt_pairs += tabs.rebuilt_pairs
         self._instant(
             "workspace.hit", product="coulomb_tables", kind=kind,
             hit=hit, orders=tabs.orders,

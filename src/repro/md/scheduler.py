@@ -1201,29 +1201,38 @@ class AsyncCoordinator:
         )
 
 
-def evaluate_fragment(calculator, molecule, attempt: int, step: int, *,
-                      warm_start: bool = False, tenant: str | None = None,
-                      exact: bool = False):
-    """Evaluate one fragment on this worker: the one worker-side entry
-    of every driver (serial loop, process pool, both service pools).
+def evaluate_fragments(calculator, molecules, attempt: int, steps, *,
+                       warm_start: bool = False, tenant: str | None = None,
+                       exact: bool = False) -> list:
+    """Evaluate fragments on this worker: the one worker-side entry of
+    every driver — the serial loop hands it every ready task at once,
+    the process pool and both service pools one task at a time
+    (`evaluate_fragment`). Returns ``(energy, gradient)`` per molecule,
+    in order; ``steps`` holds each one's MD step.
 
+    * a calculator whose class defines ``energy_gradients`` gets the
+      whole list in one call (`repro.calculators.RIMP2Calculator`
+      evaluates fragments of one composition as stacks); any other —
+      a fault-plan wrapper or a timing proxy among them, whose
+      attribute delegation must not hand the list past them — gets one
+      ``energy_gradient`` call per fragment, in order;
     * ``warm_start`` attaches the process-global `GuessCache` to a
       calculator that supports one and has none — what a pool worker
       needs, whose calculator arrives freshly unpickled with every task
       (the integral workspace needs no attachment: ``workspace=None``
       resolves to the worker's process-global one);
-    * ``tenant`` / ``exact`` hold for the duration of *this* evaluation,
-      on this thread (`IntegralWorkspace.scope`): the tenant is charged
+    * ``tenant`` / ``exact`` hold for the duration of *this* call, on
+      this thread (`IntegralWorkspace.scope`): the tenant is charged
       the workspace traffic, and ``exact`` — a ``deterministic`` run's
-      task — re-screens the Schwarz bounds at any displacement, so its
+      tasks — re-screens the Schwarz bounds at any displacement, so
       screening decisions are a pure function of the geometry wherever
-      and beside whatever else it runs; the calculator's own scope nests
-      in this one, sharing the scratch that dies with the evaluation;
+      and beside whatever else they run; the calculator's own
+      evaluations nest in this scope;
     * ``accepts_attempt`` calculators receive the retry attempt number;
       ``accepts_step`` calculators (the fault-plan wrapper) additionally
       receive the MD step, so scheduled faults can target "fragment K
       at step S" regardless of which driver or worker draws the task;
-    * the result passes a NaN/Inf sentinel before it leaves: a NaN
+    * every result passes a NaN/Inf sentinel before it leaves: a NaN
       contribution would silently poison the accumulated MBE gradient
       of every atom the polymer touches, so divergence becomes a typed
       `NumericalDivergenceError` that is retried/quarantined like any
@@ -1231,43 +1240,66 @@ def evaluate_fragment(calculator, molecule, attempt: int, step: int, *,
     """
     if warm_start and getattr(calculator, "guess_cache", "no") is None:
         calculator.guess_cache = get_guess_cache()
-    kwargs = {}
-    if getattr(calculator, "accepts_attempt", False):
-        kwargs["attempt"] = attempt
-    if getattr(calculator, "accepts_step", False):
-        kwargs["step"] = step
+
+    def run():
+        if getattr(type(calculator), "energy_gradients", None) is not None:
+            return calculator.energy_gradients(list(molecules))
+        kwargs = {}
+        if getattr(calculator, "accepts_attempt", False):
+            kwargs["attempt"] = attempt
+        per_step = getattr(calculator, "accepts_step", False)
+        results = []
+        for mol, step in zip(molecules, steps):
+            if per_step:
+                kwargs["step"] = step
+            results.append(calculator.energy_gradient(mol, **kwargs))
+        return results
+
     if tenant is None and not exact:
-        e, g = calculator.energy_gradient(molecule, **kwargs)
+        results = run()
     else:
         workspace = getattr(calculator, "workspace", None)
         if workspace is None:  # not `or`: an empty store is falsy
             workspace = get_workspace()
         with workspace.scope(tenant, exact):
-            e, g = calculator.energy_gradient(molecule, **kwargs)
-    ensure_finite(
-        f"fragment {getattr(molecule, 'frag_key', None)} "
-        f"({getattr(molecule, 'natoms', '?')} atoms, step {step}, "
-        f"attempt {attempt})",
-        energy=e, gradient=g,
-    )
-    return e, g
+            results = run()
+    for mol, step, (e, g) in zip(molecules, steps, results):
+        ensure_finite(
+            f"fragment {getattr(mol, 'frag_key', None)} "
+            f"({getattr(mol, 'natoms', '?')} atoms, step {step}, "
+            f"attempt {attempt})",
+            energy=e, gradient=g,
+        )
+    return results
+
+
+def evaluate_fragment(calculator, molecule, attempt: int, step: int, **kw):
+    """`evaluate_fragments` of one fragment: what a pool worker runs per
+    task."""
+    return evaluate_fragments(calculator, [molecule], attempt, [step], **kw)[0]
 
 
 def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
     """Drive a coordinator to completion with a single worker.
 
-    In a serial driver every issued task completes before the next
-    ``next_task`` call, so an empty queue before ``done()`` is always a
-    scheduler bug — there is no in-flight work that could unlock more
-    tasks, and the old ``in_flight > 0`` guard merely turned the bug
-    into a silent busy-spin. The check is therefore unconditional.
+    Each round drains every ready task from the queue and hands them to
+    one `evaluate_fragments` call — a stacking calculator evaluates the
+    round's fragments of one composition together (the barrier: a whole
+    step; asynchronously: whatever is ready) — then completes them in
+    the order they were popped. In a serial driver every issued task
+    completes before the next round, so an empty queue before ``done()``
+    is always a scheduler bug — there is no in-flight work that could
+    unlock more tasks, and the old ``in_flight > 0`` guard merely turned
+    the bug into a silent busy-spin. The check is therefore
+    unconditional.
 
     The coordinator's warm-start `GuessCache` and tracer are attached to
     the calculator (when it supports them and has none of its own), so
     per-fragment densities persist across steps and SCF recovery /
-    warm-start events reach the trace.
+    warm-start events reach the trace; each round is one ``task.exec``
+    span listing its tasks.
 
-    Tasks go through `evaluate_fragment`, shared with every other
+    Tasks go through `evaluate_fragments`, shared with every other
     driver (``attempt=0``: a serial driver never retries), so the same
     fault plan targets the same events, and a ``deterministic``
     coordinator gets the same exact re-screens, under any of them.
@@ -1282,18 +1314,24 @@ def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
     exact = coordinator.deterministic
 
     while not coordinator.done():
-        task = coordinator.next_task()
-        if task is None:
+        tasks = []
+        while (task := coordinator.next_task()) is not None:
+            tasks.append(task)
+        if not tasks:
             raise RuntimeError(
                 "scheduler deadlock: no ready tasks in serial driver; "
                 + coordinator.diagnostics()
             )
+        molecules = [task.molecule for task in tasks]
+        steps = [task.step for task in tasks]
         if tracer:
-            with tracer.span("task.exec", cat="driver",
-                             step=task.step, key=str(task.key)):
-                e, g = evaluate_fragment(calculator, task.molecule, 0,
-                                         task.step, exact=exact)
+            with tracer.span("task.exec", cat="driver", tasks=len(tasks),
+                             steps=sorted(set(steps)),
+                             keys=[str(task.key) for task in tasks]):
+                results = evaluate_fragments(calculator, molecules, 0, steps,
+                                             exact=exact)
         else:
-            e, g = evaluate_fragment(calculator, task.molecule, 0,
-                                     task.step, exact=exact)
-        coordinator.complete(task, e, g)
+            results = evaluate_fragments(calculator, molecules, 0, steps,
+                                         exact=exact)
+        for task, (e, g) in zip(tasks, results):
+            coordinator.complete(task, e, g)

@@ -7,6 +7,7 @@ from .rimp2_grad import (
     full_mo_b,
     mp2_correction_coefficients,
     rimp2_gradient,
+    rimp2_gradient_coefficients,
     rimp2_gradient_conventional_hf,
 )
 from .zvector import apply_orbital_hessian, solve_zvector
@@ -24,6 +25,7 @@ __all__ = [
     "scs_theta",
     "mp2_correction_coefficients",
     "rimp2_gradient",
+    "rimp2_gradient_coefficients",
     "rimp2_gradient_conventional_hf",
     "solve_zvector",
 ]

@@ -46,8 +46,7 @@ from ..integrals import (
     contract_hcore_deriv,
     contract_overlap_deriv,
 )
-from ..integrals.workspace import evaluation_scope
-from ..scf.grad import ri_twoelectron_coefficients
+from ..scf.grad import contract_ri_gradients, ri_twoelectron_coefficients
 from ..scf.rhf import SCFResult
 from .mp2 import _denominators
 from .zvector import solve_zvector
@@ -233,6 +232,25 @@ def mp2_correction_coefficients(
     )
 
 
+def rimp2_gradient_coefficients(res: SCFResult, c_os: float = 1.0,
+                                c_ss: float = 1.0):
+    """The coefficients of the four derivative classes in the RI-HF +
+    RI-MP2 gradient of one SCF reference, HF plus MP2 — ``(X, Z3c,
+    zeta, W)`` for h, (mn|P), (P|Q) and S, what
+    `repro.scf.grad.contract_ri_gradients` contracts — and the MP2
+    intermediates of `MP2GradientResult` (``e_corr`` among them)."""
+    if res.method != "ri-rhf":
+        raise ValueError("RI-MP2 gradient requires an RI SCF reference")
+    cc = mp2_correction_coefficients(res, c_os=c_os, c_ss=c_ss)
+    Z3c_hf, zeta_hf = ri_twoelectron_coefficients(res)
+    eps_o = res.eps[: res.nocc]
+    W_hf = 2.0 * gemm(res.C_occ * eps_o[None, :], res.C_occ.T)
+    coefs = (res.D + cc.Pc_ao, Z3c_hf + cc.Z3c, zeta_hf + cc.zeta,
+             cc.SW_ao - W_hf)
+    return coefs, dict(e_corr=cc.e_corr, Pc_mo=cc.Pc_mo, z=cc.z,
+                       P0_oo=cc.P0_oo, P0_vv=cc.P0_vv)
+
+
 def rimp2_gradient(res: SCFResult, return_intermediates: bool = False,
                    c_os: float = 1.0, c_ss: float = 1.0,
                    int_screen: float = 0.0, workspace=None):
@@ -241,7 +259,9 @@ def rimp2_gradient(res: SCFResult, return_intermediates: bool = False,
     The paper's synergistic formulation: HF and MP2 coefficient tensors
     share the same four integral-derivative classes, so a single
     contraction pass (h^xi, S^xi, (mn|P)^xi, (P|Q)^xi) covers the whole
-    gradient and *no* four-center derivative ever appears.
+    gradient and *no* four-center derivative ever appears. The
+    coefficients come first (`rimp2_gradient_coefficients`), the
+    contraction is a stack of one (`contract_ri_gradients`).
 
     Args:
         res: converged RI-HF result (``rhf(..., ri=True)``).
@@ -255,28 +275,13 @@ def rimp2_gradient(res: SCFResult, return_intermediates: bool = False,
     Returns:
         ``(natoms, 3)`` gradient in Hartree/Bohr (or the result object).
     """
-    if res.method != "ri-rhf":
-        raise ValueError("RI-MP2 gradient requires an RI SCF reference")
-    cc = mp2_correction_coefficients(res, c_os=c_os, c_ss=c_ss)
-    mol, basis, aux = res.mol, res.basis, res.aux
-    natoms = mol.natoms
-    Z3c_hf, zeta_hf = ri_twoelectron_coefficients(res)
-    eps_o = res.eps[: res.nocc]
-    W_hf = 2.0 * gemm(res.C_occ * eps_o[None, :], res.C_occ.T)
-    grad = mol.nuclear_repulsion_gradient()
-    with evaluation_scope(workspace):
-        grad += contract_hcore_deriv(basis, mol, res.D + cc.Pc_ao, workspace)
-        grad += contract_eri3c_deriv(
-            basis, aux, Z3c_hf + cc.Z3c, natoms,
-            screen=int_screen, workspace=workspace,
-        )
-        grad += contract_eri2c_deriv(aux, zeta_hf + cc.zeta, natoms, workspace)
-        grad += contract_overlap_deriv(basis, cc.SW_ao - W_hf, workspace)
+    coefs, parts = rimp2_gradient_coefficients(res, c_os, c_ss)
+    grad = contract_ri_gradients(
+        [res.mol], [res.basis], [res.aux], [c[None] for c in coefs],
+        int_screen, workspace,
+    )[0]
     if return_intermediates:
-        return MP2GradientResult(
-            gradient=grad, e_corr=cc.e_corr, Pc_mo=cc.Pc_mo, z=cc.z,
-            P0_oo=cc.P0_oo, P0_vv=cc.P0_vv,
-        )
+        return MP2GradientResult(gradient=grad, **parts)
     return grad
 
 

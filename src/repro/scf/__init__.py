@@ -4,7 +4,13 @@ from ..numerics import NumericalDivergenceError
 from .diis import DIIS
 from .grad import rhf_gradient, rhf_gradient_conventional, rhf_gradient_ri
 from .recovery import DEFAULT_LADDER, RecoveryStage, rhf_with_recovery
-from .rhf import SCFConvergenceError, SCFResult, build_ri_tensors, rhf
+from .rhf import (
+    SCFConvergenceError,
+    SCFResult,
+    build_ri_tensors,
+    prepare_solves,
+    rhf,
+)
 
 __all__ = [
     "DEFAULT_LADDER",
@@ -14,6 +20,7 @@ __all__ = [
     "SCFConvergenceError",
     "SCFResult",
     "build_ri_tensors",
+    "prepare_solves",
     "rhf",
     "rhf_gradient",
     "rhf_gradient_conventional",

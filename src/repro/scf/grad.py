@@ -24,11 +24,13 @@ import numpy as np
 
 from ..gemm import gemm
 from ..integrals import (
-    contract_eri2c_deriv,
-    contract_eri3c_deriv,
+    contract_eri2c_deriv_stack,
+    contract_eri3c_deriv_stack,
     contract_eri4c_deriv_hf,
     contract_hcore_deriv,
+    contract_hcore_deriv_stack,
     contract_overlap_deriv,
+    contract_overlap_deriv_stack,
 )
 from ..integrals.workspace import evaluation_scope
 from .rhf import SCFResult
@@ -93,6 +95,38 @@ def ri_twoelectron_coefficients(
     return Z3c, zeta
 
 
+def ri_gradient_coefficients(res: SCFResult):
+    """The coefficients an RI-HF gradient contracts the four derivative
+    classes with (`contract_ri_gradients`): ``(D, Z3c, zeta, -W)`` for
+    h, (mn|P), (P|Q) and S."""
+    Z3c, zeta = ri_twoelectron_coefficients(res)
+    return res.D, Z3c, zeta, -_energy_weighted_density(res)
+
+
+def contract_ri_gradients(mols, bases, auxs, coefs, int_screen: float = 0.0,
+                          workspace=None) -> np.ndarray:
+    """RI gradients of a stack of fragments of one composition, shape
+    ``(F, natoms, 3)``: nuclear repulsion plus ``sum X h^xi + sum Z3c
+    (mn|P)^xi + sum zeta (P|Q)^xi + sum W S^xi`` with the stacked
+    coefficients ``coefs = (X, Z3c, zeta, W)``, one call of each stacked
+    derivative driver for the whole stack (no four-center derivative).
+
+    ``int_screen``/``workspace`` enable Schwarz screening on cached
+    bounds; the four drivers run inside one scope of the workspace.
+    """
+    X, Z3c, zeta, W = coefs
+    natoms = mols[0].natoms
+    g = np.stack([mol.nuclear_repulsion_gradient() for mol in mols])
+    with evaluation_scope(workspace):
+        g += contract_hcore_deriv_stack(bases, mols, X, workspace)
+        g += contract_eri3c_deriv_stack(
+            bases, auxs, Z3c, natoms, screen=int_screen, workspace=workspace,
+        )
+        g += contract_eri2c_deriv_stack(auxs, zeta, natoms, workspace)
+        g += contract_overlap_deriv_stack(bases, W, workspace)
+    return g
+
+
 def rhf_gradient_ri(
     res: SCFResult, int_screen: float = 0.0, workspace=None
 ) -> np.ndarray:
@@ -101,20 +135,9 @@ def rhf_gradient_ri(
     ``int_screen``/``workspace`` enable Schwarz screening on cached
     bounds; the four drivers run inside one scope of the workspace.
     """
-    mol = res.mol
-    natoms = mol.natoms
-    g = mol.nuclear_repulsion_gradient()
-    Z3c, zeta = ri_twoelectron_coefficients(res)
-    W = _energy_weighted_density(res)
-    with evaluation_scope(workspace):
-        g += contract_hcore_deriv(res.basis, mol, res.D, workspace)
-        g += contract_eri3c_deriv(
-            res.basis, res.aux, Z3c, natoms,
-            screen=int_screen, workspace=workspace,
-        )
-        g += contract_eri2c_deriv(res.aux, zeta, natoms, workspace)
-        g -= contract_overlap_deriv(res.basis, W, workspace)
-    return g
+    coefs = [c[None] for c in ri_gradient_coefficients(res)]
+    return contract_ri_gradients([res.mol], [res.basis], [res.aux], coefs,
+                                 int_screen, workspace)[0]
 
 
 def rhf_gradient(

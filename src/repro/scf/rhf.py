@@ -18,7 +18,15 @@ from ..basis.auxiliary import auto_auxiliary
 from ..basis.basisset import BasisSet
 from ..chem.molecule import Molecule
 from ..gemm import gemm, sym_inv_sqrt, eigh_orth
-from ..integrals import eri2c, eri3c, eri4c, hcore, overlap
+from ..integrals import (
+    eri2c,
+    eri2c_stack,
+    eri3c,
+    eri3c_stack,
+    eri4c,
+    hcore_stack,
+    overlap_stack,
+)
 from ..integrals.workspace import evaluation_scope
 from ..numerics import NumericalDivergenceError
 from .diis import DIIS
@@ -152,10 +160,40 @@ def build_ri_tensors(
     """
     T3 = eri3c(basis, aux, screen=screen, workspace=workspace)
     J2 = eri2c(aux, workspace=workspace)
+    return _fitted(T3, J2)
+
+
+def _fitted(T3: np.ndarray, J2: np.ndarray):
+    """``(B, J, J^{-1/2})`` from the raw three-center tensor and metric."""
     Jih = sym_inv_sqrt(J2)
-    n = basis.nbf
-    B = gemm(T3.reshape(n * n, aux.nbf), Jih).reshape(n, n, aux.nbf)
+    n, _, naux = T3.shape
+    B = gemm(T3.reshape(n * n, naux), Jih).reshape(n, n, naux)
     return B, J2, Jih
+
+
+def prepare_solves(
+    mols, bases, auxs=None, int_screen: float = 0.0, workspace=None,
+) -> list[dict]:
+    """Solve memos (`rhf`'s ``solve_memo``) for molecules of one
+    composition, each with its basis: ``bs``, ``S``, the core
+    Hamiltonian ``h0`` and, with fitting bases ``auxs``, the RI tensors
+    ``ri`` — from one call of each stacked integral driver, so a stack
+    of fragments pays the drivers' fixed cost once. The solves that
+    read them are each fragment's own."""
+    with evaluation_scope(workspace):
+        S = overlap_stack(bases, workspace)
+        h = hcore_stack(bases, mols, workspace)
+        if auxs is not None:
+            T3 = eri3c_stack(bases, auxs, screen=int_screen,
+                             workspace=workspace)
+            J2 = eri2c_stack(auxs, workspace)
+    memos = []
+    for f, bs in enumerate(bases):
+        memo = {"bs": bs, "S": S[f], "h0": h[f]}
+        if auxs is not None:
+            memo["ri"] = (*_fitted(T3[f], J2[f]), auxs[f])
+        memos.append(memo)
+    return memos
 
 
 def rhf(
@@ -224,7 +262,8 @@ def rhf(
             molecule/basis (the recovery cascade): geometry-fixed
             matrices (basis, S, core h, RI tensors and Fock layouts) are
             built once and reused by every rung instead of being rebuilt
-            from scratch per attempt.
+            from scratch per attempt. `prepare_solves` fills the memos
+            of a whole stack of fragments at once.
 
     Returns:
         `SCFResult` with the converged state and reusable RI tensors.
@@ -259,12 +298,13 @@ def rhf(
 
     B = J2 = Jih = ERI = lay = None
     with evaluation_scope(workspace):
-        if "S" in memo:
-            S = memo["S"]
-            h = memo["h0"]
-        else:
-            S = memo["S"] = overlap(bs, workspace)
-            h = memo["h0"] = hcore(bs, mol, workspace)
+        if "S" not in memo or (ri and "ri" not in memo):
+            if ri and aux is None:
+                aux = auto_auxiliary(mol, basis)
+            memo.update(prepare_solves(
+                [mol], [bs], [aux] if ri else None, int_screen, workspace
+            )[0])
+        S, h = memo["S"], memo["h0"]
         if h_extra is not None:
             h = h + h_extra
             if not np.all(np.isfinite(h)):
@@ -273,16 +313,10 @@ def rhf(
                     "perturbation"
                 )
         if ri:
-            if "ri" in memo:
-                B, J2, Jih, aux, lay = memo["ri"]
-            else:
-                if aux is None:
-                    aux = auto_auxiliary(mol, basis)
-                B, J2, Jih = build_ri_tensors(
-                    bs, aux, screen=int_screen, workspace=workspace
-                )
-                lay = RIFockLayout.from_tensor(B)
-                memo["ri"] = (B, J2, Jih, aux, lay)
+            B, J2, Jih, aux = memo["ri"]
+            if "lay" not in memo:
+                memo["lay"] = RIFockLayout.from_tensor(B)
+            lay = memo["lay"]
         elif "eri" in memo:
             ERI = memo["eri"]
         else:

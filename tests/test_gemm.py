@@ -15,6 +15,7 @@ from repro.gemm import (
     VARIANTS,
     FlopCounter,
     GemmAutoTuner,
+    bgemm,
     count_flops,
     eigh_gen,
     eigh_orth,
@@ -239,6 +240,72 @@ class TestGemmIsCountedMatmul:
         with pytest.raises(ValueError, match="mismatch"):
             gemm(np.ones((2, 3)), np.ones((2, 3)))
         assert GLOBAL_COUNTER.snapshot() == before
+
+
+class TestBgemm:
+    """`bgemm` is a stacked `np.matmul` plus the counter: sum of 2mnk
+    over the slices, one update per call."""
+
+    @given(
+        st.integers(min_value=1, max_value=9),
+        st.sampled_from([1, 2, 7]),
+        st.sampled_from([1, 3, 8]),
+        _LAYOUTS,
+        _LAYOUTS,
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_stack_of_one_is_gemm(self, m, k, n, la, lb, seed):
+        rng = np.random.default_rng(seed)
+        A = _laid_out(rng.standard_normal((m, k)), la)
+        B = _laid_out(rng.standard_normal((k, n)), lb)
+        flops0, calls0 = GLOBAL_COUNTER.snapshot()
+        out = bgemm(A[None], B[None])
+        flops1, calls1 = GLOBAL_COUNTER.snapshot()
+        assert out.shape == (1, m, n)
+        assert out[0].tobytes() == gemm(A, B).tobytes()
+        assert (flops1 - flops0, calls1 - calls0) == (2 * m * n * k, 1)
+
+    def test_counts_every_slice_of_a_broadcast_stack(self):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((5, 1, 2, 4))
+        B = rng.standard_normal((1, 3, 4, 6))
+        shapes0 = dict(GLOBAL_COUNTER.by_shape)
+        with count_flops() as c:
+            out = bgemm(A, B)
+        assert out.tobytes() == np.matmul(A, B).tobytes()
+        assert (c.flops, c.calls) == (15 * 2 * 2 * 6 * 4, 1)
+        assert GLOBAL_COUNTER.by_shape[(2, 4, 6)] == (
+            shapes0.get((2, 4, 6), 0) + 15)
+        with pytest.raises(ValueError, match="mismatch"):
+            bgemm(A, B.transpose(0, 1, 3, 2))
+
+    def test_counter_matches_hand_count_on_water_trimer_eri3c(self):
+        """`eri3c` on a water trimer multiplies, per shell-pair class and
+        auxiliary site group, the bra expansion ``(X, N Tb)`` by the
+        kernel ``(N Tb, Tk m)`` for every pair, then the ``(X, Tk)``
+        blocks by the ket expansion ``(Tk, C)`` for every (pair, site):
+        the counter sees exactly those FLOPs."""
+        from repro.basis import BasisSet, auto_auxiliary
+        from repro.integrals import eri3c
+        from repro.integrals.batch import build_shell_classes
+        from repro.integrals.engine import aux_group_data, hermite_simplex
+        from repro.systems import water_cluster
+
+        mol = water_cluster(3, seed=1)
+        bs, aux = BasisSet.build(mol, "sto-3g"), auto_auxiliary(mol)
+        expect = 0
+        for cls in build_shell_classes(bs):
+            X, N = cls.nfa * cls.nfb, cls.nprim
+            Tb = hermite_simplex(cls.la + cls.lb).shape[0]
+            for grp in aux_group_data(aux):
+                m, C = grp.func_idx.shape
+                Tk = hermite_simplex(grp.lmax).shape[0]
+                expect += cls.npair * 2 * (X * N * Tb * Tk * m
+                                           + m * X * Tk * C)
+        with count_flops() as c:
+            eri3c(bs, aux)
+        assert c.flops == expect > 0
 
 
 class TestLinalgHelpers:

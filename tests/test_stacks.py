@@ -1,0 +1,327 @@
+"""Cross-fragment stacks: fragments of one composition are one
+evaluation of the integral layer.
+
+The contract under test:
+
+* **Stack independence** — a fragment's integrals, contracted
+  derivatives, energy and gradient are bitwise the ones it gets alone
+  (a stack of one), whatever it is stacked with and in what order, with
+  screening off or on and with Schwarz masks that differ inside the
+  stack (one fragment displaced past ``displacement_tol`` re-screens,
+  the others are served a stale table). End to end, a trajectory run by
+  the stacking calculator is bitwise the one run a fragment at a time.
+* **The byte budget** — a stack closes before the fragment whose
+  unscreened Hermite Coulomb tables would take its set past
+  `table_budget`; every set a stack builds is held whole, and a
+  fragment beyond the budget on its own goes alone, its tables partly
+  built on the fly, with the same bits.
+* **Errors stay per fragment** — an SCF that exhausts the recovery
+  ladder inside a stack names its own fragment; calculators without
+  ``energy_gradients`` get one call per fragment.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.basis import BasisSet, auto_auxiliary
+from repro.calculators import RIHFCalculator, RIMP2Calculator
+from repro.faults import FaultPlan, FaultPlanCalculator, FaultSpec
+from repro.faults.inject import InjectedFault
+from repro.frag import FragmentedSystem
+from repro.integrals import (
+    IntegralWorkspace,
+    contract_eri2c_deriv_stack,
+    contract_eri3c_deriv_stack,
+    contract_hcore_deriv_stack,
+    contract_overlap_deriv_stack,
+    eri2c_stack,
+    eri3c_stack,
+    hcore_stack,
+    overlap_stack,
+)
+from repro.integrals.batch import schwarz_pair_bounds_stack, table_bytes
+from repro.integrals.workspace import evaluation_scope, table_budget
+from repro.md import maxwell_boltzmann_velocities, run_aimd
+from repro.md.scheduler import evaluate_fragments
+from repro.scf.rhf import SCFConvergenceError
+from repro.systems import water_cluster
+from repro.trace import Tracer
+
+from .conftest import table_instants
+
+#: a displacement past the default ``displacement_tol`` (0.25 bohr)
+FAR = 0.4
+
+
+def _fragments(n: int, count: int, seed: int):
+    """``count`` water ``n``-mers of one composition, in random order:
+    each nudged within ``displacement_tol`` of a reference geometry but
+    one, moved past it. Returns the reference and the fragments (with
+    ``frag_key`` set to their index)."""
+    ref = water_cluster(n, seed=3)
+    rng = np.random.default_rng(seed)
+    far = int(rng.integers(count))
+    mols = []
+    for i in range(count):
+        shift = 0.02 * rng.standard_normal(ref.coords.shape)
+        if i == far:
+            shift = shift + FAR
+        mol = ref.with_coords(ref.coords + shift)
+        mol.frag_key = (i,)
+        mols.append(mol)
+    order = rng.permutation(count)
+    return ref, [mols[i] for i in order]
+
+
+def _primed(ref, basis: str = "sto-3g") -> IntegralWorkspace:
+    """A workspace whose Schwarz entry holds the reference geometry's
+    table: a fragment nudged from it is served that table stale, the
+    displaced one re-screens — the same in any stack."""
+    ws = IntegralWorkspace(tracer=Tracer())
+    ws.schwarz_bounds(BasisSet.build(ref, basis))
+    return ws
+
+
+def _drivers(mols, screen: float, ws, basis: str):
+    """Every stacked driver on a stack, with per-fragment coefficients
+    drawn from the fragment's key (so a fragment gets the same ones in
+    any stack)."""
+    bases = [BasisSet.build(mol, basis) for mol in mols]
+    auxs = [auto_auxiliary(mol, basis) for mol in mols]
+    nb, na, natoms = bases[0].nbf, auxs[0].nbf, mols[0].natoms
+    coef = [np.random.default_rng(mol.frag_key[0]) for mol in mols]
+    X = np.stack([r.standard_normal((nb, nb)) for r in coef])
+    X = X + X.transpose(0, 2, 1)
+    Z = np.stack([1e-3 * r.standard_normal((nb, nb, na)) for r in coef])
+    zeta = np.stack([r.standard_normal((na, na)) for r in coef])
+    with evaluation_scope(ws):
+        return [
+            overlap_stack(bases, ws),
+            hcore_stack(bases, mols, ws),
+            eri3c_stack(bases, auxs, screen, ws),
+            eri2c_stack(auxs, ws),
+            schwarz_pair_bounds_stack(bases, ws),
+            contract_hcore_deriv_stack(bases, mols, X, ws),
+            contract_eri3c_deriv_stack(bases, auxs, Z, natoms, screen, ws),
+            contract_eri2c_deriv_stack(auxs, zeta, natoms, ws),
+            contract_overlap_deriv_stack(bases, X, ws),
+        ]
+
+
+def _screens(ws) -> list[tuple]:
+    return [(s["kind"], s["pairs"], s["skipped"], s["neglected"])
+            for s in ws.tracer.instants("int.screen")]
+
+
+class TestStackIndependence:
+    @settings(max_examples=16, deadline=None)
+    @given(shape=st.sampled_from([(1, "sto-3g"), (2, "sto-3g"),
+                                  (1, "repro-dzp")]),
+           count=st.integers(1, 6), seed=st.integers(0, 2**16),
+           screen=st.sampled_from([0.0, 1e-12]))
+    def test_drivers(self, shape, count, seed, screen):
+        """Every stacked driver; the d shells of ``repro-dzp`` are where
+        a reduction over a non-contiguous operand would show."""
+        n, basis = shape
+        ref, mols = _fragments(n, count, seed)
+        ws = _primed(ref, basis)
+        whole = _drivers(mols, screen, ws, basis)
+        screens = _screens(ws)
+        for f, mol in enumerate(mols):
+            alone_ws = _primed(ref, basis)
+            alone = _drivers([mol], screen, alone_ws, basis)
+            for got, want in zip(whole, alone):
+                assert got[f].tobytes() == want[0].tobytes()
+            # the fragment's screening record: its own pairs and bound
+            assert screens[f::count] == _screens(alone_ws)
+        if screen:
+            # the masks differ inside the stack: the reference's table and
+            # the displaced fragment's re-screen; the rest served stale
+            assert ws.bound_rebuilds == 2
+            assert (ws.stale_serves > 0) == (count > 1)
+
+    @pytest.mark.parametrize("calculator", [RIMP2Calculator, RIHFCalculator])
+    @settings(max_examples=5, deadline=None)
+    @given(n=st.sampled_from([1, 2]), count=st.integers(1, 6),
+           seed=st.integers(0, 2**16), screen=st.sampled_from([0.0, 1e-12]))
+    def test_energy_gradients(self, calculator, n, count, seed, screen):
+        ref, mols = _fragments(n, count, seed)
+        tracer = Tracer()
+        calc = calculator(int_screen=screen, workspace=_primed(ref),
+                          tracer=tracer)
+        whole = calc.energy_gradients(mols)
+        (stack,) = [ev["args"] for ev in tracer.events
+                    if ev["name"] == "calc.stack"]
+        assert stack["size"] == count
+        for mol, (e, g) in zip(mols, whole):
+            alone = calculator(int_screen=screen, workspace=_primed(ref))
+            e1, g1 = alone.energy_gradient(mol)
+            assert e == e1 and g.tobytes() == g1.tobytes()
+
+    def test_trajectory_equals_one_fragment_at_a_time(self):
+        """Three steps of the water-tetramer MBE3 RI-MP2 workload: the
+        stacking calculator and a wrapper exposing only
+        ``energy_gradient`` (stacks of one) run bitwise the same
+        trajectory."""
+
+        class OneAtATime:
+            def __init__(self, inner):
+                self.inner = inner
+
+            @property
+            def guess_cache(self):
+                return self.inner.guess_cache
+
+            @guess_cache.setter
+            def guess_cache(self, cache):
+                self.inner.guess_cache = cache
+
+            def energy_gradient(self, mol):
+                return self.inner.energy_gradient(mol)
+
+        system = FragmentedSystem.by_components(water_cluster(4, seed=1))
+        assert system.nmonomers == 4
+        v0 = maxwell_boltzmann_velocities(system.parent.masses_au, 300.0,
+                                          seed=1)
+        out = []
+        for wrap in (lambda calc: calc, OneAtATime):
+            calc = RIMP2Calculator("sto-3g", int_screen=1e-12,
+                                   workspace=IntegralWorkspace())
+            traj = run_aimd(system, wrap(calc), 3, dt_fs=0.5,
+                            r_dimer_bohr=30.0, r_trimer_bohr=15.0,
+                            mbe_order=3, velocities=v0)
+            out.append((np.asarray(traj.coords).tobytes(),
+                        np.asarray(traj.potential).tobytes()))
+        assert out[0] == out[1]
+
+
+class TestByteBudget:
+    """A stack closes before its tables would pass `table_budget`."""
+
+    @pytest.fixture(scope="class")
+    def dimers(self):
+        return _fragments(2, 6, seed=11)
+
+    @staticmethod
+    def _run(ref, mols, share: float | None):
+        tracer = Tracer()
+        ws = _primed(ref)
+        if share is not None:
+            ws.TABLE_SHARE = share
+        calc = RIMP2Calculator(int_screen=1e-12, workspace=ws, tracer=tracer)
+        results = calc.energy_gradients(mols)
+        stacks = [ev["args"] for ev in tracer.events
+                  if ev["name"] == "calc.stack"]
+        # the calculator's tracer takes its evaluations' table requests
+        return results, stacks, ws, table_instants(tracer)
+
+    def test_stacks_close_at_the_budget(self, dimers):
+        ref, mols = dimers
+        per = table_bytes(BasisSet.build(ref, "sto-3g"),
+                          auto_auxiliary(ref, "sto-3g"), ref.natoms)
+        want, stacks, _, _ = self._run(ref, mols, None)
+        assert [s["size"] for s in stacks] == [6]
+        # room for two and a half dimers' tables: stacks of two
+        share = 2.5 * per / IntegralWorkspace().max_bytes
+        got, stacks, ws, tables = self._run(ref, mols, share)
+        assert [s["size"] for s in stacks] == [2, 2, 2]
+        assert all(0 < s["table_bytes"] <= table_budget(ws) for s in stacks)
+        assert 0 < ws.tables_peak_bytes <= table_budget(ws)
+        # every set a stack builds is held whole: 3 stacks x 3 kinds, each
+        # built by the value driver and found by the derivative
+        assert len(tables) == 18 and all(t["kept"] for t in tables)
+        for (e, g), (e0, g0) in zip(got, want):
+            assert e == e0 and g.tobytes() == g0.tobytes()
+
+    def test_a_fragment_beyond_the_budget_goes_alone(self, dimers):
+        ref, mols = dimers
+        want, _, _, _ = self._run(ref, mols, None)
+        per = table_bytes(BasisSet.build(ref, "sto-3g"),
+                          auto_auxiliary(ref, "sto-3g"), ref.natoms)
+        share = 0.5 * per / IntegralWorkspace().max_bytes
+        got, stacks, ws, tables = self._run(ref, mols, share)
+        assert [s["size"] for s in stacks] == [1] * 6
+        assert ws.tables_peak_bytes <= table_budget(ws)
+        # held what fit, built the rest on the fly: the same bits
+        assert tables and not all(t["kept"] for t in tables)
+        for (e, g), (e0, g0) in zip(got, want):
+            assert e == e0 and g.tobytes() == g0.tobytes()
+
+    def test_compositions_stack_apart(self):
+        """Monomers and dimers in one call: two stacks, in order of first
+        appearance, results in input order."""
+        ref1, mono = _fragments(1, 3, seed=4)
+        ref2, dim = _fragments(2, 2, seed=5)
+        mols = [dim[0], mono[0], mono[1], dim[1], mono[2]]
+        tracer = Tracer()
+        calc = RIHFCalculator(workspace=IntegralWorkspace(), tracer=tracer)
+        got = calc.energy_gradients(mols)
+        stacks = [ev["args"] for ev in tracer.events
+                  if ev["name"] == "calc.stack"]
+        assert [(s["composition"], s["size"]) for s in stacks] == [
+            (dim[0].formula(), 2), (mono[0].formula(), 3)]
+        for mol, (e, g) in zip(mols, got):
+            e1, g1 = RIHFCalculator(
+                workspace=IntegralWorkspace()).energy_gradient(mol)
+            assert e == e1 and g.tobytes() == g1.tobytes()
+
+
+class TestErrorsPerFragment:
+    def test_exhausted_ladder_names_its_fragment(self, monkeypatch):
+        """The middle fragment of a stack never converges: the whole
+        recovery ladder runs, and the typed error names that fragment,
+        not the stack's first."""
+        import repro.scf.recovery as recovery
+
+        _, mols = _fragments(1, 3, seed=6)
+        bad = mols[1].frag_key
+        real = recovery.rhf
+
+        def rhf(mol, *args, **kwargs):
+            if mol.frag_key == bad:
+                raise SCFConvergenceError("planned non-convergence")
+            return real(mol, *args, **kwargs)
+
+        monkeypatch.setattr(recovery, "rhf", rhf)
+        calc = RIMP2Calculator(workspace=IntegralWorkspace())
+        with pytest.raises(SCFConvergenceError) as err:
+            calc.energy_gradients(mols)
+        assert f"fragment {bad}" in str(err.value)
+        assert "cascade exhausted" in str(err.value)
+        assert f"fragment {mols[0].frag_key}" not in str(err.value)
+
+    def test_one_call_per_fragment_without_energy_gradients(self):
+        """A calculator without ``energy_gradients`` — here a fault-plan
+        wrapper, whose attribute delegation would otherwise reach its
+        inner calculator's — gets one ``energy_gradient`` call per
+        fragment, at the fragment's own (key, step, attempt)."""
+        _, mols = _fragments(1, 3, seed=7)
+
+        class Recorder:
+            def __init__(self):
+                self.calls = []
+
+            def energy_gradients(self, mols):
+                raise AssertionError("the wrapper must not hand the list on")
+
+            def energy_gradient(self, mol):
+                self.calls.append(mol.frag_key)
+                return 0.0, np.zeros((mol.natoms, 3))
+
+        inner = Recorder()
+        target = mols[2].frag_key
+        plan = FaultPlan(specs=[FaultSpec(kind="transient", step=5,
+                                          key=target, attempts=2)])
+        calc = FaultPlanCalculator(inner, plan)
+        steps = [4, 4, 5]
+        with pytest.raises(InjectedFault, match=rf"fragment \({target[0]},\)"):
+            evaluate_fragments(calc, mols, 1, steps)
+        assert inner.calls == [mols[0].frag_key, mols[1].frag_key]
+        inner.calls.clear()
+        results = evaluate_fragments(calc, mols, 2, steps)
+        assert inner.calls == [mol.frag_key for mol in mols]
+        assert len(results) == 3

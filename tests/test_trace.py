@@ -111,9 +111,11 @@ class TestSchedulerInstrumentation:
         assert {"task.release", "task.complete", "task.exec",
                 "step.complete", "scheduler.queue_depth",
                 "scheduler.in_flight", "scheduler.step_skew"} <= names
-        # one exec span per issued task
+        # one exec span per round of ready tasks, every issued task in
+        # exactly one of them
         execs = [ev for ev in tr.events if ev["name"] == "task.exec"]
-        assert len(execs) == co.tasks_issued
+        assert sum(ev["args"]["tasks"] for ev in execs) == co.tasks_issued
+        assert sum(len(ev["args"]["keys"]) for ev in execs) == co.tasks_issued
         # one md.step span per retired step, in order, back to back
         steps = [ev for ev in tr.events if ev["name"] == "md.step"]
         assert [ev["args"]["step"] for ev in steps] == [0, 1, 2]
