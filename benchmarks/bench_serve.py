@@ -2,7 +2,7 @@
 
 The AIMD service (`repro.serve.TrajectoryService`) multiplexes fragment
 tasks from many trajectories onto one worker pool and shares the warm
-layer (integral workspace products, guess cache) across tenants. This
+layer (integral workspace products) across tenants. This
 load generator measures what that buys:
 
 * **sequential-cold** — the one-driver-per-trajectory status quo,
@@ -17,8 +17,8 @@ load generator measures what that buys:
   different tenants additionally overlap step-boundary stalls.
   Aggregate steps/hour must come out at least ``MIN_SPEEDUP`` ahead.
 
-The run also demonstrates per-job crash-safe resume: a deterministic
-surrogate job is killed mid-run via ``request_stop`` from a streaming
+The run also demonstrates per-job crash-safe resume: a surrogate job
+is killed mid-run via ``request_stop`` from a streaming
 subscriber, resubmitted against the same output root, and its final
 energies must match an uninterrupted reference **bitwise**.
 
@@ -142,12 +142,12 @@ def _run_concurrent(specs: list[JobSpec], root: Path) -> dict:
 
 
 def _resume_demo(root: Path) -> dict:
-    """Kill a deterministic job mid-run, resume it, compare bitwise."""
+    """Kill a job mid-run, resume it, compare bitwise."""
     def spec():
         return JobSpec(
             job_id="det", system={"kind": "water", "n": 3, "seed": 7},
             method={"kind": "surrogate"}, nsteps=12, dt_fs=0.5,
-            deterministic=True, checkpoint_every=2, replan_interval=2,
+            checkpoint_every=2, replan_interval=2,
             thermostat={"kind": "local-langevin", "temperature_k": 300.0,
                         "seed": 7},
         )

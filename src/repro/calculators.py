@@ -19,7 +19,7 @@ fragmentation and MD layers consume. Three families are provided:
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 import numpy as np
@@ -39,7 +39,6 @@ from .scf.grad import (
 )
 from .scf.recovery import rhf_with_recovery
 from .scf.rhf import SCFConvergenceError, prepare_solves, rhf
-from .store import BoundedStore
 
 
 class Calculator(Protocol):
@@ -57,156 +56,101 @@ class Calculator(Protocol):
         ...
 
 
-class GuessCache(BoundedStore):
-    """Per-fragment converged-density store for cross-step SCF warm starts.
-
-    Between consecutive MD steps a fragment's geometry moves by a
-    fraction of a bohr, so its previous converged density is an
-    excellent initial guess — production AIMD codes (CP2K and the
-    MTS-AIMD literature) report 2-4x fewer SCF iterations from exactly
-    this reuse. Entries are keyed by the MBE fragment key (the tuple of
-    constituent monomer indices, carried on fragment molecules as
-    ``Molecule.frag_key``).
-
-    Each entry keeps the last ``history`` converged densities and
-    `get` serves their forward Lagrange extrapolation (``2 D1 - D0``
-    for two, ``3 D2 - 3 D1 + D0`` for three) — the density analogue of
-    the always-stable predictor in CP2K's ASPC scheme. Plain reuse of
-    the last density alone saves little here: its error against the new
-    geometry's solution lies along the *slowest-contracting* physical
-    response modes, so DIIS still needs to rebuild its subspace;
-    extrapolation cancels the leading order of that error.
-    ``history=1`` recovers plain last-density reuse. The SCF layer
-    re-purifies whatever guess it is handed (`repro.scf.rhf`), so the
-    non-idempotency of the extrapolated combination is harmless.
-
-    Safety properties:
-
-    * entries store the fragment's atom count and are dropped on
-      mismatch (`invalidate` is also called explicitly when a replan
-      changes a fragment), so a stale density is never offered to a
-      different fragment shape — and `repro.scf.rhf` re-validates the
-      array against the basis regardless;
-    * the store's LRU byte budget (``max_bytes``) bounds total storage,
-      so million-fragment plans cannot exhaust coordinator or worker
-      memory: least-recently-used densities are evicted first;
-    * ``enabled=False`` turns the cache into a pure statistics collector
-      (every lookup misses, nothing is stored) so cold and warm runs can
-      be instrumented identically;
-    * the cache is deliberately **not** checkpointed: a resumed
-      trajectory restarts from cold guesses, which only costs
-      iterations. Bitwise resume equivalence is guaranteed by the
-      coordinator's ``deterministic`` mode, which disables warm starts
-      entirely (see `repro.md.checkpoint`).
-
-    Budget, lock (waits counted in ``contentions``) and per-tenant
-    hit / miss attribution are `repro.store.BoundedStore`'s, so the
-    cache can be shared by the multi-tenant trajectory service
-    (`repro.serve`), whose worker threads hit it concurrently.
-    Multi-tenant keys carry the job id as a leading string element
-    (``(job_id, m0, m1, ...)``) — jobs can then share one cache without
-    cross-contaminating densities, and traffic is attributed per tenant
-    (`tenant_stats`).
+@dataclass(frozen=True)
+class FragmentRecord:
+    """What a fragment key carries from one evaluation to the next: the
+    step engine's (`repro.md.scheduler.FragmentRecords`), put on the
+    task's molecule (``Molecule.record``) and checkpointed. A calculator
+    never changes one in place — it puts a new one on the molecule — so
+    a failed attempt leaves nothing behind. A molecule without a record
+    (a bare calculator call) has no history and is its own screening
+    reference.
     """
 
-    def __init__(self, max_bytes: int = 256 * 2**20,
-                 enabled: bool = True, history: int = 3) -> None:
+    #: the last converged densities, most recent last (`GuessCache`)
+    densities: tuple = ()
+    #: the atom count ``densities`` were converged for
+    natoms: int = 0
+    #: atom coordinates the fragment's Schwarz bounds were last
+    #: re-screened at (`IntegralWorkspace.screening_reference`)
+    ref: np.ndarray | None = None
+    #: ``(warm, iterations)`` of the solve that wrote the record, for
+    #: the engine's `GuessCache.record`; not checkpointed
+    solve: tuple | None = None
+
+
+class GuessCache:
+    """Warm-start policy and accounting for cross-step SCF guesses.
+
+    Between consecutive MD steps a fragment moves by a fraction of a
+    bohr, so its previous converged density is an excellent initial
+    guess (CP2K and the MTS-AIMD literature report 2-4x fewer SCF
+    iterations). The densities are trajectory state: they ride each
+    fragment's `FragmentRecord` to whichever worker runs it and into
+    the checkpoint.
+
+    A record keeps the last ``history`` densities and `get` serves their
+    forward Lagrange extrapolation (``2 D1 - D0`` for two, ``3 D2 - 3 D1
+    + D0`` for three), the density analogue of CP2K's always-stable
+    predictor: plain last-density reuse leaves its error along the
+    slowest-contracting response modes, which DIIS must rebuild, and
+    extrapolation cancels the leading order of it (``history=1`` is
+    plain reuse). `repro.scf.rhf` re-validates and re-purifies every
+    guess; a record converged for another atom count serves none.
+
+    ``enabled=False`` serves no guess and keeps no density, so cold and
+    warm runs are instrumented identically. The step engine counts hits,
+    misses and warm / cold iterations as results come back (`record`),
+    whichever process ran the solve.
+    """
+
+    def __init__(self, enabled: bool = True, history: int = 3) -> None:
         if history < 1:
             raise ValueError(f"history must be >= 1, got {history}")
-        super().__init__(max_bytes, enabled)
-        #: densities kept per entry; a payload is ``(most-recent-last
-        #: densities, natoms)``
+        self.enabled = enabled
         self.history = int(history)
-        self.invalidations = 0
-        #: SCF iterations spent on cache-hit (warm) and cache-miss
-        #: (cold) solves, for the 2-4x savings audit
+        self.hits = 0
+        self.misses = 0
+        #: SCF iterations spent on warm and cold solves, for the 2-4x
+        #: savings audit
         self.iters_warm = 0
         self.iters_cold = 0
 
-    def get(self, key: tuple, natoms: int | None = None) -> np.ndarray | None:
-        """The extrapolated guess density for ``key``, or None (a miss).
+    def get(self, record: FragmentRecord, natoms: int) -> np.ndarray | None:
+        """The extrapolated guess density of ``record``, or None."""
+        h = record.densities
+        if not self.enabled or not h or record.natoms != natoms:
+            return None
+        if len(h) == 1:
+            return h[-1]
+        if len(h) == 2:
+            return 2.0 * h[-1] - h[-2]
+        return 3.0 * h[-1] - 3.0 * h[-2] + h[-3]
 
-        With one stored density it is returned as-is; with more, the
-        forward Lagrange extrapolation of the history is returned.  A
-        ``natoms`` mismatch means the fragment no longer has the atom
-        set the density was converged for; the entry is invalidated and
-        the lookup misses.
-        """
-        with self._lock:
-            held = self._lookup(key)
-            if held is not None and natoms is not None \
-                    and held[1] != natoms:
-                self.invalidate(key)
-                held = None
-            self._count("misses" if held is None else "hits",
-                        self._tenant_of(key))
-            if held is None:
-                return None
-            h = held[0]
-            if len(h) == 1:
-                return h[-1]
-            if len(h) == 2:
-                return 2.0 * h[-1] - h[-2]
-            return 3.0 * h[-1] - 3.0 * h[-2] + h[-3]
-
-    def put(self, key: tuple, D: np.ndarray, natoms: int) -> None:
-        """Store a converged density (the caller must not mutate it).
-
-        Appends to the key's history (dropping beyond the history
-        depth); a ``natoms`` change discards the stale history first.
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            held = self._lookup(key)
-            if held is not None and held[1] != int(natoms):
-                self.invalidate(key)
-                held = None
-            history = (held[0] if held is not None else []) + [D]
-            self._put(key, (history[-self.history:], int(natoms)))
-
-    def invalidate(self, key: tuple) -> None:
-        """Drop one entry (no-op if absent)."""
-        with self._lock:
-            if self._discard(key):
-                self.invalidations += 1
+    def put(self, record: FragmentRecord, D: np.ndarray,
+            natoms: int) -> FragmentRecord:
+        """``record`` with the converged density ``D`` appended (the
+        caller must not mutate it), the history cut to its depth; an
+        atom-count change starts a new history, and a disabled cache
+        keeps none."""
+        held = record.densities if record.natoms == natoms else ()
+        kept = (*held, D)[-self.history:] if self.enabled else ()
+        return replace(record, densities=kept, natoms=int(natoms))
 
     def record(self, hit: bool, n_iter: int) -> None:
-        """Account one solve's iteration count against hit/miss."""
-        with self._lock:
-            if hit:
-                self.iters_warm += int(n_iter)
-            else:
-                self.iters_cold += int(n_iter)
+        """Account one solve: a hit (warm) or miss (cold) and its
+        iteration count."""
+        if hit:
+            self.hits += 1
+            self.iters_warm += int(n_iter)
+        else:
+            self.misses += 1
+            self.iters_cold += int(n_iter)
 
     def stats(self) -> dict:
-        """Counters snapshot (hits/misses/iterations/evictions/bytes)."""
-        with self._lock:
-            return dict(
-                super().stats(),
-                invalidations=self.invalidations,
-                iters_warm=self.iters_warm,
-                iters_cold=self.iters_cold,
-            )
-
-
-#: process-global guess cache: a worker's slice of the warm layer
-_GLOBAL_GUESS_CACHE: GuessCache | None = None
-
-
-def get_guess_cache() -> GuessCache:
-    """The per-process shared `GuessCache` (created on first use).
-
-    Calculators reach a pool worker freshly unpickled with every task,
-    so per-fragment densities must live in the worker's module state to
-    survive from one task to the next — exactly like `get_workspace`. A
-    rebuilt pool starts cold and repopulates: it loses iterations,
-    never correctness.
-    """
-    global _GLOBAL_GUESS_CACHE
-    if _GLOBAL_GUESS_CACHE is None:
-        _GLOBAL_GUESS_CACHE = GuessCache()
-    return _GLOBAL_GUESS_CACHE
+        """Counters snapshot (hits / misses / iterations)."""
+        return {name: getattr(self, name)
+                for name in ("hits", "misses", "iters_warm", "iters_cold")}
 
 
 def _resolve_workspace(calc):
@@ -257,11 +201,13 @@ def _evaluate_stacks(calc, mols, method: str, terms, **scf):
     fragment's energy and gradient coefficients, after which the SCF
     result is dropped; one call of each stacked derivative driver then
     contracts the stack's coefficients
-    (`repro.scf.grad.contract_ri_gradients`). A fragment whose SCF
-    fails raises the typed error under its own key; the rest of its
-    stack is not evaluated. A traced calculator emits one ``calc.stack``
-    span per stack (composition, size, the largest table set it held,
-    the pairs its derivative drivers rebuilt).
+    (`repro.scf.grad.contract_ri_gradients`). With screening on, every
+    driver of the stack screens with the Schwarz tables served first at
+    the fragments' reference geometries (`_screen_at_references`). A
+    fragment whose SCF fails raises the typed error under its own key;
+    the rest of its stack is not evaluated. A traced calculator emits
+    one ``calc.stack`` span per stack (composition, size, the largest
+    table set it held, the pairs its derivative drivers rebuilt).
     """
     ws = calc.workspace if calc.workspace is not None else get_workspace()
     tracer = calc.tracer
@@ -271,6 +217,8 @@ def _evaluate_stacks(calc, mols, method: str, terms, **scf):
         start = tracer.clock() if tracer else 0.0
         traced = nullcontext() if tracer is None else ws.scope(tracer=tracer)
         with ws.evaluation() as scratch, traced:
+            if calc.int_screen > 0.0:
+                _screen_at_references(stack, bases, ws)
             memos = prepare_solves(stack, bases, auxs, calc.int_screen, ws)
             energies, coefs = [], []
             for mol, memo in zip(stack, memos):
@@ -298,6 +246,22 @@ def _evaluate_stacks(calc, mols, method: str, terms, **scf):
     return out
 
 
+def _screen_at_references(mols, bases, workspace) -> None:
+    """Serve the stack's Schwarz tables into this evaluation's scratch,
+    each at its record's reference geometry
+    (`IntegralWorkspace.screening_reference`); a re-screened fragment's
+    record gets its current geometry as the new reference."""
+    records = [getattr(mol, "record", None) for mol in mols]
+    refs = [
+        None if rec is None else workspace.screening_reference(basis, rec.ref)
+        for rec, basis in zip(records, bases)
+    ]
+    workspace.schwarz_bounds_stack(bases, refs)
+    for mol, rec, ref in zip(mols, records, refs):
+        if rec is not None and ref is not rec.ref:
+            mol.record = replace(rec, ref=ref)
+
+
 def _fragment_scf(calc, mol, memo, workspace, scf: dict):
     """One fragment's SCF of a stack, on its prepared solve memo; an SCF
     that fails (the recovery ladder exhausted, or diverged) raises its
@@ -320,17 +284,17 @@ def _solve_scf(mol, basis, recover: bool, tracer=None, guess_cache=None,
                **kwargs):
     """Bare `rhf` or the recovery cascade, per the calculator's setting.
 
-    With a `GuessCache` and a molecule carrying a ``frag_key``, the
-    fragment's last converged density seeds the solve (``dm0``) and the
-    new converged density is stored back — including after a recovery
-    escalation, since any converged density is a valid future guess.
-    Emits an ``scf.warm_start`` tracer instant per cached solve with the
-    hit/miss outcome and the iteration count.
+    With a `GuessCache` and a molecule carrying a `FragmentRecord`, the
+    record's extrapolated densities seed the solve (``dm0``) and the
+    molecule gets a new record holding the converged density (after a
+    recovery escalation too) and the solve's outcome, which the step
+    engine counts. Emits an ``scf.warm_start`` tracer instant per such
+    solve with the hit/miss outcome and the iteration count.
     """
-    key = getattr(mol, "frag_key", None) if guess_cache is not None else None
+    record = getattr(mol, "record", None) if guess_cache is not None else None
     hit = False
-    if key is not None:
-        dm0 = guess_cache.get(key, natoms=mol.natoms)
+    if record is not None:
+        dm0 = guess_cache.get(record, mol.natoms)
         if dm0 is not None:
             kwargs["dm0"] = dm0
             hit = True
@@ -338,12 +302,12 @@ def _solve_scf(mol, basis, recover: bool, tracer=None, guess_cache=None,
         res = rhf_with_recovery(mol, basis, tracer=tracer, **kwargs)
     else:
         res = rhf(mol, basis, **kwargs)
-    if key is not None:
-        guess_cache.record(hit, res.niter)
-        guess_cache.put(key, res.D, natoms=mol.natoms)
+    if record is not None:
+        mol.record = replace(guess_cache.put(record, res.D, mol.natoms),
+                             solve=(hit, res.niter))
         if tracer:
             tracer.instant(
-                "scf.warm_start", cat="scf", key=str(key), hit=hit,
+                "scf.warm_start", cat="scf", key=str(mol.frag_key), hit=hit,
                 n_iter=res.niter, warm_started=res.warm_started,
             )
     return res
@@ -361,7 +325,7 @@ class RIMP2Calculator:
     to retry or quarantine.
 
     ``guess_cache`` (a `GuessCache`) enables cross-step SCF warm starts
-    for fragment molecules carrying a ``frag_key``; ``tracer`` threads a
+    for fragment molecules carrying a `FragmentRecord`; ``tracer`` threads a
     `repro.trace.Tracer` into the SCF layer so ``scf.recover`` /
     ``scf.recovered`` / ``scf.warm_start`` events are recorded instead
     of silently lost during MD runs.

@@ -42,9 +42,14 @@ class Molecule:
             indices), set by `FragmentedSystem.fragment_molecule` so
             calculators can key per-fragment caches (SCF warm starts)
             off the molecule they receive. None for whole molecules.
+        record: the fragment's `repro.calculators.FragmentRecord` (its
+            warm-start densities and Schwarz reference), put on a task's
+            molecule by the step engine and replaced by the calculator
+            that evaluates it. None outside the engine.
     """
 
-    __slots__ = ("symbols", "coords", "charge", "multiplicity", "frag_key")
+    __slots__ = ("symbols", "coords", "charge", "multiplicity", "frag_key",
+                 "record")
 
     def __init__(
         self,
@@ -59,6 +64,7 @@ class Molecule:
         self.charge = int(charge)
         self.multiplicity = int(multiplicity)
         self.frag_key: tuple[int, ...] | None = None
+        self.record = None
 
     # --- constructors -----------------------------------------------------
     @classmethod

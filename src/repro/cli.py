@@ -166,9 +166,6 @@ def cmd_aimd(args) -> int:
                   f"resumed from rotation {used}")
         print(f"resuming from {used}: step {resume.step} "
               f"(t = {resume.time_fs:g} fs)")
-    if args.deterministic and not args.no_warm_start and not args.surrogate:
-        print("deterministic mode: SCF warm starts disabled "
-              "(bitwise-reproducible resumes require cold guesses)")
     surrogate = None
     if args.surrogate_tail:
         from .surrogate import SurrogateManager, gate_tolerances
@@ -178,10 +175,6 @@ def cmd_aimd(args) -> int:
             tol_dimer=tol_dimer, tol_trimer=tol_trimer,
             min_train=args.surrogate_min_train, seed=args.seed,
         )
-        if args.deterministic:
-            print("deterministic mode: surrogate tail disabled "
-                  "(completion-order-dependent training breaks bitwise "
-                  "resume)")
     coordinator = AsyncCoordinator(
         system,
         nsteps=args.steps,
@@ -192,7 +185,6 @@ def cmd_aimd(args) -> int:
         velocities=v0,
         synchronous=args.sync,
         tracer=tracer,
-        deterministic=args.deterministic,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         checkpoint_keep=args.checkpoint_keep,
@@ -249,7 +241,7 @@ def cmd_aimd(args) -> int:
               f"{coordinator.mts_slow_evals} slow-tier evaluations, "
               f"{coordinator.mts_tasks_skipped} inner-step polymer tasks "
               f"skipped")
-    if surrogate is not None and not coordinator.surrogate_disabled_deterministic:
+    if surrogate is not None:
         sst = surrogate.stats()
         print(f"surrogate tail: {sst['served']} tail tasks served "
               f"({coordinator.surrogate_tasks_avoided} full solves "
@@ -262,13 +254,14 @@ def cmd_aimd(args) -> int:
               f"({coordinator.replan_reused} polymers reused, "
               f"{coordinator.replan_added} added, "
               f"{coordinator.replan_removed} removed)")
-    cache = coordinator.guess_cache
+    cache, records = coordinator.guess_cache, coordinator.records
     if cache is not None and (cache.hits or cache.misses):
         total = cache.iters_warm + cache.iters_cold
         print(f"warm-start: {cache.hits} hits / {cache.misses} misses, "
               f"{total} SCF iterations "
               f"({cache.iters_warm} warm / {cache.iters_cold} cold), "
-              f"{len(cache)} cached densities ({cache.nbytes} bytes)")
+              f"{records.ndensities} cached densities "
+              f"({records.nbytes} bytes of fragment records)")
     ws = workspace.stats()
     if ws["hits"] or ws["misses"]:
         print(f"integral workspace: {ws['hits']} hits / "
@@ -363,7 +356,6 @@ def cmd_submit(args) -> int:
         r_dimer_angstrom=args.r_dimer, r_trimer_angstrom=args.r_trimer,
         group_size=args.group_size, replan_interval=args.replan_interval,
         mts=mts, thermostat=thermostat, surrogate=surrogate,
-        deterministic=args.deterministic,
         checkpoint_every=args.checkpoint_every,
         checkpoint_keep=args.checkpoint_keep, weight=args.weight,
     )
@@ -431,8 +423,7 @@ def cmd_serve(args) -> int:
     warm = summary["warm_layer"]
     gc = warm["guess_cache"]
     print(f"guess cache: {gc['hits']} hits / {gc['misses']} misses, "
-          f"{gc['contentions']} contentions, "
-          f"{len(gc.get('tenants', {}))} tenants")
+          f"{len(gc['tenants'])} tenants")
     ws = warm["workspace"]
     print(f"workspace: {ws['hits']} hits / {ws['misses']} misses, "
           f"{ws['contentions']} contentions")
@@ -495,8 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="learn online committee surrogates for the MBE "
                         "tail (dimer/trimer fragments) and serve them in "
                         "place of full solves when the committee "
-                        "disagreement passes the uncertainty gate; "
-                        "forced off under --deterministic")
+                        "disagreement passes the uncertainty gate")
     p.add_argument("--surrogate-tol", type=float, default=None,
                    metavar="TOL",
                    help="dimer uncertainty gate in Hartree (trimers use "
@@ -517,10 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="write a chrome-trace JSON of the run to PATH "
                         "and print a span/counter summary")
-    p.add_argument("--deterministic", action="store_true",
-                   help="bitwise-reproducible trajectories and resumes: "
-                        "disables SCF warm starts and the surrogate tail "
-                        "and pins exact Schwarz re-screens")
     p.add_argument("--no-warm-start", action="store_true",
                    help="disable cross-step SCF warm starts (cold "
                         "gwh guess for every fragment solve)")
@@ -576,8 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mts-k", type=int, default=1, metavar="K")
     p.add_argument("--surrogate-tail", action="store_true",
                    help="per-tenant online MBE-tail surrogate with "
-                        "uncertainty-gated fallback (ignored under "
-                        "--deterministic)")
+                        "uncertainty-gated fallback")
     p.add_argument("--surrogate-tol", type=float, default=None,
                    metavar="TOL",
                    help="dimer uncertainty gate in Hartree (trimers use "
@@ -591,10 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "under asynchronous integration")
     p.add_argument("--friction", type=float, default=0.01,
                    help="Langevin friction (1/fs)")
-    p.add_argument("--deterministic", action="store_true",
-                   help="bitwise-reproducible trajectory and resume: "
-                        "cold SCF guesses, no surrogate tail, exact "
-                        "Schwarz re-screens")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="N")
     p.add_argument("--checkpoint-keep", type=int, default=2, metavar="K")
     p.add_argument("--weight", type=float, default=1.0,
@@ -617,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", default="thread",
                    choices=["thread", "process"],
                    help="worker pool kind: threads share the in-process "
-                        "warm layer; processes give true parallelism for "
+                        "workspace; processes give true parallelism for "
                         "GIL-holding QM solves on multi-core hosts")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="write a chrome-trace JSON (includes serve.* "

@@ -10,8 +10,7 @@ execution paths of the repository —
   process-level injection hooks (`FaultPlanCalculator` wraps any
   calculator; checkpoint corruption is applied by the checkpointing
   layer itself), so a whole AIMD run under a fault plan is exactly
-  reproducible and, in ``--deterministic`` mode, bitwise-comparable to
-  the fault-free trajectory;
+  reproducible and bitwise-comparable to the fault-free trajectory;
 * the **simulated** machine (`repro.cluster`), whose node-failure
   models (`repro.cluster.failures`) share the same seeded-stream
   discipline.

@@ -17,6 +17,7 @@ soak-tested reproducibly.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from typing import ClassVar
@@ -37,7 +38,8 @@ class FaultPlanCalculator:
     other attribute access — ``guess_cache``, ``tracer``, ``workspace``,
     statistics — is delegated to the wrapped calculator, so the drivers'
     warm-start and tracing attachment protocols see the inner
-    calculator's state, not the wrapper's.
+    calculator's state, not the wrapper's. ``cache_poison`` corrupts the
+    fragment record the task carries.
 
     The wrapper is pickled to worker processes with its plan; decisions
     are pure functions of the plan seed and the event coordinates, so
@@ -99,30 +101,26 @@ class FaultPlanCalculator:
             e, g = self.inner.energy_gradient(mol)
             return e, np.full_like(np.asarray(g, dtype=float), np.nan)
         if spec.kind == "cache_poison":
-            self._poison_cache(mol)
+            self._poison_record(mol)
             return self.inner.energy_gradient(mol)
         raise InjectedFault(f"planned transient fault: {where}")
 
-    def _poison_cache(self, mol) -> None:
-        """NaN-fill the warm-start density history for this fragment.
+    @staticmethod
+    def _poison_record(mol) -> None:
+        """NaN-fill the warm-start densities the fragment's record carries
+        (a new record on the molecule, as any evaluation leaves one).
 
-        Models a corrupted cache entry.  The SCF layer validates
-        ``dm0`` for finiteness and silently discards bad guesses, so a
-        poisoned entry must cost cold-start iterations — never wrong
-        energies; the chaos tests pin exactly that.
+        The SCF layer discards a non-finite ``dm0``, so a poisoned
+        history must cost cold-start iterations — never wrong energies;
+        the chaos tests pin exactly that.
         """
         import numpy as np
 
-        cache = getattr(self.inner, "guess_cache", None)
-        key = getattr(mol, "frag_key", None)
-        if cache is None or key is None:
-            return
-        natoms = getattr(mol, "natoms", None)
-        guess = cache.get(key, natoms)
-        if guess is None:
-            return  # nothing cached yet; the poisoning is a no-op
-        cache.invalidate(key)
-        cache.put(key, np.full_like(guess, np.nan), natoms)
+        record = getattr(mol, "record", None)
+        if record is None or not record.densities:
+            return  # nothing carried yet; the poisoning is a no-op
+        mol.record = dataclasses.replace(record, densities=tuple(
+            np.full_like(D, np.nan) for D in record.densities))
 
 
 # --------------------------------------------------------------------------

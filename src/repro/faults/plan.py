@@ -34,7 +34,7 @@ TASK_FAULT_KINDS = (
     "transient",    # raise InjectedFault (plain retry path)
     "scf_fail",     # raise SCFConvergenceError (recovery-exhausted model)
     "nan_forces",   # finite energy, all-NaN gradient (divergence sentinel)
-    "cache_poison", # NaN-fill the warm-start density for this fragment
+    "cache_poison", # NaN-fill the warm-start densities the task carries
 )
 
 #: faults injected at checkpoint-write sites (coordinator side)

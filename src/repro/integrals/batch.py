@@ -21,7 +21,7 @@ What is pinned:
   to run and for any `_CHUNK_ELEMS`: per-pair rows are independent,
   gradients accumulate per class in class order from whole-class
   arrays, and the neglected bound is one exactly rounded `math.fsum`.
-  This is all `--deterministic` resume needs.
+  This is what bitwise resume rests on.
 * **Screening decisions** — skip masks and pair counts are identical to
   the reference's (same Schwarz table, same comparison).
 * **Tolerance vs the reference** — matrices and 3c tensors to rtol

@@ -21,22 +21,20 @@ exhaust worker memory) plus the integral products:
 * **State vs scratch** — what can serve the *next* geometry lives in
   the store: auxiliary site-group scaffolding is geometry-independent
   and reused with only the centers refreshed; Schwarz bounds are smooth
-  in the geometry and are re-screened only when an atom has moved
-  beyond ``displacement_tol`` bohr since they were computed, with a
-  conservative ``stale_safety`` inflation applied to served-while-stale
-  bounds. What is keyed on the exact centers (pair, class and Hermite
-  Coulomb tables) is one evaluation's scratch, since an MD geometry
-  never recurs: shared by the drivers inside the calling thread's
-  `scope`, dropped at its exit, kept nowhere outside one. A stack of
-  fragments of one composition is one evaluation (`evaluation`): its
-  products are keyed on every fragment's centres and die together.
-* **Determinism** — inside ``scope(exact=True)`` (or with
-  ``displacement_tol = 0.0``) the bounds are recomputed whenever the
-  geometry changed at all, so every screening decision is a pure
-  function of the current geometry and a resumed run takes
-  bitwise-identical screening decisions. ``deterministic`` runs pin this
-  per evaluation (`repro.md.scheduler.evaluate_fragment`); nothing
-  assigns ``displacement_tol`` after construction.
+  in the geometry, so a fragment is screened with the table of the
+  geometry it was last re-screened at (its reference, carried in its
+  `repro.calculators.FragmentRecord`), inflated by a conservative
+  ``stale_safety`` until an atom has moved more than
+  ``displacement_tol`` bohr from it. What is keyed on the exact centers
+  (pair, class and Hermite Coulomb tables) is one evaluation's scratch,
+  since an MD geometry never recurs: shared by the drivers inside the
+  calling thread's `scope`, dropped at its exit. A stack of fragments of
+  one composition is one evaluation (`evaluation`).
+* **Determinism** — a Schwarz table is keyed on (composition,
+  reference) and rebuilt at the reference on a miss, so it is a
+  function of trajectory state: the same in a resumed process, on
+  another worker or after an eviction. Nothing assigns
+  ``displacement_tol`` after construction.
 
 All caching is *exact* (served arrays are bitwise what a fresh build
 would produce); only the screening threshold (``screen`` / the
@@ -94,6 +92,25 @@ def _centers(basis) -> np.ndarray:
     return np.array([sh.center for sh in basis.shells])
 
 
+def _atom_coords(basis) -> np.ndarray:
+    """The coordinates of the atoms ``basis`` sits on, ``(natoms, 3)``,
+    memoised on the basis like its composition key."""
+    coords = basis.__dict__.get("_atom_coords")
+    if coords is None:
+        atoms = [sh.atom for sh in basis.shells]
+        coords = np.zeros((max(atoms) + 1, 3))
+        coords[atoms] = _centers(basis)
+        basis.__dict__["_atom_coords"] = coords
+    return coords
+
+
+def _placed(basis, coords: np.ndarray):
+    """``basis`` with every shell moved onto ``coords[its atom]``."""
+    from ..basis.basisset import BasisSet
+
+    return BasisSet([sh.at(coords[sh.atom], sh.atom) for sh in basis.shells])
+
+
 def _stack_key(stack) -> tuple:
     """Key material of a stack of bases of one composition: the
     composition once, every basis's centres."""
@@ -116,7 +133,6 @@ class _Scope(threading.local):
     """What the calling thread's current evaluation asked for."""
 
     tenant: str | None = None
-    exact: bool = False
     tracer: object = None
     #: the evaluation's geometry-keyed products; None outside any scope
     scratch: _Scratch | None = None
@@ -130,10 +146,10 @@ class IntegralWorkspace(BoundedStore):
     * `aux_groups` — the auxiliary site grouping (`engine.AuxGroup`)
       with its (geometry-independent) E tables cached and only the
       centers refreshed per call;
-    * `schwarz_bounds` — the Cauchy-Schwarz shell-pair bound table,
-      re-screened only when the geometry drifted beyond
-      ``displacement_tol`` (stale serves are inflated by
-      ``stale_safety``), or at any move inside ``scope(exact=True)``;
+    * `schwarz_bounds` — the Cauchy-Schwarz shell-pair bound table of a
+      fragment's reference geometry, kept for fragments that carry one
+      (served inflated by ``stale_safety`` away from it, re-screened
+      beyond ``displacement_tol``);
     * `aux_function_bounds` — per-auxiliary-function bounds
       ``sqrt((P|P))`` (translation invariant, cached exactly).
 
@@ -196,45 +212,36 @@ class IntegralWorkspace(BoundedStore):
         return self._scope.tenant
 
     @contextmanager
-    def scope(self, tenant=_KEEP, exact=_KEEP, tracer=_KEEP):
+    def scope(self, tenant=_KEEP, tracer=_KEEP):
         """One evaluation's settings, for the calling thread only.
 
-        ``tenant`` receives the hits and misses;
-        ``exact`` makes `schwarz_bounds` re-screen at any displacement
-        (what ``deterministic`` runs need) without touching
-        ``displacement_tol``, which other threads keep reading;
-        ``tracer`` receives the evaluation's ``workspace.hit`` /
-        ``int.screen`` instants. Only what is given is set (and put
-        back on exit): a calculator scoping its tracer leaves alone the
-        tenant and exactness `evaluate_fragment` scoped around it.
-        The outermost scope on a thread also opens the evaluation's
-        scratch (`_scratch`); nested ones share it, its exit drops it
-        (`evaluation` opens one of its own).
+        ``tenant`` receives the hits and misses; ``tracer`` receives the
+        evaluation's ``workspace.hit`` / ``int.screen`` instants. Only
+        what is given is set (and put back on exit): a calculator
+        scoping its tracer leaves alone the tenant `evaluate_fragment`
+        scoped around it. The outermost scope on a thread also opens the
+        evaluation's scratch (`_scratch`); nested ones share it, its
+        exit drops it (`evaluation` opens one of its own).
         """
         scope = self._scope
-        given = {
-            name: value
-            for name, value in dict(tenant=tenant, exact=exact,
-                                    tracer=tracer).items()
-            if value is not _KEEP
-        }
+        saved = scope.tenant, scope.tracer, scope.scratch
+        if tenant is not _KEEP:
+            scope.tenant = tenant
+        if tracer is not _KEEP:
+            scope.tracer = tracer
         if scope.scratch is None:
-            given["scratch"] = _Scratch()
-        saved = {name: getattr(scope, name) for name in given}
+            scope.scratch = _Scratch()
         try:
-            for name, value in given.items():
-                setattr(scope, name, value)
             yield
         finally:
-            for name, value in saved.items():
-                setattr(scope, name, value)
+            scope.tenant, scope.tracer, scope.scratch = saved
 
     @contextmanager
     def evaluation(self):
         """One evaluation of the integral layer on the calling thread —
         what a calculator runs each stack of fragments in: a fresh
         scratch for the block, even inside an enclosing scope (whose
-        tenant and exactness still hold), dropped at its exit and the
+        tenant still holds), dropped at its exit and the
         enclosing one put back. Yields the scratch, whose
         ``table_bytes`` / ``rebuilt_pairs`` tell what its tables
         cost."""
@@ -327,103 +334,101 @@ class IntegralWorkspace(BoundedStore):
     # ------------------------------------------------------------------
     # screening bound tables
     # ------------------------------------------------------------------
-    #: share of ``max_bytes`` one composition's sibling tables may hold
-    SIBLING_SHARE = 0.25
+    def screening_reference(self, basis, ref) -> np.ndarray:
+        """Where a fragment last re-screened at ``ref`` (atom coordinates;
+        None: never) is screened now: ``ref`` while no atom of ``basis``
+        has moved further than ``displacement_tol`` from it, else its
+        own geometry — and the superseded table leaves the store."""
+        here = _atom_coords(basis)
+        if ref is not None and ref.shape == here.shape:
+            disp = float(np.linalg.norm(here - ref, axis=1).max())
+            if disp <= self.displacement_tol:
+                return ref
+            self._discard(("schwarz", basis_composition_key(basis),
+                           ref.tobytes()))
+        return here
 
-    def schwarz_bounds(self, basis) -> np.ndarray:
-        """Cauchy-Schwarz shell-pair bounds, re-screened on displacement:
-        `schwarz_bounds_stack` of one basis."""
-        return self.schwarz_bounds_stack([basis])[0]
+    def schwarz_bounds(self, basis, ref=None) -> np.ndarray:
+        """`schwarz_bounds_stack` of one basis."""
+        return self.schwarz_bounds_stack([basis], [ref])[0]
 
-    def schwarz_bounds_stack(self, bases) -> list[np.ndarray]:
+    def schwarz_bounds_stack(self, bases, refs=None) -> list[np.ndarray]:
         """Cauchy-Schwarz shell-pair bounds of every basis of a stack of
-        one composition, re-screened on displacement.
+        one composition, each at its reference geometry.
 
-        Served exactly when the geometry is unchanged; inflated by
-        ``stale_safety`` when atoms moved by no more than
-        ``displacement_tol`` (the bound is smooth in the geometry, so a
-        bounded move costs a bounded factor — the inflation keeps the
-        screen conservative); recomputed beyond the tolerance — every
-        re-screen of the stack in one call on the stack's shell classes
-        (`batch.schwarz_pair_bounds_stack`).
-
-        The monomers (or dimers, or trimers) of one MBE step share a
-        composition key, so the entry holds one table per sibling —
-        ``(tables, refs, served)``: the reference geometries stacked and
-        the lookup count at each table's last serve — and serves each
-        basis the nearest reference. A rebuild drops the least recently
-        served siblings beyond `SIBLING_SHARE` of the byte budget, so
-        fragments that left the plan (or a scan that never returns)
-        cannot grow the entry, or the per-call scan over its
-        references, unbounded.
+        ``refs[f]`` is the geometry basis ``f`` is screened at (its
+        fragment's `screening_reference`; None, or no ``refs``: its
+        own). A table is served as is at the basis's own geometry and
+        inflated by ``stale_safety`` elsewhere (the bound is smooth, so
+        the inflation keeps the screen conservative). With a reference
+        it is kept in the store under (composition, reference) and a
+        miss rebuilds it *at the reference*, bitwise the table first
+        served; without one it lives for the evaluation only. Rebuilds
+        at the stack's own geometry are one call on its shell classes
+        (`batch.schwarz_pair_bounds_stack`). What a basis is served goes
+        into the evaluation's scratch, where its drivers find it.
         """
         from .batch import schwarz_pair_bounds_stack
 
-        tol = 0.0 if self._scope.exact else self.displacement_tol
-        key = ("schwarz", basis_composition_key(bases[0]))
-        out = [self._serve_bounds(key, _centers(basis), tol) for basis in bases]
-        stale = [f for f, Q in enumerate(out) if Q is None]
-        if stale:
-            built = schwarz_pair_bounds_stack(bases, workspace=self, frags=stale)
-            for f, Q in zip(stale, built):
-                out[f] = Q = Q.copy()  # its own buffer, as the entry counts it
-                self._keep_bounds(key, _centers(bases[f]), Q, tol)
+        comp = basis_composition_key(bases[0])
+        scratch = self._scope.scratch if self.enabled else None
+        refs = [None] * len(bases) if refs is None else refs
+        out, mine = [None] * len(bases), [None] * len(bases)
+        own, moved = [], []
+        for f, (basis, ref) in enumerate(zip(bases, refs)):
+            here = _atom_coords(basis)
+            mine[f] = ("schwarz", comp, here.tobytes())
+            out[f] = None if scratch is None else scratch.get(mine[f])
+            if out[f] is not None:
+                with self._lock:
+                    self._count("hits", self._scope.tenant)
+                continue
+            at = here if ref is None else ref
+            exact = at is here or np.array_equal(at, here)
+            Q = None
+            if ref is None:
+                with self._lock:
+                    self._count("misses", self._scope.tenant)
+            else:
+                Q = self._get(("schwarz", comp, at.tobytes()))
+            if Q is not None:
+                out[f] = self._served(Q, exact)
+            else:
+                (own if exact else moved).append((f, ref))
+        if own:
+            built = schwarz_pair_bounds_stack(
+                bases, workspace=self, frags=[f for f, _ in own])
+            self._keep_bounds(comp, own, built, out, exact=True)
+        if moved:
+            built = schwarz_pair_bounds_stack(
+                [_placed(bases[f], ref) for f, ref in moved], workspace=self)
+            self._keep_bounds(comp, moved, built, out, exact=False)
+        if scratch is not None:
+            for key, Q in zip(mine, out):
+                scratch[key] = Q
         return out
 
-    @staticmethod
-    def _bounds_entry(entry, coords):
-        """``(tables, refs, served)`` of a Schwarz entry (empty if None)
-        and every reference's displacement from ``coords``."""
-        tables, refs, served = entry or (
-            [], np.empty((0, *coords.shape)), np.empty(0, dtype=int)
-        )
-        disps = np.linalg.norm(coords - refs, axis=2).max(axis=1)
-        return tables, refs, served, disps
-
-    def _serve_bounds(self, key, coords, tol) -> np.ndarray | None:
-        """The Schwarz table served for ``coords`` (nearest reference,
-        inflated if it moved within ``tol``), or None: re-screen."""
-        tables, _, served, disps = self._bounds_entry(self._get(key), coords)
-        if not tables:
-            return None
-        near = int(np.argmin(disps))
-        Q, disp = tables[near], float(disps[near])
-        if disp <= tol:
-            served[near] = self.hits + self.misses
-        if disp == 0.0:
-            self._instant("workspace.hit", product="schwarz",
-                          hit=True, stale=False)
+    def _served(self, Q: np.ndarray, exact: bool, hit: bool = True):
+        """A reference's table as served: itself at the reference,
+        inflated away from it."""
+        self._instant("workspace.hit", product="schwarz", hit=hit,
+                      stale=not exact)
+        if exact:
             return Q
-        if disp <= tol:
-            with self._lock:
-                self.stale_serves += 1
-            self._instant("workspace.hit", product="schwarz",
-                          hit=True, stale=True, displacement=disp)
-            return Q * self.stale_safety
-        return None
-
-    def _keep_bounds(self, key, coords, Q, tol) -> None:
-        """Store a re-screened table for ``coords`` into its entry."""
         with self._lock:
-            self.bound_rebuilds += 1
-        tables, refs, served, disps = self._bounds_entry(
-            self._lookup(key), coords)
-        # the rebuilt table supersedes the reference its fragment drifted
-        # away from (no other fragment's atoms sit within two tolerances
-        # of this one's); with ``tol = 0`` that leaves a single slot
-        keep = np.nonzero((disps > 2.0 * tol) & (tol > 0.0))[0]
-        # same composition, same table size: the share is a sibling count
-        room = int(self.SIBLING_SHARE * self.max_bytes) // (
-            Q.nbytes + coords.nbytes + served.itemsize
-        )
-        keep = keep[np.argsort(served[keep], kind="stable")]
-        keep = keep[max(0, len(keep) + 1 - room):]
-        self._put(key, (
-            [tables[i] for i in keep] + [Q],
-            np.concatenate([refs[keep], coords[None]]),
-            np.append(served[keep], self.hits + self.misses),
-        ))
-        self._instant("workspace.hit", product="schwarz", hit=False)
+            self.stale_serves += 1
+        return Q * self.stale_safety
+
+    def _keep_bounds(self, comp, todo, built, out, exact: bool) -> None:
+        """Serve the freshly built tables of ``todo`` (``(f, ref)``
+        pairs) into ``out``, storing each that has a reference."""
+        with self._lock:
+            self.bound_rebuilds += len(todo)
+        for (f, ref), Q in zip(todo, built):
+            Q = Q.copy()  # its own buffer, as the store counts it
+            if ref is not None:
+                self._put(("schwarz", comp, ref.tobytes()), Q)
+            out[f] = self._served(Q, exact, hit=False)
 
     def aux_function_bounds(self, aux) -> np.ndarray:
         """Per-auxiliary-function bounds ``sqrt((P|P))``, shape (naux,).

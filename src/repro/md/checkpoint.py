@@ -41,14 +41,11 @@ to the previous rotation would gain nothing from finer ones. Files of
 format versions 1-3 (one slot per feature) stay resumable through
 `migrate`, the only place that still spells a legacy slot name.
 
-The SCF warm-start `GuessCache` (`repro.calculators`) is deliberately
-**not** part of a checkpoint: cached densities are pure accelerators, so
-a resumed run restarts from cold guesses and only pays extra SCF
-iterations. This is also what keeps ``--deterministic`` resumes bitwise
-exact — deterministic mode disables warm starts entirely (a warm-started
-density differs from a cold-started one at the convergence threshold,
-and a resume necessarily loses the cache), so an uninterrupted and a
-resumed deterministic run perform identical arithmetic.
+What a run carries besides its phase-space point — held forces,
+per-fragment warm-start densities and Schwarz reference geometries, the
+surrogate's training windows, a thermostat's noise stream — rides in
+its owners' sections, written at a cut where every owner's state is
+exactly the cut's, so a resumed run is bitwise the uninterrupted one.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
-from .scheduler import AsyncCoordinator, evaluate_fragment
+from .scheduler import AsyncCoordinator, attach_guess_cache, evaluate_fragment
 
 
 class WorkerFailure(RuntimeError):
@@ -151,7 +151,8 @@ class _Flight:
     attempt: int = 0
     deadline_mono: float | None = None
     trace_start: float | None = None
-    #: outcome of the finished attempt: ``(energy, gradient)`` or the error
+    #: outcome of the finished attempt: ``(energy, gradient, record)``
+    #: or the error
     result: tuple | None = None
     error: BaseException | None = None
 
@@ -360,7 +361,10 @@ def run_parallel(
     completion may unlock new polymers (possibly of the next time step),
     which are picked up immediately — the asynchronous overlap the paper
     exploits. Worker exceptions, dead workers, and hangs are handled per
-    ``policy``; the returned `DriverReport` records what happened.
+    ``policy``; the returned `DriverReport` records what happened. Each
+    task's fragment record travels with it and comes back with the
+    result, so the trajectory and the warm-start counts are the serial
+    run's, however the workers raced, retried or were rebuilt.
 
     The report rides the coordinator's checkpoints as their ``driver``
     section (`AsyncCoordinator.attach`), so a resumed coordinator's
@@ -377,23 +381,16 @@ def run_parallel(
         tracer = coordinator.tracer
     report = DriverReport()
     coordinator.attach("driver", report)
+    attach_guess_cache(coordinator, calculator)
     dispatcher = Dispatcher(nworkers, policy, tracer, seed, report=report)
     policy = dispatcher.policy
-    # what each worker-side `evaluate_fragment` is asked for: warm starts
-    # live in the worker's process-global cache (resubmissions, retries
-    # and pool rebuilds repopulate it rather than leak state across
-    # tasks), and a deterministic run's tasks re-screen exactly
-    worker_kw = {
-        "warm_start": getattr(coordinator, "guess_cache", None) is not None,
-        "exact": coordinator.deterministic,
-    }
     try:
         while not coordinator.done():
             while dispatcher.free > 0:
                 task = coordinator.next_task()
                 if task is None:
                     break
-                dispatcher.submit(task, calculator, **worker_kw)
+                dispatcher.submit(task, calculator)
             if not dispatcher.pending:
                 raise RuntimeError(
                     "scheduler deadlock: no tasks, none in flight; "

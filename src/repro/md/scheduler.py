@@ -39,13 +39,19 @@ What a step is:
   steps (pre-formed-list mode; lists and coefficients stay fixed within
   the window, so its task sets and reductions are worked out once), or never
   with ``replan_interval=0``;
-* **checkpoint cuts** — a retired step (every monomer has measured its
-  kinetic energy there) that starts a replan window is a consistent cut.
-  Beside the core block the file carries one section per stateful owner
-  (`repro.md.checkpoint`): the engine's own ``tiers`` (`_HeldTiers` —
-  the slow tier's held boundary forces ride along, so a resume may land
-  inside an outer cycle), the thermostat, the surrogate, and whatever a
-  driver or front-end attaches (`AsyncCoordinator.attach`).
+* **fragment records** — a key's warm-start densities and Schwarz
+  reference (`repro.calculators.FragmentRecord`) are the engine's: they
+  ride the task to its worker and come back with the result. A key's
+  step-*t* result completes before its step-*t+1* release, so every
+  force is a function of the trajectory under any driver or restart;
+* **checkpoint cuts** — a retired step that starts a replan window is a
+  consistent cut, and a barrier (the next step's tasks wait for it), so
+  at the write every owner's state is exactly the cut's. Beside the core
+  block the file carries one section per stateful owner
+  (`repro.md.checkpoint`): the engine's ``tiers`` (`_HeldTiers`: every
+  tier's forces, so a resumed run evaluates nothing twice) and
+  ``fragments`` (`FragmentRecords`), the thermostat, the surrogate, and
+  whatever a driver or front-end attaches (`AsyncCoordinator.attach`).
 
 Live state — per-step buffers, per-window tables — is evicted as steps
 retire, so it is bounded by the plan-window skew, not by ``nsteps``.
@@ -61,11 +67,12 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from ..calculators import GuessCache, get_guess_cache
+from ..calculators import FragmentRecord, GuessCache
 from ..chem.molecule import Molecule
 from ..frag.mbe import MBEPlan, build_plan, update_plan
 from ..frag.monomer import FragmentedSystem, FragmentLayout
@@ -74,6 +81,24 @@ from ..numerics import ensure_finite
 from .checkpoint import Checkpoint, CheckpointError, write_checkpoint
 from .integrators import fs_to_au, kinetic_energy, maxwell_boltzmann_velocities
 from .mts import slow_tier_items
+
+
+#: the record of a key before its first evaluation (records are never
+#: changed in place, so one serves every key)
+_NO_HISTORY = FragmentRecord()
+
+
+def _ncaps(cap_targets, key: tuple) -> int:
+    """Cap hydrogens of fragment ``key``."""
+    return sum(1 for m in key for j in cap_targets[m] if j not in key)
+
+
+def _fragment_natoms(mono_natoms, cap_targets, key: tuple) -> int | None:
+    """Atom count of fragment ``key`` (caps included), or None if the
+    system has no such fragment."""
+    if not key or min(key) < 0 or max(key) >= len(mono_natoms):
+        return None
+    return int(mono_natoms[list(key)].sum()) + _ncaps(cap_targets, key)
 
 
 @dataclass
@@ -151,32 +176,27 @@ class _Window:
 class _HeldTiers:
     """The engine's own checkpoint section, ``tiers``, at the cut ``step``.
 
-    Every force tier the resumed run must not evaluate again rides
-    along: the slow tier's forces at its last boundary (mid-cycle the
-    boundary geometry is gone, so they cannot be recomputed) and — when
-    a surrogate rides too — tier 0's forces at the cut itself, because
-    evaluating them again would train and serve a second time. Meta is
-    ``{"held": [{tier, k, step, e}]}``; the arrays are
-    ``"<tier>.forces"`` (minus the gradient). State moves straight
-    between the file and the engine's ``_grad[t]`` / ``_pe[t]``, and
-    `load_state` holds every check of a checkpoint's tiers against the
-    resuming run.
+    Every force tier rides along, so the resumed run evaluates nothing
+    twice: tier 0's forces at the cut (solving them again would start
+    from records already past it) and the slow tier's at its last
+    boundary (mid-cycle that geometry is gone). Meta is ``{"held":
+    [{tier, k, step, e}]}``; the arrays are ``"<tier>.forces"`` (minus
+    the gradient). `load_state` holds every check of a checkpoint's
+    tiers against the resuming run; a file without tier 0 re-evaluates
+    the cut step.
     """
 
     def __init__(self, engine: AsyncCoordinator, step: int) -> None:
         self.engine = engine
         self.step = step
 
-    def state_dict(self) -> tuple[dict, dict] | None:
+    def state_dict(self) -> tuple[dict, dict]:
         eng, step = self.engine, self.step
         held, arrays = [], {}
-        for t in range(0 if eng.surrogate is not None else 1, len(eng.tier_k)):
-            k = eng.tier_k[t]
+        for t, k in enumerate(eng.tier_k):
             b = step - step % k
             held.append({"tier": t, "k": k, "step": b, "e": float(eng._pe[t][b])})
             arrays[f"{t}.forces"] = -eng._grad[t][b]
-        if not held:
-            return None  # one timescale, no surrogate: nothing is held
         return {"held": held}, arrays
 
     def load_state(self, meta: dict, arrays: dict) -> None:
@@ -204,6 +224,8 @@ class _HeldTiers:
             )
         for h in held:
             t, k, b = (int(h[x]) for x in ("tier", "k", "step"))
+            if not t and ck_ks != ks:
+                continue  # a plain run's forces: not this split's tier 0
             if b != step - step % k:
                 raise CheckpointError(
                     f"checkpoint MTS state (k={k}) was taken at boundary "
@@ -227,6 +249,67 @@ class _HeldTiers:
                 eng._restored.add(t)
 
 
+class FragmentRecords(dict):
+    """``key -> FragmentRecord``, the engine's per-fragment state
+    (`AsyncCoordinator._release` hands a record out, `complete` stores
+    the one that comes back, a replan drops removed keys), and its
+    ``fragments`` checkpoint section: every record with state, each kind
+    flattened into one array, with each record's key, atom count,
+    density count and size and reference rows in meta; no section when
+    no record holds anything. A loaded record that does not fit its
+    fragment (``natoms(key)``; None: no such fragment) is dropped.
+    """
+
+    def __init__(self, natoms) -> None:
+        super().__init__()
+        self._natoms = natoms
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the densities and reference geometries held."""
+        return sum(sum(d.nbytes for d in rec.densities)
+                   + (0 if rec.ref is None else rec.ref.nbytes)
+                   for rec in self.values())
+
+    @property
+    def ndensities(self) -> int:
+        """Converged densities held over every record."""
+        return sum(len(rec.densities) for rec in self.values())
+
+    def state_dict(self) -> tuple[dict, dict] | None:
+        kept = [(key, rec) for key, rec in sorted(self.items())
+                if rec.densities or rec.ref is not None]
+        if not kept:
+            return None
+        meta = [{"key": list(key), "natoms": rec.natoms,
+                 "densities": len(rec.densities),
+                 "nbf": len(rec.densities[0]) if rec.densities else 0,
+                 "ref_atoms": 0 if rec.ref is None else len(rec.ref)}
+                for key, rec in kept]
+
+        def flat(arrays):
+            return np.concatenate([np.zeros(0), *(a.ravel() for a in arrays)])
+
+        return {"records": meta}, {
+            "densities": flat(d for _, rec in kept for d in rec.densities),
+            "refs": flat(rec.ref for _, rec in kept if rec.ref is not None),
+        }
+
+    def load_state(self, meta: dict, arrays: dict) -> None:
+        dens, refs = arrays["densities"], arrays["refs"]
+        i = j = 0
+        for entry in meta["records"]:
+            n, nbf, nref = entry["densities"], entry["nbf"], entry["ref_atoms"]
+            densities = tuple(dens[i:i + n * nbf * nbf].reshape(n, nbf, nbf))
+            ref = refs[j:j + 3 * nref].reshape(nref, 3) if nref else None
+            i, j = i + n * nbf * nbf, j + 3 * nref
+            key = tuple(entry["key"])
+            natoms = self._natoms(key)
+            if (n and entry["natoms"] != natoms) or (nref and nref != natoms):
+                continue
+            self[key] = FragmentRecord(densities, entry["natoms"], ref)
+
+
 class AsyncCoordinator:
     """Step engine for fragment AIMD: asynchronous, or barriered."""
 
@@ -247,7 +330,6 @@ class AsyncCoordinator:
         clock=time.perf_counter,
         build_molecules: bool = True,
         tracer=None,
-        deterministic: bool = False,
         checkpoint_path=None,
         checkpoint_every: int = 0,
         checkpoint_keep: int = 1,
@@ -307,44 +389,31 @@ class AsyncCoordinator:
         #: optional `repro.trace.Tracer` (duck-typed); every emission is
         #: guarded so the disabled path costs one attribute check
         self.tracer = tracer
-        #: bitwise-reproducible resume: switches off what depends on the
-        #: worker rather than the trajectory — warm starts and the
-        #: surrogate (below) — and pins exact Schwarz re-screens
-        #: (`evaluate_fragment`). Every run reduces its forces in
-        #: canonical key order; this flag does not change that.
-        self.deterministic = deterministic
-        #: cross-step SCF warm-start cache (`repro.calculators.GuessCache`),
-        #: shared with the calculator by `run_serial` (worker-side caches
-        #: are used by `run_parallel` instead, since densities cannot
-        #: cheaply cross process boundaries). Deterministic mode forces
-        #: it off: warm starts change the converged densities at the
-        #: 1e-10 level, and a resumed run — which restarts from a cold
-        #: cache by design — could then never be bitwise-identical to an
-        #: uninterrupted one.
-        self.guess_cache = (
-            GuessCache() if warm_start and not deterministic else None
-        )
+        #: SCF warm-start policy and accounting (`GuessCache`; the
+        #: densities ride the fragment records): the drivers attach it to
+        #: a calculator that has none (`attach_guess_cache`), `complete`
+        #: counts every solve. None with ``warm_start=False``.
+        self.guess_cache = GuessCache() if warm_start else None
         #: online MBE-tail surrogate (`repro.surrogate.SurrogateManager`):
         #: polymer tasks whose committee prediction passes the
         #: disagreement gate are never scheduled at all — the win is
-        #: fewer solves, not just cheaper ones. Forced off under
-        #: ``deterministic``: although the seeded committee itself is a
-        #: deterministic function of its training window, the window is
-        #: filled in task *completion* order, which worker races scramble
-        #: — so the bitwise-reproducibility contract wins.
-        self.surrogate_disabled_deterministic = bool(
-            surrogate is not None and deterministic
-        )
-        self.surrogate = None if deterministic else surrogate
+        #: fewer solves, not just cheaper ones. A step's tasks are
+        #: released together once the previous step retired, and its
+        #: full solves train the committee in key order when it retires
+        #: (`_retire`), so the gate is a function of the trajectory.
+        self.surrogate = surrogate
         #: polymer solves avoided by serving from the surrogate
         self.surrogate_tasks_avoided = 0
         #: surrogate-served contributions awaiting accumulation; drained
         #: iteratively by `complete` (never recursively — a long chain of
         #: serves unlocking integrations must not grow the Python stack)
         self._served_queue: deque = deque()
+        #: step -> the full polymer solves the surrogate observes when
+        #: the step retires
+        self._observed: dict[int, list] = {}
         #: thermostat, applied right after the closing half-kicks and
-        #: before the kinetic-energy measurement and the checkpoint
-        #: velocity snapshot. Per-monomer ones (duck-typed ``apply_rows``,
+        #: before the kinetic-energy measurement and any checkpoint
+        #: write. Per-monomer ones (duck-typed ``apply_rows``,
         #: see `repro.md.thermostats.LocalLangevinThermostat`) work in
         #: either mode; whole-system ones (``apply``) need every monomer
         #: at the same step, i.e. the barrier — completion order would
@@ -404,19 +473,6 @@ class AsyncCoordinator:
         # results
         self.potential_energies: dict[int, float] = {}
         self.kinetic_energies: dict[int, float] = {}
-        if resume is None:
-            self.coords = parent.coords.copy()
-            if velocities is None:
-                self.velocities = maxwell_boltzmann_velocities(
-                    self.masses, temperature_k, seed=seed
-                )
-            else:
-                self.velocities = velocities.copy()
-        else:
-            if reference is None and resume.reference is not None:
-                # replay the same sweep order as the interrupted run
-                reference = int(resume.reference)
-            self._resume(resume)
 
         self.build_molecules = build_molecules
         nmono = system.nmonomers
@@ -436,6 +492,25 @@ class AsyncCoordinator:
             [int(zsum[list(m.atoms)].sum()) - m.charge for m in system.monomers]
         )
         self._mono_natoms = np.array([len(m.atoms) for m in system.monomers])
+        #: key -> `FragmentRecord` (the ``fragments`` section); what it
+        #: checks a loaded record against holds no reference back to the
+        #: engine, which a finished run can then free without the cyclic
+        #: garbage collector
+        self.records = FragmentRecords(
+            partial(_fragment_natoms, self._mono_natoms, self.cap_targets))
+        if resume is None:
+            self.coords = parent.coords.copy()
+            if velocities is None:
+                self.velocities = maxwell_boltzmann_velocities(
+                    self.masses, temperature_k, seed=seed
+                )
+            else:
+                self.velocities = velocities.copy()
+        else:
+            if reference is None and resume.reference is not None:
+                # replay the same sweep order as the interrupted run
+                reference = int(resume.reference)
+            self._resume(resume)
 
         # reference fragment: an extremity (max distance from the centroid)
         cents = system.centroids()
@@ -452,8 +527,6 @@ class AsyncCoordinator:
         self.coords_at: dict[int, np.ndarray] = {
             self.start_step: self.coords.copy()
         }
-        #: integer-step velocity snapshots for checkpoint-candidate steps
-        self._vel_at: dict[int, np.ndarray] = {}
 
         # per-step state, opened when the first monomer reaches the step
         # and evicted once the step is fully retired
@@ -546,7 +619,8 @@ class AsyncCoordinator:
 
     def _sections(self, step: int):
         """``(name, owner)`` of every checkpoint section at the cut ``step``."""
-        return [("tiers", _HeldTiers(self, step)), *self._owners.items()]
+        return [("tiers", _HeldTiers(self, step)), ("fragments", self.records),
+                *self._owners.items()]
 
     def attach(self, name: str, owner) -> None:
         """Let ``owner`` ride this run's checkpoints as section ``name``.
@@ -577,7 +651,7 @@ class AsyncCoordinator:
         else:
             # incremental replan: edit the previous window's coefficient
             # map instead of rebuilding it (exact — see `update_plan`),
-            # and retire warm-start densities of dropped fragments
+            # and drop the records of dropped fragments
             plan, diff = update_plan(
                 self.system, self._latest_plan, self.r_dimer, self.r_trimer,
                 order=self.order, coords=coords,
@@ -586,9 +660,8 @@ class AsyncCoordinator:
             self.replan_added += len(diff.added)
             self.replan_removed += len(diff.removed)
             self.replan_reused += diff.reused
-            if self.guess_cache is not None:
-                for key in diff.removed:
-                    self.guess_cache.invalidate(key)
+            for key in diff.removed:
+                self.records.pop(key, None)
             if self.tracer:
                 self.tracer.instant(
                     "replan.incremental", cat="scheduler", step=w0,
@@ -645,13 +718,16 @@ class AsyncCoordinator:
             for t in live:
                 for key, c in win.tiers[t].items():
                     keys[key] = keys.get(key, 0.0) + c
+            # sorted: a step released at once is released in key order,
+            # however the plan was built (fresh on a resume, edited else)
+            keys = dict(sorted(keys.items()))
             need = {key: len(win.touch[key]) for key in keys}
             counts = [0] * self.system.nmonomers
             for key in keys:
                 for m in win.touch[key]:
                     counts[m] += 1
             win.tasks[live] = todo = _TaskSet(keys, need, counts)
-            for key in sorted(keys):
+            for key in keys:
                 if key in win.layouts:
                     todo.offsets[key] = todo.nrows
                     todo.nrows += len(win.layouts[key].symbols)
@@ -704,13 +780,9 @@ class AsyncCoordinator:
         lay = win.layouts.get(key)
         if lay is not None:
             mol = lay.molecule(self.coords_at[step])
+            mol.record = self.records.get(key, _NO_HISTORY)
         else:
-            ncaps = sum(
-                1
-                for m in key
-                for j in self.cap_targets[m]
-                if j not in key
-            )
+            ncaps = _ncaps(self.cap_targets, key)
             mol = FragmentStub(
                 natoms=int(self._mono_natoms[list(key)].sum()) + ncaps,
                 nelectrons=int(self._mono_electrons[list(key)].sum()) + ncaps,
@@ -800,10 +872,18 @@ class AsyncCoordinator:
             self.tracer.counter("scheduler.in_flight", self.in_flight)
         return task
 
-    def complete(self, task: PolymerTask, energy: float, grad_frag: np.ndarray) -> None:
-        """Accept a finished polymer: accumulate, integrate ready monomers,
-        release newly-ready polymers (and drain any surrogate serves the
-        cascade produced)."""
+    def complete(self, task: PolymerTask, energy: float, grad_frag: np.ndarray,
+                 record: FragmentRecord | None = None) -> None:
+        """Accept a finished polymer and the record its evaluation left
+        (None: unchanged, as for a quarantined task): accumulate,
+        integrate ready monomers, release newly-ready polymers (and
+        drain any surrogate serves the cascade produced)."""
+        if record is not None:
+            if record.solve is not None:  # count the solve once
+                if self.guess_cache is not None:
+                    self.guess_cache.record(*record.solve)
+                record = replace(record, solve=None)
+            self.records[task.key] = record
         self._complete_one(task, energy, grad_frag)
         self._drain_served()
 
@@ -816,10 +896,13 @@ class AsyncCoordinator:
             self.surrogate is not None
             and len(key) > 1
             and not task.surrogate
+            and grad_frag is not None
             and self.build_molecules
         ):
-            # every full polymer solve is a free training pair
-            self.surrogate.observe(key, task.molecule, energy, grad_frag)
+            # every full polymer solve is a free training pair, folded in
+            # when the step retires (`_retire`)
+            self._observed.setdefault(step, []).append(
+                (key, task.molecule, energy, grad_frag))
         win = self._windows[self._window_start(step)]
         lay = task.layout
         # one solve feeds every due tier that lists the key (at an outer
@@ -901,7 +984,7 @@ class AsyncCoordinator:
                 self.coords_at, self._live, self._step_keys,
                 self._pending_total, self._pending_monomer, self._waiting,
                 self._ref_cent_cache, self._ref_dist_cache, self._contrib,
-                self._ke_parts, self._vel_at,
+                self._ke_parts,
             ):
                 d.pop(s, None)
             self.steps_evicted += 1
@@ -953,7 +1036,7 @@ class AsyncCoordinator:
                 step=step,
                 time_fs=step * self.dt_fs,
                 coords=self.coords_at[step].copy(),
-                velocities=self._vel_at.pop(step),
+                velocities=self.velocities.copy(),
                 symbols=tuple(parent.symbols),
                 charge=parent.charge,
                 times_fs=np.array([s * self.dt_fs for s in steps]),
@@ -1084,12 +1167,16 @@ class AsyncCoordinator:
         parts[monomers[0]] = kinetic_energy(
             self.masses[rows], self.velocities[rows]
         )
-        if self._checkpoint_candidate(step):
-            # snapshot the integer-step velocities before the first
-            # half-kick advances them into the next step
-            if step not in self._vel_at:
-                self._vel_at[step] = np.zeros_like(self.velocities)
-            self._vel_at[step][rows] = self.velocities[rows]
+        if m is not None and (self.surrogate is not None
+                              or self._checkpoint_candidate(step)):
+            # a barrier: a cut's write must see every owner's state — the
+            # phase-space point included — at it, a surrogate's gate what
+            # the whole step trained; the step's last monomer moves all
+            if len(parts) < nmono:
+                return
+            who = rows = slice(None)
+            dv = self._half_kick(rows, step)
+            m = None
         if m is None or len(parts) == nmono:
             self._retire(step)
         if step >= self.nsteps:
@@ -1117,6 +1204,11 @@ class AsyncCoordinator:
         self.kinetic_energies.setdefault(
             step, sum(parts[i] for i in sorted(parts))
         )
+        # the step's full solves train the surrogate in key order, before
+        # the next step's releases ask it and before any checkpoint write
+        for key, mol, energy, grad in sorted(
+                self._observed.pop(step, ()), key=lambda obs: obs[0]):
+            self.surrogate.observe(key, mol, energy, grad)
         if self.tracer:
             now = self.tracer.clock()
             self.tracer.complete(
@@ -1139,10 +1231,8 @@ class AsyncCoordinator:
                 self.coords_at[step].copy(),
             )
         if self._checkpoint_candidate(step):
-            # every monomer has integrated through this step: the
-            # (coords_at[step], vel_at[step]) pair is a consistent cut
-            # of the trajectory even while other monomers race ahead
-            # into later steps
+            # every monomer has closed this step and none has left it
+            # (`_integrate`'s barrier): a consistent cut
             self._write_checkpoint(step)
 
     def _record_frame(self, step: int, wall: float) -> None:
@@ -1202,13 +1292,14 @@ class AsyncCoordinator:
 
 
 def evaluate_fragments(calculator, molecules, attempt: int, steps, *,
-                       warm_start: bool = False, tenant: str | None = None,
-                       exact: bool = False) -> list:
+                       tenant: str | None = None) -> list:
     """Evaluate fragments on this worker: the one worker-side entry of
     every driver — the serial loop hands it every ready task at once,
     the process pool and both service pools one task at a time
-    (`evaluate_fragment`). Returns ``(energy, gradient)`` per molecule,
-    in order; ``steps`` holds each one's MD step.
+    (`evaluate_fragment`). ``steps`` holds each one's MD step. Returns
+    ``(energy, gradient, record)`` per molecule, in order: the
+    fragment's record as the evaluation left it reaches the engine the
+    way its energy does.
 
     * a calculator whose class defines ``energy_gradients`` gets the
       whole list in one call (`repro.calculators.RIMP2Calculator`
@@ -1216,18 +1307,9 @@ def evaluate_fragments(calculator, molecules, attempt: int, steps, *,
       a fault-plan wrapper or a timing proxy among them, whose
       attribute delegation must not hand the list past them — gets one
       ``energy_gradient`` call per fragment, in order;
-    * ``warm_start`` attaches the process-global `GuessCache` to a
-      calculator that supports one and has none — what a pool worker
-      needs, whose calculator arrives freshly unpickled with every task
-      (the integral workspace needs no attachment: ``workspace=None``
-      resolves to the worker's process-global one);
-    * ``tenant`` / ``exact`` hold for the duration of *this* call, on
-      this thread (`IntegralWorkspace.scope`): the tenant is charged
-      the workspace traffic, and ``exact`` — a ``deterministic`` run's
-      tasks — re-screens the Schwarz bounds at any displacement, so
-      screening decisions are a pure function of the geometry wherever
-      and beside whatever else they run; the calculator's own
-      evaluations nest in this scope;
+    * ``tenant`` holds for the duration of *this* call, on this thread
+      (`IntegralWorkspace.scope`): it is charged the workspace traffic;
+      the calculator's own evaluations nest in this scope;
     * ``accepts_attempt`` calculators receive the retry attempt number;
       ``accepts_step`` calculators (the fault-plan wrapper) additionally
       receive the MD step, so scheduled faults can target "fragment K
@@ -1236,11 +1318,10 @@ def evaluate_fragments(calculator, molecules, attempt: int, steps, *,
       contribution would silently poison the accumulated MBE gradient
       of every atom the polymer touches, so divergence becomes a typed
       `NumericalDivergenceError` that is retried/quarantined like any
-      other worker failure.
+      other worker failure;
+    * a failed call puts the records it was handed back on the
+      molecules, so an in-process retry starts from the same state.
     """
-    if warm_start and getattr(calculator, "guess_cache", "no") is None:
-        calculator.guess_cache = get_guess_cache()
-
     def run():
         if getattr(type(calculator), "energy_gradients", None) is not None:
             return calculator.energy_gradients(list(molecules))
@@ -1255,28 +1336,47 @@ def evaluate_fragments(calculator, molecules, attempt: int, steps, *,
             results.append(calculator.energy_gradient(mol, **kwargs))
         return results
 
-    if tenant is None and not exact:
-        results = run()
-    else:
-        workspace = getattr(calculator, "workspace", None)
-        if workspace is None:  # not `or`: an empty store is falsy
-            workspace = get_workspace()
-        with workspace.scope(tenant, exact):
+    records = [getattr(mol, "record", None) for mol in molecules]
+    try:
+        if tenant is None:
             results = run()
-    for mol, step, (e, g) in zip(molecules, steps, results):
-        ensure_finite(
-            f"fragment {getattr(mol, 'frag_key', None)} "
-            f"({getattr(mol, 'natoms', '?')} atoms, step {step}, "
-            f"attempt {attempt})",
-            energy=e, gradient=g,
-        )
-    return results
+        else:
+            workspace = getattr(calculator, "workspace", None)
+            if workspace is None:  # not `or`: an empty store is falsy
+                workspace = get_workspace()
+            with workspace.scope(tenant):
+                results = run()
+        for mol, step, (e, g) in zip(molecules, steps, results):
+            ensure_finite(
+                f"fragment {getattr(mol, 'frag_key', None)} "
+                f"({getattr(mol, 'natoms', '?')} atoms, step {step}, "
+                f"attempt {attempt})",
+                energy=e, gradient=g,
+            )
+    except BaseException:
+        for mol, record in zip(molecules, records):
+            if record is not None:
+                mol.record = record
+        raise
+    return [(e, g, getattr(mol, "record", None))
+            for mol, (e, g) in zip(molecules, results)]
 
 
 def evaluate_fragment(calculator, molecule, attempt: int, step: int, **kw):
     """`evaluate_fragments` of one fragment: what a pool worker runs per
     task."""
     return evaluate_fragments(calculator, [molecule], attempt, [step], **kw)[0]
+
+
+def attach_guess_cache(coordinator: AsyncCoordinator, calculator) -> None:
+    """One `GuessCache` per run: the calculator's if it brings one (the
+    engine then counts into it), else the coordinator's, attached to a
+    calculator that takes one. What every driver does before its first
+    task; a pool worker's calculator carries it pickled."""
+    if getattr(calculator, "guess_cache", "no") is None:
+        calculator.guess_cache = coordinator.guess_cache
+    elif hasattr(calculator, "guess_cache"):
+        coordinator.guess_cache = calculator.guess_cache
 
 
 def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
@@ -1293,25 +1393,20 @@ def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
     the bug into a silent busy-spin. The check is therefore
     unconditional.
 
-    The coordinator's warm-start `GuessCache` and tracer are attached to
-    the calculator (when it supports them and has none of its own), so
-    per-fragment densities persist across steps and SCF recovery /
-    warm-start events reach the trace; each round is one ``task.exec``
-    span listing its tasks.
+    The run's `GuessCache` (`attach_guess_cache`) and the coordinator's
+    tracer are attached to the calculator (when it supports them and
+    has none of its own), so SCF recovery / warm-start events reach the
+    trace; each round is one ``task.exec`` span listing its tasks.
 
     Tasks go through `evaluate_fragments`, shared with every other
     driver (``attempt=0``: a serial driver never retries), so the same
-    fault plan targets the same events, and a ``deterministic``
-    coordinator gets the same exact re-screens, under any of them.
+    fault plan targets the same events under any of them.
     """
     if tracer is None:
         tracer = coordinator.tracer
-    cache = getattr(coordinator, "guess_cache", None)
-    if cache is not None and getattr(calculator, "guess_cache", "no") is None:
-        calculator.guess_cache = cache
+    attach_guess_cache(coordinator, calculator)
     if tracer is not None and getattr(calculator, "tracer", "no") is None:
         calculator.tracer = tracer
-    exact = coordinator.deterministic
 
     while not coordinator.done():
         tasks = []
@@ -1328,10 +1423,8 @@ def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
             with tracer.span("task.exec", cat="driver", tasks=len(tasks),
                              steps=sorted(set(steps)),
                              keys=[str(task.key) for task in tasks]):
-                results = evaluate_fragments(calculator, molecules, 0, steps,
-                                             exact=exact)
+                results = evaluate_fragments(calculator, molecules, 0, steps)
         else:
-            results = evaluate_fragments(calculator, molecules, 0, steps,
-                                         exact=exact)
-        for task, (e, g) in zip(tasks, results):
-            coordinator.complete(task, e, g)
+            results = evaluate_fragments(calculator, molecules, 0, steps)
+        for task, result in zip(tasks, results):
+            coordinator.complete(task, *result)

@@ -154,8 +154,8 @@ class LocalLangevinThermostat:
     * order-independent — any completion order yields the same
       trajectory;
     * stateless — nothing to checkpoint; a resumed run regenerates
-      exactly the noise the uninterrupted run drew (bitwise, so it
-      composes with ``--deterministic``);
+      exactly the noise the uninterrupted run drew (bitwise, so a
+      resumed run stays bitwise the uninterrupted one);
     * local — each monomer thermalizes its own atoms, matching the
       coordinator's per-monomer integration (no global barrier needed).
 

@@ -1,9 +1,8 @@
 """AIMD-as-a-service: multi-tenant streaming trajectory serving.
 
 The single-run drivers (`repro.md.aimd.run_aimd`, `repro.md.drivers`)
-execute one trajectory per invocation, so the warm layers — SCF guess
-densities, integral workspace products — amortize over exactly one
-job. This package turns the same coordinator state
+execute one trajectory per invocation, so the integral workspace's
+products amortize over exactly one job. This package turns the same coordinator state
 machine into a service: declarative `JobSpec` submissions, a fair-share
 `FragmentScheduler` multiplexing every active job's fragment tasks onto
 one worker pool, per-step results streamed through a backpressured

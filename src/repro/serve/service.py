@@ -10,13 +10,13 @@ concurrently over one shared `repro.md.drivers.Dispatcher`:
   active jobs, dispatches them to the pool, and feeds results back into
   each job's coordinator. All coordinator/session mutation happens on
   the pump thread; worker threads touch only calculators and the shared
-  caches, which is exactly the surface made lock-safe for this service
-  (`GuessCache`, `IntegralWorkspace`);
-* **warm layer** — one `GuessCache` and the process-global
-  `IntegralWorkspace` serve every job, each bounded by its one byte
-  budget, with per-tenant hit / miss attribution (job-namespaced
-  fragment keys, thread-local tenant tags) and ``warm_layer``
-  tracer/stream snapshots;
+  `IntegralWorkspace`, which is lock-safe for this service;
+* **warm layer** — each job's fragment records (warm-start densities,
+  Schwarz references) are its coordinator's and travel with its tasks;
+  the process-global `IntegralWorkspace` serves every job, bounded by
+  its one byte budget, with per-tenant hit / miss attribution
+  (thread-local tenant tags) and ``warm_layer`` tracer/stream
+  snapshots;
 * **backpressure** — before releasing a job's tasks the pump consults
   `ResultChannel.should_throttle`; saturated subscribers pause that
   job's dispatch (frames are never dropped);
@@ -32,10 +32,10 @@ import threading
 from collections import deque
 from pathlib import Path
 
-from ..calculators import GuessCache
 from ..gemm import GLOBAL_TUNER
 from ..integrals.workspace import get_workspace
 from ..md.drivers import Dispatcher
+from ..md.scheduler import attach_guess_cache
 from .scheduler import FragmentScheduler
 from .session import JobSpec, JobState, TrajectoryJob
 from .streams import ResultChannel, StreamEvent
@@ -72,14 +72,13 @@ class TrajectoryService:
         tracer: optional `repro.trace.Tracer`; receives ``serve.*`` and
             ``warm_layer`` instants.
         pool: ``"thread"`` (default) evaluates fragments on worker
-            threads sharing the in-process warm layer — one
-            `GuessCache` across (non-deterministic) jobs, keyed per
-            tenant — right for the surrogate potential and for tests.
-            ``"process"`` uses worker processes like `run_parallel`: QM
-            fragment solves hold the GIL, so only processes turn
-            multi-tenant multiplexing into wall-clock throughput; each
-            worker keeps its own process-global warm layer
-            (tenant-namespaced, persistent across jobs).
+            threads sharing the in-process integral workspace — right
+            for the surrogate potential and for tests. ``"process"``
+            uses worker processes like `run_parallel`: QM fragment
+            solves hold the GIL, so only processes turn multi-tenant
+            multiplexing into wall-clock throughput; each worker keeps
+            its own process-global workspace. Either way a job's
+            trajectory is bitwise the one it gets alone.
     """
 
     def __init__(self, out_root: str | Path, nworkers: int = 4,
@@ -97,7 +96,6 @@ class TrajectoryService:
         self.queue = JobQueue()
         self.scheduler = FragmentScheduler()
         self.jobs: dict[str, TrajectoryJob] = {}
-        self.guess_cache = GuessCache()
         self._stop = threading.Event()
         self._process_clones: dict[str, object] = {}
         self.tasks_completed = 0
@@ -112,16 +110,7 @@ class TrajectoryService:
         job = TrajectoryJob(
             spec, self.out_root, channel=self.channel, tracer=self.tracer
         )
-        if (
-            self.pool_kind == "thread"
-            and not spec.deterministic
-            and getattr(job.calculator, "guess_cache", "no") is None
-        ):
-            # the shared multi-tenant warm layer; tenant separation via
-            # job-namespaced fragment keys (see TrajectoryJob). With
-            # pool="process" the warm layer lives per worker process
-            # instead (`evaluate_fragment(warm_start=True)`)
-            job.calculator.guess_cache = self.guess_cache
+        attach_guess_cache(job.coordinator, job.calculator)
         self.jobs[spec.job_id] = job
         self.queue.put(job)
         if self.tracer:
@@ -144,18 +133,16 @@ class TrajectoryService:
     def _picklable_calculator(self, job: TrajectoryJob):
         """A calculator clone safe to ship to a worker process.
 
-        Unpicklable in-process state (shared caches, tracer hooks) is
-        stripped; the worker re-attaches its own process-global warm
-        layer (`evaluate_fragment`). Memoized per job.
+        Unpicklable in-process state (the workspace, tracer hooks) is
+        stripped; the worker uses its own process-global workspace.
+        Memoized per job.
         """
         job_id = job.spec.job_id
         clone = self._process_clones.get(job_id)
         if clone is None:
             calc = job.calculator
-            if dataclasses.is_dataclass(calc) and hasattr(calc, "guess_cache"):
-                clone = dataclasses.replace(
-                    calc, guess_cache=None, workspace=None, tracer=None
-                )
+            if dataclasses.is_dataclass(calc) and hasattr(calc, "workspace"):
+                clone = dataclasses.replace(calc, workspace=None, tracer=None)
             else:
                 clone = calc
             self._process_clones[job_id] = clone
@@ -181,9 +168,26 @@ class TrajectoryService:
                 "serve.job_failed", cat="serve", job=job_id, error=repr(err)
             )
 
+    def _guess_stats(self) -> dict:
+        """The jobs' warm starts summed, each job's hits / misses under
+        ``tenants``, their records' bytes (``nbytes``); nothing here is
+        shared between threads, so ``contentions`` is 0."""
+        out = dict(hits=0, misses=0, iters_warm=0, iters_cold=0,
+                   nbytes=0, contentions=0, tenants={})
+        for job_id, job in sorted(self.jobs.items()):
+            out["nbytes"] += job.coordinator.records.nbytes
+            cache = job.coordinator.guess_cache
+            if cache is None or not (cache.hits or cache.misses):
+                continue
+            for name, value in cache.stats().items():
+                out[name] += value
+            out["tenants"][job_id] = {"hits": cache.hits,
+                                      "misses": cache.misses}
+        return out
+
     def _publish_warm_layer(self) -> None:
         snapshot = {
-            "guess_cache": self.guess_cache.stats(),
+            "guess_cache": self._guess_stats(),
             "workspace": get_workspace().stats(),
         }
         if self.tracer:
@@ -225,16 +229,10 @@ class TrajectoryService:
                             break
                         job_id, task, cost = drawn
                         job = self.jobs[job_id]
-                        job.namespace_task(task)
-                        # a process worker's slice of the warm layer is
-                        # its process-global caches (shared by every
-                        # tenant it serves; keys arrive job-namespaced)
                         dispatcher.submit(
                             task, self._picklable_calculator(job) if process
                             else job.calculator,
                             tag=(job_id, cost), tenant=job_id,
-                            exact=job.spec.deterministic,
-                            warm_start=process and not job.spec.deterministic,
                         )
                 if not dispatcher.pending and (
                     stopping or (not self.scheduler and len(self.queue) == 0)
@@ -310,7 +308,7 @@ class TrajectoryService:
             "fair_share": self.scheduler.stats(),
             "channel": self.channel.stats(),
             "warm_layer": {
-                "guess_cache": self.guess_cache.stats(),
+                "guess_cache": self._guess_stats(),
                 "workspace": get_workspace().stats(),
                 # an empty tuner's counters: benchmarks/spine reads them
                 "gemm": GLOBAL_TUNER.stats(),

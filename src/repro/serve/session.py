@@ -60,16 +60,15 @@ class JobSpec:
     ``"extrapolate": false`` still load).
 
     ``weight`` is the fair-share weight (task draw priority scales with
-    it); ``deterministic`` pins bitwise-reproducible resume semantics
-    (cold SCF guesses, no surrogate, exact Schwarz re-screens).
+    it). Every job resumes bitwise from its checkpoints, warm starts and
+    surrogate on (spec files that still say ``"deterministic"`` load;
+    the field is ignored).
 
     ``surrogate`` is either None or a config dict for the per-tenant
     online MBE-tail surrogate (`repro.surrogate.SurrogateManager`), e.g.
     ``{"tol_dimer": 5e-5, "tol_trimer": 2e-5, "min_train": 6}``. Each
-    job gets its *own* manager (models never cross tenants — unlike the
-    warm-layer density cache there is no composition-keyed sharing, a
-    tenant's dynamics alone must justify trusting its fits). Ignored
-    under ``deterministic`` (the coordinator forces the surrogate off).
+    job gets its *own* manager (models never cross tenants: a tenant's
+    dynamics alone must justify trusting its fits).
     """
 
     job_id: str
@@ -87,7 +86,6 @@ class JobSpec:
     mts: dict | None = None
     thermostat: dict | None = None
     surrogate: dict | None = None
-    deterministic: bool = False
     checkpoint_every: int = 0
     checkpoint_keep: int = 2
     weight: float = 1.0
@@ -115,7 +113,10 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
-        """Inverse of `to_dict`; unknown keys are rejected."""
+        """Inverse of `to_dict`; unknown keys are rejected. The retired
+        ``deterministic`` key of older spec files is accepted and
+        dropped: every job now runs what it asked for."""
+        data = {k: v for k, v in data.items() if k != "deterministic"}
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -258,8 +259,28 @@ class TrajectoryJob:
             )
             self.resumed_from = used
 
+        self.writer = TrajectoryStreamWriter(
+            self.dir / "trajectory.xyz", parent, append=resume is not None
+        )
+        if resume is not None:
+            # frames the previous incarnation streamed past the resumed
+            # cut are re-produced by the dynamics (bitwise); the resumed
+            # step itself is re-emitted too — by the coordinator's
+            # constructor when every force of the cut rode along
+            self.writer.drop_frames_after(
+                resume.time_fs - 0.5 * spec.dt_fs
+            )
+
+        #: wall-clock gaps between consecutive step retirements (the
+        #: per-step latency samples aggregated into p50/p99)
+        self.step_latencies: list[float] = []
+        self._last_step_wall: float | None = None
+        self.steps_emitted = 0
+        self.started_at: float | None = None
+        self.finished_at: float | None = None
+
         self.surrogate = None
-        if spec.surrogate is not None and not spec.deterministic:
+        if spec.surrogate is not None:
             from ..surrogate import SurrogateManager
 
             self.surrogate = SurrogateManager(**spec.surrogate)
@@ -279,40 +300,17 @@ class TrajectoryJob:
             seed=spec.seed,
             replan_interval=spec.replan_interval,
             tracer=tracer,
-            deterministic=spec.deterministic,
             checkpoint_path=(
                 str(self.checkpoint_path) if spec.checkpoint_every else None
             ),
             checkpoint_every=spec.checkpoint_every,
             checkpoint_keep=spec.checkpoint_keep,
             resume=resume,
-            # the multi-tenant warm layer is owned by the service (one
-            # shared cache, job-namespaced keys), not per coordinator
-            warm_start=False,
             mts_k=int(mts.get("k", 1)),
             thermostat=build_thermostat(spec),
             step_callback=self._on_step,
             surrogate=self.surrogate,
         )
-
-        self.writer = TrajectoryStreamWriter(
-            self.dir / "trajectory.xyz", parent, append=resume is not None
-        )
-        if resume is not None:
-            # frames the previous incarnation streamed past the resumed
-            # cut are re-produced by the dynamics (bitwise, under
-            # --deterministic); the resumed step itself is re-emitted too
-            self.writer.drop_frames_after(
-                resume.time_fs - 0.5 * spec.dt_fs
-            )
-
-        #: wall-clock gaps between consecutive step retirements (the
-        #: per-step latency samples aggregated into p50/p99)
-        self.step_latencies: list[float] = []
-        self._last_step_wall: float | None = None
-        self.steps_emitted = 0
-        self.started_at: float | None = None
-        self.finished_at: float | None = None
 
     # -- streaming ------------------------------------------------------
     def _on_step(self, step: int, e_pot: float, e_kin: float,
@@ -344,19 +342,6 @@ class TrajectoryJob:
                 job_id=self.spec.job_id, kind="status",
                 payload={"state": self.state, **payload},
             ))
-
-    # -- task protocol (namespaced for the shared warm layer) -----------
-    def namespace_task(self, task) -> None:
-        """Prefix the fragment's cache key with the job id.
-
-        Jobs share one `GuessCache`; the leading job-id string keeps
-        densities tenant-local and drives per-tenant hit attribution.
-        """
-        frag_key = getattr(task.molecule, "frag_key", None)
-        if frag_key is not None and not (
-            len(frag_key) and isinstance(frag_key[0], str)
-        ):
-            task.molecule.frag_key = (self.spec.job_id,) + tuple(frag_key)
 
     # -- lifecycle ------------------------------------------------------
     def mark_running(self) -> None:

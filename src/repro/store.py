@@ -1,10 +1,11 @@
 """The bounded store behind the warm layer: budget, lock, stats.
 
 A worker group keeps what it computed for one polymer to reuse on the
-next (paper Sec. V-F, Fig. 2): converged densities (`repro.calculators.
-GuessCache`) and integral intermediates (`repro.integrals.workspace.
-IntegralWorkspace`). Both are a `BoundedStore` plus their products; what
-a store *is* lives here once:
+next (paper Sec. V-F, Fig. 2): integral intermediates
+(`repro.integrals.workspace.IntegralWorkspace`, a `BoundedStore` plus
+its products; converged densities are trajectory state instead, carried
+by each fragment's `repro.calculators.FragmentRecord`). What a store
+*is* lives here once:
 
 * one LRU byte budget (``max_bytes``) over ``key -> payload`` entries
   whose size is what the payload actually keeps alive (`payload_nbytes`);

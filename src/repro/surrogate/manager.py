@@ -109,11 +109,6 @@ class SurrogateManager:
     # -- keying ------------------------------------------------------------
 
     @staticmethod
-    def _order(key: tuple) -> int:
-        """MBE order of a frag key, ignoring a leading tenant namespace."""
-        return sum(1 for part in key if not isinstance(part, str))
-
-    @staticmethod
     def class_key(mol, order: int) -> tuple:
         return (tuple(mol.symbols), int(getattr(mol, "charge", 0)), int(order))
 
@@ -128,7 +123,7 @@ class SurrogateManager:
 
     def observe(self, key: tuple, mol, energy: float, gradient: np.ndarray) -> None:
         """Record one full-solve result as a training pair for its class."""
-        order = self._order(key)
+        order = len(key)
         if order < 2:
             return
         x = descriptor(mol.coords)
@@ -157,7 +152,7 @@ class SurrogateManager:
         the per-order bound (scaled by ``|coefficient|``) is folded into
         ``neglected_bound``.
         """
-        order = self._order(key)
+        order = len(key)
         tol = self._tol(order)
         if tol is None:
             return None

@@ -13,12 +13,13 @@ imported here and nowhere under ``src/``. The contract under test:
   across PRs; what they assert is the tolerance.
 * **Determinism** — two calls on fresh workspaces, and any chunk size,
   give bit-identical results including the recorded neglected bound
-  (what ``--deterministic`` resume rests on).
+  (what bitwise resume rests on).
 * **One array library** — the kernels are NumPy: no backend module,
   no ``be``/``xp`` parameter, no ``--backend`` (`TestOneArrayLibrary`).
 * **Cache accounting** — `payload_nbytes` counts actual array payloads
-  (deduplicating shared bases), and both LRU caches evict in true
-  least-recently-used order.
+  (deduplicating shared bases), the workspace evicts in true
+  least-recently-used order, and fragment records hold at most their
+  history of densities.
 """
 
 from __future__ import annotations
@@ -34,7 +35,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.basis import BasisSet, Shell, auto_auxiliary
-from repro.calculators import GuessCache, RIHFCalculator, RIMP2Calculator
+from repro.calculators import (
+    FragmentRecord,
+    GuessCache,
+    RIHFCalculator,
+    RIMP2Calculator,
+)
 from repro.chem import Molecule
 from repro.frag import FragmentedSystem, build_plan, mbe_energy_gradient
 from repro.integrals import (
@@ -427,24 +433,16 @@ def _holds_only_state(ws) -> bool:
     ("glycine", "sto-3g"), ("glycine", "repro-dz"),
 ], ids="-".join)
 def tables_case(request):
-    """One molecule and basis with random coefficient tensors, and the
-    Schwarz entry every workspace of the case starts from (so a 'fresh'
-    workspace is fresh in tables, not a second Schwarz build)."""
+    """One molecule and basis with random coefficient tensors, and a
+    maker of traced workspaces."""
     system, basis_name = request.param
     mol = water_cluster(2, seed=3) if system == "water2" else glycine_chain(1)
     bs = BasisSet.build(mol, basis_name)
     aux = auto_auxiliary(mol, basis_name)
     rng = np.random.default_rng(21)
-    donor = IntegralWorkspace(displacement_tol=0.0)
-    donor.schwarz_bounds(bs)
-    (schwarz_key,) = [k for k in donor._entries if k[0] == "schwarz"]
 
     def workspace(**kw):
-        kw.setdefault("displacement_tol", 0.0)
-        ws = IntegralWorkspace(tracer=Tracer(), **kw)
-        tables, refs, served = donor._lookup(schwarz_key)
-        ws._put(schwarz_key, (list(tables), refs.copy(), served.copy()))
-        return ws
+        return IntegralWorkspace(tracer=Tracer(), **kw)
 
     return dict(
         mol=mol, bs=bs, aux=aux, workspace=workspace,
@@ -1040,35 +1038,23 @@ class TestByteAccounting:
         bs, aux = _setup(water, "sto-3g")
         ws = IntegralWorkspace()
         eri3c_batched(bs, aux, screen=1e-12, workspace=ws)
-        assert len(ws) == 3 and ws.nbytes == payload_nbytes(
+        # auxiliary groups and bounds; a Schwarz table screened at no
+        # fragment's reference is the evaluation's, not the store's
+        assert len(ws) == 2 and ws.nbytes == payload_nbytes(
             [e[0] for e in ws._entries.values()]
         )
 
-    def test_guess_cache_lru_eviction_order(self):
-        D = np.zeros((20, 20))  # 3200 bytes
-        cache = GuessCache(max_bytes=3 * D.nbytes, history=1)
-        cache.put(("f1",), D.copy(), natoms=3)
-        cache.put(("f2",), D.copy(), natoms=3)
-        cache.put(("f3",), D.copy(), natoms=3)
-        assert cache.nbytes == 3 * D.nbytes
-        assert cache.evictions == 0
-        assert cache.get(("f1",)) is not None  # refresh f1
-        cache.put(("f4",), D.copy(), natoms=3)
-        assert cache.evictions == 1
-        assert cache.get(("f2",)) is None  # the LRU victim
-        assert cache.get(("f1",)) is not None
-        assert cache.get(("f3",)) is not None
-
     def test_guess_cache_counts_history_bytes(self):
+        """The densities a run holds are its fragment records'
+        (`FragmentRecords.nbytes`): at most ``history`` per key."""
+        from repro.md.scheduler import FragmentRecords
+
         D = np.zeros((10, 10))
-        cache = GuessCache(history=3)
-        cache.put(("f",), D.copy(), natoms=3)
-        assert cache.nbytes == D.nbytes
-        cache.put(("f",), D.copy(), natoms=3)
-        assert cache.nbytes == 2 * D.nbytes
-        cache.put(("f",), D.copy(), natoms=3)
-        cache.put(("f",), D.copy(), natoms=3)  # history caps at 3
-        assert cache.nbytes == 3 * D.nbytes
+        cache, records = GuessCache(history=3), FragmentRecords(lambda key: 3)
+        rec = FragmentRecord()
+        for n in range(1, 5):
+            records[("f",)] = rec = cache.put(rec, D.copy(), natoms=3)
+            assert records.nbytes == min(n, 3) * D.nbytes
 
 
 class TestOneArrayLibrary:

@@ -96,7 +96,7 @@ def _restamp(path, arrays=(), **meta_changes):
 
 
 def _final_energy(text: str) -> str:
-    """The line deterministic CLI runs are compared on, as a string."""
+    """The line CLI runs are compared on, as a string."""
     lines = [ln for ln in text.splitlines()
              if ln.startswith("final total energy:")]
     assert lines, text
@@ -267,7 +267,7 @@ def _coordinator(system, nsteps, **kw):
     v0 = maxwell_boltzmann_velocities(system.parent.masses_au, 200, seed=8)
     base = dict(
         nsteps=nsteps, dt_fs=0.5, r_dimer_bohr=BIG, mbe_order=2,
-        velocities=v0, replan_interval=2, deterministic=True,
+        velocities=v0, replan_interval=2,
     )
     base.update(kw)
     return AsyncCoordinator(system, **base)
@@ -457,7 +457,7 @@ raise SystemExit("should have been killed")
 #: argv: mode (serial | parallel | kill | resume), output .npz, checkpoint.
 #: MBE2 of two monomers is the dimer alone: one RI-HF solve a step.
 _QM_SCRIPT = _KILL_AFTER + """
-from repro.calculators import RIHFCalculator
+from repro.calculators import GuessCache, RIHFCalculator
 from repro.frag import FragmentedSystem
 from repro.md import AsyncCoordinator, read_checkpoint, run_parallel, run_serial
 from repro.md.integrators import maxwell_boltzmann_velocities
@@ -465,11 +465,12 @@ from repro.systems import water_cluster
 
 mode, out, ck = sys.argv[1:]
 system = FragmentedSystem.by_components(water_cluster(2, seed=5))
-calc = RIHFCalculator(basis="sto-3g", int_screen=1e-12)
+# its own cache: the kill wrapper would hide an attached one
+calc = RIHFCalculator(basis="sto-3g", int_screen=1e-12,
+                      guess_cache=GuessCache())
 kw = dict(
     nsteps=6, dt_fs=0.5, r_dimer_bohr=1.0e6, mbe_order=2, replan_interval=2,
     velocities=maxwell_boltzmann_velocities(system.parent.masses_au, 200, seed=8),
-    deterministic=True,
 )
 if mode == "kill":
     calc = KillAfter(calc, 5)
@@ -518,14 +519,15 @@ class TestSigkillResume:
 
 
 class TestQMDeterminism:
-    """``deterministic=True`` on the QM path: an RI-HF sto-3g water dimer,
-    Schwarz-screened at the CLI default, is byte-identical across fresh
-    processes, across SIGKILL-and-resume and across drivers (a resumed
-    process starts with an empty workspace, so this needs every task to
-    re-screen exactly — `repro.md.scheduler.evaluate_fragment`). Every
-    run is a child process with BLAS pinned to one thread (the stated
-    condition of the contract); the comparison is on ``tobytes()``, not
-    on printed digits."""
+    """The QM path, warm starts and stale Schwarz serves on: an RI-HF
+    sto-3g water dimer, Schwarz-screened at the CLI default, is
+    byte-identical across fresh processes, across SIGKILL-and-resume and
+    across drivers (a resumed process starts with an empty workspace:
+    the checkpoint's fragment records carry the densities and screening
+    references, and a table is rebuilt at its reference). Every run is a
+    child process with BLAS pinned to one thread (the stated condition
+    of the contract); the comparison is on ``tobytes()``, not on printed
+    digits."""
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
@@ -578,8 +580,7 @@ class TestCliResume:
         xyz = tmp_path / "w3.xyz"
         save_xyz(mol, xyz)
         ck = tmp_path / "ck.npz"
-        common = ["aimd", str(xyz), "--surrogate", "--dt", "0.5",
-                  "--deterministic"]
+        common = ["aimd", str(xyz), "--surrogate", "--dt", "0.5"]
         assert main(common + ["--steps", "8"]) == 0
         full_out = capsys.readouterr().out
         assert main(common + ["--steps", "4", "--checkpoint", str(ck),
@@ -961,9 +962,10 @@ class TestLegacyFixtures:
             read_checkpoint(DATA / "ckpt_v1.npz", mol=water_cluster(3))
 
     def test_fixture_v2_mts_resumes_like_a_current_cut(self, tmp_path, capsys):
-        """The deterministic r-RESPA run resumed from the v2 file (cut
-        at step 4, inside the k=8 cycle) ends on the same printed line
-        as one resumed from a current-version cut at the same step."""
+        """The r-RESPA run resumed from the v2 file (cut at step 4,
+        inside the k=8 cycle; it holds no tier-0 forces, so the cut step
+        is evaluated again) ends on the same printed line as one resumed
+        from a current-version cut at the same step."""
         from repro.chem.xyz import save_xyz
         from repro.cli import main
 
@@ -971,7 +973,7 @@ class TestLegacyFixtures:
         xyz, ck = tmp_path / "w3.xyz", tmp_path / "ck.npz"
         save_xyz(mol, xyz)
         common = ["aimd", str(xyz), "--surrogate", "--dt", "0.5",
-                  "--deterministic", "--mts-k", "8"]
+                  "--mts-k", "8"]
 
         def final_energy(argv):
             assert main(common + argv) == 0
@@ -984,7 +986,7 @@ class TestLegacyFixtures:
         assert legacy.step == current.step == 4
         assert [{x: h[x] for x in ("tier", "k", "step", "e")}
                 for h in legacy.sections["tiers"][0]["held"]] \
-            == current.sections["tiers"][0]["held"]
+            == [h for h in current.sections["tiers"][0]["held"] if h["tier"]]
         want = final_energy(["--steps", "8", "--resume", str(ck)])
         got = final_energy(["--steps", "8", "--resume",
                             str(DATA / "ckpt_v2_mts.npz")])
@@ -1015,6 +1017,69 @@ class TestLegacyFixtures:
             run_aimd(system, surrogate, nsteps=10, dt_fs=0.5,
                      r_dimer_bohr=BIG, r_trimer_bohr=BIG, mbe_order=3,
                      replan_interval=2, mts_k=2, resume=ckpt)
+
+
+    def test_fixture_v4_without_records_resumes_cold(self):
+        """A current-version file from before fragment records and tier
+        0's forces rode along (an RI-HF water dimer cut at step 4; see
+        ``tests/data/README.md``): the cut step is evaluated again from
+        cold guesses, and the run lands within SCF convergence of an
+        uninterrupted one."""
+        from repro.calculators import RIHFCalculator
+
+        system = FragmentedSystem.by_components(water_cluster(2, seed=5))
+        ckpt = read_checkpoint(DATA / "ckpt_v4_00f73cf.npz", mol=system.parent)
+        assert ckpt.step == 4 and ckpt.sections == {}
+
+        def run(**kw):
+            co = _coordinator(system, nsteps=6, **kw)
+            run_serial(co, RIHFCalculator(int_screen=1e-12))
+            return co
+
+        full, resumed = run(), run(resume=ckpt)
+        nfrag = len(resumed.records)
+        assert resumed.tasks_issued == 3 * nfrag  # steps 4, 5 and 6
+        assert resumed.guess_cache.misses == nfrag  # cold at the cut
+        np.testing.assert_allclose(resumed.trajectory_energies()[1],
+                                   full.trajectory_energies()[1],
+                                   rtol=0, atol=1e-8)
+
+
+class TestFragmentsSection:
+    """The engine's ``fragments`` section (`FragmentRecords`)."""
+
+    def test_round_trip_and_mismatched_records_dropped(self):
+        from repro.calculators import FragmentRecord
+        from repro.md.scheduler import FragmentRecords
+
+        rng = np.random.default_rng(0)
+
+        def record(natoms, nbf, n):
+            return FragmentRecord(
+                tuple(rng.standard_normal((nbf, nbf)) for _ in range(n)),
+                natoms, rng.standard_normal((natoms, 3)))
+
+        natoms = {(0,): 3, (0, 1): 6, (1,): 3}.get
+        records = FragmentRecords(natoms)
+        records[(0,)], records[(0, 1)] = record(3, 7, 2), record(6, 14, 3)
+        records[(1,)] = FragmentRecord()  # nothing to carry: not written
+        meta, arrays = records.state_dict()
+        back = FragmentRecords(natoms)
+        back.load_state(meta, arrays)
+        assert sorted(back) == [(0,), (0, 1)]
+        for key, rec in back.items():
+            want = records[key]
+            assert rec.natoms == want.natoms
+            assert rec.ref.tobytes() == want.ref.tobytes()
+            assert [d.tobytes() for d in rec.densities] == [
+                d.tobytes() for d in want.densities]
+        assert back.nbytes == records.nbytes
+        # a fragment that no longer has the atoms its record was made
+        # for starts cold; so does one the system does not have
+        other = FragmentRecords({(0,): 4, (0, 1): 6}.get)
+        other.load_state(meta, arrays)
+        assert sorted(other) == [(0, 1)]
+        assert FragmentRecords(natoms).state_dict() is None
 
 
 class TestSchemaOwnership:
@@ -1102,7 +1167,7 @@ class TestQuarantineSurvivesResume:
             FaultSpec(kind="transient", step=1, key=(0, 1), attempts=99),
         ]).save(tmp_path / "plan.json")
         common = ["aimd", str(xyz), "--surrogate", "--dt", "0.5",
-                  "--deterministic", "--workers", "2", "--max-retries", "0",
+                  "--workers", "2", "--max-retries", "0",
                   "--quarantine", "--r-dimer", "30", "--order", "2"]
         assert main(common + ["--steps", "4", "--checkpoint", str(ck),
                               "--checkpoint-every", "4", "--fault-plan",

@@ -172,7 +172,7 @@ class TestServeCommands:
         specs = str(tmp_path / "specs.json")
         rc = main([
             "submit", specs, "--job-id", "a", "--system", "water", "-n", "3",
-            "--steps", "4", "--deterministic", "--checkpoint-every", "2",
+            "--steps", "4", "--checkpoint-every", "2",
         ])
         assert rc == 0
         rc = main([

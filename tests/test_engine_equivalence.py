@@ -199,10 +199,10 @@ class TestTierListOnTheCoordinator:
     @pytest.mark.parametrize("synchronous", [True, False])
     def test_mid_cycle_resume_bitwise(self, glycine4, tmp_path, synchronous):
         """Cut at step 6, inside the k=4 cycle: the slow tier's forces
-        held since boundary 4 must ride on the checkpoint."""
+        held since boundary 4 must ride on the checkpoint, beside tier
+        0's at the cut."""
         system, v0 = glycine4
-        cfg = dict(self.GLY, replan=2, k=4, synchronous=synchronous,
-                   deterministic=True)
+        cfg = dict(self.GLY, replan=2, k=4, synchronous=synchronous)
         ck = tmp_path / "ck.npz"
         full = engine_run(system, v0, **cfg)
         engine_run(system, v0, **dict(cfg, nsteps=6), checkpoint_path=ck,
@@ -210,7 +210,7 @@ class TestTierListOnTheCoordinator:
         ckpt = read_checkpoint(ck, mol=system.parent)
         assert ckpt.step == 6
         held = ckpt.sections["tiers"][0]["held"]
-        assert [(h["tier"], h["step"]) for h in held] == [(1, 4)]
+        assert [(h["tier"], h["step"]) for h in held] == [(0, 6), (1, 4)]
         resumed = engine_run(system, v0, **cfg, resume=ckpt)
         assert resumed.tasks_issued < full.tasks_issued
         for x, y in zip(full.trajectory_energies(),

@@ -7,7 +7,11 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.calculators import GuessCache, PairwisePotentialCalculator
+from repro.calculators import (
+    FragmentRecord,
+    GuessCache,
+    PairwisePotentialCalculator,
+)
 from repro.faults import (
     CKPT_FAULT_KINDS,
     FAULT_KINDS,
@@ -216,25 +220,50 @@ class TestFaultPlanCalculator:
             copy.energy_gradient(_Frag(mol, (0,)), attempt=0, step=0)
 
     def test_cache_poison_nan_fills_entry(self, mol):
-        """Poisoning replaces the cached density with NaNs — which the
-        SCF guess validation (`repro.scf.rhf`) then discards, so the
-        fault costs iterations, never correctness."""
-        inner = PairwisePotentialCalculator()
-        inner.guess_cache = cache = GuessCache()
-        cache.put((0,), np.eye(4), mol.natoms)
+        """Poisoning replaces the densities the task's record carries
+        with NaNs — a new record on the molecule, the engine's untouched
+        — which the SCF guess validation (`repro.scf.rhf`) then
+        discards, so the fault costs iterations, never correctness."""
         calc = FaultPlanCalculator(
-            inner,
+            PairwisePotentialCalculator(),
             FaultPlan(specs=[FaultSpec(kind="cache_poison", step=0)]),
         )
-        e, g = calc.energy_gradient(_Frag(mol, (0,)), attempt=0, step=0)
+        frag = _Frag(mol, (0,))
+        frag.record = held = GuessCache().put(
+            FragmentRecord(), np.eye(4), mol.natoms)
+        e, g = calc.energy_gradient(frag, attempt=0, step=0)
         assert np.isfinite(e)  # evaluation itself is clean
-        poisoned = cache.get((0,), mol.natoms)
+        poisoned = GuessCache().get(frag.record, mol.natoms)
         assert poisoned is not None and np.isnan(poisoned).all()
+        assert np.isfinite(held.densities[0]).all()
+
+    def test_cache_poison_costs_iterations_not_correctness(self):
+        """End to end on RI-HF: a run whose dimer record is poisoned at
+        step 2 ends on the clean run's energies (to SCF convergence) and
+        spends more iterations getting there."""
+        from repro.calculators import RIHFCalculator
+        from repro.frag import FragmentedSystem
+        from repro.md import AsyncCoordinator, run_serial
+
+        system = FragmentedSystem.by_components(water_cluster(2, seed=5))
+
+        def run(calc):
+            co = AsyncCoordinator(system, nsteps=4, dt_fs=0.5,
+                                  r_dimer_bohr=1.0e6, mbe_order=2, seed=8)
+            run_serial(co, calc)
+            return co.trajectory_energies()[1], co.guess_cache
+
+        clean, clean_cache = run(RIHFCalculator())
+        poisoned, cache = run(FaultPlanCalculator(RIHFCalculator(), FaultPlan(
+            specs=[FaultSpec(kind="cache_poison", step=2, natoms=6)])))
+        np.testing.assert_allclose(poisoned, clean, rtol=0, atol=1e-8)
+        assert cache.iters_warm + cache.iters_cold > (
+            clean_cache.iters_warm + clean_cache.iters_cold)
 
 
 class TestChaosEndToEnd:
-    """A seeded chaos AIMD campaign completes and matches fault-free
-    bitwise under --deterministic (ISSUE acceptance criterion)."""
+    """A seeded chaos AIMD campaign completes and matches the fault-free
+    run bitwise."""
 
     def _final_energy(self, text):
         lines = [ln for ln in text.splitlines()
@@ -259,7 +288,7 @@ class TestChaosEndToEnd:
         plan_path = tmp_path / "plan.json"
         plan.save(plan_path)
         common = ["aimd", str(xyz), "--surrogate", "--dt", "0.5",
-                  "--deterministic", "--steps", "8", "--workers", "2"]
+                  "--steps", "8", "--workers", "2"]
 
         assert main(common) == 0
         clean_out = capsys.readouterr().out

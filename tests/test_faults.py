@@ -110,10 +110,9 @@ class TestRetryPath:
         assert report.retries == 6 * 5
 
     def test_retry_then_succeed_matches_clean_run(self, w4_system, surrogate):
-        kw = dict(deterministic=True)
-        clean = _coordinator(w4_system, **kw)
+        clean = _coordinator(w4_system)
         run_parallel(clean, surrogate, nworkers=3)
-        faulted = _coordinator(w4_system, **kw)
+        faulted = _coordinator(w4_system)
         faulty = _faulty(surrogate, natoms=DIMER_NATOMS, attempts=2)
         report = run_parallel(
             faulted, faulty, nworkers=3, policy=FailurePolicy(max_retries=3)
@@ -247,10 +246,9 @@ class TestConservationEquivalence:
         """Energy conservation of a faulted-and-retried NVE run must be
         indistinguishable from a clean run (paper Fig. 6 criterion)."""
         system = FragmentedSystem.by_components(water_cluster(3, seed=1))
-        kw = dict(nsteps=20, deterministic=True)
-        clean = _coordinator(system, **kw)
+        clean = _coordinator(system, nsteps=20)
         run_serial(clean, surrogate)
-        faulted = _coordinator(system, **kw)
+        faulted = _coordinator(system, nsteps=20)
         faulty = _faulty(surrogate, natoms=DIMER_NATOMS, attempts=1)
         run_parallel(faulted, faulty, nworkers=2)
         _, pe_c, ke_c = clean.trajectory_energies()
@@ -261,16 +259,14 @@ class TestConservationEquivalence:
         assert np.abs(tot - tot[0]).max() < 1e-3
 
 
-class TestDeterministicMode:
-    @pytest.mark.parametrize("deterministic", [False, True])
-    def test_parallel_deterministic_reproducible(self, w4_system, surrogate,
-                                                 deterministic):
-        """Two multi-worker runs race differently but must agree bitwise,
-        with or without the flag: on the pairwise potential only the
-        reduction order could differ, and every run reduces canonically."""
+class TestRacingWorkers:
+    def test_parallel_reproducible(self, w4_system, surrogate):
+        """Two multi-worker runs race differently but must agree bitwise:
+        on the pairwise potential only the reduction order could differ,
+        and every run reduces canonically."""
         results = []
         for _ in range(2):
-            co = _coordinator(w4_system, deterministic=deterministic)
+            co = _coordinator(w4_system)
             run_parallel(co, surrogate, nworkers=3)
             results.append(co.trajectory_energies())
         np.testing.assert_array_equal(results[0][1], results[1][1])

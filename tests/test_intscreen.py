@@ -11,9 +11,10 @@ Two properties under test:
 * **Workspace caching is exact** — every product served from an
   `IntegralWorkspace` is bitwise what a fresh build would produce;
   geometry-keyed products are one evaluation's scratch and leave
-  nothing in the store, Schwarz bounds are re-screened (or
-  conservatively inflated) on displacement, and a composition change
-  can never hit another basis's entries.
+  nothing in the store, Schwarz bounds are served at a fragment's
+  reference geometry (conservatively inflated away from it) and
+  re-screened beyond the displacement tolerance, and a composition
+  change can never hit another basis's entries.
 """
 
 from __future__ import annotations
@@ -166,12 +167,17 @@ class TestWorkspaceInvalidation:
     def test_schwarz_rebuilds_beyond_displacement(self, water_dimer):
         bs1 = BasisSet.build(water_dimer, "sto-3g")
         ws = IntegralWorkspace(displacement_tol=0.25)
-        Q1 = ws.schwarz_bounds(bs1)
-        assert ws.bound_rebuilds == 1
-        # beyond the tolerance: recomputed, not inflated
+        ref = ws.screening_reference(bs1, None)  # never screened: its own
+        Q1 = ws.schwarz_bounds(bs1, ref)
+        assert ws.bound_rebuilds == 1 and len(ws) == 1
+        # beyond the tolerance: recomputed, not inflated, and the
+        # superseded reference's table leaves the store
         far = water_dimer.with_coords(water_dimer.coords + 1.0)
         bs2 = BasisSet.build(far, "sto-3g")
-        Q2 = ws.schwarz_bounds(bs2)
+        new = ws.screening_reference(bs2, ref)
+        assert new is not ref and np.array_equal(new, far.coords)
+        assert len(ws) == 0
+        Q2 = ws.schwarz_bounds(bs2, new)
         assert ws.bound_rebuilds == 2
         assert ws.stale_serves == 0
         from repro.integrals import schwarz_pair_bounds
@@ -182,52 +188,50 @@ class TestWorkspaceInvalidation:
     def test_schwarz_stale_serve_within_displacement(self, water_dimer):
         bs1 = BasisSet.build(water_dimer, "sto-3g")
         ws = IntegralWorkspace(displacement_tol=0.25, stale_safety=16.0)
-        Q1 = ws.schwarz_bounds(bs1)
+        ref = ws.screening_reference(bs1, None)
+        Q1 = ws.schwarz_bounds(bs1, ref)
         near = water_dimer.with_coords(water_dimer.coords + 0.01)
         bs2 = BasisSet.build(near, "sto-3g")
-        Q2 = ws.schwarz_bounds(bs2)
+        assert ws.screening_reference(bs2, ref) is ref
+        Q2 = ws.schwarz_bounds(bs2, ref)
         assert ws.stale_serves == 1
         assert ws.bound_rebuilds == 1
         # served stale bounds are conservatively inflated
         np.testing.assert_allclose(Q2, Q1 * 16.0)
-        # unchanged geometry serves the exact cached table
-        Q3 = ws.schwarz_bounds(bs1)
+        # at the reference itself the exact table is served
+        Q3 = ws.schwarz_bounds(bs1, ref)
         assert np.array_equal(Q3, Q1)
 
     def test_displacement_tol_zero_pins_decisions(self, water_dimer):
-        """Deterministic mode: any movement recomputes the bounds, so
-        screening decisions are a pure function of the current geometry."""
+        """With no tolerance any movement re-screens, so screening
+        decisions are a pure function of the current geometry."""
         bs1 = BasisSet.build(water_dimer, "sto-3g")
         ws = IntegralWorkspace(displacement_tol=0.0)
-        ws.schwarz_bounds(bs1)
-        tiny = water_dimer.with_coords(water_dimer.coords + 1e-9)
-        ws.schwarz_bounds(BasisSet.build(tiny, "sto-3g"))
+        ref = ws.screening_reference(bs1, None)
+        ws.schwarz_bounds(bs1, ref)
+        tiny = BasisSet.build(
+            water_dimer.with_coords(water_dimer.coords + 1e-9), "sto-3g")
+        ws.schwarz_bounds(tiny, ws.screening_reference(tiny, ref))
         assert ws.bound_rebuilds == 2
         assert ws.stale_serves == 0
 
-    def test_exact_scope_pins_this_evaluation_only(self, water_dimer):
-        """What a ``deterministic`` task runs, wherever it runs (a
-        spawned worker inherits no setting): `evaluate_fragment(...,
-        exact=True)` re-screens on a nudged geometry instead of serving
-        the inflated table, the workspace's own tolerance is untouched,
-        and the next ordinary evaluation keeps its stale serve."""
-        from repro.md.scheduler import evaluate_fragment
+    def test_miss_rebuilds_at_the_reference(self, water_dimer):
+        """What a resumed process or another worker does: a table it
+        never built is rebuilt at the record's reference geometry, and
+        serves bitwise what the process that first built it served."""
+        from repro.integrals import schwarz_pair_bounds
 
-        ws = IntegralWorkspace()
-        calc = RIHFCalculator(int_screen=1e-12, workspace=ws)
-        nudged = water_dimer.with_coords(water_dimer.coords + 1e-3)
-        evaluate_fragment(calc, water_dimer, 0, 0)
-        assert (ws.bound_rebuilds, ws.stale_serves) == (1, 0)
-        exact = evaluate_fragment(calc, nudged, 0, 1, exact=True)
-        assert (ws.bound_rebuilds, ws.stale_serves) == (2, 0)
-        fresh = RIHFCalculator(int_screen=1e-12,
-                               workspace=IntegralWorkspace())
-        e_fresh, g_fresh = fresh.energy_gradient(nudged)
-        assert exact[0] == e_fresh and np.array_equal(exact[1], g_fresh)
-        assert ws.displacement_tol == IntegralWorkspace().displacement_tol
-        evaluate_fragment(
-            calc, water_dimer.with_coords(water_dimer.coords + 2e-3), 0, 2)
-        assert ws.bound_rebuilds == 2 and ws.stale_serves > 0
+        bs0 = BasisSet.build(water_dimer, "sto-3g")
+        first = IntegralWorkspace()
+        ref = first.screening_reference(bs0, None)
+        first.schwarz_bounds(bs0, ref)
+        moved = water_dimer.with_coords(water_dimer.coords + 0.02)
+        bs1 = BasisSet.build(moved, "sto-3g")
+        served = first.schwarz_bounds(bs1, ref)
+        elsewhere = IntegralWorkspace()
+        assert elsewhere.schwarz_bounds(bs1, ref).tobytes() == served.tobytes()
+        assert (elsewhere.bound_rebuilds, elsewhere.stale_serves) == (1, 1)
+        assert served.tobytes() == (16.0 * schwarz_pair_bounds(bs0)).tobytes()
 
     def test_scope_reaches_an_empty_private_workspace(self, water_dimer):
         """The calculator's own workspace is scoped even while it holds
@@ -238,37 +242,38 @@ class TestWorkspaceInvalidation:
             workspace = IntegralWorkspace()
 
             def energy_gradient(self, mol):
-                scope = self.workspace._scope
-                self.seen = scope.tenant, scope.exact
+                self.seen = self.workspace._scope.tenant
                 return 0.0, np.zeros((mol.natoms, 3))
 
         probe = Probe()
-        evaluate_fragment(probe, water_dimer, 0, 0, tenant="job", exact=True)
-        assert probe.seen == ("job", True)
+        evaluate_fragment(probe, water_dimer, 0, 0, tenant="job")
+        assert probe.seen == "job"
         evaluate_fragment(probe, water_dimer, 0, 0)
-        assert probe.seen == (None, False)
+        assert probe.seen is None
 
-    def test_deterministic_coordinator_never_serves_stale(self):
-        """The library API, not only the CLI: a ``deterministic``
-        coordinator under `run_serial` takes every screening decision
-        from the current geometry, so a resumed process (empty
-        workspace) and an uninterrupted one screen alike."""
+    def test_coordinator_screens_at_record_references(self):
+        """Through the engine every fragment carries its reference: stale
+        serves happen, the store holds one table per fragment at most,
+        and the references are the records'."""
         from repro.md import AsyncCoordinator, run_serial
 
         system = FragmentedSystem.by_components(water_cluster(2, seed=5))
         ws = IntegralWorkspace()
         engine = AsyncCoordinator(
-            system, nsteps=3, dt_fs=0.5, r_dimer_bohr=BIG, mbe_order=2,
-            temperature_k=200.0, seed=8, deterministic=True,
+            system, nsteps=6, dt_fs=0.5, r_dimer_bohr=BIG, mbe_order=2,
+            temperature_k=200.0, seed=8,
         )
         run_serial(engine, RIHFCalculator(int_screen=1e-12, workspace=ws))
-        assert ws.stale_serves == 0
-        assert ws.bound_rebuilds == 4  # the dimer, at steps 0..3
+        assert ws.stale_serves > 0
+        tables = [key for key in ws._entries if key[0] == "schwarz"]
+        refs = [rec.ref.tobytes() for rec in engine.records.values()]
+        assert sorted(key[2] for key in tables) == sorted(refs)
 
     def test_schwarz_siblings_keep_one_table_each(self):
         """Same-composition fragments (the monomers of one MBE step)
-        must not evict each other's table: two of them alternating over
-        three steps cost one build each, not one per visit."""
+        each keep the table of their own reference: two of them
+        alternating over three steps cost one build each, not one per
+        visit, and neither is ever served the other's table."""
         from repro.integrals import schwarz_pair_bounds
 
         w = water_cluster(1, seed=0)
@@ -278,51 +283,39 @@ class TestWorkspaceInvalidation:
         own = [schwarz_pair_bounds(BasisSet.build(w.with_coords(c), "sto-3g"))
                for c in sites]
         assert not np.allclose(own[0], own[1])
+        refs = [None, None]
         for step in range(3):
-            for site, ref in zip(sites, own):
+            for i, (site, table) in enumerate(zip(sites, own)):
                 bs = BasisSet.build(w.with_coords(site + 0.01 * step), "sto-3g")
-                Q = ws.schwarz_bounds(bs)
-                # each visit is served from the fragment's own reference
-                assert np.array_equal(Q, ref if step == 0 else 16.0 * ref)
+                refs[i] = ws.screening_reference(bs, refs[i])
+                Q = ws.schwarz_bounds(bs, refs[i])
+                assert np.array_equal(Q, table if step == 0 else 16.0 * table)
         assert ws.bound_rebuilds == 2
         assert ws.stale_serves == 4
         # a fragment that drifts beyond the tolerance replaces its own
         # reference and leaves its sibling's alone
-        ws.schwarz_bounds(BasisSet.build(w.with_coords(sites[0] + 0.2), "sto-3g"))
+        bs = BasisSet.build(w.with_coords(sites[0] + 0.5), "sto-3g")
+        ws.schwarz_bounds(bs, ws.screening_reference(bs, refs[0]))
         assert ws.bound_rebuilds == 3
-        tables, refs, served = ws._get(("schwarz", basis_composition_key(bs)))
-        assert len(tables) == len(refs) == len(served) == 2
-        # deterministic mode keeps its single slot: every visit rebuilds
-        ws0 = IntegralWorkspace(displacement_tol=0.0)
-        for step in range(3):
-            for site in sites:
-                ws0.schwarz_bounds(
-                    BasisSet.build(w.with_coords(site + 0.01 * step), "sto-3g")
-                )
-        assert ws0.bound_rebuilds == 6
-        assert len(ws0._get(("schwarz", basis_composition_key(bs)))[0]) == 1
+        assert len([k for k in ws._entries if k[0] == "schwarz"]) == 2
 
     def test_schwarz_siblings_stay_inside_the_budget(self):
-        """A scan that never returns to a geometry must not grow the
-        entry: beyond its share of the byte budget the least recently
-        served references go, and other warm entries stay resident."""
+        """A fragment that scans away and never returns does not grow
+        the store: each re-screen drops the table of the reference it
+        supersedes, so it holds one table, and its sibling's (served
+        every step) stays resident."""
         w = water_cluster(1, seed=0)
-        bs = BasisSet.build(w, "sto-3g")
-        key = ("schwarz", basis_composition_key(bs))
-        one = IntegralWorkspace(displacement_tol=0.25)
-        one.schwarz_bounds(bs)
-        per_table = one._entries[key][1]
-        room = 5
+        home = BasisSet.build(w, "sto-3g")
         ws = IntegralWorkspace(displacement_tol=0.25)
-        ws.SIBLING_SHARE = room * per_table / ws.max_bytes
+        home_ref = ws.screening_reference(home, None)
+        ref = None
         for i in range(40):
-            ws.schwarz_bounds(BasisSet.build(w.with_coords(w.coords + i), "sto-3g"))
-            # the home geometry is served every step and so never dropped
-            ws.schwarz_bounds(bs)
-            tables, refs, served = ws._entries[key][0]
-            assert len(tables) == len(refs) == len(served) <= room
-            assert ws._entries[key][1] <= ws.SIBLING_SHARE * ws.max_bytes
-        assert ws.bound_rebuilds == 40  # 39 distant visits + home, once
+            bs = BasisSet.build(w.with_coords(w.coords + 10.0 + i), "sto-3g")
+            ref = ws.screening_reference(bs, ref)
+            ws.schwarz_bounds(bs, ref)
+            ws.schwarz_bounds(home, home_ref)
+            assert len(ws) == 2
+        assert ws.bound_rebuilds == 41  # 40 distant visits + home, once
         assert ws.evictions == 0
 
     def test_composition_change_is_a_new_key(self, water_dimer):
@@ -331,16 +324,17 @@ class TestWorkspaceInvalidation:
         bs_g = BasisSet.build(gly, "sto-3g")
         assert basis_composition_key(bs_w) != basis_composition_key(bs_g)
         ws = IntegralWorkspace()
-        ws.schwarz_bounds(bs_w)
-        ws.schwarz_bounds(bs_g)
+        ws.schwarz_bounds(bs_w, ws.screening_reference(bs_w, None))
+        ws.schwarz_bounds(bs_g, ws.screening_reference(bs_g, None))
         assert ws.bound_rebuilds == 2  # no cross-composition hit
 
     def test_lru_eviction_preserves_exactness(self, water_dimer):
-        # What the store holds is composition-keyed (auxiliary groups,
-        # Schwarz and auxiliary bounds), so a second basis gives the
-        # tiny budget something to evict; coming back to the first one
-        # rebuilds the evicted entries transparently and stays exact.
-        ws = IntegralWorkspace(max_bytes=20_000)  # below both together
+        # What the store holds is composition-keyed (auxiliary groups
+        # and bounds; Schwarz tables at a fragment's reference), so a
+        # second basis gives the tiny budget something to evict; coming
+        # back to the first one rebuilds the evicted entries
+        # transparently and stays exact.
+        ws = IntegralWorkspace(max_bytes=15_000)  # below both together
         for name in ("sto-3g", "repro-dz", "sto-3g"):
             bs = BasisSet.build(water_dimer, name)
             aux = auto_auxiliary(water_dimer, name)
@@ -348,7 +342,7 @@ class TestWorkspaceInvalidation:
                 eri3c(bs, aux, screen=1e-12, workspace=ws),
                 eri3c(bs, aux, screen=1e-12),
             )
-            assert ws.nbytes <= 20_000
+            assert ws.nbytes <= 15_000
         assert ws.evictions > 0
 
     def test_disabled_workspace_stores_nothing(self, water_dimer):
@@ -487,15 +481,12 @@ class TestTracerRouting:
     def test_scope_sets_only_what_it_is_given(self):
         ws = IntegralWorkspace()
         tracer = Tracer()
-        with ws.scope("job", True):
+        with ws.scope("job"):
             with ws.scope(tracer=tracer):
                 scope = ws._scope
-                assert (scope.tenant, scope.exact, scope.tracer) == (
-                    "job", True, tracer)
-            assert (scope.tenant, scope.exact, scope.tracer) == (
-                "job", True, None)
-        assert (scope.tenant, scope.exact, scope.tracer) == (
-            None, False, None)
+                assert (scope.tenant, scope.tracer) == ("job", tracer)
+            assert (scope.tenant, scope.tracer) == ("job", None)
+        assert (scope.tenant, scope.tracer) == (None, None)
 
     def test_other_threads_keep_their_own_tracer(self, water_dimer):
         """Two traced calculators on one workspace, two threads: each

@@ -137,7 +137,8 @@ class TestSyncDriverMTS:
              checkpoint_path=ck, checkpoint_every=2)
         ckpt = read_checkpoint(ck, mol=glycine4.parent)
         assert ckpt.step == 6
-        (slow,) = ckpt.sections["tiers"][0]["held"]
+        fast, slow = ckpt.sections["tiers"][0]["held"]
+        assert fast["tier"] == 0 and fast["step"] == 6  # the cut's own
         assert slow["tier"] == 1 and slow["k"] == 4
         assert slow["step"] == 4  # held boundary, not the step
         resumed = _run(glycine4, surrogate, v0, nsteps=12, mts_k=4,
@@ -230,7 +231,7 @@ class TestCoordinatorMTS:
         c = AsyncCoordinator(
             system, nsteps=nsteps, dt_fs=0.25, r_dimer_bohr=R_DIMER,
             mbe_order=2, velocities=v.copy(),
-            deterministic=True, warm_start=False, resume=resume, **kw)
+            warm_start=False, resume=resume, **kw)
         run_serial(c, PairwisePotentialCalculator())
         return c
 
@@ -289,13 +290,15 @@ class TestCoordinatorMTS:
         self._coord(v0, nsteps=8, replan_interval=2, checkpoint_path=ck,
                     checkpoint_every=6)
         ckpt = read_checkpoint(ck, mol=glycine4.parent)
-        assert ckpt.step == 6 and "tiers" not in ckpt.sections
+        assert ckpt.step == 6
+        assert [h["tier"] for h in ckpt.sections["tiers"][0]["held"]] == [0]
         with pytest.raises(CheckpointError, match="inside an outer cycle"):
             self._coord(v0, replan_interval=2, mts_k=4, resume=ckpt)
         with pytest.raises(CheckpointError, match="inside an outer cycle"):
             _run(glycine4, surrogate, v0, replan_interval=2, mts_k=4,
                  resume=ckpt)
-        # the same cut is fine where every tier is due anyway
+        # the same cut is fine where every tier is due anyway (its plain
+        # tier-0 forces are not this split's: the step is evaluated again)
         self._coord(v0, replan_interval=2, mts_k=2, resume=ckpt)
 
 
@@ -306,7 +309,7 @@ class TestTiersSection:
     def _cut(self, v0, tmp_path):
         system = glycine_fragmented(4)
         kw = dict(dt_fs=0.25, r_dimer_bohr=R_DIMER, mbe_order=2,
-                  velocities=v0.copy(), deterministic=True,
+                  velocities=v0.copy(),
                   replan_interval=2, mts_k=4)
         ck = tmp_path / "ck.npz"
         co = AsyncCoordinator(system, nsteps=10, checkpoint_path=ck,
@@ -315,16 +318,17 @@ class TestTiersSection:
         return system, kw, read_checkpoint(ck, mol=system.parent)
 
     def test_state_roundtrip(self, v0, tmp_path):
-        """file -> engine buffers -> `state_dict` is the identity: held
-        boundary 8, its energy and its forces."""
+        """file -> engine buffers -> `state_dict` is the identity: tier 0
+        at the cut 10, held boundary 8, their energies and forces."""
         from repro.md.scheduler import _HeldTiers
 
         system, kw, ckpt = self._cut(v0, tmp_path)
         meta, arrays = ckpt.sections["tiers"]
-        assert meta == {"held": [{
-            "tier": 1, "k": 4, "step": 8, "e": meta["held"][0]["e"],
-        }]}
-        assert sorted(arrays) == ["1.forces"]
+        assert meta == {"held": [
+            {"tier": 0, "k": 1, "step": 10, "e": meta["held"][0]["e"]},
+            {"tier": 1, "k": 4, "step": 8, "e": meta["held"][1]["e"]},
+        ]}
+        assert sorted(arrays) == ["0.forces", "1.forces"]
         resumed = AsyncCoordinator(system, nsteps=12, resume=ckpt, **kw)
         meta2, arrays2 = _HeldTiers(resumed, 10).state_dict()
         assert meta2 == meta
@@ -347,13 +351,20 @@ class TestTiersSection:
         with pytest.raises(CheckpointError, match="extrapolated slow force"):
             AsyncCoordinator(system, nsteps=12, resume=ckpt, **kw)
 
-    def test_plain_run_holds_nothing(self, v0):
-        from repro.md.scheduler import _HeldTiers
-
-        co = AsyncCoordinator(glycine_fragmented(4), nsteps=2, dt_fs=0.25,
+    def test_plain_run_holds_tier_zero(self, v0, tmp_path):
+        """One timescale still holds its forces at the cut, so the
+        resumed run evaluates nothing twice."""
+        system = glycine_fragmented(4)
+        ck = tmp_path / "ck.npz"
+        co = AsyncCoordinator(system, nsteps=4, dt_fs=0.25,
                               r_dimer_bohr=R_DIMER, mbe_order=2,
-                              velocities=v0.copy())
-        assert _HeldTiers(co, 0).state_dict() is None
+                              velocities=v0.copy(), replan_interval=2,
+                              checkpoint_path=ck, checkpoint_every=4)
+        run_serial(co, PairwisePotentialCalculator())
+        meta, arrays = read_checkpoint(ck, mol=system.parent).sections["tiers"]
+        assert [(h["tier"], h["k"], h["step"]) for h in meta["held"]] \
+            == [(0, 1, 4)]
+        assert sorted(arrays) == ["0.forces"]
 
 
 class TestCliMTS:
@@ -366,7 +377,7 @@ class TestCliMTS:
         save_xyz(glycine_chain(4), xyz)
         rc = main(["aimd", str(xyz), "--surrogate", "--steps", "8",
                    "--dt", "0.25", "--order", "2", "--r-dimer", "6",
-                   "--mts-k", "4", "--deterministic"])
+                   "--mts-k", "4"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "mts: k=4" in out

@@ -271,6 +271,27 @@ class TestBoundedMemory:
         assert 6 in co.coords_at
         assert co.coords_at[6].shape == fs.parent.coords.shape
 
+    def test_finished_engine_freed_without_cycle_collection(self, tmp_path):
+        """No reference cycle runs through the engine (its checkpoint
+        owners included): a finished run's buffers go when its last
+        reference does, not at some later garbage collection — a
+        benchmark that runs several trajectories in one process
+        otherwise holds them all at its peak."""
+        import gc
+        import weakref
+
+        fs = FragmentedSystem.by_components(water_cluster(3, seed=1))
+        co = _make(fs, nsteps=4, replan_interval=2,
+                   checkpoint_path=tmp_path / "ck.npz", checkpoint_every=2)
+        run_serial(co, PairwisePotentialCalculator())
+        gc.disable()
+        try:
+            ref = weakref.ref(co)
+            del co
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 class _Null:
     def energy_gradient(self, mol):

@@ -4,8 +4,8 @@ Covers the `repro.serve` stack: JobSpec validation/round-trip, the
 backpressured results channel, fair-share scheduling (including the
 large-job-must-not-starve-small-job regression), end-to-end multi-job
 service runs on the surrogate potential, concurrent per-job
-checkpointing without cross-contamination, bitwise-exact deterministic
-resume while other jobs run, and torn-frame-safe trajectory streaming.
+checkpointing without cross-contamination, bitwise-exact resume
+while other jobs run, and torn-frame-safe trajectory streaming.
 """
 
 import json
@@ -49,12 +49,22 @@ def surrogate_spec(job_id, *, nsteps=6, seed=0, n=3, **overrides):
 class TestJobSpec:
     def test_round_trip_through_json(self):
         spec = surrogate_spec(
-            "j1", deterministic=True, checkpoint_every=2, weight=2.5,
+            "j1", checkpoint_every=2, weight=2.5,
             thermostat={"kind": "local-langevin", "seed": 3},
             mts={"k": 2, "extrapolate": False},
         )
         again = JobSpec.from_json(spec.to_json())
         assert again == spec
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_retired_deterministic_key_loads(self, value):
+        """Spec files written with the retired field still load (every
+        job now runs what ``true`` asked for) and are not written back
+        with it."""
+        data = {**surrogate_spec("old").to_dict(), "deterministic": value}
+        spec = JobSpec.from_dict(data)
+        assert spec == surrogate_spec("old")
+        assert "deterministic" not in spec.to_dict()
 
     def test_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown JobSpec fields"):
@@ -222,8 +232,7 @@ class TestServiceEndToEnd:
 
     def test_per_job_output_layout(self, tmp_path):
         service = TrajectoryService(tmp_path, nworkers=2)
-        service.submit(surrogate_spec("solo", checkpoint_every=2,
-                                      deterministic=True))
+        service.submit(surrogate_spec("solo", checkpoint_every=2))
         service.run()
         job_dir = tmp_path / "solo"
         for name in ("spec.json", "trajectory.xyz", "trajectory.xyz.idx",
@@ -275,7 +284,7 @@ class TestConcurrentCheckpointing:
         service = TrajectoryService(tmp_path, nworkers=4)
         for i in range(2):
             service.submit(surrogate_spec(
-                f"ckpt{i}", seed=i, nsteps=10, deterministic=True,
+                f"ckpt{i}", seed=i, nsteps=10,
                 checkpoint_every=2, checkpoint_keep=3,
             ))
         service.run()
@@ -306,7 +315,7 @@ class TestConcurrentCheckpointing:
         """Kill mid-run, resume with noisy neighbors: bitwise identical."""
         def spec_under_test(out):
             return surrogate_spec(
-                "det", nsteps=12, deterministic=True, checkpoint_every=2,
+                "det", nsteps=12, checkpoint_every=2,
                 thermostat={"kind": "local-langevin",
                             "temperature_k": 300.0, "seed": 11},
             )
@@ -321,7 +330,7 @@ class TestConcurrentCheckpointing:
             ref_dir / "det" / "trajectory.xyz"
         )
 
-        # interrupted run with concurrent (non-deterministic) neighbors
+        # interrupted run with concurrent neighbors
         run_dir = tmp_path / "run"
         service = TrajectoryService(run_dir, nworkers=3)
         sub = service.channel.subscribe(job_id="det")
@@ -491,12 +500,11 @@ class TestProcessPoolService:
     @staticmethod
     def _three_tenants(root, pool, fault=None):
         """Three water-trimer tenants on two workers; ``fault`` (a
-        `FaultSpec`) wraps the middle tenant's calculator. Service keys
-        are job-namespaced, so specs match on step / natoms."""
+        `FaultSpec`) wraps the middle tenant's calculator; specs match
+        on step / natoms."""
         service = TrajectoryService(root, nworkers=2, pool=pool)
         for i, job_id in enumerate(("good0", "bad", "good1")):
-            service.submit(surrogate_spec(job_id, seed=i, nsteps=4,
-                                          deterministic=True))
+            service.submit(surrogate_spec(job_id, seed=i, nsteps=4))
         if fault is not None:
             bad = service.jobs["bad"]
             bad.calculator = FaultPlanCalculator(

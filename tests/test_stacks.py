@@ -78,18 +78,19 @@ def _fragments(n: int, count: int, seed: int):
 
 
 def _primed(ref, basis: str = "sto-3g") -> IntegralWorkspace:
-    """A workspace whose Schwarz entry holds the reference geometry's
-    table: a fragment nudged from it is served that table stale, the
-    displaced one re-screens — the same in any stack."""
+    """A workspace whose store holds the reference geometry's Schwarz
+    table (a fragment's reference, as the engine's records carry one)."""
     ws = IntegralWorkspace(tracer=Tracer())
-    ws.schwarz_bounds(BasisSet.build(ref, basis))
+    ws.schwarz_bounds(BasisSet.build(ref, basis), ref.coords)
     return ws
 
 
-def _drivers(mols, screen: float, ws, basis: str):
+def _drivers(mols, screen: float, ws, basis: str, ref=None):
     """Every stacked driver on a stack, with per-fragment coefficients
     drawn from the fragment's key (so a fragment gets the same ones in
-    any stack)."""
+    any stack). With a ``ref`` the stack screens as a calculator's does:
+    at that reference for fragments nudged within ``displacement_tol``
+    of it (served stale), at their own geometry for the displaced one."""
     bases = [BasisSet.build(mol, basis) for mol in mols]
     auxs = [auto_auxiliary(mol, basis) for mol in mols]
     nb, na, natoms = bases[0].nbf, auxs[0].nbf, mols[0].natoms
@@ -99,6 +100,11 @@ def _drivers(mols, screen: float, ws, basis: str):
     Z = np.stack([1e-3 * r.standard_normal((nb, nb, na)) for r in coef])
     zeta = np.stack([r.standard_normal((na, na)) for r in coef])
     with evaluation_scope(ws):
+        if ref is not None:
+            near = [np.linalg.norm(mol.coords - ref.coords, axis=1).max()
+                    <= ws.displacement_tol for mol in mols]
+            ws.schwarz_bounds_stack(
+                bases, [ref.coords if n else None for n in near])
         return [
             overlap_stack(bases, ws),
             hcore_stack(bases, mols, ws),
@@ -129,11 +135,11 @@ class TestStackIndependence:
         n, basis = shape
         ref, mols = _fragments(n, count, seed)
         ws = _primed(ref, basis)
-        whole = _drivers(mols, screen, ws, basis)
+        whole = _drivers(mols, screen, ws, basis, ref)
         screens = _screens(ws)
         for f, mol in enumerate(mols):
             alone_ws = _primed(ref, basis)
-            alone = _drivers([mol], screen, alone_ws, basis)
+            alone = _drivers([mol], screen, alone_ws, basis, ref)
             for got, want in zip(whole, alone):
                 assert got[f].tobytes() == want[0].tobytes()
             # the fragment's screening record: its own pairs and bound

@@ -1,8 +1,8 @@
 """`repro.store`: the one bounded store behind the warm layer.
 
-`GuessCache` and `IntegralWorkspace` are a `BoundedStore` plus their
-products, so the budget/attribution rules are stated once, as
-invariants, and run against all three classes:
+`IntegralWorkspace` is a `BoundedStore` plus its products, so the
+budget/attribution rules are stated once, as invariants, and run
+against both classes:
 
 * a `hypothesis` state machine (put / get / discard / clear; three
   tenants and anonymous traffic; random sizes, zero included; with a
@@ -11,7 +11,7 @@ invariants, and run against all three classes:
 * `ContentionLock` counts every waiter (the four hand-written
   ``_locked`` copies it replaces counted *before* acquiring, unlocked);
 * an AST guard: the plumbing, the ``displacement_tol`` setting and the
-  `GuessCache` construction sites exist where they should and nowhere
+  `GuessCache` construction site exist where they should and nowhere
   else; and the one byte budget is the only bound a store has.
 """
 
@@ -72,26 +72,6 @@ class _Bare:
         self.store._discard(self.key(tenant, i))
 
 
-class _Guess(_Bare):
-    """Drive `GuessCache` through its public surface: histories of two,
-    so an entry grows under repeated puts of one size, and a new size
-    arrives as a new ``natoms``, which drops the stale history."""
-
-    @staticmethod
-    def make(**kw) -> GuessCache:
-        return GuessCache(history=2, **kw)
-
-    def put(self, tenant, i, units) -> tuple:
-        self.store.put(self.key(tenant, i), _payload(units), natoms=units)
-        return self.key(tenant, i)
-
-    def get(self, tenant, i):
-        return self.store.get(self.key(tenant, i))
-
-    def discard(self, tenant, i) -> None:
-        self.store.invalidate(self.key(tenant, i))
-
-
 class _Workspace(_Bare):
     """Drive `IntegralWorkspace`: tenant = the calling thread's scope, so
     tenants share keys."""
@@ -110,7 +90,7 @@ class _Workspace(_Bare):
             return super().get(tenant, i)
 
 
-DRIVERS = {"store": _Bare, "guess_cache": _Guess, "workspace": _Workspace}
+DRIVERS = {"store": _Bare, "workspace": _Workspace}
 
 TENANTS = st.sampled_from([None, "A", "B", "C"])
 KEYS = st.integers(0, 5)
@@ -194,7 +174,6 @@ def _machine(name: str):
 
 
 TestBoundedStoreMachine = _machine("store")
-TestGuessCacheMachine = _machine("guess_cache")
 TestWorkspaceMachine = _machine("workspace")
 
 
@@ -289,12 +268,14 @@ class TestContentionLock:
         assert lock.contentions == 0
 
     def test_every_lock_holder_reports_it(self):
-        """The four classes that used to carry a ``_locked`` copy read
-        their count from the one lock."""
+        """The classes that used to carry a ``_locked`` copy read their
+        count from the one lock (`GuessCache` shares nothing between
+        threads any more and holds none)."""
         from repro.gemm import GemmAutoTuner
         from repro.surrogate import SurrogateManager
 
-        for obj in (GuessCache(), IntegralWorkspace(), GemmAutoTuner(),
+        assert not hasattr(GuessCache(), "_lock")
+        for obj in (IntegralWorkspace(), GemmAutoTuner(),
                     SurrogateManager()):
             assert isinstance(obj._lock, ContentionLock)
             obj._lock.contentions = 7
@@ -368,12 +349,13 @@ class TestOneWarmLayer:
         assert sites == allowed
 
     def test_guess_cache_construction_sites(self, trees):
+        """The engine builds the one cache of a run; no process-global
+        or service-wide one exists."""
         sites = {rel for rel, tree in trees.items()
                  for n in ast.walk(tree)
                  if isinstance(n, ast.Call)
                  and self._name(n.func) == "GuessCache"}
-        assert sites == {"calculators.py", "md/scheduler.py",
-                         "serve/service.py"}
+        assert sites == {"md/scheduler.py"}
 
     def test_one_byte_budget(self):
         """A store's byte budget is the only bound on the warm layer: no
@@ -391,15 +373,15 @@ class TestOneWarmLayer:
                     if p != "self"]
 
         assert params(BoundedStore) == ["max_bytes", "enabled"]
-        assert params(GuessCache) == ["max_bytes", "enabled", "history"]
+        assert params(GuessCache) == ["enabled", "history"]
         assert params(IntegralWorkspace) == [
             "max_bytes", "enabled", "displacement_tol", "stale_safety",
             "tracer"]
         assert params(TrajectoryService) == [
             "out_root", "nworkers", "max_active", "channel", "tracer",
             "pool"]
-        assert params(GuessCache.get) == ["key", "natoms"]
-        assert params(GuessCache.put) == ["key", "D", "natoms"]
+        assert params(GuessCache.get) == ["record", "natoms"]
+        assert params(GuessCache.put) == ["record", "D", "natoms"]
         assert {n for n in dir(IntegralWorkspace) if "tenant" in n} \
             == {"_tenant_of"}
         sub = next(a for a in build_parser()._actions

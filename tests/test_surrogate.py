@@ -3,8 +3,8 @@
 Covers the invariant descriptor, the committee's interpolation vs
 extrapolation disagreement (the GP posterior sigma must grow off the
 training manifold), the gated serve path through both MD drivers, the
-serve-streak refresh, checkpoint (format v3) round-trips, and the
-deterministic-mode kill switch.
+serve-streak refresh and checkpoint round-trips (the bitwise matrix
+with the surrogate on is `tests/test_one_run_mode.py`).
 """
 
 from __future__ import annotations
@@ -315,16 +315,6 @@ class TestCoordinator:
         _, pe_sur, _ = co_sur.trajectory_energies()
         dev = np.abs(np.asarray(pe_ref) - np.asarray(pe_sur)).max()
         assert dev <= mgr.neglected_bound
-
-    def test_deterministic_forces_surrogate_off(self, glycine4, v0):
-        mgr = SurrogateManager(tol_dimer=1.0, min_train=2, seed=7)
-        co, _ = self._run(
-            glycine4, v0, surrogate=mgr, deterministic=True,
-        )
-        assert co.surrogate is None
-        assert co.surrogate_disabled_deterministic
-        assert co.surrogate_tasks_avoided == 0
-        assert mgr.served == 0
 
 
 class TestServeSpec:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.basis.basisset import BasisSet
-from repro.calculators import GuessCache, RIHFCalculator
+from repro.calculators import FragmentRecord, GuessCache, RIHFCalculator
 from repro.frag import FragmentedSystem, build_plan
 from repro.frag.mbe import update_plan
 from repro.integrals import overlap
@@ -97,49 +97,32 @@ class TestRecoveryColdStartRung:
 # --------------------------------------------------------------------------
 
 class TestGuessCache:
+    """The policy over a fragment's record: `get` extrapolates what the
+    record carries, `put` returns the record with a density appended,
+    `record` counts a solve; the cache itself holds no density."""
+
     def test_hit_after_put(self):
         cache = GuessCache()
         D = np.eye(4)
-        assert cache.get((0,), natoms=3) is None
-        cache.put((0,), D, natoms=3)
-        out = cache.get((0,), natoms=3)
-        assert out is D
+        empty = FragmentRecord()
+        assert cache.get(empty, natoms=3) is None
+        rec = cache.put(empty, D, natoms=3)
+        assert cache.get(rec, natoms=3) is D
+        assert empty.densities == ()  # records are never changed in place
+        cache.record(hit=False, n_iter=9)
+        cache.record(hit=True, n_iter=4)
         assert cache.hits == 1 and cache.misses == 1
 
     def test_natoms_mismatch_invalidates(self):
         cache = GuessCache()
-        cache.put((0, 1), np.eye(4), natoms=6)
-        assert cache.get((0, 1), natoms=7) is None
-        assert cache.invalidations == 1
-        assert len(cache) == 0
-
-    def test_lru_byte_budget_eviction(self):
-        D = np.eye(8)  # 512 bytes
-        cache = GuessCache(max_bytes=3 * D.nbytes)
-        for m in range(4):
-            cache.put((m,), D.copy(), natoms=3)
-        assert cache.evictions == 1
-        assert len(cache) == 3
-        assert cache.nbytes == 3 * D.nbytes
-        # (0,) was least recently used and must be gone
-        assert cache.get((0,), natoms=3) is None
-        assert cache.get((3,), natoms=3) is not None
-
-    def test_lru_order_follows_access(self):
-        D = np.eye(8)
-        cache = GuessCache(max_bytes=2 * D.nbytes)
-        cache.put((0,), D.copy(), natoms=3)
-        cache.put((1,), D.copy(), natoms=3)
-        cache.get((0,), natoms=3)  # refresh (0,)
-        cache.put((2,), D.copy(), natoms=3)  # evicts (1,)
-        assert cache.get((1,), natoms=3) is None
-        assert cache.get((0,), natoms=3) is not None
+        rec = cache.put(FragmentRecord(), np.eye(4), natoms=6)
+        assert cache.get(rec, natoms=7) is None
 
     def test_disabled_is_statistics_only(self):
         cache = GuessCache(enabled=False)
-        cache.put((0,), np.eye(4), natoms=3)
-        assert len(cache) == 0 and cache.nbytes == 0
-        assert cache.get((0,), natoms=3) is None
+        rec = cache.put(FragmentRecord(), np.eye(4), natoms=3)
+        assert rec.densities == ()
+        assert cache.get(FragmentRecord((np.eye(4),), 3), natoms=3) is None
         cache.record(hit=False, n_iter=9)
         assert cache.misses == 1
         assert cache.stats()["iters_cold"] == 9
@@ -147,45 +130,38 @@ class TestGuessCache:
     def test_history_extrapolation(self):
         cache = GuessCache()
         d0, d1, d2 = np.eye(4), 2 * np.eye(4), 4 * np.eye(4)
-        cache.put((0,), d0, natoms=3)
-        assert cache.get((0,), natoms=3) is d0
-        cache.put((0,), d1, natoms=3)
+        rec = cache.put(FragmentRecord(), d0, natoms=3)
+        assert cache.get(rec, natoms=3) is d0
+        rec = cache.put(rec, d1, natoms=3)
+        np.testing.assert_allclose(cache.get(rec, natoms=3), 2 * d1 - d0)
+        rec = cache.put(rec, d2, natoms=3)
         np.testing.assert_allclose(
-            cache.get((0,), natoms=3), 2 * d1 - d0
-        )
-        cache.put((0,), d2, natoms=3)
-        np.testing.assert_allclose(
-            cache.get((0,), natoms=3), 3 * d2 - 3 * d1 + d0
+            cache.get(rec, natoms=3), 3 * d2 - 3 * d1 + d0
         )
 
     def test_history_depth_bounded(self):
         cache = GuessCache(history=1)
         D = np.eye(4)
-        cache.put((0,), D, natoms=3)
-        cache.put((0,), 2 * D, natoms=3)
+        rec = cache.put(cache.put(FragmentRecord(), D, natoms=3), 2 * D,
+                        natoms=3)
         # depth 1: plain last-density reuse, bytes stay bounded
-        np.testing.assert_allclose(cache.get((0,), natoms=3), 2 * D)
-        assert cache.nbytes == D.nbytes
+        np.testing.assert_allclose(cache.get(rec, natoms=3), 2 * D)
+        assert len(rec.densities) == 1
         with pytest.raises(ValueError, match="history"):
             GuessCache(history=0)
 
     def test_put_natoms_change_resets_history(self):
         cache = GuessCache()
-        cache.put((0,), np.eye(4), natoms=3)
-        cache.put((0,), 2 * np.eye(4), natoms=5)  # fragment changed
-        assert cache.invalidations == 1
-        np.testing.assert_allclose(
-            cache.get((0,), natoms=5), 2 * np.eye(4)
-        )
+        rec = cache.put(FragmentRecord(), np.eye(4), natoms=3)
+        rec = cache.put(rec, 2 * np.eye(4), natoms=5)  # fragment changed
+        assert len(rec.densities) == 1 and rec.natoms == 5
+        np.testing.assert_allclose(cache.get(rec, natoms=5), 2 * np.eye(4))
 
     def test_stats_snapshot(self):
         cache = GuessCache()
-        cache.put((0,), np.eye(2), natoms=1)
-        cache.get((0,), natoms=1)
         cache.record(hit=True, n_iter=4)
-        s = cache.stats()
-        assert s["hits"] == 1 and s["entries"] == 1
-        assert s["iters_warm"] == 4
+        assert cache.stats() == {"hits": 1, "misses": 0, "iters_warm": 4,
+                                 "iters_cold": 0}
 
 
 # --------------------------------------------------------------------------
@@ -297,11 +273,12 @@ class TestAimdWarmStart:
 
     def test_caller_supplied_cache_respected(self):
         fs = FragmentedSystem.by_components(water_cluster(2, seed=1))
-        mine = GuessCache(max_bytes=1024)
+        mine = GuessCache(history=2)
         calc = RIHFCalculator(guess_cache=mine)
         run_aimd(fs, calc, nsteps=1, dt_fs=0.5, temperature_k=50.0,
                  r_dimer_bohr=1.0e6, mbe_order=2, warm_start=True)
         assert calc.guess_cache is mine
+        assert mine.hits + mine.misses > 0  # the run counts into it
 
 
 class TestSchedulerWarmStart:
@@ -311,12 +288,6 @@ class TestSchedulerWarmStart:
             mbe_order=2, temperature_k=50.0, seed=0,
             replan_interval=1, **kw,
         )
-
-    def test_deterministic_disables_cache(self):
-        fs = FragmentedSystem.by_components(water_cluster(2, seed=0))
-        assert self._coordinator(fs, deterministic=True).guess_cache is None
-        assert self._coordinator(fs, warm_start=False).guess_cache is None
-        assert self._coordinator(fs).guess_cache is not None
 
     def test_run_serial_populates_cache_and_replans_incrementally(self):
         fs = FragmentedSystem.by_components(water_cluster(2, seed=0))
@@ -337,10 +308,11 @@ class TestWarmStartTracing:
     def test_instants_and_aggregation(self):
         fs = FragmentedSystem.by_components(water_cluster(2, seed=0))
         mol, _, _ = fs.fragment_molecule((0,))
+        mol.record = FragmentRecord()
         tracer = Tracer()
         calc = RIHFCalculator(guess_cache=GuessCache(), tracer=tracer)
         calc.energy_gradient(mol)  # miss
-        calc.energy_gradient(mol)  # hit (identical geometry)
+        calc.energy_gradient(mol)  # hit: the record it left (same geometry)
         count, sums = tracer.aggregate_instants("scf.warm_start")
         assert count == 2
         assert sums["hit"] == 1
