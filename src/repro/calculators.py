@@ -170,8 +170,9 @@ def _stacks(mols, basis: str, workspace: IntegralWorkspace):
     """The molecules as stacks, ``(indices, bases, auxs)`` each: grouped
     by composition (the ordered element symbols fix both bases), in
     order, a stack closing before the fragment whose unscreened Hermite
-    Coulomb tables (`repro.integrals.batch.table_bytes`) would take its
-    set past `table_budget` — so what a stack holds stays within the
+    Coulomb tables and bra-derivative expansions
+    (`repro.integrals.batch.table_bytes`) would take what the stack holds
+    past `table_budget` — so what a stack holds stays within the
     budget one evaluation always had. A fragment above the budget on its
     own goes alone and builds the rest on the fly, as it always did."""
     groups: dict[tuple, list[int]] = {}
@@ -207,7 +208,8 @@ def _evaluate_stacks(calc, mols, method: str, terms, **scf):
     fragment whose SCF fails raises the typed error under its own key;
     the rest of its stack is not evaluated. A traced calculator emits
     one ``calc.stack`` span per stack (composition, size, the largest
-    table set it held, the pairs its derivative drivers rebuilt).
+    table set it held plus its held bra-derivative expansions, the pairs
+    its derivative drivers rebuilt).
     """
     ws = calc.workspace if calc.workspace is not None else get_workspace()
     tracer = calc.tracer

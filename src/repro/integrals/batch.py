@@ -36,12 +36,17 @@ the tolerance clause is a cross-check of the trimming.
 
 The Hermite Coulomb tables of an evaluation are built once
 (`CoulombTables`): a value driver and the derivative driver that follows
-it read one set, built at the derivative's order ``L + l + 1`` in one
-recursion call per distinct order with one column per auxiliary *site*
-(`engine.AuxGroup`), and handed from the one to the other through the
-evaluation's `IntegralWorkspace.scope`. `_build_tables` is the only
-caller of the recursion; a column is bitwise independent of how it was
-come by.
+it read one set, built at the derivative's order ``L + l + 1`` with one
+column per auxiliary *site* (`engine.AuxGroup`), and handed from the one
+to the other through the evaluation's `IntegralWorkspace.scope`. A table
+is held in the layout its kernels read — pair-major ``(q, N,
+nsimplex, m)``, the kind's prefactor folded into the recursion's
+``F_m`` seeds — so a kernel is one ``take`` along the simplex axis.
+`_build_tables` is the only caller of the recursion, one call per
+(class, ket group); a column is bitwise independent of how it was come
+by. Each class's bra-derivative expansion is built once per evaluation
+too and held on the class (`_deriv_expansions`): the nuclear and the
+three-centre derivative read one.
 
 **Stacks.** Every driver takes a *stack*: the bases (and molecules) of
 fragments of one composition, evaluated as one. The stack is a longer
@@ -60,7 +65,7 @@ fragment's own contiguous run of pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -147,6 +152,10 @@ class ShellClass:
     AB: np.ndarray        # (Q, 3) center separations A - B
     E: np.ndarray         # (Q, N, 3, imax+1, jmax+1, imax+jmax+1)
     norms: np.ndarray     # (nfa, nfb) component normalization outer
+    #: (Q, 6, nfa*nfb, N*nsimplex(la+lb+1)): the bra-derivative
+    #: expansion, once built (`_deriv_expansions`); a subset has none
+    dW: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def npair(self) -> int:
@@ -362,6 +371,28 @@ def _w_deriv_stack(E, aexp, bexp, ca, cb, tuv):
     return dW.reshape(dW.shape[0], 6, len(ca) * len(cb), -1)
 
 
+def _deriv_expansions(classes, workspace) -> list[np.ndarray]:
+    """Every class's `_w_deriv_stack` operand over all its pairs, on the
+    derivative's simplex ``la + lb + 1``: built once per evaluation and
+    held on the class — which lives in the evaluation's scratch and is
+    freed with it — so the nuclear derivative slices it and the
+    three-centre derivative takes its kept rows. A class's rows are
+    independent of the pairs beside them, so a held operand is bitwise
+    the one a chunk would build."""
+    built = 0
+    for cls in classes:
+        if cls.dW is None:
+            cls.dW = _w_deriv_stack(
+                cls.E, cls.a, cls.b, comp_arrays(cls.la), comp_arrays(cls.lb),
+                hermite_simplex(cls.la + cls.lb + 1),
+            )
+            built += cls.dW.nbytes
+    if workspace is not None:
+        workspace.record_bra_expansions(
+            built, sum(cls.dW.nbytes for cls in classes))
+    return [cls.dW for cls in classes]
+
+
 def _block_indices(oa, nfa, ob, nfb):
     """Broadcastable function-index arrays for block scatter."""
     rows = oa[:, None] + np.arange(nfa)[None, :]
@@ -382,83 +413,65 @@ def _scatter_blocks(out, frag, rows, cols, blk):
 # --------------------------------------------------------------------------
 
 def _build_tables(requests):
-    """Unscaled tables for ``(order, inputs)`` requests, ``inputs()``
-    returning the recursion's ``alpha`` (any shape) and ``PQ`` (one more
-    axis, of 3): the one caller of `r_tables_simplex`, once per distinct
-    order over the concatenated requests. Returns each request's column
-    range ``(nsimplex(order), alpha.size)`` of its order's table. Inputs
-    are formed one order at a time and dropped before the next.
+    """Kernel-layout tables for ``(order, inputs)`` requests, ``inputs()``
+    returning the recursion's ``alpha (q, N, m)``, ``PQ`` (one more axis,
+    of 3) and seed prefactor ``K (q, N, m)`` (`_ket_inputs`): the one
+    caller of `r_tables_simplex`, one call per request, each request's
+    inputs formed just before its call and dropped after. Returns each
+    request's table ``(q, N, nsimplex(order), m)``, the kind's prefactor
+    folded in.
 
     Every operation from ``alpha`` to ``R`` is elementwise along the
-    batch axis, so a column is bitwise independent of what it was merged
-    with and of any batch split.
+    batch, so a column is bitwise independent of the request it came in
+    and of any batch split.
     """
-    out = [None] * len(requests)
-    by_order: dict[int, list[int]] = {}
-    for i, (order, _) in enumerate(requests):
-        by_order.setdefault(order, []).append(i)
-    for order, members in sorted(by_order.items()):
-        inputs = [requests[i][1]() for i in members]
-        alphas = [alpha.reshape(-1) for alpha, _ in inputs]
-        PQs = [PQ.reshape(-1, 3) for _, PQ in inputs]
-        del inputs
-        one = len(members) == 1
-        R = r_tables_simplex(
-            order,
-            alphas[0] if one else np.concatenate(alphas),
-            PQs[0] if one else np.concatenate(PQs),
-        )
-        del PQs
-        lo = 0
-        for i, alpha in zip(members, alphas):
-            out[i] = R[:, lo : lo + alpha.shape[0]]
-            lo += alpha.shape[0]
+    out = []
+    for order, inputs in requests:
+        alpha, PQ, K = inputs()
+        q, N, m = alpha.shape
+        R = r_tables_simplex(order, alpha.reshape(q * N, m),
+                             PQ.reshape(q * N, m, 3), K.reshape(q * N, m))
+        out.append(R.reshape(q, N, -1, m))
     return out
 
 
-def _ket_inputs(p, P, ket, frag=None):
-    """Recursion inputs between a bra chunk (``p (q, N)``, centers
-    ``P (q, N, 3)``) and the ``m`` columns of ``ket`` — a
-    `_group_statics` entry, or any mapping with exponents ``qk`` and
-    centers ``Pk`` that broadcast against ``(q, N, m)``: composite
-    exponents ``alpha = pq / (p + q)`` and separations ``P - C``.
-    ``qk = None`` is a set of point charges (``alpha = p``). With the
-    pairs' fragments ``frag (q,)``, ``Pk (F, m, 3)`` holds every
-    fragment's centres and each pair reads its own."""
+def _ket_inputs(p, cc, P, ket, frag=None):
+    """Recursion inputs between a bra chunk (``p``, contraction
+    products ``cc (q, N)``, centers ``P (q, N, 3)``) and the ``m``
+    columns of ``ket`` — a `_group_statics` entry, or any mapping with
+    exponents ``qk`` and centers ``Pk`` that broadcast against ``(q, N,
+    m)``: composite exponents ``alpha = pq / (p + q)``, separations
+    ``P - C`` and the kind's prefactor ``K``, which the recursion folds
+    into its seeds: ``2 pi^{5/2} cc cck / (p q sqrt(p + q))`` (an aux
+    group has no ``cck``: its contraction coefficients differ per
+    component and ride in ``comp_norms``). ``qk = None`` is a set of
+    point charges: ``alpha = p``, ``K = 2 pi cc / p``. With the pairs'
+    fragments ``frag (q,)``, ``Pk (F, m, 3)`` holds every fragment's
+    centres and each pair reads its own."""
     p4 = p[:, :, None]
+    c4 = cc[:, :, None]
     qk = ket["qk"]
     Pk = ket["Pk"] if frag is None else ket["Pk"][frag][:, None]
     PQ = P[:, :, None, :] - Pk
     if qk is None:
-        return np.broadcast_to(p4, PQ.shape[:-1]), PQ
-    return p4 * qk / (p4 + qk), PQ
-
-
-def _prefactor(p, cc, ket):
-    """``K (q, N, m) = 2 pi^{5/2} cc cck / (p q sqrt(p + q))``. An aux
-    group has no ``cck``: its contraction coefficients differ per
-    component and ride in ``comp_norms``."""
-    p4 = p[:, :, None]
-    qk = ket["qk"]
-    num = _TWO_PI_52 * cc[:, :, None]
+        shape = PQ.shape[:-1]
+        K = c4 * (2.0 * np.pi / p4)
+        return np.broadcast_to(p4, shape), PQ, np.broadcast_to(K, shape)
+    num = _TWO_PI_52 * c4
     if "cck" in ket:
         num = num * ket["cck"]
-    return num / (p4 * qk * np.sqrt(p4 + qk))
+    pq, s = p4 * qk, p4 + qk
+    return pq / s, PQ, num / (pq * np.sqrt(s))
 
 
-def _hermite_kernel(R, K, idx):
-    """Gathered, prefactor-folded Hermite Coulomb kernel
-    ``M2 (q, N*Tb, Tk*m)``: the rows ``idx (Tb, Tk)``
-    (`simplex_sum_index` at the table's order) of the unscaled table
-    ``R (nsimplex, q*N*m)``, times ``K (q, N, m)``."""
-    qc, N, m = K.shape
+def _kernel(R, idx):
+    """The Hermite Coulomb kernel ``M2 (q, N*Tb, Tk*m)`` of a
+    kernel-layout table ``R (q, N, nsimplex, m)``: its rows ``idx (Tb,
+    Tk)`` (`simplex_sum_index` at the table's order), one contiguous
+    take along the simplex axis."""
+    q, N, _, m = R.shape
     Tb, Tk = idx.shape
-    # the gather copies whole batch rows; the prefactor goes on while
-    # they are transposed into the GEMM operand's layout
-    M = R[idx].reshape(Tb, Tk, qc, N, m).transpose(2, 3, 0, 1, 4)
-    K = K[:, :, None, None, :]
-    M = np.multiply(M, K, out=np.empty((qc, N, Tb, Tk, m)))
-    return M.reshape(qc, N * Tb, Tk * m)
+    return np.take(R, idx.ravel(), axis=2).reshape(q, N * Tb, Tk * m)
 
 
 def _bra(cls: ShellClass, ids=None):
@@ -473,7 +486,7 @@ def _bra(cls: ShellClass, ids=None):
 
 
 def _table_bytes(order: int, npairs: int, width: int) -> int:
-    """Bytes of the unscaled table of ``npairs`` bra pairs at ``order``
+    """Bytes of the table of ``npairs`` bra pairs at ``order``
     with ``width`` columns a pair: what `CoulombTables` holds for one
     (class, group), and what `table_bytes` sums from a composition."""
     return 8 * hermite_simplex(order).shape[0] * npairs * width
@@ -488,10 +501,14 @@ class CoulombTables:
     bra class ``ci`` (a mapping with the pairs' class-local ``ids``,
     ``p``, ``cc (q, N)``, centers ``P`` and total momentum ``L``) and
     ket column group ``gi`` (``qk``, ``Pk``, simplex order ``l``) it
-    holds the *unscaled* table ``R (nsimplex(L + l + 1), q*N*m)``: the
-    order the derivative reads whole and of which the value driver reads
-    the order-``L + l`` sub-simplex (`engine.simplex_sum_index`) — one
-    rule, so a pair's table never depends on who built it.
+    holds the table ``R (q, N, nsimplex(L + l + 1), m)`` in the layout
+    its kernels read — pair-major, the simplex axis between the bra
+    primitive and the ket column — with the kind's prefactor folded
+    into the recursion's seeds (`_ket_inputs`): the order the derivative
+    reads whole and of which the value driver reads the order-``L + l``
+    sub-simplex (`engine.simplex_sum_index`) — one rule, so a pair's
+    table never depends on who built it. A kernel is one ``take`` along
+    the simplex axis (`kernel`).
 
     What a set *holds* is bounded by ``budget`` bytes (classes in order,
     whatever fits); `table` builds the rest chunk by chunk as it is
@@ -548,12 +565,12 @@ class CoulombTables:
                     self.R[ci, gi] = [have], cols
                     requests.append(self._request(ci, gi, missing))
                 targets.append((ci, gi))
-        #: distinct orders built (recursion calls made) and their size
+        #: distinct orders built, and the size of what was built
         self.orders = sorted({order for order, _ in requests})
         self.elements = 0
         for key, R in zip(targets, _build_tables(requests)):
             self.R[key][0].append(R)
-            self.elements += R.shape[0] * R.shape[1]
+            self.elements += R.size
 
     @property
     def payload(self):
@@ -575,42 +592,36 @@ class CoulombTables:
         bra, ket = self.bras[ci], self.kets[gi]
         frag = bra.get("frag")
         return self._dims(ci, gi)[0], lambda: _ket_inputs(
-            bra["p"][sel], bra["P"][sel], ket,
+            bra["p"][sel], bra["cc"][sel], bra["P"][sel], ket,
             None if frag is None else frag[sel],
         )
 
     def table(self, ci: int, gi: int, sl: slice):
-        """Unscaled ``R (nsimplex, q*N*m)`` of pairs ``sl`` of class
-        ``ci`` against group ``gi``: a view of the held table (its
-        columns gathered where the masks differ), or built now when the
-        class is beyond the budget."""
+        """``R (q, N, nsimplex, m)`` of pairs ``sl`` of class ``ci``
+        against group ``gi``: a view of the held table (its pairs
+        gathered where the masks differ), or built now when the class is
+        beyond the budget."""
         held = self.R.get((ci, gi))
         if held is None:
             return _build_tables([self._request(ci, gi, sl)])[0]
         tables, cols = held
-        width = self._dims(ci, gi)[1]
         if cols is None:
-            lo, hi, _ = sl.indices(self.ids[ci].size)
-            return tables[0][:, lo * width : hi * width]
+            return tables[0][sl]
         cols = cols[sl]
-        ns = tables[0].shape[0]
-        out = np.empty((ns, cols.size, width))
+        out = np.empty((cols.size, *tables[0].shape[1:]))
         first = 0
         for R in tables:
-            R = R.reshape(ns, -1, width)
-            here = (cols >= first) & (cols < first + R.shape[1])
-            out[:, here] = R[:, cols[here] - first]
-            first += R.shape[1]
-        return out.reshape(ns, -1)
+            here = (cols >= first) & (cols < first + R.shape[0])
+            out[here] = R[cols[here] - first]
+            first += R.shape[0]
+        return out
 
     def kernel(self, ci: int, gi: int, sl: slice, Lb: int):
-        """`_hermite_kernel` of pairs ``sl`` of class ``ci`` against
-        group ``gi`` on the bra rows of simplex ``Lb`` (the class's
-        ``L``, or ``L + 1`` for its derivative)."""
-        bra, ket = self.bras[ci], self.kets[gi]
-        K = _prefactor(bra["p"][sl], bra["cc"][sl], ket)
-        idx = simplex_sum_index(Lb, ket["l"], self._dims(ci, gi)[0])
-        return _hermite_kernel(self.table(ci, gi, sl), K, idx)
+        """`_kernel` of pairs ``sl`` of class ``ci`` against group
+        ``gi`` on the bra rows of simplex ``Lb`` (the class's ``L``, or
+        ``L + 1`` for its derivative)."""
+        idx = simplex_sum_index(Lb, self.kets[gi]["l"], self._dims(ci, gi)[0])
+        return _kernel(self.table(ci, gi, sl), idx)
 
 
 def _coulomb_tables(workspace, kind, stacks, points, bras, kets) -> CoulombTables:
@@ -627,23 +638,27 @@ def _coulomb_tables(workspace, kind, stacks, points, bras, kets) -> CoulombTable
 def table_bytes(basis: BasisSet, aux: BasisSet, natoms: int,
                 workspace: IntegralWorkspace | None = None) -> int:
     """The bytes of a fragment's largest Hermite Coulomb table set
-    (`eri3c`, `nuclear` or `eri2c`) with nothing screened, from its
-    composition alone and by `CoulombTables`' own arithmetic: what one
-    more fragment of this composition adds to a stack's set."""
+    (`eri3c`, `nuclear` or `eri2c`) with nothing screened, plus its
+    held bra-derivative expansions (`_deriv_expansions`), from its
+    composition alone and by the drivers' own arithmetic: what one more
+    fragment of this composition adds to what a stack holds."""
     shells = basis.shells
     classes: dict[tuple, int] = {}
     for i, j in canonical_shell_pairs(basis):
-        key = (shells[i].l + shells[j].l, shells[i].nprim * shells[j].nprim)
+        key = (shells[i].l, shells[j].l, shells[i].nprim * shells[j].nprim)
         classes[key] = classes.get(key, 0) + 1
     sites = [(grp.lmax, grp.func_idx.shape[0])
              for grp in _aux_groups(workspace, aux)]
-    eri3c = sum(_table_bytes(L + l + 1, Q, N * m)
-                for (L, N), Q in classes.items() for l, m in sites)
-    nuclear = sum(_table_bytes(L + 1, Q, N * natoms)
-                  for (L, N), Q in classes.items())
+    eri3c = sum(_table_bytes(la + lb + l + 1, Q, N * m)
+                for (la, lb, N), Q in classes.items() for l, m in sites)
+    nuclear = sum(_table_bytes(la + lb + 1, Q, N * natoms)
+                  for (la, lb, N), Q in classes.items())
     eri2c = sum(_table_bytes(lb + lk + 1, mb, mk)
                 for lb, mb in sites for lk, mk in sites)
-    return max(eri3c, nuclear, eri2c)
+    nf = [(l + 1) * (l + 2) // 2 for l in range(max(sh.l for sh in shells) + 1)]
+    expansions = sum(_table_bytes(la + lb + 1, Q, 6 * nf[la] * nf[lb] * N)
+                     for (la, lb, N), Q in classes.items())
+    return max(eri3c, nuclear, eri2c) + expansions
 
 
 # --------------------------------------------------------------------------
@@ -762,24 +777,20 @@ def kinetic_stack(
     )
 
 
-def _nuclear_blocks(E, p, cc, R, Z, ca, cb, norms):
+def _nuclear_blocks(E, R, Z, ca, cb, norms):
     """Nuclear-attraction blocks ``(q, nfa, nfb)`` of one class chunk
-    for point charges ``Z``; ``R (nsimplex(L + 1), q*N*nC)`` is the
+    for point charges ``Z``; ``R (q, N, nsimplex(L + 1), nC)`` is the
     chunk's `CoulombTables` view."""
     L = int(ca[0].sum() + cb[0].sum())  # component powers sum to l
     tuv = hermite_simplex(L)
-    qc, N = p.shape
+    qc, N = R.shape[:2]
     nT = tuv.shape[0]
     W = _w_class(E, ca, cb, tuv).reshape(qc, -1, N * nT)
     rows = simplex_sum_index(L, 0, L + 1)[:, 0]
-    t1 = _einsum("tqnc,c->qnt", R[rows].reshape(nT, qc, N, -1), Z)
-    t1 = t1 * (cc * (2.0 * np.pi / p))[:, :, None]
-    # summed along contiguous rows (t1 keeps the table's Hermite-major
-    # order, except in a chunk of one pair), so a pair's block does not
-    # depend on the chunk or the stack it is in
-    val = -_einsum(
-        "qxk,qk->qx", W, np.ascontiguousarray(t1).reshape(qc, N * nT)
-    )
+    # pair-major and contiguous, as every operand here: a pair's block
+    # does not depend on the chunk or the stack it is in
+    t1 = _einsum("qntc,c->qnt", np.take(R, rows, axis=2), Z)
+    val = -_einsum("qxk,qk->qx", W, t1.reshape(qc, N * nT))
     return val.reshape(qc, len(ca), len(cb)) * norms[None]
 
 
@@ -829,8 +840,7 @@ def nuclear_stack(
         # largest per-pair intermediates: R (nC, N, nT) and W (X, N, nT)
         for sl in _chunks(cls.npair, max(nC, X) * N * nT):
             blk_all[sl] = _nuclear_blocks(
-                cls.E[sl], cls.p[sl], cls.cc[sl], tabs.table(ci, 0, sl),
-                Z, ca, cb, cls.norms,
+                cls.E[sl], tabs.table(ci, 0, sl), Z, ca, cb, cls.norms,
             )
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
         _scatter_blocks(V, cls.frag, rows, cols, blk_all)
@@ -960,12 +970,9 @@ def contract_nuclear_deriv_stack(
     tabs = _nuclear_tables(
         workspace, bases, mols, [_bra(cls) for cls in classes]
     )
-    for ci, cls in enumerate(classes):
-        ca = comp_arrays(cls.la)
-        cb = comp_arrays(cls.lb)
-        L = cls.la + cls.lb + 1
-        tuv = hermite_simplex(L)
-        nT = tuv.shape[0]
+    dWs = _deriv_expansions(classes, workspace)
+    for ci, (cls, dW) in enumerate(zip(classes, dWs)):
+        nT = hermite_simplex(cls.la + cls.lb + 1).shape[0]
         N, X_ = cls.nprim, cls.nfa * cls.nfb
         rows, cols = _block_indices(cls.oa, cls.nfa, cls.ob, cls.nfb)
         at = (cls.frag[:, None, None], rows[:, :, None], cols[:, None, :])
@@ -973,19 +980,13 @@ def contract_nuclear_deriv_stack(
         Xf = Xg.reshape(cls.npair, X_)
         # per-class accumulators so chunking cannot change the result
         vals_all = np.empty((cls.npair, 2, 3, nC))
-        # largest per-pair intermediates: R (nC, N, nT), dW (6, X, N, nT)
-        for sl in _chunks(cls.npair, max(nC, 6 * X_) * N * nT):
-            qc = cls.p[sl].shape[0]
-            R = tabs.table(ci, 0, sl).reshape(nT, qc, N, nC)
-            pref = cls.cc[sl] * (2.0 * np.pi / cls.p[sl])
+        # largest per-pair intermediates: R (N, nT, nC), t1 (6, N, nT)
+        for sl in _chunks(cls.npair, max(nC, 6) * N * nT):
+            R = tabs.table(ci, 0, sl)
+            qc = R.shape[0]
             # all six (side, axis) operands through one pair of GEMMs
-            dW = _w_deriv_stack(cls.E[sl], cls.a[sl], cls.b[sl], ca, cb, tuv)
-            t1 = bgemm(Xf[sl][:, None, None, :], dW)
-            t1 = t1.reshape(qc, 6, N, nT) * pref[:, None, :, None]
-            v = -bgemm(
-                t1.reshape(qc, 6, N * nT),
-                R.transpose(1, 2, 0, 3).reshape(qc, N * nT, nC),
-            )
+            t1 = bgemm(Xf[sl][:, None, None, :], dW[sl])
+            v = -bgemm(t1.reshape(qc, 6, N * nT), R.reshape(qc, N * nT, nC))
             vals_all[sl] = v.reshape(qc, 2, 3, nC) * Zh
         segments = _segments(cls.frag, F)
         for si, atoms_side in enumerate((cls.atom_a, cls.atom_b)):
@@ -1057,10 +1058,8 @@ def schwarz_pair_bounds_stack(
             # the pair's own primitives are the ket; no derivative
             # driver follows, so the table is built here at order 2L
             ket = dict(qk=p[:, None, :], cck=cc[:, None, :], Pk=P[:, None])
-            R, = _build_tables([(2 * L, lambda: _ket_inputs(p, P, ket))])
-            M2 = _hermite_kernel(
-                R, _prefactor(p, cc, ket), simplex_sum_index(L, L)
-            )
+            R, = _build_tables([(2 * L, lambda: _ket_inputs(p, cc, P, ket))])
+            M2 = _kernel(R, simplex_sum_index(L, L))
             t1 = bgemm(Wb.reshape(qc, X, N * Tb), M2)
             diag = _einsum("qxk,qxk->qx", t1, Wk)
             bound_all[sl] = np.sqrt(np.max(np.abs(diag), axis=1))
@@ -1339,17 +1338,15 @@ def contract_eri3c_deriv_stack(
     tabs = _coulomb_tables(
         workspace, "eri3c", (bases, auxs), None, bras, statics
     )
-    for ci, (cls, ids) in enumerate(zip(classes, kept)):
+    dWs = _deriv_expansions(classes, workspace)
+    for ci, (cls, ids, dW_all) in enumerate(zip(classes, kept, dWs)):
         sel = slice(None) if ids is None else ids
         frag = cls.frag[sel]
         npair = frag.size
         if npair == 0:
             continue
-        ca = comp_arrays(cls.la)
-        cb = comp_arrays(cls.lb)
         L = cls.la + cls.lb + 1
-        tuv = hermite_simplex(L)
-        Tb = tuv.shape[0]
+        Tb = hermite_simplex(L).shape[0]
         N, X = cls.nprim, cls.nfa * cls.nfb
         rows, cols = _block_indices(cls.oa[sel], cls.nfa, cls.ob[sel], cls.nfb)
         pfac = np.where(cls.diag[sel], 1.0, 2.0)
@@ -1364,11 +1361,9 @@ def contract_eri3c_deriv_stack(
         mTk = max(st["m"] * st["Tk"] for st in statics)
         per_pair = max(N * Tb * mTk, 6 * X * N * Tb, 6 * X * mTk)
         for sl in _chunks(npair, per_pair):
-            # the kept pairs of the chunk, gathered chunk by chunk
+            # the held expansion's kept rows, gathered chunk by chunk
             at = sl if ids is None else ids[sl]
-            dW = _w_deriv_stack(
-                cls.E[at], cls.a[at], cls.b[at], ca, cb, tuv
-            ).reshape(-1, 6 * X, N * Tb)
+            dW = dW_all[at].reshape(-1, 6 * X, N * Tb)
             for gi, st in enumerate(statics):
                 v = _eri3c_deriv_values(
                     Zs, (frag[sl], rows[sl], cols[sl]), norms_flat,
@@ -1377,7 +1372,7 @@ def contract_eri3c_deriv_stack(
                 sA[sl] += v[:, :3].sum(axis=2)
                 sB[sl] += v[:, 3:].sum(axis=2)
                 vAB[gi][sl] = v[:, :3] + v[:, 3:]
-            del dW  # before the next chunk's is built
+            del dW  # before the next chunk's rows are gathered
         np.add.at(g, (frag, cls.atom_a[sel]), sA)
         np.add.at(g, (frag, cls.atom_b[sel]), sB)
         segments = [(f, seg) for f, seg in enumerate(_segments(frag, F))

@@ -85,48 +85,76 @@ def boys_array(mmax: int, T: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _taylor_rows(mmax: int) -> np.ndarray:
+def _taylor_cols(mmax: int) -> np.ndarray:
     """Taylor coefficients ``F_{mmax+k}(T_i) / k!`` of the top order at
-    every grid node, ``(nodes, 7)`` (65 KB): one contiguous row per
-    node, so one ``take``. Built on first use, in extended precision
-    where the platform has it — order ``mmax + 6`` from `_series`, the
-    rest by downward recursion — and rounded once."""
+    every grid node, column-major ``(7, nodes)`` (65 KB): one contiguous
+    row per coefficient, so the Horner step ``k`` is one ``take`` from
+    it. Built on first use, in extended precision where the platform
+    has it — order ``mmax + 6`` from `_series`, the rest by downward
+    recursion — and rounded once."""
     T = np.arange(int(_TMAX) * _PER_UNIT + 1, dtype=np.longdouble) / _PER_UNIT
     expT = np.exp(-T)
     cols = [expT * _series(mmax + _NTERMS - 1, T, 128)]
     for k in range(mmax + _NTERMS - 1, mmax, -1):
         cols.append((2.0 * T * cols[-1] + expT) / (2 * k - 1))
     fact = [math.factorial(k) for k in range(_NTERMS)]
-    rows = np.ascontiguousarray(np.stack(cols[::-1], axis=1) / fact, dtype=float)
-    rows.setflags(write=False)
-    return rows
+    table = np.ascontiguousarray(
+        (np.stack(cols[::-1], axis=1) / fact).T, dtype=float
+    )
+    table.setflags(write=False)
+    return table
+
+
+def _taylor_top(mmax: int, T):
+    """The top order on the grid (``T <= 36``): 7-term Horner about the
+    nearest node."""
+    node = np.rint(T * _PER_UNIT)
+    d = node * (1.0 / _PER_UNIT) - T  # -(T - T_i): the series alternates
+    node = node.astype(np.intp)
+    cols = _taylor_cols(mmax)
+    top = cols[_NTERMS - 1].take(node)
+    for k in range(_NTERMS - 2, -1, -1):
+        top *= d
+        top += cols[k].take(node)
+    return top
+
+
+def _asymptotic_top(mmax: int, T, expT):
+    """The top order past the grid (``T > 36``): ``F_0 = sqrt(pi/T)/2``
+    and the upward recursion, stable there."""
+    half_inv = 0.5 / T
+    up = _SQRT_PI_OVER_2 / np.sqrt(T)
+    for m in range(1, mmax + 1):
+        up = ((2 * m - 1) * up - expT) * half_inv
+    return up
 
 
 def boys_table(mmax: int, T):
     """``F_0 .. F_mmax`` of a batch, order-major ``(mmax+1, n)``.
 
-    Elementwise along the batch axis: an element's values are bitwise
-    independent of its batch.
+    Each branch of the top order is evaluated only where it is used;
+    the downward recursion writes its rows in place. Elementwise along
+    the batch axis: an element's values are bitwise independent of its
+    batch.
     """
     if not 0 <= mmax <= MAX_ORDER:
         raise ValueError(f"Boys order {mmax} outside the table's 0..{MAX_ORDER}")
-    # nearest node, clamped so the unused branch stays finite
-    Tc = np.minimum(T, _TMAX)
-    node = np.rint(Tc * _PER_UNIT)
-    d = node * (1.0 / _PER_UNIT) - Tc  # -(T - T_i): the series alternates
-    c = np.take(_taylor_rows(mmax), node.astype(int), axis=0)
-    top = c[:, _NTERMS - 1]
-    for k in range(_NTERMS - 2, -1, -1):
-        top = top * d + c[:, k]
+    out = np.empty((mmax + 1, T.shape[0]))
     expT = np.exp(-T)
-    Ta = np.maximum(T, _TMAX)
-    half_inv = 0.5 / Ta
-    up = _SQRT_PI_OVER_2 / np.sqrt(Ta)
-    for m in range(1, mmax + 1):
-        up = ((2 * m - 1) * up - expT) * half_inv
-    rows = [None] * (mmax + 1)
-    rows[mmax] = np.where(T > _TMAX, up, top)
+    far = T > _TMAX
+    if not far.any():
+        out[mmax] = _taylor_top(mmax, T)
+    elif far.all():
+        out[mmax] = _asymptotic_top(mmax, T, expT)
+    else:  # integer indices: a random boolean mask gathers slowly
+        near, far = np.flatnonzero(~far), np.flatnonzero(far)
+        top = out[mmax]
+        top[near] = _taylor_top(mmax, T.take(near))
+        top[far] = _asymptotic_top(mmax, T.take(far), expT.take(far))
     T2 = T + T
     for k in range(mmax, 0, -1):
-        rows[k - 1] = (T2 * rows[k] + expT) * (1.0 / (2 * k - 1))
-    return np.stack(rows)
+        row = out[k - 1]
+        np.multiply(T2, out[k], out=row)
+        row += expT
+        row *= 1.0 / (2 * k - 1)
+    return out

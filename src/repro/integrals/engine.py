@@ -176,7 +176,7 @@ def _graded_simplex(lmax: int):
     ``k`` are block ``k-1`` shifted, the ``t >= 2`` rows block ``k-2``
     shifted, and likewise for ``u`` inside the ``t = 0`` tails.
     Returns the block offsets, the rows as a float array, and the
-    position of every `hermite_simplex` row.
+    `hermite_simplex` position of every row.
     """
     blocks = [[(0, 0, 0)]]
     for k in range(1, lmax + 1):
@@ -184,38 +184,58 @@ def _graded_simplex(lmax: int):
         blocks.append(shifted + [(0, k - j, j) for j in range(k + 1)])
     rows = sum(blocks, [])
     offs = np.cumsum([0] + [len(blk) for blk in blocks])
-    order = [rows.index(tuple(tuv)) for tuv in hermite_simplex(lmax)]
-    return offs, np.array(rows, dtype=float), np.array(order)
+    simplex = [tuple(tuv) for tuv in hermite_simplex(lmax)]
+    at = [simplex.index(tuv) for tuv in rows]
+    return offs, np.array(rows, dtype=float), np.array(at)
 
 
-def r_tables_simplex(lmax: int, p: np.ndarray, PQ: np.ndarray) -> np.ndarray:
-    """Hermite Coulomb tensors ``R^0_{tuv}`` for ``t+u+v <= lmax``.
+def r_tables_simplex(
+    lmax: int, p: np.ndarray, PQ: np.ndarray, scale: np.ndarray | None = None
+) -> np.ndarray:
+    """Hermite Coulomb tensors ``scale * R^0_{tuv}`` for ``t+u+v <= lmax``.
 
     Same recursion as `r_tables_batch`, run to total order ``lmax``
-    only (Boys orders ``0..lmax``), and packed along one flat axis in
-    `hermite_simplex` order: shape ``(nsimplex(lmax), n)``, batch axis
-    last as in the recursion itself, so a Hermite row is one contiguous
-    run. Every operation is elementwise along the batch axis, so values
-    are independent of the batch split.
+    only (Boys orders ``0..lmax``), with ``scale`` (default one, shaped
+    like ``p``) folded into its ``F_m`` seeds. A batch ``p`` of shape
+    ``(rows, m)`` (``PQ`` one more axis, of 3) gives ``(rows,
+    nsimplex(lmax), m)``: the Hermite rows in `hermite_simplex` order
+    between the batch's two axes, the layout the kernels read, written
+    by the recursion's one final gather. A 1-D batch is one row:
+    ``(nsimplex(lmax), n)``. Every operation is elementwise along the
+    batch, so values are independent of the batch split.
     """
-    n = p.shape[0]
-    offs, rows, order = _graded_simplex(lmax)
+    if p.ndim == 1:
+        one = None if scale is None else scale[None]
+        return r_tables_simplex(lmax, p[None], PQ[None], one)[0]
+    rows, m = p.shape
+    offs, graded, at = _graded_simplex(lmax)
     ns = int(offs[-1])
     chunk = max(64, _R_SCRATCH_BYTES // ((lmax + 1) * ns * 8))
-    if n > chunk:
-        out = np.empty((ns, n))
-        for lo in range(0, n, chunk):
-            hi = lo + chunk
-            out[:, lo:hi] = r_tables_simplex(lmax, p[lo:hi], PQ[lo:hi])
+    if rows * m > chunk:
+        # whole rows per chunk; a row wider than a chunk, a column range
+        step = max(1, chunk // m)
+        width = min(m, chunk)
+        out = np.empty((rows, ns, m))
+        for lo in range(0, rows, step):
+            for c0 in range(0, m, width):
+                blk = (slice(lo, lo + step), slice(c0, c0 + width))
+                out[blk[0], :, blk[1]] = r_tables_simplex(
+                    lmax, p[blk], PQ[blk], None if scale is None else scale[blk]
+                )
         return out
+    n = rows * m
+    p = p.reshape(n)
+    PQ = PQ.reshape(n, 3)
     T = p * np.einsum("ni,ni->n", PQ, PQ)
     F = boys_table(lmax, T)  # order-major: one contiguous row per seed
     # batch axis last: every range below is a contiguous block per order
     Rn = np.empty((lmax + 1, ns, n))
-    scale = np.ones(n)
-    for m in range(lmax + 1):
-        Rn[m, 0] = scale * F[m]
-        scale = scale * (-2.0 * p)
+    seed = np.ones(n) if scale is None else scale.reshape(n)
+    minus2p = -2.0 * p
+    for k in range(lmax + 1):
+        np.multiply(seed, F[k], out=Rn[k, 0])
+        if k < lmax:
+            seed = seed * minus2p
     x, y, z = PQ[:, 0], PQ[:, 1], PQ[:, 2]
     for k in range(1, lmax + 1):
         hi = lmax - k + 1  # orders [0, hi) are still needed at level k
@@ -230,10 +250,12 @@ def r_tables_simplex(lmax: int, p: np.ndarray, PQ: np.ndarray) -> np.ndarray:
             om = offs[k - 2]
             t2 = slice(o0, o0 + o1 - om)  # rows with t >= 2
             u2 = slice(tail, o2 - 2)      # t = 0 rows with u >= 2
-            new[:, t2] += (rows[t2, 0, None] - 1.0) * up[:, om:o1]
-            new[:, u2] += (rows[u2, 1, None] - 1.0) * up[:, o1 - k + 1 : o1]
+            new[:, t2] += (graded[t2, 0, None] - 1.0) * up[:, om:o1]
+            new[:, u2] += (graded[u2, 1, None] - 1.0) * up[:, o1 - k + 1 : o1]
             new[:, o2 - 1] += (k - 1.0) * up[:, o1 - 1]
-    return Rn[0, order]
+    out = np.empty((rows, ns, m))
+    out[:, at] = Rn[0].reshape(ns, rows, m).transpose(1, 0, 2)
+    return out
 
 
 @dataclass

@@ -120,13 +120,19 @@ def _stack_key(stack) -> tuple:
 
 class _Scratch(dict):
     """One evaluation's geometry-keyed products, and what its Hermite
-    Coulomb tables cost: the largest set it built (``table_bytes``) and
-    the pairs a derivative driver rebuilt beside the set it found."""
+    Coulomb tables cost: the largest set it built plus the bra-derivative
+    expansions held on its shell classes (``table_bytes``), and the
+    pairs a derivative driver rebuilt beside the set it found."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.table_bytes = 0
+        self.sets_peak_bytes = 0
+        self.expansion_bytes = 0
         self.rebuilt_pairs = 0
+
+    @property
+    def table_bytes(self) -> int:
+        return self.sets_peak_bytes + self.expansion_bytes
 
 
 class _Scope(threading.local):
@@ -508,7 +514,7 @@ class IntegralWorkspace(BoundedStore):
             self.tables_peak_bytes = max(self.tables_peak_bytes, tabs.nbytes)
         scratch = self._scope.scratch
         if scratch is not None:
-            scratch.table_bytes = max(scratch.table_bytes, tabs.nbytes)
+            scratch.sets_peak_bytes = max(scratch.sets_peak_bytes, tabs.nbytes)
             scratch.rebuilt_pairs += tabs.rebuilt_pairs
         self._instant(
             "workspace.hit", product="coulomb_tables", kind=kind,
@@ -517,6 +523,18 @@ class IntegralWorkspace(BoundedStore):
             rebuilt_pairs=tabs.rebuilt_pairs,
         )
         return tabs
+
+    def record_bra_expansions(self, built: int, nbytes: int) -> None:
+        """Account a derivative driver's request for its classes'
+        bra-derivative expansions (`batch._deriv_expansions`): ``built``
+        bytes of them made now (none: every one found on its class),
+        ``nbytes`` held. What an open scratch holds counts in its
+        ``table_bytes``."""
+        scratch = self._scope.scratch if self.enabled else None
+        if scratch is not None:
+            scratch.expansion_bytes += built
+        self._instant("workspace.hit", product="bra_expansions",
+                      hit=built == 0, nbytes=nbytes)
 
     # ------------------------------------------------------------------
     # screening statistics

@@ -53,6 +53,7 @@ from repro.integrals import (
 from repro.integrals.batch import (
     CoulombTables,
     _build_tables,
+    _ket_inputs,
     _w_class,
     _w_deriv_class,
     build_shell_classes,
@@ -604,12 +605,12 @@ class TestCoulombTables:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_merged_column_is_the_column_alone(self, data):
-        """A (pair, site) column is bitwise the column of a call holding
-        that pair alone — whatever it was merged with, however the
-        recursion splits its batch, whether the set held it, built it
-        for the chunk that asked, or found it in the payload of a set
-        built for other pairs (any two masks, a class dropped whole
-        included) under another budget."""
+        """A (pair, site) column, prefactor folded in, is bitwise the
+        column of a call holding that pair alone — whatever pairs share
+        its recursion call, however the recursion splits its batch,
+        whether the set held it, built it for the chunk that asked, or
+        found it in the payload of a set built for other pairs (any two
+        masks, a class dropped whole included) under another budget."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         classes = []
         for _ in range(data.draw(st.integers(1, 3))):
@@ -617,7 +618,8 @@ class TestCoulombTables:
             P = rng.uniform(-3.0, 3.0, (q, N, 3))
             P[0] = 0.0 if data.draw(st.booleans()) else P[0]
             classes.append(dict(
-                p=rng.uniform(0.05, 60.0, (q, N)), cc=np.ones((q, N)), P=P,
+                p=rng.uniform(0.05, 60.0, (q, N)),
+                cc=rng.uniform(-2.0, 2.0, (q, N)), P=P,
                 L=data.draw(st.integers(0, 2)),
             ))
         kets = []
@@ -648,13 +650,13 @@ class TestCoulombTables:
             return data.draw(st.sampled_from([0, full // 2, full, 2 * full]))
 
         def alone(order, bra, ket, pair, n, site):
-            alpha = bra["p"][pair, n]
-            if ket["qk"] is not None:
-                alpha = alpha * ket["qk"][site] / (alpha + ket["qk"][site])
-            PQ = bra["P"][pair, n] - ket["Pk"][site]
-            return _build_tables(
-                [(order, lambda: (np.array([alpha]), PQ[None]))]
-            )[0][:, 0]
+            one = (slice(pair, pair + 1), slice(n, n + 1))
+            qk = ket["qk"]
+            ket1 = dict(qk=None if qk is None else qk[site : site + 1],
+                        Pk=ket["Pk"][site : site + 1])
+            return _build_tables([(order, lambda: _ket_inputs(
+                bra["p"][one], bra["cc"][one], bra["P"][one], ket1,
+            ))])[0][0, 0, :, 0]
 
         first = bras()
         second = bras()
@@ -680,37 +682,153 @@ class TestCoulombTables:
                     m = ket["Pk"].shape[0]
                     order = bra["L"] + ket["l"] + 1
                     R = tabs.table(ci, gi, slice(lo, hi))
-                    R = R.reshape(-1, hi - lo, N, m)
+                    assert R.shape[:2] == (hi - lo, N) and R.shape[3] == m
                     engine._R_SCRATCH_BYTES = old
                     for pair in range(lo, hi):
                         for n in range(N):
                             for site in range(m):
                                 assert np.array_equal(
-                                    R[:, pair - lo, n, site],
+                                    R[pair - lo, n, :, site],
                                     alone(order, bra, ket, pair, n, site),
                                 )
                     engine._R_SCRATCH_BYTES = scratch
         finally:
             engine._R_SCRATCH_BYTES = old
 
-    def test_one_recursion_call_per_order(self, monkeypatch):
-        """A water trimer evaluation builds its tables in 13 recursion
-        calls (5 + 5 + 3 distinct orders), where each driver used to
-        build its own per (class, aux group): 48."""
+    @pytest.mark.parametrize("point", [False, True], ids=["aux", "nuclei"])
+    def test_kernel_is_the_scaled_gather(self, point):
+        """`CoulombTables.kernel` of a table with the prefactor folded
+        into its seeds is the rows of the unscaled recursion gathered
+        into the kernel layout and then scaled — for every bra simplex
+        ``Lb`` (value and derivative) and ket order ``l``. With
+        power-of-two prefactors every rounding commutes with the scale,
+        so the two agree bitwise; with the kind's own prefactor they
+        agree to 1e-14 of the kernel's largest element (the recursion's
+        sums cancel, so the last bits move; ~5e-15 on repro-dzp)."""
+        rng = np.random.default_rng(5)
+        q, N, m = 4, 3, 5
+        for L in range(5):
+            for l in range(4):
+                p = rng.uniform(0.05, 60.0, (q, N))
+                cc = rng.uniform(-2.0, 2.0, (q, N))
+                P = rng.uniform(-3.0, 3.0, (q, N, 3))
+                qk = None if point else rng.uniform(0.1, 30.0, m)
+                Pk = rng.uniform(-3.0, 3.0, (m, 3))
+                Pk[0] = P[0, 0]
+                bra = dict(ids=np.arange(q), p=p, cc=cc, P=P, L=L)
+                tabs = CoulombTables([bra], [dict(qk=qk, Pk=Pk, l=l)], 1 << 30)
+                p3, c3 = p[:, :, None], cc[:, :, None]
+                if point:
+                    alpha = np.broadcast_to(p3, (q, N, m))
+                    K = 2.0 * np.pi * c3 / p3
+                else:
+                    alpha = p3 * qk / (p3 + qk)
+                    K = 2.0 * np.pi**2.5 * c3 / (p3 * qk * np.sqrt(p3 + qk))
+                PQ = P[:, :, None, :] - Pk
+                order = L + l + 1
+                R = engine.r_tables_simplex(
+                    order, alpha.ravel(), PQ.reshape(-1, 3))
+                two = 2.0 ** rng.integers(-30, 30, (q * N, m))
+                folded = engine.r_tables_simplex(
+                    order, alpha.reshape(q * N, m), PQ.reshape(q * N, m, 3),
+                    two)
+                assert np.array_equal(
+                    folded, R.reshape(-1, q * N, m).transpose(1, 0, 2)
+                    * two[:, None])
+                for Lb in (L, L + 1):
+                    idx = engine.simplex_sum_index(Lb, l, order)
+                    Tb, Tk = idx.shape
+                    want = (
+                        R[idx].reshape(Tb, Tk, q, N, m)
+                        .transpose(2, 3, 0, 1, 4) * K[:, :, None, None, :]
+                    ).reshape(q, N * Tb, Tk * m)
+                    got = tabs.kernel(0, 0, slice(None), Lb)
+                    assert got.shape == want.shape
+                    err = np.abs(got - want).max() / np.abs(want).max()
+                    assert err <= 1e-14, (L, l, Lb, err)
+
+    def test_bra_expansion_built_once_per_evaluation(
+        self, water_dimer, monkeypatch
+    ):
+        """Under one `IntegralWorkspace.evaluation` each class's
+        bra-derivative expansion is built once, by the first derivative
+        driver, and held on the class in the scratch (its bytes in the
+        scratch's ``table_bytes``); the screened three-centre derivative
+        takes its kept rows, bitwise the expansion of those pairs alone
+        (and its gradient the loop reference's), so both results are
+        bitwise those of drivers that build their own."""
+        bs, aux = _setup(water_dimer, "repro-dz")
+        mol = water_dimer
+        X = _sym(bs.nbf, seed=41)
+        rng = np.random.default_rng(42)
+        Z = 1e-4 * rng.standard_normal((bs.nbf, bs.nbf, aux.nbf))
+        expand = batch._w_deriv_stack
+        built = []
+
+        def counted(E, *args):
+            built.append(E.shape[0])
+            return expand(E, *args)
+
+        monkeypatch.setattr(batch, "_w_deriv_stack", counted)
+
+        def run(ws):
+            return [
+                contract_nuclear_deriv_batched(bs, mol, X, ws),
+                contract_eri3c_deriv_batched(
+                    bs, aux, Z, mol.natoms, screen=1e-8, workspace=ws),
+            ]
+
+        ws = IntegralWorkspace(tracer=Tracer())
+        with ws.evaluation() as scratch:
+            got = run(ws)
+            classes = ws.shell_classes([bs])
+        assert ws.pairs_skipped > 0
+        assert built == [cls.npair for cls in classes]
+        held = sum(cls.dW.nbytes for cls in classes)
+        assert [
+            (a["hit"], a["nbytes"]) for a in ws.tracer.instants("workspace.hit")
+            if a["product"] == "bra_expansions"
+        ] == [(False, held), (True, held)]
+        assert scratch.table_bytes == held + max(
+            t["nbytes"] for t in table_instants(ws.tracer))
+        for cls in classes:
+            ids = np.arange(0, cls.npair, 2)
+            assert np.array_equal(cls.dW[ids], expand(
+                cls.E[ids], cls.a[ids], cls.b[ids], comp_arrays(cls.la),
+                comp_arrays(cls.lb), hermite_simplex(cls.la + cls.lb + 1),
+            ))
+        _assert_gradient_close(got[1], contract_eri3c_deriv_loop(
+            bs, aux, Z, mol.natoms, screen=1e-8, workspace=ws))
+        built.clear()
+        for g, alone in zip(got, run(None)):
+            assert np.array_equal(g, alone)
+        assert len(built) == 2 * len(classes)
+
+    def test_one_recursion_call_per_table(self, monkeypatch):
+        """A water trimer evaluation builds each (class, group) table
+        once, in one recursion call of its own: 25 calls (4 nuclear, 12
+        three-centre, 9 metric tables), all made by the value drivers,
+        where each driver used to build its own per (class, aux group):
+        48. What the calls return is what the instants count."""
         mol = water_cluster(3, seed=1)
         calls = []
         recursion = engine.r_tables_simplex
 
-        def counted(lmax, p, PQ):
-            calls.append(lmax)
-            return recursion(lmax, p, PQ)
+        def counted(lmax, p, PQ, scale):
+            R = recursion(lmax, p, PQ, scale)
+            calls.append((lmax, R.size))
+            return R
 
         monkeypatch.setattr(batch, "r_tables_simplex", counted)
-        ws = IntegralWorkspace()
+        ws = IntegralWorkspace(tracer=Tracer())
         calc = RIMP2Calculator("sto-3g", workspace=ws)
         calc.energy_gradient(mol)
-        assert len(calls) <= 13
-        assert sorted(calls) == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 5, 5]
+        built = [t for t in table_instants(ws.tracer) if not t["hit"]]
+        assert [t["kind"] for t in built] == ["nuclear", "eri3c", "eri2c"]
+        assert len(calls) == 25
+        assert sorted({lmax for lmax, _ in calls}) == [1, 2, 3, 4, 5]
+        assert sum(size for _, size in calls) == sum(
+            t["elements"] for t in built)
 
     def test_store_holds_no_tables_after_energy_gradient(self):
         mol = water_cluster(2, seed=3)

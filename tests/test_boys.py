@@ -10,9 +10,12 @@ from scipy.integrate import quad
 
 import repro.integrals.engine as engine
 from repro.integrals.boys import (
+    _NTERMS,
+    _SQRT_PI_OVER_2,
     MAX_ORDER,
     _PER_UNIT,
     _TMAX,
+    _taylor_cols,
     boys,
     boys_array,
     boys_table,
@@ -59,6 +62,33 @@ def boys_gauss_legendre(mmax: int, Ts, panels: int = 16, npts: int = 32) -> np.n
 def _ulp_neighbours(x):
     x = np.asarray(x, dtype=float)
     return np.abs(np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]))
+
+
+def _two_branch(mmax: int, T) -> np.ndarray:
+    """`boys_table` as one formula over the whole batch: both branches
+    of the top order evaluated everywhere (each clamped to stay finite
+    where it is not used), one selected per element, and the downward
+    recursion out of place."""
+    cols = _taylor_cols(mmax)
+    Tc = np.minimum(T, _TMAX)
+    node = np.rint(Tc * _PER_UNIT)
+    d = node * (1.0 / _PER_UNIT) - Tc
+    c = cols[:, node.astype(int)]
+    top = c[_NTERMS - 1]
+    for k in range(_NTERMS - 2, -1, -1):
+        top = top * d + c[k]
+    expT = np.exp(-T)
+    Ta = np.maximum(T, _TMAX)
+    half_inv = 0.5 / Ta
+    up = _SQRT_PI_OVER_2 / np.sqrt(Ta)
+    for m in range(1, mmax + 1):
+        up = ((2 * m - 1) * up - expT) * half_inv
+    rows = [None] * (mmax + 1)
+    rows[mmax] = np.where(T > _TMAX, up, top)
+    T2 = T + T
+    for k in range(mmax, 0, -1):
+        rows[k - 1] = (T2 * rows[k] + expT) * (1.0 / (2 * k - 1))
+    return np.stack(rows)
 
 
 def _accuracy_set():
@@ -114,6 +144,22 @@ class TestBoysTable:
             assert np.abs(F / ref[: mmax + 1] - 1.0).max() <= 2e-14
         for j in range(0, Ts.shape[0], 97):
             np.testing.assert_allclose(boys(12, Ts[j]), ref[:13, j], rtol=2e-14)
+
+    def test_branches_where_used_are_the_two_branch_formula(self):
+        """Evaluating each branch of the top order only where it is
+        used, and the recursion in place, changes no bit: ``T`` across
+        ``[0, 60]``, every grid node, exactly 36 and its neighbours, in
+        mixed, all-grid and all-asymptotic batches."""
+        nodes = np.arange(int(_TMAX) * _PER_UNIT + 1) / _PER_UNIT
+        T = np.concatenate([
+            np.random.default_rng(3).uniform(0.0, 60.0, 4000),
+            nodes, _ulp_neighbours([_TMAX]), [0.0, 60.0],
+        ])
+        assert (T == _TMAX).any()
+        for mmax in range(MAX_ORDER + 1):
+            for batch in (T, T[T <= _TMAX], T[T > _TMAX]):
+                assert boys_table(mmax, batch).tobytes() == (
+                    _two_branch(mmax, batch).tobytes())
 
     def test_order_above_table_rejected(self):
         with pytest.raises(ValueError, match=f"0..{MAX_ORDER}"):
