@@ -1,7 +1,8 @@
 """Energy/gradient calculators: the pluggable engine behind MBE and AIMD.
 
-`Calculator.energy_gradient(mol)` is the single interface the
-fragmentation and MD layers consume. Three families are provided:
+`Calculator.energy_gradients(mols)` is the one call the MD drivers make;
+`energy_gradient(mol)`, the same for one molecule, is what the MBE
+references use. Three families are provided:
 
 * `RIMP2Calculator` / `RIHFCalculator` — the real quantum engines
   (the paper's per-polymer worker computation).
@@ -42,18 +43,75 @@ from .scf.rhf import SCFConvergenceError, prepare_solves, rhf
 
 
 class Calculator(Protocol):
-    """Anything that can evaluate an energy and nuclear gradient.
+    """Anything that can evaluate energies and nuclear gradients.
 
-    A calculator may also offer ``energy_gradients(mols)``, the same for
-    a list of fragments evaluated together (`RIMP2Calculator`,
-    `RIHFCalculator`); the drivers hand those whole lists
-    (`repro.md.scheduler.evaluate_fragments`) and everything else one
-    fragment at a time.
+    Every driver makes one call, ``energy_gradients(mols)``, on the
+    fragments it has ready (`repro.md.scheduler.evaluate_fragments`):
+    `RIMP2Calculator` and `RIHFCalculator` evaluate fragments of one
+    composition as stacks, a `OneAtATime` calculator loops. An object
+    that offers only ``energy_gradient`` is adapted once, where a driver
+    takes it (`stacking`).
     """
 
     def energy_gradient(self, mol: Molecule) -> tuple[float, np.ndarray]:
         """Return ``(energy_hartree, gradient (natoms, 3) Ha/Bohr)``."""
         ...
+
+    def energy_gradients(self, mols) -> list[tuple[float, np.ndarray]]:
+        """`energy_gradient` of every molecule, in order."""
+        ...
+
+
+class OneAtATime:
+    """The stack call of a calculator that evaluates one fragment per
+    ``energy_gradient`` call."""
+
+    def energy_gradients(self, mols) -> list[tuple[float, np.ndarray]]:
+        """`energy_gradient` of every molecule, in order."""
+        return [self.energy_gradient(mol) for mol in mols]
+
+
+class CalculatorWrapper:
+    """A calculator around another, ``inner``: every attribute but its
+    own (``_OWN``) is the inner calculator's, read and written, so the
+    drivers' warm-start and tracer attachments reach the calculator that
+    solves."""
+
+    _OWN: tuple[str, ...] = ("inner",)
+
+    def __init__(self, inner) -> None:
+        object.__setattr__(self, "inner", inner)
+
+    def __getattr__(self, name):
+        # only reached when normal lookup fails (e.g. mid-unpickle);
+        # guard the own slots so a missing 'inner' cannot recurse
+        if name in type(self)._OWN:
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+    def __setattr__(self, name, value):
+        if name in type(self)._OWN:
+            object.__setattr__(self, name, value)
+        else:
+            setattr(self.inner, name, value)
+
+
+class _EnergyGradientOnly(CalculatorWrapper, OneAtATime):
+    """An object that offers only ``energy_gradient``, under the stack
+    call."""
+
+    def energy_gradient(self, mol):
+        return self.inner.energy_gradient(mol)
+
+
+def stacking(calculator):
+    """``calculator`` as the drivers call it: itself when its class
+    defines ``energy_gradients``, else adapted to evaluate a stack one
+    fragment at a time. Done once, where a driver takes the calculator
+    (after it attached its warm starts and tracer)."""
+    if getattr(type(calculator), "energy_gradients", None) is not None:
+        return calculator
+    return _EnergyGradientOnly(calculator)
 
 
 @dataclass(frozen=True)
@@ -409,7 +467,7 @@ class RIHFCalculator:
 
 
 @dataclass
-class ConventionalHFCalculator:
+class ConventionalHFCalculator(OneAtATime):
     """Four-center HF baseline (what RI-HF replaces, Fig. 3).
 
     ``int_screen=None`` keeps the four-center derivative driver's
@@ -453,7 +511,7 @@ _LJ_SIGMA = {"H": 4.0, "C": 6.2, "N": 6.0, "O": 5.8}
 
 
 @dataclass
-class PairwisePotentialCalculator:
+class PairwisePotentialCalculator(OneAtATime):
     """Classical surrogate: bonded springs + LJ/Coulomb + optional 3-body.
 
     Intramolecular structure is held by harmonic bond and 1-3 (angle

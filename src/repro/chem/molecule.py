@@ -46,10 +46,15 @@ class Molecule:
             warm-start densities and Schwarz reference), put on a task's
             molecule by the step engine and replaced by the calculator
             that evaluates it. None outside the engine.
+        step, attempt: the MD step and the retry attempt of the task the
+            molecule rides (the step engine puts the step on at release,
+            the driver the attempt at dispatch), which a fault plan
+            targets through the drivers' one stack call. 0 outside the
+            engine.
     """
 
     __slots__ = ("symbols", "coords", "charge", "multiplicity", "frag_key",
-                 "record")
+                 "record", "step", "attempt")
 
     def __init__(
         self,
@@ -65,6 +70,8 @@ class Molecule:
         self.multiplicity = int(multiplicity)
         self.frag_key: tuple[int, ...] | None = None
         self.record = None
+        self.step = 0
+        self.attempt = 0
 
     # --- constructors -----------------------------------------------------
     @classmethod

@@ -1,12 +1,13 @@
 """Process-level injection hooks driven by a `FaultPlan`.
 
 `FaultPlanCalculator` is the task-site hook: it wraps any calculator
-(surrogate or QM), consults the plan on every evaluation, and either
-misbehaves in the scheduled way or delegates to the wrapped calculator.
-It is the repository's only fault injector: one wrapper, many typed
-faults, targeted by step / fragment key / atom count. The simplest
-use — "every 6-atom fragment fails its first two attempts" — is a
-one-spec plan, ``FaultSpec(kind="transient", natoms=6, attempts=2)``.
+(surrogate or QM), consults the plan on every member of each stack a
+driver hands it, and either misbehaves in the scheduled way or hands
+the stack on to the wrapped calculator. It is the repository's only
+fault injector: one wrapper, many typed faults, targeted by step /
+fragment key / atom count. The simplest use — "every 6-atom fragment
+fails its first two attempts" — is a one-spec plan,
+``FaultSpec(kind="transient", natoms=6, attempts=2)``.
 
 `corrupt_checkpoint` is the checkpoint-site hook: it damages a
 just-written checkpoint file the way real storage does — a torn
@@ -20,8 +21,11 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from typing import ClassVar
 
+import numpy as np
+
+from ..calculators import CalculatorWrapper, stacking
+from ..scf.rhf import SCFConvergenceError
 from .plan import CKPT_FAULT_KINDS, FaultPlan, FaultSpec, _u64
 
 
@@ -29,17 +33,23 @@ class InjectedFault(RuntimeError):
     """A scheduled transient fault from a `FaultPlan` (retryable)."""
 
 
-class FaultPlanCalculator:
+class FaultPlanCalculator(CalculatorWrapper):
     """Wrap a calculator with plan-scheduled fault injection.
 
-    The drivers pass ``attempt`` and ``step`` through (advertised by the
-    ``accepts_attempt`` / ``accepts_step`` class flags), so the plan can
-    target "the dimer (1, 2) at step 3, first two attempts".  Every
-    other attribute access — ``guess_cache``, ``tracer``, ``workspace``,
-    statistics — is delegated to the wrapped calculator, so the drivers'
-    warm-start and tracing attachment protocols see the inner
-    calculator's state, not the wrapper's. ``cache_poison`` corrupts the
-    fragment record the task carries.
+    Every member of a stack is a task, and its molecule carries the
+    task's MD step and retry attempt (`Molecule.step` / ``attempt``, put
+    on by the step engine and the driver), so the plan can target "the
+    dimer (1, 2) at step 3, first two attempts" through the drivers' one
+    call. The plan is decided for every member first — a raising fault
+    raises before any member is evaluated; ``cache_poison`` corrupts the
+    fragment record the member carries, ``nan_forces`` its result — and
+    the stack then goes to the wrapped calculator in one call, so a
+    chaos run takes the path a production run takes. The wrapped
+    calculator is taken as a driver takes one
+    (`repro.calculators.stacking`); every other attribute —
+    ``guess_cache``, ``tracer``, ``workspace``, statistics — is its
+    (`repro.calculators.CalculatorWrapper`), so the drivers' warm-start
+    and tracing attachments see the inner calculator's state.
 
     The wrapper is pickled to worker processes with its plan; decisions
     are pure functions of the plan seed and the event coordinates, so
@@ -47,44 +57,45 @@ class FaultPlanCalculator:
     `repro.faults.plan`).
     """
 
-    accepts_attempt: ClassVar[bool] = True
-    accepts_step: ClassVar[bool] = True
-
     _OWN = ("inner", "plan")
 
     def __init__(self, inner, plan: FaultPlan):
-        object.__setattr__(self, "inner", inner)
+        super().__init__(stacking(inner))
         object.__setattr__(self, "plan", plan)
 
-    def __getattr__(self, name):
-        # only reached when normal lookup fails (e.g. mid-unpickle);
-        # guard the own-slots so a missing 'inner' can't recurse
-        if name in FaultPlanCalculator._OWN:
-            raise AttributeError(name)
-        return getattr(self.inner, name)
+    def energy_gradient(self, mol):
+        """`energy_gradients` of one molecule."""
+        return self.energy_gradients([mol])[0]
 
-    def __setattr__(self, name, value):
-        # drivers attach caches/tracers onto "the calculator"; route
-        # those onto the wrapped instance where the solvers look
-        if name in FaultPlanCalculator._OWN:
-            object.__setattr__(self, name, value)
-        else:
-            setattr(self.inner, name, value)
+    def energy_gradients(self, mols):
+        """Decide the plan for every member, then evaluate the stack."""
+        nan = []
+        for i, mol in enumerate(mols):
+            spec = self.plan.decide(
+                "task", step=mol.step, key=getattr(mol, "frag_key", None),
+                natoms=mol.natoms, attempt=mol.attempt,
+            )
+            if spec is None:
+                continue
+            if spec.kind == "nan_forces":
+                nan.append(i)
+            elif spec.kind == "cache_poison":
+                self._poison_record(mol)
+            else:
+                self._raise(spec, mol)
+        results = list(self.inner.energy_gradients(mols))
+        for i in nan:
+            e, g = results[i]
+            results[i] = e, np.full_like(np.asarray(g, dtype=float), np.nan)
+        return results
 
-    def energy_gradient(self, mol, attempt: int = 0, step: int = 0):
-        key = getattr(mol, "frag_key", None)
-        natoms = getattr(mol, "natoms", None)
-        spec = self.plan.decide(
-            "task", step=step, key=key, natoms=natoms, attempt=attempt
-        )
-        if spec is not None:
-            return self._inject(spec, mol, attempt, step)
-        return self.inner.energy_gradient(mol)
-
-    def _inject(self, spec: FaultSpec, mol, attempt: int, step: int):
+    @staticmethod
+    def _raise(spec: FaultSpec, mol) -> None:
+        """The failure ``spec`` schedules at ``mol``: a dead worker, a
+        hang, a typed SCF failure or a transient fault."""
         where = (
-            f"step {step}, fragment {getattr(mol, 'frag_key', None)} "
-            f"({getattr(mol, 'natoms', '?')} atoms), attempt {attempt}"
+            f"step {mol.step}, fragment {getattr(mol, 'frag_key', None)} "
+            f"({mol.natoms} atoms), attempt {mol.attempt}"
         )
         if spec.kind == "crash":
             os._exit(13)
@@ -92,17 +103,7 @@ class FaultPlanCalculator:
             time.sleep(spec.hang_s)
             raise InjectedFault(f"planned hang elapsed: {where}")
         if spec.kind == "scf_fail":
-            from ..scf.rhf import SCFConvergenceError
-
             raise SCFConvergenceError(f"planned SCF non-convergence: {where}")
-        if spec.kind == "nan_forces":
-            import numpy as np
-
-            e, g = self.inner.energy_gradient(mol)
-            return e, np.full_like(np.asarray(g, dtype=float), np.nan)
-        if spec.kind == "cache_poison":
-            self._poison_record(mol)
-            return self.inner.energy_gradient(mol)
         raise InjectedFault(f"planned transient fault: {where}")
 
     @staticmethod
@@ -114,8 +115,6 @@ class FaultPlanCalculator:
         history must cost cold-start iterations — never wrong energies;
         the chaos tests pin exactly that.
         """
-        import numpy as np
-
         record = getattr(mol, "record", None)
         if record is None or not record.densities:
             return  # nothing carried yet; the poisoning is a no-op

@@ -54,7 +54,8 @@ pair axis: the class partition of the composition is repeated with
 every fragment's centres (``ShellClass.frag`` names each pair's
 fragment, fragment-major), the ket centres are gathered per pair, blocks
 scatter into ``(F, nbf, nbf[, naux])`` and gradients accumulate per
-fragment. The scalar drivers (`overlap_batched`, ...) are stacks of one.
+fragment. Each driver has one name: given one basis in place of the
+list, it is a stack of one (`engine.stack_driver`).
 Since a pair's rows are independent of the chunk they are in, a
 fragment's result is bitwise independent of the stack it rode in: the
 reductions read C-contiguous operands, so they run the same way for any
@@ -78,6 +79,7 @@ from .engine import (
     hermite_simplex,
     r_tables_simplex,
     simplex_sum_index,
+    stack_driver,
 )
 from .eri import (
     DERIV_SAFETY,
@@ -93,7 +95,6 @@ from .workspace import table_budget
 
 if TYPE_CHECKING:
     from ..basis.basisset import BasisSet
-    from ..chem.molecule import Molecule
     from .workspace import IntegralWorkspace
 
 __all__ = [
@@ -101,7 +102,7 @@ __all__ = [
     "ShellClass",
     "build_shell_classes",
     "canonical_shell_pairs",
-    "schwarz_pair_bounds_stack",
+    "schwarz_pair_bounds",
     "stack_shell_classes",
     "table_bytes",
 ]
@@ -697,7 +698,8 @@ def _onee_stack(bases, workspace, factors) -> np.ndarray:
     return out
 
 
-def overlap_stack(
+@stack_driver
+def overlap(
     bases,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
@@ -706,14 +708,6 @@ def overlap_stack(
     return _onee_stack(
         bases, workspace, lambda cls, ca, cb: _overlap_1d(cls.E, ca, cb)
     )
-
-
-def overlap_batched(
-    basis: BasisSet,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """Overlap matrix S, shape ``(nbf, nbf)``: a stack of one."""
-    return overlap_stack([basis], workspace)[0]
 
 
 def _kinetic_1d(E, bexp, ca, cb, deriv_axis=None, aexp=None):
@@ -759,15 +753,8 @@ def _kinetic_1d(E, bexp, ca, cb, deriv_axis=None, aexp=None):
     )
 
 
-def kinetic_batched(
-    basis: BasisSet,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """Kinetic-energy matrix T, shape ``(nbf, nbf)``: a stack of one."""
-    return kinetic_stack([basis], workspace)[0]
-
-
-def kinetic_stack(
+@stack_driver
+def kinetic(
     bases,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
@@ -807,23 +794,15 @@ def _nuclear_tables(workspace, bases, mols, bras):
     )
 
 
-def nuclear_batched(
-    basis: BasisSet,
-    mol: Molecule,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """Nuclear-attraction matrix V (negative definite), shape
-    ``(nbf, nbf)``: a stack of one."""
-    return nuclear_stack([basis], [mol], workspace)[0]
-
-
-def nuclear_stack(
+@stack_driver
+def nuclear(
     bases,
     mols,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """Nuclear-attraction matrices of a stack (``mols`` of one
-    composition, each in its basis), shape ``(F, nbf, nbf)``."""
+    """Nuclear-attraction matrices (negative definite) of a stack
+    (``mols`` of one composition, each in its basis), shape ``(F, nbf,
+    nbf)``."""
     V = np.zeros((len(bases), bases[0].nbf, bases[0].nbf))
     nC = mols[0].natoms
     Z = mols[0].atomic_numbers.astype(float)
@@ -897,57 +876,31 @@ def _kinetic_deriv_1d(E, a, b, ca, cb, axis):
     return _kinetic_1d(E, b, ca, cb, deriv_axis=axis, aexp=a)
 
 
-def contract_overlap_deriv_batched(
-    basis: BasisSet,
-    X: np.ndarray,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """``sum X_{mu nu} dS_{mu nu}/dR`` via bra-side differentiation: a
-    stack of one."""
-    return contract_overlap_deriv_stack([basis], X[None], workspace)[0]
-
-
-def contract_overlap_deriv_stack(
+@stack_driver
+def contract_overlap_deriv(
     bases,
     X: np.ndarray,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """``sum X_{f mu nu} dS_{mu nu}/dR`` for every fragment of a stack,
-    ``X (F, nbf, nbf)``: shape ``(F, natoms, 3)``."""
+    """``sum X_{f mu nu} dS_{mu nu}/dR`` via bra-side differentiation for
+    every fragment of a stack, ``X (F, nbf, nbf)``: shape ``(F, natoms,
+    3)``."""
     return _contract_bra_deriv(bases, X, workspace, _overlap_deriv_1d)
 
 
-def contract_kinetic_deriv_batched(
-    basis: BasisSet,
-    X: np.ndarray,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """``sum X_{mu nu} dT_{mu nu}/dR`` via bra-side differentiation: a
-    stack of one."""
-    return contract_kinetic_deriv_stack([basis], X[None], workspace)[0]
-
-
-def contract_kinetic_deriv_stack(
+@stack_driver
+def contract_kinetic_deriv(
     bases,
     X: np.ndarray,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """``sum X_{f mu nu} dT_{mu nu}/dR`` for every fragment of a stack."""
+    """``sum X_{f mu nu} dT_{mu nu}/dR`` via bra-side differentiation for
+    every fragment of a stack."""
     return _contract_bra_deriv(bases, X, workspace, _kinetic_deriv_1d)
 
 
-def contract_nuclear_deriv_batched(
-    basis: BasisSet,
-    mol: Molecule,
-    X: np.ndarray,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """``sum X_{mu nu} dV_{mu nu}/dR`` including operator-center terms:
-    a stack of one."""
-    return contract_nuclear_deriv_stack([basis], [mol], X[None], workspace)[0]
-
-
-def contract_nuclear_deriv_stack(
+@stack_driver
+def contract_nuclear_deriv(
     bases,
     mols,
     X: np.ndarray,
@@ -1002,17 +955,8 @@ def contract_nuclear_deriv_stack(
 # Schwarz bounds
 # --------------------------------------------------------------------------
 
-def schwarz_pair_bounds_batched(
-    basis: BasisSet,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """Cauchy-Schwarz bounds ``Q_ij = max sqrt((ab|ab))`` per shell pair,
-    shape ``(nshells, nshells)``: a stack of one (see
-    `schwarz_pair_bounds_stack`)."""
-    return schwarz_pair_bounds_stack([basis], workspace)[0]
-
-
-def schwarz_pair_bounds_stack(
+@stack_driver
+def schwarz_pair_bounds(
     bases,
     workspace: IntegralWorkspace | None = None,
     frags=None,
@@ -1148,18 +1092,8 @@ def _record_screens(workspace, kind, npairs, nfrag, skipped) -> None:
         workspace.record_screen(kind, npairs, mine.size, math.fsum(mine))
 
 
-def eri3c_batched(
-    basis: BasisSet,
-    aux: BasisSet,
-    screen: float = 0.0,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """Three-center integrals ``(mu nu | P)``, shape ``(nbf, nbf, naux)``:
-    a stack of one (see `eri3c_stack`)."""
-    return eri3c_stack([basis], [aux], screen, workspace)[0]
-
-
-def eri3c_stack(
+@stack_driver
+def eri3c(
     bases,
     auxs,
     screen: float = 0.0,
@@ -1260,22 +1194,8 @@ def _eri3c_deriv_values(Zs, at, norms_flat, pfac, st, dW, M2) -> np.ndarray:
     return _einsum("qsxtm,qmxt->qsm", t1, ZW)
 
 
-def contract_eri3c_deriv_batched(
-    basis: BasisSet,
-    aux: BasisSet,
-    Z: np.ndarray,
-    natoms: int,
-    screen: float = 0.0,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """``g = sum_{mu nu P} Z_{mu nu P} d(mu nu|P)/dR``, shape ``(natoms, 3)``:
-    a stack of one (see `contract_eri3c_deriv_stack`)."""
-    return contract_eri3c_deriv_stack(
-        [basis], [aux], Z[None], natoms, screen, workspace
-    )[0]
-
-
-def contract_eri3c_deriv_stack(
+@stack_driver
+def contract_eri3c_deriv(
     bases,
     auxs,
     Z: np.ndarray,

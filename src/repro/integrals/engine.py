@@ -24,11 +24,13 @@ compiled extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
 from typing import TYPE_CHECKING
+
+from ..chem.molecule import Molecule
 
 if TYPE_CHECKING:
     from ..basis.shell import Shell
@@ -326,6 +328,33 @@ def canonical_shell_pairs(basis) -> list[tuple[int, int]]:
     """
     nsh = basis.nshells
     return [(i, j) for i in range(nsh) for j in range(i, nsh)]
+
+
+def stack_driver(driver):
+    """One name for an integral driver, given a stack or one fragment.
+
+    Every driver takes a *stack*: a list of bases of one composition,
+    with the molecules and coefficient arrays of the same fragments, and
+    returns its results with a leading fragment axis. Given one basis in
+    place of the list, every basis and molecule argument is a stack of
+    one, every array argument gains the fragment axis and the result
+    loses it: the same kernels, the same bits.
+    """
+    @wraps(driver)
+    def call(first, *args, **kwargs):
+        if isinstance(first, (list, tuple)):
+            return driver(first, *args, **kwargs)
+        one = (type(first), Molecule)
+
+        def lift(arg):
+            if isinstance(arg, one):
+                return [arg]
+            return arg[None] if isinstance(arg, np.ndarray) else arg
+
+        return driver([first], *map(lift, args),
+                      **{k: lift(v) for k, v in kwargs.items()})[0]
+
+    return call
 
 
 @lru_cache(maxsize=None)

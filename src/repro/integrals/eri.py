@@ -48,6 +48,7 @@ from .engine import (
     pair_data,
     r_tables_batch,
     single_data,
+    stack_driver,
     w_deriv,
     w_tensor,
 )
@@ -86,9 +87,9 @@ def _schwarz_tables(bases, workspace) -> np.ndarray:
     """`_schwarz_table` of every basis of a stack, ``(F, nsh, nsh)``."""
     if workspace is not None:
         return np.stack(workspace.schwarz_bounds_stack(bases))
-    from .batch import schwarz_pair_bounds_stack
+    from .batch import schwarz_pair_bounds
 
-    return schwarz_pair_bounds_stack(bases)
+    return schwarz_pair_bounds(bases)
 
 
 def _aux_bounds(aux, workspace) -> np.ndarray:
@@ -186,13 +187,8 @@ def _eri2c_tables(workspace, auxs, statics):
     )
 
 
-def eri2c(aux: BasisSet, workspace: IntegralWorkspace | None = None) -> np.ndarray:
-    """Two-center Coulomb metric ``(P|Q)``, shape ``(naux, naux)``: a
-    stack of one (see `eri2c_stack`)."""
-    return eri2c_stack([aux], workspace)[0]
-
-
-def eri2c_stack(auxs, workspace: IntegralWorkspace | None = None) -> np.ndarray:
+@stack_driver
+def eri2c(auxs, workspace: IntegralWorkspace | None = None) -> np.ndarray:
     """Two-center Coulomb metrics ``(P|Q)`` of a stack of fitting bases
     of one composition, shape ``(F, naux, naux)``.
 
@@ -200,7 +196,7 @@ def eri2c_stack(auxs, workspace: IntegralWorkspace | None = None) -> np.ndarray:
     per pair of groups covers the whole metric of every fragment.
     ``workspace`` serves the cached (geometry-independent) group
     scaffolding and keeps the Hermite Coulomb tables for
-    `contract_eri2c_deriv_stack`.
+    `contract_eri2c_deriv`.
     """
     from . import batch as kernels
 
@@ -470,16 +466,8 @@ def _deriv_blocks_pairwise(bra, ket, ca, cb, cc, cd, sides):
     return out
 
 
+@stack_driver
 def contract_eri2c_deriv(
-    aux: BasisSet, zeta: np.ndarray, natoms: int,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """``g = sum_{PQ} zeta_{PQ} d(P|Q)/dR``, shape ``(natoms, 3)``: a
-    stack of one (see `contract_eri2c_deriv_stack`)."""
-    return contract_eri2c_deriv_stack([aux], zeta[None], natoms, workspace)[0]
-
-
-def contract_eri2c_deriv_stack(
     auxs, zeta: np.ndarray, natoms: int,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
@@ -488,7 +476,7 @@ def contract_eri2c_deriv_stack(
 
     Uses ``d/dQ = -d/dP``; both sides are processed as site groups, so
     the work is a few batched contractions on the Hermite Coulomb
-    tables `eri2c_stack` left at these geometries.
+    tables `eri2c` left at these geometries.
     """
     from . import batch as kernels
 

@@ -21,15 +21,16 @@ if TYPE_CHECKING:
     from ..basis.basisset import BasisSet
     from ..chem.molecule import Molecule
 from .batch import (
-    contract_kinetic_deriv_stack,
-    contract_nuclear_deriv_stack,
-    kinetic_stack,
-    nuclear_stack,
+    contract_kinetic_deriv,
+    contract_nuclear_deriv,
+    kinetic,
+    nuclear,
 )
 from .engine import (
     comp_arrays,
     pair_data,
     r_tables_batch,
+    stack_driver,
     w_deriv,
     w_tensor,
 )
@@ -176,22 +177,14 @@ def nuclear_loop(
     return V
 
 
+@stack_driver
 def hcore(
-    basis: BasisSet, mol: Molecule,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """Core Hamiltonian h = T + V: a stack of one."""
-    return hcore_stack([basis], [mol], workspace)[0]
-
-
-def hcore_stack(
     bases, mols,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """Core Hamiltonians of a stack (``mols`` of one composition, each
-    in its basis), shape ``(F, nbf, nbf)``."""
-    return (kinetic_stack(bases, workspace)
-            + nuclear_stack(bases, mols, workspace))
+    """Core Hamiltonians h = T + V of a stack (``mols`` of one
+    composition, each in its basis), shape ``(F, nbf, nbf)``."""
+    return kinetic(bases, workspace) + nuclear(bases, mols, workspace)
 
 
 # --------------------------------------------------------------------------
@@ -334,22 +327,15 @@ def contract_nuclear_deriv_loop(
     return g
 
 
+@stack_driver
 def contract_hcore_deriv(
-    basis: BasisSet, mol: Molecule, X: np.ndarray,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """``sum X_{mu nu} dh_{mu nu}/dR`` with h = T + V: a stack of one."""
-    return contract_hcore_deriv_stack([basis], [mol], X[None], workspace)[0]
-
-
-def contract_hcore_deriv_stack(
     bases, mols, X: np.ndarray,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
-    """``sum X_{f mu nu} dh_{mu nu}/dR`` for every fragment of a stack,
-    ``X (F, nbf, nbf)``: shape ``(F, natoms, 3)``."""
-    return (contract_kinetic_deriv_stack(bases, X, workspace)
-            + contract_nuclear_deriv_stack(bases, mols, X, workspace))
+    """``sum X_{f mu nu} dh_{mu nu}/dR`` with h = T + V for every
+    fragment of a stack, ``X (F, nbf, nbf)``: shape ``(F, natoms, 3)``."""
+    return (contract_kinetic_deriv(bases, X, workspace)
+            + contract_nuclear_deriv(bases, mols, X, workspace))
 
 
 def overlap_deriv(basis: BasisSet, natoms: int | None = None) -> np.ndarray:

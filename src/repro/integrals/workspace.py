@@ -371,10 +371,10 @@ class IntegralWorkspace(BoundedStore):
         miss rebuilds it *at the reference*, bitwise the table first
         served; without one it lives for the evaluation only. Rebuilds
         at the stack's own geometry are one call on its shell classes
-        (`batch.schwarz_pair_bounds_stack`). What a basis is served goes
+        (`batch.schwarz_pair_bounds`). What a basis is served goes
         into the evaluation's scratch, where its drivers find it.
         """
-        from .batch import schwarz_pair_bounds_stack
+        from .batch import schwarz_pair_bounds
 
         comp = basis_composition_key(bases[0])
         scratch = self._scope.scratch if self.enabled else None
@@ -402,11 +402,11 @@ class IntegralWorkspace(BoundedStore):
             else:
                 (own if exact else moved).append((f, ref))
         if own:
-            built = schwarz_pair_bounds_stack(
+            built = schwarz_pair_bounds(
                 bases, workspace=self, frags=[f for f, _ in own])
             self._keep_bounds(comp, own, built, out, exact=True)
         if moved:
-            built = schwarz_pair_bounds_stack(
+            built = schwarz_pair_bounds(
                 [_placed(bases[f], ref) for f, ref in moved], workspace=self)
             self._keep_bounds(comp, moved, built, out, exact=False)
         if scratch is not None:

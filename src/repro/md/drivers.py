@@ -51,6 +51,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
+from ..calculators import stacking
 from .scheduler import AsyncCoordinator, attach_guess_cache, evaluate_fragment
 
 
@@ -226,15 +227,16 @@ class Dispatcher:
         self._kill_pool()
 
     def submit(self, task, calculator, tag=None, **kw) -> None:
-        """Run ``evaluate_fragment(calculator, task.molecule, attempt,
-        task.step, **kw)`` on a worker; ``tag`` comes back on the flight."""
+        """Run ``evaluate_fragment(calculator, task.molecule, **kw)`` on a
+        worker, the molecule carrying the task's step and the flight's
+        attempt; ``tag`` comes back on the flight."""
         self._dispatch(_Flight(task, calculator, kw, tag))
 
     def _dispatch(self, flight: _Flight) -> None:
         task, tracer = flight.task, self.tracer
         now = time.monotonic()
-        args = (evaluate_fragment, flight.calculator, task.molecule,
-                flight.attempt, task.step)
+        task.molecule.attempt = flight.attempt
+        args = (evaluate_fragment, flight.calculator, task.molecule)
         try:
             fut = self._executor().submit(*args, **flight.kw)
         except (BrokenProcessPool, RuntimeError):
@@ -382,6 +384,7 @@ def run_parallel(
     report = DriverReport()
     coordinator.attach("driver", report)
     attach_guess_cache(coordinator, calculator)
+    calculator = stacking(calculator)
     dispatcher = Dispatcher(nworkers, policy, tracer, seed, report=report)
     policy = dispatcher.policy
     try:

@@ -72,7 +72,7 @@ from functools import partial
 
 import numpy as np
 
-from ..calculators import FragmentRecord, GuessCache
+from ..calculators import FragmentRecord, GuessCache, stacking
 from ..chem.molecule import Molecule
 from ..frag.mbe import MBEPlan, build_plan, update_plan
 from ..frag.monomer import FragmentedSystem, FragmentLayout
@@ -781,6 +781,7 @@ class AsyncCoordinator:
         if lay is not None:
             mol = lay.molecule(self.coords_at[step])
             mol.record = self.records.get(key, _NO_HISTORY)
+            mol.step = step
         else:
             ncaps = _ncaps(self.cap_targets, key)
             mol = FragmentStub(
@@ -1291,29 +1292,27 @@ class AsyncCoordinator:
         )
 
 
-def evaluate_fragments(calculator, molecules, attempt: int, steps, *,
+def evaluate_fragments(calculator, molecules, *,
                        tenant: str | None = None) -> list:
     """Evaluate fragments on this worker: the one worker-side entry of
     every driver — the serial loop hands it every ready task at once,
     the process pool and both service pools one task at a time
-    (`evaluate_fragment`). ``steps`` holds each one's MD step. Returns
-    ``(energy, gradient, record)`` per molecule, in order: the
-    fragment's record as the evaluation left it reaches the engine the
-    way its energy does.
+    (`evaluate_fragment`). Returns ``(energy, gradient, record)`` per
+    molecule, in order: the fragment's record as the evaluation left it
+    reaches the engine the way its energy does.
 
-    * a calculator whose class defines ``energy_gradients`` gets the
-      whole list in one call (`repro.calculators.RIMP2Calculator`
-      evaluates fragments of one composition as stacks); any other —
-      a fault-plan wrapper or a timing proxy among them, whose
-      attribute delegation must not hand the list past them — gets one
-      ``energy_gradient`` call per fragment, in order;
+    * one call, ``calculator.energy_gradients(molecules)``, on the
+      calculator as its driver took it (`repro.calculators.stacking`):
+      `repro.calculators.RIMP2Calculator` evaluates fragments of one
+      composition as stacks, the fault-plan wrapper decides its plan
+      per member and hands the stack on;
     * ``tenant`` holds for the duration of *this* call, on this thread
       (`IntegralWorkspace.scope`): it is charged the workspace traffic;
       the calculator's own evaluations nest in this scope;
-    * ``accepts_attempt`` calculators receive the retry attempt number;
-      ``accepts_step`` calculators (the fault-plan wrapper) additionally
-      receive the MD step, so scheduled faults can target "fragment K
-      at step S" regardless of which driver or worker draws the task;
+    * a molecule carries its task's MD step (put on at release) and
+      retry attempt (put on at dispatch; 0 under the serial driver), so
+      scheduled faults target "fragment K at step S, attempt A"
+      regardless of which driver or worker draws the task;
     * every result passes a NaN/Inf sentinel before it leaves: a NaN
       contribution would silently poison the accumulated MBE gradient
       of every atom the polymer touches, so divergence becomes a typed
@@ -1322,35 +1321,21 @@ def evaluate_fragments(calculator, molecules, attempt: int, steps, *,
     * a failed call puts the records it was handed back on the
       molecules, so an in-process retry starts from the same state.
     """
-    def run():
-        if getattr(type(calculator), "energy_gradients", None) is not None:
-            return calculator.energy_gradients(list(molecules))
-        kwargs = {}
-        if getattr(calculator, "accepts_attempt", False):
-            kwargs["attempt"] = attempt
-        per_step = getattr(calculator, "accepts_step", False)
-        results = []
-        for mol, step in zip(molecules, steps):
-            if per_step:
-                kwargs["step"] = step
-            results.append(calculator.energy_gradient(mol, **kwargs))
-        return results
-
     records = [getattr(mol, "record", None) for mol in molecules]
     try:
         if tenant is None:
-            results = run()
+            results = calculator.energy_gradients(molecules)
         else:
             workspace = getattr(calculator, "workspace", None)
             if workspace is None:  # not `or`: an empty store is falsy
                 workspace = get_workspace()
             with workspace.scope(tenant):
-                results = run()
-        for mol, step, (e, g) in zip(molecules, steps, results):
+                results = calculator.energy_gradients(molecules)
+        for mol, (e, g) in zip(molecules, results):
             ensure_finite(
                 f"fragment {getattr(mol, 'frag_key', None)} "
-                f"({getattr(mol, 'natoms', '?')} atoms, step {step}, "
-                f"attempt {attempt})",
+                f"({getattr(mol, 'natoms', '?')} atoms, step {mol.step}, "
+                f"attempt {mol.attempt})",
                 energy=e, gradient=g,
             )
     except BaseException:
@@ -1362,10 +1347,10 @@ def evaluate_fragments(calculator, molecules, attempt: int, steps, *,
             for mol, (e, g) in zip(molecules, results)]
 
 
-def evaluate_fragment(calculator, molecule, attempt: int, step: int, **kw):
+def evaluate_fragment(calculator, molecule, **kw):
     """`evaluate_fragments` of one fragment: what a pool worker runs per
     task."""
-    return evaluate_fragments(calculator, [molecule], attempt, [step], **kw)[0]
+    return evaluate_fragments(calculator, [molecule], **kw)[0]
 
 
 def attach_guess_cache(coordinator: AsyncCoordinator, calculator) -> None:
@@ -1399,7 +1384,7 @@ def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
     trace; each round is one ``task.exec`` span listing its tasks.
 
     Tasks go through `evaluate_fragments`, shared with every other
-    driver (``attempt=0``: a serial driver never retries), so the same
+    driver (attempt 0: a serial driver never retries), so the same
     fault plan targets the same events under any of them.
     """
     if tracer is None:
@@ -1407,6 +1392,7 @@ def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
     attach_guess_cache(coordinator, calculator)
     if tracer is not None and getattr(calculator, "tracer", "no") is None:
         calculator.tracer = tracer
+    calculator = stacking(calculator)
 
     while not coordinator.done():
         tasks = []
@@ -1418,13 +1404,12 @@ def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
                 + coordinator.diagnostics()
             )
         molecules = [task.molecule for task in tasks]
-        steps = [task.step for task in tasks]
         if tracer:
             with tracer.span("task.exec", cat="driver", tasks=len(tasks),
-                             steps=sorted(set(steps)),
+                             steps=sorted({task.step for task in tasks}),
                              keys=[str(task.key) for task in tasks]):
-                results = evaluate_fragments(calculator, molecules, 0, steps)
+                results = evaluate_fragments(calculator, molecules)
         else:
-            results = evaluate_fragments(calculator, molecules, 0, steps)
+            results = evaluate_fragments(calculator, molecules)
         for task, result in zip(tasks, results):
             coordinator.complete(task, *result)

@@ -24,13 +24,11 @@ import numpy as np
 
 from ..gemm import gemm
 from ..integrals import (
-    contract_eri2c_deriv_stack,
-    contract_eri3c_deriv_stack,
+    contract_eri2c_deriv,
+    contract_eri3c_deriv,
     contract_eri4c_deriv_hf,
     contract_hcore_deriv,
-    contract_hcore_deriv_stack,
     contract_overlap_deriv,
-    contract_overlap_deriv_stack,
 )
 from ..integrals.workspace import evaluation_scope
 from .rhf import SCFResult
@@ -118,12 +116,12 @@ def contract_ri_gradients(mols, bases, auxs, coefs, int_screen: float = 0.0,
     natoms = mols[0].natoms
     g = np.stack([mol.nuclear_repulsion_gradient() for mol in mols])
     with evaluation_scope(workspace):
-        g += contract_hcore_deriv_stack(bases, mols, X, workspace)
-        g += contract_eri3c_deriv_stack(
+        g += contract_hcore_deriv(bases, mols, X, workspace)
+        g += contract_eri3c_deriv(
             bases, auxs, Z3c, natoms, screen=int_screen, workspace=workspace,
         )
-        g += contract_eri2c_deriv_stack(auxs, zeta, natoms, workspace)
-        g += contract_overlap_deriv_stack(bases, W, workspace)
+        g += contract_eri2c_deriv(auxs, zeta, natoms, workspace)
+        g += contract_overlap_deriv(bases, W, workspace)
     return g
 
 

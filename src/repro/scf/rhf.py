@@ -18,15 +18,7 @@ from ..basis.auxiliary import auto_auxiliary
 from ..basis.basisset import BasisSet
 from ..chem.molecule import Molecule
 from ..gemm import gemm, sym_inv_sqrt, eigh_orth
-from ..integrals import (
-    eri2c,
-    eri2c_stack,
-    eri3c,
-    eri3c_stack,
-    eri4c,
-    hcore_stack,
-    overlap_stack,
-)
+from ..integrals import eri2c, eri3c, eri4c, hcore, overlap
 from ..integrals.workspace import evaluation_scope
 from ..numerics import NumericalDivergenceError
 from .diis import DIIS
@@ -181,12 +173,11 @@ def prepare_solves(
     of fragments pays the drivers' fixed cost once. The solves that
     read them are each fragment's own."""
     with evaluation_scope(workspace):
-        S = overlap_stack(bases, workspace)
-        h = hcore_stack(bases, mols, workspace)
+        S = overlap(bases, workspace)
+        h = hcore(bases, mols, workspace)
         if auxs is not None:
-            T3 = eri3c_stack(bases, auxs, screen=int_screen,
-                             workspace=workspace)
-            J2 = eri2c_stack(auxs, workspace)
+            T3 = eri3c(bases, auxs, screen=int_screen, workspace=workspace)
+            J2 = eri2c(auxs, workspace)
     memos = []
     for f, bs in enumerate(bases):
         memo = {"bs": bs, "S": S[f], "h0": h[f]}

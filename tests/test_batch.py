@@ -57,15 +57,15 @@ from repro.integrals.batch import (
     _w_class,
     _w_deriv_class,
     build_shell_classes,
-    contract_eri3c_deriv_batched,
-    contract_kinetic_deriv_batched,
-    contract_nuclear_deriv_batched,
-    contract_overlap_deriv_batched,
-    eri3c_batched,
-    kinetic_batched,
-    nuclear_batched,
-    overlap_batched,
-    schwarz_pair_bounds_batched,
+    contract_eri3c_deriv,
+    contract_kinetic_deriv,
+    contract_nuclear_deriv,
+    contract_overlap_deriv,
+    eri3c,
+    kinetic,
+    nuclear,
+    overlap,
+    schwarz_pair_bounds,
 )
 from repro.integrals.engine import (
     aux_group_data,
@@ -150,18 +150,18 @@ class TestOneElectronParity:
     @pytest.mark.parametrize("basis_name", BASES)
     def test_overlap_bitwise(self, water, basis_name):
         bs, _ = _setup(water, basis_name)
-        _assert_tensor_close(overlap_batched(bs), overlap_loop(bs))
+        _assert_tensor_close(overlap(bs), overlap_loop(bs))
 
     @pytest.mark.parametrize("basis_name", BASES)
     def test_kinetic_bitwise(self, water, basis_name):
         bs, _ = _setup(water, basis_name)
-        _assert_tensor_close(kinetic_batched(bs), kinetic_loop(bs))
+        _assert_tensor_close(kinetic(bs), kinetic_loop(bs))
 
     @pytest.mark.parametrize("basis_name", BASES)
     def test_nuclear_close(self, water, basis_name):
         bs, _ = _setup(water, basis_name)
         np.testing.assert_allclose(
-            nuclear_batched(bs, water), nuclear_loop(bs, water),
+            nuclear(bs, water), nuclear_loop(bs, water),
             rtol=0, atol=1e-13,
         )
 
@@ -170,7 +170,7 @@ class TestOneElectronParity:
         bs, _ = _setup(water, basis_name)
         X = _sym(bs.nbf, seed=1)
         _assert_gradient_close(
-            contract_overlap_deriv_batched(bs, X),
+            contract_overlap_deriv(bs, X),
             contract_overlap_deriv_loop(bs, X),
         )
 
@@ -179,7 +179,7 @@ class TestOneElectronParity:
         bs, _ = _setup(water, basis_name)
         X = _sym(bs.nbf, seed=2)
         _assert_gradient_close(
-            contract_kinetic_deriv_batched(bs, X),
+            contract_kinetic_deriv(bs, X),
             contract_kinetic_deriv_loop(bs, X),
         )
 
@@ -188,7 +188,7 @@ class TestOneElectronParity:
         bs, _ = _setup(water, basis_name)
         X = _sym(bs.nbf, seed=3)
         _assert_gradient_close(
-            contract_nuclear_deriv_batched(bs, water, X),
+            contract_nuclear_deriv(bs, water, X),
             contract_nuclear_deriv_loop(bs, water, X),
         )
 
@@ -198,7 +198,7 @@ class TestThreeCenterParity:
     def test_eri3c_bitwise_unscreened(self, water, basis_name):
         bs, aux = _setup(water, basis_name)
         _assert_tensor_close(
-            eri3c_batched(bs, aux, screen=0.0),
+            eri3c(bs, aux, screen=0.0),
             eri3c_loop(bs, aux, screen=0.0),
         )
 
@@ -206,7 +206,7 @@ class TestThreeCenterParity:
         """Same Schwarz table (one workspace) -> exactly the same skips."""
         bs, aux = _setup(water_dimer, "sto-3g")
         ws = IntegralWorkspace()
-        a = eri3c_batched(bs, aux, screen=1e-6, workspace=ws)
+        a = eri3c(bs, aux, screen=1e-6, workspace=ws)
         seen_a, skipped_a = ws.pairs_total, ws.pairs_skipped
         neglect_a = ws.neglected_bound
         assert skipped_a > 0
@@ -223,7 +223,7 @@ class TestThreeCenterParity:
     def test_schwarz_close(self, water):
         bs, _ = _setup(water, "repro-dzp")
         np.testing.assert_allclose(
-            schwarz_pair_bounds_batched(bs), schwarz_pair_bounds_loop(bs),
+            schwarz_pair_bounds(bs), schwarz_pair_bounds_loop(bs),
             rtol=1e-12, atol=0,
         )
 
@@ -234,7 +234,7 @@ class TestThreeCenterParity:
         Z = rng.standard_normal((bs.nbf, bs.nbf, aux.nbf))
         Z = Z + Z.transpose(1, 0, 2)
         ws = IntegralWorkspace()
-        gb = contract_eri3c_deriv_batched(
+        gb = contract_eri3c_deriv(
             bs, aux, Z, water_dimer.natoms, screen=screen, workspace=ws
         )
         seen, skipped = ws.pairs_total, ws.pairs_skipped
@@ -253,21 +253,21 @@ class TestThreeCenterParity:
     def test_chunk_invariance(self, water_dimer, monkeypatch):
         """Tiny chunks must reproduce the one-shot result bitwise."""
         bs, aux = _setup(water_dimer, "sto-3g")
-        ref = eri3c_batched(bs, aux)
+        ref = eri3c(bs, aux)
         X = _sym(bs.nbf, seed=5)
-        dref = contract_overlap_deriv_batched(bs, X)
+        dref = contract_overlap_deriv(bs, X)
         rng = np.random.default_rng(12)
         Z = rng.standard_normal((bs.nbf, bs.nbf, aux.nbf))
         ws = IntegralWorkspace()
-        gref = contract_eri3c_deriv_batched(
+        gref = contract_eri3c_deriv(
             bs, aux, Z, water_dimer.natoms, screen=1e-6, workspace=ws
         )
         assert ws.pairs_skipped > 0
         monkeypatch.setattr(batch, "_CHUNK_ELEMS", 256)
-        assert np.array_equal(eri3c_batched(bs, aux), ref)
-        assert np.array_equal(contract_overlap_deriv_batched(bs, X), dref)
+        assert np.array_equal(eri3c(bs, aux), ref)
+        assert np.array_equal(contract_overlap_deriv(bs, X), dref)
         ws2 = IntegralWorkspace()
-        g = contract_eri3c_deriv_batched(
+        g = contract_eri3c_deriv(
             bs, aux, Z, water_dimer.natoms, screen=1e-6, workspace=ws2
         )
         assert np.array_equal(g, gref)
@@ -285,15 +285,15 @@ class TestThreeCenterParity:
         def run_all():
             ws = IntegralWorkspace()
             out = [
-                overlap_batched(bs, ws),
-                kinetic_batched(bs, ws),
-                nuclear_batched(bs, mol, ws),
-                schwarz_pair_bounds_batched(bs, ws),
-                eri3c_batched(bs, aux, screen=1e-6, workspace=ws),
-                contract_overlap_deriv_batched(bs, X, ws),
-                contract_kinetic_deriv_batched(bs, X, ws),
-                contract_nuclear_deriv_batched(bs, mol, X, ws),
-                contract_eri3c_deriv_batched(
+                overlap(bs, ws),
+                kinetic(bs, ws),
+                nuclear(bs, mol, ws),
+                schwarz_pair_bounds(bs, ws),
+                eri3c(bs, aux, screen=1e-6, workspace=ws),
+                contract_overlap_deriv(bs, X, ws),
+                contract_kinetic_deriv(bs, X, ws),
+                contract_nuclear_deriv(bs, mol, X, ws),
+                contract_eri3c_deriv(
                     bs, aux, Z, mol.natoms, screen=1e-6, workspace=ws
                 ),
             ]
@@ -507,10 +507,10 @@ class TestCoulombTables:
         Z = c["Z"] * zscale  # 50 |Z| > 1: a wider mask than eri3c's; < 1: narrower
 
         def value(ws):
-            eri3c_batched(c["bs"], c["aux"], screen=screen, workspace=ws)
+            eri3c(c["bs"], c["aux"], screen=screen, workspace=ws)
 
         def deriv(ws):
-            return contract_eri3c_deriv_batched(
+            return contract_eri3c_deriv(
                 c["bs"], c["aux"], Z, c["mol"].natoms, screen=screen,
                 workspace=ws,
             )
@@ -540,8 +540,8 @@ class TestCoulombTables:
     def test_nuclear_deriv_route_independent(self, tables_case):
         c = tables_case
         out, found = _routes(
-            c, lambda ws: nuclear_batched(c["bs"], c["mol"], workspace=ws),
-            lambda ws: contract_nuclear_deriv_batched(
+            c, lambda ws: nuclear(c["bs"], c["mol"], workspace=ws),
+            lambda ws: contract_nuclear_deriv(
                 c["bs"], c["mol"], c["X"], workspace=ws),
         )
         ref = out.pop("no workspace").tobytes()
@@ -557,14 +557,14 @@ class TestCoulombTables:
         with ws.scope():
             for _ in range(2):
                 assert np.array_equal(
-                    eri3c_batched(c["bs"], c["aux"], workspace=ws),
-                    eri3c_batched(c["bs"], c["aux"]),
+                    eri3c(c["bs"], c["aux"], workspace=ws),
+                    eri3c(c["bs"], c["aux"]),
                 )
                 assert np.array_equal(eri2c(c["aux"], workspace=ws),
                                       eri2c(c["aux"]))
                 assert np.array_equal(
-                    nuclear_batched(c["bs"], c["mol"], workspace=ws),
-                    nuclear_batched(c["bs"], c["mol"]),
+                    nuclear(c["bs"], c["mol"], workspace=ws),
+                    nuclear(c["bs"], c["mol"]),
                 )
         assert [t["hit"] for t in table_instants(ws.tracer)] == (
             [False] * 3 + [True] * 3)
@@ -583,11 +583,11 @@ class TestCoulombTables:
         def run_all(ws):
             with evaluation_scope(ws):
                 return [
-                    nuclear_batched(bs, mol, ws),
-                    eri3c_batched(bs, aux, workspace=ws),
+                    nuclear(bs, mol, ws),
+                    eri3c(bs, aux, workspace=ws),
                     eri2c(aux, ws),
-                    contract_nuclear_deriv_batched(bs, mol, X, ws),
-                    contract_eri3c_deriv_batched(
+                    contract_nuclear_deriv(bs, mol, X, ws),
+                    contract_eri3c_deriv(
                         bs, aux, Z, mol.natoms, workspace=ws),
                     contract_eri2c_deriv(aux, zeta, mol.natoms, ws),
                 ]
@@ -773,8 +773,8 @@ class TestCoulombTables:
 
         def run(ws):
             return [
-                contract_nuclear_deriv_batched(bs, mol, X, ws),
-                contract_eri3c_deriv_batched(
+                contract_nuclear_deriv(bs, mol, X, ws),
+                contract_eri3c_deriv(
                     bs, aux, Z, mol.natoms, screen=1e-8, workspace=ws),
             ]
 
@@ -1045,7 +1045,7 @@ class TestSiteGrouping:
 
     def test_eri3c(self, case):
         _, bs, aux, _ = case
-        got = eri3c_batched(bs, aux)
+        got = eri3c(bs, aux)
         _assert_tensor_close(got, eri3c_loop(bs, aux))
         _assert_tensor_close(got, _pershell_eri3c(bs, aux))
 
@@ -1057,7 +1057,7 @@ class TestSiteGrouping:
         mol, bs, aux, _ = case
         rng = np.random.default_rng(51)
         Z = rng.standard_normal((bs.nbf, bs.nbf, aux.nbf))
-        got = contract_eri3c_deriv_batched(bs, aux, Z, mol.natoms)
+        got = contract_eri3c_deriv(bs, aux, Z, mol.natoms)
         _assert_gradient_close(
             got, contract_eri3c_deriv_loop(bs, aux, Z, mol.natoms))
         _assert_gradient_close(
@@ -1155,7 +1155,7 @@ class TestByteAccounting:
     def test_workspace_accounts_actual_nbytes(self, water):
         bs, aux = _setup(water, "sto-3g")
         ws = IntegralWorkspace()
-        eri3c_batched(bs, aux, screen=1e-12, workspace=ws)
+        eri3c(bs, aux, screen=1e-12, workspace=ws)
         # auxiliary groups and bounds; a Schwarz table screened at no
         # fragment's reference is the evaluation's, not the store's
         assert len(ws) == 2 and ws.nbytes == payload_nbytes(

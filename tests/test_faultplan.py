@@ -176,35 +176,37 @@ class TestFaultPlanCalculator:
         inner = PairwisePotentialCalculator()
         calc = self._calc(FaultSpec(kind="transient", step=5))
         e0, g0 = inner.energy_gradient(mol)
-        e1, g1 = calc.energy_gradient(mol, attempt=0, step=0)
+        e1, g1 = calc.energy_gradient(mol)
         assert e1 == e0
         np.testing.assert_array_equal(g1, g0)
 
     def test_transient_raises_injected_fault(self, mol):
         calc = self._calc(FaultSpec(kind="transient", step=0))
         with pytest.raises(InjectedFault):
-            calc.energy_gradient(_Frag(mol, (0,)), attempt=0, step=0)
+            calc.energy_gradient(_Frag(mol, (0,)))
         # the retry budget: attempt 1 is past attempts=1, so it succeeds
-        e, g = calc.energy_gradient(_Frag(mol, (0,)), attempt=1, step=0)
+        frag = _Frag(mol, (0,))
+        frag.attempt = 1
+        e, g = calc.energy_gradient(frag)
         assert np.isfinite(e)
 
     def test_scf_fail_raises_typed_error(self, mol):
         calc = self._calc(FaultSpec(kind="scf_fail", step=0))
         with pytest.raises(SCFConvergenceError, match="planned"):
-            calc.energy_gradient(_Frag(mol, (0,)), attempt=0, step=0)
+            calc.energy_gradient(_Frag(mol, (0,)))
 
     def test_nan_forces_finite_energy_nan_gradient(self, mol):
         calc = self._calc(FaultSpec(kind="nan_forces", step=0))
-        e, g = calc.energy_gradient(_Frag(mol, (0,)), attempt=0, step=0)
+        e, g = calc.energy_gradient(_Frag(mol, (0,)))
         assert np.isfinite(e)
         assert np.isnan(g).all()
 
     def test_key_targeting(self, mol):
         calc = self._calc(FaultSpec(kind="transient", key=(1,)))
-        e, _ = calc.energy_gradient(_Frag(mol, (0,)), attempt=0, step=0)
+        e, _ = calc.energy_gradient(_Frag(mol, (0,)))
         assert np.isfinite(e)
         with pytest.raises(InjectedFault):
-            calc.energy_gradient(_Frag(mol, (1,)), attempt=0, step=0)
+            calc.energy_gradient(_Frag(mol, (1,)))
 
     def test_attribute_get_and_set_delegate_to_inner(self, mol):
         inner = PairwisePotentialCalculator()
@@ -217,7 +219,7 @@ class TestFaultPlanCalculator:
         calc = self._calc(FaultSpec(kind="transient", step=0))
         copy = pickle.loads(pickle.dumps(calc))
         with pytest.raises(InjectedFault):
-            copy.energy_gradient(_Frag(mol, (0,)), attempt=0, step=0)
+            copy.energy_gradient(_Frag(mol, (0,)))
 
     def test_cache_poison_nan_fills_entry(self, mol):
         """Poisoning replaces the densities the task's record carries
@@ -231,7 +233,7 @@ class TestFaultPlanCalculator:
         frag = _Frag(mol, (0,))
         frag.record = held = GuessCache().put(
             FragmentRecord(), np.eye(4), mol.natoms)
-        e, g = calc.energy_gradient(frag, attempt=0, step=0)
+        e, g = calc.energy_gradient(frag)
         assert np.isfinite(e)  # evaluation itself is clean
         poisoned = GuessCache().get(frag.record, mol.natoms)
         assert poisoned is not None and np.isnan(poisoned).all()

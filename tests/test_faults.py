@@ -35,12 +35,11 @@ class _SlowMonomerFlakyDimer:
     """Monomer ``(0,)`` takes 2 s; dimer ``(1, 2)`` fails its first attempt."""
 
     inner: PairwisePotentialCalculator
-    accepts_attempt = True
 
-    def energy_gradient(self, mol, attempt=0):
+    def energy_gradient(self, mol):
         if mol.frag_key == (0,):
             time.sleep(2.0)
-        if mol.frag_key == (1, 2) and attempt == 0:
+        if mol.frag_key == (1, 2) and mol.attempt == 0:
             raise RuntimeError("flaky once")
         return self.inner.energy_gradient(mol)
 
@@ -78,10 +77,12 @@ class TestFaultInjectingCalculator:
         mol = water_cluster(1, seed=0)
         calc = _faulty(surrogate, attempts=2)
         with pytest.raises(InjectedFault):
-            calc.energy_gradient(mol, attempt=0)
+            calc.energy_gradient(mol)
+        mol.attempt = 1
         with pytest.raises(InjectedFault):
-            calc.energy_gradient(mol, attempt=1)
-        e, g = calc.energy_gradient(mol, attempt=2)
+            calc.energy_gradient(mol)
+        mol.attempt = 2
+        e, g = calc.energy_gradient(mol)
         assert np.isfinite(e)
 
     def test_decision_is_stateless(self, surrogate):
@@ -91,9 +92,10 @@ class TestFaultInjectingCalculator:
         calc = _faulty(surrogate, attempts=1)
         for _ in range(3):
             with pytest.raises(InjectedFault):
-                calc.energy_gradient(mol, attempt=0)
+                calc.energy_gradient(mol)
+        mol.attempt = 1
         for _ in range(3):
-            calc.energy_gradient(mol, attempt=1)
+            calc.energy_gradient(mol)
 
 
 class TestRetryPath:

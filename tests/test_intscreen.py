@@ -241,14 +241,14 @@ class TestWorkspaceInvalidation:
         class Probe:
             workspace = IntegralWorkspace()
 
-            def energy_gradient(self, mol):
+            def energy_gradients(self, mols):
                 self.seen = self.workspace._scope.tenant
-                return 0.0, np.zeros((mol.natoms, 3))
+                return [(0.0, np.zeros((mol.natoms, 3))) for mol in mols]
 
         probe = Probe()
-        evaluate_fragment(probe, water_dimer, 0, 0, tenant="job")
+        evaluate_fragment(probe, water_dimer, tenant="job")
         assert probe.seen == "job"
-        evaluate_fragment(probe, water_dimer, 0, 0)
+        evaluate_fragment(probe, water_dimer)
         assert probe.seen is None
 
     def test_coordinator_screens_at_record_references(self):

@@ -159,7 +159,7 @@ class TestOneRunMode:
         assert not hasattr(co, "surrogate_disabled_deterministic")
         assert "deterministic" not in {f.name for f in dataclasses.fields(JobSpec)}
         assert list(inspect.signature(evaluate_fragments).parameters) == [
-            "calculator", "molecules", "attempt", "steps", "tenant"]
+            "calculator", "molecules", "tenant"]
         assert list(inspect.signature(IntegralWorkspace.scope).parameters) \
             == ["self", "tenant", "tracer"]
         assert not hasattr(_Scope, "exact")

@@ -244,7 +244,7 @@ class TestInjectedNumericalFaults:
     def test_scf_fail_mode_raises_typed(self, surrogate):
         calc = _faulty(surrogate, "scf_fail")
         with pytest.raises(SCFConvergenceError, match="planned"):
-            calc.energy_gradient(water_cluster(1, seed=0), attempt=0)
+            calc.energy_gradient(water_cluster(1, seed=0))
 
     def test_scf_fail_retried_to_clean_run(self, w4_system, surrogate):
         """An injected SCF failure (cascade exhausted on a worker) rides

@@ -16,8 +16,10 @@ The contract under test:
   fragment beyond the budget on its own goes alone, its tables partly
   built on the fly, with the same bits.
 * **Errors stay per fragment** — an SCF that exhausts the recovery
-  ladder inside a stack names its own fragment; calculators without
-  ``energy_gradients`` get one call per fragment.
+  ladder inside a stack names its own fragment; the fault-plan wrapper
+  decides every member at its own (key, step, attempt) and then hands
+  the stack on, so a chaos run under `run_serial` stacks as a
+  production run does.
 """
 
 from __future__ import annotations
@@ -28,24 +30,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.basis import BasisSet, auto_auxiliary
-from repro.calculators import RIHFCalculator, RIMP2Calculator
+from repro.calculators import (
+    PairwisePotentialCalculator,
+    RIHFCalculator,
+    RIMP2Calculator,
+)
 from repro.faults import FaultPlan, FaultPlanCalculator, FaultSpec
 from repro.faults.inject import InjectedFault
 from repro.frag import FragmentedSystem
 from repro.integrals import (
     IntegralWorkspace,
-    contract_eri2c_deriv_stack,
-    contract_eri3c_deriv_stack,
-    contract_hcore_deriv_stack,
-    contract_overlap_deriv_stack,
-    eri2c_stack,
-    eri3c_stack,
-    hcore_stack,
-    overlap_stack,
+    contract_eri2c_deriv,
+    contract_eri3c_deriv,
+    contract_hcore_deriv,
+    contract_overlap_deriv,
+    eri2c,
+    eri3c,
+    hcore,
+    overlap,
 )
-from repro.integrals.batch import schwarz_pair_bounds_stack, table_bytes
+from repro.integrals.batch import schwarz_pair_bounds, table_bytes
 from repro.integrals.workspace import evaluation_scope, table_budget
-from repro.md import maxwell_boltzmann_velocities, run_aimd
+from repro.md import (
+    AsyncCoordinator,
+    maxwell_boltzmann_velocities,
+    run_aimd,
+    run_serial,
+)
 from repro.md.scheduler import evaluate_fragments
 from repro.scf.rhf import SCFConvergenceError
 from repro.systems import water_cluster
@@ -106,15 +117,15 @@ def _drivers(mols, screen: float, ws, basis: str, ref=None):
             ws.schwarz_bounds_stack(
                 bases, [ref.coords if n else None for n in near])
         return [
-            overlap_stack(bases, ws),
-            hcore_stack(bases, mols, ws),
-            eri3c_stack(bases, auxs, screen, ws),
-            eri2c_stack(auxs, ws),
-            schwarz_pair_bounds_stack(bases, ws),
-            contract_hcore_deriv_stack(bases, mols, X, ws),
-            contract_eri3c_deriv_stack(bases, auxs, Z, natoms, screen, ws),
-            contract_eri2c_deriv_stack(auxs, zeta, natoms, ws),
-            contract_overlap_deriv_stack(bases, X, ws),
+            overlap(bases, ws),
+            hcore(bases, mols, ws),
+            eri3c(bases, auxs, screen, ws),
+            eri2c(auxs, ws),
+            schwarz_pair_bounds(bases, ws),
+            contract_hcore_deriv(bases, mols, X, ws),
+            contract_eri3c_deriv(bases, auxs, Z, natoms, screen, ws),
+            contract_eri2c_deriv(auxs, zeta, natoms, ws),
+            contract_overlap_deriv(bases, X, ws),
         ]
 
 
@@ -300,34 +311,59 @@ class TestErrorsPerFragment:
         assert "cascade exhausted" in str(err.value)
         assert f"fragment {mols[0].frag_key}" not in str(err.value)
 
-    def test_one_call_per_fragment_without_energy_gradients(self):
-        """A calculator without ``energy_gradients`` — here a fault-plan
-        wrapper, whose attribute delegation would otherwise reach its
-        inner calculator's — gets one ``energy_gradient`` call per
-        fragment, at the fragment's own (key, step, attempt)."""
+    def test_fault_plan_fires_per_member_then_delegates_the_stack(self):
+        """The fault-plan wrapper decides every member at the member's
+        own (key, step, attempt) — a raising fault raises before any
+        member is evaluated — and then hands the stack on in one call."""
         _, mols = _fragments(1, 3, seed=7)
 
         class Recorder:
             def __init__(self):
-                self.calls = []
+                self.stacks = []
 
             def energy_gradients(self, mols):
-                raise AssertionError("the wrapper must not hand the list on")
-
-            def energy_gradient(self, mol):
-                self.calls.append(mol.frag_key)
-                return 0.0, np.zeros((mol.natoms, 3))
+                self.stacks.append([mol.frag_key for mol in mols])
+                return [(0.0, np.zeros((mol.natoms, 3))) for mol in mols]
 
         inner = Recorder()
         target = mols[2].frag_key
         plan = FaultPlan(specs=[FaultSpec(kind="transient", step=5,
                                           key=target, attempts=2)])
         calc = FaultPlanCalculator(inner, plan)
-        steps = [4, 4, 5]
+        for mol, step in zip(mols, (4, 4, 5)):
+            mol.step, mol.attempt = step, 1
         with pytest.raises(InjectedFault, match=rf"fragment \({target[0]},\)"):
-            evaluate_fragments(calc, mols, 1, steps)
-        assert inner.calls == [mols[0].frag_key, mols[1].frag_key]
-        inner.calls.clear()
-        results = evaluate_fragments(calc, mols, 2, steps)
-        assert inner.calls == [mol.frag_key for mol in mols]
+            evaluate_fragments(calc, mols)
+        assert inner.stacks == []
+        for mol in mols:
+            mol.attempt = 2
+        results = evaluate_fragments(calc, mols)
+        assert inner.stacks == [[mol.frag_key for mol in mols]]
         assert len(results) == 3
+
+    def test_chaos_run_hands_the_wrapped_calculator_stacks(self):
+        """A fault-plan run under `run_serial` makes the production call:
+        the wrapped calculator gets each round's fragments as one stack,
+        the plan fires at its own fragment and step, and the trajectory
+        is the clean run's."""
+        system = FragmentedSystem.by_components(water_cluster(3, seed=1))
+        sizes = []
+
+        class Sizes:
+            def energy_gradients(self, mols):
+                sizes.append(len(mols))
+                return PairwisePotentialCalculator().energy_gradients(mols)
+
+        def run(calc):
+            co = AsyncCoordinator(system, nsteps=3, dt_fs=0.5,
+                                  r_dimer_bohr=1.0e6, mbe_order=2, seed=2)
+            run_serial(co, calc)
+            return co.trajectory_energies()
+
+        plan = FaultPlan(specs=[FaultSpec(kind="cache_poison", step=2,
+                                          key=(0, 1))])
+        chaos = run(FaultPlanCalculator(Sizes(), plan))
+        clean = run(PairwisePotentialCalculator())
+        assert max(sizes) > 1
+        assert [(r.step, r.key) for r in plan.audit] == [(2, (0, 1))]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(chaos, clean))
