@@ -125,7 +125,7 @@ def cmd_aimd(args) -> int:
     from .constants import BOHR_PER_ANGSTROM
     from .frag import FragmentedSystem
     from .integrals.workspace import get_workspace
-    from .md import AsyncCoordinator, FailurePolicy, run_parallel, run_serial
+    from .md import AsyncCoordinator, FailurePolicy, run_parallel
     from .md.integrators import maxwell_boltzmann_velocities
 
     mol = _load(args.xyz, args.charge)
@@ -197,29 +197,22 @@ def cmd_aimd(args) -> int:
     print(f"{system.nmonomers} monomers, reference fragment "
           f"{coordinator.reference}, "
           f"{'synchronous' if args.sync else 'asynchronous'} stepping")
-    if args.workers > 1:
-        policy = FailurePolicy(
-            max_retries=args.max_retries,
-            task_timeout_s=args.task_timeout,
-            quarantine=args.quarantine,
-            backoff_s=args.retry_backoff,
-            backoff_jitter=args.retry_jitter,
-        )
-        # on a resumed run the report continues the checkpoint's ``driver``
-        # section: counters and quarantine records
-        report = run_parallel(
-            coordinator, calc, nworkers=args.workers, policy=policy,
-            seed=(fault_plan.derive_seed("retry-jitter")
-                  if fault_plan is not None else args.seed),
-        )
-        _print_fault_handling(report.retries, report.timeouts,
-                              report.pool_restarts)
-        for q in report.quarantined:
-            print(f"QUARANTINED polymer {q.key} step {q.step} "
-                  f"(coefficient {q.coefficient:+g}, {q.attempts} attempts): "
-                  f"{q.error}")
-    else:
-        run_serial(coordinator, calc)
+    # one worker is this process; on a resumed run the report continues
+    # the checkpoint's ``driver`` section: counters and quarantine records
+    report = run_parallel(
+        coordinator, calc, nworkers=args.workers if args.workers > 1 else 0,
+        policy=FailurePolicy(
+            max_retries=args.max_retries, task_timeout_s=args.task_timeout,
+            quarantine=args.quarantine, backoff_s=args.retry_backoff,
+            backoff_jitter=args.retry_jitter),
+        seed=(fault_plan.derive_seed("retry-jitter")
+              if fault_plan is not None else args.seed),
+    )
+    _print_fault_handling(report.retries, report.timeouts, report.pool_restarts)
+    for q in report.quarantined:
+        print(f"QUARANTINED polymer {q.key} step {q.step} "
+              f"(coefficient {q.coefficient:+g}, {q.attempts} attempts): "
+              f"{q.error}")
     if fault_plan is not None:
         counts = fault_plan.audit_summary()
         if counts:
@@ -497,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "before the surrogate may serve [default 6]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
-                   help=">1 runs the fault-tolerant process-pool driver")
+                   help="worker processes (1: this one, same fault policy)")
     p.add_argument("--max-retries", type=int, default=2,
                    help="retry budget per failed polymer task")
     p.add_argument("--task-timeout", type=float, default=None,

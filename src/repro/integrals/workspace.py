@@ -224,7 +224,7 @@ class IntegralWorkspace(BoundedStore):
         ``tenant`` receives the hits and misses; ``tracer`` receives the
         evaluation's ``workspace.hit`` / ``int.screen`` instants. Only
         what is given is set (and put back on exit): a calculator
-        scoping its tracer leaves alone the tenant `evaluate_fragment`
+        scoping its tracer leaves alone the tenant `evaluate_fragments`
         scoped around it. The outermost scope on a thread also opens the
         evaluation's scratch (`_scratch`); nested ones share it, its
         exit drops it (`evaluation` opens one of its own).

@@ -19,6 +19,7 @@ from .drivers import (
     QuarantinedTask,
     WorkerFailure,
     run_parallel,
+    run_serial,
 )
 from .integrators import (
     default_ndof,
@@ -29,7 +30,7 @@ from .integrators import (
     verlet_step,
 )
 from .mts import SlowTierState, TieredMBEForces, slow_tier_items
-from .scheduler import AsyncCoordinator, FragmentStub, PolymerTask, run_serial
+from .scheduler import AsyncCoordinator, FragmentStub, PolymerTask
 from .thermostats import (
     BerendsenThermostat,
     LangevinThermostat,

@@ -25,7 +25,8 @@ from ..frag.switching import mbe_energy_gradient_switched
 from ..numerics import ensure_finite
 from .checkpoint import Checkpoint
 from .integrators import fs_to_au, kinetic_energy, maxwell_boltzmann_velocities, verlet_step
-from .scheduler import AsyncCoordinator, run_serial
+from .drivers import run_serial
+from .scheduler import AsyncCoordinator
 from .trajectory import Trajectory
 
 __all__ = ["Trajectory", "integrate_whole_system", "run_aimd"]

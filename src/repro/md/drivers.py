@@ -1,9 +1,10 @@
 """Fault-tolerant execution drivers for the asynchronous coordinator.
 
 `Dispatcher` plays the role of the worker groups in the paper's
-multi-layer scheme (Fig. 2): a pool of workers is handed polymers and
-streams results back; its caller (this process) is the super-coordinator
-— `run_parallel` over one coordinator's priority queue, or
+multi-layer scheme (Fig. 2): a pool of workers (or, with ``nworkers=0``,
+the calling thread) is handed stacks of polymers and streams results
+back; its caller is the super-coordinator — `run_parallel`, the one
+drive loop, over one coordinator's queue, or
 `repro.serve.TrajectoryService.run` over many.
 
 At the paper's scale (3.75 million polymer calculations per replan
@@ -11,8 +12,8 @@ window on 75,264 GCDs) individual worker failures are a statistical
 certainty, not an exception: a production driver must survive them
 without corrupting the trajectory. The dispatcher therefore:
 
-* catches per-task worker exceptions and retries each failed polymer up
-  to ``FailurePolicy.max_retries`` times with exponential backoff;
+* catches worker exceptions and retries each failed polymer up to
+  ``FailurePolicy.max_retries`` times with exponential backoff;
 * detects dead worker processes (``BrokenProcessPool`` — segfault,
   OOM-kill, ``os._exit``) and rebuilds the pool, every in-flight task
   charged an attempt and retried;
@@ -44,15 +45,17 @@ import random
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Executor,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from ..calculators import stacking
-from .scheduler import AsyncCoordinator, attach_guess_cache, evaluate_fragment
+from .scheduler import AsyncCoordinator, attach_guess_cache, evaluate_fragments
 
 
 class WorkerFailure(RuntimeError):
@@ -69,7 +72,7 @@ class FailurePolicy:
     backoff_s: float = 0.0
     #: multiplier applied to the delay for each further retry
     backoff_factor: float = 2.0
-    #: per-task wall-clock deadline; None disables hang detection
+    #: per-task deadline (a flight: times its tasks); None: no hang check
     task_timeout_s: float | None = None
     #: exhausted tasks: True -> quarantine and keep going, False -> raise
     quarantine: bool = False
@@ -140,33 +143,52 @@ class DriverReport:
 MP_START = "fork"
 
 
+class _InProcess(Executor):
+    """The executor of a ``Dispatcher(0)``: one slot, the calling thread.
+    `submit` runs the call and returns its future already finished."""
+
+    def submit(self, fn, /, *args, **kw) -> Future:
+        fut = Future()
+        try:
+            fut.set_result(fn(*args, **kw))
+        except Exception as err:  # noqa: BLE001 — routed like a worker's
+            fut.set_exception(err)
+        return fut
+
+
 @dataclass(eq=False)
 class _Flight:
-    """Book-keeping for one task, across its attempts."""
+    """Book-keeping for one stack of tasks, across its attempts."""
 
-    task: object
+    tasks: list
     calculator: object
-    #: `evaluate_fragment` keywords, and the caller's own (opaque) note
+    #: `evaluate_fragments` keywords, and the caller's own (opaque) note
     kw: dict
     tag: object
     attempt: int = 0
     deadline_mono: float | None = None
     trace_start: float | None = None
     #: outcome of the finished attempt: ``(energy, gradient, record)``
-    #: or the error
-    result: tuple | None = None
+    #: per task, or the error
+    results: list | None = None
     error: BaseException | None = None
+
+    def trace_args(self) -> dict:
+        return dict(tasks=len(self.tasks), attempt=self.attempt,
+                    steps=sorted({task.step for task in self.tasks}),
+                    keys=[str(task.key) for task in self.tasks])
 
 
 class Dispatcher:
     """The fault-tolerant worker pool under every parallel driver.
 
-    Mechanism, not policy: it owns the executor (worker processes, or
-    threads with ``pool="thread"``), the flights with their deadlines and
-    the backoff queue. `submit` dispatches a task, `wait` hands back
-    every finished attempt, and the caller decides what a failed one
-    means: `retry` it (refused once ``policy.max_retries`` is spent) or
-    give up its own way. ``report`` (the caller's `DriverReport`, or a
+    Mechanism, not policy: it owns the executor (worker processes,
+    threads with ``pool="thread"``, or with ``nworkers=0`` the calling
+    thread as one slot), the flights with their deadlines and the
+    backoff queue. `submit` dispatches a stack of tasks, `wait` hands
+    back every finished attempt, and the caller decides what a failed
+    one means: `retry` it (refused once ``policy.max_retries`` is spent)
+    or give up its own way. ``report`` (the caller's `DriverReport`, or a
     fresh one) takes the ``retries`` / ``timeouts`` / ``pool_restarts``
     counts; ``seed`` pins the RNG behind ``policy.backoff_jitter``.
     """
@@ -189,21 +211,22 @@ class Dispatcher:
 
     @property
     def pending(self) -> int:
-        """Tasks not yet handed back: in flight or queued for a retry."""
+        """Flights not yet handed back: running or queued for a retry."""
         return len(self._flights) + len(self._retries)
 
     @property
     def free(self) -> int:
-        """Worker slots open to new tasks; a retry that is due holds one."""
+        """Worker slots open to new flights; a retry that is due holds one."""
         now = time.monotonic()
         due = sum(ready <= now for ready, _ in self._retries)
-        return self.nworkers - len(self._flights) - due
+        return max(self.nworkers, 1) - len(self._flights) - due
 
     def _executor(self):
         """The pool, built on first use and again after a kill."""
         if self._pool is None:
             self._pool = (
-                ThreadPoolExecutor(self.nworkers, thread_name_prefix="dispatch-worker")
+                _InProcess() if not self.nworkers
+                else ThreadPoolExecutor(self.nworkers, thread_name_prefix="dispatch-worker")
                 if self.pool_kind == "thread"
                 else ProcessPoolExecutor(self.nworkers, mp_context=mp.get_context(MP_START))
             )
@@ -226,45 +249,54 @@ class Dispatcher:
             self.tracer.instant("pool.restart", cat="driver")
         self._kill_pool()
 
-    def submit(self, task, calculator, tag=None, **kw) -> None:
-        """Run ``evaluate_fragment(calculator, task.molecule, **kw)`` on a
-        worker, the molecule carrying the task's step and the flight's
-        attempt; ``tag`` comes back on the flight."""
-        self._dispatch(_Flight(task, calculator, kw, tag))
+    def submit(self, tasks: list, calculator, tag=None, **kw) -> None:
+        """Run ``evaluate_fragments(calculator, [t.molecule for t in
+        tasks], **kw)`` on a worker, each molecule carrying its task's
+        step and the flight's attempt; ``tag`` comes back on the flight."""
+        self._dispatch(_Flight(tasks, calculator, kw, tag))
 
     def _dispatch(self, flight: _Flight) -> None:
-        task, tracer = flight.task, self.tracer
-        now = time.monotonic()
-        task.molecule.attempt = flight.attempt
-        args = (evaluate_fragment, flight.calculator, task.molecule)
+        tracer = self.tracer
+        for task in flight.tasks:
+            task.molecule.attempt = flight.attempt
+        args = (evaluate_fragments, flight.calculator,
+                [task.molecule for task in flight.tasks])
+        timeout = self.policy.task_timeout_s
+        flight.deadline_mono = (time.monotonic() + timeout * len(flight.tasks)
+                                if timeout else None)
+        flight.results = flight.error = None
+        if tracer:
+            flight.trace_start = tracer.clock()
+            tracer.instant("task.dispatch", cat="driver", **flight.trace_args())
         try:
             fut = self._executor().submit(*args, **flight.kw)
         except (BrokenProcessPool, RuntimeError):
             # the pool died between completions; rebuild and resubmit
             self._restart_pool()
             fut = self._executor().submit(*args, **flight.kw)
-        timeout = self.policy.task_timeout_s
-        flight.deadline_mono = now + timeout if timeout else None
-        flight.trace_start = tracer.clock() if tracer else None
-        flight.result = flight.error = None
         self._flights[fut] = flight
-        if tracer:
-            tracer.instant(
-                "task.dispatch", cat="driver", step=task.step,
-                key=str(task.key), attempt=flight.attempt,
-            )
 
     def retry(self, flight: _Flight) -> bool:
         """Queue a failed flight's next attempt behind the policy's
-        backoff; False, and nothing queued, once the budget is spent."""
+        backoff; False, and nothing queued, once the budget is spent.
+        A failed stack goes back as singles at its own attempt, no retry
+        counted: only a single's failure costs one, so innocent members
+        are never charged and a deterministic fault plan gives the same
+        report whether tasks travel alone or stacked."""
+        if len(flight.tasks) > 1:
+            now = time.monotonic()
+            self._retries += [(now, replace(flight, tasks=[task]))
+                              for task in flight.tasks]
+            return True
         if flight.attempt >= self.policy.max_retries:
             return False
         flight.attempt += 1
         self.report.retries += 1
         if self.tracer:
+            (task,) = flight.tasks
             self.tracer.instant(
-                "task.retry", cat="driver", step=flight.task.step,
-                key=str(flight.task.key), attempt=flight.attempt,
+                "task.retry", cat="driver", step=task.step,
+                key=str(task.key), attempt=flight.attempt,
                 error=repr(flight.error),
             )
         delay = self.policy.backoff(flight.attempt, self._jitter_rng)
@@ -300,20 +332,22 @@ class Dispatcher:
         if not done:
             return self._expire()
         finished = []
-        for fut in done:
-            flight = self._flights.pop(fut)
+        # in dispatch order, so a run's completion order is its own
+        for fut, flight in list(self._flights.items()):
+            if fut not in done:
+                continue
+            del self._flights[fut]
             finished.append(flight)
             try:
-                flight.result = fut.result()
+                flight.results = fut.result()
             except Exception as err:  # noqa: BLE001 — routed by the caller
                 flight.error = err
                 continue
             if self.tracer:
                 self.tracer.complete(
-                    "task.roundtrip", flight.trace_start,
+                    "task.exec", flight.trace_start,
                     self.tracer.clock() - flight.trace_start,
-                    cat="driver", step=flight.task.step,
-                    key=str(flight.task.key), attempt=flight.attempt,
+                    cat="driver", **flight.trace_args(),
                 )
         return finished
 
@@ -357,21 +391,24 @@ def run_parallel(
     tracer=None,
     seed: int | None = None,
 ) -> DriverReport:
-    """Drive a coordinator to completion with a fault-tolerant pool.
+    """Drive a coordinator to completion with a fault-tolerant pool of
+    ``nworkers`` processes, or with ``nworkers=0`` on the calling thread.
 
-    Tasks are dispatched eagerly up to ``nworkers`` in flight; each
-    completion may unlock new polymers (possibly of the next time step),
-    which are picked up immediately — the asynchronous overlap the paper
-    exploits. Worker exceptions, dead workers, and hangs are handled per
-    ``policy``; the returned `DriverReport` records what happened. Each
-    task's fragment record travels with it and comes back with the
-    result, so the trajectory and the warm-start counts are the serial
-    run's, however the workers raced, retried or were rebuilt.
+    Each round drains the ready tasks and deals them, in pop order, to
+    the free slots as contiguous slices (a stack per flight); each
+    completion may unlock new polymers (possibly of the next time step)
+    — the asynchronous overlap the paper exploits. Worker exceptions,
+    dead workers, and hangs are handled per ``policy``; the returned
+    `DriverReport` records what happened. Each task's fragment record
+    travels with it and comes back with the result, so the trajectory
+    and the warm-start counts are the same on any worker count, however
+    the workers raced, retried or were rebuilt.
 
     The report rides the coordinator's checkpoints as their ``driver``
     section (`AsyncCoordinator.attach`), so a resumed coordinator's
     report continues the interrupted run's accounting — counters and
-    quarantine records — instead of starting clean.
+    quarantine records — instead of starting clean. On the calling
+    thread the tracer goes on a calculator that takes one and has none.
 
     ``seed`` pins the per-run RNG behind ``policy.backoff_jitter``:
     with a seed, the retry-delay schedule — and hence the
@@ -384,29 +421,39 @@ def run_parallel(
     report = DriverReport()
     coordinator.attach("driver", report)
     attach_guess_cache(coordinator, calculator)
+    if (not nworkers and tracer is not None
+            and getattr(calculator, "tracer", "no") is None):
+        calculator.tracer = tracer
     calculator = stacking(calculator)
     dispatcher = Dispatcher(nworkers, policy, tracer, seed, report=report)
     policy = dispatcher.policy
     try:
         while not coordinator.done():
-            while dispatcher.free > 0:
-                task = coordinator.next_task()
-                if task is None:
-                    break
-                dispatcher.submit(task, calculator)
+            free = dispatcher.free
+            if free > 0:
+                ready = list(iter(coordinator.next_task, None))
+                n = min(free, len(ready))
+                for i in range(n):
+                    dispatcher.submit(
+                        ready[len(ready) * i // n:len(ready) * (i + 1) // n],
+                        calculator,
+                    )
             if not dispatcher.pending:
                 raise RuntimeError(
                     "scheduler deadlock: no tasks, none in flight; "
                     + coordinator.diagnostics()
                 )
             for flight in dispatcher.wait():
-                task, err = flight.task, flight.error
+                err = flight.error
                 if err is None:
-                    coordinator.complete(task, *flight.result)
-                    report.tasks_completed += 1
-                elif dispatcher.retry(flight):
+                    for task, result in zip(flight.tasks, flight.results):
+                        coordinator.complete(task, *result)
+                    report.tasks_completed += len(flight.tasks)
                     continue
-                elif policy.quarantine:
+                if dispatcher.retry(flight):
+                    continue
+                (task,) = flight.tasks  # a stack is never refused a retry
+                if policy.quarantine:
                     report.quarantined.append(
                         QuarantinedTask(
                             key=task.key, step=task.step,
@@ -432,3 +479,12 @@ def run_parallel(
     finally:
         dispatcher.close()
     return report
+
+
+def run_serial(coordinator: AsyncCoordinator, calculator,
+               tracer=None) -> DriverReport:
+    """`run_parallel` on the calling thread under the default
+    `FailurePolicy`: each round's ready tasks go to one
+    `evaluate_fragments` call (the barrier: a whole step;
+    asynchronously: whatever is ready) and complete in pop order."""
+    return run_parallel(coordinator, calculator, nworkers=0, tracer=tracer)

@@ -3,11 +3,11 @@
 `AsyncCoordinator` is the one integrator in the package. It is the
 super-coordinator's state machine, decoupled from how work is executed:
 a driver repeatedly calls `next_task()` and hands results back through
-`complete()`. Drivers are a serial loop (`run_serial`), a process pool
-(`repro.md.drivers`), the trajectory service (`repro.serve`) or the
-discrete-event cluster simulator (`repro.cluster`), which advances a
-virtual clock instead of the wall clock. The synchronous driver
-(`repro.md.aimd.run_aimd`) is this engine with ``synchronous=True``
+`complete()`. Drivers are the one drive loop (`repro.md.drivers`: worker
+processes, or the calling thread as `run_serial`), the trajectory service
+(`repro.serve`) or the discrete-event cluster simulator (`repro.cluster`),
+which advances a virtual clock instead of the wall clock. The synchronous
+driver (`repro.md.aimd.run_aimd`) is this engine with ``synchronous=True``
 under `run_serial`: the paper's baseline is the asynchronous scheme plus
 a global barrier, not a second implementation.
 
@@ -72,7 +72,7 @@ from functools import partial
 
 import numpy as np
 
-from ..calculators import FragmentRecord, GuessCache, stacking
+from ..calculators import FragmentRecord, GuessCache
 from ..chem.molecule import Molecule
 from ..frag.mbe import MBEPlan, build_plan, update_plan
 from ..frag.monomer import FragmentedSystem, FragmentLayout
@@ -1295,11 +1295,11 @@ class AsyncCoordinator:
 def evaluate_fragments(calculator, molecules, *,
                        tenant: str | None = None) -> list:
     """Evaluate fragments on this worker: the one worker-side entry of
-    every driver — the serial loop hands it every ready task at once,
-    the process pool and both service pools one task at a time
-    (`evaluate_fragment`). Returns ``(energy, gradient, record)`` per
-    molecule, in order: the fragment's record as the evaluation left it
-    reaches the engine the way its energy does.
+    every driver, run on each `repro.md.drivers.Dispatcher` flight's
+    stack of tasks (the service's flights are stacks of one). Returns
+    ``(energy, gradient, record)`` per molecule, in order: the
+    fragment's record as the evaluation left it reaches the engine the
+    way its energy does.
 
     * one call, ``calculator.energy_gradients(molecules)``, on the
       calculator as its driver took it (`repro.calculators.stacking`):
@@ -1310,9 +1310,9 @@ def evaluate_fragments(calculator, molecules, *,
       (`IntegralWorkspace.scope`): it is charged the workspace traffic;
       the calculator's own evaluations nest in this scope;
     * a molecule carries its task's MD step (put on at release) and
-      retry attempt (put on at dispatch; 0 under the serial driver), so
-      scheduled faults target "fragment K at step S, attempt A"
-      regardless of which driver or worker draws the task;
+      retry attempt (put on at dispatch), so scheduled faults target
+      "fragment K at step S, attempt A" regardless of which driver or
+      worker draws the task;
     * every result passes a NaN/Inf sentinel before it leaves: a NaN
       contribution would silently poison the accumulated MBE gradient
       of every atom the polymer touches, so divergence becomes a typed
@@ -1347,12 +1347,6 @@ def evaluate_fragments(calculator, molecules, *,
             for mol, (e, g) in zip(molecules, results)]
 
 
-def evaluate_fragment(calculator, molecule, **kw):
-    """`evaluate_fragments` of one fragment: what a pool worker runs per
-    task."""
-    return evaluate_fragments(calculator, [molecule], **kw)[0]
-
-
 def attach_guess_cache(coordinator: AsyncCoordinator, calculator) -> None:
     """One `GuessCache` per run: the calculator's if it brings one (the
     engine then counts into it), else the coordinator's, attached to a
@@ -1362,54 +1356,3 @@ def attach_guess_cache(coordinator: AsyncCoordinator, calculator) -> None:
         calculator.guess_cache = coordinator.guess_cache
     elif hasattr(calculator, "guess_cache"):
         coordinator.guess_cache = calculator.guess_cache
-
-
-def run_serial(coordinator: AsyncCoordinator, calculator, tracer=None) -> None:
-    """Drive a coordinator to completion with a single worker.
-
-    Each round drains every ready task from the queue and hands them to
-    one `evaluate_fragments` call — a stacking calculator evaluates the
-    round's fragments of one composition together (the barrier: a whole
-    step; asynchronously: whatever is ready) — then completes them in
-    the order they were popped. In a serial driver every issued task
-    completes before the next round, so an empty queue before ``done()``
-    is always a scheduler bug — there is no in-flight work that could
-    unlock more tasks, and the old ``in_flight > 0`` guard merely turned
-    the bug into a silent busy-spin. The check is therefore
-    unconditional.
-
-    The run's `GuessCache` (`attach_guess_cache`) and the coordinator's
-    tracer are attached to the calculator (when it supports them and
-    has none of its own), so SCF recovery / warm-start events reach the
-    trace; each round is one ``task.exec`` span listing its tasks.
-
-    Tasks go through `evaluate_fragments`, shared with every other
-    driver (attempt 0: a serial driver never retries), so the same
-    fault plan targets the same events under any of them.
-    """
-    if tracer is None:
-        tracer = coordinator.tracer
-    attach_guess_cache(coordinator, calculator)
-    if tracer is not None and getattr(calculator, "tracer", "no") is None:
-        calculator.tracer = tracer
-    calculator = stacking(calculator)
-
-    while not coordinator.done():
-        tasks = []
-        while (task := coordinator.next_task()) is not None:
-            tasks.append(task)
-        if not tasks:
-            raise RuntimeError(
-                "scheduler deadlock: no ready tasks in serial driver; "
-                + coordinator.diagnostics()
-            )
-        molecules = [task.molecule for task in tasks]
-        if tracer:
-            with tracer.span("task.exec", cat="driver", tasks=len(tasks),
-                             steps=sorted({task.step for task in tasks}),
-                             keys=[str(task.key) for task in tasks]):
-                results = evaluate_fragments(calculator, molecules)
-        else:
-            results = evaluate_fragments(calculator, molecules)
-        for task, result in zip(tasks, results):
-            coordinator.complete(task, *result)

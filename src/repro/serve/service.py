@@ -230,7 +230,7 @@ class TrajectoryService:
                         job_id, task, cost = drawn
                         job = self.jobs[job_id]
                         dispatcher.submit(
-                            task, self._picklable_calculator(job) if process
+                            [task], self._picklable_calculator(job) if process
                             else job.calculator,
                             tag=(job_id, cost), tenant=job_id,
                         )
@@ -253,7 +253,7 @@ class TrajectoryService:
                     try:
                         if flight.error is not None:
                             raise flight.error
-                        job.coordinator.complete(flight.task, *flight.result)
+                        job.coordinator.complete(flight.tasks[0], *flight.results[0])
                         self.tasks_completed += 1
                     except Exception as err:
                         self.tasks_failed += 1

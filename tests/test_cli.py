@@ -159,6 +159,25 @@ class TestCommands:
         assert rc == 0
         assert "polymer calculations" in capsys.readouterr().out
 
+    def test_aimd_one_worker_honours_fault_flags(self, cluster_file,
+                                                 tmp_path, capsys):
+        """One worker runs the same fault-tolerant loop as a pool: a
+        dimer whose forces are NaN on every attempt is quarantined."""
+        from repro.faults import FaultPlan, FaultSpec
+
+        plan = tmp_path / "plan.json"
+        FaultPlan(specs=[FaultSpec(kind="nan_forces", key=(0, 1),
+                                   attempts=99)]).save(plan)
+        rc = main([
+            "aimd", cluster_file, "--surrogate", "--steps", "2",
+            "--r-dimer", "30", "--r-trimer", "15", "--order", "2",
+            "--workers", "1", "--fault-plan", str(plan), "--quarantine",
+            "--max-retries", "0",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.count("QUARANTINED polymer (0, 1)") == 3  # steps 0-2
+
     def test_project(self, capsys):
         rc = main(["project", "--molecules", "500", "--nodes", "32"])
         assert rc == 0

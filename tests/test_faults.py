@@ -5,12 +5,13 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.calculators import PairwisePotentialCalculator
-from repro.faults import InjectedFault
+from repro.faults import FaultPlan, FaultPlanCalculator, FaultSpec, InjectedFault
 from repro.frag import FragmentedSystem
 from repro.md import (
     AsyncCoordinator,
@@ -99,17 +100,43 @@ class TestFaultInjectingCalculator:
 
 
 class TestRetryPath:
-    def test_single_raising_fragment_regression(self, w4_system, surrogate):
+    @pytest.mark.parametrize("nworkers", [0, 3])
+    def test_single_raising_fragment_regression(self, w4_system, surrogate,
+                                                nworkers):
         """Regression for the unguarded fut.result(): one worker raising
-        on a specific fragment must no longer kill the whole run."""
+        on a specific fragment must no longer kill the whole run. In
+        process a round is one stack: it fails, its members go back
+        singly at their own attempt, and only the dimers are charged."""
         faulty = _faulty(surrogate, natoms=DIMER_NATOMS, attempts=1)
         co = _coordinator(w4_system)
-        report = run_parallel(co, faulty, nworkers=3)
+        report = run_parallel(co, faulty, nworkers=nworkers)
         assert co.done()
         assert co.in_flight == 0
         assert report.clean
         # every dimer task failed once: 6 dimers x 5 evaluation steps
         assert report.retries == 6 * 5
+
+    def test_raising_plan_same_alone_or_stacked(self, w4_system, surrogate):
+        """A deterministic raising plan fires on the same (step, key,
+        attempt) events under `run_serial` (stacks of a whole round) and
+        on two workers: the same trajectory, bitwise, and the same
+        report."""
+        plan = FaultPlan(seed=3, specs=[
+            FaultSpec(kind="transient", natoms=DIMER_NATOMS, attempts=2,
+                      probability=0.5),
+            FaultSpec(kind="scf_fail", key=(1,), attempts=1),
+        ])
+        runs = []
+        for drive in (run_serial, partial(run_parallel, nworkers=2)):
+            co = _coordinator(w4_system)
+            report = drive(co, FaultPlanCalculator(surrogate, plan))
+            runs.append((co.trajectory_energies(), report))
+        (want, serial), (got, pool) = runs
+        assert serial.retries > 0
+        assert (pool.retries, pool.quarantined) == (serial.retries,
+                                                    serial.quarantined)
+        for a, b in zip(want, got):
+            assert a.tobytes() == b.tobytes()
 
     def test_retry_then_succeed_matches_clean_run(self, w4_system, surrogate):
         clean = _coordinator(w4_system)

@@ -236,7 +236,7 @@ class TestWorkspaceInvalidation:
     def test_scope_reaches_an_empty_private_workspace(self, water_dimer):
         """The calculator's own workspace is scoped even while it holds
         nothing (an empty store is falsy), and only for the call."""
-        from repro.md.scheduler import evaluate_fragment
+        from repro.md.scheduler import evaluate_fragments
 
         class Probe:
             workspace = IntegralWorkspace()
@@ -246,9 +246,9 @@ class TestWorkspaceInvalidation:
                 return [(0.0, np.zeros((mol.natoms, 3))) for mol in mols]
 
         probe = Probe()
-        evaluate_fragment(probe, water_dimer, tenant="job")
+        evaluate_fragments(probe, [water_dimer], tenant="job")
         assert probe.seen == "job"
-        evaluate_fragment(probe, water_dimer)
+        evaluate_fragments(probe, [water_dimer])
         assert probe.seen is None
 
     def test_coordinator_screens_at_record_references(self):

@@ -11,6 +11,7 @@ from repro.frag import FragmentedSystem
 from repro.md import (
     FailurePolicy,
     NumericalDivergenceError,
+    WorkerFailure,
     run_parallel,
     run_serial,
 )
@@ -280,9 +281,12 @@ class TestInjectedNumericalFaults:
         assert np.all(np.isfinite(co.coords))
 
     def test_nan_forces_serial_raises_typed(self, w4_system, surrogate):
+        """The serial driver retries under the default policy; a NaN that
+        persists ends the run with a typed divergence as the cause."""
         faulty = _faulty(
             surrogate, "nan_forces", natoms=DIMER_NATOMS, attempts=99
         )
         co = _coordinator(w4_system)
-        with pytest.raises(NumericalDivergenceError):
+        with pytest.raises(WorkerFailure) as failure:
             run_serial(co, faulty)
+        assert isinstance(failure.value.__cause__, NumericalDivergenceError)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from repro.cluster import PERLMUTTER, simulate_aimd
 from repro.constants import BOHR_PER_ANGSTROM
 from repro.frag import FragmentedSystem
 from repro.gemm import GemmAutoTuner, VARIANTS
-from repro.md import AsyncCoordinator, run_serial
+from repro.md import AsyncCoordinator, run_parallel, run_serial
 from repro.md.integrators import maxwell_boltzmann_velocities
 from repro.systems import water_cluster
 from repro.trace import Tracer
@@ -98,7 +99,8 @@ class TestTracer:
 
 
 class TestSchedulerInstrumentation:
-    def test_serial_run_emits_full_event_set(self, tmp_path):
+    @pytest.mark.parametrize("nworkers", [0, 2])
+    def test_serial_run_emits_full_event_set(self, tmp_path, nworkers):
         system = FragmentedSystem.by_components(water_cluster(3, seed=2))
         tr = Tracer()
         v0 = maxwell_boltzmann_velocities(system.parent.masses_au, 100, seed=1)
@@ -106,16 +108,20 @@ class TestSchedulerInstrumentation:
             system, nsteps=2, dt_fs=0.5, r_dimer_bohr=BIG, mbe_order=2,
             velocities=v0, tracer=tr,
         )
-        run_serial(co, PairwisePotentialCalculator())
+        run_parallel(co, PairwisePotentialCalculator(), nworkers=nworkers)
         names = {ev["name"] for ev in tr.events}
         assert {"task.release", "task.complete", "task.exec",
                 "step.complete", "scheduler.queue_depth",
                 "scheduler.in_flight", "scheduler.step_skew"} <= names
-        # one exec span per round of ready tasks, every issued task in
-        # exactly one of them
+        # one span shape on any worker count: a complete event per
+        # flight, every issued task in exactly one of them
+        assert "task.roundtrip" not in names
         execs = [ev for ev in tr.events if ev["name"] == "task.exec"]
+        assert all(ev["ph"] == "X" and ev["args"]["attempt"] == 0
+                   for ev in execs)
         assert sum(ev["args"]["tasks"] for ev in execs) == co.tasks_issued
-        assert sum(len(ev["args"]["keys"]) for ev in execs) == co.tasks_issued
+        assert Counter(k for ev in execs for k in ev["args"]["keys"]) \
+            == Counter(args["key"] for args in tr.instants("task.release"))
         # one md.step span per retired step, in order, back to back
         steps = [ev for ev in tr.events if ev["name"] == "md.step"]
         assert [ev["args"]["step"] for ev in steps] == [0, 1, 2]

@@ -13,7 +13,8 @@ from repro.frag import FragmentedSystem, build_plan
 from repro.frag.mbe import update_plan
 from repro.integrals import overlap
 from repro.md.aimd import run_aimd
-from repro.md.scheduler import AsyncCoordinator, run_serial
+from repro.md.drivers import run_serial
+from repro.md.scheduler import AsyncCoordinator
 from repro.scf import rhf
 from repro.scf.recovery import rhf_with_recovery
 from repro.systems import water_cluster, water_monomer
