@@ -119,13 +119,10 @@ def run_experiment(smoke: bool = False) -> dict:
         tau_yd = young_daly_interval(mtbf_s, checkpoint_cost_s)
         best_replay, replayed = optimal_interval(
             work_s, mtbf_s, checkpoint_cost_s, restart_cost_s=120.0,
-            # the full 33-point grid in both modes: grid spacing is
-            # 8^(2/32) = 1.14x, comfortably inside the 20% band the
-            # agreement gate asserts (17 points would quantize at 1.30x).
-            # The objective is <1% deep across that band, so the argmin
-            # needs the MC error well below that: 64 replicas.
-            method="replay", seed=0, replicas=64,
-            grid_points=33,
+            # the objective is <1% deep across the 20% band the agreement
+            # gate asserts, so the argmin needs the MC error well below
+            # that: 64 replicas
+            seed=0, replicas=64,
         )
         results["interval_agreement"].append({
             "nodes": nodes,

@@ -6,8 +6,8 @@ references use. Three families are provided:
 
 * `RIMP2Calculator` / `RIHFCalculator` — the real quantum engines
   (the paper's per-polymer worker computation).
-* `ConventionalMP2Calculator` — the four-center baseline used for the
-  Table III / Fig. 3 comparisons.
+* `ConventionalHFCalculator` — the four-center HF baseline of the
+  Fig. 3 RI-vs-conventional comparison.
 * `PairwisePotentialCalculator` — a cheap classical surrogate
   (Lennard-Jones + Coulomb + optional Axilrod-Teller three-body term)
   for exercising the fragmentation/scheduling machinery at scales where
@@ -39,7 +39,7 @@ from .scf.grad import (
     ri_gradient_coefficients,
 )
 from .scf.recovery import rhf_with_recovery
-from .scf.rhf import SCFConvergenceError, prepare_solves, rhf
+from .scf.rhf import SCFConvergenceError, prepare_solves
 
 
 class Calculator(Protocol):
@@ -147,12 +147,12 @@ class GuessCache:
     fragment's `FragmentRecord` to whichever worker runs it and into
     the checkpoint.
 
-    A record keeps the last ``history`` densities and `get` serves their
+    A record keeps the last ``HISTORY`` densities and `get` serves their
     forward Lagrange extrapolation (``2 D1 - D0`` for two, ``3 D2 - 3 D1
     + D0`` for three), the density analogue of CP2K's always-stable
     predictor: plain last-density reuse leaves its error along the
     slowest-contracting response modes, which DIIS must rebuild, and
-    extrapolation cancels the leading order of it (``history=1`` is
+    extrapolation cancels the leading order of it (one density is
     plain reuse). `repro.scf.rhf` re-validates and re-purifies every
     guess; a record converged for another atom count serves none.
 
@@ -162,11 +162,11 @@ class GuessCache:
     whichever process ran the solve.
     """
 
-    def __init__(self, enabled: bool = True, history: int = 3) -> None:
-        if history < 1:
-            raise ValueError(f"history must be >= 1, got {history}")
+    #: densities a record keeps (the extrapolation's order plus one)
+    HISTORY = 3
+
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.history = int(history)
         self.hits = 0
         self.misses = 0
         #: SCF iterations spent on warm and cold solves, for the 2-4x
@@ -192,7 +192,7 @@ class GuessCache:
         atom-count change starts a new history, and a disabled cache
         keeps none."""
         held = record.densities if record.natoms == natoms else ()
-        kept = (*held, D)[-self.history:] if self.enabled else ()
+        kept = (*held, D)[-self.HISTORY:] if self.enabled else ()
         return replace(record, densities=kept, natoms=int(natoms))
 
     def record(self, hit: bool, n_iter: int) -> None:
@@ -248,21 +248,21 @@ def _stacks(mols, basis: str, workspace: IntegralWorkspace):
             yield idx[lo:hi], bases[lo:hi], auxs[lo:hi]
 
 
-def _evaluate_stacks(calc, mols, method: str, terms, **scf):
+def _evaluate_stacks(calc, mols, method: str, terms):
     """``(energy, gradient)`` of every molecule, in order, evaluated
     stack by stack (`_stacks`).
 
     A stack is one evaluation of the integral layer
     (`IntegralWorkspace.evaluation`): the stacked value drivers fill
     every fragment's solve memo at once (`repro.scf.rhf.prepare_solves`);
-    each fragment's SCF runs on its own — warm starts, recovery ladder,
-    ``scf`` settings — and ``terms(result)`` turns it into the
-    fragment's energy and gradient coefficients, after which the SCF
-    result is dropped; one call of each stacked derivative driver then
-    contracts the stack's coefficients
-    (`repro.scf.grad.contract_ri_gradients`). With screening on, every
-    driver of the stack screens with the Schwarz tables served first at
-    the fragments' reference geometries (`_screen_at_references`). A
+    each fragment's SCF runs on its own — warm starts, recovery ladder —
+    and ``terms(result)`` turns it into the fragment's energy and
+    gradient coefficients, after which the SCF result is dropped; one
+    call of each stacked derivative driver then contracts the stack's
+    coefficients (`repro.scf.grad.contract_ri_gradients`). With
+    screening on, every driver of the stack screens with the Schwarz
+    tables served first at the fragments' reference geometries
+    (`_screen_at_references`). A
     fragment whose SCF fails raises the typed error under its own key;
     the rest of its stack is not evaluated. A traced calculator emits
     one ``calc.stack`` span per stack (composition, size, the largest
@@ -282,7 +282,7 @@ def _evaluate_stacks(calc, mols, method: str, terms, **scf):
             memos = prepare_solves(stack, bases, auxs, calc.int_screen, ws)
             energies, coefs = [], []
             for mol, memo in zip(stack, memos):
-                energy, coef = terms(_fragment_scf(calc, mol, memo, ws, scf))
+                energy, coef = terms(_fragment_scf(calc, mol, memo, ws))
                 energies.append(energy)
                 coefs.append(coef)
                 memo.clear()  # drops the solve's tensors and Fock layouts
@@ -322,16 +322,16 @@ def _screen_at_references(mols, bases, workspace) -> None:
             mol.record = replace(rec, ref=ref)
 
 
-def _fragment_scf(calc, mol, memo, workspace, scf: dict):
+def _fragment_scf(calc, mol, memo, workspace):
     """One fragment's SCF of a stack, on its prepared solve memo; an SCF
     that fails (the recovery ladder exhausted, or diverged) raises its
     typed error naming the fragment."""
     try:
         return _solve_scf(
-            mol, calc.basis, calc.recover, tracer=calc.tracer,
+            mol, calc.basis, tracer=calc.tracer,
             guess_cache=calc.guess_cache, ri=True,
             int_screen=calc.int_screen, workspace=workspace,
-            solve_memo=memo, **scf,
+            solve_memo=memo,
         )
     except (SCFConvergenceError, NumericalDivergenceError) as err:
         raise type(err)(
@@ -340,9 +340,8 @@ def _fragment_scf(calc, mol, memo, workspace, scf: dict):
         ) from err
 
 
-def _solve_scf(mol, basis, recover: bool, tracer=None, guess_cache=None,
-               **kwargs):
-    """Bare `rhf` or the recovery cascade, per the calculator's setting.
+def _solve_scf(mol, basis, tracer=None, guess_cache=None, **kwargs):
+    """The SCF through the recovery cascade (`rhf_with_recovery`).
 
     With a `GuessCache` and a molecule carrying a `FragmentRecord`, the
     record's extrapolated densities seed the solve (``dm0``) and the
@@ -358,10 +357,7 @@ def _solve_scf(mol, basis, recover: bool, tracer=None, guess_cache=None,
         if dm0 is not None:
             kwargs["dm0"] = dm0
             hit = True
-    if recover:
-        res = rhf_with_recovery(mol, basis, tracer=tracer, **kwargs)
-    else:
-        res = rhf(mol, basis, **kwargs)
+    res = rhf_with_recovery(mol, basis, tracer=tracer, **kwargs)
     if record is not None:
         mol.record = replace(guess_cache.put(record, res.D, mol.natoms),
                              solve=(hit, res.niter))
@@ -377,9 +373,9 @@ def _solve_scf(mol, basis, recover: bool, tracer=None, guess_cache=None,
 class RIMP2Calculator:
     """Full RI-HF + RI-MP2 energy and analytic gradient (the paper's method).
 
-    ``recover=True`` (the default) routes the SCF through the escalation
-    ladder of `repro.scf.recovery`, so a hard fragment geometry costs
-    extra iterations instead of aborting the trajectory.  Every returned
+    The SCF always runs through the escalation ladder of
+    `repro.scf.recovery`, so a hard fragment geometry costs extra
+    iterations instead of aborting the trajectory.  Every returned
     energy/gradient passes a NaN/Inf sentinel; divergence surfaces as a
     typed `NumericalDivergenceError` the fault-tolerant drivers know how
     to retry or quarantine.
@@ -398,9 +394,6 @@ class RIMP2Calculator:
     """
 
     basis: str = "sto-3g"
-    conv_energy: float = 1.0e-10
-    max_iter: int = 150
-    recover: bool = True
     guess_cache: GuessCache | None = None
     tracer: object = None
     int_screen: float = 0.0
@@ -418,19 +411,15 @@ class RIMP2Calculator:
             coefs, parts = rimp2_gradient_coefficients(res)
             return res.energy + parts["e_corr"], coefs
 
-        return _evaluate_stacks(
-            self, mols, "RI-MP2", terms,
-            conv_energy=self.conv_energy, max_iter=self.max_iter,
-        )
+        return _evaluate_stacks(self, mols, "RI-MP2", terms)
 
     def energy(self, mol: Molecule) -> float:
         """Energy-only evaluation (skips the gradient machinery)."""
         ws, scope = _resolve_workspace(self)
         with scope:
             res = _solve_scf(
-                mol, self.basis, self.recover, tracer=self.tracer,
+                mol, self.basis, tracer=self.tracer,
                 guess_cache=self.guess_cache, ri=True,
-                conv_energy=self.conv_energy, max_iter=self.max_iter,
                 int_screen=self.int_screen, workspace=ws,
             )
         energy = res.energy + mp2_ri(res).e_corr
@@ -447,7 +436,6 @@ class RIHFCalculator:
     """
 
     basis: str = "sto-3g"
-    recover: bool = True
     guess_cache: GuessCache | None = None
     tracer: object = None
     int_screen: float = 0.0
@@ -476,7 +464,6 @@ class ConventionalHFCalculator(OneAtATime):
     """
 
     basis: str = "sto-3g"
-    recover: bool = True
     guess_cache: GuessCache | None = None
     tracer: object = None
     int_screen: float | None = None
@@ -487,7 +474,7 @@ class ConventionalHFCalculator(OneAtATime):
         ws, scope = _resolve_workspace(self)
         with scope:
             res = _solve_scf(
-                mol, self.basis, self.recover, tracer=self.tracer,
+                mol, self.basis, tracer=self.tracer,
                 guess_cache=self.guess_cache, ri=False, workspace=ws,
             )
             grad = rhf_gradient_conventional(
@@ -657,41 +644,16 @@ class PairwisePotentialCalculator(OneAtATime):
         return tot
 
     def _axilrod_teller(self, coords: np.ndarray) -> tuple[float, np.ndarray]:
-        n = coords.shape[0]
-        nu = self.at_strength
-        e = 0.0
-        g = np.zeros_like(coords)
-        h = 1.0e-6
         # Analytic AT gradients are lengthy; the term is only used in
-        # tests/surrogates, so a central difference per triple-energy is
+        # tests/surrogates, so a central difference of `_at_energy` is
         # acceptable and keeps this code obviously correct.
-        def energy(c):
-            tot = 0.0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    for k in range(j + 1, n):
-                        rij = c[i] - c[j]
-                        rjk = c[j] - c[k]
-                        rki = c[k] - c[i]
-                        dij = np.linalg.norm(rij)
-                        djk = np.linalg.norm(rjk)
-                        dki = np.linalg.norm(rki)
-                        cos_i = float(np.dot(rij, -rki) / (dij * dki))
-                        cos_j = float(np.dot(-rij, rjk) / (dij * djk))
-                        cos_k = float(np.dot(-rjk, rki) / (djk * dki))
-                        tot += (
-                            nu
-                            * (1 + 3 * cos_i * cos_j * cos_k)
-                            / (dij * djk * dki) ** 3
-                        )
-            return tot
-
-        e = energy(coords)
-        for a in range(n):
+        h = 1.0e-6
+        g = np.zeros_like(coords)
+        for a in range(coords.shape[0]):
             for x in range(3):
                 cp = coords.copy()
                 cp[a, x] += h
                 cm = coords.copy()
                 cm[a, x] -= h
-                g[a, x] = (energy(cp) - energy(cm)) / (2 * h)
-        return e, g
+                g[a, x] = (self._at_energy(cp) - self._at_energy(cm)) / (2 * h)
+        return self._at_energy(coords), g

@@ -13,7 +13,6 @@ from .events import ClusterSimulator, SimResult, simulate_aimd
 from .failures import (
     CampaignResult,
     NodeFailureModel,
-    NodeMix,
     expected_makespan,
     optimal_interval,
     replay_campaign,
@@ -36,7 +35,6 @@ __all__ = [
     "FragmentCostModel",
     "MachineSpec",
     "NodeFailureModel",
-    "NodeMix",
     "PAPER_CALIBRATED",
     "PERLMUTTER",
     "SimResult",

@@ -13,29 +13,15 @@ Used for the paper's time-step latency (Sec. VII-A) and strong/weak
 scaling (Figs. 7, 8) experiments. For timing studies the coordinator is
 run in stub mode with zero temperature, so the geometry (and hence the
 workload) is frozen — matching the paper's 3-step scaling measurements.
-
-The simulated machine can also *fail*: given a
-`repro.cluster.failures.NodeFailureModel`, virtual nodes die on seeded
-uptime draws, taking their workers (and the tasks in flight on them)
-down; lost tasks are replayed once the node recovers, exactly the
-retry semantics of the real driver — completed results live in the
-coordinator, which survives worker loss.  Coordinator-blocking
-checkpoint writes at a fixed virtual-time interval and heterogeneous
-node speed mixes (`NodeMix`) round out the failure-aware campaign
-model; `SimResult` accounts failures, lost work, downtime, and
-checkpoint overhead alongside the usual throughput numbers.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..md.scheduler import AsyncCoordinator
 from .costmodel import FragmentCostModel
-from .failures import NodeFailureModel, NodeMix
 from .machine import MachineSpec
 
 
@@ -54,20 +40,6 @@ class SimResult:
     tasks: int
     #: tracer with per-worker task spans in virtual time (trace=True runs)
     tracer: object = None
-    #: node failures that struck during the run
-    failures: int = 0
-    #: tasks killed by a node loss and re-executed
-    replayed_tasks: int = 0
-    #: worker-seconds of partially-finished work destroyed by failures
-    lost_work_s: float = 0.0
-    #: node-seconds spent down (outage + restart) across all failures
-    node_downtime_s: float = 0.0
-    #: coordinator-blocking checkpoint writes performed
-    ckpt_writes: int = 0
-    #: virtual seconds the coordinator spent writing checkpoints
-    ckpt_overhead_s: float = 0.0
-    #: per-node relative speeds actually used (heterogeneous mixes)
-    node_speeds: list = field(default_factory=list)
 
     @property
     def nevals(self) -> int:
@@ -113,13 +85,6 @@ class ClusterSimulator:
         cost_model: FragmentCostModel | None = None,
         gcds_per_worker: int = 1,
         tracer=None,
-        failure_model: NodeFailureModel | None = None,
-        failure_seed: int = 0,
-        restart_cost_s: float = 30.0,
-        downtime_s: float = 60.0,
-        checkpoint_interval_s: float = 0.0,
-        checkpoint_cost_s: float = 0.0,
-        node_mix: NodeMix | None = None,
     ) -> None:
         self.machine = machine
         self.nodes = nodes
@@ -130,22 +95,6 @@ class ClusterSimulator:
         #: optional `repro.trace.Tracer`; construct it with
         #: ``clock=sim.clock, epoch=0.0`` so spans land in virtual time
         self.tracer = tracer
-        #: per-node uptime draws; None runs the (unrealistic) machine
-        #: that never fails, preserving prior behavior
-        self.failure_model = failure_model
-        self.failure_seed = failure_seed
-        #: recovery cost once a failed node's outage ends (job relaunch,
-        #: warm caches gone) before its workers rejoin the pool
-        self.restart_cost_s = restart_cost_s
-        #: outage duration of a failed node before recovery begins
-        self.downtime_s = downtime_s
-        #: coordinator-blocking checkpoint cadence in virtual seconds
-        #: (0 disables); each write stalls the serial coordinator for
-        #: ``checkpoint_cost_s``
-        self.checkpoint_interval_s = checkpoint_interval_s
-        self.checkpoint_cost_s = checkpoint_cost_s
-        #: heterogeneous node speeds (see `NodeMix`); None = homogeneous
-        self.node_mix = node_mix
 
     def clock(self) -> float:
         """Virtual clock handed to the coordinator."""
@@ -154,100 +103,34 @@ class ClusterSimulator:
     def run(self, coordinator: AsyncCoordinator) -> SimResult:
         """Execute the coordinator to completion in virtual time.
 
-        Event kinds: ``complete`` (a worker finished a task), ``fail``
-        (a node's uptime draw expired: its workers leave the pool and
-        their in-flight tasks are killed and queued for replay), and
-        ``recover`` (a failed node's outage + restart elapsed: its
-        workers rejoin and its next uptime is drawn).  Replayed tasks
-        are dispatched ahead of fresh coordinator tasks — the same
-        retry-first ordering the real driver uses.
+        The one event kind is a worker finishing a task: the result
+        goes back through the serial coordinator, the worker rejoins
+        the pool and every free worker draws the next ready task.
         """
         m = self.machine
         tracer = self.tracer
-        # (time, seq, kind, payload); seq breaks ties AND identifies
-        # completion events for cancellation on node failure
-        events: list[tuple[float, int, str, object]] = []
-        seq = 0
-        wpn = max(m.gcds_per_node // self.gcds_per_worker, 1)
-        nnodes = self.nodes
-
-        def node_of(wid: int) -> int:
-            return min(wid // wpn, nnodes - 1)
-
-        speeds = (
-            self.node_mix.speeds(nnodes) if self.node_mix is not None
-            else [1.0] * nnodes
-        )
-        node_up = [True] * nnodes
+        # (time, seq, task, worker); seq breaks ties in push order
+        events: list[tuple[float, int, object, int]] = []
         free_workers = list(range(self.nworkers - 1, -1, -1))
-        rng = random.Random(self.failure_seed)
-        #: seq -> (task, wid, exec_start) for in-flight completions
-        inflight: dict[int, tuple[object, int, float]] = {}
-        cancelled: set[int] = set()
-        replay: deque = deque()
         coord_free = 0.0
         busy = 0.0
         counted = 0.0
         ntasks = 0
-        failures = 0
-        replayed = 0
-        lost = 0.0
-        downtime_total = 0.0
-        ckpt_writes = 0
-        ckpt_overhead = 0.0
-        next_ckpt = (
-            self.checkpoint_interval_s
-            if self.checkpoint_interval_s > 0 else None
-        )
-
-        def push(t: float, kind: str, payload) -> int:
-            nonlocal seq
-            fid = seq
-            heapq.heappush(events, (t, fid, kind, payload))
-            seq += 1
-            return fid
-
-        if self.failure_model is not None:
-            for node in range(nnodes):
-                push(self.failure_model.draw_uptime(rng), "fail", node)
-
-        def service_checkpoints() -> None:
-            """Coordinator-blocking checkpoint writes on their cadence."""
-            nonlocal coord_free, next_ckpt, ckpt_writes, ckpt_overhead
-            while next_ckpt is not None and max(self.now, coord_free) >= next_ckpt:
-                coord_free = max(coord_free, next_ckpt) + self.checkpoint_cost_s
-                ckpt_writes += 1
-                ckpt_overhead += self.checkpoint_cost_s
-                if tracer:
-                    tracer.complete(
-                        "checkpoint.write", coord_free - self.checkpoint_cost_s,
-                        self.checkpoint_cost_s, cat="sim.coordinator",
-                    )
-                # cadence restarts when the write finishes: a cost larger
-                # than the interval degrades throughput, never livelocks
-                next_ckpt = (
-                    max(next_ckpt, coord_free) + self.checkpoint_interval_s
-                )
 
         def dispatch() -> None:
             nonlocal coord_free, busy, counted, ntasks
             while free_workers:
-                if replay:
-                    task = replay.popleft()
-                else:
-                    task = coordinator.next_task()
-                    if task is None:
-                        break
+                task = coordinator.next_task()
+                if task is None:
+                    break
                 wid = free_workers.pop()
-                ntasks += 1
-                service_checkpoints()
                 # serial super-coordinator service + message to the worker
                 start_service = max(self.now, coord_free)
                 coord_free = start_service + m.coordinator_service_s
                 exec_start = coord_free + m.message_latency_s
                 dur = self.cost.time_on(
                     task.nelectrons, m, ngcds=self.gcds_per_worker
-                ) / speeds[node_of(wid)]
+                )
                 busy += dur
                 counted += self.cost.gemm_flops(task.nelectrons)
                 if tracer:
@@ -256,79 +139,24 @@ class ClusterSimulator:
                         tid=wid, step=task.step, key=str(task.key),
                         nelectrons=task.nelectrons,
                     )
-                fid = push(exec_start + dur, "complete", (task, wid))
-                inflight[fid] = (task, wid, exec_start)
-
-        def fail_node(node: int) -> None:
-            nonlocal free_workers, failures, replayed, lost, downtime_total
-            failures += 1
-            node_up[node] = False
-            free_workers = [w for w in free_workers if node_of(w) != node]
-            for fid, (task, wid, exec_start) in list(inflight.items()):
-                if node_of(wid) != node:
-                    continue
-                cancelled.add(fid)
-                del inflight[fid]
-                lost += max(self.now - exec_start, 0.0)
-                replay.append(task)
-                replayed += 1
-            outage = self.downtime_s + self.restart_cost_s
-            downtime_total += outage
-            push(self.now + outage, "recover", node)
-            if tracer:
-                tracer.instant(
-                    "sim.node_fail", cat="sim", node=node,
-                    outage_s=outage,
-                )
-
-        def recover_node(node: int) -> None:
-            node_up[node] = True
-            # every worker of this node is free: its in-flight tasks
-            # were cancelled at failure time
-            free_workers.extend(
-                w for w in range(node * wpn, (node + 1) * wpn)
-                if w < self.nworkers
-            )
-            push(
-                self.now + self.failure_model.draw_uptime(rng),
-                "fail", node,
-            )
-            if tracer:
-                tracer.instant("sim.node_recover", cat="sim", node=node)
+                heapq.heappush(events, (exec_start + dur, ntasks, task, wid))
+                ntasks += 1
 
         dispatch()
         while not coordinator.done():
-            # a stuck coordinator must fail loudly, not spin through an
-            # eternity of fail/recover events: with nothing in flight,
-            # nothing to replay, every node up, and no releasable task,
-            # no future event can make progress
-            if not events or (
-                not inflight and not replay and all(node_up)
-                and not coordinator.has_ready_tasks()
-            ):
+            # nothing in flight and the coordinator not done: no future
+            # event can release a task
+            if not events:
                 raise RuntimeError(
                     "cluster simulation deadlocked; "
                     + coordinator.diagnostics()
                 )
-            t, fid, kind, payload = heapq.heappop(events)
-            if kind == "complete" and fid in cancelled:
-                cancelled.discard(fid)
-                continue
-            self.now = t
-            if kind == "complete":
-                task, wid = payload
-                inflight.pop(fid, None)
-                # result message back + coordinator bookkeeping
-                coord_free = max(self.now, coord_free) + m.coordinator_service_s
-                coordinator.complete(task, 0.0, None)
-                if node_up[node_of(wid)]:
-                    free_workers.append(wid)
-                dispatch()
-            elif kind == "fail":
-                fail_node(payload)
-            else:
-                recover_node(payload)
-                dispatch()
+            self.now, _, task, wid = heapq.heappop(events)
+            # result message back + coordinator bookkeeping
+            coord_free = max(self.now, coord_free) + m.coordinator_service_s
+            coordinator.complete(task, 0.0, None)
+            free_workers.append(wid)
+            dispatch()
         return SimResult(
             machine=m.name,
             nodes=self.nodes,
@@ -339,13 +167,6 @@ class ClusterSimulator:
             busy_time_s=busy,
             tasks=ntasks,
             tracer=tracer,
-            failures=failures,
-            replayed_tasks=replayed,
-            lost_work_s=lost,
-            node_downtime_s=downtime_total,
-            ckpt_writes=ckpt_writes,
-            ckpt_overhead_s=ckpt_overhead,
-            node_speeds=speeds if self.node_mix is not None else [],
         )
 
 
@@ -362,38 +183,15 @@ def simulate_aimd(
     cost_model: FragmentCostModel | None = None,
     gcds_per_worker: int = 1,
     trace: bool = False,
-    failure_model: NodeFailureModel | None = None,
-    failure_seed: int = 0,
-    restart_cost_s: float = 30.0,
-    downtime_s: float = 60.0,
-    checkpoint_interval_s: float = 0.0,
-    checkpoint_cost_s: float | None = None,
-    node_mix: NodeMix | None = None,
 ) -> SimResult:
     """Convenience wrapper: build a stub-mode coordinator and simulate it.
 
     With ``trace=True`` a `repro.trace.Tracer` bound to the simulator's
     virtual clock records worker spans and scheduler counters; it is
     returned on ``SimResult.tracer``.
-
-    ``failure_model`` turns on seeded node failures (see
-    `repro.cluster.failures`); ``checkpoint_interval_s > 0`` adds
-    coordinator-blocking checkpoint writes whose cost defaults to the
-    cost model's `FragmentCostModel.checkpoint_cost_s` for the system's
-    atom count.
     """
-    cost = cost_model or FragmentCostModel()
-    if checkpoint_cost_s is None:
-        checkpoint_cost_s = (
-            cost.checkpoint_cost_s(system.parent.natoms)
-            if checkpoint_interval_s > 0 else 0.0
-        )
     sim = ClusterSimulator(
-        machine, nodes, cost_model=cost, gcds_per_worker=gcds_per_worker,
-        failure_model=failure_model, failure_seed=failure_seed,
-        restart_cost_s=restart_cost_s, downtime_s=downtime_s,
-        checkpoint_interval_s=checkpoint_interval_s,
-        checkpoint_cost_s=checkpoint_cost_s, node_mix=node_mix,
+        machine, nodes, cost_model=cost_model, gcds_per_worker=gcds_per_worker,
     )
     tracer = None
     if trace:

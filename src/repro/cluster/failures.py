@@ -1,29 +1,26 @@
-"""Node-failure models and checkpoint/restart economics for campaigns.
+"""Node-failure rates and checkpoint/restart economics for campaigns.
 
 At 9,400 nodes even excellent per-node reliability compounds into a
 system-level mean time between failures of a few hours — shorter than
-the paper's 3.16-hour production trajectory — so a simulated exascale
-campaign that never fails is lying about its makespan.  This module
-provides:
+the paper's 3.16-hour production trajectory — so a projected exascale
+campaign that never fails is lying about its makespan.  The event
+simulator (`repro.cluster.events`) models the failure-free machine the
+paper's scaling runs measured; failures are priced on top of it here:
 
-* `NodeFailureModel` — per-node uptime draws (exponential or Weibull
-  hazard; Weibull with shape < 1 captures the infant-mortality burst
-  HPC field data shows) that the event simulator
-  (`repro.cluster.events.ClusterSimulator`) uses to kill virtual nodes
-  mid-run, and the aggregate system MTBF they compound to;
+* `NodeFailureModel` — a per-node MTBF and the exponential system MTBF
+  it compounds to on ``n`` nodes;
 * the **Young–Daly** analysis: `young_daly_interval` (the classic
   first-order optimal checkpoint period ``sqrt(2 delta M)``),
   `expected_makespan` (Daly's exact exponential-failure expectation),
   and `replay_campaign` — a seeded Monte-Carlo replay of a whole
   campaign under a chosen checkpoint interval, with lost-work,
   checkpoint-overhead, and restart accounting;
-* `optimal_interval` — grid minimization of either the analytic
-  expectation or the replayed makespan, used by
-  ``benchmarks/bench_failures.py`` to verify the two agree.
+* `optimal_interval` — grid minimization of the replayed makespan, used
+  by ``benchmarks/bench_failures.py`` to check it against the
+  Young–Daly estimate.
 
-All stochastic draws go through an explicit seed (`random.Random` /
-`FaultPlan.derive_seed` upstream), in the same replayability discipline
-as `repro.faults`.
+All stochastic draws go through an explicit seed (`random.Random`), in
+the same replayability discipline as `repro.faults`.
 """
 
 from __future__ import annotations
@@ -32,48 +29,19 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .machine import MachineSpec
-
 SECONDS_PER_HOUR = 3600.0
 
 
 @dataclass(frozen=True)
 class NodeFailureModel:
-    """Per-node time-to-failure distribution.
-
-    ``exponential`` is the memoryless textbook model (constant hazard);
-    ``weibull`` with ``shape < 1`` has a decreasing hazard — young
-    uptimes fail disproportionately often, the empirical signature of
-    HPC failure logs.  Either way the *mean* uptime is
-    ``mtbf_hours`` (the Weibull scale is solved from the mean via
-    ``scale = mean / Gamma(1 + 1/shape)``), so models are comparable at
-    equal MTBF.
-    """
+    """Per-node mean time between failures, failing at a constant rate
+    (exponential uptimes), so independent nodes compound exactly."""
 
     mtbf_hours: float
-    distribution: str = "exponential"
-    weibull_shape: float = 0.7
 
     def __post_init__(self):
         if self.mtbf_hours <= 0:
             raise ValueError(f"mtbf_hours must be positive: {self.mtbf_hours}")
-        if self.distribution not in ("exponential", "weibull"):
-            raise ValueError(
-                f"unknown failure distribution {self.distribution!r}"
-            )
-        if self.weibull_shape <= 0:
-            raise ValueError("weibull_shape must be positive")
-
-    @classmethod
-    def from_machine(cls, machine: MachineSpec,
-                     distribution: str = "exponential",
-                     weibull_shape: float = 0.7) -> "NodeFailureModel":
-        """The machine's rated per-node MTBF as a failure model."""
-        return cls(
-            mtbf_hours=machine.node_mtbf_hours,
-            distribution=distribution,
-            weibull_shape=weibull_shape,
-        )
 
     @property
     def mtbf_s(self) -> float:
@@ -81,59 +49,9 @@ class NodeFailureModel:
         return self.mtbf_hours * SECONDS_PER_HOUR
 
     def system_mtbf_s(self, nnodes: int) -> float:
-        """Mean time between failures anywhere in an ``nnodes`` system.
-
-        Independent nodes compound: the system fails ``nnodes`` times
-        as often as one node (exact for exponential; the standard
-        mean-rate approximation otherwise).
-        """
+        """Mean time between failures anywhere in an ``nnodes`` system:
+        independent nodes fail ``nnodes`` times as often as one."""
         return self.mtbf_s / max(int(nnodes), 1)
-
-    def draw_uptime(self, rng: random.Random) -> float:
-        """One seeded time-to-failure draw for a single node (seconds)."""
-        if self.distribution == "exponential":
-            return rng.expovariate(1.0 / self.mtbf_s)
-        scale = self.mtbf_s / math.gamma(1.0 + 1.0 / self.weibull_shape)
-        return rng.weibullvariate(scale, self.weibull_shape)
-
-
-@dataclass(frozen=True)
-class NodeMix:
-    """A heterogeneous node pool: ``(count, speed_factor)`` groups.
-
-    Speed factors scale task execution rates (1.0 = the nominal
-    `MachineSpec` GCD); groups are laid out in order, and any nodes
-    beyond the listed counts run at 1.0.  Models mixed procurements
-    (e.g. a partition of previous-generation GPUs) and degraded nodes.
-    """
-
-    groups: tuple[tuple[int, float], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "groups",
-            tuple((int(n), float(s)) for n, s in self.groups),
-        )
-        for n, s in self.groups:
-            if n < 0 or s <= 0:
-                raise ValueError(f"bad node-mix group ({n}, {s})")
-
-    def speeds(self, nnodes: int) -> list[float]:
-        """Per-node speed factors for an ``nnodes`` allocation."""
-        out: list[float] = []
-        for count, speed in self.groups:
-            take = min(count, nnodes - len(out))
-            out.extend([speed] * max(take, 0))
-            if len(out) >= nnodes:
-                return out[:nnodes]
-        out.extend([1.0] * (nnodes - len(out)))
-        return out
-
-    def mean_speed(self, nnodes: int) -> float:
-        """Average speed factor over the allocation."""
-        s = self.speeds(nnodes)
-        return sum(s) / len(s) if s else 1.0
 
 
 # --------------------------------------------------------------------------
@@ -169,8 +87,7 @@ def expected_makespan(
 
         E[T] = (W / tau) * e^(lam R) * (1/lam) * (e^(lam (tau+delta)) - 1)
 
-    which reduces to ``W * (1 + delta/tau)`` as ``lam -> 0`` and is the
-    function `optimal_interval` minimizes analytically.
+    which reduces to ``W * (1 + delta/tau)`` as ``lam -> 0``.
     """
     if interval_s <= 0:
         raise ValueError(f"interval_s must be positive: {interval_s}")
@@ -185,7 +102,7 @@ def expected_makespan(
 
 @dataclass
 class CampaignResult:
-    """Accounting of one (replayed or analytic) campaign."""
+    """Accounting of one replayed campaign."""
 
     work_s: float
     interval_s: float
@@ -196,7 +113,7 @@ class CampaignResult:
     restart_overhead_s: float = 0.0
     downtime_s: float = 0.0
     replicas: int = 1
-    #: per-replica makespans (replayed campaigns only)
+    #: per-replica makespans
     samples: list[float] = field(default_factory=list)
 
     @property
@@ -212,8 +129,6 @@ def replay_campaign(
     checkpoint_cost_s: float,
     restart_cost_s: float = 0.0,
     downtime_s: float = 0.0,
-    model: NodeFailureModel | None = None,
-    nnodes: int = 1,
     seed: int = 0,
     replicas: int = 8,
 ) -> CampaignResult:
@@ -221,9 +136,8 @@ def replay_campaign(
 
     Simulates ``replicas`` independent campaigns: work proceeds in
     ``interval_s`` segments, each sealed by a ``checkpoint_cost_s``
-    write; a failure (drawn from ``model`` compounded over ``nnodes``,
-    or exponential at ``mtbf_s`` when no model is given) destroys all
-    progress since the last sealed checkpoint and costs ``downtime_s``
+    write; a failure (exponential at the system MTBF ``mtbf_s``) destroys
+    all progress since the last sealed checkpoint and costs ``downtime_s``
     of outage plus ``restart_cost_s`` of recovery before work resumes.
     Overheads are accounted per category so benchmarks can show *where*
     the wall time goes as MTBF shrinks.
@@ -235,15 +149,7 @@ def replay_campaign(
     rng = random.Random(seed)
 
     def draw() -> float:
-        if model is None:
-            return rng.expovariate(1.0 / mtbf_s)
-        n = max(int(nnodes), 1)
-        if n <= 64:
-            # compound independent nodes exactly: first failure wins
-            return min(model.draw_uptime(rng) for _ in range(n))
-        # large pools: the minimum of many i.i.d. uptimes converges to
-        # an exponential at the system rate regardless of the node law
-        return rng.expovariate(1.0 / model.system_mtbf_s(n))
+        return rng.expovariate(1.0 / mtbf_s)
 
     totals = CampaignResult(work_s=work_s, interval_s=interval_s,
                             makespan_s=0.0, replicas=replicas)
@@ -274,51 +180,43 @@ def replay_campaign(
     return totals
 
 
+#: points of `optimal_interval`'s log-spaced grid: spacing 8^(2/32) =
+#: 1.14x, inside the 20% band the failure benchmark asserts
+GRID_POINTS = 33
+
+#: `optimal_interval`'s grid spans ``[tau_YD / GRID_SPAN, tau_YD * GRID_SPAN]``
+GRID_SPAN = 8.0
+
+
 def optimal_interval(
     work_s: float,
     mtbf_s: float,
     checkpoint_cost_s: float,
     restart_cost_s: float = 0.0,
     downtime_s: float = 0.0,
-    method: str = "analytic",
     seed: int = 0,
     replicas: int = 16,
-    grid_points: int = 33,
-    grid_span: float = 8.0,
 ) -> tuple[float, CampaignResult]:
-    """Best checkpoint interval by grid minimization.
-
-    ``method="analytic"`` minimizes `expected_makespan` (Daly);
-    ``method="replay"`` minimizes the seeded `replay_campaign` mean —
-    the *empirical* optimum the acceptance tests compare against the
-    `young_daly_interval` estimate.  The grid is log-spaced over
-    ``[tau_YD / grid_span, tau_YD * grid_span]``.
+    """Best checkpoint interval by grid minimization of the seeded
+    `replay_campaign` mean — the *empirical* optimum the failure
+    benchmark compares against the `young_daly_interval` estimate. The
+    grid is log-spaced over ``[tau_YD / GRID_SPAN, tau_YD * GRID_SPAN]``.
 
     Returns:
         ``(best_interval_s, campaign_result_at_best)``.
     """
-    if method not in ("analytic", "replay"):
-        raise ValueError(f"unknown method {method!r}")
     tau_yd = young_daly_interval(mtbf_s, checkpoint_cost_s)
     tau_yd = max(tau_yd, 1e-9)
-    lo = math.log(max(tau_yd / grid_span, checkpoint_cost_s + 1e-9, 1e-9))
-    hi = math.log(max(tau_yd * grid_span, math.exp(lo) * 1.001))
+    lo = math.log(max(tau_yd / GRID_SPAN, checkpoint_cost_s + 1e-9, 1e-9))
+    hi = math.log(max(tau_yd * GRID_SPAN, math.exp(lo) * 1.001))
     best: tuple[float, CampaignResult] | None = None
-    for i in range(grid_points):
-        tau = math.exp(lo + (hi - lo) * i / (grid_points - 1))
-        if method == "analytic":
-            span = expected_makespan(
-                work_s, mtbf_s, tau, checkpoint_cost_s, restart_cost_s
-            )
-            result = CampaignResult(
-                work_s=work_s, interval_s=tau, makespan_s=span
-            )
-        else:
-            result = replay_campaign(
-                work_s, mtbf_s, tau, checkpoint_cost_s,
-                restart_cost_s=restart_cost_s, downtime_s=downtime_s,
-                seed=seed, replicas=replicas,
-            )
+    for i in range(GRID_POINTS):
+        tau = math.exp(lo + (hi - lo) * i / (GRID_POINTS - 1))
+        result = replay_campaign(
+            work_s, mtbf_s, tau, checkpoint_cost_s,
+            restart_cost_s=restart_cost_s, downtime_s=downtime_s,
+            seed=seed, replicas=replicas,
+        )
         if best is None or result.makespan_s < best[1].makespan_s:
             best = (tau, result)
     return best

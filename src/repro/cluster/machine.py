@@ -40,12 +40,6 @@ class MachineSpec:
         default_factory=lambda: {"gemm": 0.85, "integrals": 0.10, "eig": 0.04}
     )
     gflops_per_joule: float = 50.0
-    #: rated mean time between failures of ONE node (hours). The system
-    #: MTBF at n nodes is node_mtbf_hours / n — which is what makes
-    #: failures an operating condition at exascale: 40,000 h/node is
-    #: excellent hardware, yet 9,408 such nodes fail every ~4.3 h,
-    #: faster than the paper's 3.16 h production trajectory completes.
-    node_mtbf_hours: float = 50000.0
 
     @property
     def gcds_per_node(self) -> int:
@@ -72,7 +66,6 @@ FRONTIER = MachineSpec(
     coordinator_service_s=4.0e-6,
     efficiency={"gemm": 0.85, "integrals": 0.055, "eig": 0.022},
     gflops_per_joule=53.0,
-    node_mtbf_hours=40000.0,
 )
 
 PERLMUTTER = MachineSpec(
@@ -87,5 +80,4 @@ PERLMUTTER = MachineSpec(
     # A100: better random-access integral kernels and vendor eigensolver
     efficiency={"gemm": 0.85, "integrals": 0.11, "eig": 0.05},
     gflops_per_joule=27.0,
-    node_mtbf_hours=60000.0,
 )

@@ -3,17 +3,14 @@
 At the paper's production scale (9,400 Frontier nodes, 3.75 million
 polymer calculations per replan window) node failures are an operating
 condition, not an edge case. This package provides the *fault-plan
-engine*: a typed, seeded schedule of fault events that drives both
-execution paths of the repository —
-
-* the **real** `run_parallel`/`AsyncCoordinator` stack, via
-  process-level injection hooks (`FaultPlanCalculator` wraps any
-  calculator; checkpoint corruption is applied by the checkpointing
-  layer itself), so a whole AIMD run under a fault plan is exactly
-  reproducible and bitwise-comparable to the fault-free trajectory;
-* the **simulated** machine (`repro.cluster`), whose node-failure
-  models (`repro.cluster.failures`) share the same seeded-stream
-  discipline.
+engine*: a typed, seeded schedule of fault events that drives the real
+`run_parallel`/`AsyncCoordinator` stack via process-level injection
+hooks (`FaultPlanCalculator` wraps any calculator; checkpoint corruption
+is applied by the checkpointing layer itself), so a whole AIMD run
+under a fault plan is exactly reproducible and bitwise-comparable to
+the fault-free trajectory. The simulated machine (`repro.cluster`) is
+failure-free; its checkpoint economics (`repro.cluster.failures`) share
+the same seeded-stream discipline.
 
 Every injection decision is a *pure function* of the fault plan's seed
 and the event's coordinates (step, fragment key, attempt) — never of

@@ -14,10 +14,9 @@ faults, same DriverReport counters.
 
 The same hashing discipline hands out *derived seeds*
 (`FaultPlan.derive_seed`) for the places that do need an RNG stream —
-retry-backoff jitter in the driver, payload corruption offsets in
-`repro.faults.inject.corrupt_checkpoint`, node-failure draws in the
-cluster simulator — so every stochastic ingredient of a chaos campaign
-hangs off the one top-level seed.
+retry-backoff jitter in the driver and payload corruption offsets in
+`repro.faults.inject.corrupt_checkpoint` — so every stochastic
+ingredient of a chaos campaign hangs off the one top-level seed.
 """
 
 from __future__ import annotations

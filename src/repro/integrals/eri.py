@@ -200,10 +200,7 @@ def eri2c(auxs, workspace: IntegralWorkspace | None = None) -> np.ndarray:
     """
     from . import batch as kernels
 
-    try:
-        groups = _aux_groups(workspace, auxs[0])
-    except ValueError:
-        return np.stack([_eri2c_pershell(aux) for aux in auxs])
+    groups = _aux_groups(workspace, auxs[0])
     F = len(auxs)
     statics = kernels._group_statics(groups, auxs)
     # every ordered pair, the lower triangle too: the derivative reads
@@ -236,7 +233,8 @@ def eri2c(auxs, workspace: IntegralWorkspace | None = None) -> np.ndarray:
 
 
 def _eri2c_pershell(aux: BasisSet) -> np.ndarray:
-    """Per-shell-pair fallback for contracted auxiliary shells."""
+    """Per-shell-pair ``(P|Q)`` of one fitting basis: the reference
+    `eri2c` is tested against (contracted shells included)."""
     n = aux.nbf
     J = np.zeros((n, n))
     singles = [single_data(sh) for sh in aux.shells]

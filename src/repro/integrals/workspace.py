@@ -24,8 +24,8 @@ exhaust worker memory) plus the integral products:
   in the geometry, so a fragment is screened with the table of the
   geometry it was last re-screened at (its reference, carried in its
   `repro.calculators.FragmentRecord`), inflated by a conservative
-  ``stale_safety`` until an atom has moved more than
-  ``displacement_tol`` bohr from it. What is keyed on the exact centers
+  ``STALE_SAFETY`` until an atom has moved more than
+  ``DISPLACEMENT_TOL`` bohr from it. What is keyed on the exact centers
   (pair, class and Hermite Coulomb tables) is one evaluation's scratch,
   since an MD geometry never recurs: shared by the drivers inside the
   calling thread's `scope`, dropped at its exit. A stack of fragments of
@@ -33,8 +33,8 @@ exhaust worker memory) plus the integral products:
 * **Determinism** — a Schwarz table is keyed on (composition,
   reference) and rebuilt at the reference on a miss, so it is a
   function of trajectory state: the same in a resumed process, on
-  another worker or after an eviction. Nothing assigns
-  ``displacement_tol`` after construction.
+  another worker or after an eviction. Nothing under ``src/`` assigns
+  ``DISPLACEMENT_TOL``.
 
 All caching is *exact* (served arrays are bitwise what a fresh build
 would produce); only the screening threshold (``screen`` / the
@@ -57,13 +57,6 @@ from ..store import BoundedStore
 #: the neglected per-integral bound, chosen so total energies stay within
 #: 1e-9 Ha of the unscreened path on the benchmark systems
 DEFAULT_INT_SCREEN = 1.0e-12
-
-#: re-screen Schwarz bounds when any atom moved further than this (bohr)
-DEFAULT_DISPLACEMENT_TOL = 0.25
-
-#: inflation applied to Schwarz bounds served while stale (atoms moved,
-#: but less than the tolerance) — keeps the screening conservative
-DEFAULT_STALE_SAFETY = 16.0
 
 #: default byte budget of a workspace
 DEFAULT_MAX_BYTES = 256 * 2**20
@@ -154,8 +147,8 @@ class IntegralWorkspace(BoundedStore):
       centers refreshed per call;
     * `schwarz_bounds` — the Cauchy-Schwarz shell-pair bound table of a
       fragment's reference geometry, kept for fragments that carry one
-      (served inflated by ``stale_safety`` away from it, re-screened
-      beyond ``displacement_tol``);
+      (served inflated by ``STALE_SAFETY`` away from it, re-screened
+      beyond ``DISPLACEMENT_TOL``);
     * `aux_function_bounds` — per-auxiliary-function bounds
       ``sqrt((P|P))`` (translation invariant, cached exactly).
 
@@ -186,22 +179,16 @@ class IntegralWorkspace(BoundedStore):
     evaluation that brings none.
     """
 
+    #: re-screen Schwarz bounds when any atom moved further than this (bohr)
+    DISPLACEMENT_TOL = 0.25
+
+    #: inflation applied to Schwarz bounds served while stale (atoms moved,
+    #: but less than the tolerance) — keeps the screening conservative
+    STALE_SAFETY = 16.0
+
     def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES,
-                 enabled: bool = True,
-                 displacement_tol: float = DEFAULT_DISPLACEMENT_TOL,
-                 stale_safety: float = DEFAULT_STALE_SAFETY,
-                 tracer=None) -> None:
-        if displacement_tol < 0.0:
-            raise ValueError(
-                f"displacement_tol must be >= 0, got {displacement_tol}"
-            )
-        if stale_safety < 1.0:
-            raise ValueError(
-                f"stale_safety must be >= 1, got {stale_safety}"
-            )
+                 enabled: bool = True, tracer=None) -> None:
         super().__init__(max_bytes, enabled)
-        self.displacement_tol = float(displacement_tol)
-        self.stale_safety = float(stale_safety)
         self.tracer = tracer
         self._scope = _Scope()
         self.bound_rebuilds = 0
@@ -343,12 +330,12 @@ class IntegralWorkspace(BoundedStore):
     def screening_reference(self, basis, ref) -> np.ndarray:
         """Where a fragment last re-screened at ``ref`` (atom coordinates;
         None: never) is screened now: ``ref`` while no atom of ``basis``
-        has moved further than ``displacement_tol`` from it, else its
+        has moved further than ``DISPLACEMENT_TOL`` from it, else its
         own geometry — and the superseded table leaves the store."""
         here = _atom_coords(basis)
         if ref is not None and ref.shape == here.shape:
             disp = float(np.linalg.norm(here - ref, axis=1).max())
-            if disp <= self.displacement_tol:
+            if disp <= self.DISPLACEMENT_TOL:
                 return ref
             self._discard(("schwarz", basis_composition_key(basis),
                            ref.tobytes()))
@@ -365,7 +352,7 @@ class IntegralWorkspace(BoundedStore):
         ``refs[f]`` is the geometry basis ``f`` is screened at (its
         fragment's `screening_reference`; None, or no ``refs``: its
         own). A table is served as is at the basis's own geometry and
-        inflated by ``stale_safety`` elsewhere (the bound is smooth, so
+        inflated by ``STALE_SAFETY`` elsewhere (the bound is smooth, so
         the inflation keeps the screen conservative). With a reference
         it is kept in the store under (composition, reference) and a
         miss rebuilds it *at the reference*, bitwise the table first
@@ -423,7 +410,7 @@ class IntegralWorkspace(BoundedStore):
             return Q
         with self._lock:
             self.stale_serves += 1
-        return Q * self.stale_safety
+        return Q * self.STALE_SAFETY
 
     def _keep_bounds(self, comp, todo, built, out, exact: bool) -> None:
         """Serve the freshly built tables of ``todo`` (``(f, ref)``

@@ -31,6 +31,10 @@ from .trajectory import Trajectory
 
 __all__ = ["Trajectory", "integrate_whole_system", "run_aimd"]
 
+#: where ``smooth_switching`` turns a polymer's correction on, as a
+#: fraction of its cutoff
+SWITCH_ON_FACTOR = 0.85
+
 
 def integrate_whole_system(
     force_fn, masses, coords, velocities, nsteps: int, dt_fs: float, thermostat=None
@@ -66,14 +70,12 @@ def run_aimd(
     dt_fs: float = 1.0,
     temperature_k: float = 300.0,
     seed: int = 0,
-    coords0: np.ndarray | None = None,
     r_dimer_bohr: float | None = None,
     r_trimer_bohr: float | None = None,
     mbe_order: int = 3,
     replan_interval: int = 1,
     velocities: np.ndarray | None = None,
     smooth_switching: bool = False,
-    switch_on_factor: float = 0.85,
     thermostat=None,
     tracer=None,
     checkpoint_path=None,
@@ -100,7 +102,7 @@ def run_aimd(
 
     ``smooth_switching=True`` replaces the hard polymer cutoffs with the
     C2 switched corrections of `repro.frag.switching` (the paper's
-    stated future work), turning on at ``switch_on_factor * r_cut`` —
+    stated future work), turning on at ``SWITCH_ON_FACTOR * r_cut`` —
     no cutoff-crossing energy jumps (Fig. 6). It is the whole-system
     path: thermostat yes; tiers, surrogate, checkpoints and warm-start
     or tracer attachment no.
@@ -116,8 +118,6 @@ def run_aimd(
         # one monomer, nothing to re-plan
         whole = Monomer(0, tuple(range(system.natoms)), charge=system.charge)
         system, mbe_order, replan_interval = FragmentedSystem(system, [whole]), 1, 1
-    if coords0 is not None:
-        system = FragmentedSystem(system.parent.with_coords(coords0), system.monomers)
     if smooth_switching:
         if tiered or surrogate is not None or checkpoint_path or resume is not None:
             raise ValueError(
@@ -126,7 +126,7 @@ def run_aimd(
             )
 
         def switched_force(c: np.ndarray, step: int):
-            on = switch_on_factor
+            on = SWITCH_ON_FACTOR
             e, g = mbe_energy_gradient_switched(
                 system, calculator, r_on_dimer=on * r_dimer_bohr, r_cut_dimer=r_dimer_bohr,
                 r_on_trimer=r_trimer_bohr and on * r_trimer_bohr, r_cut_trimer=r_trimer_bohr,

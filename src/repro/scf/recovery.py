@@ -88,21 +88,15 @@ DEFAULT_LADDER: tuple[RecoveryStage, ...] = (
 )
 
 
-def rhf_with_recovery(
-    mol,
-    basis="sto-3g",
-    ladder: tuple[RecoveryStage, ...] = DEFAULT_LADDER,
-    tracer=None,
-    **kwargs,
-) -> SCFResult:
+def rhf_with_recovery(mol, basis="sto-3g", tracer=None, **kwargs) -> SCFResult:
     """`rhf` wrapped in the escalation ladder.
 
     The bare solve runs first with the caller's settings.  On
-    `SCFConvergenceError` or `NumericalDivergenceError` each ladder
-    stage is tried in order; the first success returns its `SCFResult`
-    with ``result.recovery`` set to the tuple of stage names attempted
-    (ending with the one that succeeded).  A clean first solve returns
-    with ``recovery == ()``.
+    `SCFConvergenceError` or `NumericalDivergenceError` each stage of
+    `DEFAULT_LADDER` is tried in order; the first success returns its
+    `SCFResult` with ``result.recovery`` set to the tuple of stage names
+    attempted (ending with the one that succeeded).  A clean first solve
+    returns with ``recovery == ()``.
 
     A warm start (``dm0`` in ``kwargs``) prepends a ``cold-start`` rung
     that drops the cached density and re-solves from the cold guess;
@@ -117,6 +111,7 @@ def rhf_with_recovery(
         SCFConvergenceError: when the whole ladder is exhausted; the
             final error chains from the last stage's failure.
     """
+    ladder = DEFAULT_LADDER
     if kwargs.get("dm0") is not None:
         ladder = (RecoveryStage("cold-start", {"dm0": None}),) + tuple(
             RecoveryStage(s.name, {**dict(s.overrides), "dm0": None})

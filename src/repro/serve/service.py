@@ -41,6 +41,10 @@ from .session import JobSpec, JobState, TrajectoryJob
 from .streams import ResultChannel, StreamEvent
 
 
+#: how long the pump sleeps when nothing it dispatched has come back
+POLL_S = 0.05
+
+
 class JobQueue:
     """Thread-safe FIFO of materialized jobs awaiting activation."""
 
@@ -68,7 +72,6 @@ class TrajectoryService:
         out_root: directory receiving one subdirectory per job.
         nworkers: worker threads evaluating fragment tasks.
         max_active: jobs multiplexed at once (others wait in the queue).
-        channel: results channel (one is created if not given).
         tracer: optional `repro.trace.Tracer`; receives ``serve.*`` and
             ``warm_layer`` instants.
         pool: ``"thread"`` (default) evaluates fragments on worker
@@ -82,8 +85,8 @@ class TrajectoryService:
     """
 
     def __init__(self, out_root: str | Path, nworkers: int = 4,
-                 max_active: int = 8, channel: ResultChannel | None = None,
-                 tracer=None, pool: str = "thread") -> None:
+                 max_active: int = 8, tracer=None,
+                 pool: str = "thread") -> None:
         self.nworkers = max(1, int(nworkers))
         #: `run_parallel`'s pool mechanism, under the default `FailurePolicy`
         self.dispatcher = Dispatcher(self.nworkers, tracer=tracer, pool=pool)
@@ -91,7 +94,8 @@ class TrajectoryService:
         self.out_root = Path(out_root)
         self.out_root.mkdir(parents=True, exist_ok=True)
         self.max_active = max(1, int(max_active))
-        self.channel = channel if channel is not None else ResultChannel()
+        #: the service's results channel: subscribe to it for the stream
+        self.channel = ResultChannel()
         self.tracer = tracer
         self.queue = JobQueue()
         self.scheduler = FragmentScheduler()
@@ -202,7 +206,7 @@ class TrajectoryService:
             job_id="", kind="warm_layer", payload=snapshot,
         ))
 
-    def run(self, poll_s: float = 0.05) -> dict:
+    def run(self) -> dict:
         """Pump all submitted jobs to completion; returns the summary.
 
         Single-threaded mutation: only this thread touches coordinators,
@@ -240,7 +244,7 @@ class TrajectoryService:
                     break
                 # nothing in flight (every active job throttled or briefly
                 # taskless): `wait` sleeps out the poll
-                for flight in dispatcher.wait(poll_s):
+                for flight in dispatcher.wait(POLL_S):
                     job_id, cost = flight.tag
                     if job_id not in self.scheduler:
                         continue  # job already failed; drop the attempt

@@ -10,6 +10,10 @@ for those jobs until the buffers drain below the low watermark. The
 buffer can therefore overshoot its capacity only by the frames already
 in flight when the throttle engaged — a bound set by the coordinator's
 live-step skew, not by the trajectory length.
+
+The bounds are constants: a subscription is sized for `CAPACITY` events,
+the throttle engages above `HIGH_WATERMARK` buffered events and releases
+at `LOW_WATERMARK`.
 """
 
 from __future__ import annotations
@@ -17,6 +21,15 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+
+#: events a subscription is sized for
+CAPACITY = 64
+
+#: buffered events above which a subscriber's jobs are throttled
+HIGH_WATERMARK = CAPACITY // 2
+
+#: buffered events at or below which the throttle releases
+LOW_WATERMARK = CAPACITY // 4
 
 
 @dataclass(frozen=True)
@@ -42,11 +55,9 @@ class Subscription:
     closed and drained.
     """
 
-    def __init__(self, channel: "ResultChannel", job_id: str | None,
-                 capacity: int) -> None:
+    def __init__(self, channel: "ResultChannel", job_id: str | None) -> None:
         self._channel = channel
         self.job_id = job_id
-        self.capacity = capacity
         self._buf: deque[StreamEvent] = deque()
         self._closed = False
 
@@ -87,29 +98,12 @@ class Subscription:
 class ResultChannel:
     """Publish/subscribe hub for `StreamEvent` records.
 
-    ``capacity`` is the per-subscription buffer bound; the throttle
-    engages at ``high_watermark`` (default ``capacity // 2``) and
-    releases at ``low_watermark`` (default ``capacity // 4``), so a
-    briefly slow consumer does not flap the scheduler.
+    The throttle engages above `HIGH_WATERMARK` and releases at
+    `LOW_WATERMARK`, so a briefly slow consumer does not flap the
+    scheduler.
     """
 
-    def __init__(self, capacity: int = 64,
-                 high_watermark: int | None = None,
-                 low_watermark: int | None = None) -> None:
-        if capacity < 4:
-            raise ValueError(f"capacity must be >= 4, got {capacity}")
-        self.capacity = int(capacity)
-        self.high_watermark = (
-            high_watermark if high_watermark is not None else capacity // 2
-        )
-        self.low_watermark = (
-            low_watermark if low_watermark is not None else capacity // 4
-        )
-        if not 0 < self.low_watermark < self.high_watermark <= capacity:
-            raise ValueError(
-                f"watermarks must satisfy 0 < low < high <= capacity, got "
-                f"low={self.low_watermark} high={self.high_watermark}"
-            )
+    def __init__(self) -> None:
         self._cond = threading.Condition()
         self._subs: set[Subscription] = set()
         #: jobs currently held back by a saturated subscriber
@@ -118,12 +112,9 @@ class ResultChannel:
         #: publishes that landed in an over-watermark buffer
         self.stalls = 0
 
-    def subscribe(self, job_id: str | None = None,
-                  capacity: int | None = None) -> Subscription:
+    def subscribe(self, job_id: str | None = None) -> Subscription:
         """New subscription (``job_id=None`` receives every job)."""
-        sub = Subscription(
-            self, job_id, capacity if capacity is not None else self.capacity
-        )
+        sub = Subscription(self, job_id)
         with self._cond:
             self._subs.add(sub)
         return sub
@@ -135,7 +126,7 @@ class ResultChannel:
             for sub in self._subs:
                 if sub._matches(event):
                     sub._buf.append(event)
-                    if len(sub._buf) > self.high_watermark:
+                    if len(sub._buf) > HIGH_WATERMARK:
                         self.stalls += 1
             self._cond.notify_all()
 
@@ -155,11 +146,11 @@ class ResultChannel:
                 default=0,
             )
             if job_id in self._throttled:
-                if depth <= self.low_watermark:
+                if depth <= LOW_WATERMARK:
                     self._throttled.discard(job_id)
                     return False
                 return True
-            if depth > self.high_watermark:
+            if depth > HIGH_WATERMARK:
                 self._throttled.add(job_id)
                 return True
             return False

@@ -18,9 +18,9 @@ def shared_workspace_settings_do_not_leak():
     no run's tracer is ever latched onto it (a traced calculator scopes
     its tracer per evaluation)."""
     workspace = get_workspace()
-    before = (workspace.displacement_tol, workspace.tracer)
+    before = (workspace.DISPLACEMENT_TOL, workspace.tracer)
     yield
-    assert (workspace.displacement_tol, workspace.tracer) == before
+    assert (workspace.DISPLACEMENT_TOL, workspace.tracer) == before
 
 
 @pytest.fixture(scope="session")

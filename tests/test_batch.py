@@ -1009,6 +1009,18 @@ def _pershell_eri2c_deriv(aux, zeta, natoms):
     return g
 
 
+def test_contracted_fitting_basis_raises_in_eri2c_as_in_eri3c(water):
+    """A contracted fitting basis has no site grouping: the metric
+    refuses it as the three-centre integrals do, rather than fall back
+    to a per-shell build the fitting path never reaches."""
+    bs = BasisSet.build(water, "sto-3g")
+    match = "single-primitive"
+    with pytest.raises(ValueError, match=match):
+        eri3c(bs, bs)
+    with pytest.raises(ValueError, match=match):
+        eri2c(bs)
+
+
 @pytest.mark.parametrize("aux_name", AUX_BASES)
 class TestSiteGrouping:
     """The auxiliary batch axis is the (centre, exponent) site: the
@@ -1164,11 +1176,11 @@ class TestByteAccounting:
 
     def test_guess_cache_counts_history_bytes(self):
         """The densities a run holds are its fragment records'
-        (`FragmentRecords.nbytes`): at most ``history`` per key."""
+        (`FragmentRecords.nbytes`): at most ``HISTORY`` per key."""
         from repro.md.scheduler import FragmentRecords
 
         D = np.zeros((10, 10))
-        cache, records = GuessCache(history=3), FragmentRecords(lambda key: 3)
+        cache, records = GuessCache(), FragmentRecords(lambda key: 3)
         rec = FragmentRecord()
         for n in range(1, 5):
             records[("f",)] = rec = cache.put(rec, D.copy(), natoms=3)

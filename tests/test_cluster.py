@@ -215,6 +215,27 @@ class TestEventSimulator:
         r2 = self._sim(fibril_system, sync=False, nodes=64)
         assert r2.total_time_s <= r1.total_time_s + 1e-9
 
+    #: ``(total_time_s, step_finish_s, tasks, counted_flops)`` of the
+    #: 4-node, 2-step fibril run per mode, recorded before the simulator
+    #: lost its node-failure mode; virtual time is deterministic, so the
+    #: failure-free path must reproduce them exactly
+    PINNED = {
+        True: (11.663664964071282,
+               {0: 3.887885654690422, 1: 7.775775309380835,
+                2: 11.663664964071282},
+               2592, 720580912282121.2),
+        False: (11.52389815185836,
+                {0: 6.222675946399729, 1: 10.079090059250994,
+                 2: 11.52389815185836},
+                2592, 720580912282122.8),
+    }
+
+    @pytest.mark.parametrize("sync", [True, False])
+    def test_failure_free_run_pinned(self, fibril_system, sync):
+        r = self._sim(fibril_system, sync=sync, nodes=4, nsteps=2)
+        assert (r.total_time_s, r.step_finish_s, r.tasks,
+                r.counted_flops) == self.PINNED[sync]
+
     def test_deadlock_free_with_caps_and_windows(self):
         """Capped fibril + small replan window + sync barriers: the
         combination that would expose release/dependency bugs."""

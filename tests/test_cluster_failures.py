@@ -1,29 +1,21 @@
-"""Failure-aware campaigns: node MTBF models, Young-Daly economics,
-and seeded node failures in the event simulator."""
+"""Failure-aware campaigns: node MTBF compounding and Young-Daly
+economics."""
 
 from __future__ import annotations
-
-import random
 
 import pytest
 
 from repro.cluster import (
     FRONTIER,
-    PERLMUTTER,
     NodeFailureModel,
-    NodeMix,
     expected_makespan,
     failure_adjusted_efficiency,
     optimal_interval,
     replay_campaign,
-    simulate_aimd,
     simulate_workload,
     urea_workload,
     young_daly_interval,
 )
-from repro.constants import BOHR_PER_ANGSTROM
-from repro.frag import FragmentedSystem
-from repro.systems import water_cluster
 
 HOUR = 3600.0
 
@@ -32,15 +24,6 @@ class TestNodeFailureModel:
     def test_validation(self):
         with pytest.raises(ValueError, match="mtbf_hours"):
             NodeFailureModel(mtbf_hours=0.0)
-        with pytest.raises(ValueError, match="distribution"):
-            NodeFailureModel(mtbf_hours=1.0, distribution="levy")
-        with pytest.raises(ValueError, match="weibull_shape"):
-            NodeFailureModel(mtbf_hours=1.0, weibull_shape=-1.0)
-
-    def test_from_machine_uses_rated_mtbf(self):
-        m = NodeFailureModel.from_machine(FRONTIER)
-        assert m.mtbf_hours == FRONTIER.node_mtbf_hours
-        assert m.mtbf_s == FRONTIER.node_mtbf_hours * HOUR
 
     def test_system_mtbf_compounds_linearly(self):
         m = NodeFailureModel(mtbf_hours=40000.0)
@@ -48,41 +31,6 @@ class TestNodeFailureModel:
         assert m.system_mtbf_s(9408) == pytest.approx(m.mtbf_s / 9408)
         # the paper-scale allocation: system MTBF of a few hours
         assert 3.0 * HOUR < m.system_mtbf_s(9408) < 6.0 * HOUR
-
-    @pytest.mark.parametrize("dist", ["exponential", "weibull"])
-    def test_mean_uptime_matches_mtbf(self, dist):
-        """Weibull scale is solved from the mean, so both laws are
-        comparable at equal MTBF."""
-        m = NodeFailureModel(mtbf_hours=2.0, distribution=dist)
-        rng = random.Random(1)
-        n = 4000
-        mean = sum(m.draw_uptime(rng) for _ in range(n)) / n
-        assert mean == pytest.approx(m.mtbf_s, rel=0.1)
-
-    def test_weibull_low_shape_has_more_short_uptimes(self):
-        """Decreasing hazard (shape < 1): infant mortality shows up as a
-        heavier mass of short uptimes at the same mean."""
-        exp = NodeFailureModel(mtbf_hours=1.0)
-        wei = NodeFailureModel(mtbf_hours=1.0, distribution="weibull",
-                               weibull_shape=0.7)
-        rng_e, rng_w = random.Random(2), random.Random(2)
-        n = 4000
-        cut = 0.1 * exp.mtbf_s
-        short_e = sum(exp.draw_uptime(rng_e) < cut for _ in range(n))
-        short_w = sum(wei.draw_uptime(rng_w) < cut for _ in range(n))
-        assert short_w > short_e
-
-
-class TestNodeMix:
-    def test_speeds_fill_with_nominal(self):
-        mix = NodeMix(groups=((2, 0.5), (1, 2.0)))
-        assert mix.speeds(5) == [0.5, 0.5, 2.0, 1.0, 1.0]
-        assert mix.speeds(2) == [0.5, 0.5]
-        assert mix.mean_speed(5) == pytest.approx((0.5 * 2 + 2.0 + 2.0) / 5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="node-mix group"):
-            NodeMix(groups=((2, -1.0),))
 
 
 class TestYoungDaly:
@@ -118,22 +66,13 @@ class TestYoungDaly:
                 self.W, self.M, off, self.DELTA, self.R
             ) > at_opt
 
-    def test_analytic_optimum_agrees_with_young_daly(self):
-        tau_yd = young_daly_interval(self.M, self.DELTA)
-        best, result = optimal_interval(
-            self.W, self.M, self.DELTA, self.R, method="analytic"
-        )
-        assert 0.8 < best / tau_yd < 1.25
-        assert result.efficiency < 1.0
-
     def test_replayed_optimum_agrees_with_young_daly(self):
         """The ISSUE acceptance criterion: the *empirically* best
         interval from the seeded Monte-Carlo replay lands within 20%
         of the Young-Daly estimate."""
         tau_yd = young_daly_interval(self.M, self.DELTA)
         best, result = optimal_interval(
-            self.W, self.M, self.DELTA, self.R, method="replay",
-            seed=0, replicas=16,
+            self.W, self.M, self.DELTA, self.R, seed=0, replicas=16,
         )
         assert 0.8 < best / tau_yd < 1.25
         assert result.failures > 0
@@ -171,18 +110,6 @@ class TestReplayCampaign:
         assert r.makespan_s > 4 * HOUR
         assert 0.0 < r.efficiency < 1.0
 
-    def test_node_model_compounding(self):
-        """Drawing from a per-node model over n nodes fails roughly n
-        times as often as one node."""
-        model = NodeFailureModel(mtbf_hours=100.0)
-        one = replay_campaign(work_s=10 * HOUR, mtbf_s=model.mtbf_s,
-                              interval_s=HOUR, checkpoint_cost_s=10.0,
-                              model=model, nnodes=1, seed=5, replicas=8)
-        many = replay_campaign(work_s=10 * HOUR, mtbf_s=model.mtbf_s,
-                               interval_s=HOUR, checkpoint_cost_s=10.0,
-                               model=model, nnodes=64, seed=5, replicas=8)
-        assert many.failures > one.failures
-
 
 class TestFailureAdjustedEfficiency:
     @pytest.fixture(scope="class")
@@ -206,85 +133,3 @@ class TestFailureAdjustedEfficiency:
             interval_s=tau_yd / 20,
         )
         assert bad < eff
-
-
-class TestFailureSimulator:
-    """Seeded node failures inside the event-driven simulator."""
-
-    @pytest.fixture(scope="class")
-    def system(self):
-        return FragmentedSystem.by_components(water_cluster(4, seed=2))
-
-    def _sim(self, system, **kw):
-        return simulate_aimd(
-            system, PERLMUTTER, 2, 3,
-            r_dimer_bohr=15 * BOHR_PER_ANGSTROM,
-            r_trimer_bohr=None, mbe_order=2, **kw,
-        )
-
-    def test_clean_run_has_no_failure_accounting(self, system):
-        r = self._sim(system)
-        assert r.failures == 0
-        assert r.replayed_tasks == 0
-        assert r.lost_work_s == 0.0
-        assert r.ckpt_writes == 0
-
-    def test_failures_replay_lost_tasks_and_finish(self, system):
-        model = NodeFailureModel(mtbf_hours=5e-8)  # sub-second uptimes
-        r = self._sim(system, failure_model=model, failure_seed=5,
-                      restart_cost_s=0.001, downtime_s=0.002)
-        clean = self._sim(system)
-        assert r.failures > 0
-        assert r.node_downtime_s > 0
-        assert r.total_time_s > clean.total_time_s
-        # every step still retires: lost tasks were replayed
-        assert len(r.step_finish_s) == len(clean.step_finish_s)
-
-    def test_failure_runs_reproducible_and_seed_sensitive(self, system):
-        model = NodeFailureModel(mtbf_hours=5e-8)
-        kw = dict(failure_model=model, restart_cost_s=0.001,
-                  downtime_s=0.002)
-        a = self._sim(system, failure_seed=5, **kw)
-        b = self._sim(system, failure_seed=5, **kw)
-        c = self._sim(system, failure_seed=6, **kw)
-        assert (a.total_time_s, a.failures, a.replayed_tasks,
-                a.lost_work_s) == (b.total_time_s, b.failures,
-                                   b.replayed_tasks, b.lost_work_s)
-        assert (a.total_time_s, a.failures) != (c.total_time_s, c.failures)
-
-    def test_checkpoint_writes_stall_the_coordinator(self, system):
-        r = self._sim(system, checkpoint_interval_s=0.0001,
-                      checkpoint_cost_s=0.00002)
-        clean = self._sim(system)
-        assert r.ckpt_writes > 0
-        assert r.ckpt_overhead_s == pytest.approx(
-            r.ckpt_writes * 0.00002
-        )
-        assert r.total_time_s >= clean.total_time_s
-
-    def test_checkpoint_cost_defaults_from_cost_model(self, system):
-        # checkpoint_cost_s=None sizes the write from the system's atom
-        # count through FragmentCostModel.checkpoint_cost_s; for this
-        # tiny system the default cost dwarfs the interval, which must
-        # degrade throughput, not livelock
-        r = self._sim(system, checkpoint_interval_s=0.0001)
-        assert r.ckpt_writes >= 1
-        assert r.ckpt_overhead_s > 0
-        assert r.total_time_s > 0.4  # dominated by the ~0.5 s default write
-
-    def test_node_mix_slows_the_run(self, system):
-        slow = self._sim(system, node_mix=NodeMix(groups=((2, 0.25),)))
-        clean = self._sim(system)
-        assert slow.node_speeds == [0.25, 0.25]
-        assert slow.total_time_s > clean.total_time_s
-
-    def test_failures_with_checkpoints_and_mix_compose(self, system):
-        model = NodeFailureModel(mtbf_hours=5e-8, distribution="weibull")
-        r = self._sim(system, failure_model=model, failure_seed=7,
-                      restart_cost_s=0.001, downtime_s=0.002,
-                      checkpoint_interval_s=0.0001,
-                      checkpoint_cost_s=0.00002,
-                      node_mix=NodeMix(groups=((1, 0.5),)))
-        assert r.failures > 0
-        assert r.ckpt_writes > 0
-        assert len(r.step_finish_s) == 4

@@ -166,7 +166,7 @@ class TestWorkspaceInvalidation:
 
     def test_schwarz_rebuilds_beyond_displacement(self, water_dimer):
         bs1 = BasisSet.build(water_dimer, "sto-3g")
-        ws = IntegralWorkspace(displacement_tol=0.25)
+        ws = IntegralWorkspace()
         ref = ws.screening_reference(bs1, None)  # never screened: its own
         Q1 = ws.schwarz_bounds(bs1, ref)
         assert ws.bound_rebuilds == 1 and len(ws) == 1
@@ -187,7 +187,7 @@ class TestWorkspaceInvalidation:
 
     def test_schwarz_stale_serve_within_displacement(self, water_dimer):
         bs1 = BasisSet.build(water_dimer, "sto-3g")
-        ws = IntegralWorkspace(displacement_tol=0.25, stale_safety=16.0)
+        ws = IntegralWorkspace()
         ref = ws.screening_reference(bs1, None)
         Q1 = ws.schwarz_bounds(bs1, ref)
         near = water_dimer.with_coords(water_dimer.coords + 0.01)
@@ -204,9 +204,11 @@ class TestWorkspaceInvalidation:
 
     def test_displacement_tol_zero_pins_decisions(self, water_dimer):
         """With no tolerance any movement re-screens, so screening
-        decisions are a pure function of the current geometry."""
+        decisions are a pure function of the current geometry (the
+        constant overridden on a private workspace only)."""
         bs1 = BasisSet.build(water_dimer, "sto-3g")
-        ws = IntegralWorkspace(displacement_tol=0.0)
+        ws = IntegralWorkspace()
+        ws.DISPLACEMENT_TOL = 0.0
         ref = ws.screening_reference(bs1, None)
         ws.schwarz_bounds(bs1, ref)
         tiny = BasisSet.build(
@@ -279,7 +281,7 @@ class TestWorkspaceInvalidation:
         w = water_cluster(1, seed=0)
         rng = np.random.default_rng(5)
         sites = [w.coords, w.coords + 6.0 + 0.1 * rng.standard_normal((3, 3))]
-        ws = IntegralWorkspace(displacement_tol=0.25, stale_safety=16.0)
+        ws = IntegralWorkspace()
         own = [schwarz_pair_bounds(BasisSet.build(w.with_coords(c), "sto-3g"))
                for c in sites]
         assert not np.allclose(own[0], own[1])
@@ -306,7 +308,7 @@ class TestWorkspaceInvalidation:
         every step) stays resident."""
         w = water_cluster(1, seed=0)
         home = BasisSet.build(w, "sto-3g")
-        ws = IntegralWorkspace(displacement_tol=0.25)
+        ws = IntegralWorkspace()
         home_ref = ws.screening_reference(home, None)
         ref = None
         for i in range(40):

@@ -143,9 +143,8 @@ class TestRestart:
         save_restart(ckpt, first)
         coords, vel, t0 = load_restart(ckpt)
         assert t0 == pytest.approx(2.5)
-        second = run_aimd(
-            fs, calc, nsteps=5, velocities=vel, coords0=coords, **kw
-        )
+        restarted = FragmentedSystem(mol.with_coords(coords), fs.monomers)
+        second = run_aimd(restarted, calc, nsteps=5, velocities=vel, **kw)
         np.testing.assert_allclose(second.coords[-1], full.coords[-1], atol=1e-12)
         np.testing.assert_allclose(
             second.potential[-1], full.potential[-1], atol=1e-12

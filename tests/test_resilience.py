@@ -181,12 +181,13 @@ class TestRecoveryCascade:
         assert res.converged
         assert res.recovery  # some rung was needed
 
-    def test_exhausted_ladder_raises_chained(self):
+    def test_exhausted_ladder_raises_chained(self, monkeypatch):
+        import repro.scf.recovery as recovery
+
         hopeless = (RecoveryStage("hopeless", {"max_iter": 2}),)
+        monkeypatch.setattr(recovery, "DEFAULT_LADDER", hopeless)
         with pytest.raises(SCFConvergenceError, match="exhausted"):
-            rhf_with_recovery(
-                stretched_water(2.5), ladder=hopeless, max_iter=2
-            )
+            rhf_with_recovery(stretched_water(2.5), max_iter=2)
 
     def test_diis_singular_subspace_degrades_gracefully(self):
         """Duplicate error vectors make the DIIS B-matrix exactly

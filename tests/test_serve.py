@@ -30,6 +30,7 @@ from repro.serve import (
     TrajectoryService,
     task_cost,
 )
+from repro.serve.streams import CAPACITY, HIGH_WATERMARK, LOW_WATERMARK
 from repro.systems import water_cluster
 
 
@@ -102,25 +103,29 @@ class TestResultChannel:
         assert event is not None and event.kind == "status"
 
     def test_never_drops_beyond_capacity(self):
-        ch = ResultChannel(capacity=8)
+        ch = ResultChannel()
         sub = ch.subscribe()
-        for i in range(50):
+        n = 3 * CAPACITY
+        for i in range(n):
             ch.publish(StreamEvent(job_id="a", kind="step", step=i,
                                    payload={}))
         events = sub.drain()
-        assert [e.step for e in events] == list(range(50))
+        assert [e.step for e in events] == list(range(n))
+        assert ch.stats()["stalls"] == n - HIGH_WATERMARK
 
     def test_throttle_hysteresis(self):
-        ch = ResultChannel(capacity=8)  # high watermark 4, low 2
+        assert (CAPACITY, HIGH_WATERMARK, LOW_WATERMARK) == (64, 32, 16)
+        ch = ResultChannel()
         sub = ch.subscribe(job_id="a")
         assert not ch.should_throttle("a")
-        for i in range(5):
+        for i in range(HIGH_WATERMARK + 1):
             ch.publish(StreamEvent(job_id="a", kind="step", step=i,
                                    payload={}))
         assert ch.should_throttle("a")
         # draining to between low and high keeps the throttle engaged
-        sub.get(timeout=0.1)
-        sub.get(timeout=0.1)
+        for _ in range(HIGH_WATERMARK - LOW_WATERMARK):
+            sub.get(timeout=0.1)
+        assert len(sub) == LOW_WATERMARK + 1
         assert ch.should_throttle("a")
         # at/below the low watermark the throttle releases
         sub.get(timeout=0.1)

@@ -7,7 +7,7 @@ The contract under test:
   derivatives, energy and gradient are bitwise the ones it gets alone
   (a stack of one), whatever it is stacked with and in what order, with
   screening off or on and with Schwarz masks that differ inside the
-  stack (one fragment displaced past ``displacement_tol`` re-screens,
+  stack (one fragment displaced past ``DISPLACEMENT_TOL`` re-screens,
   the others are served a stale table). End to end, a trajectory run by
   the stacking calculator is bitwise the one run a fragment at a time.
 * **The byte budget** — a stack closes before the fragment whose
@@ -64,13 +64,13 @@ from repro.trace import Tracer
 
 from .conftest import table_instants
 
-#: a displacement past the default ``displacement_tol`` (0.25 bohr)
+#: a displacement past the default ``DISPLACEMENT_TOL`` (0.25 bohr)
 FAR = 0.4
 
 
 def _fragments(n: int, count: int, seed: int):
     """``count`` water ``n``-mers of one composition, in random order:
-    each nudged within ``displacement_tol`` of a reference geometry but
+    each nudged within ``DISPLACEMENT_TOL`` of a reference geometry but
     one, moved past it. Returns the reference and the fragments (with
     ``frag_key`` set to their index)."""
     ref = water_cluster(n, seed=3)
@@ -100,7 +100,7 @@ def _drivers(mols, screen: float, ws, basis: str, ref=None):
     """Every stacked driver on a stack, with per-fragment coefficients
     drawn from the fragment's key (so a fragment gets the same ones in
     any stack). With a ``ref`` the stack screens as a calculator's does:
-    at that reference for fragments nudged within ``displacement_tol``
+    at that reference for fragments nudged within ``DISPLACEMENT_TOL``
     of it (served stale), at their own geometry for the displaced one."""
     bases = [BasisSet.build(mol, basis) for mol in mols]
     auxs = [auto_auxiliary(mol, basis) for mol in mols]
@@ -113,7 +113,7 @@ def _drivers(mols, screen: float, ws, basis: str, ref=None):
     with evaluation_scope(ws):
         if ref is not None:
             near = [np.linalg.norm(mol.coords - ref.coords, axis=1).max()
-                    <= ws.displacement_tol for mol in mols]
+                    <= ws.DISPLACEMENT_TOL for mol in mols]
             ws.schwarz_bounds_stack(
                 bases, [ref.coords if n else None for n in near])
         return [

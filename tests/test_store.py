@@ -10,7 +10,7 @@ against both classes:
 * a four-thread put/get hammer asserting the same conservation laws;
 * `ContentionLock` counts every waiter (the four hand-written
   ``_locked`` copies it replaces counted *before* acquiring, unlocked);
-* an AST guard: the plumbing, the ``displacement_tol`` setting and the
+* an AST guard: the plumbing, the ``DISPLACEMENT_TOL`` constant and the
   `GuessCache` construction site exist where they should and nowhere
   else; and the one byte budget is the only bound a store has.
 """
@@ -320,33 +320,28 @@ class TestOneWarmLayer:
         assert offenders == []
 
     def test_nothing_assigns_displacement_tol_after_construction(self, trees):
-        def assigned(fn) -> list[int]:
-            hits = []
-            for n in ast.walk(fn):
+        """`IntegralWorkspace.DISPLACEMENT_TOL` is a class constant:
+        nothing under ``src/`` assigns it on a workspace, and no
+        constructor takes it."""
+        sites = []
+        for rel, tree in trees.items():
+            for n in ast.walk(tree):
                 if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                     targets = (n.targets if isinstance(n, ast.Assign)
                                else [n.target])
                     if any(isinstance(t, ast.Attribute)
-                           and t.attr == "displacement_tol" for t in targets):
-                        hits.append(n.lineno)
+                           and t.attr.lower() == "displacement_tol"
+                           for t in targets):
+                        sites.append((rel, n.lineno))
                 elif (isinstance(n, ast.Call)
                       and self._name(n.func) == "setattr"
-                      and any(getattr(a, "value", None) == "displacement_tol"
-                              for a in n.args)):
-                    hits.append(n.lineno)
-            return hits
-
-        sites = {(rel, line) for rel, tree in trees.items()
-                 for line in assigned(tree)}
-        workspace = trees["integrals/workspace.py"]
-        init = next(
-            fn for cls in workspace.body
-            if getattr(cls, "name", "") == "IntegralWorkspace"
-            for fn in cls.body if getattr(fn, "name", "") == "__init__"
-        )
-        allowed = {("integrals/workspace.py", line) for line in assigned(init)}
-        assert len(allowed) == 1
-        assert sites == allowed
+                      and any(str(getattr(a, "value", "")).lower()
+                              == "displacement_tol" for a in n.args)):
+                    sites.append((rel, n.lineno))
+        assert sites == []
+        assert IntegralWorkspace.DISPLACEMENT_TOL == 0.25
+        assert "displacement_tol" not in inspect.signature(
+            IntegralWorkspace).parameters
 
     def test_guess_cache_construction_sites(self, trees):
         """The engine builds the one cache of a run; no process-global
@@ -373,13 +368,10 @@ class TestOneWarmLayer:
                     if p != "self"]
 
         assert params(BoundedStore) == ["max_bytes", "enabled"]
-        assert params(GuessCache) == ["enabled", "history"]
-        assert params(IntegralWorkspace) == [
-            "max_bytes", "enabled", "displacement_tol", "stale_safety",
-            "tracer"]
+        assert params(GuessCache) == ["enabled"]
+        assert params(IntegralWorkspace) == ["max_bytes", "enabled", "tracer"]
         assert params(TrajectoryService) == [
-            "out_root", "nworkers", "max_active", "channel", "tracer",
-            "pool"]
+            "out_root", "nworkers", "max_active", "tracer", "pool"]
         assert params(GuessCache.get) == ["record", "natoms"]
         assert params(GuessCache.put) == ["record", "D", "natoms"]
         assert {n for n in dir(IntegralWorkspace) if "tenant" in n} \

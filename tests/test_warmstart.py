@@ -141,15 +141,14 @@ class TestGuessCache:
         )
 
     def test_history_depth_bounded(self):
-        cache = GuessCache(history=1)
+        cache = GuessCache()
         D = np.eye(4)
-        rec = cache.put(cache.put(FragmentRecord(), D, natoms=3), 2 * D,
-                        natoms=3)
-        # depth 1: plain last-density reuse, bytes stay bounded
-        np.testing.assert_allclose(cache.get(rec, natoms=3), 2 * D)
-        assert len(rec.densities) == 1
-        with pytest.raises(ValueError, match="history"):
-            GuessCache(history=0)
+        rec = FragmentRecord()
+        for k in range(1, 6):
+            rec = cache.put(rec, k * D, natoms=3)
+        # the last HISTORY densities only: bytes stay bounded
+        assert GuessCache.HISTORY == 3
+        assert [d[0, 0] for d in rec.densities] == [3.0, 4.0, 5.0]
 
     def test_put_natoms_change_resets_history(self):
         cache = GuessCache()
@@ -274,7 +273,7 @@ class TestAimdWarmStart:
 
     def test_caller_supplied_cache_respected(self):
         fs = FragmentedSystem.by_components(water_cluster(2, seed=1))
-        mine = GuessCache(history=2)
+        mine = GuessCache()
         calc = RIHFCalculator(guess_cache=mine)
         run_aimd(fs, calc, nsteps=1, dt_fs=0.5, temperature_k=50.0,
                  r_dimer_bohr=1.0e6, mbe_order=2, warm_start=True)
