@@ -47,8 +47,9 @@ class Calculator(Protocol):
 
     Every driver makes one call, ``energy_gradients(mols)``, on the
     fragments it has ready (`repro.md.scheduler.evaluate_fragments`):
-    `RIMP2Calculator` and `RIHFCalculator` evaluate fragments of one
-    composition as stacks, a `OneAtATime` calculator loops. An object
+    `RIMP2Calculator` and `RIHFCalculator` evaluate them as one
+    evaluation of the integral layer (a group per `table_budget`), a
+    `OneAtATime` calculator loops. An object
     that offers only ``energy_gradient`` is adapted once, where a driver
     takes it (`stacking`).
     """
@@ -224,79 +225,110 @@ def _resolve_workspace(calc):
     return ws, ws.scope(tracer=calc.tracer)
 
 
-def _stacks(mols, basis: str, workspace: IntegralWorkspace):
-    """The molecules as stacks, ``(indices, bases, auxs)`` each: grouped
-    by composition (the ordered element symbols fix both bases), in
-    order, a stack closing before the fragment whose unscreened Hermite
-    Coulomb tables and bra-derivative expansions
-    (`repro.integrals.batch.table_bytes`) would take what the stack holds
-    past `table_budget` — so what a stack holds stays within the
-    budget one evaluation always had. A fragment above the budget on its
-    own goes alone and builds the rest on the fly, as it always did."""
-    groups: dict[tuple, list[int]] = {}
+def _shared_atoms(mols) -> list[list[int]]:
+    """The molecules' indices in components that share an atom (one
+    element at the same coordinates), each in order, ordered by first
+    member."""
+    parent = list(range(len(mols)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner: dict[tuple, int] = {}
     for i, mol in enumerate(mols):
-        groups.setdefault(tuple(mol.symbols), []).append(i)
-    for idx in groups.values():
-        bases = [BasisSet.build(mols[i], basis) for i in idx]
-        auxs = [auto_auxiliary(mols[i], basis) for i in idx]
-        size = len(idx)
-        if size > 1:
-            per = table_bytes(bases[0], auxs[0], mols[idx[0]].natoms, workspace)
-            size = max(1, table_budget(workspace) // per)
-        for lo in range(0, len(idx), size):
-            hi = lo + size
-            yield idx[lo:hi], bases[lo:hi], auxs[lo:hi]
+        for sym, xyz in zip(mol.symbols, mol.coords):
+            j = owner.setdefault((sym, xyz.tobytes()), i)
+            parent[root(i)] = root(j)
+    comps: dict[int, list[int]] = {}
+    for i in range(len(mols)):
+        comps.setdefault(root(i), []).append(i)
+    return list(comps.values())
+
+
+def _stacks(mols, basis: str, workspace: IntegralWorkspace):
+    """The molecules as groups, ``(indices, bases, auxs)`` each, one
+    evaluation of the integral layer a group: fragments that share an
+    atom are in one group (a block they share is computed once), and
+    whole such components are packed, in order, into a group while its
+    distinct blocks' unscreened Hermite Coulomb tables and
+    bra-derivative expansions (`repro.integrals.batch.table_bytes`) fit
+    `table_budget` — the budget one evaluation always had. A component
+    beyond the budget on its own is a group of its own, which builds
+    what its held tables leave out on the fly, with the same bits."""
+    bases = [BasisSet.build(mol, basis) for mol in mols]
+    auxs = [auto_auxiliary(mol, basis) for mol in mols]
+    budget = table_budget(workspace)
+    group: list[int] = []
+    for comp in _shared_atoms(mols):
+        trial = group + comp
+        if group and table_bytes([bases[i] for i in trial],
+                                 [auxs[i] for i in trial],
+                                 [mols[i] for i in trial], workspace) > budget:
+            yield group, [bases[i] for i in group], [auxs[i] for i in group]
+            trial = comp
+        group = trial
+    if group:
+        yield group, [bases[i] for i in group], [auxs[i] for i in group]
 
 
 def _evaluate_stacks(calc, mols, method: str, terms):
     """``(energy, gradient)`` of every molecule, in order, evaluated
-    stack by stack (`_stacks`).
+    group by group (`_stacks`).
 
-    A stack is one evaluation of the integral layer
-    (`IntegralWorkspace.evaluation`): the stacked value drivers fill
-    every fragment's solve memo at once (`repro.scf.rhf.prepare_solves`);
-    each fragment's SCF runs on its own — warm starts, recovery ladder —
-    and ``terms(result)`` turns it into the fragment's energy and
-    gradient coefficients, after which the SCF result is dropped; one
-    call of each stacked derivative driver then contracts the stack's
-    coefficients (`repro.scf.grad.contract_ri_gradients`). With
-    screening on, every driver of the stack screens with the Schwarz
-    tables served first at the fragments' reference geometries
-    (`_screen_at_references`). A
-    fragment whose SCF fails raises the typed error under its own key;
-    the rest of its stack is not evaluated. A traced calculator emits
-    one ``calc.stack`` span per stack (composition, size, the largest
-    table set it held plus its held bra-derivative expansions, the pairs
-    its derivative drivers rebuilt).
+    A group is one evaluation of the integral layer
+    (`IntegralWorkspace.evaluation`), in three phases: the value drivers
+    compute every block the group's fragments hold once and fill each
+    fragment's solve memo (`repro.scf.rhf.prepare_solves`); each
+    fragment's SCF runs on its own — warm starts, recovery ladder — and
+    ``terms(result)`` turns it into the fragment's energy and gradient
+    coefficients, after which the SCF result is dropped; one call of
+    each derivative driver then contracts every fragment's coefficients
+    against the group's shared derivative integrals
+    (`repro.scf.grad.contract_ri_gradients`). With screening on, every
+    driver screens each fragment with the Schwarz table served first at
+    its reference geometry (`_screen_at_references`). A fragment whose
+    SCF fails raises the typed error under its own key; the rest of its
+    group is not evaluated. A traced calculator emits one ``calc.stack``
+    span per group (its compositions, size, the largest table set it
+    held plus its held bra-derivative expansions, the pairs its
+    derivative drivers rebuilt, and the block elements its value
+    drivers were asked for and computed, per family).
     """
     ws = calc.workspace if calc.workspace is not None else get_workspace()
     tracer = calc.tracer
     out = [None] * len(mols)
     for idx, bases, auxs in _stacks(mols, calc.basis, ws):
-        stack = [mols[i] for i in idx]
+        group = [mols[i] for i in idx]
         start = tracer.clock() if tracer else 0.0
         traced = nullcontext() if tracer is None else ws.scope(tracer=tracer)
         with ws.evaluation() as scratch, traced:
             if calc.int_screen > 0.0:
-                _screen_at_references(stack, bases, ws)
-            memos = prepare_solves(stack, bases, auxs, calc.int_screen, ws)
+                _screen_at_references(group, bases, ws)
+            memos = prepare_solves(group, bases, auxs, calc.int_screen, ws)
             energies, coefs = [], []
-            for mol, memo in zip(stack, memos):
+            for mol, memo in zip(group, memos):
                 energy, coef = terms(_fragment_scf(calc, mol, memo, ws))
                 energies.append(energy)
                 coefs.append(coef)
                 memo.clear()  # drops the solve's tensors and Fock layouts
-            coefs = [np.stack(parts) for parts in zip(*coefs)]
-            grads = contract_ri_gradients(stack, bases, auxs, coefs,
+            grads = contract_ri_gradients(group, bases, auxs,
+                                          list(zip(*coefs)),
                                           calc.int_screen, ws)
         if tracer:
             tracer.complete(
                 "calc.stack", start, tracer.clock() - start,
-                cat="calculators", composition=stack[0].formula(),
+                cat="calculators",
+                composition=" ".join(dict.fromkeys(
+                    mol.formula() for mol in group)),
                 size=len(idx), table_bytes=scratch.table_bytes,
                 rebuilt_pairs=scratch.rebuilt_pairs,
+                elements_requested=dict(scratch.elements_requested),
+                elements_computed=dict(scratch.elements_computed),
             )
-        for i, mol, energy, grad in zip(idx, stack, energies, grads):
+        for i, mol, energy, grad in zip(idx, group, energies, grads):
             ensure_finite(
                 f"{method} on {mol.natoms}-atom fragment "
                 f"{getattr(mol, 'frag_key', None)}",
@@ -307,7 +339,7 @@ def _evaluate_stacks(calc, mols, method: str, terms):
 
 
 def _screen_at_references(mols, bases, workspace) -> None:
-    """Serve the stack's Schwarz tables into this evaluation's scratch,
+    """Serve the group's Schwarz tables into this evaluation's scratch,
     each at its record's reference geometry
     (`IntegralWorkspace.screening_reference`); a re-screened fragment's
     record gets its current geometry as the new reference."""
@@ -323,7 +355,7 @@ def _screen_at_references(mols, bases, workspace) -> None:
 
 
 def _fragment_scf(calc, mol, memo, workspace):
-    """One fragment's SCF of a stack, on its prepared solve memo; an SCF
+    """One fragment's SCF of a group, on its prepared solve memo; an SCF
     that fails (the recovery ladder exhausted, or diverged) raises its
     typed error naming the fragment."""
     try:
@@ -404,9 +436,9 @@ class RIMP2Calculator:
         return self.energy_gradients([mol])[0]
 
     def energy_gradients(self, mols) -> list[tuple[float, np.ndarray]]:
-        """`energy_gradient` of every molecule, fragments of one
-        composition evaluated as stacks (`_evaluate_stacks`); each
-        result is bitwise the one the molecule gets alone."""
+        """`energy_gradient` of every molecule, the fragments one
+        evaluation of the integral layer per group (`_evaluate_stacks`);
+        each result is bitwise the one the molecule gets alone."""
         def terms(res):
             coefs, parts = rimp2_gradient_coefficients(res)
             return res.energy + parts["e_corr"], coefs
@@ -446,7 +478,7 @@ class RIHFCalculator:
         return self.energy_gradients([mol])[0]
 
     def energy_gradients(self, mols) -> list[tuple[float, np.ndarray]]:
-        """`energy_gradient` of every molecule, as stacks (see
+        """`energy_gradient` of every molecule, in groups (see
         `RIMP2Calculator.energy_gradients`)."""
         return _evaluate_stacks(
             self, mols, "RI-HF",

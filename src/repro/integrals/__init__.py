@@ -8,10 +8,11 @@ Every public driver has one implementation and one name: the
 shell-class kernels of `repro.integrals.batch` (with the two-centre and
 core-Hamiltonian drivers beside them in `eri.py` / `onee.py`), which
 evaluate whole shell-pair classes per NumPy kernel call. Each takes a
-*stack* of fragments of one composition — a list of bases, with the
-molecules and coefficient arrays of the same fragments — and returns
-its results with a leading fragment axis; given one basis in place of
-the list it is a stack of one (`engine.stack_driver`).
+list of fragments — bases of any compositions, with the molecules and
+coefficient arrays of the same fragments — as one evaluation, computes
+every integral block they hold once, and returns one result per
+fragment; given one basis in place of the list it is a list of one
+(`engine.stack_driver`).
 They are deterministic (run to run, and for any chunk size) and agree
 with the per-pair ``*_loop`` reference functions in `onee.py`/`eri.py`
 to a stated tolerance with identical Schwarz skip decisions; the

@@ -94,7 +94,7 @@ def e_tables_batch(
 
 #: cap on the Hermite-Coulomb recursion scratch tensor: a larger one is
 #: slightly faster on the largest table sets, but it is also what
-#: building a stack's tables adds on top of the tables the stack holds
+#: building an evaluation's tables adds on top of the tables it holds
 #: (at 16 MiB the water-tetramer RI-MP2 run peaked ~9 MB higher);
 #: smaller wastes the fixed per-call recursion overhead
 _R_SCRATCH_BYTES = 4 << 20
@@ -331,14 +331,14 @@ def canonical_shell_pairs(basis) -> list[tuple[int, int]]:
 
 
 def stack_driver(driver):
-    """One name for an integral driver, given a stack or one fragment.
+    """One name for an integral driver, given a list of fragments or one.
 
-    Every driver takes a *stack*: a list of bases of one composition,
-    with the molecules and coefficient arrays of the same fragments, and
-    returns its results with a leading fragment axis. Given one basis in
-    place of the list, every basis and molecule argument is a stack of
-    one, every array argument gains the fragment axis and the result
-    loses it: the same kernels, the same bits.
+    Every driver takes a list of fragments — bases of any compositions,
+    with the molecules and coefficient arrays of the same fragments —
+    as one evaluation, and returns one result per fragment. Given one
+    basis in place of the list, every basis and molecule argument is a
+    list of one, every array argument gains a leading fragment axis and
+    the result is the one fragment's: the same kernels, the same bits.
     """
     @wraps(driver)
     def call(first, *args, **kwargs):

@@ -83,10 +83,10 @@ def _schwarz_table(basis, workspace) -> np.ndarray:
     return _schwarz_tables([basis], workspace)[0]
 
 
-def _schwarz_tables(bases, workspace) -> np.ndarray:
-    """`_schwarz_table` of every basis of a stack, ``(F, nsh, nsh)``."""
+def _schwarz_tables(bases, workspace) -> list[np.ndarray]:
+    """`_schwarz_table` of every basis of a call."""
     if workspace is not None:
-        return np.stack(workspace.schwarz_bounds_stack(bases))
+        return workspace.schwarz_bounds_stack(bases)
     from .batch import schwarz_pair_bounds
 
     return schwarz_pair_bounds(bases)
@@ -142,7 +142,13 @@ def _contract(bra_W, ket_W, R, K, tb_idx, tk_idx) -> np.ndarray:
     """
     tsum = tb_idx[:, None, :] + tk_idx[None, :, :]  # (Tb, Tk, 3)
     M = R[:, :, tsum[..., 0], tsum[..., 1], tsum[..., 2]]  # (n, m, Tb, Tk)
-    return np.einsum("nxt,nm,nmts,mys->xy", bra_W, K, M, ket_W, optimize=True)
+    # a fixed path: K into the kernel, the bra over (n, t), the ket over
+    # (m, s)
+    n, X, Tb = bra_W.shape
+    m, Y, Tk = ket_W.shape
+    KM = (M * K[:, :, None, None]).transpose(0, 2, 1, 3).reshape(n * Tb, m * Tk)
+    t1 = bra_W.transpose(1, 0, 2).reshape(X, n * Tb) @ KM
+    return t1 @ ket_W.transpose(0, 2, 1).reshape(m * Tk, Y)
 
 
 def _phase(tk_idx: np.ndarray) -> np.ndarray:
@@ -169,66 +175,129 @@ def _eri_general(bra: PairData, ket: PairData, ca, cb, cc, cd) -> np.ndarray:
 _S_COMP = comp_arrays(0)
 
 
-def _eri2c_tables(workspace, auxs, statics):
+def _eri2c_tables(workspace, auxs, sites):
     """The `CoulombTables` of every ordered (bra group, ket group) pair
-    of the metric: the bra is the aux group as one-primitive "pairs",
-    every fragment's sites in turn."""
-    from .batch import _coulomb_tables
+    of the metric, over the (site, site) blocks some fragment holds: the
+    bra is the site group as one-primitive "pairs", the ket its sites
+    one at a time. Returns the set and each fragment's blocks among them
+    (`batch._pairs_of_sites`)."""
+    from .batch import _coulomb_tables, _pairs_of_sites, _site_bras
 
-    F = len(auxs)
-    bras = [
-        dict(ids=np.arange(F * st["m"]), p=np.tile(st["qk"], F)[:, None],
-             cc=np.ones((F * st["m"], 1)), P=st["Pk"].reshape(-1, 1, 3),
-             frag=np.repeat(np.arange(F), st["m"]), L=st["l"])
-        for st in statics
-    ]
-    return _coulomb_tables(
-        workspace, "eri2c", (auxs,), None, bras, statics
+    blocks, mine = _pairs_of_sites(sites)
+    tabs = _coulomb_tables(
+        workspace, "eri2c", (auxs,), None, _site_bras(sites),
+        [dict(qk=grp.qk.reshape(-1, 1), Pk=grp.Pk.reshape(-1, 1, 3),
+              l=grp.l) for grp in sites.groups], blocks,
     )
+    return tabs, mine
+
+
+def _site_pairs(tabs, gb, gk, Wb, grp_b, grp_k, Lb, width):
+    """``(n, width, C_k)`` of every (site, site) block of groups ``(gb,
+    gk)``: the bra site's rows ``Wb (M_b, width, Tb)`` through the
+    block's kernel ``(Tb, Tk)`` and the ket site's expansion ``(Tk,
+    C_k)`` — two GEMMs per block, shapes fixed by the two groups — then
+    normalized by both sites' ``comp_norms`` (the bra's repeated down
+    the rows in groups of ``C_b``)."""
+    from . import batch as kernels
+
+    codes = tabs.blocks[gb, gk]
+    nsite = grp_k.qk.size
+    bra, ket = codes // nsite, codes % nsite
+    WkT = grp_k.WkT.reshape(nsite, grp_k.Tk, grp_k.C)
+    norms_b = grp_b.comp_norms.reshape(-1, grp_b.C)
+    norms_k = grp_k.comp_norms.reshape(-1, grp_k.C)
+    reps = width // grp_b.C
+    out = np.empty((codes.size, width, grp_k.C))
+    K, Tk = Wb.shape[2], grp_k.Tk
+    for sites, sel, r in kernels._runs(bra, max(width, K) * Tk):
+        M2 = tabs.kernel(gb, gk, sel, Lb).reshape(-1, r, K, Tk)
+        t1 = bgemm(Wb[sites][:, None], M2).reshape(-1, width, Tk)
+        blk = bgemm(t1, WkT[ket[sel]])
+        blk = blk * np.tile(norms_b[bra[sel]], reps)[:, :, None]
+        out[sel] = blk * norms_k[ket[sel]][:, None, :]
+    return out
+
+
+#: (fitting composition, two group keys) -> `_metric_map`; geometry-free
+_METRIC_MAPS: dict[tuple, tuple] = {}
+
+
+def _metric_map(aux, grp_b, grp_k, fb, fk):
+    """Where a fragment's (site, site) block elements of one pair of
+    groups land in its flat ``(naux, naux)`` metric: ``(direct, image,
+    same)`` — the ``(P|Q)`` and ``(Q|P)`` positions, ``(n_b n_k, C_b
+    C_k)`` in block order, and which blocks pair two sites of one atom.
+    Memoised on the composition."""
+    from .workspace import basis_composition_key
+
+    key = (basis_composition_key(aux), grp_b.ls, grp_b.m, grp_k.ls, grp_k.m)
+    maps = _METRIC_MAPS.get(key)
+    if maps is None:
+        fi_b = fb.func_idx.reshape(-1, grp_b.C)[:, None, :, None]
+        fi_k = fk.func_idx.reshape(-1, grp_k.C)[None, :, None, :]
+        n = fi_b.shape[0] * fi_k.shape[1]
+        index = np.int32 if aux.nbf ** 2 < 2**31 else np.intp
+        same = (np.repeat(fb.atoms, grp_b.m)[:, None]
+                == np.repeat(fk.atoms, grp_k.m)[None, :])
+        maps = ((fi_b * aux.nbf + fi_k).reshape(n, -1).astype(index),
+                (fi_k * aux.nbf + fi_b).reshape(n, -1).astype(index),
+                same.ravel())
+        if len(_METRIC_MAPS) >= 1024:
+            _METRIC_MAPS.clear()
+        _METRIC_MAPS[key] = maps
+    return maps
+
+
+def _flat_metrics(auxs):
+    """One zeroed buffer holding every fragment's ``(naux, naux)``
+    matrix, the matrices as views of it, and their offsets."""
+    offs = np.cumsum([0] + [aux.nbf ** 2 for aux in auxs])
+    flat = np.zeros(offs[-1])
+    return flat, [flat[lo:hi].reshape(aux.nbf, aux.nbf)
+                  for lo, hi, aux in zip(offs[:-1], offs[1:], auxs)], offs
 
 
 @stack_driver
-def eri2c(auxs, workspace: IntegralWorkspace | None = None) -> np.ndarray:
-    """Two-center Coulomb metrics ``(P|Q)`` of a stack of fitting bases
-    of one composition, shape ``(F, naux, naux)``.
+def eri2c(auxs, workspace: IntegralWorkspace | None = None) -> list:
+    """Two-center Coulomb metrics ``(P|Q)`` of every fitting basis of a
+    call, ``(naux, naux)`` each.
 
-    Processed as site-group pairs (`engine.AuxGroup`): one Hermite batch
-    per pair of groups covers the whole metric of every fragment.
-    ``workspace`` serves the cached (geometry-independent) group
-    scaffolding and keeps the Hermite Coulomb tables for
+    A block is a pair of auxiliary sites (`engine.AuxGroup`), computed
+    once for the call (the lower triangle of group pairs is the upper
+    one's image); each fragment gathers its own. ``workspace`` serves
+    the cached (geometry-independent) group scaffolding and keeps the
+    Hermite Coulomb tables of every ordered pair for
     `contract_eri2c_deriv`.
     """
-    from . import batch as kernels
+    from .batch import _gather, _record_blocks, site_plan
 
-    groups = _aux_groups(workspace, auxs[0])
-    F = len(auxs)
-    statics = kernels._group_statics(groups, auxs)
-    # every ordered pair, the lower triangle too: the derivative reads
-    # all of them, and one merged build serves both drivers
-    tabs = _eri2c_tables(workspace, auxs, statics)
-    J = np.zeros((F, auxs[0].nbf, auxs[0].nbf))
-    for ib, sb in enumerate(statics):
+    sites = site_plan(auxs, workspace).per_site()
+    tabs, mine = _eri2c_tables(workspace, auxs, sites)
+    flat, J, offs = _flat_metrics(auxs)
+    computed = sum(sites.groups[gb].C * sites.groups[gk].C * codes.size
+                   for (gb, gk), codes in tabs.blocks.items())
+    for gb, sb in enumerate(sites.groups):
         # the 3c kernel with a one-primitive "pair" per bra site; the
         # bra expansion is the ket one with the +-1 phase taken back
-        Wb = sb["Wk"] * _phase(hermite_simplex(sb["l"]))
-        Wb = np.tile(Wb, (F, 1, 1))
-        fi_b = sb["func_idx"].ravel()
-        for ik in range(ib, len(statics)):
-            sk = statics[ik]
-            M2 = tabs.kernel(ib, ik, slice(None), sb["l"])
-            blk = kernels._group_apply_batched(M2, sk, Wb).reshape(
-                F, sb["m"], sk["m"], sb["C"], sk["C"]
-            )
-            blk = (
-                blk * sb["comp_norms"][None, :, None, :, None]
-                * sk["comp_norms"][None, None, :, None, :]
-            )
-            blk = blk.transpose(0, 1, 3, 2, 4).reshape(
-                F, sb["m"] * sb["C"], sk["m"] * sk["C"]
-            )
-            fi_k = sk["func_idx"].ravel()
-            J[:, fi_b[:, None], fi_k[None, :]] = blk
-            J[:, fi_k[:, None], fi_b[None, :]] = blk.transpose(0, 2, 1)
+        Wb = (sb.Wk * _phase(hermite_simplex(sb.l))).reshape(-1, sb.C, sb.Tk)
+        for gk in range(gb, len(sites.groups)):
+            if (gb, gk) not in mine:
+                continue
+            sk = sites.groups[gk]
+            blk = _site_pairs(tabs, gb, gk, Wb, sb, sk, sb.l, sb.C)
+            pos, direct, image = [], [], []
+            for f, fb, fk, at in mine[gb, gk]:
+                d, i, _ = _metric_map(auxs[f], sb, sk, fb, fk)
+                pos.append(at.ravel())
+                direct.append((d + offs[f]).ravel())
+                image.append((i + offs[f]).ravel())
+            # the (Q|P) image last: on a diagonal block it is what stays
+            vals = _gather(blk, pos).ravel()
+            flat[np.concatenate(direct)] = vals
+            flat[np.concatenate(image)] = vals
+    _record_blocks(workspace, "2c", sum(aux.nbf ** 2 for aux in auxs),
+                   computed)
     return J
 
 
@@ -466,62 +535,73 @@ def _deriv_blocks_pairwise(bra, ket, ca, cb, cc, cd, sides):
 
 @stack_driver
 def contract_eri2c_deriv(
-    auxs, zeta: np.ndarray, natoms: int,
+    auxs, zeta, natoms,
     workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """``g[f] = sum_{PQ} zeta_{f PQ} d(P|Q)/dR`` for every fragment of a
-    stack, ``zeta (F, naux, naux)``: shape ``(F, natoms, 3)``.
+) -> list:
+    """``g[f] = sum_{PQ} zeta_{f PQ} d(P|Q)/dR`` for every fragment,
+    ``zeta[f] (naux, naux)``: ``(natoms, 3)`` each (``natoms`` one count
+    for all, or one per fragment).
 
-    Uses ``d/dQ = -d/dP``; both sides are processed as site groups, so
-    the work is a few batched contractions on the Hermite Coulomb
-    tables `eri2c` left at these geometries.
+    Uses ``d/dQ = -d/dP``. The three bra-site derivative integrals of
+    every (site, site) block are computed once, on the Hermite Coulomb
+    tables `eri2c` left at these geometries; each fragment contracts
+    its own ``zeta`` with them.
     """
-    from . import batch as kernels
+    from .batch import _gather, _pieces, _w_deriv_class, site_plan
 
     F = len(auxs)
-    g = np.zeros((F, natoms, 3))
+    natoms = [natoms] * F if np.ndim(natoms) == 0 else list(natoms)
+    # every fragment's gradient, one block of rows each: a fragment's
+    # rows see its own terms only, in its own order
+    offs = np.cumsum([0] + natoms)
+    G = np.zeros((offs[-1], 3))
     # one unit of E-table headroom for the differentiated (bra) side; the
     # ket expansions read the same tables' lower entries
-    statics = kernels._group_statics(_aux_groups(workspace, auxs[0], di=1), auxs)
-    tabs = _eri2c_tables(workspace, auxs, statics)
-    stack = np.arange(F)[:, None, None, None, None]
-    for ib, sb in enumerate(statics):
-        gb, n, X = sb["grp"], sb["m"], sb["C"]
-        L = sb["l"] + 1
-        # the three bra-center derivative expansions as one operand
+    sites = site_plan(auxs, workspace, di=1).per_site()
+    tabs, mine = _eri2c_tables(workspace, auxs, sites)
+    for gb, sb in enumerate(sites.groups):
+        L = sb.l + 1
+        X = sb.C
+        # the three bra-centre derivative expansions as one operand
+        E = sb.E.reshape(-1, 1, *sb.E.shape[2:])
+        a = sb.qk.reshape(-1, 1)
         dW = np.stack(
             [
-                kernels._w_deriv_class(
-                    gb.pd.E[:, None], gb.pd.a[:, None], gb.pd.b[:, None],
-                    gb.comps, _S_COMP, hermite_simplex(L), "bra", axis,
-                )
+                _w_deriv_class(E, a, np.zeros_like(a), sb.comps, _S_COMP,
+                               hermite_simplex(L), "bra", axis)
                 for axis in range(3)
             ],
             axis=1,
-        ).reshape(n, 3 * X, -1)
-        dW = np.tile(dW, (F, 1, 1))
-        fi_b = sb["func_idx"]
-        frag_b = np.repeat(np.arange(F), n)
-        atoms_b = np.tile(sb["atoms"], F)
-        for ik, sk in enumerate(statics):
-            # gathered coefficients: zg[f, n, m, x, y]
-            zg = zeta[stack, fi_b[None, :, None, :, None],
-                      sk["func_idx"][None, None, :, None, :]]
-            zg = (
-                zg * sb["comp_norms"][None, :, None, :, None]
-                * sk["comp_norms"][None, None, :, None, :]
-            )
-            # mask same-atom (derivative vanishes by invariance)
-            zg[:, sb["atoms"][:, None] == sk["atoms"][None, :]] = 0.0
-            ZW = bgemm(zg.reshape(F * n, sk["m"], X, sk["C"]), sk["Wk"][None])
-            M2 = tabs.kernel(ib, ik, slice(None), L)
-            t1 = bgemm(dW, M2).reshape(F * n, 3, X, sk["Tk"], sk["m"])
-            vals = np.einsum("naxsm,nmxs->nam", t1, ZW, optimize=False)
-            np.add.at(g, (frag_b, atoms_b), vals.sum(axis=2))
-            for f in range(F):
-                np.subtract.at(g[f], sk["atoms"],
-                               vals[f * n:(f + 1) * n].sum(axis=0).T)
-    return g
+        ).reshape(a.size, 3 * X, -1)
+        for gk, sk in enumerate(sites.groups):
+            if (gb, gk) not in mine:
+                continue
+            dI = _site_pairs(tabs, gb, gk, dW, sb, sk, L, 3 * X)
+            dI = dI.reshape(-1, 3, X * sk.C)
+            for piece in _pieces(mine[gb, gk], 5 * X * sk.C):
+                pos, zg, same, bra, ket = [], [], [], [], []
+                for f, fb, fk, at in piece:
+                    d, _, s = _metric_map(auxs[f], sb, sk, fb, fk)
+                    pos.append(at.ravel())
+                    zg.append(zeta[f].reshape(-1)[d])
+                    same.append(s)
+                    bra.append(offs[f] + np.repeat(fb.atoms, sb.m))
+                    ket.append(offs[f] + np.repeat(fk.atoms, sk.m))
+                # gathered coefficients; same-atom pairs: the derivative
+                # vanishes by invariance
+                zg = np.concatenate(zg)
+                zg[np.concatenate(same)] = 0.0
+                vals = bgemm(_gather(dI, pos), zg[:, :, None])[..., 0]
+                lo, on_b, on_k = 0, [], []
+                for (*_, at), atoms_b in zip(piece, bra):
+                    n, m = at.shape
+                    v = vals[lo:lo + n * m].reshape(n, m, 3)
+                    lo += n * m
+                    on_b.append(v.sum(axis=1))
+                    on_k.append(v.sum(axis=0))
+                np.add.at(G, np.concatenate(bra), np.concatenate(on_b))
+                np.subtract.at(G, np.concatenate(ket), np.concatenate(on_k))
+    return [G[lo:hi] for lo, hi in zip(offs[:-1], offs[1:])]
 
 
 def _zblk_table(basis: BasisSet, Z: np.ndarray) -> np.ndarray:

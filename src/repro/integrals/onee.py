@@ -170,7 +170,9 @@ def nuclear_loop(
             Wf = W.reshape(pd.nprim, sha.nfunc * shb.nfunc, -1)
             R = _nuclear_R(pd, tbox, centers)  # (nC, n, nT)
             pref = pd.cc * (2.0 * np.pi / pd.p)
-            blk = -np.einsum("c,cnt,n,nxt->x", Z, R, pref, Wf, optimize=True)
+            # a fixed path: the charges and prefactors into R, then W
+            t = np.einsum("c,cnt->nt", Z, R, optimize=False) * pref[:, None]
+            blk = -np.einsum("nxt,nt->x", Wf, t, optimize=False)
             blk = blk.reshape(sha.nfunc, shb.nfunc) * _pair_norms(sha, shb)
             V[oa : oa + sha.nfunc, ob : ob + shb.nfunc] = blk
             V[ob : ob + shb.nfunc, oa : oa + sha.nfunc] = blk.T
@@ -181,10 +183,11 @@ def nuclear_loop(
 def hcore(
     bases, mols,
     workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """Core Hamiltonians h = T + V of a stack (``mols`` of one
-    composition, each in its basis), shape ``(F, nbf, nbf)``."""
-    return kinetic(bases, workspace) + nuclear(bases, mols, workspace)
+) -> list[np.ndarray]:
+    """Core Hamiltonians h = T + V of every fragment (``mols``, each in
+    its basis), ``(nbf, nbf)`` each."""
+    return [t + v for t, v in zip(kinetic(bases, workspace),
+                                  nuclear(bases, mols, workspace))]
 
 
 # --------------------------------------------------------------------------
@@ -312,15 +315,12 @@ def contract_nuclear_deriv_loop(
                 for side, shell in (("bra", sha), ("ket", shb)):
                     dW = w_deriv(pd, ca, cb, tbox, side, axis)
                     dWf = dW.reshape(pd.nprim, sha.nfunc * shb.nfunc, -1)
-                    # per-nucleus contracted values (nC,)
-                    vals = -np.einsum(
-                        "cnt,n,nxt,x->c",
-                        R,
-                        pref,
-                        dWf,
-                        Xblk.ravel(),
-                        optimize=True,
-                    ) * Z
+                    # per-nucleus contracted values (nC,), on a fixed
+                    # path: the coefficients into dW, then R
+                    t = np.einsum("nxt,x->nt", dWf, Xblk.ravel(),
+                                  optimize=False) * pref[:, None]
+                    vals = -np.einsum("cnt,nt->c", R, t,
+                                      optimize=False) * Z
                     g[shell.atom, axis] += vals.sum()
                     # operator-center terms: dV_C/dC -= this side's deriv
                     g[:, axis] -= vals
@@ -329,13 +329,14 @@ def contract_nuclear_deriv_loop(
 
 @stack_driver
 def contract_hcore_deriv(
-    bases, mols, X: np.ndarray,
+    bases, mols, X,
     workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
+) -> list[np.ndarray]:
     """``sum X_{f mu nu} dh_{mu nu}/dR`` with h = T + V for every
-    fragment of a stack, ``X (F, nbf, nbf)``: shape ``(F, natoms, 3)``."""
-    return (contract_kinetic_deriv(bases, X, workspace)
-            + contract_nuclear_deriv(bases, mols, X, workspace))
+    fragment, ``X[f] (nbf, nbf)``: ``(natoms, 3)`` each."""
+    return [t + v for t, v in zip(
+        contract_kinetic_deriv(bases, X, workspace),
+        contract_nuclear_deriv(bases, mols, X, workspace))]
 
 
 def overlap_deriv(basis: BasisSet, natoms: int | None = None) -> np.ndarray:

@@ -28,8 +28,10 @@ exhaust worker memory) plus the integral products:
   ``DISPLACEMENT_TOL`` bohr from it. What is keyed on the exact centers
   (pair, class and Hermite Coulomb tables) is one evaluation's scratch,
   since an MD geometry never recurs: shared by the drivers inside the
-  calling thread's `scope`, dropped at its exit. A stack of fragments of
-  one composition is one evaluation (`evaluation`).
+  calling thread's `scope`, dropped at its exit. The fragments of a
+  calculator call (or of one group of it) are one evaluation
+  (`evaluation`): each shell pair, auxiliary site and nucleus they share
+  is one entry of its plans, and every integral block is computed once.
 * **Determinism** — a Schwarz table is keyed on (composition,
   reference) and rebuilt at the reference on a miss, so it is a
   function of trajectory state: the same in a resumed process, on
@@ -104,24 +106,37 @@ def _placed(basis, coords: np.ndarray):
     return BasisSet([sh.at(coords[sh.atom], sh.atom) for sh in basis.shells])
 
 
-def _stack_key(stack) -> tuple:
-    """Key material of a stack of bases of one composition: the
-    composition once, every basis's centres."""
-    return (basis_composition_key(stack[0]),
-            b"".join(_centers(basis).tobytes() for basis in stack))
+def _stack_key(bases) -> tuple:
+    """Key material of a list of bases: each one's composition and
+    centres."""
+    return tuple((basis_composition_key(basis), _centers(basis).tobytes())
+                 for basis in bases)
+
+
+#: the block families a value driver counts (`IntegralWorkspace.
+#: record_blocks`): ``(mu nu|P)``, ``(P|Q)``, overlap / kinetic pairs,
+#: and (pair, nucleus) nuclear-attraction blocks
+BLOCK_FAMILIES = ("3c", "2c", "st", "v")
+
+
+def _no_blocks() -> dict:
+    return {family: 0 for family in BLOCK_FAMILIES}
 
 
 class _Scratch(dict):
     """One evaluation's geometry-keyed products, and what its Hermite
     Coulomb tables cost: the largest set it built plus the bra-derivative
-    expansions held on its shell classes (``table_bytes``), and the
-    pairs a derivative driver rebuilt beside the set it found."""
+    expansions held on its shell classes (``table_bytes``), the pairs a
+    derivative driver rebuilt beside the set it found, and the block
+    elements its value drivers were asked for and computed."""
 
     def __init__(self) -> None:
         super().__init__()
         self.sets_peak_bytes = 0
         self.expansion_bytes = 0
         self.rebuilt_pairs = 0
+        self.elements_requested = _no_blocks()
+        self.elements_computed = _no_blocks()
 
     @property
     def table_bytes(self) -> int:
@@ -158,8 +173,9 @@ class IntegralWorkspace(BoundedStore):
 
     * `pair_data` — shell-pair Hermite expansion tables with unified
       derivative headroom ``(di=1, dj=2)``;
-    * `shell_classes` — packed per-class shell-pair tables of a stack
-      for the batched kernels (`repro.integrals.batch`);
+    * `pair_plan` — the distinct shell pairs of the evaluation's
+      bases, packed per class for the batched kernels, and each
+      fragment's pairs among them (`repro.integrals.batch.PairPlan`);
     * `dmax_blocks` — per-shell-block max |D| tables for the 4c
       derivative driver;
     * `coulomb_tables` — the Hermite Coulomb tables
@@ -199,6 +215,9 @@ class IntegralWorkspace(BoundedStore):
         self.pairs_total = 0
         self.pairs_skipped = 0
         self.neglected_bound = 0.0
+        # block elements the value drivers were asked for and computed
+        self.elements_requested = _no_blocks()
+        self.elements_computed = _no_blocks()
 
     def _tenant_of(self, key: tuple) -> str | None:
         """Traffic belongs to the calling thread's tenant."""
@@ -232,7 +251,7 @@ class IntegralWorkspace(BoundedStore):
     @contextmanager
     def evaluation(self):
         """One evaluation of the integral layer on the calling thread —
-        what a calculator runs each stack of fragments in: a fresh
+        what a calculator runs each group of fragments in: a fresh
         scratch for the block, even inside an enclosing scope (whose
         tenant still holds), dropped at its exit and the
         enclosing one put back. Yields the scratch, whose
@@ -273,7 +292,7 @@ class IntegralWorkspace(BoundedStore):
     # ------------------------------------------------------------------
     # shell-pair expansion tables
     # ------------------------------------------------------------------
-    #: unified derivative headroom: covers every driver in the stack
+    #: unified derivative headroom: covers every driver of an evaluation
     #: (bra derivatives need di=1; the kinetic operator needs dj=2)
     PAIR_DI = 1
     PAIR_DJ = 2
@@ -346,8 +365,8 @@ class IntegralWorkspace(BoundedStore):
         return self.schwarz_bounds_stack([basis], [ref])[0]
 
     def schwarz_bounds_stack(self, bases, refs=None) -> list[np.ndarray]:
-        """Cauchy-Schwarz shell-pair bounds of every basis of a stack of
-        one composition, each at its reference geometry.
+        """Cauchy-Schwarz shell-pair bounds of every basis of a call,
+        each at its reference geometry.
 
         ``refs[f]`` is the geometry basis ``f`` is screened at (its
         fragment's `screening_reference`; None, or no ``refs``: its
@@ -357,18 +376,19 @@ class IntegralWorkspace(BoundedStore):
         it is kept in the store under (composition, reference) and a
         miss rebuilds it *at the reference*, bitwise the table first
         served; without one it lives for the evaluation only. Rebuilds
-        at the stack's own geometry are one call on its shell classes
-        (`batch.schwarz_pair_bounds`). What a basis is served goes
+        at the bases' own geometry are one call on the evaluation's pair
+        plan (`batch.schwarz_pair_bounds`). What a basis is served goes
         into the evaluation's scratch, where its drivers find it.
         """
         from .batch import schwarz_pair_bounds
 
-        comp = basis_composition_key(bases[0])
+        comps = [basis_composition_key(basis) for basis in bases]
         scratch = self._scope.scratch if self.enabled else None
         refs = [None] * len(bases) if refs is None else refs
         out, mine = [None] * len(bases), [None] * len(bases)
         own, moved = [], []
         for f, (basis, ref) in enumerate(zip(bases, refs)):
+            comp = comps[f]
             here = _atom_coords(basis)
             mine[f] = ("schwarz", comp, here.tobytes())
             out[f] = None if scratch is None else scratch.get(mine[f])
@@ -391,11 +411,11 @@ class IntegralWorkspace(BoundedStore):
         if own:
             built = schwarz_pair_bounds(
                 bases, workspace=self, frags=[f for f, _ in own])
-            self._keep_bounds(comp, own, built, out, exact=True)
+            self._keep_bounds(comps, own, built, out, exact=True)
         if moved:
             built = schwarz_pair_bounds(
                 [_placed(bases[f], ref) for f, ref in moved], workspace=self)
-            self._keep_bounds(comp, moved, built, out, exact=False)
+            self._keep_bounds(comps, moved, built, out, exact=False)
         if scratch is not None:
             for key, Q in zip(mine, out):
                 scratch[key] = Q
@@ -412,7 +432,7 @@ class IntegralWorkspace(BoundedStore):
             self.stale_serves += 1
         return Q * self.STALE_SAFETY
 
-    def _keep_bounds(self, comp, todo, built, out, exact: bool) -> None:
+    def _keep_bounds(self, comps, todo, built, out, exact: bool) -> None:
         """Serve the freshly built tables of ``todo`` (``(f, ref)``
         pairs) into ``out``, storing each that has a reference."""
         with self._lock:
@@ -420,7 +440,7 @@ class IntegralWorkspace(BoundedStore):
         for (f, ref), Q in zip(todo, built):
             Q = Q.copy()  # its own buffer, as the store counts it
             if ref is not None:
-                self._put(("schwarz", comp, ref.tobytes()), Q)
+                self._put(("schwarz", comps[f], ref.tobytes()), Q)
             out[f] = self._served(Q, exact, hit=False)
 
     def aux_function_bounds(self, aux) -> np.ndarray:
@@ -451,22 +471,42 @@ class IntegralWorkspace(BoundedStore):
     # ------------------------------------------------------------------
     # batched shell-class tables
     # ------------------------------------------------------------------
-    def shell_classes(self, bases) -> list:
-        """Packed shell-pair class tables of a stack of bases of one
-        composition for the batched kernels.
+    def pair_plan(self, bases):
+        """The `batch.PairPlan` of a list of bases: their distinct shell
+        pairs packed per class for the batched kernels, and each
+        fragment's pairs among them.
 
-        Scratch, keyed on composition plus every basis's exact shell
+        Scratch, keyed on every basis's composition and exact shell
         centers: the packed E tables are geometry-dependent, so the
         drivers of one evaluation (overlap/kinetic/nuclear/Schwarz/3c/
-        derivatives) share a single class build and the next MD step is
-        left nothing.
+        derivatives) share a single build and the next MD step is left
+        nothing.
         """
-        from .batch import _build_shell_classes
+        from .batch import _build_pair_plan
 
-        key = ("classtab", *_stack_key(bases))
-        classes, hit = self._scratch(key, lambda: _build_shell_classes(bases))
+        key = ("classtab", _stack_key(bases))
+        plan, hit = self._scratch(key, lambda: _build_pair_plan(bases))
         self._instant("workspace.hit", product="shell_classes", hit=hit)
-        return classes
+        return plan
+
+    def shell_classes(self, bases) -> list:
+        """The shell classes of `pair_plan`."""
+        return self.pair_plan(bases).classes
+
+    def site_plan(self, auxs, di: int = 0):
+        """The `batch.SitePlan` of a list of fitting bases, built once per
+        evaluation and kept in its scratch beside the counted products
+        it is made of (`aux_groups`), uncounted."""
+        from .batch import _build_site_plan
+
+        scratch = self._scope.scratch if self.enabled else None
+        key = ("siteplan", _stack_key(auxs), di)
+        plan = None if scratch is None else scratch.get(key)
+        if plan is None:
+            plan = _build_site_plan(auxs, self, di)
+            if scratch is not None:
+                scratch[key] = plan
+        return plan
 
     # ------------------------------------------------------------------
     # Hermite Coulomb tables
@@ -478,7 +518,7 @@ class IntegralWorkspace(BoundedStore):
         """This evaluation's `batch.CoulombTables` for a driver pair.
 
         ``kind`` names the pair (``eri3c``, ``eri2c``, ``nuclear``),
-        ``stacks`` the basis sets (a sequence per side: the stack's
+        ``stacks`` the basis lists (one per side: the evaluation's
         orbital and fitting bases) and ``points`` any further array the
         tables depend on (the nuclei).
 
@@ -487,15 +527,18 @@ class IntegralWorkspace(BoundedStore):
         ``max_bytes``, a bound on what one evaluation *holds*; what does
         not fit is built by the driver as it goes. The first driver of a
         pair keeps the set it built from nothing, the other builds its
-        own from that one's payload. Found and rebuilt tables are
-        bitwise equal: the scratch only saves time.
+        own from that one's payload and takes it out of the scratch, so
+        a set lives from its value driver to its derivative. Found and
+        rebuilt tables are bitwise equal: the scratch only saves time.
         """
-        key = ("coultab", kind,
-               *(part for stack in stacks for part in _stack_key(stack)),
+        key = ("coultab", kind, *(_stack_key(stack) for stack in stacks),
                None if points is None else points.tobytes())
         budget = table_budget(self)
         tabs, hit = self._scratch(key, lambda: build(None, budget))
         if hit:
+            # the set is handed on once: the driver that finds it is its
+            # last reader, and the evaluation holds it no longer
+            self._scope.scratch.pop(key, None)
             tabs = build(tabs.payload, budget)
         with self._lock:
             self.tables_peak_bytes = max(self.tables_peak_bytes, tabs.nbytes)
@@ -522,6 +565,21 @@ class IntegralWorkspace(BoundedStore):
             scratch.expansion_bytes += built
         self._instant("workspace.hit", product="bra_expansions",
                       hit=built == 0, nbytes=nbytes)
+
+    def record_blocks(self, family: str, requested: int,
+                      computed: int) -> None:
+        """Account a value driver's blocks of ``family`` (one of
+        `BLOCK_FAMILIES`), in elements of its fragments' atom blocks:
+        ``requested`` summed over the fragments, ``computed`` over the
+        distinct blocks evaluated once. An open scratch counts them
+        too, for its evaluation."""
+        with self._lock:
+            self.elements_requested[family] += requested
+            self.elements_computed[family] += computed
+        scratch = self._scope.scratch if self.enabled else None
+        if scratch is not None:
+            scratch.elements_requested[family] += requested
+            scratch.elements_computed[family] += computed
 
     # ------------------------------------------------------------------
     # screening statistics
@@ -550,6 +608,8 @@ class IntegralWorkspace(BoundedStore):
                 pairs_total=self.pairs_total,
                 pairs_skipped=self.pairs_skipped,
                 neglected_bound=self.neglected_bound,
+                elements_requested=dict(self.elements_requested),
+                elements_computed=dict(self.elements_computed),
             )
 
 

@@ -261,7 +261,7 @@ def rimp2_gradient(res: SCFResult, return_intermediates: bool = False,
     contraction pass (h^xi, S^xi, (mn|P)^xi, (P|Q)^xi) covers the whole
     gradient and *no* four-center derivative ever appears. The
     coefficients come first (`rimp2_gradient_coefficients`), the
-    contraction is a stack of one (`contract_ri_gradients`).
+    contraction is an evaluation of one (`contract_ri_gradients`).
 
     Args:
         res: converged RI-HF result (``rhf(..., ri=True)``).

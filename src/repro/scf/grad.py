@@ -102,26 +102,32 @@ def ri_gradient_coefficients(res: SCFResult):
 
 
 def contract_ri_gradients(mols, bases, auxs, coefs, int_screen: float = 0.0,
-                          workspace=None) -> np.ndarray:
-    """RI gradients of a stack of fragments of one composition, shape
-    ``(F, natoms, 3)``: nuclear repulsion plus ``sum X h^xi + sum Z3c
-    (mn|P)^xi + sum zeta (P|Q)^xi + sum W S^xi`` with the stacked
-    coefficients ``coefs = (X, Z3c, zeta, W)``, one call of each stacked
-    derivative driver for the whole stack (no four-center derivative).
+                          workspace=None) -> list[np.ndarray]:
+    """RI gradients of the fragments of one evaluation, ``(natoms, 3)``
+    each: nuclear repulsion plus ``sum X h^xi + sum Z3c (mn|P)^xi + sum
+    zeta (P|Q)^xi + sum W S^xi`` with each fragment's coefficients
+    ``coefs = (X, Z3c, zeta, W)`` (``X[f]`` and so on), one call of each
+    derivative driver for all of them (no four-center derivative): the
+    derivative integrals of a block the fragments share are computed
+    once and each fragment contracts its own coefficients with them.
 
     ``int_screen``/``workspace`` enable Schwarz screening on cached
     bounds; the four drivers run inside one scope of the workspace.
     """
     X, Z3c, zeta, W = coefs
-    natoms = mols[0].natoms
-    g = np.stack([mol.nuclear_repulsion_gradient() for mol in mols])
+    natoms = [mol.natoms for mol in mols]
+    g = [mol.nuclear_repulsion_gradient() for mol in mols]
     with evaluation_scope(workspace):
-        g += contract_hcore_deriv(bases, mols, X, workspace)
-        g += contract_eri3c_deriv(
-            bases, auxs, Z3c, natoms, screen=int_screen, workspace=workspace,
-        )
-        g += contract_eri2c_deriv(auxs, zeta, natoms, workspace)
-        g += contract_overlap_deriv(bases, W, workspace)
+        # the small table sets first: each is let go by the derivative
+        # that reads it, before the three-centre one is read
+        h = contract_hcore_deriv(bases, mols, X, workspace)
+        j = contract_eri2c_deriv(auxs, zeta, natoms, workspace)
+        t = contract_eri3c_deriv(bases, auxs, Z3c, natoms,
+                                 screen=int_screen, workspace=workspace)
+        s = contract_overlap_deriv(bases, W, workspace)
+    for part in (h, t, j, s):
+        for gf, pf in zip(g, part):
+            gf += pf
     return g
 
 

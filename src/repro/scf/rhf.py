@@ -166,12 +166,12 @@ def _fitted(T3: np.ndarray, J2: np.ndarray):
 def prepare_solves(
     mols, bases, auxs=None, int_screen: float = 0.0, workspace=None,
 ) -> list[dict]:
-    """Solve memos (`rhf`'s ``solve_memo``) for molecules of one
-    composition, each with its basis: ``bs``, ``S``, the core
-    Hamiltonian ``h0`` and, with fitting bases ``auxs``, the RI tensors
-    ``ri`` — from one call of each stacked integral driver, so a stack
-    of fragments pays the drivers' fixed cost once. The solves that
-    read them are each fragment's own."""
+    """Solve memos (`rhf`'s ``solve_memo``) for molecules, each with its
+    basis: ``bs``, ``S``, the core Hamiltonian ``h0`` and, with fitting
+    bases ``auxs``, the RI tensors ``ri`` — from one call of each
+    integral driver, one evaluation for all of them: a block the
+    fragments share is computed once. The solves that read them are
+    each fragment's own."""
     with evaluation_scope(workspace):
         S = overlap(bases, workspace)
         h = hcore(bases, mols, workspace)
@@ -183,6 +183,7 @@ def prepare_solves(
         memo = {"bs": bs, "S": S[f], "h0": h[f]}
         if auxs is not None:
             memo["ri"] = (*_fitted(T3[f], J2[f]), auxs[f])
+            T3[f] = None  # the fit is what the solve reads
         memos.append(memo)
     return memos
 
@@ -254,7 +255,7 @@ def rhf(
             matrices (basis, S, core h, RI tensors and Fock layouts) are
             built once and reused by every rung instead of being rebuilt
             from scratch per attempt. `prepare_solves` fills the memos
-            of a whole stack of fragments at once.
+            of a whole evaluation of fragments at once.
 
     Returns:
         `SCFResult` with the converged state and reusable RI tensors.

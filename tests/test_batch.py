@@ -605,12 +605,13 @@ class TestCoulombTables:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_merged_column_is_the_column_alone(self, data):
-        """A (pair, site) column, prefactor folded in, is bitwise the
-        column of a call holding that pair alone — whatever pairs share
-        its recursion call, however the recursion splits its batch,
-        whether the set held it, built it for the chunk that asked, or
-        found it in the payload of a set built for other pairs (any two
-        masks, a class dropped whole included) under another budget."""
+        """A (pair, atom) block's table, prefactor folded in, is bitwise
+        the column of a call holding that pair and that site alone —
+        whatever blocks share its recursion call, however the recursion
+        splits its batch, whether the set held it, built it for the
+        chunk that asked, or found it in the payload of a set built for
+        other blocks (any two block sets, a (class, group) dropped whole
+        included) under another budget."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         classes = []
         for _ in range(data.draw(st.integers(1, 3))):
@@ -624,74 +625,80 @@ class TestCoulombTables:
             ))
         kets = []
         for l in data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)):
-            m = data.draw(st.integers(1, 4))
-            qk = rng.uniform(0.1, 30.0, m) if data.draw(st.booleans()) else None
-            Pk = rng.uniform(-3.0, 3.0, (m, 3))
+            # A atoms of m sites each, every site of an atom on its centre
+            A, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+            qk = (rng.uniform(0.1, 30.0, (A, m)) if data.draw(st.booleans())
+                  else None)
+            Pk = np.repeat(rng.uniform(-3.0, 3.0, (A, 1, 3)), m, axis=1)
             Pk[0] = 0.0  # coincident with a bra centre: the Boys T = 0 limit
             kets.append(dict(qk=qk, Pk=Pk, l=l))
 
-        def bras():
-            """The classes under a random screening mask."""
-            out = []
-            for cls in classes:
-                q = cls["p"].shape[0]
-                ids = np.nonzero(data.draw(st.lists(
-                    st.booleans(), min_size=q, max_size=q)))[0]
-                out.append(dict(ids=ids, p=cls["p"][ids], cc=cls["cc"][ids],
-                                P=cls["P"][ids], L=cls["L"]))
+        def blocks():
+            """A random subset of every (class, group)'s blocks."""
+            out = {}
+            for ci, bra in enumerate(classes):
+                for gi, ket in enumerate(kets):
+                    n = bra["p"].shape[0] * ket["Pk"].shape[0]
+                    codes = np.nonzero(data.draw(st.lists(
+                        st.booleans(), min_size=n, max_size=n)))[0]
+                    if codes.size:
+                        out[ci, gi] = codes
             return out
 
         def budget(of):
             full = sum(
-                8 * hermite_simplex(b["L"] + k["l"] + 1).shape[0]
-                * b["p"].size * k["Pk"].shape[0]
-                for b in of for k in kets
+                8 * hermite_simplex(classes[ci]["L"] + kets[gi]["l"] + 1)
+                .shape[0] * codes.size * classes[ci]["p"].shape[1]
+                * kets[gi]["Pk"].shape[1]
+                for (ci, gi), codes in of.items()
             )
             return data.draw(st.sampled_from([0, full // 2, full, 2 * full]))
 
-        def alone(order, bra, ket, pair, n, site):
+        def alone(order, bra, ket, pair, n, atom, site):
             one = (slice(pair, pair + 1), slice(n, n + 1))
             qk = ket["qk"]
-            ket1 = dict(qk=None if qk is None else qk[site : site + 1],
-                        Pk=ket["Pk"][site : site + 1])
+            ket1 = dict(qk=None if qk is None else qk[atom, site : site + 1],
+                        Pk=ket["Pk"][atom, site : site + 1])
             return _build_tables([(order, lambda: _ket_inputs(
                 bra["p"][one], bra["cc"][one], bra["P"][one], ket1,
             ))])[0][0, 0, :, 0]
 
-        first = bras()
-        second = bras()
+        first = blocks()
+        second = blocks()
         scratch = data.draw(st.sampled_from([1, 1 << 10, 1 << 14, 16 << 20]))
         old = engine._R_SCRATCH_BYTES
         engine._R_SCRATCH_BYTES = scratch
         try:
-            found = CoulombTables(first, kets, budget(first))
+            found = CoulombTables(classes, kets, first, budget(first))
             limit = budget(second)
-            tabs = CoulombTables(second, kets, limit, found.payload)
+            tabs = CoulombTables(classes, kets, second, limit, found.payload)
             assert tabs.nbytes <= max(limit, found.nbytes)
             assert tabs.rebuilt_pairs == sum(
-                np.setdiff1d(b["ids"], a["ids"]).size
-                for a, b in zip(first, second)
+                np.unique(np.concatenate([
+                    np.setdiff1d(codes, first.get(key, codes[:0]))
+                    // kets[key[1]]["Pk"].shape[0]
+                    for key, codes in second.items() if key[0] == ci
+                ])).size
+                for ci in {ci for ci, _ in second}
             )
-            for ci, bra in enumerate(second):
-                q, N = bra["p"].shape
-                if not q:
-                    continue
-                lo = data.draw(st.integers(0, q - 1))
-                hi = data.draw(st.integers(lo + 1, q))
-                for gi, ket in enumerate(kets):
-                    m = ket["Pk"].shape[0]
-                    order = bra["L"] + ket["l"] + 1
-                    R = tabs.table(ci, gi, slice(lo, hi))
-                    assert R.shape[:2] == (hi - lo, N) and R.shape[3] == m
-                    engine._R_SCRATCH_BYTES = old
-                    for pair in range(lo, hi):
-                        for n in range(N):
-                            for site in range(m):
-                                assert np.array_equal(
-                                    R[pair - lo, n, :, site],
-                                    alone(order, bra, ket, pair, n, site),
-                                )
-                    engine._R_SCRATCH_BYTES = scratch
+            for (ci, gi), codes in second.items():
+                bra, ket = classes[ci], kets[gi]
+                (A, m), N = ket["Pk"].shape[:2], bra["p"].shape[1]
+                lo = data.draw(st.integers(0, codes.size - 1))
+                hi = data.draw(st.integers(lo + 1, codes.size))
+                order = bra["L"] + ket["l"] + 1
+                R = tabs.table(ci, gi, slice(lo, hi))
+                assert R.shape[:2] == (hi - lo, N) and R.shape[3] == m
+                engine._R_SCRATCH_BYTES = old
+                for i, code in enumerate(codes[lo:hi]):
+                    for n in range(N):
+                        for site in range(m):
+                            assert np.array_equal(
+                                R[i, n, :, site],
+                                alone(order, bra, ket, code // A, n,
+                                      code % A, site),
+                            )
+                engine._R_SCRATCH_BYTES = scratch
         finally:
             engine._R_SCRATCH_BYTES = old
 
@@ -699,7 +706,8 @@ class TestCoulombTables:
     def test_kernel_is_the_scaled_gather(self, point):
         """`CoulombTables.kernel` of a table with the prefactor folded
         into its seeds is the rows of the unscaled recursion gathered
-        into the kernel layout and then scaled — for every bra simplex
+        into the kernel layout, one block per (pair, atom), and then
+        scaled — for every bra simplex
         ``Lb`` (value and derivative) and ket order ``l``. With
         power-of-two prefactors every rounding commutes with the scale,
         so the two agree bitwise; with the kind's own prefactor they
@@ -715,8 +723,11 @@ class TestCoulombTables:
                 qk = None if point else rng.uniform(0.1, 30.0, m)
                 Pk = rng.uniform(-3.0, 3.0, (m, 3))
                 Pk[0] = P[0, 0]
-                bra = dict(ids=np.arange(q), p=p, cc=cc, P=P, L=L)
-                tabs = CoulombTables([bra], [dict(qk=qk, Pk=Pk, l=l)], 1 << 30)
+                bra = dict(p=p, cc=cc, P=P, L=L)
+                # one atom of m sites: every pair is one block
+                tabs = CoulombTables(
+                    [bra], [dict(qk=None if point else qk[None], Pk=Pk[None],
+                                 l=l)], {(0, 0): np.arange(q)}, 1 << 30)
                 p3, c3 = p[:, :, None], cc[:, :, None]
                 if point:
                     alpha = np.broadcast_to(p3, (q, N, m))
@@ -806,10 +817,12 @@ class TestCoulombTables:
 
     def test_one_recursion_call_per_table(self, monkeypatch):
         """A water trimer evaluation builds each (class, group) table
-        once, in one recursion call of its own: 25 calls (4 nuclear, 12
-        three-centre, 9 metric tables), all made by the value drivers,
-        where each driver used to build its own per (class, aux group):
-        48. What the calls return is what the instants count."""
+        once, in one recursion call of its own: 29 calls (4 nuclear, 16
+        three-centre — the s-only sites are two groups of atoms, one site
+        an oxygen and five a hydrogen — and 9 metric tables), all made by
+        the value drivers, where each driver used to build its own per
+        (class, aux group). What the calls return is what the instants
+        count."""
         mol = water_cluster(3, seed=1)
         calls = []
         recursion = engine.r_tables_simplex
@@ -825,7 +838,7 @@ class TestCoulombTables:
         calc.energy_gradient(mol)
         built = [t for t in table_instants(ws.tracer) if not t["hit"]]
         assert [t["kind"] for t in built] == ["nuclear", "eri3c", "eri2c"]
-        assert len(calls) == 25
+        assert len(calls) == 29
         assert sorted({lmax for lmax, _ in calls}) == [1, 2, 3, 4, 5]
         assert sum(size for _, size in calls) == sum(
             t["elements"] for t in built)

@@ -1,20 +1,22 @@
-"""Cross-fragment stacks: fragments of one composition are one
-evaluation of the integral layer.
+"""Cross-fragment calls: the fragments of a calculator call are one
+evaluation of the integral layer per group.
 
 The contract under test:
 
 * **Stack independence** — a fragment's integrals, contracted
   derivatives, energy and gradient are bitwise the ones it gets alone
-  (a stack of one), whatever it is stacked with and in what order, with
-  screening off or on and with Schwarz masks that differ inside the
-  stack (one fragment displaced past ``DISPLACEMENT_TOL`` re-screens,
-  the others are served a stale table). End to end, a trajectory run by
-  the stacking calculator is bitwise the one run a fragment at a time.
-* **The byte budget** — a stack closes before the fragment whose
-  unscreened Hermite Coulomb tables would take its set past
-  `table_budget`; every set a stack builds is held whole, and a
-  fragment beyond the budget on its own goes alone, its tables partly
-  built on the fly, with the same bits.
+  (a call of one), whatever it is evaluated with and in what order,
+  with screening off or on and with Schwarz masks that differ inside
+  the call (one fragment displaced past ``DISPLACEMENT_TOL``
+  re-screens, the others are served a stale table). End to end, a
+  trajectory run by the calculator is bitwise the one run a fragment
+  at a time. (`tests/test_one_evaluation.py` holds the same over
+  fragments that share atoms.)
+* **The group rule** — fragments that share an atom are one group;
+  whole such components are packed while their distinct blocks' tables
+  fit `table_budget`, every set a group builds is then held whole, and
+  a group over the budget on its own builds the rest on the fly, with
+  the same bits.
 * **Errors stay per fragment** — an SCF that exhausts the recovery
   ladder inside a stack names its own fragment; the fault-plan wrapper
   decides every member at its own (key, step, attempt) and then hands
@@ -34,6 +36,7 @@ from repro.calculators import (
     PairwisePotentialCalculator,
     RIHFCalculator,
     RIMP2Calculator,
+    _stacks,
 )
 from repro.faults import FaultPlan, FaultPlanCalculator, FaultSpec
 from repro.faults.inject import InjectedFault
@@ -216,75 +219,93 @@ class TestStackIndependence:
         assert out[0] == out[1]
 
 
-class TestByteBudget:
-    """A stack closes before its tables would pass `table_budget`."""
-
-    @pytest.fixture(scope="class")
-    def dimers(self):
-        return _fragments(2, 6, seed=11)
+class TestGroups:
+    """The call is partitioned into groups, one evaluation each:
+    fragments that share an atom stay together, whole such components
+    are packed while their distinct blocks' tables fit `table_budget`,
+    and a group over the budget on its own builds what its held tables
+    leave out on the fly, with the same bits."""
 
     @staticmethod
-    def _run(ref, mols, share: float | None):
+    def _run(mols, share: float | None, ref=None):
         tracer = Tracer()
-        ws = _primed(ref)
+        ws = IntegralWorkspace() if ref is None else _primed(ref)
         if share is not None:
             ws.TABLE_SHARE = share
         calc = RIMP2Calculator(int_screen=1e-12, workspace=ws, tracer=tracer)
         results = calc.energy_gradients(mols)
-        stacks = [ev["args"] for ev in tracer.events
+        groups = [ev["args"] for ev in tracer.events
                   if ev["name"] == "calc.stack"]
         # the calculator's tracer takes its evaluations' table requests
-        return results, stacks, ws, table_instants(tracer)
+        return results, groups, ws, table_instants(tracer)
 
-    def test_stacks_close_at_the_budget(self, dimers):
-        ref, mols = dimers
-        per = table_bytes(BasisSet.build(ref, "sto-3g"),
-                          auto_auxiliary(ref, "sto-3g"), ref.natoms)
-        want, stacks, _, _ = self._run(ref, mols, None)
-        assert [s["size"] for s in stacks] == [6]
-        # room for two and a half dimers' tables: stacks of two
+    @staticmethod
+    def _water4(keys):
+        system = FragmentedSystem.by_components(water_cluster(4, seed=1))
+        return [system.fragment_molecule(key, system.parent.coords)[0]
+                for key in keys]
+
+    def test_groups_stay_within_the_budget(self):
+        """Six dimers sharing no atom are six components: with room for
+        two and a half dimers' tables they go as three groups of two,
+        each holding its tables whole inside the budget."""
+        ref, mols = _fragments(2, 6, seed=11)
+        per = table_bytes([BasisSet.build(ref, "sto-3g")],
+                          [auto_auxiliary(ref, "sto-3g")], [ref])
+        want, groups, _, _ = self._run(mols, None, ref)
+        assert [g["size"] for g in groups] == [6]
         share = 2.5 * per / IntegralWorkspace().max_bytes
-        got, stacks, ws, tables = self._run(ref, mols, share)
-        assert [s["size"] for s in stacks] == [2, 2, 2]
-        assert all(0 < s["table_bytes"] <= table_budget(ws) for s in stacks)
+        got, groups, ws, tables = self._run(mols, share, ref)
+        assert [g["size"] for g in groups] == [2, 2, 2]
+        assert all(0 < g["table_bytes"] <= table_budget(ws) for g in groups)
         assert 0 < ws.tables_peak_bytes <= table_budget(ws)
-        # every set a stack builds is held whole: 3 stacks x 3 kinds, each
-        # built by the value driver and found by the derivative
+        # every set a group builds is held whole: 3 groups x 3 kinds,
+        # each built by the value driver and found by the derivative
         assert len(tables) == 18 and all(t["kept"] for t in tables)
         for (e, g), (e0, g0) in zip(got, want):
             assert e == e0 and g.tobytes() == g0.tobytes()
 
-    def test_a_fragment_beyond_the_budget_goes_alone(self, dimers):
-        ref, mols = dimers
-        want, _, _, _ = self._run(ref, mols, None)
-        per = table_bytes(BasisSet.build(ref, "sto-3g"),
-                          auto_auxiliary(ref, "sto-3g"), ref.natoms)
+    def test_fragments_that_share_atoms_stay_together(self):
+        """Monomer 0 and the dimer (0, 1) share monomer 0's atoms, the
+        nudged waters share none: under a budget that holds the pair's
+        tables and no more, the pair is one group whatever the order,
+        each water another, and results come back in input order."""
+        sharing = self._water4([(0,), (0, 1)])
+        _, waters = _fragments(1, 2, seed=4)
+        mols = [waters[0], sharing[1], waters[1], sharing[0]]
+        ws = IntegralWorkspace()
+        bases = [BasisSet.build(m, "sto-3g") for m in mols]
+        auxs = [auto_auxiliary(m, "sto-3g") for m in mols]
+        pair = table_bytes([bases[1], bases[3]], [auxs[1], auxs[3]],
+                           [mols[1], mols[3]])
+        # the pair's distinct blocks: its dimer's, the monomer adds none
+        assert pair == table_bytes([bases[1]], [auxs[1]], [mols[1]])
+        ws.TABLE_SHARE = pair / ws.max_bytes
+        groups = [idx for idx, _, _ in _stacks(mols, "sto-3g", ws)]
+        assert groups == [[0], [1, 3], [2]]
+        got, _, _, _ = self._run(mols, pair / ws.max_bytes)
+        for mol, (e, g) in zip(mols, got):
+            e1, g1 = RIMP2Calculator(
+                int_screen=1e-12,
+                workspace=IntegralWorkspace()).energy_gradient(mol)
+            assert e == e1 and g.tobytes() == g1.tobytes()
+
+    def test_a_group_over_the_budget_builds_on_the_fly(self):
+        """Four fragments sharing monomer 0 under a budget below half a
+        trimer's tables: still one group, which holds what fits and
+        builds the rest as it goes — the same bits."""
+        mols = self._water4([(0,), (0, 1), (0, 2), (0, 1, 2)])
+        want, _, _, _ = self._run(mols, None)
+        per = table_bytes([BasisSet.build(mols[3], "sto-3g")],
+                          [auto_auxiliary(mols[3], "sto-3g")], [mols[3]])
         share = 0.5 * per / IntegralWorkspace().max_bytes
-        got, stacks, ws, tables = self._run(ref, mols, share)
-        assert [s["size"] for s in stacks] == [1] * 6
+        got, groups, ws, tables = self._run(mols, share)
+        assert [g["size"] for g in groups] == [4]
         assert ws.tables_peak_bytes <= table_budget(ws)
         # held what fit, built the rest on the fly: the same bits
         assert tables and not all(t["kept"] for t in tables)
         for (e, g), (e0, g0) in zip(got, want):
             assert e == e0 and g.tobytes() == g0.tobytes()
-
-    def test_compositions_stack_apart(self):
-        """Monomers and dimers in one call: two stacks, in order of first
-        appearance, results in input order."""
-        ref1, mono = _fragments(1, 3, seed=4)
-        ref2, dim = _fragments(2, 2, seed=5)
-        mols = [dim[0], mono[0], mono[1], dim[1], mono[2]]
-        tracer = Tracer()
-        calc = RIHFCalculator(workspace=IntegralWorkspace(), tracer=tracer)
-        got = calc.energy_gradients(mols)
-        stacks = [ev["args"] for ev in tracer.events
-                  if ev["name"] == "calc.stack"]
-        assert [(s["composition"], s["size"]) for s in stacks] == [
-            (dim[0].formula(), 2), (mono[0].formula(), 3)]
-        for mol, (e, g) in zip(mols, got):
-            e1, g1 = RIHFCalculator(
-                workspace=IntegralWorkspace()).energy_gradient(mol)
-            assert e == e1 and g.tobytes() == g1.tobytes()
 
 
 class TestErrorsPerFragment:
