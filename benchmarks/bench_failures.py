@@ -83,9 +83,7 @@ def run_experiment(smoke: bool = False) -> dict:
         "interval_agreement": [],
     }
     for nodes in node_counts:
-        proj = simulate_workload(
-            stats, FRONTIER, nodes, nsteps=3, cost_model=PAPER_CALIBRATED
-        )
+        proj = simulate_workload(stats, FRONTIER, nodes, nsteps=3)
         for mtbf_h in mtbf_sweep:
             model = NodeFailureModel(mtbf_hours=mtbf_h)
             eff_opt = failure_adjusted_efficiency(
@@ -109,9 +107,7 @@ def run_experiment(smoke: bool = False) -> dict:
             })
     # replay-vs-analytic agreement at the headline scale
     nodes = node_counts[-1]
-    proj = simulate_workload(
-        stats, FRONTIER, nodes, nsteps=3, cost_model=PAPER_CALIBRATED
-    )
+    proj = simulate_workload(stats, FRONTIER, nodes, nsteps=3)
     work_s = proj.time_per_step_s * CAMPAIGN_STEPS
     for mtbf_h in mtbf_sweep:
         model = NodeFailureModel(mtbf_hours=mtbf_h)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from repro.analysis import format_table
 from repro.cluster import (
     FRONTIER,
-    PAPER_CALIBRATED,
     PERLMUTTER,
     parallel_efficiency,
     simulate_aimd,
@@ -49,8 +48,7 @@ def test_fig7_perlmutter_paracetamol(run_once, record_output):
                 fs, PERLMUTTER, nodes, nsteps=3,
                 r_dimer_bohr=20 * BOHR_PER_ANGSTROM,
                 r_trimer_bohr=13 * BOHR_PER_ANGSTROM,
-                mbe_order=3, cost_model=PAPER_CALIBRATED,
-                replan_interval=4, gcds_per_worker=4,
+                mbe_order=3, replan_interval=4, gcds_per_worker=4,
             )
             times.append(r.time_per_step())
             rows.append((nodes, r.nworkers, f"{r.time_per_step():.3f}",
@@ -87,9 +85,7 @@ def test_fig7_frontier_urea(run_once, record_output, full_scale):
             # paper-scale via the aggregate scheduler
             stats = urea_workload(24000)
             nodes = [1024, 2048, 4096]
-            res = strong_scaling_curve(
-                stats, FRONTIER, nodes, cost_model=PAPER_CALIBRATED
-            )
+            res = strong_scaling_curve(stats, FRONTIER, nodes)
             effs = parallel_efficiency(res)
             rows = [
                 (r.nodes, f"{r.time_per_step_s / 60:.1f}",
@@ -118,8 +114,7 @@ def test_fig7_frontier_urea(run_once, record_output, full_scale):
                 fs, FRONTIER, n, nsteps=3,
                 r_dimer_bohr=15.3 * BOHR_PER_ANGSTROM,
                 r_trimer_bohr=15.3 * BOHR_PER_ANGSTROM,
-                mbe_order=3, cost_model=PAPER_CALIBRATED,
-                replan_interval=4,
+                mbe_order=3, replan_interval=4,
             )
             times.append(r.time_per_step())
             frac = r.flop_rate_pflops / FRONTIER.peak_pflops(n)

@@ -71,8 +71,7 @@ def test_fig8_weak_scaling(run_once, record_output):
                 fs, FRONTIER, nodes, nsteps=3,
                 r_dimer_bohr=CUTOFF_A * BOHR_PER_ANGSTROM,
                 r_trimer_bohr=CUTOFF_A * BOHR_PER_ANGSTROM,
-                mbe_order=3, cost_model=PAPER_CALIBRATED,
-                replan_interval=4,
+                mbe_order=3, replan_interval=4,
             )
             rates.append(work / r.time_per_step())
             rows.append(

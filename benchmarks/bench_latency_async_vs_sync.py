@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 
 from repro.analysis import format_table
-from repro.cluster import PAPER_CALIBRATED, PERLMUTTER, simulate_aimd
+from repro.cluster import PERLMUTTER, simulate_aimd
 from repro.constants import BOHR_PER_ANGSTROM
 from repro.systems import abeta_like_fibril, prp_like_fibril
 
@@ -46,8 +46,7 @@ def test_latency_async_vs_sync(run_once, record_output):
                 machine=PERLMUTTER, nodes=nodes, nsteps=5,
                 r_dimer_bohr=r_d * BOHR_PER_ANGSTROM,
                 r_trimer_bohr=r_t * BOHR_PER_ANGSTROM,
-                mbe_order=3, cost_model=PAPER_CALIBRATED,
-                replan_interval=5, gcds_per_worker=gpw,
+                mbe_order=3, replan_interval=5, gcds_per_worker=gpw,
             )
             # trace the first (smaller) async run in virtual time
             ra = simulate_aimd(fs, synchronous=False, trace=tracer is None,

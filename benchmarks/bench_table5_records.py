@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro.analysis import format_table
 from repro.cluster import (
     FRONTIER,
-    PAPER_CALIBRATED,
     simulate_workload,
     urea_workload,
 )
@@ -45,9 +44,7 @@ def test_table5_record_runs(run_once, record_output):
         measured = {}
         for nmol, (p_min, p_pf) in PAPER.items():
             stats = urea_workload(nmol)
-            res = simulate_workload(
-                stats, FRONTIER, 9400, nsteps=3, cost_model=PAPER_CALIBRATED
-            )
+            res = simulate_workload(stats, FRONTIER, 9400, nsteps=3)
             frac = res.fraction_of_peak(FRONTIER)
             measured[nmol] = (res.time_per_step_s / 60, res.flop_rate_pflops, frac)
             rows.append(

@@ -16,7 +16,6 @@ import sys
 from repro.analysis import format_table
 from repro.cluster import (
     FRONTIER,
-    PAPER_CALIBRATED,
     PERLMUTTER,
     simulate_workload,
     urea_workload,
@@ -29,9 +28,7 @@ for nmol in sizes:
     stats = urea_workload(nmol)
     electrons = stats.nmonomers * stats.electrons_per_monomer
     for machine, nodes in ((FRONTIER, FRONTIER.nodes), (PERLMUTTER, PERLMUTTER.nodes)):
-        res = simulate_workload(
-            stats, machine, nodes, nsteps=3, cost_model=PAPER_CALIBRATED
-        )
+        res = simulate_workload(stats, machine, nodes, nsteps=3)
         rows.append(
             (
                 f"{nmol:,}",

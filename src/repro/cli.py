@@ -279,7 +279,6 @@ def cmd_project(args) -> int:
     from .analysis import format_table
     from .cluster import (
         FRONTIER,
-        PAPER_CALIBRATED,
         PERLMUTTER,
         simulate_workload,
         urea_workload,
@@ -288,9 +287,7 @@ def cmd_project(args) -> int:
     machine = FRONTIER if args.machine == "frontier" else PERLMUTTER
     nodes = args.nodes or machine.nodes
     stats = urea_workload(args.molecules)
-    res = simulate_workload(
-        stats, machine, nodes, nsteps=3, cost_model=PAPER_CALIBRATED
-    )
+    res = simulate_workload(stats, machine, nodes, nsteps=3)
     rows = [
         ("urea molecules", f"{args.molecules:,}"),
         ("electrons", f"{stats.nmonomers * stats.electrons_per_monomer:,}"),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costmodel import FragmentCostModel
+from .costmodel import PAPER_CALIBRATED
 from .machine import MachineSpec
 from .workloads import WorkloadStats
 
@@ -91,16 +91,15 @@ def simulate_workload(
     machine: MachineSpec,
     nodes: int,
     nsteps: int = 3,
-    cost_model: FragmentCostModel | None = None,
     synchronous: bool = False,
     gcds_per_worker: int = 1,
 ) -> AggregateResult:
     """Project one AIMD run of ``nsteps`` over a polymer workload.
 
     Async mode pools all steps into one schedule; sync mode pays a
-    barrier per step.
+    barrier per step. Task costs are `PAPER_CALIBRATED`'s.
     """
-    cost = cost_model or FragmentCostModel()
+    cost = PAPER_CALIBRATED
     nworkers = machine.total_gcds(nodes) // gcds_per_worker
     elec = stats.polymer_electrons()
     uniq, counts = np.unique(elec, return_counts=True)
@@ -132,14 +131,12 @@ def strong_scaling_curve(
     machine: MachineSpec,
     node_counts: list[int],
     nsteps: int = 3,
-    cost_model: FragmentCostModel | None = None,
     gcds_per_worker: int = 1,
 ) -> list[AggregateResult]:
     """Fixed workload, varying node count (paper Fig. 7)."""
     return [
         simulate_workload(
-            stats, machine, n, nsteps=nsteps, cost_model=cost_model,
-            gcds_per_worker=gcds_per_worker,
+            stats, machine, n, nsteps=nsteps, gcds_per_worker=gcds_per_worker,
         )
         for n in node_counts
     ]

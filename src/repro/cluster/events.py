@@ -7,7 +7,8 @@ machine (`repro.md.scheduler.AsyncCoordinator`) through it. Because the
 coordinator is identical to the one used for real execution, the
 scheduling behavior — priority sweeps, asynchronous step overlap, cap
 dependencies, barriers in synchronous mode — is not modeled but
-*executed*; only task durations come from the cost model.
+*executed*; only task durations come from the cost model, always the
+one calibration `PAPER_CALIBRATED`.
 
 Used for the paper's time-step latency (Sec. VII-A) and strong/weak
 scaling (Figs. 7, 8) experiments. For timing studies the coordinator is
@@ -21,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 
 from ..md.scheduler import AsyncCoordinator
-from .costmodel import FragmentCostModel
+from .costmodel import PAPER_CALIBRATED
 from .machine import MachineSpec
 
 
@@ -82,13 +83,11 @@ class ClusterSimulator:
         self,
         machine: MachineSpec,
         nodes: int,
-        cost_model: FragmentCostModel | None = None,
         gcds_per_worker: int = 1,
         tracer=None,
     ) -> None:
         self.machine = machine
         self.nodes = nodes
-        self.cost = cost_model or FragmentCostModel()
         self.gcds_per_worker = gcds_per_worker
         self.nworkers = machine.total_gcds(nodes) // gcds_per_worker
         self.now = 0.0
@@ -128,11 +127,11 @@ class ClusterSimulator:
                 start_service = max(self.now, coord_free)
                 coord_free = start_service + m.coordinator_service_s
                 exec_start = coord_free + m.message_latency_s
-                dur = self.cost.time_on(
+                dur = PAPER_CALIBRATED.time_on(
                     task.nelectrons, m, ngcds=self.gcds_per_worker
                 )
                 busy += dur
-                counted += self.cost.gemm_flops(task.nelectrons)
+                counted += PAPER_CALIBRATED.gemm_flops(task.nelectrons)
                 if tracer:
                     tracer.complete(
                         "polymer.exec", exec_start, dur, cat="sim.worker",
@@ -180,7 +179,6 @@ def simulate_aimd(
     mbe_order: int = 3,
     synchronous: bool = False,
     replan_interval: int = 4,
-    cost_model: FragmentCostModel | None = None,
     gcds_per_worker: int = 1,
     trace: bool = False,
 ) -> SimResult:
@@ -190,9 +188,7 @@ def simulate_aimd(
     virtual clock records worker spans and scheduler counters; it is
     returned on ``SimResult.tracer``.
     """
-    sim = ClusterSimulator(
-        machine, nodes, cost_model=cost_model, gcds_per_worker=gcds_per_worker,
-    )
+    sim = ClusterSimulator(machine, nodes, gcds_per_worker=gcds_per_worker)
     tracer = None
     if trace:
         from ..trace import Tracer

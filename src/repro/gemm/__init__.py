@@ -3,7 +3,7 @@ variant-trial artefact of Sec. V-G / Table IV."""
 
 from .autotune import GLOBAL_TUNER, VARIANTS, GemmAutoTuner
 from .flops import GLOBAL_COUNTER, FlopCounter, bgemm, count_flops, gemm
-from .linalg import cholesky_solve_posdef, eigh_gen, eigh_orth, sym_inv, sym_inv_sqrt
+from .linalg import eigh_gen, eigh_orth, sym_inv, sym_inv_sqrt
 
 __all__ = [
     "FlopCounter",
@@ -12,7 +12,6 @@ __all__ = [
     "GemmAutoTuner",
     "VARIANTS",
     "bgemm",
-    "cholesky_solve_posdef",
     "count_flops",
     "eigh_gen",
     "eigh_orth",

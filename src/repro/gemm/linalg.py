@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from .flops import gemm
 
@@ -50,9 +49,3 @@ def eigh_gen(F: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sets (diffuse auxiliary functions, stretched geometries) stay stable.
     """
     return eigh_orth(F, sym_inv_sqrt(S))
-
-
-def cholesky_solve_posdef(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve ``A X = B`` for symmetric positive-definite A."""
-    c, low = sla.cho_factor(A)
-    return sla.cho_solve((c, low), B)

@@ -31,23 +31,11 @@ from .integrators import (
 )
 from .mts import SlowTierState, TieredMBEForces, slow_tier_items
 from .scheduler import AsyncCoordinator, FragmentStub, PolymerTask
-from .thermostats import (
-    BerendsenThermostat,
-    LangevinThermostat,
-    LocalLangevinThermostat,
-)
-from .trajio import (
-    TrajectoryStreamWriter,
-    load_restart,
-    read_trajectory_stream,
-    read_trajectory_xyz,
-    save_restart,
-    write_trajectory_xyz,
-)
+from .thermostats import LocalLangevinThermostat
+from .trajio import TrajectoryStreamWriter, read_trajectory_stream
 
 __all__ = [
     "AsyncCoordinator",
-    "BerendsenThermostat",
     "CHECKPOINT_VERSION",
     "Checkpoint",
     "CheckpointError",
@@ -63,14 +51,9 @@ __all__ = [
     "FragmentStub",
     "QuarantinedTask",
     "WorkerFailure",
-    "LangevinThermostat",
     "LocalLangevinThermostat",
     "TrajectoryStreamWriter",
-    "load_restart",
     "read_trajectory_stream",
-    "read_trajectory_xyz",
-    "save_restart",
-    "write_trajectory_xyz",
     "PolymerTask",
     "SlowTierState",
     "TieredMBEForces",

@@ -37,13 +37,14 @@ SWITCH_ON_FACTOR = 0.85
 
 
 def integrate_whole_system(
-    force_fn, masses, coords, velocities, nsteps: int, dt_fs: float, thermostat=None
+    force_fn, masses, coords, velocities, nsteps: int, dt_fs: float
 ) -> Trajectory:
     """Velocity Verlet with ``force_fn(coords, step) -> (energy, forces)``.
 
-    No fragments, tiers, replans or checkpoints: whatever splitting the
-    force has is the caller's (r-RESPA impulses are a force that is
-    ``fast + k * slow`` at outer boundaries and ``fast`` in between).
+    No fragments, tiers, replans, thermostat or checkpoints: whatever
+    splitting the force has is the caller's (r-RESPA impulses are a force
+    that is ``fast + k * slow`` at outer boundaries and ``fast`` in
+    between).
     """
     dt = fs_to_au(dt_fs)
     traj = Trajectory()
@@ -57,8 +58,6 @@ def integrate_whole_system(
         coords, velocities, forces, e_pot = verlet_step(
             coords, velocities, forces, masses, dt, lambda c: force_fn(c, step + 1)
         )
-        if thermostat is not None:
-            velocities = thermostat.apply(velocities, masses, dt_fs)
         traj.wall_times.append(time.perf_counter() - t0)
     return traj
 
@@ -93,8 +92,7 @@ def run_aimd(
     every ``replan_interval`` steps (0: one frozen plan, which no resume
     could rebuild, so it never checkpoints); a plain `Molecule` runs as
     the one-monomer order-1 system. The other keywords are the engine's
-    (see `AsyncCoordinator`) — whole-system thermostats included, since
-    there is a barrier; MTS tiers and the surrogate need a
+    (see `AsyncCoordinator`); MTS tiers and the surrogate need a
     `FragmentedSystem`. With ``resume`` the returned `Trajectory` holds
     the full history (checkpointed frames plus new ones);
     ``wall_times[i]`` runs from the retirement of step ``i`` to that of
@@ -104,8 +102,8 @@ def run_aimd(
     C2 switched corrections of `repro.frag.switching` (the paper's
     stated future work), turning on at ``SWITCH_ON_FACTOR * r_cut`` —
     no cutoff-crossing energy jumps (Fig. 6). It is the whole-system
-    path: thermostat yes; tiers, surrogate, checkpoints and warm-start
-    or tracer attachment no.
+    path: no tiers, surrogate, thermostat, checkpoints, warm-start or
+    tracer attachment.
     """
     system = mol_or_system
     tiered = int(mts_k) > 1
@@ -119,10 +117,11 @@ def run_aimd(
         whole = Monomer(0, tuple(range(system.natoms)), charge=system.charge)
         system, mbe_order, replan_interval = FragmentedSystem(system, [whole]), 1, 1
     if smooth_switching:
-        if tiered or surrogate is not None or checkpoint_path or resume is not None:
+        if (tiered or surrogate is not None or thermostat is not None
+                or checkpoint_path or resume is not None):
             raise ValueError(
                 "smooth_switching runs outside the step engine: no MTS "
-                "tiers, surrogate, checkpoint or resume"
+                "tiers, surrogate, thermostat, checkpoint or resume"
             )
 
         def switched_force(c: np.ndarray, step: int):
@@ -141,7 +140,7 @@ def run_aimd(
             velocities = maxwell_boltzmann_velocities(masses, temperature_k, seed)
         return integrate_whole_system(
             switched_force, masses, system.parent.coords.copy(),
-            velocities.copy(), nsteps, dt_fs, thermostat,
+            velocities.copy(), nsteps, dt_fs,
         )
     engine = AsyncCoordinator(
         system, nsteps, dt_fs, r_dimer_bohr, r_trimer_bohr,

@@ -37,9 +37,9 @@ is the one writer and the one resume validator — `run_aimd` and the
 service go through it — and a new stateful feature adds a section through
 its owner, never a field here. There is one checksum, over the whole
 payload: a reader that rejects the file on any mismatch and falls back
-to the previous rotation would gain nothing from finer ones. Files of
-format versions 1-3 (one slot per feature) stay resumable through
-`migrate`, the only place that still spells a legacy slot name.
+to the previous rotation would gain nothing from finer ones. There is
+one format version, the one the writer stamps: a file of any other is
+refused, naming its version.
 
 What a run carries besides its phase-space point — held forces,
 per-fragment warm-start densities and Schwarz reference geometries, the
@@ -61,8 +61,7 @@ import numpy as np
 
 #: file-format identity: readers refuse anything else
 CHECKPOINT_MAGIC = "repro-aimd-checkpoint"
-#: version 4 is the core block plus named sections; versions 1-3 (one
-#: slot per feature) are read through `migrate`
+#: the core block plus named sections; the one version read or written
 CHECKPOINT_VERSION = 4
 #: joins a section's name to its arrays' names in the archive; a section
 #: name may not contain it (an array name may)
@@ -254,64 +253,6 @@ def write_checkpoint(path: str | Path, ckpt: Checkpoint, tracer=None,
                 )
 
 
-def migrate(meta: dict, payload: dict) -> dict:
-    """The sections of a version 1-3 file, which kept one slot per feature.
-
-    The core block never changed, so the reader takes it from
-    ``meta``/``payload`` as for a current file; this maps the optional
-    slots onto the sections their owners read today. Version 2 added the
-    r-RESPA block, version 3 the ladder's trimer tier (``*3`` names), the
-    surrogate block and the every-step ``forces``; each is simply absent
-    from files that predate it. The legacy driver slot counted its
-    quarantined tasks without recording them, so none can be restored.
-    """
-    sections: dict[str, tuple[dict, dict]] = {}
-    held, forces = [], {}
-    if "forces" in payload:
-        # the recorded potential of the step stands; tier 0's share of
-        # it was never stored
-        held.append({"tier": 0, "k": 1, "step": int(meta["step"]),
-                     "prev_step": -1, "e": 0.0, "e_prev": 0.0})
-        forces["0.forces"] = payload["forces"]
-    mts = meta.get("mts") or {}
-    for tier, k, sfx in ((1, "k", ""), (2, "k_trimer", "3")):
-        if mts.get(k) is None:
-            continue
-        held.append({
-            "tier": tier, "k": mts[k], "step": mts[f"step{sfx}"],
-            "prev_step": mts[f"prev_step{sfx}"],
-            "e": mts[f"e_slow{sfx}"],
-            "e_prev": mts.get(f"e_slow{sfx}_prev", 0.0),
-        })
-        for name in ("forces", "forces_prev"):
-            if f"mts_slow{sfx}_{name}" in payload:
-                forces[f"{tier}.{name}"] = payload[f"mts_slow{sfx}_{name}"]
-    if held:
-        sections["tiers"] = (
-            {"extrapolate": bool(mts.get("extrapolate", False)),
-             "held": held},
-            forces,
-        )
-    if meta.get("thermostat") is not None:
-        sections["thermostat"] = (meta["thermostat"], {})
-    if meta.get("surrogate") is not None:
-        sections["surrogate"] = (meta["surrogate"], {
-            name: array for name, array in payload.items()
-            if name.startswith("surrogate_")
-        })
-    if meta.get("driver") is not None:
-        sections["driver"] = ({**meta["driver"], "quarantined": []}, {})
-    if "frame_coords" in payload:
-        sections["frames"] = ({}, {
-            "times_fs": payload["times_fs"],
-            "potential": payload["potential"],
-            "kinetic": payload["kinetic"],
-            "coords": payload["frame_coords"],
-            "velocities": payload["frame_velocities"],
-        })
-    return sections
-
-
 def _split_sections(meta: dict, payload: dict, path: Path) -> dict:
     """Undo the writer's fold: ``name -> (meta, arrays)`` per section."""
     sections = {name: (m, {}) for name, m in meta.get("sections", {}).items()}
@@ -373,15 +314,12 @@ def read_checkpoint(path: str | Path, mol=None) -> Checkpoint:
             f"(magic={meta.get('magic')!r})"
         )
     version = meta.get("version")
-    if version == CHECKPOINT_VERSION:
-        sections = _split_sections(meta, payload, path)
-    elif version in (1, 2, 3):
-        sections = migrate(meta, payload)
-    else:
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint {path} has format version {version}; this build "
-            f"reads version {CHECKPOINT_VERSION} and migrates versions 1-3"
+            f"reads version {CHECKPOINT_VERSION} only"
         )
+    sections = _split_sections(meta, payload, path)
     missing = [k for k in _CORE_ARRAYS if k not in payload]
     if missing:
         raise CheckpointError(

@@ -34,7 +34,7 @@ What a step is:
   Verlet, kick-drift-kick) the moment every task touching its atoms
   (including through H-cap chain terms) has returned; with
   ``synchronous=True`` all monomers integrate together when the step's
-  last task returns, which is what admits whole-system thermostats;
+  last task returns;
 * **replans** — the polymer list is re-formed every ``replan_interval``
   steps (pre-formed-list mode; lists and coefficients stay fixed within
   the window, so its task sets and reductions are worked out once), or never
@@ -182,8 +182,7 @@ class _HeldTiers:
     boundary (mid-cycle that geometry is gone). Meta is ``{"held":
     [{tier, k, step, e}]}``; the arrays are ``"<tier>.forces"`` (minus
     the gradient). `load_state` holds every check of a checkpoint's
-    tiers against the resuming run; a file without tier 0 re-evaluates
-    the cut step.
+    tiers against the resuming run.
     """
 
     def __init__(self, engine: AsyncCoordinator, step: int) -> None:
@@ -210,17 +209,13 @@ class _HeldTiers:
                 "checkpoint holds an extrapolated slow force; this engine "
                 "applies the slow tier only as boundary impulses"
             )
-        if len(ck_ks) > 1:
-            raise CheckpointError(
-                f"checkpoint holds a per-order k ladder (slow tiers k = "
-                f"{ck_ks}); this engine integrates one slow tier"
-            )
         ks = eng.tier_k[1:]
         if ck_ks and ck_ks != ks:
-            # covers tier state fed to a plain run (``ks == ()``) too
+            # covers tier state fed to a plain run (``ks == ()``) and more
+            # than the one slow tier (a per-order ``k`` ladder) too
             raise CheckpointError(
-                f"checkpoint MTS state (k = {ck_ks[0]}) does not match the "
-                f"run (mts_k = {eng.mts_k})"
+                f"checkpoint MTS state (slow tiers k = {list(ck_ks)}) does "
+                f"not match the run (mts_k = {eng.mts_k})"
             )
         for h in held:
             t, k, b = (int(h[x]) for x in ("tier", "k", "step"))
@@ -411,26 +406,11 @@ class AsyncCoordinator:
         #: step -> the full polymer solves the surrogate observes when
         #: the step retires
         self._observed: dict[int, list] = {}
-        #: thermostat, applied right after the closing half-kicks and
-        #: before the kinetic-energy measurement and any checkpoint
-        #: write. Per-monomer ones (duck-typed ``apply_rows``,
-        #: see `repro.md.thermostats.LocalLangevinThermostat`) work in
-        #: either mode; whole-system ones (``apply``) need every monomer
-        #: at the same step, i.e. the barrier — completion order would
-        #: scramble a sequential noise stream.
+        #: per-monomer thermostat (`repro.md.thermostats.
+        #: LocalLangevinThermostat`), applied to each monomer's rows right
+        #: after its closing half-kick and before the kinetic-energy
+        #: measurement and any checkpoint write; the same in either mode
         self.thermostat = thermostat
-        self._global_thermostat = thermostat is not None and not hasattr(
-            thermostat, "apply_rows"
-        )
-        if self._global_thermostat and not synchronous:
-            raise ValueError(
-                f"{type(thermostat).__name__} acts on the whole system at "
-                "once and needs synchronous=True; without a barrier only "
-                "per-monomer (apply_rows) thermostats are well defined"
-            )
-        if tracer is not None and getattr(thermostat, "tracer", "no") is None:
-            # thermostat diagnostics (e.g. the Berendsen clamp instant)
-            thermostat.tracer = tracer
         #: ``step_callback(step, pe, ke, coords)`` fired exactly once per
         #: step, at the moment the step fully retires (every monomer has
         #: measured its kinetic energy). ``coords`` is a private copy.
@@ -443,7 +423,7 @@ class AsyncCoordinator:
         #: arrays)`` (`repro.md.checkpoint`); a driver or front-end adds
         #: its own through `attach`.
         self._owners: dict[str, object] = {}
-        if hasattr(thermostat, "state_dict"):
+        if thermostat is not None:
             self._owners["thermostat"] = thermostat
         if self.surrogate is not None:
             self._owners["surrogate"] = self.surrogate
@@ -1152,11 +1132,7 @@ class AsyncCoordinator:
             # step, so the first integration skips it exactly as a fresh
             # run does at step 0)
             self.velocities[rows] += dv
-            if self._global_thermostat:
-                self.velocities[...] = self.thermostat.apply(
-                    self.velocities, self.masses, self.dt_fs
-                )
-            elif self.thermostat is not None:
+            if self.thermostat is not None:
                 for j in monomers:
                     r = self.monomer_atoms[j]
                     self.velocities[r] = self.thermostat.apply_rows(

@@ -1,15 +1,12 @@
-"""Trajectory input/output: multi-frame XYZ with energy comments.
+"""Trajectory I/O: multi-frame XYZ with energy comments, and restarts.
 
-Two writing modes:
-
-* `write_trajectory_xyz` — one-shot dump of a finished `Trajectory`;
-* `TrajectoryStreamWriter` — torn-frame-safe incremental appends for
-  the multi-tenant service (`repro.serve`), where a reader may open the
-  file while a job is mid-write. Frames are appended with ``fsync``,
-  then a sidecar index (``<path>.idx``, written atomically) commits the
-  new byte count; `read_trajectory_stream` reads only committed bytes,
-  so a crash or a concurrently-writing job can never surface a torn
-  frame to a subscriber.
+`TrajectoryStreamWriter` makes torn-frame-safe incremental appends for
+the multi-tenant service (`repro.serve`), where a reader may open the
+file while a job is mid-write. Frames are appended with ``fsync``, then
+a sidecar index (``<path>.idx``, written atomically) commits the new
+byte count; `read_trajectory_stream` reads only committed bytes, so a
+crash or a concurrently-writing job can never surface a torn frame to a
+subscriber. `write_restart` writes a job's last phase-space point.
 """
 
 from __future__ import annotations
@@ -24,25 +21,6 @@ from ..chem.molecule import Molecule
 from ..chem.xyz import format_xyz
 from .checkpoint import atomic_savez, atomic_write_bytes
 from .trajectory import Trajectory
-
-
-def write_trajectory_xyz(
-    traj: Trajectory, mol: Molecule, path: str | Path
-) -> None:
-    """Write every frame as a concatenated XYZ file.
-
-    The comment line carries ``t= <fs> E_pot= <Ha> E_kin= <Ha>`` so the
-    file round-trips through `read_trajectory_xyz`.
-    """
-    chunks = []
-    for t, pe, ke, coords in zip(
-        traj.times_fs, traj.potential, traj.kinetic, traj.coords
-    ):
-        frame = mol.with_coords(coords)
-        chunks.append(
-            format_xyz(frame, comment=f"t= {t:.6f} E_pot= {pe:.12f} E_kin= {ke:.12f}")
-        )
-    Path(path).write_text("".join(chunks))
 
 
 def _parse_frames(text: str, origin) -> tuple[Molecule, Trajectory]:
@@ -75,15 +53,6 @@ def _parse_frames(text: str, origin) -> tuple[Molecule, Trajectory]:
     if mol is None:
         raise ValueError(f"no frames found in {origin}")
     return mol, traj
-
-
-def read_trajectory_xyz(path: str | Path) -> tuple[Molecule, Trajectory]:
-    """Read a trajectory written by `write_trajectory_xyz`.
-
-    Returns the molecule (atoms from the first frame) and a `Trajectory`
-    with times/energies/coordinates restored.
-    """
-    return _parse_frames(Path(path).read_text(), path)
 
 
 class TrajectoryStreamWriter:
@@ -217,8 +186,7 @@ def read_trajectory_stream(path: str | Path) -> tuple[Molecule, Trajectory]:
 
     Honors the sidecar index: bytes past the committed count (a frame
     mid-append, or a torn tail from a crash) are never parsed. Without
-    an index the whole file is read (a finished `write_trajectory_xyz`
-    dump is a valid stream with everything committed).
+    an index the whole file is read.
     """
     path = Path(path)
     index_path = path.with_name(path.name + ".idx")
@@ -234,12 +202,11 @@ def read_trajectory_stream(path: str | Path) -> tuple[Molecule, Trajectory]:
 
 
 def write_restart(path: str | Path, coords, velocities, time_fs: float) -> None:
-    """Write a restart file: one phase-space point and its time, as .npz.
+    """Write a restart file: one phase-space point and its time, as .npz
+    arrays ``coords``, ``velocities`` and ``time_fs``.
 
-    The one writer of the three arrays `load_restart` validates
-    (`save_restart` and the trajectory service both end here). The file
-    is written atomically (tmp + fsync + ``os.replace``) so a crash
-    mid-write leaves the previous restart intact instead of a torn
+    The file is written atomically (tmp + fsync + ``os.replace``) so a
+    crash mid-write leaves the previous restart intact instead of a torn
     archive.
     """
     path = str(path)
@@ -252,57 +219,3 @@ def write_restart(path: str | Path, coords, velocities, time_fs: float) -> None:
         velocities=np.asarray(velocities, dtype=float),
         time_fs=np.asarray(time_fs, dtype=float),
     )
-
-
-def save_restart(path: str | Path, traj: Trajectory) -> None:
-    """Persist the final MD frame of ``traj`` through `write_restart`."""
-    if not traj.coords or not traj.velocities:
-        raise ValueError("trajectory carries no restart state")
-    write_restart(path, traj.coords[-1], traj.velocities[-1], traj.times_fs[-1])
-
-
-def load_restart(
-    path: str | Path, mol: Molecule | None = None
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Load a restart file: ``(coords, velocities, time_fs)``.
-
-    Args:
-        path: file written by `save_restart`.
-        mol: optional molecule; when given, array shapes are validated
-            against it so a restart from the wrong system fails loudly.
-
-    Raises:
-        ValueError: on a corrupt/truncated archive, missing arrays,
-            malformed shapes, or a molecule mismatch.
-    """
-    try:
-        data = np.load(path, allow_pickle=False)
-    except Exception as err:
-        raise ValueError(
-            f"corrupt or unreadable restart file {path}: {err!r}"
-        ) from err
-    with data:
-        missing = [
-            k for k in ("coords", "velocities", "time_fs")
-            if k not in data.files
-        ]
-        if missing:
-            raise ValueError(
-                f"restart file {path} is missing arrays: {missing}"
-            )
-        coords = np.asarray(data["coords"], dtype=float)
-        velocities = np.asarray(data["velocities"], dtype=float)
-        time_fs = float(data["time_fs"])
-    if coords.ndim != 2 or coords.shape[1] != 3 \
-            or coords.shape != velocities.shape:
-        raise ValueError(
-            f"restart file {path} has malformed state shapes "
-            f"coords{coords.shape} velocities{velocities.shape}"
-        )
-    if mol is not None and coords.shape[0] != mol.natoms:
-        raise ValueError(
-            f"restart file {path} holds {coords.shape[0]} atoms but the "
-            f"molecule has {mol.natoms} — refusing to restart a "
-            "different system"
-        )
-    return coords, velocities, time_fs

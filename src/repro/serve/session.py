@@ -56,13 +56,11 @@ class JobSpec:
     "seed": 0}`` — the only thermostat whose noise is well-defined under
     asynchronous integration (see
     `repro.md.thermostats.LocalLangevinThermostat`). ``mts`` is either
-    None or ``{"k": 4}`` (impulse r-RESPA; spec files that also say
-    ``"extrapolate": false`` still load).
+    None or ``{"k": 4}`` (impulse r-RESPA).
 
     ``weight`` is the fair-share weight (task draw priority scales with
     it). Every job resumes bitwise from its checkpoints, warm starts and
-    surrogate on (spec files that still say ``"deterministic"`` load;
-    the field is ignored).
+    surrogate on.
 
     ``surrogate`` is either None or a config dict for the per-tenant
     online MBE-tail surrogate (`repro.surrogate.SurrogateManager`), e.g.
@@ -98,14 +96,9 @@ class JobSpec:
         if self.weight <= 0:
             raise ValueError(f"weight must be > 0, got {self.weight}")
         if self.mts is not None:
-            unknown = set(self.mts) - {"k", "extrapolate"}
+            unknown = set(self.mts) - {"k"}
             if unknown:
                 raise ValueError(f"unknown mts options: {sorted(unknown)}")
-            if self.mts.get("extrapolate"):
-                raise ValueError(
-                    "mts: an extrapolated slow force is not supported; the "
-                    "slow tier acts only as boundary impulses"
-                )
 
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-ready)."""
@@ -113,10 +106,7 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
-        """Inverse of `to_dict`; unknown keys are rejected. The retired
-        ``deterministic`` key of older spec files is accepted and
-        dropped: every job now runs what it asked for."""
-        data = {k: v for k, v in data.items() if k != "deterministic"}
+        """Inverse of `to_dict`; unknown keys are rejected."""
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -12,7 +12,6 @@ from .urea import (
     radius_for_molecule_count,
     urea_cluster,
     urea_molecule,
-    urea_sphere,
     urea_sphere_molecule_count,
 )
 from .water import water_cluster, water_dimer, water_monomer
@@ -34,7 +33,6 @@ __all__ = [
     "sphere_of_molecules",
     "urea_cluster",
     "urea_molecule",
-    "urea_sphere",
     "urea_sphere_molecule_count",
     "water_cluster",
     "water_dimer",

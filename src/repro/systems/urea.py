@@ -69,13 +69,6 @@ def urea_lattice_molecules(na: int, nb: int, nc: int) -> list[Molecule]:
     return replicate([m1, m2], lat, na, nb, nc)
 
 
-def urea_sphere(radius_angstrom: float) -> Molecule:
-    """Spherical section of the urea lattice (paper Sec. VI-B)."""
-    n = int(np.ceil(2 * radius_angstrom / min(A_CELL, C_CELL))) + 2
-    mols = urea_lattice_molecules(n, n, n)
-    return assemble(sphere_of_molecules(mols, radius_angstrom))
-
-
 def urea_sphere_molecule_count(radius_angstrom: float) -> int:
     """Number of molecules a spherical cut would contain (no geometry
     build — used by the cluster simulator for exascale projections)."""

@@ -19,28 +19,23 @@ from hypothesis import strategies as st
 import repro
 from repro.calculators import PairwisePotentialCalculator
 from repro.chem import Molecule
-from repro.constants import BOHR_PER_ANGSTROM
 from repro.frag import FragmentedSystem
 from repro.md import (
     AsyncCoordinator,
     Checkpoint,
     CheckpointError,
-    LangevinThermostat,
-    Trajectory,
+    LocalLangevinThermostat,
     atomic_savez,
-    load_restart,
     read_checkpoint,
     read_checkpoint_with_fallback,
-    read_trajectory_xyz,
     rotation_path,
     run_aimd,
     run_parallel,
     run_serial,
-    save_restart,
     write_checkpoint,
-    write_trajectory_xyz,
 )
 from repro.md.integrators import maxwell_boltzmann_velocities
+from repro.md.trajio import write_restart
 from repro.systems import water_cluster
 
 BIG = 1.0e6
@@ -156,12 +151,17 @@ class TestCheckpointFormat:
             read_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
+        """One format is read: a file of an older (one slot per feature)
+        or a newer version is refused, and the error names the version
+        found."""
         mol = water_cluster(1, seed=1)
         path = tmp_path / "ck.npz"
         write_checkpoint(path, _full_checkpoint(mol))
-        _restamp(path, version=999)
-        with pytest.raises(CheckpointError, match="version"):
-            read_checkpoint(path)
+        for version in (1, 3, 5, 999):
+            _restamp(path, version=version)
+            with pytest.raises(CheckpointError,
+                               match=rf"format version {version};"):
+                read_checkpoint(path)
 
     def test_mismatched_molecule_rejected(self, tmp_path):
         mol = water_cluster(1, seed=1)
@@ -203,64 +203,47 @@ class TestAtomicWrite:
 
 
 class TestRestartIO:
-    def _traj(self, mol) -> Trajectory:
-        traj = Trajectory()
-        rng = np.random.default_rng(3)
-        for i in range(3):
-            traj.times_fs.append(0.5 * i)
-            traj.potential.append(float(rng.normal()))
-            traj.kinetic.append(float(abs(rng.normal())))
-            traj.coords.append(mol.coords + 0.01 * i)
-            traj.velocities.append(rng.normal(size=mol.coords.shape))
-        return traj
-
     def test_round_trip_with_validation(self, tmp_path):
+        """The three arrays come back as written, shaped for the system."""
         mol = water_cluster(2, seed=2)
-        traj = self._traj(mol)
+        rng = np.random.default_rng(3)
+        coords, vel = mol.coords + 0.01, rng.normal(size=mol.coords.shape)
         path = tmp_path / "restart.npz"
-        save_restart(path, traj)
-        coords, vel, t = load_restart(path, mol=mol)
-        np.testing.assert_array_equal(coords, traj.coords[-1])
-        np.testing.assert_array_equal(vel, traj.velocities[-1])
-        assert t == traj.times_fs[-1]
+        write_restart(path, coords, vel, 1.5)
+        with np.load(path, allow_pickle=False) as data:
+            assert sorted(data.files) == ["coords", "time_fs", "velocities"]
+            assert data["coords"].shape == data["velocities"].shape \
+                == (mol.natoms, 3)
+            np.testing.assert_array_equal(data["coords"], coords)
+            np.testing.assert_array_equal(data["velocities"], vel)
+            assert float(data["time_fs"]) == 1.5
 
     def test_bare_path_gets_npz_suffix(self, tmp_path):
         mol = water_cluster(1, seed=2)
-        save_restart(tmp_path / "restart", self._traj(mol))
-        assert (tmp_path / "restart.npz").exists()
+        write_restart(tmp_path / "restart", mol.coords, mol.coords, 0.0)
+        assert os.listdir(tmp_path) == ["restart.npz"]
 
-    def test_wrong_molecule_rejected(self, tmp_path):
+    def test_failed_write_preserves_previous_restart(self, tmp_path,
+                                                     monkeypatch):
+        """A write that dies before its rename leaves the previous
+        restart intact and no temporary file behind."""
+        from repro.md import checkpoint as ckmod
+
+        mol = water_cluster(1, seed=2)
         path = tmp_path / "restart.npz"
-        save_restart(path, self._traj(water_cluster(2, seed=2)))
-        with pytest.raises(ValueError, match="different system"):
-            load_restart(path, mol=water_cluster(3, seed=2))
+        write_restart(path, mol.coords, mol.coords, 0.5)
 
-    def test_corrupt_file_rejected(self, tmp_path):
-        path = tmp_path / "restart.npz"
-        path.write_bytes(b"\x00" * 64)
-        with pytest.raises(ValueError, match="corrupt or unreadable"):
-            load_restart(path)
+        def boom(fd):
+            raise OSError("disk gone")
 
-    def test_missing_arrays_rejected(self, tmp_path):
-        path = tmp_path / "restart.npz"
-        np.savez(path, coords=np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="missing arrays"):
-            load_restart(path)
-
-    def test_xyz_trajectory_round_trip(self, tmp_path):
-        mol = water_cluster(2, seed=2)
-        traj = self._traj(mol)
-        path = tmp_path / "traj.xyz"
-        write_trajectory_xyz(traj, mol, path)
-        mol2, traj2 = read_trajectory_xyz(path)
-        assert tuple(mol2.symbols) == tuple(mol.symbols)
-        np.testing.assert_allclose(traj2.times_fs, traj.times_fs)
-        np.testing.assert_allclose(traj2.potential, traj.potential,
-                                   atol=1e-12)
-        np.testing.assert_allclose(traj2.kinetic, traj.kinetic, atol=1e-12)
-        assert len(traj2.coords) == len(traj.coords)
-        np.testing.assert_allclose(traj2.coords[-1], traj.coords[-1],
-                                   atol=1e-5)
+        monkeypatch.setattr(ckmod.os, "fsync", boom)
+        with pytest.raises(OSError):
+            write_restart(path, mol.coords + 1.0, mol.coords, 1.0)
+        monkeypatch.undo()
+        with np.load(path) as data:
+            assert float(data["time_fs"]) == 0.5
+            np.testing.assert_array_equal(data["coords"], mol.coords)
+        assert os.listdir(tmp_path) == ["restart.npz"]
 
 
 def _coordinator(system, nsteps, **kw):
@@ -349,35 +332,35 @@ class TestSchedulerResume:
 
 class TestRunAimdResume:
     def test_thermostat_rng_round_trips(self, surrogate, tmp_path):
-        """A Langevin (stochastic) run must resume bitwise: the RNG
-        stream continues exactly where the checkpoint cut it."""
-        mol = water_cluster(2, seed=5)
-        kw = dict(nsteps=10, dt_fs=0.5, seed=1)
+        """A Langevin (stochastic) run must resume bitwise: each
+        monomer's noise at a step derives from (seed, step, monomer), so
+        the resumed run draws exactly what the uninterrupted one drew."""
+        system = FragmentedSystem.by_components(water_cluster(2, seed=5))
+        mol = system.parent
+        kw = dict(dt_fs=0.5, seed=1, r_dimer_bohr=BIG, mbe_order=2,
+                  replan_interval=2)
+
+        def thermostat():
+            return LocalLangevinThermostat(300.0, friction_per_fs=0.05, seed=7)
+
         ck = tmp_path / "ck.npz"
-        full = run_aimd(
-            mol, surrogate,
-            thermostat=LangevinThermostat(300.0, friction_per_fs=0.05,
-                                          seed=7),
-            **kw,
-        )
-        run_aimd(
-            mol, surrogate, nsteps=4, dt_fs=0.5, seed=1,
-            thermostat=LangevinThermostat(300.0, friction_per_fs=0.05,
-                                          seed=7),
-            checkpoint_path=ck, checkpoint_every=4,
-        )
+        full = run_aimd(system, surrogate, nsteps=10,
+                        thermostat=thermostat(), **kw)
+        run_aimd(system, surrogate, nsteps=4, thermostat=thermostat(),
+                 checkpoint_path=ck, checkpoint_every=4, **kw)
         ckpt = read_checkpoint(ck, mol=mol)
-        # a wrong-seed thermostat proves state comes from the checkpoint
-        resumed = run_aimd(
-            mol, surrogate,
-            thermostat=LangevinThermostat(300.0, friction_per_fs=0.05,
-                                          seed=999),
-            resume=ckpt, **kw,
-        )
+        assert ckpt.sections["thermostat"] == ({"kind": "local-langevin"}, {})
+        resumed = run_aimd(system, surrogate, nsteps=10,
+                           thermostat=thermostat(), resume=ckpt, **kw)
         assert len(resumed.times_fs) == len(full.times_fs)
         np.testing.assert_array_equal(full.potential, resumed.potential)
         np.testing.assert_array_equal(full.kinetic, resumed.kinetic)
         np.testing.assert_array_equal(full.coords[-1], resumed.coords[-1])
+        np.testing.assert_array_equal(full.velocities[-1],
+                                      resumed.velocities[-1])
+        # the noise matters: this is not the NVE trajectory
+        nve = run_aimd(system, surrogate, nsteps=10, **kw)
+        assert np.abs(np.subtract(nve.kinetic, full.kinetic)).max() > 1e-6
 
     def test_fragmented_resume_bitwise(self, surrogate, tmp_path):
         mol = water_cluster(2, seed=5)
@@ -915,134 +898,32 @@ class TestSchemaProperties:
             path.write_bytes(good)
 
 
-# --------------------------------------------------------------------------
-# files written by earlier commits (format versions 1-3)
-# --------------------------------------------------------------------------
-
-DATA = Path(__file__).resolve().parent / "data"
-
-
-class TestLegacyFixtures:
-    """``tests/data/ckpt_v*.npz`` were written by the last commit whose
-    writer kept one slot per feature (see ``tests/data/README.md``):
-    each migrates, resumes the matching run and is refused — with the
-    message a current file gets — by a mismatching one."""
-
-    def test_fixture_v1_frames_thermostat_driver(self, surrogate):
-        from repro.md import DriverReport
-        from repro.systems import glycine_fragmented
-
-        system = glycine_fragmented(4)
-        ckpt = read_checkpoint(DATA / "ckpt_v1.npz", mol=system.parent)
-        assert ckpt.step == 2
-        assert sorted(ckpt.sections) == ["driver", "frames", "thermostat"]
-        report = DriverReport()
-        report.load_state(*ckpt.sections["driver"])
-        assert (report.tasks_completed, report.retries,
-                report.pool_restarts, report.clean) == (42, 3, 1, True)
-
-        def run(seed, **kw):
-            return run_aimd(
-                system, surrogate, nsteps=4, dt_fs=0.25, seed=1,
-                r_dimer_bohr=6.0 * BOHR_PER_ANGSTROM, mbe_order=2, replan_interval=2,
-                thermostat=LangevinThermostat(300.0, friction_per_fs=0.05,
-                                              seed=seed), **kw)
-
-        # a wrong-seed thermostat: the noise stream comes from the file
-        full, resumed = run(7), run(999, resume=ckpt)
-        assert len(resumed.coords) == len(full.coords) == 5
-        np.testing.assert_allclose(resumed.total, full.total, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(resumed.coords[1], full.coords[1],
-                                   rtol=0, atol=1e-10)  # a carried frame
-        np.testing.assert_allclose(resumed.coords[-1], full.coords[-1],
-                                   rtol=0, atol=1e-10)
-        with pytest.raises(CheckpointError, match="inside an outer cycle"):
-            run(7, resume=ckpt, mts_k=4)
-        with pytest.raises(CheckpointError, match="different system"):
-            read_checkpoint(DATA / "ckpt_v1.npz", mol=water_cluster(3))
-
-    def test_fixture_v2_mts_resumes_like_a_current_cut(self, tmp_path, capsys):
-        """The r-RESPA run resumed from the v2 file (cut at step 4,
-        inside the k=8 cycle; it holds no tier-0 forces, so the cut step
-        is evaluated again) ends on the same printed line as one resumed
-        from a current-version cut at the same step."""
-        from repro.chem.xyz import save_xyz
-        from repro.cli import main
-
-        mol = water_cluster(3, seed=4)
-        xyz, ck = tmp_path / "w3.xyz", tmp_path / "ck.npz"
-        save_xyz(mol, xyz)
-        common = ["aimd", str(xyz), "--surrogate", "--dt", "0.5",
-                  "--mts-k", "8"]
-
-        def final_energy(argv):
-            assert main(common + argv) == 0
-            return _final_energy(capsys.readouterr().out)
-
-        final_energy(["--steps", "4", "--checkpoint", str(ck),
-                      "--checkpoint-every", "4"])
-        legacy = read_checkpoint(DATA / "ckpt_v2_mts.npz", mol=mol)
-        current = read_checkpoint(ck, mol=mol)
-        assert legacy.step == current.step == 4
-        assert [{x: h[x] for x in ("tier", "k", "step", "e")}
-                for h in legacy.sections["tiers"][0]["held"]] \
-            == [h for h in current.sections["tiers"][0]["held"] if h["tier"]]
-        want = final_energy(["--steps", "8", "--resume", str(ck)])
-        got = final_energy(["--steps", "8", "--resume",
-                            str(DATA / "ckpt_v2_mts.npz")])
-        assert got == want == final_energy(["--steps", "8"])
-
-        system = FragmentedSystem.by_components(mol)
-        kw = dict(nsteps=8, dt_fs=0.5, r_dimer_bohr=BIG, resume=legacy)
-        with pytest.raises(CheckpointError, match="does not match"):
-            AsyncCoordinator(system, mts_k=4, **kw)
-        with pytest.raises(CheckpointError, match="mts"):
-            AsyncCoordinator(system, **kw)
-
-    def test_fixture_v3_ladder_surrogate(self, surrogate):
-        """The file still migrates, but its per-order ``k`` ladder has no
-        engine to resume into: the resume is refused."""
-        system = FragmentedSystem.by_components(water_cluster(4, seed=1))
-        ckpt = read_checkpoint(DATA / "ckpt_v3_ladder_surrogate.npz",
-                               mol=system.parent)
-        assert ckpt.step == 6
-        assert sorted(ckpt.sections) == ["frames", "surrogate", "tiers"]
+class TestTiersSection:
+    @pytest.mark.parametrize("mts_k", [1, 2])
+    def test_two_slow_tiers_refused_as_a_mismatch(self, surrogate, tmp_path,
+                                                 mts_k):
+        """A current-version file whose tiers are a per-order ``k``
+        ladder (slow tiers k = 2 and 4) matches no run of the one-slow-
+        tier engine: it is refused as any other tier mismatch."""
+        system = FragmentedSystem.by_components(water_cluster(3, seed=4))
+        kw = dict(dt_fs=0.5, r_dimer_bohr=BIG, r_trimer_bohr=BIG,
+                  mbe_order=3, replan_interval=2,
+                  velocities=np.zeros_like(system.parent.coords))
+        ck = tmp_path / "ck.npz"
+        run_aimd(system, surrogate, nsteps=4, mts_k=2, checkpoint_path=ck,
+                 checkpoint_every=4, **kw)
+        ckpt = read_checkpoint(ck, mol=system.parent)
         meta, arrays = ckpt.sections["tiers"]
-        assert [(h["tier"], h["k"], h["step"], h["prev_step"])
-                for h in meta["held"]] == [(0, 1, 6, -1), (1, 2, 6, 4),
-                                           (2, 4, 4, 0)]
-        assert sorted(arrays) == ["0.forces", "1.forces", "1.forces_prev",
-                                  "2.forces", "2.forces_prev"]
-        with pytest.raises(CheckpointError, match="ladder"):
-            run_aimd(system, surrogate, nsteps=10, dt_fs=0.5,
-                     r_dimer_bohr=BIG, r_trimer_bohr=BIG, mbe_order=3,
-                     replan_interval=2, mts_k=2, resume=ckpt)
-
-
-    def test_fixture_v4_without_records_resumes_cold(self):
-        """A current-version file from before fragment records and tier
-        0's forces rode along (an RI-HF water dimer cut at step 4; see
-        ``tests/data/README.md``): the cut step is evaluated again from
-        cold guesses, and the run lands within SCF convergence of an
-        uninterrupted one."""
-        from repro.calculators import RIHFCalculator
-
-        system = FragmentedSystem.by_components(water_cluster(2, seed=5))
-        ckpt = read_checkpoint(DATA / "ckpt_v4_00f73cf.npz", mol=system.parent)
-        assert ckpt.step == 4 and ckpt.sections == {}
-
-        def run(**kw):
-            co = _coordinator(system, nsteps=6, **kw)
-            run_serial(co, RIHFCalculator(int_screen=1e-12))
-            return co
-
-        full, resumed = run(), run(resume=ckpt)
-        nfrag = len(resumed.records)
-        assert resumed.tasks_issued == 3 * nfrag  # steps 4, 5 and 6
-        assert resumed.guess_cache.misses == nfrag  # cold at the cut
-        np.testing.assert_allclose(resumed.trajectory_energies()[1],
-                                   full.trajectory_energies()[1],
-                                   rtol=0, atol=1e-8)
+        assert [(h["tier"], h["k"]) for h in meta["held"]] == [(0, 1), (1, 2)]
+        ckpt.sections["tiers"] = (
+            {"held": [*meta["held"], {"tier": 2, "k": 4, "step": 4, "e": 0.0}]},
+            {**arrays, "2.forces": arrays["1.forces"]},
+        )
+        write_checkpoint(ck, ckpt)
+        ladder = read_checkpoint(ck, mol=system.parent)
+        with pytest.raises(CheckpointError, match="does not match"):
+            run_aimd(system, surrogate, nsteps=8, mts_k=mts_k, resume=ladder,
+                     **kw)
 
 
 class TestFragmentsSection:
@@ -1083,9 +964,9 @@ class TestFragmentsSection:
 
 
 class TestSchemaOwnership:
-    def test_legacy_slot_names_live_only_in_migrate(self):
-        """The container knows no feature: under ``src/repro`` a legacy
-        slot name may be spelt only inside `checkpoint.migrate`, and
+    def test_no_legacy_slot_names(self):
+        """The container knows no feature and reads one format: no
+        legacy slot name is spelt anywhere under ``src/repro``, and
         `md/checkpoint.py` imports none of the section owners. (The
         engine statistic ``mts_slow_evals`` is not a slot.)"""
         import ast
@@ -1098,24 +979,17 @@ class TestSchemaOwnership:
         root = Path(SRC) / "repro"
         offenders = []
         for path in sorted(root.rglob("*.py")):
-            lines = path.read_text().splitlines()
+            text = path.read_text()
+            offenders += [f"{path.relative_to(root)}: {ln.strip()}"
+                          for ln in text.splitlines() if legacy.search(ln)]
             if path == root / "md" / "checkpoint.py":
-                tree = ast.parse(path.read_text())
-                (fn,) = [n for n in ast.walk(tree)
-                         if isinstance(n, ast.FunctionDef)
-                         and n.name == "migrate"]
-                assert any(legacy.search(ln)
-                           for ln in lines[fn.lineno - 1:fn.end_lineno])
-                lines[fn.lineno - 1:fn.end_lineno] = []
                 imported = [
                     getattr(n, "module", None) or n.names[0].name
-                    for n in ast.walk(tree)
+                    for n in ast.walk(ast.parse(text))
                     if isinstance(n, (ast.Import, ast.ImportFrom))
                 ]
                 assert not [m for m in imported if re.search(
                     r"\b(mts|surrogate|drivers)\b", m)], imported
-            offenders += [f"{path.relative_to(root)}: {ln.strip()}"
-                          for ln in lines if legacy.search(ln)]
         assert not offenders, offenders
 
 

@@ -171,7 +171,7 @@ class TestAggregate:
         assert all(0 < e <= 1.0 + 1e-9 for e in eff)
 
     def test_flop_rate_below_peak(self, small_workload):
-        r = simulate_workload(small_workload, FRONTIER, 4, cost_model=PAPER_CALIBRATED)
+        r = simulate_workload(small_workload, FRONTIER, 4)
         assert 0.0 < r.fraction_of_peak(FRONTIER) < 1.0
 
 
@@ -185,7 +185,7 @@ class TestEventSimulator:
             system, PERLMUTTER, nodes, nsteps,
             r_dimer_bohr=22 * BOHR_PER_ANGSTROM,
             r_trimer_bohr=9 * BOHR_PER_ANGSTROM,
-            mbe_order=3, synchronous=sync, cost_model=PAPER_CALIBRATED,
+            mbe_order=3, synchronous=sync,
         )
 
     def test_async_faster_than_sync(self, fibril_system):

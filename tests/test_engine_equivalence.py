@@ -21,7 +21,6 @@ from repro.frag import FragmentedSystem
 from repro.frag.mbe import build_plan, mbe_energy_gradient
 from repro.md import (
     AsyncCoordinator,
-    LangevinThermostat,
     SlowTierState,
     TieredMBEForces,
     read_checkpoint,
@@ -47,7 +46,7 @@ def _water(n: int, seed: int):
 
 
 def reference_run(system, v0, *, order, replan, k=1, nsteps=NSTEPS,
-                  r_dimer=R_DIMER, r_trimer=R_TRIMER, thermostat=None):
+                  r_dimer=R_DIMER, r_trimer=R_TRIMER):
     """The dynamics the engine must reproduce, with no engine code in it.
 
     r-RESPA impulses are plain velocity Verlet under a force that is
@@ -77,7 +76,7 @@ def reference_run(system, v0, *, order, replan, k=1, nsteps=NSTEPS,
 
     return integrate_whole_system(
         force, system.parent.masses_au, system.parent.coords.copy(),
-        v0.copy(), nsteps, DT_FS, thermostat,
+        v0.copy(), nsteps, DT_FS,
     )
 
 
@@ -157,23 +156,6 @@ class TestTierListOnTheCoordinator:
     GLY = dict(order=3, replan=4, nsteps=16, r_dimer=GLY_R_DIMER,
                r_trimer=GLY_R_TRIMER)
 
-    def test_global_langevin_runs_behind_the_barrier(self):
-        system, v0 = _water(3, 2)
-
-        def thermostat():
-            return LangevinThermostat(300.0, friction_per_fs=0.05, seed=7)
-
-        ref = reference_run(system, v0, order=2, replan=2,
-                            thermostat=thermostat())
-        co = engine_run(system, v0, synchronous=True, order=2, replan=2,
-                        thermostat=thermostat())
-        _, pe, ke = co.trajectory_energies()
-        np.testing.assert_allclose(pe, ref.potential, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ke, ref.kinetic, rtol=0, atol=1e-12)
-        # the noise matters: this is not the NVE trajectory
-        nve = engine_run(system, v0, synchronous=True, order=2, replan=2)
-        assert np.abs(nve.trajectory_energies()[2] - ke).max() > 1e-6
-
     def test_local_langevin_is_the_same_with_or_without_the_barrier(self):
         from repro.md import LocalLangevinThermostat
 
@@ -189,12 +171,6 @@ class TestTierListOnTheCoordinator:
         )
         np.testing.assert_allclose(pe_a, pe_s, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ke_a, ke_s, rtol=0, atol=1e-12)
-
-    def test_global_thermostat_needs_the_barrier(self):
-        system, v0 = _water(2, 1)
-        with pytest.raises(ValueError, match="synchronous=True"):
-            engine_run(system, v0, synchronous=False, order=2, replan=2,
-                       thermostat=LangevinThermostat(300.0, seed=1))
 
     @pytest.mark.parametrize("synchronous", [True, False])
     def test_mid_cycle_resume_bitwise(self, glycine4, tmp_path, synchronous):

@@ -16,11 +16,7 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, FaultPlanCalculator, FaultSpec
-from repro.md.trajio import (
-    TrajectoryStreamWriter,
-    load_restart,
-    read_trajectory_stream,
-)
+from repro.md.trajio import TrajectoryStreamWriter, read_trajectory_stream
 from repro.serve import (
     FragmentScheduler,
     JobSpec,
@@ -52,20 +48,18 @@ class TestJobSpec:
         spec = surrogate_spec(
             "j1", checkpoint_every=2, weight=2.5,
             thermostat={"kind": "local-langevin", "seed": 3},
-            mts={"k": 2, "extrapolate": False},
+            mts={"k": 2},
         )
         again = JobSpec.from_json(spec.to_json())
         assert again == spec
 
     @pytest.mark.parametrize("value", [True, False])
-    def test_retired_deterministic_key_loads(self, value):
-        """Spec files written with the retired field still load (every
-        job now runs what ``true`` asked for) and are not written back
-        with it."""
+    def test_retired_deterministic_key_refused(self, value):
+        """The retired ``deterministic`` field is an unknown field like
+        any other: every job runs in the one run mode."""
         data = {**surrogate_spec("old").to_dict(), "deterministic": value}
-        spec = JobSpec.from_dict(data)
-        assert spec == surrogate_spec("old")
-        assert "deterministic" not in spec.to_dict()
+        with pytest.raises(ValueError, match="deterministic"):
+            JobSpec.from_dict(data)
 
     def test_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown JobSpec fields"):
@@ -247,11 +241,10 @@ class TestServiceEndToEnd:
         assert spec.job_id == "solo"
         mol, traj = read_trajectory_stream(job_dir / "trajectory.xyz")
         assert len(traj.times_fs) == 7
-        coords, velocities, time_fs = load_restart(
-            job_dir / "restart.npz", mol=mol
-        )
-        assert coords.shape == velocities.shape == (mol.natoms, 3)
-        assert time_fs == pytest.approx(traj.times_fs[-1])
+        with np.load(job_dir / "restart.npz", allow_pickle=False) as restart:
+            assert restart["coords"].shape == restart["velocities"].shape \
+                == (mol.natoms, 3)
+            assert float(restart["time_fs"]) == pytest.approx(traj.times_fs[-1])
 
     def test_duplicate_job_id_rejected(self, tmp_path):
         service = TrajectoryService(tmp_path)

@@ -93,11 +93,11 @@ class TestEnergyToSolution:
     def test_frontier_more_efficient_than_perlmutter(self):
         """Paper Sec. VII-C: Frontier 53 GFLOP/J vs Perlmutter 27 — the
         same workload costs roughly half the energy on Frontier."""
-        from repro.cluster import PAPER_CALIBRATED, simulate_workload, urea_workload
+        from repro.cluster import simulate_workload, urea_workload
 
         stats = urea_workload(400, r_dimer_angstrom=12.0, r_trimer_angstrom=12.0)
-        rf = simulate_workload(stats, FRONTIER, 8, cost_model=PAPER_CALIBRATED)
-        rp = simulate_workload(stats, PERLMUTTER, 8, cost_model=PAPER_CALIBRATED)
+        rf = simulate_workload(stats, FRONTIER, 8)
+        rp = simulate_workload(stats, PERLMUTTER, 8)
         ef = rf.energy_megajoules_per_step(FRONTIER)
         ep = rp.energy_megajoules_per_step(PERLMUTTER)
         assert ef < ep
