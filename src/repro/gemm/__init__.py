@@ -3,7 +3,7 @@ variant-trial artefact of Sec. V-G / Table IV."""
 
 from .autotune import GLOBAL_TUNER, VARIANTS, GemmAutoTuner
 from .flops import GLOBAL_COUNTER, FlopCounter, bgemm, count_flops, gemm
-from .linalg import eigh_gen, eigh_orth, sym_inv, sym_inv_sqrt
+from .linalg import eigh_orth, sym_inv_sqrt
 
 __all__ = [
     "FlopCounter",
@@ -13,9 +13,7 @@ __all__ = [
     "VARIANTS",
     "bgemm",
     "count_flops",
-    "eigh_gen",
     "eigh_orth",
     "gemm",
-    "sym_inv",
     "sym_inv_sqrt",
 ]

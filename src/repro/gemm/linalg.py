@@ -11,8 +11,9 @@ def sym_inv_sqrt(M: np.ndarray, threshold: float = 1.0e-10) -> np.ndarray:
     """Symmetric inverse square root ``M^{-1/2}`` with eigenvalue screening.
 
     Eigenvalues below ``threshold * max_eig`` are projected out (canonical
-    orthogonalization), which keeps near-singular RI metrics and overlap
-    matrices numerically safe.
+    orthogonalization), which keeps near-singular overlap matrices
+    numerically safe. (The RI metric is not screened: its fit is one
+    Cholesky factor, `repro.scf.rhf`.)
     """
     w, V = np.linalg.eigh(M)
     cut = threshold * w[-1]
@@ -20,16 +21,6 @@ def sym_inv_sqrt(M: np.ndarray, threshold: float = 1.0e-10) -> np.ndarray:
     inv_sqrt = np.zeros_like(w)
     inv_sqrt[keep] = 1.0 / np.sqrt(w[keep])
     return (V * inv_sqrt[None, :]) @ V.T
-
-
-def sym_inv(M: np.ndarray, threshold: float = 1.0e-12) -> np.ndarray:
-    """Symmetric (pseudo-)inverse with eigenvalue screening."""
-    w, V = np.linalg.eigh(M)
-    cut = threshold * abs(w[-1])
-    keep = np.abs(w) > cut
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / w[keep]
-    return (V * inv[None, :]) @ V.T
 
 
 def eigh_orth(F: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -40,12 +31,3 @@ def eigh_orth(F: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eps, Ct = np.linalg.eigh(Ft)
     C = gemm(X, Ct)
     return eps, C
-
-
-def eigh_gen(F: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized symmetric eigenproblem ``F C = S C eps``.
-
-    Solved by canonical orthogonalization so near-linear-dependent basis
-    sets (diffuse auxiliary functions, stretched geometries) stay stable.
-    """
-    return eigh_orth(F, sym_inv_sqrt(S))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gemm import gemm
+from ..gemm import bgemm, gemm
 from ..scf.rhf import SCFResult
 
 
@@ -51,11 +51,12 @@ def mp2_conventional(res: SCFResult) -> MP2Result:
     if res.eri is None:
         raise ValueError("conventional MP2 requires the 4-center ERI tensor")
     Co, Cv = res.C_occ, res.C_virt
-    # (ia|jb): quarter transformations, O(N^5)
-    tmp = np.einsum("mnls,mi->inls", res.eri, Co, optimize=True)
-    tmp = np.einsum("inls,na->ials", tmp, Cv, optimize=True)
-    tmp = np.einsum("ials,lj->iajs", tmp, Co, optimize=True)
-    ovov = np.einsum("iajs,sb->iajb", tmp, Cv, optimize=True)
+    n, o, v = Co.shape[0], Co.shape[1], Cv.shape[1]
+    # (ia|jb): quarter transformations, O(N^5), one index per GEMM
+    tmp = gemm(Co.T, res.eri.reshape(n, n**3)).reshape(o, n, n * n)
+    tmp = bgemm(Cv.T, tmp).reshape(o * v, n, n)  # [ia, l, s]
+    tmp = bgemm(Co.T, tmp).reshape(o * v * o, n)  # [iaj, s]
+    ovov = gemm(tmp, Cv).reshape(o, v, o, v)
     delta = _denominators(res.eps, res.nocc)
     iajb = ovov.transpose(0, 2, 1, 3)  # (i,j,a,b)
     t2 = iajb / delta

@@ -48,7 +48,6 @@ from ..integrals import (
 )
 from ..scf.grad import contract_ri_gradients, ri_twoelectron_coefficients
 from ..scf.rhf import SCFResult
-from .mp2 import _denominators
 from .zvector import solve_zvector
 
 
@@ -64,27 +63,37 @@ class MP2GradientResult:
     P0_vv: np.ndarray
 
 
-def full_mo_b(res: SCFResult) -> np.ndarray:
-    """Fitted tensor in the full MO basis: Bmo[p, q, P]."""
+def _mo_tensors(res: SCFResult) -> tuple[np.ndarray, np.ndarray]:
+    """The fitted tensor in the full MO basis, ``Bmo[p, q, P]``, and the
+    exchange layout the two-GEMM exchange contractions read,
+    ``Bx[p, P, q]`` (the second GEMM's natural output)."""
     n, _, naux = res.B.shape
     C = res.C
     nmo = C.shape[1]
     half = gemm(C.T, res.B.reshape(n, n * naux)).reshape(nmo, n, naux)
     half = np.ascontiguousarray(half.transpose(0, 2, 1)).reshape(nmo * naux, n)
-    full = gemm(half, C).reshape(nmo, naux, nmo).transpose(0, 2, 1)
-    return np.ascontiguousarray(full)
+    Bx = gemm(half, C).reshape(nmo, naux, nmo)
+    return np.ascontiguousarray(Bx.transpose(0, 2, 1)), Bx
 
 
-def a_sym_contract(X: np.ndarray, Bmo: np.ndarray) -> np.ndarray:
+def full_mo_b(res: SCFResult) -> np.ndarray:
+    """Fitted tensor in the full MO basis: Bmo[p, q, P]."""
+    return _mo_tensors(res)[0]
+
+
+def a_sym_contract(X: np.ndarray, Bmo: np.ndarray, Bx: np.ndarray) -> np.ndarray:
     """``R_pq = sum_rs [4(pq|rs) - (pr|qs) - (ps|qr)] X_rs`` (X symmetric).
 
     For symmetric X the two exchange terms are equal, so
-    ``R = 4 J[X] - 2 K[X]`` with RI-factorized J and K.
+    ``R = 4 J[X] - 2 K[X]`` with RI-factorized J (on ``Bmo[p, q, P]``)
+    and K (on ``Bx[p, P, q]``), two GEMMs each.
     """
-    w = np.einsum("rsP,rs->P", Bmo, X, optimize=True)
-    R = 4.0 * np.einsum("pqP,P->pq", Bmo, w, optimize=True)
-    BX = np.einsum("prP,rs->psP", Bmo, X, optimize=True)
-    R -= 2.0 * np.einsum("psP,qsP->pq", BX, Bmo, optimize=True)
+    nmo, _, naux = Bmo.shape
+    Bf = Bmo.reshape(nmo * nmo, naux)
+    w = gemm(Bf.T, X.reshape(-1, 1))
+    R = 4.0 * gemm(Bf, w).reshape(nmo, nmo)
+    BX = gemm(Bx.reshape(nmo * naux, nmo), X)  # [p, P, s]
+    R -= 2.0 * gemm(BX.reshape(nmo, naux * nmo), Bx.reshape(nmo, naux * nmo).T)
     return R
 
 
@@ -103,58 +112,59 @@ class CorrectionCoefficients:
     P0_vv: np.ndarray
 
 
-def mp2_correction_coefficients(
-    res: SCFResult, c_os: float = 1.0, c_ss: float = 1.0
-) -> CorrectionCoefficients:
-    """All MP2-gradient coefficient tensors for an SCF reference that
-    carries RI tensors (the HF part of the gradient is *not* included).
+def _gradient_terms(res: SCFResult, c_os: float, c_ss: float,
+                    hf: bool) -> CorrectionCoefficients:
+    """The MP2 Lagrangian of an SCF reference carrying RI tensors, and
+    the coefficient pass on it (`ri_twoelectron_coefficients`): ``Z3c``
+    and ``zeta`` hold the RI-HF terms too when ``hf``; ``Pc_ao`` and
+    ``SW_ao`` are the MP2 terms alone either way.
 
     ``c_os``/``c_ss`` spin-component-scale the correlation treatment
     (SCS-MP2). The entire Lagrangian machinery flows through ``theta``,
     so scaling it is the complete change: E2, densities, Z-vector and
-    all derivative coefficients become those of the scaled functional."""
+    all derivative coefficients become those of the scaled functional.
+    Amplitudes are held as ``[i, a, j, b]``, so every contraction below
+    is one GEMM on a reshape (the pair symmetry ``theta_iajb =
+    theta_jbia`` moves the summed indices to one end)."""
     if res.B is None:
         raise ValueError("RI-MP2 gradient requires RI tensors on the SCF result")
-    mol, basis, aux = res.mol, res.basis, res.aux
     nocc = res.nocc
     C, eps = res.C, res.eps
     nmo = C.shape[1]
     nvirt = nmo - nocc
     naux = res.B.shape[2]
-    Jih = res.Jih
+    ov = nocc * nvirt
 
-    # ---- amplitudes -------------------------------------------------------
-    Bmo = full_mo_b(res)
-    Bia = np.ascontiguousarray(Bmo[:nocc, nocc:, :])  # (o, v, P)
-    iajb = gemm(
-        Bia.reshape(nocc * nvirt, naux), Bia.reshape(nocc * nvirt, naux).T
-    ).reshape(nocc, nvirt, nocc, nvirt)
-    ovov = iajb.transpose(0, 2, 1, 3)  # (i, j, a, b)
-    delta = _denominators(eps, nocc)
-    t2 = ovov / delta
-    theta = (c_os + c_ss) * t2 - c_ss * t2.transpose(0, 1, 3, 2)
-    e_corr = float(np.sum(theta * ovov))
+    # ---- amplitudes [i, a, j, b] -------------------------------------------
+    Bmo, Bx = _mo_tensors(res)
+    Bia = np.ascontiguousarray(Bmo[:nocc, nocc:, :]).reshape(ov, naux)
+    iajb = gemm(Bia, Bia.T).reshape(nocc, nvirt, nocc, nvirt)
+    d_ia = eps[:nocc, None] - eps[None, nocc:]
+    t2 = iajb / (d_ia[:, :, None, None] + d_ia[None, None, :, :])
+    theta = (c_os + c_ss) * t2 - c_ss * t2.transpose(0, 3, 2, 1)
+    e_corr = float(np.sum(theta * iajb))
 
     # ---- unrelaxed densities (occupation-1) ------------------------------
-    P0_oo = -np.einsum("ikab,jkab->ij", theta, t2, optimize=True)
-    P0_vv = np.einsum("ijac,ijbc->ab", theta, t2, optimize=True)
+    # P0_ij = -sum_kab theta_ikab t_jkab; P0_ab = sum_ijc theta_ijac t_ijbc
+    P0_oo = -gemm(theta.reshape(nocc, -1), t2.reshape(nocc, -1).T)
+    P0_vv = gemm(theta.reshape(-1, nvirt).T, t2.reshape(-1, nvirt))
 
     # ---- 3-index two-particle density (Gamma-hat, B level) ---------------
     # Gh[i, a, P] = sum_jb theta_ijab B_jb^P
-    Gh = np.einsum(
-        "ijab,jbP->iaP", theta, Bia, optimize=True
-    )
+    Gh = gemm(theta.reshape(ov, ov), Bia).reshape(nocc, nvirt, naux)
 
     # ---- Lagrangian intermediates -----------------------------------------
     # I1[p, i] = sum_aP Bmo[p, a, P] Gh[i, a, P]
-    I1 = np.einsum("paP,iaP->pi", Bmo[:, nocc:, :], Gh, optimize=True)
-    # I2[p, a] = sum_iP Bmo[i, p, P] Gh[i, a, P]
-    I2 = np.einsum("ipP,iaP->pa", Bmo[:nocc, :, :], Gh, optimize=True)
+    I1 = gemm(Bmo[:, nocc:, :].reshape(nmo, nvirt * naux),
+              Gh.reshape(nocc, nvirt * naux).T)
+    # I2[p, a] = sum_iP Bmo[p, i, P] Gh[i, a, P]
+    I2 = gemm(Bmo[:, :nocc, :].reshape(nmo, nocc * naux),
+              np.ascontiguousarray(Gh.transpose(0, 2, 1)).reshape(nocc * naux, nvirt))
 
     P0_full = np.zeros((nmo, nmo))
     P0_full[:nocc, :nocc] = P0_oo
     P0_full[nocc:, nocc:] = P0_vv
-    AP0 = a_sym_contract(P0_full, Bmo)
+    AP0 = a_sym_contract(P0_full, Bmo, Bx)
 
     theta_ai = (
         4.0 * I1[nocc:, :]
@@ -177,7 +187,7 @@ def mp2_correction_coefficients(
     Xz = np.zeros((nmo, nmo))
     Xz[nocc:, :nocc] = 0.5 * z
     Xz[:nocc, nocc:] = 0.5 * z.T
-    Az = a_sym_contract(Xz, Bmo)
+    Az = a_sym_contract(Xz, Bmo, Bx)
 
     eo = eps[:nocc]
     ev = eps[nocc:]
@@ -195,41 +205,25 @@ def mp2_correction_coefficients(
     SW[nocc:, :nocc] = z * eo[None, :]
     SW_ao = gemm(gemm(C, SW), C.T)
 
-    # ---- non-separable two-electron coefficients --------------------------
-    # G (J^{-1} level) and g for the metric-derivative term.
-    G = gemm(Gh.reshape(nocc * nvirt, naux), Jih).reshape(nocc, nvirt, naux)
-    g_ia = gemm(Bia.reshape(nocc * nvirt, naux), Jih).reshape(nocc, nvirt, naux)
-    Co, Cv = res.C_occ, res.C_virt
-    Z3c_ns = 4.0 * np.einsum("mi,na,iaP->mnP", Co, Cv, G, optimize=True)
-    zeta_ns = -2.0 * np.einsum("iaR,iaS->RS", g_ia, G, optimize=True)
-
-    # ---- separable two-electron coefficients (Pc x D^HF) ------------------
-    n = basis.nbf
-    D2 = res.D  # occupation-2 SCF density
-    B_ao = res.B
-    y_ao = gemm(B_ao.reshape(n * n, naux), Jih).reshape(n, n, naux)
-    cD = np.einsum("mnP,mn->P", y_ao, D2, optimize=True)
-    cP = np.einsum("mnP,mn->P", y_ao, Pc_ao, optimize=True)
-    Z3c_sep = (
-        Pc_ao[:, :, None] * cD[None, None, :]
-        + D2[:, :, None] * cP[None, None, :]
-        - np.einsum("ml,lsP,ns->mnP", Pc_ao, y_ao, D2, optimize=True)
-    )
-    zeta_sep = -np.outer(cP, cD) + 0.5 * np.einsum(
-        "mnR,ml,ns,lsS->RS", y_ao, Pc_ao, D2, y_ao, optimize=True
-    )
+    # ---- two-electron coefficients: separable (Pc) and non-separable (G,
+    # the J^{-1}-level Gamma), with the HF terms when asked, in one pass
+    G = gemm(Gh.reshape(ov, naux), res.Linv).reshape(nocc, nvirt, naux)
+    Z3c, zeta = ri_twoelectron_coefficients(res, Pc_ao, G, hf=hf)
 
     return CorrectionCoefficients(
-        Pc_ao=Pc_ao,
-        SW_ao=SW_ao,
-        Z3c=Z3c_ns + Z3c_sep,
-        zeta=zeta_ns + zeta_sep,
-        e_corr=e_corr,
-        Pc_mo=Pc,
-        z=z,
-        P0_oo=P0_oo,
-        P0_vv=P0_vv,
+        Pc_ao=Pc_ao, SW_ao=SW_ao, Z3c=Z3c, zeta=zeta, e_corr=e_corr,
+        Pc_mo=Pc, z=z, P0_oo=P0_oo, P0_vv=P0_vv,
     )
+
+
+def mp2_correction_coefficients(
+    res: SCFResult, c_os: float = 1.0, c_ss: float = 1.0
+) -> CorrectionCoefficients:
+    """All MP2-gradient coefficient tensors for an SCF reference that
+    carries RI tensors (the HF part of the gradient is *not* included):
+    the MP2 terms of `rimp2_gradient_coefficients`. ``c_os``/``c_ss``
+    spin-component-scale them (SCS-MP2)."""
+    return _gradient_terms(res, c_os, c_ss, hf=False)
 
 
 def rimp2_gradient_coefficients(res: SCFResult, c_os: float = 1.0,
@@ -238,15 +232,15 @@ def rimp2_gradient_coefficients(res: SCFResult, c_os: float = 1.0,
     RI-MP2 gradient of one SCF reference, HF plus MP2 — ``(X, Z3c,
     zeta, W)`` for h, (mn|P), (P|Q) and S, what
     `repro.scf.grad.contract_ri_gradients` contracts — and the MP2
-    intermediates of `MP2GradientResult` (``e_corr`` among them)."""
+    intermediates of `MP2GradientResult` (``e_corr`` among them). The
+    two-electron coefficients of both are one pass
+    (`repro.scf.grad.ri_twoelectron_coefficients`)."""
     if res.method != "ri-rhf":
         raise ValueError("RI-MP2 gradient requires an RI SCF reference")
-    cc = mp2_correction_coefficients(res, c_os=c_os, c_ss=c_ss)
-    Z3c_hf, zeta_hf = ri_twoelectron_coefficients(res)
+    cc = _gradient_terms(res, c_os, c_ss, hf=True)
     eps_o = res.eps[: res.nocc]
     W_hf = 2.0 * gemm(res.C_occ * eps_o[None, :], res.C_occ.T)
-    coefs = (res.D + cc.Pc_ao, Z3c_hf + cc.Z3c, zeta_hf + cc.zeta,
-             cc.SW_ao - W_hf)
+    coefs = (res.D + cc.Pc_ao, cc.Z3c, cc.zeta, cc.SW_ao - W_hf)
     return coefs, dict(e_corr=cc.e_corr, Pc_mo=cc.Pc_mo, z=cc.z,
                        P0_oo=cc.P0_oo, P0_vv=cc.P0_vv)
 
@@ -314,7 +308,7 @@ def rimp2_gradient_conventional_hf(
         if aux is None:
             raise ValueError("pass an auxiliary BasisSet for the MP2 part")
         res.aux = aux
-        res.B, res.J2c, res.Jih = build_ri_tensors(basis, aux)
+        res.B, res.Linv = build_ri_tensors(basis, aux)
     cc = mp2_correction_coefficients(res)
     eps_o = res.eps[: res.nocc]
     W_hf = 2.0 * gemm(res.C_occ * eps_o[None, :], res.C_occ.T)

@@ -22,6 +22,35 @@ import numpy as np
 from ..gemm import gemm
 
 
+def _hessian_blocks(Bmo: np.ndarray, nocc: int) -> dict[str, np.ndarray]:
+    """Contiguous blocks of ``Bmo`` the Hessian GEMMs read: ``ai`` as
+    ``(v*o, naux)`` for the Coulomb term and, in the exchange layout
+    ``[p, P, q]``, the ``vv``, ``oo``, ``ov`` and ``vo`` blocks."""
+    Bx = Bmo.transpose(0, 2, 1)  # [p, P, q]
+    o, v = slice(None, nocc), slice(nocc, None)
+    blocks = {"ai": Bmo[v, o], "vv": Bx[v, :, v], "oo": Bx[o, :, o],
+              "ov": Bx[o, :, v], "vo": Bx[v, :, o]}
+    return {k: np.ascontiguousarray(b) for k, b in blocks.items()}
+
+
+def _apply(z: np.ndarray, blk: dict, diag: np.ndarray) -> np.ndarray:
+    nvirt, nocc = z.shape
+    naux = blk["ai"].shape[2]
+    Bai = blk["ai"].reshape(nvirt * nocc, naux)
+    # Coulomb-like: 4 sum_P B_ai^P (sum_bj B_bj^P z_bj)
+    w = gemm(Bai.T, z.reshape(-1, 1))
+    out = diag * z + 4.0 * gemm(Bai, w).reshape(nvirt, nocc)
+    # Exchange 1: -(ab|ij) z_bj = -sum_Pj (sum_b B_ab^P z_bj) B_ij^P
+    V = gemm(blk["vv"].reshape(nvirt * naux, nvirt), z)  # [a, P, j]
+    out -= gemm(V.reshape(nvirt, naux * nocc),
+                blk["oo"].reshape(nocc, naux * nocc).T)
+    # Exchange 2: -(aj|ib) z_bj = -sum_Pj B_aj^P (sum_b B_ib^P z_bj)
+    U = gemm(blk["ov"].reshape(nocc * naux, nvirt), z)  # [i, P, j]
+    out -= gemm(blk["vo"].reshape(nvirt, naux * nocc),
+                U.reshape(nocc, naux * nocc).T)
+    return out
+
+
 def apply_orbital_hessian(
     z: np.ndarray, Bmo: np.ndarray, eps: np.ndarray, nocc: int
 ) -> np.ndarray:
@@ -33,22 +62,8 @@ def apply_orbital_hessian(
         eps: orbital energies.
         nocc: number of occupied orbitals.
     """
-    nmo = Bmo.shape[0]
-    eo = eps[:nocc]
-    ev = eps[nocc:]
-    Bai = Bmo[nocc:, :nocc, :]  # (v, o, P)
-    Bab = Bmo[nocc:, nocc:, :]  # (v, v, P)
-    Bij = Bmo[:nocc, :nocc, :]  # (o, o, P)
-    out = (ev[:, None] - eo[None, :]) * z
-    # Coulomb-like: 4 sum_P B_ai^P (sum_bj B_bj^P z_bj)
-    w = np.einsum("bjP,bj->P", Bai, z, optimize=True)
-    out += 4.0 * np.einsum("aiP,P->ai", Bai, w, optimize=True)
-    # Exchange 1: -(ab|ij) z_bj
-    out -= np.einsum("abP,ijP,bj->ai", Bab, Bij, z, optimize=True)
-    # Exchange 2: -(aj|ib) z_bj
-    Bia = Bmo[:nocc, nocc:, :]
-    out -= np.einsum("ajP,ibP,bj->ai", Bai, Bia, z, optimize=True)
-    return out
+    diag = eps[nocc:, None] - eps[None, :nocc]
+    return _apply(z, _hessian_blocks(Bmo, nocc), diag)
 
 
 def solve_zvector(
@@ -66,33 +81,30 @@ def solve_zvector(
     otherwise preconditioned conjugate gradients with the orbital-energy
     diagonal as preconditioner.
     """
-    nmo = Bmo.shape[0]
+    nmo, _, naux = Bmo.shape
     nvirt = nmo - nocc
     ov = nvirt * nocc
+    diag = eps[nocc:, None] - eps[None, :nocc]
     if ov <= dense_cutoff:
-        eo = eps[:nocc]
-        ev = eps[nocc:]
-        Bai = Bmo[nocc:, :nocc, :]
-        Bab = Bmo[nocc:, nocc:, :]
-        Bij = Bmo[:nocc, :nocc, :]
-        Bia = np.ascontiguousarray(Bai.transpose(1, 0, 2))
-        A = 4.0 * np.einsum("aiP,bjP->aibj", Bai, Bai, optimize=True)
-        A -= np.einsum("abP,ijP->aibj", Bab, Bij, optimize=True)
-        A -= np.einsum("ajP,ibP->aibj", Bai, Bia, optimize=True)
+        # M[a,i,b,j] = (ai|bj); (aj|ib) = (aj|bi) is M[a,j,b,i]
+        Bai = np.ascontiguousarray(Bmo[nocc:, :nocc, :]).reshape(ov, naux)
+        Bab = Bmo[nocc:, nocc:, :].reshape(nvirt * nvirt, naux)
+        Bij = Bmo[:nocc, :nocc, :].reshape(nocc * nocc, naux)
+        M = gemm(Bai, Bai.T).reshape(nvirt, nocc, nvirt, nocc)
+        N = gemm(Bab, Bij.T).reshape(nvirt, nvirt, nocc, nocc)  # (ab|ij)
+        A = 4.0 * M - N.transpose(0, 2, 1, 3) - M.transpose(0, 3, 2, 1)
         A = A.reshape(ov, ov)
-        A[np.diag_indices(ov)] += (ev[:, None] - eo[None, :]).ravel()
+        A[np.diag_indices(ov)] += diag.ravel()
         return np.linalg.solve(A, theta.ravel()).reshape(nvirt, nocc)
 
     # Preconditioned CG (A is SPD for a stable SCF reference).
-    eo = eps[:nocc]
-    ev = eps[nocc:]
-    diag = ev[:, None] - eo[None, :]
+    blk = _hessian_blocks(Bmo, nocc)
     z = theta / diag
-    r = theta - apply_orbital_hessian(z, Bmo, eps, nocc)
+    r = theta - _apply(z, blk, diag)
     p = r / diag
     rs = float(np.sum(r * (r / diag)))
     for _ in range(max_cycles):
-        Ap = apply_orbital_hessian(p, Bmo, eps, nocc)
+        Ap = _apply(p, blk, diag)
         alpha = rs / float(np.sum(p * Ap))
         z += alpha * p
         r -= alpha * Ap

@@ -5,24 +5,28 @@ The RI-HF gradient eliminates four-center integral derivatives entirely
 of coefficient tensors with ``(mu nu|P)^xi`` and ``(P|Q)^xi``. The
 coefficients are derived against the *raw* three-center integrals and the
 raw metric J (the ``J^{-1}`` formulation), which avoids differentiating
-the matrix inverse square root:
+the fit factor. With ``Y = (mu nu|Q) J^{-1}_QP = B L^{-1}`` (the fit
+tensor times the metric's inverse Cholesky factor), the energy depends
+on the integrals only through ``(mn|ls)_RI = sum_PQ (mn|P) J^{-1}_PQ
+(ls|Q)``, and the chain rule of ``J^{-1}`` ties the metric coefficient
+to the three-center one:
 
-    E_J  = 1/2 sum_PQ d_P [J^{-1}]_PQ d_Q,        d_P = sum D (mu nu|P)
-    E_K  = -1/4 sum D_ml D_ns (mn|ls)_RI
+    zeta = dE/d(P|Q) = -1/2 sym(Y^T Z3c),      Z3c = dE/d(mn|P)
 
-yielding
+For HF (``c = Y^T D``):
 
-    dE_J/d(mn|P)  = D_mn c_P                      c = J^{-1} d
-    dE_J/d(P|Q)   = -1/2 c_P c_Q
-    dE_K/d(mn|P)  = -1/2 (D Y^P D)_mn             Y^P = J^{-1}-fitted 3c
-    dE_K/d(P|Q)   = +1/4 sum (D Y^P D)_mn Y^Q_mn
+    Z3c = D (x) c - 1/2 D Y^P D
+
+and the MP2 correction adds its separable (``Pc``) and non-separable
+(``G``) terms to the same tensor (`ri_twoelectron_coefficients`), so
+``Y`` is formed once and ``zeta`` is one GEMM (docs/THEORY.md §2, §5).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..gemm import gemm
+from ..gemm import bgemm, gemm
 from ..integrals import (
     contract_eri2c_deriv,
     contract_eri3c_deriv,
@@ -67,29 +71,49 @@ def rhf_gradient_conventional(
 
 
 def ri_twoelectron_coefficients(
-    res: SCFResult,
+    res: SCFResult, Pc: np.ndarray | None = None, G: np.ndarray | None = None,
+    hf: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """HF two-electron derivative coefficients (Z3c, zeta) for the RI path.
+    """Two-electron derivative coefficients ``(Z3c, zeta)`` of the RI
+    path, in one pass of counted GEMMs.
 
-    Z3c has shape ``(nbf, nbf, naux)`` and contracts with
-    ``(mu nu|P)^xi``; zeta has shape ``(naux, naux)`` and contracts with
-    ``(P|Q)^xi``.
+    ``Z3c`` has shape ``(nbf, nbf, naux)`` and contracts with
+    ``(mu nu|P)^xi``; ``zeta`` has shape ``(naux, naux)`` and contracts
+    with ``(P|Q)^xi``. With ``Y = B L^{-1}`` (formed once), ``c = Y^T D``
+    and ``cP = Y^T Pc``:
+
+        Z3c  = (hf D + Pc) (x) c + D (x) cP - (hf D/2 + Pc) Y^P D
+               + 4 C_occ G^P C_virt^T
+        zeta = -1/2 sym(Y^T Z3c)
+
+    ``hf`` includes the RI-HF terms; ``Pc`` (AO, the MP2 Fock-response
+    density) adds the separable MP2 terms and ``G`` (``(nocc, nvirt,
+    naux)``, ``J^{-1}`` level) the non-separable ones. RI-HF is
+    ``Pc = G = None``.
     """
-    if res.B is None or res.Jih is None:
+    if res.B is None or res.Linv is None:
         raise ValueError("SCF result does not carry RI tensors (run with ri=True)")
-    B, Jih, D = res.B, res.Jih, res.D
-    n, _, naux = B.shape
-    # Fitted quantities in the J^{-1} formulation: Y = T3 J^{-1} = B Jih.
-    Y = gemm(B.reshape(n * n, naux), Jih).reshape(n, n, naux)
-    # Coulomb: d_P = sum D T3; c = J^{-1} d  ==  Y^T D.
-    c = gemm(Y.reshape(n * n, naux).T, D.reshape(n * n, 1)).ravel()
-    # Exchange intermediate: (D Y^P D)_mn for every P.
-    DY = np.einsum("ml,lsP->msP", D, Y, optimize=True)
-    DYD = np.einsum("msP,ns->mnP", DY, D, optimize=True)
-    Z3c = D[:, :, None] * c[None, None, :] - 0.5 * DYD
-    zeta = -0.5 * np.outer(c, c) + 0.25 * np.einsum(
-        "mnP,mnQ->PQ", DYD, Y, optimize=True
-    )
+    D = res.D
+    n, _, naux = res.B.shape
+    if Pc is None:
+        Pc = np.zeros_like(D)
+    Dhf = D if hf else np.zeros_like(D)
+    Y = gemm(res.B.reshape(n * n, naux), res.Linv)  # (n*n, naux): T3 J^{-1}
+    # fit coefficients [c; cP] = Y^T [D, Pc], one GEMM
+    fits = gemm(Y.T, np.stack([D.ravel(), Pc.ravel()], axis=1)).T
+    # exchange-type term -(A Y^P D)_mn: l in one GEMM, s in one per m
+    AY = gemm(-(0.5 * Dhf + Pc), Y.reshape(n, n * naux)).reshape(n, n, naux)
+    Z3c = bgemm(D, AY)
+    Zf = Z3c.reshape(n * n, naux)  # a view: the terms below add in place
+    # Coulomb-type terms (hf D + Pc) (x) c + D (x) cP, one rank-2 GEMM
+    Zf += gemm(np.stack([(Dhf + Pc).ravel(), D.ravel()], axis=1), fits)
+    if G is not None:
+        Co, Cv = res.C_occ, res.C_virt
+        o, v = G.shape[:2]
+        CG = gemm(4.0 * Co, G.reshape(o, v * naux)).reshape(n, v, naux)
+        Z3c += bgemm(Cv, CG)  # 4 C_occ G^P C_virt^T
+    YZ = gemm(Y.T, Zf)
+    zeta = -0.25 * (YZ + YZ.T)
     return Z3c, zeta
 
 

@@ -1,8 +1,13 @@
 """Restricted Hartree-Fock: conventional (four-center) and RI variants.
 
-The RI Fock build implements the paper's Eq. (8): with the fitted
-three-center tensor ``B_{mu nu}^P`` held in memory, Coulomb and exchange
-contractions become sequences of GEMMs routed through the tuned,
+The RI fit factorises the metric once per geometry, ``J = L L^T``
+(LAPACK ``potrf`` + ``trtri``), and folds ``L^{-T}`` into the
+three-center integrals: ``B = (mu nu|P) L^{-T}``, so that
+``(mn|ls)_RI = sum_P B_mn^P B_ls^P`` with the exact ``J^{-1}``. No
+metric eigenvalue is screened; a metric that is not positive definite
+raises `NumericalDivergenceError` naming the fragment. The RI Fock build
+implements the paper's Eq. (8): with ``B`` held in memory, Coulomb and
+exchange contractions become sequences of GEMMs routed through the
 FLOP-counted `repro.gemm.gemm`. The conventional path (explicit
 ``(mu nu|la si)``) is retained as the state-of-the-art baseline the paper
 compares against (Table III / Fig. 3).
@@ -13,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from ..basis.auxiliary import auto_auxiliary
 from ..basis.basisset import BasisSet
@@ -33,10 +39,12 @@ class SCFResult:
     """Converged restricted HF state.
 
     ``D`` is the occupation-2 AO density ``2 C_occ C_occ^T``. When the RI
-    path is used, the fitted tensor ``B`` (``(nbf, nbf, naux)``, metric
-    factor ``J^{-1/2}`` folded in) and the raw metric are retained so MP2
-    and the gradient reuse the three-center integrals (paper Sec. III-A
-    point ii: no recomputation).
+    path is used, the fitted tensor ``B`` (``(nbf, nbf, naux)``, the
+    metric's inverse Cholesky factor folded in: ``B = (mu nu|P) L^{-T}``,
+    ``J = L L^T``) and ``Linv = L^{-1}`` are retained so MP2 and the
+    gradient reuse the three-center integrals (paper Sec. III-A point
+    ii: no recomputation); ``B Linv = (mu nu|P) J^{-1}`` is the
+    ``J^{-1}``-level tensor the gradient coefficients are built on.
     """
 
     mol: Molecule
@@ -57,9 +65,8 @@ class SCFResult:
     #: (``dm0``) that passed validation, False for a cold guess
     warm_started: bool = False
     aux: BasisSet | None = None
-    B: np.ndarray | None = None  # (nbf, nbf, naux), J^{-1/2} folded
-    J2c: np.ndarray | None = None
-    Jih: np.ndarray | None = None  # J^{-1/2}
+    B: np.ndarray | None = None  # (nbf, nbf, naux), L^{-T} folded
+    Linv: np.ndarray | None = None  # L^{-1}, lower triangular; J = L L^T
     eri: np.ndarray | None = None  # conventional 4c tensor if built
     #: recovery-cascade stages attempted before this solve succeeded
     #: (empty when the bare loop converged on the first try)
@@ -95,56 +102,47 @@ def _fock_conventional(h: np.ndarray, ERI: np.ndarray, D: np.ndarray) -> np.ndar
 
 @dataclass
 class RIFockLayout:
-    """Iteration-invariant memory layouts of the RI fit tensor.
+    """Iteration-invariant layouts of the RI fit tensor.
 
-    `_fock_ri` needs ``B`` in three layouts — ``(n*n, naux)`` for the
-    Coulomb GEMMs and two ``(naux*n, n)`` transposes for the exchange
-    GEMMs. Only the density changes between SCF iterations, so these are
+    The Coulomb GEMMs read ``B`` as ``(n*n, naux)`` (a view); the
+    exchange GEMMs read one transposed copy ``Bx[m, P, l] = B[m, l, P]``
+    (``(n, naux, n)``), in which both exchange contractions are plain
+    GEMMs. Only the density changes between SCF iterations, so ``Bx`` is
     materialized once per solve (and shared across recovery rungs via
-    the solve memo) instead of re-copied every iteration.
+    the solve memo).
     """
 
-    B: np.ndarray  # (nbf, nbf, naux), J^{-1/2} folded
-    Bf: np.ndarray  # (n*n, naux) view
-    Bt: np.ndarray  # (naux*n, n): B.transpose(2, 0, 1), contiguous
-    B2: np.ndarray  # (naux*n, n): B.transpose(2, 1, 0), contiguous
+    B: np.ndarray  # (nbf, nbf, naux), L^{-T} folded
+    Bx: np.ndarray  # (nbf, naux, nbf): B.transpose(0, 2, 1), contiguous
 
     @classmethod
     def from_tensor(cls, B: np.ndarray) -> "RIFockLayout":
-        n, _, naux = B.shape
-        return cls(
-            B=B,
-            Bf=B.reshape(n * n, naux),
-            Bt=np.ascontiguousarray(B.transpose(2, 0, 1)).reshape(naux * n, n),
-            B2=np.ascontiguousarray(B.transpose(2, 1, 0)).reshape(naux * n, n),
-        )
+        return cls(B=B, Bx=np.ascontiguousarray(B.transpose(0, 2, 1)))
 
 
 def _fock_ri(h: np.ndarray, lay: RIFockLayout, D: np.ndarray) -> np.ndarray:
     """RI Fock build, Eq. (8): pure GEMM sequence.
 
-    ``lay`` holds the fit tensor ``B`` (``(nbf, nbf, naux)``) plus its
-    hoisted contraction layouts. Coulomb: fit coefficients
-    ``gamma_P = sum_{ls} B_{ls}^P D_{ls}`` then
-    ``J_{mn} = sum_P B_{mn}^P gamma_P``. Exchange:
-    ``K_{mn} = sum_{P s} (B D)_{mn s P} ...`` via two GEMMs.
+    Coulomb: fit coefficients ``gamma_P = sum_{ls} B_{ls}^P D_{ls}``
+    then ``J_{mn} = sum_P B_{mn}^P gamma_P``. Exchange, on ``lay.Bx``:
+    ``X[m, P, s] = sum_l B_{ml}^P D_{ls}`` then
+    ``K_{mn} = sum_{P, s} X[m, P, s] B_{ns}^P`` — two GEMMs, no copy.
     """
     n, _, naux = lay.B.shape
-    gamma = gemm(lay.Bf.T, D.reshape(n * n, 1))  # (naux, 1)
-    J = gemm(lay.Bf, gamma).reshape(n, n)
-    # X[P,m,s] = sum_l B_{ml}^P D_{ls}
-    X = gemm(lay.Bt, D).reshape(naux, n, n)
-    # K_{mn} = sum_{P,s} X[P,m,s] B[n,s,P]
-    X2 = np.ascontiguousarray(X.transpose(1, 0, 2)).reshape(n, naux * n)
-    K = gemm(X2, lay.B2)
+    Bf = lay.B.reshape(n * n, naux)
+    gamma = gemm(Bf.T, D.reshape(n * n, 1))  # (naux, 1)
+    J = gemm(Bf, gamma).reshape(n, n)
+    X = gemm(lay.Bx.reshape(n * naux, n), D)  # (n*naux, n)
+    K = gemm(X.reshape(n, naux * n), lay.Bx.reshape(n, naux * n).T)
     return h + J - 0.5 * K
 
 
 def build_ri_tensors(
     basis: BasisSet, aux: BasisSet,
     screen: float = 0.0, workspace=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three-center fit tensor B, raw metric J, and ``J^{-1/2}``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fit tensor ``B`` and the metric's inverse Cholesky factor
+    ``L^{-1}`` (`_fitted`) of one basis pair.
 
     ``screen``/``workspace`` enable Schwarz screening and cross-call
     caching in the underlying integral drivers (see
@@ -155,12 +153,34 @@ def build_ri_tensors(
     return _fitted(T3, J2)
 
 
-def _fitted(T3: np.ndarray, J2: np.ndarray):
-    """``(B, J, J^{-1/2})`` from the raw three-center tensor and metric."""
-    Jih = sym_inv_sqrt(J2)
+def metric_inverse_factor(J2: np.ndarray, mol: Molecule | None = None) -> np.ndarray:
+    """``L^{-1}`` of the metric's Cholesky factor ``J = L L^T`` (LAPACK
+    ``potrf`` + ``trtri``), lower triangular: ``J^{-1} = L^{-T} L^{-1}``.
+    A metric ``potrf`` refuses (not positive definite: a linearly
+    dependent fitting basis) raises `NumericalDivergenceError` naming
+    ``mol``'s fragment; no eigenvalue screen stands in for it."""
+    L, info = dpotrf(J2, lower=1, clean=1)
+    if info == 0:
+        Linv, info = dtrtri(L, lower=1)
+    if info != 0:
+        who = "" if mol is None else (
+            f" of fragment {getattr(mol, 'frag_key', None)} "
+            f"({mol.formula()}, {mol.natoms} atoms)")
+        raise NumericalDivergenceError(
+            f"RI metric{who} is not positive definite: Cholesky pivot "
+            f"{info} of {J2.shape[0]} failed (linearly dependent "
+            "auxiliary functions)"
+        )
+    return Linv
+
+
+def _fitted(T3: np.ndarray, J2: np.ndarray, mol: Molecule | None = None):
+    """``(B, L^{-1})`` from the raw three-center tensor and metric:
+    `metric_inverse_factor`, then ``B = T3 L^{-T}`` by one GEMM."""
+    Linv = metric_inverse_factor(J2, mol)
     n, _, naux = T3.shape
-    B = gemm(T3.reshape(n * n, naux), Jih).reshape(n, n, naux)
-    return B, J2, Jih
+    B = gemm(T3.reshape(n * n, naux), Linv.T).reshape(n, n, naux)
+    return B, Linv
 
 
 def prepare_solves(
@@ -182,7 +202,7 @@ def prepare_solves(
     for f, bs in enumerate(bases):
         memo = {"bs": bs, "S": S[f], "h0": h[f]}
         if auxs is not None:
-            memo["ri"] = (*_fitted(T3[f], J2[f]), auxs[f])
+            memo["ri"] = (*_fitted(T3[f], J2[f], mols[f]), auxs[f])
             T3[f] = None  # the fit is what the solve reads
         memos.append(memo)
     return memos
@@ -288,7 +308,7 @@ def rhf(
     if nocc > bs.nbf:
         raise ValueError("basis too small for electron count")
 
-    B = J2 = Jih = ERI = lay = None
+    B = Linv = ERI = lay = None
     with evaluation_scope(workspace):
         if "S" not in memo or (ri and "ri" not in memo):
             if ri and aux is None:
@@ -305,7 +325,7 @@ def rhf(
                     "perturbation"
                 )
         if ri:
-            B, J2, Jih, aux = memo["ri"]
+            B, Linv, aux = memo["ri"]
             if "lay" not in memo:
                 memo["lay"] = RIFockLayout.from_tensor(B)
             lay = memo["lay"]
@@ -412,7 +432,6 @@ def rhf(
         warm_started=warm_started,
         aux=aux,
         B=B,
-        J2c=J2,
-        Jih=Jih,
+        Linv=Linv,
         eri=ERI,
     )
