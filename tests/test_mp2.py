@@ -276,12 +276,9 @@ class TestSCSMP2:
 FIT_BASES = ["sto-3g", "repro-dz", "repro-dzp", "repro-tz", "repro-tzp"]
 
 
-def _fit_molecule(name: str) -> Molecule:
+def _fit_molecule(name: str, request) -> Molecule:
     if name == "water":
-        return Molecule.from_angstrom(
-            ["O", "H", "H"],
-            [[0.0, 0.0, 0.1173], [0.0, 0.7572, -0.4692],
-             [0.0, -0.7572, -0.4692]])
+        return request.getfixturevalue("water")
     return water_cluster(3, seed=1) if name == "water3" else glycine_chain(1)
 
 
@@ -290,8 +287,8 @@ class TestRIFit:
 
     @pytest.mark.parametrize("basis", FIT_BASES)
     @pytest.mark.parametrize("name", ["water", "water3", "glycine"])
-    def test_metric_factor_every_basis(self, basis, name):
-        J = eri2c([auto_auxiliary(_fit_molecule(name), basis)])[0]
+    def test_metric_factor_every_basis(self, basis, name, request):
+        J = eri2c([auto_auxiliary(_fit_molecule(name, request), basis)])[0]
         Linv = metric_inverse_factor(J)
         assert np.array_equal(Linv, np.tril(Linv))
         # L^{-1} J L^{-T} = 1 up to a backward-stable factor's error,
@@ -302,10 +299,10 @@ class TestRIFit:
 
     @pytest.mark.parametrize("basis", ["sto-3g", "repro-dz", "repro-tz"])
     @pytest.mark.parametrize("name", ["water", "water3"])
-    def test_metric_fit_matches_eigen_screened(self, basis, name):
+    def test_metric_fit_matches_eigen_screened(self, basis, name, request):
         """Where no metric eigenvalue lies below the old 1e-10 cutoff,
         the Cholesky and eigen-screened fits give one RI-MP2 energy."""
-        mol = _fit_molecule(name)
+        mol = _fit_molecule(name, request)
         bs, aux = BasisSet.build(mol, basis), auto_auxiliary(mol, basis)
         J = eri2c([aux])[0]
         w = np.linalg.eigvalsh(J)
