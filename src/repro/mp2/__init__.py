@@ -4,21 +4,22 @@ from .mp2 import MP2Result, mo_b_tensor, mp2, mp2_conventional, mp2_ri, scs_thet
 from .rimp2_grad import (
     CorrectionCoefficients,
     MP2GradientResult,
-    full_mo_b,
+    mo_tensors,
     mp2_correction_coefficients,
     rimp2_gradient,
     rimp2_gradient_coefficients,
     rimp2_gradient_conventional_hf,
 )
-from .zvector import apply_orbital_hessian, solve_zvector
+from .zvector import apply_orbital_hessian, hessian_blocks, solve_zvector
 
 __all__ = [
     "CorrectionCoefficients",
     "MP2GradientResult",
     "MP2Result",
     "apply_orbital_hessian",
-    "full_mo_b",
+    "hessian_blocks",
     "mo_b_tensor",
+    "mo_tensors",
     "mp2",
     "mp2_conventional",
     "mp2_ri",

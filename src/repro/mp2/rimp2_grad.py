@@ -63,7 +63,7 @@ class MP2GradientResult:
     P0_vv: np.ndarray
 
 
-def _mo_tensors(res: SCFResult) -> tuple[np.ndarray, np.ndarray]:
+def mo_tensors(res: SCFResult) -> tuple[np.ndarray, np.ndarray]:
     """The fitted tensor in the full MO basis, ``Bmo[p, q, P]``, and the
     exchange layout the two-GEMM exchange contractions read,
     ``Bx[p, P, q]`` (the second GEMM's natural output)."""
@@ -74,11 +74,6 @@ def _mo_tensors(res: SCFResult) -> tuple[np.ndarray, np.ndarray]:
     half = np.ascontiguousarray(half.transpose(0, 2, 1)).reshape(nmo * naux, n)
     Bx = gemm(half, C).reshape(nmo, naux, nmo)
     return np.ascontiguousarray(Bx.transpose(0, 2, 1)), Bx
-
-
-def full_mo_b(res: SCFResult) -> np.ndarray:
-    """Fitted tensor in the full MO basis: Bmo[p, q, P]."""
-    return _mo_tensors(res)[0]
 
 
 def a_sym_contract(X: np.ndarray, Bmo: np.ndarray, Bx: np.ndarray) -> np.ndarray:
@@ -136,7 +131,7 @@ def _gradient_terms(res: SCFResult, c_os: float, c_ss: float,
     ov = nocc * nvirt
 
     # ---- amplitudes [i, a, j, b] -------------------------------------------
-    Bmo, Bx = _mo_tensors(res)
+    Bmo, Bx = mo_tensors(res)
     Bia = np.ascontiguousarray(Bmo[:nocc, nocc:, :]).reshape(ov, naux)
     iajb = gemm(Bia, Bia.T).reshape(nocc, nvirt, nocc, nvirt)
     d_ia = eps[:nocc, None] - eps[None, nocc:]
@@ -173,7 +168,7 @@ def _gradient_terms(res: SCFResult, c_os: float, c_ss: float,
     )
 
     # ---- Z-vector ----------------------------------------------------------
-    z = solve_zvector(theta_ai, Bmo, eps, nocc)
+    z = solve_zvector(theta_ai, Bmo, Bx, eps, nocc)
 
     # ---- Fock-response coefficient matrix Pc ------------------------------
     Pc = np.zeros((nmo, nmo))

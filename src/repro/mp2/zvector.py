@@ -22,24 +22,29 @@ import numpy as np
 from ..gemm import gemm
 
 
-def _hessian_blocks(Bmo: np.ndarray, nocc: int) -> dict[str, np.ndarray]:
-    """Contiguous blocks of ``Bmo`` the Hessian GEMMs read: ``ai`` as
-    ``(v*o, naux)`` for the Coulomb term and, in the exchange layout
-    ``[p, P, q]``, the ``vv``, ``oo``, ``ov`` and ``vo`` blocks."""
-    Bx = Bmo.transpose(0, 2, 1)  # [p, P, q]
+def hessian_blocks(Bmo: np.ndarray, Bx: np.ndarray, eps: np.ndarray,
+                   nocc: int) -> dict[str, np.ndarray]:
+    """The operator `apply_orbital_hessian` applies: the diagonal
+    ``eps_a - eps_i`` and the contiguous blocks its GEMMs read, ``ai``
+    of ``Bmo[p, q, P]`` for the Coulomb term and the ``vv``, ``oo``,
+    ``ov`` and ``vo`` blocks of the exchange layout ``Bx[p, P, q]``."""
     o, v = slice(None, nocc), slice(nocc, None)
     blocks = {"ai": Bmo[v, o], "vv": Bx[v, :, v], "oo": Bx[o, :, o],
               "ov": Bx[o, :, v], "vo": Bx[v, :, o]}
-    return {k: np.ascontiguousarray(b) for k, b in blocks.items()}
+    blk = {k: np.ascontiguousarray(b) for k, b in blocks.items()}
+    blk["diag"] = eps[nocc:, None] - eps[None, :nocc]
+    return blk
 
 
-def _apply(z: np.ndarray, blk: dict, diag: np.ndarray) -> np.ndarray:
+def apply_orbital_hessian(z: np.ndarray, blk: dict) -> np.ndarray:
+    """``(A z)_ai`` including the diagonal ``(eps_a - eps_i)`` term, for
+    a ``(nvirt, nocc)`` trial vector ``z`` and the `hessian_blocks`."""
     nvirt, nocc = z.shape
     naux = blk["ai"].shape[2]
     Bai = blk["ai"].reshape(nvirt * nocc, naux)
     # Coulomb-like: 4 sum_P B_ai^P (sum_bj B_bj^P z_bj)
     w = gemm(Bai.T, z.reshape(-1, 1))
-    out = diag * z + 4.0 * gemm(Bai, w).reshape(nvirt, nocc)
+    out = blk["diag"] * z + 4.0 * gemm(Bai, w).reshape(nvirt, nocc)
     # Exchange 1: -(ab|ij) z_bj = -sum_Pj (sum_b B_ab^P z_bj) B_ij^P
     V = gemm(blk["vv"].reshape(nvirt * naux, nvirt), z)  # [a, P, j]
     out -= gemm(V.reshape(nvirt, naux * nocc),
@@ -51,31 +56,19 @@ def _apply(z: np.ndarray, blk: dict, diag: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_orbital_hessian(
-    z: np.ndarray, Bmo: np.ndarray, eps: np.ndarray, nocc: int
-) -> np.ndarray:
-    """``(A z)_ai`` including the diagonal ``(eps_a - eps_i)`` term.
-
-    Args:
-        z: (nvirt, nocc) trial vector.
-        Bmo: (nmo, nmo, naux) fitted MO integrals.
-        eps: orbital energies.
-        nocc: number of occupied orbitals.
-    """
-    diag = eps[nocc:, None] - eps[None, :nocc]
-    return _apply(z, _hessian_blocks(Bmo, nocc), diag)
-
-
 def solve_zvector(
     theta: np.ndarray,
     Bmo: np.ndarray,
+    Bx: np.ndarray,
     eps: np.ndarray,
     nocc: int,
     tol: float = 1.0e-11,
     max_cycles: int = 200,
     dense_cutoff: int = 4000,
 ) -> np.ndarray:
-    """Solve ``A z = Theta`` for the Z-vector.
+    """Solve ``A z = Theta`` for the Z-vector, with the fitted MO tensor
+    in both layouts, ``Bmo[p, q, P]`` and ``Bx[p, P, q]``
+    (`repro.mp2.rimp2_grad.mo_tensors`).
 
     Uses a dense factorization when ``nvirt * nocc <= dense_cutoff``;
     otherwise preconditioned conjugate gradients with the orbital-energy
@@ -84,7 +77,6 @@ def solve_zvector(
     nmo, _, naux = Bmo.shape
     nvirt = nmo - nocc
     ov = nvirt * nocc
-    diag = eps[nocc:, None] - eps[None, :nocc]
     if ov <= dense_cutoff:
         # M[a,i,b,j] = (ai|bj); (aj|ib) = (aj|bi) is M[a,j,b,i]
         Bai = np.ascontiguousarray(Bmo[nocc:, :nocc, :]).reshape(ov, naux)
@@ -94,17 +86,18 @@ def solve_zvector(
         N = gemm(Bab, Bij.T).reshape(nvirt, nvirt, nocc, nocc)  # (ab|ij)
         A = 4.0 * M - N.transpose(0, 2, 1, 3) - M.transpose(0, 3, 2, 1)
         A = A.reshape(ov, ov)
-        A[np.diag_indices(ov)] += diag.ravel()
+        A[np.diag_indices(ov)] += (eps[nocc:, None] - eps[None, :nocc]).ravel()
         return np.linalg.solve(A, theta.ravel()).reshape(nvirt, nocc)
 
     # Preconditioned CG (A is SPD for a stable SCF reference).
-    blk = _hessian_blocks(Bmo, nocc)
+    blk = hessian_blocks(Bmo, Bx, eps, nocc)
+    diag = blk["diag"]
     z = theta / diag
-    r = theta - _apply(z, blk, diag)
+    r = theta - apply_orbital_hessian(z, blk)
     p = r / diag
     rs = float(np.sum(r * (r / diag)))
     for _ in range(max_cycles):
-        Ap = _apply(p, blk, diag)
+        Ap = apply_orbital_hessian(p, blk)
         alpha = rs / float(np.sum(p * Ap))
         z += alpha * p
         r -= alpha * Ap

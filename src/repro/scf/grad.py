@@ -89,24 +89,28 @@ def ri_twoelectron_coefficients(
     ``hf`` includes the RI-HF terms; ``Pc`` (AO, the MP2 Fock-response
     density) adds the separable MP2 terms and ``G`` (``(nocc, nvirt,
     naux)``, ``J^{-1}`` level) the non-separable ones. RI-HF is
-    ``Pc = G = None``.
+    ``Pc = G = None`` (``hf`` is then implied): one fit, ``c``, and a
+    rank-1 Coulomb term.
     """
     if res.B is None or res.Linv is None:
         raise ValueError("SCF result does not carry RI tensors (run with ri=True)")
     D = res.D
     n, _, naux = res.B.shape
+    # the Coulomb-type terms as sum_k left_k (x) (Y^T right_k), and the
+    # density A of the exchange-type term -(A Y^P D)
     if Pc is None:
-        Pc = np.zeros_like(D)
-    Dhf = D if hf else np.zeros_like(D)
+        left, right, A = [D], [D], 0.5 * D
+    else:
+        left, right = [D + Pc if hf else Pc, D], [D, Pc]
+        A = 0.5 * D + Pc if hf else Pc
     Y = gemm(res.B.reshape(n * n, naux), res.Linv)  # (n*n, naux): T3 J^{-1}
-    # fit coefficients [c; cP] = Y^T [D, Pc], one GEMM
-    fits = gemm(Y.T, np.stack([D.ravel(), Pc.ravel()], axis=1)).T
-    # exchange-type term -(A Y^P D)_mn: l in one GEMM, s in one per m
-    AY = gemm(-(0.5 * Dhf + Pc), Y.reshape(n, n * naux)).reshape(n, n, naux)
+    # the fit coefficients Y^T right_k, one GEMM
+    fits = gemm(Y.T, np.stack([r.ravel() for r in right], axis=1)).T
+    # -(A Y^P D)_mn: l in one GEMM, s in one per m
+    AY = gemm(-A, Y.reshape(n, n * naux)).reshape(n, n, naux)
     Z3c = bgemm(D, AY)
     Zf = Z3c.reshape(n * n, naux)  # a view: the terms below add in place
-    # Coulomb-type terms (hf D + Pc) (x) c + D (x) cP, one rank-2 GEMM
-    Zf += gemm(np.stack([(Dhf + Pc).ravel(), D.ravel()], axis=1), fits)
+    Zf += gemm(np.stack([l.ravel() for l in left], axis=1), fits)
     if G is not None:
         Co, Cv = res.C_occ, res.C_virt
         o, v = G.shape[:2]

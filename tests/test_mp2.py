@@ -18,7 +18,8 @@ from repro.integrals import (
 )
 from repro.mp2 import (
     apply_orbital_hessian,
-    full_mo_b,
+    hessian_blocks,
+    mo_tensors,
     mp2,
     mp2_conventional,
     mp2_correction_coefficients,
@@ -81,37 +82,39 @@ class TestMP2Energies:
 class TestZVector:
     def test_dense_matches_cg(self, water):
         res = rhf(water, "sto-3g", ri=True)
-        Bmo = full_mo_b(res)
+        Bmo, Bx = mo_tensors(res)
         nocc = res.nocc
         nvirt = Bmo.shape[0] - nocc
         rng = np.random.default_rng(0)
         theta = rng.standard_normal((nvirt, nocc))
-        zd = solve_zvector(theta, Bmo, res.eps, nocc, dense_cutoff=10**9)
-        zc = solve_zvector(theta, Bmo, res.eps, nocc, dense_cutoff=0)
+        zd = solve_zvector(theta, Bmo, Bx, res.eps, nocc, dense_cutoff=10**9)
+        zc = solve_zvector(theta, Bmo, Bx, res.eps, nocc, dense_cutoff=0)
         np.testing.assert_allclose(zd, zc, atol=1e-8)
 
     def test_operator_symmetric(self, water):
         res = rhf(water, "sto-3g", ri=True)
-        Bmo = full_mo_b(res)
+        Bmo, Bx = mo_tensors(res)
         nocc = res.nocc
         nvirt = Bmo.shape[0] - nocc
         rng = np.random.default_rng(1)
         u = rng.standard_normal((nvirt, nocc))
         v = rng.standard_normal((nvirt, nocc))
-        Au = apply_orbital_hessian(u, Bmo, res.eps, nocc)
-        Av = apply_orbital_hessian(v, Bmo, res.eps, nocc)
+        blk = hessian_blocks(Bmo, Bx, res.eps, nocc)
+        Au = apply_orbital_hessian(u, blk)
+        Av = apply_orbital_hessian(v, blk)
         assert float(np.sum(v * Au)) == pytest.approx(float(np.sum(u * Av)), rel=1e-9)
 
     def test_solution_satisfies_equation(self, water):
         res = rhf(water, "sto-3g", ri=True)
-        Bmo = full_mo_b(res)
+        Bmo, Bx = mo_tensors(res)
         nocc = res.nocc
         nvirt = Bmo.shape[0] - nocc
         rng = np.random.default_rng(2)
         theta = rng.standard_normal((nvirt, nocc))
-        z = solve_zvector(theta, Bmo, res.eps, nocc)
+        z = solve_zvector(theta, Bmo, Bx, res.eps, nocc)
         np.testing.assert_allclose(
-            apply_orbital_hessian(z, Bmo, res.eps, nocc), theta, atol=1e-8
+            apply_orbital_hessian(z, hessian_blocks(Bmo, Bx, res.eps, nocc)),
+            theta, atol=1e-8
         )
 
     def test_relaxed_density_hellmann_feynman(self, water):
