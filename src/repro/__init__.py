@@ -31,7 +31,7 @@ from .chem import Molecule
 from .frag import FragmentedSystem, build_plan, mbe_energy_gradient
 from .md import AsyncCoordinator, run_aimd, run_serial
 from .mp2 import mp2, rimp2_gradient
-from .scf import rhf, rhf_gradient
+from .scf import rhf
 
 __version__ = "1.0.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "mbe_energy_gradient",
     "mp2",
     "rhf",
-    "rhf_gradient",
     "rimp2_gradient",
     "run_aimd",
     "run_serial",

@@ -122,17 +122,15 @@ class FragmentRecord:
     task's molecule (``Molecule.record``) and checkpointed. A calculator
     never changes one in place — it puts a new one on the molecule — so
     a failed attempt leaves nothing behind. A molecule without a record
-    (a bare calculator call) has no history and is its own screening
-    reference.
+    (a bare calculator call) has no history. Screening is not history:
+    every evaluation screens with the Schwarz tables of its own
+    geometry.
     """
 
     #: the last converged densities, most recent last (`GuessCache`)
     densities: tuple = ()
     #: the atom count ``densities`` were converged for
     natoms: int = 0
-    #: atom coordinates the fragment's Schwarz bounds were last
-    #: re-screened at (`IntegralWorkspace.screening_reference`)
-    ref: np.ndarray | None = None
     #: ``(warm, iterations)`` of the solve that wrote the record, for
     #: the engine's `GuessCache.record`; not checkpointed
     solve: tuple | None = None
@@ -288,8 +286,9 @@ def _evaluate_stacks(calc, mols, method: str, terms):
     each derivative driver then contracts every fragment's coefficients
     against the group's shared derivative integrals
     (`repro.scf.grad.contract_ri_gradients`). With screening on, every
-    driver screens each fragment with the Schwarz table served first at
-    its reference geometry (`_screen_at_references`). A fragment whose
+    driver screens each fragment with the Schwarz table of its own
+    geometry, built by the first screened driver of the group
+    (`IntegralWorkspace.schwarz_bounds_stack`). A fragment whose
     SCF fails raises the typed error under its own key; the rest of its
     group is not evaluated. A traced calculator emits one ``calc.stack``
     span per group (its compositions, size, the largest table set it
@@ -305,8 +304,6 @@ def _evaluate_stacks(calc, mols, method: str, terms):
         start = tracer.clock() if tracer else 0.0
         traced = nullcontext() if tracer is None else ws.scope(tracer=tracer)
         with ws.evaluation() as scratch, traced:
-            if calc.int_screen > 0.0:
-                _screen_at_references(group, bases, ws)
             memos = prepare_solves(group, bases, auxs, calc.int_screen, ws)
             energies, coefs = [], []
             for mol, memo in zip(group, memos):
@@ -336,22 +333,6 @@ def _evaluate_stacks(calc, mols, method: str, terms):
             )
             out[i] = energy, grad
     return out
-
-
-def _screen_at_references(mols, bases, workspace) -> None:
-    """Serve the group's Schwarz tables into this evaluation's scratch,
-    each at its record's reference geometry
-    (`IntegralWorkspace.screening_reference`); a re-screened fragment's
-    record gets its current geometry as the new reference."""
-    records = [getattr(mol, "record", None) for mol in mols]
-    refs = [
-        None if rec is None else workspace.screening_reference(basis, rec.ref)
-        for rec, basis in zip(records, bases)
-    ]
-    workspace.schwarz_bounds_stack(bases, refs)
-    for mol, rec, ref in zip(mols, records, refs):
-        if rec is not None and ref is not rec.ref:
-            mol.record = replace(rec, ref=ref)
 
 
 def _fragment_scf(calc, mol, memo, workspace):

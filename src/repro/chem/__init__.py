@@ -2,14 +2,7 @@
 
 from .bonds import bond_graph, connected_components, detect_bonds
 from .elements import Element, atomic_mass, atomic_number, covalent_radius, element
-from .geometry import (
-    centroid_distance,
-    min_interatomic_distance,
-    pairwise_distances,
-    rotated,
-    rotation_matrix,
-    sphere_cut,
-)
+from .geometry import pairwise_distances, rotated, rotation_matrix
 from .molecule import Molecule
 from .xyz import format_xyz, load_xyz, parse_xyz, save_xyz
 
@@ -19,18 +12,15 @@ __all__ = [
     "atomic_mass",
     "atomic_number",
     "bond_graph",
-    "centroid_distance",
     "connected_components",
     "covalent_radius",
     "detect_bonds",
     "element",
     "format_xyz",
     "load_xyz",
-    "min_interatomic_distance",
     "pairwise_distances",
     "parse_xyz",
     "rotated",
     "rotation_matrix",
     "save_xyz",
-    "sphere_cut",
 ]

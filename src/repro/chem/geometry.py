@@ -14,18 +14,6 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def min_interatomic_distance(a: Molecule, b: Molecule) -> float:
-    """Smallest atom-atom distance between two molecules, Bohr."""
-    diff = a.coords[:, None, :] - b.coords[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    return float(np.sqrt(d2.min()))
-
-
-def centroid_distance(a: Molecule, b: Molecule) -> float:
-    """Distance between unweighted centroids, Bohr."""
-    return float(np.linalg.norm(a.centroid() - b.centroid()))
-
-
 def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix about ``axis`` by ``angle`` radians."""
     axis = np.asarray(axis, dtype=float)
@@ -42,8 +30,3 @@ def rotated(mol: Molecule, axis: np.ndarray, angle: float,
     R = rotation_matrix(axis, angle)
     return mol.with_coords((mol.coords - pivot) @ R.T + pivot)
 
-
-def sphere_cut(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Boolean mask of points within ``radius`` of ``center``."""
-    pts = np.asarray(points, dtype=float)
-    return np.linalg.norm(pts - np.asarray(center, float), axis=1) <= radius

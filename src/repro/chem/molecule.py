@@ -43,7 +43,7 @@ class Molecule:
             calculators can key per-fragment caches (SCF warm starts)
             off the molecule they receive. None for whole molecules.
         record: the fragment's `repro.calculators.FragmentRecord` (its
-            warm-start densities and Schwarz reference), put on a task's
+            warm-start densities), put on a task's
             molecule by the step engine and replaced by the calculator
             that evaluates it. None outside the engine.
         step, attempt: the MD step and the retry attempt of the task the

@@ -259,8 +259,7 @@ def cmd_aimd(args) -> int:
     if ws["hits"] or ws["misses"]:
         print(f"integral workspace: {ws['hits']} hits / "
               f"{ws['misses']} misses, {ws['entries']} resident entries "
-              f"({ws['nbytes']} bytes), {ws['bound_rebuilds']} Schwarz "
-              f"rebuilds, {ws['stale_serves']} stale serves")
+              f"({ws['nbytes']} bytes)")
     if ws["pairs_total"]:
         note = " (coordinator-side only)" if args.workers > 1 else ""
         print(f"integral screening: {ws['pairs_skipped']}/"

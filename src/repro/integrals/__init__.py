@@ -39,7 +39,7 @@ from .eri import (
     eri4c,
 )
 from .hermite import cartesian_components, e_table, ncart, r_table
-from .onee import contract_hcore_deriv, hcore, overlap_deriv
+from .onee import contract_hcore_deriv, hcore
 from .workspace import (
     DEFAULT_INT_SCREEN,
     IntegralWorkspace,
@@ -70,7 +70,6 @@ __all__ = [
     "ncart",
     "nuclear",
     "overlap",
-    "overlap_deriv",
     "r_table",
     "schwarz_pair_bounds",
 ]

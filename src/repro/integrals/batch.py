@@ -1506,11 +1506,10 @@ def schwarz_pair_bounds(
     Standard screening for all ERI classes: ``|(ab|cd)| <= Q_ab Q_cd``
     and ``|(ab|P)| <= Q_ab Q_P``. The bound ignores the component
     normalization (O(1) factors). Only the diagonal of each ``(ab|ab)``
-    block is assembled. ``workspace`` serves the pair plan; cached
-    *bound tables* live one level up in
-    `IntegralWorkspace.schwarz_bounds_stack`, the one table per fragment
-    every screened driver (and the loop reference) takes its decisions
-    from.
+    block is assembled. ``workspace`` serves the pair plan; the one
+    table per fragment of an evaluation, which every screened driver
+    (and the loop reference) takes its decisions from, is built here
+    through `IntegralWorkspace.schwarz_bounds_stack`.
     """
     frags = list(range(len(bases))) if frags is None else list(frags)
     plan = pair_plan(bases, workspace)

@@ -75,7 +75,7 @@ def _aux_groups(workspace, aux, di: int = 0) -> list[AuxGroup]:
 
 
 def _schwarz_table(basis, workspace) -> np.ndarray:
-    """Schwarz bound table from the workspace cache, or freshly built.
+    """Schwarz bound table from the evaluation's scratch, or freshly built.
 
     Every screened driver — the loop references included — takes its
     skip decisions from this one table, so they agree exactly.

@@ -338,27 +338,3 @@ def contract_hcore_deriv(
         contract_kinetic_deriv(bases, X, workspace),
         contract_nuclear_deriv(bases, mols, X, workspace))]
 
-
-def overlap_deriv(basis: BasisSet, natoms: int | None = None) -> np.ndarray:
-    """Dense overlap derivative, shape ``(natoms, 3, nbf, nbf)`` (testing)."""
-    if natoms is None:
-        natoms = int(max(sh.atom for sh in basis.shells)) + 1
-    n = basis.nbf
-    out = np.zeros((natoms, 3, n, n))
-    for ish, sha in enumerate(basis.shells):
-        oa = basis.offsets[ish]
-        ca = comp_arrays(sha.l)
-        for jsh, shb in enumerate(basis.shells):
-            if sha.atom == shb.atom:
-                continue
-            ob = basis.offsets[jsh]
-            cb = comp_arrays(shb.l)
-            pd = pair_data(sha, shb, 1, 0)
-            pref = pd.cc * (np.pi / pd.p) ** 1.5
-            norms = _pair_norms(sha, shb)
-            for axis in range(3):
-                dW = w_deriv(pd, ca, cb, (0, 0, 0), "bra", axis)[:, :, :, 0, 0, 0]
-                blk = np.einsum("n,nab->ab", pref, dW) * norms
-                out[sha.atom, axis, oa : oa + sha.nfunc, ob : ob + shb.nfunc] += blk
-                out[shb.atom, axis, oa : oa + sha.nfunc, ob : ob + shb.nfunc] -= blk
-    return out

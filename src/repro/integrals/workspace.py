@@ -5,10 +5,11 @@ Inside one of them the overlap/kinetic/nuclear/3c/derivative drivers
 would each rebuild the same shell-pair Hermite E tables; across them
 every solve would rebuild the auxiliary-basis site grouping (whose E
 tables do not depend on geometry at all — the dummy partner sits on the
-same center) and the Cauchy-Schwarz bound table (as expensive as a full
-`eri3c` build). This is the redundant work the paper's performance model
-assumes away (Sec. V: all bottlenecks reduce to *screened*, dense GEMMs)
-and that CP2K's exascale effort attributes to missing integral reuse.
+same center), and every screened driver its own Cauchy-Schwarz bound
+table (as expensive as a full `eri3c` build). This is the redundant
+work the paper's performance model assumes away (Sec. V: all
+bottlenecks reduce to *screened*, dense GEMMs) and that CP2K's exascale
+effort attributes to missing integral reuse.
 
 `IntegralWorkspace` is the per-process fix — a `repro.store.BoundedStore`
 (LRU byte budget, lock, attribution: million-fragment plans cannot
@@ -20,29 +21,28 @@ exhaust worker memory) plus the integral products:
   rebuilt `BasisSet` of the same fragment at the next MD step hits.
 * **State vs scratch** — what can serve the *next* geometry lives in
   the store: auxiliary site-group scaffolding is geometry-independent
-  and reused with only the centers refreshed; Schwarz bounds are smooth
-  in the geometry, so a fragment is screened with the table of the
-  geometry it was last re-screened at (its reference, carried in its
-  `repro.calculators.FragmentRecord`), inflated by a conservative
-  ``STALE_SAFETY`` until an atom has moved more than
-  ``DISPLACEMENT_TOL`` bohr from it. What is keyed on the exact centers
-  (pair, class and Hermite Coulomb tables) is one evaluation's scratch,
-  since an MD geometry never recurs: shared by the drivers inside the
-  calling thread's `scope`, dropped at its exit. The fragments of a
-  calculator call (or of one group of it) are one evaluation
-  (`evaluation`): each shell pair, auxiliary site and nucleus they share
-  is one entry of its plans, and every integral block is computed once.
-* **Determinism** — a Schwarz table is keyed on (composition,
-  reference) and rebuilt at the reference on a miss, so it is a
-  function of trajectory state: the same in a resumed process, on
-  another worker or after an eviction. Nothing under ``src/`` assigns
-  ``DISPLACEMENT_TOL``.
+  and reused with only the centers refreshed, and so are the auxiliary
+  function bounds. What is keyed on the exact centers (pair, class and
+  Hermite Coulomb tables, and the Schwarz bound tables) is one
+  evaluation's scratch, since an MD geometry never recurs: shared by the
+  drivers inside the calling thread's `scope`, dropped at its exit. The
+  fragments of a calculator call (or of one group of it) are one
+  evaluation (`evaluation`): each shell pair, auxiliary site and nucleus
+  they share is one entry of its plans, and every integral block is
+  computed once.
+* **Screen where you stand** — every evaluation screens each fragment
+  with the Schwarz table of its own geometry, built once on the
+  evaluation's pair plan (`schwarz_bounds_stack`). Screening is a
+  function of the current geometry alone: the same in a resumed
+  process, on another worker or after an eviction, whatever the
+  fragment's history.
 
 All caching is *exact* (served arrays are bitwise what a fresh build
 would produce); only the screening threshold (``screen`` / the
 calculators' ``int_screen``) changes numbers, and the workspace tracks
 the summed neglected Schwarz bound so callers can report a rigorous
-error estimate.
+error estimate (rigorous with no stale term: every bound it sums comes
+from the table of the geometry evaluated).
 """
 
 from __future__ import annotations
@@ -85,25 +85,6 @@ def basis_composition_key(basis) -> tuple:
 
 def _centers(basis) -> np.ndarray:
     return np.array([sh.center for sh in basis.shells])
-
-
-def _atom_coords(basis) -> np.ndarray:
-    """The coordinates of the atoms ``basis`` sits on, ``(natoms, 3)``,
-    memoised on the basis like its composition key."""
-    coords = basis.__dict__.get("_atom_coords")
-    if coords is None:
-        atoms = [sh.atom for sh in basis.shells]
-        coords = np.zeros((max(atoms) + 1, 3))
-        coords[atoms] = _centers(basis)
-        basis.__dict__["_atom_coords"] = coords
-    return coords
-
-
-def _placed(basis, coords: np.ndarray):
-    """``basis`` with every shell moved onto ``coords[its atom]``."""
-    from ..basis.basisset import BasisSet
-
-    return BasisSet([sh.at(coords[sh.atom], sh.atom) for sh in basis.shells])
 
 
 def _stack_key(bases) -> tuple:
@@ -160,10 +141,6 @@ class IntegralWorkspace(BoundedStore):
     * `aux_groups` — the auxiliary site grouping (`engine.AuxGroup`)
       with its (geometry-independent) E tables cached and only the
       centers refreshed per call;
-    * `schwarz_bounds` — the Cauchy-Schwarz shell-pair bound table of a
-      fragment's reference geometry, kept for fragments that carry one
-      (served inflated by ``STALE_SAFETY`` away from it, re-screened
-      beyond ``DISPLACEMENT_TOL``);
     * `aux_function_bounds` — per-auxiliary-function bounds
       ``sqrt((P|P))`` (translation invariant, cached exactly).
 
@@ -176,6 +153,9 @@ class IntegralWorkspace(BoundedStore):
     * `pair_plan` — the distinct shell pairs of the evaluation's
       bases, packed per class for the batched kernels, and each
       fragment's pairs among them (`repro.integrals.batch.PairPlan`);
+    * `schwarz_bounds_stack` — the Cauchy-Schwarz shell-pair bound
+      table of each fragment at its own geometry, which every screened
+      driver takes its skip decisions from;
     * `dmax_blocks` — per-shell-block max |D| tables for the 4c
       derivative driver;
     * `coulomb_tables` — the Hermite Coulomb tables
@@ -195,20 +175,11 @@ class IntegralWorkspace(BoundedStore):
     evaluation that brings none.
     """
 
-    #: re-screen Schwarz bounds when any atom moved further than this (bohr)
-    DISPLACEMENT_TOL = 0.25
-
-    #: inflation applied to Schwarz bounds served while stale (atoms moved,
-    #: but less than the tolerance) — keeps the screening conservative
-    STALE_SAFETY = 16.0
-
     def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES,
                  enabled: bool = True, tracer=None) -> None:
         super().__init__(max_bytes, enabled)
         self.tracer = tracer
         self._scope = _Scope()
-        self.bound_rebuilds = 0
-        self.stale_serves = 0
         # the largest Hermite Coulomb table set ever held
         self.tables_peak_bytes = 0
         # screening accounting (accumulated by the screened drivers)
@@ -346,102 +317,35 @@ class IntegralWorkspace(BoundedStore):
     # ------------------------------------------------------------------
     # screening bound tables
     # ------------------------------------------------------------------
-    def screening_reference(self, basis, ref) -> np.ndarray:
-        """Where a fragment last re-screened at ``ref`` (atom coordinates;
-        None: never) is screened now: ``ref`` while no atom of ``basis``
-        has moved further than ``DISPLACEMENT_TOL`` from it, else its
-        own geometry — and the superseded table leaves the store."""
-        here = _atom_coords(basis)
-        if ref is not None and ref.shape == here.shape:
-            disp = float(np.linalg.norm(here - ref, axis=1).max())
-            if disp <= self.DISPLACEMENT_TOL:
-                return ref
-            self._discard(("schwarz", basis_composition_key(basis),
-                           ref.tobytes()))
-        return here
+    def schwarz_bounds_stack(self, bases) -> list[np.ndarray]:
+        """Cauchy-Schwarz shell-pair bounds of every basis of a call, each
+        at its own geometry (scratch).
 
-    def schwarz_bounds(self, basis, ref=None) -> np.ndarray:
-        """`schwarz_bounds_stack` of one basis."""
-        return self.schwarz_bounds_stack([basis], [ref])[0]
-
-    def schwarz_bounds_stack(self, bases, refs=None) -> list[np.ndarray]:
-        """Cauchy-Schwarz shell-pair bounds of every basis of a call,
-        each at its reference geometry.
-
-        ``refs[f]`` is the geometry basis ``f`` is screened at (its
-        fragment's `screening_reference`; None, or no ``refs``: its
-        own). A table is served as is at the basis's own geometry and
-        inflated by ``STALE_SAFETY`` elsewhere (the bound is smooth, so
-        the inflation keeps the screen conservative). With a reference
-        it is kept in the store under (composition, reference) and a
-        miss rebuilds it *at the reference*, bitwise the table first
-        served; without one it lives for the evaluation only. Rebuilds
-        at the bases' own geometry are one call on the evaluation's pair
-        plan (`batch.schwarz_pair_bounds`). What a basis is served goes
-        into the evaluation's scratch, where its drivers find it.
+        The tables this evaluation's scratch does not hold yet are built
+        in one call on its pair plan (`batch.schwarz_pair_bounds`) and
+        kept for the rest of the evaluation, where its other screened
+        drivers find them. Nothing goes into the store: a table is a
+        function of the geometry it screens, never of an earlier one.
         """
         from .batch import schwarz_pair_bounds
 
-        comps = [basis_composition_key(basis) for basis in bases]
         scratch = self._scope.scratch if self.enabled else None
-        refs = [None] * len(bases) if refs is None else refs
-        out, mine = [None] * len(bases), [None] * len(bases)
-        own, moved = [], []
-        for f, (basis, ref) in enumerate(zip(bases, refs)):
-            comp = comps[f]
-            here = _atom_coords(basis)
-            mine[f] = ("schwarz", comp, here.tobytes())
-            out[f] = None if scratch is None else scratch.get(mine[f])
-            if out[f] is not None:
-                with self._lock:
-                    self._count("hits", self._scope.tenant)
-                continue
-            at = here if ref is None else ref
-            exact = at is here or np.array_equal(at, here)
-            Q = None
-            if ref is None:
-                with self._lock:
-                    self._count("misses", self._scope.tenant)
-            else:
-                Q = self._get(("schwarz", comp, at.tobytes()))
-            if Q is not None:
-                out[f] = self._served(Q, exact)
-            else:
-                (own if exact else moved).append((f, ref))
-        if own:
-            built = schwarz_pair_bounds(
-                bases, workspace=self, frags=[f for f, _ in own])
-            self._keep_bounds(comps, own, built, out, exact=True)
-        if moved:
-            built = schwarz_pair_bounds(
-                [_placed(bases[f], ref) for f, ref in moved], workspace=self)
-            self._keep_bounds(comps, moved, built, out, exact=False)
-        if scratch is not None:
-            for key, Q in zip(mine, out):
-                scratch[key] = Q
+        keys = [("schwarz", basis_composition_key(basis),
+                 _centers(basis).tobytes()) for basis in bases]
+        out = [None if scratch is None else scratch.get(key) for key in keys]
+        todo = [f for f, Q in enumerate(out) if Q is None]
+        with self._lock:
+            for Q in out:
+                self._count("misses" if Q is None else "hits",
+                            self._scope.tenant)
+        if todo:
+            built = schwarz_pair_bounds(bases, workspace=self, frags=todo)
+            for f, Q in zip(todo, built):
+                self._instant("workspace.hit", product="schwarz", hit=False)
+                out[f] = Q
+                if scratch is not None:
+                    scratch[keys[f]] = Q
         return out
-
-    def _served(self, Q: np.ndarray, exact: bool, hit: bool = True):
-        """A reference's table as served: itself at the reference,
-        inflated away from it."""
-        self._instant("workspace.hit", product="schwarz", hit=hit,
-                      stale=not exact)
-        if exact:
-            return Q
-        with self._lock:
-            self.stale_serves += 1
-        return Q * self.STALE_SAFETY
-
-    def _keep_bounds(self, comps, todo, built, out, exact: bool) -> None:
-        """Serve the freshly built tables of ``todo`` (``(f, ref)``
-        pairs) into ``out``, storing each that has a reference."""
-        with self._lock:
-            self.bound_rebuilds += len(todo)
-        for (f, ref), Q in zip(todo, built):
-            Q = Q.copy()  # its own buffer, as the store counts it
-            if ref is not None:
-                self._put(("schwarz", comps[f], ref.tobytes()), Q)
-            out[f] = self._served(Q, exact, hit=False)
 
     def aux_function_bounds(self, aux) -> np.ndarray:
         """Per-auxiliary-function bounds ``sqrt((P|P))``, shape (naux,).
@@ -602,8 +506,6 @@ class IntegralWorkspace(BoundedStore):
         with self._lock:
             return dict(
                 super().stats(),
-                bound_rebuilds=self.bound_rebuilds,
-                stale_serves=self.stale_serves,
                 tables_peak_bytes=self.tables_peak_bytes,
                 pairs_total=self.pairs_total,
                 pairs_skipped=self.pairs_skipped,

@@ -39,13 +39,15 @@ its owner, never a field here. There is one checksum, over the whole
 payload: a reader that rejects the file on any mismatch and falls back
 to the previous rotation would gain nothing from finer ones. There is
 one format version, the one the writer stamps: a file of any other is
-refused, naming its version.
+refused, naming its version (a version-4 file, whose fragment records
+still carry Schwarz reference geometries, among them: screening is a
+function of the current geometry and is not checkpointed).
 
 What a run carries besides its phase-space point — held forces,
-per-fragment warm-start densities and Schwarz reference geometries, the
-surrogate's training windows, a thermostat's noise stream — rides in
-its owners' sections, written at a cut where every owner's state is
-exactly the cut's, so a resumed run is bitwise the uninterrupted one.
+per-fragment warm-start densities, the surrogate's training windows, a
+thermostat's noise stream — rides in its owners' sections, written at
+a cut where every owner's state is exactly the cut's, so a resumed run
+is bitwise the uninterrupted one.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import numpy as np
 #: file-format identity: readers refuse anything else
 CHECKPOINT_MAGIC = "repro-aimd-checkpoint"
 #: the core block plus named sections; the one version read or written
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 #: joins a section's name to its arrays' names in the archive; a section
 #: name may not contain it (an array name may)
 SECTION_SEP = "."

@@ -248,11 +248,11 @@ class FragmentRecords(dict):
     """``key -> FragmentRecord``, the engine's per-fragment state
     (`AsyncCoordinator._release` hands a record out, `complete` stores
     the one that comes back, a replan drops removed keys), and its
-    ``fragments`` checkpoint section: every record with state, each kind
-    flattened into one array, with each record's key, atom count,
-    density count and size and reference rows in meta; no section when
-    no record holds anything. A loaded record that does not fit its
-    fragment (``natoms(key)``; None: no such fragment) is dropped.
+    ``fragments`` checkpoint section: every record with densities, all
+    of them flattened into one array, with each record's key, atom
+    count, density count and size in meta; no section when no record
+    holds any. A loaded record that does not fit its fragment
+    (``natoms(key)``; None: no such fragment) is dropped.
     """
 
     def __init__(self, natoms) -> None:
@@ -261,10 +261,8 @@ class FragmentRecords(dict):
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the densities and reference geometries held."""
-        return sum(sum(d.nbytes for d in rec.densities)
-                   + (0 if rec.ref is None else rec.ref.nbytes)
-                   for rec in self.values())
+        """Bytes of the densities held."""
+        return sum(d.nbytes for rec in self.values() for d in rec.densities)
 
     @property
     def ndensities(self) -> int:
@@ -273,36 +271,27 @@ class FragmentRecords(dict):
 
     def state_dict(self) -> tuple[dict, dict] | None:
         kept = [(key, rec) for key, rec in sorted(self.items())
-                if rec.densities or rec.ref is not None]
+                if rec.densities]
         if not kept:
             return None
         meta = [{"key": list(key), "natoms": rec.natoms,
                  "densities": len(rec.densities),
-                 "nbf": len(rec.densities[0]) if rec.densities else 0,
-                 "ref_atoms": 0 if rec.ref is None else len(rec.ref)}
+                 "nbf": len(rec.densities[0])}
                 for key, rec in kept]
-
-        def flat(arrays):
-            return np.concatenate([np.zeros(0), *(a.ravel() for a in arrays)])
-
-        return {"records": meta}, {
-            "densities": flat(d for _, rec in kept for d in rec.densities),
-            "refs": flat(rec.ref for _, rec in kept if rec.ref is not None),
-        }
+        return {"records": meta}, {"densities": np.concatenate(
+            [d.ravel() for _, rec in kept for d in rec.densities])}
 
     def load_state(self, meta: dict, arrays: dict) -> None:
-        dens, refs = arrays["densities"], arrays["refs"]
-        i = j = 0
+        dens = arrays["densities"]
+        i = 0
         for entry in meta["records"]:
-            n, nbf, nref = entry["densities"], entry["nbf"], entry["ref_atoms"]
+            n, nbf = entry["densities"], entry["nbf"]
             densities = tuple(dens[i:i + n * nbf * nbf].reshape(n, nbf, nbf))
-            ref = refs[j:j + 3 * nref].reshape(nref, 3) if nref else None
-            i, j = i + n * nbf * nbf, j + 3 * nref
+            i += n * nbf * nbf
             key = tuple(entry["key"])
-            natoms = self._natoms(key)
-            if (n and entry["natoms"] != natoms) or (nref and nref != natoms):
+            if entry["natoms"] != self._natoms(key):
                 continue
-            self[key] = FragmentRecord(densities, entry["natoms"], ref)
+            self[key] = FragmentRecord(densities, entry["natoms"])
 
 
 class AsyncCoordinator:

@@ -2,7 +2,7 @@
 
 from ..numerics import NumericalDivergenceError
 from .diis import DIIS
-from .grad import rhf_gradient, rhf_gradient_conventional, rhf_gradient_ri
+from .grad import rhf_gradient_conventional, rhf_gradient_ri
 from .recovery import DEFAULT_LADDER, RecoveryStage, rhf_with_recovery
 from .rhf import (
     SCFConvergenceError,
@@ -22,7 +22,6 @@ __all__ = [
     "build_ri_tensors",
     "prepare_solves",
     "rhf",
-    "rhf_gradient",
     "rhf_gradient_conventional",
     "rhf_gradient_ri",
     "rhf_with_recovery",

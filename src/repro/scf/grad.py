@@ -171,23 +171,3 @@ def rhf_gradient_ri(
     return contract_ri_gradients([res.mol], [res.basis], [res.aux], coefs,
                                  int_screen, workspace)[0]
 
-
-def rhf_gradient(
-    res: SCFResult, int_screen: float | None = None, workspace=None
-) -> np.ndarray:
-    """Dispatch on how the SCF was solved.
-
-    ``int_screen=None`` keeps each path's historical default: unscreened
-    for RI (the 3c driver screens only on request) and ``1e-11`` for the
-    conventional four-center driver. An explicit value is forwarded to
-    both.
-    """
-    if res.method == "ri-rhf":
-        return rhf_gradient_ri(
-            res,
-            int_screen=0.0 if int_screen is None else int_screen,
-            workspace=workspace,
-        )
-    return rhf_gradient_conventional(
-        res, workspace=workspace, int_screen=int_screen
-    )

@@ -11,8 +11,8 @@ concurrently over one shared `repro.md.drivers.Dispatcher`:
   each job's coordinator. All coordinator/session mutation happens on
   the pump thread; worker threads touch only calculators and the shared
   `IntegralWorkspace`, which is lock-safe for this service;
-* **warm layer** — each job's fragment records (warm-start densities,
-  Schwarz references) are its coordinator's and travel with its tasks;
+* **warm layer** — each job's fragment records (warm-start densities)
+  are its coordinator's and travel with its tasks;
   the process-global `IntegralWorkspace` serves every job, bounded by
   its one byte budget, with per-tenant hit / miss attribution
   (thread-local tenant tags) and ``warm_layer`` tracer/stream

@@ -3,11 +3,7 @@
 from .fibril import abeta_like_fibril, fibril, fibril_fragmented, prp_like_fibril
 from .glycine import glycine_chain, glycine_fragmented, glycine_residue_atoms
 from .lattice import assemble, replicate, sphere_of_molecules
-from .paracetamol import (
-    paracetamol_cluster,
-    paracetamol_molecule,
-    paracetamol_sphere,
-)
+from .paracetamol import paracetamol_molecule, paracetamol_sphere
 from .urea import (
     radius_for_molecule_count,
     urea_cluster,
@@ -24,7 +20,6 @@ __all__ = [
     "glycine_chain",
     "glycine_fragmented",
     "glycine_residue_atoms",
-    "paracetamol_cluster",
     "paracetamol_molecule",
     "paracetamol_sphere",
     "prp_like_fibril",

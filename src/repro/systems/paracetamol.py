@@ -115,12 +115,3 @@ def paracetamol_sphere(radius_angstrom: float) -> Molecule:
     mols = paracetamol_lattice_molecules(n, n, n)
     return assemble(sphere_of_molecules(mols, radius_angstrom))
 
-
-def paracetamol_cluster(nmol: int) -> Molecule:
-    """Cluster of exactly ``nmol`` molecules (closest to the centroid)."""
-    n = int(np.ceil((nmol / 4.0) ** (1 / 3))) + 2
-    mols = paracetamol_lattice_molecules(n, n, n)
-    cents = np.array([m.centroid() for m in mols])
-    center = cents.mean(axis=0)
-    order = np.argsort(np.linalg.norm(cents - center, axis=1))
-    return assemble([mols[i] for i in order[:nmol]])

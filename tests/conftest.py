@@ -11,16 +11,13 @@ from repro.integrals.workspace import get_workspace
 
 
 @pytest.fixture(autouse=True)
-def shared_workspace_settings_do_not_leak():
-    """The process-global workspace's settings belong to no test: a run
-    that needs exact re-screens asks per evaluation (`evaluate_fragments`),
-    so every later test sees the stale-serve path it thinks it does; and
-    no run's tracer is ever latched onto it (a traced calculator scopes
-    its tracer per evaluation)."""
+def shared_workspace_tracer_does_not_leak():
+    """No run's tracer is ever latched onto the process-global workspace
+    (a traced calculator scopes its tracer per evaluation)."""
     workspace = get_workspace()
-    before = (workspace.DISPLACEMENT_TOL, workspace.tracer)
+    before = workspace.tracer
     yield
-    assert (workspace.DISPLACEMENT_TOL, workspace.tracer) == before
+    assert workspace.tracer is before
 
 
 @pytest.fixture(scope="session")

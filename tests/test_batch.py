@@ -426,7 +426,7 @@ class TestKernelModeDispatch:
 def _holds_only_state(ws) -> bool:
     """Whether the store holds composition-keyed products only — what
     must be true after any evaluation, whatever it ran."""
-    return {key[0] for key in ws._entries} <= {"auxgrp", "schwarz", "auxbound"}
+    return {key[0] for key in ws._entries} <= {"auxgrp", "auxbound"}
 
 
 @pytest.fixture(scope="module", params=[
@@ -1109,7 +1109,7 @@ class TestFourCenterScreenBypass:
         def boom(*a, **kw):  # pragma: no cover - must not be called
             raise AssertionError("Schwarz table built in exact mode")
 
-        ws.schwarz_bounds = boom
+        ws.schwarz_bounds_stack = boom
         ws.dmax_blocks = boom
         g = contract_eri4c_deriv_hf(
             bs, D, water.natoms, screen=0.0, workspace=ws

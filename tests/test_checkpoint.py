@@ -157,7 +157,7 @@ class TestCheckpointFormat:
         mol = water_cluster(1, seed=1)
         path = tmp_path / "ck.npz"
         write_checkpoint(path, _full_checkpoint(mol))
-        for version in (1, 3, 5, 999):
+        for version in (1, 3, 4, 999):
             _restamp(path, version=version)
             with pytest.raises(CheckpointError,
                                match=rf"format version {version};"):
@@ -502,12 +502,12 @@ class TestSigkillResume:
 
 
 class TestQMDeterminism:
-    """The QM path, warm starts and stale Schwarz serves on: an RI-HF
+    """The QM path, warm starts and Schwarz screening on: an RI-HF
     sto-3g water dimer, Schwarz-screened at the CLI default, is
     byte-identical across fresh processes, across SIGKILL-and-resume and
     across drivers (a resumed process starts with an empty workspace:
-    the checkpoint's fragment records carry the densities and screening
-    references, and a table is rebuilt at its reference). Every run is a
+    the checkpoint's fragment records carry the densities, and every
+    evaluation screens with its own geometry's tables). Every run is a
     child process with BLAS pinned to one thread (the stated condition
     of the contract); the comparison is on ``tobytes()``, not on printed
     digits."""
@@ -938,7 +938,7 @@ class TestFragmentsSection:
         def record(natoms, nbf, n):
             return FragmentRecord(
                 tuple(rng.standard_normal((nbf, nbf)) for _ in range(n)),
-                natoms, rng.standard_normal((natoms, 3)))
+                natoms)
 
         natoms = {(0,): 3, (0, 1): 6, (1,): 3}.get
         records = FragmentRecords(natoms)
@@ -951,7 +951,6 @@ class TestFragmentsSection:
         for key, rec in back.items():
             want = records[key]
             assert rec.natoms == want.natoms
-            assert rec.ref.tobytes() == want.ref.tobytes()
             assert [d.tobytes() for d in rec.densities] == [
                 d.tobytes() for d in want.densities]
         assert back.nbytes == records.nbytes

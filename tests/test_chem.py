@@ -11,18 +11,15 @@ from repro.chem import (
     Molecule,
     atomic_number,
     bond_graph,
-    centroid_distance,
     connected_components,
     covalent_radius,
     detect_bonds,
     element,
     format_xyz,
-    min_interatomic_distance,
     pairwise_distances,
     parse_xyz,
     rotated,
     rotation_matrix,
-    sphere_cut,
 )
 from repro.constants import ANGSTROM_PER_BOHR, BOHR_PER_ANGSTROM
 
@@ -113,14 +110,6 @@ class TestGeometry:
         assert d[0, 1] == pytest.approx(5.0)
         assert d[0, 0] == 0.0
 
-    def test_min_interatomic(self, h2, water):
-        shifted = water.translated([10.0, 0, 0])
-        assert min_interatomic_distance(h2, shifted) > 5.0
-
-    def test_centroid_distance_translation(self, water):
-        far = water.translated([5.0, 0, 0])
-        assert centroid_distance(water, far) == pytest.approx(5.0)
-
     def test_rotation_matrix_orthogonal(self):
         R = rotation_matrix(np.array([1.0, 2.0, 3.0]), 0.7)
         np.testing.assert_allclose(R @ R.T, np.eye(3), atol=1e-12)
@@ -132,11 +121,6 @@ class TestGeometry:
         mol = Molecule(["H", "H"], [[0, 0, 0], [0, 0, 1.4]])
         rot = rotated(mol, np.array([0.0, 1.0, 0.0]), angle)
         assert rot.distance(0, 1) == pytest.approx(1.4, abs=1e-10)
-
-    def test_sphere_cut(self):
-        pts = np.array([[0, 0, 0], [2, 0, 0], [0, 5, 0]], dtype=float)
-        mask = sphere_cut(pts, np.zeros(3), 3.0)
-        assert mask.tolist() == [True, True, False]
 
 
 class TestBonds:

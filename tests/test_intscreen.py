@@ -10,11 +10,11 @@ Two properties under test:
   invariance: a skipped bra pair drops its auxiliary images too).
 * **Workspace caching is exact** — every product served from an
   `IntegralWorkspace` is bitwise what a fresh build would produce;
-  geometry-keyed products are one evaluation's scratch and leave
-  nothing in the store, Schwarz bounds are served at a fragment's
-  reference geometry (conservatively inflated away from it) and
-  re-screened beyond the displacement tolerance, and a composition
-  change can never hit another basis's entries.
+  geometry-keyed products, Schwarz bound tables included, are one
+  evaluation's scratch and leave nothing in the store, a fragment is
+  screened where it stands (the engine's fragment after many steps
+  exactly as a cold call at its geometry), and a composition change
+  can never hit another basis's entries.
 """
 
 from __future__ import annotations
@@ -164,77 +164,6 @@ class TestWorkspaceInvalidation:
             assert np.array_equal(overlap(bs1, workspace=ws), overlap(bs1))
             assert ws.hits == before[0] + 1
 
-    def test_schwarz_rebuilds_beyond_displacement(self, water_dimer):
-        bs1 = BasisSet.build(water_dimer, "sto-3g")
-        ws = IntegralWorkspace()
-        ref = ws.screening_reference(bs1, None)  # never screened: its own
-        Q1 = ws.schwarz_bounds(bs1, ref)
-        assert ws.bound_rebuilds == 1 and len(ws) == 1
-        # beyond the tolerance: recomputed, not inflated, and the
-        # superseded reference's table leaves the store
-        far = water_dimer.with_coords(water_dimer.coords + 1.0)
-        bs2 = BasisSet.build(far, "sto-3g")
-        new = ws.screening_reference(bs2, ref)
-        assert new is not ref and np.array_equal(new, far.coords)
-        assert len(ws) == 0
-        Q2 = ws.schwarz_bounds(bs2, new)
-        assert ws.bound_rebuilds == 2
-        assert ws.stale_serves == 0
-        from repro.integrals import schwarz_pair_bounds
-
-        assert np.array_equal(Q2, schwarz_pair_bounds(bs2))
-        assert Q1.shape == Q2.shape
-
-    def test_schwarz_stale_serve_within_displacement(self, water_dimer):
-        bs1 = BasisSet.build(water_dimer, "sto-3g")
-        ws = IntegralWorkspace()
-        ref = ws.screening_reference(bs1, None)
-        Q1 = ws.schwarz_bounds(bs1, ref)
-        near = water_dimer.with_coords(water_dimer.coords + 0.01)
-        bs2 = BasisSet.build(near, "sto-3g")
-        assert ws.screening_reference(bs2, ref) is ref
-        Q2 = ws.schwarz_bounds(bs2, ref)
-        assert ws.stale_serves == 1
-        assert ws.bound_rebuilds == 1
-        # served stale bounds are conservatively inflated
-        np.testing.assert_allclose(Q2, Q1 * 16.0)
-        # at the reference itself the exact table is served
-        Q3 = ws.schwarz_bounds(bs1, ref)
-        assert np.array_equal(Q3, Q1)
-
-    def test_displacement_tol_zero_pins_decisions(self, water_dimer):
-        """With no tolerance any movement re-screens, so screening
-        decisions are a pure function of the current geometry (the
-        constant overridden on a private workspace only)."""
-        bs1 = BasisSet.build(water_dimer, "sto-3g")
-        ws = IntegralWorkspace()
-        ws.DISPLACEMENT_TOL = 0.0
-        ref = ws.screening_reference(bs1, None)
-        ws.schwarz_bounds(bs1, ref)
-        tiny = BasisSet.build(
-            water_dimer.with_coords(water_dimer.coords + 1e-9), "sto-3g")
-        ws.schwarz_bounds(tiny, ws.screening_reference(tiny, ref))
-        assert ws.bound_rebuilds == 2
-        assert ws.stale_serves == 0
-
-    def test_miss_rebuilds_at_the_reference(self, water_dimer):
-        """What a resumed process or another worker does: a table it
-        never built is rebuilt at the record's reference geometry, and
-        serves bitwise what the process that first built it served."""
-        from repro.integrals import schwarz_pair_bounds
-
-        bs0 = BasisSet.build(water_dimer, "sto-3g")
-        first = IntegralWorkspace()
-        ref = first.screening_reference(bs0, None)
-        first.schwarz_bounds(bs0, ref)
-        moved = water_dimer.with_coords(water_dimer.coords + 0.02)
-        bs1 = BasisSet.build(moved, "sto-3g")
-        served = first.schwarz_bounds(bs1, ref)
-        elsewhere = IntegralWorkspace()
-        assert elsewhere.schwarz_bounds(bs1, ref).tobytes() == served.tobytes()
-        assert (elsewhere.bound_rebuilds, elsewhere.stale_serves) == (1, 1)
-        assert served.tobytes() == (16.0 * schwarz_pair_bounds(bs0)).tobytes()
-
     def test_scope_reaches_an_empty_private_workspace(self, water_dimer):
         """The calculator's own workspace is scoped even while it holds
         nothing (an empty store is falsy), and only for the call."""
@@ -253,86 +182,22 @@ class TestWorkspaceInvalidation:
         evaluate_fragments(probe, [water_dimer])
         assert probe.seen is None
 
-    def test_coordinator_screens_at_record_references(self):
-        """Through the engine every fragment carries its reference: stale
-        serves happen, the store holds one table per fragment at most,
-        and the references are the records'."""
-        from repro.md import AsyncCoordinator, run_serial
-
-        system = FragmentedSystem.by_components(water_cluster(2, seed=5))
-        ws = IntegralWorkspace()
-        engine = AsyncCoordinator(
-            system, nsteps=6, dt_fs=0.5, r_dimer_bohr=BIG, mbe_order=2,
-            temperature_k=200.0, seed=8,
-        )
-        run_serial(engine, RIHFCalculator(int_screen=1e-12, workspace=ws))
-        assert ws.stale_serves > 0
-        tables = [key for key in ws._entries if key[0] == "schwarz"]
-        refs = [rec.ref.tobytes() for rec in engine.records.values()]
-        assert sorted(key[2] for key in tables) == sorted(refs)
-
-    def test_schwarz_siblings_keep_one_table_each(self):
-        """Same-composition fragments (the monomers of one MBE step)
-        each keep the table of their own reference: two of them
-        alternating over three steps cost one build each, not one per
-        visit, and neither is ever served the other's table."""
-        from repro.integrals import schwarz_pair_bounds
-
-        w = water_cluster(1, seed=0)
-        rng = np.random.default_rng(5)
-        sites = [w.coords, w.coords + 6.0 + 0.1 * rng.standard_normal((3, 3))]
-        ws = IntegralWorkspace()
-        own = [schwarz_pair_bounds(BasisSet.build(w.with_coords(c), "sto-3g"))
-               for c in sites]
-        assert not np.allclose(own[0], own[1])
-        refs = [None, None]
-        for step in range(3):
-            for i, (site, table) in enumerate(zip(sites, own)):
-                bs = BasisSet.build(w.with_coords(site + 0.01 * step), "sto-3g")
-                refs[i] = ws.screening_reference(bs, refs[i])
-                Q = ws.schwarz_bounds(bs, refs[i])
-                assert np.array_equal(Q, table if step == 0 else 16.0 * table)
-        assert ws.bound_rebuilds == 2
-        assert ws.stale_serves == 4
-        # a fragment that drifts beyond the tolerance replaces its own
-        # reference and leaves its sibling's alone
-        bs = BasisSet.build(w.with_coords(sites[0] + 0.5), "sto-3g")
-        ws.schwarz_bounds(bs, ws.screening_reference(bs, refs[0]))
-        assert ws.bound_rebuilds == 3
-        assert len([k for k in ws._entries if k[0] == "schwarz"]) == 2
-
-    def test_schwarz_siblings_stay_inside_the_budget(self):
-        """A fragment that scans away and never returns does not grow
-        the store: each re-screen drops the table of the reference it
-        supersedes, so it holds one table, and its sibling's (served
-        every step) stays resident."""
-        w = water_cluster(1, seed=0)
-        home = BasisSet.build(w, "sto-3g")
-        ws = IntegralWorkspace()
-        home_ref = ws.screening_reference(home, None)
-        ref = None
-        for i in range(40):
-            bs = BasisSet.build(w.with_coords(w.coords + 10.0 + i), "sto-3g")
-            ref = ws.screening_reference(bs, ref)
-            ws.schwarz_bounds(bs, ref)
-            ws.schwarz_bounds(home, home_ref)
-            assert len(ws) == 2
-        assert ws.bound_rebuilds == 41  # 40 distant visits + home, once
-        assert ws.evictions == 0
-
     def test_composition_change_is_a_new_key(self, water_dimer):
         bs_w = BasisSet.build(water_dimer, "sto-3g")
         gly = glycine_chain(1)
         bs_g = BasisSet.build(gly, "sto-3g")
         assert basis_composition_key(bs_w) != basis_composition_key(bs_g)
         ws = IntegralWorkspace()
-        ws.schwarz_bounds(bs_w, ws.screening_reference(bs_w, None))
-        ws.schwarz_bounds(bs_g, ws.screening_reference(bs_g, None))
-        assert ws.bound_rebuilds == 2  # no cross-composition hit
+        with ws.scope():
+            Qw, = ws.schwarz_bounds_stack([bs_w])
+            Qg, = ws.schwarz_bounds_stack([bs_g])
+            tables = [key for key in ws._scope.scratch if key[0] == "schwarz"]
+        assert len(tables) == 2  # no cross-composition hit
+        assert Qw.shape != Qg.shape
 
     def test_lru_eviction_preserves_exactness(self, water_dimer):
         # What the store holds is composition-keyed (auxiliary groups
-        # and bounds; Schwarz tables at a fragment's reference), so a
+        # and their function bounds), so a
         # second basis gives the tiny budget something to evict; coming
         # back to the first one rebuilds the evicted entries
         # transparently and stays exact.
@@ -378,8 +243,77 @@ class TestScratchIsNotState:
             assert e == e0 and g.tobytes() == g0.tobytes()
             resident[n] = len(ws), ws.nbytes, {key[0] for key in ws._entries}
         assert resident[2] == resident[40]
-        assert resident[40][2] <= {"auxgrp", "schwarz", "auxbound"}
+        assert resident[40][2] <= {"auxgrp", "auxbound"}
         assert ws.evictions == 0
+
+
+class TestScreenWhereYouStand:
+    """Screening is a function of the current geometry alone: neither a
+    fragment's history nor its stack-mates change what it is screened
+    with."""
+
+    @staticmethod
+    def _spy_tables(ws) -> dict:
+        """Every Schwarz table ``ws`` serves, by basis centres."""
+        tables, build = {}, ws.schwarz_bounds_stack
+
+        def spy(bases):
+            out = build(bases)
+            for basis, Q in zip(bases, out):
+                centers = np.array([sh.center for sh in basis.shells])
+                tables[centers.tobytes()] = Q
+            return out
+
+        ws.schwarz_bounds_stack = spy
+        return tables
+
+    def test_engine_fragment_screens_as_a_cold_call(self):
+        """After 8 steps through the engine (records carried, stacked
+        with its neighbours), every fragment of the last stack gets the
+        Schwarz tables, skipped pairs, energy and gradient of a cold bare
+        call at its geometry in a fresh workspace, bitwise; and the
+        run's workspace keeps no Schwarz table."""
+        from repro.calculators import CalculatorWrapper
+        from repro.md import AsyncCoordinator, run_serial
+
+        screen = 1e-6  # skips pairs of the sto-3g water dimers
+        ws = IntegralWorkspace()
+        tables = self._spy_tables(ws)
+        stacks = []
+
+        class Spy(CalculatorWrapper):
+            def energy_gradients(self, mols):
+                before = ws.pairs_skipped
+                out = self.inner.energy_gradients(mols)
+                stacks.append((mols, out, ws.pairs_skipped - before))
+                return out
+
+        system = FragmentedSystem.by_components(water_cluster(3, seed=5))
+        engine = AsyncCoordinator(
+            system, nsteps=8, dt_fs=0.5, r_dimer_bohr=BIG, mbe_order=2,
+            temperature_k=200.0, seed=8, warm_start=False,
+            synchronous=True,
+        )
+        run_serial(engine, Spy(RIHFCalculator(int_screen=screen,
+                                              workspace=ws)))
+        assert not [key for key in ws._entries if key[0] == "schwarz"]
+
+        mols, results, skipped = stacks[-1]
+        assert min(mol.step for mol in mols) >= 6 and len(mols) > 1
+        assert skipped > 0
+        cold_skipped = 0
+        for mol, (energy, grad) in zip(mols, results):
+            bare = Molecule(mol.symbols, mol.coords)
+            fresh = IntegralWorkspace()
+            cold_tables = self._spy_tables(fresh)
+            e0, g0 = RIHFCalculator(int_screen=screen,
+                                    workspace=fresh).energy_gradient(bare)
+            assert energy == e0 and grad.tobytes() == g0.tobytes()
+            assert cold_tables and all(
+                Q.tobytes() == tables[key].tobytes()
+                for key, Q in cold_tables.items())
+            cold_skipped += fresh.pairs_skipped
+        assert skipped == cold_skipped
 
 
 class TestTableMaskReconciliation:

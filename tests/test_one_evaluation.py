@@ -18,8 +18,8 @@ the shared blocks. The contract under test:
   gets alone, whatever else the call holds: any subset and order of A's
   fragments, the same monomers at a displaced geometry (an asynchronous
   call mixing two steps), capped glycine fragments that share a cap H,
-  and screening on with one fragment served a stale Schwarz table and
-  one re-screened. Its skip counts and neglected bound are its own.
+  and screening on, each fragment with its own geometry's Schwarz
+  table. Its skip counts and neglected bound are its own.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ from repro.trace import Tracer
 A_COUNTS = {"3c": (301392, 112392), "2c": (254016, 63504),
             "v": (14352, 5352), "st": (1946, 446)}
 
-#: a displacement past the default ``DISPLACEMENT_TOL`` (0.25 bohr)
-FAR = 0.4
-
 
 def _fragments(system, coords=None, keys=None):
     """The MBE3 fragments of ``system`` (A's cutoffs) at ``coords``."""
@@ -87,10 +84,9 @@ def _seed(mol) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def _evaluate(mols, screen=0.0, ws=None, refs=None):
+def _evaluate(mols, screen=0.0, ws=None):
     """Every driver on the fragments, in one evaluation, with each
-    fragment's own coefficients; ``refs[f]`` is where fragment ``f`` is
-    screened (None: its own geometry), as a calculator serves them."""
+    fragment's own coefficients."""
     bases = [BasisSet.build(mol, "sto-3g") for mol in mols]
     auxs = [auto_auxiliary(mol, "sto-3g") for mol in mols]
     natoms = [mol.natoms for mol in mols]
@@ -102,10 +98,6 @@ def _evaluate(mols, screen=0.0, ws=None, refs=None):
         Z.append(1e-3 * rng.standard_normal((basis.nbf, basis.nbf, aux.nbf)))
         zeta.append(rng.standard_normal((aux.nbf, aux.nbf)))
     with evaluation_scope(ws):
-        if refs is not None:
-            ws.schwarz_bounds_stack(bases, [
-                None if ref is None else ws.screening_reference(basis, ref)
-                for basis, ref in zip(bases, refs)])
         return [
             overlap(bases, ws),
             hcore(bases, mols, ws),
@@ -183,17 +175,16 @@ class TestBlockCounts:
         assert all(req == comp for req, comp in _counts(ws).values())
 
 
-def _assert_alone(mols, screen=0.0, refs=None):
+def _assert_alone(mols, screen=0.0):
     """Every fragment's results in the call are bitwise its results
     alone, and so are its screening records."""
-    refs = [None] * len(mols) if refs is None else refs
     ws = IntegralWorkspace(tracer=Tracer())
-    whole = _evaluate(mols, screen, ws, refs)
+    whole = _evaluate(mols, screen, ws)
     screens = _screens(ws)
     F = len(mols)
-    for f, (mol, ref) in enumerate(zip(mols, refs)):
+    for f, mol in enumerate(mols):
         alone_ws = IntegralWorkspace(tracer=Tracer())
-        alone = _evaluate([mol], screen, alone_ws, [ref])
+        alone = _evaluate([mol], screen, alone_ws)
         for got, want in zip(whole, alone):
             assert got[f].shape == want[0].shape
             assert got[f].tobytes() == want[0].tobytes()
@@ -207,10 +198,9 @@ class TestContextIndependence:
     @given(data=st.data())
     def test_a_fragment_is_its_own_in_any_call(self, water4, data):
         """Subsets and orders of A's fragments, with or without the same
-        monomers one step on, screening off or on (one fragment served a
-        stale table at a nearby reference, one re-screened past
-        ``DISPLACEMENT_TOL``); unscreened, the computed counts are the
-        brute-force set of distinct atom blocks."""
+        monomers one step on, screening off or on; unscreened, the
+        computed counts are the brute-force set of distinct atom
+        blocks."""
         mols, displaced = water4
         picked = data.draw(st.lists(st.sampled_from(range(14)), min_size=1,
                                     max_size=5, unique=True))
@@ -220,18 +210,8 @@ class TestContextIndependence:
                                        max_size=2, unique_by=id))
         call = data.draw(st.permutations(call))
         screen = data.draw(st.sampled_from([0.0, 1e-12]))
-        refs = None
-        if screen:
-            refs = [None] * len(call)
-            stale = data.draw(st.integers(0, len(call) - 1))
-            refs[stale] = call[stale].coords + 0.01
-            if len(call) > 1:
-                again = (stale + 1) % len(call)
-                refs[again] = call[again].coords + FAR
-        ws = _assert_alone(call, screen, refs)
-        if screen:
-            assert ws.stale_serves >= 1
-        else:
+        ws = _assert_alone(call, screen)
+        if not screen:
             assert _counts(ws) == _brute_force(call)
 
     def test_capped_fragments_share_a_cap_hydrogen(self):

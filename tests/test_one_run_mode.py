@@ -1,16 +1,15 @@
 """One run mode: every run resumes bitwise and is independent of how
-many workers ran it, with warm starts, stale Schwarz serves and the
+many workers ran it, with warm starts, Schwarz screening and the
 surrogate on.
 
 What a fragment carries from one evaluation to the next — its
-warm-start densities and the geometry its Schwarz bounds were last
-re-screened at (`repro.calculators.FragmentRecord`) — is trajectory
-state: it rides the task to whichever worker runs it, comes back with
-the result and goes into the checkpoint at a cut the next step's tasks
-wait for. The matrix runs one trajectory five ways (serial; serial, cut
-and resumed; two worker processes; two workers, cut and resumed; two
-workers with one dying at step 1) and compares the bytes of the energy
-arrays.
+warm-start densities (`repro.calculators.FragmentRecord`) — is
+trajectory state: it rides the task to whichever worker runs it, comes
+back with the result and goes into the checkpoint at a cut the next
+step's tasks wait for. The matrix runs one trajectory five ways
+(serial; serial, cut and resumed; two worker processes; two workers,
+cut and resumed; two workers with one dying at step 1) and compares the
+bytes of the energy arrays.
 """
 
 from __future__ import annotations
@@ -84,9 +83,9 @@ def _assert_bitwise(legs: dict) -> None:
 class TestOneRunMode:
     def test_qm_matrix_bitwise(self, tmp_path):
         """RI-HF sto-3g water trimer, screened at the CLI default,
-        asynchronous, warm starts on: the serial leg takes stale Schwarz
-        serves and warm solves and evicts nothing, and the two-worker
-        leg reports the serial leg's warm starts."""
+        asynchronous, warm starts on: the serial leg takes warm solves
+        and evicts nothing, and the two-worker leg reports the serial
+        leg's warm starts."""
         system = FragmentedSystem.by_components(water_cluster(3, seed=1))
         assert system.nmonomers == 3
         v0 = maxwell_boltzmann_velocities(system.parent.masses_au, 300.0,
@@ -105,7 +104,7 @@ class TestOneRunMode:
             tmp_path=tmp_path,
         )
         _assert_bitwise(legs)
-        assert ws.stale_serves >= 1 and ws.evictions == 0
+        assert ws.evictions == 0
         cache = legs["serial"].guess_cache
         assert cache.hits >= 1
         assert legs["2 workers"].guess_cache.stats() == cache.stats()

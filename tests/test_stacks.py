@@ -7,8 +7,8 @@ The contract under test:
   derivatives, energy and gradient are bitwise the ones it gets alone
   (a call of one), whatever it is evaluated with and in what order,
   with screening off or on and with Schwarz masks that differ inside
-  the call (one fragment displaced past ``DISPLACEMENT_TOL``
-  re-screens, the others are served a stale table). End to end, a
+  the call (each fragment screened with its own geometry's table, one
+  of them displaced further than the rest). End to end, a
   trajectory run by the calculator is bitwise the one run a fragment
   at a time. (`tests/test_one_evaluation.py` holds the same over
   fragments that share atoms.)
@@ -67,15 +67,15 @@ from repro.trace import Tracer
 
 from .conftest import table_instants
 
-#: a displacement past the default ``DISPLACEMENT_TOL`` (0.25 bohr)
+#: the extra displacement of one fragment (bohr)
 FAR = 0.4
 
 
 def _fragments(n: int, count: int, seed: int):
     """``count`` water ``n``-mers of one composition, in random order:
-    each nudged within ``DISPLACEMENT_TOL`` of a reference geometry but
-    one, moved past it. Returns the reference and the fragments (with
-    ``frag_key`` set to their index)."""
+    each nudged from a reference geometry, one of them moved ``FAR``
+    besides. Returns the reference and the fragments (with ``frag_key``
+    set to their index)."""
     ref = water_cluster(n, seed=3)
     rng = np.random.default_rng(seed)
     far = int(rng.integers(count))
@@ -91,20 +91,10 @@ def _fragments(n: int, count: int, seed: int):
     return ref, [mols[i] for i in order]
 
 
-def _primed(ref, basis: str = "sto-3g") -> IntegralWorkspace:
-    """A workspace whose store holds the reference geometry's Schwarz
-    table (a fragment's reference, as the engine's records carry one)."""
-    ws = IntegralWorkspace(tracer=Tracer())
-    ws.schwarz_bounds(BasisSet.build(ref, basis), ref.coords)
-    return ws
-
-
-def _drivers(mols, screen: float, ws, basis: str, ref=None):
+def _drivers(mols, screen: float, ws, basis: str):
     """Every stacked driver on a stack, with per-fragment coefficients
     drawn from the fragment's key (so a fragment gets the same ones in
-    any stack). With a ``ref`` the stack screens as a calculator's does:
-    at that reference for fragments nudged within ``DISPLACEMENT_TOL``
-    of it (served stale), at their own geometry for the displaced one."""
+    any stack)."""
     bases = [BasisSet.build(mol, basis) for mol in mols]
     auxs = [auto_auxiliary(mol, basis) for mol in mols]
     nb, na, natoms = bases[0].nbf, auxs[0].nbf, mols[0].natoms
@@ -114,11 +104,6 @@ def _drivers(mols, screen: float, ws, basis: str, ref=None):
     Z = np.stack([1e-3 * r.standard_normal((nb, nb, na)) for r in coef])
     zeta = np.stack([r.standard_normal((na, na)) for r in coef])
     with evaluation_scope(ws):
-        if ref is not None:
-            near = [np.linalg.norm(mol.coords - ref.coords, axis=1).max()
-                    <= ws.DISPLACEMENT_TOL for mol in mols]
-            ws.schwarz_bounds_stack(
-                bases, [ref.coords if n else None for n in near])
         return [
             overlap(bases, ws),
             hcore(bases, mols, ws),
@@ -147,38 +132,33 @@ class TestStackIndependence:
         """Every stacked driver; the d shells of ``repro-dzp`` are where
         a reduction over a non-contiguous operand would show."""
         n, basis = shape
-        ref, mols = _fragments(n, count, seed)
-        ws = _primed(ref, basis)
-        whole = _drivers(mols, screen, ws, basis, ref)
+        _, mols = _fragments(n, count, seed)
+        ws = IntegralWorkspace(tracer=Tracer())
+        whole = _drivers(mols, screen, ws, basis)
         screens = _screens(ws)
         for f, mol in enumerate(mols):
-            alone_ws = _primed(ref, basis)
-            alone = _drivers([mol], screen, alone_ws, basis, ref)
+            alone_ws = IntegralWorkspace(tracer=Tracer())
+            alone = _drivers([mol], screen, alone_ws, basis)
             for got, want in zip(whole, alone):
                 assert got[f].tobytes() == want[0].tobytes()
             # the fragment's screening record: its own pairs and bound
             assert screens[f::count] == _screens(alone_ws)
-        if screen:
-            # the masks differ inside the stack: the reference's table and
-            # the displaced fragment's re-screen; the rest served stale
-            assert ws.bound_rebuilds == 2
-            assert (ws.stale_serves > 0) == (count > 1)
 
     @pytest.mark.parametrize("calculator", [RIMP2Calculator, RIHFCalculator])
     @settings(max_examples=5, deadline=None)
     @given(n=st.sampled_from([1, 2]), count=st.integers(1, 6),
            seed=st.integers(0, 2**16), screen=st.sampled_from([0.0, 1e-12]))
     def test_energy_gradients(self, calculator, n, count, seed, screen):
-        ref, mols = _fragments(n, count, seed)
+        _, mols = _fragments(n, count, seed)
         tracer = Tracer()
-        calc = calculator(int_screen=screen, workspace=_primed(ref),
+        calc = calculator(int_screen=screen, workspace=IntegralWorkspace(),
                           tracer=tracer)
         whole = calc.energy_gradients(mols)
         (stack,) = [ev["args"] for ev in tracer.events
                     if ev["name"] == "calc.stack"]
         assert stack["size"] == count
         for mol, (e, g) in zip(mols, whole):
-            alone = calculator(int_screen=screen, workspace=_primed(ref))
+            alone = calculator(int_screen=screen, workspace=IntegralWorkspace())
             e1, g1 = alone.energy_gradient(mol)
             assert e == e1 and g.tobytes() == g1.tobytes()
 
@@ -227,9 +207,9 @@ class TestGroups:
     leave out on the fly, with the same bits."""
 
     @staticmethod
-    def _run(mols, share: float | None, ref=None):
+    def _run(mols, share: float | None):
         tracer = Tracer()
-        ws = IntegralWorkspace() if ref is None else _primed(ref)
+        ws = IntegralWorkspace()
         if share is not None:
             ws.TABLE_SHARE = share
         calc = RIMP2Calculator(int_screen=1e-12, workspace=ws, tracer=tracer)
@@ -252,10 +232,10 @@ class TestGroups:
         ref, mols = _fragments(2, 6, seed=11)
         per = table_bytes([BasisSet.build(ref, "sto-3g")],
                           [auto_auxiliary(ref, "sto-3g")], [ref])
-        want, groups, _, _ = self._run(mols, None, ref)
+        want, groups, _, _ = self._run(mols, None)
         assert [g["size"] for g in groups] == [6]
         share = 2.5 * per / IntegralWorkspace().max_bytes
-        got, groups, ws, tables = self._run(mols, share, ref)
+        got, groups, ws, tables = self._run(mols, share)
         assert [g["size"] for g in groups] == [2, 2, 2]
         assert all(0 < g["table_bytes"] <= table_budget(ws) for g in groups)
         assert 0 < ws.tables_peak_bytes <= table_budget(ws)

@@ -10,9 +10,9 @@ against both classes:
 * a four-thread put/get hammer asserting the same conservation laws;
 * `ContentionLock` counts every waiter (the four hand-written
   ``_locked`` copies it replaces counted *before* acquiring, unlocked);
-* an AST guard: the plumbing, the ``DISPLACEMENT_TOL`` constant and the
-  `GuessCache` construction site exist where they should and nowhere
-  else; and the one byte budget is the only bound a store has.
+* an AST guard: the plumbing and the `GuessCache` construction site
+  exist where they should and nowhere else; and the one byte budget is
+  the only bound a store has.
 """
 
 from __future__ import annotations
@@ -318,30 +318,6 @@ class TestOneWarmLayer:
             if rlock and counter:
                 offenders.append(f"{rel}: RLock beside a contentions counter")
         assert offenders == []
-
-    def test_nothing_assigns_displacement_tol_after_construction(self, trees):
-        """`IntegralWorkspace.DISPLACEMENT_TOL` is a class constant:
-        nothing under ``src/`` assigns it on a workspace, and no
-        constructor takes it."""
-        sites = []
-        for rel, tree in trees.items():
-            for n in ast.walk(tree):
-                if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                    targets = (n.targets if isinstance(n, ast.Assign)
-                               else [n.target])
-                    if any(isinstance(t, ast.Attribute)
-                           and t.attr.lower() == "displacement_tol"
-                           for t in targets):
-                        sites.append((rel, n.lineno))
-                elif (isinstance(n, ast.Call)
-                      and self._name(n.func) == "setattr"
-                      and any(str(getattr(a, "value", "")).lower()
-                              == "displacement_tol" for a in n.args)):
-                    sites.append((rel, n.lineno))
-        assert sites == []
-        assert IntegralWorkspace.DISPLACEMENT_TOL == 0.25
-        assert "displacement_tol" not in inspect.signature(
-            IntegralWorkspace).parameters
 
     def test_guess_cache_construction_sites(self, trees):
         """The engine builds the one cache of a run; no process-global

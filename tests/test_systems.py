@@ -14,8 +14,8 @@ from repro.systems import (
     fibril_fragmented,
     glycine_chain,
     glycine_fragmented,
-    paracetamol_cluster,
     paracetamol_molecule,
+    paracetamol_sphere,
     prp_like_fibril,
     radius_for_molecule_count,
     urea_cluster,
@@ -81,8 +81,10 @@ class TestParacetamol:
         assert len(detect_bonds(p)) == 20
 
     def test_cluster(self):
-        c = paracetamol_cluster(20)
-        assert len(connected_components(c)) == 20
+        """The lattice section holds whole molecules only."""
+        c = paracetamol_sphere(8.0)
+        parts = connected_components(c)
+        assert len(parts) == 8 and all(len(part) == 20 for part in parts)
 
 
 class TestGlycine:
