@@ -3,9 +3,10 @@
 `Dispatcher` plays the role of the worker groups in the paper's
 multi-layer scheme (Fig. 2): a pool of workers (or, with ``nworkers=0``,
 the calling thread) is handed stacks of polymers and streams results
-back; its caller is the super-coordinator — `run_parallel`, the one
-drive loop, over one coordinator's queue, or
-`repro.serve.TrajectoryService.run` over many.
+back. `drive` is the super-coordinator, the one drive loop: it fills
+the dispatcher's free slots from a *source* and hands every finished
+attempt back to it. `run_parallel` drives one coordinator's queue;
+`repro.serve.TrajectoryService` is the other source, over many.
 
 At the paper's scale (3.75 million polymer calculations per replan
 window on 75,264 GCDs) individual worker failures are a statistical
@@ -22,7 +23,7 @@ without corrupting the trajectory. The dispatcher therefore:
   be preempted), surviving tasks resubmitted, and the expired task sent
   through the retry path;
 
-and, when a task's budget is spent, `run_parallel`:
+and, when a task's budget is spent, `run_parallel`'s source:
 
 * optionally **quarantines** the poison fragment instead of aborting:
   the task is completed with a zero contribution and recorded — with
@@ -162,9 +163,8 @@ class _Flight:
 
     tasks: list
     calculator: object
-    #: `evaluate_fragments` keywords, and the caller's own (opaque) note
+    #: `evaluate_fragments` keywords
     kw: dict
-    tag: object
     attempt: int = 0
     deadline_mono: float | None = None
     trace_start: float | None = None
@@ -249,11 +249,11 @@ class Dispatcher:
             self.tracer.instant("pool.restart", cat="driver")
         self._kill_pool()
 
-    def submit(self, tasks: list, calculator, tag=None, **kw) -> None:
+    def submit(self, tasks: list, calculator, **kw) -> None:
         """Run ``evaluate_fragments(calculator, [t.molecule for t in
         tasks], **kw)`` on a worker, each molecule carrying its task's
-        step and the flight's attempt; ``tag`` comes back on the flight."""
-        self._dispatch(_Flight(tasks, calculator, kw, tag))
+        step and the flight's attempt."""
+        self._dispatch(_Flight(tasks, calculator, kw))
 
     def _dispatch(self, flight: _Flight) -> None:
         tracer = self.tracer
@@ -302,10 +302,6 @@ class Dispatcher:
         delay = self.policy.backoff(flight.attempt, self._jitter_rng)
         self._retries.append((time.monotonic() + delay, flight))
         return True
-
-    def drop_retries(self) -> None:
-        """Forget the queued retries: a stopping caller dispatches nothing."""
-        self._retries.clear()
 
     def wait(self, timeout: float | None = None) -> list[_Flight]:
         """Dispatch the retries that are due, then block until an attempt
@@ -383,6 +379,99 @@ class Dispatcher:
             self._pool = None
 
 
+#: how long `drive` blocks on the dispatcher before it asks its source again
+POLL_S = 0.05
+
+
+def deal(tasks: list, n: int) -> list[list]:
+    """``tasks`` in order as ``min(n, len(tasks))`` contiguous slices."""
+    n = min(n, len(tasks))
+    return [tasks[len(tasks) * i // n:len(tasks) * (i + 1) // n]
+            for i in range(n)]
+
+
+def drive(source, dispatcher: Dispatcher) -> None:
+    """The one drive loop: fill the dispatcher's free slots with the
+    source's flights and hand every finished attempt back, until the
+    source is done and nothing is pending; the pool is closed on any
+    exit. A failed flight is retried while the policy allows.
+
+    A source answers ``done()``; ``flights(free)``, at most ``free``
+    ``(tasks, calculator, evaluate_fragments keywords)``;
+    ``complete(flight)``; ``give_up(flight)`` for a task whose budget is
+    spent (a stack is never refused a retry); and ``stalled()`` when it
+    is not done and nothing is pending.
+    """
+    try:
+        while not source.done() or dispatcher.pending:
+            free = dispatcher.free
+            if free > 0:
+                for tasks, calculator, kw in source.flights(free):
+                    dispatcher.submit(tasks, calculator, **kw)
+            if not dispatcher.pending:
+                source.stalled()
+            for flight in dispatcher.wait(POLL_S):
+                if flight.error is None:
+                    source.complete(flight)
+                elif not dispatcher.retry(flight):
+                    source.give_up(flight)
+    finally:
+        dispatcher.close()
+
+
+@dataclass(eq=False)
+class _Run:
+    """`run_parallel`'s source: one coordinator's ready tasks, dealt in
+    pop order to the free slots as contiguous slices."""
+
+    coordinator: AsyncCoordinator
+    calculator: object
+    dispatcher: Dispatcher
+
+    def done(self) -> bool:
+        return self.coordinator.done()
+
+    def flights(self, free: int) -> list:
+        ready = list(iter(self.coordinator.next_task, None))
+        return [(stack, self.calculator, {}) for stack in deal(ready, free)]
+
+    def complete(self, flight: _Flight) -> None:
+        for task, result in zip(flight.tasks, flight.results):
+            self.coordinator.complete(task, *result)
+        self.dispatcher.report.tasks_completed += len(flight.tasks)
+
+    def give_up(self, flight: _Flight) -> None:
+        (task,), err = flight.tasks, flight.error
+        report, tracer = self.dispatcher.report, self.dispatcher.tracer
+        if not self.dispatcher.policy.quarantine:
+            raise WorkerFailure(
+                f"polymer {task.key} (step {task.step}) failed "
+                f"{flight.attempt + 1} attempt(s): {err!r}; "
+                + self.coordinator.diagnostics()
+            ) from err
+        report.quarantined.append(
+            QuarantinedTask(
+                key=task.key, step=task.step, coefficient=task.coefficient,
+                attempts=flight.attempt + 1, error=repr(err),
+            )
+        )
+        if tracer:
+            tracer.instant(
+                "task.quarantine", cat="driver", step=task.step,
+                key=str(task.key), error=repr(err),
+            )
+        # zero contribution, but accounted for: the report carries the
+        # fragment's MBE coefficient so the caller knows exactly which
+        # energies are tainted
+        self.coordinator.complete(task, 0.0, None)
+
+    def stalled(self) -> None:
+        raise RuntimeError(
+            "scheduler deadlock: no tasks, none in flight; "
+            + self.coordinator.diagnostics()
+        )
+
+
 def run_parallel(
     coordinator: AsyncCoordinator,
     calculator,
@@ -424,60 +513,8 @@ def run_parallel(
     if (not nworkers and tracer is not None
             and getattr(calculator, "tracer", "no") is None):
         calculator.tracer = tracer
-    calculator = stacking(calculator)
     dispatcher = Dispatcher(nworkers, policy, tracer, seed, report=report)
-    policy = dispatcher.policy
-    try:
-        while not coordinator.done():
-            free = dispatcher.free
-            if free > 0:
-                ready = list(iter(coordinator.next_task, None))
-                n = min(free, len(ready))
-                for i in range(n):
-                    dispatcher.submit(
-                        ready[len(ready) * i // n:len(ready) * (i + 1) // n],
-                        calculator,
-                    )
-            if not dispatcher.pending:
-                raise RuntimeError(
-                    "scheduler deadlock: no tasks, none in flight; "
-                    + coordinator.diagnostics()
-                )
-            for flight in dispatcher.wait():
-                err = flight.error
-                if err is None:
-                    for task, result in zip(flight.tasks, flight.results):
-                        coordinator.complete(task, *result)
-                    report.tasks_completed += len(flight.tasks)
-                    continue
-                if dispatcher.retry(flight):
-                    continue
-                (task,) = flight.tasks  # a stack is never refused a retry
-                if policy.quarantine:
-                    report.quarantined.append(
-                        QuarantinedTask(
-                            key=task.key, step=task.step,
-                            coefficient=task.coefficient,
-                            attempts=flight.attempt + 1, error=repr(err),
-                        )
-                    )
-                    if tracer:
-                        tracer.instant(
-                            "task.quarantine", cat="driver", step=task.step,
-                            key=str(task.key), error=repr(err),
-                        )
-                    # zero contribution, but accounted for: the report
-                    # carries the fragment's MBE coefficient so the caller
-                    # knows exactly which energies are tainted
-                    coordinator.complete(task, 0.0, None)
-                else:
-                    raise WorkerFailure(
-                        f"polymer {task.key} (step {task.step}) failed "
-                        f"{flight.attempt + 1} attempt(s): {err!r}; "
-                        + coordinator.diagnostics()
-                    ) from err
-    finally:
-        dispatcher.close()
+    drive(_Run(coordinator, stacking(calculator), dispatcher), dispatcher)
     return report
 
 

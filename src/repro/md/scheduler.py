@@ -1261,7 +1261,7 @@ def evaluate_fragments(calculator, molecules, *,
                        tenant: str | None = None) -> list:
     """Evaluate fragments on this worker: the one worker-side entry of
     every driver, run on each `repro.md.drivers.Dispatcher` flight's
-    stack of tasks (the service's flights are stacks of one). Returns
+    stack of tasks (a service flight is one job's stack). Returns
     ``(energy, gradient, record)`` per molecule, in order: the
     fragment's record as the evaluation left it reaches the engine the
     way its energy does.

@@ -2,20 +2,19 @@
 
 Each active `TrajectoryJob` owns an `AsyncCoordinator` whose priority
 heap orders *its own* polymer tasks (distance-to-reference sweep,
-monomer/polymer priorities). The `FragmentScheduler` sits above those
-heaps and decides **which job** supplies the next task for the shared
-worker pool: among drawable jobs (ready tasks, not throttled by the
-results channel) it picks the one with the least outstanding dispatched
-cost per unit weight — weighted fair sharing over the cost currency the
-paper's scheduler uses (``natoms**3``, the fragment solve scaling). A
-large job therefore saturates the pool only until a small job has work
-ready; the small job then receives the very next slot, keeping its
-per-step latency bounded (see tests/test_serve.py).
+monomer/polymer priorities). `draw` sits above those heaps and decides
+**which job** fills the next free slot of the shared worker pool: among
+drawable jobs (ready tasks, not throttled by the results channel) it
+picks the one with the least outstanding dispatched cost per unit
+weight — weighted fair sharing over the cost currency the paper's
+scheduler uses (``natoms**3``, the fragment solve scaling) — and takes
+its whole ready set as one stack. A large job therefore saturates the
+pool only until a small job has work ready; the small job then receives
+the very next slot, keeping its per-step latency bounded (see
+tests/test_serve.py).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 
 def task_cost(task) -> float:
@@ -23,84 +22,17 @@ def task_cost(task) -> float:
     return float(task.natoms) ** 3
 
 
-@dataclass
-class _JobEntry:
-    job: object
-    weight: float
-    #: summed cost of dispatched-but-unfinished tasks
-    outstanding_cost: float = 0.0
-    #: total cost ever dispatched (fairness audit)
-    dispatched_cost: float = 0.0
-    tasks_drawn: int = 0
-
-
-@dataclass
-class FragmentScheduler:
-    """Fair-share task source over registered jobs."""
-
-    _entries: dict[str, _JobEntry] = field(default_factory=dict)
-
-    def register(self, job_id: str, job, weight: float = 1.0) -> None:
-        """Add a job (its coordinator becomes a task source)."""
-        if job_id in self._entries:
-            raise ValueError(f"job {job_id!r} is already registered")
-        if weight <= 0:
-            raise ValueError(f"weight must be > 0, got {weight}")
-        self._entries[job_id] = _JobEntry(job=job, weight=float(weight))
-
-    def unregister(self, job_id: str) -> None:
-        """Remove a job (completed, failed, or evicted)."""
-        self._entries.pop(job_id, None)
-
-    def __contains__(self, job_id: str) -> bool:
-        return job_id in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def next_task(self, throttled: set[str] | frozenset = frozenset()):
-        """Draw ``(job_id, task, cost)`` fairly, or None if nothing ready.
-
-        Job choice: minimal ``outstanding_cost / weight`` among jobs with
-        ready tasks, ties broken by job id (deterministic). The job's own
-        coordinator picks which of its tasks runs.
-        """
-        best = None
-        for job_id in sorted(self._entries):
-            if job_id in throttled:
-                continue
-            entry = self._entries[job_id]
-            if not entry.job.coordinator.has_ready_tasks():
-                continue
-            share = entry.outstanding_cost / entry.weight
-            if best is None or share < best[0]:
-                best = (share, job_id, entry)
-        if best is None:
-            return None
-        _, job_id, entry = best
-        task = entry.job.coordinator.next_task()
-        if task is None:
-            return None
-        cost = task_cost(task)
-        entry.outstanding_cost += cost
-        entry.dispatched_cost += cost
-        entry.tasks_drawn += 1
-        return job_id, task, cost
-
-    def task_done(self, job_id: str, cost: float) -> None:
-        """Return a finished (or failed) task's cost to the job's share."""
-        entry = self._entries.get(job_id)
-        if entry is not None:
-            entry.outstanding_cost = max(0.0, entry.outstanding_cost - cost)
-
-    def stats(self) -> dict:
-        """Per-job fairness counters."""
-        return {
-            job_id: {
-                "weight": e.weight,
-                "tasks_drawn": e.tasks_drawn,
-                "dispatched_cost": e.dispatched_cost,
-                "outstanding_cost": e.outstanding_cost,
-            }
-            for job_id, e in self._entries.items()
-        }
+def draw(jobs, throttled=frozenset()):
+    """``(job, tasks)``: the whole ready set of the job with the least
+    ``outstanding_cost / spec.weight`` among ``jobs`` (ties: the first)
+    that have ready tasks and are not ``throttled`` (job ids), its cost
+    charged to the job's ``outstanding_cost``; None if nothing is ready.
+    The job's own coordinator orders its tasks."""
+    ready = [job for job in jobs if job.spec.job_id not in throttled
+             and job.coordinator.has_ready_tasks()]
+    if not ready:
+        return None
+    job = min(ready, key=lambda job: job.outstanding_cost / job.spec.weight)
+    tasks = list(iter(job.coordinator.next_task, None))
+    job.outstanding_cost += sum(map(task_cost, tasks))
+    return job, tasks

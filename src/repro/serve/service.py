@@ -1,15 +1,19 @@
-"""The multi-tenant trajectory service: queue, pump loop, worker pool.
+"""The multi-tenant trajectory service: admission and a drive-loop source.
 
 `TrajectoryService` drives any number of `TrajectoryJob` sessions
-concurrently over one shared `repro.md.drivers.Dispatcher`:
+concurrently through `repro.md.drivers.drive`, the drive loop
+`run_parallel` uses, over one shared `repro.md.drivers.Dispatcher`:
 
-* **admission** — `submit` materializes a `JobSpec` into a job and
-  places it on the `JobQueue`; up to ``max_active`` jobs are registered
-  with the fair-share `FragmentScheduler` at a time, the rest wait;
-* **pump loop** — a single thread draws fragment tasks fairly across
-  active jobs, dispatches them to the pool, and feeds results back into
-  each job's coordinator. All coordinator/session mutation happens on
-  the pump thread; worker threads touch only calculators and the shared
+* **admission** — `submit` materializes a `JobSpec` into a pending job;
+  up to ``max_active`` jobs run at a time, the rest wait in submission
+  order (the service's ``jobs`` and their `JobState` are the one job
+  table);
+* **the source** — the service answers `drive`'s calls: each free slot
+  gets one stack, a running job's whole ready set, the job drawn by the
+  fair-share `repro.serve.scheduler.draw`; spare slots split the stacks
+  as `run_parallel` deals a round. Results feed back into each job's
+  coordinator. All coordinator/session mutation happens on the thread
+  in `run`; worker threads touch only calculators and the shared
   `IntegralWorkspace`, which is lock-safe for this service;
 * **warm layer** — each job's fragment records (warm-start densities)
   are its coordinator's and travel with its tasks;
@@ -17,52 +21,27 @@ concurrently over one shared `repro.md.drivers.Dispatcher`:
   its one byte budget, with per-tenant hit / miss attribution
   (thread-local tenant tags) and ``warm_layer`` tracer/stream
   snapshots;
-* **backpressure** — before releasing a job's tasks the pump consults
+* **backpressure** — before drawing, the service consults
   `ResultChannel.should_throttle`; saturated subscribers pause that
-  job's dispatch (frames are never dropped);
+  job's draws (frames are never dropped);
 * **isolation** — failed attempts are retried and dead workers replaced
   (the dispatcher's ladder, default `FailurePolicy`); a task whose budget
-  is spent fails only its own job (finalized as FAILED and unregistered).
+  is spent fails only its own job (finalized as FAILED).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-from collections import deque
 from pathlib import Path
 
 from ..gemm import GLOBAL_TUNER
 from ..integrals.workspace import get_workspace
-from ..md.drivers import Dispatcher
+from ..md.drivers import Dispatcher, deal, drive
 from ..md.scheduler import attach_guess_cache
-from .scheduler import FragmentScheduler
+from .scheduler import draw, task_cost
 from .session import JobSpec, JobState, TrajectoryJob
 from .streams import ResultChannel, StreamEvent
-
-
-#: how long the pump sleeps when nothing it dispatched has come back
-POLL_S = 0.05
-
-
-class JobQueue:
-    """Thread-safe FIFO of materialized jobs awaiting activation."""
-
-    def __init__(self) -> None:
-        self._pending: deque[TrajectoryJob] = deque()
-        self._lock = threading.Lock()
-
-    def put(self, job: TrajectoryJob) -> None:
-        with self._lock:
-            self._pending.append(job)
-
-    def pop(self) -> TrajectoryJob | None:
-        with self._lock:
-            return self._pending.popleft() if self._pending else None
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._pending)
 
 
 class TrajectoryService:
@@ -71,7 +50,8 @@ class TrajectoryService:
     Args:
         out_root: directory receiving one subdirectory per job.
         nworkers: worker threads evaluating fragment tasks.
-        max_active: jobs multiplexed at once (others wait in the queue).
+        max_active: jobs multiplexed at once (others wait, in
+            submission order).
         tracer: optional `repro.trace.Tracer`; receives ``serve.*`` and
             ``warm_layer`` instants.
         pool: ``"thread"`` (default) evaluates fragments on worker
@@ -97,18 +77,15 @@ class TrajectoryService:
         #: the service's results channel: subscribe to it for the stream
         self.channel = ResultChannel()
         self.tracer = tracer
-        self.queue = JobQueue()
-        self.scheduler = FragmentScheduler()
         self.jobs: dict[str, TrajectoryJob] = {}
         self._stop = threading.Event()
-        self._process_clones: dict[str, object] = {}
         self.tasks_completed = 0
         self.tasks_failed = 0
 
     # -- admission ------------------------------------------------------
     def submit(self, spec: JobSpec) -> TrajectoryJob:
         """Materialize a spec (resuming from its checkpoints if present)
-        and enqueue it. Returns the job handle."""
+        as a pending job. Returns the job handle."""
         if spec.job_id in self.jobs:
             raise ValueError(f"job {spec.job_id!r} already submitted")
         job = TrajectoryJob(
@@ -116,7 +93,6 @@ class TrajectoryService:
         )
         attach_guess_cache(job.coordinator, job.calculator)
         self.jobs[spec.job_id] = job
-        self.queue.put(job)
         if self.tracer:
             self.tracer.instant(
                 "serve.submit", cat="serve", job=spec.job_id,
@@ -125,7 +101,8 @@ class TrajectoryService:
         return job
 
     def request_stop(self) -> None:
-        """Graceful stop: finish in-flight tasks, then return from `run`.
+        """Graceful stop: draw nothing more, let in-flight tasks and
+        their retries land, then return from `run`.
 
         Unfinished jobs are finalized as INTERRUPTED; their checkpoints
         and committed trajectory frames survive, so resubmitting the
@@ -133,44 +110,84 @@ class TrajectoryService:
         """
         self._stop.set()
 
-    # -- worker side ----------------------------------------------------
-    def _picklable_calculator(self, job: TrajectoryJob):
-        """A calculator clone safe to ship to a worker process.
+    # -- the drive loop's source ---------------------------------------
+    def done(self) -> bool:
+        """Stopping, or every job terminal."""
+        return self._stop.is_set() or all(
+            job.state not in (JobState.PENDING, JobState.RUNNING)
+            for job in self.jobs.values())
 
-        Unpicklable in-process state (the workspace, tracer hooks) is
-        stripped; the worker uses its own process-global workspace.
-        Memoized per job.
-        """
-        job_id = job.spec.job_id
-        clone = self._process_clones.get(job_id)
-        if clone is None:
-            calc = job.calculator
-            if dataclasses.is_dataclass(calc) and hasattr(calc, "workspace"):
-                clone = dataclasses.replace(calc, workspace=None, tracer=None)
-            else:
-                clone = calc
-            self._process_clones[job_id] = clone
-        return clone
-
-    # -- pump loop ------------------------------------------------------
-    def _activate_pending(self) -> None:
-        while len(self.scheduler) < self.max_active:
-            job = self.queue.pop()
-            if job is None:
-                return
+    def flights(self, free: int) -> list:
+        """One stack per free slot, each a running job's whole ready set
+        drawn by fair share (throttled jobs skipped); spare slots split
+        the stacks as `run_parallel` deals a round. Pending jobs are
+        admitted first, in submission order, up to ``max_active``."""
+        if self._stop.is_set():
+            return []
+        jobs = list(self.jobs.values())
+        room = self.max_active - sum(j.state == JobState.RUNNING for j in jobs)
+        for job in [j for j in jobs if j.state == JobState.PENDING][:max(room, 0)]:
             job.mark_running()
-            self.scheduler.register(
-                job.spec.job_id, job, weight=job.spec.weight
-            )
+        running = sorted((j for j in jobs if j.state == JobState.RUNNING),
+                         key=lambda j: j.spec.job_id)
+        throttled = {j.spec.job_id for j in running
+                     if self.channel.should_throttle(j.spec.job_id)}
+        stacks = []
+        while len(stacks) < free and (drawn := draw(running, throttled)):
+            stacks.append(drawn)
+        n = len(stacks)
+        return [(part, self._shippable(job.calculator), {"tenant": job.spec.job_id})
+                for i, (job, tasks) in enumerate(stacks)
+                for part in deal(tasks, free * (i + 1) // n - free * i // n)]
 
-    def _fail_job(self, job_id: str, err: BaseException) -> None:
-        job = self.jobs[job_id]
-        self.scheduler.unregister(job_id)
+    def _shippable(self, calc):
+        """The calculator a flight carries; for worker processes a clone
+        without its unpicklable in-process state (the workspace, tracer
+        hooks): each worker uses its own process-global workspace."""
+        if (self.pool_kind == "process" and dataclasses.is_dataclass(calc)
+                and hasattr(calc, "workspace")):
+            return dataclasses.replace(calc, workspace=None, tracer=None)
+        return calc
+
+    def _settle(self, flight) -> TrajectoryJob:
+        """The flight's job, its tasks' cost returned to the job's share."""
+        job = self.jobs[flight.kw["tenant"]]
+        job.outstanding_cost -= sum(map(task_cost, flight.tasks))
+        return job
+
+    def complete(self, flight) -> None:
+        job = self._settle(flight)
+        if job.state != JobState.RUNNING:
+            return  # the job already failed; drop the attempt
+        try:
+            for task, result in zip(flight.tasks, flight.results):
+                job.coordinator.complete(task, *result)
+                self.tasks_completed += 1
+        except Exception as err:
+            self._fail_job(job, err)
+            return
+        if job.done():
+            job.finalize(JobState.COMPLETED)
+            if self.tracer:
+                self.tracer.instant(
+                    "serve.job_completed", cat="serve",
+                    job=job.spec.job_id, steps=job.steps_emitted,
+                )
+
+    def give_up(self, flight) -> None:
+        job = self._settle(flight)
+        if job.state == JobState.RUNNING:
+            self._fail_job(job, flight.error)
+
+    def stalled(self) -> None:
+        """Every running job is throttled: `drive` sleeps out its poll."""
+
+    def _fail_job(self, job: TrajectoryJob, err: BaseException) -> None:
+        self.tasks_failed += 1
         job.finalize(JobState.FAILED, error=repr(err))
         if self.tracer:
-            self.tracer.instant(
-                "serve.job_failed", cat="serve", job=job_id, error=repr(err)
-            )
+            self.tracer.instant("serve.job_failed", cat="serve",
+                                job=job.spec.job_id, error=repr(err))
 
     def _guess_stats(self) -> dict:
         """The jobs' warm starts summed, each job's hits / misses under
@@ -207,75 +224,18 @@ class TrajectoryService:
         ))
 
     def run(self) -> dict:
-        """Pump all submitted jobs to completion; returns the summary.
+        """Drive all submitted jobs to completion; returns the summary.
 
-        Single-threaded mutation: only this thread touches coordinators,
-        sessions, and the fragment scheduler. Returns once every job is
-        terminal (or, after `request_stop`, once in-flight tasks have
-        drained and the rest are finalized as INTERRUPTED).
+        Single-threaded mutation: only this thread touches coordinators
+        and sessions. Returns once every job is terminal (or, after
+        `request_stop`, once in-flight tasks and their retries have
+        landed and the rest are finalized as INTERRUPTED).
         """
-        dispatcher = self.dispatcher
-        process = self.pool_kind == "process"
         try:
-            while True:
-                self._activate_pending()
-                stopping = self._stop.is_set()
-                if stopping:
-                    dispatcher.drop_retries()
-                else:
-                    throttled = {
-                        job_id for job_id in list(self.scheduler.stats())
-                        if self.channel.should_throttle(job_id)
-                    }
-                    while dispatcher.free > 0:
-                        drawn = self.scheduler.next_task(throttled)
-                        if drawn is None:
-                            break
-                        job_id, task, cost = drawn
-                        job = self.jobs[job_id]
-                        dispatcher.submit(
-                            [task], self._picklable_calculator(job) if process
-                            else job.calculator,
-                            tag=(job_id, cost), tenant=job_id,
-                        )
-                if not dispatcher.pending and (
-                    stopping or (not self.scheduler and len(self.queue) == 0)
-                ):
-                    break
-                # nothing in flight (every active job throttled or briefly
-                # taskless): `wait` sleeps out the poll
-                for flight in dispatcher.wait(POLL_S):
-                    job_id, cost = flight.tag
-                    if job_id not in self.scheduler:
-                        continue  # job already failed; drop the attempt
-                    if flight.error is not None and (
-                        stopping or dispatcher.retry(flight)
-                    ):
-                        continue  # not terminal: the cost stays outstanding
-                    self.scheduler.task_done(job_id, cost)
-                    job = self.jobs[job_id]
-                    try:
-                        if flight.error is not None:
-                            raise flight.error
-                        job.coordinator.complete(flight.tasks[0], *flight.results[0])
-                        self.tasks_completed += 1
-                    except Exception as err:
-                        self.tasks_failed += 1
-                        self._fail_job(job_id, err)
-                        continue
-                    if job.done():
-                        self.scheduler.unregister(job_id)
-                        job.finalize(JobState.COMPLETED)
-                        if self.tracer:
-                            self.tracer.instant(
-                                "serve.job_completed", cat="serve",
-                                job=job_id, steps=job.steps_emitted,
-                            )
+            drive(self, self.dispatcher)  # closes the pool on any exit
         finally:
-            dispatcher.close()  # kills, never joins, a pool with flights
             for job in self.jobs.values():
                 if job.state in (JobState.RUNNING, JobState.PENDING):
-                    self.scheduler.unregister(job.spec.job_id)
                     job.finalize(JobState.INTERRUPTED)
             self._publish_warm_layer()
         return self.summary()
@@ -309,7 +269,6 @@ class TrajectoryService:
                 name: getattr(self.dispatcher.report, name)
                 for name in ("retries", "timeouts", "pool_restarts")
             },
-            "fair_share": self.scheduler.stats(),
             "channel": self.channel.stats(),
             "warm_layer": {
                 "guess_cache": self._guess_stats(),

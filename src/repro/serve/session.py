@@ -7,7 +7,7 @@ a runnable session — fragmented system, calculator, `AsyncCoordinator`
 state machine, per-job output directory with a torn-frame-safe
 trajectory stream, and crash-safe resume from the job's own rotated
 checkpoints. The job exposes the coordinator's ``next_task``/
-``complete`` protocol, so the service's `FragmentScheduler` can
+``complete`` protocol, so the service's fair-share draw can
 multiplex fragment tasks from many jobs onto one worker pool; per-step
 results are emitted through the coordinator's ``step_callback`` as
 `StreamEvent` records the moment a step retires.
@@ -268,6 +268,9 @@ class TrajectoryJob:
         self.steps_emitted = 0
         self.started_at: float | None = None
         self.finished_at: float | None = None
+        #: summed cost of its dispatched, unfinished tasks (the
+        #: fair-share `repro.serve.scheduler.draw`)
+        self.outstanding_cost = 0.0
 
         self.surrogate = None
         if spec.surrogate is not None:

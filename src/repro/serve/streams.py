@@ -5,8 +5,9 @@ stream, job status transitions, warm-layer snapshots) are published as
 `StreamEvent` records to a `ResultChannel`. Subscribers attach bounded
 buffers; when a subscriber falls behind, the channel does **not** drop
 frames — instead `ResultChannel.should_throttle` reports the jobs whose
-subscribers are saturated and the service pump stops *releasing tasks*
-for those jobs until the buffers drain below the low watermark. The
+subscribers are saturated and the service stops *drawing tasks* of
+those jobs for the drive loop until the buffers drain below the low
+watermark. The
 buffer can therefore overshoot its capacity only by the frames already
 in flight when the throttle engaged — a bound set by the coordinator's
 live-step skew, not by the trajectory length.

@@ -8,22 +8,27 @@ checkpointing without cross-contamination, bitwise-exact resume
 while other jobs run, and torn-frame-safe trajectory streaming.
 """
 
+import ast
 import json
 import threading
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, FaultPlanCalculator, FaultSpec
+from repro.md import run_serial
 from repro.md.trajio import TrajectoryStreamWriter, read_trajectory_stream
 from repro.serve import (
-    FragmentScheduler,
     JobSpec,
     JobState,
     ResultChannel,
     StreamEvent,
+    TrajectoryJob,
     TrajectoryService,
+    draw,
     task_cost,
 )
 from repro.serve.streams import CAPACITY, HIGH_WATERMARK, LOW_WATERMARK
@@ -140,66 +145,81 @@ class _FakeTask:
 
 
 class _FakeCoordinator:
+    """Holds one ready task at a time: each drain of its queue yields one."""
+
     def __init__(self, tasks):
         self.tasks = list(tasks)
+        self._popped = False
 
     def has_ready_tasks(self):
         return bool(self.tasks)
 
     def next_task(self):
-        return self.tasks.pop(0) if self.tasks else None
+        self._popped = not self._popped
+        return self.tasks.pop(0) if self._popped and self.tasks else None
 
 
 class _FakeJob:
-    def __init__(self, natoms_list):
+    def __init__(self, job_id, natoms_list, weight=1.0):
+        self.spec = SimpleNamespace(job_id=job_id, weight=weight)
         self.coordinator = _FakeCoordinator(
             _FakeTask(n) for n in natoms_list
         )
+        self.outstanding_cost = 0.0
 
 
 class TestFragmentScheduler:
+    """The fair-share draw, `repro.serve.scheduler.draw`."""
+
     def test_cost_is_cubic_in_atoms(self):
         assert task_cost(_FakeTask(3)) == 27.0
 
     def test_picks_min_outstanding_per_weight(self):
-        sched = FragmentScheduler()
-        sched.register("big", _FakeJob([10] * 4))
-        sched.register("small", _FakeJob([2] * 4))
-        first = sched.next_task(set())
-        # tie at zero outstanding: deterministic id order
-        assert first[0] == "big"
+        jobs = [_FakeJob("big", [10] * 4), _FakeJob("small", [2] * 4)]
+        first = draw(jobs)
+        # tie at zero outstanding: the first job (the service passes
+        # them in id order)
+        assert first[0].spec.job_id == "big"
         # big now carries 1000 cost outstanding; small gets every draw
         # until its own outstanding/weight catches up
-        assert sched.next_task(set())[0] == "small"
-        assert sched.next_task(set())[0] == "small"
+        assert draw(jobs)[0].spec.job_id == "small"
+        assert draw(jobs)[0].spec.job_id == "small"
 
     def test_weight_scales_share(self):
-        sched = FragmentScheduler()
-        sched.register("a", _FakeJob([4] * 8), weight=1.0)
-        sched.register("b", _FakeJob([4] * 8), weight=3.0)
-        draws = [sched.next_task(set())[0] for _ in range(8)]
+        jobs = [_FakeJob("a", [4] * 8, weight=1.0),
+                _FakeJob("b", [4] * 8, weight=3.0)]
+        draws = [draw(jobs)[0].spec.job_id for _ in range(8)]
         assert draws.count("b") == 6 and draws.count("a") == 2
 
-    def test_task_done_returns_cost(self):
-        sched = FragmentScheduler()
-        sched.register("a", _FakeJob([5, 5]))
-        _, _, cost = sched.next_task(set())
-        assert sched.stats()["a"]["outstanding_cost"] == cost
-        sched.task_done("a", cost)
-        assert sched.stats()["a"]["outstanding_cost"] == 0.0
+    def test_draw_takes_the_whole_ready_set(self):
+        job = _FakeJob("a", [])
+        job.coordinator = SimpleNamespace(
+            has_ready_tasks=lambda: True,
+            next_task=iter([_FakeTask(5), _FakeTask(5), None]).__next__)
+        _, tasks = draw([job])
+        assert [t.natoms for t in tasks] == [5, 5]
+        assert job.outstanding_cost == 250.0
+
+    def test_completion_returns_cost(self, tmp_path):
+        """Every flight that lands — a stack, a slice of one, a retried
+        single — returns its tasks' cost to its job's share."""
+        service = TrajectoryService(tmp_path, nworkers=2)
+        for i in range(2):
+            service.submit(surrogate_spec(f"c{i}", seed=i, nsteps=3))
+        bad = service.jobs["c1"]
+        bad.calculator = FaultPlanCalculator(bad.calculator, FaultPlan(
+            specs=[FaultSpec(kind="transient", step=1, natoms=3, attempts=2)]))
+        summary = service.run()
+        assert summary["driver"]["retries"] >= 2
+        assert [job.state for job in service.jobs.values()] \
+            == [JobState.COMPLETED] * 2
+        assert [job.outstanding_cost for job in service.jobs.values()] \
+            == [0.0, 0.0]
 
     def test_throttled_jobs_are_skipped(self):
-        sched = FragmentScheduler()
-        sched.register("a", _FakeJob([2, 2]))
-        sched.register("b", _FakeJob([9, 9]))
-        assert sched.next_task({"a"})[0] == "b"
-        assert sched.next_task({"a", "b"}) is None
-
-    def test_duplicate_registration_rejected(self):
-        sched = FragmentScheduler()
-        sched.register("a", _FakeJob([1]))
-        with pytest.raises(ValueError, match="already registered"):
-            sched.register("a", _FakeJob([1]))
+        jobs = [_FakeJob("a", [2, 2]), _FakeJob("b", [9, 9])]
+        assert draw(jobs, {"a"})[0].spec.job_id == "b"
+        assert draw(jobs, {"a", "b"}) is None
 
 
 class TestServiceEndToEnd:
@@ -426,9 +446,8 @@ class TestFairShareRegression:
         assert both_p99 <= max(8.0 * solo_p99, 0.25), (
             f"small-job p99 {both_p99:.4f}s vs solo {solo_p99:.4f}s"
         )
-        draws = both_summary["fair_share"]
-        # scheduler audit: neither job monopolized the draw sequence
-        assert draws == {}  # both jobs unregistered after completion
+        # both jobs left the running set: nothing is drawn after the run
+        assert both_summary["jobs"]["big"]["state"] == JobState.COMPLETED
 
 
 class TestTrajectoryStreamWriter:
@@ -542,3 +561,87 @@ class TestProcessPoolService:
     def test_rejects_unknown_pool_kind(self, tmp_path):
         with pytest.raises(ValueError, match="pool"):
             TrajectoryService(tmp_path, pool="greenlet")
+
+
+class TestOneDriveLoop:
+    """The service is a source of `repro.md.drivers.drive`, the loop
+    `run_parallel` runs: one loop, and a job's flights are stacks."""
+
+    def test_service_job_is_the_single_run(self, tmp_path):
+        spec = surrogate_spec("one", nsteps=6)
+        service = TrajectoryService(tmp_path / "service", nworkers=2)
+        job = service.submit(spec)
+        inner, flights = job.calculator, []
+
+        class Counting:
+            def energy_gradients(self, mols):
+                flights.append(len(mols))
+                return inner.energy_gradients(mols)
+
+        job.calculator = Counting()
+        service.run()
+        assert job.state == JobState.COMPLETED
+        assert sum(flights) == job.coordinator.tasks_issued
+        assert len(flights) < job.coordinator.tasks_issued
+        alone = TrajectoryJob(spec, tmp_path / "serial")
+        run_serial(alone.coordinator, alone.calculator)
+        alone.finalize(JobState.COMPLETED)
+        for got, want in zip(job.trajectory_energies(),
+                             alone.trajectory_energies()):
+            assert got.tobytes() == want.tobytes()
+        assert (job.coordinator.coords.tobytes()
+                == alone.coordinator.coords.tobytes())
+
+    def test_stop_lets_a_queued_retry_run(self, tmp_path):
+        """A stop draws nothing new, but a failed attempt's retry still
+        runs: the job ends resumable, never FAILED."""
+        service = TrajectoryService(tmp_path, nworkers=2)
+        job = service.submit(surrogate_spec("stop", nsteps=6))
+        faulty = FaultPlanCalculator(job.calculator, FaultPlan(
+            specs=[FaultSpec(kind="transient", step=1, natoms=3)]))
+        seen = []
+
+        class StopAtFault:
+            def energy_gradients(self, mols):
+                seen.extend((mol.step, mol.attempt) for mol in mols)
+                try:
+                    return faulty.energy_gradients(mols)
+                except Exception:
+                    service.request_stop()
+                    raise
+
+        job.calculator = StopAtFault()
+        summary = service.run()
+        assert (1, 1) in seen  # the retry of the faulted task ran
+        assert summary["driver"]["retries"] >= 1
+        assert summary["tasks_failed"] == 0
+        assert summary["jobs"]["stop"]["state"] in (
+            JobState.INTERRUPTED, JobState.COMPLETED)
+
+    def test_dispatcher_is_driven_only_by_drive(self):
+        """The only `Dispatcher.submit` / `Dispatcher.wait` call sites
+        under ``src/repro`` are in `repro.md.drivers.drive`, and only
+        the two sources build a dispatcher."""
+        import repro
+
+        root = Path(repro.__file__).parent
+        calls, built = set(), set()
+        for path in sorted(root.rglob("*.py")):
+            rel, tree = str(path.relative_to(root)), ast.parse(path.read_text())
+            parent = {child: node for node in ast.walk(tree)
+                      for child in ast.iter_child_nodes(node)}
+            for n in ast.walk(tree):
+                if not isinstance(n, ast.Call):
+                    continue
+                if getattr(n.func, "id", None) == "Dispatcher":
+                    built.add(rel)
+                if (isinstance(n.func, ast.Attribute)
+                        and n.func.attr in ("submit", "wait")
+                        and "dispatcher" in ast.unparse(n.func.value).lower()):
+                    fn = n
+                    while fn in parent and not isinstance(fn, ast.FunctionDef):
+                        fn = parent[fn]
+                    calls.add((rel, getattr(fn, "name", "<module>"), n.func.attr))
+        assert calls == {("md/drivers.py", "drive", "submit"),
+                         ("md/drivers.py", "drive", "wait")}
+        assert built == {"md/drivers.py", "serve/service.py"}
