@@ -26,21 +26,16 @@ import sys
 import numpy as np
 
 
-def _load(path: str, charge: int):
-    from .chem.xyz import load_xyz
-
-    return load_xyz(path, charge=charge)
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_molecule(p: argparse.ArgumentParser, xyz: bool = True) -> None:
+    """The options of every subcommand that builds a calculator, after
+    the input geometry's positional when ``xyz``."""
     from .integrals.workspace import DEFAULT_INT_SCREEN
 
-    p.add_argument("xyz", help="input geometry (.xyz, Angstrom)")
+    if xyz:
+        p.add_argument("xyz", help="input geometry (.xyz, Angstrom)")
     p.add_argument("--basis", default="sto-3g",
                    choices=["sto-3g", "repro-dz", "repro-dzp", "repro-tz", "repro-tzp"])
     p.add_argument("--charge", type=int, default=0)
-    p.add_argument("--no-ri", action="store_true",
-                   help="conventional four-center SCF instead of RI")
     p.add_argument("--int-screen", type=float, default=DEFAULT_INT_SCREEN,
                    metavar="TOL",
                    help="Schwarz screening tolerance for three-center "
@@ -51,14 +46,81 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         f"[default {DEFAULT_INT_SCREEN:g}]")
 
 
-def cmd_scf(args) -> int:
-    """Single-point SCF."""
+def _add_trajectory(p: argparse.ArgumentParser, *, order: int, r_dimer: float,
+                    r_trimer: float | None, checkpoint_keep: int) -> None:
+    """The trajectory options `aimd` and `submit` share beside
+    `_add_molecule`'s, at each one's own defaults (`_job_spec`)."""
+    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--dt", type=float, default=0.5, help="time step (fs)")
+    p.add_argument("--temperature", type=float, default=300.0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--order", type=int, default=order, choices=[1, 2, 3])
+    p.add_argument("--r-dimer", type=float, default=r_dimer, help="Angstrom")
+    p.add_argument("--r-trimer", type=float, default=r_trimer, help="Angstrom")
+    p.add_argument("--group-size", type=int, default=1,
+                   help="molecules per monomer")
+    p.add_argument("--mts-k", type=int, default=1, metavar="K",
+                   help="r-RESPA multiple-time-step factor: evaluate the "
+                        "slow MBE tier (dimer/trimer corrections) every K "
+                        "steps and apply it as outer-boundary impulses; "
+                        "monomers run every step [default 1 = off]")
+    p.add_argument("--surrogate-tail", action="store_true",
+                   help="learn online committee surrogates for the MBE "
+                        "tail (dimer/trimer fragments) and serve them in "
+                        "place of full solves when the committee "
+                        "disagreement passes the uncertainty gate")
+    p.add_argument("--surrogate-tol", type=float, default=None,
+                   metavar="TOL",
+                   help="dimer uncertainty gate in Hartree (trimers use "
+                        "0.4*TOL) [default 5e-5]")
+    p.add_argument("--surrogate-min-train", type=int, default=6,
+                   metavar="N",
+                   help="training pairs required per fragment class "
+                        "before the surrogate may serve [default 6]")
+    p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
+                   help="checkpoint every N retired steps (0 disables)")
+    p.add_argument("--checkpoint-keep", type=int, default=checkpoint_keep,
+                   metavar="K",
+                   help="retain K checkpoint generations (PATH, PATH.1, "
+                        "...); resume falls back to the newest valid one")
+
+
+def _job_spec(args, method: str, **given):
+    """The `JobSpec` of the shared options, with the calculator kind
+    ``method``; ``given`` holds the fields a subcommand fills its own way."""
+    from .serve.session import JobSpec, surrogate_config
+
+    return JobSpec(
+        method=({"kind": method} if method == "surrogate" else
+                {"kind": method, "basis": args.basis,
+                 "int_screen": args.int_screen}),
+        nsteps=args.steps, dt_fs=args.dt, temperature_k=args.temperature,
+        seed=args.seed, mbe_order=args.order,
+        r_dimer_angstrom=args.r_dimer, r_trimer_angstrom=args.r_trimer,
+        group_size=args.group_size,
+        mts={"k": args.mts_k} if args.mts_k > 1 else None,
+        surrogate=(surrogate_config(args.seed, args.surrogate_min_train,
+                                    args.surrogate_tol)
+                   if args.surrogate_tail else None),
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_keep=args.checkpoint_keep, **given,
+    )
+
+
+def _scf(args, ri: bool = True):
+    """The input molecule and its SCF on the process-global workspace."""
+    from .chem.xyz import load_xyz
     from .integrals.workspace import get_workspace
     from .scf import rhf
 
-    mol = _load(args.xyz, args.charge)
-    res = rhf(mol, args.basis, ri=not args.no_ri,
-              int_screen=args.int_screen, workspace=get_workspace())
+    mol = load_xyz(args.xyz, charge=args.charge)
+    return mol, rhf(mol, args.basis, ri=ri, int_screen=args.int_screen,
+                    workspace=get_workspace())
+
+
+def cmd_scf(args) -> int:
+    """Single-point SCF."""
+    mol, res = _scf(args, ri=not args.no_ri)
     print(f"molecule: {mol.formula()} ({mol.nelectrons} electrons)")
     print(f"method:   {res.method} / {args.basis}")
     print(f"E(SCF) = {res.energy:.10f} Ha   ({res.niter} iterations)")
@@ -69,14 +131,10 @@ def cmd_scf(args) -> int:
 
 def cmd_mp2(args) -> int:
     """Single-point (SCS-)MP2."""
-    from .integrals.workspace import get_workspace
     from .mp2 import mp2_ri
     from .mp2.mp2 import SCS_OS, SCS_SS
-    from .scf import rhf
 
-    mol = _load(args.xyz, args.charge)
-    res = rhf(mol, args.basis, ri=True,
-              int_screen=args.int_screen, workspace=get_workspace())
+    _, res = _scf(args)
     if args.scs:
         corr = mp2_ri(res, c_os=SCS_OS, c_ss=SCS_SS)
         label = "SCS-MP2"
@@ -93,14 +151,10 @@ def cmd_grad(args) -> int:
     """Analytic gradient."""
     from .integrals.workspace import get_workspace
     from .mp2.rimp2_grad import rimp2_gradient
-    from .scf import rhf
 
-    mol = _load(args.xyz, args.charge)
-    ws = get_workspace()
-    res = rhf(mol, args.basis, ri=True,
-              int_screen=args.int_screen, workspace=ws)
+    mol, res = _scf(args)
     out = rimp2_gradient(res, return_intermediates=True,
-                         int_screen=args.int_screen, workspace=ws)
+                         int_screen=args.int_screen, workspace=get_workspace())
     print(f"E(total) = {res.energy + out.e_corr:.10f} Ha")
     print("gradient (Ha/Bohr):")
     for sym, g in zip(mol.symbols, out.gradient):
@@ -118,81 +172,51 @@ def _print_fault_handling(retries: int, timeouts: int,
               f"{pool_restarts} pool restarts")
 
 
-def cmd_aimd(args) -> int:
-    """Fragment AIMD via the (a)synchronous coordinator."""
-    from .analysis import analyze_conservation
-    from .calculators import PairwisePotentialCalculator, RIMP2Calculator
-    from .constants import BOHR_PER_ANGSTROM
-    from .frag import FragmentedSystem
-    from .integrals.workspace import get_workspace
-    from .md import AsyncCoordinator, FailurePolicy, run_parallel
-    from .md.integrators import maxwell_boltzmann_velocities
+def _write_trace(tracer, path: str) -> None:
+    tracer.write_chrome(path)
+    print(f"wrote chrome trace ({len(tracer.events)} events) to {path}")
 
-    mol = _load(args.xyz, args.charge)
-    system = FragmentedSystem.by_components(mol, group_size=args.group_size)
+
+def cmd_aimd(args) -> int:
+    """Fragment AIMD: the spec `submit` would write, run in this process
+    on the (a)synchronous step engine."""
+    from pathlib import Path
+
+    from .analysis import analyze_conservation
+    from .faults import FaultPlan, FaultPlanCalculator
+    from .integrals.workspace import get_workspace
+    from .md import FailurePolicy, read_checkpoint_with_fallback, run_parallel
+    from .serve.session import build_calculator, build_engine, build_system
+    from .trace import Tracer
+
+    spec = _job_spec(
+        args, "surrogate" if args.surrogate else "rimp2", job_id="aimd",
+        system={"kind": "xyz", "path": args.xyz, "charge": args.charge},
+        replan_interval=4)
+    system = build_system(spec)
     workspace = get_workspace()
-    if args.surrogate:
-        calc = PairwisePotentialCalculator()
-    else:
-        calc = RIMP2Calculator(basis=args.basis,
-                               int_screen=args.int_screen)
+    calc = build_calculator(spec)
     fault_plan = None
     if args.fault_plan:
-        from .faults import FaultPlan, FaultPlanCalculator
-
         fault_plan = FaultPlan.load(args.fault_plan)
         calc = FaultPlanCalculator(calc, fault_plan)
         print(f"fault plan: {len(fault_plan.specs)} event spec(s), "
               f"seed {fault_plan.seed} ({args.fault_plan})")
-    v0 = maxwell_boltzmann_velocities(
-        mol.masses_au, args.temperature, seed=args.seed
-    )
-    tracer = None
-    if args.trace:
-        from .trace import Tracer
-
-        tracer = Tracer()
+    tracer = Tracer() if args.trace else None
     resume = None
     if args.resume:
-        from pathlib import Path
-
-        from .md import read_checkpoint_with_fallback
-
         resume, used = read_checkpoint_with_fallback(
-            args.resume, mol=mol, tracer=tracer
+            args.resume, mol=system.parent, tracer=tracer
         )
         if used != Path(args.resume):
             print(f"checkpoint fallback: {args.resume} failed validation; "
                   f"resumed from rotation {used}")
         print(f"resuming from {used}: step {resume.step} "
               f"(t = {resume.time_fs:g} fs)")
-    surrogate = None
-    if args.surrogate_tail:
-        from .surrogate import SurrogateManager, gate_tolerances
-
-        tol_dimer, tol_trimer = gate_tolerances(args.surrogate_tol)
-        surrogate = SurrogateManager(
-            tol_dimer=tol_dimer, tol_trimer=tol_trimer,
-            min_train=args.surrogate_min_train, seed=args.seed,
-        )
-    coordinator = AsyncCoordinator(
-        system,
-        nsteps=args.steps,
-        dt_fs=args.dt,
-        r_dimer_bohr=args.r_dimer * BOHR_PER_ANGSTROM,
-        r_trimer_bohr=args.r_trimer * BOHR_PER_ANGSTROM,
-        mbe_order=args.order,
-        velocities=v0,
-        synchronous=args.sync,
-        tracer=tracer,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_keep=args.checkpoint_keep,
-        resume=resume,
-        warm_start=not args.no_warm_start,
-        fault_plan=fault_plan,
-        mts_k=args.mts_k,
-        surrogate=surrogate,
+    coordinator = build_engine(
+        spec, system, synchronous=args.sync, tracer=tracer,
+        checkpoint_path=args.checkpoint, resume=resume,
+        warm_start=not args.no_warm_start, fault_plan=fault_plan,
     )
     print(f"{system.nmonomers} monomers, reference fragment "
           f"{coordinator.reference}, "
@@ -223,8 +247,7 @@ def cmd_aimd(args) -> int:
             print(f"fault audit: {detail}")
     t, pe, ke = coordinator.trajectory_energies()
     rep = analyze_conservation(t, pe, ke)
-    tot = np.asarray(pe) + np.asarray(ke)
-    print(f"final total energy: {tot[-1]:.12f} Ha")
+    print(f"final total energy: {pe[-1] + ke[-1]:.12f} Ha")
     print(f"{coordinator.tasks_issued} polymer calculations over "
           f"{args.steps} steps")
     print(f"total energy drift: {rep.drift_hartree_per_fs:.2e} Ha/fs, "
@@ -234,8 +257,8 @@ def cmd_aimd(args) -> int:
               f"{coordinator.mts_slow_evals} slow-tier evaluations, "
               f"{coordinator.mts_tasks_skipped} inner-step polymer tasks "
               f"skipped")
-    if surrogate is not None:
-        sst = surrogate.stats()
+    if coordinator.surrogate is not None:
+        sst = coordinator.surrogate.stats()
         print(f"surrogate tail: {sst['served']} tail tasks served "
               f"({coordinator.surrogate_tasks_avoided} full solves "
               f"avoided), {sst['refused_cold']} cold / "
@@ -266,9 +289,7 @@ def cmd_aimd(args) -> int:
               f"{ws['pairs_total']} shell-pair blocks skipped, "
               f"neglected bound {ws['neglected_bound']:.2e}{note}")
     if tracer is not None:
-        tracer.write_chrome(args.trace)
-        print(f"wrote chrome trace ({len(tracer.events)} events) "
-              f"to {args.trace}")
+        _write_trace(tracer, args.trace)
         print(tracer.format_summary())
     return 0
 
@@ -305,8 +326,6 @@ def cmd_submit(args) -> int:
     import json
     import os
 
-    from .serve import JobSpec
-
     system: dict = {"kind": args.system}
     if args.system in ("water", "glycine"):
         system["n"] = args.n
@@ -317,37 +336,13 @@ def cmd_submit(args) -> int:
             raise SystemExit("error: --xyz PATH is required for --system xyz")
         system["path"] = args.xyz
         system["charge"] = args.charge
-    method: dict = {"kind": args.method}
-    if args.method != "surrogate":
-        method["basis"] = args.basis
-        method["int_screen"] = args.int_screen
     thermostat = None
     if args.thermostat == "local-langevin":
-        thermostat = {
-            "kind": "local-langevin",
-            "friction_per_fs": args.friction,
-            "seed": args.seed,
-        }
-    mts = {"k": args.mts_k} if args.mts_k > 1 else None
-    surrogate = None
-    if args.surrogate_tail:
-        surrogate = {"seed": args.seed,
-                     "min_train": args.surrogate_min_train}
-        if args.surrogate_tol is not None:
-            from .surrogate import gate_tolerances
-
-            tol_dimer, tol_trimer = gate_tolerances(args.surrogate_tol)
-            surrogate.update(tol_dimer=tol_dimer, tol_trimer=tol_trimer)
-    spec = JobSpec(
-        job_id=args.job_id, system=system, method=method,
-        nsteps=args.steps, dt_fs=args.dt, temperature_k=args.temperature,
-        seed=args.seed, mbe_order=args.order,
-        r_dimer_angstrom=args.r_dimer, r_trimer_angstrom=args.r_trimer,
-        group_size=args.group_size, replan_interval=args.replan_interval,
-        mts=mts, thermostat=thermostat, surrogate=surrogate,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_keep=args.checkpoint_keep, weight=args.weight,
-    )
+        thermostat = {"kind": "local-langevin",
+                      "friction_per_fs": args.friction, "seed": args.seed}
+    spec = _job_spec(args, args.method, job_id=args.job_id, system=system,
+                     replan_interval=args.replan_interval,
+                     thermostat=thermostat, weight=args.weight)
     specs = []
     if os.path.exists(args.specs):
         with open(args.specs, encoding="utf-8") as fh:
@@ -419,9 +414,7 @@ def cmd_serve(args) -> int:
     flops, calls = GLOBAL_COUNTER.snapshot()
     print(f"gemm: {calls} calls, {flops / 1e9:.3f} GFLOP")
     if tracer is not None:
-        tracer.write_chrome(args.trace)
-        print(f"wrote chrome trace ({len(tracer.events)} events) "
-              f"to {args.trace}")
+        _write_trace(tracer, args.trace)
     if args.summary_json:
         with open(args.summary_json, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, default=str)
@@ -440,51 +433,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scf", help="RI-HF single point")
-    _add_common(p)
+    _add_molecule(p)
+    p.add_argument("--no-ri", action="store_true",
+                   help="conventional four-center SCF instead of RI")
     p.set_defaults(func=cmd_scf)
 
     p = sub.add_parser("mp2", help="RI-MP2 single point")
-    _add_common(p)
+    _add_molecule(p)
     p.add_argument("--scs", action="store_true", help="SCS-MP2 scaling")
     p.set_defaults(func=cmd_mp2)
 
     p = sub.add_parser("grad", help="analytic RI-MP2 gradient")
-    _add_common(p)
+    _add_molecule(p)
     p.set_defaults(func=cmd_grad)
 
     p = sub.add_parser("aimd", help="fragment AIMD")
-    _add_common(p)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--dt", type=float, default=0.5, help="time step (fs)")
-    p.add_argument("--temperature", type=float, default=300.0)
-    p.add_argument("--r-dimer", type=float, default=20.0, help="Angstrom")
-    p.add_argument("--r-trimer", type=float, default=12.0, help="Angstrom")
-    p.add_argument("--order", type=int, default=3, choices=[1, 2, 3])
-    p.add_argument("--group-size", type=int, default=1,
-                   help="molecules per monomer")
+    _add_molecule(p)
+    _add_trajectory(p, order=3, r_dimer=20.0, r_trimer=12.0, checkpoint_keep=1)
     p.add_argument("--sync", action="store_true",
                    help="synchronous stepping (global barrier)")
-    p.add_argument("--mts-k", type=int, default=1, metavar="K",
-                   help="r-RESPA multiple-time-step factor: evaluate the "
-                        "slow MBE tier (dimer/trimer corrections) every K "
-                        "steps and apply it as outer-boundary impulses; "
-                        "monomers run every step [default 1 = off]")
     p.add_argument("--surrogate", action="store_true",
                    help="classical surrogate potential instead of RI-MP2")
-    p.add_argument("--surrogate-tail", action="store_true",
-                   help="learn online committee surrogates for the MBE "
-                        "tail (dimer/trimer fragments) and serve them in "
-                        "place of full solves when the committee "
-                        "disagreement passes the uncertainty gate")
-    p.add_argument("--surrogate-tol", type=float, default=None,
-                   metavar="TOL",
-                   help="dimer uncertainty gate in Hartree (trimers use "
-                        "0.4*TOL) [default 5e-5]")
-    p.add_argument("--surrogate-min-train", type=int, default=6,
-                   metavar="N",
-                   help="training pairs required per fragment class "
-                        "before the surrogate may serve [default 6]")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (1: this one, same fault policy)")
     p.add_argument("--max-retries", type=int, default=2,
@@ -501,11 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "gwh guess for every fragment solve)")
     p.add_argument("--checkpoint", metavar="PATH", default=None,
                    help="write crash-safe checkpoints to PATH during the run")
-    p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                   help="checkpoint every N retired steps (0 disables)")
-    p.add_argument("--checkpoint-keep", type=int, default=1, metavar="K",
-                   help="retain K checkpoint generations (PATH, PATH.1, "
-                        "...); resume falls back to the newest valid one")
     p.add_argument("--resume", metavar="PATH", default=None,
                    help="resume the trajectory from a checkpoint file")
     p.add_argument("--fault-plan", metavar="PATH", default=None,
@@ -532,41 +496,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system-seed", type=int, default=0,
                    help="placement seed for water clusters")
     p.add_argument("--xyz", default=None, help="geometry for --system xyz")
-    p.add_argument("--charge", type=int, default=0)
     p.add_argument("--method", default="surrogate",
                    choices=["surrogate", "rihf", "rimp2", "hf"])
-    p.add_argument("--basis", default="sto-3g",
-                   choices=["sto-3g", "repro-dz", "repro-dzp", "repro-tz",
-                            "repro-tzp"])
-    p.add_argument("--int-screen", type=float, default=1e-12)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--dt", type=float, default=0.5, help="time step (fs)")
-    p.add_argument("--temperature", type=float, default=300.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--order", type=int, default=2, choices=[1, 2, 3])
-    p.add_argument("--r-dimer", type=float, default=6.0, help="Angstrom")
-    p.add_argument("--r-trimer", type=float, default=None, help="Angstrom")
-    p.add_argument("--group-size", type=int, default=1)
+    _add_molecule(p, xyz=False)
+    _add_trajectory(p, order=2, r_dimer=6.0, r_trimer=None, checkpoint_keep=2)
     p.add_argument("--replan-interval", type=int, default=1)
-    p.add_argument("--mts-k", type=int, default=1, metavar="K")
-    p.add_argument("--surrogate-tail", action="store_true",
-                   help="per-tenant online MBE-tail surrogate with "
-                        "uncertainty-gated fallback")
-    p.add_argument("--surrogate-tol", type=float, default=None,
-                   metavar="TOL",
-                   help="dimer uncertainty gate in Hartree (trimers use "
-                        "0.4*TOL)")
-    p.add_argument("--surrogate-min-train", type=int, default=6,
-                   metavar="N",
-                   help="training pairs per fragment class before serving")
     p.add_argument("--thermostat", default="none",
                    choices=["none", "local-langevin"],
                    help="local-langevin is the only thermostat valid "
                         "under asynchronous integration")
     p.add_argument("--friction", type=float, default=0.01,
                    help="Langevin friction (1/fs)")
-    p.add_argument("--checkpoint-every", type=int, default=0, metavar="N")
-    p.add_argument("--checkpoint-keep", type=int, default=2, metavar="K")
     p.add_argument("--weight", type=float, default=1.0,
                    help="fair-share weight (task draws scale with it)")
     p.set_defaults(func=cmd_submit)

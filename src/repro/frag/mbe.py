@@ -298,35 +298,19 @@ def mbe_energy_gradient(
     plan: MBEPlan,
     calculator,
     coords: np.ndarray | None = None,
-    surrogate=None,
 ) -> tuple[float, np.ndarray]:
     """Evaluate the MBE energy and gradient synchronously.
 
     Runs every fragment through ``calculator.energy_gradient`` and
     assembles with the plan coefficients; gradients are chained back to
     parent atoms through the H-cap rule.
-
-    When a ``repro.surrogate.SurrogateManager`` is supplied, polymer
-    (dimer/trimer) contributions are served from the committee surrogate
-    whenever its disagreement gate admits them; otherwise the full solve
-    runs and its result is fed back as a training pair.  Monomers always
-    solve in full.
     """
     energy = 0.0
     grad = np.zeros((system.parent.natoms, 3))
     for key in plan.fragments:
         c = plan.coefficients[key]
         mol, atoms, caps = system.fragment_molecule(key, coords)
-        if surrogate is not None and len(key) > 1:
-            served = surrogate.predict(key, mol, coefficient=c)
-            if served is not None:
-                e_f, g_f = served[0], served[1]
-                energy += c * e_f
-                system.map_gradient(g_f, atoms, caps, grad, scale=c)
-                continue
         e_f, g_f = calculator.energy_gradient(mol)
-        if surrogate is not None and len(key) > 1:
-            surrogate.observe(key, mol, e_f, g_f)
         energy += c * e_f
         system.map_gradient(g_f, atoms, caps, grad, scale=c)
     return energy, grad

@@ -303,6 +303,18 @@ class Dispatcher:
         self._retries.append((time.monotonic() + delay, flight))
         return True
 
+    def drop(self, keep) -> list[_Flight]:
+        """Forget the waiting flights ``keep`` refuses: queued retries,
+        and dispatched flights no worker has started (their futures
+        cancel). Returns them; a running flight is never dropped."""
+        dropped = [fl for _, fl in self._retries if not keep(fl)]
+        self._retries = [r for r in self._retries if keep(r[1])]
+        for fut, flight in list(self._flights.items()):
+            if not keep(flight) and fut.cancel():
+                del self._flights[fut]
+                dropped.append(flight)
+        return dropped
+
     def wait(self, timeout: float | None = None) -> list[_Flight]:
         """Dispatch the retries that are due, then block until an attempt
         finishes — no longer than ``timeout``, the nearest deadline or the
@@ -398,9 +410,13 @@ def drive(source, dispatcher: Dispatcher) -> None:
 
     A source answers ``done()``; ``flights(free)``, at most ``free``
     ``(tasks, calculator, evaluate_fragments keywords)``;
-    ``complete(flight)``; ``give_up(flight)`` for a task whose budget is
-    spent (a stack is never refused a retry); and ``stalled()`` when it
-    is not done and nothing is pending.
+    ``complete(flight)``; ``wants(flight)``, whether a failed or waiting
+    flight still matters; ``give_up(flight)`` for a task whose budget is
+    spent (a stack is never refused a retry) and for a flight it no
+    longer wants; and ``stalled()`` when it is not done and nothing is
+    pending. A failed flight the source disowns is not retried, and
+    after each batch of finished flights the disowned ones still waiting
+    (queued retries, flights no worker has started) are dropped.
     """
     try:
         while not source.done() or dispatcher.pending:
@@ -410,10 +426,14 @@ def drive(source, dispatcher: Dispatcher) -> None:
                     dispatcher.submit(tasks, calculator, **kw)
             if not dispatcher.pending:
                 source.stalled()
-            for flight in dispatcher.wait(POLL_S):
+            finished = dispatcher.wait(POLL_S)
+            for flight in finished:
                 if flight.error is None:
                     source.complete(flight)
-                elif not dispatcher.retry(flight):
+                elif not (source.wants(flight) and dispatcher.retry(flight)):
+                    source.give_up(flight)
+            if finished:
+                for flight in dispatcher.drop(source.wants):
                     source.give_up(flight)
     finally:
         dispatcher.close()
@@ -439,6 +459,9 @@ class _Run:
         for task, result in zip(flight.tasks, flight.results):
             self.coordinator.complete(task, *result)
         self.dispatcher.report.tasks_completed += len(flight.tasks)
+
+    def wants(self, flight: _Flight) -> bool:
+        return True  # a spent task is quarantined or raises in `give_up`
 
     def give_up(self, flight: _Flight) -> None:
         (task,), err = flight.tasks, flight.error

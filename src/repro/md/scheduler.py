@@ -39,9 +39,10 @@ What a step is:
   steps (pre-formed-list mode; lists and coefficients stay fixed within
   the window, so its task sets and reductions are worked out once), or never
   with ``replan_interval=0``;
-* **fragment records** — a key's warm-start densities and Schwarz
-  reference (`repro.calculators.FragmentRecord`) are the engine's: they
-  ride the task to its worker and come back with the result. A key's
+* **fragment records** — a key's warm-start densities
+  (`repro.calculators.FragmentRecord`) are the engine's: they ride the
+  task to its worker and come back with the result (screening needs
+  none: every evaluation builds its Schwarz tables where it stands). A key's
   step-*t* result completes before its step-*t+1* release, so every
   force is a function of the trajectory under any driver or restart;
 * **checkpoint cuts** — a retired step that starts a replan window is a

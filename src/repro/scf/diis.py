@@ -56,8 +56,3 @@ class DIIS:
             for c, Fi in zip(coef, self._focks):
                 out += c * Fi
             return out
-
-    @property
-    def nvecs(self) -> int:
-        """Number of stored (Fock, error) pairs."""
-        return len(self._focks)

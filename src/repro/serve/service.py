@@ -26,7 +26,8 @@ concurrently through `repro.md.drivers.drive`, the drive loop
   job's draws (frames are never dropped);
 * **isolation** — failed attempts are retried and dead workers replaced
   (the dispatcher's ladder, default `FailurePolicy`); a task whose budget
-  is spent fails only its own job (finalized as FAILED).
+  is spent fails only its own job (finalized as FAILED), whose waiting
+  flights then never reach a calculator (`wants`).
 """
 
 from __future__ import annotations
@@ -174,6 +175,11 @@ class TrajectoryService:
                     job=job.spec.job_id, steps=job.steps_emitted,
                 )
 
+    def wants(self, flight) -> bool:
+        """A flight matters while its job runs: a failed job's retries
+        and unstarted flights cost no calculator call."""
+        return self.jobs[flight.kw["tenant"]].state == JobState.RUNNING
+
     def give_up(self, flight) -> None:
         job = self._settle(flight)
         if job.state == JobState.RUNNING:
@@ -255,9 +261,9 @@ class TrajectoryService:
                 entry["error"] = job.error
             if job.started_at is not None and job.finished_at is not None:
                 entry["wall_s"] = job.finished_at - job.started_at
-            if getattr(job, "surrogate", None) is not None:
+            if job.coordinator.surrogate is not None:
                 entry["surrogate"] = dict(
-                    job.surrogate.stats(),
+                    job.coordinator.surrogate.stats(),
                     tasks_avoided=job.coordinator.surrogate_tasks_avoided,
                 )
             jobs[job_id] = entry

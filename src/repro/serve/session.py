@@ -10,7 +10,9 @@ checkpoints. The job exposes the coordinator's ``next_task``/
 ``complete`` protocol, so the service's fair-share draw can
 multiplex fragment tasks from many jobs onto one worker pool; per-step
 results are emitted through the coordinator's ``step_callback`` as
-`StreamEvent` records the moment a step retires.
+`StreamEvent` records the moment a step retires. ``repro aimd`` runs
+its spec through the same `build_system` / `build_calculator` /
+`build_engine`.
 """
 
 from __future__ import annotations
@@ -208,6 +210,41 @@ def build_thermostat(spec: JobSpec):
     )
 
 
+def surrogate_config(seed: int, min_train: int, tol: float | None = None) -> dict:
+    """A spec's ``surrogate`` dict: a dimer gate ``tol`` sets both gates
+    (the trimer's keeps the defaults' ratio); None keeps the defaults."""
+    cfg = {"seed": seed, "min_train": min_train}
+    if tol is not None:
+        from ..surrogate import gate_tolerances
+
+        cfg["tol_dimer"], cfg["tol_trimer"] = gate_tolerances(tol)
+    return cfg
+
+
+def build_engine(spec: JobSpec, system, **run) -> AsyncCoordinator:
+    """The spec's step engine on ``system``: cutoffs in bohr, ``mts`` as
+    ``mts_k``, the thermostat, the job's own `SurrogateManager`, velocities
+    drawn at ``temperature_k`` / ``seed``; ``run`` holds the engine
+    keywords no spec carries (tracer, checkpoint path, resume, ...)."""
+    surrogate = None
+    if spec.surrogate is not None:
+        from ..surrogate import SurrogateManager
+
+        surrogate = SurrogateManager(**spec.surrogate)
+    r_trimer = spec.r_trimer_angstrom
+    return AsyncCoordinator(
+        system, nsteps=spec.nsteps, dt_fs=spec.dt_fs,
+        r_dimer_bohr=spec.r_dimer_angstrom * BOHR_PER_ANGSTROM,
+        r_trimer_bohr=None if r_trimer is None else r_trimer * BOHR_PER_ANGSTROM,
+        mbe_order=spec.mbe_order, temperature_k=spec.temperature_k,
+        seed=spec.seed, replan_interval=spec.replan_interval,
+        checkpoint_every=spec.checkpoint_every,
+        checkpoint_keep=spec.checkpoint_keep,
+        mts_k=int((spec.mts or {}).get("k", 1)),
+        thermostat=build_thermostat(spec), surrogate=surrogate, **run,
+    )
+
+
 class TrajectoryJob:
     """One spec materialized into a runnable, resumable session.
 
@@ -272,37 +309,10 @@ class TrajectoryJob:
         #: fair-share `repro.serve.scheduler.draw`)
         self.outstanding_cost = 0.0
 
-        self.surrogate = None
-        if spec.surrogate is not None:
-            from ..surrogate import SurrogateManager
-
-            self.surrogate = SurrogateManager(**spec.surrogate)
-
-        mts = spec.mts or {}
-        self.coordinator = AsyncCoordinator(
-            self.system,
-            nsteps=spec.nsteps,
-            dt_fs=spec.dt_fs,
-            r_dimer_bohr=spec.r_dimer_angstrom * BOHR_PER_ANGSTROM,
-            r_trimer_bohr=(
-                spec.r_trimer_angstrom * BOHR_PER_ANGSTROM
-                if spec.r_trimer_angstrom is not None else None
-            ),
-            mbe_order=spec.mbe_order,
-            temperature_k=spec.temperature_k,
-            seed=spec.seed,
-            replan_interval=spec.replan_interval,
-            tracer=tracer,
-            checkpoint_path=(
-                str(self.checkpoint_path) if spec.checkpoint_every else None
-            ),
-            checkpoint_every=spec.checkpoint_every,
-            checkpoint_keep=spec.checkpoint_keep,
-            resume=resume,
-            mts_k=int(mts.get("k", 1)),
-            thermostat=build_thermostat(spec),
+        self.coordinator = build_engine(
+            spec, self.system, tracer=tracer, resume=resume,
+            checkpoint_path=str(self.checkpoint_path) if spec.checkpoint_every else None,
             step_callback=self._on_step,
-            surrogate=self.surrogate,
         )
 
     # -- streaming ------------------------------------------------------

@@ -53,6 +53,15 @@ class TestParser:
         assert exc.value.code == 2
         assert "unrecognized arguments: --gemm-cache" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["mp2", "grad", "aimd"])
+    def test_no_ri_is_scf_only(self, water_file, command, capsys):
+        """Only `scf` has a conventional SCF to switch to; elsewhere the
+        flag is refused, not silently ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, water_file, "--no-ri"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-ri" in capsys.readouterr().err
+
     def test_subcommands(self):
         """The paper's AIMD and what drives it; DESIGN.md's rule says what
         a new subcommand must be reached by."""
@@ -213,6 +222,23 @@ class TestServeCommands:
         assert re.search(r"^gemm: \d+ calls, \d+\.\d{3} GFLOP$", out, re.M)
         assert (out_dir / "a" / "trajectory.xyz").exists()
         assert (out_dir / "b" / "trajectory.xyz").exists()
+
+    def test_one_spec_two_front_ends(self, cluster_file, tmp_path, capsys):
+        """`aimd` runs the spec `submit` writes: the same settings give the
+        same final total energy, string for string."""
+        shared = ["--order", "2", "--r-dimer", "8", "--r-trimer", "5",
+                  "--seed", "3", "--steps", "6"]
+        final = re.compile(r"final total energy: (\S+) Ha")
+        assert main(["aimd", cluster_file, "--surrogate", "--workers", "1",
+                     *shared]) == 0
+        (alone,) = final.findall(capsys.readouterr().out)
+        specs = str(tmp_path / "specs.json")
+        assert main(["submit", specs, "--job-id", "w3", "--system", "xyz",
+                     "--xyz", cluster_file, "--method", "surrogate",
+                     "--replan-interval", "4", *shared]) == 0
+        assert main(["serve", specs, "--out", str(tmp_path / "out"),
+                     "--workers", "2"]) == 0
+        assert final.findall(capsys.readouterr().out) == [alone]
 
     def test_submit_rejects_duplicate_job_id(self, tmp_path, capsys):
         specs = str(tmp_path / "specs.json")

@@ -9,7 +9,6 @@ while other jobs run, and torn-frame-safe trajectory streaming.
 """
 
 import ast
-import json
 import threading
 import time
 from pathlib import Path
@@ -617,6 +616,37 @@ class TestOneDriveLoop:
         assert summary["tasks_failed"] == 0
         assert summary["jobs"]["stop"]["state"] in (
             JobState.INTERRUPTED, JobState.COMPLETED)
+
+    def test_failed_job_stops_costing_calls(self, tmp_path):
+        """Once a job is FAILED, none of its queued retries or unstarted
+        flights reaches a calculator, and the good job beside it runs
+        bitwise the trajectory it runs alone. One worker thread: the
+        failure always lands while it sleeps in the next call, so a
+        flight left waiting would be the first thing it starts."""
+        service = TrajectoryService(tmp_path / "both", nworkers=1)
+        good = service.submit(surrogate_spec("good"))
+        bad = service.submit(surrogate_spec("bad", seed=5))
+        states = []
+
+        class AlwaysRaises:
+            def energy_gradients(self, mols):
+                states.append(bad.state)
+                time.sleep(0.05)
+                raise RuntimeError("injected fragment failure")
+
+        bad.calculator = AlwaysRaises()
+        summary = service.run()
+        assert summary["jobs"]["bad"]["state"] == JobState.FAILED
+        assert summary["jobs"]["good"]["state"] == JobState.COMPLETED
+        assert states and JobState.FAILED not in states
+        alone = TrajectoryService(tmp_path / "alone", nworkers=1)
+        ref = alone.submit(surrogate_spec("good"))
+        alone.run()
+        for got, want in zip(good.trajectory_energies(),
+                             ref.trajectory_energies()):
+            assert got.tobytes() == want.tobytes()
+        assert (good.coordinator.coords.tobytes()
+                == ref.coordinator.coords.tobytes())
 
     def test_dispatcher_is_driven_only_by_drive(self):
         """The only `Dispatcher.submit` / `Dispatcher.wait` call sites
