@@ -15,11 +15,13 @@ references use. Three families are provided:
   strictly pairwise-additive, MBE2 reproduces it *exactly*; adding the
   Axilrod-Teller term makes MBE3 exact — both are sharp correctness
   tests for the MBE assembly.
+
+A calculator holds no tracer: its events (``calc.stack``, ``scf.*``,
+``int.screen``) go to the calling thread's (`repro.trace.current`).
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Protocol
 
@@ -40,6 +42,7 @@ from .scf.grad import (
 )
 from .scf.recovery import rhf_with_recovery
 from .scf.rhf import SCFConvergenceError, prepare_solves
+from .trace import current
 
 
 class Calculator(Protocol):
@@ -75,8 +78,7 @@ class OneAtATime:
 class CalculatorWrapper:
     """A calculator around another, ``inner``: every attribute but its
     own (``_OWN``) is the inner calculator's, read and written, so the
-    drivers' warm-start and tracer attachments reach the calculator that
-    solves."""
+    drivers' warm-start attachment reaches the calculator that solves."""
 
     _OWN: tuple[str, ...] = ("inner",)
 
@@ -109,7 +111,7 @@ def stacking(calculator):
     """``calculator`` as the drivers call it: itself when its class
     defines ``energy_gradients``, else adapted to evaluate a stack one
     fragment at a time. Done once, where a driver takes the calculator
-    (after it attached its warm starts and tracer)."""
+    (after it attached its warm starts)."""
     if getattr(type(calculator), "energy_gradients", None) is not None:
         return calculator
     return _EnergyGradientOnly(calculator)
@@ -213,14 +215,9 @@ class GuessCache:
 def _resolve_workspace(calc):
     """The calculator's `IntegralWorkspace` (the process-global one by
     default) and the scope its evaluation runs in, which holds the
-    geometry-keyed scratch its drivers share; a traced calculator also
-    routes this thread's ``int.screen`` / ``workspace.hit`` instants
-    into its own tracer for the length of the call. No tracer is ever
-    assigned to the workspace — the shared one outlives the run."""
+    geometry-keyed scratch its drivers share."""
     ws = calc.workspace if calc.workspace is not None else get_workspace()
-    if calc.tracer is None:
-        return ws, ws.scope()
-    return ws, ws.scope(tracer=calc.tracer)
+    return ws, ws.scope()
 
 
 def _shared_atoms(mols) -> list[list[int]]:
@@ -290,20 +287,19 @@ def _evaluate_stacks(calc, mols, method: str, terms):
     geometry, built by the first screened driver of the group
     (`IntegralWorkspace.schwarz_bounds_stack`). A fragment whose
     SCF fails raises the typed error under its own key; the rest of its
-    group is not evaluated. A traced calculator emits one ``calc.stack``
+    group is not evaluated. Under a tracer it emits one ``calc.stack``
     span per group (its compositions, size, the largest table set it
     held plus its held bra-derivative expansions, the pairs its
     derivative drivers rebuilt, and the block elements its value
     drivers were asked for and computed, per family).
     """
     ws = calc.workspace if calc.workspace is not None else get_workspace()
-    tracer = calc.tracer
+    tracer = current()
     out = [None] * len(mols)
     for idx, bases, auxs in _stacks(mols, calc.basis, ws):
         group = [mols[i] for i in idx]
         start = tracer.clock() if tracer else 0.0
-        traced = nullcontext() if tracer is None else ws.scope(tracer=tracer)
-        with ws.evaluation() as scratch, traced:
+        with ws.evaluation() as scratch:
             memos = prepare_solves(group, bases, auxs, calc.int_screen, ws)
             energies, coefs = [], []
             for mol, memo in zip(group, memos):
@@ -341,8 +337,7 @@ def _fragment_scf(calc, mol, memo, workspace):
     typed error naming the fragment."""
     try:
         return _solve_scf(
-            mol, calc.basis, tracer=calc.tracer,
-            guess_cache=calc.guess_cache, ri=True,
+            mol, calc.basis, guess_cache=calc.guess_cache, ri=True,
             int_screen=calc.int_screen, workspace=workspace,
             solve_memo=memo,
         )
@@ -353,15 +348,15 @@ def _fragment_scf(calc, mol, memo, workspace):
         ) from err
 
 
-def _solve_scf(mol, basis, tracer=None, guess_cache=None, **kwargs):
+def _solve_scf(mol, basis, guess_cache=None, **kwargs):
     """The SCF through the recovery cascade (`rhf_with_recovery`).
 
     With a `GuessCache` and a molecule carrying a `FragmentRecord`, the
     record's extrapolated densities seed the solve (``dm0``) and the
     molecule gets a new record holding the converged density (after a
     recovery escalation too) and the solve's outcome, which the step
-    engine counts. Emits an ``scf.warm_start`` tracer instant per such
-    solve with the hit/miss outcome and the iteration count.
+    engine counts. Emits an ``scf.warm_start`` instant per such solve
+    with the hit/miss outcome and the iteration count.
     """
     record = getattr(mol, "record", None) if guess_cache is not None else None
     hit = False
@@ -370,11 +365,11 @@ def _solve_scf(mol, basis, tracer=None, guess_cache=None, **kwargs):
         if dm0 is not None:
             kwargs["dm0"] = dm0
             hit = True
-    res = rhf_with_recovery(mol, basis, tracer=tracer, **kwargs)
+    res = rhf_with_recovery(mol, basis, **kwargs)
     if record is not None:
         mol.record = replace(guess_cache.put(record, res.D, mol.natoms),
                              solve=(hit, res.niter))
-        if tracer:
+        if tracer := current():
             tracer.instant(
                 "scf.warm_start", cat="scf", key=str(mol.frag_key), hit=hit,
                 n_iter=res.niter, warm_started=res.warm_started,
@@ -394,10 +389,7 @@ class RIMP2Calculator:
     to retry or quarantine.
 
     ``guess_cache`` (a `GuessCache`) enables cross-step SCF warm starts
-    for fragment molecules carrying a `FragmentRecord`; ``tracer`` threads a
-    `repro.trace.Tracer` into the SCF layer so ``scf.recover`` /
-    ``scf.recovered`` / ``scf.warm_start`` events are recorded instead
-    of silently lost during MD runs.
+    for fragment molecules carrying a `FragmentRecord`.
 
     ``int_screen`` is the Schwarz screening tolerance forwarded to the
     three-center integral/derivative drivers (0.0 = exact, no skips);
@@ -408,7 +400,6 @@ class RIMP2Calculator:
 
     basis: str = "sto-3g"
     guess_cache: GuessCache | None = None
-    tracer: object = None
     int_screen: float = 0.0
     workspace: IntegralWorkspace | None = None
 
@@ -430,11 +421,8 @@ class RIMP2Calculator:
         """Energy-only evaluation (skips the gradient machinery)."""
         ws, scope = _resolve_workspace(self)
         with scope:
-            res = _solve_scf(
-                mol, self.basis, tracer=self.tracer,
-                guess_cache=self.guess_cache, ri=True,
-                int_screen=self.int_screen, workspace=ws,
-            )
+            res = _solve_scf(mol, self.basis, guess_cache=self.guess_cache,
+                             ri=True, int_screen=self.int_screen, workspace=ws)
         energy = res.energy + mp2_ri(res).e_corr
         ensure_finite(f"RI-MP2 on {mol.natoms}-atom fragment", energy=energy)
         return energy
@@ -444,13 +432,11 @@ class RIMP2Calculator:
 class RIHFCalculator:
     """RI-HF only (no correlation) — used for RI-vs-non-RI timing studies.
 
-    Supports the same ``guess_cache`` / ``tracer`` wiring as
-    `RIMP2Calculator`.
+    Supports the same ``guess_cache`` wiring as `RIMP2Calculator`.
     """
 
     basis: str = "sto-3g"
     guess_cache: GuessCache | None = None
-    tracer: object = None
     int_screen: float = 0.0
     workspace: IntegralWorkspace | None = None
 
@@ -478,7 +464,6 @@ class ConventionalHFCalculator(OneAtATime):
 
     basis: str = "sto-3g"
     guess_cache: GuessCache | None = None
-    tracer: object = None
     int_screen: float | None = None
     workspace: IntegralWorkspace | None = None
 
@@ -486,10 +471,8 @@ class ConventionalHFCalculator(OneAtATime):
         """Conventional four-center HF energy and gradient."""
         ws, scope = _resolve_workspace(self)
         with scope:
-            res = _solve_scf(
-                mol, self.basis, tracer=self.tracer,
-                guess_cache=self.guess_cache, ri=False, workspace=ws,
-            )
+            res = _solve_scf(mol, self.basis, guess_cache=self.guess_cache,
+                             ri=False, workspace=ws)
             grad = rhf_gradient_conventional(
                 res, workspace=ws, int_screen=self.int_screen
             )

@@ -87,24 +87,29 @@ def _add_trajectory(p: argparse.ArgumentParser, *, order: int, r_dimer: float,
 
 def _job_spec(args, method: str, **given):
     """The `JobSpec` of the shared options, with the calculator kind
-    ``method``; ``given`` holds the fields a subcommand fills its own way."""
+    ``method``; ``given`` holds the fields a subcommand fills its own way.
+    A value the spec refuses is a usage error, as argparse reports one."""
     from .serve.session import JobSpec, surrogate_config
 
-    return JobSpec(
-        method=({"kind": method} if method == "surrogate" else
-                {"kind": method, "basis": args.basis,
-                 "int_screen": args.int_screen}),
-        nsteps=args.steps, dt_fs=args.dt, temperature_k=args.temperature,
-        seed=args.seed, mbe_order=args.order,
-        r_dimer_angstrom=args.r_dimer, r_trimer_angstrom=args.r_trimer,
-        group_size=args.group_size,
-        mts={"k": args.mts_k} if args.mts_k > 1 else None,
-        surrogate=(surrogate_config(args.seed, args.surrogate_min_train,
-                                    args.surrogate_tol)
-                   if args.surrogate_tail else None),
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_keep=args.checkpoint_keep, **given,
-    )
+    try:
+        return JobSpec(
+            method=({"kind": method} if method == "surrogate" else
+                    {"kind": method, "basis": args.basis,
+                     "int_screen": args.int_screen}),
+            nsteps=args.steps, dt_fs=args.dt, temperature_k=args.temperature,
+            seed=args.seed, mbe_order=args.order,
+            r_dimer_angstrom=args.r_dimer, r_trimer_angstrom=args.r_trimer,
+            group_size=args.group_size,
+            mts={"k": args.mts_k} if args.mts_k > 1 else None,
+            surrogate=(surrogate_config(args.seed, args.surrogate_min_train,
+                                        args.surrogate_tol)
+                       if args.surrogate_tail else None),
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_keep=args.checkpoint_keep, **given,
+        )
+    except ValueError as err:
+        print(f"repro {args.command}: error: {err}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _scf(args, ri: bool = True):
@@ -172,11 +177,6 @@ def _print_fault_handling(retries: int, timeouts: int,
               f"{pool_restarts} pool restarts")
 
 
-def _write_trace(tracer, path: str) -> None:
-    tracer.write_chrome(path)
-    print(f"wrote chrome trace ({len(tracer.events)} events) to {path}")
-
-
 def cmd_aimd(args) -> int:
     """Fragment AIMD: the spec `submit` would write, run in this process
     on the (a)synchronous step engine."""
@@ -187,7 +187,7 @@ def cmd_aimd(args) -> int:
     from .integrals.workspace import get_workspace
     from .md import FailurePolicy, read_checkpoint_with_fallback, run_parallel
     from .serve.session import build_calculator, build_engine, build_system
-    from .trace import Tracer
+    from .trace import Tracer, recording
 
     spec = _job_spec(
         args, "surrogate" if args.surrogate else "rimp2", job_id="aimd",
@@ -203,35 +203,36 @@ def cmd_aimd(args) -> int:
         print(f"fault plan: {len(fault_plan.specs)} event spec(s), "
               f"seed {fault_plan.seed} ({args.fault_plan})")
     tracer = Tracer() if args.trace else None
-    resume = None
-    if args.resume:
-        resume, used = read_checkpoint_with_fallback(
-            args.resume, mol=system.parent, tracer=tracer
+    with recording(tracer):
+        resume = None
+        if args.resume:
+            resume, used = read_checkpoint_with_fallback(
+                args.resume, mol=system.parent
+            )
+            if used != Path(args.resume):
+                print(f"checkpoint fallback: {args.resume} failed validation; "
+                      f"resumed from rotation {used}")
+            print(f"resuming from {used}: step {resume.step} "
+                  f"(t = {resume.time_fs:g} fs)")
+        coordinator = build_engine(
+            spec, system, synchronous=args.sync,
+            checkpoint_path=args.checkpoint, resume=resume,
+            warm_start=not args.no_warm_start, fault_plan=fault_plan,
         )
-        if used != Path(args.resume):
-            print(f"checkpoint fallback: {args.resume} failed validation; "
-                  f"resumed from rotation {used}")
-        print(f"resuming from {used}: step {resume.step} "
-              f"(t = {resume.time_fs:g} fs)")
-    coordinator = build_engine(
-        spec, system, synchronous=args.sync, tracer=tracer,
-        checkpoint_path=args.checkpoint, resume=resume,
-        warm_start=not args.no_warm_start, fault_plan=fault_plan,
-    )
-    print(f"{system.nmonomers} monomers, reference fragment "
-          f"{coordinator.reference}, "
-          f"{'synchronous' if args.sync else 'asynchronous'} stepping")
-    # one worker is this process; on a resumed run the report continues
-    # the checkpoint's ``driver`` section: counters and quarantine records
-    report = run_parallel(
-        coordinator, calc, nworkers=args.workers if args.workers > 1 else 0,
-        policy=FailurePolicy(
-            max_retries=args.max_retries, task_timeout_s=args.task_timeout,
-            quarantine=args.quarantine, backoff_s=args.retry_backoff,
-            backoff_jitter=args.retry_jitter),
-        seed=(fault_plan.derive_seed("retry-jitter")
-              if fault_plan is not None else args.seed),
-    )
+        print(f"{system.nmonomers} monomers, reference fragment "
+              f"{coordinator.reference}, "
+              f"{'synchronous' if args.sync else 'asynchronous'} stepping")
+        # one worker is this process; on a resumed run the report continues
+        # the checkpoint's ``driver`` section: counters and quarantine records
+        report = run_parallel(
+            coordinator, calc, nworkers=args.workers if args.workers > 1 else 0,
+            policy=FailurePolicy(
+                max_retries=args.max_retries, task_timeout_s=args.task_timeout,
+                quarantine=args.quarantine, backoff_s=args.retry_backoff,
+                backoff_jitter=args.retry_jitter),
+            seed=(fault_plan.derive_seed("retry-jitter")
+                  if fault_plan is not None else args.seed),
+        )
     _print_fault_handling(report.retries, report.timeouts, report.pool_restarts)
     for q in report.quarantined:
         print(f"QUARANTINED polymer {q.key} step {q.step} "
@@ -289,7 +290,8 @@ def cmd_aimd(args) -> int:
               f"{ws['pairs_total']} shell-pair blocks skipped, "
               f"neglected bound {ws['neglected_bound']:.2e}{note}")
     if tracer is not None:
-        _write_trace(tracer, args.trace)
+        tracer.write_chrome(args.trace)
+        print(f"wrote chrome trace ({len(tracer.events)} events) to {args.trace}")
         print(tracer.format_summary())
     return 0
 
@@ -366,7 +368,7 @@ def cmd_serve(args) -> int:
 
     from .gemm import GLOBAL_COUNTER
     from .serve import JobSpec, TrajectoryService
-    from .trace import Tracer
+    from .trace import Tracer, recording
 
     with open(args.specs, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -376,11 +378,12 @@ def cmd_serve(args) -> int:
     tracer = Tracer() if args.trace else None
     service = TrajectoryService(
         args.out, nworkers=args.workers, max_active=args.max_active,
-        tracer=tracer, pool=args.pool,
+        pool=args.pool,
     )
-    for spec in specs:
-        service.submit(spec)
-    summary = service.run()
+    with recording(tracer):
+        for spec in specs:
+            service.submit(spec)
+        summary = service.run()
     print(f"served {len(specs)} job(s) -> {args.out}")
     for job_id in sorted(summary["jobs"]):
         info = summary["jobs"][job_id]
@@ -414,7 +417,8 @@ def cmd_serve(args) -> int:
     flops, calls = GLOBAL_COUNTER.snapshot()
     print(f"gemm: {calls} calls, {flops / 1e9:.3f} GFLOP")
     if tracer is not None:
-        _write_trace(tracer, args.trace)
+        tracer.write_chrome(args.trace)
+        print(f"wrote chrome trace ({len(tracer.events)} events) to {args.trace}")
     if args.summary_json:
         with open(args.summary_json, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, default=str)

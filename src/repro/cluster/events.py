@@ -22,6 +22,7 @@ import heapq
 from dataclasses import dataclass
 
 from ..md.scheduler import AsyncCoordinator
+from ..trace import Tracer, current, recording
 from .costmodel import PAPER_CALIBRATED
 from .machine import MachineSpec
 
@@ -39,7 +40,7 @@ class SimResult:
     counted_flops: float
     busy_time_s: float
     tasks: int
-    #: tracer with per-worker task spans in virtual time (trace=True runs)
+    #: the tracer the run recorded into (virtual time, worker spans)
     tracer: object = None
 
     @property
@@ -84,16 +85,12 @@ class ClusterSimulator:
         machine: MachineSpec,
         nodes: int,
         gcds_per_worker: int = 1,
-        tracer=None,
     ) -> None:
         self.machine = machine
         self.nodes = nodes
         self.gcds_per_worker = gcds_per_worker
         self.nworkers = machine.total_gcds(nodes) // gcds_per_worker
         self.now = 0.0
-        #: optional `repro.trace.Tracer`; construct it with
-        #: ``clock=sim.clock, epoch=0.0`` so spans land in virtual time
-        self.tracer = tracer
 
     def clock(self) -> float:
         """Virtual clock handed to the coordinator."""
@@ -104,10 +101,11 @@ class ClusterSimulator:
 
         The one event kind is a worker finishing a task: the result
         goes back through the serial coordinator, the worker rejoins
-        the pool and every free worker draws the next ready task.
+        the pool and every free worker draws the next ready task. Spans
+        go to the calling thread's tracer, on ``clock=sim.clock``.
         """
         m = self.machine
-        tracer = self.tracer
+        tracer = current()
         # (time, seq, task, worker); seq breaks ties in push order
         events: list[tuple[float, int, object, int]] = []
         free_workers = list(range(self.nworkers - 1, -1, -1))
@@ -189,24 +187,12 @@ def simulate_aimd(
     returned on ``SimResult.tracer``.
     """
     sim = ClusterSimulator(machine, nodes, gcds_per_worker=gcds_per_worker)
-    tracer = None
-    if trace:
-        from ..trace import Tracer
-
-        tracer = Tracer(clock=sim.clock, epoch=0.0)
-        sim.tracer = tracer
-    coordinator = AsyncCoordinator(
-        system,
-        nsteps=nsteps,
-        dt_fs=1.0,
-        r_dimer_bohr=r_dimer_bohr,
-        r_trimer_bohr=r_trimer_bohr,
-        mbe_order=mbe_order,
-        temperature_k=0.0,
-        synchronous=synchronous,
-        replan_interval=replan_interval,
-        clock=sim.clock,
-        build_molecules=False,
-        tracer=tracer,
-    )
-    return sim.run(coordinator)
+    with recording(Tracer(clock=sim.clock, epoch=0.0) if trace else None):
+        coordinator = AsyncCoordinator(
+            system, nsteps=nsteps, dt_fs=1.0, r_dimer_bohr=r_dimer_bohr,
+            r_trimer_bohr=r_trimer_bohr, mbe_order=mbe_order,
+            temperature_k=0.0, synchronous=synchronous,
+            replan_interval=replan_interval, clock=sim.clock,
+            build_molecules=False,
+        )
+        return sim.run(coordinator)

@@ -38,6 +38,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm as _blas_dgemm
 
 from ..store import ContentionLock
+from ..trace import current
 
 VARIANTS: tuple[str, ...] = ("NN", "NT", "TN", "TT")
 
@@ -85,8 +86,6 @@ class GemmAutoTuner:
     trials: dict[tuple[int, int, int], list[tuple[str, float]]] = field(
         default_factory=dict
     )
-    #: optional `repro.trace.Tracer` recording per-shape decisions
-    tracer: object = None
     _lock: ContentionLock = field(
         default_factory=ContentionLock, repr=False, compare=False
     )
@@ -119,8 +118,8 @@ class GemmAutoTuner:
                     len(done) >= len(VARIANTS) * max(1, self.trials_per_variant):
                 times = self._min_times(done)
                 self.best[key] = min(times, key=times.get)
-                if self.tracer:
-                    self.tracer.instant(
+                if tracer := current():
+                    tracer.instant(
                         "gemm.autotune", cat="gemm", shape=str(key),
                         variant=self.best[key],
                         trials=len(done),

@@ -42,7 +42,9 @@ would produce); only the screening threshold (``screen`` / the
 calculators' ``int_screen``) changes numbers, and the workspace tracks
 the summed neglected Schwarz bound so callers can report a rigorous
 error estimate (rigorous with no stale term: every bound it sums comes
-from the table of the geometry evaluated).
+from the table of the geometry evaluated). Its ``int.screen`` /
+``workspace.hit`` instants go to the calling thread's tracer
+(`repro.trace.current`): a workspace holds none.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..store import BoundedStore
+from ..trace import current
 
 #: default screening threshold for the calculators / CLI (``--int-screen``);
 #: the neglected per-integral bound, chosen so total energies stay within
@@ -128,7 +131,6 @@ class _Scope(threading.local):
     """What the calling thread's current evaluation asked for."""
 
     tenant: str | None = None
-    tracer: object = None
     #: the evaluation's geometry-keyed products; None outside any scope
     scratch: _Scratch | None = None
 
@@ -166,19 +168,12 @@ class IntegralWorkspace(BoundedStore):
     Budget, lock and ``enabled`` are the store's
     (`repro.store.BoundedStore`); hits and misses belong to the tenant
     of the calling thread's `scope`, and scratch lookups count in the
-    same ``hits`` / ``misses``. ``workspace.hit``
-    instants for the coarse products and ``int.screen`` instants from
-    the screened drivers go to the tracer of the calling thread's
-    evaluation (``scope(tracer=...)``, what a traced calculator enters);
-    a ``tracer`` given to the constructor — of a private workspace: the
-    process-global one is nobody's to assign — receives those of every
-    evaluation that brings none.
+    same ``hits`` / ``misses``.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES,
-                 enabled: bool = True, tracer=None) -> None:
+                 enabled: bool = True) -> None:
         super().__init__(max_bytes, enabled)
-        self.tracer = tracer
         self._scope = _Scope()
         # the largest Hermite Coulomb table set ever held
         self.tables_peak_bytes = 0
@@ -195,29 +190,26 @@ class IntegralWorkspace(BoundedStore):
         return self._scope.tenant
 
     @contextmanager
-    def scope(self, tenant=_KEEP, tracer=_KEEP):
+    def scope(self, tenant=_KEEP):
         """One evaluation's settings, for the calling thread only.
 
-        ``tenant`` receives the hits and misses; ``tracer`` receives the
-        evaluation's ``workspace.hit`` / ``int.screen`` instants. Only
-        what is given is set (and put back on exit): a calculator
-        scoping its tracer leaves alone the tenant `evaluate_fragments`
-        scoped around it. The outermost scope on a thread also opens the
-        evaluation's scratch (`_scratch`); nested ones share it, its
-        exit drops it (`evaluation` opens one of its own).
+        ``tenant``, when given, receives the hits and misses (and is put
+        back on exit): a calculator's scope leaves alone the tenant
+        `evaluate_fragments` scoped around it. The outermost scope on a
+        thread also opens the evaluation's scratch (`_scratch`); nested
+        ones share it, its exit drops it (`evaluation` opens one of its
+        own).
         """
         scope = self._scope
-        saved = scope.tenant, scope.tracer, scope.scratch
+        saved = scope.tenant, scope.scratch
         if tenant is not _KEEP:
             scope.tenant = tenant
-        if tracer is not _KEEP:
-            scope.tracer = tracer
         if scope.scratch is None:
             scope.scratch = _Scratch()
         try:
             yield
         finally:
-            scope.tenant, scope.tracer, scope.scratch = saved
+            scope.tenant, scope.scratch = saved
 
     @contextmanager
     def evaluation(self):
@@ -252,12 +244,8 @@ class IntegralWorkspace(BoundedStore):
         return payload, hit
 
     def _instant(self, name: str, **args) -> None:
-        """Emit one instant into this evaluation's tracer (the scope's,
-        else the one this workspace was constructed with)."""
-        tracer = self._scope.tracer
-        if tracer is None:
-            tracer = self.tracer
-        if tracer is not None:
+        """Emit one instant into the calling thread's tracer."""
+        if tracer := current():
             tracer.instant(name, cat="integrals", **args)
 
     # ------------------------------------------------------------------

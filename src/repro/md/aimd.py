@@ -76,7 +76,6 @@ def run_aimd(
     velocities: np.ndarray | None = None,
     smooth_switching: bool = False,
     thermostat=None,
-    tracer=None,
     checkpoint_path=None,
     checkpoint_every: int = 0,
     checkpoint_keep: int = 1,
@@ -102,8 +101,7 @@ def run_aimd(
     C2 switched corrections of `repro.frag.switching` (the paper's
     stated future work), turning on at ``SWITCH_ON_FACTOR * r_cut`` —
     no cutoff-crossing energy jumps (Fig. 6). It is the whole-system
-    path: no tiers, surrogate, thermostat, checkpoints, warm-start or
-    tracer attachment.
+    path: no tiers, surrogate, thermostat, checkpoints or warm-start.
     """
     system = mol_or_system
     tiered = int(mts_k) > 1
@@ -146,7 +144,7 @@ def run_aimd(
         system, nsteps, dt_fs, r_dimer_bohr, r_trimer_bohr,
         mbe_order=mbe_order, temperature_k=temperature_k, seed=seed,
         replan_interval=replan_interval, synchronous=True,
-        velocities=velocities, tracer=tracer, checkpoint_path=checkpoint_path,
+        velocities=velocities, checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every, checkpoint_keep=checkpoint_keep,
         resume=resume, warm_start=warm_start, fault_plan=fault_plan,
         mts_k=mts_k, thermostat=thermostat, surrogate=surrogate,

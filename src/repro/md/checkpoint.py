@@ -61,6 +61,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..trace import current
+
 #: file-format identity: readers refuse anything else
 CHECKPOINT_MAGIC = "repro-aimd-checkpoint"
 #: the core block plus named sections; the one version read or written
@@ -186,8 +188,8 @@ def _rotate_checkpoints(path: Path, keep: int) -> None:
     os.replace(path, rotation_path(path, 1))
 
 
-def write_checkpoint(path: str | Path, ckpt: Checkpoint, tracer=None,
-                     keep: int = 1, fault_plan=None) -> None:
+def write_checkpoint(path: str | Path, ckpt: Checkpoint, keep: int = 1,
+                     fault_plan=None) -> None:
     """Serialize and atomically write a checkpoint.
 
     With ``keep > 1``, previously-written checkpoints are rotated to
@@ -202,7 +204,7 @@ def write_checkpoint(path: str | Path, ckpt: Checkpoint, tracer=None,
     exactly what the fallback chain exists for).  Emits ``fault.inject``
     when it fires.
 
-    Emits a ``checkpoint.write`` tracer instant when a tracer is given.
+    Emits a ``checkpoint.write`` instant.
     """
     meta = {
         "magic": CHECKPOINT_MAGIC,
@@ -234,7 +236,7 @@ def write_checkpoint(path: str | Path, ckpt: Checkpoint, tracer=None,
     path = Path(path)
     _rotate_checkpoints(path, keep)
     atomic_savez(path, **arrays)
-    if tracer:
+    if tracer := current():
         tracer.instant(
             "checkpoint.write", cat="checkpoint",
             step=int(ckpt.step), path=str(path), keep=int(keep),
@@ -367,7 +369,7 @@ def read_checkpoint(path: str | Path, mol=None) -> Checkpoint:
 
 
 def read_checkpoint_with_fallback(
-    path: str | Path, mol=None, tracer=None,
+    path: str | Path, mol=None,
 ) -> tuple[Checkpoint, Path]:
     """Load the newest valid checkpoint in ``path``'s rotation chain.
 
@@ -408,7 +410,7 @@ def read_checkpoint_with_fallback(
         except CheckpointError as err:
             failures.append((cand, str(err)))
             continue
-        if failures and tracer:
+        if failures and (tracer := current()):
             tracer.instant(
                 "ckpt.fallback", cat="checkpoint", step=int(ckpt.step),
                 path=str(cand),

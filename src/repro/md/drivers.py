@@ -37,6 +37,10 @@ and, when a task's budget is spent, `run_parallel`'s source:
 testing: its decision is a pure function of the plan seed and the
 event's ``(step, fragment, attempt)``, so it behaves identically
 regardless of which worker process runs it or in what order.
+
+The drivers' events go to the driving thread's tracer
+(`repro.trace.current`); a flight runs under it on the calling thread
+or a worker thread, and under none in a worker process.
 """
 
 from __future__ import annotations
@@ -53,9 +57,11 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 from ..calculators import stacking
+from ..trace import current
+from ..trace.tracer import call_recording
 from .scheduler import AsyncCoordinator, attach_guess_cache, evaluate_fragments
 
 
@@ -144,6 +150,15 @@ class DriverReport:
 MP_START = "fork"
 
 
+def _shippable(calculator):
+    """The calculator a flight carries to a worker process: without its
+    workspace (a lock cannot be pickled), so it uses the worker's own."""
+    if (is_dataclass(calculator)
+            and getattr(calculator, "workspace", None) is not None):
+        return replace(calculator, workspace=None)
+    return calculator
+
+
 class _InProcess(Executor):
     """The executor of a ``Dispatcher(0)``: one slot, the calling thread.
     `submit` runs the call and returns its future already finished."""
@@ -190,17 +205,17 @@ class Dispatcher:
     one means: `retry` it (refused once ``policy.max_retries`` is spent)
     or give up its own way. ``report`` (the caller's `DriverReport`, or a
     fresh one) takes the ``retries`` / ``timeouts`` / ``pool_restarts``
-    counts; ``seed`` pins the RNG behind ``policy.backoff_jitter``.
+    counts; ``seed`` pins the RNG behind ``policy.backoff_jitter``. A
+    flight for worker processes carries its calculator `_shippable`.
     """
 
     def __init__(self, nworkers: int, policy: FailurePolicy | None = None,
-                 tracer=None, seed: int | None = None, pool: str = "process",
+                 seed: int | None = None, pool: str = "process",
                  report: DriverReport | None = None) -> None:
         if pool not in ("thread", "process"):
             raise ValueError(f"pool must be 'thread' or 'process', got {pool!r}")
         self.nworkers = nworkers
         self.policy = policy or FailurePolicy()
-        self.tracer = tracer
         self.pool_kind = pool
         self.report = report if report is not None else DriverReport()
         self._jitter_rng = random.Random(seed)
@@ -245,8 +260,8 @@ class Dispatcher:
 
     def _restart_pool(self) -> None:
         self.report.pool_restarts += 1
-        if self.tracer:
-            self.tracer.instant("pool.restart", cat="driver")
+        if tracer := current():
+            tracer.instant("pool.restart", cat="driver")
         self._kill_pool()
 
     def submit(self, tasks: list, calculator, **kw) -> None:
@@ -256,10 +271,13 @@ class Dispatcher:
         self._dispatch(_Flight(tasks, calculator, kw))
 
     def _dispatch(self, flight: _Flight) -> None:
-        tracer = self.tracer
+        tracer = current()
         for task in flight.tasks:
             task.molecule.attempt = flight.attempt
-        args = (evaluate_fragments, flight.calculator,
+        calculator, on_worker = flight.calculator, tracer
+        if self.nworkers and self.pool_kind == "process":
+            calculator, on_worker = _shippable(calculator), None
+        args = (call_recording, on_worker, evaluate_fragments, calculator,
                 [task.molecule for task in flight.tasks])
         timeout = self.policy.task_timeout_s
         flight.deadline_mono = (time.monotonic() + timeout * len(flight.tasks)
@@ -292,9 +310,9 @@ class Dispatcher:
             return False
         flight.attempt += 1
         self.report.retries += 1
-        if self.tracer:
+        if tracer := current():
             (task,) = flight.tasks
-            self.tracer.instant(
+            tracer.instant(
                 "task.retry", cat="driver", step=task.step,
                 key=str(task.key), attempt=flight.attempt,
                 error=repr(flight.error),
@@ -316,15 +334,16 @@ class Dispatcher:
         return dropped
 
     def wait(self, timeout: float | None = None) -> list[_Flight]:
-        """Dispatch the retries that are due, then block until an attempt
-        finishes — no longer than ``timeout``, the nearest deadline or the
-        next retry's ready time — and return the finished flights, failed
-        ones with ``error`` set."""
+        """Dispatch the due retries into the free slots (the rest stay
+        queued, for `drop`); block until an attempt finishes — at most
+        ``timeout``, the nearest deadline or the next retry's ready time —
+        and return the finished flights, failed ones with ``error`` set."""
         now = time.monotonic()
-        for entry in [r for r in self._retries if r[0] <= now]:
+        due = [r for r in self._retries if r[0] <= now]
+        for entry in due[:max(self.nworkers, 1) - len(self._flights)]:
             self._retries.remove(entry)
             self._dispatch(entry[1])
-        marks = [ready for ready, _ in self._retries] + [
+        marks = [ready for ready, _ in self._retries if ready > now] + [
             fl.deadline_mono for fl in self._flights.values()
             if fl.deadline_mono is not None
         ]
@@ -339,7 +358,7 @@ class Dispatcher:
                        return_when=FIRST_COMPLETED)
         if not done:
             return self._expire()
-        finished = []
+        finished, tracer = [], current()
         # in dispatch order, so a run's completion order is its own
         for fut, flight in list(self._flights.items()):
             if fut not in done:
@@ -351,10 +370,10 @@ class Dispatcher:
             except Exception as err:  # noqa: BLE001 — routed by the caller
                 flight.error = err
                 continue
-            if self.tracer:
-                self.tracer.complete(
+            if tracer:
+                tracer.complete(
                     "task.exec", flight.trace_start,
-                    self.tracer.clock() - flight.trace_start,
+                    tracer.clock() - flight.trace_start,
                     cat="driver", **flight.trace_args(),
                 )
         return finished
@@ -465,7 +484,7 @@ class _Run:
 
     def give_up(self, flight: _Flight) -> None:
         (task,), err = flight.tasks, flight.error
-        report, tracer = self.dispatcher.report, self.dispatcher.tracer
+        report, tracer = self.dispatcher.report, current()
         if not self.dispatcher.policy.quarantine:
             raise WorkerFailure(
                 f"polymer {task.key} (step {task.step}) failed "
@@ -500,7 +519,6 @@ def run_parallel(
     calculator,
     nworkers: int = 4,
     policy: FailurePolicy | None = None,
-    tracer=None,
     seed: int | None = None,
 ) -> DriverReport:
     """Drive a coordinator to completion with a fault-tolerant pool of
@@ -519,8 +537,7 @@ def run_parallel(
     The report rides the coordinator's checkpoints as their ``driver``
     section (`AsyncCoordinator.attach`), so a resumed coordinator's
     report continues the interrupted run's accounting — counters and
-    quarantine records — instead of starting clean. On the calling
-    thread the tracer goes on a calculator that takes one and has none.
+    quarantine records — instead of starting clean.
 
     ``seed`` pins the per-run RNG behind ``policy.backoff_jitter``:
     with a seed, the retry-delay schedule — and hence the
@@ -528,23 +545,17 @@ def run_parallel(
     Typically derived from the fault plan
     (``plan.derive_seed("retry-jitter")``) or the CLI ``--seed``.
     """
-    if tracer is None:
-        tracer = coordinator.tracer
     report = DriverReport()
     coordinator.attach("driver", report)
     attach_guess_cache(coordinator, calculator)
-    if (not nworkers and tracer is not None
-            and getattr(calculator, "tracer", "no") is None):
-        calculator.tracer = tracer
-    dispatcher = Dispatcher(nworkers, policy, tracer, seed, report=report)
+    dispatcher = Dispatcher(nworkers, policy, seed, report=report)
     drive(_Run(coordinator, stacking(calculator), dispatcher), dispatcher)
     return report
 
 
-def run_serial(coordinator: AsyncCoordinator, calculator,
-               tracer=None) -> DriverReport:
+def run_serial(coordinator: AsyncCoordinator, calculator) -> DriverReport:
     """`run_parallel` on the calling thread under the default
     `FailurePolicy`: each round's ready tasks go to one
     `evaluate_fragments` call (the barrier: a whole step;
     asynchronously: whatever is ready) and complete in pop order."""
-    return run_parallel(coordinator, calculator, nworkers=0, tracer=tracer)
+    return run_parallel(coordinator, calculator, nworkers=0)

@@ -79,6 +79,7 @@ from ..frag.mbe import MBEPlan, build_plan, update_plan
 from ..frag.monomer import FragmentedSystem, FragmentLayout
 from ..integrals.workspace import get_workspace
 from ..numerics import ensure_finite
+from ..trace import current
 from .checkpoint import Checkpoint, CheckpointError, write_checkpoint
 from .integrators import fs_to_au, kinetic_energy, maxwell_boltzmann_velocities
 from .mts import slow_tier_items
@@ -314,7 +315,6 @@ class AsyncCoordinator:
         velocities: np.ndarray | None = None,
         clock=time.perf_counter,
         build_molecules: bool = True,
-        tracer=None,
         checkpoint_path=None,
         checkpoint_every: int = 0,
         checkpoint_keep: int = 1,
@@ -371,9 +371,9 @@ class AsyncCoordinator:
         #: `attach`ed as the ``frames`` section)
         self.frames = None
         self._frame_at = 0.0  # engine-clock time of the last retirement
-        #: optional `repro.trace.Tracer` (duck-typed); every emission is
-        #: guarded so the disabled path costs one attribute check
-        self.tracer = tracer
+        #: the calling thread's tracer (`repro.trace.current`), read once
+        #: per entry point: here, `next_task` and `complete`
+        self._tracer = tracer = current()
         #: SCF warm-start policy and accounting (`GuessCache`; the
         #: densities ride the fragment records): the drivers attach it to
         #: a calculator that has none (`attach_guess_cache`), `complete`
@@ -584,8 +584,8 @@ class AsyncCoordinator:
                     f"(k={k}) but carries no MTS state; the held slow "
                     "forces cannot be reconstructed"
                 )
-        if self.tracer:
-            self.tracer.instant("resume", cat="checkpoint", step=step)
+        if self._tracer:
+            self._tracer.instant("resume", cat="checkpoint", step=step)
 
     def _sections(self, step: int):
         """``(name, owner)`` of every checkpoint section at the cut ``step``."""
@@ -632,8 +632,8 @@ class AsyncCoordinator:
             self.replan_reused += diff.reused
             for key in diff.removed:
                 self.records.pop(key, None)
-            if self.tracer:
-                self.tracer.instant(
+            if self._tracer:
+                self._tracer.instant(
                     "replan.incremental", cat="scheduler", step=w0,
                     added=len(diff.added), removed=len(diff.removed),
                     reused=diff.reused,
@@ -775,8 +775,8 @@ class AsyncCoordinator:
                 task.surrogate = True
                 self.in_flight += 1  # _complete_one decrements symmetrically
                 self.surrogate_tasks_avoided += 1
-                if self.tracer:
-                    self.tracer.instant(
+                if self._tracer:
+                    self._tracer.instant(
                         "surrogate.serve", cat="scheduler", step=step,
                         key=str(key), spread=float(spread),
                     )
@@ -790,11 +790,11 @@ class AsyncCoordinator:
             self._heap, (task.distance, step, -task.natoms, self._seq, task)
         )
         self._seq += 1
-        if self.tracer:
-            self.tracer.instant(
+        if self._tracer:
+            self._tracer.instant(
                 "task.release", cat="scheduler", step=step, key=str(key)
             )
-            self.tracer.counter("scheduler.queue_depth", len(self._heap))
+            self._tracer.counter("scheduler.queue_depth", len(self._heap))
 
     def _release_ready(self, step: int, only_monomer: int | None = None) -> None:
         """``only_monomer`` has arrived at ``step`` (None: every monomer
@@ -838,9 +838,9 @@ class AsyncCoordinator:
         _, _, _, _, task = heapq.heappop(self._heap)
         self.in_flight += 1
         self.tasks_issued += 1
-        if self.tracer:
-            self.tracer.counter("scheduler.queue_depth", len(self._heap))
-            self.tracer.counter("scheduler.in_flight", self.in_flight)
+        if tracer := current():
+            tracer.counter("scheduler.queue_depth", len(self._heap))
+            tracer.counter("scheduler.in_flight", self.in_flight)
         return task
 
     def complete(self, task: PolymerTask, energy: float, grad_frag: np.ndarray,
@@ -849,6 +849,7 @@ class AsyncCoordinator:
         (None: unchanged, as for a quarantined task): accumulate,
         integrate ready monomers, release newly-ready polymers (and
         drain any surrogate serves the cascade produced)."""
+        self._tracer = current()
         if record is not None:
             if record.solve is not None:  # count the solve once
                 if self.guess_cache is not None:
@@ -899,12 +900,12 @@ class AsyncCoordinator:
             # barrier: nobody moves until the step's last task is back
             self._integrate(step)
             moved = True
-        if self.tracer:
-            self.tracer.instant(
+        if self._tracer:
+            self._tracer.instant(
                 "task.complete", cat="scheduler", step=step, key=str(key)
             )
-            self.tracer.counter("scheduler.in_flight", self.in_flight)
-            self.tracer.counter("scheduler.step_skew", self.max_step_skew)
+            self._tracer.counter("scheduler.in_flight", self.in_flight)
+            self._tracer.counter("scheduler.step_skew", self.max_step_skew)
         if moved:
             # only an integration can retire a step
             self._evict_retired_steps()
@@ -919,8 +920,8 @@ class AsyncCoordinator:
             self._pe[t][step] = sum(coef[k] * energies[k] for k in sorted(coef))
             if t:
                 self.mts_slow_evals += 1
-                if self.tracer:
-                    self.tracer.instant(
+                if self._tracer:
+                    self._tracer.instant(
                         "mts.slow_eval", cat="scheduler", step=step, tier=t
                     )
         # a slow tier's energy is the one held since its last boundary
@@ -929,8 +930,8 @@ class AsyncCoordinator:
             sum(self._pe[t][step - step % k] for t, k in enumerate(self.tier_k)),
         )
         self.step_finish_time[step] = self.clock() - self.start_time
-        if self.tracer:
-            self.tracer.instant("step.complete", cat="scheduler", step=step)
+        if self._tracer:
+            self._tracer.instant("step.complete", cat="scheduler", step=step)
 
     def _evict_retired_steps(self) -> None:
         """Free buffers and tables no code path can read again.
@@ -1018,7 +1019,6 @@ class AsyncCoordinator:
                 reference=int(self.reference),
                 sections=sections,
             ),
-            tracer=self.tracer,
             keep=self.checkpoint_keep,
             fault_plan=self.fault_plan,
         )
@@ -1176,12 +1176,13 @@ class AsyncCoordinator:
         for key, mol, energy, grad in sorted(
                 self._observed.pop(step, ()), key=lambda obs: obs[0]):
             self.surrogate.observe(key, mol, energy, grad)
-        if self.tracer:
-            now = self.tracer.clock()
-            self.tracer.complete(
-                "md.step", self._retired_at, now - self._retired_at,
-                cat="md", step=step,
-            )
+        if tracer := self._tracer:
+            now = tracer.clock()
+            if self._retired_at is not None:
+                tracer.complete(
+                    "md.step", self._retired_at, now - self._retired_at,
+                    cat="md", step=step,
+                )
             self._retired_at = now
         now = self.clock()
         if self.frames is not None:

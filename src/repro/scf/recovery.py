@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..numerics import NumericalDivergenceError
+from ..trace import current
 from .rhf import SCFConvergenceError, SCFResult, rhf
 
 
@@ -88,7 +89,7 @@ DEFAULT_LADDER: tuple[RecoveryStage, ...] = (
 )
 
 
-def rhf_with_recovery(mol, basis="sto-3g", tracer=None, **kwargs) -> SCFResult:
+def rhf_with_recovery(mol, basis="sto-3g", **kwargs) -> SCFResult:
     """`rhf` wrapped in the escalation ladder.
 
     The bare solve runs first with the caller's settings.  On
@@ -128,6 +129,7 @@ def rhf_with_recovery(mol, basis="sto-3g", tracer=None, **kwargs) -> SCFResult:
         last_err: Exception = err
 
     attempted: list[str] = []
+    tracer = current()
     for stage in ladder:
         attempted.append(stage.name)
         if tracer:

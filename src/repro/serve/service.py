@@ -19,7 +19,7 @@ concurrently through `repro.md.drivers.drive`, the drive loop
   are its coordinator's and travel with its tasks;
   the process-global `IntegralWorkspace` serves every job, bounded by
   its one byte budget, with per-tenant hit / miss attribution
-  (thread-local tenant tags) and ``warm_layer`` tracer/stream
+  (thread-local tenant tags) and ``warm_layer`` trace/stream
   snapshots;
 * **backpressure** — before drawing, the service consults
   `ResultChannel.should_throttle`; saturated subscribers pause that
@@ -27,12 +27,13 @@ concurrently through `repro.md.drivers.drive`, the drive loop
 * **isolation** — failed attempts are retried and dead workers replaced
   (the dispatcher's ladder, default `FailurePolicy`); a task whose budget
   is spent fails only its own job (finalized as FAILED), whose waiting
-  flights then never reach a calculator (`wants`).
+  flights then never reach a calculator (`wants`);
+* **tracing** — its events, and its jobs', go to the tracer of the
+  thread that submits and runs (`repro.trace.recording`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from ..gemm import GLOBAL_TUNER
 from ..integrals.workspace import get_workspace
 from ..md.drivers import Dispatcher, deal, drive
 from ..md.scheduler import attach_guess_cache
+from ..trace import current
 from .scheduler import draw, task_cost
 from .session import JobSpec, JobState, TrajectoryJob
 from .streams import ResultChannel, StreamEvent
@@ -53,8 +55,6 @@ class TrajectoryService:
         nworkers: worker threads evaluating fragment tasks.
         max_active: jobs multiplexed at once (others wait, in
             submission order).
-        tracer: optional `repro.trace.Tracer`; receives ``serve.*`` and
-            ``warm_layer`` instants.
         pool: ``"thread"`` (default) evaluates fragments on worker
             threads sharing the in-process integral workspace — right
             for the surrogate potential and for tests. ``"process"``
@@ -66,18 +66,15 @@ class TrajectoryService:
     """
 
     def __init__(self, out_root: str | Path, nworkers: int = 4,
-                 max_active: int = 8, tracer=None,
-                 pool: str = "thread") -> None:
+                 max_active: int = 8, pool: str = "thread") -> None:
         self.nworkers = max(1, int(nworkers))
         #: `run_parallel`'s pool mechanism, under the default `FailurePolicy`
-        self.dispatcher = Dispatcher(self.nworkers, tracer=tracer, pool=pool)
-        self.pool_kind = pool
+        self.dispatcher = Dispatcher(self.nworkers, pool=pool)
         self.out_root = Path(out_root)
         self.out_root.mkdir(parents=True, exist_ok=True)
         self.max_active = max(1, int(max_active))
         #: the service's results channel: subscribe to it for the stream
         self.channel = ResultChannel()
-        self.tracer = tracer
         self.jobs: dict[str, TrajectoryJob] = {}
         self._stop = threading.Event()
         self.tasks_completed = 0
@@ -89,13 +86,11 @@ class TrajectoryService:
         as a pending job. Returns the job handle."""
         if spec.job_id in self.jobs:
             raise ValueError(f"job {spec.job_id!r} already submitted")
-        job = TrajectoryJob(
-            spec, self.out_root, channel=self.channel, tracer=self.tracer
-        )
+        job = TrajectoryJob(spec, self.out_root, channel=self.channel)
         attach_guess_cache(job.coordinator, job.calculator)
         self.jobs[spec.job_id] = job
-        if self.tracer:
-            self.tracer.instant(
+        if tracer := current():
+            tracer.instant(
                 "serve.submit", cat="serve", job=spec.job_id,
                 nsteps=spec.nsteps, weight=spec.weight,
             )
@@ -137,18 +132,9 @@ class TrajectoryService:
         while len(stacks) < free and (drawn := draw(running, throttled)):
             stacks.append(drawn)
         n = len(stacks)
-        return [(part, self._shippable(job.calculator), {"tenant": job.spec.job_id})
+        return [(part, job.calculator, {"tenant": job.spec.job_id})
                 for i, (job, tasks) in enumerate(stacks)
                 for part in deal(tasks, free * (i + 1) // n - free * i // n)]
-
-    def _shippable(self, calc):
-        """The calculator a flight carries; for worker processes a clone
-        without its unpicklable in-process state (the workspace, tracer
-        hooks): each worker uses its own process-global workspace."""
-        if (self.pool_kind == "process" and dataclasses.is_dataclass(calc)
-                and hasattr(calc, "workspace")):
-            return dataclasses.replace(calc, workspace=None, tracer=None)
-        return calc
 
     def _settle(self, flight) -> TrajectoryJob:
         """The flight's job, its tasks' cost returned to the job's share."""
@@ -169,8 +155,8 @@ class TrajectoryService:
             return
         if job.done():
             job.finalize(JobState.COMPLETED)
-            if self.tracer:
-                self.tracer.instant(
+            if tracer := current():
+                tracer.instant(
                     "serve.job_completed", cat="serve",
                     job=job.spec.job_id, steps=job.steps_emitted,
                 )
@@ -191,8 +177,8 @@ class TrajectoryService:
     def _fail_job(self, job: TrajectoryJob, err: BaseException) -> None:
         self.tasks_failed += 1
         job.finalize(JobState.FAILED, error=repr(err))
-        if self.tracer:
-            self.tracer.instant("serve.job_failed", cat="serve",
+        if tracer := current():
+            tracer.instant("serve.job_failed", cat="serve",
                                 job=job.spec.job_id, error=repr(err))
 
     def _guess_stats(self) -> dict:
@@ -217,8 +203,8 @@ class TrajectoryService:
             "guess_cache": self._guess_stats(),
             "workspace": get_workspace().stats(),
         }
-        if self.tracer:
-            self.tracer.instant("warm_layer", cat="serve", **{
+        if tracer := current():
+            tracer.instant("warm_layer", cat="serve", **{
                 "guess_hits": snapshot["guess_cache"]["hits"],
                 "guess_misses": snapshot["guess_cache"]["misses"],
                 "ws_hits": snapshot["workspace"]["hits"],

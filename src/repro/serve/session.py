@@ -159,7 +159,7 @@ def build_system(spec: JobSpec):
     return FragmentedSystem.by_components(mol, group_size=spec.group_size)
 
 
-def build_calculator(spec: JobSpec, tracer=None):
+def build_calculator(spec: JobSpec):
     """The spec's calculator (caches attached later by the service)."""
     cfg = dict(spec.method)
     kind = cfg.pop("kind", "surrogate")
@@ -182,7 +182,6 @@ def build_calculator(spec: JobSpec, tracer=None):
         calc = cls(
             basis=cfg.pop("basis", "sto-3g"),
             int_screen=cfg.pop("int_screen", 0.0),
-            tracer=tracer,
         )
         if cfg:
             raise ValueError(f"unknown method options: {sorted(cfg)}")
@@ -225,7 +224,7 @@ def build_engine(spec: JobSpec, system, **run) -> AsyncCoordinator:
     """The spec's step engine on ``system``: cutoffs in bohr, ``mts`` as
     ``mts_k``, the thermostat, the job's own `SurrogateManager`, velocities
     drawn at ``temperature_k`` / ``seed``; ``run`` holds the engine
-    keywords no spec carries (tracer, checkpoint path, resume, ...)."""
+    keywords no spec carries (checkpoint path, resume, ...)."""
     surrogate = None
     if spec.surrogate is not None:
         from ..surrogate import SurrogateManager
@@ -264,7 +263,7 @@ class TrajectoryJob:
     """
 
     def __init__(self, spec: JobSpec, out_root: str | Path,
-                 channel=None, tracer=None) -> None:
+                 channel=None) -> None:
         self.spec = spec
         self.state = JobState.PENDING
         self.channel = channel
@@ -275,14 +274,14 @@ class TrajectoryJob:
         self.checkpoint_path = self.dir / "checkpoint.npz"
 
         self.system = build_system(spec)
-        self.calculator = build_calculator(spec, tracer=tracer)
+        self.calculator = build_calculator(spec)
         parent = self.system.parent
 
         resume = None
         self.resumed_from = None
         if self.checkpoint_path.exists():
             resume, used = read_checkpoint_with_fallback(
-                self.checkpoint_path, mol=parent, tracer=tracer
+                self.checkpoint_path, mol=parent
             )
             self.resumed_from = used
 
@@ -310,7 +309,7 @@ class TrajectoryJob:
         self.outstanding_cost = 0.0
 
         self.coordinator = build_engine(
-            spec, self.system, tracer=tracer, resume=resume,
+            spec, self.system, resume=resume,
             checkpoint_path=str(self.checkpoint_path) if spec.checkpoint_every else None,
             step_callback=self._on_step,
         )

@@ -1,5 +1,5 @@
 """Run-level observability: span/counter tracing with Chrome-trace export."""
 
-from .tracer import DEFAULT_MAX_EVENTS, Tracer
+from .tracer import DEFAULT_MAX_EVENTS, Tracer, current, recording
 
-__all__ = ["DEFAULT_MAX_EVENTS", "Tracer"]
+__all__ = ["DEFAULT_MAX_EVENTS", "Tracer", "current", "recording"]

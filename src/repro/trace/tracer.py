@@ -20,19 +20,55 @@ summary table. The tracer is clock-agnostic: hand it
 records *virtual* time with the same code paths used for wall-clock
 runs.
 
-Instrumented code guards every emission with ``if tracer:`` so the
-disabled path costs a single attribute check.
+Which tracer gets an event is decided here alone: a front-end runs its
+work inside ``recording(tracer)`` and every emission site asks
+``current()``, so a new span needs no new parameter. Emissions are
+guarded with ``if tracer := current():``, so the disabled path costs
+one thread-local read.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 from contextlib import contextmanager
 
 #: Safety cap on buffered events; beyond it new events are counted but
 #: dropped, so a runaway loop cannot exhaust memory through its tracer.
 DEFAULT_MAX_EVENTS = 1_000_000
+
+
+class _Recording(threading.local):
+    tracer = None  # the calling thread's; None outside `recording`
+
+
+_recording = _Recording()
+
+
+def current():
+    """The tracer of the calling thread's innermost `recording` block,
+    or None."""
+    return _recording.tracer
+
+
+@contextmanager
+def recording(tracer):
+    """Record the calling thread's events into ``tracer`` (None: record
+    none) for the block; nests, and puts the enclosing tracer back on
+    exit."""
+    saved, _recording.tracer = _recording.tracer, tracer
+    try:
+        yield tracer
+    finally:
+        _recording.tracer = saved
+
+
+def call_recording(tracer, fn, /, *args, **kw):
+    """``fn(*args, **kw)`` inside ``recording(tracer)``: module-level, so
+    a pool can carry it to a worker thread or process."""
+    with recording(tracer):
+        return fn(*args, **kw)
 
 
 class Tracer:

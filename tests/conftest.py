@@ -7,17 +7,15 @@ import pytest
 
 from repro.chem import Molecule
 from repro.faults import FaultPlan, FaultPlanCalculator, FaultSpec
-from repro.integrals.workspace import get_workspace
+from repro.trace import current
 
 
 @pytest.fixture(autouse=True)
-def shared_workspace_tracer_does_not_leak():
-    """No run's tracer is ever latched onto the process-global workspace
-    (a traced calculator scopes its tracer per evaluation)."""
-    workspace = get_workspace()
-    before = workspace.tracer
+def no_tracer_outlives_its_recording():
+    """Every ``recording`` block puts the thread's tracer back: no run's
+    tracer is current after the test that recorded it."""
     yield
-    assert workspace.tracer is before
+    assert current() is None
 
 
 @pytest.fixture(scope="session")

@@ -96,7 +96,7 @@ from repro.integrals.onee import (
 from repro.integrals.workspace import evaluation_scope
 from repro.store import payload_nbytes
 from repro.systems import glycine_chain, water_cluster
-from repro.trace import Tracer
+from repro.trace import Tracer, recording
 
 from .conftest import table_instants
 
@@ -435,18 +435,15 @@ def _holds_only_state(ws) -> bool:
 ], ids="-".join)
 def tables_case(request):
     """One molecule and basis with random coefficient tensors, and a
-    maker of traced workspaces."""
+    maker of workspaces."""
     system, basis_name = request.param
     mol = water_cluster(2, seed=3) if system == "water2" else glycine_chain(1)
     bs = BasisSet.build(mol, basis_name)
     aux = auto_auxiliary(mol, basis_name)
     rng = np.random.default_rng(21)
 
-    def workspace(**kw):
-        return IntegralWorkspace(tracer=Tracer(), **kw)
-
     return dict(
-        mol=mol, bs=bs, aux=aux, workspace=workspace,
+        mol=mol, bs=bs, aux=aux, workspace=IntegralWorkspace,
         Z=rng.standard_normal((bs.nbf, bs.nbf, aux.nbf)),
         zeta=rng.standard_normal((aux.nbf, aux.nbf)),
         X=_sym(bs.nbf, seed=22),
@@ -456,43 +453,46 @@ def tables_case(request):
 def _routes(case, value, deriv):
     """``deriv(workspace)`` by every route its tables can take; ``value``
     is the driver that leaves them in its evaluation's scratch. Returns
-    the results by route name and the workspace of the 'found' route."""
+    the results by route name, the workspace of the 'found' route and
+    the table instants it recorded."""
     out = {}
     found = case["workspace"]()
-    with found.scope():
+    with recording(Tracer()) as found_trace, found.scope():
         value(found)
         out["found"] = deriv(found)
-    assert [t["hit"] for t in table_instants(found.tracer)] == [False, True]
+    assert [t["hit"] for t in table_instants(found_trace)] == [False, True]
     # the tables die with the scope that built them
     fresh = case["workspace"]()
-    with fresh.scope():
-        value(fresh)
-    with fresh.scope():
-        out["fresh scope"] = deriv(fresh)
+    with recording(Tracer()) as fresh_trace:
+        with fresh.scope():
+            value(fresh)
+        with fresh.scope():
+            out["fresh scope"] = deriv(fresh)
     # and outside any scope nothing is kept for anybody
     bare = case["workspace"]()
-    value(bare)
-    out["no scope"] = deriv(bare)
+    with recording(Tracer()) as bare_trace:
+        value(bare)
+        out["no scope"] = deriv(bare)
     out["no workspace"] = deriv(None)
     disabled = case["workspace"](enabled=False)
-    with disabled.scope():
+    with recording(Tracer()) as disabled_trace, disabled.scope():
         value(disabled)
         out["disabled"] = deriv(disabled)
-    for ws in (fresh, bare, disabled):
-        assert [t["hit"] for t in table_instants(ws.tracer)] == [False, False]
+    for trace in (fresh_trace, bare_trace, disabled_trace):
+        assert [t["hit"] for t in table_instants(trace)] == [False, False]
     # a share that holds about a third of the set: the rest is built
     # by the drivers as they go, found or not
     partial = case["workspace"]()
     partial.TABLE_SHARE = found.tables_peak_bytes / 3 / partial.max_bytes
-    with partial.scope():
+    with recording(Tracer()) as partial_trace, partial.scope():
         value(partial)
         out["partly kept"] = deriv(partial)
-    first, second = table_instants(partial.tracer)
+    first, second = table_instants(partial_trace)
     assert not first["kept"] and not second["kept"] and second["hit"]
     assert 0 < partial.tables_peak_bytes <= found.tables_peak_bytes / 3
     assert all(_holds_only_state(ws)
                for ws in (found, fresh, bare, disabled, partial))
-    return out, found
+    return out, found, table_instants(found_trace)
 
 
 class TestCoulombTables:
@@ -515,10 +515,9 @@ class TestCoulombTables:
                 workspace=ws,
             )
 
-        out, found = _routes(c, value, deriv)
+        out, found, (built, served) = _routes(c, value, deriv)
         ref = out.pop("no workspace").tobytes()
         assert {k for k, g in out.items() if g.tobytes() != ref} == set()
-        built, served = table_instants(found.tracer)
         assert built["orders"] and not built["hit"] and served["hit"]
         # glycine/repro-dz is the one case whose set (88 MB at the
         # parent) does not fit the default share
@@ -527,7 +526,7 @@ class TestCoulombTables:
 
     def test_eri2c_deriv_route_independent(self, tables_case):
         c = tables_case
-        out, found = _routes(
+        out, _, tables = _routes(
             c, lambda ws: eri2c(c["aux"], workspace=ws),
             lambda ws: contract_eri2c_deriv(
                 c["aux"], c["zeta"], c["mol"].natoms, workspace=ws),
@@ -535,18 +534,18 @@ class TestCoulombTables:
         ref = out.pop("no workspace").tobytes()
         assert {k for k, g in out.items() if g.tobytes() != ref} == set()
         # the value driver built every ordered group pair: nothing left
-        assert table_instants(found.tracer)[1]["orders"] == []
+        assert tables[1]["orders"] == []
 
     def test_nuclear_deriv_route_independent(self, tables_case):
         c = tables_case
-        out, found = _routes(
+        out, _, tables = _routes(
             c, lambda ws: nuclear(c["bs"], c["mol"], workspace=ws),
             lambda ws: contract_nuclear_deriv(
                 c["bs"], c["mol"], c["X"], workspace=ws),
         )
         ref = out.pop("no workspace").tobytes()
         assert {k for k, g in out.items() if g.tobytes() != ref} == set()
-        assert table_instants(found.tracer)[1]["orders"] == []
+        assert tables[1]["orders"] == []
 
     def test_value_drivers_route_independent(self, tables_case):
         """The value drivers read the same tables: found (a second call
@@ -554,7 +553,7 @@ class TestCoulombTables:
         bits."""
         c = tables_case
         ws = c["workspace"]()
-        with ws.scope():
+        with recording(Tracer()) as tracer, ws.scope():
             for _ in range(2):
                 assert np.array_equal(
                     eri3c(c["bs"], c["aux"], workspace=ws),
@@ -566,7 +565,7 @@ class TestCoulombTables:
                     nuclear(c["bs"], c["mol"], workspace=ws),
                     nuclear(c["bs"], c["mol"]),
                 )
-        assert [t["hit"] for t in table_instants(ws.tracer)] == (
+        assert [t["hit"] for t in table_instants(tracer)] == (
             [False] * 3 + [True] * 3)
         assert _holds_only_state(ws)
 
@@ -789,19 +788,19 @@ class TestCoulombTables:
                     bs, aux, Z, mol.natoms, screen=1e-8, workspace=ws),
             ]
 
-        ws = IntegralWorkspace(tracer=Tracer())
-        with ws.evaluation() as scratch:
+        ws = IntegralWorkspace()
+        with recording(Tracer()) as tracer, ws.evaluation() as scratch:
             got = run(ws)
             classes = ws.shell_classes([bs])
         assert ws.pairs_skipped > 0
         assert built == [cls.npair for cls in classes]
         held = sum(cls.dW.nbytes for cls in classes)
         assert [
-            (a["hit"], a["nbytes"]) for a in ws.tracer.instants("workspace.hit")
+            (a["hit"], a["nbytes"]) for a in tracer.instants("workspace.hit")
             if a["product"] == "bra_expansions"
         ] == [(False, held), (True, held)]
         assert scratch.table_bytes == held + max(
-            t["nbytes"] for t in table_instants(ws.tracer))
+            t["nbytes"] for t in table_instants(tracer))
         for cls in classes:
             ids = np.arange(0, cls.npair, 2)
             assert np.array_equal(cls.dW[ids], expand(
@@ -833,10 +832,10 @@ class TestCoulombTables:
             return R
 
         monkeypatch.setattr(batch, "r_tables_simplex", counted)
-        ws = IntegralWorkspace(tracer=Tracer())
-        calc = RIMP2Calculator("sto-3g", workspace=ws)
-        calc.energy_gradient(mol)
-        built = [t for t in table_instants(ws.tracer) if not t["hit"]]
+        calc = RIMP2Calculator("sto-3g", workspace=IntegralWorkspace())
+        with recording(Tracer()) as tracer:
+            calc.energy_gradient(mol)
+        built = [t for t in table_instants(tracer) if not t["hit"]]
         assert [t["kind"] for t in built] == ["nuclear", "eri3c", "eri2c"]
         assert len(calls) == 29
         assert sorted({lmax for lmax, _ in calls}) == [1, 2, 3, 4, 5]
@@ -867,9 +866,8 @@ class TestCoulombTables:
         every evaluation's gradient is the one a private workspace
         gives — a geometry is never served another geometry's tables,
         nor one thread another's: each evaluation builds its three sets
-        and finds its own three. Once with the calculator's scope
-        nested bare inside the tenant's, once with a traced
-        calculator's."""
+        and finds its own three. Once untraced, once with each thread
+        recording into a tracer of its own."""
         base = water_cluster(1, seed=0)
         rng = np.random.default_rng(41)
         mols = [
@@ -900,11 +898,12 @@ class TestCoulombTables:
 
         def work(tid):
             try:
-                calc = RIHFCalculator(workspace=ws, tracer=tracers[tid])
-                for rep in range(3):
-                    for i in range(tid, len(mols), 4):
-                        with ws.scope(tenant=f"job{tid % 2}"):
-                            got[i] = calc.energy_gradient(mols[i])
+                calc = RIHFCalculator(workspace=ws)
+                with recording(tracers[tid]):
+                    for rep in range(3):
+                        for i in range(tid, len(mols), 4):
+                            with ws.scope(tenant=f"job{tid % 2}"):
+                                got[i] = calc.energy_gradient(mols[i])
             except Exception as exc:  # surfaced below, with its traceback
                 errors.append(exc)
 

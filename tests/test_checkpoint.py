@@ -109,12 +109,11 @@ class TestCheckpointFormat:
         _assert_same(back, ck)
 
     def test_write_emits_tracer_event(self, tmp_path):
-        from repro.trace import Tracer
+        from repro.trace import Tracer, recording
 
         mol = water_cluster(1, seed=1)
-        tracer = Tracer()
-        write_checkpoint(tmp_path / "ck.npz", _full_checkpoint(mol),
-                         tracer=tracer)
+        with recording(Tracer()) as tracer:
+            write_checkpoint(tmp_path / "ck.npz", _full_checkpoint(mol))
         assert any(e.get("name") == "checkpoint.write"
                    for e in tracer.events)
 
@@ -611,17 +610,15 @@ class TestRotationAndFallback:
     @pytest.mark.parametrize("kind", ["ckpt_torn", "ckpt_bitflip"])
     def test_fallback_after_injected_corruption(self, tmp_path, kind):
         from repro.faults import corrupt_checkpoint
-        from repro.trace import Tracer
+        from repro.trace import Tracer, recording
 
         mol = water_cluster(2, seed=1)
         path = self._write_generations(tmp_path, mol, [1, 2])
         corrupt_checkpoint(path, kind, seed=3)
         with pytest.raises(CheckpointError):
             read_checkpoint(path, mol=mol)  # typed, never silent
-        tracer = Tracer()
-        ck, used = read_checkpoint_with_fallback(
-            path, mol=mol, tracer=tracer
-        )
+        with recording(Tracer()) as tracer:
+            ck, used = read_checkpoint_with_fallback(path, mol=mol)
         assert used == rotation_path(path, 1)
         assert ck.step == 1
         falls = [e for e in tracer.events if e.get("name") == "ckpt.fallback"]
@@ -681,17 +678,16 @@ class TestRotationAndFallback:
 
     def test_fault_plan_corrupts_only_the_primary(self, tmp_path):
         from repro.faults import FaultPlan, FaultSpec
-        from repro.trace import Tracer
+        from repro.trace import Tracer, recording
 
         mol = water_cluster(2, seed=1)
         path = tmp_path / "ck.npz"
         plan = FaultPlan(seed=5, specs=[FaultSpec(kind="ckpt_torn", step=8)])
-        tracer = Tracer()
-        for s in [4, 8]:
-            ck = _full_checkpoint(mol)
-            ck.step = s
-            write_checkpoint(path, ck, tracer=tracer, keep=2,
-                             fault_plan=plan)
+        with recording(Tracer()) as tracer:
+            for s in [4, 8]:
+                ck = _full_checkpoint(mol)
+                ck.step = s
+                write_checkpoint(path, ck, keep=2, fault_plan=plan)
         assert any(e.get("name") == "fault.inject" for e in tracer.events)
         assert plan.audit_summary() == {"ckpt_torn": 1}
         with pytest.raises(CheckpointError):

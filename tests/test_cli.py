@@ -262,3 +262,51 @@ class TestServeCommands:
         names = {e["name"] for e in events}
         assert "serve.submit" in names
         assert "warm_layer" in names
+
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_serve_trace_records_the_workers_side(self, tmp_path, capsys,
+                                                  pool):
+        """`serve --trace` records what the service, the engine and the
+        driver emit on its thread and what the calculators emit on its
+        worker threads; worker processes record none of theirs."""
+        import json
+
+        specs = str(tmp_path / "specs.json")
+        assert main(["submit", specs, "--job-id", "qm", "--system", "water",
+                     "-n", "2", "--method", "rihf", "--steps", "2"]) == 0
+        trace = tmp_path / "trace.json"
+        assert main(["serve", specs, "--out", str(tmp_path / "out"),
+                     "--workers", "2", "--pool", pool,
+                     "--trace", str(trace)]) == 0
+        names = {e["name"] for e in json.loads(trace.read_text())["traceEvents"]}
+        assert {"serve.submit", "serve.job_completed", "warm_layer",
+                "task.release", "md.step", "task.dispatch",
+                "task.exec"} <= names
+        worker_side = {"scf.warm_start", "calc.stack", "int.screen"}
+        assert names & worker_side == (worker_side if pool == "thread"
+                                       else set())
+
+
+class TestUsageErrors:
+    """A value the job spec refuses ends the command as argparse ends a
+    bad option: exit status 2 and one ``error:`` line naming it, no
+    traceback and nothing written."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["aimd", "{xyz}", "--surrogate", "--steps", "0"],
+         "repro aimd: error: nsteps must be >= 1, got 0"),
+        (["submit", "{specs}", "--job-id", "j", "--steps", "0"],
+         "repro submit: error: nsteps must be >= 1, got 0"),
+        (["submit", "{specs}", "--job-id", "j", "--weight", "0"],
+         "repro submit: error: weight must be > 0, got 0.0"),
+    ], ids=["aimd-steps", "submit-steps", "submit-weight"])
+    def test_refused_value(self, cluster_file, tmp_path, capsys, argv,
+                           message):
+        specs = tmp_path / "specs.json"
+        argv = [a.format(xyz=cluster_file, specs=specs) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [message]
+        assert out == "" and not specs.exists()

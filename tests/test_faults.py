@@ -22,7 +22,7 @@ from repro.md import (
 )
 from repro.md.integrators import maxwell_boltzmann_velocities
 from repro.systems import water_cluster
-from repro.trace import Tracer
+from repro.trace import Tracer, recording
 
 from .conftest import faulty_calculator as _faulty
 
@@ -176,12 +176,12 @@ class TestRetryPath:
         with a worker free, a 0.2 s backoff is not stretched to the 2 s an
         unrelated task takes to land."""
         system = FragmentedSystem.by_components(water_cluster(3, seed=1))
-        tracer = Tracer()
-        co = _coordinator(system, nsteps=0, tracer=tracer)
-        run_parallel(
-            co, _SlowMonomerFlakyDimer(surrogate), nworkers=2,
-            policy=FailurePolicy(max_retries=2, backoff_s=0.2),
-        )
+        with recording(Tracer()) as tracer:
+            run_parallel(
+                _coordinator(system, nsteps=0),
+                _SlowMonomerFlakyDimer(surrogate), nworkers=2,
+                policy=FailurePolicy(max_retries=2, backoff_s=0.2),
+            )
         retried = next(e for e in tracer.events if e["name"] == "task.retry")
         again = next(e for e in tracer.events if e["name"] == "task.dispatch"
                      and e["args"]["attempt"] == 1)

@@ -36,7 +36,7 @@ from repro.integrals import (
 )
 from repro.integrals.workspace import basis_composition_key, get_workspace
 from repro.systems import glycine_chain, water_cluster
-from repro.trace import Tracer
+from repro.trace import Tracer, current, recording
 
 from .conftest import table_instants
 
@@ -333,15 +333,15 @@ class TestTableMaskReconciliation:
     def test_masks_differ_both_ways(self, case, zscale, wider):
         mol, bs, aux, Z = case
         screen = 1.0e-4  # five pairs of the dimer sit below it
-        ws = IntegralWorkspace(tracer=Tracer())
-        with ws.scope():
+        ws = IntegralWorkspace()
+        with recording(Tracer()) as tracer, ws.scope():
             eri3c(bs, aux, screen=screen, workspace=ws)
             skipped_value = ws.pairs_skipped
             g = contract_eri3c_deriv(bs, aux, Z * zscale, mol.natoms,
                                      screen=screen, workspace=ws)
         skipped_deriv = ws.pairs_skipped - skipped_value
         assert skipped_value > 0
-        built, served = table_instants(ws.tracer)
+        built, served = table_instants(tracer)
         assert served["hit"] and built["rebuilt_pairs"] == 0
         if wider:  # the derivative keeps pairs `eri3c` dropped
             assert skipped_deriv < skipped_value
@@ -364,23 +364,23 @@ class TestTableMaskReconciliation:
         """A set another `eri3c` call of the evaluation left under a
         different threshold is used where it applies."""
         mol, bs, aux, Z = case
-        ws = IntegralWorkspace(tracer=Tracer())
-        with ws.scope():
+        ws = IntegralWorkspace()
+        with recording(Tracer()) as tracer, ws.scope():
             a = eri3c(bs, aux, screen=1.0e-4, workspace=ws)
             b = eri3c(bs, aux, screen=0.0, workspace=ws)
         assert np.array_equal(a, eri3c(bs, aux, screen=1.0e-4))
         assert np.array_equal(b, eri3c(bs, aux))
-        first, second = table_instants(ws.tracer)
+        first, second = table_instants(tracer)
         assert second["hit"] and second["rebuilt_pairs"] == ws.pairs_skipped
 
     def test_table_instants_and_stats(self, case):
         mol, bs, aux, Z = case
         from repro.integrals import contract_eri2c_deriv
 
-        ws = IntegralWorkspace(tracer=Tracer())
-        with ws.scope():
+        ws = IntegralWorkspace()
+        with recording(Tracer()) as tracer, ws.scope():
             eri2c(aux, workspace=ws)
-            (built,) = table_instants(ws.tracer)
+            (built,) = table_instants(tracer)
             assert built == dict(
                 product="coulomb_tables", kind="eri2c", hit=False,
                 orders=[1, 2, 3, 4, 5], elements=built["elements"],
@@ -394,39 +394,39 @@ class TestTableMaskReconciliation:
                 aux, np.ones((aux.nbf, aux.nbf)), mol.natoms, ws)
         # (aux_groups at di=1 is the other miss)
         assert (ws.hits - before[0], ws.misses - before[1]) == (1, 1)
-        assert table_instants(ws.tracer)[1]["hit"]
+        assert table_instants(tracer)[1]["hit"]
 
 
 class TestTracerRouting:
-    """A run's tracer rides the evaluation's thread-local scope; nothing
-    assigns it to a workspace the run does not own."""
+    """A run's tracer is the calling thread's (`repro.trace.recording`);
+    no workspace holds one, the shared one least of all."""
 
     def test_untraced_run_after_traced_one_on_the_global_workspace(
             self, water_dimer):
-        tracer = Tracer()
-        RIMP2Calculator(tracer=tracer,
-                        int_screen=1e-12).energy_gradient(water_dimer)
+        with recording(Tracer()) as tracer:
+            RIMP2Calculator(int_screen=1e-12).energy_gradient(water_dimer)
         seen = len(tracer.events)
         assert tracer.instants("int.screen")
         assert table_instants(tracer)
-        assert get_workspace().tracer is None
+        assert current() is None
+        assert not hasattr(get_workspace(), "tracer")
         moved = water_dimer.with_coords(water_dimer.coords + 0.01)
         RIMP2Calculator(int_screen=1e-12).energy_gradient(moved)
         assert len(tracer.events) == seen
 
     def test_scope_sets_only_what_it_is_given(self):
         ws = IntegralWorkspace()
-        tracer = Tracer()
+        scope = ws._scope
         with ws.scope("job"):
-            with ws.scope(tracer=tracer):
-                scope = ws._scope
-                assert (scope.tenant, scope.tracer) == ("job", tracer)
-            assert (scope.tenant, scope.tracer) == ("job", None)
-        assert (scope.tenant, scope.tracer) == (None, None)
+            outer = scope.scratch
+            with ws.scope():
+                assert (scope.tenant, scope.scratch) == ("job", outer)
+            assert (scope.tenant, scope.scratch) == ("job", outer)
+        assert (scope.tenant, scope.scratch) == (None, None)
 
     def test_other_threads_keep_their_own_tracer(self, water_dimer):
-        """Two traced calculators on one workspace, two threads: each
-        tracer sees its own evaluation's instants only."""
+        """Two threads on one workspace, each recording into its own
+        tracer: each tracer sees its own evaluation's instants only."""
         import threading
 
         ws = IntegralWorkspace()
@@ -435,8 +435,9 @@ class TestTracerRouting:
                 water_dimer.with_coords(water_dimer.coords + 0.3)]
 
         def work(i):
-            RIHFCalculator(tracer=tracers[i], int_screen=1e-12,
-                           workspace=ws).energy_gradient(mols[i])
+            with recording(tracers[i]):
+                RIHFCalculator(int_screen=1e-12,
+                               workspace=ws).energy_gradient(mols[i])
 
         threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
         for t in threads:
@@ -447,11 +448,3 @@ class TestTracerRouting:
         for tracer in tracers:
             assert len(tracer.instants("int.screen")) == 2
             assert len(table_instants(tracer)) == 6
-
-    def test_constructor_tracer_of_a_private_workspace(self, water_dimer):
-        """The fallback: an untraced calculator on a workspace built
-        with a tracer still reports there."""
-        ws = IntegralWorkspace(tracer=Tracer())
-        RIHFCalculator(workspace=ws, int_screen=1e-12).energy_gradient(
-            water_dimer)
-        assert len(ws.tracer.instants("int.screen")) == 2

@@ -48,7 +48,7 @@ from repro.integrals import (
 from repro.integrals.workspace import evaluation_scope
 from repro.systems import water_cluster
 from repro.systems.glycine import glycine_fragmented
-from repro.trace import Tracer
+from repro.trace import Tracer, recording
 
 #: A's counts, unscreened: (requested, computed) elements per family
 A_COUNTS = {"3c": (301392, 112392), "2c": (254016, 63504),
@@ -110,9 +110,12 @@ def _evaluate(mols, screen=0.0, ws=None):
         ]
 
 
-def _screens(ws) -> list[tuple]:
-    return [(s["kind"], s["pairs"], s["skipped"], s["neglected"])
-            for s in ws.tracer.instants("int.screen")]
+def _screened(fn, *args) -> tuple:
+    """``fn(*args)`` and the screening records it emitted."""
+    with recording(Tracer()) as tracer:
+        out = fn(*args)
+    return out, [(s["kind"], s["pairs"], s["skipped"], s["neglected"])
+                 for s in tracer.instants("int.screen")]
 
 
 def _brute_force(mols) -> dict:
@@ -159,8 +162,9 @@ class TestBlockCounts:
         elements requested and computed, in the workspace's stats and
         on the call's ``calc.stack`` span."""
         mols, _ = water4
-        ws, tracer = IntegralWorkspace(), Tracer()
-        RIHFCalculator(workspace=ws, tracer=tracer).energy_gradients(mols)
+        ws = IntegralWorkspace()
+        with recording(Tracer()) as tracer:
+            RIHFCalculator(workspace=ws).energy_gradients(mols)
         assert _counts(ws) == A_COUNTS == _brute_force(mols)
         (span,) = [ev["args"] for ev in tracer.events
                    if ev["name"] == "calc.stack"]
@@ -178,18 +182,17 @@ class TestBlockCounts:
 def _assert_alone(mols, screen=0.0):
     """Every fragment's results in the call are bitwise its results
     alone, and so are its screening records."""
-    ws = IntegralWorkspace(tracer=Tracer())
-    whole = _evaluate(mols, screen, ws)
-    screens = _screens(ws)
+    ws = IntegralWorkspace()
+    whole, screens = _screened(_evaluate, mols, screen, ws)
     F = len(mols)
     for f, mol in enumerate(mols):
-        alone_ws = IntegralWorkspace(tracer=Tracer())
-        alone = _evaluate([mol], screen, alone_ws)
+        alone, alone_screens = _screened(
+            _evaluate, [mol], screen, IntegralWorkspace())
         for got, want in zip(whole, alone):
             assert got[f].shape == want[0].shape
             assert got[f].tobytes() == want[0].tobytes()
         # the fragment's screening records: its own pairs and bound
-        assert screens[f::F] == _screens(alone_ws)
+        assert screens[f::F] == alone_screens
     return ws
 
 

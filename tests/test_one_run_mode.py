@@ -160,7 +160,7 @@ class TestOneRunMode:
         assert list(inspect.signature(evaluate_fragments).parameters) == [
             "calculator", "molecules", "tenant"]
         assert list(inspect.signature(IntegralWorkspace.scope).parameters) \
-            == ["self", "tenant", "tracer"]
+            == ["self", "tenant"]
         assert not hasattr(_Scope, "exact")
         assert not hasattr(IntegralWorkspace, "SIBLING_SHARE")
         assert not hasattr(calculators, "get_guess_cache")

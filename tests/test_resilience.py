@@ -26,7 +26,7 @@ from repro.scf import (
     rhf_with_recovery,
 )
 from repro.systems import water_cluster
-from repro.trace import Tracer
+from repro.trace import Tracer, recording
 
 from .conftest import faulty_calculator as _faulty
 
@@ -130,8 +130,8 @@ class TestRecoveryCascade:
         """The acceptance case: a geometry the bare loop cannot converge
         must converge through the ladder, recording the path taken."""
         mol = stretched_water(2.7)
-        tracer = Tracer()
-        res = rhf_with_recovery(mol, max_iter=50, tracer=tracer)
+        with recording(Tracer()) as tracer:
+            res = rhf_with_recovery(mol, max_iter=50)
         assert res.converged
         assert np.isfinite(res.energy)
         assert res.recovery == ("damp",)  # first rung suffices here

@@ -648,6 +648,85 @@ class TestOneDriveLoop:
         assert (good.coordinator.coords.tobytes()
                 == ref.coordinator.coords.tobytes())
 
+    def test_retries_fill_free_slots_only(self, tmp_path, monkeypatch):
+        """A failed stack's singles wait in the dispatcher for free
+        slots: on two worker threads the pool never holds more than two
+        calls (running or queued), the failed job gets none once it is
+        FAILED, and the good job beside it runs bitwise the trajectory
+        it runs alone."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.md import drivers
+
+        lock, held, peak = threading.Lock(), [0], [0]
+
+        def release(_):
+            with lock:
+                held[0] -= 1
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kw):
+                with lock:
+                    held[0] += 1
+                    peak[0] = max(peak[0], held[0])
+                fut = super().submit(fn, *args, **kw)
+                fut.add_done_callback(release)
+                return fut
+
+        monkeypatch.setattr(drivers, "ThreadPoolExecutor", CountingPool)
+        service = TrajectoryService(tmp_path / "both", nworkers=2)
+        good = service.submit(surrogate_spec("good"))
+        bad = service.submit(surrogate_spec("bad", seed=5))
+        states = []
+
+        class AlwaysRaises:
+            def energy_gradients(self, mols):
+                states.append(bad.state)
+                time.sleep(0.01)
+                raise RuntimeError("injected fragment failure")
+
+        bad.calculator = AlwaysRaises()
+        summary = service.run()
+        assert summary["jobs"]["bad"]["state"] == JobState.FAILED
+        assert summary["jobs"]["good"]["state"] == JobState.COMPLETED
+        assert peak[0] == 2
+        assert states and JobState.FAILED not in states
+        alone = TrajectoryService(tmp_path / "alone", nworkers=2)
+        ref = alone.submit(surrogate_spec("good"))
+        alone.run()
+        for got, want in zip(good.trajectory_energies(),
+                             ref.trajectory_energies()):
+            assert got.tobytes() == want.tobytes()
+        assert (good.coordinator.coords.tobytes()
+                == ref.coordinator.coords.tobytes())
+
+    def test_process_pool_ships_a_workspace_free_clone(self):
+        """`run_parallel` ships a calculator to worker processes as the
+        service does: a clone without its private workspace (whose lock
+        cannot be pickled), so the run completes, bitwise the serial one,
+        and the caller's calculator keeps its workspace."""
+        from repro.calculators import RIHFCalculator
+        from repro.frag import FragmentedSystem
+        from repro.integrals import IntegralWorkspace
+        from repro.md import AsyncCoordinator, run_parallel
+
+        system = FragmentedSystem.by_components(water_cluster(2, seed=1))
+
+        def make():
+            return AsyncCoordinator(system, nsteps=2, dt_fs=0.5,
+                                    r_dimer_bohr=1.0e6, mbe_order=2, seed=3)
+
+        calc = RIHFCalculator(workspace=IntegralWorkspace())
+        co = make()
+        run_parallel(co, calc, nworkers=2)
+        assert calc.workspace is not None
+        ref = make()
+        run_serial(ref, RIHFCalculator(workspace=IntegralWorkspace()))
+        for got, want in zip(co.trajectory_energies(),
+                             ref.trajectory_energies()):
+            assert got.tobytes() == want.tobytes()
+        assert co.coords.tobytes() == ref.coords.tobytes()
+
     def test_dispatcher_is_driven_only_by_drive(self):
         """The only `Dispatcher.submit` / `Dispatcher.wait` call sites
         under ``src/repro`` are in `repro.md.drivers.drive`, and only

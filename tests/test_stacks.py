@@ -63,7 +63,7 @@ from repro.md import (
 from repro.md.scheduler import evaluate_fragments
 from repro.scf.rhf import SCFConvergenceError
 from repro.systems import water_cluster
-from repro.trace import Tracer
+from repro.trace import Tracer, recording
 
 from .conftest import table_instants
 
@@ -117,9 +117,12 @@ def _drivers(mols, screen: float, ws, basis: str):
         ]
 
 
-def _screens(ws) -> list[tuple]:
-    return [(s["kind"], s["pairs"], s["skipped"], s["neglected"])
-            for s in ws.tracer.instants("int.screen")]
+def _screened(fn, *args) -> tuple:
+    """``fn(*args)`` and the screening records it emitted."""
+    with recording(Tracer()) as tracer:
+        out = fn(*args)
+    return out, [(s["kind"], s["pairs"], s["skipped"], s["neglected"])
+                 for s in tracer.instants("int.screen")]
 
 
 class TestStackIndependence:
@@ -133,16 +136,15 @@ class TestStackIndependence:
         a reduction over a non-contiguous operand would show."""
         n, basis = shape
         _, mols = _fragments(n, count, seed)
-        ws = IntegralWorkspace(tracer=Tracer())
-        whole = _drivers(mols, screen, ws, basis)
-        screens = _screens(ws)
+        whole, screens = _screened(
+            _drivers, mols, screen, IntegralWorkspace(), basis)
         for f, mol in enumerate(mols):
-            alone_ws = IntegralWorkspace(tracer=Tracer())
-            alone = _drivers([mol], screen, alone_ws, basis)
+            alone, alone_screens = _screened(
+                _drivers, [mol], screen, IntegralWorkspace(), basis)
             for got, want in zip(whole, alone):
                 assert got[f].tobytes() == want[0].tobytes()
             # the fragment's screening record: its own pairs and bound
-            assert screens[f::count] == _screens(alone_ws)
+            assert screens[f::count] == alone_screens
 
     @pytest.mark.parametrize("calculator", [RIMP2Calculator, RIHFCalculator])
     @settings(max_examples=5, deadline=None)
@@ -150,10 +152,9 @@ class TestStackIndependence:
            seed=st.integers(0, 2**16), screen=st.sampled_from([0.0, 1e-12]))
     def test_energy_gradients(self, calculator, n, count, seed, screen):
         _, mols = _fragments(n, count, seed)
-        tracer = Tracer()
-        calc = calculator(int_screen=screen, workspace=IntegralWorkspace(),
-                          tracer=tracer)
-        whole = calc.energy_gradients(mols)
+        calc = calculator(int_screen=screen, workspace=IntegralWorkspace())
+        with recording(Tracer()) as tracer:
+            whole = calc.energy_gradients(mols)
         (stack,) = [ev["args"] for ev in tracer.events
                     if ev["name"] == "calc.stack"]
         assert stack["size"] == count
@@ -208,15 +209,15 @@ class TestGroups:
 
     @staticmethod
     def _run(mols, share: float | None):
-        tracer = Tracer()
         ws = IntegralWorkspace()
         if share is not None:
             ws.TABLE_SHARE = share
-        calc = RIMP2Calculator(int_screen=1e-12, workspace=ws, tracer=tracer)
-        results = calc.energy_gradients(mols)
+        calc = RIMP2Calculator(int_screen=1e-12, workspace=ws)
+        with recording(Tracer()) as tracer:
+            results = calc.energy_gradients(mols)
         groups = [ev["args"] for ev in tracer.events
                   if ev["name"] == "calc.stack"]
-        # the calculator's tracer takes its evaluations' table requests
+        # the run's tracer takes its evaluations' table requests
         return results, groups, ws, table_instants(tracer)
 
     @staticmethod

@@ -345,9 +345,9 @@ class TestOneWarmLayer:
 
         assert params(BoundedStore) == ["max_bytes", "enabled"]
         assert params(GuessCache) == ["enabled"]
-        assert params(IntegralWorkspace) == ["max_bytes", "enabled", "tracer"]
+        assert params(IntegralWorkspace) == ["max_bytes", "enabled"]
         assert params(TrajectoryService) == [
-            "out_root", "nworkers", "max_active", "tracer", "pool"]
+            "out_root", "nworkers", "max_active", "pool"]
         assert params(GuessCache.get) == ["record", "natoms"]
         assert params(GuessCache.put) == ["record", "D", "natoms"]
         assert {n for n in dir(IntegralWorkspace) if "tenant" in n} \

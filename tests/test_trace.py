@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import json
+import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from repro.gemm import GemmAutoTuner, VARIANTS
 from repro.md import AsyncCoordinator, run_parallel, run_serial
 from repro.md.integrators import maxwell_boltzmann_velocities
 from repro.systems import water_cluster
-from repro.trace import Tracer
+from repro.trace import Tracer, current, recording
 
 BIG = 1.0e6
 
@@ -98,17 +102,86 @@ class TestTracer:
         assert "span" in text and "a" in text
 
 
+class TestRecording:
+    def test_nests_and_restores(self):
+        outer, inner = Tracer(), Tracer()
+        assert current() is None
+        with recording(outer) as got:
+            assert got is outer and current() is outer
+            with recording(inner):
+                assert current() is inner
+                with recording(None):
+                    assert current() is None
+                assert current() is inner
+            assert current() is outer
+        assert current() is None
+
+    def test_restores_on_error(self):
+        with pytest.raises(RuntimeError):
+            with recording(Tracer()):
+                raise RuntimeError("boom")
+        assert current() is None
+
+    def test_per_thread(self):
+        """Another thread starts with no tracer, and its recording does
+        not leak into this one."""
+        mine, theirs = Tracer(), Tracer()
+        seen = []
+
+        def work():
+            seen.append(current())
+            with recording(theirs):
+                seen.append(current())
+
+        with recording(mine):
+            t = threading.Thread(target=work)
+            t.start()
+            t.join()
+            assert current() is mine
+        assert seen == [None, theirs]
+
+    def test_no_tracer_parameters_or_fields(self):
+        """The one route: no function under ``src/repro`` takes a
+        ``tracer`` parameter and no dataclass has a ``tracer`` field,
+        outside `repro.trace` and the `SimResult.tracer` output."""
+        import repro
+
+        root = Path(repro.__file__).parent
+        found = set()
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root)
+            if rel.parts[0] == "trace":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                    args = node.args
+                    if "tracer" in {a.arg for a in (
+                            args.posonlyargs + args.args + args.kwonlyargs)}:
+                        found.add(f"{rel}:{getattr(node, 'name', 'lambda')}")
+                elif isinstance(node, ast.ClassDef):
+                    found.update(
+                        f"{rel}:{node.name}.tracer" for st in node.body
+                        if isinstance(st, ast.AnnAssign)
+                        and getattr(st.target, "id", None) == "tracer")
+        assert found == {"cluster/events.py:SimResult.tracer"}
+        from repro.cluster.events import SimResult
+
+        assert [f.name for f in dataclasses.fields(SimResult)
+                if f.name == "tracer"] == ["tracer"]
+
+
 class TestSchedulerInstrumentation:
     @pytest.mark.parametrize("nworkers", [0, 2])
     def test_serial_run_emits_full_event_set(self, tmp_path, nworkers):
         system = FragmentedSystem.by_components(water_cluster(3, seed=2))
-        tr = Tracer()
         v0 = maxwell_boltzmann_velocities(system.parent.masses_au, 100, seed=1)
-        co = AsyncCoordinator(
-            system, nsteps=2, dt_fs=0.5, r_dimer_bohr=BIG, mbe_order=2,
-            velocities=v0, tracer=tr,
-        )
-        run_parallel(co, PairwisePotentialCalculator(), nworkers=nworkers)
+        with recording(Tracer()) as tr:
+            co = AsyncCoordinator(
+                system, nsteps=2, dt_fs=0.5, r_dimer_bohr=BIG, mbe_order=2,
+                velocities=v0,
+            )
+            run_parallel(co, PairwisePotentialCalculator(), nworkers=nworkers)
         names = {ev["name"] for ev in tr.events}
         assert {"task.release", "task.complete", "task.exec",
                 "step.complete", "scheduler.queue_depth",
@@ -147,9 +220,9 @@ class TestSchedulerInstrumentation:
         ck = tmp_path / "ck.npz"
         run_aimd(system, PairwisePotentialCalculator(), nsteps=2,
                  checkpoint_path=ck, checkpoint_every=2, **kw)
-        tr = Tracer()
-        run_aimd(system, PairwisePotentialCalculator(), nsteps=8, tracer=tr,
-                 resume=read_checkpoint(ck), **kw)
+        with recording(Tracer()) as tr:
+            run_aimd(system, PairwisePotentialCalculator(), nsteps=8,
+                     resume=read_checkpoint(ck), **kw)
         cats: dict[str, set] = {}
         for ev in tr.events:
             cats.setdefault(ev["name"], set()).add(ev["cat"])
@@ -165,15 +238,16 @@ class TestSchedulerInstrumentation:
         assert evals == [(4, 1), (6, 1), (8, 1)]
 
     def test_untraced_run_unchanged(self):
-        """tracer=None must leave the trajectory identical (guard-only)."""
+        """Recording must leave the trajectory identical (guard-only)."""
         system = FragmentedSystem.by_components(water_cluster(3, seed=2))
         v0 = maxwell_boltzmann_velocities(system.parent.masses_au, 100, seed=1)
         kw = dict(nsteps=3, dt_fs=0.5, r_dimer_bohr=BIG, mbe_order=2,
                   velocities=v0)
         c1 = AsyncCoordinator(system, **kw)
         run_serial(c1, PairwisePotentialCalculator())
-        c2 = AsyncCoordinator(system, tracer=Tracer(), **kw)
-        run_serial(c2, PairwisePotentialCalculator())
+        with recording(Tracer()):
+            c2 = AsyncCoordinator(system, **kw)
+            run_serial(c2, PairwisePotentialCalculator())
         np.testing.assert_array_equal(
             c1.trajectory_energies()[1], c2.trajectory_energies()[1]
         )
@@ -212,11 +286,11 @@ class TestSimulatorTrace:
 
 class TestGemmTuneTrace:
     def test_decision_event_emitted(self):
-        tr = Tracer()
-        tuner = GemmAutoTuner(tracer=tr)
+        tuner = GemmAutoTuner()
         A = np.eye(6)
-        for _ in range(len(VARIANTS) * tuner.trials_per_variant):
-            tuner.gemm(A, A)
+        with recording(Tracer()) as tr:
+            for _ in range(len(VARIANTS) * tuner.trials_per_variant):
+                tuner.gemm(A, A)
         (ev,) = [e for e in tr.events if e["name"] == "gemm.autotune"]
         assert ev["args"]["shape"] == str((6, 6, 6))
         assert ev["args"]["variant"] in VARIANTS

@@ -18,7 +18,7 @@ from repro.md.scheduler import AsyncCoordinator
 from repro.scf import rhf
 from repro.scf.recovery import rhf_with_recovery
 from repro.systems import water_cluster, water_monomer
-from repro.trace import Tracer
+from repro.trace import Tracer, recording
 
 
 # --------------------------------------------------------------------------
@@ -309,10 +309,10 @@ class TestWarmStartTracing:
         fs = FragmentedSystem.by_components(water_cluster(2, seed=0))
         mol, _, _ = fs.fragment_molecule((0,))
         mol.record = FragmentRecord()
-        tracer = Tracer()
-        calc = RIHFCalculator(guess_cache=GuessCache(), tracer=tracer)
-        calc.energy_gradient(mol)  # miss
-        calc.energy_gradient(mol)  # hit: the record it left (same geometry)
+        calc = RIHFCalculator(guess_cache=GuessCache())
+        with recording(Tracer()) as tracer:
+            calc.energy_gradient(mol)  # miss
+            calc.energy_gradient(mol)  # hit: the record it left (same geometry)
         count, sums = tracer.aggregate_instants("scf.warm_start")
         assert count == 2
         assert sums["hit"] == 1
