@@ -30,6 +30,7 @@ import numpy as np
 from .basis.auxiliary import auto_auxiliary
 from .basis.basisset import BasisSet
 from .chem.molecule import Molecule
+from .integrals import ERI4C_SCREEN
 from .integrals.batch import table_bytes
 from .integrals.workspace import IntegralWorkspace, get_workspace, table_budget
 from .mp2.mp2 import mp2_ri
@@ -457,14 +458,14 @@ class RIHFCalculator:
 class ConventionalHFCalculator(OneAtATime):
     """Four-center HF baseline (what RI-HF replaces, Fig. 3).
 
-    ``int_screen=None`` keeps the four-center derivative driver's
-    default threshold (1e-11); ``0.0`` requests the exact path, which
-    also bypasses the Schwarz/Dmax table builds entirely.
+    ``int_screen`` is the four-center derivative driver's threshold
+    (`integrals.ERI4C_SCREEN` by default); ``0.0`` requests the exact
+    path, which also bypasses the Schwarz/Dmax table builds entirely.
     """
 
     basis: str = "sto-3g"
     guess_cache: GuessCache | None = None
-    int_screen: float | None = None
+    int_screen: float = ERI4C_SCREEN
     workspace: IntegralWorkspace | None = None
 
     def energy_gradient(self, mol: Molecule) -> tuple[float, np.ndarray]:

@@ -5,18 +5,18 @@ nuclear attraction, two-/three-/four-center electron repulsion
 integrals, and analytic first derivatives of all of them.
 
 Every public driver has one implementation and one name: the
-shell-class kernels of `repro.integrals.batch` (with the two-centre and
-core-Hamiltonian drivers beside them in `eri.py` / `onee.py`), which
-evaluate whole shell-pair classes per NumPy kernel call. Each takes a
-list of fragments — bases of any compositions, with the molecules and
-coefficient arrays of the same fragments — as one evaluation, computes
-every integral block they hold once, and returns one result per
-fragment; given one basis in place of the list it is a list of one
-(`engine.stack_driver`).
-They are deterministic (run to run, and for any chunk size) and agree
-with the per-pair ``*_loop`` reference functions in `onee.py`/`eri.py`
-to a stated tolerance with identical Schwarz skip decisions; the
-reference is imported by tests only.
+shell-class kernels of `repro.integrals.batch` (with the two- and
+four-centre and core-Hamiltonian drivers beside them in `eri.py` /
+`onee.py`, on the same kernels), which evaluate whole shell-pair
+classes per NumPy kernel call. Each takes a list of fragments — bases
+of any compositions, with the molecules and coefficient arrays of the
+same fragments — as one evaluation, computes every integral block they
+hold once, and returns one result per fragment; given one basis in
+place of the list it is a list of one (`engine.stack_driver`). The
+four-centre drivers of the conventional-HF baseline take one basis.
+They are deterministic (run to run, and for any chunk size); the tests
+check them against an independent per-primitive Obara-Saika /
+Taketa-Huzinaga-Oohata reference that lives under ``tests/``.
 """
 
 from .batch import (
@@ -32,6 +32,7 @@ from .batch import (
 )
 from .boys import boys, boys_array
 from .eri import (
+    ERI4C_SCREEN,
     aux_function_bounds,
     contract_eri2c_deriv,
     contract_eri4c_deriv_hf,
@@ -48,6 +49,7 @@ from .workspace import (
 
 __all__ = [
     "DEFAULT_INT_SCREEN",
+    "ERI4C_SCREEN",
     "IntegralWorkspace",
     "aux_function_bounds",
     "boys",

@@ -12,27 +12,27 @@ paper needs to feed accelerators as large dense batches. The kernels
 are NumPy; a second array library re-enters behind the batched calls of
 ROADMAP item 2 (docs/PERFORMANCE.md, "One array library").
 
-Contract (see docs/PERFORMANCE.md). These kernels are the only runtime
-implementation of the public drivers; the per-pair ``*_loop`` functions
-in `onee.py`/`eri.py` are the reference the tests compare against.
-What is pinned:
+Contract (see docs/PERFORMANCE.md). These kernels are the only
+implementation of the public drivers — the two- and four-centre
+drivers in `eri.py` run on them too. What is pinned:
 
 * **Determinism** — the same inputs give bit-identical outputs from run
   to run and for any `_CHUNK_ELEMS`: per-block rows are independent,
   gradients accumulate per class in class order from whole-class
   arrays, and the neglected bound is one exactly rounded `math.fsum`.
   This is what bitwise resume rests on.
-* **Screening decisions** — skip masks and pair counts are identical to
-  the reference's (same Schwarz table, same comparison).
-* **Tolerance vs the reference** — matrices and 3c tensors to rtol
-  1e-12, contracted gradients to atol 1e-12 Ha/bohr.
+* **Screening decisions** — every screened driver of an evaluation
+  takes its skip masks from the one Schwarz table of each fragment.
+* **Tolerance vs the reference** — against the independent
+  per-primitive reference of the tests (Obara-Saika /
+  Taketa-Huzinaga-Oohata, its own Boys function): matrices and
+  integral tensors to rtol 1e-12, contracted gradients to atol 1e-12
+  Ha/bohr.
 
-Summation order, operand layouts and Hermite ranges are *not* pinned to
-the loop code's. The kernels here evaluate only the Hermite rows with
-``t + u + v <= L`` (`engine.hermite_simplex`, packed R tables from
-`engine.r_tables_simplex`) and contract each (class, aux group) block
-list with stacked GEMMs; the reference keeps the full ``(L+1)^3`` cube,
-so the tolerance clause is a cross-check of the trimming.
+The kernels evaluate only the Hermite rows with ``t + u + v <= L``
+(`engine.hermite_simplex`, packed R tables from
+`engine.r_tables_simplex`) and contract each (class, ket group) block
+list with stacked GEMMs.
 
 **One evaluation per call.** Every driver takes a list of fragments —
 bases of any compositions, with the molecules and coefficient arrays of
@@ -144,7 +144,7 @@ class ShellClass:
 
     Per-pair arrays are stacked along a leading axis of length ``Q``;
     per-primitive arrays have a second axis of length ``N = npa * npb``,
-    laid out exactly like `engine.pair_data` (bra-major). ``E`` carries
+    bra-major (the bra primitive's index runs slowest). ``E`` carries
     the workspace-unified ``(di=1, dj=2)`` derivative headroom: lower-
     index entries of the E recursion are independent of headroom, so
     every driver can gather from the one table. Which fragment holds
@@ -267,7 +267,7 @@ def _class_partition(basis: BasisSet) -> list[dict]:
         exps_b = np.stack([shells[j].exps for j in jsh])
         coefs_a = np.stack([shells[i].coefs for i in ish])
         coefs_b = np.stack([shells[j].coefs for j in jsh])
-        # bra-major primitive layout, as in engine.pair_data
+        # bra-major primitive layout
         a = np.repeat(exps_a, npb, axis=1)
         b = np.tile(exps_b, (1, npa))
         cc = np.repeat(coefs_a, npb, axis=1) * np.tile(coefs_b, (1, npa))
@@ -628,7 +628,7 @@ def _site_codes(auxs, workspace, di: int = 0):
             for m in np.unique(counts):
                 first = starts[counts == m]
                 sites = first[:, None] + np.arange(m)
-                rows = np.column_stack([P[first], grp.pd.a[sites]])
+                rows = np.column_stack([P[first], grp.a[sites]])
                 holders.setdefault((grp.ls, int(m)), []).append(
                     (f, grp, sites, rows))
     frags: list[dict] = [{} for _ in auxs]
@@ -667,7 +667,7 @@ def _build_site_plan(auxs, workspace, di: int) -> SitePlan:
         def per_site(get):
             return np.concatenate([get(grp)[sites] for _, grp, sites, _ in held])[first]
 
-        E = per_site(lambda grp: grp.pd.E)
+        E = per_site(lambda grp: grp.E)
         tuv = hermite_simplex(ls[-1])
         A, C = first.size, grp0.comps.shape[0]
         Wk = _w_class(E.reshape(A * m, 1, *E.shape[2:]), grp0.comps,
@@ -735,8 +735,8 @@ def _blocks(pairs: PairPlan, kets, keep=None):
 
 
 # --------------------------------------------------------------------------
-# Shared gather/contraction helpers (engine.w_tensor / engine.w_deriv
-# with a leading pair axis, on simplex rows)
+# Shared gather/contraction helpers: component expansions of a class
+# (and their centre derivatives) with a leading pair axis, on simplex rows
 # --------------------------------------------------------------------------
 
 def _einsum(spec: str, *ops):

@@ -12,11 +12,10 @@ independent implementations live here:
   the asymptotic ``F_0`` and the *upward* recursion (stable there: the
   subtracted ``exp(-T)`` is tiny); lower orders by the stable downward
   recursion. <= 3e-15 relative against 50-digit references.
-* `boys` / `boys_array` — the reference of the ``*_loop`` integrals and
-  `engine.r_tables_batch`: power series below ``T = 1``, regularized
+* `boys` / `boys_array` — the scalar one of `hermite.r_table`, and a
+  cross-check of the table: power series below ``T = 1``, regularized
   incomplete gamma function above, same downward recursion (<= 2e-14).
-  No runtime kernel calls it, so the 1e-12 loop-vs-batched cross-check
-  is a check of the table.
+  No kernel calls it.
 """
 
 from __future__ import annotations

@@ -1,24 +1,18 @@
-"""Batched shell-pair machinery for McMurchie-Davidson integrals.
+"""Hermite machinery shared by the shell-class kernels of `batch`.
 
-The integral drivers (`onee`, `eri`) are built on three primitives:
-
-* `pair_data` / `single_data` — per-primitive-pair Hermite expansion
-  tables ``E[n, dim, i, j, t]`` plus composite exponents/centers.
-* `w_tensor` — the per-pair Cartesian-component expansion tensor
-  ``W[n, A, B, t, u, v]`` obtained by gathering E tables for the actual
-  component powers of the shell pair.
-* `w_deriv` — the same tensor differentiated with respect to a bra or
-  ket *center* coordinate via the exact distribution identity
-
-      d/dA_x Omega_ij = 2a Omega_{i+1,j} - i Omega_{i-1,j},
-
-  which turns every integral derivative into integrals of shifted
-  angular momentum (no derivative Hermite kernels needed; operator-center
-  derivatives follow from translational invariance in the callers).
+* `e_tables_batch` — Hermite expansion tables ``E[n, dim, i, j, t]``
+  of a batch of primitive pairs (an auxiliary site is a pair with a
+  zero-exponent partner on its own centre).
+* `r_tables_simplex` — Hermite Coulomb tables ``R^0_{tuv}`` on the
+  simplex ``t + u + v <= L`` (`hermite_simplex`), from the tabulated
+  Boys function; `batch._build_tables` is its one caller.
+* `aux_group_data` — an auxiliary basis's shells grouped by site.
+* `canonical_shell_pairs`, `stack_driver`, `comp_arrays` — the pair
+  enumeration, the one-or-many calling convention and the component
+  powers every driver shares.
 
 Everything is vectorized over primitive pairs; Python loops only run
-over shells, which keeps laptop-scale molecules fast without any
-compiled extension.
+over Hermite orders and angular momenta.
 """
 
 from __future__ import annotations
@@ -28,12 +22,7 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
 from ..chem.molecule import Molecule
-
-if TYPE_CHECKING:
-    from ..basis.shell import Shell
 from .boys import boys_table
 from .hermite import cartesian_components
 
@@ -100,73 +89,6 @@ def e_tables_batch(
 _R_SCRATCH_BYTES = 4 << 20
 
 
-def r_tables_batch(
-    tmax: int, umax: int, vmax: int, p: np.ndarray, PQ: np.ndarray
-) -> np.ndarray:
-    """Hermite Coulomb tensors ``R^0_{tuv}`` for a batch.
-
-    Args:
-        tmax, umax, vmax: per-dimension Hermite orders.
-        p: composite exponents, shape ``(n,)``.
-        PQ: composite center separations, shape ``(n, 3)``.
-
-    Returns:
-        ``R`` of shape ``(n, tmax+1, umax+1, vmax+1)``.
-
-    The scratch tensor keeps the batch axis *last* so every slice the
-    downward recursion reads or writes is contiguous, and batches are
-    split so the scratch stays cache-resident. Both are pure layout
-    choices: every operation is elementwise along the batch axis, so
-    the returned values are bitwise independent of them.
-    """
-    from .boys import boys_array  # the reference Boys; runtime uses the table
-
-    n = p.shape[0]
-    nmax = tmax + umax + vmax
-    per_item = (nmax + 1) * (tmax + 1) * (umax + 1) * (vmax + 1) * 8
-    chunk = max(64, _R_SCRATCH_BYTES // per_item)
-    if n > chunk:
-        out = np.empty((n, tmax + 1, umax + 1, vmax + 1))
-        for lo in range(0, n, chunk):
-            hi = lo + chunk
-            out[lo:hi] = r_tables_batch(tmax, umax, vmax, p[lo:hi], PQ[lo:hi])
-        return out
-    T = p * np.einsum("ni,ni->n", PQ, PQ)
-    F = boys_array(nmax, T)  # (n, nmax+1)
-    # empty, not zeros: level m of the recursion only ever reads entries
-    # written at level m+1, and every entry the caller sees (level 0) is
-    # written unconditionally
-    Rn = np.empty((nmax + 1, tmax + 1, umax + 1, vmax + 1, n))
-    scale = np.ones(n)
-    for m in range(nmax + 1):
-        Rn[m, 0, 0, 0] = scale * F[:, m]
-        scale = scale * (-2.0 * p)
-    x = PQ[:, 0][None, :]
-    y = PQ[:, 1][None, :]
-    z = PQ[:, 2][None, :]
-    for total in range(1, nmax + 1):
-        hi = nmax - total + 1  # recursion fills orders [0, hi) at this level
-        for t in range(min(total, tmax) + 1):
-            for u in range(min(total - t, umax) + 1):
-                v = total - t - u
-                if v < 0 or v > vmax:
-                    continue
-                if t > 0:
-                    val = x * Rn[1 : hi + 1, t - 1, u, v]
-                    if t > 1:
-                        val = val + (t - 1) * Rn[1 : hi + 1, t - 2, u, v]
-                elif u > 0:
-                    val = y * Rn[1 : hi + 1, t, u - 1, v]
-                    if u > 1:
-                        val = val + (u - 1) * Rn[1 : hi + 1, t, u - 2, v]
-                else:
-                    val = z * Rn[1 : hi + 1, t, u, v - 1]
-                    if v > 1:
-                        val = val + (v - 1) * Rn[1 : hi + 1, t, u, v - 2]
-                Rn[0:hi, t, u, v] = val
-    return np.ascontiguousarray(Rn[0].transpose(3, 0, 1, 2))
-
-
 @lru_cache(maxsize=None)
 def _graded_simplex(lmax: int):
     """Recursion layout of `r_tables_simplex`: the simplex in blocks of
@@ -196,8 +118,9 @@ def r_tables_simplex(
 ) -> np.ndarray:
     """Hermite Coulomb tensors ``scale * R^0_{tuv}`` for ``t+u+v <= lmax``.
 
-    Same recursion as `r_tables_batch`, run to total order ``lmax``
-    only (Boys orders ``0..lmax``), with ``scale`` (default one, shaped
+    The downward Hermite recursion ``R^n_{t+1,u,v} = t R^{n+1}_{t-1,u,v}
+    + X R^{n+1}_{t,u,v}`` (likewise in ``u``, ``v``), run to total order
+    ``lmax`` only (Boys orders ``0..lmax``), with ``scale`` (default one, shaped
     like ``p``) folded into its ``F_m`` seeds. A batch ``p`` of shape
     ``(rows, m)`` (``PQ`` one more axis, of 3) gives ``(rows,
     nsimplex(lmax), m)``: the Hermite rows in `hermite_simplex` order
@@ -258,61 +181,6 @@ def r_tables_simplex(
     out = np.empty((rows, ns, m))
     out[:, at] = Rn[0].reshape(ns, rows, m).transpose(1, 0, 2)
     return out
-
-
-@dataclass
-class PairData:
-    """Primitive-pair expansion data for one shell pair."""
-
-    sha: Shell
-    shb: Shell
-    a: np.ndarray  # (n,) bra exponents
-    b: np.ndarray  # (n,) ket exponents (zeros for single expansions)
-    cc: np.ndarray  # (n,) contraction coefficient products
-    p: np.ndarray  # (n,) composite exponents
-    P: np.ndarray  # (n, 3) composite centers
-    E: np.ndarray  # (n, 3, imax+1, jmax+1, tmax+1)
-    imax: int
-    jmax: int
-
-    @property
-    def nprim(self) -> int:
-        return self.a.shape[0]
-
-
-def pair_data(sha: Shell, shb: Shell, di: int = 0, dj: int = 0) -> PairData:
-    """Expansion tables for a genuine two-shell pair.
-
-    ``di``/``dj`` request extra angular-momentum headroom on the bra/ket
-    side for derivative integrals.
-    """
-    a = np.repeat(sha.exps, shb.nprim)
-    b = np.tile(shb.exps, sha.nprim)
-    cc = np.repeat(sha.coefs, shb.nprim) * np.tile(shb.coefs, sha.nprim)
-    p = a + b
-    P = (a[:, None] * sha.center[None, :] + b[:, None] * shb.center[None, :]) / p[:, None]
-    AB = sha.center - shb.center
-    imax = sha.l + di
-    jmax = shb.l + dj
-    E = e_tables_batch(imax, jmax, AB, a, b)
-    return PairData(sha, shb, a, b, cc, p, P, E, imax, jmax)
-
-
-def single_data(sh: Shell, di: int = 0) -> PairData:
-    """Expansion tables for a single shell (RI auxiliary function).
-
-    Treated as a pair with a dummy ``b = 0`` partner on the same center,
-    under which the E recursion reduces to the single-Gaussian Hermite
-    expansion.
-    """
-    a = sh.exps.copy()
-    b = np.zeros_like(a)
-    cc = sh.coefs.copy()
-    p = a.copy()
-    P = np.repeat(sh.center[None, :], len(a), axis=0)
-    imax = sh.l + di
-    E = e_tables_batch(imax, 0, np.zeros(3), a, b)
-    return PairData(sh, sh, a, b, cc, p, P, E, imax, 0)
 
 
 def canonical_shell_pairs(basis) -> list[tuple[int, int]]:
@@ -387,9 +255,12 @@ class AuxGroup:
 
     Attributes:
         ls: angular momenta every site of the group carries, ascending.
-        pd: PairData whose primitive axis enumerates the sites (E tables
-            up to ``lmax``; ``cc`` is one, the shells' contraction
-            coefficients differ per ``l`` and ride in ``comp_norms``).
+        a: exponent of every site, shape ``(m,)``.
+        E: every site's E tables up to ``lmax`` (plus any derivative
+            headroom), ``(m, 3, imax+1, 1, imax+1)``: geometry-free, the
+            zero-exponent partner sits on the site's own centre (the
+            shells' contraction coefficients differ per ``l`` and ride
+            in ``comp_norms``).
         atoms: owning atom per site, shape ``(m,)``.
         shells: one member shell index per site, shape ``(m,)`` (where
             the site's centre is read from).
@@ -402,7 +273,8 @@ class AuxGroup:
     """
 
     ls: tuple[int, ...]
-    pd: PairData
+    a: np.ndarray
+    E: np.ndarray
     atoms: np.ndarray
     shells: np.ndarray
     comps: np.ndarray
@@ -453,17 +325,12 @@ def aux_group_data(aux, di: int = 0) -> list[AuxGroup]:
 
         first = [aux.shells[slot[ls[0]]] for slot in members]
         a = np.array([sh.exps[0] for sh in first])
-        b = np.zeros_like(a)
-        P = np.array([sh.center for sh in first])
-        imax = ls[-1] + di
-        E = e_tables_batch(imax, 0, np.zeros(3), a, b)
-        pd = PairData(
-            first[0], first[0], a, b, np.ones_like(a), a.copy(), P, E, imax, 0
-        )
         groups.append(
             AuxGroup(
                 ls=ls,
-                pd=pd,
+                a=a,
+                E=e_tables_batch(ls[-1] + di, 0, np.zeros(3), a,
+                                 np.zeros_like(a)),
                 atoms=np.array([sh.atom for sh in first]),
                 shells=np.array([slot[ls[0]] for slot in members]),
                 comps=np.concatenate([comp_arrays(l) for l in ls]),
@@ -476,80 +343,10 @@ def aux_group_data(aux, di: int = 0) -> list[AuxGroup]:
     return groups
 
 
-def w_tensor(pd: PairData, ca: np.ndarray, cb: np.ndarray, tbox: tuple[int, int, int]) -> np.ndarray:
-    """Component expansion tensor ``W[n, A, B, t, u, v]``.
-
-    Args:
-        pd: pair data with E tables covering the requested powers.
-        ca, cb: component power arrays for bra and ket, shapes (A,3), (B,3).
-        tbox: inclusive per-dimension Hermite maxima (tx, ty, tz).
-    """
-    Gs = []
-    for dim in range(3):
-        # (n, A, B, T)
-        G = pd.E[:, dim][:, ca[:, None, dim], cb[None, :, dim], : tbox[dim] + 1]
-        Gs.append(G)
-    return np.einsum("nabt,nabu,nabv->nabtuv", Gs[0], Gs[1], Gs[2])
-
-
-def w_deriv(
-    pd: PairData,
-    ca: np.ndarray,
-    cb: np.ndarray,
-    tbox: tuple[int, int, int],
-    side: str,
-    axis: int,
-) -> np.ndarray:
-    """``d/dX_axis`` of `w_tensor`, where X is the bra (``side='bra'``) or
-    ket (``side='ket'``) shell center.
-
-    Requires the pair data to have been built with one extra unit of
-    angular momentum headroom on the differentiated side.
-    """
-    Gs = []
-    for dim in range(3):
-        ia = ca[:, None, dim]
-        jb = cb[None, :, dim]
-        T = tbox[dim] + 1
-        if dim == axis:
-            if side == "bra":
-                up = pd.E[:, dim][:, ia + 1, jb, :T]
-                lo_idx = np.maximum(ia - 1, 0)
-                lo = pd.E[:, dim][:, lo_idx, jb, :T]
-                G = 2.0 * pd.a[:, None, None, None] * up - ia[None, :, :, None] * lo
-            elif side == "ket":
-                up = pd.E[:, dim][:, ia, jb + 1, :T]
-                lo_idx = np.maximum(jb - 1, 0)
-                lo = pd.E[:, dim][:, ia, lo_idx, :T]
-                G = 2.0 * pd.b[:, None, None, None] * up - jb[None, :, :, None] * lo
-            else:
-                raise ValueError(f"side must be 'bra' or 'ket', got {side!r}")
-        else:
-            G = pd.E[:, dim][:, ia, jb, :T]
-        Gs.append(G)
-    return np.einsum("nabt,nabu,nabv->nabtuv", Gs[0], Gs[1], Gs[2])
-
-
-@lru_cache(maxsize=None)
-def hermite_box(tbox: tuple[int, int, int]) -> np.ndarray:
-    """All (t, u, v) triples of the inclusive box, shape (nT, 3), C-order.
-
-    Memoized (read-only result): the distinct boxes in a run are the few
-    angular-momentum sums of the basis, re-requested per shell pair.
-    """
-    tx, ty, tz = tbox
-    t, u, v = np.meshgrid(
-        np.arange(tx + 1), np.arange(ty + 1), np.arange(tz + 1), indexing="ij"
-    )
-    box = np.stack([t.ravel(), u.ravel(), v.ravel()], axis=1)
-    box.setflags(write=False)
-    return box
-
-
 @lru_cache(maxsize=None)
 def hermite_simplex(L: int) -> np.ndarray:
     """All (t, u, v) with ``t + u + v <= L``, C-order, shape
-    ``((L+1)(L+2)(L+3)/6, 3)`` — the part of `hermite_box` ``(L, L, L)``
+    ``((L+1)(L+2)(L+3)/6, 3)`` — the part of the Hermite cube ``(L+1)^3``
     on which an expansion of total angular momentum ``L`` can be
     nonzero (``E[i, j, t] = 0`` for ``t > i + j`` in every dimension).
     Memoized, read-only.

@@ -1,33 +1,35 @@
 """Electron-repulsion integrals: two-, three- and four-center classes.
 
-All classes share one general bra-pair x ket-pair Hermite contraction
-(`_eri_general`). Auxiliary (RI) shells enter as "pairs" with a zero-
-exponent dummy partner, under which the machinery reduces to the single-
-Gaussian Hermite expansion. Derivative drivers contract coefficient
-tensors against integral first derivatives on the fly, exactly as the
-paper's gradient is organized (coefficients first, derivatives never
-stored).
+Every class runs on the shell-class kernels of `batch.py`: a shell pair
+class (`batch.PairPlan`) or an auxiliary site group (`batch.SitePlan`)
+is the bra, a Hermite Gaussian is the ket — an auxiliary site, a site of
+the metric, or the pair class of a four-centre block at its pair centre
+— and a block is two stacked GEMMs through its Hermite Coulomb kernel
+(`batch._build_tables`, `engine.r_tables_simplex` on the Hermite
+simplex). Derivative drivers contract coefficient tensors against
+integral first derivatives on the fly, exactly as the paper's gradient
+is organized (coefficients first, derivatives never stored); each
+differentiates bra centres only (`batch._w_deriv_stack`) and takes the
+rest from translational invariance or from the swapped block.
 
 Screening and reuse (paper Sec. V: every bottleneck reduces to
-*screened*, dense contractions): the three-center drivers accept a
-Cauchy-Schwarz ``screen`` threshold — a bra shell pair is skipped when
-``Q_ab * max_P Q_P`` (times the local coefficient magnitude, for the
-derivative drivers) cannot exceed it — plus an optional
-`IntegralWorkspace` that serves cached shell-pair expansion tables,
-auxiliary group scaffolding and bound tables across calls and MD steps.
-Every screened driver accumulates the summed bound of what it skipped,
-so callers get a rigorous estimate of the neglected contribution.
+*screened*, dense contractions): the three- and four-centre drivers
+accept a Cauchy-Schwarz ``screen`` threshold — a bra shell pair is
+skipped when its bound (times the local coefficient or density
+magnitude, for the derivative drivers) cannot exceed it — plus an
+optional `IntegralWorkspace` that serves the evaluation's pair plan,
+auxiliary site groups and bound tables. Every screened driver
+accumulates the summed bound of what it skipped, so callers get a
+rigorous estimate of the neglected contribution.
 
-The runtime three-center and Schwarz drivers are the shell-class kernels
-in `batch.py` (Hermite simplex, one GEMM per class and aux group, one
-`CoulombTables` set per evaluation), and the two-center drivers here
-call the same kernels and the same table builder. `eri3c_loop`,
-`contract_eri3c_deriv_loop` and `schwarz_pair_bounds_loop` keep the full
-Hermite cube: they are the per-pair reference of the tests, never called
-under ``src/``.
+The three-centre and Schwarz drivers live in `batch.py`; the
+two-centre metric, the auxiliary bounds and the four-centre drivers of
+the conventional-HF baseline live here.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,18 +41,10 @@ if TYPE_CHECKING:
 from ..gemm import bgemm
 from .engine import (
     AuxGroup,
-    PairData,
     aux_group_data,
-    canonical_shell_pairs,
     comp_arrays,
-    hermite_box,
     hermite_simplex,
-    pair_data,
-    r_tables_batch,
-    single_data,
     stack_driver,
-    w_deriv,
-    w_tensor,
 )
 
 _TWO_PI_52 = 2.0 * np.pi**2.5
@@ -61,30 +55,16 @@ _TWO_PI_52 = 2.0 * np.pi**2.5
 DERIV_SAFETY = 50.0
 
 
-def _bra_pair(workspace, sha, shb, di: int, dj: int) -> PairData:
-    """Shell-pair tables from the workspace (unified headroom) or fresh."""
-    if workspace is not None:
-        return workspace.pair_data(sha, shb)
-    return pair_data(sha, shb, di, dj)
-
-
 def _aux_groups(workspace, aux, di: int = 0) -> list[AuxGroup]:
     if workspace is not None:
         return workspace.aux_groups(aux, di=di)
     return aux_group_data(aux, di=di)
 
 
-def _schwarz_table(basis, workspace) -> np.ndarray:
-    """Schwarz bound table from the evaluation's scratch, or freshly built.
-
-    Every screened driver — the loop references included — takes its
-    skip decisions from this one table, so they agree exactly.
-    """
-    return _schwarz_tables([basis], workspace)[0]
-
-
 def _schwarz_tables(bases, workspace) -> list[np.ndarray]:
-    """`_schwarz_table` of every basis of a call."""
+    """The Schwarz bound table of every basis of a call, from the
+    evaluation's scratch or freshly built: every screened driver takes
+    its skip decisions from it."""
     if workspace is not None:
         return workspace.schwarz_bounds_stack(bases)
     from .batch import schwarz_pair_bounds
@@ -98,78 +78,8 @@ def _aux_bounds(aux, workspace) -> np.ndarray:
     return aux_function_bounds(aux)
 
 
-def _combined_R(bra: PairData, ket: PairData, tbox_b, tbox_k) -> np.ndarray:
-    """R tensors over the combined Hermite box for every (n, m) primitive
-    pair combination. Shape ``(n, m, TX+1, TY+1, TZ+1)``."""
-    n, m = bra.nprim, ket.nprim
-    p = bra.p[:, None].repeat(m, axis=1).ravel()
-    q = np.tile(ket.p, n)
-    alpha = p * q / (p + q)
-    PQ = (bra.P[:, None, :] - ket.P[None, :, :]).reshape(n * m, 3)
-    TX = tbox_b[0] + tbox_k[0]
-    TY = tbox_b[1] + tbox_k[1]
-    TZ = tbox_b[2] + tbox_k[2]
-    R = r_tables_batch(TX, TY, TZ, alpha, PQ)
-    return R.reshape(n, m, TX + 1, TY + 1, TZ + 1)
-
-
-def _kfac(bra: PairData, ket: PairData) -> np.ndarray:
-    """Prefactor ``2 pi^{5/2} / (p q sqrt(p+q))`` with contraction coefs,
-    shape ``(n, m)``."""
-    p = bra.p[:, None]
-    q = ket.p[None, :]
-    return (
-        _TWO_PI_52
-        / (p * q * np.sqrt(p + q))
-        * bra.cc[:, None]
-        * ket.cc[None, :]
-    )
-
-
-def _contract(bra_W, ket_W, R, K, tb_idx, tk_idx) -> np.ndarray:
-    """Assemble the ERI block.
-
-    Args:
-        bra_W: ``(n, nA*nB, Tb)`` flattened bra expansion.
-        ket_W: ``(m, nC*nD, Tk)`` flattened ket expansion with the
-            ``(-1)^{tau+nu+phi}`` phase folded in.
-        R: combined Hermite tensor ``(n, m, TX+1, TY+1, TZ+1)``.
-        K: prefactors ``(n, m)``.
-        tb_idx, tk_idx: Hermite boxes, shapes ``(Tb, 3)``, ``(Tk, 3)``.
-
-    Returns:
-        ``(nA*nB, nC*nD)`` block.
-    """
-    tsum = tb_idx[:, None, :] + tk_idx[None, :, :]  # (Tb, Tk, 3)
-    M = R[:, :, tsum[..., 0], tsum[..., 1], tsum[..., 2]]  # (n, m, Tb, Tk)
-    # a fixed path: K into the kernel, the bra over (n, t), the ket over
-    # (m, s)
-    n, X, Tb = bra_W.shape
-    m, Y, Tk = ket_W.shape
-    KM = (M * K[:, :, None, None]).transpose(0, 2, 1, 3).reshape(n * Tb, m * Tk)
-    t1 = bra_W.transpose(1, 0, 2).reshape(X, n * Tb) @ KM
-    return t1 @ ket_W.transpose(0, 2, 1).reshape(m * Tk, Y)
-
-
 def _phase(tk_idx: np.ndarray) -> np.ndarray:
     return (-1.0) ** tk_idx.sum(axis=1)
-
-
-def _eri_general(bra: PairData, ket: PairData, ca, cb, cc, cd) -> np.ndarray:
-    """General (ab|cd) block over Cartesian components, un-normalized."""
-    lb = (int(ca[:, 0].max() + cb[:, 0].max()), int(ca[:, 1].max() + cb[:, 1].max()),
-          int(ca[:, 2].max() + cb[:, 2].max()))
-    lk = (int(cc[:, 0].max() + cd[:, 0].max()), int(cc[:, 1].max() + cd[:, 1].max()),
-          int(cc[:, 2].max() + cd[:, 2].max()))
-    tb_idx = hermite_box(lb)
-    tk_idx = hermite_box(lk)
-    Wb = w_tensor(bra, ca, cb, lb).reshape(bra.nprim, len(ca) * len(cb), -1)
-    Wk = w_tensor(ket, cc, cd, lk).reshape(ket.nprim, len(cc) * len(cd), -1)
-    Wk = Wk * _phase(tk_idx)[None, None, :]
-    R = _combined_R(bra, ket, lb, lk)
-    K = _kfac(bra, ket)
-    blk = _contract(Wb, Wk, R, K, tb_idx, tk_idx)
-    return blk.reshape(len(ca), len(cb), len(cc), len(cd))
 
 
 _S_COMP = comp_arrays(0)
@@ -184,12 +94,23 @@ def _eri2c_tables(workspace, auxs, sites):
     from .batch import _coulomb_tables, _pairs_of_sites, _site_bras
 
     blocks, mine = _pairs_of_sites(sites)
-    tabs = _coulomb_tables(
-        workspace, "eri2c", (auxs,), None, _site_bras(sites),
-        [dict(qk=grp.qk.reshape(-1, 1), Pk=grp.Pk.reshape(-1, 1, 3),
-              l=grp.l) for grp in sites.groups], blocks,
-    )
+    tabs = _coulomb_tables(workspace, "eri2c", (auxs,), None,
+                           _site_bras(sites), _site_kets(sites), blocks)
     return tabs, mine
+
+
+def _site_kets(sites):
+    """The site groups' sites one at a time, as the metric's ket side."""
+    return [dict(qk=grp.qk.reshape(-1, 1), Pk=grp.Pk.reshape(-1, 1, 3),
+                 l=grp.l) for grp in sites.groups]
+
+
+def _site_rows(grp):
+    """A site group as the metric's bra rows ``(sites, C, Tk)``: the 3c
+    kernel with a one-primitive "pair" per bra site, whose expansion is
+    the ket one with the +-1 phase taken back."""
+    return (grp.Wk * _phase(hermite_simplex(grp.l))).reshape(-1, grp.C,
+                                                             grp.Tk)
 
 
 def _site_pairs(tabs, gb, gk, Wb, grp_b, grp_k, Lb, width):
@@ -278,9 +199,7 @@ def eri2c(auxs, workspace: IntegralWorkspace | None = None) -> list:
     computed = sum(sites.groups[gb].C * sites.groups[gk].C * codes.size
                    for (gb, gk), codes in tabs.blocks.items())
     for gb, sb in enumerate(sites.groups):
-        # the 3c kernel with a one-primitive "pair" per bra site; the
-        # bra expansion is the ket one with the +-1 phase taken back
-        Wb = (sb.Wk * _phase(hermite_simplex(sb.l))).reshape(-1, sb.C, sb.Tk)
+        Wb = _site_rows(sb)
         for gk in range(gb, len(sites.groups)):
             if (gb, gk) not in mine:
                 continue
@@ -301,237 +220,9 @@ def eri2c(auxs, workspace: IntegralWorkspace | None = None) -> list:
     return J
 
 
-def _eri2c_pershell(aux: BasisSet) -> np.ndarray:
-    """Per-shell-pair ``(P|Q)`` of one fitting basis: the reference
-    `eri2c` is tested against (contracted shells included)."""
-    n = aux.nbf
-    J = np.zeros((n, n))
-    singles = [single_data(sh) for sh in aux.shells]
-    comps = [comp_arrays(sh.l) for sh in aux.shells]
-    for i, shp in enumerate(aux.shells):
-        op = aux.offsets[i]
-        for j in range(i, aux.nshells):
-            shq = aux.shells[j]
-            oq = aux.offsets[j]
-            blk = _eri_general(singles[i], singles[j], comps[i], _S_COMP, comps[j], _S_COMP)
-            blk = blk[:, 0, :, 0] * np.outer(shp.comp_norms, shq.comp_norms)
-            J[op : op + shp.nfunc, oq : oq + shq.nfunc] = blk
-            J[oq : oq + shq.nfunc, op : op + shp.nfunc] = blk.T
-    return J
-
-
-def _group_M(
-    bra: PairData, grp: AuxGroup, tbox_b: tuple[int, int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hermite kernel pieces for one (bra pair, aux group) combination.
-
-    Returns ``(M2, Wk)`` where ``M2`` is the gathered, prefactor-folded
-    Hermite Coulomb tensor reshaped to ``(n*Tb, m*Tk)`` and ``Wk`` the
-    ket expansion ``(m, C, Tk)`` with the Hermite phase folded in. These
-    depend only on geometry, so derivative drivers reuse them across all
-    six (side, axis) combinations.
-    """
-    lk = (grp.lmax, grp.lmax, grp.lmax)
-    tk_idx = hermite_box(lk)
-    tb_idx = hermite_box(tbox_b)
-    Wk = w_tensor(grp.pd, grp.comps, _S_COMP, lk)[:, :, 0, :, :, :]
-    m, C = grp.func_idx.shape
-    Wk = Wk.reshape(m, C, -1) * _phase(tk_idx)[None, None, :]
-    R = _combined_R(bra, grp.pd, tbox_b, lk)
-    K = _kfac(bra, grp.pd)
-    tsum = tb_idx[:, None, :] + tk_idx[None, :, :]
-    M = R[:, :, tsum[..., 0], tsum[..., 1], tsum[..., 2]]  # (n, m, Tb, Tk)
-    M *= K[:, :, None, None]
-    n = M.shape[0]
-    Tb = tb_idx.shape[0]
-    Tk = tk_idx.shape[0]
-    M2 = np.ascontiguousarray(M.transpose(0, 2, 1, 3)).reshape(n * Tb, m * Tk)
-    return M2, Wk
-
-
-def _group_apply(M2: np.ndarray, Wk: np.ndarray, Wb: np.ndarray) -> np.ndarray:
-    """Contract a bra expansion ``Wb (n, X, Tb)`` with cached kernel
-    pieces, producing per-aux-shell blocks ``(m, X, C)``."""
-    n, X, Tb = Wb.shape
-    m, C, Tk = Wk.shape
-    t1 = np.ascontiguousarray(Wb.transpose(1, 0, 2)).reshape(X, n * Tb) @ M2
-    t1 = np.ascontiguousarray(t1.reshape(X, m, Tk).transpose(1, 0, 2))
-    return np.matmul(t1, Wk.transpose(0, 2, 1))
-
-
-def _group_kernel(
-    bra: PairData,
-    grp: AuxGroup,
-    Wb: np.ndarray,
-    tbox_b: tuple[int, int, int],
-) -> np.ndarray:
-    """One-shot grouped 3c contraction (build kernel, apply bra)."""
-    M2, Wk = _group_M(bra, grp, tbox_b)
-    return _group_apply(M2, Wk, Wb)
-
-
-def eri3c_loop(
-    basis: BasisSet,
-    aux: BasisSet,
-    screen: float = 0.0,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """Reference per-pair implementation of `repro.integrals.eri3c`
-    (tests compare the batched driver against it; no runtime caller).
-
-    Auxiliary shells are processed in site groups (`engine.AuxGroup`):
-    the whole fitting basis acts as a handful of 'super-shells', so
-    Python overhead is amortized over the full auxiliary dimension.
-
-    With ``screen > 0`` a bra shell pair is skipped when its Schwarz
-    bound ``Q_ab * max_P Q_P`` cannot reach the threshold — every
-    neglected integral is individually below ``screen`` and the summed
-    bound of everything skipped is accounted to the workspace
-    (`IntegralWorkspace.record_screen`). ``workspace`` additionally
-    serves cached pair tables, aux scaffolding and bound tables.
-    """
-    nb, na = basis.nbf, aux.nbf
-    out = np.zeros((nb, nb, na))
-    groups = _aux_groups(workspace, aux)
-    Q = None
-    if screen > 0.0:
-        Q = _schwarz_table(basis, workspace)
-        qaux = _aux_bounds(aux, workspace)
-        qaux_max = float(qaux.max())
-        qaux_sum = float(qaux.sum())
-    nskip = 0
-    npairs = 0
-    neglected = 0.0
-    for ish, jsh in canonical_shell_pairs(basis):
-        sha = basis.shells[ish]
-        shb = basis.shells[jsh]
-        oa = basis.offsets[ish]
-        ca = comp_arrays(sha.l)
-        npairs += 1
-        if Q is not None and Q[ish, jsh] * qaux_max <= screen:
-            nskip += 1
-            nfab = sha.nfunc * shb.nfunc * (1 if ish == jsh else 2)
-            neglected += Q[ish, jsh] * qaux_sum * nfab
-            continue
-        ob = basis.offsets[jsh]
-        cb = comp_arrays(shb.l)
-        bra = _bra_pair(workspace, sha, shb, 0, 0)
-        L = sha.l + shb.l
-        tbox_b = (L, L, L)
-        Wb = w_tensor(bra, ca, cb, tbox_b).reshape(bra.nprim, -1, (L + 1) ** 3)
-        norms_ab = np.outer(sha.comp_norms, shb.comp_norms)
-        for grp in groups:
-            blk = _group_kernel(bra, grp, Wb, tbox_b)  # (m, X, C)
-            C = blk.shape[2]
-            blk = blk.reshape(-1, sha.nfunc, shb.nfunc, C)
-            blk = blk * norms_ab[None, :, :, None] * grp.comp_norms[:, None, None, :]
-            func_idx = grp.func_idx
-            out[oa : oa + sha.nfunc, ob : ob + shb.nfunc, func_idx] = blk.transpose(
-                1, 2, 0, 3
-            )
-            if ish != jsh:
-                out[ob : ob + shb.nfunc, oa : oa + sha.nfunc, func_idx] = (
-                    blk.transpose(2, 1, 0, 3)
-                )
-    if workspace is not None and screen > 0.0:
-        workspace.record_screen("eri3c", npairs, nskip, neglected)
-    return out
-
-
-def eri4c(basis: BasisSet) -> np.ndarray:
-    """Four-center ERIs ``(mu nu | la si)``, shape ``(nbf,)*4``.
-
-    Exploits bra/ket pair symmetry and bra<->ket symmetry (8-fold).
-    Intended for validation and for the conventional-HF baseline on
-    small systems only — the RI path never calls this.
-    """
-    n = basis.nbf
-    out = np.zeros((n, n, n, n))
-    shells = basis.shells
-    offs = basis.offsets
-    comps = [comp_arrays(sh.l) for sh in shells]
-    npairs = canonical_shell_pairs(basis)
-    pds = {ij: pair_data(shells[ij[0]], shells[ij[1]]) for ij in npairs}
-    for pi, (i, j) in enumerate(npairs):
-        for i2, j2 in npairs[pi:]:
-            blk = _eri_general(
-                pds[(i, j)], pds[(i2, j2)], comps[i], comps[j], comps[i2], comps[j2]
-            )
-            blk = (
-                blk
-                * shells[i].comp_norms[:, None, None, None]
-                * shells[j].comp_norms[None, :, None, None]
-                * shells[i2].comp_norms[None, None, :, None]
-                * shells[j2].comp_norms[None, None, None, :]
-            )
-            sl = (
-                slice(offs[i], offs[i] + shells[i].nfunc),
-                slice(offs[j], offs[j] + shells[j].nfunc),
-                slice(offs[i2], offs[i2] + shells[i2].nfunc),
-                slice(offs[j2], offs[j2] + shells[j2].nfunc),
-            )
-            out[sl[0], sl[1], sl[2], sl[3]] = blk
-            out[sl[1], sl[0], sl[2], sl[3]] = blk.transpose(1, 0, 2, 3)
-            out[sl[0], sl[1], sl[3], sl[2]] = blk.transpose(0, 1, 3, 2)
-            out[sl[1], sl[0], sl[3], sl[2]] = blk.transpose(1, 0, 3, 2)
-            out[sl[2], sl[3], sl[0], sl[1]] = blk.transpose(2, 3, 0, 1)
-            out[sl[3], sl[2], sl[0], sl[1]] = blk.transpose(3, 2, 0, 1)
-            out[sl[2], sl[3], sl[1], sl[0]] = blk.transpose(2, 3, 1, 0)
-            out[sl[3], sl[2], sl[1], sl[0]] = blk.transpose(3, 2, 1, 0)
-    return out
-
-
 # --------------------------------------------------------------------------
 # Contracted derivative drivers
 # --------------------------------------------------------------------------
-
-def _deriv_blocks_pairwise(bra, ket, ca, cb, cc, cd, sides):
-    """First-derivative blocks of (ab|cd) for the requested sides.
-
-    ``sides`` is a sequence drawn from {"braA", "braB", "ketC", "ketD"}.
-    The bra (ket) Hermite box is enlarged by one only when a bra (ket)
-    side is differentiated, so the pair data only needs headroom on the
-    differentiated sides. Returns dict side -> array (3, nA, nB, nC, nD).
-    """
-    bx = 1 if any(s.startswith("bra") for s in sides) else 0
-    kx = 1 if any(s.startswith("ket") for s in sides) else 0
-    lb = (int(ca[:, 0].max() + cb[:, 0].max()) + bx,
-          int(ca[:, 1].max() + cb[:, 1].max()) + bx,
-          int(ca[:, 2].max() + cb[:, 2].max()) + bx)
-    lk = (int(cc[:, 0].max() + cd[:, 0].max()) + kx,
-          int(cc[:, 1].max() + cd[:, 1].max()) + kx,
-          int(cc[:, 2].max() + cd[:, 2].max()) + kx)
-    tb_idx = hermite_box(lb)
-    tk_idx = hermite_box(lk)
-    R = _combined_R(bra, ket, lb, lk)
-    K = _kfac(bra, ket)
-    phase = _phase(tk_idx)
-    Wb0 = w_tensor(bra, ca, cb, lb).reshape(bra.nprim, len(ca) * len(cb), -1)
-    Wk0 = w_tensor(ket, cc, cd, lk).reshape(ket.nprim, len(cc) * len(cd), -1)
-    Wk0p = Wk0 * phase[None, None, :]
-    out = {}
-    shape = (3, len(ca), len(cb), len(cc), len(cd))
-    for side in sides:
-        blocks = np.empty(shape)
-        for axis in range(3):
-            if side == "braA":
-                dW = w_deriv(bra, ca, cb, lb, "bra", axis).reshape(bra.nprim, -1, Wb0.shape[2])
-                blk = _contract(dW, Wk0p, R, K, tb_idx, tk_idx)
-            elif side == "braB":
-                dW = w_deriv(bra, ca, cb, lb, "ket", axis).reshape(bra.nprim, -1, Wb0.shape[2])
-                blk = _contract(dW, Wk0p, R, K, tb_idx, tk_idx)
-            elif side == "ketC":
-                dW = w_deriv(ket, cc, cd, lk, "bra", axis).reshape(ket.nprim, -1, Wk0.shape[2])
-                blk = _contract(Wb0, dW * phase[None, None, :], R, K, tb_idx, tk_idx)
-            elif side == "ketD":
-                dW = w_deriv(ket, cc, cd, lk, "ket", axis).reshape(ket.nprim, -1, Wk0.shape[2])
-                blk = _contract(Wb0, dW * phase[None, None, :], R, K, tb_idx, tk_idx)
-            else:
-                raise ValueError(side)
-            blocks[axis] = blk.reshape(shape[1:])
-        out[side] = blocks
-    return out
-
 
 @stack_driver
 def contract_eri2c_deriv(
@@ -607,252 +298,268 @@ def contract_eri2c_deriv(
 def _zblk_table(basis: BasisSet, Z: np.ndarray) -> np.ndarray:
     """Per-shell-block coefficient magnitudes ``Zblk[..., i, j] = max
     |Z|`` over the (i, j) function block (all aux); ``Z (..., nbf, nbf,
-    naux)`` may lead with a stack axis. Shared with the loop reference
-    so screening decisions agree exactly (a max is exact in any
-    order)."""
+    naux)`` may lead with a stack axis (a max is exact in any order).
+    ``Z[..., None]`` of a density is its per-shell-block ``Dmax``."""
     offs = np.asarray(basis.offsets)
     Zabs = np.maximum(Z.max(axis=-1), -Z.min(axis=-1))
     Zabs = np.maximum.reduceat(Zabs, offs, axis=-2)
     return np.maximum.reduceat(Zabs, offs, axis=-1)
 
 
-def contract_eri3c_deriv_loop(
-    basis: BasisSet, aux: BasisSet, Z: np.ndarray, natoms: int,
-    screen: float = 0.0,
-    workspace: IntegralWorkspace | None = None,
-) -> np.ndarray:
-    """Reference per-pair ``sum Z d(mu nu|P)/dR`` driver (tests compare
-    `repro.integrals.contract_eri3c_deriv` against it; no runtime caller).
-
-    ``Z`` has shape ``(nbf, nbf, naux)`` and need not be symmetric in
-    (mu, nu). Auxiliary-center derivatives follow from translational
-    invariance (``dP = -(dA + dB)``); auxiliary shells are processed in
-    site groups.
-
-    With ``screen > 0`` a bra shell pair is skipped when ``DERIV_SAFETY *
-    Q_ab * max_P Q_P * max |Z|`` over the pair's coefficient slice cannot
-    reach the threshold. Skipping drops the pair's bra derivatives
-    together with their translational-invariance images on the auxiliary
-    centers, so the screened gradient still sums exactly to zero over all
-    atoms. The summed bound of everything skipped is accounted to the
-    workspace.
-    """
-    g = np.zeros((natoms, 3))
-    groups = _aux_groups(workspace, aux)
-    group_idx = [grp.func_idx for grp in groups]
-    # (mu nu|P) is symmetric in (mu, nu): only the symmetric part of Z
-    # contributes, and shell pairs can be restricted to ish <= jsh.
-    Z = 0.5 * (Z + Z.transpose(1, 0, 2))
-    Q = None
-    if screen > 0.0:
-        Q = _schwarz_table(basis, workspace)
-        qaux = _aux_bounds(aux, workspace)
-        qaux_max = float(qaux.max())
-        qaux_sum = float(qaux.sum())
-        Zblk = _zblk_table(basis, Z)
-    nskip = 0
-    npairs = 0
-    neglected = 0.0
-    for ish, jsh in canonical_shell_pairs(basis):
-        sha = basis.shells[ish]
-        shb = basis.shells[jsh]
-        oa = basis.offsets[ish]
-        ca = comp_arrays(sha.l)
-        pair_fac = 1.0 if ish == jsh else 2.0
-        npairs += 1
-        if Q is not None and (
-            DERIV_SAFETY * Q[ish, jsh] * qaux_max * Zblk[ish, jsh]
-            <= screen
-        ):
-            nskip += 1
-            neglected += (
-                DERIV_SAFETY * Q[ish, jsh] * Zblk[ish, jsh] * qaux_sum
-                * sha.nfunc * shb.nfunc * pair_fac
-            )
-            continue
-        ob = basis.offsets[jsh]
-        cb = comp_arrays(shb.l)
-        bra = _bra_pair(workspace, sha, shb, 1, 1)
-        L = sha.l + shb.l + 1
-        tbox_b = (L, L, L)
-        tb_idx = hermite_box(tbox_b)
-        norms_ab = np.outer(sha.comp_norms, shb.comp_norms).ravel()
-        dWb = {}
-        for axis in range(3):
-            dWb[("bra", axis)] = w_deriv(bra, ca, cb, tbox_b, "bra", axis).reshape(
-                bra.nprim, -1, tb_idx.shape[0]
-            )
-            dWb[("ket", axis)] = w_deriv(bra, ca, cb, tbox_b, "ket", axis).reshape(
-                bra.nprim, -1, tb_idx.shape[0]
-            )
-        for grp, fi in zip(groups, group_idx):
-            C = fi.shape[1]
-            m = grp.pd.nprim
-            # coefficients for this (bra pair, group): (m, X, C)
-            zg = Z[oa : oa + sha.nfunc, ob : ob + shb.nfunc, fi]
-            zg = zg.reshape(-1, m, C).transpose(1, 0, 2) * norms_ab[None, :, None]
-            zg = zg * (pair_fac * grp.comp_norms)[:, None, :]
-            M2, Wk = _group_M(bra, grp, tbox_b)
-            for axis in range(3):
-                dA_blk = _group_apply(M2, Wk, dWb[("bra", axis)])
-                dB_blk = _group_apply(M2, Wk, dWb[("ket", axis)])
-                vA = np.einsum("mxc,mxc->m", dA_blk, zg)
-                vB = np.einsum("mxc,mxc->m", dB_blk, zg)
-                g[sha.atom, axis] += vA.sum()
-                g[shb.atom, axis] += vB.sum()
-                np.subtract.at(g[:, axis], grp.atoms, vA + vB)
-    if workspace is not None and screen > 0.0:
-        workspace.record_screen("eri3c_deriv", npairs, nskip, neglected)
-    return g
-
-
-def schwarz_pair_bounds_loop(
-    basis: BasisSet, workspace: IntegralWorkspace | None = None
-) -> np.ndarray:
-    """Reference per-pair Schwarz bound driver: builds each full
-    ``(ab|ab)`` block and takes its diagonal (tests only)."""
-    nsh = basis.nshells
-    Q = np.zeros((nsh, nsh))
-    for i, j in canonical_shell_pairs(basis):
-        sha = basis.shells[i]
-        shb = basis.shells[j]
-        ca = comp_arrays(sha.l)
-        cb = comp_arrays(shb.l)
-        pd = _bra_pair(workspace, sha, shb, 0, 0)
-        blk = _eri_general(pd, pd, ca, cb, ca, cb)
-        na, nb = len(ca), len(cb)
-        diag = np.abs(
-            blk.reshape(na * nb, na * nb)[np.diag_indices(na * nb)]
-        )
-        Q[i, j] = Q[j, i] = float(np.sqrt(diag.max()))
-    return Q
 
 
 def aux_function_bounds(aux: BasisSet) -> np.ndarray:
     """Cauchy-Schwarz bounds ``Q_P = sqrt((P|P))`` per auxiliary function.
 
-    Shape ``(naux,)``. ``(P|P)`` is translation invariant, so identical
-    shells (same momentum, exponents, coefficients — the common case for
-    even-tempered fitting bases) share one evaluation.
+    Shape ``(naux,)``: the diagonal of every site's ``(site|site)``
+    block of the metric, on `eri2c`'s site kernels (one block a site,
+    nothing shared with an evaluation: ``(P|P)`` is translation
+    invariant, so the workspace caches the bounds on composition).
     """
+    from .batch import CoulombTables, _site_bras, site_plan
+    from .workspace import table_budget
+
+    sites = site_plan([aux]).per_site()
+    bras, kets = _site_bras(sites), _site_kets(sites)
     q = np.empty(aux.nbf)
-    memo: dict[tuple, np.ndarray] = {}
-    for i, sh in enumerate(aux.shells):
-        key = (sh.l, sh.exps.tobytes(), sh.coefs.tobytes())
-        vals = memo.get(key)
-        if vals is None:
-            sd = single_data(sh)
-            comps = comp_arrays(sh.l)
-            blk = _eri_general(sd, sd, comps, _S_COMP, comps, _S_COMP)
-            diag = np.abs(np.diagonal(blk[:, 0, :, 0])) * sh.comp_norms**2
-            vals = np.sqrt(diag)
-            memo[key] = vals
-        off = aux.offsets[i]
-        q[off : off + sh.nfunc] = vals
+    for g, (grp, fs) in enumerate(zip(sites.groups, sites.frags[0])):
+        own = np.sort(fs.ids)
+        tabs = CoulombTables(bras, kets, {(g, g): own * grp.qk.size + own},
+                             table_budget(None))
+        blk = _site_pairs(tabs, g, g, _site_rows(grp), grp, grp, grp.l,
+                          grp.C)
+        at = fs.func_idx.reshape(-1, grp.C)[np.argsort(fs.ids)]
+        q[at] = np.sqrt(np.abs(np.diagonal(blk, axis1=1, axis2=2)))
     return q
 
 
+# --------------------------------------------------------------------------
+# Four-centre integrals: the conventional-HF baseline (paper Fig. 3)
+# --------------------------------------------------------------------------
+
+#: Schwarz x Dmax threshold of the four-centre gradient: the default of
+#: `contract_eri4c_deriv_hf`, `scf.grad.rhf_gradient_conventional` and
+#: `calculators.ConventionalHFCalculator` (``0.0`` is exact and builds
+#: no bound table)
+ERI4C_SCREEN = 1.0e-11
+
+
+def _quartets(rows):
+    """The canonical pairs of pairs of ``rows`` — ``(class, FragPairs)``
+    of the one basis of a pair plan, which holds every class of it: for
+    every class pair ``i <= j`` (class order), the pair rows ``(rb,
+    rk)`` of its blocks — ``rb <= rk`` when the two classes are one — so
+    each unordered pair of shell pairs is one block."""
+    for i, (clb, fpb) in enumerate(rows):
+        for j in range(i, len(rows)):
+            clk, fpk = rows[j]
+            if i == j:
+                rb, rk = np.triu_indices(fpb.npair)
+            else:
+                rb, rk = np.divmod(np.arange(fpb.npair * fpk.npair),
+                                   fpk.npair)
+            yield i, j, rb, rk
+
+
+def _ket_expansion(cls) -> np.ndarray:
+    """A shell class as a four-centre ket: its component expansion on
+    the simplex ``la + lb`` with the Hermite phase ``(-1)^(t+u+v)``
+    folded in, ``(Q, nfa*nfb, T*N)`` (Hermite row major: the column
+    order of `batch._kernel`)."""
+    from .batch import _w_class
+
+    tuv = hermite_simplex(cls.la + cls.lb)
+    W = _w_class(cls.E, comp_arrays(cls.la), comp_arrays(cls.lb), tuv)
+    W = (W * _phase(tuv)).transpose(0, 1, 2, 4, 3)
+    return np.ascontiguousarray(W).reshape(cls.npair, cls.nfa * cls.nfb, -1)
+
+
+def _pair_tables(order, clb, pb, clk, pk) -> np.ndarray:
+    """The Hermite Coulomb tables ``(q, Nb, nsimplex(order), Nk)`` of
+    the blocks (bra pairs ``pb`` of class ``clb``, ket pairs ``pk`` of
+    ``clk``): the ket pair's primitives are Hermite Gaussians at their
+    centres, ``2 pi^{5/2} cc cc' / (p q sqrt(p + q))`` folded in."""
+    from .batch import _build_tables, _ket_inputs
+
+    def inputs():
+        ket = dict(qk=clk.p[pk][:, None, :], cck=clk.cc[pk][:, None, :],
+                   Pk=clk.P[pk][:, None])
+        return _ket_inputs(clb.p[pb], clb.cc[pb], clb.P[pb], ket)
+
+    return _build_tables([(order, inputs)])[0]
+
+
+def _functions(cls, fp, rows):
+    """Function indices ``(q, nfa)``, ``(q, nfb)`` of pair rows."""
+    from .batch import _block_indices
+
+    return _block_indices(fp.oa[rows], cls.nfa, fp.ob[rows], cls.nfb)
+
+
+def eri4c(basis: BasisSet) -> np.ndarray:
+    """Four-center ERIs ``(mu nu | la si)``, shape ``(nbf,)*4``.
+
+    A block is a canonical pair of canonical shell pairs, so the 8-fold
+    symmetry leaves each integral computed once: the bra pair's
+    expansion through the block's Hermite Coulomb kernel (tables at
+    order ``la + lb + lc + ld``), then the ket pair's expansion, one
+    stacked GEMM each. For the conventional-HF baseline on small
+    systems only — the RI path never calls this.
+    """
+    from .batch import _chunks, _kernel, _w_class, pair_plan, simplex_sum_index
+
+    n = basis.nbf
+    out = np.zeros((n, n, n, n))
+    plan = pair_plan([basis])
+    rows = list(zip(plan.classes, plan.frags[0]))
+    bras = [_w_class(cls.E, comp_arrays(cls.la), comp_arrays(cls.lb),
+                     hermite_simplex(cls.la + cls.lb))
+            .reshape(cls.npair, cls.nfa * cls.nfb, -1) for cls, _ in rows]
+    kets = [_ket_expansion(cls) for cls, _ in rows]
+    for i, j, rb, rk in _quartets(rows):
+        (clb, fpb), (clk, fpk) = rows[i], rows[j]
+        Lb, Lk = clb.la + clb.lb, clk.la + clk.lb
+        idx = simplex_sum_index(Lb, Lk)
+        norms = np.multiply.outer(clb.norms, clk.norms)
+        fa, fb = _functions(clb, fpb, rb)
+        fc, fd = _functions(clk, fpk, rk)
+        per_block = clb.nprim * idx.size * clk.nprim
+        for sl in _chunks(rb.size, per_block):
+            pb, pk = fpb.at[rb[sl]], fpk.at[rk[sl]]
+            M2 = _kernel(_pair_tables(Lb + Lk, clb, pb, clk, pk), idx)
+            blk = bgemm(bgemm(bras[i][pb], M2), kets[j][pk].transpose(0, 2, 1))
+            blk = blk.reshape(-1, *norms.shape) * norms
+            a, b = fa[sl][:, :, None, None, None], fb[sl][:, None, :, None, None]
+            c, d = fc[sl][:, None, None, :, None], fd[sl][:, None, None, None, :]
+            for at in ((a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
+                       (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)):
+                out[at] = blk
+    return out
+
+
+def _block_bounds(Q, Dmax, fpb, rb, fpk, rk) -> np.ndarray:
+    """Each block's bound on any element of its derivative contribution
+    (both orders), ``DERIV_SAFETY Q_ij Q_kl 8 max(Dmax_ij Dmax_kl,
+    Dmax_il Dmax_jk, Dmax_ik Dmax_jl)``: the Schwarz bound of its
+    integrals times the largest density product its coefficients
+    meet."""
+    i, j, k, l = fpb.ish[rb], fpb.jsh[rb], fpk.ish[rk], fpk.jsh[rk]
+    g = 8.0 * np.maximum(np.maximum(Dmax[i, j] * Dmax[k, l],
+                                    Dmax[i, l] * Dmax[j, k]),
+                         Dmax[i, k] * Dmax[j, l])
+    return DERIV_SAFETY * Q[i, j] * Q[k, l] * g
+
+
+def _gamma(D, clb, fpb, rb, clk, fpk, rk) -> np.ndarray:
+    """The HF density coefficients of blocks, ``(q, nfa*nfb, nfc*nfd)``:
+    ``w Gamma`` with ``Gamma_{ab,cd} = 8 D_ab D_cd - 2 (D_ad D_bc + D_ac
+    D_bd)``, normalized, and ``w = 1/2``, halved again for each pair of
+    a shell with itself (its images are its own functions)."""
+    a, b = _functions(clb, fpb, rb)
+    c, d = _functions(clk, fpk, rk)
+
+    def Dg(x, y):
+        return D[x[:, :, None], y[:, None, :]]
+
+    G = 8.0 * Dg(a, b)[:, :, :, None, None] * Dg(c, d)[:, None, None]
+    G -= 2.0 * Dg(a, d)[:, :, None, None, :] * Dg(b, c)[:, None, :, :, None]
+    G -= 2.0 * Dg(a, c)[:, :, None, :, None] * Dg(b, d)[:, None, :, None, :]
+    w = 0.5 * np.where(fpb.diag[rb], 0.5, 1.0) * np.where(fpk.diag[rk], 0.5, 1.0)
+    G *= np.multiply.outer(clb.norms, clk.norms) * w[:, None, None, None, None]
+    return G.reshape(rb.size, clb.nfa * clb.nfb, clk.nfa * clk.nfb)
+
+
+def _bra_derivs(M2, dW, G, ket) -> np.ndarray:
+    """``(q, 6)``: the bra-centre derivatives (``A`` x, y, z, then ``B``)
+    of each block contracted with its coefficients ``G (q, X, Y)`` — the
+    coefficients through the ket expansion ``(q, Y, J)`` and the kernel
+    ``M2 (q, K, J)`` first, then the derivative expansion ``dW (q, 6, X,
+    K)``: three stacked GEMMs."""
+    U = bgemm(M2, bgemm(G, ket).transpose(0, 2, 1))
+    q = U.shape[0]
+    return bgemm(dW.reshape(q, 6, -1),
+                 U.transpose(0, 2, 1).reshape(q, -1, 1))[..., 0]
+
+
 def contract_eri4c_deriv_hf(
-    basis: BasisSet, D: np.ndarray, natoms: int, screen: float = 1.0e-11,
+    basis: BasisSet, D: np.ndarray, natoms: int,
+    screen: float = ERI4C_SCREEN,
     workspace: IntegralWorkspace | None = None,
 ) -> np.ndarray:
     """Two-electron part of the conventional RHF gradient.
 
     ``g = 1/2 sum_{mnls} (mn|ls)^xi [D_mn D_ls - 1/2 D_ms D_nl]`` with D
-    the (doubly occupied) AO density. The ordered sum is folded onto
-    canonical shell quartets (i<=j, (ij)<=(kl)) by accumulating the
-    permutation images into one coefficient tensor,
+    the (doubly occupied) AO density. Over ordered pairs of canonical
+    shell pairs the sum is the bra-centre derivatives alone: the ket
+    derivative of a block is the bra derivative of the swapped block,
+    which the order also visits. A block's permutation images fold into
+    one coefficient tensor (`_gamma`), and every canonical block's one
+    Hermite Coulomb table (order ``la + lb + lc + ld + 1``) serves both
+    its orders, the swapped one through the ``(-1)^(t+u+v)`` phase.
+    Blocks on one atom are skipped (their derivatives cancel). This is
+    the four-center bottleneck RI-HF eliminates (paper Fig. 3).
 
-        Gamma_tot = 8 D_mn D_ls - 2 (D_ms D_nl + D_ml D_ns),
-
-    weighted by the quartet's degeneracy/8. The fourth center's
-    derivative follows from translational invariance. This is the
-    four-center bottleneck RI-HF eliminates (paper Fig. 3).
-
-    ``workspace`` serves the Schwarz bound and per-shell-block ``Dmax``
-    tables (recomputed from scratch on every call otherwise) plus the
-    pair expansion tables. With ``screen <= 0`` (exact mode) the strict
-    ``< screen`` test can never skip a quartet, so neither table is
-    built at all — ``--int-screen 0`` no longer pays for (or caches)
-    Schwarz bounds it cannot use.
+    With ``screen > 0`` a block whose Schwarz x Dmax bound
+    (`_block_bounds`) falls below it is dropped whole, both orders, so
+    the gradient still sums to zero over the atoms; the blocks kept are
+    the rows of the stacked GEMMs, so the screen costs no batching. The
+    workspace records the blocks (those not on one atom), the dropped
+    ones and their summed bound, ``bound nf_i nf_j nf_k nf_l`` a block,
+    as one exactly rounded sum. With ``screen <= 0`` no bound table is
+    built. ``workspace`` serves the pair plan, the classes' derivative
+    expansions and the Schwarz table of the evaluation's scratch.
     """
-    from .workspace import _dmax_table
+    from .batch import _chunks, _deriv_expansions, _kernel, pair_plan, simplex_sum_index
 
     g = np.zeros((natoms, 3))
-    shells = basis.shells
-    offs = basis.offsets
-    comps = [comp_arrays(sh.l) for sh in shells]
-    npairs = canonical_shell_pairs(basis)
-    pds = {
-        ij: _bra_pair(workspace, shells[ij[0]], shells[ij[1]], 1, 1)
-        for ij in npairs
-    }
+    plan = pair_plan([basis], workspace)
+    rows = list(zip(plan.classes, plan.frags[0]))
+    dWs = _deriv_expansions(plan.classes, workspace)
+    kets = [_ket_expansion(cls) for cls, _ in rows]
     if screen > 0.0:
-        Q = _schwarz_table(basis, workspace)
-        if workspace is not None:
-            Dmax = workspace.dmax_blocks(basis, D)
-        else:
-            Dmax = _dmax_table(basis, D)
-    else:
-        Q = None
-        Dmax = None
-    safety = DERIV_SAFETY
-    nskip = 0
-    nquartets = 0
-    neglected = 0.0
-    for pi, (i, j) in enumerate(npairs):
-        si = slice(offs[i], offs[i] + shells[i].nfunc)
-        sj = slice(offs[j], offs[j] + shells[j].nfunc)
-        for k, l in npairs[pi:]:
-            atoms = (shells[i].atom, shells[j].atom, shells[k].atom, shells[l].atom)
-            if atoms[0] == atoms[1] == atoms[2] == atoms[3]:
-                continue
-            nquartets += 1
-            if Q is not None:
-                gbound = 8.0 * max(
-                    Dmax[i, j] * Dmax[k, l],
-                    Dmax[i, l] * Dmax[j, k],
-                    Dmax[i, k] * Dmax[j, l],
-                )
-                if safety * Q[i, j] * Q[k, l] * gbound < screen:
-                    nskip += 1
-                    neglected += (
-                        safety * Q[i, j] * Q[k, l] * gbound
-                        * shells[i].nfunc * shells[j].nfunc
-                        * shells[k].nfunc * shells[l].nfunc
-                    )
-                    continue
-            sk = slice(offs[k], offs[k] + shells[k].nfunc)
-            sl_ = slice(offs[l], offs[l] + shells[l].nfunc)
-            deg = (
-                (2.0 if i != j else 1.0)
-                * (2.0 if k != l else 1.0)
-                * (2.0 if (i, j) != (k, l) else 1.0)
-            )
-            w = 0.5 * deg / 8.0
-            gamma = w * (
-                8.0 * np.einsum("ab,cd->abcd", D[si, sj], D[sk, sl_])
-                - 2.0 * np.einsum("ad,bc->abcd", D[si, sl_], D[sj, sk])
-                - 2.0 * np.einsum("ac,bd->abcd", D[si, sk], D[sj, sl_])
-            )
-            gamma = (
-                gamma
-                * shells[i].comp_norms[:, None, None, None]
-                * shells[j].comp_norms[None, :, None, None]
-                * shells[k].comp_norms[None, None, :, None]
-                * shells[l].comp_norms[None, None, None, :]
-            )
-            d = _deriv_blocks_pairwise(
-                pds[(i, j)], pds[(k, l)], comps[i], comps[j], comps[k], comps[l],
-                ("braA", "braB", "ketC"),
-            )
-            vA = np.einsum("xabcd,abcd->x", d["braA"], gamma)
-            vB = np.einsum("xabcd,abcd->x", d["braB"], gamma)
-            vC = np.einsum("xabcd,abcd->x", d["ketC"], gamma)
-            g[atoms[0]] += vA
-            g[atoms[1]] += vB
-            g[atoms[2]] += vC
-            g[atoms[3]] -= vA + vB + vC
+        Q = _schwarz_tables([basis], workspace)[0]
+        Dmax = _zblk_table(basis, D[..., None])
+    nblocks, dropped = 0, []
+    for i, j, rb, rk in _quartets(rows):
+        (clb, fpb), (clk, fpk) = rows[i], rows[j]
+        live = ~((fpb.atom_a[rb] == fpb.atom_b[rb])
+                 & (fpk.atom_a[rk] == fpk.atom_b[rk])
+                 & (fpb.atom_a[rb] == fpk.atom_a[rk]))
+        nblocks += int(live.sum())
+        if screen > 0.0:
+            bound = _block_bounds(Q, Dmax, fpb, rb, fpk, rk)
+            drop = live & (bound < screen)
+            dropped.append(bound[drop] * (clb.nfa * clb.nfb * clk.nfa * clk.nfb))
+            live &= ~drop
+        live = np.flatnonzero(live)
+        if not live.size:
+            continue
+        rb, rk = rb[live], rk[live]
+        rev = (i != j) | (rb != rk)
+        Lb, Lk = clb.la + clb.lb, clk.la + clk.lb
+        order = Lb + Lk + 1
+        phase = _phase(hermite_simplex(order))[None, None, :, None]
+        idx_f = simplex_sum_index(Lb + 1, Lk, order)
+        idx_r = simplex_sum_index(Lk + 1, Lb, order)
+        vf = np.zeros((rb.size, 6))
+        vr = np.zeros((rb.size, 6))
+        # largest per-block intermediate: a direction's kernel
+        per_block = clb.nprim * clk.nprim * max(idx_f.size, idx_r.size)
+        for sl in _chunks(rb.size, per_block):
+            pb, pk = fpb.at[rb[sl]], fpk.at[rk[sl]]
+            R = _pair_tables(order, clb, pb, clk, pk)
+            G = _gamma(D, clb, fpb, rb[sl], clk, fpk, rk[sl])
+            vf[sl] = _bra_derivs(_kernel(R, idx_f), dWs[i][pb], G, kets[j][pk])
+            r = np.flatnonzero(rev[sl])
+            if r.size:
+                Rr = (R[r] * phase).transpose(0, 3, 2, 1)
+                vr[sl][r] = _bra_derivs(_kernel(Rr, idx_r), dWs[j][pk[r]],
+                                        G[r].transpose(0, 2, 1),
+                                        kets[i][pb[r]])
+        for fp, rows_, v in ((fpb, rb, vf), (fpk, rk, vr)):
+            np.add.at(g, fp.atom_a[rows_], v[:, :3])
+            np.add.at(g, fp.atom_b[rows_], v[:, 3:])
     if workspace is not None:
-        workspace.record_screen("eri4c_deriv", nquartets, nskip, neglected)
+        lost = np.concatenate(dropped) if dropped else np.zeros(0)
+        workspace.record_screen("eri4c_deriv", nblocks, lost.size, math.fsum(lost))
     return g

@@ -8,9 +8,11 @@ Two building blocks:
 * ``r_table`` — Hermite Coulomb integrals ``R^0_{tuv}(p, PQ)`` built from
   the Boys function by the standard auxiliary-index recursion.
 
-Everything is plain NumPy; tables are small (angular momenta <= 3 after
-derivative shifts) so per-shell-pair Python recursion cost is negligible
-compared to the contractions that consume them.
+Both are the scalar, one-primitive spellings of the batched tables the
+kernels use (`engine.e_tables_batch`, `engine.r_tables_simplex`), for
+inspection and for the tests that check the batches against them; no
+driver calls them. Plus the Cartesian component enumeration every
+shell uses.
 """
 
 from __future__ import annotations

@@ -20,16 +20,15 @@ exhaust worker memory) plus the integral products:
   contraction coefficients), never on object identity, so the freshly
   rebuilt `BasisSet` of the same fragment at the next MD step hits.
 * **State vs scratch** — what can serve the *next* geometry lives in
-  the store: auxiliary site-group scaffolding is geometry-independent
-  and reused with only the centers refreshed, and so are the auxiliary
-  function bounds. What is keyed on the exact centers (pair, class and
-  Hermite Coulomb tables, and the Schwarz bound tables) is one
-  evaluation's scratch, since an MD geometry never recurs: shared by the
-  drivers inside the calling thread's `scope`, dropped at its exit. The
-  fragments of a calculator call (or of one group of it) are one
-  evaluation (`evaluation`): each shell pair, auxiliary site and nucleus
-  they share is one entry of its plans, and every integral block is
-  computed once.
+  the store: the auxiliary site groups are geometry-independent, and
+  so are the auxiliary function bounds. What is keyed on the exact
+  centers (class and Hermite Coulomb tables, and the Schwarz bound
+  tables) is one evaluation's scratch, since an MD geometry never
+  recurs: shared by the drivers inside the calling thread's `scope`,
+  dropped at its exit. The fragments of a calculator call (or of one
+  group of it) are one evaluation (`evaluation`): each shell pair,
+  auxiliary site and nucleus they share is one entry of its plans, and
+  every integral block is computed once.
 * **Screen where you stand** — every evaluation screens each fragment
   with the Schwarz table of its own geometry, built once on the
   evaluation's pair plan (`schwarz_bounds_stack`). Screening is a
@@ -51,7 +50,6 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager, nullcontext
-from dataclasses import replace
 
 import numpy as np
 
@@ -140,9 +138,8 @@ class IntegralWorkspace(BoundedStore):
 
     Cross-step state, keyed on basis composition and kept in the store:
 
-    * `aux_groups` — the auxiliary site grouping (`engine.AuxGroup`)
-      with its (geometry-independent) E tables cached and only the
-      centers refreshed per call;
+    * `aux_groups` — the auxiliary site grouping (`engine.AuxGroup`),
+      geometry-independent, E tables included;
     * `aux_function_bounds` — per-auxiliary-function bounds
       ``sqrt((P|P))`` (translation invariant, cached exactly).
 
@@ -150,16 +147,12 @@ class IntegralWorkspace(BoundedStore):
     as well, shared by the drivers inside one `scope` and dropped with
     it — never in the store, so never evicted, never another thread's:
 
-    * `pair_data` — shell-pair Hermite expansion tables with unified
-      derivative headroom ``(di=1, dj=2)``;
     * `pair_plan` — the distinct shell pairs of the evaluation's
       bases, packed per class for the batched kernels, and each
       fragment's pairs among them (`repro.integrals.batch.PairPlan`);
     * `schwarz_bounds_stack` — the Cauchy-Schwarz shell-pair bound
       table of each fragment at its own geometry, which every screened
       driver takes its skip decisions from;
-    * `dmax_blocks` — per-shell-block max |D| tables for the 4c
-      derivative driver;
     * `coulomb_tables` — the Hermite Coulomb tables
       (`batch.CoulombTables`) a value driver builds and the derivative
       driver that follows it reads, at most `TABLE_SHARE` of the byte
@@ -249,58 +242,24 @@ class IntegralWorkspace(BoundedStore):
             tracer.instant(name, cat="integrals", **args)
 
     # ------------------------------------------------------------------
-    # shell-pair expansion tables
-    # ------------------------------------------------------------------
-    #: unified derivative headroom: covers every driver of an evaluation
-    #: (bra derivatives need di=1; the kinetic operator needs dj=2)
-    PAIR_DI = 1
-    PAIR_DJ = 2
-
-    def pair_data(self, sha, shb):
-        """This evaluation's `PairData` for a shell pair (scratch).
-
-        Built with unified headroom ``(di=1, dj=2)`` so one entry serves
-        the plain, derivative, and kinetic drivers alike — entries of
-        the enlarged E table at lower indices are bitwise identical to a
-        smaller build (the recursion only ever reads lower entries).
-        """
-        from .engine import pair_data
-
-        key = ("pair", _shell_sig(sha), _shell_sig(shb),
-               sha.center.tobytes(), shb.center.tobytes())
-        return self._scratch(
-            key, lambda: pair_data(sha, shb, self.PAIR_DI, self.PAIR_DJ)
-        )[0]
-
-    # ------------------------------------------------------------------
     # auxiliary group scaffolding
     # ------------------------------------------------------------------
     def aux_groups(self, aux, di: int = 0) -> list:
-        """Auxiliary site groups with refreshed centers.
-
-        The expensive part of `aux_group_data` — the per-group E tables —
-        does not depend on geometry at all (the dummy ``b = 0`` partner
-        sits on the shell's own center, so ``AB = 0`` always), and
-        neither do the function indices, norms and owning atoms; only
-        the composite centers ``P`` do. The groups are therefore cached
-        on composition alone and every call rebuilds just the (cheap)
-        `PairData`/`AuxGroup` shells around fresh centers.
-        """
+        """Auxiliary site groups (`engine.aux_group_data`) of a fitting
+        basis, cached on its composition alone: nothing in them depends
+        on geometry (a site's zero-exponent partner sits on its own
+        centre, so its E tables are the same everywhere, and the
+        drivers read the centres from the basis)."""
         from .engine import aux_group_data
 
         key = ("auxgrp", basis_composition_key(aux), di)
-        scaffold = self._get(key)
+        groups = self._get(key)
         self._instant("workspace.hit", product="aux_groups",
-                      hit=scaffold is not None, di=di)
-        if scaffold is None:
-            scaffold = aux_group_data(aux, di=di)
-            self._put(key, scaffold)
-            return scaffold
-        centers = _centers(aux)
-        return [
-            replace(grp, pd=replace(grp.pd, P=centers[grp.shells]))
-            for grp in scaffold
-        ]
+                      hit=groups is not None, di=di)
+        if groups is None:
+            groups = aux_group_data(aux, di=di)
+            self._put(key, groups)
+        return groups
 
     # ------------------------------------------------------------------
     # screening bound tables
@@ -349,16 +308,6 @@ class IntegralWorkspace(BoundedStore):
             q = aux_function_bounds(aux)
             self._put(key, q)
         return q
-
-    def dmax_blocks(self, basis, D: np.ndarray) -> np.ndarray:
-        """Per-shell-block ``max |D|`` table for 4c screening.
-
-        Scratch, keyed on the density bytes: a second four-center pass
-        over the same density inside one evaluation's scope shares it;
-        no later evaluation can (a converged density never recurs).
-        """
-        key = ("dmax", basis_composition_key(basis), hash(D.tobytes()))
-        return self._scratch(key, lambda: _dmax_table(basis, D))[0]
 
     # ------------------------------------------------------------------
     # batched shell-class tables
@@ -517,20 +466,6 @@ def evaluation_scope(workspace: IntegralWorkspace | None):
     """What a function calling several drivers at one geometry runs
     them in, so they share one scratch (or nothing to share it in)."""
     return nullcontext() if workspace is None else workspace.scope()
-
-
-def _dmax_table(basis, D: np.ndarray) -> np.ndarray:
-    """``Dmax[i, j] = max |D[block i, block j]|`` over shell blocks."""
-    nsh = basis.nshells
-    offs = basis.offsets
-    table = np.empty((nsh, nsh))
-    absD = np.abs(D)
-    for i, sha in enumerate(basis.shells):
-        si = slice(offs[i], offs[i] + sha.nfunc)
-        for j, shb in enumerate(basis.shells):
-            sj = slice(offs[j], offs[j] + shb.nfunc)
-            table[i, j] = absD[si, sj].max()
-    return table
 
 
 #: process-global workspace used by the calculators when none is given

@@ -45,6 +45,7 @@ or a worker thread, and under none in a worker process.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing as mp
 import random
 import time
@@ -59,7 +60,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
-from ..calculators import stacking
+from ..calculators import CalculatorWrapper, stacking
 from ..trace import current
 from ..trace.tracer import call_recording
 from .scheduler import AsyncCoordinator, attach_guess_cache, evaluate_fragments
@@ -152,7 +153,13 @@ MP_START = "fork"
 
 def _shippable(calculator):
     """The calculator a flight carries to a worker process: without its
-    workspace (a lock cannot be pickled), so it uses the worker's own."""
+    workspace (a lock cannot be pickled), so it uses the worker's own;
+    a wrapper is a copy around its inner calculator shipped by the same
+    rule."""
+    if isinstance(calculator, CalculatorWrapper):
+        clone = copy.copy(calculator)
+        clone.inner = _shippable(calculator.inner)
+        return clone
     if (is_dataclass(calculator)
             and getattr(calculator, "workspace", None) is not None):
         return replace(calculator, workspace=None)

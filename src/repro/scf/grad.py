@@ -28,6 +28,7 @@ import numpy as np
 
 from ..gemm import bgemm, gemm
 from ..integrals import (
+    ERI4C_SCREEN,
     contract_eri2c_deriv,
     contract_eri3c_deriv,
     contract_eri4c_deriv_hf,
@@ -46,25 +47,24 @@ def _energy_weighted_density(res: SCFResult) -> np.ndarray:
 
 
 def rhf_gradient_conventional(
-    res: SCFResult, workspace=None, int_screen: float | None = None
+    res: SCFResult, workspace=None, int_screen: float = ERI4C_SCREEN
 ) -> np.ndarray:
     """Analytic gradient of a conventional (four-center) RHF energy.
 
     Returns ``(natoms, 3)`` in Hartree/Bohr. ``workspace`` serves the
-    Schwarz bounds; the drivers share pair and Dmax tables inside one
-    scope of it. ``int_screen`` overrides the four-center driver's
-    default threshold; pass ``0.0`` for the exact (unscreened) path,
-    which also skips the Schwarz/Dmax table builds entirely.
+    Schwarz bounds; the drivers share the pair plan inside one scope of
+    it. ``int_screen`` is the four-center driver's threshold; ``0.0``
+    is the exact (unscreened) path, which also skips the Schwarz/Dmax
+    table builds entirely.
     """
     mol = res.mol
     natoms = mol.natoms
     g = mol.nuclear_repulsion_gradient()
-    screen = 1.0e-11 if int_screen is None else float(int_screen)
     W = _energy_weighted_density(res)
     with evaluation_scope(workspace):
         g += contract_hcore_deriv(res.basis, mol, res.D, workspace)
         g += contract_eri4c_deriv_hf(
-            res.basis, res.D, natoms, screen=screen, workspace=workspace
+            res.basis, res.D, natoms, screen=int_screen, workspace=workspace
         )
         g -= contract_overlap_deriv(res.basis, W, workspace)
     return g

@@ -53,7 +53,8 @@ class JobSpec:
     H-caps across the peptide bonds), or ``{"kind": "xyz", "path": ...,
     "charge": 0}``. ``method`` selects the calculator: ``{"kind":
     "surrogate"}``, or ``{"kind": "rihf" | "rimp2" | "hf", "basis":
-    "sto-3g", "int_screen": 1e-12}``. ``thermostat`` is either None
+    "sto-3g", "int_screen": 1e-12}`` (a number; without one every
+    integral driver runs unscreened). ``thermostat`` is either None
     (NVE) or ``{"kind": "local-langevin", "friction_per_fs": 0.01,
     "seed": 0}`` — the only thermostat whose noise is well-defined under
     asynchronous integration (see
@@ -101,6 +102,9 @@ class JobSpec:
             unknown = set(self.mts) - {"k"}
             if unknown:
                 raise ValueError(f"unknown mts options: {sorted(unknown)}")
+        screen = self.method.get("int_screen", 0.0)
+        if isinstance(screen, bool) or not isinstance(screen, (int, float)):
+            raise ValueError(f"method int_screen must be a number, got {screen!r}")
 
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-ready)."""

@@ -63,7 +63,7 @@ def payload_nbytes(payload) -> int:
     one payload (e.g. the scaffold tuples in `aux_groups`) are counted
     once. Replaces the hand-maintained per-call-site size expressions,
     which had drifted from the stored payloads (they under-counted the
-    `PairData` tables and ignored container members entirely), skewing
+    shell-pair tables and ignored container members entirely), skewing
     the LRU eviction order away from the actual memory footprint.
     """
     seen: set[int] = set()

@@ -84,3 +84,8 @@ def faulty_calculator(inner, kind="transient",
     return FaultPlanCalculator(
         inner, FaultPlan(specs=[FaultSpec(kind=kind, **spec_kw)])
     )
+
+
+def hermite_cube(L: int) -> np.ndarray:
+    """Every (t, u, v) of the Hermite cube ``0..L`` a side, C-order."""
+    return np.indices((L + 1,) * 3).reshape(3, -1).T

@@ -1,16 +1,18 @@
-"""Batched shell-class kernels vs the per-pair loop reference.
+"""Batched shell-class kernels vs an independent reference.
 
-The batched drivers in `repro.integrals.batch` evaluate whole
-shell-pair classes per array-kernel call and are the only runtime
-implementation; the per-pair ``*_loop`` drivers are the reference,
-imported here and nowhere under ``src/``. The contract under test:
+The batched drivers in `repro.integrals.batch` (and the two- and
+four-centre drivers in `eri.py`, on the same kernels) are the only
+implementation; `tests/integral_reference.py` is the reference: per
+primitive Taketa-Huzinaga-Oohata formulas with a Boys function of their
+own, sharing no table with the code under test. The contract under
+test:
 
 * **Tolerance vs the reference** — matrices and 3c tensors agree to
-  rtol 1e-12, contracted gradients to atol 1e-12 Ha/bohr, and the
-  Schwarz skip decisions and pair counts are *identical* (the
-  neglected bound to rtol 1e-12). The ``*_bitwise`` test ids predate
-  this contract and are kept so the suite's test list stays comparable
-  across PRs; what they assert is the tolerance.
+  rtol 1e-12, contracted gradients to atol 1e-12 Ha/bohr; a screened
+  driver's skipped elements are each below its threshold and its
+  recorded neglected bound covers what it dropped. The ``*_bitwise``
+  test ids predate this contract and are kept so the suite's test list
+  stays comparable across PRs; what they assert is the tolerance.
 * **Determinism** — two calls on fresh workspaces, and any chunk size,
   give bit-identical results including the recorded neglected bound
   (what bitwise resume rests on).
@@ -67,38 +69,20 @@ from repro.integrals.batch import (
     overlap,
     schwarz_pair_bounds,
 )
+from repro.integrals import eri as four_centre
 from repro.integrals.engine import (
     aux_group_data,
     comp_arrays,
-    hermite_box,
     hermite_simplex,
-    pair_data,
-    single_data,
 )
-from repro.integrals.eri import (
-    _S_COMP,
-    _deriv_blocks_pairwise,
-    _eri2c_pershell,
-    _eri_general,
-    contract_eri3c_deriv_loop,
-    contract_eri4c_deriv_hf,
-    eri3c_loop,
-    schwarz_pair_bounds_loop,
-)
-from repro.integrals.onee import (
-    contract_kinetic_deriv_loop,
-    contract_nuclear_deriv_loop,
-    contract_overlap_deriv_loop,
-    kinetic_loop,
-    nuclear_loop,
-    overlap_loop,
-)
+from repro.integrals.eri import contract_eri4c_deriv_hf
 from repro.integrals.workspace import evaluation_scope
 from repro.store import payload_nbytes
 from repro.systems import glycine_chain, water_cluster
 from repro.trace import Tracer, recording
 
-from .conftest import table_instants
+from . import integral_reference as ref
+from .conftest import hermite_cube, table_instants
 
 
 @pytest.fixture(scope="module")
@@ -150,18 +134,18 @@ class TestOneElectronParity:
     @pytest.mark.parametrize("basis_name", BASES)
     def test_overlap_bitwise(self, water, basis_name):
         bs, _ = _setup(water, basis_name)
-        _assert_tensor_close(overlap(bs), overlap_loop(bs))
+        _assert_tensor_close(overlap(bs), ref.overlap(bs))
 
     @pytest.mark.parametrize("basis_name", BASES)
     def test_kinetic_bitwise(self, water, basis_name):
         bs, _ = _setup(water, basis_name)
-        _assert_tensor_close(kinetic(bs), kinetic_loop(bs))
+        _assert_tensor_close(kinetic(bs), ref.kinetic(bs))
 
     @pytest.mark.parametrize("basis_name", BASES)
     def test_nuclear_close(self, water, basis_name):
         bs, _ = _setup(water, basis_name)
         np.testing.assert_allclose(
-            nuclear(bs, water), nuclear_loop(bs, water),
+            nuclear(bs, water), ref.nuclear(bs, water),
             rtol=0, atol=1e-13,
         )
 
@@ -171,7 +155,7 @@ class TestOneElectronParity:
         X = _sym(bs.nbf, seed=1)
         _assert_gradient_close(
             contract_overlap_deriv(bs, X),
-            contract_overlap_deriv_loop(bs, X),
+            ref.contract_overlap_deriv(bs, water.natoms, X),
         )
 
     @pytest.mark.parametrize("basis_name", BASES)
@@ -180,7 +164,7 @@ class TestOneElectronParity:
         X = _sym(bs.nbf, seed=2)
         _assert_gradient_close(
             contract_kinetic_deriv(bs, X),
-            contract_kinetic_deriv_loop(bs, X),
+            ref.contract_kinetic_deriv(bs, water.natoms, X),
         )
 
     @pytest.mark.parametrize("basis_name", BASES)
@@ -189,64 +173,83 @@ class TestOneElectronParity:
         X = _sym(bs.nbf, seed=3)
         _assert_gradient_close(
             contract_nuclear_deriv(bs, water, X),
-            contract_nuclear_deriv_loop(bs, water, X),
+            ref.contract_nuclear_deriv(bs, water, X),
         )
+
+
+def _assert_screened_values(got, exact, screen, neglected):
+    """A screened tensor against the unscreened driver's: what it kept
+    equals it, every element it dropped (exactly zero) is below
+    ``screen``, and their sum is within the recorded bound (the
+    reference's last digits of a 1e-48 element are noise)."""
+    dropped = (got == 0.0) & (exact != 0.0)
+    assert dropped.any()
+    _assert_tensor_close(got, np.where(dropped, 0.0, exact))
+    assert np.abs(exact[dropped]).max() <= screen
+    assert np.abs(exact[dropped]).sum() <= neglected
 
 
 class TestThreeCenterParity:
     @pytest.mark.parametrize("basis_name", BASES)
     def test_eri3c_bitwise_unscreened(self, water, basis_name):
         bs, aux = _setup(water, basis_name)
-        _assert_tensor_close(
-            eri3c(bs, aux, screen=0.0),
-            eri3c_loop(bs, aux, screen=0.0),
-        )
+        _assert_tensor_close(eri3c(bs, aux, screen=0.0), ref.eri3c(bs, aux))
 
     def test_eri3c_bitwise_screened_shared_table(self, water_dimer):
-        """Same Schwarz table (one workspace) -> exactly the same skips."""
+        """Screened against the reference: the kept blocks are its
+        values, the skipped ones below the threshold and within the
+        bound; a second call on the same workspace (one Schwarz table)
+        makes exactly the same skips."""
         bs, aux = _setup(water_dimer, "sto-3g")
         ws = IntegralWorkspace()
         a = eri3c(bs, aux, screen=1e-6, workspace=ws)
         seen_a, skipped_a = ws.pairs_total, ws.pairs_skipped
         neglect_a = ws.neglected_bound
         assert skipped_a > 0
-        b = eri3c_loop(bs, aux, screen=1e-6, workspace=ws)
-        _assert_tensor_close(a, b)
-        # a skipped block is exactly zero in both
-        assert np.array_equal(a == 0.0, b == 0.0)
+        exact = eri3c(bs, aux)
+        _assert_tensor_close(exact, ref.eri3c(bs, aux))
+        _assert_screened_values(a, exact, 1e-6, neglect_a)
+        b = eri3c(bs, aux, screen=1e-6, workspace=ws)
+        assert np.array_equal(a, b)
         assert ws.pairs_total == 2 * seen_a
         assert ws.pairs_skipped == 2 * skipped_a
-        np.testing.assert_allclose(
-            ws.neglected_bound - neglect_a, neglect_a, rtol=1e-12
-        )
+        assert ws.neglected_bound == 2 * neglect_a
 
     def test_schwarz_close(self, water):
         bs, _ = _setup(water, "repro-dzp")
         np.testing.assert_allclose(
-            schwarz_pair_bounds(bs), schwarz_pair_bounds_loop(bs),
-            rtol=1e-12, atol=0,
+            schwarz_pair_bounds(bs), ref.schwarz(bs), rtol=1e-12, atol=0,
         )
 
     @pytest.mark.parametrize("screen", [0.0, 1e-6])
-    def test_eri3c_deriv_bitwise(self, water_dimer, screen):
-        bs, aux = _setup(water_dimer, "sto-3g")
+    def test_eri3c_deriv_bitwise(self, water, water_dimer, screen):
+        """Unscreened against the reference; screened (the dimer, where
+        pairs are far enough apart to skip) against the unscreened
+        driver, within the neglected bound it records; and the same
+        bound twice over on the same workspace."""
+        mol = water if screen == 0.0 else water_dimer
+        bs, aux = _setup(mol, "sto-3g")
         rng = np.random.default_rng(4)
         Z = rng.standard_normal((bs.nbf, bs.nbf, aux.nbf))
         Z = Z + Z.transpose(1, 0, 2)
         ws = IntegralWorkspace()
         gb = contract_eri3c_deriv(
-            bs, aux, Z, water_dimer.natoms, screen=screen, workspace=ws
+            bs, aux, Z, mol.natoms, screen=screen, workspace=ws
         )
         seen, skipped = ws.pairs_total, ws.pairs_skipped
         neglect = ws.neglected_bound
-        gl = contract_eri3c_deriv_loop(
-            bs, aux, Z, water_dimer.natoms, screen=screen, workspace=ws
-        )
-        _assert_gradient_close(gb, gl)
+        if screen == 0.0:
+            _assert_gradient_close(
+                gb, ref.contract_eri3c_deriv(bs, aux, Z, mol.natoms))
+        else:
+            assert skipped > 0
+            exact = contract_eri3c_deriv(bs, aux, Z, mol.natoms)
+            assert np.abs(gb - exact).max() <= neglect
+        again = contract_eri3c_deriv(
+            bs, aux, Z, mol.natoms, screen=screen, workspace=ws)
+        assert np.array_equal(gb, again)
         assert (ws.pairs_total, ws.pairs_skipped) == (2 * seen, 2 * skipped)
-        np.testing.assert_allclose(
-            ws.neglected_bound - neglect, neglect, rtol=1e-12
-        )
+        assert ws.neglected_bound == 2 * neglect
         # translation invariance survives batching (and screening)
         np.testing.assert_allclose(gb.sum(axis=0), 0.0, atol=1e-10)
 
@@ -320,7 +323,7 @@ class TestSimplexTrimming:
         for cls in build_shell_classes(bs):
             ca, cb = comp_arrays(cls.la), comp_arrays(cls.lb)
             L = cls.la + cls.lb
-            box = hermite_box((L + 1, L + 1, L + 1))
+            box = hermite_cube(L + 1)
             order = box.sum(axis=1)
             W = _w_class(cls.E, ca, cb, box)
             assert W[..., order <= L].any()
@@ -335,13 +338,14 @@ class TestSimplexTrimming:
         s_comp = comp_arrays(0)
         for grp in aux_group_data(auto_auxiliary(mol), di=1):
             cg = grp.comps
-            box = hermite_box((grp.lmax + 1,) * 3)
+            box = hermite_cube(grp.lmax + 1)
             order = box.sum(axis=1)
-            E = grp.pd.E[:, None]
+            E = grp.E[:, None]
             assert np.all(
                 _w_class(E, cg, s_comp, box)[..., order > grp.lmax] == 0.0
             )
-            a, b = grp.pd.a[:, None], grp.pd.b[:, None]
+            a = grp.a[:, None]
+            b = np.zeros_like(a)
             for axis in range(3):
                 dW = _w_deriv_class(E, a, b, cg, s_comp, box, "bra", axis)
                 assert np.all(dW[..., order > grp.lmax + 1] == 0.0)
@@ -351,37 +355,27 @@ class TestKernelModeDispatch:
     """One kernel family: there is no mode left to dispatch on."""
 
     def test_no_runtime_caller_of_loop_reference(self):
-        """The ``*_loop`` drivers are a test reference: nothing under
-        ``src/`` may call one, and `batch.py` shares no Hermite-cube
-        table with them."""
+        """One kernel family: nothing under ``src/`` defines or calls a
+        ``*_loop`` driver or names the per-pair family (its pair tables,
+        Hermite-cube tensors and recursion, general contraction), and
+        the Hermite Coulomb recursion has one caller."""
         import repro
 
-        callers = []
+        family = {"PairData", "pair_data", "single_data", "w_tensor",
+                  "w_deriv", "r_tables_batch", "hermite_box",
+                  "_eri_general", "dmax_blocks"}
+        offenders = []
         for path in Path(repro.__file__).parent.rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "attr", None) or getattr(
-                        node.func, "id", ""
-                    )
-                    if name.endswith("_loop"):
-                        callers.append(f"{path.name}:{node.lineno} {name}")
-        assert callers == []
-        # nor may the batched kernels name the reference's Hermite cube:
-        # `hermite_box` and `r_tables_batch` belong to ``*_loop`` (and
-        # the 4-centre path), which is what makes the tolerance clause a
-        # cross-check of the simplex trimming rather than a comparison
-        # of the cube with itself
-        names = {
-            getattr(node, "id", None) or getattr(node, "attr", None)
-            or getattr(node, "name", None)
-            for node in ast.walk(ast.parse(Path(batch.__file__).read_text()))
-        }
-        assert not names & {"hermite_box", "r_tables_batch"}
-        # and the Hermite Coulomb recursion has one caller: under
-        # ``integrals/`` only the table builder calls `r_tables_simplex`
-        # (which also calls itself, per batch chunk) — no driver builds
-        # a table on the side that the set its derivative finds would
-        # not hold
+                name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                        or getattr(node, "name", None) or "")
+                if name.endswith("_loop") or name in family:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+        assert offenders == []
+        # under ``integrals/`` only the table builder calls
+        # `r_tables_simplex` (which also calls itself, per batch chunk) —
+        # no driver builds a table on the side that the set its
+        # derivative finds would not hold
         recursion = {"r_tables_simplex"}
         callers = {}
         for path in Path(batch.__file__).parent.glob("*.py"):
@@ -398,15 +392,11 @@ class TestKernelModeDispatch:
 
     def test_no_runtime_gammainc(self):
         """One runtime Boys, the table: the kernels name neither
-        ``gammainc`` nor the reference `boys_array`, which only `r_tables_batch` (the ``*_loop`` and
-        4-centre path) may call — so the 1e-12 clause compares the
-        table with an independent algorithm."""
-        for mod in (batch, engine):
+        ``gammainc`` nor the scalar `boys_array`, so the reference's
+        1e-12 clause compares the table with an independent algorithm
+        (`tests/integral_reference.py` has its own)."""
+        for mod in (batch, engine, four_centre):
             text = Path(mod.__file__).read_text()
-            tree = ast.parse(text)
-            for node in tree.body:
-                if getattr(node, "name", None) == "r_tables_batch":
-                    text = text.replace(ast.get_source_segment(text, node), "")
             assert "gammainc" not in text, mod.__name__
             assert "boys_array" not in text, mod.__name__
 
@@ -765,7 +755,8 @@ class TestCoulombTables:
         driver, and held on the class in the scratch (its bytes in the
         scratch's ``table_bytes``); the screened three-centre derivative
         takes its kept rows, bitwise the expansion of those pairs alone
-        (and its gradient the loop reference's), so both results are
+        (and its gradient within its recorded bound of the unscreened
+        one), so both results are
         bitwise those of drivers that build their own."""
         bs, aux = _setup(water_dimer, "repro-dz")
         mol = water_dimer
@@ -807,8 +798,8 @@ class TestCoulombTables:
                 cls.E[ids], cls.a[ids], cls.b[ids], comp_arrays(cls.la),
                 comp_arrays(cls.lb), hermite_simplex(cls.la + cls.lb + 1),
             ))
-        _assert_gradient_close(got[1], contract_eri3c_deriv_loop(
-            bs, aux, Z, mol.natoms, screen=1e-8, workspace=ws))
+        assert np.abs(got[1] - contract_eri3c_deriv(
+            bs, aux, Z, mol.natoms)).max() <= ws.neglected_bound
         built.clear()
         for g, alone in zip(got, run(None)):
             assert np.array_equal(g, alone)
@@ -953,74 +944,6 @@ AUX_BASES = {
 }
 
 
-def _pershell_eri3c(bs, aux):
-    """``(mu nu|P)`` one (shell pair, aux shell) at a time on the full
-    Hermite cube: no grouping of any kind."""
-    out = np.zeros((bs.nbf, bs.nbf, aux.nbf))
-    for i, sha in enumerate(bs.shells):
-        for j, shb in enumerate(bs.shells):
-            bra = pair_data(sha, shb)
-            for k, shp in enumerate(aux.shells):
-                blk = _eri_general(
-                    bra, single_data(shp), comp_arrays(sha.l),
-                    comp_arrays(shb.l), comp_arrays(shp.l), _S_COMP,
-                )[..., 0]
-                blk = blk * np.einsum(
-                    "a,b,c->abc", sha.comp_norms, shb.comp_norms,
-                    shp.comp_norms,
-                )
-                out[bs.offsets[i]:bs.offsets[i] + sha.nfunc,
-                    bs.offsets[j]:bs.offsets[j] + shb.nfunc,
-                    aux.offsets[k]:aux.offsets[k] + shp.nfunc] = blk
-    return out
-
-
-def _pershell_eri3c_deriv(bs, aux, Z, natoms):
-    g = np.zeros((natoms, 3))
-    for i, sha in enumerate(bs.shells):
-        for j, shb in enumerate(bs.shells):
-            bra = pair_data(sha, shb, 1, 1)
-            for k, shp in enumerate(aux.shells):
-                d = _deriv_blocks_pairwise(
-                    bra, single_data(shp), comp_arrays(sha.l),
-                    comp_arrays(shb.l), comp_arrays(shp.l), _S_COMP,
-                    ("braA", "braB"),
-                )
-                z = Z[bs.offsets[i]:bs.offsets[i] + sha.nfunc,
-                      bs.offsets[j]:bs.offsets[j] + shb.nfunc,
-                      aux.offsets[k]:aux.offsets[k] + shp.nfunc]
-                z = z * np.einsum(
-                    "a,b,c->abc", sha.comp_norms, shb.comp_norms,
-                    shp.comp_norms,
-                )
-                vA = np.einsum("xabc,abc->x", d["braA"][..., 0], z)
-                vB = np.einsum("xabc,abc->x", d["braB"][..., 0], z)
-                g[sha.atom] += vA
-                g[shb.atom] += vB
-                g[shp.atom] -= vA + vB
-    return g
-
-
-def _pershell_eri2c_deriv(aux, zeta, natoms):
-    g = np.zeros((natoms, 3))
-    for i, shp in enumerate(aux.shells):
-        for j, shq in enumerate(aux.shells):
-            if shp.atom == shq.atom:
-                continue
-            d = _deriv_blocks_pairwise(
-                single_data(shp, di=1), single_data(shq),
-                comp_arrays(shp.l), _S_COMP, comp_arrays(shq.l), _S_COMP,
-                ("braA",),
-            )["braA"][:, :, 0, :, 0]
-            z = zeta[aux.offsets[i]:aux.offsets[i] + shp.nfunc,
-                     aux.offsets[j]:aux.offsets[j] + shq.nfunc]
-            v = np.einsum("xab,ab->x", d,
-                          z * np.outer(shp.comp_norms, shq.comp_norms))
-            g[shp.atom] += v
-            g[shq.atom] -= v
-    return g
-
-
 def test_contracted_fitting_basis_raises_in_eri2c_as_in_eri3c(water):
     """A contracted fitting basis has no site grouping: the metric
     refuses it as the three-centre integrals do, rather than fall back
@@ -1036,8 +959,7 @@ def test_contracted_fitting_basis_raises_in_eri2c_as_in_eri3c(water):
 @pytest.mark.parametrize("aux_name", AUX_BASES)
 class TestSiteGrouping:
     """The auxiliary batch axis is the (centre, exponent) site: the
-    stacked-component kernels against the ``*_loop`` references (same
-    grouping, Hermite cube) and against per-shell references that group
+    stacked-component kernels against the reference, which groups
     nothing."""
 
     @pytest.fixture()
@@ -1049,43 +971,40 @@ class TestSiteGrouping:
     def test_groups(self, case):
         _, _, aux, want = case
         groups = aux_group_data(aux)
-        assert [(g.ls, g.pd.nprim) for g in groups] == want
+        assert [(g.ls, g.a.size) for g in groups] == want
         covered = np.concatenate([g.func_idx.ravel() for g in groups])
         assert sorted(covered) == list(range(aux.nbf))
         for g in groups:
             assert g.comps.shape == g.func_idx.shape[1:] + (3,)
             assert g.comp_norms.shape == g.func_idx.shape
-            assert g.pd.E.shape[2] == g.lmax + 1  # one E table per site
-        # the workspace serves the same groups around fresh centres
+            assert g.E.shape[2] == g.lmax + 1  # one E table per site
+        # the workspace serves the same groups, built once: nothing in
+        # them depends on geometry
         ws = IntegralWorkspace()
-        for _ in range(2):
-            for got, ref in zip(ws.aux_groups(aux), groups):
-                assert got.ls == ref.ls
-                for name in ("atoms", "func_idx", "comp_norms", "comps"):
-                    assert np.array_equal(getattr(got, name),
-                                          getattr(ref, name))
-                assert np.array_equal(got.pd.P, ref.pd.P)
-                assert np.array_equal(got.pd.E, ref.pd.E)
+        served = ws.aux_groups(aux)
+        assert ws.aux_groups(aux) is served
+        for got, want_grp in zip(served, groups):
+            assert got.ls == want_grp.ls
+            for name in ("a", "E", "atoms", "func_idx", "comp_norms",
+                         "comps"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want_grp, name))
 
     def test_eri3c(self, case):
         _, bs, aux, _ = case
-        got = eri3c(bs, aux)
-        _assert_tensor_close(got, eri3c_loop(bs, aux))
-        _assert_tensor_close(got, _pershell_eri3c(bs, aux))
+        _assert_tensor_close(eri3c(bs, aux), ref.eri3c(bs, aux))
 
     def test_eri2c(self, case):
         _, _, aux, _ = case
-        _assert_tensor_close(eri2c(aux), _eri2c_pershell(aux))
+        _assert_tensor_close(eri2c(aux), ref.eri2c(aux))
 
     def test_eri3c_deriv(self, case):
         mol, bs, aux, _ = case
         rng = np.random.default_rng(51)
         Z = rng.standard_normal((bs.nbf, bs.nbf, aux.nbf))
-        got = contract_eri3c_deriv(bs, aux, Z, mol.natoms)
         _assert_gradient_close(
-            got, contract_eri3c_deriv_loop(bs, aux, Z, mol.natoms))
-        _assert_gradient_close(
-            got, _pershell_eri3c_deriv(bs, aux, Z, mol.natoms))
+            contract_eri3c_deriv(bs, aux, Z, mol.natoms),
+            ref.contract_eri3c_deriv(bs, aux, Z, mol.natoms))
 
     def test_eri2c_deriv(self, case):
         mol, _, aux, _ = case
@@ -1093,12 +1012,12 @@ class TestSiteGrouping:
         zeta = rng.standard_normal((aux.nbf, aux.nbf))
         _assert_gradient_close(
             contract_eri2c_deriv(aux, zeta, mol.natoms),
-            _pershell_eri2c_deriv(aux, zeta, mol.natoms),
+            ref.contract_eri2c_deriv(aux, zeta, mol.natoms),
         )
 
 
 class TestFourCenterScreenBypass:
-    def test_screen_zero_skips_schwarz_build(self, water):
+    def test_screen_zero_skips_schwarz_build(self, water, monkeypatch):
         """Exact mode must not touch the Schwarz/Dmax machinery at all."""
         bs, _ = _setup(water, "sto-3g")
         n = bs.nbf
@@ -1106,10 +1025,10 @@ class TestFourCenterScreenBypass:
         ws = IntegralWorkspace()
 
         def boom(*a, **kw):  # pragma: no cover - must not be called
-            raise AssertionError("Schwarz table built in exact mode")
+            raise AssertionError("bound table built in exact mode")
 
         ws.schwarz_bounds_stack = boom
-        ws.dmax_blocks = boom
+        monkeypatch.setattr(four_centre, "_zblk_table", boom)
         g = contract_eri4c_deriv_hf(
             bs, D, water.natoms, screen=0.0, workspace=ws
         )

@@ -7,21 +7,24 @@ import pytest
 
 from repro.basis import BasisSet, Shell, auto_auxiliary
 from repro.chem import Molecule
+from repro.integrals.batch import (
+    _w_class,
+    _w_deriv_class,
+    build_shell_classes,
+    pair_plan,
+    site_plan,
+)
 from repro.integrals.engine import (
     aux_group_data,
     comp_arrays,
     e_tables_batch,
-    hermite_box,
     hermite_simplex,
-    pair_data,
-    r_tables_batch,
     r_tables_simplex,
     simplex_sum_index,
-    single_data,
-    w_deriv,
-    w_tensor,
 )
 from repro.integrals.hermite import e_table, r_table
+
+from .conftest import hermite_cube
 
 
 class TestBatchedTables:
@@ -48,27 +51,27 @@ class TestBatchedTables:
 
     @pytest.mark.parametrize("box", [(0, 0, 0), (2, 1, 0), (3, 3, 3)])
     def test_r_batch_matches_scalar(self, box):
+        """The batched simplex recursion against the scalar one on every
+        row of ``box`` it holds."""
         rng = np.random.default_rng(1)
         p = rng.uniform(0.3, 6.0, 4)
         PQ = rng.uniform(-2, 2, (4, 3))
-        R = r_tables_batch(*box, p, PQ)
+        L = sum(box)
+        R = r_tables_simplex(L, p, PQ)  # (nsimplex, n)
+        rows = hermite_simplex(L)
+        inside = (rows <= box).all(axis=1)
         for n in range(4):
             ref = r_table(*box, float(p[n]), PQ[n])
-            np.testing.assert_allclose(R[n], ref, rtol=1e-11, atol=1e-14)
-
-    def test_hermite_box_cover(self):
-        box = hermite_box((2, 1, 0))
-        assert box.shape == (3 * 2 * 1, 3)
-        assert set(map(tuple, box)) == {
-            (t, u, 0) for t in range(3) for u in range(2)
-        }
+            want = ref[rows[inside, 0], rows[inside, 1], rows[inside, 2]]
+            np.testing.assert_allclose(R[inside, n], want, rtol=1e-11,
+                                       atol=1e-14)
 
     @pytest.mark.parametrize("L", range(7))
     def test_hermite_simplex_cover_and_count(self, L):
         simplex = hermite_simplex(L)
         assert simplex.shape == ((L + 1) * (L + 2) * (L + 3) // 6, 3)
-        box = hermite_box((L, L, L))
-        # exactly the box rows of total order <= L, in the box's C-order
+        box = hermite_cube(L)
+        # exactly the cube rows of total order <= L, in the box's C-order
         assert np.array_equal(simplex, box[box.sum(axis=1) <= L])
         assert not simplex.flags.writeable
         assert hermite_simplex(L) is simplex  # memoised
@@ -82,9 +85,10 @@ class TestBatchedTables:
 
     @pytest.mark.parametrize("T", range(7))
     def test_r_simplex_matches_cube(self, T):
-        """The trimmed recursion (Boys orders 0..T) against the cube's
-        (orders 0..3T) on the rows they share; not bitwise, because the
-        downward Boys recursion starts at a lower order."""
+        """The trimmed recursion (Boys orders 0..T) against the scalar
+        cube's (orders 0..3T) on the rows they share; not bitwise, the
+        downward Boys recursion starts at another order and the scalar
+        recursion uses the other Boys function."""
         rng = np.random.default_rng(2)
         n = 200
         p = rng.uniform(0.05, 60.0, n)
@@ -93,9 +97,11 @@ class TestBatchedTables:
         PQ[10:20] *= 8.0    # p |PQ|^2 in the hundreds: the large-T regime
         PQ[20:25] *= 1e-8   # just above the series-limit switch
         rows = hermite_simplex(T)
-        ref = r_tables_batch(T, T, T, p, PQ)[
-            :, rows[:, 0], rows[:, 1], rows[:, 2]
-        ]
+        ref = np.array([
+            r_table(T, T, T, float(p[i]), PQ[i])[rows[:, 0], rows[:, 1],
+                                                  rows[:, 2]]
+            for i in range(n)
+        ])
         got = r_tables_simplex(T, p, PQ)  # batch axis last
         assert got.shape == ref.T.shape and got.flags.c_contiguous
         got = got.T
@@ -113,16 +119,23 @@ class TestPairData:
     def test_composite_centers(self):
         sa = Shell(0, np.array([0.0, 0, 0]), np.array([2.0]), np.array([1.0]))
         sb = Shell(0, np.array([0.0, 0, 2.0]), np.array([1.0]), np.array([1.0]))
-        pd = pair_data(sa, sb)
+        (cls,) = build_shell_classes(BasisSet([sa, sb]))
+        # canonical pairs (0, 0), (0, 1), (1, 1): the middle one is a, b
         # P = (aA + bB)/(a+b) = (0 + 2)/3 along z
-        np.testing.assert_allclose(pd.P[0], [0, 0, 2.0 / 3.0])
-        assert pd.p[0] == pytest.approx(3.0)
+        np.testing.assert_allclose(cls.P[1, 0], [0, 0, 2.0 / 3.0])
+        assert cls.p[1, 0] == pytest.approx(3.0)
 
     def test_single_data_center(self):
+        """An auxiliary site is one Gaussian on its own centre: a pair
+        with a zero-exponent partner, whose E tables do not depend on
+        where it sits."""
         sh = Shell(1, np.array([1.0, 2, 3]), np.array([0.8]), np.array([1.0]))
-        sd = single_data(sh)
-        np.testing.assert_allclose(sd.P[0], [1, 2, 3])
-        np.testing.assert_allclose(sd.b, 0.0)
+        aux = BasisSet([sh])
+        (grp,) = aux_group_data(aux)
+        (site,) = site_plan([aux]).groups
+        np.testing.assert_allclose(site.Pk[0, 0], [1, 2, 3])
+        assert np.array_equal(grp.E, e_tables_batch(
+            1, 0, np.array([5.0, -1.0, 0.5]), grp.a, np.zeros(1)))
 
 
 class TestAuxGroups:
@@ -130,7 +143,7 @@ class TestAuxGroups:
         aux = auto_auxiliary(water, "sto-3g")
         groups = aux_group_data(aux)
         # a site carries one shell per angular momentum of its group
-        total = sum(g.pd.nprim * len(g.ls) for g in groups)
+        total = sum(g.a.size * len(g.ls) for g in groups)
         assert total == aux.nshells
         # func_idx covers every basis function exactly once
         covered = np.concatenate([g.func_idx.ravel() for g in groups])
@@ -155,34 +168,35 @@ class TestWTensors:
         mol = Molecule(["C", "H"], [[0, 0, 0], [0, 0, 2.0]])
         bs = BasisSet.build(mol, "sto-3g")
         S = overlap(bs)
-        for ish, sha in enumerate(bs.shells):
-            for jsh, shb in enumerate(bs.shells):
-                pd = pair_data(sha, shb)
-                ca, cb = comp_arrays(sha.l), comp_arrays(shb.l)
-                W = w_tensor(pd, ca, cb, (0, 0, 0))[:, :, :, 0, 0, 0]
-                pref = pd.cc * (np.pi / pd.p) ** 1.5
-                blk = np.einsum("n,nab->ab", pref, W)
-                blk = blk * np.outer(sha.comp_norms, shb.comp_norms)
-                oa, ob = bs.offsets[ish], bs.offsets[jsh]
+        plan = pair_plan([bs])
+        for cls, fp in zip(plan.classes, plan.frags[0]):
+            ca, cb = comp_arrays(cls.la), comp_arrays(cls.lb)
+            W = _w_class(cls.E, ca, cb, hermite_simplex(0))[..., 0]
+            pref = cls.cc * (np.pi / cls.p) ** 1.5
+            blk = np.einsum("qn,qabn->qab", pref, W) * cls.norms
+            for q in range(fp.npair):
+                oa, ob = fp.oa[q], fp.ob[q]
                 np.testing.assert_allclose(
-                    blk, S[oa : oa + sha.nfunc, ob : ob + shb.nfunc],
+                    blk[fp.at[q]], S[oa : oa + cls.nfa, ob : ob + cls.nfb],
                     atol=1e-12,
                 )
 
     def test_w_deriv_antisymmetry(self):
-        """For an s-s pair, d/dA = -d/dB of the overlap kernel."""
+        """For s-s pairs, d/dA = -d/dB of the overlap kernel."""
         sa = Shell(0, np.array([0.0, 0, 0]), np.array([1.1]), np.array([1.0]))
         sb = Shell(0, np.array([0.5, -0.2, 1.0]), np.array([0.7]), np.array([1.0]))
-        pd = pair_data(sa, sb, 1, 1)
+        (cls,) = build_shell_classes(BasisSet([sa, sb]))
         ca = cb = comp_arrays(0)
+        tuv = hermite_simplex(0)
         for axis in range(3):
-            dA = w_deriv(pd, ca, cb, (0, 0, 0), "bra", axis)
-            dB = w_deriv(pd, ca, cb, (0, 0, 0), "ket", axis)
+            dA = _w_deriv_class(cls.E, cls.a, cls.b, ca, cb, tuv, "bra", axis)
+            dB = _w_deriv_class(cls.E, cls.a, cls.b, ca, cb, tuv, "ket", axis)
             np.testing.assert_allclose(dA, -dB, atol=1e-13)
 
     def test_w_deriv_invalid_side(self):
         sa = Shell(0, np.zeros(3), np.array([1.0]), np.array([1.0]))
-        pd = pair_data(sa, sa, 1, 1)
+        (cls,) = build_shell_classes(BasisSet([sa]))
         ca = comp_arrays(0)
         with pytest.raises(ValueError):
-            w_deriv(pd, ca, ca, (0, 0, 0), "mid", 0)
+            _w_deriv_class(cls.E, cls.a, cls.b, ca, ca, hermite_simplex(0),
+                           "mid", 0)

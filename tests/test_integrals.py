@@ -22,6 +22,8 @@ from repro.integrals import (
     overlap,
 )
 
+from . import integral_reference as ref
+
 
 @pytest.fixture(scope="module")
 def h2_basis(h2):
@@ -114,7 +116,7 @@ class TestRIFactorization:
         J = eri2c(aux)
         B = np.einsum("mnP,PQ->mnQ", T3, sym_inv_sqrt(J))
         approx = np.einsum("mnP,lsP->mnls", B, B)
-        exact = eri4c(bs)
+        exact = ref.eri4c(bs)
         assert np.abs(approx - exact).max() < 2e-3
         # and the RI approximation underestimates the supermatrix diagonal
         n = bs.nbf
@@ -245,7 +247,7 @@ class TestSchwarz:
 
         bs = BasisSet.build(water, "sto-3g")
         Q = schwarz_pair_bounds(bs)
-        E = eri4c(bs)
+        E = ref.eri4c(bs)
         # per-shell-pair max |(ab|cd)| <= Q_ab Q_cd
         offs = bs.offsets
         for i, sha in enumerate(bs.shells):

@@ -80,6 +80,13 @@ class TestJobSpec:
         with pytest.raises(ValueError, match="nsteps"):
             surrogate_spec("j", nsteps=0)
 
+    @pytest.mark.parametrize("screen", [None, "1e-8", True])
+    def test_rejects_a_screen_that_is_not_a_number(self, screen):
+        """Refused with the spec, not as a TypeError inside the
+        integrals at the job's first gradient."""
+        with pytest.raises(ValueError, match="int_screen"):
+            surrogate_spec("j", method={"kind": "hf", "int_screen": screen})
+
 
 class TestResultChannel:
     def test_publish_reaches_matching_subscribers_only(self):
@@ -700,11 +707,14 @@ class TestOneDriveLoop:
         assert (good.coordinator.coords.tobytes()
                 == ref.coordinator.coords.tobytes())
 
-    def test_process_pool_ships_a_workspace_free_clone(self):
+    @pytest.mark.parametrize("wrapped", [False, True],
+                             ids=["plain", "fault-plan wrapper"])
+    def test_process_pool_ships_a_workspace_free_clone(self, wrapped):
         """`run_parallel` ships a calculator to worker processes as the
         service does: a clone without its private workspace (whose lock
-        cannot be pickled), so the run completes, bitwise the serial one,
-        and the caller's calculator keeps its workspace."""
+        cannot be pickled) — a wrapper's inner calculator likewise — so
+        the run completes, bitwise the serial one, and the caller's
+        calculator keeps its workspace."""
         from repro.calculators import RIHFCalculator
         from repro.frag import FragmentedSystem
         from repro.integrals import IntegralWorkspace
@@ -716,10 +726,13 @@ class TestOneDriveLoop:
             return AsyncCoordinator(system, nsteps=2, dt_fs=0.5,
                                     r_dimer_bohr=1.0e6, mbe_order=2, seed=3)
 
-        calc = RIHFCalculator(workspace=IntegralWorkspace())
+        inner = RIHFCalculator(workspace=IntegralWorkspace())
+        calc = (FaultPlanCalculator(inner, FaultPlan(specs=[])) if wrapped
+                else inner)
         co = make()
-        run_parallel(co, calc, nworkers=2)
-        assert calc.workspace is not None
+        report = run_parallel(co, calc, nworkers=2)
+        assert report.retries == 0
+        assert calc.workspace is not None and inner.workspace is not None
         ref = make()
         run_serial(ref, RIHFCalculator(workspace=IntegralWorkspace()))
         for got, want in zip(co.trajectory_energies(),
