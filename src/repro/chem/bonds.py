@@ -11,7 +11,6 @@ with ``scale = 1.2`` by default.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from ..constants import BOHR_PER_ANGSTROM
@@ -36,15 +35,36 @@ def detect_bonds(mol: Molecule, scale: float = DEFAULT_BOND_SCALE) -> list[tuple
     return bonds
 
 
-def bond_graph(mol: Molecule, scale: float = DEFAULT_BOND_SCALE) -> nx.Graph:
-    """Bond connectivity as a networkx graph with atom indices as nodes."""
-    g = nx.Graph()
-    g.add_nodes_from(range(mol.natoms))
-    g.add_edges_from(detect_bonds(mol, scale=scale))
+def bond_graph(mol: Molecule, scale: float = DEFAULT_BOND_SCALE) -> list[list[int]]:
+    """Bond connectivity as per-atom neighbour lists: ``g[a]`` holds the
+    atoms bonded to atom ``a``, ascending (`detect_bonds` lists its pairs
+    in lexicographic order)."""
+    g: list[list[int]] = [[] for _ in range(mol.natoms)]
+    for i, j in detect_bonds(mol, scale=scale):
+        g[i].append(j)
+        g[j].append(i)
     return g
 
 
 def connected_components(mol: Molecule, scale: float = DEFAULT_BOND_SCALE) -> list[list[int]]:
-    """Atom-index groups of covalently connected sub-molecules."""
-    g = bond_graph(mol, scale=scale)
-    return [sorted(c) for c in nx.connected_components(g)]
+    """Atom-index groups of covalently connected sub-molecules.
+
+    A union-find over `detect_bonds`. Components are ordered by their
+    first atom and list their members ascending.
+    """
+    parent = list(range(mol.natoms))
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in detect_bonds(mol, scale=scale):
+        ri, rj = root(i), root(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    groups: dict[int, list[int]] = {}
+    for a in range(mol.natoms):
+        groups.setdefault(root(a), []).append(a)
+    return list(groups.values())

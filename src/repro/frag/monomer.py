@@ -252,7 +252,7 @@ class FragmentedSystem:
         for i, atoms in enumerate(atom_lists):
             caps = []
             for a in atoms:
-                for nb in g.neighbors(a):
+                for nb in g[a]:
                     if owner.get(nb) != i:
                         caps.append(CapBond(a, nb, _cap_ratio(parent, a, nb)))
             monomers.append(

@@ -35,7 +35,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dgemm as _blas_dgemm
 
 from ..store import ContentionLock
 from ..trace import current
@@ -50,6 +49,11 @@ def _gemm_variant(A: np.ndarray, B: np.ndarray, variant: str) -> np.ndarray:
     variant "TN" passes A's transpose (an F-copy of which is A in C
     order) with ``trans_a=1``, etc.
     """
+    # imported on first use, so a process that never tunes loads no
+    # scipy; the first trial's import time is one sample, which the
+    # minimum over `trials_per_variant` rejects
+    from scipy.linalg.blas import dgemm
+
     ta = variant[0] == "T"
     tb = variant[1] == "T"
     # Build the buffer whose (possibly transposed) view equals the operand.
@@ -57,7 +61,7 @@ def _gemm_variant(A: np.ndarray, B: np.ndarray, variant: str) -> np.ndarray:
     # copy otherwise — the "cheap transpose" the paper exploits.
     a_buf = np.asfortranarray(A.T) if ta else np.asfortranarray(A)
     b_buf = np.asfortranarray(B.T) if tb else np.asfortranarray(B)
-    return _blas_dgemm(1.0, a_buf, b_buf, trans_a=ta, trans_b=tb)
+    return dgemm(1.0, a_buf, b_buf, trans_a=ta, trans_b=tb)
 
 
 @dataclass

@@ -24,7 +24,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gamma
 
 _SQRT_PI_OVER_2 = 0.5 * np.sqrt(np.pi)
 
@@ -56,6 +55,8 @@ def boys(mmax: int, T: float) -> np.ndarray:
 
         F_{m-1}(T) = (2 T F_m(T) + exp(-T)) / (2 m - 1)
     """
+    from scipy.special import gamma, gammainc
+
     T = float(T)
     out = np.empty(mmax + 1)
     expT = np.exp(-T)
@@ -71,6 +72,8 @@ def boys(mmax: int, T: float) -> np.ndarray:
 
 def boys_array(mmax: int, T: np.ndarray) -> np.ndarray:
     """Vectorized `boys`: shape ``(len(T), mmax+1)``."""
+    from scipy.special import gamma, gammainc
+
     T = np.atleast_1d(np.asarray(T, dtype=float))
     out = np.empty((T.shape[0], mmax + 1))
     a = mmax + 0.5

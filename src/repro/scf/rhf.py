@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
 
 from ..basis.auxiliary import auto_auxiliary
 from ..basis.basisset import BasisSet
@@ -159,6 +158,8 @@ def metric_inverse_factor(J2: np.ndarray, mol: Molecule | None = None) -> np.nda
     A metric ``potrf`` refuses (not positive definite: a linearly
     dependent fitting basis) raises `NumericalDivergenceError` naming
     ``mol``'s fragment; no eigenvalue screen stands in for it."""
+    from scipy.linalg.lapack import dpotrf, dtrtri
+
     L, info = dpotrf(J2, lower=1, clean=1)
     if info == 0:
         Linv, info = dtrtri(L, lower=1)

@@ -136,8 +136,8 @@ class TestBonds:
 
     def test_bond_graph_nodes(self, water):
         g = bond_graph(water)
-        assert g.number_of_nodes() == 3
-        assert g.number_of_edges() == 2
+        assert len(g) == 3
+        assert sum(map(len, g)) == 4
 
 
 class TestXYZ:
