@@ -1,7 +1,9 @@
 """Restricted Hartree-Fock: conventional (four-center) and RI variants.
 
 The RI fit factorises the metric once per geometry, ``J = L L^T``
-(LAPACK ``potrf`` + ``trtri``), and folds ``L^{-T}`` into the
+(NumPy's Cholesky, then a blocked triangular inverse in LAPACK
+``dtrtri``'s order; metrics of one size as one stack), and folds
+``L^{-T}`` into the
 three-center integrals: ``B = (mu nu|P) L^{-T}``, so that
 ``(mn|ls)_RI = sum_P B_mn^P B_ls^P`` with the exact ``J^{-1}``. No
 metric eigenvalue is screened; a metric that is not positive definite
@@ -22,7 +24,7 @@ import numpy as np
 from ..basis.auxiliary import auto_auxiliary
 from ..basis.basisset import BasisSet
 from ..chem.molecule import Molecule
-from ..gemm import gemm, sym_inv_sqrt, eigh_orth
+from ..gemm import bgemm, eigh_orth, gemm, sym_inv_sqrt
 from ..integrals import eri2c, eri3c, eri4c, hcore, overlap
 from ..integrals.workspace import evaluation_scope
 from ..numerics import NumericalDivergenceError
@@ -140,48 +142,125 @@ def build_ri_tensors(
     basis: BasisSet, aux: BasisSet,
     screen: float = 0.0, workspace=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The fit tensor ``B`` and the metric's inverse Cholesky factor
-    ``L^{-1}`` (`_fitted`) of one basis pair.
+    """The fit tensor ``B`` (`_fitted`) and the metric's inverse
+    Cholesky factor ``L^{-1}`` (`metric_inverse_factor`) of one basis
+    pair.
 
     ``screen``/``workspace`` enable Schwarz screening and cross-call
     caching in the underlying integral drivers (see
     `repro.integrals.workspace`).
     """
     T3 = eri3c(basis, aux, screen=screen, workspace=workspace)
-    J2 = eri2c(aux, workspace=workspace)
-    return _fitted(T3, J2)
+    Linv = metric_inverse_factor(eri2c(aux, workspace=workspace))
+    return _fitted(T3, Linv), Linv
 
 
-def metric_inverse_factor(J2: np.ndarray, mol: Molecule | None = None) -> np.ndarray:
-    """``L^{-1}`` of the metric's Cholesky factor ``J = L L^T`` (LAPACK
-    ``potrf`` + ``trtri``), lower triangular: ``J^{-1} = L^{-T} L^{-1}``.
-    A metric ``potrf`` refuses (not positive definite: a linearly
-    dependent fitting basis) raises `NumericalDivergenceError` naming
-    ``mol``'s fragment; no eigenvalue screen stands in for it."""
-    from scipy.linalg.lapack import dpotrf, dtrtri
-
-    L, info = dpotrf(J2, lower=1, clean=1)
-    if info == 0:
-        Linv, info = dtrtri(L, lower=1)
-    if info != 0:
-        who = "" if mol is None else (
-            f" of fragment {getattr(mol, 'frag_key', None)} "
-            f"({mol.formula()}, {mol.natoms} atoms)")
-        raise NumericalDivergenceError(
-            f"RI metric{who} is not positive definite: Cholesky pivot "
-            f"{info} of {J2.shape[0]} failed (linearly dependent "
-            "auxiliary functions)"
-        )
-    return Linv
+#: Largest diagonal block of the triangular inverse. A metric of size n
+#: is cut into ``ceil(n / 32)`` blocks of equal size (the last one short
+#: by the remainder). LAPACK's ``dtrtri`` takes 64; here the per-column
+#: loop costs more than the block products it saves, and 32 halves it.
+_TRI_BLOCK = 32
 
 
-def _fitted(T3: np.ndarray, J2: np.ndarray, mol: Molecule | None = None):
-    """``(B, L^{-1})`` from the raw three-center tensor and metric:
-    `metric_inverse_factor`, then ``B = T3 L^{-T}`` by one GEMM."""
-    Linv = metric_inverse_factor(J2, mol)
+def _invert_diagonal_blocks(D: np.ndarray) -> None:
+    """Invert a stack ``(m, nb, nb)`` of lower-triangular blocks in
+    place, all together, column by column from the last as LAPACK
+    ``dtrti2`` does: ``X_jj = 1 / L_jj``, then ``X[j+1:, j] = -X_jj
+    X[j+1:, j+1:] L[j+1:, j]`` on the trailing part already inverted."""
+    nb = D.shape[-1]
+    d = np.arange(nb)
+    D[:, d, d] = 1.0 / D[:, d, d]
+    scale = -D[:, d, d]
+    for j in range(nb - 2, -1, -1):
+        y = np.matmul(D[:, j + 1:, j + 1:], D[:, j + 1:, j, None])
+        np.multiply(y[..., 0], scale[:, j, None], out=D[:, j + 1:, j])
+
+
+def _invert_lower(L: np.ndarray) -> np.ndarray:
+    """``L^{-1}`` of a stack ``(s, n, n)`` of lower-triangular factors,
+    in place, blocked in LAPACK ``dtrtri``'s order: every diagonal block
+    of every member is inverted at once (`_invert_diagonal_blocks`; the
+    short last block padded with the identity), then the block columns
+    are filled from the last one, ``X21 = -(X22 L21) X11``, by counted
+    `bgemm` over the stack. Each member's result is its result alone."""
+    s, n, _ = L.shape
+    nblk = -(-n // _TRI_BLOCK)
+    nb = -(-n // nblk)
+    last = n - (nblk - 1) * nb
+    D = np.empty((s, nblk, nb, nb))
+    D[:, -1] = np.eye(nb)
+    for b in range(nblk):
+        lo = b * nb
+        w = last if b == nblk - 1 else nb
+        D[:, b, :w, :w] = L[:, lo:lo + w, lo:lo + w]
+    _invert_diagonal_blocks(D.reshape(s * nblk, nb, nb))
+    lo = n - last
+    L[:, lo:, lo:] = D[:, -1, :last, :last]
+    for b in range(nblk - 2, -1, -1):
+        lo, hi = b * nb, b * nb + nb
+        np.negative(bgemm(bgemm(L[:, hi:, hi:], L[:, hi:, lo:hi]), D[:, b]),
+                    out=L[:, hi:, lo:hi])
+        L[:, lo:hi, lo:hi] = D[:, b]
+    return L
+
+
+def metric_inverse_factor(J2: np.ndarray, mols=()) -> np.ndarray:
+    """``L^{-1}`` of each metric's Cholesky factor ``J = L L^T``, lower
+    triangular (``J^{-1} = L^{-T} L^{-1}``), for a stack ``J2`` of shape
+    ``(..., n, n)``: NumPy's Cholesky over the stack, then
+    `_invert_lower`. Each member's factor is bitwise its factor
+    alone. A metric that is not positive definite (a linearly dependent
+    fitting basis) raises `NumericalDivergenceError` naming its
+    fragment from ``mols`` (one molecule per member, in C order of the
+    leading axes); no eigenvalue screen stands in for it."""
+    n = J2.shape[-1]
+    stack = J2.reshape(-1, n, n)
+    try:
+        L = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        raise _not_positive_definite(stack, mols) from None
+    return _invert_lower(L).reshape(J2.shape)
+
+
+def _not_positive_definite(stack: np.ndarray, mols) -> NumericalDivergenceError:
+    """The error of a stack whose Cholesky failed, naming the first
+    member that fails alone."""
+    mols, who = list(mols), ""
+    for i, J in enumerate(stack):
+        try:
+            np.linalg.cholesky(J)
+        except np.linalg.LinAlgError:
+            if i < len(mols):
+                who = (f" of fragment {getattr(mols[i], 'frag_key', None)} "
+                       f"({mols[i].formula()}, {mols[i].natoms} atoms)")
+            break
+    return NumericalDivergenceError(
+        f"RI metric{who} is not positive definite: its {stack.shape[-1]}"
+        "-function Cholesky factor failed (linearly dependent auxiliary "
+        "functions)"
+    )
+
+
+def _fitted(T3: np.ndarray, Linv: np.ndarray) -> np.ndarray:
+    """The fit tensor ``B = T3 L^{-T}`` from the raw three-center tensor
+    and the metric's inverse factor, by one GEMM."""
     n, _, naux = T3.shape
-    B = gemm(T3.reshape(n * n, naux), Linv.T).reshape(n, n, naux)
-    return B, Linv
+    return gemm(T3.reshape(n * n, naux), Linv.T).reshape(n, n, naux)
+
+
+def _metric_factors(J2: list, mols) -> list[np.ndarray]:
+    """`metric_inverse_factor` of every metric, one stacked call per
+    metric size; each fragment's factor in order."""
+    by_size: dict[int, list[int]] = {}
+    for f, J in enumerate(J2):
+        by_size.setdefault(J.shape[0], []).append(f)
+    out = [None] * len(J2)
+    for idx in by_size.values():
+        Linv = metric_inverse_factor(np.stack([J2[f] for f in idx]),
+                                     [mols[f] for f in idx])
+        for f, X in zip(idx, Linv):
+            out[f] = X
+    return out
 
 
 def prepare_solves(
@@ -191,19 +270,21 @@ def prepare_solves(
     basis: ``bs``, ``S``, the core Hamiltonian ``h0`` and, with fitting
     bases ``auxs``, the RI tensors ``ri`` — from one call of each
     integral driver, one evaluation for all of them: a block the
-    fragments share is computed once. The solves that read them are
-    each fragment's own."""
+    fragments share is computed once, and the metrics of one size are
+    factored as one stack (`_metric_factors`). The solves that read
+    them are each fragment's own."""
     with evaluation_scope(workspace):
         S = overlap(bases, workspace)
         h = hcore(bases, mols, workspace)
         if auxs is not None:
             T3 = eri3c(bases, auxs, screen=int_screen, workspace=workspace)
             J2 = eri2c(auxs, workspace)
+            Linv = _metric_factors(J2, mols)
     memos = []
     for f, bs in enumerate(bases):
         memo = {"bs": bs, "S": S[f], "h0": h[f]}
         if auxs is not None:
-            memo["ri"] = (*_fitted(T3[f], J2[f], mols[f]), auxs[f])
+            memo["ri"] = (_fitted(T3[f], Linv[f]), Linv[f], auxs[f])
             T3[f] = None  # the fit is what the solve reads
         memos.append(memo)
     return memos

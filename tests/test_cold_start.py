@@ -1,8 +1,9 @@
 """Cold start: a process imports only what it runs.
 
-Importing the package and driving the step engine load neither scipy
-nor networkx; the NumPy pair search and the union-find components that
-replaced them return what the old ones did.
+Importing the package, driving the step engine and running RI-MP2
+(energies, gradients, dynamics) load neither scipy nor networkx; the
+NumPy pair search and the union-find components that replaced them
+return what the old ones did.
 """
 
 from __future__ import annotations
@@ -53,6 +54,22 @@ assert co.done() and len(co.trajectory_energies()[2]) == 5
 """
 
 
+_QM = """
+from repro.calculators import RIMP2Calculator
+from repro.frag import FragmentedSystem
+from repro.md import run_aimd
+from repro.systems import water_cluster
+
+calc = RIMP2Calculator()
+dimer = water_cluster(2, seed=1)
+[(e, g)] = calc.energy_gradients([dimer])
+assert g.shape == (6, 3) and abs(calc.energy(dimer) - e) < 1e-8
+traj = run_aimd(FragmentedSystem.by_components(water_cluster(3, seed=1)),
+                RIMP2Calculator(), 2, r_dimer_bohr=30.0, mbe_order=2)
+assert len(traj.potential) == 3
+"""
+
+
 def _loaded(script: str) -> list[str]:
     """The scipy / networkx modules a fresh interpreter holds after
     ``script``."""
@@ -69,6 +86,11 @@ class TestImports:
 
     def test_step_engine_run_loads_neither(self):
         assert _loaded(_ENGINE) == []
+
+    def test_qm_run_loads_no_scipy(self):
+        """RI-MP2 energies and gradients, the energy-only path and a
+        short MBE2 dynamics run factor the RI metric on NumPy alone."""
+        assert _loaded(_QM) == []
 
 
 def _brute_pairs(c: np.ndarray, r: float) -> list[tuple[int, int]]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.basis import BasisSet, auto_auxiliary
+from repro.basis import BasisSet, Shell, auto_auxiliary
 from repro.chem import Molecule
 from repro.gemm import sym_inv_sqrt
 from repro.integrals import (
@@ -320,9 +320,58 @@ class TestRIFit:
         assert (res.energy + mp2_ri(res).e_corr) == pytest.approx(
             eig.energy + mp2_ri(eig).e_corr, abs=1e-9)
 
+    @pytest.mark.parametrize("basis", FIT_BASES)
+    @pytest.mark.parametrize("name", ["water", "water3", "glycine"])
+    def test_metric_factor_residual_is_lapacks(self, basis, name, request):
+        """``|L^{-1} J L^{-T} - 1|`` within 4x of LAPACK ``dpotrf`` +
+        ``dtrtri`` (SciPy's, the reference only)."""
+        from scipy.linalg.lapack import dpotrf, dtrtri
+
+        J = eri2c([auto_auxiliary(_fit_molecule(name, request), basis)])[0]
+        L, info = dpotrf(J, lower=1, clean=1)
+        assert info == 0
+        ref, info = dtrtri(L, lower=1)
+        assert info == 0
+        Linv, one = metric_inverse_factor(J), np.eye(len(J))
+        err = np.max(np.abs(Linv @ J @ Linv.T - one))
+        assert err <= 4.0 * np.max(np.abs(ref @ J @ ref.T - one))
+
+    @pytest.mark.parametrize("nwater", [1, 2, 3])
+    def test_stacked_factor_is_each_alone(self, nwater):
+        """Workload A's metric sizes (63 / 126 / 189): a stack of three
+        metrics gives each member's factor bitwise."""
+        J = eri2c([auto_auxiliary(water_cluster(nwater, seed=s), "sto-3g")
+                   for s in (1, 2, 3)])
+        assert J[0].shape == (63 * nwater,) * 2
+        stacked = metric_inverse_factor(np.stack(J))
+        for Jf, got in zip(J, stacked):
+            assert got.tobytes() == metric_inverse_factor(Jf).tobytes()
+
+    def test_stacked_refusal_names_its_member(self):
+        """Three fragments of one metric size, the middle one's made
+        singular by a duplicated auxiliary function: the stacked fit
+        names that fragment, not the stack's first."""
+        mols, bases, auxs = [], [], []
+        for key in range(3):
+            mol = water_cluster(1, seed=key + 1)
+            mol.frag_key = (key,)
+            aux = auto_auxiliary(mol, "sto-3g")
+            s0 = aux.shells[0]
+            extra = s0 if key == 1 else Shell(
+                s0.l, s0.center, 3.0 * s0.exps, s0.coefs, s0.atom)
+            mols.append(mol)
+            bases.append(BasisSet.build(mol, "sto-3g"))
+            auxs.append(BasisSet(aux.shells + [extra]))
+        with pytest.raises(NumericalDivergenceError) as err:
+            prepare_solves(mols, bases, auxs)
+        assert "fragment (1,)" in str(err.value)
+        assert "(0,)" not in str(err.value) and "pivot" not in str(err.value)
+        del mols[1], bases[1], auxs[1]
+        assert len(prepare_solves(mols, bases, auxs)) == 2
+
     def test_metric_refused_names_fragment(self, water):
-        """Two identical auxiliary shells on one atom: ``potrf`` refuses
-        the metric and the fit raises, naming the fragment."""
+        """Two identical auxiliary shells on one atom: the Cholesky
+        factor fails and the fit raises, naming the fragment."""
         aux = auto_auxiliary(water, "sto-3g")
         bad = BasisSet(aux.shells + [aux.shells[0]])
         mol = water.with_coords(water.coords)

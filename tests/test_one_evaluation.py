@@ -46,6 +46,7 @@ from repro.integrals import (
     overlap,
 )
 from repro.integrals.workspace import evaluation_scope
+from repro.scf import prepare_solves
 from repro.systems import water_cluster
 from repro.systems.glycine import glycine_fragmented
 from repro.trace import Tracer, recording
@@ -216,6 +217,20 @@ class TestContextIndependence:
         ws = _assert_alone(call, screen)
         if not screen:
             assert _counts(ws) == _brute_force(call)
+
+    def test_a_fragments_fit_is_its_own(self, water4):
+        """A's 14 fragments' metrics come in three sizes, each factored
+        as one stack: every fragment's ``L^{-1}`` and fit ``B`` are
+        bitwise the ones it gets alone."""
+        mols, _ = water4
+        bases = [BasisSet.build(mol, "sto-3g") for mol in mols]
+        auxs = [auto_auxiliary(mol, "sto-3g") for mol in mols]
+        assert sorted({aux.nbf for aux in auxs}) == [63, 126, 189]
+        whole = prepare_solves(mols, bases, auxs)
+        for f, mol in enumerate(mols):
+            (alone,) = prepare_solves([mol], [bases[f]], [auxs[f]])
+            for got, want in zip(whole[f]["ri"][:2], alone["ri"][:2]):
+                assert got.tobytes() == want.tobytes()
 
     def test_capped_fragments_share_a_cap_hydrogen(self):
         """Glycine residue 0 and the capped non-adjacent dimer (0, 2)
