@@ -177,6 +177,13 @@ def _print_fault_handling(retries: int, timeouts: int,
               f"{pool_restarts} pool restarts")
 
 
+def _print_worker_side(nworkers: int) -> None:
+    """In place of counters a run's worker processes keep to
+    themselves."""
+    print(f"integral workspace / screening: counters stay in the "
+          f"{nworkers} worker processes")
+
+
 def cmd_aimd(args) -> int:
     """Fragment AIMD: the spec `submit` would write, run in this process
     on the (a)synchronous step engine."""
@@ -279,16 +286,18 @@ def cmd_aimd(args) -> int:
               f"({cache.iters_warm} warm / {cache.iters_cold} cold), "
               f"{records.ndensities} cached densities "
               f"({records.nbytes} bytes of fragment records)")
-    ws = workspace.stats()
-    if ws["hits"] or ws["misses"]:
-        print(f"integral workspace: {ws['hits']} hits / "
-              f"{ws['misses']} misses, {ws['entries']} resident entries "
-              f"({ws['nbytes']} bytes)")
-    if ws["pairs_total"]:
-        note = " (coordinator-side only)" if args.workers > 1 else ""
-        print(f"integral screening: {ws['pairs_skipped']}/"
-              f"{ws['pairs_total']} shell-pair blocks skipped, "
-              f"neglected bound {ws['neglected_bound']:.2e}{note}")
+    if args.workers > 1 and not args.surrogate:
+        _print_worker_side(args.workers)
+    else:
+        ws = workspace.stats()
+        if ws["hits"] or ws["misses"]:
+            print(f"integral workspace: {ws['hits']} hits / "
+                  f"{ws['misses']} misses, {ws['entries']} resident "
+                  f"entries ({ws['nbytes']} bytes)")
+        if ws["pairs_total"]:
+            print(f"integral screening: {ws['pairs_skipped']}/"
+                  f"{ws['pairs_total']} shell-pair blocks skipped, "
+                  f"neglected bound {ws['neglected_bound']:.2e}")
     if tracer is not None:
         tracer.write_chrome(args.trace)
         print(f"wrote chrome trace ({len(tracer.events)} events) to {args.trace}")
@@ -411,9 +420,12 @@ def cmd_serve(args) -> int:
     gc = warm["guess_cache"]
     print(f"guess cache: {gc['hits']} hits / {gc['misses']} misses, "
           f"{len(gc['tenants'])} tenants")
-    ws = warm["workspace"]
-    print(f"workspace: {ws['hits']} hits / {ws['misses']} misses, "
-          f"{ws['contentions']} contentions")
+    if args.pool == "process":
+        _print_worker_side(service.nworkers)
+    else:
+        ws = warm["workspace"]
+        print(f"workspace: {ws['hits']} hits / {ws['misses']} misses, "
+              f"{ws['contentions']} contentions")
     flops, calls = GLOBAL_COUNTER.snapshot()
     print(f"gemm: {calls} calls, {flops / 1e9:.3f} GFLOP")
     if tracer is not None:
@@ -532,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["thread", "process"],
                    help="worker pool kind: threads share the in-process "
                         "workspace; processes give true parallelism for "
-                        "GIL-holding QM solves on multi-core hosts")
+                        "GIL-holding QM solves on multi-core hosts, each "
+                        "keeping its own workspace and its counters")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="write a chrome-trace JSON (includes serve.* "
                         "and warm_layer instants)")

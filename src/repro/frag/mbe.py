@@ -334,14 +334,15 @@ def mbe_energy_gradient(
     assembles with the plan coefficients; gradients are chained back to
     parent atoms through the H-cap rule.
     """
+    coords = system.parent.coords if coords is None else coords
     energy = 0.0
     grad = np.zeros((system.parent.natoms, 3))
     for key in plan.fragments:
         c = plan.coefficients[key]
-        mol, atoms, caps = system.fragment_molecule(key, coords)
-        e_f, g_f = calculator.energy_gradient(mol)
+        lay = system.layout(key)
+        e_f, g_f = calculator.energy_gradient(lay.molecule(coords))
         energy += c * e_f
-        system.map_gradient(g_f, atoms, caps, grad, scale=c)
+        lay.scatter(g_f, grad, c)
     return energy, grad
 
 

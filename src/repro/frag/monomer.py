@@ -320,21 +320,3 @@ class FragmentedSystem:
         lay = self.layout(monomer_ids)
         mol = lay.molecule(self.parent.coords if coords is None else coords)
         return mol, lay.atoms.tolist(), list(lay.caps)
-
-    def map_gradient(
-        self,
-        grad_frag: np.ndarray,
-        atoms: list[int],
-        caps: list[CapBond],
-        out: np.ndarray,
-        scale: float = 1.0,
-    ) -> None:
-        """Chain a fragment gradient back onto parent atoms (in place).
-
-        Cap-hydrogen gradients are distributed onto the two real atoms
-        defining the broken bond via the fixed-ratio chain rule.
-        """
-        _scatter(
-            grad_frag, np.asarray(atoms, dtype=np.intp),
-            *_cap_scatter(caps), out, scale,
-        )

@@ -69,10 +69,10 @@ def mbe_energy_gradient_switched(
 
     def frag(key: tuple[int, ...]) -> tuple[float, np.ndarray]:
         if key not in cache:
-            mol, atoms, caps = system.fragment_molecule(key, c)
-            e, gf = calculator.energy_gradient(mol)
+            lay = system.layout(key)
+            e, gf = calculator.energy_gradient(lay.molecule(c))
             g = np.zeros((natoms, 3))
-            system.map_gradient(gf, atoms, caps, g)
+            lay.scatter(gf, g)
             cache[key] = (e, g)
         return cache[key]
 

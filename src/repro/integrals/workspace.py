@@ -12,7 +12,7 @@ bottlenecks reduce to *screened*, dense GEMMs) and that CP2K's exascale
 effort attributes to missing integral reuse.
 
 `IntegralWorkspace` is the per-process fix — a `repro.store.BoundedStore`
-(LRU byte budget, lock, attribution: million-fragment plans cannot
+(LRU byte budget and lock: million-fragment plans cannot
 exhaust worker memory) plus the integral products:
 
 * **Composition keys** — entries are keyed on the *composition* of the
@@ -63,10 +63,6 @@ DEFAULT_INT_SCREEN = 1.0e-12
 
 #: default byte budget of a workspace
 DEFAULT_MAX_BYTES = 256 * 2**20
-
-#: `IntegralWorkspace.scope` argument left as the enclosing scope set it
-_KEEP = object()
-
 
 def _shell_sig(sh) -> tuple:
     """Geometry-free identity of one shell (momentum, atom, primitives)."""
@@ -126,9 +122,8 @@ class _Scratch(dict):
 
 
 class _Scope(threading.local):
-    """What the calling thread's current evaluation asked for."""
+    """The calling thread's current evaluation."""
 
-    tenant: str | None = None
     #: the evaluation's geometry-keyed products; None outside any scope
     scratch: _Scratch | None = None
 
@@ -159,9 +154,8 @@ class IntegralWorkspace(BoundedStore):
       budget.
 
     Budget, lock and ``enabled`` are the store's
-    (`repro.store.BoundedStore`); hits and misses belong to the tenant
-    of the calling thread's `scope`, and scratch lookups count in the
-    same ``hits`` / ``misses``.
+    (`repro.store.BoundedStore`); scratch lookups count in the same
+    ``hits`` / ``misses`` as the store's.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES,
@@ -178,40 +172,28 @@ class IntegralWorkspace(BoundedStore):
         self.elements_requested = _no_blocks()
         self.elements_computed = _no_blocks()
 
-    def _tenant_of(self, key: tuple) -> str | None:
-        """Traffic belongs to the calling thread's tenant."""
-        return self._scope.tenant
-
     @contextmanager
-    def scope(self, tenant=_KEEP):
-        """One evaluation's settings, for the calling thread only.
-
-        ``tenant``, when given, receives the hits and misses (and is put
-        back on exit): a calculator's scope leaves alone the tenant
-        `evaluate_fragments` scoped around it. The outermost scope on a
-        thread also opens the evaluation's scratch (`_scratch`); nested
-        ones share it, its exit drops it (`evaluation` opens one of its
-        own).
-        """
+    def scope(self):
+        """The calling thread's evaluation scratch (`_scratch`): joined
+        if one is open, else opened here and dropped at exit
+        (`evaluation` always opens one of its own)."""
         scope = self._scope
-        saved = scope.tenant, scope.scratch
-        if tenant is not _KEEP:
-            scope.tenant = tenant
-        if scope.scratch is None:
-            scope.scratch = _Scratch()
+        if scope.scratch is not None:
+            yield
+            return
+        scope.scratch = _Scratch()
         try:
             yield
         finally:
-            scope.tenant, scope.scratch = saved
+            scope.scratch = None
 
     @contextmanager
     def evaluation(self):
         """One evaluation of the integral layer on the calling thread —
         what a calculator runs each group of fragments in: a fresh
-        scratch for the block, even inside an enclosing scope (whose
-        tenant still holds), dropped at its exit and the
-        enclosing one put back. Yields the scratch, whose
-        ``table_bytes`` / ``rebuilt_pairs`` tell what its tables
+        scratch for the block, even inside an enclosing scope, dropped
+        at its exit and the enclosing one put back. Yields the scratch,
+        whose ``table_bytes`` / ``rebuilt_pairs`` tell what its tables
         cost."""
         scope = self._scope
         saved, scope.scratch = scope.scratch, _Scratch()
@@ -229,7 +211,7 @@ class IntegralWorkspace(BoundedStore):
         payload = None if scratch is None else scratch.get(key)
         hit = payload is not None
         with self._lock:
-            self._count("hits" if hit else "misses", self._scope.tenant)
+            self._count(hit)
         if not hit:
             payload = build()
             if scratch is not None:
@@ -283,8 +265,7 @@ class IntegralWorkspace(BoundedStore):
         todo = [f for f, Q in enumerate(out) if Q is None]
         with self._lock:
             for Q in out:
-                self._count("misses" if Q is None else "hits",
-                            self._scope.tenant)
+                self._count(Q is not None)
         if todo:
             built = schwarz_pair_bounds(bases, workspace=self, frags=todo)
             for f, Q in zip(todo, built):

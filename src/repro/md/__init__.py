@@ -1,7 +1,7 @@
 """Ab initio molecular dynamics: one step engine, barrier optional."""
 
 from ..numerics import NumericalDivergenceError
-from .aimd import Trajectory, run_aimd
+from .aimd import run_aimd
 from .checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -32,6 +32,7 @@ from .integrators import (
 from .mts import SlowTierState, TieredMBEForces, slow_tier_items
 from .scheduler import AsyncCoordinator, FragmentStub, PolymerTask
 from .thermostats import LocalLangevinThermostat
+from .trajectory import Trajectory
 from .trajio import TrajectoryStreamWriter, read_trajectory_stream
 
 __all__ = [

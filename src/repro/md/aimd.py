@@ -29,7 +29,7 @@ from .drivers import run_serial
 from .scheduler import AsyncCoordinator
 from .trajectory import Trajectory
 
-__all__ = ["Trajectory", "integrate_whole_system", "run_aimd"]
+__all__ = ["integrate_whole_system", "run_aimd"]
 
 #: where ``smooth_switching`` turns a polymer's correction on, as a
 #: fraction of its cutoff

@@ -185,8 +185,8 @@ class _Flight:
 
     tasks: list
     calculator: object
-    #: `evaluate_fragments` keywords
-    kw: dict
+    #: the source's tag for the flight; stays in this process
+    owner: object = None
     attempt: int = 0
     deadline_mono: float | None = None
     trace_start: float | None = None
@@ -271,11 +271,12 @@ class Dispatcher:
             tracer.instant("pool.restart", cat="driver")
         self._kill_pool()
 
-    def submit(self, tasks: list, calculator, **kw) -> None:
+    def submit(self, tasks: list, calculator, owner=None) -> None:
         """Run ``evaluate_fragments(calculator, [t.molecule for t in
-        tasks], **kw)`` on a worker, each molecule carrying its task's
-        step and the flight's attempt."""
-        self._dispatch(_Flight(tasks, calculator, kw))
+        tasks])`` on a worker, each molecule carrying its task's step and
+        the flight's attempt; ``owner`` stays on the flight, never
+        shipped."""
+        self._dispatch(_Flight(tasks, calculator, owner))
 
     def _dispatch(self, flight: _Flight) -> None:
         tracer = current()
@@ -294,11 +295,11 @@ class Dispatcher:
             flight.trace_start = tracer.clock()
             tracer.instant("task.dispatch", cat="driver", **flight.trace_args())
         try:
-            fut = self._executor().submit(*args, **flight.kw)
+            fut = self._executor().submit(*args)
         except (BrokenProcessPool, RuntimeError):
             # the pool died between completions; rebuild and resubmit
             self._restart_pool()
-            fut = self._executor().submit(*args, **flight.kw)
+            fut = self._executor().submit(*args)
         self._flights[fut] = flight
 
     def retry(self, flight: _Flight) -> bool:
@@ -435,7 +436,8 @@ def drive(source, dispatcher: Dispatcher) -> None:
     exit. A failed flight is retried while the policy allows.
 
     A source answers ``done()``; ``flights(free)``, at most ``free``
-    ``(tasks, calculator, evaluate_fragments keywords)``;
+    ``(tasks, calculator, owner)``, the owner its own tag for the
+    flight (`Dispatcher.submit`);
     ``complete(flight)``; ``wants(flight)``, whether a failed or waiting
     flight still matters; ``give_up(flight)`` for a task whose budget is
     spent (a stack is never refused a retry) and for a flight it no
@@ -448,8 +450,8 @@ def drive(source, dispatcher: Dispatcher) -> None:
         while not source.done() or dispatcher.pending:
             free = dispatcher.free
             if free > 0:
-                for tasks, calculator, kw in source.flights(free):
-                    dispatcher.submit(tasks, calculator, **kw)
+                for tasks, calculator, owner in source.flights(free):
+                    dispatcher.submit(tasks, calculator, owner)
             if not dispatcher.pending:
                 source.stalled()
             finished = dispatcher.wait(POLL_S)
@@ -479,7 +481,7 @@ class _Run:
 
     def flights(self, free: int) -> list:
         ready = list(iter(self.coordinator.next_task, None))
-        return [(stack, self.calculator, {}) for stack in deal(ready, free)]
+        return [(stack, self.calculator, None) for stack in deal(ready, free)]
 
     def complete(self, flight: _Flight) -> None:
         for task, result in zip(flight.tasks, flight.results):

@@ -108,11 +108,11 @@ class TieredMBEForces:
         grad = np.zeros((system.parent.natoms, 3))
         results: dict[int, tuple] = {}
         for m in range(system.nmonomers):
-            mol, atoms, caps = system.fragment_molecule((m,), coords)
-            e_f, g_f = self.calculator.energy_gradient(mol)
+            lay = system.layout((m,))
+            e_f, g_f = self.calculator.energy_gradient(lay.molecule(coords))
             energy += e_f
-            system.map_gradient(g_f, atoms, caps, grad, scale=1.0)
-            results[m] = (e_f, g_f, atoms, caps)
+            lay.scatter(g_f, grad)
+            results[m] = (e_f, g_f, lay)
         self._mono_coords = coords
         self._mono_results = results
         return energy, grad
@@ -140,13 +140,13 @@ class TieredMBEForces:
         cached = self._cached_monomers(coords)
         for key, c in slow_tier_items(self.plan, system.nmonomers):
             if len(key) == 1 and cached is not None:
-                e_f, g_f, atoms, caps = cached[key[0]]
+                e_f, g_f, lay = cached[key[0]]
                 self.monomer_reuses += 1
             else:
-                mol, atoms, caps = system.fragment_molecule(key, coords)
-                e_f, g_f = self.calculator.energy_gradient(mol)
+                lay = system.layout(key)
+                e_f, g_f = self.calculator.energy_gradient(lay.molecule(coords))
             energy += c * e_f
-            system.map_gradient(g_f, atoms, caps, grad, scale=c)
+            lay.scatter(g_f, grad, c)
         return energy, grad
 
 

@@ -77,7 +77,6 @@ from ..calculators import FragmentRecord, GuessCache
 from ..chem.molecule import Molecule
 from ..frag.mbe import MBEPlan, build_plan, update_plan
 from ..frag.monomer import FragmentedSystem, FragmentLayout
-from ..integrals.workspace import get_workspace
 from ..numerics import ensure_finite
 from ..trace import current
 from .checkpoint import Checkpoint, CheckpointError, write_checkpoint
@@ -1259,8 +1258,7 @@ class AsyncCoordinator:
         )
 
 
-def evaluate_fragments(calculator, molecules, *,
-                       tenant: str | None = None) -> list:
+def evaluate_fragments(calculator, molecules) -> list:
     """Evaluate fragments on this worker: the one worker-side entry of
     every driver, run on each `repro.md.drivers.Dispatcher` flight's
     stack of tasks (a service flight is one job's stack). Returns
@@ -1273,9 +1271,6 @@ def evaluate_fragments(calculator, molecules, *,
       `repro.calculators.RIMP2Calculator` evaluates fragments of one
       composition as stacks, the fault-plan wrapper decides its plan
       per member and hands the stack on;
-    * ``tenant`` holds for the duration of *this* call, on this thread
-      (`IntegralWorkspace.scope`): it is charged the workspace traffic;
-      the calculator's own evaluations nest in this scope;
     * a molecule carries its task's MD step (put on at release) and
       retry attempt (put on at dispatch), so scheduled faults target
       "fragment K at step S, attempt A" regardless of which driver or
@@ -1290,14 +1285,7 @@ def evaluate_fragments(calculator, molecules, *,
     """
     records = [getattr(mol, "record", None) for mol in molecules]
     try:
-        if tenant is None:
-            results = calculator.energy_gradients(molecules)
-        else:
-            workspace = getattr(calculator, "workspace", None)
-            if workspace is None:  # not `or`: an empty store is falsy
-                workspace = get_workspace()
-            with workspace.scope(tenant):
-                results = calculator.energy_gradients(molecules)
+        results = calculator.energy_gradients(molecules)
         for mol, (e, g) in zip(molecules, results):
             ensure_finite(
                 f"fragment {getattr(mol, 'frag_key', None)} "

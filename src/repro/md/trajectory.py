@@ -4,7 +4,6 @@ Times, energies, frames, and the conservation diagnostics computed from
 them. The step engine fills one for `repro.md.aimd.run_aimd` as steps
 retire; the trajectory *service* (`repro.serve`) assembles the same
 record from per-step events; `repro.md.trajio` reads and writes it.
-`repro.md.aimd` re-exports it for backward compatibility.
 """
 
 from __future__ import annotations

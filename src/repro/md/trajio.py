@@ -1,7 +1,7 @@
 """Trajectory I/O: multi-frame XYZ with energy comments, and restarts.
 
 `TrajectoryStreamWriter` makes torn-frame-safe incremental appends for
-the multi-tenant service (`repro.serve`), where a reader may open the
+the trajectory service (`repro.serve`), where a reader may open the
 file while a job is mid-write. Frames are appended with ``fsync``, then
 a sidecar index (``<path>.idx``, written atomically) commits the new
 byte count; `read_trajectory_stream` reads only committed bytes, so a

@@ -10,17 +10,19 @@ concurrently through `repro.md.drivers.drive`, the drive loop
   table);
 * **the source** — the service answers `drive`'s calls: each free slot
   gets one stack, a running job's whole ready set, the job drawn by the
-  fair-share `repro.serve.scheduler.draw`; spare slots split the stacks
-  as `run_parallel` deals a round. Results feed back into each job's
-  coordinator. All coordinator/session mutation happens on the thread
+  fair-share `repro.serve.scheduler.draw` and carried as the flight's
+  owner; spare slots split the stacks as `run_parallel` deals a round.
+  Results feed back into each job's coordinator. All
+  coordinator/session mutation happens on the thread
   in `run`; worker threads touch only calculators and the shared
   `IntegralWorkspace`, which is lock-safe for this service;
 * **warm layer** — each job's fragment records (warm-start densities)
   are its coordinator's and travel with its tasks;
-  the process-global `IntegralWorkspace` serves every job, bounded by
-  its one byte budget, with per-tenant hit / miss attribution
-  (thread-local tenant tags) and ``warm_layer`` trace/stream
-  snapshots;
+  the process-global `IntegralWorkspace` serves every job on a thread
+  pool, bounded by its one byte budget (on a process pool each worker
+  keeps its own, and its counters stay there); the ``warm_layer``
+  trace/stream snapshots carry its counters and each job's warm
+  starts;
 * **backpressure** — before drawing, the service consults
   `ResultChannel.should_throttle`; saturated subscribers pause that
   job's draws (frames are never dropped);
@@ -132,13 +134,13 @@ class TrajectoryService:
         while len(stacks) < free and (drawn := draw(running, throttled)):
             stacks.append(drawn)
         n = len(stacks)
-        return [(part, job.calculator, {"tenant": job.spec.job_id})
+        return [(part, job.calculator, job)
                 for i, (job, tasks) in enumerate(stacks)
                 for part in deal(tasks, free * (i + 1) // n - free * i // n)]
 
     def _settle(self, flight) -> TrajectoryJob:
         """The flight's job, its tasks' cost returned to the job's share."""
-        job = self.jobs[flight.kw["tenant"]]
+        job = flight.owner
         job.outstanding_cost -= sum(map(task_cost, flight.tasks))
         return job
 
@@ -164,7 +166,7 @@ class TrajectoryService:
     def wants(self, flight) -> bool:
         """A flight matters while its job runs: a failed job's retries
         and unstarted flights cost no calculator call."""
-        return self.jobs[flight.kw["tenant"]].state == JobState.RUNNING
+        return flight.owner.state == JobState.RUNNING
 
     def give_up(self, flight) -> None:
         job = self._settle(flight)

@@ -12,16 +12,13 @@ by each fragment's `repro.calculators.FragmentRecord`). What a store
   it never evicts the key just stored. This is the only bound on the
   warm layer's memory: the largest store any workload fills holds well
   under 1% of the default budget (docs/PERFORMANCE.md);
-* hits and misses are also attributed to the tenant that asked
-  (``tenant_stats``);
 * every entry and counter access is serialised by one `ContentionLock`,
   so a store can back the trajectory service's worker threads; payload
   *builds* happen outside it (duplicate builds are harmless — payloads
   are exact).
 
-Which tenant a key belongs to is the one thing a subclass may redefine
-(`BoundedStore._tenant_of`). This module imports nothing from the
-package, so anything may import it.
+This module imports nothing from the package, so anything may import
+it.
 """
 
 from __future__ import annotations
@@ -98,12 +95,8 @@ class BoundedStore:
     ``enabled=False`` turns every lookup into a miss and stores nothing
     (statistics-only mode), so cold and warm runs can be instrumented
     identically. Subclasses add their products on top of `_get` / `_put`
-    / `_discard` and extend `stats`; counters named in
-    ``TENANT_COUNTERS`` are kept per tenant as well.
+    / `_discard` and extend `stats`.
     """
-
-    #: the counters every tenant's ``tenant_stats`` entry starts with
-    TENANT_COUNTERS: tuple[str, ...] = ("hits", "misses")
 
     def __init__(self, max_bytes: int = 256 * 2**20,
                  enabled: bool = True) -> None:
@@ -116,19 +109,6 @@ class BoundedStore:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: per-tenant {tenant: {counter: n}} for `TENANT_COUNTERS`
-        self.tenant_stats: dict[str, dict[str, int]] = {}
-
-    def _tenant_of(self, key: tuple) -> str | None:
-        """The tenant a lookup or store of ``key`` is charged to.
-
-        Default: keys namespaced by a leading string
-        (``(job_id, m0, m1, ...)``) belong to that tenant; any other
-        key is anonymous — counted in no tenant's stats.
-        """
-        if key and isinstance(key[0], str):
-            return key[0]
-        return None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -143,14 +123,12 @@ class BoundedStore:
         """Blocking lock acquisitions (another thread held the store)."""
         return self._lock.contentions
 
-    def _count(self, name: str, tenant: str | None) -> None:
-        """Bump counter ``name``, and ``tenant``'s copy of it (lock held)."""
-        setattr(self, name, getattr(self, name) + 1)
-        if tenant is not None:
-            mine = self.tenant_stats.setdefault(
-                tenant, dict.fromkeys(self.TENANT_COUNTERS, 0)
-            )
-            mine[name] += 1
+    def _count(self, hit: bool) -> None:
+        """Count one lookup as a hit or a miss (lock held)."""
+        if hit:
+            self.hits += 1
+        else:
+            self.misses += 1
 
     def _lookup(self, key: tuple):
         """The payload under ``key`` (refreshing its LRU position) or
@@ -165,8 +143,7 @@ class BoundedStore:
     def _get(self, key: tuple):
         with self._lock:
             payload = self._lookup(key)
-            self._count("misses" if payload is None else "hits",
-                        self._tenant_of(key))
+            self._count(payload is not None)
             return payload
 
     def _put(self, key: tuple, payload) -> None:
@@ -203,10 +180,9 @@ class BoundedStore:
             self._nbytes = 0
 
     def stats(self) -> dict:
-        """Counters snapshot; a ``tenants`` block once any tenant has
-        traffic."""
+        """Counters snapshot."""
         with self._lock:
-            out = {
+            return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
@@ -214,10 +190,6 @@ class BoundedStore:
                 "entries": len(self._entries),
                 "nbytes": self._nbytes,
             }
-            if self.tenant_stats:
-                out["tenants"] = {k: dict(v) for k, v in
-                                  sorted(self.tenant_stats.items())}
-            return out
 
     def __repr__(self) -> str:
         return (

@@ -852,8 +852,8 @@ class TestCoulombTables:
             calc.energy(mol.with_coords(mol.coords + shift))
             assert (ws.nbytes, len(ws)) == before and _holds_only_state(ws)
 
-    def test_tenants_and_threads_never_cross_geometries(self):
-        """Four threads, two tenants, one composition, one workspace:
+    def test_threads_never_cross_geometries(self):
+        """Four threads, one composition, one workspace:
         every evaluation's gradient is the one a private workspace
         gives — a geometry is never served another geometry's tables,
         nor one thread another's: each evaluation builds its three sets
@@ -865,18 +865,16 @@ class TestCoulombTables:
             base.with_coords(base.coords + 0.05 * rng.standard_normal((3, 3)))
             for _ in range(8)
         ]
-        want = [
-            RIHFCalculator(workspace=IntegralWorkspace()).energy_gradient(m)
-            for m in mols
-        ]
+        alone = [IntegralWorkspace() for _ in mols]
+        want = [RIHFCalculator(workspace=w).energy_gradient(m)
+                for w, m in zip(alone, mols)]
         for tracers in ([None] * 4, [Tracer() for _ in range(4)]):
             ws = self._run_threads(mols, want, tracers)
-            stats = ws.stats()
             assert _holds_only_state(ws)
-            assert set(stats["tenants"]) == {"job0", "job1"}
-            # scratch traffic is charged like the store's: all of it
-            assert stats["hits"] + stats["misses"] == sum(
-                t["hits"] + t["misses"] for t in stats["tenants"].values())
+            # scratch traffic is counted like the store's, each lookup
+            # once: three rounds of what the evaluations count alone
+            assert ws.hits + ws.misses == 3 * sum(
+                w.hits + w.misses for w in alone)
         for tracer in tracers:  # six evaluations a thread
             assert [t["hit"] for t in table_instants(tracer)] == (
                 6 * ([False] * 3 + [True] * 3))
@@ -893,8 +891,7 @@ class TestCoulombTables:
                 with recording(tracers[tid]):
                     for rep in range(3):
                         for i in range(tid, len(mols), 4):
-                            with ws.scope(tenant=f"job{tid % 2}"):
-                                got[i] = calc.energy_gradient(mols[i])
+                            got[i] = calc.energy_gradient(mols[i])
             except Exception as exc:  # surfaced below, with its traceback
                 errors.append(exc)
 

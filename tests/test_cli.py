@@ -166,7 +166,24 @@ class TestCommands:
             "--workers", "2",
         ])
         assert rc == 0
-        assert "polymer calculations" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "polymer calculations" in out
+        assert "worker processes" not in out  # a surrogate keeps none
+
+    def test_aimd_qm_workers_say_where_their_counters_are(self, tmp_path,
+                                                          capsys):
+        """A QM run on worker processes says that its workspace and
+        screening counters stay there, instead of printing none (or
+        the coordinator's, which saw no integral)."""
+        w2 = tmp_path / "w2.xyz"
+        save_xyz(water_cluster(2, seed=1), w2)
+        assert main(["aimd", str(w2), "--order", "2", "--steps", "1",
+                     "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert ("integral workspace / screening: counters stay in the "
+                "2 worker processes") in out
+        assert "integral workspace:" not in out
+        assert "integral screening:" not in out
 
     def test_aimd_one_worker_honours_fault_flags(self, cluster_file,
                                                  tmp_path, capsys):
@@ -285,6 +302,16 @@ class TestServeCommands:
         worker_side = {"scf.warm_start", "calc.stack", "int.screen"}
         assert names & worker_side == (worker_side if pool == "thread"
                                        else set())
+        # the workspace counters: measured on threads, kept by processes
+        out = capsys.readouterr().out
+        counted = re.search(r"^workspace: (\d+) hits / (\d+) misses", out,
+                            re.M)
+        stays = ("integral workspace / screening: counters stay in the "
+                 "2 worker processes")
+        if pool == "thread":
+            assert counted and int(counted[1]) > 0 and stays not in out
+        else:
+            assert counted is None and stays in out
 
 
 class TestUsageErrors:

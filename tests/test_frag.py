@@ -143,7 +143,7 @@ class TestFragmentLayout:
             atoms, caps, GLY4.parent.coords).tobytes()
         assert whole.symbols == mol.symbols
         out = start.copy()
-        GLY4.map_gradient(grad, atoms, caps, out, scale=scale)
+        GLY4.layout(key).scatter(grad, out, scale)
         assert out.tobytes() == ref.tobytes()
 
     @given(data=st.data(), scale=st.floats(-3.0, 3.0),

@@ -164,24 +164,6 @@ class TestWorkspaceInvalidation:
             assert np.array_equal(overlap(bs1, workspace=ws), overlap(bs1))
             assert ws.hits == before[0] + 1
 
-    def test_scope_reaches_an_empty_private_workspace(self, water_dimer):
-        """The calculator's own workspace is scoped even while it holds
-        nothing (an empty store is falsy), and only for the call."""
-        from repro.md.scheduler import evaluate_fragments
-
-        class Probe:
-            workspace = IntegralWorkspace()
-
-            def energy_gradients(self, mols):
-                self.seen = self.workspace._scope.tenant
-                return [(0.0, np.zeros((mol.natoms, 3))) for mol in mols]
-
-        probe = Probe()
-        evaluate_fragments(probe, [water_dimer], tenant="job")
-        assert probe.seen == "job"
-        evaluate_fragments(probe, [water_dimer])
-        assert probe.seen is None
-
     def test_composition_change_is_a_new_key(self, water_dimer):
         bs_w = BasisSet.build(water_dimer, "sto-3g")
         gly = glycine_chain(1)
@@ -414,15 +396,23 @@ class TestTracerRouting:
         RIMP2Calculator(int_screen=1e-12).energy_gradient(moved)
         assert len(tracer.events) == seen
 
-    def test_scope_sets_only_what_it_is_given(self):
+    def test_nested_scope_shares_the_scratch(self):
+        """A nested scope joins the open scratch and leaves it open; an
+        `evaluation` inside opens its own and puts the outer one back."""
         ws = IntegralWorkspace()
         scope = ws._scope
-        with ws.scope("job"):
+        with ws.scope():
             outer = scope.scratch
+            assert outer is not None
             with ws.scope():
-                assert (scope.tenant, scope.scratch) == ("job", outer)
-            assert (scope.tenant, scope.scratch) == ("job", outer)
-        assert (scope.tenant, scope.scratch) == (None, None)
+                assert scope.scratch is outer
+            assert scope.scratch is outer
+            with ws.evaluation() as inner:
+                assert inner is not outer and scope.scratch is inner
+                with ws.scope():
+                    assert scope.scratch is inner
+            assert scope.scratch is outer
+        assert scope.scratch is None
 
     def test_other_threads_keep_their_own_tracer(self, water_dimer):
         """Two threads on one workspace, each recording into its own

@@ -158,9 +158,9 @@ class TestOneRunMode:
         assert not hasattr(co, "surrogate_disabled_deterministic")
         assert "deterministic" not in {f.name for f in dataclasses.fields(JobSpec)}
         assert list(inspect.signature(evaluate_fragments).parameters) == [
-            "calculator", "molecules", "tenant"]
+            "calculator", "molecules"]
         assert list(inspect.signature(IntegralWorkspace.scope).parameters) \
-            == ["self", "tenant"]
+            == ["self"]
         assert not hasattr(_Scope, "exact")
         assert not hasattr(IntegralWorkspace, "SIBLING_SHARE")
         assert not hasattr(calculators, "get_guess_cache")

@@ -47,6 +47,13 @@ def surrogate_spec(job_id, *, nsteps=6, seed=0, n=3, **overrides):
     return JobSpec(**kwargs)
 
 
+class _Zeros:
+    """A picklable calculator: zero energy and gradient per molecule."""
+
+    def energy_gradients(self, mols):
+        return [(0.0, np.zeros((mol.natoms, 3))) for mol in mols]
+
+
 class TestJobSpec:
     def test_round_trip_through_json(self):
         spec = surrogate_spec(
@@ -739,6 +746,29 @@ class TestOneDriveLoop:
                              ref.trajectory_energies()):
             assert got.tobytes() == want.tobytes()
         assert co.coords.tobytes() == ref.coords.tobytes()
+
+    def test_flight_owner_never_leaves_the_coordinator(self):
+        """A flight's owner stays on the flight: one that cannot be
+        pickled (a lock) does not stop a worker process evaluating its
+        tasks, and comes back on the finished flight as it went in."""
+        from repro.md.drivers import Dispatcher
+
+        mol = water_cluster(1, seed=0)
+        mol.step = 0
+        task = SimpleNamespace(molecule=mol, step=0, key=(0,))
+        owner = threading.Lock()
+        dispatcher = Dispatcher(2, pool="process")
+        try:
+            dispatcher.submit([task], _Zeros(), owner=owner)
+            deadline, done = time.monotonic() + 60, []
+            while not done and time.monotonic() < deadline:
+                done = dispatcher.wait(1.0)
+        finally:
+            dispatcher.close()
+        (flight,) = done
+        assert flight.error is None and flight.owner is owner
+        (energy, gradient, _), = flight.results
+        assert energy == 0.0 and gradient.shape == (3, 3)
 
     def test_dispatcher_is_driven_only_by_drive(self):
         """The only `Dispatcher.submit` / `Dispatcher.wait` call sites

@@ -1,12 +1,12 @@
 """`repro.store`: the one bounded store behind the warm layer.
 
 `IntegralWorkspace` is a `BoundedStore` plus its products, so the
-budget/attribution rules are stated once, as invariants, and run
-against both classes:
+budget/counting rules are stated once, as invariants, and run against
+both classes:
 
-* a `hypothesis` state machine (put / get / discard / clear; three
-  tenants and anonymous traffic; random sizes, zero included; with a
-  tight and with an unreachable byte budget);
+* a `hypothesis` state machine (put / get / discard / clear; random
+  sizes, zero included; with a tight and with an unreachable byte
+  budget);
 * a four-thread put/get hammer asserting the same conservation laws;
 * `ContentionLock` counts every waiter (the four hand-written
   ``_locked`` copies it replaces counted *before* acquiring, unlocked);
@@ -51,49 +51,48 @@ def _payload(units: int) -> np.ndarray:
 
 
 class _Bare:
-    """Drive a plain `BoundedStore`: tenant = leading string of the key."""
+    """Drive a plain `BoundedStore`."""
 
     make = BoundedStore
 
     def __init__(self, **kw) -> None:
         self.store = self.make(**kw)
 
-    def key(self, tenant, i) -> tuple:
-        return (tenant, i) if tenant is not None else (i,)
+    def key(self, i) -> tuple:
+        return (i,)
 
-    def put(self, tenant, i, units) -> tuple:
-        self.store._put(self.key(tenant, i), _payload(units))
-        return self.key(tenant, i)
+    def put(self, i, units) -> tuple:
+        self.store._put(self.key(i), _payload(units))
+        return self.key(i)
 
-    def get(self, tenant, i):
-        return self.store._get(self.key(tenant, i))
+    def get(self, i):
+        return self.store._get(self.key(i))
 
-    def discard(self, tenant, i) -> None:
-        self.store._discard(self.key(tenant, i))
+    def discard(self, i) -> None:
+        self.store._discard(self.key(i))
 
 
 class _Workspace(_Bare):
-    """Drive `IntegralWorkspace`: tenant = the calling thread's scope, so
-    tenants share keys."""
+    """Drive `IntegralWorkspace`, each lookup and store inside the
+    calling thread's scope."""
 
     make = IntegralWorkspace
 
-    def key(self, tenant, i) -> tuple:
+    def key(self, i) -> tuple:
         return ("k", i)
 
-    def put(self, tenant, i, units) -> tuple:
-        with self.store.scope(tenant):
-            return super().put(tenant, i, units)
+    def put(self, i, units) -> tuple:
+        with self.store.scope():
+            return super().put(i, units)
 
-    def get(self, tenant, i):
-        with self.store.scope(tenant):
-            return super().get(tenant, i)
+    def get(self, i):
+        with self.store.scope():
+            return super().get(i)
 
 
 DRIVERS = {"store": _Bare, "workspace": _Workspace}
 
-TENANTS = st.sampled_from([None, "A", "B", "C"])
-KEYS = st.integers(0, 5)
+KEYS = st.integers(0, 11)
 
 
 def check_conservation(store: BoundedStore, lookups: int,
@@ -112,10 +111,9 @@ def check_conservation(store: BoundedStore, lookups: int,
     assert store.nbytes <= store.max_bytes or len(entries) == 1
     # the budget never evicts the key just stored
     assert just_stored is None or just_stored in store._entries
-    # every lookup is counted once, and at most once per tenant
-    assert store.hits + store.misses == lookups
-    assert sum(t["hits"] + t["misses"]
-               for t in stats.get("tenants", {}).values()) <= lookups
+    # every lookup is counted once
+    assert store.hits + store.misses == stats["hits"] + stats["misses"] \
+        == lookups
 
 
 class StoreMachine(RuleBasedStateMachine):
@@ -129,29 +127,29 @@ class StoreMachine(RuleBasedStateMachine):
         self.just_stored = None
 
     # up to one payload over the tight budget on its own
-    @rule(tenant=TENANTS, i=KEYS, units=st.integers(0, 7))
-    def put(self, tenant, i, units):
+    @rule(i=KEYS, units=st.integers(0, 7))
+    def put(self, i, units):
         before = set(self.store._entries)
         evictions = self.store.evictions
-        self.just_stored = self.d.put(tenant, i, units)
+        self.just_stored = self.d.put(i, units)
         gone = before - set(self.store._entries)
         assert self.store.evictions - evictions == len(gone)
         if self.store.max_bytes == UNBOUNDED:
             assert gone == set()
 
-    @rule(tenant=TENANTS, i=KEYS)
-    def get(self, tenant, i):
-        present = self.d.key(tenant, i) in self.store._entries
+    @rule(i=KEYS)
+    def get(self, i):
+        present = self.d.key(i) in self.store._entries
         self.lookups += 1
-        assert (self.d.get(tenant, i) is not None) == present
+        assert (self.d.get(i) is not None) == present
 
-    @rule(tenant=TENANTS, i=KEYS)
-    def discard(self, tenant, i):
+    @rule(i=KEYS)
+    def discard(self, i):
         evictions = self.store.evictions
-        self.d.discard(tenant, i)
-        assert self.d.key(tenant, i) not in self.store._entries
+        self.d.discard(i)
+        assert self.d.key(i) not in self.store._entries
         assert self.store.evictions == evictions
-        if self.d.key(tenant, i) == self.just_stored:
+        if self.d.key(i) == self.just_stored:
             self.just_stored = None
 
     @rule()
@@ -208,11 +206,10 @@ def test_four_thread_hammer_conserves(name):
         try:
             gate.wait(timeout=10)  # or the first thread is done by then
             for _ in range(1000):
-                tenant = rng.choice([None, "A", "B", "C"])
                 if rng.random() < 0.5:
-                    d.put(tenant, rng.randrange(6), rng.randrange(4))
+                    d.put(rng.randrange(6), rng.randrange(4))
                 else:
-                    d.get(tenant, rng.randrange(6))
+                    d.get(rng.randrange(6))
                     lookups[n] += 1
         except Exception as err:  # noqa: BLE001 — reported below
             errors.append(err)
@@ -330,7 +327,7 @@ class TestOneWarmLayer:
 
     def test_one_byte_budget(self):
         """A store's byte budget is the only bound on the warm layer: no
-        per-tenant quota, no cross-tenant seed store keyed on
+        per-job quota or counter, no cross-job seed store keyed on
         composition and geometry, no switch that turns the service's
         warm layer off — in the constructors, the cache's get / put, the
         workspace's methods or the ``serve`` command."""
@@ -350,8 +347,7 @@ class TestOneWarmLayer:
             "out_root", "nworkers", "max_active", "pool"]
         assert params(GuessCache.get) == ["record", "natoms"]
         assert params(GuessCache.put) == ["record", "D", "natoms"]
-        assert {n for n in dir(IntegralWorkspace) if "tenant" in n} \
-            == {"_tenant_of"}
+        assert not [n for n in dir(IntegralWorkspace) if "tenant" in n]
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         assert {o for a in sub.choices["serve"]._actions
