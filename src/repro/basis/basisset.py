@@ -21,13 +21,44 @@ class BasisSet:
     """
 
     def __init__(self, shells: Iterable[Shell]) -> None:
-        self.shells: list[Shell] = list(shells)
+        self._shells: list[Shell] | None = list(shells)
         self.offsets: list[int] = []
         n = 0
-        for sh in self.shells:
+        for sh in self._shells:
             self.offsets.append(n)
             n += sh.nfunc
         self.nbf: int = n
+
+    @property
+    def shells(self) -> list[Shell]:
+        """The shells; those of a `placed` basis are made when first
+        read."""
+        if self._shells is None:
+            coords = self._coords
+            self._shells = [sh.at(coords[sh.atom], sh.atom)
+                            for sh in self._template.shells]
+        return self._shells
+
+    def placed(self, coords: np.ndarray) -> "BasisSet":
+        """The same shells on atoms at ``coords`` ``(natoms, 3)``: the
+        basis of the same fragment at another geometry, without building
+        it again. It carries this basis's composition key and its own
+        shell centres — the two memos the integral layer keys a basis by
+        (`repro.integrals.workspace.basis_composition_key`, ``_centers``)
+        — so a driver with its plans at hand never reads its `shells`,
+        which are made only when something does."""
+        root = self if self._shells is not None else self._template
+        atoms = root.__dict__.get("_atoms")
+        if atoms is None:
+            atoms = root._atoms = np.array([sh.atom for sh in root.shells],
+                                           dtype=np.intp)
+        out = BasisSet.__new__(BasisSet)
+        out._shells, out._template, out._coords = None, root, coords
+        out.offsets, out.nbf = root.offsets, root.nbf
+        if "_composition_key" in root.__dict__:
+            out._composition_key = root._composition_key
+        out._centres = np.asarray(coords, dtype=float)[atoms]
+        return out
 
     @classmethod
     def build(cls, mol: Molecule, basis: str = "sto-3g") -> "BasisSet":
@@ -42,7 +73,7 @@ class BasisSet:
 
     @property
     def nshells(self) -> int:
-        return len(self.shells)
+        return len(self.offsets)
 
     @property
     def max_l(self) -> int:

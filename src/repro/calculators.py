@@ -31,8 +31,13 @@ from .basis.auxiliary import auto_auxiliary
 from .basis.basisset import BasisSet
 from .chem.molecule import Molecule
 from .integrals import ERI4C_SCREEN
-from .integrals.batch import table_bytes
-from .integrals.workspace import IntegralWorkspace, get_workspace, table_budget
+from .integrals.batch import flat_zeros, table_bytes
+from .integrals.workspace import (
+    IntegralWorkspace,
+    basis_composition_key,
+    get_workspace,
+    table_budget,
+)
 from .mp2.mp2 import mp2_ri
 from .mp2.rimp2_grad import rimp2_gradient_coefficients
 from .numerics import NumericalDivergenceError, ensure_finite
@@ -221,10 +226,11 @@ def _resolve_workspace(calc):
     return ws, ws.scope()
 
 
-def _shared_atoms(mols) -> list[list[int]]:
+def _shared_atoms(mols) -> tuple[list[list[int]], bytes]:
     """The molecules' indices in components that share an atom (one
     element at the same coordinates), each in order, ordered by first
-    member."""
+    member; and every atom's index among the call's distinct atoms, in
+    order (which atoms the molecules share)."""
     parent = list(range(len(mols)))
 
     def root(i):
@@ -234,40 +240,81 @@ def _shared_atoms(mols) -> list[list[int]]:
         return i
 
     owner: dict[tuple, int] = {}
+    ids: dict[tuple, int] = {}
+    atoms = []
     for i, mol in enumerate(mols):
         for sym, xyz in zip(mol.symbols, mol.coords):
-            j = owner.setdefault((sym, xyz.tobytes()), i)
+            key = (sym, xyz.tobytes())
+            j = owner.setdefault(key, i)
+            atoms.append(ids.setdefault(key, len(ids)))
             parent[root(i)] = root(j)
     comps: dict[int, list[int]] = {}
     for i in range(len(mols)):
         comps.setdefault(root(i), []).append(i)
-    return list(comps.values())
+    return list(comps.values()), np.array(atoms, dtype=np.int32).tobytes()
+
+
+@dataclass
+class _CallPlan:
+    """What a call's molecules are evaluated with, for their compositions
+    and shared atoms: the groups (`_stacks`) and each molecule's basis
+    and fitting basis as built once, `BasisSet.placed` at each call's
+    geometry."""
+
+    groups: list[list[int]]
+    bases: list[BasisSet]
+    auxs: list[BasisSet]
+    #: the bases' shells, what the store's byte count walks (it reads
+    #: dataclasses, and a `BasisSet` is none)
+    shells: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.shells = tuple(sh for basis in self.bases + self.auxs
+                            for sh in basis.shells)
+
+
+def _call_plan(mols, basis: str, comps, workspace) -> _CallPlan:
+    """`_stacks`' plan, built: fragments that share an atom are in one
+    group (a block they share is computed once), and whole such
+    components are packed, in order, into a group while its distinct
+    blocks' unscreened Hermite Coulomb tables and bra-derivative
+    expansions (`repro.integrals.batch.table_bytes`) fit `table_budget`
+    — the budget one evaluation always had. A component beyond the
+    budget on its own is a group of its own, which builds what its held
+    tables leave out on the fly, with the same bits."""
+    bases = [BasisSet.build(mol, basis) for mol in mols]
+    auxs = [auto_auxiliary(mol, basis) for mol in mols]
+    for b in bases + auxs:
+        basis_composition_key(b)  # memoised: every placed copy carries it
+    budget = table_budget(workspace)
+    groups, group = [], []
+    for comp in comps:
+        trial = group + comp
+        if group and table_bytes([bases[i] for i in trial],
+                                 [auxs[i] for i in trial],
+                                 [mols[i] for i in trial]) > budget:
+            groups.append(group)
+            trial = comp
+        group = trial
+    if group:
+        groups.append(group)
+    return _CallPlan(groups, bases, auxs)
 
 
 def _stacks(mols, basis: str, workspace: IntegralWorkspace):
     """The molecules as groups, ``(indices, bases, auxs)`` each, one
-    evaluation of the integral layer a group: fragments that share an
-    atom are in one group (a block they share is computed once), and
-    whole such components are packed, in order, into a group while its
-    distinct blocks' unscreened Hermite Coulomb tables and
-    bra-derivative expansions (`repro.integrals.batch.table_bytes`) fit
-    `table_budget` — the budget one evaluation always had. A component
-    beyond the budget on its own is a group of its own, which builds
-    what its held tables leave out on the fly, with the same bits."""
-    bases = [BasisSet.build(mol, basis) for mol in mols]
-    auxs = [auto_auxiliary(mol, basis) for mol in mols]
-    budget = table_budget(workspace)
-    group: list[int] = []
-    for comp in _shared_atoms(mols):
-        trial = group + comp
-        if group and table_bytes([bases[i] for i in trial],
-                                 [auxs[i] for i in trial],
-                                 [mols[i] for i in trial], workspace) > budget:
-            yield group, [bases[i] for i in group], [auxs[i] for i in group]
-            trial = comp
-        group = trial
-    if group:
-        yield group, [bases[i] for i in group], [auxs[i] for i in group]
+    evaluation of the integral layer a group (`_call_plan`). The plan
+    is the workspace's, keyed by the basis, the molecules' elements and
+    the atoms they share: a call of the same compositions at another
+    geometry places the same bases at its atoms."""
+    comps, atoms = _shared_atoms(mols)
+    key = (basis, tuple(mol.symbols for mol in mols), atoms,
+           table_budget(workspace))
+    plan = workspace.plan("calls", key,
+                          lambda: _call_plan(mols, basis, comps, workspace))
+    for idx in plan.groups:
+        yield (idx, [plan.bases[i].placed(mols[i].coords) for i in idx],
+               [plan.auxs[i].placed(mols[i].coords) for i in idx])
 
 
 def _evaluate_stacks(calc, mols, method: str, terms):
@@ -302,11 +349,21 @@ def _evaluate_stacks(calc, mols, method: str, terms):
         start = tracer.clock() if tracer else 0.0
         with ws.evaluation() as scratch:
             memos = prepare_solves(group, bases, auxs, calc.int_screen, ws)
+            # several fragments' three- and two-centre coefficients end
+            # to end, as the derivative drivers read them (`flat_of`)
+            packed = len(group) > 1 and (
+                flat_zeros([(b.nbf, b.nbf, a.nbf)
+                            for b, a in zip(bases, auxs)])[1],
+                flat_zeros([(a.nbf, a.nbf) for a in auxs])[1])
             energies, coefs = [], []
-            for mol, memo in zip(group, memos):
-                energy, coef = terms(_fragment_scf(calc, mol, memo, ws))
+            for f, (mol, memo) in enumerate(zip(group, memos)):
+                energy, (X, z3, zt, W) = terms(
+                    _fragment_scf(calc, mol, memo, ws))
+                if packed:
+                    packed[0][f][...], packed[1][f][...] = z3, zt
+                    z3, zt = packed[0][f], packed[1][f]
                 energies.append(energy)
-                coefs.append(coef)
+                coefs.append((X, z3, zt, W))
                 memo.clear()  # drops the solve's tensors and Fock layouts
             grads = contract_ri_gradients(group, bases, auxs,
                                           list(zip(*coefs)),

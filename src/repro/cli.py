@@ -177,11 +177,11 @@ def _print_fault_handling(retries: int, timeouts: int,
               f"{pool_restarts} pool restarts")
 
 
-def _print_worker_side(nworkers: int) -> None:
+def _print_worker_side(nworkers: int,
+                       counters: str = "integral workspace / screening") -> None:
     """In place of counters a run's worker processes keep to
     themselves."""
-    print(f"integral workspace / screening: counters stay in the "
-          f"{nworkers} worker processes")
+    print(f"{counters}: counters stay in the {nworkers} worker processes")
 
 
 def cmd_aimd(args) -> int:
@@ -421,13 +421,15 @@ def cmd_serve(args) -> int:
     print(f"guess cache: {gc['hits']} hits / {gc['misses']} misses, "
           f"{len(gc['tenants'])} tenants")
     if args.pool == "process":
+        # the coordinator runs no integral and no GEMM of the jobs'
         _print_worker_side(service.nworkers)
+        _print_worker_side(service.nworkers, "gemm")
     else:
         ws = warm["workspace"]
         print(f"workspace: {ws['hits']} hits / {ws['misses']} misses, "
               f"{ws['contentions']} contentions")
-    flops, calls = GLOBAL_COUNTER.snapshot()
-    print(f"gemm: {calls} calls, {flops / 1e9:.3f} GFLOP")
+        flops, calls = GLOBAL_COUNTER.snapshot()
+        print(f"gemm: {calls} calls, {flops / 1e9:.3f} GFLOP")
     if tracer is not None:
         tracer.write_chrome(args.trace)
         print(f"wrote chrome trace ({len(tracer.events)} events) to {args.trace}")

@@ -61,8 +61,24 @@ element differently for other M and N extents, and at other column
 positions) — so each GEMM's shape is fixed by the (class, site group,
 sites per atom) alone: the auxiliary atom and the nucleus sit on the
 batch axis, and only an atom's own sites share N, always in its
-element's order. Everything after the gather runs on the fragment's
-own arrays, whose shapes are those it has alone.
+element's order. Everything after the blocks is elementwise too — a
+scatter into, or a gather and fold from, the call's fragments' arrays
+laid end to end in one buffer (`flat_zeros`, `flat_of`), one operation
+per (class, group) for all of them — or a GEMM on the block axis, or a
+sum that adds each fragment's terms in the order a fragment alone adds
+them (`_sums_in_order`).
+
+**Plans once per composition.** Which pairs, sites, nuclei and blocks a
+call holds, and where each fragment's block elements land, depend on
+the fragments' compositions and on which of their shells share a
+centre alone: a call's plans (`PairLayout`, the geometry-free
+`SitePlan`, `ThreeCentreLayout`, the metric's `eri._MetricLayout`) are
+built once for them and kept in the workspace's store
+(`IntegralWorkspace.plan`). An evaluation places them at its centres
+(`_place_pairs`, `SitePlan.placed`) and computes what its geometry
+changes: product centres, E tables, the Schwarz tables and the
+screening masks, which select rows of the plans' blocks
+(`ThreeCentreLayout.select`), and its Hermite Coulomb tables.
 
 The Hermite Coulomb tables of an evaluation are built once
 (`CoulombTables`): a value driver and the derivative driver that follows
@@ -83,13 +99,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..gemm import bgemm
 from .engine import (
+    aux_group_data,
     canonical_shell_pairs,
     comp_arrays,
     e_tables_batch,
@@ -103,12 +119,12 @@ from .eri import (
     _TWO_PI_52,
     _S_COMP,
     _aux_bounds,
-    _aux_groups,
     _phase,
     _schwarz_tables,
     _zblk_table,
 )
-from .workspace import basis_composition_key, table_budget
+from .hermite import ncart
+from .workspace import _centers, basis_composition_key, stack_centres, table_budget
 
 if TYPE_CHECKING:
     from ..basis.basisset import BasisSet
@@ -218,12 +234,48 @@ class FragPairs:
 
 
 @dataclass
-class PairPlan:
-    """The distinct shell pairs of an evaluation's orbital bases:
-    ``classes`` in class-key order, and ``frags[f][ci]`` — fragment
-    ``f``'s pairs of class ``ci`` (None when it has none)."""
+class _Rows:
+    """Every fragment's pairs of one class end to end, fragment-major and
+    in each one's pair order: ``span[f]`` fragment ``f``'s rows; per row
+    its fragment, distinct pair, shells and atoms, whether it pairs a
+    shell with itself, and where each function pair ``(mu, nu)`` of it sits in the
+    fragment's ``(nbf, nbf)`` matrix, ``mu nbf + nu`` (``x``), and its
+    transpose ``nu nbf + mu`` (``xt``), ``(R, nfa nfb)``."""
 
-    classes: list[ShellClass]
+    span: dict
+    frag: np.ndarray
+    pair: np.ndarray
+    ish: np.ndarray
+    jsh: np.ndarray
+    diag: np.ndarray
+    atom_a: np.ndarray
+    atom_b: np.ndarray
+    x: np.ndarray
+    xt: np.ndarray
+
+    def at(self, offs: np.ndarray, scale=1):
+        """``(x, xt)`` in the fragments' arrays laid end to end
+        (`flat_zeros`), fragment ``f``'s at ``offs[f]`` with ``scale[f]``
+        elements a function pair."""
+        lo = offs[self.frag][:, None]
+        if np.ndim(scale):
+            scale = scale[self.frag][:, None]
+        return lo + self.x * scale, lo + self.xt * scale
+
+
+@dataclass
+class PairLayout:
+    """The geometry-free part of a `PairPlan`, a function of the bases'
+    compositions and of which of their shells share a centre alone:
+    each distinct shell's row among the call's shells (``shells``); per
+    class its key, packed primitives (``a``, ``b``, ``cc``, ``p``),
+    component norms and distinct pairs (their shells ``ia`` / ``ib``,
+    ``diag``) and its `_Rows`; and ``frags[f][ci]``, fragment ``f``'s
+    `FragPairs` of class ``ci`` (None when it has none)."""
+
+    shells: np.ndarray
+    classes: list[dict]
+    rows: list[_Rows]
     frags: list[list[FragPairs | None]]
 
     def holders(self, ci: int):
@@ -232,27 +284,37 @@ class PairPlan:
                 if fp[ci] is not None]
 
 
+@dataclass
+class PairPlan:
+    """A `PairLayout` placed at an evaluation's centres: its classes,
+    with their geometry (`ShellClass`), in class-key order."""
+
+    classes: list[ShellClass]
+    layout: PairLayout
+
+    @property
+    def frags(self) -> list[list[FragPairs | None]]:
+        return self.layout.frags
+
+    @property
+    def rows(self) -> list[_Rows]:
+        return self.layout.rows
+
+    def holders(self, ci: int):
+        return self.layout.holders(ci)
+
+
 def _shell_key(sh) -> tuple:
     """What a shell's integrals depend on: momentum, primitives, centre."""
     return (sh.l, sh.exps.tobytes(), sh.coefs.tobytes(), sh.center.tobytes())
-
-
-#: composition key -> `_class_partition`; geometry-free, so a run needs
-#: only the few compositions it meets
-_PARTITIONS: dict[tuple, list[dict]] = {}
 
 
 def _class_partition(basis: BasisSet) -> list[dict]:
     """Group canonical pairs by ``(la, lb, npa, npb)``; pack statics.
 
     Returns a list of dicts (sorted by class key) holding the index
-    arrays and geometry-independent packed arrays, memoised on the
-    basis composition.
+    arrays and geometry-independent packed arrays.
     """
-    comp = basis_composition_key(basis)
-    parts = _PARTITIONS.get(comp)
-    if parts is not None:
-        return parts
     shells = basis.shells
     offs = np.asarray(basis.offsets)
     by_key: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
@@ -285,19 +347,17 @@ def _class_partition(basis: BasisSet) -> list[dict]:
                 ),
             )
         )
-    if len(_PARTITIONS) >= 256:
-        _PARTITIONS.clear()
-    _PARTITIONS[comp] = parts
     return parts
 
 
 def _pair_codes(bases):
     """Every fragment's canonical pairs as codes over the call's distinct
-    shells: returns the representative shells, and per class key the
-    ``(f, part, codes)`` of each fragment holding it, in fragment
-    order."""
+    shells: returns each distinct shell's row among the call's shells
+    (the bases' shells end to end), and per class key the ``(f, part,
+    codes)`` of each fragment holding it, in fragment order."""
     ids: dict[tuple, int] = {}
     reps, gids = [], []
+    base = 0
     for basis in bases:
         mine = np.empty(basis.nshells, dtype=np.intp)
         for s, sh in enumerate(basis.shells):
@@ -305,9 +365,10 @@ def _pair_codes(bases):
             g = ids.get(key)
             if g is None:
                 g = ids[key] = len(reps)
-                reps.append(sh)
+                reps.append(base + s)
             mine[s] = g
         gids.append(mine)
+        base += basis.nshells
     S = len(reps)
     by_key: dict[tuple, list] = {}
     for f, basis in enumerate(bases):
@@ -315,28 +376,63 @@ def _pair_codes(bases):
         for part in _class_partition(basis):
             codes = g[part["ish"]] * S + g[part["jsh"]]
             by_key.setdefault(part["key"], []).append((f, part, codes))
-    return reps, by_key
+    return np.asarray(reps, dtype=np.intp), by_key
 
 
-def _build_pair_plan(bases) -> PairPlan:
-    """The `PairPlan` of a list of bases (fresh, no caching): one
-    `e_tables_batch` call per class over its distinct pairs."""
-    reps, by_key = _pair_codes(bases)
-    S = len(reps)
-    centers = np.array([sh.center for sh in reps])
-    classes = []
+def _pair_layout(bases) -> PairLayout:
+    """The `PairLayout` of a list of bases."""
+    shells, by_key = _pair_codes(bases)
+    S = shells.size
+    classes, rows = [], []
     frags: list[list] = [[None] * len(by_key) for _ in bases]
     for ci, key in enumerate(sorted(by_key)):
         entries = by_key[key]
-        la, lb = key[0], key[1]
         codes = np.concatenate([c for _, _, c in entries])
         first, inverse = _distinct(codes)
         uniq = codes[first]
         a, b, cc = (np.concatenate([part[k] for _, part, _ in entries])[first]
                     for k in ("a", "b", "cc"))
+        classes.append(dict(key=key, a=a, b=b, cc=cc, p=a + b,
+                            ia=uniq // S, ib=uniq % S, diag=uniq // S == uniq % S,
+                            norms=entries[0][1]["norms"]))
+        span, x, xt, lo = {}, [], [], 0
+        for f, part, c in entries:
+            fp = frags[f][ci] = FragPairs(
+                at=inverse.ravel()[lo:lo + c.size],
+                **{k: part[k] for k in ("ish", "jsh", "oa", "ob",
+                                        "atom_a", "atom_b", "diag")},
+            )
+            span[f] = lo, lo + c.size
+            lo += c.size
+            r, k = _block_indices(fp.oa, ncart(key[0]), fp.ob, ncart(key[1]))
+            nbf = bases[f].nbf
+            x.append((r[:, :, None] * nbf + k[:, None, :]).reshape(fp.npair, -1))
+            xt.append((k[:, None, :] * nbf + r[:, :, None]).reshape(fp.npair, -1))
+
+        def cat(name):
+            return np.concatenate([getattr(frags[f][ci], name) for f, *_ in entries])
+
+        rows.append(_Rows(
+            span=span, frag=np.concatenate([np.full(c.size, f) for f, _, c in entries]),
+            pair=inverse.ravel(), ish=cat("ish"), jsh=cat("jsh"),
+            diag=cat("diag"), atom_a=cat("atom_a"),
+            atom_b=cat("atom_b"), x=np.concatenate(x).astype(np.int32),
+            xt=np.concatenate(xt).astype(np.int32)))
+    return PairLayout(shells, classes, rows, frags)
+
+
+def _place_pairs(layout: PairLayout, centres: np.ndarray) -> PairPlan:
+    """The `PairPlan` of a layout at the call's shell ``centres`` (the
+    bases' shells end to end): one `e_tables_batch` call per class over
+    its distinct pairs."""
+    centres = centres[layout.shells]
+    classes = []
+    for part in layout.classes:
+        key = part["key"]
+        la, lb = key[0], key[1]
+        a, b, p = part["a"], part["b"], part["p"]
         Q, N = a.shape
-        p = a + b
-        A, B = centers[uniq // S], centers[uniq % S]
+        A, B = centres[part["ia"]], centres[part["ib"]]
         P = (
             a[:, :, None] * A[:, None, :] + b[:, :, None] * B[:, None, :]
         ) / p[:, :, None]
@@ -346,22 +442,13 @@ def _build_pair_plan(bases) -> PairPlan:
             imax, jmax, np.repeat(AB, N, axis=0), a.ravel(), b.ravel()
         ).reshape(Q, N, 3, imax + 1, jmax + 1, imax + jmax + 1)
         nf = (la + 1) * (la + 2) // 2 * ((lb + 1) * (lb + 2) // 2)
-        diag = uniq // S == uniq % S
-        images = ~diag & ~AB.any(axis=1)
+        images = ~part["diag"] & ~AB.any(axis=1)
         classes.append(ShellClass(
             la=la, lb=lb, imax=imax, jmax=jmax, key=key,
-            a=a, b=b, cc=cc, p=p, P=P, AB=AB, E=E, diag=diag,
-            w=nf * np.where(images, 2, 1), norms=entries[0][1]["norms"],
+            a=a, b=b, cc=part["cc"], p=p, P=P, AB=AB, E=E, diag=part["diag"],
+            w=nf * np.where(images, 2, 1), norms=part["norms"],
         ))
-        lo = 0
-        for f, part, c in entries:
-            frags[f][ci] = FragPairs(
-                at=inverse.ravel()[lo:lo + c.size],
-                **{k: part[k] for k in ("ish", "jsh", "oa", "ob",
-                                        "atom_a", "atom_b", "diag")},
-            )
-            lo += c.size
-    return PairPlan(classes, frags)
+    return PairPlan(classes, layout)
 
 
 def pair_plan(bases, workspace: IntegralWorkspace | None = None) -> PairPlan:
@@ -369,7 +456,7 @@ def pair_plan(bases, workspace: IntegralWorkspace | None = None) -> PairPlan:
     or freshly built."""
     if workspace is not None:
         return workspace.pair_plan(bases)
-    return _build_pair_plan(bases)
+    return _place_pairs(_pair_layout(bases), stack_centres(bases))
 
 
 def build_shell_classes(
@@ -384,31 +471,6 @@ def _chunks(nq: int, per_pair_elems: int):
     step = max(1, _CHUNK_ELEMS // max(1, int(per_pair_elems)))
     for lo in range(0, nq, step):
         yield slice(lo, min(lo + step, nq))
-
-
-def _gather(blocks: np.ndarray, pos: list) -> np.ndarray:
-    """``blocks`` at the concatenated positions ``pos`` — the blocks
-    themselves when that is every block in order (one fragment)."""
-    at = np.concatenate(pos)
-    if at.size == blocks.shape[0] and np.array_equal(at, np.arange(at.size)):
-        return blocks
-    return blocks[at]
-
-
-def _pieces(holders, per_block_elems: int):
-    """``holders`` — ``(f, rows, columns, positions)`` of each fragment's
-    blocks — in consecutive pieces whose gathered blocks stay under the
-    element budget (a fragment is never split)."""
-    lo = 0
-    while lo < len(holders):
-        hi, size = lo + 1, holders[lo][3].size * per_block_elems
-        while hi < len(holders):
-            size += holders[hi][3].size * per_block_elems
-            if size > _CHUNK_ELEMS:
-                break
-            hi += 1
-        yield holders[lo:hi]
-        lo = hi
 
 
 def _run_lengths(values: np.ndarray):
@@ -459,19 +521,24 @@ class SiteGroup:
     the angular momenta ``ls`` (`engine.AuxGroup`, merged over
     fragments), ``m`` sites an atom: a (pair, atom) block is the unit of
     the three-centre kernels, its ``m`` sites on the GEMM's N axis. Per
-    atom and site: exponents ``qk (A, m)``, centres ``Pk (A, m, 3)``
-    (the atom's, ``m`` times), E tables ``E (A, m, 3, lmax+di+1, 1,
-    .)``, contraction coefficient times component normalization
-    ``comp_norms (A, m, C)`` and the ket expansion ``Wk (A, m, C, Tk)``
-    on the simplex rows of ``lmax`` with the Hermite phase folded in."""
+    atom and site: exponents ``qk (A, m)``, the row of the site's
+    centre among the call's shells ``at (A, m)`` and, once placed
+    (`SitePlan.placed`), the centres ``Pk (A, m, 3)`` (the atom's, ``m``
+    times); E tables ``E (A, m, 3, lmax+di+1, 1, .)``, contraction
+    coefficient times component normalization ``comp_norms (A, m, C)``
+    and the ket expansion ``Wk (A, m, C, Tk)`` on the simplex rows of
+    ``lmax`` with the Hermite phase folded in (``WkT``, ``(A, m, Tk,
+    C)``, the same as a right-hand GEMM operand)."""
 
     ls: tuple
     comps: np.ndarray
     qk: np.ndarray
-    Pk: np.ndarray
+    at: np.ndarray
     E: np.ndarray
     comp_norms: np.ndarray
     Wk: np.ndarray
+    WkT: np.ndarray
+    Pk: np.ndarray | None = None
 
     @property
     def l(self) -> int:
@@ -498,11 +565,6 @@ class SiteGroup:
         """The ket side of a `CoulombTables` set."""
         return dict(qk=self.qk, Pk=self.Pk, l=self.l)
 
-    @cached_property
-    def WkT(self) -> np.ndarray:
-        """``Wk`` as the right-hand GEMM operand ``(A, m, Tk, C)``."""
-        return np.ascontiguousarray(self.Wk.transpose(0, 1, 3, 2))
-
 
 @dataclass
 class FragSites:
@@ -522,22 +584,36 @@ class FragSites:
 class SitePlan:
     """The distinct auxiliary atoms of an evaluation's fitting bases:
     ``groups`` ordered by ``(lmax, ls, m)``, ``frags[f][gi]`` fragment
-    ``f``'s atoms of group ``gi`` (or None)."""
+    ``f``'s atoms of group ``gi`` (or None). Geometry-free as built
+    (`_build_site_plan`, the store's plan); `placed` at the call's
+    centres for an evaluation."""
 
     groups: list[SiteGroup]
     frags: list[list[FragSites | None]]
     _per_site: "SitePlan | None" = field(default=None, init=False, repr=False)
+    #: the geometry-free plan and the centres a placed plan is at
+    _plan: "SitePlan | None" = field(default=None, init=False, repr=False)
+    _centres: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def holders(self, gi: int):
         return [(f, fs[gi]) for f, fs in enumerate(self.frags)
                 if fs[gi] is not None]
+
+    def placed(self, centres: np.ndarray) -> "SitePlan":
+        """The plan at the call's shell ``centres`` (the fitting bases'
+        shells end to end)."""
+        out = SitePlan([replace(grp, Pk=centres[grp.at]) for grp in self.groups],
+                       self.frags)
+        out._plan, out._centres = self, centres
+        return out
 
     def per_site(self) -> "SitePlan":
         """The plan with the groups of one ``ls`` merged and every site
         an atom of its own (``m = 1``): the metric's blocks are pairs of
         sites. Built once per plan."""
         if self._per_site is None:
-            self._per_site = self._merged()
+            self._per_site = (self._merged() if self._plan is None else
+                              self._plan.per_site().placed(self._centres))
         return self._per_site
 
     def _merged(self) -> "SitePlan":
@@ -556,8 +632,9 @@ class SitePlan:
 
             C = merged[0].C
             groups.append(SiteGroup(ls=ls, comps=merged[0].comps, qk=cat("qk"),
-                                    Pk=cat("Pk"), E=cat("E"),
-                                    comp_norms=cat("comp_norms"), Wk=cat("Wk")))
+                                    at=cat("at"), E=cat("E"),
+                                    comp_norms=cat("comp_norms"), Wk=cat("Wk"),
+                                    WkT=cat("WkT")))
             for f, row in enumerate(self.frags):
                 held = [(off, row[gi], grp.m)
                         for off, gi, grp in zip(offs, members, merged)
@@ -604,24 +681,26 @@ def _atom_runs(grp):
     return _run_lengths(grp.atoms)
 
 
-def _site_codes(auxs, workspace, di: int = 0):
+def _site_codes(auxs, di: int = 0):
     """Every fragment's site groups cut into atoms, each atom's index
     among the call's distinct atoms of its ``(ls, m)`` — an atom is its
     centre and its sites' exponents. The groups of a composition are
-    looked up once (`_aux_groups`, the first fragment's) and every
+    built once (`engine.aux_group_data`, the first fragment's) and every
     other fragment of it reads its own centres. Returns per ``(ls, m)``
     the ``[group, first occurrences, holders, rows]`` — ``rows`` one
     ``(centre, exponents)`` row per held atom, ``holders`` ``(f, grp,
-    sites (a, m))`` — and per fragment ``{(ls, m): (grp, sites,
-    ids)}``."""
+    sites (a, m), rows, shells)`` with ``shells`` the row of each atom's
+    centre among the call's shells — and per fragment ``{(ls, m):
+    (grp, sites, ids)}``."""
     scaffolds: dict[tuple, list] = {}
     holders: dict[tuple, list] = {}
+    base = 0
     for f, aux in enumerate(auxs):
         comp = basis_composition_key(aux)
         groups = scaffolds.get(comp)
         if groups is None:
-            groups = scaffolds[comp] = _aux_groups(workspace, aux, di)
-        centers = np.array([sh.center for sh in aux.shells])
+            groups = scaffolds[comp] = aux_group_data(aux, di)
+        centers = _centers(aux)
         for grp in groups:
             starts, counts = _atom_runs(grp)
             P = centers[grp.shells]
@@ -630,15 +709,16 @@ def _site_codes(auxs, workspace, di: int = 0):
                 sites = first[:, None] + np.arange(m)
                 rows = np.column_stack([P[first], grp.a[sites]])
                 holders.setdefault((grp.ls, int(m)), []).append(
-                    (f, grp, sites, rows))
+                    (f, grp, sites, rows, base + grp.shells[first]))
+        base += aux.nshells
     frags: list[dict] = [{} for _ in auxs]
     reps = {}
     for key, held in holders.items():
-        rows = np.concatenate([r for *_, r in held])
+        rows = np.concatenate([r for _, _, _, r, _ in held])
         keys = rows.view(np.dtype((np.void, 8 * rows.shape[1])))
         first, inverse = _distinct(keys.ravel())
         lo = 0
-        for f, grp, sites, r in held:
+        for f, grp, sites, r, _ in held:
             frags[f][key] = grp, sites, inverse[lo:lo + r.shape[0]]
             lo += r.shape[0]
         reps[key] = [first, held, rows]
@@ -648,16 +728,16 @@ def _site_codes(auxs, workspace, di: int = 0):
 def site_plan(auxs, workspace: IntegralWorkspace | None = None,
               di: int = 0) -> SitePlan:
     """The `SitePlan` of a list of fitting bases (E tables with ``di``
-    units of derivative headroom), from the workspace's scratch or
-    freshly built."""
+    units of derivative headroom), placed at their centres: from the
+    workspace's scratch and plans, or freshly built."""
     if workspace is not None:
         return workspace.site_plan(auxs, di)
-    return _build_site_plan(auxs, None, di)
+    return _build_site_plan(auxs, di).placed(stack_centres(auxs))
 
 
-def _build_site_plan(auxs, workspace, di: int) -> SitePlan:
-    """`site_plan`, built."""
-    reps, per_frag = _site_codes(auxs, workspace, di)
+def _build_site_plan(auxs, di: int) -> SitePlan:
+    """`site_plan`'s geometry-free plan, built."""
+    reps, per_frag = _site_codes(auxs, di)
     order = sorted(reps, key=lambda key: (key[0][-1], key[0], key[1]))
     groups = []
     for ls, m in order:
@@ -665,18 +745,20 @@ def _build_site_plan(auxs, workspace, di: int) -> SitePlan:
         grp0 = held[0][1]
 
         def per_site(get):
-            return np.concatenate([get(grp)[sites] for _, grp, sites, _ in held])[first]
+            return np.concatenate([get(grp)[sites] for _, grp, sites, _, _ in held])[first]
 
         E = per_site(lambda grp: grp.E)
         tuv = hermite_simplex(ls[-1])
         A, C = first.size, grp0.comps.shape[0]
         Wk = _w_class(E.reshape(A * m, 1, *E.shape[2:]), grp0.comps,
                       _S_COMP, tuv)
+        Wk = (Wk.reshape(A * m, C, -1) * _phase(tuv)).reshape(A, m, C, -1)
+        at = np.concatenate([s for *_, s in held])[first]
         groups.append(SiteGroup(
             ls=ls, comps=grp0.comps, qk=rows[first, 3:],
-            Pk=np.repeat(rows[first, None, :3], m, axis=1), E=E,
-            comp_norms=per_site(lambda grp: grp.comp_norms),
-            Wk=(Wk.reshape(A * m, C, -1) * _phase(tuv)).reshape(A, m, C, -1),
+            at=np.repeat(at[:, None], m, axis=1), E=E,
+            comp_norms=per_site(lambda grp: grp.comp_norms), Wk=Wk,
+            WkT=np.ascontiguousarray(Wk.transpose(0, 1, 3, 2)),
         ))
     frags = []
     for mine in per_frag:
@@ -687,7 +769,9 @@ def _build_site_plan(auxs, workspace, di: int) -> SitePlan:
                 row[gi] = FragSites(ids=ids, func_idx=grp.func_idx[sites],
                                     atoms=grp.atoms[sites[:, 0]])
         frags.append(row)
-    return SitePlan(groups, frags)
+    plan = SitePlan(groups, frags)
+    plan.per_site()  # part of the plan, counted with it
+    return plan
 
 
 def _nuclei(mols):
@@ -702,35 +786,25 @@ def _nuclei(mols):
             [inverse[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
-def _blocks(pairs: PairPlan, kets, keep=None):
+def _blocks(pairs: PairLayout, kets):
     """The blocks of every (class ci, ket group gi): sorted codes ``pair
-    * A + atom`` of the union over fragments of each fragment's kept
-    pairs with its ket atoms, and where each fragment's blocks sit in
-    them. ``kets[gi]`` is ``(A, {f: atoms})``, the atoms a `FragSites`
-    or an index array; ``keep[f][ci]`` the fragment's kept pair rows
-    (None: all). Returns ``blocks {(ci, gi): codes}`` and ``mine {(ci,
-    gi): [(f, rows, atoms, positions (q, a))]}``."""
+    * A + atom`` of the union over fragments of each fragment's pairs
+    with its ket atoms, and where each fragment's blocks sit in them.
+    ``kets[gi]`` is ``(A, {f: atoms})``, the atoms a `FragSites` or an
+    index array. Returns ``blocks {(ci, gi): codes}`` and ``mine {(ci,
+    gi): [(f, atoms, positions (q, a))]}``."""
     blocks, mine = {}, {}
-    for ci, cls in enumerate(pairs.classes):
-        holders = pairs.holders(ci)
+    for ci, part in enumerate(pairs.classes):
         for gi, (A, cols) in enumerate(kets):
-            parts = []
-            for f, fp in holders:
-                col = cols.get(f)
-                if col is None:
-                    continue
-                rows = None if keep is None else keep[f][ci]
-                at = fp.at if rows is None else fp.at[rows]
-                if not at.size:
-                    continue
-                ids = col if isinstance(col, np.ndarray) else col.ids
-                parts.append((f, rows, col, at[:, None] * A + ids[None, :]))
-            if not parts:
-                continue
-            blocks[ci, gi], pos = _union([c for *_, c in parts],
-                                         cls.npair * A)
-            mine[ci, gi] = [(f, rows, col, p)
-                            for (f, rows, col, _), p in zip(parts, pos)]
+            held = [(f, cols[f], fp.at[:, None] * A
+                     + (cols[f] if isinstance(cols[f], np.ndarray)
+                        else cols[f].ids)[None, :])
+                    for f, fp in pairs.holders(ci) if f in cols]
+            if held:
+                blocks[ci, gi], pos = _union([c for *_, c in held],
+                                             part["ia"].size * A)
+                mine[ci, gi] = [(f, col, p)
+                                for (f, col, _), p in zip(held, pos)]
     return blocks, mine
 
 
@@ -844,13 +918,6 @@ def _block_indices(oa, nfa, ob, nfb):
     rows = oa[:, None] + np.arange(nfa)[None, :]
     cols = ob[:, None] + np.arange(nfb)[None, :]
     return rows, cols
-
-
-def _scatter_blocks(out, rows, cols, blk):
-    """Write ``(q, nfa, nfb)`` blocks into ``out (nbf, nbf)``, then
-    every transposed image (diagonal blocks end up holding ``blk.T``)."""
-    out[rows[:, :, None], cols[:, None, :]] = blk
-    out[cols[:, :, None], rows[:, None, :]] = blk.transpose(0, 2, 1)
 
 
 # --------------------------------------------------------------------------
@@ -1125,55 +1192,36 @@ def _site_bras(sites: SitePlan) -> list[dict]:
                  P=grp.Pk.reshape(-1, 1, 3), L=grp.l) for grp in sites.groups]
 
 
-def table_bytes(bases, auxs, mols,
-                workspace: IntegralWorkspace | None = None) -> int:
+def table_bytes(bases, auxs, mols) -> int:
     """The bytes of the largest Hermite Coulomb table set (`eri3c`,
     `nuclear` or `eri2c`) of one evaluation of these fragments with
     nothing screened, plus the held bra-derivative expansions
-    (`_deriv_expansions`), counted over the call's distinct blocks by
-    the drivers' own arithmetic without building any: what the
+    (`_deriv_expansions`), counted over the blocks of the call's plans
+    by the drivers' own arithmetic without building any table: what the
     evaluation holds against `table_budget`."""
-    reps, by_key = _pair_codes(bases)
-    site_reps, site_frags = _site_codes(auxs, workspace)
-    natom = {key: rep[0].size for key, rep in site_reps.items()}
-    Z, _, nuclei = _nuclei(mols)
-    nf = [(l + 1) * (l + 2) // 2 for l in range(8)]
-    eri3c = nuclear = expansions = 0
-    for (la, lb, npa, npb), entries in by_key.items():
-        N = npa * npb
-        pairs, at = _union([c for _, _, c in entries], len(reps) ** 2)
-        at = {f: a for (f, _, _), a in zip(entries, at)}
-        expansions += _table_bytes(la + lb + 1, pairs.size,
-                                   6 * nf[la] * nf[lb] * N)
-        nuclear += _table_bytes(la + lb + 1, _union(
-            [a[:, None] * Z.size + nuclei[f][None, :] for f, a in at.items()],
-            pairs.size * Z.size)[0].size, N)
-        for (ls, m), A in natom.items():
-            held = [(at[f], row[ls, m][2]) for f, row in enumerate(site_frags)
-                    if (ls, m) in row and f in at]
-            if held:
-                n = _union([a[:, None] * A + ids[None, :] for a, ids in held],
-                           pairs.size * A)[0].size
-                eri3c += _table_bytes(la + lb + ls[-1] + 1, n, N * m)
-    # the metric's sites, per ls: its (ls, m) groups' sites end to end
-    nsite: dict[tuple, int] = {}
-    held = [{} for _ in site_frags]
-    for (ls, m), A in sorted(natom.items()):
-        for f, row in enumerate(site_frags):
-            if (ls, m) in row:
-                ids = row[ls, m][2]
-                held[f].setdefault(ls, []).append(
-                    nsite.get(ls, 0) + (ids[:, None] * m + np.arange(m)).ravel())
-        nsite[ls] = nsite.get(ls, 0) + A * m
-    eri2c = 0
-    for lb_, nb_ in nsite.items():
-        for lk_, nk_ in nsite.items():
-            parts = [np.concatenate(row[lb_])[:, None] * nk_
-                     + np.concatenate(row[lk_])[None, :]
-                     for row in held if lb_ in row and lk_ in row]
-            if parts:
-                eri2c += _table_bytes(lb_[-1] + lk_[-1] + 1,
-                                      _union(parts, nb_ * nk_)[0].size, 1)
+    pairs = _pair_layout(bases)
+    sites = _build_site_plan(auxs, 0)
+    metric = sites.per_site()
+    L = [part["key"][0] + part["key"][1] for part in pairs.classes]
+    N = [part["a"].shape[1] for part in pairs.classes]
+
+    def held(blocks, order, width):
+        return sum(_table_bytes(order(*key), codes.size, width(*key))
+                   for key, codes in blocks.items())
+
+    groups = sites.groups
+    eri3c = held(_blocks(pairs, _site_columns(sites))[0],
+                 lambda ci, gi: L[ci] + groups[gi].l + 1,
+                 lambda ci, gi: N[ci] * groups[gi].m)
+    nuclear = held(_blocks(pairs, _nuclear_columns(mols)[0])[0],
+                   lambda ci, _: L[ci] + 1, lambda ci, _: N[ci])
+    eri2c = held(_pairs_of_sites(metric)[0],
+                 lambda gb, gk: metric.groups[gb].l + metric.groups[gk].l + 1,
+                 lambda gb, gk: 1)
+    expansions = sum(
+        _table_bytes(L[ci] + 1, part["ia"].size,
+                     6 * ncart(part["key"][0]) * ncart(part["key"][1]) * N[ci])
+        for ci, part in enumerate(pairs.classes))
     return max(eri3c, nuclear, eri2c) + expansions
 
 
@@ -1206,19 +1254,30 @@ def _onee_blocks(tot, p, cc, norms):
     ) * norms[None]
 
 
+def _scatter_matrices(out, rows: _Rows, blk) -> None:
+    """Write every fragment's ``(nfa, nfb)`` blocks of a class — ``blk``,
+    one a row of ``rows`` — into the call's matrices ``out = (flat,
+    views, offsets)`` (`flat_zeros`), then every transposed image
+    (diagonal blocks end up holding ``blk.T``)."""
+    flat, _, offs = out
+    x, xt = rows.at(offs)
+    blk = blk.reshape(x.shape)
+    flat[x] = blk
+    flat[xt] = blk
+
+
 def _onee(plan, bases, factors) -> list[np.ndarray]:
     """A one-electron matrix of every basis of a call, ``(nbf, nbf)``
-    each, from per-class primitive factors ``factors(cls, ca, cb) ->
-    [q, n, A, B]`` of the plan's distinct pairs."""
-    out = [np.zeros((basis.nbf, basis.nbf)) for basis in bases]
-    for ci, cls in enumerate(plan.classes):
+    each (views of one buffer), from per-class primitive factors
+    ``factors(cls, ca, cb) -> [q, n, A, B]`` of the plan's distinct
+    pairs."""
+    out = flat_zeros([(basis.nbf, basis.nbf) for basis in bases])
+    for cls, rows in zip(plan.classes, plan.rows):
         ca = comp_arrays(cls.la)
         cb = comp_arrays(cls.lb)
         blk = _onee_blocks(factors(cls, ca, cb), cls.p, cls.cc, cls.norms)
-        for f, fp in plan.holders(ci):
-            rows, cols = _block_indices(fp.oa, cls.nfa, fp.ob, cls.nfb)
-            _scatter_blocks(out[f], rows, cols, blk[fp.at])
-    return out
+        _scatter_matrices(out, rows, blk[rows.pair])
+    return out[1]
 
 
 @stack_driver
@@ -1300,9 +1359,20 @@ def _nuclear_tables(workspace, bases, mols, plan):
     """The `CoulombTables` between the call's distinct pairs and its
     distinct nuclei (point charges: one ket group of order 0 without an
     exponent), over the (pair, nucleus) blocks some fragment holds; and
-    the blocks' owners and the nuclear charges."""
+    the blocks' owners and the nuclear charges. The blocks are the
+    plan of the pairs' and nuclei's compositions."""
     kets, Z, coords = _nuclear_columns(mols)
-    blocks, mine = _blocks(plan, kets)
+
+    def build():
+        return _blocks(plan.layout, kets)
+
+    if workspace is None:
+        blocks, mine = build()
+    else:
+        nuclei = np.concatenate(list(kets[0][1].values()))
+        blocks, mine = workspace.plan("nuclear", (
+            workspace.stack(bases).key, Z.tobytes(), nuclei.tobytes(),
+            tuple(mol.natoms for mol in mols)), build)
     points = np.concatenate([
         np.column_stack([mol.atomic_numbers, mol.coords]) for mol in mols
     ])
@@ -1326,7 +1396,7 @@ def nuclear(
     A block is a shell pair with one nucleus, computed once
     (``(X, N T) @ (N T, 1)`` per block); a fragment sums its own nuclei's
     blocks, weighted by their charges."""
-    V = [np.zeros((basis.nbf, basis.nbf)) for basis in bases]
+    out = flat_zeros([(basis.nbf, basis.nbf) for basis in bases])
     plan = pair_plan(bases, workspace)
     tabs, mine, Z = _nuclear_tables(workspace, bases, mols, plan)
     requested = computed = 0
@@ -1348,15 +1418,15 @@ def nuclear(
             vals[sel] = bgemm(W[pairs][:, None],
                               R.reshape(-1, r, N * nT, 1)).reshape(-1, X)
         computed += cls.w[pair].sum()
-        for f, _, nuc, pos in mine[ci, 0]:
+        blks = []
+        for f, nuc, pos in mine[ci, 0]:
             fp = plan.frags[f][ci]
             requested += cls.w[fp.at].sum() * nuc.size
             blk = -_einsum("qcx,c->qx", vals[pos], Z[nuc])
-            blk = blk.reshape(-1, cls.nfa, cls.nfb) * cls.norms[None]
-            rows_f, cols_f = _block_indices(fp.oa, cls.nfa, fp.ob, cls.nfb)
-            _scatter_blocks(V[f], rows_f, cols_f, blk)
+            blks.append(blk.reshape(-1, cls.nfa, cls.nfb) * cls.norms[None])
+        _scatter_matrices(out, plan.rows[ci], np.concatenate(blks))
     _record_blocks(workspace, "v", requested, computed)
-    return V
+    return out[1]
 
 
 # --------------------------------------------------------------------------
@@ -1375,12 +1445,17 @@ def _contract_bra_deriv(bases, X, workspace, deriv_1d) -> list[np.ndarray]:
     derivatives are computed; same-atom pairs vanish and are skipped.
     """
     plan = pair_plan(bases, workspace)
-    g = [np.zeros((int(max(sh.atom for sh in basis.shells)) + 1, 3))
-         for basis in bases]
-    Xs = [x + x.T for x in X]
-    for ci, cls in enumerate(plan.classes):
+    # every fragment's gradient, one block of rows each; every shell
+    # pairs with itself, so a fragment's pairs hold its atoms
+    goffs = np.cumsum([0] + [1 + max(int(fp.atom_b.max()) for fp in row
+                                     if fp is not None) for row in plan.frags])
+    G = np.zeros((goffs[-1], 3))
+    offs, _ = _flat_offsets([x.shape for x in X])
+    Xs = np.concatenate([(x + x.T).ravel() for x in X])
+    for cls, rows in zip(plan.classes, plan.rows):
         apart = cls.AB.any(axis=1)  # two atoms: a nonvanishing derivative
-        if not apart.any():
+        mask = ~rows.diag & (rows.atom_a != rows.atom_b)
+        if not apart.any() or not mask.any():
             continue
         sub = cls.subset(apart)
         row = np.cumsum(apart) - 1
@@ -1393,17 +1468,14 @@ def _contract_bra_deriv(bases, X, workspace, deriv_1d) -> list[np.ndarray]:
                 "qn,qnab->qab", pref, np.ascontiguousarray(
                     deriv_1d(sub.E, sub.a, sub.b, ca, cb, axis)),
             )
-        for f, fp in plan.holders(ci):
-            mask = (~fp.diag) & (fp.atom_a != fp.atom_b)
-            if not mask.any():
-                continue
-            rows, cols = _block_indices(fp.oa[mask], cls.nfa, fp.ob[mask],
-                                        cls.nfb)
-            Xblk = Xs[f][rows[:, :, None], cols[:, None, :]] * cls.norms[None]
-            vals = _einsum("qsab,qab->qs", dblk[row[fp.at[mask]]], Xblk)
-            np.add.at(g[f], fp.atom_a[mask], vals)
-            np.subtract.at(g[f], fp.atom_b[mask], vals)
-    return g
+        # every fragment's coefficients of the class at once
+        Xblk = Xs[rows.at(offs)[0][mask]].reshape(-1, cls.nfa, cls.nfb)
+        vals = _einsum("qsab,qab->qs", dblk[row[rows.pair[mask]]],
+                       Xblk * cls.norms[None])
+        at = goffs[rows.frag[mask]]
+        np.add.at(G, at + rows.atom_a[mask], vals)
+        np.subtract.at(G, at + rows.atom_b[mask], vals)
+    return [G[lo:hi] for lo, hi in zip(goffs[:-1], goffs[1:])]
 
 
 def _overlap_deriv_1d(E, a, b, ca, cb, axis):
@@ -1473,7 +1545,7 @@ def contract_nuclear_deriv(
         for pairs, sel, r in _runs(pair, K):
             R = tabs.table(ci, 0, sel).reshape(-1, r, K, 1)
             dV[sel] = -bgemm(W[pairs][:, None], R).reshape(-1, 6, nx)
-        for f, _, nuc, pos in mine[ci, 0]:
+        for f, nuc, pos in mine[ci, 0]:
             fp = plan.frags[f][ci]
             rows, cols = _block_indices(fp.oa, cls.nfa, fp.ob, cls.nfb)
             at = (rows[:, :, None], cols[:, None, :])
@@ -1513,15 +1585,16 @@ def schwarz_pair_bounds(
     """
     frags = list(range(len(bases))) if frags is None else list(frags)
     plan = pair_plan(bases, workspace)
-    out = [np.zeros((bases[f].nshells, bases[f].nshells)) for f in frags]
-    for ci, cls in enumerate(plan.classes):
-        held = [(k, plan.frags[f][ci]) for k, f in enumerate(frags)
-                if plan.frags[f][ci] is not None]
-        if not held:
+    flat, out, offs = flat_zeros([(bases[f].nshells,) * 2 for f in frags])
+    slot = np.full(len(bases), -1)
+    slot[frags] = np.arange(len(frags))
+    nsh = np.array([basis.nshells for basis in bases])
+    for cls, rows in zip(plan.classes, plan.rows):
+        mine = slot[rows.frag] >= 0
+        if not mine.any():
             continue
         need = np.zeros(cls.npair, dtype=bool)
-        for _, fp in held:
-            need[fp.at] = True
+        need[rows.pair[mine]] = True
         sub = cls.subset(need)
         row = np.cumsum(need) - 1
         ca = comp_arrays(cls.la)
@@ -1549,10 +1622,12 @@ def schwarz_pair_bounds(
             t1 = bgemm(Wb.reshape(qc, X, N * Tb), M2)
             diag = _einsum("qxk,qxk->qx", t1, Wk)
             bound[sl] = np.sqrt(np.max(np.abs(diag), axis=1))
-        for k, fp in held:
-            b = bound[row[fp.at]]
-            out[k][fp.ish, fp.jsh] = b
-            out[k][fp.jsh, fp.ish] = b
+        f = rows.frag[mine]
+        at, n = offs[slot[f]], nsh[f]
+        ish, jsh = rows.ish[mine], rows.jsh[mine]
+        b = bound[row[rows.pair[mine]]]
+        flat[at + ish * n + jsh] = b
+        flat[at + jsh * n + ish] = b
     return out
 
 
@@ -1561,56 +1636,215 @@ def schwarz_pair_bounds(
 # --------------------------------------------------------------------------
 
 def _screen_pairs(plan, bases, auxs, screen, workspace, kind, Zblk=None):
-    """Each fragment's kept pair rows per class (None: all), from its own
-    Schwarz table: ``Q_ab * max_P Q_P > screen`` for the values, and
-    ``DERIV_SAFETY * Q_ab * max_P Q_P * max |Z| > screen`` with the
-    per-block coefficient magnitudes ``Zblk`` for the derivative. One
+    """The rows of each class (`_Rows`) the fragments keep, None where
+    every row is, each fragment screened with its own Schwarz table:
+    ``Q_ab * max_P Q_P > screen`` for the values, and ``DERIV_SAFETY *
+    Q_ab * max_P Q_P * max |Z| > screen`` with the per-block coefficient
+    magnitudes ``Zblk`` for the derivative. One
     `IntegralWorkspace.record_screen` per fragment: its neglected bound
     is one exactly rounded sum, independent of class order, chunking
     and the call."""
-    keep = [[None] * len(plan.classes) for _ in bases]
+    kept = [None] * len(plan.classes)
     if screen <= 0.0:
-        return keep
+        return kept
     Qs = _schwarz_tables(bases, workspace)
-    for f, (basis, aux) in enumerate(zip(bases, auxs)):
-        qaux = _aux_bounds(aux, workspace)
-        qaux_max = float(qaux.max())
-        qaux_sum = float(qaux.sum())
-        skipped = []
-        for ci, fp in enumerate(plan.frags[f]):
-            if fp is None:
-                continue
-            cls = plan.classes[ci]
-            qv = Qs[f][fp.ish, fp.jsh]
-            nfab = (cls.nfa * cls.nfb) * np.where(fp.diag, 1.0, 2.0)
-            if Zblk is None:
-                kept = qv * qaux_max > screen
-                bound = qv * qaux_sum * nfab
-            else:
-                zv = Zblk[f][fp.ish, fp.jsh]
-                kept = DERIV_SAFETY * qv * qaux_max * zv > screen
-                bound = DERIV_SAFETY * qv * zv * qaux_sum * nfab
-            if not kept.all():
-                skipped.append(bound[~kept])
-                keep[f][ci] = np.nonzero(kept)[0]
-        if workspace is not None:
-            mine = np.concatenate(skipped) if skipped else np.empty(0)
-            nsh = basis.nshells
-            workspace.record_screen(kind, nsh * (nsh + 1) // 2,
+    qoffs, _ = _flat_offsets([q.shape for q in Qs])
+    Q = np.concatenate([q.ravel() for q in Qs])
+    Zb = None if Zblk is None else np.concatenate([z.ravel() for z in Zblk])
+    qaux = [_aux_bounds(aux, workspace) for aux in auxs]
+    qaux_max = np.array([float(q.max()) for q in qaux])
+    qaux_sum = np.array([float(q.sum()) for q in qaux])
+    nsh = np.array([basis.nshells for basis in bases])
+    lost_frag, lost = [], []
+    for ci, (cls, rows) in enumerate(zip(plan.classes, plan.rows)):
+        f = rows.frag
+        at = qoffs[f] + rows.ish * nsh[f] + rows.jsh
+        qv = Q[at]
+        nfab = (cls.nfa * cls.nfb) * np.where(rows.diag, 1.0, 2.0)
+        if Zb is None:
+            keep = qv * qaux_max[f] > screen
+            bound = qv * qaux_sum[f] * nfab
+        else:
+            zv = Zb[at]
+            keep = DERIV_SAFETY * qv * qaux_max[f] * zv > screen
+            bound = DERIV_SAFETY * qv * zv * qaux_sum[f] * nfab
+        if not keep.all():
+            kept[ci] = keep
+            lost_frag.append(f[~keep])
+            lost.append(bound[~keep])
+    if workspace is not None:
+        lost_frag = np.concatenate(lost_frag) if lost_frag else np.zeros(0, int)
+        lost = np.concatenate(lost) if lost else np.zeros(0)
+        for f in range(len(bases)):
+            mine = lost[lost_frag == f]
+            workspace.record_screen(kind, nsh[f] * (nsh[f] + 1) // 2,
                                     mine.size, math.fsum(mine))
-    return keep
+    return kept
 
 
-def _eri3c_tables(workspace, bases, auxs, plan, sites, keep):
-    """The `CoulombTables` of the (pair, site) blocks the fragments'
-    kept pairs hold, and each fragment's blocks among them."""
-    blocks, mine = _blocks(plan, _site_columns(sites), keep)
+@dataclass
+class _Triples:
+    """The (pair, atom) blocks one (class, group)'s fragments hold, one
+    triple a (fragment, pair, atom), fragment-major, pair-major and in
+    the fragment's atom order: the pair's row (`_Rows`), the block's
+    position among the (class, group)'s blocks, the atom among the
+    group's atoms (``ids``), the fragment's function index of each of
+    the atom's site components (``fi (T, m, C)``) and the (fragment,
+    atom) ``slot``, whose fragment and own atom index are ``slot_frag``
+    / ``slot_atom``."""
+
+    row: np.ndarray
+    pos: np.ndarray
+    ids: np.ndarray
+    fi: np.ndarray
+    slot: np.ndarray
+    slot_frag: np.ndarray
+    slot_atom: np.ndarray
+
+    def take(self, mask: np.ndarray, pos: np.ndarray) -> "_Triples":
+        """The triples ``mask`` selects, at the block positions ``pos``."""
+        return _Triples(self.row[mask], pos, self.ids[mask], self.fi[mask],
+                        self.slot[mask], self.slot_frag, self.slot_atom)
+
+    def positions(self, base: np.ndarray, sl=slice(None)) -> np.ndarray:
+        """Where the elements ``(T, m, X, C)`` of the triples ``sl`` land
+        in the call's flat tensor, ``base (R, X)`` where each row's
+        function pairs start there (`_Rows.at`)."""
+        return base[self.row[sl]][:, None, :, None] + self.fi[sl][:, :, None, :]
+
+
+@dataclass
+class ThreeCentreLayout:
+    """The three-centre plan of a call (its `PairLayout` against its
+    `SitePlan`): where every fragment's ``(nbf, nbf, naux)`` tensor
+    starts in the call's flat buffer and its ``naux``, and per (class,
+    group) the unscreened blocks — sorted codes ``pair * A + atom`` —
+    and the `_Triples` that hold them. Geometry-free; a screened call
+    selects rows of it (`select`)."""
+
+    offs: np.ndarray
+    naux: np.ndarray
+    blocks: dict
+    triples: dict
+
+    def select(self, kept):
+        """``(blocks, triples)`` of the rows ``kept`` (`_screen_pairs`)
+        keeps: a (class, group)'s blocks are those some kept triple
+        holds, still sorted, and the triples point into them."""
+        if all(mask is None for mask in kept):
+            return self.blocks, self.triples
+        blocks, triples = {}, {}
+        for key, held in self.triples.items():
+            mask = kept[key[0]]
+            if mask is None:
+                blocks[key], triples[key] = self.blocks[key], held
+                continue
+            mask = mask[held.row]
+            if not mask.any():
+                continue
+            pos = held.pos[mask]
+            seen = np.zeros(self.blocks[key].size, dtype=bool)
+            seen[pos] = True
+            blocks[key] = self.blocks[key][seen]
+            triples[key] = held.take(mask, (np.cumsum(seen) - 1)[pos])
+        return blocks, triples
+
+
+def _three_centre_layout(bases, auxs, pairs: PairLayout,
+                         sites: SitePlan) -> ThreeCentreLayout:
+    """The `ThreeCentreLayout` of a call, built."""
+    blocks, mine = _blocks(pairs, _site_columns(sites))
+    offs, _ = _flat_offsets([(b.nbf, b.nbf, a.nbf) for b, a in zip(bases, auxs)])
+    triples = {}
+    for (ci, gi), held in mine.items():
+        span = pairs.rows[ci].span
+        parts, nslot = [], 0
+        for f, fs, at in held:
+            q, a = at.shape
+            parts.append((
+                np.repeat(np.arange(*span[f]), a), at.ravel(),
+                np.tile(fs.ids, q),
+                np.tile(fs.func_idx, (q, 1, 1)),
+                nslot + np.tile(np.arange(a), q), np.full(a, f), fs.atoms,
+            ))
+            nslot += a
+        triples[ci, gi] = _Triples(*(np.concatenate(x).astype(np.int32)
+                                     for x in zip(*parts)))
+    return ThreeCentreLayout(offs, np.array([a.nbf for a in auxs]), blocks,
+                             triples)
+
+
+def _eri3c_tables(workspace, bases, auxs, plan, sites, kept):
+    """The call's `ThreeCentreLayout`, the (class, group) blocks and
+    triples of the rows ``kept`` keeps (`ThreeCentreLayout.select`),
+    and the `CoulombTables` of those blocks."""
+    if workspace is None:
+        layout = _three_centre_layout(bases, auxs, plan.layout, sites)
+    else:
+        layout = workspace.plan(
+            "eri3c", (workspace.stack(bases).key, workspace.stack(auxs).key),
+            lambda: _three_centre_layout(bases, auxs, plan.layout, sites))
+    blocks, triples = layout.select(kept)
     tabs = _coulomb_tables(
         workspace, "eri3c", (bases, auxs), None,
         [_bra(cls) for cls in plan.classes],
         [grp.ket for grp in sites.groups], blocks,
     )
-    return tabs, mine
+    return tabs, layout, triples
+
+
+def _sums_in_order(values: np.ndarray, seg: np.ndarray,
+                   nseg: int) -> np.ndarray:
+    """``(nseg, k)``: each segment's rows of ``values (n, k)`` (``seg``
+    their segment ids) added in row order from zero — the order numpy's
+    sum over a leading axis adds a segment's rows alone in, so a
+    segment's sum has those bits (zero plus the first row is the first
+    row, but for the sign of a zero, which the gradients these sums go
+    into, accumulated from zero, never see). A segment with no rows
+    sums to zero."""
+    out = np.empty((nseg, values.shape[1]))
+    for j in range(values.shape[1]):
+        out[:, j] = np.bincount(seg, weights=values[:, j], minlength=nseg)
+    return out
+
+
+def _flat_offsets(shapes):
+    """Offsets of arrays of ``shapes`` laid end to end, and their
+    total."""
+    offs = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    return offs, int(offs[-1])
+
+
+def flat_zeros(shapes):
+    """One zeroed buffer holding arrays of ``shapes`` end to end, the
+    arrays as views of it, and where each starts."""
+    offs, total = _flat_offsets(shapes)
+    flat = np.zeros(total)
+    return flat, [flat[lo:hi].reshape(shape) for lo, hi, shape
+                  in zip(offs[:-1], offs[1:], shapes)], offs
+
+
+def flat_of(arrays) -> np.ndarray:
+    """The float arrays end to end as one flat array: the one array, or
+    the buffer they are views of when they lie end to end in one (as
+    `flat_zeros` lays them out), without a copy; else a copy."""
+    root = arrays[0]
+    if len(arrays) == 1 and root.dtype == np.float64 and root.flags.c_contiguous:
+        return root.reshape(-1)
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    if root.dtype == np.float64 and root.flags.c_contiguous:
+        at = root.__array_interface__["data"][0]
+        for a in arrays:
+            if (a.dtype != np.float64 or not a.flags.c_contiguous
+                    or a.__array_interface__["data"][0] != at):
+                break
+            at += a.nbytes
+        else:
+            if at == root.__array_interface__["data"][0] + root.nbytes:
+                return root.reshape(-1)
+    return np.concatenate([np.asarray(a, dtype=float).reshape(-1)
+                           for a in arrays])
 
 
 def _bra_kernel(tabs, ci, gi, grp, W, Lb, width):
@@ -1648,42 +1882,6 @@ def _three_centre(tabs, ci, gi, cls, grp, W, Lb):
     return blk * grp.comp_norms[atom][:, :, None, :]
 
 
-#: (orbital and fitting compositions, class key, (ls, m)) -> `_tensor_map`;
-#: geometry-free, so a run needs only the few compositions it meets,
-#: and dropped whole past `_TENSOR_MAP_BYTES`
-_TENSOR_MAPS: dict[tuple, tuple] = {}
-_TENSOR_MAP_BYTES = 8 << 20
-
-
-def _tensor_map(basis, aux, cls, fp, fs, group):
-    """Where a fragment's (pair, atom) block elements of one (class,
-    group) land in its flat ``(nbf, nbf, naux)`` tensor: ``(direct,
-    image)``, each ``(q, a * m * nfa * nfb * C)`` in block order —
-    ``(mu nu|P)`` and its ``(nu mu|P)`` image. Memoised on the
-    compositions."""
-    key = (basis_composition_key(basis), basis_composition_key(aux),
-           cls.key, group)
-    maps = _TENSOR_MAPS.get(key)
-    if maps is None:
-        r, c = _block_indices(fp.oa, cls.nfa, fp.ob, cls.nfb)
-        fi = fs.func_idx[None, :, :, None, None, :]
-        q = fp.npair
-        index = np.int32 if basis.nbf ** 2 * aux.nbf < 2**31 else np.intp
-        maps = tuple(
-            (x[:, None, None, :, :, None] * aux.nbf + fi).reshape(q, -1)
-            .astype(index)
-            for x in (r[:, :, None] * basis.nbf + c[:, None, :],
-                      c[:, None, :] * basis.nbf + r[:, :, None])
-        )
-        # a snapshot: another thread of the process may be adding maps
-        held = sum(m.nbytes for entry in tuple(_TENSOR_MAPS.values())
-                   for m in entry)
-        if held > _TENSOR_MAP_BYTES:
-            _TENSOR_MAPS.clear()
-        _TENSOR_MAPS[key] = maps
-    return maps
-
-
 @stack_driver
 def eri3c(
     bases,
@@ -1692,52 +1890,50 @@ def eri3c(
     workspace: IntegralWorkspace | None = None,
 ) -> list[np.ndarray]:
     """Three-center integrals ``(mu nu | P)`` of every fragment,
-    ``(nbf, nbf, naux)`` each.
+    ``(nbf, nbf, naux)`` each (views of one buffer).
 
     A block is a shell pair with an auxiliary site, computed once for
-    the call; each fragment scatters its own. With ``screen > 0`` a bra
+    the call; every fragment's blocks of a (class, group) are scattered
+    in one operation (`ThreeCentreLayout`). With ``screen > 0`` a bra
     shell pair of a fragment is skipped when its Schwarz bound ``Q_ab *
     max_P Q_P`` (the fragment's own table) cannot reach the threshold —
     every neglected integral is individually below ``screen`` and the
     summed bound of everything skipped is accounted to the workspace,
     per fragment (`IntegralWorkspace.record_screen`). ``workspace``
-    additionally serves the pair plan, aux scaffolding and bound
-    tables.
+    additionally serves the plans, aux scaffolding and bound tables.
     """
-    out = [np.zeros((b.nbf, b.nbf, a.nbf)) for b, a in zip(bases, auxs)]
+    flat, out, _ = flat_zeros([(b.nbf, b.nbf, a.nbf)
+                               for b, a in zip(bases, auxs)])
     plan = pair_plan(bases, workspace)
     sites = site_plan(auxs, workspace)
-    keep = _screen_pairs(plan, bases, auxs, screen, workspace, "eri3c")
-    tabs, mine = _eri3c_tables(workspace, bases, auxs, plan, sites, keep)
+    kept = _screen_pairs(plan, bases, auxs, screen, workspace, "eri3c")
+    tabs, layout, triples = _eri3c_tables(workspace, bases, auxs, plan,
+                                          sites, kept)
     requested = computed = 0
     for ci, cls in enumerate(plan.classes):
+        rows = plan.rows[ci]
+        base = None
         L = cls.la + cls.lb
         tuv = hermite_simplex(L)
         X = cls.nfa * cls.nfb
         W = None
         for gi, grp in enumerate(sites.groups):
-            if (ci, gi) not in mine:
+            held = triples.get((ci, gi))
+            if held is None:
                 continue
             if W is None:
                 W = _w_class(cls.E, comp_arrays(cls.la), comp_arrays(cls.lb),
                              tuv).reshape(cls.npair, X, -1)
+                base, image = rows.at(layout.offs, layout.naux)
             blk = _three_centre(tabs, ci, gi, cls, grp, W, L)
             per_atom = grp.m * grp.C
             computed += per_atom * cls.w[tabs.blocks[ci, gi] // grp.natom].sum()
-            for f, rows, fs, at in mine[ci, gi]:
-                fp = plan.frags[f][ci]
-                direct, image = _tensor_map(bases[f], auxs[f], cls, fp, fs,
-                                            (grp.ls, grp.m))
-                off, held = ~fp.diag, fp.at
-                if rows is not None:
-                    direct, image = direct[rows], image[rows]
-                    off, held = off[rows], held[rows]
-                requested += per_atom * fs.ids.size * cls.w[held].sum()
-                mine_blk = blk[at].reshape(at.shape[0], -1)
-                flat = out[f].reshape(-1)
-                flat[direct] = mine_blk
-                # the (nu mu|P) images of the off-diagonal pairs
-                flat[image[off]] = mine_blk[off]
+            requested += per_atom * cls.w[rows.pair[held.row]].sum()
+            vals = blk[held.pos]
+            flat[held.positions(base)] = vals
+            # the (nu mu|P) images of the off-diagonal pairs
+            off = ~rows.diag[held.row]
+            flat[held.positions(image, off)] = vals[off]
     _record_blocks(workspace, "3c", requested, computed)
     return out
 
@@ -1756,11 +1952,14 @@ def contract_eri3c_deriv(
     per fragment).
 
     ``Z[f]`` has shape ``(nbf, nbf, naux)`` and need not be symmetric in
-    (mu, nu). Auxiliary-center derivatives follow from translational
-    invariance (``dP = -(dA + dB)``). The six derivative integrals of
-    every (pair, site) block the fragments keep are computed once; each
-    fragment contracts its own coefficients with them (one ``(6, X C)
-    @ (X C, 1)`` per block it holds).
+    (mu, nu); read in place when the tensors lie end to end in one
+    buffer (`flat_of`). Auxiliary-center derivatives follow from
+    translational invariance (``dP = -(dA + dB)``). The six derivative
+    integrals of every (pair, site) block the fragments keep are
+    computed once; every fragment's coefficients of a (class, group)
+    are gathered and folded into the sites' ket expansions in one
+    operation, and contracted with them (one ``(6, X C) @ (X C, 1)`` per
+    block it holds).
 
     With ``screen > 0`` a bra shell pair is skipped when ``DERIV_SAFETY *
     Q_ab * max_P Q_P * max |Z|`` over the pair's coefficient slice cannot
@@ -1771,12 +1970,15 @@ def contract_eri3c_deriv(
     workspace, per fragment.
 
     Per-(pair, group) contracted values fill whole-class arrays; the
-    gradient is accumulated from those once per class, so the result
-    does not depend on the chunk size or on the call.
+    gradient is accumulated from those once per class, each fragment's
+    sums in its own order, so the result does not depend on the chunk
+    size or on the call.
     """
     F = len(bases)
     natoms = [natoms] * F if np.ndim(natoms) == 0 else list(natoms)
-    g = [np.zeros((n, 3)) for n in natoms]
+    # every fragment's gradient, one block of rows each
+    goffs = np.cumsum([0] + natoms)
+    G = np.zeros((goffs[-1], 3))
     plan = pair_plan(bases, workspace)
     sites = site_plan(auxs, workspace)
     Zblk = None
@@ -1785,67 +1987,57 @@ def contract_eri3c_deriv(
         # is what a pair's derivative meets
         Zblk = [_zblk_table(basis, 0.5 * (z + z.transpose(1, 0, 2)))
                 for basis, z in zip(bases, Z)]
-    keep = _screen_pairs(plan, bases, auxs, screen, workspace,
+    kept = _screen_pairs(plan, bases, auxs, screen, workspace,
                          "eri3c_deriv", Zblk)
     # the tables `eri3c` left in this evaluation's scratch, completed by
     # the blocks this mask keeps and that one dropped
-    tabs, mine = _eri3c_tables(workspace, bases, auxs, plan, sites, keep)
+    tabs, layout, triples = _eri3c_tables(workspace, bases, auxs, plan,
+                                          sites, kept)
     dWs = _deriv_expansions(plan.classes, workspace)
+    z = flat_of(Z)
     for ci, (cls, dW) in enumerate(zip(plan.classes, dWs)):
+        rows = plan.rows[ci]
+        held = [(gi, grp, triples[ci, gi]) for gi, grp in enumerate(sites.groups)
+                if (ci, gi) in triples]
+        if not held:
+            continue
         L = cls.la + cls.lb + 1
         X = cls.nfa * cls.nfb
         W = dW.reshape(cls.npair, 6 * X, -1)
         norms_flat = cls.norms.ravel()
-        # per fragment: bra/ket-centre sums (q, 3) and, per group, the
-        # per-site vA + vB (q, m, 3) that go onto the aux centres
-        acc: dict[int, list] = {}
-        for gi, grp in enumerate(sites.groups):
-            if (ci, gi) not in mine:
-                continue
+        base, image = rows.at(layout.offs, layout.naux)
+        # an off-diagonal pair stands for its (nu mu|P) image
+        weight = np.where(rows.diag, 1.0, 2.0)[:, None, None, None]
+        # per row: bra/ket-centre sums; per group and (fragment, atom):
+        # the vA + vB that go onto the aux centres
+        sums = np.zeros((rows.frag.size, 6))
+        on_aux = []
+        for gi, grp, t in held:
             m, C, Tk = grp.m, grp.C, grp.Tk
             # a block's six derivatives over its sites' (x, t) rows
             k = X * Tk * m
             t1 = _bra_kernel(tabs, ci, gi, grp, W, L, 6 * X).reshape(-1, 6, k)
             cn = grp.comp_norms[:, :, None, :] * norms_flat[:, None]
-            for piece in _pieces(mine[ci, gi], 8 * m * X * max(C, Tk)):
-                pos, ZW = [], []
-                for f, rows, fs, at in piece:
-                    fp = plan.frags[f][ci]
-                    direct, image = _tensor_map(bases[f], auxs[f], cls, fp,
-                                                fs, (grp.ls, grp.m))
-                    diag = fp.diag
-                    if rows is not None:
-                        direct, image, diag = direct[rows], image[rows], diag[rows]
-                    z = Z[f].reshape(-1)
-                    # the symmetric part of the fragment's Z, normalized
-                    # (an off-diagonal pair stands for its (nu mu|P)
-                    # image) and folded into its sites' ket expansions
-                    zg = (z[direct] + z[image]) * 0.5
-                    zg = zg.reshape(*at.shape, m, X, C) * cn[fs.ids]
-                    zg *= np.where(diag, 1.0, 2.0)[:, None, None, None, None]
-                    pos.append(at.ravel())
-                    ZW.append(np.ascontiguousarray(
-                        bgemm(zg, grp.Wk[fs.ids]).transpose(0, 1, 3, 4, 2)
-                    ).reshape(at.size, k, 1))
-                ZW = np.concatenate(ZW)
-                v = bgemm(_gather(t1, pos), ZW)[..., 0]
-                lo = 0
-                for f, _, fs, at in piece:
-                    q, a = at.shape
-                    vf = v[lo:lo + q * a].reshape(q, a, 6)
-                    lo += q * a
-                    if f not in acc:
-                        acc[f] = [np.zeros((q, 3)), np.zeros((q, 3)), []]
-                    sA, sB, vAB = acc[f]
-                    sA += vf[:, :, :3].sum(axis=1)
-                    sB += vf[:, :, 3:].sum(axis=1)
-                    vAB.append((fs.atoms, vf[:, :, :3] + vf[:, :, 3:]))
+            v = np.empty((t.row.size, 6))
+            for sl in _chunks(t.row.size, 8 * m * X * max(C, Tk)):
+                # the symmetric part of the fragments' Z, normalized and
+                # folded into their sites' ket expansions
+                zg = (z[t.positions(base, sl)] + z[t.positions(image, sl)]) * 0.5
+                zg = zg * cn[t.ids[sl]]
+                zg *= weight[t.row[sl]]
+                ZW = np.ascontiguousarray(
+                    bgemm(zg, grp.Wk[t.ids[sl]]).transpose(0, 2, 3, 1)
+                ).reshape(-1, k, 1)
+                v[sl] = bgemm(t1[t.pos[sl]], ZW)[..., 0]
             del t1  # before the next group's blocks are built
-        for f, (sA, sB, vAB) in acc.items():
-            fp = plan.frags[f][ci]
-            sel = slice(None) if keep[f][ci] is None else keep[f][ci]
-            np.add.at(g[f], fp.atom_a[sel], sA)
-            np.add.at(g[f], fp.atom_b[sel], sB)
-            for atoms, v in vAB:
-                np.subtract.at(g[f], atoms, v.sum(axis=0))
-    return g
+            sums += _sums_in_order(v, t.row, rows.frag.size)
+            on_aux.append((goffs[t.slot_frag] + t.slot_atom,
+                           _sums_in_order(v[:, :3] + v[:, 3:], t.slot,
+                                          t.slot_frag.size)))
+        sel = slice(None) if kept[ci] is None else kept[ci]
+        at = goffs[rows.frag[sel]]
+        np.add.at(G, at + rows.atom_a[sel], sums[sel, :3])
+        np.add.at(G, at + rows.atom_b[sel], sums[sel, 3:])
+        for atoms, v in on_aux:
+            np.subtract.at(G, atoms, v)
+    return [G[lo:hi] for lo, hi in zip(goffs[:-1], goffs[1:])]

@@ -30,6 +30,7 @@ the conventional-HF baseline live here.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +41,6 @@ if TYPE_CHECKING:
     from .workspace import IntegralWorkspace
 from ..gemm import bgemm
 from .engine import (
-    AuxGroup,
-    aux_group_data,
     comp_arrays,
     hermite_simplex,
     stack_driver,
@@ -53,12 +52,6 @@ _TWO_PI_52 = 2.0 * np.pi**2.5
 #: plain Schwarz bound; screening decisions on derivative drivers absorb
 #: that in a conservative prefactor
 DERIV_SAFETY = 50.0
-
-
-def _aux_groups(workspace, aux, di: int = 0) -> list[AuxGroup]:
-    if workspace is not None:
-        return workspace.aux_groups(aux, di=di)
-    return aux_group_data(aux, di=di)
 
 
 def _schwarz_tables(bases, workspace) -> list[np.ndarray]:
@@ -89,14 +82,18 @@ def _eri2c_tables(workspace, auxs, sites):
     """The `CoulombTables` of every ordered (bra group, ket group) pair
     of the metric, over the (site, site) blocks some fragment holds: the
     bra is the site group as one-primitive "pairs", the ket its sites
-    one at a time. Returns the set and each fragment's blocks among them
-    (`batch._pairs_of_sites`)."""
-    from .batch import _coulomb_tables, _pairs_of_sites, _site_bras
+    one at a time. Returns the set and the call's `_MetricLayout`,
+    the plan of the fitting bases' compositions."""
+    from .batch import _coulomb_tables, _site_bras
 
-    blocks, mine = _pairs_of_sites(sites)
+    if workspace is None:
+        layout = _metric_layout(auxs, sites)
+    else:
+        layout = workspace.plan("eri2c", workspace.stack(auxs).key,
+                                lambda: _metric_layout(auxs, sites))
     tabs = _coulomb_tables(workspace, "eri2c", (auxs,), None,
-                           _site_bras(sites), _site_kets(sites), blocks)
-    return tabs, mine
+                           _site_bras(sites), _site_kets(sites), layout.blocks)
+    return tabs, layout
 
 
 def _site_kets(sites):
@@ -140,43 +137,81 @@ def _site_pairs(tabs, gb, gk, Wb, grp_b, grp_k, Lb, width):
     return out
 
 
-#: (fitting composition, two group keys) -> `_metric_map`; geometry-free
-_METRIC_MAPS: dict[tuple, tuple] = {}
+@dataclass
+class _SitePairs:
+    """The (site, site) blocks of one pair of groups the call's
+    fragments hold, one per (fragment, bra site, ket site) in that
+    order: the block's position among the pair's blocks (``pos``),
+    whether its two sites are on one atom (``same``) and its bra and
+    ket site *slots* — a (fragment, site) — whose fragment, own atom
+    and function indices are the slots' arrays. Where a block's ``(C_b,
+    C_k)`` elements land in the call's flat metric: ``b_row[bslot] +
+    k_col[kslot]`` for ``(P|Q)``, ``k_row[kslot] + b_col[bslot]`` for
+    ``(Q|P)`` (``row = offset + function * naux``)."""
+
+    pos: np.ndarray
+    same: np.ndarray
+    bslot: np.ndarray
+    kslot: np.ndarray
+    b_frag: np.ndarray
+    b_atom: np.ndarray
+    b_row: np.ndarray
+    b_col: np.ndarray
+    k_frag: np.ndarray
+    k_atom: np.ndarray
+    k_row: np.ndarray
+    k_col: np.ndarray
+
+    def positions(self, image: bool = False) -> np.ndarray:
+        """Where the blocks' ``(n, C_b, C_k)`` elements land: ``(P|Q)``,
+        or its ``(Q|P)`` image."""
+        if image:
+            return (self.k_row[self.kslot][:, None, :]
+                    + self.b_col[self.bslot][:, :, None])
+        return (self.b_row[self.bslot][:, :, None]
+                + self.k_col[self.kslot][:, None, :])
 
 
-def _metric_map(aux, grp_b, grp_k, fb, fk):
-    """Where a fragment's (site, site) block elements of one pair of
-    groups land in its flat ``(naux, naux)`` metric: ``(direct, image,
-    same)`` — the ``(P|Q)`` and ``(Q|P)`` positions, ``(n_b n_k, C_b
-    C_k)`` in block order, and which blocks pair two sites of one atom.
-    Memoised on the composition."""
-    from .workspace import basis_composition_key
+@dataclass
+class _MetricLayout:
+    """The metric's plan of a call: the flat offset of every fragment's
+    ``(naux, naux)`` matrix, and per ordered pair of (merged) site
+    groups its sorted block codes and `_SitePairs`. Geometry-free."""
 
-    key = (basis_composition_key(aux), grp_b.ls, grp_b.m, grp_k.ls, grp_k.m)
-    maps = _METRIC_MAPS.get(key)
-    if maps is None:
-        fi_b = fb.func_idx.reshape(-1, grp_b.C)[:, None, :, None]
-        fi_k = fk.func_idx.reshape(-1, grp_k.C)[None, :, None, :]
-        n = fi_b.shape[0] * fi_k.shape[1]
-        index = np.int32 if aux.nbf ** 2 < 2**31 else np.intp
-        same = (np.repeat(fb.atoms, grp_b.m)[:, None]
-                == np.repeat(fk.atoms, grp_k.m)[None, :])
-        maps = ((fi_b * aux.nbf + fi_k).reshape(n, -1).astype(index),
-                (fi_k * aux.nbf + fi_b).reshape(n, -1).astype(index),
-                same.ravel())
-        if len(_METRIC_MAPS) >= 1024:
-            _METRIC_MAPS.clear()
-        _METRIC_MAPS[key] = maps
-    return maps
+    offs: np.ndarray
+    blocks: dict
+    pairs: dict
 
 
-def _flat_metrics(auxs):
-    """One zeroed buffer holding every fragment's ``(naux, naux)``
-    matrix, the matrices as views of it, and their offsets."""
-    offs = np.cumsum([0] + [aux.nbf ** 2 for aux in auxs])
-    flat = np.zeros(offs[-1])
-    return flat, [flat[lo:hi].reshape(aux.nbf, aux.nbf)
-                  for lo, hi, aux in zip(offs[:-1], offs[1:], auxs)], offs
+def _metric_layout(auxs, sites) -> _MetricLayout:
+    """The `_MetricLayout` of a call's fitting bases (``sites`` their
+    per-site `batch.SitePlan`)."""
+    from .batch import _flat_offsets, _pairs_of_sites
+
+    blocks, mine = _pairs_of_sites(sites)
+    offs, _ = _flat_offsets([(aux.nbf, aux.nbf) for aux in auxs])
+    pairs = {}
+    for (gb, gk), held in mine.items():
+        Cb, Ck = sites.groups[gb].C, sites.groups[gk].C
+        parts, nb, nk = [], 0, 0
+        for f, fb, fk, at in held:
+            n_b, n_k = at.shape
+            naux = auxs[f].nbf
+            fi_b = fb.func_idx.reshape(-1, Cb)
+            fi_k = fk.func_idx.reshape(-1, Ck)
+            atoms_b = np.repeat(fb.atoms, sites.groups[gb].m)
+            atoms_k = np.repeat(fk.atoms, sites.groups[gk].m)
+            parts.append((
+                at.ravel().astype(np.int32),
+                (atoms_b[:, None] == atoms_k[None, :]).ravel(),
+                (nb + np.repeat(np.arange(n_b), n_k)).astype(np.int32),
+                (nk + np.tile(np.arange(n_k), n_b)).astype(np.int32),
+                np.full(n_b, f), atoms_b, offs[f] + fi_b * naux, fi_b,
+                np.full(n_k, f), atoms_k, offs[f] + fi_k * naux, fi_k,
+            ))
+            nb, nk = nb + n_b, nk + n_k
+        pairs[gb, gk] = _SitePairs(*(np.concatenate(x) for x in zip(*parts)))
+    return _MetricLayout(offs, blocks, pairs)
 
 
 @stack_driver
@@ -191,30 +226,24 @@ def eri2c(auxs, workspace: IntegralWorkspace | None = None) -> list:
     Hermite Coulomb tables of every ordered pair for
     `contract_eri2c_deriv`.
     """
-    from .batch import _gather, _record_blocks, site_plan
+    from .batch import _record_blocks, flat_zeros, site_plan
 
     sites = site_plan(auxs, workspace).per_site()
-    tabs, mine = _eri2c_tables(workspace, auxs, sites)
-    flat, J, offs = _flat_metrics(auxs)
+    tabs, layout = _eri2c_tables(workspace, auxs, sites)
+    flat, J, _ = flat_zeros([(aux.nbf, aux.nbf) for aux in auxs])
     computed = sum(sites.groups[gb].C * sites.groups[gk].C * codes.size
                    for (gb, gk), codes in tabs.blocks.items())
     for gb, sb in enumerate(sites.groups):
         Wb = _site_rows(sb)
         for gk in range(gb, len(sites.groups)):
-            if (gb, gk) not in mine:
+            held = layout.pairs.get((gb, gk))
+            if held is None:
                 continue
             sk = sites.groups[gk]
-            blk = _site_pairs(tabs, gb, gk, Wb, sb, sk, sb.l, sb.C)
-            pos, direct, image = [], [], []
-            for f, fb, fk, at in mine[gb, gk]:
-                d, i, _ = _metric_map(auxs[f], sb, sk, fb, fk)
-                pos.append(at.ravel())
-                direct.append((d + offs[f]).ravel())
-                image.append((i + offs[f]).ravel())
+            vals = _site_pairs(tabs, gb, gk, Wb, sb, sk, sb.l, sb.C)[held.pos]
             # the (Q|P) image last: on a diagonal block it is what stays
-            vals = _gather(blk, pos).ravel()
-            flat[np.concatenate(direct)] = vals
-            flat[np.concatenate(image)] = vals
+            flat[held.positions()] = vals
+            flat[held.positions(image=True)] = vals
     _record_blocks(workspace, "2c", sum(aux.nbf ** 2 for aux in auxs),
                    computed)
     return J
@@ -238,7 +267,7 @@ def contract_eri2c_deriv(
     tables `eri2c` left at these geometries; each fragment contracts
     its own ``zeta`` with them.
     """
-    from .batch import _gather, _pieces, _w_deriv_class, site_plan
+    from .batch import _chunks, _sums_in_order, _w_deriv_class, flat_of, site_plan
 
     F = len(auxs)
     natoms = [natoms] * F if np.ndim(natoms) == 0 else list(natoms)
@@ -249,7 +278,8 @@ def contract_eri2c_deriv(
     # one unit of E-table headroom for the differentiated (bra) side; the
     # ket expansions read the same tables' lower entries
     sites = site_plan(auxs, workspace, di=1).per_site()
-    tabs, mine = _eri2c_tables(workspace, auxs, sites)
+    tabs, layout = _eri2c_tables(workspace, auxs, sites)
+    zeta = flat_of(zeta)
     for gb, sb in enumerate(sites.groups):
         L = sb.l + 1
         X = sb.C
@@ -265,33 +295,24 @@ def contract_eri2c_deriv(
             axis=1,
         ).reshape(a.size, 3 * X, -1)
         for gk, sk in enumerate(sites.groups):
-            if (gb, gk) not in mine:
+            held = layout.pairs.get((gb, gk))
+            if held is None:
                 continue
             dI = _site_pairs(tabs, gb, gk, dW, sb, sk, L, 3 * X)
             dI = dI.reshape(-1, 3, X * sk.C)
-            for piece in _pieces(mine[gb, gk], 5 * X * sk.C):
-                pos, zg, same, bra, ket = [], [], [], [], []
-                for f, fb, fk, at in piece:
-                    d, _, s = _metric_map(auxs[f], sb, sk, fb, fk)
-                    pos.append(at.ravel())
-                    zg.append(zeta[f].reshape(-1)[d])
-                    same.append(s)
-                    bra.append(offs[f] + np.repeat(fb.atoms, sb.m))
-                    ket.append(offs[f] + np.repeat(fk.atoms, sk.m))
-                # gathered coefficients; same-atom pairs: the derivative
-                # vanishes by invariance
-                zg = np.concatenate(zg)
-                zg[np.concatenate(same)] = 0.0
-                vals = bgemm(_gather(dI, pos), zg[:, :, None])[..., 0]
-                lo, on_b, on_k = 0, [], []
-                for (*_, at), atoms_b in zip(piece, bra):
-                    n, m = at.shape
-                    v = vals[lo:lo + n * m].reshape(n, m, 3)
-                    lo += n * m
-                    on_b.append(v.sum(axis=1))
-                    on_k.append(v.sum(axis=0))
-                np.add.at(G, np.concatenate(bra), np.concatenate(on_b))
-                np.subtract.at(G, np.concatenate(ket), np.concatenate(on_k))
+            # every fragment's coefficients at once; same-atom pairs:
+            # the derivative vanishes by invariance
+            zg = zeta[held.positions()].reshape(held.pos.size, -1)
+            zg[held.same] = 0.0
+            vals = np.empty((held.pos.size, 3))
+            for sl in _chunks(held.pos.size, 5 * X * sk.C):
+                vals[sl] = bgemm(dI[held.pos[sl]], zg[sl, :, None])[..., 0]
+            # each bra site's sum over its ket sites, each ket site's
+            # over its bra sites, in the fragment's order
+            np.add.at(G, offs[held.b_frag] + held.b_atom,
+                      _sums_in_order(vals, held.bslot, held.b_frag.size))
+            np.subtract.at(G, offs[held.k_frag] + held.k_atom,
+                           _sums_in_order(vals, held.kslot, held.k_frag.size))
     return [G[lo:hi] for lo, hi in zip(offs[:-1], offs[1:])]
 
 

@@ -16,19 +16,27 @@ effort attributes to missing integral reuse.
 exhaust worker memory) plus the integral products:
 
 * **Composition keys** — entries are keyed on the *composition* of the
-  basis (per-shell angular momentum, owning atom, exponents and
-  contraction coefficients), never on object identity, so the freshly
-  rebuilt `BasisSet` of the same fragment at the next MD step hits.
-* **State vs scratch** — what can serve the *next* geometry lives in
-  the store: the auxiliary site groups are geometry-independent, and
-  so are the auxiliary function bounds. What is keyed on the exact
-  centers (class and Hermite Coulomb tables, and the Schwarz bound
-  tables) is one evaluation's scratch, since an MD geometry never
-  recurs: shared by the drivers inside the calling thread's `scope`,
-  dropped at its exit. The fragments of a calculator call (or of one
-  group of it) are one evaluation (`evaluation`): each shell pair,
-  auxiliary site and nucleus they share is one entry of its plans, and
-  every integral block is computed once.
+  bases (per-shell angular momentum, owning atom, exponents and
+  contraction coefficients) and on which of a call's shells share a
+  centre (`StackKey`), never on object identity, so the bases of the
+  same fragments at the next MD step hit.
+* **Plans once per composition** — what depends on compositions alone
+  is built once and kept in the store (`plan`): a call's pair and site
+  layouts, its block lists and the scatter maps that put every
+  fragment's blocks of a (class, group) in place in one operation,
+  and the calculators' groups and bases; the auxiliary function bounds
+  too. An evaluation computes only what its geometry changes: the
+  centres, product centres, E tables, Schwarz tables and screening
+  masks (which select rows of the plans' blocks) and its Hermite
+  Coulomb tables.
+* **State vs scratch** — what is keyed on the exact centres (the plans
+  placed at them, the Hermite Coulomb tables, the Schwarz bound tables)
+  is one evaluation's scratch, since an MD geometry never recurs:
+  shared by the drivers inside the calling thread's `scope`, dropped at
+  its exit. The fragments of a calculator call (or of one group of it)
+  are one evaluation (`evaluation`): each shell pair, auxiliary site
+  and nucleus they share is one entry of its plans, and every integral
+  block is computed once.
 * **Screen where you stand** — every evaluation screens each fragment
   with the Schwarz table of its own geometry, built once on the
   evaluation's pair plan (`schwarz_bounds_stack`). Screening is a
@@ -53,7 +61,7 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
-from ..store import BoundedStore
+from ..store import BoundedStore, payload_nbytes
 from ..trace import current
 
 #: default screening threshold for the calculators / CLI (``--int-screen``);
@@ -81,14 +89,66 @@ def basis_composition_key(basis) -> tuple:
 
 
 def _centers(basis) -> np.ndarray:
-    return np.array([sh.center for sh in basis.shells])
+    """The centre of every shell of a basis, ``(nshells, 3)``, memoised
+    on the basis like its composition key."""
+    centres = basis.__dict__.get("_centres")
+    if centres is None:
+        centres = np.array([sh.center for sh in basis.shells]).reshape(-1, 3)
+        basis.__dict__["_centres"] = centres
+    return centres
 
 
-def _stack_key(bases) -> tuple:
-    """Key material of a list of bases: each one's composition and
-    centres."""
-    return tuple((basis_composition_key(basis), _centers(basis).tobytes())
-                 for basis in bases)
+def stack_centres(bases) -> np.ndarray:
+    """The shell centres of a list of bases, end to end."""
+    return np.concatenate([_centers(basis) for basis in bases])
+
+
+class StackKey:
+    """The geometry-free identity of a list of bases: each one's
+    composition and which of the call's shells share a centre (the
+    index of each shell's centre among the call's distinct centres).
+    Two lists with equal keys have the same plans (`batch.PairLayout`,
+    `batch.SitePlan`, the block lists and scatter maps): a shell pair,
+    an auxiliary atom or a block is shared by the same fragments.
+    The hash is taken once."""
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts: tuple) -> None:
+        self.parts = parts
+        self._hash = hash(parts)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is StackKey
+                                 and self._hash == other._hash
+                                 and self.parts == other.parts)
+
+
+class Stack:
+    """A list of bases as the workspace keys it: its `StackKey` (``key``),
+    its shells' centres end to end (``centres``) and the exact-geometry
+    key of its scratch products (``where``)."""
+
+    __slots__ = ("bases", "key", "centres", "where")
+
+    def __init__(self, bases) -> None:
+        self.bases = tuple(bases)
+        self.centres = stack_centres(bases)
+        rows = np.ascontiguousarray(self.centres).view(
+            np.dtype((np.void, 24))).ravel()
+        _, first, pattern = np.unique(rows, return_index=True,
+                                      return_inverse=True)
+        # centre ids in order of first occurrence
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.size)
+        self.key = StackKey((
+            tuple(basis_composition_key(basis) for basis in bases),
+            rank[pattern.ravel()].astype(np.int32).tobytes(),
+        ))
+        self.where = (self.key, self.centres.tobytes())
 
 
 #: the block families a value driver counts (`IntegralWorkspace.
@@ -133,8 +193,10 @@ class IntegralWorkspace(BoundedStore):
 
     Cross-step state, keyed on basis composition and kept in the store:
 
-    * `aux_groups` — the auxiliary site grouping (`engine.AuxGroup`),
-      geometry-independent, E tables included;
+    * `plan` — a call's geometry-free plans (`batch.PairLayout`, the
+      site plan `batch.SitePlan`, `batch.ThreeCentreLayout`, the
+      metric's and the nuclei's block lists, the calculators' groups
+      and bases), keyed by the `StackKey` of its bases;
     * `aux_function_bounds` — per-auxiliary-function bounds
       ``sqrt((P|P))`` (translation invariant, cached exactly).
 
@@ -224,26 +286,6 @@ class IntegralWorkspace(BoundedStore):
             tracer.instant(name, cat="integrals", **args)
 
     # ------------------------------------------------------------------
-    # auxiliary group scaffolding
-    # ------------------------------------------------------------------
-    def aux_groups(self, aux, di: int = 0) -> list:
-        """Auxiliary site groups (`engine.aux_group_data`) of a fitting
-        basis, cached on its composition alone: nothing in them depends
-        on geometry (a site's zero-exponent partner sits on its own
-        centre, so its E tables are the same everywhere, and the
-        drivers read the centres from the basis)."""
-        from .engine import aux_group_data
-
-        key = ("auxgrp", basis_composition_key(aux), di)
-        groups = self._get(key)
-        self._instant("workspace.hit", product="aux_groups",
-                      hit=groups is not None, di=di)
-        if groups is None:
-            groups = aux_group_data(aux, di=di)
-            self._put(key, groups)
-        return groups
-
-    # ------------------------------------------------------------------
     # screening bound tables
     # ------------------------------------------------------------------
     def schwarz_bounds_stack(self, bases) -> list[np.ndarray]:
@@ -291,6 +333,39 @@ class IntegralWorkspace(BoundedStore):
         return q
 
     # ------------------------------------------------------------------
+    # plans: geometry-free, one per composition of a call
+    # ------------------------------------------------------------------
+    def stack(self, bases) -> Stack:
+        """The `Stack` of a list of bases, worked out once per evaluation
+        (kept in its scratch under the bases' identities, which it keeps
+        alive)."""
+        scratch = self._scope.scratch if self.enabled else None
+        if scratch is None:
+            return Stack(bases)
+        key = ("stack", *map(id, bases))
+        found = scratch.get(key)
+        if found is None:
+            found = scratch[key] = Stack(bases)
+        return found
+
+    def plan(self, kind: str, key, build):
+        """The plan ``kind`` of the call whose stacks' `StackKey` is
+        ``key``: from the store, or ``build()`` and kept there. A plan
+        depends on compositions and shared centres alone, so it serves
+        every geometry of them; it is counted in the store's bytes and
+        evicted like any entry (one larger than the whole budget is
+        not kept), and its lookups are not counted as hits or misses
+        (the products built from it are)."""
+        full = ("plan", kind, key)
+        plan = self._lookup(full)
+        if plan is None:
+            plan = build()
+            # one larger than the whole budget is the call's alone
+            if payload_nbytes(plan) <= self.max_bytes:
+                self._put(full, plan)
+        return plan
+
+    # ------------------------------------------------------------------
     # batched shell-class tables
     # ------------------------------------------------------------------
     def pair_plan(self, bases):
@@ -298,16 +373,23 @@ class IntegralWorkspace(BoundedStore):
         pairs packed per class for the batched kernels, and each
         fragment's pairs among them.
 
-        Scratch, keyed on every basis's composition and exact shell
-        centers: the packed E tables are geometry-dependent, so the
-        drivers of one evaluation (overlap/kinetic/nuclear/Schwarz/3c/
-        derivatives) share a single build and the next MD step is left
-        nothing.
+        Scratch, keyed on the bases' `Stack` (compositions and exact
+        shell centres): the packed E tables are geometry-dependent, so
+        the drivers of one evaluation (overlap/kinetic/nuclear/Schwarz/
+        3c/derivatives) share a single build and the next MD step is
+        left nothing. What is geometry-free in it — the pairs, classes
+        and fragments' pairs (`batch.PairLayout`) — is the plan the
+        store keeps, so a build only places it at the centres.
         """
-        from .batch import _build_pair_plan
+        from .batch import _pair_layout, _place_pairs
 
-        key = ("classtab", _stack_key(bases))
-        plan, hit = self._scratch(key, lambda: _build_pair_plan(bases))
+        stack = self.stack(bases)
+
+        def build():
+            layout = self.plan("pairs", stack.key, lambda: _pair_layout(bases))
+            return _place_pairs(layout, stack.centres)
+
+        plan, hit = self._scratch(("classtab", stack.where), build)
         self._instant("workspace.hit", product="shell_classes", hit=hit)
         return plan
 
@@ -316,16 +398,19 @@ class IntegralWorkspace(BoundedStore):
         return self.pair_plan(bases).classes
 
     def site_plan(self, auxs, di: int = 0):
-        """The `batch.SitePlan` of a list of fitting bases, built once per
-        evaluation and kept in its scratch beside the counted products
-        it is made of (`aux_groups`), uncounted."""
+        """The `batch.SitePlan` of a list of fitting bases: the store's
+        geometry-free plan placed at the bases' centres, once per
+        evaluation, kept in its scratch, uncounted."""
         from .batch import _build_site_plan
 
+        stack = self.stack(auxs)
         scratch = self._scope.scratch if self.enabled else None
-        key = ("siteplan", _stack_key(auxs), di)
+        key = ("siteplan", stack.where, di)
         plan = None if scratch is None else scratch.get(key)
         if plan is None:
-            plan = _build_site_plan(auxs, self, di)
+            plan = self.plan("sites", (stack.key, di),
+                             lambda: _build_site_plan(auxs, di))
+            plan = plan.placed(stack.centres)
             if scratch is not None:
                 scratch[key] = plan
         return plan
@@ -353,7 +438,7 @@ class IntegralWorkspace(BoundedStore):
         a set lives from its value driver to its derivative. Found and
         rebuilt tables are bitwise equal: the scratch only saves time.
         """
-        key = ("coultab", kind, *(_stack_key(stack) for stack in stacks),
+        key = ("coultab", kind, *(self.stack(stack).where for stack in stacks),
                None if points is None else points.tobytes())
         budget = table_budget(self)
         tabs, hit = self._scratch(key, lambda: build(None, budget))

@@ -57,8 +57,7 @@ def payload_nbytes(payload) -> int:
 
     Walks arrays, dataclass-like objects, and the standard containers,
     deduplicating by object identity so arrays shared between entries of
-    one payload (e.g. the scaffold tuples in `aux_groups`) are counted
-    once. Replaces the hand-maintained per-call-site size expressions,
+    one payload are counted once. Replaces the hand-maintained per-call-site size expressions,
     which had drifted from the stored payloads (they under-counted the
     shell-pair tables and ignored container members entirely), skewing
     the LRU eviction order away from the actual memory footprint.

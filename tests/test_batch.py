@@ -408,15 +408,18 @@ class TestKernelModeDispatch:
             c2 = build_shell_classes(bs, ws)
         assert c1 is c2
         assert (ws.hits, ws.misses) == (1, 1)
-        # scratch, not state: gone with the scope, and never in the store
+        # scratch, not state: gone with the scope, and never in the
+        # store, which keeps the geometry-free plan they are placed from
         assert build_shell_classes(bs, ws) is not c1
-        assert (ws.hits, ws.misses, len(ws)) == (1, 2, 0)
+        assert (ws.hits, ws.misses) == (1, 2)
+        assert [key[:2] for key in ws._entries] == [("plan", "pairs")]
 
 
 def _holds_only_state(ws) -> bool:
-    """Whether the store holds composition-keyed products only — what
-    must be true after any evaluation, whatever it ran."""
-    return {key[0] for key in ws._entries} <= {"auxgrp", "auxbound"}
+    """Whether the store holds composition-keyed products only (the
+    auxiliary bounds and the calls' plans) — what must be true after any
+    evaluation, whatever it ran."""
+    return {key[0] for key in ws._entries} <= {"auxbound", "plan"}
 
 
 @pytest.fixture(scope="module", params=[
@@ -975,17 +978,17 @@ class TestSiteGrouping:
             assert g.comps.shape == g.func_idx.shape[1:] + (3,)
             assert g.comp_norms.shape == g.func_idx.shape
             assert g.E.shape[2] == g.lmax + 1  # one E table per site
-        # the workspace serves the same groups, built once: nothing in
-        # them depends on geometry
+        # the workspace's site plan is built from them once per
+        # composition: another geometry only places it at its centres
         ws = IntegralWorkspace()
-        served = ws.aux_groups(aux)
-        assert ws.aux_groups(aux) is served
-        for got, want_grp in zip(served, groups):
-            assert got.ls == want_grp.ls
-            for name in ("a", "E", "atoms", "func_idx", "comp_norms",
-                         "comps"):
-                assert np.array_equal(getattr(got, name),
-                                      getattr(want_grp, name))
+        first = ws.site_plan([aux])
+        moved = BasisSet([sh.at(sh.center + 0.1, sh.atom) for sh in aux.shells])
+        again = ws.site_plan([moved])
+        assert [key[:2] for key in ws._entries] == [("plan", "sites")]
+        for a, b in zip(first.groups, again.groups):
+            assert a.E is b.E and a.Wk is b.Wk
+            assert np.array_equal(b.Pk, a.Pk + 0.1)
+        assert first.groups[0].ls == groups[0].ls
 
     def test_eri3c(self, case):
         _, bs, aux, _ = case
@@ -1096,9 +1099,13 @@ class TestByteAccounting:
         bs, aux = _setup(water, "sto-3g")
         ws = IntegralWorkspace()
         eri3c(bs, aux, screen=1e-12, workspace=ws)
-        # auxiliary groups and bounds; a Schwarz table screened at no
-        # fragment's reference is the evaluation's, not the store's
-        assert len(ws) == 2 and ws.nbytes == payload_nbytes(
+        # auxiliary bounds, and the call's pair, site and three-centre
+        # plans; a Schwarz table screened at no fragment's reference is
+        # the evaluation's, not the store's
+        assert sorted(key[1] if key[0] == "plan" else key[0]
+                      for key in ws._entries) == [
+            "auxbound", "eri3c", "pairs", "sites"]
+        assert ws.nbytes == payload_nbytes(
             [e[0] for e in ws._entries.values()]
         )
 

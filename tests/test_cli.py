@@ -313,6 +313,25 @@ class TestServeCommands:
         else:
             assert counted is None and stays in out
 
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_serve_gemm_line_reads_where_the_gemms_ran(self, tmp_path,
+                                                       capsys, pool):
+        """The GEMM count is the workers': measured on threads, and on
+        worker processes said to stay there instead of printing the
+        coordinator's zero."""
+        specs = str(tmp_path / "specs.json")
+        assert main(["submit", specs, "--job-id", "qm", "--system", "water",
+                     "-n", "2", "--method", "rihf", "--steps", "2"]) == 0
+        assert main(["serve", specs, "--out", str(tmp_path / "out"),
+                     "--workers", "2", "--pool", pool]) == 0
+        out = capsys.readouterr().out
+        counted = re.search(r"^gemm: (\d+) calls, ([\d.]+) GFLOP", out, re.M)
+        stays = "gemm: counters stay in the 2 worker processes"
+        if pool == "thread":
+            assert counted and int(counted[1]) > 0 and stays not in out
+        else:
+            assert counted is None and stays in out
+
 
 class TestUsageErrors:
     """A value the job spec refuses ends the command as argparse ends a

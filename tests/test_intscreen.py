@@ -178,20 +178,31 @@ class TestWorkspaceInvalidation:
         assert Qw.shape != Qg.shape
 
     def test_lru_eviction_preserves_exactness(self, water_dimer):
-        # What the store holds is composition-keyed (auxiliary groups
-        # and their function bounds), so a
-        # second basis gives the tiny budget something to evict; coming
-        # back to the first one rebuilds the evicted entries
-        # transparently and stays exact.
-        ws = IntegralWorkspace(max_bytes=15_000)  # below both together
-        for name in ("sto-3g", "repro-dz", "sto-3g"):
-            bs = BasisSet.build(water_dimer, name)
-            aux = auto_auxiliary(water_dimer, name)
+        # What the store holds is composition-keyed (the plans and the
+        # auxiliary function bounds), so a second basis gives a budget
+        # that holds either composition's but not both something to
+        # evict; coming back to the first one rebuilds the evicted
+        # entries transparently and stays exact.
+        names = ("sto-3g", "repro-dz", "sto-3g")
+
+        def inputs(name):
+            return (BasisSet.build(water_dimer, name),
+                    auto_auxiliary(water_dimer, name))
+
+        resident = []
+        for name in names[:2]:
+            alone = IntegralWorkspace()
+            eri3c(*inputs(name), screen=1e-12, workspace=alone)
+            resident.append(alone.nbytes)
+        budget = max(resident) + min(resident) // 2  # below both together
+        ws = IntegralWorkspace(max_bytes=budget)
+        for name in names:
+            bs, aux = inputs(name)
             assert np.array_equal(
                 eri3c(bs, aux, screen=1e-12, workspace=ws),
                 eri3c(bs, aux, screen=1e-12),
             )
-            assert ws.nbytes <= 15_000
+            assert ws.nbytes <= budget
         assert ws.evictions > 0
 
     def test_disabled_workspace_stores_nothing(self, water_dimer):
@@ -225,7 +236,7 @@ class TestScratchIsNotState:
             assert e == e0 and g.tobytes() == g0.tobytes()
             resident[n] = len(ws), ws.nbytes, {key[0] for key in ws._entries}
         assert resident[2] == resident[40]
-        assert resident[40][2] <= {"auxgrp", "auxbound"}
+        assert resident[40][2] <= {"auxbound", "plan"}
         assert ws.evictions == 0
 
 
@@ -374,8 +385,8 @@ class TestTableMaskReconciliation:
             before = ws.hits, ws.misses
             contract_eri2c_deriv(
                 aux, np.ones((aux.nbf, aux.nbf)), mol.natoms, ws)
-        # (aux_groups at di=1 is the other miss)
-        assert (ws.hits - before[0], ws.misses - before[1]) == (1, 1)
+        # (the site plan at di=1 is a plan: its lookup is not counted)
+        assert (ws.hits - before[0], ws.misses - before[1]) == (1, 0)
         assert table_instants(tracer)[1]["hit"]
 
 
