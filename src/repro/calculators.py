@@ -148,11 +148,17 @@ class GuessCache:
     """Warm-start policy and accounting for cross-step SCF guesses.
 
     Between consecutive MD steps a fragment moves by a fraction of a
-    bohr, so its previous converged density is an excellent initial
-    guess (CP2K and the MTS-AIMD literature report 2-4x fewer SCF
-    iterations). The densities are trajectory state: they ride each
-    fragment's `FragmentRecord` to whichever worker runs it and into
-    the checkpoint.
+    bohr, so its previous converged densities make a good initial
+    guess. CP2K and the MTS-AIMD literature report 2-4x fewer SCF
+    iterations; workload A (water tetramer, MBE3 RI-MP2, sto-3g, seed 1,
+    20 steps) measures 1.2-1.4x: 8.50 iterations a warm solve against
+    10.43 for its first step's cold solves and 11.56 a solve with warm
+    starts off. Reusing the last density alone takes 10.34 and a
+    four-point extrapolation 7.94. The guess starts at a commutator
+    error of ~5e-4, and DIIS gains only ~4x an iteration on average from
+    there down to ``conv_orb`` 1e-8. The densities are trajectory
+    state: they ride each fragment's `FragmentRecord` to whichever
+    worker runs it and into the checkpoint.
 
     A record keeps the last ``HISTORY`` densities and `get` serves their
     forward Lagrange extrapolation (``2 D1 - D0`` for two, ``3 D2 - 3 D1
@@ -176,8 +182,8 @@ class GuessCache:
         self.enabled = enabled
         self.hits = 0
         self.misses = 0
-        #: SCF iterations spent on warm and cold solves, for the 2-4x
-        #: savings audit
+        #: SCF iterations spent on warm and cold solves, for the
+        #: warm-start savings audit
         self.iters_warm = 0
         self.iters_cold = 0
 

@@ -19,7 +19,7 @@ from .elements import atomic_mass, atomic_number, element
 
 
 @functools.lru_cache(maxsize=1024)
-def _canonical_symbols(symbols: tuple) -> tuple[str, ...]:
+def canonical_symbols(symbols: tuple) -> tuple[str, ...]:
     """``symbols`` validated and canonicalised, once per distinct tuple.
 
     A trajectory builds the same few compositions (one per fragment
@@ -63,15 +63,31 @@ class Molecule:
         charge: int = 0,
         multiplicity: int = 1,
     ) -> None:
-        self.symbols: tuple[str, ...] = _canonical_symbols(tuple(symbols))
-        coords = np.asarray(coords_bohr, dtype=float).reshape(len(self.symbols), 3)
-        self.coords: np.ndarray = coords.copy()
-        self.charge = int(charge)
-        self.multiplicity = int(multiplicity)
+        symbols = canonical_symbols(tuple(symbols))
+        coords = np.asarray(coords_bohr, dtype=float).reshape(len(symbols), 3)
+        self._set(symbols, coords.copy(), int(charge), int(multiplicity))
+
+    def _set(self, symbols, coords, charge, multiplicity) -> None:
+        self.symbols: tuple[str, ...] = symbols
+        self.coords: np.ndarray = coords
+        self.charge = charge
+        self.multiplicity = multiplicity
         self.frag_key: tuple[int, ...] | None = None
         self.record = None
         self.step = 0
         self.attempt = 0
+
+    @classmethod
+    def view(cls, symbols: tuple[str, ...], coords: np.ndarray,
+             charge: int = 0) -> "Molecule":
+        """A singlet over ``coords`` itself, unchecked and not copied:
+        ``symbols`` canonical (`canonical_symbols`), ``coords`` a float
+        ``(len(symbols), 3)`` array no one else writes — the step
+        engine's fragments, rows of one gather per flight
+        (`repro.frag.monomer.FragmentLayout.molecules`)."""
+        mol = cls.__new__(cls)
+        mol._set(symbols, coords, charge, 1)
+        return mol
 
     # --- constructors -----------------------------------------------------
     @classmethod

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..chem.bonds import bond_graph, connected_components
 from ..chem.elements import covalent_radius
-from ..chem.molecule import Molecule
+from ..chem.molecule import Molecule, canonical_symbols
 
 
 @dataclass(frozen=True)
@@ -86,16 +86,18 @@ class FragmentLayout:
 
     Which parent atoms it holds, which broken bonds it caps, its element
     symbols and charge, and the index / weight arrays that gather its
-    coordinates from the parent's and scatter its gradient back. The
-    fragment at a geometry is then two gathers (`molecule`) and its
-    gradient's way home one indexed add and one `np.add.at` (`scatter`).
+    coordinates from the parent's and scatter its gradient back. Any
+    number of fragments at one geometry are then one gather, one cap fix
+    and a view each (`molecules`), and a gradient's way home one indexed
+    add and one `np.add.at` (`scatter`).
 
     Attributes:
         key: the monomer indices.
         atoms: parent indices of the real atoms, ascending.
         caps: the active `CapBond`s (outer atom outside the fragment);
             their hydrogens follow the real atoms in this order.
-        symbols: element symbols, real atoms then one ``"H"`` per cap.
+        symbols: element symbols, real atoms then one ``"H"`` per cap
+            (canonical: `repro.chem.molecule.canonical_symbols`).
         charge: summed monomer charges.
         gather: the parent atom each fragment row starts from — the
             real atoms, then each cap's inner atom.
@@ -106,7 +108,8 @@ class FragmentLayout:
 
     __slots__ = (
         "key", "atoms", "caps", "symbols", "charge",
-        "gather", "cap_outer", "cap_ratio", "scatter_idx", "scatter_w",
+        "gather", "cap_outer", "cap_ratio", "is_cap", "scatter_idx",
+        "scatter_w",
     )
 
     def __init__(
@@ -120,28 +123,47 @@ class FragmentLayout:
         self.key = key
         self.atoms = np.asarray(atoms, dtype=np.intp)
         self.caps = tuple(caps)
-        self.symbols = (
-            *(parent_symbols[a] for a in atoms), *("H",) * len(self.caps)
+        self.symbols = canonical_symbols(
+            (*(parent_symbols[a] for a in atoms), *("H",) * len(self.caps))
         )
         self.charge = charge
         self.scatter_idx, self.scatter_w = _cap_scatter(self.caps)
         self.gather = np.concatenate((self.atoms, self.scatter_idx[0::2]))
         self.cap_outer = self.scatter_idx[1::2].copy()
         self.cap_ratio = self.scatter_w[1::2].copy()
+        self.is_cap = np.arange(len(self.symbols)) >= len(self.atoms)
+
+    @staticmethod
+    def molecules(layouts: Sequence["FragmentLayout"],
+                  coords: np.ndarray) -> list[Molecule]:
+        """The capped fragments of ``layouts`` at parent coordinates
+        ``coords`` (Bohr): one gather of every fragment's rows, each cap
+        hydrogen moved from its inner atom along the bond in one
+        elementwise pass, and per fragment a view of its own rows. The
+        same elementwise operations as one fragment at a time, so the
+        same bytes."""
+        xyz = coords[np.concatenate([lay.gather for lay in layouts])]
+        caps = np.flatnonzero(np.concatenate([lay.is_cap for lay in layouts]))
+        if caps.size:
+            ratio = np.concatenate([lay.cap_ratio for lay in layouts])
+            outer = coords[np.concatenate([lay.cap_outer for lay in layouts])]
+            hydrogens = xyz[caps]  # still at the inner atoms
+            hydrogens += ratio[:, None] * (outer - hydrogens)
+            xyz[caps] = hydrogens
+        out, start = [], 0
+        for lay in layouts:
+            end = start + len(lay.symbols)
+            mol = Molecule.view(lay.symbols, xyz[start:end], lay.charge)
+            # tag the fragment identity so calculators can key
+            # per-fragment caches (SCF warm starts) off the molecule alone
+            mol.frag_key = lay.key
+            out.append(mol)
+            start = end
+        return out
 
     def molecule(self, coords: np.ndarray) -> Molecule:
         """The capped fragment at parent coordinates ``coords`` (Bohr)."""
-        xyz = coords[self.gather]
-        if self.caps:
-            hydrogens = xyz[len(self.atoms):]  # still at the inner atoms
-            hydrogens += self.cap_ratio[:, None] * (
-                coords[self.cap_outer] - hydrogens
-            )
-        mol = Molecule(self.symbols, xyz, charge=self.charge)
-        # tag the fragment identity so calculators can key per-fragment
-        # caches (SCF warm starts) off the molecule alone
-        mol.frag_key = self.key
-        return mol
+        return FragmentLayout.molecules((self,), coords)[0]
 
     def scatter(
         self, grad_frag: np.ndarray, out: np.ndarray, scale: float = 1.0

@@ -586,10 +586,14 @@ class SitePlan:
     ``groups`` ordered by ``(lmax, ls, m)``, ``frags[f][gi]`` fragment
     ``f``'s atoms of group ``gi`` (or None). Geometry-free as built
     (`_build_site_plan`, the store's plan); `placed` at the call's
-    centres for an evaluation."""
+    centres for an evaluation. The per-site plan of one with derivative
+    headroom holds, per group, the metric derivative's bra operand
+    (``bra_derivs``, `_metric_bra_derivs`)."""
 
     groups: list[SiteGroup]
     frags: list[list[FragSites | None]]
+    bra_derivs: list[np.ndarray] | None = field(default=None, init=False,
+                                                 repr=False)
     _per_site: "SitePlan | None" = field(default=None, init=False, repr=False)
     #: the geometry-free plan and the centres a placed plan is at
     _plan: "SitePlan | None" = field(default=None, init=False, repr=False)
@@ -605,6 +609,7 @@ class SitePlan:
         out = SitePlan([replace(grp, Pk=centres[grp.at]) for grp in self.groups],
                        self.frags)
         out._plan, out._centres = self, centres
+        out.bra_derivs = self.bra_derivs
         return out
 
     def per_site(self) -> "SitePlan":
@@ -770,8 +775,26 @@ def _build_site_plan(auxs, di: int) -> SitePlan:
                                     atoms=grp.atoms[sites[:, 0]])
         frags.append(row)
     plan = SitePlan(groups, frags)
-    plan.per_site()  # part of the plan, counted with it
+    per_site = plan.per_site()  # part of the plan, counted with it
+    if di:
+        per_site.bra_derivs = [_metric_bra_derivs(grp)
+                               for grp in per_site.groups]
     return plan
+
+
+def _metric_bra_derivs(grp: SiteGroup) -> np.ndarray:
+    """The three bra-centre derivative expansions of a per-site group's
+    rows as one operand ``(sites, 3 C, T)`` on the simplex one order up
+    (`eri.contract_eri2c_deriv`'s): a site is its own centre, so they
+    depend on the exponents and E tables alone."""
+    E = grp.E.reshape(-1, 1, *grp.E.shape[2:])
+    a = grp.qk.reshape(-1, 1)
+    tuv = hermite_simplex(grp.l + 1)
+    return np.stack(
+        [_w_deriv_class(E, a, np.zeros_like(a), grp.comps, _S_COMP, tuv,
+                        "bra", axis) for axis in range(3)],
+        axis=1,
+    ).reshape(a.size, 3 * grp.C, -1)
 
 
 def _nuclei(mols):

@@ -264,10 +264,10 @@ def contract_eri2c_deriv(
 
     Uses ``d/dQ = -d/dP``. The three bra-site derivative integrals of
     every (site, site) block are computed once, on the Hermite Coulomb
-    tables `eri2c` left at these geometries; each fragment contracts
-    its own ``zeta`` with them.
+    tables `eri2c` left at these geometries and the bra expansions the
+    site plan holds; each fragment contracts its own ``zeta`` with them.
     """
-    from .batch import _chunks, _sums_in_order, _w_deriv_class, flat_of, site_plan
+    from .batch import _chunks, _sums_in_order, flat_of, site_plan
 
     F = len(auxs)
     natoms = [natoms] * F if np.ndim(natoms) == 0 else list(natoms)
@@ -280,20 +280,9 @@ def contract_eri2c_deriv(
     sites = site_plan(auxs, workspace, di=1).per_site()
     tabs, layout = _eri2c_tables(workspace, auxs, sites)
     zeta = flat_of(zeta)
-    for gb, sb in enumerate(sites.groups):
+    for gb, (sb, dW) in enumerate(zip(sites.groups, sites.bra_derivs)):
         L = sb.l + 1
         X = sb.C
-        # the three bra-centre derivative expansions as one operand
-        E = sb.E.reshape(-1, 1, *sb.E.shape[2:])
-        a = sb.qk.reshape(-1, 1)
-        dW = np.stack(
-            [
-                _w_deriv_class(E, a, np.zeros_like(a), sb.comps, _S_COMP,
-                               hermite_simplex(L), "bra", axis)
-                for axis in range(3)
-            ],
-            axis=1,
-        ).reshape(a.size, 3 * X, -1)
         for gk, sk in enumerate(sites.groups):
             held = layout.pairs.get((gb, gk))
             if held is None:

@@ -480,7 +480,7 @@ class _Run:
         return self.coordinator.done()
 
     def flights(self, free: int) -> list:
-        ready = list(iter(self.coordinator.next_task, None))
+        ready = self.coordinator.take_ready()
         return [(stack, self.calculator, None) for stack in deal(ready, free)]
 
     def complete(self, flight: _Flight) -> None:

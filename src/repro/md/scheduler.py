@@ -2,14 +2,16 @@
 
 `AsyncCoordinator` is the one integrator in the package. It is the
 super-coordinator's state machine, decoupled from how work is executed:
-a driver repeatedly calls `next_task()` and hands results back through
-`complete()`. Drivers are the one drive loop (`repro.md.drivers`: worker
-processes, or the calling thread as `run_serial`), the trajectory service
-(`repro.serve`) or the discrete-event cluster simulator (`repro.cluster`),
-which advances a virtual clock instead of the wall clock. The synchronous
-driver (`repro.md.aimd.run_aimd`) is this engine with ``synchronous=True``
-under `run_serial`: the paper's baseline is the asynchronous scheme plus
-a global barrier, not a second implementation.
+a driver takes the ready tasks (`take_ready()`, all of them at once, or
+`next_task()`, one) and hands results back through `complete()`.
+Drivers are the one drive loop (`repro.md.drivers`: worker processes,
+or the calling thread as `run_serial`) and the trajectory service
+(`repro.serve`), which take whole ready sets, or the discrete-event
+cluster simulator (`repro.cluster`), which takes one task per free
+worker and advances a virtual clock instead of the wall clock. The
+synchronous driver (`repro.md.aimd.run_aimd`) is this engine with
+``synchronous=True`` under `run_serial`: the paper's baseline is the
+asynchronous scheme plus a global barrier, not a second implementation.
 
 What a step is:
 
@@ -57,8 +59,9 @@ What a step is:
 Live state — per-step buffers, per-window tables — is evicted as steps
 retire, so it is bounded by the plan-window skew, not by ``nsteps``.
 What no geometry changes is worked out per window, not per task: each
-key's `repro.frag.monomer.FragmentLayout` (so a released task is two
-gathers and a finished one an indexed add), the monomers a key waits
+key's `repro.frag.monomer.FragmentLayout` (so the ready tasks a driver
+takes are one gather per step among them, and a finished task an
+indexed add), the monomers a key waits
 for (an arrival counter per step and key) and, per step and monomer,
 the one centroid distance its keys' priorities read.
 """
@@ -116,7 +119,10 @@ class PolymerTask:
 
     key: tuple[int, ...]
     step: int
-    molecule: Molecule | FragmentStub
+    #: the fragment, built when a driver takes the task (at release for
+    #: the surrogate's gate, which reads it there); a stub from release
+    #: on in a timing-only run
+    molecule: Molecule | FragmentStub | None
     #: how the fragment's gradient chains back onto the parent (None
     #: for the stubs of a timing-only run)
     layout: FragmentLayout | None
@@ -130,6 +136,8 @@ class PolymerTask:
     @property
     def natoms(self) -> int:
         """Atom count of the fragment (including cap hydrogens)."""
+        if self.layout is not None:
+            return len(self.layout.symbols)
         return self.molecule.natoms
 
     @property
@@ -371,7 +379,7 @@ class AsyncCoordinator:
         self.frames = None
         self._frame_at = 0.0  # engine-clock time of the last retirement
         #: the calling thread's tracer (`repro.trace.current`), read once
-        #: per entry point: here, `next_task` and `complete`
+        #: per entry point: here, `take_ready` / `next_task` and `complete`
         self._tracer = tracer = current()
         #: SCF warm-start policy and accounting (`GuessCache`; the
         #: densities ride the fragment records): the drivers attach it to
@@ -748,9 +756,7 @@ class AsyncCoordinator:
         win = self._windows[self._window_start(step)]
         lay = win.layouts.get(key)
         if lay is not None:
-            mol = lay.molecule(self.coords_at[step])
-            mol.record = self.records.get(key, _NO_HISTORY)
-            mol.step = step
+            mol = None  # built when a driver takes the task
         else:
             ncaps = _ncaps(self.cap_targets, key)
             mol = FragmentStub(
@@ -766,8 +772,9 @@ class AsyncCoordinator:
             distance=0.0,
         )
         if self.surrogate is not None and len(key) > 1 and self.build_molecules:
+            self._build([task])
             served = self.surrogate.predict(
-                key, mol, coefficient=task.coefficient
+                key, task.molecule, coefficient=task.coefficient
             )
             if served is not None:
                 energy, grad_frag, spread = served
@@ -830,17 +837,47 @@ class AsyncCoordinator:
     # ------------------------------------------------------------------
     # driver interface
     # ------------------------------------------------------------------
+    def take_ready(self) -> list[PolymerTask]:
+        """Pop every ready polymer, highest priority first (empty if
+        none is ready), each with its fragment built."""
+        return self._take(len(self._heap))
+
     def next_task(self) -> PolymerTask | None:
         """Pop the highest-priority ready polymer, or None if none ready."""
-        if not self._heap:
-            return None
-        _, _, _, _, task = heapq.heappop(self._heap)
-        self.in_flight += 1
-        self.tasks_issued += 1
-        if tracer := current():
-            tracer.counter("scheduler.queue_depth", len(self._heap))
+        tasks = self._take(min(len(self._heap), 1))
+        return tasks[0] if tasks else None
+
+    def _take(self, count: int) -> list[PolymerTask]:
+        """Pop ``count`` ready polymers in priority order and build the
+        fragments they carry (`_build`)."""
+        heap = self._heap
+        tasks = [heapq.heappop(heap)[-1] for _ in range(count)]
+        self._build(tasks)
+        self.in_flight += count
+        self.tasks_issued += count
+        if count and (tracer := current()):
+            tracer.counter("scheduler.queue_depth", len(heap))
             tracer.counter("scheduler.in_flight", self.in_flight)
-        return task
+        return tasks
+
+    def _build(self, tasks: list[PolymerTask]) -> None:
+        """Put on each task that has none its fragment at its step, with
+        the key's record and the step on it: one gather per step among
+        the tasks (`FragmentLayout.molecules`). Until a key's result is
+        in, no task of its next step is released, so the record read
+        here is the one its release would have read."""
+        by_step: dict[int, list[PolymerTask]] = {}
+        for task in tasks:
+            if task.molecule is None:
+                by_step.setdefault(task.step, []).append(task)
+        records = self.records
+        for step, group in by_step.items():
+            mols = FragmentLayout.molecules(
+                [task.layout for task in group], self.coords_at[step])
+            for task, mol in zip(group, mols):
+                mol.record = records.get(task.key, _NO_HISTORY)
+                mol.step = step
+                task.molecule = mol
 
     def complete(self, task: PolymerTask, energy: float, grad_frag: np.ndarray,
                  record: FragmentRecord | None = None) -> None:
@@ -1258,6 +1295,15 @@ class AsyncCoordinator:
         )
 
 
+def _all_finite(results) -> bool:
+    """Whether every energy and gradient entry of ``[(energy,
+    gradient)]`` is finite (None gradients skipped), in one pass."""
+    energies = np.fromiter((e for e, _ in results if e is not None), float)
+    grads = [g for _, g in results if g is not None]
+    return bool(np.isfinite(energies).all() and (
+        not grads or np.isfinite(np.concatenate(grads, axis=None)).all()))
+
+
 def evaluate_fragments(calculator, molecules) -> list:
     """Evaluate fragments on this worker: the one worker-side entry of
     every driver, run on each `repro.md.drivers.Dispatcher` flight's
@@ -1278,21 +1324,24 @@ def evaluate_fragments(calculator, molecules) -> list:
     * every result passes a NaN/Inf sentinel before it leaves: a NaN
       contribution would silently poison the accumulated MBE gradient
       of every atom the polymer touches, so divergence becomes a typed
-      `NumericalDivergenceError` that is retried/quarantined like any
-      other worker failure;
+      `NumericalDivergenceError`, naming the first non-finite member,
+      that is retried/quarantined like any other worker failure. One
+      pass over the stack's energies and gradients checks them all; the
+      members are walked only when it fails;
     * a failed call puts the records it was handed back on the
       molecules, so an in-process retry starts from the same state.
     """
     records = [getattr(mol, "record", None) for mol in molecules]
     try:
         results = calculator.energy_gradients(molecules)
-        for mol, (e, g) in zip(molecules, results):
-            ensure_finite(
-                f"fragment {getattr(mol, 'frag_key', None)} "
-                f"({getattr(mol, 'natoms', '?')} atoms, step {mol.step}, "
-                f"attempt {mol.attempt})",
-                energy=e, gradient=g,
-            )
+        if not _all_finite(results):
+            for mol, (e, g) in zip(molecules, results):
+                ensure_finite(
+                    f"fragment {getattr(mol, 'frag_key', None)} "
+                    f"({getattr(mol, 'natoms', '?')} atoms, step {mol.step}, "
+                    f"attempt {mol.attempt})",
+                    energy=e, gradient=g,
+                )
     except BaseException:
         for mol, record in zip(molecules, records):
             if record is not None:

@@ -33,6 +33,6 @@ def draw(jobs, throttled=frozenset()):
     if not ready:
         return None
     job = min(ready, key=lambda job: job.outstanding_cost / job.spec.weight)
-    tasks = list(iter(job.coordinator.next_task, None))
+    tasks = job.coordinator.take_ready()
     job.outstanding_cost += sum(map(task_cost, tasks))
     return job, tasks

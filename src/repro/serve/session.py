@@ -6,7 +6,7 @@ step budget, fairness weight). `TrajectoryJob` materializes a spec into
 a runnable session — fragmented system, calculator, `AsyncCoordinator`
 state machine, per-job output directory with a torn-frame-safe
 trajectory stream, and crash-safe resume from the job's own rotated
-checkpoints. The job exposes the coordinator's ``next_task``/
+checkpoints. The job exposes the coordinator's ``take_ready``/
 ``complete`` protocol, so the service's fair-share draw can
 multiplex fragment tasks from many jobs onto one worker pool; per-step
 results are emitted through the coordinator's ``step_callback`` as

@@ -21,7 +21,12 @@ from repro.frag import (
     mbe_energy_gradient,
 )
 from repro.frag.monomer import CapBond, FragmentLayout
-from repro.systems import glycine_fragmented, water_cluster, water_monomer
+from repro.systems import (
+    fibril_fragmented,
+    glycine_fragmented,
+    water_cluster,
+    water_monomer,
+)
 
 BIG = 1.0e6  # cutoff larger than any system here
 
@@ -173,6 +178,27 @@ class TestFragmentLayout:
         )
         lay = FragmentLayout((0,), atoms, caps, parent.symbols)
         self._check(lay, parent, np.random.default_rng(seed), scale)
+
+    def test_one_gather_for_many_is_each_alone(self):
+        """`FragmentLayout.molecules` over every fragment of a capped
+        fibril's plan, at two steps' coordinates: each fragment is byte
+        for byte the per-atom reference's and its own layout's, with
+        its symbols, charge and key."""
+        fs = fibril_fragmented(2, 3)
+        keys = build_plan(fs, 8.0 * BOHR_PER_ANGSTROM, 5.0 * BOHR_PER_ANGSTROM,
+                          order=3).fragments
+        layouts = [fs.layout(key) for key in keys]
+        assert sum(len(lay.caps) for lay in layouts) > len(layouts)
+        rng = np.random.default_rng(4)
+        for step in range(2):
+            coords = fs.parent.coords + 0.1 * step * rng.standard_normal(
+                fs.parent.coords.shape)
+            for lay, mol in zip(layouts, FragmentLayout.molecules(layouts, coords)):
+                alone = lay.molecule(coords)
+                ref = self._reference_coords(lay.atoms.tolist(), lay.caps, coords)
+                assert mol.coords.tobytes() == alone.coords.tobytes() == ref.tobytes()
+                assert (mol.symbols, mol.charge, mol.frag_key) == (
+                    alone.symbols, alone.charge, lay.key)
 
     def test_layouts_are_not_kept_on_the_system(self):
         """Scratch is not state: a layout belongs to whoever asked."""

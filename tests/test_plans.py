@@ -179,6 +179,35 @@ def test_plans_evicted_every_call_give_the_same_bits():
         big.pairs_skipped, big.neglected_bound)
 
 
+def test_metric_bra_expansions_built_once_per_composition(monkeypatch):
+    """The metric derivative's bra expansions are the site plan's: the
+    first call of A's compositions builds them, a call at another
+    geometry builds none, and both are bitwise a cold workspace's."""
+    from repro.integrals import batch
+
+    built = []
+    inner = batch._w_deriv_1d
+    monkeypatch.setattr(batch, "_w_deriv_1d",
+                        lambda *args: built.append(1) or inner(*args))
+    ws = IntegralWorkspace()
+    counts = []
+    for noise in (0.0, 0.1):
+        mols = _fragments(noise)
+        auxs = [auto_auxiliary(mol, "sto-3g") for mol in mols]
+        rng = np.random.default_rng(5)
+        zeta = [rng.standard_normal((a.nbf, a.nbf)) for a in auxs]
+        natoms = [mol.natoms for mol in mols]
+        n = len(built)
+        with ws.scope():
+            got = contract_eri2c_deriv(auxs, zeta, natoms, ws)
+        counts.append(len(built) - n)
+        fresh = IntegralWorkspace()
+        with fresh.scope():
+            want = contract_eri2c_deriv(auxs, zeta, natoms, fresh)
+        assert _same(got, want)
+    assert counts[0] > 0 and counts[1] == 0
+
+
 def test_no_module_level_dict_cache_in_the_integral_layer():
     """What the integral layer keeps across calls lives in the
     workspace's bounded store: no module of `repro.integrals` binds a

@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.calculators import PairwisePotentialCalculator
+from repro.calculators import FragmentRecord, PairwisePotentialCalculator
 from repro.constants import BOHR_PER_ANGSTROM
 from repro.frag import FragmentedSystem
 from repro.md import (
@@ -16,7 +16,9 @@ from repro.md import (
     run_aimd,
     run_serial,
 )
-from repro.md.scheduler import FragmentStub
+from repro.md.scheduler import FragmentStub, evaluate_fragments
+from repro.numerics import NumericalDivergenceError
+from repro.serve.scheduler import draw, task_cost
 from repro.systems import fibril_fragmented, water_cluster
 
 BIG = 1.0e9
@@ -421,6 +423,120 @@ class TestLayoutLifetime:
         assert not any(
             "layout" in name for name in vars(fs)
         ), "a FragmentedSystem keeps no layouts"
+
+
+def _fibril_engine(shape=(2, 3), nsteps=1):
+    """A capped fibril (a fragment's caps reach past its key), on D's
+    cutoffs and never replanned, so no window start holds its async
+    steps together."""
+    return AsyncCoordinator(
+        fibril_fragmented(*shape), nsteps=nsteps, dt_fs=0.5,
+        r_dimer_bohr=8.0 * BOHR_PER_ANGSTROM,
+        r_trimer_bohr=5.0 * BOHR_PER_ANGSTROM, replan_interval=0, seed=2,
+    )
+
+
+class TestTakeReady:
+    """A driver takes the ready set at once: its fragments are built in
+    one gather per step, and a flight's results are checked in one
+    pass."""
+
+    def test_take_ready_is_repeated_next_task(self):
+        """Two engines driven alike, one taking its ready sets whole and
+        one task by task, hand out the same tasks in the same order,
+        with byte-equal fragments, the same records and steps; on D's
+        fibril, completed a third at a time in random order, some sets
+        hold two steps."""
+        whole, single = (_fibril_engine((6, 12), nsteps=6) for _ in "ab")
+        rng = np.random.default_rng(0)
+        held, mixed = [], 0
+        while not whole.done():
+            got = whole.take_ready()
+            want = list(iter(single.next_task, None))
+            assert [(t.key, t.step) for t in got] == [
+                (t.key, t.step) for t in want]
+            for a, b in zip(got, want):
+                assert a.molecule.coords.tobytes() == b.molecule.coords.tobytes()
+                assert a.molecule.symbols == b.molecule.symbols
+                assert a.molecule.frag_key == a.key == b.molecule.frag_key
+                assert a.molecule.record is b.molecule.record
+                assert a.molecule.step == b.molecule.step == a.step
+                assert a.natoms == a.molecule.natoms == b.natoms
+            mixed += len({t.step for t in got}) > 1
+            held += zip(got, want)
+            assert held, whole.diagnostics()
+            # each completion leaves a record the key's next fragment
+            # must carry
+            held = [held[i] for i in rng.permutation(len(held))]
+            done = max(1, len(held) // 3)
+            for a, b in held[:done]:
+                n = a.natoms
+                record = FragmentRecord((np.full((n, n), float(a.step)),), n)
+                g = rng.standard_normal((n, 3))
+                whole.complete(a, 0.0, g, record)
+                single.complete(b, 0.0, g.copy(), record)
+            del held[:done]
+        assert single.done() and mixed
+        assert whole.coords.tobytes() == single.coords.tobytes()
+
+    def test_fragments_of_a_set_are_disjoint(self):
+        """Each fragment of a set is a view of its own rows: writing one
+        moves no other."""
+        co = _fibril_engine()
+        tasks = co.take_ready()
+        assert len(tasks) > 2
+        before = [t.molecule.coords.copy() for t in tasks]
+        tasks[1].molecule.coords[:] = np.nan
+        for i, (task, ref) in enumerate(zip(tasks, before)):
+            if i != 1:
+                assert task.molecule.coords.tobytes() == ref.tobytes()
+
+    def test_nan_mid_flight_names_that_member_and_restores_records(self):
+        """A NaN gradient in the middle of a flight raises the typed
+        error naming the first bad member, as the per-member sentinel
+        did, and every member gets back the record it was handed."""
+        co = _fibril_engine()
+        mols = [t.molecule for t in co.take_ready()][:5]
+        handed = []
+        for i, mol in enumerate(mols):
+            mol.record = FragmentRecord((np.eye(mol.natoms) * i,), mol.natoms)
+            mol.attempt = 1
+            handed.append(mol.record)
+
+        class Diverging:
+            def energy_gradients(self, mols):
+                out = []
+                for i, mol in enumerate(mols):
+                    mol.record = FragmentRecord()  # what a solve leaves
+                    g = np.zeros((mol.natoms, 3))
+                    if i == 2:
+                        g[1, 2] = np.nan
+                    out.append((np.inf if i == 3 else 0.0, g))
+                return out
+
+        bad = mols[2]
+        with pytest.raises(NumericalDivergenceError) as err:
+            evaluate_fragments(Diverging(), mols)
+        assert str(err.value) == (
+            f"fragment {bad.frag_key} ({bad.natoms} atoms, step 0, "
+            f"attempt 1): non-finite gradient (1/{3 * bad.natoms} entries "
+            "NaN/Inf)")
+        assert all(mol.record is rec for mol, rec in zip(mols, handed))
+
+    def test_draw_charges_each_fragment_cubic_in_its_atoms(self):
+        """The service's draw takes the job's whole ready set and
+        charges the atoms of the fragments it hands out."""
+        co = _fibril_engine()
+        job = type("Job", (), {})()
+        job.spec = type("Spec", (), {"job_id": "a", "weight": 1.0})()
+        job.coordinator, job.outstanding_cost = co, 0.0
+        ready = len(co._heap)
+        drawn, tasks = draw([job])
+        assert drawn is job and len(tasks) == ready and not co.has_ready_tasks()
+        assert job.outstanding_cost == sum(
+            float(t.molecule.natoms) ** 3 for t in tasks)
+        assert [task_cost(t) for t in tasks] == [
+            float(t.molecule.natoms) ** 3 for t in tasks]
 
 
 class TestParentByteEquality:

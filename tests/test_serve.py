@@ -162,14 +162,12 @@ class _FakeCoordinator:
 
     def __init__(self, tasks):
         self.tasks = list(tasks)
-        self._popped = False
 
     def has_ready_tasks(self):
         return bool(self.tasks)
 
-    def next_task(self):
-        self._popped = not self._popped
-        return self.tasks.pop(0) if self._popped and self.tasks else None
+    def take_ready(self):
+        return [self.tasks.pop(0)] if self.tasks else []
 
 
 class _FakeJob:
@@ -208,7 +206,7 @@ class TestFragmentScheduler:
         job = _FakeJob("a", [])
         job.coordinator = SimpleNamespace(
             has_ready_tasks=lambda: True,
-            next_task=iter([_FakeTask(5), _FakeTask(5), None]).__next__)
+            take_ready=lambda: [_FakeTask(5), _FakeTask(5)])
         _, tasks = draw([job])
         assert [t.natoms for t in tasks] == [5, 5]
         assert job.outstanding_cost == 250.0
