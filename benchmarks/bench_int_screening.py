@@ -1,16 +1,17 @@
-"""Integral-layer reuse: workspace + Schwarz screening vs neither.
+"""Integral screening: the default Schwarz screening vs none.
 
-Every MD step re-solves the same fragments at slightly moved geometries,
-so the integral engine's geometry-independent work — packed shell-pair
-class tables shared by every driver of a solve, the auxiliary-basis
-group scaffolding (whose E tables do not depend on geometry at all), and
-the Cauchy-Schwarz bound table — would be rebuilt thousands of times for
-nothing. This benchmark runs the same short trajectory twice:
+Every MD step re-solves the same fragments at slightly moved geometries;
+the integral workspace keeps what depends on their compositions alone
+(the plans, the auxiliary bounds) and every evaluation screens each
+fragment's shell pairs with the Schwarz table of its own geometry. The
+workspace cannot be switched off — every driver runs in a scope of one
+— so this benchmark isolates screening. It runs the same short
+trajectory twice, each on a fresh `IntegralWorkspace`:
 
-* **baseline** — ``IntegralWorkspace(enabled=False)`` (every lookup
-  misses, nothing cached) and ``int_screen=0`` (no integrals skipped);
-* **default** — a fresh workspace plus the default Schwarz screening
-  tolerance: what every calculator runs with unless told otherwise.
+* **baseline** — ``int_screen=0`` (no integral skipped, no Schwarz
+  table built);
+* **default** — the default Schwarz screening tolerance: what every
+  calculator runs with unless told otherwise.
 
 Both runs use cold SCF guesses (``warm_start=False``) so the iteration
 paths are identical and the comparison isolates the integral layer. The
@@ -20,21 +21,20 @@ convergence path), the default run's workspace serves entries and skips
 pairs, and the glycine wall-time ratio clears the floor below.
 
 On the floor: with one kernel family the two runs do the same
-per-pair arithmetic, so the ratio measures only what caching and
-screening remove — class/aux/bound table rebuilds and the skipped
-long-range pairs (13% of the glycine-3mer's) — against SCF GEMMs, DF
-solves and diagonalisation that both runs share. Measured on the
-development VM (2 cores, three repetitions each): glycine-3mer full
-mode 1.05x / 0.94x / 1.09x (59-61 s baseline; the 0.94 repetition
-shared the machine with a test run), glycine-2mer smoke mode 1.14x /
-1.04x / 1.14x (13-15 s baseline); with the Hermite-simplex kernels, a
-single repetition each (not a distribution), 1.07x (27 s baseline) and
-1.09x (6.5 s baseline). That is a few percent, inside the
-run-to-run spread, so the floor (0.85 in both modes, below the slowest
-repetition) only asserts that the defaults never cost wall time; the
-energy, iteration-count, served-entries and skipped-pairs gates are the
-ones with resolving power. The measured values are printed and recorded
-in the JSON artifact. See docs/PERFORMANCE.md for the full accounting.
+per-pair arithmetic, so the ratio measures what screening removes — the
+skipped long-range pairs (13% of the glycine-3mer's) — against the
+Schwarz tables it builds and the SCF GEMMs, DF solves and
+diagonalisation both runs share. Measured on a 2-core VM while the
+baseline still ran with its workspace switched off (caching and
+screening together, three repetitions each): glycine-3mer full mode
+1.05x / 0.94x / 1.09x (59-61 s baseline), glycine-2mer smoke mode
+1.14x / 1.04x / 1.14x (13-15 s baseline); with the Hermite-simplex
+kernels, one repetition each, 1.07x (27 s) and 1.09x (6.5 s). That is a
+few percent, inside the run-to-run spread, so the floor (0.85 in both
+modes) only asserts that the defaults never cost wall time; the energy,
+iteration-count, served-entries and skipped-pairs gates are the ones
+with resolving power. The measured values are printed and recorded in
+the JSON artifact. See docs/PERFORMANCE.md for the full accounting.
 
 Runnable two ways:
 
@@ -74,19 +74,18 @@ ENERGY_TOL_HA = 1.0e-9
 #: full and smoke mode alike
 MIN_SPEEDUP = 0.85
 
-#: the two configurations: (workspace enabled, screen)
+#: the two configurations' screening thresholds
 CONFIGS = {
-    "baseline": (False, 0.0),
-    "default": (True, DEFAULT_INT_SCREEN),
+    "baseline": 0.0,
+    "default": DEFAULT_INT_SCREEN,
 }
 
 
 def _run(system: FragmentedSystem, nsteps: int, config: str) -> dict:
-    ws_enabled, screen = CONFIGS[config]
-    workspace = IntegralWorkspace(enabled=ws_enabled)
+    workspace = IntegralWorkspace()
     calc = RIHFCalculator(
         workspace=workspace,
-        int_screen=screen,
+        int_screen=CONFIGS[config],
         # disabled cache = pure statistics collector: counts the SCF
         # iterations of every solve without ever serving a guess, so
         # all runs take identical iteration paths
@@ -174,7 +173,7 @@ def format_results(results: dict) -> str:
         ["system", "steps", "base s", "default s", "speedup", "skipped",
          "|dE| Ha"],
         rows,
-        title="Integral reuse — workspace + screening vs neither",
+        title="Integral screening — default vs none, fresh workspaces",
     )
 
 
@@ -201,8 +200,8 @@ def check_results(results: dict) -> None:
         f"{gly['system']}: default screening skipped no shell pair"
     )
     assert gly["speedup"] >= MIN_SPEEDUP, (
-        f"workspace + screening sped {gly['system']} up only "
-        f"{gly['speedup']:.2f}x over the uncached, unscreened baseline "
+        f"screening sped {gly['system']} up only "
+        f"{gly['speedup']:.2f}x over the unscreened baseline "
         f"(floor {MIN_SPEEDUP}x)"
     )
 

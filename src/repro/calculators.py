@@ -224,12 +224,10 @@ class GuessCache:
                 for name in ("hits", "misses", "iters_warm", "iters_cold")}
 
 
-def _resolve_workspace(calc):
-    """The calculator's `IntegralWorkspace` (the process-global one by
-    default) and the scope its evaluation runs in, which holds the
-    geometry-keyed scratch its drivers share."""
-    ws = calc.workspace if calc.workspace is not None else get_workspace()
-    return ws, ws.scope()
+def _workspace(calc) -> IntegralWorkspace:
+    """The calculator's `IntegralWorkspace`: the process workspace by
+    default, as for every driver (`repro.integrals.engine.in_scope`)."""
+    return calc.workspace if calc.workspace is not None else get_workspace()
 
 
 def _shared_atoms(mols) -> tuple[list[list[int]], bytes]:
@@ -347,7 +345,7 @@ def _evaluate_stacks(calc, mols, method: str, terms):
     derivative drivers rebuilt, and the block elements its value
     drivers were asked for and computed, per family).
     """
-    ws = calc.workspace if calc.workspace is not None else get_workspace()
+    ws = _workspace(calc)
     tracer = current()
     out = [None] * len(mols)
     for idx, bases, auxs in _stacks(mols, calc.basis, ws):
@@ -483,10 +481,9 @@ class RIMP2Calculator:
 
     def energy(self, mol: Molecule) -> float:
         """Energy-only evaluation (skips the gradient machinery)."""
-        ws, scope = _resolve_workspace(self)
-        with scope:
-            res = _solve_scf(mol, self.basis, guess_cache=self.guess_cache,
-                             ri=True, int_screen=self.int_screen, workspace=ws)
+        res = _solve_scf(mol, self.basis, guess_cache=self.guess_cache,
+                         ri=True, int_screen=self.int_screen,
+                         workspace=self.workspace)
         energy = res.energy + mp2_ri(res).e_corr
         ensure_finite(f"RI-MP2 on {mol.natoms}-atom fragment", energy=energy)
         return energy
@@ -532,9 +529,10 @@ class ConventionalHFCalculator(OneAtATime):
     workspace: IntegralWorkspace | None = None
 
     def energy_gradient(self, mol: Molecule) -> tuple[float, np.ndarray]:
-        """Conventional four-center HF energy and gradient."""
-        ws, scope = _resolve_workspace(self)
-        with scope:
+        """Conventional four-center HF energy and gradient: the solve and
+        the gradient share one scope of the workspace."""
+        ws = _workspace(self)
+        with ws.scope():
             res = _solve_scf(mol, self.basis, guess_cache=self.guess_cache,
                              ri=False, workspace=ws)
             grad = rhf_gradient_conventional(

@@ -14,6 +14,11 @@ same fragments — as one evaluation, computes every integral block they
 hold once, and returns one result per fragment; given one basis in
 place of the list it is a list of one (`engine.stack_driver`). The
 four-centre drivers of the conventional-HF baseline take one basis.
+Every driver runs in a scope of an `IntegralWorkspace` — the one given,
+or with ``workspace=None`` the process workspace (`get_workspace`) —
+joining the scope open on the calling thread (`engine.in_scope`): there
+is no workspace-free or cache-free way in, and since caching is exact
+the way in never changes a bit.
 They are deterministic (run to run, and for any chunk size); the tests
 check them against an independent per-primitive Obara-Saika /
 Taketa-Huzinaga-Oohata reference that lives under ``tests/``.
@@ -33,7 +38,6 @@ from .batch import (
 from .boys import boys, boys_array
 from .eri import (
     ERI4C_SCREEN,
-    aux_function_bounds,
     contract_eri2c_deriv,
     contract_eri4c_deriv_hf,
     eri2c,
@@ -51,7 +55,6 @@ __all__ = [
     "DEFAULT_INT_SCREEN",
     "ERI4C_SCREEN",
     "IntegralWorkspace",
-    "aux_function_bounds",
     "boys",
     "boys_array",
     "cartesian_components",

@@ -118,13 +118,11 @@ from .eri import (
     DERIV_SAFETY,
     _TWO_PI_52,
     _S_COMP,
-    _aux_bounds,
     _phase,
-    _schwarz_tables,
     _zblk_table,
 )
 from .hermite import ncart
-from .workspace import _centers, basis_composition_key, stack_centres, table_budget
+from .workspace import _centers, basis_composition_key
 
 if TYPE_CHECKING:
     from ..basis.basisset import BasisSet
@@ -135,11 +133,8 @@ __all__ = [
     "PairPlan",
     "ShellClass",
     "SitePlan",
-    "build_shell_classes",
     "canonical_shell_pairs",
-    "pair_plan",
     "schwarz_pair_bounds",
-    "site_plan",
     "table_bytes",
 ]
 
@@ -451,21 +446,6 @@ def _place_pairs(layout: PairLayout, centres: np.ndarray) -> PairPlan:
     return PairPlan(classes, layout)
 
 
-def pair_plan(bases, workspace: IntegralWorkspace | None = None) -> PairPlan:
-    """The `PairPlan` of a list of bases from the workspace's scratch,
-    or freshly built."""
-    if workspace is not None:
-        return workspace.pair_plan(bases)
-    return _place_pairs(_pair_layout(bases), stack_centres(bases))
-
-
-def build_shell_classes(
-    basis: BasisSet, workspace: IntegralWorkspace | None = None
-) -> list[ShellClass]:
-    """The shell classes of one basis (`pair_plan` of a list of one)."""
-    return pair_plan([basis], workspace).classes
-
-
 def _chunks(nq: int, per_pair_elems: int):
     """Deterministic block-axis chunking under the element budget."""
     step = max(1, _CHUNK_ELEMS // max(1, int(per_pair_elems)))
@@ -730,18 +710,11 @@ def _site_codes(auxs, di: int = 0):
     return reps, frags
 
 
-def site_plan(auxs, workspace: IntegralWorkspace | None = None,
-              di: int = 0) -> SitePlan:
-    """The `SitePlan` of a list of fitting bases (E tables with ``di``
-    units of derivative headroom), placed at their centres: from the
-    workspace's scratch and plans, or freshly built."""
-    if workspace is not None:
-        return workspace.site_plan(auxs, di)
-    return _build_site_plan(auxs, di).placed(stack_centres(auxs))
-
-
 def _build_site_plan(auxs, di: int) -> SitePlan:
-    """`site_plan`'s geometry-free plan, built."""
+    """The geometry-free `SitePlan` of a list of fitting bases (E tables
+    with ``di`` units of derivative headroom), built; the workspace
+    keeps it and places it at the bases' centres
+    (`IntegralWorkspace.site_plan`)."""
     reps, per_frag = _site_codes(auxs, di)
     order = sorted(reps, key=lambda key: (key[0][-1], key[0], key[1]))
     groups = []
@@ -930,9 +903,8 @@ def _deriv_expansions(classes, workspace) -> list[np.ndarray]:
                 hermite_simplex(cls.la + cls.lb + 1),
             )
             built += cls.dW.nbytes
-    if workspace is not None:
-        workspace.record_bra_expansions(
-            built, sum(cls.dW.nbytes for cls in classes))
+    workspace.record_bra_expansions(
+        built, sum(cls.dW.nbytes for cls in classes))
     return [cls.dW for cls in classes]
 
 
@@ -1162,18 +1134,6 @@ class CoulombTables:
         return _kernel(self.table(ci, gi, sl), idx)
 
 
-def _coulomb_tables(workspace, kind, stacks, points, bras, kets,
-                    blocks) -> CoulombTables:
-    """This driver's `CoulombTables`, through the evaluation's scratch
-    (`IntegralWorkspace.coulomb_tables`) when there is a workspace."""
-    def build(found, budget):
-        return CoulombTables(bras, kets, blocks, budget, found)
-
-    if workspace is None:
-        return build(None, table_budget(None))
-    return workspace.coulomb_tables(kind, stacks, points, build)
-
-
 def _site_columns(sites: SitePlan):
     """`_blocks`' ket side for the auxiliary groups."""
     return [(grp.natom, dict(sites.holders(gi)))
@@ -1248,13 +1208,6 @@ def table_bytes(bases, auxs, mols) -> int:
     return max(eri3c, nuclear, eri2c) + expansions
 
 
-def _record_blocks(workspace, family, requested, computed) -> None:
-    """Account a value driver's block counts (`IntegralWorkspace.
-    record_blocks`), in elements."""
-    if workspace is not None:
-        workspace.record_blocks(family, int(requested), int(computed))
-
-
 # --------------------------------------------------------------------------
 # One-electron matrices
 # --------------------------------------------------------------------------
@@ -1310,9 +1263,9 @@ def overlap(
 ) -> list[np.ndarray]:
     """Overlap matrices of every fragment, ``(nbf, nbf)`` each. Its
     shell pairs are the S/T family of the workspace's block counts."""
-    plan = pair_plan(bases, workspace)
-    _record_blocks(
-        workspace, "st",
+    plan = workspace.pair_plan(bases)
+    workspace.record_blocks(
+        "st",
         sum(plan.classes[ci].w[fp.at].sum()
             for row in plan.frags for ci, fp in enumerate(row)
             if fp is not None),
@@ -1373,7 +1326,7 @@ def kinetic(
 ) -> list[np.ndarray]:
     """Kinetic-energy matrices of every fragment, ``(nbf, nbf)`` each."""
     return _onee(
-        pair_plan(bases, workspace), bases,
+        workspace.pair_plan(bases), bases,
         lambda cls, ca, cb: _kinetic_1d(cls.E, cls.b, ca, cb),
     )
 
@@ -1385,22 +1338,16 @@ def _nuclear_tables(workspace, bases, mols, plan):
     the blocks' owners and the nuclear charges. The blocks are the
     plan of the pairs' and nuclei's compositions."""
     kets, Z, coords = _nuclear_columns(mols)
-
-    def build():
-        return _blocks(plan.layout, kets)
-
-    if workspace is None:
-        blocks, mine = build()
-    else:
-        nuclei = np.concatenate(list(kets[0][1].values()))
-        blocks, mine = workspace.plan("nuclear", (
-            workspace.stack(bases).key, Z.tobytes(), nuclei.tobytes(),
-            tuple(mol.natoms for mol in mols)), build)
+    nuclei = np.concatenate(list(kets[0][1].values()))
+    blocks, mine = workspace.plan("nuclear", (
+        workspace.stack(bases).key, Z.tobytes(), nuclei.tobytes(),
+        tuple(mol.natoms for mol in mols)),
+        lambda: _blocks(plan.layout, kets))
     points = np.concatenate([
         np.column_stack([mol.atomic_numbers, mol.coords]) for mol in mols
     ])
-    tabs = _coulomb_tables(
-        workspace, "nuclear", (bases,), points,
+    tabs = workspace.coulomb_tables(
+        "nuclear", (bases,), points,
         [_bra(cls) for cls in plan.classes],
         [dict(qk=None, Pk=coords[:, None], l=0)], blocks,
     )
@@ -1420,7 +1367,7 @@ def nuclear(
     (``(X, N T) @ (N T, 1)`` per block); a fragment sums its own nuclei's
     blocks, weighted by their charges."""
     out = flat_zeros([(basis.nbf, basis.nbf) for basis in bases])
-    plan = pair_plan(bases, workspace)
+    plan = workspace.pair_plan(bases)
     tabs, mine, Z = _nuclear_tables(workspace, bases, mols, plan)
     requested = computed = 0
     for ci, cls in enumerate(plan.classes):
@@ -1448,7 +1395,7 @@ def nuclear(
             blk = -_einsum("qcx,c->qx", vals[pos], Z[nuc])
             blks.append(blk.reshape(-1, cls.nfa, cls.nfb) * cls.norms[None])
         _scatter_matrices(out, plan.rows[ci], np.concatenate(blks))
-    _record_blocks(workspace, "v", requested, computed)
+    workspace.record_blocks("v", requested, computed)
     return out[1]
 
 
@@ -1467,7 +1414,7 @@ def _contract_bra_deriv(bases, X, workspace, deriv_1d) -> list[np.ndarray]:
     Translational invariance (``dM/dB = -dM/dA``) means only bra
     derivatives are computed; same-atom pairs vanish and are skipped.
     """
-    plan = pair_plan(bases, workspace)
+    plan = workspace.pair_plan(bases)
     # every fragment's gradient, one block of rows each; every shell
     # pairs with itself, so a fragment's pairs hold its atoms
     goffs = np.cumsum([0] + [1 + max(int(fp.atom_b.max()) for fp in row
@@ -1551,7 +1498,7 @@ def contract_nuclear_deriv(
     1)`` per block); each fragment contracts its own ``X`` with them.
     """
     g = [np.zeros((mol.natoms, 3)) for mol in mols]
-    plan = pair_plan(bases, workspace)
+    plan = workspace.pair_plan(bases)
     tabs, mine, Z = _nuclear_tables(workspace, bases, mols, plan)
     dWs = _deriv_expansions(plan.classes, workspace)
     Xs = [x + x.T for x in X]
@@ -1607,7 +1554,7 @@ def schwarz_pair_bounds(
     through `IntegralWorkspace.schwarz_bounds_stack`.
     """
     frags = list(range(len(bases))) if frags is None else list(frags)
-    plan = pair_plan(bases, workspace)
+    plan = workspace.pair_plan(bases)
     flat, out, offs = flat_zeros([(bases[f].nshells,) * 2 for f in frags])
     slot = np.full(len(bases), -1)
     slot[frags] = np.arange(len(frags))
@@ -1670,11 +1617,11 @@ def _screen_pairs(plan, bases, auxs, screen, workspace, kind, Zblk=None):
     kept = [None] * len(plan.classes)
     if screen <= 0.0:
         return kept
-    Qs = _schwarz_tables(bases, workspace)
+    Qs = workspace.schwarz_bounds_stack(bases)
     qoffs, _ = _flat_offsets([q.shape for q in Qs])
     Q = np.concatenate([q.ravel() for q in Qs])
     Zb = None if Zblk is None else np.concatenate([z.ravel() for z in Zblk])
-    qaux = [_aux_bounds(aux, workspace) for aux in auxs]
+    qaux = [workspace.aux_function_bounds(aux) for aux in auxs]
     qaux_max = np.array([float(q.max()) for q in qaux])
     qaux_sum = np.array([float(q.sum()) for q in qaux])
     nsh = np.array([basis.nshells for basis in bases])
@@ -1695,13 +1642,12 @@ def _screen_pairs(plan, bases, auxs, screen, workspace, kind, Zblk=None):
             kept[ci] = keep
             lost_frag.append(f[~keep])
             lost.append(bound[~keep])
-    if workspace is not None:
-        lost_frag = np.concatenate(lost_frag) if lost_frag else np.zeros(0, int)
-        lost = np.concatenate(lost) if lost else np.zeros(0)
-        for f in range(len(bases)):
-            mine = lost[lost_frag == f]
-            workspace.record_screen(kind, nsh[f] * (nsh[f] + 1) // 2,
-                                    mine.size, math.fsum(mine))
+    lost_frag = np.concatenate(lost_frag) if lost_frag else np.zeros(0, int)
+    lost = np.concatenate(lost) if lost else np.zeros(0)
+    for f in range(len(bases)):
+        mine = lost[lost_frag == f]
+        workspace.record_screen(kind, nsh[f] * (nsh[f] + 1) // 2,
+                                mine.size, math.fsum(mine))
     return kept
 
 
@@ -1801,15 +1747,12 @@ def _eri3c_tables(workspace, bases, auxs, plan, sites, kept):
     """The call's `ThreeCentreLayout`, the (class, group) blocks and
     triples of the rows ``kept`` keeps (`ThreeCentreLayout.select`),
     and the `CoulombTables` of those blocks."""
-    if workspace is None:
-        layout = _three_centre_layout(bases, auxs, plan.layout, sites)
-    else:
-        layout = workspace.plan(
-            "eri3c", (workspace.stack(bases).key, workspace.stack(auxs).key),
-            lambda: _three_centre_layout(bases, auxs, plan.layout, sites))
+    layout = workspace.plan(
+        "eri3c", (workspace.stack(bases).key, workspace.stack(auxs).key),
+        lambda: _three_centre_layout(bases, auxs, plan.layout, sites))
     blocks, triples = layout.select(kept)
-    tabs = _coulomb_tables(
-        workspace, "eri3c", (bases, auxs), None,
+    tabs = workspace.coulomb_tables(
+        "eri3c", (bases, auxs), None,
         [_bra(cls) for cls in plan.classes],
         [grp.ket for grp in sites.groups], blocks,
     )
@@ -1927,8 +1870,8 @@ def eri3c(
     """
     flat, out, _ = flat_zeros([(b.nbf, b.nbf, a.nbf)
                                for b, a in zip(bases, auxs)])
-    plan = pair_plan(bases, workspace)
-    sites = site_plan(auxs, workspace)
+    plan = workspace.pair_plan(bases)
+    sites = workspace.site_plan(auxs)
     kept = _screen_pairs(plan, bases, auxs, screen, workspace, "eri3c")
     tabs, layout, triples = _eri3c_tables(workspace, bases, auxs, plan,
                                           sites, kept)
@@ -1957,7 +1900,7 @@ def eri3c(
             # the (nu mu|P) images of the off-diagonal pairs
             off = ~rows.diag[held.row]
             flat[held.positions(image, off)] = vals[off]
-    _record_blocks(workspace, "3c", requested, computed)
+    workspace.record_blocks("3c", requested, computed)
     return out
 
 
@@ -2002,8 +1945,8 @@ def contract_eri3c_deriv(
     # every fragment's gradient, one block of rows each
     goffs = np.cumsum([0] + natoms)
     G = np.zeros((goffs[-1], 3))
-    plan = pair_plan(bases, workspace)
-    sites = site_plan(auxs, workspace)
+    plan = workspace.pair_plan(bases)
+    sites = workspace.site_plan(auxs)
     Zblk = None
     if screen > 0.0:
         # (mu nu|P) is symmetric in (mu, nu): the symmetric part of Z

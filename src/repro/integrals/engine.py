@@ -7,9 +7,10 @@
   simplex ``t + u + v <= L`` (`hermite_simplex`), from the tabulated
   Boys function; `batch._build_tables` is its one caller.
 * `aux_group_data` — an auxiliary basis's shells grouped by site.
-* `canonical_shell_pairs`, `stack_driver`, `comp_arrays` — the pair
-  enumeration, the one-or-many calling convention and the component
-  powers every driver shares.
+* `canonical_shell_pairs`, `stack_driver`, `in_scope`, `comp_arrays` —
+  the pair enumeration, the one-or-many calling convention, the one
+  way into the integral layer (a scope of a workspace) and the
+  component powers every driver shares.
 
 Everything is vectorized over primitive pairs; Python loops only run
 over Hermite orders and angular momenta.
@@ -17,6 +18,7 @@ over Hermite orders and angular momenta.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 
@@ -25,6 +27,7 @@ import numpy as np
 from ..chem.molecule import Molecule
 from .boys import boys_table
 from .hermite import cartesian_components
+from .workspace import get_workspace
 
 
 def e_tables_batch(
@@ -198,6 +201,35 @@ def canonical_shell_pairs(basis) -> list[tuple[int, int]]:
     return [(i, j) for i in range(nsh) for j in range(i, nsh)]
 
 
+def in_scope(fn):
+    """Run ``fn`` in a scope of its ``workspace`` argument (positional
+    or keyword): None is the process workspace (`workspace.
+    get_workspace`), and a scope already open on the calling thread is
+    joined (`IntegralWorkspace.scope`). The one way into the integral
+    layer: every driver is wrapped in it, and so is every SCF / gradient
+    function that calls several drivers at one geometry (`scf.rhf.
+    prepare_solves`, `scf.grad.contract_ri_gradients`, `scf.grad.
+    rhf_gradient_conventional`); below them the workspace is never None
+    and its scratch always exists."""
+    at = list(inspect.signature(fn).parameters).index("workspace")
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        if len(args) > at:
+            ws = args[at]
+            if ws is None:
+                ws = get_workspace()
+                args = (*args[:at], ws, *args[at + 1:])
+        else:
+            ws = kwargs.get("workspace")
+            if ws is None:
+                ws = kwargs["workspace"] = get_workspace()
+        with ws.scope():
+            return fn(*args, **kwargs)
+
+    return call
+
+
 def stack_driver(driver):
     """One name for an integral driver, given a list of fragments or one.
 
@@ -207,7 +239,10 @@ def stack_driver(driver):
     basis in place of the list, every basis and molecule argument is a
     list of one, every array argument gains a leading fragment axis and
     the result is the one fragment's: the same kernels, the same bits.
+    Either way it runs `in_scope` of its workspace.
     """
+    driver = in_scope(driver)
+
     @wraps(driver)
     def call(first, *args, **kwargs):
         if isinstance(first, (list, tuple)):

@@ -20,7 +20,9 @@ magnitude, for the derivative drivers) cannot exceed it — plus an
 optional `IntegralWorkspace` that serves the evaluation's pair plan,
 auxiliary site groups and bound tables. Every screened driver
 accumulates the summed bound of what it skipped, so callers get a
-rigorous estimate of the neglected contribution.
+rigorous estimate of the neglected contribution. Like every driver,
+each runs in a scope of its workspace (`engine.in_scope`; None is the
+process workspace).
 
 The three-centre and Schwarz drivers live in `batch.py`; the
 two-centre metric, the auxiliary bounds and the four-centre drivers of
@@ -43,6 +45,7 @@ from ..gemm import bgemm
 from .engine import (
     comp_arrays,
     hermite_simplex,
+    in_scope,
     stack_driver,
 )
 
@@ -52,23 +55,6 @@ _TWO_PI_52 = 2.0 * np.pi**2.5
 #: plain Schwarz bound; screening decisions on derivative drivers absorb
 #: that in a conservative prefactor
 DERIV_SAFETY = 50.0
-
-
-def _schwarz_tables(bases, workspace) -> list[np.ndarray]:
-    """The Schwarz bound table of every basis of a call, from the
-    evaluation's scratch or freshly built: every screened driver takes
-    its skip decisions from it."""
-    if workspace is not None:
-        return workspace.schwarz_bounds_stack(bases)
-    from .batch import schwarz_pair_bounds
-
-    return schwarz_pair_bounds(bases)
-
-
-def _aux_bounds(aux, workspace) -> np.ndarray:
-    if workspace is not None:
-        return workspace.aux_function_bounds(aux)
-    return aux_function_bounds(aux)
 
 
 def _phase(tk_idx: np.ndarray) -> np.ndarray:
@@ -84,15 +70,12 @@ def _eri2c_tables(workspace, auxs, sites):
     bra is the site group as one-primitive "pairs", the ket its sites
     one at a time. Returns the set and the call's `_MetricLayout`,
     the plan of the fitting bases' compositions."""
-    from .batch import _coulomb_tables, _site_bras
+    from .batch import _site_bras
 
-    if workspace is None:
-        layout = _metric_layout(auxs, sites)
-    else:
-        layout = workspace.plan("eri2c", workspace.stack(auxs).key,
-                                lambda: _metric_layout(auxs, sites))
-    tabs = _coulomb_tables(workspace, "eri2c", (auxs,), None,
-                           _site_bras(sites), _site_kets(sites), layout.blocks)
+    layout = workspace.plan("eri2c", workspace.stack(auxs).key,
+                            lambda: _metric_layout(auxs, sites))
+    tabs = workspace.coulomb_tables("eri2c", (auxs,), None, _site_bras(sites),
+                                    _site_kets(sites), layout.blocks)
     return tabs, layout
 
 
@@ -226,9 +209,9 @@ def eri2c(auxs, workspace: IntegralWorkspace | None = None) -> list:
     Hermite Coulomb tables of every ordered pair for
     `contract_eri2c_deriv`.
     """
-    from .batch import _record_blocks, flat_zeros, site_plan
+    from .batch import flat_zeros
 
-    sites = site_plan(auxs, workspace).per_site()
+    sites = workspace.site_plan(auxs).per_site()
     tabs, layout = _eri2c_tables(workspace, auxs, sites)
     flat, J, _ = flat_zeros([(aux.nbf, aux.nbf) for aux in auxs])
     computed = sum(sites.groups[gb].C * sites.groups[gk].C * codes.size
@@ -244,8 +227,7 @@ def eri2c(auxs, workspace: IntegralWorkspace | None = None) -> list:
             # the (Q|P) image last: on a diagonal block it is what stays
             flat[held.positions()] = vals
             flat[held.positions(image=True)] = vals
-    _record_blocks(workspace, "2c", sum(aux.nbf ** 2 for aux in auxs),
-                   computed)
+    workspace.record_blocks("2c", sum(aux.nbf ** 2 for aux in auxs), computed)
     return J
 
 
@@ -267,7 +249,7 @@ def contract_eri2c_deriv(
     tables `eri2c` left at these geometries and the bra expansions the
     site plan holds; each fragment contracts its own ``zeta`` with them.
     """
-    from .batch import _chunks, _sums_in_order, flat_of, site_plan
+    from .batch import _chunks, _sums_in_order, flat_of
 
     F = len(auxs)
     natoms = [natoms] * F if np.ndim(natoms) == 0 else list(natoms)
@@ -277,7 +259,7 @@ def contract_eri2c_deriv(
     G = np.zeros((offs[-1], 3))
     # one unit of E-table headroom for the differentiated (bra) side; the
     # ket expansions read the same tables' lower entries
-    sites = site_plan(auxs, workspace, di=1).per_site()
+    sites = workspace.site_plan(auxs, di=1).per_site()
     tabs, layout = _eri2c_tables(workspace, auxs, sites)
     zeta = flat_of(zeta)
     for gb, (sb, dW) in enumerate(zip(sites.groups, sites.bra_derivs)):
@@ -318,24 +300,26 @@ def _zblk_table(basis: BasisSet, Z: np.ndarray) -> np.ndarray:
 
 
 
-def aux_function_bounds(aux: BasisSet) -> np.ndarray:
+def aux_function_bounds(aux: BasisSet, budget: int) -> np.ndarray:
     """Cauchy-Schwarz bounds ``Q_P = sqrt((P|P))`` per auxiliary function.
 
     Shape ``(naux,)``: the diagonal of every site's ``(site|site)``
     block of the metric, on `eri2c`'s site kernels (one block a site,
-    nothing shared with an evaluation: ``(P|P)`` is translation
-    invariant, so the workspace caches the bounds on composition).
+    tables within ``budget`` bytes, nothing shared with an evaluation:
+    ``(P|P)`` is translation invariant, so the workspace caches the
+    bounds on composition — `IntegralWorkspace.aux_function_bounds`,
+    the one caller).
     """
-    from .batch import CoulombTables, _site_bras, site_plan
-    from .workspace import table_budget
+    from .batch import CoulombTables, _build_site_plan, _site_bras
+    from .workspace import stack_centres
 
-    sites = site_plan([aux]).per_site()
+    sites = _build_site_plan([aux], 0).placed(stack_centres([aux])).per_site()
     bras, kets = _site_bras(sites), _site_kets(sites)
     q = np.empty(aux.nbf)
     for g, (grp, fs) in enumerate(zip(sites.groups, sites.frags[0])):
         own = np.sort(fs.ids)
         tabs = CoulombTables(bras, kets, {(g, g): own * grp.qk.size + own},
-                             table_budget(None))
+                             budget)
         blk = _site_pairs(tabs, g, g, _site_rows(grp), grp, grp, grp.l,
                           grp.C)
         at = fs.func_idx.reshape(-1, grp.C)[np.argsort(fs.ids)]
@@ -406,7 +390,9 @@ def _functions(cls, fp, rows):
     return _block_indices(fp.oa[rows], cls.nfa, fp.ob[rows], cls.nfb)
 
 
-def eri4c(basis: BasisSet) -> np.ndarray:
+@in_scope
+def eri4c(basis: BasisSet,
+          workspace: IntegralWorkspace | None = None) -> np.ndarray:
     """Four-center ERIs ``(mu nu | la si)``, shape ``(nbf,)*4``.
 
     A block is a canonical pair of canonical shell pairs, so the 8-fold
@@ -414,13 +400,14 @@ def eri4c(basis: BasisSet) -> np.ndarray:
     expansion through the block's Hermite Coulomb kernel (tables at
     order ``la + lb + lc + ld``), then the ket pair's expansion, one
     stacked GEMM each. For the conventional-HF baseline on small
-    systems only — the RI path never calls this.
+    systems only — the RI path never calls this. ``workspace`` serves
+    the pair plan.
     """
-    from .batch import _chunks, _kernel, _w_class, pair_plan, simplex_sum_index
+    from .batch import _chunks, _kernel, _w_class, simplex_sum_index
 
     n = basis.nbf
     out = np.zeros((n, n, n, n))
-    plan = pair_plan([basis])
+    plan = workspace.pair_plan([basis])
     rows = list(zip(plan.classes, plan.frags[0]))
     bras = [_w_class(cls.E, comp_arrays(cls.la), comp_arrays(cls.lb),
                      hermite_simplex(cls.la + cls.lb))
@@ -491,6 +478,7 @@ def _bra_derivs(M2, dW, G, ket) -> np.ndarray:
                  U.transpose(0, 2, 1).reshape(q, -1, 1))[..., 0]
 
 
+@in_scope
 def contract_eri4c_deriv_hf(
     basis: BasisSet, D: np.ndarray, natoms: int,
     screen: float = ERI4C_SCREEN,
@@ -519,15 +507,15 @@ def contract_eri4c_deriv_hf(
     built. ``workspace`` serves the pair plan, the classes' derivative
     expansions and the Schwarz table of the evaluation's scratch.
     """
-    from .batch import _chunks, _deriv_expansions, _kernel, pair_plan, simplex_sum_index
+    from .batch import _chunks, _deriv_expansions, _kernel, simplex_sum_index
 
     g = np.zeros((natoms, 3))
-    plan = pair_plan([basis], workspace)
+    plan = workspace.pair_plan([basis])
     rows = list(zip(plan.classes, plan.frags[0]))
     dWs = _deriv_expansions(plan.classes, workspace)
     kets = [_ket_expansion(cls) for cls, _ in rows]
     if screen > 0.0:
-        Q = _schwarz_tables([basis], workspace)[0]
+        Q = workspace.schwarz_bounds_stack([basis])[0]
         Dmax = _zblk_table(basis, D[..., None])
     nblocks, dropped = 0, []
     for i, j, rb, rk in _quartets(rows):
@@ -569,7 +557,6 @@ def contract_eri4c_deriv_hf(
         for fp, rows_, v in ((fpb, rb, vf), (fpk, rk, vr)):
             np.add.at(g, fp.atom_a[rows_], v[:, :3])
             np.add.at(g, fp.atom_b[rows_], v[:, 3:])
-    if workspace is not None:
-        lost = np.concatenate(dropped) if dropped else np.zeros(0)
-        workspace.record_screen("eri4c_deriv", nblocks, lost.size, math.fsum(lost))
+    lost = np.concatenate(dropped) if dropped else np.zeros(0)
+    workspace.record_screen("eri4c_deriv", nblocks, lost.size, math.fsum(lost))
     return g

@@ -33,9 +33,13 @@ exhaust worker memory) plus the integral products:
   placed at them, the Hermite Coulomb tables, the Schwarz bound tables)
   is one evaluation's scratch, since an MD geometry never recurs:
   shared by the drivers inside the calling thread's `scope`, dropped at
-  its exit. The fragments of a calculator call (or of one group of it)
-  are one evaluation (`evaluation`): each shell pair, auxiliary site
-  and nucleus they share is one entry of its plans, and every integral
+  its exit. Every driver runs in a scope of a workspace
+  (`engine.in_scope`): it joins the one open on the calling thread or
+  opens its own, and ``workspace=None`` is the process workspace
+  (`get_workspace`), so the scratch exists whenever a driver asks for
+  it. The fragments of a calculator call (or of one group of it) are
+  one evaluation (`evaluation`): each shell pair, auxiliary site and
+  nucleus they share is one entry of its plans, and every integral
   block is computed once.
 * **Screen where you stand** — every evaluation screens each fragment
   with the Schwarz table of its own geometry, built once on the
@@ -57,7 +61,7 @@ from the table of the geometry evaluated). Its ``int.screen`` /
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -184,7 +188,8 @@ class _Scratch(dict):
 class _Scope(threading.local):
     """The calling thread's current evaluation."""
 
-    #: the evaluation's geometry-keyed products; None outside any scope
+    #: the evaluation's geometry-keyed products; None outside any scope,
+    #: where no driver runs
     scratch: _Scratch | None = None
 
 
@@ -215,14 +220,14 @@ class IntegralWorkspace(BoundedStore):
       driver that follows it reads, at most `TABLE_SHARE` of the byte
       budget.
 
-    Budget, lock and ``enabled`` are the store's
-    (`repro.store.BoundedStore`); scratch lookups count in the same
-    ``hits`` / ``misses`` as the store's.
+    Budget and lock are the store's (`repro.store.BoundedStore`);
+    scratch lookups count in the same ``hits`` / ``misses`` as the
+    store's. The scratch methods run inside a `scope`, as every driver
+    does.
     """
 
-    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES,
-                 enabled: bool = True) -> None:
-        super().__init__(max_bytes, enabled)
+    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
+        super().__init__(max_bytes)
         self._scope = _Scope()
         # the largest Hermite Coulomb table set ever held
         self.tables_peak_bytes = 0
@@ -266,18 +271,15 @@ class IntegralWorkspace(BoundedStore):
 
     def _scratch(self, key: tuple, build):
         """``(payload, hit)`` under ``key``: found in the calling
-        thread's scratch, or ``build()`` — kept for the rest of the
-        evaluation, or nowhere with no scope open or ``enabled=False``.
-        Counted like a store lookup."""
-        scratch = self._scope.scratch if self.enabled else None
-        payload = None if scratch is None else scratch.get(key)
+        thread's scratch, or ``build()`` and kept there for the rest of
+        the evaluation. Counted like a store lookup."""
+        scratch = self._scope.scratch
+        payload = scratch.get(key)
         hit = payload is not None
         with self._lock:
             self._count(hit)
         if not hit:
-            payload = build()
-            if scratch is not None:
-                scratch[key] = payload
+            payload = scratch[key] = build()
         return payload, hit
 
     def _instant(self, name: str, **args) -> None:
@@ -300,10 +302,10 @@ class IntegralWorkspace(BoundedStore):
         """
         from .batch import schwarz_pair_bounds
 
-        scratch = self._scope.scratch if self.enabled else None
+        scratch = self._scope.scratch
         keys = [("schwarz", basis_composition_key(basis),
                  _centers(basis).tobytes()) for basis in bases]
-        out = [None if scratch is None else scratch.get(key) for key in keys]
+        out = [scratch.get(key) for key in keys]
         todo = [f for f, Q in enumerate(out) if Q is None]
         with self._lock:
             for Q in out:
@@ -312,9 +314,7 @@ class IntegralWorkspace(BoundedStore):
             built = schwarz_pair_bounds(bases, workspace=self, frags=todo)
             for f, Q in zip(todo, built):
                 self._instant("workspace.hit", product="schwarz", hit=False)
-                out[f] = Q
-                if scratch is not None:
-                    scratch[keys[f]] = Q
+                out[f] = scratch[keys[f]] = Q
         return out
 
     def aux_function_bounds(self, aux) -> np.ndarray:
@@ -328,7 +328,7 @@ class IntegralWorkspace(BoundedStore):
         key = ("auxbound", basis_composition_key(aux))
         q = self._get(key)
         if q is None:
-            q = aux_function_bounds(aux)
+            q = aux_function_bounds(aux, table_budget(self))
             self._put(key, q)
         return q
 
@@ -339,9 +339,7 @@ class IntegralWorkspace(BoundedStore):
         """The `Stack` of a list of bases, worked out once per evaluation
         (kept in its scratch under the bases' identities, which it keeps
         alive)."""
-        scratch = self._scope.scratch if self.enabled else None
-        if scratch is None:
-            return Stack(bases)
+        scratch = self._scope.scratch
         key = ("stack", *map(id, bases))
         found = scratch.get(key)
         if found is None:
@@ -393,10 +391,6 @@ class IntegralWorkspace(BoundedStore):
         self._instant("workspace.hit", product="shell_classes", hit=hit)
         return plan
 
-    def shell_classes(self, bases) -> list:
-        """The shell classes of `pair_plan`."""
-        return self.pair_plan(bases).classes
-
     def site_plan(self, auxs, di: int = 0):
         """The `batch.SitePlan` of a list of fitting bases: the store's
         geometry-free plan placed at the bases' centres, once per
@@ -404,15 +398,13 @@ class IntegralWorkspace(BoundedStore):
         from .batch import _build_site_plan
 
         stack = self.stack(auxs)
-        scratch = self._scope.scratch if self.enabled else None
+        scratch = self._scope.scratch
         key = ("siteplan", stack.where, di)
-        plan = None if scratch is None else scratch.get(key)
+        plan = scratch.get(key)
         if plan is None:
-            plan = self.plan("sites", (stack.key, di),
-                             lambda: _build_site_plan(auxs, di))
-            plan = plan.placed(stack.centres)
-            if scratch is not None:
-                scratch[key] = plan
+            plan = scratch[key] = self.plan(
+                "sites", (stack.key, di),
+                lambda: _build_site_plan(auxs, di)).placed(stack.centres)
         return plan
 
     # ------------------------------------------------------------------
@@ -421,38 +413,41 @@ class IntegralWorkspace(BoundedStore):
     #: share of ``max_bytes`` one evaluation's table set may hold
     TABLE_SHARE = 1.0 / 16.0
 
-    def coulomb_tables(self, kind: str, stacks, points, build):
+    def coulomb_tables(self, kind: str, stacks, points, bras, kets, blocks):
         """This evaluation's `batch.CoulombTables` for a driver pair.
 
         ``kind`` names the pair (``eri3c``, ``eri2c``, ``nuclear``),
         ``stacks`` the basis lists (one per side: the evaluation's
         orbital and fitting bases) and ``points`` any further array the
-        tables depend on (the nuclei).
+        tables depend on (the nuclei); ``bras``, ``kets`` and ``blocks``
+        are the driver's set (`batch.CoulombTables`).
 
-        ``build(found, budget)`` makes the driver's set from the payload
-        found (or None) within ``budget`` bytes — `TABLE_SHARE` of
-        ``max_bytes``, a bound on what one evaluation *holds*; what does
-        not fit is built by the driver as it goes. The first driver of a
-        pair keeps the set it built from nothing, the other builds its
-        own from that one's payload and takes it out of the scratch, so
-        a set lives from its value driver to its derivative. Found and
-        rebuilt tables are bitwise equal: the scratch only saves time.
+        A set is built from the payload found (or from nothing) within
+        `table_budget` — `TABLE_SHARE` of ``max_bytes``, a bound on what
+        one evaluation *holds*; what does not fit is built by the driver
+        as it goes. The first driver of a pair keeps the set it built
+        from nothing, the other builds its own from that one's payload
+        and takes it out of the scratch, so a set lives from its value
+        driver to its derivative. Found and rebuilt tables are bitwise
+        equal: the scratch only saves time.
         """
+        from .batch import CoulombTables
+
         key = ("coultab", kind, *(self.stack(stack).where for stack in stacks),
                None if points is None else points.tobytes())
         budget = table_budget(self)
-        tabs, hit = self._scratch(key, lambda: build(None, budget))
+        tabs, hit = self._scratch(
+            key, lambda: CoulombTables(bras, kets, blocks, budget))
+        scratch = self._scope.scratch
         if hit:
             # the set is handed on once: the driver that finds it is its
             # last reader, and the evaluation holds it no longer
-            self._scope.scratch.pop(key, None)
-            tabs = build(tabs.payload, budget)
+            del scratch[key]
+            tabs = CoulombTables(bras, kets, blocks, budget, tabs.payload)
         with self._lock:
             self.tables_peak_bytes = max(self.tables_peak_bytes, tabs.nbytes)
-        scratch = self._scope.scratch
-        if scratch is not None:
-            scratch.sets_peak_bytes = max(scratch.sets_peak_bytes, tabs.nbytes)
-            scratch.rebuilt_pairs += tabs.rebuilt_pairs
+        scratch.sets_peak_bytes = max(scratch.sets_peak_bytes, tabs.nbytes)
+        scratch.rebuilt_pairs += tabs.rebuilt_pairs
         self._instant(
             "workspace.hit", product="coulomb_tables", kind=kind,
             hit=hit, orders=tabs.orders,
@@ -465,11 +460,9 @@ class IntegralWorkspace(BoundedStore):
         """Account a derivative driver's request for its classes'
         bra-derivative expansions (`batch._deriv_expansions`): ``built``
         bytes of them made now (none: every one found on its class),
-        ``nbytes`` held. What an open scratch holds counts in its
+        ``nbytes`` held. What the scratch holds counts in its
         ``table_bytes``."""
-        scratch = self._scope.scratch if self.enabled else None
-        if scratch is not None:
-            scratch.expansion_bytes += built
+        self._scope.scratch.expansion_bytes += built
         self._instant("workspace.hit", product="bra_expansions",
                       hit=built == 0, nbytes=nbytes)
 
@@ -478,15 +471,15 @@ class IntegralWorkspace(BoundedStore):
         """Account a value driver's blocks of ``family`` (one of
         `BLOCK_FAMILIES`), in elements of its fragments' atom blocks:
         ``requested`` summed over the fragments, ``computed`` over the
-        distinct blocks evaluated once. An open scratch counts them
-        too, for its evaluation."""
+        distinct blocks evaluated once. The scratch counts them too,
+        for its evaluation."""
+        requested, computed = int(requested), int(computed)
         with self._lock:
             self.elements_requested[family] += requested
             self.elements_computed[family] += computed
-        scratch = self._scope.scratch if self.enabled else None
-        if scratch is not None:
-            scratch.elements_requested[family] += requested
-            scratch.elements_computed[family] += computed
+        scratch = self._scope.scratch
+        scratch.elements_requested[family] += requested
+        scratch.elements_computed[family] += computed
 
     # ------------------------------------------------------------------
     # screening statistics
@@ -518,29 +511,18 @@ class IntegralWorkspace(BoundedStore):
             )
 
 
-def table_budget(workspace: IntegralWorkspace | None) -> int:
+def table_budget(workspace: IntegralWorkspace) -> int:
     """Bytes one evaluation's Hermite Coulomb tables may hold:
-    `IntegralWorkspace.TABLE_SHARE` of the workspace's byte budget — of
-    the default budget for a driver called without a workspace, so it
-    merges the same classes either way."""
-    if workspace is None:
-        return int(IntegralWorkspace.TABLE_SHARE * DEFAULT_MAX_BYTES)
+    `IntegralWorkspace.TABLE_SHARE` of the workspace's byte budget."""
     return int(workspace.TABLE_SHARE * workspace.max_bytes)
 
 
-def evaluation_scope(workspace: IntegralWorkspace | None):
-    """What a function calling several drivers at one geometry runs
-    them in, so they share one scratch (or nothing to share it in)."""
-    return nullcontext() if workspace is None else workspace.scope()
-
-
-#: process-global workspace used by the calculators when none is given
-_GLOBAL_WORKSPACE: IntegralWorkspace | None = None
+#: the process workspace: built with the module, so every thread that
+#: asks gets this one
+_PROCESS_WORKSPACE = IntegralWorkspace()
 
 
 def get_workspace() -> IntegralWorkspace:
-    """The per-process shared `IntegralWorkspace` (created on first use)."""
-    global _GLOBAL_WORKSPACE
-    if _GLOBAL_WORKSPACE is None:
-        _GLOBAL_WORKSPACE = IntegralWorkspace()
-    return _GLOBAL_WORKSPACE
+    """The process's shared `IntegralWorkspace`: what ``workspace=None``
+    means to every driver, SCF and gradient entry point and calculator."""
+    return _PROCESS_WORKSPACE

@@ -255,7 +255,7 @@ class _HeldTiers:
 
 class FragmentRecords(dict):
     """``key -> FragmentRecord``, the engine's per-fragment state
-    (`AsyncCoordinator._release` hands a record out, `complete` stores
+    (`AsyncCoordinator._build` hands a record out, `complete` stores
     the one that comes back, a replan drops removed keys), and its
     ``fragments`` checkpoint section: every record with densities, all
     of them flattened into one array, with each record's key, atom
@@ -743,16 +743,9 @@ class AsyncCoordinator:
         self._ref_dist_cache[step][m] = d
         return d
 
-    def _release(self, key: tuple, step: int) -> None:
-        """Queue one ready task — or serve it from the surrogate.
-
-        A polymer the committee surrogate's gate admits never enters the
-        priority queue: its synthetic completed task goes onto
-        ``_served_queue`` (the iterative accumulation path) and the
-        per-order bound is folded into the manager's neglected-error
-        ceiling. A cold class or a committee disagreement above the gate
-        schedules the full solve.
-        """
+    def _task(self, key: tuple, step: int) -> PolymerTask:
+        """The task of a ready polymer, its fragment not built yet (a
+        stub where the window has no layout for the key)."""
         win = self._windows[self._window_start(step)]
         lay = win.layouts.get(key)
         if lay is not None:
@@ -763,7 +756,7 @@ class AsyncCoordinator:
                 natoms=int(self._mono_natoms[list(key)].sum()) + ncaps,
                 nelectrons=int(self._mono_electrons[list(key)].sum()) + ncaps,
             )
-        task = PolymerTask(
+        return PolymerTask(
             key=key,
             step=step,
             molecule=mol,
@@ -771,8 +764,20 @@ class AsyncCoordinator:
             coefficient=self._step_keys[step][key],
             distance=0.0,
         )
+
+    def _release(self, task: PolymerTask) -> None:
+        """Queue one ready task — or serve it from the surrogate.
+
+        A polymer the committee surrogate's gate admits never enters the
+        priority queue: its synthetic completed task goes onto
+        ``_served_queue`` (the iterative accumulation path) and the
+        per-order bound is folded into the manager's neglected-error
+        ceiling. A cold class or a committee disagreement above the gate
+        schedules the full solve. A gated task arrives with its fragment
+        built (`_release_ready`).
+        """
+        key, step = task.key, task.step
         if self.surrogate is not None and len(key) > 1 and self.build_molecules:
-            self._build([task])
             served = self.surrogate.predict(
                 key, task.molecule, coefficient=task.coefficient
             )
@@ -805,23 +810,30 @@ class AsyncCoordinator:
     def _release_ready(self, step: int, only_monomer: int | None = None) -> None:
         """``only_monomer`` has arrived at ``step`` (None: every monomer
         has, and none was there before): release each task of the step
-        whose last awaited monomer that was."""
+        whose last awaited monomer that was, in key order — the ones the
+        surrogate's gate sees with their fragments built in one gather
+        first (`_build`)."""
         if step not in self._pending_total:
             self._open_step(step)
         if only_monomer is None:
             # everyone is at the step: nothing is left to wait for
-            for key in self._step_keys[step]:
-                self._release(key, step)
-            return
-        win = self._windows[self._window_start(step)]
-        waiting = self._waiting[step]
-        for key in win.mono_keys[only_monomer]:
-            n = waiting.get(key)
-            if n is None:
-                continue  # in no tier due at this step
-            waiting[key] = n - 1
-            if n == 1:
-                self._release(key, step)
+            keys = list(self._step_keys[step])
+        else:
+            win = self._windows[self._window_start(step)]
+            waiting = self._waiting[step]
+            keys = []
+            for key in win.mono_keys[only_monomer]:
+                n = waiting.get(key)
+                if n is None:
+                    continue  # in no tier due at this step
+                waiting[key] = n - 1
+                if n == 1:
+                    keys.append(key)
+        tasks = [self._task(key, step) for key in keys]
+        if self.surrogate is not None and self.build_molecules:
+            self._build([task for task in tasks if len(task.key) > 1])
+        for task in tasks:
+            self._release(task)
 
     def _drain_served(self) -> None:
         """Accumulate queued surrogate-served contributions iteratively.

@@ -258,8 +258,9 @@ def rimp2_gradient(res: SCFResult, return_intermediates: bool = False,
             bare array.
         int_screen: Schwarz screening threshold for the three-center
             derivative contraction (0 disables).
-        workspace: optional `repro.integrals.IntegralWorkspace` serving
-            cached bound tables to the drivers, run in one scope of it.
+        workspace: the `repro.integrals.IntegralWorkspace` serving
+            cached bound tables to the drivers, run in one scope of it
+            (None: the process workspace).
 
     Returns:
         ``(natoms, 3)`` gradient in Hartree/Bohr (or the result object).

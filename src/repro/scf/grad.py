@@ -35,7 +35,7 @@ from ..integrals import (
     contract_hcore_deriv,
     contract_overlap_deriv,
 )
-from ..integrals.workspace import evaluation_scope
+from ..integrals.engine import in_scope
 from .rhf import SCFResult
 
 
@@ -46,27 +46,27 @@ def _energy_weighted_density(res: SCFResult) -> np.ndarray:
     return 2.0 * gemm(Co * eps_o[None, :], Co.T)
 
 
+@in_scope
 def rhf_gradient_conventional(
     res: SCFResult, workspace=None, int_screen: float = ERI4C_SCREEN
 ) -> np.ndarray:
     """Analytic gradient of a conventional (four-center) RHF energy.
 
-    Returns ``(natoms, 3)`` in Hartree/Bohr. ``workspace`` serves the
-    Schwarz bounds; the drivers share the pair plan inside one scope of
-    it. ``int_screen`` is the four-center driver's threshold; ``0.0``
-    is the exact (unscreened) path, which also skips the Schwarz/Dmax
-    table builds entirely.
+    Returns ``(natoms, 3)`` in Hartree/Bohr. ``workspace`` (None: the
+    process workspace) serves the Schwarz bounds; the drivers share the
+    pair plan inside one scope of it. ``int_screen`` is the four-center
+    driver's threshold; ``0.0`` is the exact (unscreened) path, which
+    also skips the Schwarz/Dmax table builds entirely.
     """
     mol = res.mol
     natoms = mol.natoms
     g = mol.nuclear_repulsion_gradient()
     W = _energy_weighted_density(res)
-    with evaluation_scope(workspace):
-        g += contract_hcore_deriv(res.basis, mol, res.D, workspace)
-        g += contract_eri4c_deriv_hf(
-            res.basis, res.D, natoms, screen=int_screen, workspace=workspace
-        )
-        g -= contract_overlap_deriv(res.basis, W, workspace)
+    g += contract_hcore_deriv(res.basis, mol, res.D, workspace)
+    g += contract_eri4c_deriv_hf(
+        res.basis, res.D, natoms, screen=int_screen, workspace=workspace
+    )
+    g -= contract_overlap_deriv(res.basis, W, workspace)
     return g
 
 
@@ -129,6 +129,7 @@ def ri_gradient_coefficients(res: SCFResult):
     return res.D, Z3c, zeta, -_energy_weighted_density(res)
 
 
+@in_scope
 def contract_ri_gradients(mols, bases, auxs, coefs, int_screen: float = 0.0,
                           workspace=None) -> list[np.ndarray]:
     """RI gradients of the fragments of one evaluation, ``(natoms, 3)``
@@ -140,19 +141,19 @@ def contract_ri_gradients(mols, bases, auxs, coefs, int_screen: float = 0.0,
     once and each fragment contracts its own coefficients with them.
 
     ``int_screen``/``workspace`` enable Schwarz screening on cached
-    bounds; the four drivers run inside one scope of the workspace.
+    bounds; the four drivers run inside one scope of the workspace
+    (None: the process workspace).
     """
     X, Z3c, zeta, W = coefs
     natoms = [mol.natoms for mol in mols]
     g = [mol.nuclear_repulsion_gradient() for mol in mols]
-    with evaluation_scope(workspace):
-        # the small table sets first: each is let go by the derivative
-        # that reads it, before the three-centre one is read
-        h = contract_hcore_deriv(bases, mols, X, workspace)
-        j = contract_eri2c_deriv(auxs, zeta, natoms, workspace)
-        t = contract_eri3c_deriv(bases, auxs, Z3c, natoms,
-                                 screen=int_screen, workspace=workspace)
-        s = contract_overlap_deriv(bases, W, workspace)
+    # the small table sets first: each is let go by the derivative that
+    # reads it, before the three-centre one is read
+    h = contract_hcore_deriv(bases, mols, X, workspace)
+    j = contract_eri2c_deriv(auxs, zeta, natoms, workspace)
+    t = contract_eri3c_deriv(bases, auxs, Z3c, natoms,
+                             screen=int_screen, workspace=workspace)
+    s = contract_overlap_deriv(bases, W, workspace)
     for part in (h, t, j, s):
         for gf, pf in zip(g, part):
             gf += pf
@@ -165,7 +166,8 @@ def rhf_gradient_ri(
     """Analytic gradient of an RI-HF energy (no four-center derivatives).
 
     ``int_screen``/``workspace`` enable Schwarz screening on cached
-    bounds; the four drivers run inside one scope of the workspace.
+    bounds; the four drivers run inside one scope of the workspace
+    (None: the process workspace).
     """
     coefs = [c[None] for c in ri_gradient_coefficients(res)]
     return contract_ri_gradients([res.mol], [res.basis], [res.aux], coefs,

@@ -26,7 +26,7 @@ from ..basis.basisset import BasisSet
 from ..chem.molecule import Molecule
 from ..gemm import bgemm, eigh_orth, gemm, sym_inv_sqrt
 from ..integrals import eri2c, eri3c, eri4c, hcore, overlap
-from ..integrals.workspace import evaluation_scope
+from ..integrals.engine import in_scope
 from ..numerics import NumericalDivergenceError
 from .diis import DIIS
 
@@ -263,6 +263,7 @@ def _metric_factors(J2: list, mols) -> list[np.ndarray]:
     return out
 
 
+@in_scope
 def prepare_solves(
     mols, bases, auxs=None, int_screen: float = 0.0, workspace=None,
 ) -> list[dict]:
@@ -272,14 +273,14 @@ def prepare_solves(
     integral driver, one evaluation for all of them: a block the
     fragments share is computed once, and the metrics of one size are
     factored as one stack (`_metric_factors`). The solves that read
-    them are each fragment's own."""
-    with evaluation_scope(workspace):
-        S = overlap(bases, workspace)
-        h = hcore(bases, mols, workspace)
-        if auxs is not None:
-            T3 = eri3c(bases, auxs, screen=int_screen, workspace=workspace)
-            J2 = eri2c(auxs, workspace)
-            Linv = _metric_factors(J2, mols)
+    them are each fragment's own. The drivers share one scope of
+    ``workspace`` (None: the process workspace)."""
+    S = overlap(bases, workspace)
+    h = hcore(bases, mols, workspace)
+    if auxs is not None:
+        T3 = eri3c(bases, auxs, screen=int_screen, workspace=workspace)
+        J2 = eri2c(auxs, workspace)
+        Linv = _metric_factors(J2, mols)
     memos = []
     for f, bs in enumerate(bases):
         memo = {"bs": bs, "S": S[f], "h0": h[f]}
@@ -350,8 +351,11 @@ def rhf(
         int_screen: Schwarz screening threshold for the integral drivers
             (0 disables screening — the exact default). See
             `repro.integrals.workspace.DEFAULT_INT_SCREEN`.
-        workspace: optional `repro.integrals.IntegralWorkspace` serving
-            screening bounds across calls; the drivers share one scope.
+        workspace: the `repro.integrals.IntegralWorkspace` serving
+            screening bounds across calls (None: the process
+            workspace). Its integral calls (`prepare_solves`, `eri4c`)
+            run in a scope of it, not the SCF iterations: a scope held
+            across them would keep the value drivers' Coulomb tables.
         solve_memo: optional dict shared by repeated solves of the *same*
             molecule/basis (the recovery cascade): geometry-fixed
             matrices (basis, S, core h, RI tensors and Fock layouts) are
@@ -391,30 +395,29 @@ def rhf(
         raise ValueError("basis too small for electron count")
 
     B = Linv = ERI = lay = None
-    with evaluation_scope(workspace):
-        if "S" not in memo or (ri and "ri" not in memo):
-            if ri and aux is None:
-                aux = auto_auxiliary(mol, basis)
-            memo.update(prepare_solves(
-                [mol], [bs], [aux] if ri else None, int_screen, workspace
-            )[0])
-        S, h = memo["S"], memo["h0"]
-        if h_extra is not None:
-            h = h + h_extra
-            if not np.all(np.isfinite(h)):
-                raise NumericalDivergenceError(
-                    "SCF setup: non-finite core Hamiltonian after h_extra "
-                    "perturbation"
-                )
-        if ri:
-            B, Linv, aux = memo["ri"]
-            if "lay" not in memo:
-                memo["lay"] = RIFockLayout.from_tensor(B)
-            lay = memo["lay"]
-        elif "eri" in memo:
-            ERI = memo["eri"]
-        else:
-            ERI = memo["eri"] = eri4c(bs)
+    if "S" not in memo or (ri and "ri" not in memo):
+        if ri and aux is None:
+            aux = auto_auxiliary(mol, basis)
+        memo.update(prepare_solves(
+            [mol], [bs], [aux] if ri else None, int_screen, workspace
+        )[0])
+    S, h = memo["S"], memo["h0"]
+    if h_extra is not None:
+        h = h + h_extra
+        if not np.all(np.isfinite(h)):
+            raise NumericalDivergenceError(
+                "SCF setup: non-finite core Hamiltonian after h_extra "
+                "perturbation"
+            )
+    if ri:
+        B, Linv, aux = memo["ri"]
+        if "lay" not in memo:
+            memo["lay"] = RIFockLayout.from_tensor(B)
+        lay = memo["lay"]
+    elif "eri" in memo:
+        ERI = memo["eri"]
+    else:
+        ERI = memo["eri"] = eri4c(bs, workspace)
     e_nuc = mol.nuclear_repulsion()
 
     X = sym_inv_sqrt(S)

@@ -89,18 +89,13 @@ def payload_nbytes(payload) -> int:
 
 
 class BoundedStore:
-    """LRU byte-budgeted ``key -> payload`` store.
-
-    ``enabled=False`` turns every lookup into a miss and stores nothing
-    (statistics-only mode), so cold and warm runs can be instrumented
-    identically. Subclasses add their products on top of `_get` / `_put`
-    / `_discard` and extend `stats`.
+    """LRU byte-budgeted ``key -> payload`` store, always on: the byte
+    budget is its one setting. Subclasses add their products on top of `_get` / `_put` /
+    `_discard` and extend `stats`.
     """
 
-    def __init__(self, max_bytes: int = 256 * 2**20,
-                 enabled: bool = True) -> None:
+    def __init__(self, max_bytes: int = 256 * 2**20) -> None:
         self.max_bytes = int(max_bytes)
-        self.enabled = enabled
         #: key -> (payload, nbytes); LRU order, recent last
         self._entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
         self._nbytes = 0
@@ -133,7 +128,7 @@ class BoundedStore:
         """The payload under ``key`` (refreshing its LRU position) or
         None, uncounted — `_get` is this plus the hit/miss accounting."""
         with self._lock:
-            entry = self._entries.get(key) if self.enabled else None
+            entry = self._entries.get(key)
             if entry is None:
                 return None
             self._entries.move_to_end(key)
@@ -146,8 +141,6 @@ class BoundedStore:
             return payload
 
     def _put(self, key: tuple, payload) -> None:
-        if not self.enabled:
-            return
         nbytes = payload_nbytes(payload)
         with self._lock:
             self._discard(key)
@@ -194,5 +187,5 @@ class BoundedStore:
         return (
             f"{type(self).__name__}(entries={len(self._entries)}, "
             f"nbytes={self._nbytes}, hits={self.hits}, "
-            f"misses={self.misses}, enabled={self.enabled})"
+            f"misses={self.misses})"
         )

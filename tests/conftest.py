@@ -7,6 +7,7 @@ import pytest
 
 from repro.chem import Molecule
 from repro.faults import FaultPlan, FaultPlanCalculator, FaultSpec
+from repro.integrals import IntegralWorkspace
 from repro.trace import current
 
 
@@ -89,3 +90,24 @@ def faulty_calculator(inner, kind="transient",
 def hermite_cube(L: int) -> np.ndarray:
     """Every (t, u, v) of the Hermite cube ``0..L`` a side, C-order."""
     return np.indices((L + 1,) * 3).reshape(3, -1).T
+
+
+def pair_plan(bases):
+    """The `batch.PairPlan` of a list of bases, as a driver gets it:
+    from a scope of a fresh workspace."""
+    ws = IntegralWorkspace()
+    with ws.scope():
+        return ws.pair_plan(bases)
+
+
+def shell_classes(basis):
+    """The shell classes of one basis (`pair_plan` of a list of one)."""
+    return pair_plan([basis]).classes
+
+
+def site_plan(auxs):
+    """The placed `batch.SitePlan` of a list of fitting bases, from a
+    scope of a fresh workspace."""
+    ws = IntegralWorkspace()
+    with ws.scope():
+        return ws.site_plan(auxs)

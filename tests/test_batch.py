@@ -58,7 +58,6 @@ from repro.integrals.batch import (
     _ket_inputs,
     _w_class,
     _w_deriv_class,
-    build_shell_classes,
     contract_eri3c_deriv,
     contract_kinetic_deriv,
     contract_nuclear_deriv,
@@ -76,13 +75,13 @@ from repro.integrals.engine import (
     hermite_simplex,
 )
 from repro.integrals.eri import contract_eri4c_deriv_hf
-from repro.integrals.workspace import evaluation_scope
+from repro.integrals.workspace import get_workspace
 from repro.store import payload_nbytes
 from repro.systems import glycine_chain, water_cluster
 from repro.trace import Tracer, recording
 
 from . import integral_reference as ref
-from .conftest import hermite_cube, table_instants
+from .conftest import hermite_cube, shell_classes, table_instants
 
 
 @pytest.fixture(scope="module")
@@ -320,7 +319,7 @@ class TestSimplexTrimming:
     def test_expansions_vanish_outside_the_simplex(self, system, basis_name):
         mol = water_cluster(1, seed=0) if system == "water" else glycine_chain(1)
         bs = BasisSet.build(mol, basis_name)
-        for cls in build_shell_classes(bs):
+        for cls in shell_classes(bs):
             ca, cb = comp_arrays(cls.la), comp_arrays(cls.lb)
             L = cls.la + cls.lb
             box = hermite_cube(L + 1)
@@ -404,13 +403,14 @@ class TestKernelModeDispatch:
         bs, _ = _setup(water, "sto-3g")
         ws = IntegralWorkspace()
         with ws.scope():
-            c1 = build_shell_classes(bs, ws)
-            c2 = build_shell_classes(bs, ws)
+            c1 = ws.pair_plan([bs]).classes
+            c2 = ws.pair_plan([bs]).classes
         assert c1 is c2
         assert (ws.hits, ws.misses) == (1, 1)
         # scratch, not state: gone with the scope, and never in the
         # store, which keeps the geometry-free plan they are placed from
-        assert build_shell_classes(bs, ws) is not c1
+        with ws.scope():
+            assert ws.pair_plan([bs]).classes is not c1
         assert (ws.hits, ws.misses) == (1, 2)
         assert [key[:2] for key in ws._entries] == [("plan", "pairs")]
 
@@ -461,18 +461,13 @@ def _routes(case, value, deriv):
             value(fresh)
         with fresh.scope():
             out["fresh scope"] = deriv(fresh)
-    # and outside any scope nothing is kept for anybody
-    bare = case["workspace"]()
-    with recording(Tracer()) as bare_trace:
-        value(bare)
-        out["no scope"] = deriv(bare)
-    out["no workspace"] = deriv(None)
-    disabled = case["workspace"](enabled=False)
-    with recording(Tracer()) as disabled_trace, disabled.scope():
-        value(disabled)
-        out["disabled"] = deriv(disabled)
-    for trace in (fresh_trace, bare_trace, disabled_trace):
-        assert [t["hit"] for t in table_instants(trace)] == [False, False]
+    assert [t["hit"] for t in table_instants(fresh_trace)] == [False, False]
+    # no workspace is the process workspace: the driver joins its scope
+    process = get_workspace()
+    with recording(Tracer()) as process_trace, process.scope():
+        value(None)
+        out["no workspace = process workspace"] = deriv(None)
+    assert [t["hit"] for t in table_instants(process_trace)] == [False, True]
     # a share that holds about a third of the set: the rest is built
     # by the drivers as they go, found or not
     partial = case["workspace"]()
@@ -484,7 +479,7 @@ def _routes(case, value, deriv):
     assert not first["kept"] and not second["kept"] and second["hit"]
     assert 0 < partial.tables_peak_bytes <= found.tables_peak_bytes / 3
     assert all(_holds_only_state(ws)
-               for ws in (found, fresh, bare, disabled, partial))
+               for ws in (found, fresh, process, partial))
     return out, found, table_instants(found_trace)
 
 
@@ -509,7 +504,7 @@ class TestCoulombTables:
             )
 
         out, found, (built, served) = _routes(c, value, deriv)
-        ref = out.pop("no workspace").tobytes()
+        ref = out.pop("fresh scope").tobytes()
         assert {k for k, g in out.items() if g.tobytes() != ref} == set()
         assert built["orders"] and not built["hit"] and served["hit"]
         # glycine/repro-dz is the one case whose set (88 MB at the
@@ -524,7 +519,7 @@ class TestCoulombTables:
             lambda ws: contract_eri2c_deriv(
                 c["aux"], c["zeta"], c["mol"].natoms, workspace=ws),
         )
-        ref = out.pop("no workspace").tobytes()
+        ref = out.pop("fresh scope").tobytes()
         assert {k for k, g in out.items() if g.tobytes() != ref} == set()
         # the value driver built every ordered group pair: nothing left
         assert tables[1]["orders"] == []
@@ -536,7 +531,7 @@ class TestCoulombTables:
             lambda ws: contract_nuclear_deriv(
                 c["bs"], c["mol"], c["X"], workspace=ws),
         )
-        ref = out.pop("no workspace").tobytes()
+        ref = out.pop("fresh scope").tobytes()
         assert {k for k, g in out.items() if g.tobytes() != ref} == set()
         assert tables[1]["orders"] == []
 
@@ -545,19 +540,17 @@ class TestCoulombTables:
         inside the evaluation), built, or chunked differently, same
         bits."""
         c = tables_case
+        want = (eri3c(c["bs"], c["aux"], workspace=IntegralWorkspace()),
+                eri2c(c["aux"], workspace=IntegralWorkspace()),
+                nuclear(c["bs"], c["mol"], workspace=IntegralWorkspace()))
         ws = c["workspace"]()
         with recording(Tracer()) as tracer, ws.scope():
             for _ in range(2):
                 assert np.array_equal(
-                    eri3c(c["bs"], c["aux"], workspace=ws),
-                    eri3c(c["bs"], c["aux"]),
-                )
-                assert np.array_equal(eri2c(c["aux"], workspace=ws),
-                                      eri2c(c["aux"]))
+                    eri3c(c["bs"], c["aux"], workspace=ws), want[0])
+                assert np.array_equal(eri2c(c["aux"], workspace=ws), want[1])
                 assert np.array_equal(
-                    nuclear(c["bs"], c["mol"], workspace=ws),
-                    nuclear(c["bs"], c["mol"]),
-                )
+                    nuclear(c["bs"], c["mol"], workspace=ws), want[2])
         assert [t["hit"] for t in table_instants(tracer)] == (
             [False] * 3 + [True] * 3)
         assert _holds_only_state(ws)
@@ -573,7 +566,7 @@ class TestCoulombTables:
         zeta = rng.standard_normal((aux.nbf, aux.nbf))
 
         def run_all(ws):
-            with evaluation_scope(ws):
+            with ws.scope():
                 return [
                     nuclear(bs, mol, ws),
                     eri3c(bs, aux, workspace=ws),
@@ -589,7 +582,7 @@ class TestCoulombTables:
         monkeypatch.setattr(engine, "_R_SCRATCH_BYTES", 1 << 12)
         nothing_kept = IntegralWorkspace()
         nothing_kept.TABLE_SHARE = 0.0
-        for ws in (IntegralWorkspace(), nothing_kept, None):
+        for ws in (IntegralWorkspace(), nothing_kept, get_workspace()):
             for got, want in zip(run_all(ws), ref):
                 assert np.array_equal(got, want)
         assert nothing_kept.tables_peak_bytes == 0
@@ -785,7 +778,7 @@ class TestCoulombTables:
         ws = IntegralWorkspace()
         with recording(Tracer()) as tracer, ws.evaluation() as scratch:
             got = run(ws)
-            classes = ws.shell_classes([bs])
+            classes = ws.pair_plan([bs]).classes
         assert ws.pairs_skipped > 0
         assert built == [cls.npair for cls in classes]
         held = sum(cls.dW.nbytes for cls in classes)
@@ -981,9 +974,10 @@ class TestSiteGrouping:
         # the workspace's site plan is built from them once per
         # composition: another geometry only places it at its centres
         ws = IntegralWorkspace()
-        first = ws.site_plan([aux])
         moved = BasisSet([sh.at(sh.center + 0.1, sh.atom) for sh in aux.shells])
-        again = ws.site_plan([moved])
+        with ws.scope():
+            first = ws.site_plan([aux])
+            again = ws.site_plan([moved])
         assert [key[:2] for key in ws._entries] == [("plan", "sites")]
         for a, b in zip(first.groups, again.groups):
             assert a.E is b.E and a.Wk is b.Wk
@@ -1051,8 +1045,7 @@ class TestScreenedBatchedMBE:
         plan = build_plan(fs, 1e9, 1e9, order=3)
         e0, g0 = mbe_energy_gradient(
             fs, plan,
-            RIHFCalculator(workspace=IntegralWorkspace(enabled=False),
-                           int_screen=0.0),
+            RIHFCalculator(workspace=IntegralWorkspace(), int_screen=0.0),
         )
         ws = IntegralWorkspace()
         e1, g1 = mbe_energy_gradient(
@@ -1076,7 +1069,7 @@ class TestByteAccounting:
 
     def test_payload_nbytes_walks_dataclasses(self, water):
         bs, _ = _setup(water, "sto-3g")
-        classes = build_shell_classes(bs)
+        classes = shell_classes(bs)
         n = payload_nbytes(classes)
         assert n >= sum(c.E.nbytes for c in classes)
 
@@ -1165,3 +1158,120 @@ class TestOneArrayLibrary:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scf", "w.xyz", "--backend", "numpy"])
         build_parser().parse_args(["scf", "w.xyz"])
+
+
+def _driver_calls(mol, basis_name):
+    """Every driver of the integral layer with arguments for ``mol`` in
+    ``basis_name``: the `engine.stack_driver` ones (one basis) and the
+    four-centre pair, by name, each a function of the workspace."""
+    from repro.integrals import contract_hcore_deriv, eri4c, hcore
+
+    bs = BasisSet.build(mol, basis_name)
+    aux = auto_auxiliary(mol, basis_name)
+    rng = np.random.default_rng(41)
+    X = _sym(bs.nbf, seed=42)
+    D = _sym(bs.nbf, seed=43)
+    Z = 1e-3 * rng.standard_normal((bs.nbf, bs.nbf, aux.nbf))
+    zeta = rng.standard_normal((aux.nbf, aux.nbf))
+    n = mol.natoms
+    return {
+        "overlap": lambda ws: overlap(bs, ws),
+        "kinetic": lambda ws: kinetic(bs, ws),
+        "nuclear": lambda ws: nuclear(bs, mol, ws),
+        "hcore": lambda ws: hcore(bs, mol, ws),
+        "schwarz_pair_bounds": lambda ws: schwarz_pair_bounds(bs, ws),
+        "eri3c": lambda ws: eri3c(bs, aux, screen=1e-10, workspace=ws),
+        "eri2c": lambda ws: eri2c(aux, ws),
+        "contract_overlap_deriv": lambda ws: contract_overlap_deriv(bs, X, ws),
+        "contract_kinetic_deriv": lambda ws: contract_kinetic_deriv(bs, X, ws),
+        "contract_nuclear_deriv":
+            lambda ws: contract_nuclear_deriv(bs, mol, X, ws),
+        "contract_hcore_deriv":
+            lambda ws: contract_hcore_deriv(bs, mol, X, workspace=ws),
+        "contract_eri3c_deriv": lambda ws: contract_eri3c_deriv(
+            bs, aux, Z, n, screen=1e-10, workspace=ws),
+        "contract_eri2c_deriv":
+            lambda ws: contract_eri2c_deriv(aux, zeta, n, ws),
+        "eri4c": lambda ws: eri4c(bs, ws),
+        "contract_eri4c_deriv_hf":
+            lambda ws: contract_eri4c_deriv_hf(bs, D, n, workspace=ws),
+    }
+
+
+class TestOneWayIn:
+    """Every driver runs in a scope of a workspace: ``workspace=None``
+    is the process workspace, and no branch of the integral layer runs
+    without one."""
+
+    def test_every_driver_is_listed(self, water):
+        """`_driver_calls` names every public driver: each callable of
+        `repro.integrals` that takes a workspace."""
+        import inspect
+
+        import repro.integrals as integrals
+
+        drivers = {name for name in integrals.__all__
+                   if callable(obj := getattr(integrals, name))
+                   and not inspect.isclass(obj)
+                   and "workspace" in inspect.signature(obj).parameters}
+        assert drivers == set(_driver_calls(water, "sto-3g"))
+
+    @pytest.mark.parametrize("basis_name", ["sto-3g", "repro-dzp"])
+    def test_no_workspace_is_the_process_workspace(self, water, basis_name):
+        """Each driver with no workspace: bitwise the call on a fresh
+        `IntegralWorkspace`, its lookups counted by `get_workspace()`."""
+        process = get_workspace()
+        for name, call in _driver_calls(water, basis_name).items():
+            want = call(IntegralWorkspace())
+            before = process.hits + process.misses
+            got = call(None)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+            assert process.hits + process.misses > before, name
+
+    def test_positional_and_keyword_workspace(self, water):
+        """The workspace is found by position or by keyword, with one
+        basis or a list."""
+        bs = BasisSet.build(water, "sto-3g")
+        ws = IntegralWorkspace()
+        S = overlap(bs, ws)
+        assert ws.misses == 1
+        assert np.array_equal(overlap([bs], workspace=ws)[0], S)
+        assert ws.misses == 2
+
+    def test_no_workspace_free_branch(self):
+        """No branch of the integral layer or the store asks whether
+        there is a workspace or whether it is on, or stands in for a
+        scope with no scope; nothing under ``src/`` names the scope
+        that could be none (``evaluation_scope``)."""
+        import re
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        files = [*sorted((root / "integrals").glob("*.py")), root / "store.py"]
+        offenders = [
+            f"{path.name}:{n}" for path in files
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"workspace is (not )?None|enabled|nullcontext", line)
+        ]
+        assert offenders == []
+        assert [str(path.relative_to(root)) for path in root.rglob("*.py")
+                if "evaluation_scope" in path.read_text()] == []
+
+    def test_process_workspace_is_one_object_across_threads(self):
+        """Eight threads released together all get the one process
+        workspace: it is built with its module, not on a first call."""
+        barrier = threading.Barrier(8)
+        got = [None] * 8
+
+        def first_call(i):
+            barrier.wait()
+            got[i] = get_workspace()
+
+        threads = [threading.Thread(target=first_call, args=(i,))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert all(ws is get_workspace() for ws in got)

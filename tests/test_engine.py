@@ -7,13 +7,7 @@ import pytest
 
 from repro.basis import BasisSet, Shell, auto_auxiliary
 from repro.chem import Molecule
-from repro.integrals.batch import (
-    _w_class,
-    _w_deriv_class,
-    build_shell_classes,
-    pair_plan,
-    site_plan,
-)
+from repro.integrals.batch import _w_class, _w_deriv_class
 from repro.integrals.engine import (
     aux_group_data,
     comp_arrays,
@@ -24,7 +18,7 @@ from repro.integrals.engine import (
 )
 from repro.integrals.hermite import e_table, r_table
 
-from .conftest import hermite_cube
+from .conftest import hermite_cube, pair_plan, shell_classes, site_plan
 
 
 class TestBatchedTables:
@@ -119,7 +113,7 @@ class TestPairData:
     def test_composite_centers(self):
         sa = Shell(0, np.array([0.0, 0, 0]), np.array([2.0]), np.array([1.0]))
         sb = Shell(0, np.array([0.0, 0, 2.0]), np.array([1.0]), np.array([1.0]))
-        (cls,) = build_shell_classes(BasisSet([sa, sb]))
+        (cls,) = shell_classes(BasisSet([sa, sb]))
         # canonical pairs (0, 0), (0, 1), (1, 1): the middle one is a, b
         # P = (aA + bB)/(a+b) = (0 + 2)/3 along z
         np.testing.assert_allclose(cls.P[1, 0], [0, 0, 2.0 / 3.0])
@@ -185,7 +179,7 @@ class TestWTensors:
         """For s-s pairs, d/dA = -d/dB of the overlap kernel."""
         sa = Shell(0, np.array([0.0, 0, 0]), np.array([1.1]), np.array([1.0]))
         sb = Shell(0, np.array([0.5, -0.2, 1.0]), np.array([0.7]), np.array([1.0]))
-        (cls,) = build_shell_classes(BasisSet([sa, sb]))
+        (cls,) = shell_classes(BasisSet([sa, sb]))
         ca = cb = comp_arrays(0)
         tuv = hermite_simplex(0)
         for axis in range(3):
@@ -195,7 +189,7 @@ class TestWTensors:
 
     def test_w_deriv_invalid_side(self):
         sa = Shell(0, np.zeros(3), np.array([1.0]), np.array([1.0]))
-        (cls,) = build_shell_classes(BasisSet([sa]))
+        (cls,) = shell_classes(BasisSet([sa]))
         ca = comp_arrays(0)
         with pytest.raises(ValueError):
             _w_deriv_class(cls.E, cls.a, cls.b, ca, ca, hermite_simplex(0),

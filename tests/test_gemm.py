@@ -286,14 +286,15 @@ class TestBgemm:
         the counter sees exactly those FLOPs."""
         from repro.basis import BasisSet, auto_auxiliary
         from repro.integrals import eri3c
-        from repro.integrals.batch import build_shell_classes
         from repro.integrals.engine import aux_group_data, hermite_simplex
         from repro.systems import water_cluster
+
+        from .conftest import shell_classes
 
         mol = water_cluster(3, seed=1)
         bs, aux = BasisSet.build(mol, "sto-3g"), auto_auxiliary(mol)
         expect = 0
-        for cls in build_shell_classes(bs):
+        for cls in shell_classes(bs):
             X, N = cls.nfa * cls.nfb, cls.nprim
             Tb = hermite_simplex(cls.la + cls.lb).shape[0]
             for grp in aux_group_data(aux):

@@ -59,8 +59,9 @@ def glycine() -> Molecule:
 
 
 def _exact_calc(cls, **kw):
-    """A calculator with caching and screening both fully off."""
-    return cls(workspace=IntegralWorkspace(enabled=False), int_screen=0.0,
+    """A calculator with screening off, on a fresh workspace (caching is
+    exact: it cannot change a bit)."""
+    return cls(workspace=IntegralWorkspace(), int_screen=0.0,
                **kw)
 
 
@@ -204,16 +205,6 @@ class TestWorkspaceInvalidation:
             )
             assert ws.nbytes <= budget
         assert ws.evictions > 0
-
-    def test_disabled_workspace_stores_nothing(self, water_dimer):
-        bs = BasisSet.build(water_dimer, "sto-3g")
-        ws = IntegralWorkspace(enabled=False)
-        with ws.scope():  # nor does the evaluation's scratch
-            assert np.array_equal(overlap(bs, workspace=ws), overlap(bs))
-            assert np.array_equal(overlap(bs, workspace=ws), overlap(bs))
-        assert len(ws) == 0
-        assert ws.hits == 0
-        assert ws.misses > 0
 
 
 class TestScratchIsNotState:

@@ -45,7 +45,6 @@ from repro.integrals import (
     hcore,
     overlap,
 )
-from repro.integrals.workspace import evaluation_scope
 from repro.scf import prepare_solves
 from repro.systems import water_cluster
 from repro.systems.glycine import glycine_fragmented
@@ -85,7 +84,7 @@ def _seed(mol) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def _evaluate(mols, screen=0.0, ws=None):
+def _evaluate(mols, screen, ws):
     """Every driver on the fragments, in one evaluation, with each
     fragment's own coefficients."""
     bases = [BasisSet.build(mol, "sto-3g") for mol in mols]
@@ -98,7 +97,7 @@ def _evaluate(mols, screen=0.0, ws=None):
         X.append(x + x.T)
         Z.append(1e-3 * rng.standard_normal((basis.nbf, basis.nbf, aux.nbf)))
         zeta.append(rng.standard_normal((aux.nbf, aux.nbf)))
-    with evaluation_scope(ws):
+    with ws.scope():
         return [
             overlap(bases, ws),
             hcore(bases, mols, ws),
@@ -176,7 +175,7 @@ class TestBlockCounts:
     def test_a_fragment_alone_computes_what_it_requests(self, water4):
         mols, _ = water4
         ws = IntegralWorkspace()
-        _evaluate([mols[-1]], ws=ws)
+        _evaluate([mols[-1]], 0.0, ws)
         assert all(req == comp for req, comp in _counts(ws).values())
 
 

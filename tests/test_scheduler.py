@@ -331,12 +331,13 @@ class TestReleaseOnce:
         released: dict[int, list] = {}
         release = co._release
 
-        def watched(key, step):
+        def watched(task):
+            key, step = task.key, task.step
             win = co._windows[co._window_start(step)]
             assert all(co.monomer_time[m] == step for m in win.touch[key]), (
                 f"{key} released at step {step} before its monomers arrived")
             released.setdefault(step, []).append(key)
-            release(key, step)
+            release(task)
 
         co._release = watched
         due = {0: set(co._step_keys[0])}

@@ -53,7 +53,7 @@ from repro.integrals import (
     overlap,
 )
 from repro.integrals.batch import schwarz_pair_bounds, table_bytes
-from repro.integrals.workspace import evaluation_scope, table_budget
+from repro.integrals.workspace import table_budget
 from repro.md import (
     AsyncCoordinator,
     maxwell_boltzmann_velocities,
@@ -103,7 +103,7 @@ def _drivers(mols, screen: float, ws, basis: str):
     X = X + X.transpose(0, 2, 1)
     Z = np.stack([1e-3 * r.standard_normal((nb, nb, na)) for r in coef])
     zeta = np.stack([r.standard_normal((na, na)) for r in coef])
-    with evaluation_scope(ws):
+    with ws.scope():
         return [
             overlap(bases, ws),
             hcore(bases, mols, ws),

@@ -340,9 +340,9 @@ class TestOneWarmLayer:
             return [p for p in inspect.signature(fn).parameters
                     if p != "self"]
 
-        assert params(BoundedStore) == ["max_bytes", "enabled"]
+        assert params(BoundedStore) == ["max_bytes"]
         assert params(GuessCache) == ["enabled"]
-        assert params(IntegralWorkspace) == ["max_bytes", "enabled"]
+        assert params(IntegralWorkspace) == ["max_bytes"]
         assert params(TrajectoryService) == [
             "out_root", "nworkers", "max_active", "pool"]
         assert params(GuessCache.get) == ["record", "natoms"]

@@ -262,6 +262,33 @@ class TestSyncDriver:
         ).max()
         assert dev <= mgr.neglected_bound
 
+    def test_release_pass_gathers_its_gated_fragments_once(
+            self, glycine4, v0, monkeypatch):
+        """A release pass builds the fragments the gate sees in one
+        gather (`FragmentLayout.molecules`), however many polymers it
+        releases, and serves as many as one at a time would."""
+        from repro.frag.monomer import FragmentLayout
+
+        gathers = []
+        molecules = FragmentLayout.molecules
+        monkeypatch.setattr(FragmentLayout, "molecules", staticmethod(
+            lambda layouts, coords: gathers.append(len(layouts))
+            or molecules(layouts, coords)))
+        passes = []
+        release_ready = AsyncCoordinator._release_ready
+
+        def counted(co, step, only_monomer=None):
+            before = len(gathers)
+            release_ready(co, step, only_monomer)
+            passes.append(gathers[before:])
+
+        monkeypatch.setattr(AsyncCoordinator, "_release_ready", counted)
+        mgr = SurrogateManager(tol_dimer=5e-4, min_train=6, seed=7)
+        _sync_run(glycine4, v0, surrogate=mgr)
+        assert mgr.served > 0
+        assert max(len(p) for p in passes) == 1
+        assert max(sum(p) for p in passes) > 1
+
     def test_surrogate_requires_fragmented_system(self, glycine4):
         mgr = SurrogateManager()
         with pytest.raises(ValueError, match="FragmentedSystem"):
